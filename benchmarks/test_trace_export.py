@@ -60,7 +60,11 @@ def test_trace_export_writes_valid_chrome_timeline(benchmark):
         child_pids = {w.backend.child_pid for w in cluster.workers}
         assert pids == {0} | child_pids
         names = {e["name"] for e in events if e["ph"] == "B"}
-        assert any(name.startswith("task:task-") for name in names)
+        # Remote task spans carry their worker's name, on the child's track.
+        assert any(
+            e["name"].startswith("task:worker-") and e["pid"] in child_pids
+            for e in events if e["ph"] == "B"
+        )
         assert any(name.startswith("op:") for name in names)
 
         durations = [e for e in events if e["ph"] in ("B", "E")]

@@ -30,7 +30,6 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-import warnings
 
 from repro.analysis import sanitizer as pcsan
 from repro.catalog import CatalogJournal, CatalogManager
@@ -246,7 +245,7 @@ class PCCluster:
         self.storage_manager.create_database(name)
 
     def create_set(self, database, name, cls=None, *, page_size=None,
-                   replication=1, layout=None, schema=None, **legacy):
+                   replication=1, layout=None, schema=None):
         """Create a set partitioned over all workers — the one DDL surface.
 
         ``replication=k`` keeps ``k`` synchronous copies of every page on
@@ -264,23 +263,6 @@ class PCCluster:
         columnar`` in the environment makes derivable sets columnar by
         default without touching call sites.
         """
-        if "type_name" in legacy:
-            # One release of compatibility for the drifted storage-layer
-            # keyword; ``cls`` (or a pre-registered name) is the surface.
-            warnings.warn(
-                "create_set(type_name=...) is deprecated; pass the class "
-                "via cls= (or its registered name) instead",
-                DeprecationWarning, stacklevel=2,
-            )
-            if cls is None:
-                cls = legacy.pop("type_name")
-            else:
-                legacy.pop("type_name")
-        if legacy:
-            raise TypeError(
-                "create_set() got unexpected keyword argument(s): %s"
-                % ", ".join(sorted(legacy))
-            )
         type_name = None
         if isinstance(cls, str):
             type_name = cls
@@ -513,7 +495,7 @@ class PCCluster:
 
     def execute_computations(self, sinks, optimized=True,
                              build_side_overrides=None, job_name="job",
-                             columnar=None):
+                             columnar=True):
         """Compile, optimize, plan, and run a computation graph.
 
         Returns the scheduler's job log (the Figure 4 trace); the full
@@ -523,12 +505,9 @@ class PCCluster:
 
         ``columnar`` controls whether eligible operator subgraphs over
         columnar-layout scans are lowered onto whole-page array kernels
-        (:func:`repro.tcap.optimizer.mark_columnar`).  The default (None)
-        is on unless ``PC_COLUMNAR=0`` is set; pass False to force every
-        operator down the object path (the parity tests' baseline).
+        (:func:`repro.tcap.optimizer.mark_columnar`); pass False to force
+        every operator down the object path (the parity tests' baseline).
         """
-        if columnar is None:
-            columnar = os.environ.get("PC_COLUMNAR", "1") != "0"
         started = time.perf_counter()
         # PCSan pin-leak detection: pins held before the job are fine
         # (client handles, prior jobs); anything above that baseline

@@ -4,9 +4,10 @@ This module is the *child* side of :class:`~repro.cluster.transport.
 ProcessTransport`: it runs in a spawned OS process and executes one task
 at a time off a queue.  A task arrives fully described — the compiled
 program, the stage list, the source (shared-memory page names or plain
-columns), the sink kind — so the child needs none of the coordinator's
+columns), the sink class — so the child needs none of the coordinator's
 cluster machinery; it deliberately imports only the engine and memory
-layers.
+layers, and runs the task through the engine's one task body,
+:meth:`~repro.engine.pipeline.PipelineEngine.run_stages`.
 
 Sealed pages are attached zero-copy: the coordinator exports each page's
 ``multiprocessing.shared_memory`` segment name, the child attaches by
@@ -15,11 +16,11 @@ name and wraps the mapped bytes in an
 paper's "a page moves between processes with zero (de)serialization",
 for real this time.
 
-Results travel back as plain Python values plus the engine-metric and
-trace-counter deltas the coordinator replays into its shadow engine.  A
-task whose result would carry PC objects (handles/facades pointing into
-page memory) is *rejected*, not failed: the coordinator re-runs that
-portion inline.
+Results travel back as the sink's *pre-finish* state (plain Python
+values) plus the engine-metric and trace-counter deltas the coordinator
+replays into its shadow engine.  A task whose result would carry PC
+objects (handles/facades pointing into page memory) is *rejected*, not
+failed: the coordinator re-runs that portion front-end side.
 
 Since PR 9 the child runs a real :class:`~repro.obs.Tracer` (DESIGN
 §14): every task executes inside a ``task`` span that adopts the
@@ -42,14 +43,7 @@ import traceback
 
 from multiprocessing import shared_memory
 
-from repro.engine import kernels
-from repro.engine.pipeline import (
-    AggregateSink,
-    HashBuildSink,
-    MaterializeSink,
-    PipelineEngine,
-    object_batches,
-)
+from repro.engine.pipeline import PipelineEngine, object_batches
 from repro.engine.vectors import batches_of
 from repro.memory.block import AllocationBlock
 from repro.memory.builtins import AnyObject, VectorType
@@ -96,7 +90,7 @@ def _beat_loop(slot, interval):
 
 
 class _TaskRejected(Exception):
-    """The task cannot run (or return) remotely; run it inline instead."""
+    """The task's result cannot leave this process; re-run it front-end."""
 
 
 class _PlanStub:
@@ -110,7 +104,7 @@ class _OpSpanRecorder:
     """Coalesces operator applications into one ``op`` span per operator.
 
     Plugs into :class:`PipelineEngine`'s profiler seam, so it sees every
-    TCAP operator application on both the collect and the sink paths.  A
+    TCAP operator application of the task body.  A
     task applies each operator once per batch; a span per application
     would explode the trace, so the span for an operator covers its
     first application through its latest one, with per-batch row counts
@@ -149,13 +143,6 @@ class _OpSpanRecorder:
         dict) and double-count once the span tree is grafted.
         """
         self._root.inc("op.%s.columnar_rows" % name, rows)
-
-
-class _StagesView:
-    """Adapter giving a bare stage list the Pipeline interface."""
-
-    def __init__(self, stages):
-        self.stages = stages
 
 
 def _disown(shm):
@@ -235,49 +222,11 @@ def _source_batches(source, engine, registry, attachments):
     return batches_of(source[1], engine.batch_size)
 
 
-def _build_sink(engine, sink_spec):
-    kind = sink_spec[0]
-    if kind == "aggregate":
-        # merge semantics apply against the coordinator's store, so the
-        # child always builds plain groups; the coordinator's sink
-        # merges on install.
-        return AggregateSink(engine, sink_spec[1])
-    if kind == "hash_build":
-        return HashBuildSink(engine, sink_spec[1])
-    if kind == "materialize":
-        return MaterializeSink(engine, sink_spec[1])
-    raise _TaskRejected("unknown sink kind %r" % (kind,))
-
-
-def _run_collect(engine, stages, batches, tracer):
-    """Mirror of the scheduler's inline collect loop, counters included."""
-    columns = None
+def _counted(batches):
+    """``batches``, publishing rows consumed for the heartbeat thread."""
     for batch in batches:
-        engine.metrics.batches += 1
-        engine.metrics.rows_in += len(batch)
         _progress["rows"] += len(batch)
-        tracer.add("engine.batches")
-        tracer.add("engine.rows_in", len(batch))
-        current = batch
-        empty = False
-        for stage in stages:
-            engine.metrics.stage_invocations += 1
-            current = engine._apply_stage(stage, current)
-            if len(current) == 0:
-                empty = True
-                break
-        if empty:
-            continue
-        tracer.add("engine.rows_out", len(current))
-        if columns is None:
-            columns = {name: [] for name in current.names()}
-        for name in columns:
-            # Array-backed columns must leave as plain Python values
-            # (picklable, and free of page-memory references).
-            columns[name].extend(
-                kernels.reify_column(current.column(name))
-            )
-    return columns
+        yield batch
 
 
 def _reject_pc_values(value, depth=0):
@@ -353,7 +302,9 @@ def _execute(spec, task_id=0, recorder=None):
     context = spec.get("trace_ctx") or {}
     if context.get("trace_id"):
         tracer.trace_id = context["trace_id"]
-    with tracer.span("task-%d" % task_id, kind="task") as root:
+    # Named after the worker, like the coordinator's task span it is
+    # grafted under; the task id stays visible in the flight events.
+    with tracer.span(spec["worker_id"], kind="task") as root:
         root.pid = os.getpid()
         root.parent_id = context.get("parent_span_id")
         engine = PipelineEngine(
@@ -369,26 +320,14 @@ def _execute(spec, task_id=0, recorder=None):
             batches = _source_batches(
                 spec["source"], engine, spec["registry"], attachments
             )
-            stages = spec["stages"]
-            sink_spec = spec["sink"]
-            kind = sink_spec[0]
-            if kind == "collect":
-                result = _run_collect(engine, stages, batches, tracer)
-            else:
-                sink = _build_sink(engine, sink_spec)
-                view = _StagesView(stages)
-                for batch in batches:
-                    engine.metrics.batches += 1
-                    engine.metrics.rows_in += len(batch)
-                    _progress["rows"] += len(batch)
-                    engine._process_batch(view, batch, sink)
-                if kind == "aggregate":
-                    result = (list(sink.groups.keys()),
-                              list(sink.groups.values()))
-                elif kind == "hash_build":
-                    result = sink.table
-                else:
-                    result = sink.columns
+            # The sink is built plain and never finished: merge
+            # semantics apply against the coordinator's store, so its
+            # pre-finish state travels and the coordinator's own sink
+            # finishes front-end side.
+            sink_class, sink_arg, state_attr = spec["sink"]
+            sink = sink_class(engine, sink_arg)
+            engine.run_stages(spec["stages"], _counted(batches), sink)
+            result = getattr(sink, state_attr)
             _reject_pc_values(result)
         finally:
             _detach(attachments)

@@ -21,8 +21,14 @@ PC ``Map`` on a combiner page, the page's *bytes* are shipped, and the
 receiver reads the Map straight out of the arrived bytes — zero
 serialization on both ends.
 
+One task body, one attempt loop: a worker's portion of a stage is always
+``engine.run_stages(stages, batches, sink)`` — run by the back-end process
+the attempt was shipped to, or by the coordinator when the one placement
+decision (:meth:`DistributedScheduler._place`) keeps it front-end side
+for a counted reason (``pc_sched_frontend_tasks_total{reason}``).
+
 Fault tolerance (Section 2's dual-process rationale): every per-worker
-task runs through :meth:`DistributedScheduler._run_worker_task`, which
+task runs through :meth:`DistributedScheduler._run_worker_tasks`, which
 builds its inputs and sink fresh per attempt.  When the back-end crashes
 (a user-code bug, an injected fault, a failed page reload), the front-end
 re-forks it and the scheduler consults its
@@ -41,6 +47,7 @@ job restarts over them.
 from __future__ import annotations
 
 import contextlib
+import functools
 
 from repro.core.computation import AggregateComp
 from repro.engine import kernels
@@ -57,11 +64,12 @@ from repro.engine.pipeline import (
     MaterializeSink,
     PipelineEngine,
     Sink,
+    object_batches,
 )
 from repro.cluster.transport import (
+    PICKLING_ERRORS,
     RemoteOutcome,
     RemoteTask,
-    remote_available,
     serialize_task,
 )
 from repro.engine.vectors import batches_of
@@ -84,6 +92,19 @@ from repro.tcap.verify import verify_program
 
 #: Scaled stand-in for the paper's 2 GB broadcast-join threshold.
 DEFAULT_BROADCAST_THRESHOLD = 8 << 20
+
+#: Sinks a back-end process can fill: class -> (constructor argument,
+#: pre-finish state), both attribute names.  The child builds the sink
+#: plain and returns the state; the coordinator loads it into its own
+#: sink and runs ``finish()`` front-end side, so merge semantics and the
+#: ``pre_aggregated_keys`` accounting happen exactly once, in one place.
+#: Every other sink writes worker-local pages or folds into coordinator
+#: state and stays here.
+_SHIPPABLE_SINKS = {
+    AggregateSink: ("statement", "groups"),
+    HashBuildSink: ("join", "table"),
+    MaterializeSink: ("vlist_name", "columns"),
+}
 
 
 class JobStage:
@@ -136,8 +157,6 @@ class DistributedScheduler:
         self.job_log = []
         self._checkpoints = {}  # worker_id -> {"hash_tables": .., "store": ..}
         self._current_stage = None
-        #: remote (process-backed) offload needs cloudpickle for task blobs
-        self._remote_off = not remote_available()
         #: the cluster's flight recorder (scheduler decisions leave events)
         self.flight = getattr(cluster, "flight", None)
         self._c_remote_spans = cluster.metrics_registry.counter(
@@ -145,6 +164,13 @@ class DistributedScheduler:
             help="Spans recorded in back-end processes and grafted into "
                  "job traces",
             trace="trace.remote_spans",
+        )
+        self._c_frontend = cluster.metrics_registry.counter(
+            "pc_sched_frontend_tasks_total",
+            help="Task bodies the coordinator ran itself instead of "
+                 "shipping them to a back-end process, by reason",
+            labelnames=("reason",),
+            trace="sched.frontend.{reason}",
         )
 
     # -- engines -------------------------------------------------------------------
@@ -260,41 +286,31 @@ class DistributedScheduler:
 
     # -- fault recovery -----------------------------------------------------------------
 
-    def _armed_attempt(self, worker, stage_kind, make_attempt):
-        """Build one attempt, substituting an injected crash when armed.
+    def _submit_attempt(self, worker, make_attempt):
+        """Build one attempt and hand it to the worker's back-end.
 
         ``make_attempt()`` builds the attempt fresh — re-reading sources
-        from front-end storage and re-creating the sink — and returns
-        ``(payload, abort)``: what to dispatch (a closure, or a
-        :class:`RemoteTask` bound for a back-end process) and a rollback
-        undoing any durable half-effects of a failed try.  When the fault
-        injector decrees a crash for this attempt, the payload is
-        replaced by a raising closure, so injected crashes behave
-        identically on every transport: the back-end runs it, crashes,
-        and is re-forked (killing a real child process, if there is one).
+        from front-end storage, re-creating the sink, deciding placement
+        — and returns an :class:`_Attempt`.  When the fault injector
+        decrees a crash for this attempt, the payload is replaced by a
+        raising stand-in, so injected crashes behave identically on
+        every transport: the back-end runs it, crashes, and is re-forked
+        (killing a real child process, if there is one).
         """
-        payload, abort = make_attempt()
+        stage = self._current_stage
+        stage_kind = stage.kind if stage is not None else "task"
+        attempt = make_attempt()
         if self.faults is not None and self.faults.should_crash_backend(
             worker.worker_id, stage_kind
         ):
-            self._cleanup_payload(payload)
-            worker_id = worker.worker_id
-
-            def crash():
-                raise InjectedFaultError(
-                    "injected back-end crash on %s during %s"
-                    % (worker_id, stage_kind)
-                )
-
-            payload = crash
-        return payload, abort
-
-    @staticmethod
-    def _cleanup_payload(payload):
-        """Release a payload's held resources (exported-page pins), once."""
-        if isinstance(payload, RemoteTask) and payload.cleanup is not None:
-            cleanup, payload.cleanup = payload.cleanup, None
-            cleanup()
+            attempt.release()
+            attempt.payload = _raiser(InjectedFaultError(
+                "injected back-end crash on %s during %s"
+                % (worker.worker_id, stage_kind)
+            ))
+        attempt.started = self.retry_policy.clock()
+        attempt.future = worker.submit(attempt.payload)
+        return attempt
 
     def _retry_pause(self, worker, stage_kind, attempts):
         """The backoff between attempts, reported as a ``retry`` span."""
@@ -315,45 +331,54 @@ class DistributedScheduler:
             )
             self.retry_policy.sleep(backoff)
 
-    def _run_worker_task(self, worker, make_attempt):
-        """Run one worker's portion of the current stage, with retries.
+    def _await_attempt(self, worker, make_attempt, attempt):
+        """Await a submitted attempt; on a crash, back off and resubmit.
 
-        Synchronous form: dispatch happens inside the task span, so the
-        engine counters a simulated back-end emits while running are
-        attributed to this worker's task — exactly as before transports
-        became pluggable.
+        The one retry loop.  An in-process back-end does the attempt's
+        work inside ``await_result``, a process back-end has been at it
+        since submit; either way it happens under this worker's task
+        span, so engine counters and remote spans are attributed to it.
+        Returns the finished sink.
         """
         policy = self.retry_policy
         stage = self._current_stage
         stage_kind = stage.kind if stage is not None else "task"
-        attempts = 0
-        started = policy.clock()
+        attempts, started = 1, attempt.started
         while True:
-            attempts += 1
-            payload, abort = self._armed_attempt(
-                worker, stage_kind, make_attempt
-            )
             try:
                 try:
-                    with self._task_span(worker) as span:
+                    with self.tracer.span(
+                        worker.worker_id, kind="task",
+                        detail=attempt.placement,
+                    ) as span:
                         if attempts > 1:
                             span.inc("task.retry_attempt")
                         try:
-                            outcome = worker.dispatch(payload)
+                            outcome = worker.await_result(attempt.future)
+                            if (isinstance(outcome, RemoteOutcome)
+                                    and outcome.rejected is not None):
+                                # The child ran the body, but its result
+                                # still points into page memory: run the
+                                # same body here instead.
+                                self._c_frontend.inc(reason="child_rejected")
+                                if isinstance(span, Span):
+                                    span.detail = "front-end: child_rejected"
+                                outcome = worker.dispatch(attempt.body)
                         except WorkerCrashError as crash:
                             self._graft_crash_evidence(worker, span, crash)
                             raise
                         if isinstance(outcome, RemoteOutcome):
-                            payload.on_result(outcome)
+                            self._install_remote(
+                                worker, attempt.sink, outcome
+                            )
                 finally:
-                    self._cleanup_payload(payload)
+                    attempt.release()
                 if attempts > 1:
                     self.fault_metrics.tasks_recovered.inc()
-                return
+                return attempt.sink
             except WorkerCrashError as crash:
                 self.fault_metrics.backend_crashes.inc()
-                if abort is not None:
-                    abort()
+                attempt.sink.abort()
                 # The policy clock covers sim determinism; real deadline
                 # kills (process transport) arrive pre-judged on the
                 # crash itself, so either channel books a timeout.
@@ -365,98 +390,60 @@ class DistributedScheduler:
                         worker, stage, attempts, crash, timed_out
                     )
                 self._retry_pause(worker, stage_kind, attempts)
+                attempts += 1
+                attempt = self._submit_attempt(worker, make_attempt)
 
-    def _submit_attempt(self, worker, make_attempt):
-        """Submit one worker's first attempt without awaiting it."""
-        stage = self._current_stage
-        stage_kind = stage.kind if stage is not None else "task"
-        payload, abort = self._armed_attempt(worker, stage_kind, make_attempt)
-        return {
-            "payload": payload, "abort": abort,
-            "future": worker.submit(payload),
-            "attempts": 1, "started": self.retry_policy.clock(),
-        }
+    def _run_worker_tasks(self, items, on_lost=None):
+        """Run per-worker attempts through the one submit/await loop.
 
-    def _await_attempt(self, worker, make_attempt, state):
-        """Await a submitted attempt, retrying (resubmitting) on crashes."""
-        policy = self.retry_policy
-        stage = self._current_stage
-        stage_kind = stage.kind if stage is not None else "task"
-        while True:
-            payload = state["payload"]
-            try:
-                try:
-                    with self._task_span(worker) as span:
-                        if state["attempts"] > 1:
-                            span.inc("task.retry_attempt")
-                        try:
-                            outcome = worker.await_result(state["future"])
-                        except WorkerCrashError as crash:
-                            self._graft_crash_evidence(worker, span, crash)
-                            raise
-                        if isinstance(outcome, RemoteOutcome):
-                            payload.on_result(outcome)
-                finally:
-                    self._cleanup_payload(payload)
-                if state["attempts"] > 1:
-                    self.fault_metrics.tasks_recovered.inc()
-                return
-            except WorkerCrashError as crash:
-                self.fault_metrics.backend_crashes.inc()
-                if state["abort"] is not None:
-                    state["abort"]()
-                timed_out = policy.timed_out(state["started"]) or getattr(
-                    crash, "deadline_exceeded", False
-                )
-                if timed_out or not policy.should_retry(state["attempts"]):
-                    self._fail_permanently(
-                        worker, stage, state["attempts"], crash, timed_out
-                    )
-                self._retry_pause(worker, stage_kind, state["attempts"])
-                state["attempts"] += 1
-                payload, abort = self._armed_attempt(
-                    worker, stage_kind, make_attempt
-                )
-                state["payload"], state["abort"] = payload, abort
-                state["future"] = worker.submit(payload)
+        ``items`` is a list of ``(worker, make_attempt)`` pairs.  An
+        in-process back-end does a submitted attempt's work when it is
+        awaited, so each worker is settled before the next is submitted
+        — the simulator's strict worker order, including mid-loop
+        blacklist checks and immediate loss handling.  Process back-ends
+        work from submit on, so every worker's first attempt is
+        submitted up front and all are settled afterwards, in order;
+        losses are then handled *after* all awaits finish, because
+        already-submitted survivors snapshot their sources at submit
+        time and cannot pick up orphans mid-flight.
 
-    def _parallel(self):
-        """Whether submit-all/await-all buys real overlap on this cluster."""
-        return any(
+        ``on_lost(worker, lost, done)`` absorbs a lost worker or
+        re-raises; without it the loss propagates immediately.  Returns
+        ``{worker_id: sink}``: the finished sink of every worker that
+        completed its portion.
+        """
+        overlap = any(
             getattr(worker.backend, "asynchronous", False)
             for worker in self.workers
         )
+        done, pending = {}, []
 
-    def _run_worker_tasks(self, items, on_lost=None):
-        """Run per-worker attempts, overlapping them when back-ends allow.
-
-        ``items`` is a list of ``(worker, make_attempt)`` pairs.  With
-        synchronous back-ends (the simulator) the workers run strictly in
-        order — the exact pre-transport behavior, including mid-loop
-        blacklist checks and immediate loss handling.  With asynchronous
-        (process) back-ends every worker's first attempt is submitted up
-        front and awaited in order; losses are handled *after* all awaits
-        finish, because already-submitted survivors snapshot their
-        sources at submit time and cannot pick up orphans mid-flight.
-
-        ``on_lost(worker, lost, completed)`` absorbs a lost worker or
-        re-raises; without it the loss propagates immediately.  Returns
-        the set of worker ids that completed their portion.
-        """
-        completed = set()
-        if not self._parallel():
-            for worker, make_attempt in items:
-                if worker.worker_id in self.cluster.blacklist:
-                    continue
+        def settle():
+            losses = []
+            for worker, make_attempt, attempt in pending:
                 try:
-                    self._run_worker_task(worker, make_attempt)
-                    completed.add(worker.worker_id)
+                    done[worker.worker_id] = self._await_attempt(
+                        worker, make_attempt, attempt
+                    )
                 except WorkerLostError as lost:
                     if on_lost is None:
                         raise
-                    on_lost(worker, lost, completed)
-            return completed
-        pending = []
+                    losses.append((worker, lost))
+            del pending[:]
+            for worker, lost in losses:
+                # _fail_permanently's surviving-workers check ran against
+                # the cluster as it stood at await time; earlier entries
+                # in this loop may have decommissioned workers since.
+                # Re-check the floor before each loss is absorbed.
+                floor = self.retry_policy.min_surviving_workers
+                if len(self.workers) - 1 < floor:
+                    raise ExecutionError(
+                        "worker %s lost (%s), but decommissioning it would "
+                        "leave fewer than %d surviving worker(s)"
+                        % (lost.worker_id, lost.reason, floor)
+                    ) from lost
+                on_lost(worker, lost, done)
+
         for worker, make_attempt in items:
             if worker.worker_id in self.cluster.blacklist:
                 continue
@@ -464,31 +451,10 @@ class DistributedScheduler:
                 worker, make_attempt,
                 self._submit_attempt(worker, make_attempt),
             ))
-        losses = []
-        for worker, make_attempt, state in pending:
-            try:
-                self._await_attempt(worker, make_attempt, state)
-                completed.add(worker.worker_id)
-            except WorkerLostError as lost:
-                if on_lost is None:
-                    raise
-                losses.append((worker, lost))
-        for worker, lost in losses:
-            # _fail_permanently's surviving-workers check ran against
-            # the cluster as it stood at await time; earlier entries in
-            # this loop may have decommissioned workers since.  Re-check
-            # the floor before each deferred loss is absorbed.
-            if len(self.workers) - 1 < self.retry_policy.min_surviving_workers:
-                raise ExecutionError(
-                    "worker %s lost (%s), but decommissioning it would "
-                    "leave fewer than %d surviving worker(s)"
-                    % (
-                        lost.worker_id, lost.reason,
-                        self.retry_policy.min_surviving_workers,
-                    )
-                ) from lost
-            on_lost(worker, lost, completed)
-        return completed
+            if not overlap:
+                settle()
+        settle()
+        return done
 
     def _fail_permanently(self, worker, stage, attempts, crash, timed_out):
         """A worker task is out of retries: blacklist or fail the job."""
@@ -575,10 +541,6 @@ class DistributedScheduler:
         # so mid-job re-forks can rebuild engines without re-running it.
         self._checkpoint_workers()
 
-    def _task_span(self, worker):
-        """The per-worker task span nested under the current stage."""
-        return self.tracer.span(worker.worker_id, kind="task")
-
     def _segments(self, stages):
         """Split a stage chain at every *partitioned* join probe."""
         segments = [[]]
@@ -592,119 +554,105 @@ class DistributedScheduler:
                 segments[-1].append(stage)
         return segments
 
-    def _scan_batches_factory(self, worker, pipeline):
-        """Fresh source batches for one attempt, off the current engine."""
-        return lambda: self.engine_for(worker)._source_batches(pipeline)
+    def _pipeline_source(self, worker, pipeline):
+        """A per-attempt source factory for ``worker``'s share of
+        ``pipeline``: its stored-set scan, or the columns an earlier
+        stage materialized (a missing one raises its ExecutionError
+        here, front-end side, on every transport)."""
+        if pipeline.source_kind == SOURCE_SCAN:
+            return lambda: _ScanSource(
+                self.cluster.replication, worker, pipeline
+            )
+        return lambda: _ColumnSource(
+            self.engine_for(worker).stored(pipeline.source)
+        )
 
-    # -- remote (process-backed) task offload ------------------------------------------
+    def _collect_sink(self, worker):
+        """A sink that only collects: the caller reads its ``columns``."""
+        return MaterializeSink(self.engine_for(worker), None)
 
-    def _scan_source_builder(self, worker, pipeline):
-        """A deferred shippable-source description for one worker.
+    # -- placement: ship the attempt, or keep it front-end side ------------------------
 
-        Called per attempt; returns ``(source, cleanup)`` or None when
-        the portion must run inline.  Scan sources export the worker's
-        assigned pages as shared-memory references — mirroring the
-        replica-governed scan's page selection, failover accounting, and
-        corruption healing exactly — and keep every exported page
-        *pinned* until ``cleanup`` runs, so eviction cannot unlink a
-        segment the child is still reading.  A pool too small to pin the
-        whole scan falls back to inline execution (where the engine
-        streams pages one at a time through the spill machinery).
+    def _place(self, worker, stages, source, sink, body):
+        """The one placement decision for an attempt; returns it built.
+
+        The attempt is shipped to the worker's back-end process unless
+        one of a closed set of reasons keeps ``body`` front-end side:
+        ``in_process`` (the simulator has no other side),
+        ``frontend_sink`` (the sink writes worker-local pages or merges
+        into coordinator state), ``pool_pressure`` (the pool cannot pin
+        the whole scan; the front-end streams it page by page through
+        the spill machinery), ``unpicklable_spec`` (a hash table or
+        closure holds something that cannot travel) — each counted in
+        ``pc_sched_frontend_tasks_total{reason}`` and named on the task
+        span; ``child_rejected`` joins them in :meth:`_await_attempt`.
+        A probe whose hash table was never built is a scheduling bug on
+        any transport and raises its ExecutionError right here.  A
+        storage fault while exporting the scan is replayed through the
+        back-end as a raising stand-in, so it books as a crash (retry +
+        re-fork) exactly where the front-end scan would have hit it.
         """
-        if pipeline.source_kind != SOURCE_SCAN:
-            source_name = pipeline.source
+        def front_end(reason):
+            self._c_frontend.inc(reason=reason)
+            return _Attempt(sink, body, "front-end: %s" % reason)
 
-            def build_store():
-                columns = self.engine_for(worker).store.get(source_name)
-                if columns is None:
-                    # Let the inline path raise its usual ExecutionError.
-                    return None
-                return ("columns", columns), None
+        engine = sink.engine
+        tables = {
+            stage.output: engine.hash_table(stage.output)
+            for stage in stages if isinstance(stage, JoinStmt)
+        }
+        if not getattr(worker.backend, "asynchronous", False):
+            return front_end("in_process")
+        shippable = _SHIPPABLE_SINKS.get(type(sink))
+        if shippable is None or getattr(sink, "merge", False):
+            return front_end("frontend_sink")
+        try:
+            exported, release = source.export()
+        except StorageError as fault:
+            return _Attempt(sink, _raiser(fault), None)
+        if exported is None:
+            return front_end("pool_pressure")
+        active = self.tracer.active
+        spec = {
+            "worker_id": worker.worker_id,
+            "program": self.program,
+            "build_sides": dict(self.plan.build_sides),
+            "batch_size": self.cluster.batch_size,
+            "stages": list(stages),
+            "source": exported,
+            "sink": (type(sink), getattr(sink, shippable[0]), shippable[1]),
+            "hash_tables": tables,
+            # Trace context (DESIGN §14): the child's task span adopts
+            # this job's trace id and hangs off the span open at build
+            # time (the stage span; grafting re-parents onto the task
+            # span the coordinator opens around the await).
+            "trace_ctx": {
+                "trace_id": self.tracer.trace_id,
+                "parent_span_id": active.span_id if active is not None
+                else None,
+            },
+            # The master registry is authoritative and its codes are
+            # cluster-consistent (local catalogs mirror them on their
+            # simulated .so fetches); the worker-local registry may not
+            # have lazily fetched every type the pages reference yet.
+            "registry": self.cluster.catalog.registry,
+        }
+        try:
+            blob = serialize_task(spec)
+        except PICKLING_ERRORS:
+            if release is not None:
+                release()
+            return front_end("unpicklable_spec")
+        task = RemoteTask(blob, label="%s on %s" % (
+            type(sink).__name__, worker.worker_id
+        ))
+        return _Attempt(sink, body, "shipped", task=task, release=release)
 
-            return build_store
-        scan = pipeline.source
-
-        def build_scan():
-            repl = self.cluster.replication
-            pinned = []
-
-            def cleanup():
-                for pool, page_id in pinned:
-                    pool.unpin(page_id)
-
-            refs = []
-            try:
-                if repl.has_page_map(scan.database, scan.set_name):
-                    copies = repl.scan_page_copies(
-                        scan.database, scan.set_name,
-                        worker_id=worker.worker_id,
-                    )
-                elif worker.storage.has_set(scan.database, scan.set_name):
-                    page_set = worker.storage.get_set(
-                        scan.database, scan.set_name
-                    )
-                    copies = [
-                        (page_set, page_id)
-                        for page_id in page_set.page_ids
-                    ]
-                else:
-                    copies = []
-                for page_set, page_id in copies:
-                    pool = page_set.pool
-                    page = pool.pin(page_id)
-                    pinned.append((pool, page_id))
-                    if page.shm is None:
-                        cleanup()
-                        return None
-                    refs.append((page.shm.name, page.block.size))
-            except BufferPoolExhaustedError:
-                # Pool pressure: run this attempt inline, where the
-                # engine streams pages one at a time through the spill
-                # machinery instead of pinning the whole scan.
-                cleanup()
-                return None
-            except StorageError:
-                # A flaky reload or a missing replica: the inline scan
-                # would hit the same fault inside the back-end, so
-                # re-raise and let the attempt machinery treat it as a
-                # back-end crash — identical retry/refork accounting on
-                # both transports.
-                cleanup()
-                raise
-            # The 4th element tells the remote worker whether this scan
-            # was columnar-lowered (attach pages as array batches).
-            columnar = scan.info.get("columnar") == "1"
-            return ("pages", refs, scan.column, columnar), cleanup
-
-        return build_scan
-
-    def _describe_sink(self, sink):
-        """A shippable description of a sink, or None if it must stay here.
-
-        Output sinks write worker-local pages and merge sinks fold into
-        coordinator state — both unshippable.  The child always builds
-        its sink plain (merge=False) and returns *pre-finish* state; the
-        coordinator installs it and runs ``finish()`` front-end side, so
-        merge semantics and the ``pre_aggregated_keys`` accounting happen
-        exactly once, in exactly one place.
-        """
-        if type(sink) is AggregateSink and not sink.merge:
-            return ("aggregate", sink.statement)
-        if type(sink) is HashBuildSink:
-            return ("hash_build", sink.join)
-        if type(sink) is MaterializeSink and not sink.merge:
-            return ("materialize", sink.vlist_name)
-        return None
-
-    def _install_sink_result(self, sink, result):
-        """Load a child's pre-finish sink state, then finish front-end side."""
-        if isinstance(sink, AggregateSink):
-            keys, vals = result
-            sink.groups = dict(zip(keys, vals))
-        elif isinstance(sink, HashBuildSink):
-            sink.table = result
-        else:
-            sink.columns = result
+    def _install_remote(self, worker, sink, outcome):
+        """Replay a child's deltas, load its pre-finish sink state into
+        the coordinator's sink, and finish front-end side."""
+        self._apply_remote_deltas(worker, outcome)
+        setattr(sink, _SHIPPABLE_SINKS[type(sink)][1], outcome.result)
         sink.finish()
 
     def _apply_remote_deltas(self, worker, outcome):
@@ -790,198 +738,38 @@ class DistributedScheduler:
                     error_s,
                 )
 
-    def _remote_task(self, worker, stages, source_builder, sink_spec,
-                     run_inline, install, label=""):
-        """Package one worker's stage portion for its back-end process.
-
-        Returns None whenever the portion must run inline instead: the
-        back-end is in-process, cloudpickle is unavailable, the sink or
-        source is unshippable, or the spec fails to serialize.  The
-        returned task's ``on_result`` replays the child's metric deltas
-        and installs the result through ``install(result)``.
-        """
-        if self._remote_off or sink_spec is None or source_builder is None:
-            return None
-        if not getattr(worker.backend, "asynchronous", False):
-            return None
-        try:
-            built = source_builder()
-        except StorageError as fault:
-            # Replay the export fault through the back-end so it books
-            # as a crash (retry + re-fork), mirroring where the inline
-            # scan would have raised it.
-            def replay_fault(fault=fault):
-                raise fault
-
-            return replay_fault
-        if built is None:
-            return None
-        source, cleanup = built
-        engine = self.engine_for(worker)
-        tables = {}
-        for stage in stages:
-            if isinstance(stage, JoinStmt):
-                table = engine.hash_tables.get(stage.output)
-                if table is None:
-                    self._run_cleanup(cleanup)
-                    return None
-                tables[stage.output] = table
-
-        def on_result(outcome):
-            self._apply_remote_deltas(worker, outcome)
-            install(outcome.result)
-
-        active = self.tracer.active
-        spec = {
-            "program": self.program,
-            "build_sides": dict(self.plan.build_sides),
-            "batch_size": self.cluster.batch_size,
-            "stages": list(stages),
-            "source": source,
-            "sink": sink_spec,
-            "hash_tables": tables,
-            # Trace context (DESIGN §14): the child's task span adopts
-            # this job's trace id and hangs off the span open at build
-            # time (the stage span; grafting re-parents onto the task
-            # span the coordinator opens around the dispatch).
-            "trace_ctx": {
-                "trace_id": self.tracer.trace_id,
-                "parent_span_id": active.span_id if active is not None
-                else None,
-            },
-            # The master registry is authoritative and its codes are
-            # cluster-consistent (local catalogs mirror them on their
-            # simulated .so fetches); the worker-local registry may not
-            # have lazily fetched every type the pages reference yet.
-            "registry": self.cluster.catalog.registry,
-        }
-        try:
-            blob = serialize_task(spec)
-        except Exception:  # program/tables hold something unpicklable
-            self._run_cleanup(cleanup)
-            return None
-        return RemoteTask(
-            blob, run_inline, on_result,
-            label="%s on %s" % (label, worker.worker_id),
-            cleanup=cleanup,
-        )
-
-    @staticmethod
-    def _run_cleanup(cleanup):
-        if cleanup is not None:
-            cleanup()
-
     # -- stage runners -----------------------------------------------------------------
 
-    def _collect_attempt(self, worker, stages, batches_factory,
-                         source_builder, result):
-        """make_attempt for a collect run; the columns land in ``result``."""
-
-        def make_attempt():
-            acc = {"columns": None}
-            result["acc"] = acc
-
-            def run():
-                engine = self.engine_for(worker)
-                for batch in batches_factory():
-                    engine.metrics.batches += 1
-                    engine.metrics.rows_in += len(batch)
-                    self.tracer.add("engine.batches")
-                    self.tracer.add("engine.rows_in", len(batch))
-                    current = batch
-                    empty = False
-                    for stage in stages:
-                        engine.metrics.stage_invocations += 1
-                        current = engine._apply_stage(stage, current)
-                        if len(current) == 0:
-                            empty = True
-                            break
-                    if empty:
-                        continue
-                    self.tracer.add("engine.rows_out", len(current))
-                    if acc["columns"] is None:
-                        acc["columns"] = {
-                            name: [] for name in current.names()
-                        }
-                    for name in acc["columns"]:
-                        # A columnar-lowered segment may end array-backed;
-                        # the accumulator holds plain Python values.
-                        acc["columns"][name].extend(
-                            kernels.reify_column(current.column(name))
-                        )
-
-            def install(res):
-                acc["columns"] = res
-
-            task = self._remote_task(
-                worker, stages, source_builder, ("collect",), run,
-                install, label="collect",
-            )
-            return (task if task is not None else run), None
-
-        return make_attempt
-
-    def _sink_attempt(self, worker, stages, batches_factory, sink_factory,
-                      source_builder=None):
-        """make_attempt for a run that folds batches into a fresh sink."""
+    def _attempt(self, worker, stages, source_factory, sink_factory):
+        """make_attempt for one worker's portion of a stage: ``stages``
+        over a fresh source into a fresh sink, placed by :meth:`_place`.
+        """
 
         def make_attempt():
             sink = sink_factory(worker)
+            source = source_factory()
 
-            def run():
-                engine = sink.engine
-                for batch in batches_factory():
-                    engine.metrics.batches += 1
-                    engine.metrics.rows_in += len(batch)
-                    pipeline = _StagesView(stages)
-                    engine._process_batch(pipeline, batch, sink)
+            def body():
+                sink.engine.run_stages(
+                    stages, source.batches(sink.engine), sink
+                )
                 sink.finish()
 
-            def install(res):
-                self._install_sink_result(sink, res)
-
-            task = self._remote_task(
-                worker, stages, source_builder, self._describe_sink(sink),
-                run, install, label="sink",
-            )
-            return (task if task is not None else run), sink.abort
+            return self._place(worker, stages, source, sink, body)
 
         return make_attempt
-
-    def _run_stages_collect(self, worker, stages, batches_factory,
-                            source_builder=None):
-        """Run ``stages`` over fresh batches; returns collected columns."""
-        result = {}
-        self._run_worker_task(worker, self._collect_attempt(
-            worker, stages, batches_factory, source_builder, result
-        ))
-        return result["acc"]["columns"] or {}
-
-    def _run_stages_into_sink(self, worker, stages, batches_factory,
-                              sink_factory, source_builder=None):
-        """Run ``stages`` into a per-attempt sink built by ``sink_factory``."""
-        self._run_worker_task(worker, self._sink_attempt(
-            worker, stages, batches_factory, sink_factory, source_builder
-        ))
 
     def _collect_from_workers(self, pipeline, stages):
         """Every worker's collected columns for one segment, in order."""
         workers = list(self.workers)
-        holders = [dict() for _ in workers]
-        items = [
-            (worker, self._collect_attempt(
-                worker, stages,
-                self._scan_batches_factory(worker, pipeline),
-                self._scan_source_builder(worker, pipeline),
-                holders[index],
+        done = self._run_worker_tasks([
+            (worker, self._attempt(
+                worker, stages, self._pipeline_source(worker, pipeline),
+                self._collect_sink,
             ))
-            for index, worker in enumerate(workers)
-        ]
-        self._run_worker_tasks(items)
-        return [
-            (holder.get("acc") or {}).get("columns") or {}
-            for holder in holders
-        ]
+            for worker in workers
+        ])
+        return [done[worker.worker_id].columns or {} for worker in workers]
 
     def _shuffle_columns(self, per_worker_columns, hash_column):
         """Repartition rows by ``hash % n_workers``; returns per-worker columns."""
@@ -1030,32 +818,20 @@ class DistributedScheduler:
             )
             last = index == len(segments) - 1
             workers = list(self.workers)
-            holders = [dict() for _ in workers]
-            items = []
-            for w_index, worker in enumerate(workers):
-                cols = per_worker_columns[w_index]
-
-                def batches_factory(_cols=cols):
-                    return batches_of(_cols, self.cluster.batch_size)
-
-                def source_builder(_cols=cols):
-                    return ("columns", _cols), None
-
-                if last:
-                    items.append((worker, self._sink_attempt(
-                        worker, segment, batches_factory, sink_factory,
-                        source_builder,
-                    )))
-                else:
-                    items.append((worker, self._collect_attempt(
-                        worker, segment, batches_factory, source_builder,
-                        holders[w_index],
-                    )))
-            self._run_worker_tasks(items)
+            done = self._run_worker_tasks([
+                (worker, self._attempt(
+                    worker, segment,
+                    functools.partial(
+                        _ColumnSource, per_worker_columns[w_index]
+                    ),
+                    sink_factory if last else self._collect_sink,
+                ))
+                for w_index, worker in enumerate(workers)
+            ])
             if not last:
                 per_worker_columns = [
-                    (holder.get("acc") or {}).get("columns") or {}
-                    for holder in holders
+                    done[worker.worker_id].columns or {}
+                    for worker in workers
                 ]
 
     def _run_distributed_pipeline(self, pipeline, sink_factory):
@@ -1079,11 +855,9 @@ class DistributedScheduler:
                 )
 
             items = [
-                (worker, self._sink_attempt(
-                    worker, first,
-                    self._scan_batches_factory(worker, pipeline),
+                (worker, self._attempt(
+                    worker, first, self._pipeline_source(worker, pipeline),
                     sink_factory,
-                    self._scan_source_builder(worker, pipeline),
                 ))
                 for worker in list(self.workers)
             ]
@@ -1170,31 +944,25 @@ class DistributedScheduler:
             }
             if assigned:
                 self._run_orphan_pages(
-                    worker, scan, stages, sink_factory, assigned
+                    worker, pipeline, stages, sink_factory, assigned
                 )
 
-    def _run_orphan_pages(self, worker, scan, stages, sink_factory, uids):
+    def _run_orphan_pages(self, worker, pipeline, stages, sink_factory,
+                          uids):
         """Run ``stages`` over just the orphaned pages, merging results."""
-        from repro.engine.pipeline import object_batches
-
-        def batches_factory():
-            objects = self.cluster.replication.scan_objects(
-                scan.database, scan.set_name,
-                worker_id=worker.worker_id, only_uids=uids,
-            )
-            return object_batches(
-                objects, scan.column, self.cluster.batch_size
-            )
-
         def merge_sink_factory(w):
             sink = sink_factory(w)
             if hasattr(sink, "merge"):
                 sink.merge = True
             return sink
 
-        self._run_stages_into_sink(
-            worker, stages, batches_factory, merge_sink_factory
-        )
+        self._run_worker_tasks([(worker, self._attempt(
+            worker, stages,
+            lambda: _ScanSource(
+                self.cluster.replication, worker, pipeline, only_uids=uids
+            ),
+            merge_sink_factory,
+        ))])
 
     # -- per-sink handlers ------------------------------------------------------------------
 
@@ -1249,10 +1017,18 @@ class DistributedScheduler:
 
     def _run_build_stage(self, pipeline, join, mode):
         if mode == "broadcast":
-            def build_sink_factory(w):
-                return HashBuildSink(self.engine_for(w), join)
-
-            def ship_to_master(worker, merged):
+            # Builds overlap across back-end processes; the ship and
+            # merge pass is a serial coordinator loop.
+            self._run_worker_tasks([
+                (worker, self._attempt(
+                    worker, pipeline.stages,
+                    self._pipeline_source(worker, pipeline),
+                    lambda w: HashBuildSink(self.engine_for(w), join),
+                ))
+                for worker in self.workers
+            ])
+            merged = {}
+            for worker in self.workers:
                 table = self.engine_for(worker).hash_tables[join.output]
                 rows = [row for bucket in table.values() for row in bucket]
                 self.cluster.network.ship_rows(
@@ -1260,33 +1036,6 @@ class DistributedScheduler:
                 )
                 for hash_value, bucket in table.items():
                     merged.setdefault(hash_value, []).extend(bucket)
-
-            merged = {}
-            if self._parallel():
-                # Builds overlap across back-end processes; the ship and
-                # merge pass stays a serial coordinator loop.
-                items = [
-                    (worker, self._sink_attempt(
-                        worker, pipeline.stages,
-                        self._scan_batches_factory(worker, pipeline),
-                        build_sink_factory,
-                        self._scan_source_builder(worker, pipeline),
-                    ))
-                    for worker in self.workers
-                ]
-                self._run_worker_tasks(items)
-                for worker in self.workers:
-                    ship_to_master(worker, merged)
-            else:
-                # Deterministic simulator path: build and ship interleave
-                # per worker, preserving the historical fault-draw order.
-                for worker in self.workers:
-                    self._run_stages_into_sink(
-                        worker, pipeline.stages,
-                        self._scan_batches_factory(worker, pipeline),
-                        build_sink_factory,
-                    )
-                    ship_to_master(worker, merged)
             for worker in self.workers:
                 rows = [r for b in merged.values() for r in b]
                 self.cluster.network.ship_rows("master", worker.worker_id, rows)
@@ -1501,11 +1250,132 @@ class DistributedScheduler:
         return None
 
 
-class _StagesView:
-    """Adapter giving scheduler stage lists the Pipeline interface."""
+def _raiser(error):
+    """A payload standing in for a task body that just raises ``error``."""
+    def crash():
+        raise error
 
-    def __init__(self, stages):
-        self.stages = stages
+    return crash
+
+
+class _Attempt:
+    """One try at one worker's portion of a stage, as :meth:`_place` built it.
+
+    ``payload`` is what the back-end is handed — the shipped
+    :class:`RemoteTask`, or ``body`` itself when the coordinator runs it
+    — and ``placement`` says which (and why) on the task span.
+    ``release`` drops what the attempt holds while it runs (the pins
+    keeping exported pages' shared-memory segments alive), exactly once.
+    """
+
+    __slots__ = ("sink", "body", "placement", "payload", "_release",
+                 "future", "started")
+
+    def __init__(self, sink, body, placement, task=None, release=None):
+        self.sink = sink
+        self.body = body
+        self.placement = placement
+        self.payload = task if task is not None else body
+        self._release = release
+
+    def release(self):
+        release, self._release = self._release, None
+        if release is not None:
+            release()
+
+
+class _ColumnSource:
+    """Plain columns (a materialized vector list, a shuffle's output)."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def batches(self, engine):
+        return batches_of(self.columns, engine.batch_size)
+
+    def export(self):
+        return ("columns", self.columns), None
+
+
+class _ScanSource:
+    """One worker's share of a stored set's pages (all, or ``only_uids``)."""
+
+    def __init__(self, replication, worker, pipeline, only_uids=None):
+        self.replication = replication
+        self.worker = worker
+        self.pipeline = pipeline
+        self.only_uids = only_uids
+
+    def batches(self, engine):
+        if self.only_uids is None:
+            return engine._source_batches(self.pipeline)
+        scan = self.pipeline.source
+        # Orphan re-runs take the per-row path: always correct, and the
+        # absorbed pages are few.
+        return object_batches(
+            self.replication.scan_objects(
+                scan.database, scan.set_name,
+                worker_id=self.worker.worker_id, only_uids=self.only_uids,
+            ),
+            scan.column, engine.batch_size,
+        )
+
+    def export(self):
+        """The pages as shared-memory references, pinned until released.
+
+        Returns ``(description, release)``.  The page selection mirrors
+        the replica-governed scan's exactly — failover accounting and
+        corruption healing included — and every exported page stays
+        *pinned* until ``release`` runs, so eviction cannot unlink a
+        segment the child is still reading.  A pool too small to pin the
+        whole scan yields ``(None, None)``; a flaky reload or a missing
+        replica raises its StorageError with nothing left pinned.
+        """
+        scan, worker, repl = self.pipeline.source, self.worker, self.replication
+        pinned = []
+
+        def release():
+            for pool, page_id in pinned:
+                pool.unpin(page_id)
+
+        refs = []
+        try:
+            if repl.has_page_map(scan.database, scan.set_name):
+                copies = repl.scan_page_copies(
+                    scan.database, scan.set_name,
+                    worker_id=worker.worker_id, only_uids=self.only_uids,
+                )
+            elif worker.storage.has_set(scan.database, scan.set_name):
+                page_set = worker.storage.get_set(
+                    scan.database, scan.set_name
+                )
+                copies = [
+                    (page_set, page_id) for page_id in page_set.page_ids
+                ]
+            else:
+                copies = []
+            for page_set, page_id in copies:
+                pool = page_set.pool
+                page = pool.pin(page_id)
+                pinned.append((pool, page_id))
+                if page.shm is None:
+                    raise ExecutionError(
+                        "page %r of %s.%s has no shared-memory segment, "
+                        "but worker %s's back-end is a separate process"
+                        % (page_id, scan.database, scan.set_name,
+                           worker.worker_id)
+                    )
+                refs.append((page.shm.name, page.block.size))
+        except BufferPoolExhaustedError:
+            release()
+            return None, None
+        except (StorageError, ExecutionError):
+            release()
+            raise
+        # The 4th element tells the remote worker whether this scan
+        # was columnar-lowered (attach pages as array batches).
+        columnar = scan.info.get("columnar") == "1"
+        return ("pages", refs, scan.column, columnar), release
 
 
 class ClusterOutputSink(Sink):

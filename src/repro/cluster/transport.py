@@ -44,7 +44,7 @@ from repro.cluster.supervisor import (
     Supervisor,
     _env_float,
 )
-from repro.cluster.worker import BackendProcess, CompletedFuture
+from repro.cluster.worker import BackendProcess
 from repro.errors import (
     BackendCrashedError,
     PageCorruptionError,
@@ -56,10 +56,14 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.obs.events import RING_BYTES, read_ring
 from repro.storage.replication import corrupt_bytes, page_checksum
 
-try:  # optional: only the process transport's task path needs it
+try:  # optional: only the process transport needs it
     import cloudpickle
 except ImportError:  # pragma: no cover - depends on the environment
     cloudpickle = None
+
+#: What ``serialize_task`` raises when a piece of a spec cannot travel
+#: (a closure over a lock, a hash table of handles into page memory).
+PICKLING_ERRORS = (pickle.PicklingError, TypeError)
 
 
 def estimate_value_bytes(value):
@@ -379,14 +383,12 @@ class Transport:
 
 
 def remote_available():
-    """Whether remote task blobs can be built at all (needs cloudpickle)."""
+    """Whether the process transport can be built (needs cloudpickle)."""
     return cloudpickle is not None
 
 
 def serialize_task(spec):
     """Pickle a task spec for a back-end process (cloudpickle: closures)."""
-    if cloudpickle is None:
-        raise RuntimeError("cloudpickle is not available")
     return cloudpickle.dumps(spec)
 
 
@@ -394,21 +396,12 @@ class RemoteTask:
     """One worker's stage portion, packaged for a back-end process.
 
     ``blob`` is a self-contained cloudpickle payload the child executes
-    with :mod:`repro.cluster.procworker`; ``run_inline`` re-runs the same
-    portion in the coordinator (the fallback when the child reports the
-    task unshippable); ``on_result`` installs a successful remote
-    outcome into the coordinator's shadow state; ``cleanup`` releases
-    resources held for the task's duration (the pins keeping exported
-    pages' shared-memory segments alive) and is invoked by the scheduler
-    exactly once, whatever the outcome.
+    with :mod:`repro.cluster.procworker`; ``label`` names it in errors.
     """
 
-    def __init__(self, blob, run_inline, on_result, label="", cleanup=None):
+    def __init__(self, blob, label=""):
         self.blob = blob
-        self.run_inline = run_inline
-        self.on_result = on_result
         self.label = label
-        self.cleanup = cleanup
 
     def __repr__(self):
         return "<RemoteTask %s (%d bytes)>" % (self.label, len(self.blob))
@@ -424,13 +417,17 @@ class RemoteOutcome:
     (``clock_offset`` such that master ≈ child + offset, accurate to
     ``clock_error_s``) the coordinator needs to graft the spans into the
     job tree.  Error and death envelopes build one too (``result=None``)
-    so partial evidence takes the same grafting path.
+    so partial evidence takes the same grafting path.  ``rejected`` is
+    the child's reason when it judged the task unshippable (a result
+    still pointing into page memory): nothing ran to completion and the
+    scheduler re-runs the portion front-end side.
     """
 
     def __init__(self, result, metrics, trace_counts, spans=(),
                  span_base=0.0, events=(), clock_offset=0.0,
-                 clock_error_s=0.0, pid=None):
+                 clock_error_s=0.0, pid=None, rejected=None):
         self.result = result
+        self.rejected = rejected
         #: EngineMetrics field deltas accumulated by the child's engine.
         self.metrics = metrics
         #: tracer counter deltas (``engine.batches`` etc.) from the child.
@@ -518,16 +515,7 @@ class _PendingFuture:
             )
             return self._value
         if status == "reject":
-            # The child judged the task unshippable (PC-object results,
-            # unpicklable pieces); the portion runs inline in the
-            # front-end instead — same code, same crash semantics.
-            try:
-                self._value = self._backend.run_user_code(
-                    self._task.run_inline
-                )
-            except WorkerCrashError as crash:
-                self._error = crash
-                raise
+            self._value = RemoteOutcome(None, {}, {}, rejected=payload)
             return self._value
         self._backend.crashed = True
         if status == "error":
@@ -568,7 +556,7 @@ class _PendingFuture:
                 "back-end process of worker %r died: %s"
                 % (worker_id, payload)
             )
-        outcome = self._child.post_mortem_outcome(self._task_id)
+        outcome = self._child.post_mortem_outcome(self._task_id, worker_id)
         if outcome is not None:
             self._error.remote_outcome = outcome
         # When the death was detected, for recovery-latency accounting
@@ -676,7 +664,7 @@ class _ChildProcess:
             self.clock_offset, self.clock_error_s = best, interval
         return self.clock_offset, self.clock_error_s
 
-    def post_mortem_outcome(self, task_id):
+    def post_mortem_outcome(self, task_id, worker_id):
         """Synthesize the evidence for a task whose child never answered.
 
         A SIGKILLed child ships nothing, but the master still has the
@@ -698,10 +686,10 @@ class _ChildProcess:
             if ts >= submitted - self.beat_interval_s:
                 events.append(dict(event, ts=ts - submitted))
         span = {
-            "name": "task-%d" % task_id,
+            "name": worker_id,
             "kind": "task",
             "detail": "synthesized by the coordinator: the back-end died "
-                      "without delivering",
+                      "without delivering task %d" % task_id,
             "start_s": 0.0,
             "duration_s": now - submitted,
             "counters": {"sup.rows_consumed": int(self.heartbeat[BEAT_ROWS])},
@@ -841,9 +829,9 @@ def _release_leased(leased):
 class ProcessBackend(BackendProcess):
     """A worker back-end running in a leased OS process.
 
-    Remote tasks go over the child's task queue; plain callables (output
-    sinks, orphan re-runs, anything touching coordinator state) run in
-    the front-end exactly as the in-process backend would run them.
+    Remote tasks go over the child's task queue; plain callables (the
+    task bodies the scheduler places front-end side) run in the
+    coordinator exactly as the in-process backend would run them.
     """
 
     asynchronous = True
@@ -897,6 +885,11 @@ class ProcessTransport(Transport):
 
     def __init__(self, tracer=None, fault_injector=None, retry_policy=None,
                  metrics=None, recorder=None):
+        if cloudpickle is None:
+            raise RuntimeError(
+                "the process transport ships task specs with cloudpickle, "
+                "which is not installed (pip install repro[process])"
+            )
         super().__init__(tracer=tracer, fault_injector=fault_injector,
                          retry_policy=retry_policy, metrics=metrics,
                          recorder=recorder)

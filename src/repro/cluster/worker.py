@@ -9,11 +9,12 @@ engines, hash tables, materialized stores) is discarded and rebuilt,
 while the front-end's storage and catalog survive untouched.
 
 The back-end's execution model is the transport's choice: the simulated
-transport keeps it in-process (:class:`BackendProcess`, deterministic),
-the process transport backs it with a real spawned OS process whose
-dispatches are asynchronous — submitted to a per-worker task queue and
-awaited later.  :meth:`WorkerNode.dispatch` is submit + await in one
-call; the scheduler uses the split pair to run workers in parallel.
+transport keeps it in-process (:class:`BackendProcess`, deterministic:
+a submitted dispatch runs when it is awaited), the process transport
+backs it with a real spawned OS process whose dispatches are
+asynchronous — submitted to a per-worker task queue and awaited later.
+:meth:`WorkerNode.dispatch` is submit + await in one call; the scheduler
+uses the split pair, so its one attempt loop serves both.
 
 The scheduler keys its per-job engine into :attr:`BackendProcess.engines`
 and must call :meth:`BackendProcess.release_job` when the job finishes;
@@ -23,6 +24,7 @@ otherwise engines of finished jobs would accumulate across executions
 
 from __future__ import annotations
 
+import functools
 import time
 
 from repro.catalog import LocalCatalog
@@ -31,24 +33,27 @@ from repro.obs import MetricsRegistry
 from repro.storage import LocalStorageServer
 
 
-class CompletedFuture:
-    """An already-resolved dispatch result (synchronous back-ends)."""
+class DeferredFuture:
+    """A dispatch that runs when it is awaited (in-process back-ends).
 
-    def __init__(self, value=None, error=None):
-        self._value = value
-        self._error = error
+    ``result()`` does the work, so it happens inside whatever span the
+    awaiting scheduler has open and in the order the scheduler awaits —
+    the simulator's serial worker order.  Await it exactly once.
+    """
+
+    def __init__(self, run):
+        self._run = run
 
     def result(self):
-        if self._error is not None:
-            raise self._error
-        return self._value
+        return self._run()
 
 
 class BackendProcess:
     """The process that actually runs user code (in-process variant)."""
 
-    #: Whether submit() returns before the work ran.  The scheduler uses
-    #: this to decide between the serial loop and submit-all/await-all.
+    #: Whether submitted work makes progress before it is awaited.  The
+    #: scheduler reads this to order its one loop: submit-then-await per
+    #: worker here, submit-all/await-all over real processes.
     asynchronous = False
 
     def __init__(self, worker):
@@ -82,18 +87,15 @@ class BackendProcess:
             ) from exc
 
     def submit(self, fn, *args, **kwargs):
-        """Run ``fn`` now; returns an already-completed future.
+        """A future that runs ``fn`` as user code when awaited.
 
-        Crashes are captured in the future (surfaced by ``result()``),
-        so synchronous and asynchronous back-ends give the scheduler the
-        same submit/await surface.
+        A crash surfaces from ``result()``, exactly where a process
+        back-end's future raises it, so both give the scheduler the same
+        submit/await surface.
         """
-        try:
-            return CompletedFuture(value=self.run_user_code(
-                fn, *args, **kwargs
-            ))
-        except WorkerCrashError as crash:
-            return CompletedFuture(error=crash)
+        return DeferredFuture(functools.partial(
+            self.run_user_code, fn, *args, **kwargs
+        ))
 
     def shutdown(self):
         """Release backend resources (no-op for the in-process variant)."""
@@ -150,9 +152,9 @@ class WorkerNode:
     def submit(self, fn, *args, **kwargs):
         """Hand a computation request to the back-end; returns a future.
 
-        Synchronous back-ends run it immediately (the future is already
-        resolved); process back-ends enqueue it on the worker's task
-        queue and return a pending future.
+        In-process back-ends run it when the future is awaited; process
+        back-ends enqueue it on the worker's task queue and return a
+        pending future.
         """
         return self.backend.submit(fn, *args, **kwargs)
 

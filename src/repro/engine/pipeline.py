@@ -139,13 +139,27 @@ class PipelineEngine:
 
     def _run_pipeline(self, pipeline):
         sink = self._make_sink(pipeline)
-        for batch in self._source_batches(pipeline):
-            self.metrics.batches += 1
-            self.metrics.rows_in += len(batch)
-            self._process_batch(pipeline, batch, sink)
+        self.run_stages(
+            pipeline.stages, self._source_batches(pipeline), sink
+        )
         sink.finish()
 
-    def _process_batch(self, pipeline, batch, sink):
+    def run_stages(self, stages, batches, sink):
+        """The one task body: push ``batches`` through ``stages`` into
+        ``sink``.
+
+        Every execution of user stages goes through here — a local
+        pipeline, a scheduler task the coordinator runs itself, and a
+        task a back-end process runs (``repro.cluster.procworker``).  The
+        sink is left un-finished: the caller decides whether its state is
+        stored (``finish()``) or handed elsewhere first.
+        """
+        for batch in batches:
+            self.metrics.batches += 1
+            self.metrics.rows_in += len(batch)
+            self._process_batch(stages, batch, sink)
+
+    def _process_batch(self, stages, batch, sink):
         """Push one batch through all stages into the sink.
 
         Allocation faults from a page-backed sink roll the output page and
@@ -160,11 +174,11 @@ class PipelineEngine:
             try:
                 if block is not None:
                     with use_allocation_block(block):
-                        current = self._apply_stages(pipeline, batch)
+                        current = self._apply_stages(stages, batch)
                         if current is not None:
                             sink.consume(current)
                 else:
-                    current = self._apply_stages(pipeline, batch)
+                    current = self._apply_stages(stages, batch)
                     if current is not None:
                         sink.consume(current)
                 if current is not None:
@@ -176,10 +190,10 @@ class PipelineEngine:
                 sink.roll_page()
                 self.metrics.zombie_pages += 1
 
-    def _apply_stages(self, pipeline, batch):
+    def _apply_stages(self, stages, batch):
         """Run all stages; returns None when a stage empties the batch."""
         current = batch
-        for stage in pipeline.stages:
+        for stage in stages:
             self.metrics.stage_invocations += 1
             current = self._apply_stage(stage, current)
             if len(current) == 0:
@@ -263,12 +277,24 @@ class PipelineEngine:
             # into its own pc_op_columnar_rows_total series.
             self.tracer.add("op.%s.columnar_rows" % operator, rows)
 
-    def _probe(self, stage, batch):
-        table = self.hash_tables.get(stage.output)
+    def hash_table(self, output):
+        """The built hash table of join ``output``; raises when missing."""
+        table = self.hash_tables.get(output)
         if table is None:
+            raise ExecutionError("hash table for %s was not built" % output)
+        return table
+
+    def stored(self, vlist_name):
+        """The materialized columns of ``vlist_name``; raises when missing."""
+        columns = self.store.get(vlist_name)
+        if columns is None:
             raise ExecutionError(
-                "hash table for %s was not built" % stage.output
+                "vector list %r was not materialized" % vlist_name
             )
+        return columns
+
+    def _probe(self, stage, batch):
+        table = self.hash_table(stage.output)
         build_side = self.plan.build_sides.get(stage.output, "right")
         if build_side == "right":
             probe_columns, probe_hash = stage.left_columns, stage.left_hash
@@ -297,12 +323,7 @@ class PipelineEngine:
                 columnar=scan.info.get("columnar") == "1",
             )
             return
-        columns = self.store.get(pipeline.source)
-        if columns is None:
-            raise ExecutionError(
-                "vector list %r was not materialized" % pipeline.source
-            )
-        yield from batches_of(columns, self.batch_size)
+        yield from batches_of(self.stored(pipeline.source), self.batch_size)
 
     # -- sinks -----------------------------------------------------------------------
 
@@ -497,7 +518,10 @@ class MaterializeSink(Sink):
     """Materializes a multi-consumer vector list.
 
     ``merge=True`` appends the finished columns to the store's existing
-    entry instead of replacing it (see :class:`AggregateSink`).
+    entry instead of replacing it (see :class:`AggregateSink`).  With
+    ``vlist_name=None`` the sink only *collects*: ``finish()`` stores
+    nothing and the caller reads ``columns`` (the scheduler's shuffle
+    inputs).
     """
 
     def __init__(self, engine, vlist_name, merge=False):
@@ -514,6 +538,8 @@ class MaterializeSink(Sink):
             self.columns[name].extend(batch.column(name))
 
     def finish(self):
+        if self.vlist_name is None:
+            return
         columns = self.columns or {}
         existing = (
             self.engine.store.get(self.vlist_name) if self.merge else None
@@ -538,48 +564,3 @@ class ListOutputSink(Sink):
         self.engine.outputs.setdefault(key, []).extend(
             kernels.reify_column(batch.column(self.statement.column))
         )
-
-
-class PageOutputSink(Sink):
-    """Cluster-mode output: allocate objects in place on set pages."""
-
-    def __init__(self, engine, output_stmt, page_set):
-        super().__init__(engine)
-        self.statement = output_stmt
-        self.page_set = page_set
-        self._pages_mark = len(page_set.page_ids)
-        self._objects_mark = page_set.object_count
-        self.writer = page_set.writer().__enter__()
-
-    def allocation_block(self):
-        return self.writer._page.block
-
-    def roll_page(self):
-        self.writer._seal_page()
-        self.writer._open_page()
-        self.engine.metrics.pages_written += 1
-
-    def consume(self, batch):
-        root = self.writer._root
-        for value in kernels.reify_column(batch.column(self.statement.column)):
-            # Values produced by user projections are handles or facades
-            # already living on the output page (in-place allocation) —
-            # appending to the root vector is then pure bookkeeping.  A
-            # value still living elsewhere is deep-copied in by the
-            # vector's cross-block assignment rule.
-            root.append(value)
-            self.page_set.object_count += 1
-
-    def finish(self):
-        self.writer.__exit__(None, None, None)
-        self.engine.metrics.pages_written += len(self.page_set.page_ids)
-
-    def abort(self):
-        if self.writer._page is not None:
-            self.page_set.pool.free_page(self.writer._page.page_id)
-            self.writer._page = None
-            self.writer._root = None
-        for page_id in self.page_set.page_ids[self._pages_mark:]:
-            self.page_set.pool.free_page(page_id)
-        del self.page_set.page_ids[self._pages_mark:]
-        self.page_set.object_count = self._objects_mark

@@ -132,7 +132,7 @@ class ColumnarKMeans:
         chosen = rng.choice(len(rows), size=k, replace=False)
         return np.array([rows[i].as_tuple() for i in chosen])
 
-    def iterate(self, centers, columnar=None):
+    def iterate(self, centers, columnar=True):
         """One Lloyd step: a count plus one sum aggregation per dimension.
 
         ``columnar`` is forwarded to ``execute_computations`` so the
@@ -161,7 +161,7 @@ class ColumnarKMeans:
                 ]
         return new_centers
 
-    def train(self, k, iterations, seed=0, columnar=None):
+    def train(self, k, iterations, seed=0, columnar=True):
         centers = self.initialize(k, seed=seed)
         history = []
         for _iteration in range(iterations):

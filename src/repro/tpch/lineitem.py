@@ -130,7 +130,7 @@ class Q1Sum(AggregateComp):
 
 
 def q6_revenue(cluster, database="tpch", set_name="lineitem",
-               columnar=None, **predicate):
+               columnar=True, **predicate):
     """Run the Q6-style scan; returns the summed revenue (a float)."""
     reader = ObjectReader(database, set_name)
     selected = Q6Selection(**predicate).set_input(reader)
@@ -145,7 +145,7 @@ def q6_revenue(cluster, database="tpch", set_name="lineitem",
 
 
 def q1_sums(cluster, measure, database="tpch", set_name="lineitem",
-            columnar=None):
+            columnar=True):
     """Per-returnflag sums of ``measure``; returns {flag: sum}."""
     reader = ObjectReader(database, set_name)
     agg = Q1Sum(measure).set_input(reader)

@@ -146,24 +146,6 @@ def test_selection_projection_aggregation_parity(tmp_path, transport):
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_pc_columnar_env_kill_switch(tmp_path, transport, monkeypatch):
-    # PC_COLUMNAR=0 forces the object path even with columnar=None.
-    cluster = make_cluster(tmp_path, "env", transport, profiling=True)
-    try:
-        _load_points(cluster, 200)
-        monkeypatch.setenv("PC_COLUMNAR", "0")
-        agg = SumX().set_input(ObjectReader("db", "points"))
-        cluster.execute_computations(Writer("db", "sums").set_input(agg))
-        assert cluster.metrics().value("pc_op_columnar_rows_total") == 0
-        monkeypatch.delenv("PC_COLUMNAR")
-        cluster.clear_set("db", "sums")
-        cluster.execute_computations(Writer("db", "sums").set_input(agg))
-        assert cluster.metrics().value("pc_op_columnar_rows_total") > 0
-    finally:
-        cluster.close()
-
-
-@pytest.mark.parametrize("transport", TRANSPORTS)
 def test_tpch_q6_and_q1_parity(tmp_path, transport):
     cluster = make_cluster(tmp_path, "tpch", transport)
     try:

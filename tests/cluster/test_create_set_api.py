@@ -2,13 +2,11 @@
 
 ``create_set(db, name, cls, *, page_size, replication, layout, schema)``
 is the one DDL entry point; the drifted storage-layer ``type_name``
-keyword survives one release behind a DeprecationWarning.  Schemas imply
+keyword is a plain TypeError now.  Schemas imply
 ``layout="columnar"``, ``PC_LAYOUT=columnar`` turns derivable classes
 columnar by default, contradictory combinations fail loudly, and the
 chosen layout survives the catalog journal (``cluster.recover()``).
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -41,25 +39,25 @@ def _meta(cluster, name):
     return cluster.catalog.set_metadata("db", name)
 
 
-# -- the legacy shim ----------------------------------------------------------
+# -- keywords -----------------------------------------------------------------
 
 
-def test_type_name_keyword_warns_and_still_works(cluster):
+def test_type_name_keyword_is_gone(cluster):
+    # The storage-layer spelling had one release of deprecation; cls= (a
+    # class or a registered name) is the surface.
     cluster.register_type(Reading)
-    with pytest.warns(DeprecationWarning, match="type_name"):
+    with pytest.raises(TypeError, match="type_name"):
         cluster.create_set("db", "readings", type_name="Reading")
-    meta = _meta(cluster, "readings")
-    assert meta.layout == "row"
-    with cluster.loader("db", "readings") as load:
+    assert ("db", "readings") not in cluster.storage_manager
+
+
+def test_cls_takes_a_class_or_a_registered_name(cluster):
+    cluster.create_set("db", "readings", Reading)
+    cluster.create_set("db", "by_name", cls="Reading")
+    assert _meta(cluster, "by_name").layout == "row"
+    with cluster.loader("db", "by_name") as load:
         load.append(Reading, sensor=1, value=2.0)
-    assert cluster.read("db", "readings")[0].value == 2.0
-
-
-def test_cls_keyword_does_not_warn(cluster):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        cluster.create_set("db", "readings", Reading)
-        cluster.create_set("db", "by_name", cls="Reading")
+    assert cluster.read("db", "by_name")[0].value == 2.0
 
 
 def test_unknown_keyword_is_a_type_error(cluster):

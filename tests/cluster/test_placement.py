@@ -1,0 +1,212 @@
+"""Where task bodies run, and why: the scheduler's one placement decision.
+
+Every worker task is ``PipelineEngine.run_stages`` — in the back-end
+process it was shipped to, or in the coordinator for a reason from a
+closed set, counted in ``pc_sched_frontend_tasks_total{reason}``.  The
+tests pin the exact ``{reason: count}`` of three jobs on the process
+transport, the single reason a simulator run reports, and the conditions
+that used to fall back silently and now fail loudly.
+"""
+
+import numpy as np
+import pytest
+
+from repro.cluster import PCCluster, scheduler, transport
+from repro.cluster.transport import ProcessTransport, remote_available
+from repro.core import (
+    JoinComp,
+    ObjectReader,
+    Writer,
+    lambda_from_member,
+    lambda_from_native,
+)
+from repro.errors import ExecutionError
+from repro.lillinalg import DistributedMatrix
+from repro.memory import Int32, PCObject, String
+from repro.ml import PCKMeans
+from repro.tpch import TpchSpec, customers_per_supplier_pc, load_pc_customers
+
+needs_process = pytest.mark.skipif(
+    not remote_available(), reason="cloudpickle unavailable"
+)
+TRANSPORTS = [
+    "sim",
+    pytest.param("process", marks=needs_process),
+]
+FAMILY = "pc_sched_frontend_tasks_total"
+REASONS = ("in_process", "frontend_sink", "pool_pressure",
+           "unpicklable_spec", "child_rejected")
+
+
+def _frontend_tasks(cluster):
+    snapshot = cluster.metrics()
+    counts = {r: snapshot.value(FAMILY, reason=r) for r in REASONS}
+    assert sum(counts.values()) == snapshot.value(FAMILY)  # a closed set
+    return {reason: n for reason, n in counts.items() if n}
+
+
+def _delta(cluster, job):
+    before = _frontend_tasks(cluster)
+    result = job()
+    after = _frontend_tasks(cluster)
+    return result, {
+        reason: n - before.get(reason, 0) for reason, n in after.items()
+        if n != before.get(reason, 0)
+    }
+
+
+def _task_placements(trace):
+    return [span.detail for span in trace.spans(kind="task")
+            if span.pid is None]
+
+
+# -- the three jobs ------------------------------------------------------------------
+
+
+def _tpch_job(cluster):
+    """Customers-per-supplier: only the output stage stays front-end."""
+    load_pc_customers(
+        cluster, TpchSpec(n_customers=30, n_parts=40, n_suppliers=6, seed=11)
+    )
+    _result, counts = _delta(
+        cluster, lambda: customers_per_supplier_pc(cluster)
+    )
+    output_tasks = len(cluster.workers)  # one OUTPUT pipeline, every worker
+    assert counts == {"frontend_sink": output_tasks}
+    placements = _task_placements(cluster.last_trace)
+    assert placements.count("front-end: frontend_sink") == output_tasks
+    assert placements.count("shipped") == len(placements) - output_tasks > 0
+
+
+def _kmeans_job(cluster):
+    """A scan the pool cannot pin whole is streamed by the front-end."""
+    rng = np.random.default_rng(3)
+    km = PCKMeans(cluster).load(rng.normal(size=(4000, 8)), chunk_size=32)
+    centers = km.initialize(3, seed=1)
+    _centers, counts = _delta(cluster, lambda: km.iterate(centers))
+    workers = len(cluster.workers)
+    assert counts == {"pool_pressure": workers, "frontend_sink": workers}
+    assert cluster.metrics().value("pc_pool_reloads_total") > 0
+
+
+def _multiply_job(cluster):
+    """Hash tables of handles cannot be pickled; the result must not care."""
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(size=(7, 6)), rng.normal(size=(6, 4))
+
+    def multiply(on):
+        left = DistributedMatrix.from_numpy(on, "lla", a, 3, 3)
+        right = DistributedMatrix.from_numpy(on, "lla", b, 3, 3)
+        return left.multiply(right)
+
+    product, counts = _delta(cluster, lambda: multiply(cluster))
+    workers = len(cluster.workers)
+    assert counts == {
+        # the probe side: each spec carries the broadcast table of handles
+        "unpicklable_spec": workers,
+        # the build side: the one worker holding the right matrix's page
+        # builds a table of handles, which cannot come back
+        "child_rejected": 1,
+        "frontend_sink": workers,
+    }
+    reference = PCCluster(n_workers=2, page_size=1 << 16, transport="sim")
+    try:
+        expected = multiply(reference).to_numpy()
+    finally:
+        reference.close()
+    assert product.to_numpy().tobytes() == expected.tobytes()
+
+
+@needs_process
+@pytest.mark.parametrize("job, cluster_args", [
+    (_tpch_job, dict(n_workers=3, page_size=1 << 14)),
+    (_kmeans_job, dict(n_workers=2, page_size=1 << 13,
+                       worker_memory=6 << 13)),
+    (_multiply_job, dict(n_workers=2, page_size=1 << 16)),
+], ids=["tpch", "kmeans_small_pool", "lillinalg_multiply"])
+def test_process_transport_frontend_reasons_are_exact(tmp_path, job,
+                                                      cluster_args):
+    cluster = PCCluster(spill_root=str(tmp_path), transport="process",
+                        **cluster_args)
+    try:
+        job(cluster)
+    finally:
+        cluster.close()
+
+
+def test_sim_reports_only_in_process(tmp_path):
+    cluster = PCCluster(n_workers=3, page_size=1 << 14,
+                        spill_root=str(tmp_path), transport="sim")
+    load_pc_customers(
+        cluster, TpchSpec(n_customers=30, n_parts=40, n_suppliers=6, seed=11)
+    )
+    customers_per_supplier_pc(cluster)
+    trace = cluster.last_trace
+    tasks = trace.spans(kind="task")
+    assert _frontend_tasks(cluster) == {"in_process": len(tasks)}
+    assert {span.detail for span in tasks} == {"front-end: in_process"}
+    # PC004: the counter's trace mirror carries the same number.
+    assert trace.totals()["sched.frontend.in_process"] == len(tasks)
+
+
+# -- what used to fall back silently ----------------------------------------------------
+
+
+def test_process_transport_without_cloudpickle_raises(monkeypatch):
+    monkeypatch.setattr(transport, "cloudpickle", None)
+    with pytest.raises(RuntimeError, match="cloudpickle"):
+        ProcessTransport()
+
+
+class Label(PCObject):
+    fields = [("key", Int32), ("label", String)]
+
+
+class Item(PCObject):
+    fields = [("key", Int32), ("name", String)]
+
+
+class LabelJoin(JoinComp):
+    def get_selection(self, label, item):
+        return lambda_from_member(label, "key") == \
+            lambda_from_member(item, "key")
+
+    def get_projection(self, label, item):
+        return lambda_from_native(
+            [label, item], lambda lab, it: (it.name, lab.label)
+        )
+
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_probe_without_its_hash_table_names_the_join(tmp_path, kind,
+                                                     monkeypatch):
+    cluster = PCCluster(n_workers=2, page_size=1 << 12,
+                        spill_root=str(tmp_path), transport=kind)
+    try:
+        cluster.create_database("db")
+        cluster.create_set("db", "labels", Label)
+        cluster.create_set("db", "items", Item)
+        with cluster.loader("db", "labels") as load:
+            for k in range(4):
+                load.append(Label, key=k, label="L%d" % k)
+        with cluster.loader("db", "items") as load:
+            for k in range(16):
+                load.append(Item, key=k % 4, name="i%d" % k)
+
+        def skip_the_build(self, pipeline):
+            self.join_modes[pipeline.sink.output] = "broadcast"
+
+        monkeypatch.setattr(
+            scheduler.DistributedScheduler, "_run_build", skip_the_build
+        )
+        join = LabelJoin() \
+            .set_input(0, ObjectReader("db", "labels")) \
+            .set_input(1, ObjectReader("db", "items"))
+        with pytest.raises(ExecutionError, match="hash table for Join"):
+            cluster.execute_computations(
+                Writer("db", "joined").set_input(join)
+            )
+        # A scheduling bug, not a back-end crash: nothing was retried.
+        assert cluster.metrics().value("pc_worker_reforks_total") == 0
+    finally:
+        cluster.close()

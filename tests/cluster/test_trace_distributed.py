@@ -236,27 +236,32 @@ def test_chaos_killed_workers_still_contribute_trace_evidence(tmp_path):
 
         monkey = ChaosMonkey(cluster, seed=7, kills=3, stops=1,
                              window_s=1.5)
+        # Collected per job: the storm outlasts both bounded rings (the
+        # tracer's 16 traces, the master's 256 flight events), which
+        # would evict the kill evidence before the asserts.
+        traces, master_kinds = [], set()
         with monkey:
             horizon = _time.monotonic() + 2.2
             while _time.monotonic() < horizon:
                 result = customers_per_supplier_pc(cluster)
+                traces.append(cluster.last_trace)
+                master_kinds.update(
+                    e["kind"] for e in cluster.flight.snapshot()
+                )
                 if baseline is None:
                     baseline = result
                 assert result == baseline
         assert monkey.counts["kill"] == 3
-        # Snapshot the master ring before further jobs can evict the
-        # storm's marks (the ring is bounded by construction).
-        master_kinds = {e["kind"] for e in cluster.flight.snapshot()}
 
         # Each completed job still merged spans from real children ...
-        merged = [t for t in cluster.traces(16)
+        merged = [t for t in traces
                   if any(s.pid is not None for s in t.spans())]
         assert merged
         # ... and at least one trace carries kill evidence: a truncated
         # span from a worker that died mid-task, with flight events
         # (the envelope's, or the shared ring's post-mortem dump).
         truncated = [
-            span for trace in cluster.traces(16)
+            span for trace in traces
             for span in trace.spans() if span.truncated
         ]
         assert truncated
@@ -264,13 +269,13 @@ def test_chaos_killed_workers_still_contribute_trace_evidence(tmp_path):
         assert evidence
         flight_kinds = {
             event.get("kind")
-            for trace in cluster.traces(16)
+            for trace in traces
             for span in trace.spans()
             for event in span.events
         }
         assert flight_kinds  # some dump made it into the merged traces
-        # Every trace in the ring still exports a loadable timeline.
-        for trace in cluster.traces(16):
+        # Every collected trace still exports a loadable timeline.
+        for trace in traces:
             assert validate_chrome_trace(to_chrome_trace(trace)) == []
         # The coordinator's own flight ring saw the storm and recovery.
         assert "chaos.signal" in master_kinds
@@ -362,8 +367,9 @@ def test_abandon_marks_open_spans_truncated():
 
 @needs_process
 def test_trace_context_is_propagated_into_task_specs(tmp_path):
-    # Only shipped specs carry trace context (_remote_task returns None
-    # for in-process back-ends), so this needs the process transport.
+    # Only shipped specs carry trace context (the scheduler's _place
+    # keeps every task in_process on the simulator), so this needs the
+    # process transport.
     cluster = PCCluster(n_workers=2, page_size=1 << 12,
                         spill_root=str(tmp_path), transport="process")
     try:
