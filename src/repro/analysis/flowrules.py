@@ -364,7 +364,7 @@ def check_shm_leak(tree, path, source):
                     continue
                 # Handing the segment to any callee (directly or inside
                 # a container literal) transfers ownership: graveyard
-                # registration, attachment lists, _disown().
+                # registration, attachment lists.
                 if isinstance(node, ast.Call) and _shm_ctor(node) is None:
                     passed = set()
                     for arg in list(node.args) + [

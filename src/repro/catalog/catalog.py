@@ -143,16 +143,26 @@ class CatalogJournal:
         self.records_written += 1
 
     def entries(self):
-        """All journal records, oldest first ([] for a fresh journal)."""
+        """All committed journal records, oldest first ([] when fresh).
+
+        A record is committed by its trailing newline (``append`` returns
+        only after writing and syncing it).  A writer killed mid-append
+        leaves an unterminated tail: that record was never acknowledged,
+        so it is dropped — from the file too, so the next append starts
+        on a clean line.  A *terminated* line that does not parse is
+        corruption, not a crash artefact, and raises.
+        """
         if not os.path.exists(self.path):
             return []
-        records = []
-        with open(self.path) as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-        return records
+        with open(self.path, "rb") as f:
+            data = f.read()
+        committed = data.rfind(b"\n") + 1
+        if committed < len(data):
+            os.truncate(self.path, committed)
+        return [
+            json.loads(line)
+            for line in data[:committed].splitlines() if line.strip()
+        ]
 
 
 class CatalogManager:

@@ -41,7 +41,7 @@ import threading
 import time
 import traceback
 
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 
 from repro.engine.pipeline import PipelineEngine, object_batches
 from repro.engine.vectors import batches_of
@@ -145,20 +145,21 @@ class _OpSpanRecorder:
         self._root.inc("op.%s.columnar_rows" % name, rows)
 
 
-def _disown(shm):
-    """Detach a segment from this process's resource tracker.
+def _attach(name):
+    """Attach to a coordinator-owned segment without registering it.
 
-    The coordinator owns every segment's lifecycle (it created them and
-    unlinks them on eviction/close); left registered here, the child's
-    tracker would unlink segments the coordinator still serves at child
-    exit.
+    A spawned child shares the coordinator's resource tracker: a
+    register/unregister pair here would drop the coordinator's own
+    registration, and its later unlink makes the tracker print a
+    ``KeyError`` traceback.  Before 3.13 ``SharedMemory`` always
+    registers, so ``register`` is blanked (only the task thread attaches).
     """
+    register = resource_tracker.register
+    resource_tracker.register = lambda name, rtype: None
     try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # noqa: BLE001  # pcsan: disable=PC005
-        pass  # tracker internals vary by version; worst case is a warning
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
 
 
 #: (shm, view) pairs whose buffers were still referenced at detach time
@@ -207,8 +208,7 @@ def _source_batches(source, engine, registry, attachments):
     if kind == "pages":
         blocks = []
         for name, size in source[1]:
-            shm = shared_memory.SharedMemory(name=name)
-            _disown(shm)
+            shm = _attach(name)
             # shm.buf is the mapped segment, not a PC block's
             # backing store; the block façade is built over it below.
             view = memoryview(shm.buf)[:size]  # pcsan: disable=PC002

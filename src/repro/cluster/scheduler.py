@@ -444,16 +444,22 @@ class DistributedScheduler:
                     ) from lost
                 on_lost(worker, lost, done)
 
-        for worker, make_attempt in items:
-            if worker.worker_id in self.cluster.blacklist:
-                continue
-            pending.append((
-                worker, make_attempt,
-                self._submit_attempt(worker, make_attempt),
-            ))
-            if not overlap:
-                settle()
-        settle()
+        try:
+            for worker, make_attempt in items:
+                if worker.worker_id in self.cluster.blacklist:
+                    continue
+                pending.append((
+                    worker, make_attempt,
+                    self._submit_attempt(worker, make_attempt),
+                ))
+                if not overlap:
+                    settle()
+            settle()
+        finally:
+            # An await that raised abandons the attempts submitted behind
+            # it; drop their export pins too (release is once-only).
+            for _worker, _make_attempt, attempt in pending:
+                attempt.release()
         return done
 
     def _fail_permanently(self, worker, stage, attempts, crash, timed_out):
@@ -1129,17 +1135,9 @@ class DistributedScheduler:
                     registry=src.local_catalog.registry,
                 )
                 handle = make_object_on(block, map_type, None)
-                combiner = handle.deref()
-                shipped = 0
-                from repro.errors import BlockFullError
-
-                try:
-                    for key, value in pending:
-                        combiner.put(key, value)
-                        shipped += 1
-                except BlockFullError:
-                    if shipped == 0:
-                        raise
+                # As many leading pairs as the page holds; the rest roll
+                # onto the next combiner page.
+                shipped = handle.deref().fill(pending)
                 block.set_root(handle.offset, handle.type_code)
                 payload = block.to_bytes()
                 # Checksummed transfer: a corrupted combiner page is
@@ -1472,25 +1470,18 @@ class MapPageOutputSink(Sink):
     def finish(self):
         if not self.pairs:
             return
-        from repro.errors import BlockFullError, ExecutionError
+        from repro.errors import ExecutionError
 
         pending = list(self.pairs)
         shipped = 0
         with self.page_set.writer() as writer:
             while pending:
                 def build(block):
+                    # A page too full for even the first pair raises
+                    # BlockFullError: the writer rolls to a fresh one.
                     nonlocal shipped
-                    shipped = 0
                     handle = make_object_on(block, self.map_type, None)
-                    view = handle.deref()
-                    for key, value in pending:
-                        try:
-                            view.put(key, value)
-                        except BlockFullError:
-                            if shipped == 0:
-                                raise
-                            break
-                        shipped += 1
+                    shipped = handle.deref().fill(pending)
                     return handle
 
                 writer.append_built(build)

@@ -39,11 +39,13 @@ from repro.analysis.sanitizer import current_sanitizer
 from repro.errors import BlockFullError, DanglingHandleError
 from repro.memory import layout
 from repro.memory.layout import (
+    ALLOC_STATE,
+    ALLOC_STATE_OFFSET,
     BLOCK_HEADER_SIZE,
+    OBJECT_HEADER,
     OBJECT_HEADER_SIZE,
     REFCOUNT_FREED,
     REFCOUNT_UNIQUE,
-    align8,
 )
 
 #: Allocator policies (block level, Appendix B).
@@ -63,8 +65,25 @@ NO_REF_COUNT = "no_ref_count"
 UNIQUE_OWNERSHIP = "unique_ownership"
 
 _FREE_CHUNK = struct.Struct("<qQ")  # next free chunk offset (-1 = end), size
+_FREE_NEXT = struct.Struct("<q")  # the record's first field alone
 
 _block_ids = itertools.count(1)
+
+
+def _chunk_size(payload_size):
+    """Bytes an object with ``payload_size`` payload bytes occupies.
+
+    At least 24, so a freed object can hold both its tombstone
+    (refcount/typecode) and the freelist record that follows them.
+    """
+    total = (OBJECT_HEADER_SIZE + payload_size + 7) & ~7
+    return total if total > 24 else 24
+
+
+def _bucket_for(total):
+    """The freelist size class of a ``total``-byte chunk."""
+    bucket = total.bit_length() - 1
+    return bucket if bucket > 4 else 4
 
 
 class AllocationBlock:
@@ -78,6 +97,7 @@ class AllocationBlock:
         "managed",
         "on_empty",
         "_free_buckets",
+        "_free_mask",
         "_recycle_lists",
         "registry",
         "freed_bytes",
@@ -111,6 +131,9 @@ class AllocationBlock:
         #: falls to zero (the whole-block reclamation of Section 6.4).
         self.on_empty = on_empty
         self._free_buckets = [-1] * 64  # head offsets of per-size freelists
+        #: bit b is set exactly when ``_free_buckets[b] != -1``, so finding
+        #: the first non-empty size class is one shift and mask, not a scan.
+        self._free_mask = 0
         self._recycle_lists = {}  # type code -> [offsets]
         self.registry = registry
         self.freed_bytes = 0
@@ -123,10 +146,10 @@ class AllocationBlock:
         if metrics is not None:
             self._m_allocs = metrics.counter(
                 "pc_alloc_allocations_total",
-                help="Objects allocated across all blocks")
+                help="Objects allocated across all blocks").child()
             self._m_frees = metrics.counter(
                 "pc_alloc_frees_total",
-                help="Objects freed across all blocks")
+                help="Objects freed across all blocks").child()
             metrics.counter(
                 "pc_alloc_blocks_total",
                 help="Allocation blocks created").inc()
@@ -191,71 +214,89 @@ class AllocationBlock:
         :class:`BlockFullError` when the request does not fit — the caller
         (typically the execution engine) reacts by retiring the page.
         """
-        # Minimum 24 bytes so a freed object can hold both its tombstone
-        # (refcount/typecode) and the freelist record that follows them.
-        total = max(align8(OBJECT_HEADER_SIZE + payload_size), 24)
+        total = _chunk_size(payload_size)
+        buf = self.buf
+        policy = self.policy
         offset = None
-        if self.policy == RECYCLING:
+        if policy == RECYCLING:
             recycled = self._recycle_lists.get(type_code)
             if recycled:
                 offset = recycled.pop()
                 # Recycled slots are exact-fit by construction (fixed-length
                 # objects only join a recycle list).
-        if offset is None and self.policy in (LIGHTWEIGHT_REUSE, RECYCLING):
+        if offset is None and policy != NO_REUSE and self._free_mask:
             offset = self._take_from_freelist(total)
+        used, active = ALLOC_STATE.unpack_from(buf, ALLOC_STATE_OFFSET)
         if offset is None:
-            used = self.used
             if used + total > self.size:
                 raise BlockFullError(total, self.size - used)
             offset = used
-            layout.write_used(self.buf, used + total)
+            used += total
+        if self.managed and refcount >= 0:
+            active += 1
+        ALLOC_STATE.pack_into(buf, ALLOC_STATE_OFFSET, used, active)
         if self._san is not None:
             # Verify the reused chunk's poison survived (wild-write check)
             # before the header/zeroing below overwrites it.
             self._san.on_alloc(offset, type_code, refcount)
-        layout.write_object_header(
-            self.buf, offset, refcount, type_code, payload_size
-        )
+        OBJECT_HEADER.pack_into(buf, offset, refcount, type_code, payload_size)
         # Zero the payload: recycled/reused space may hold stale bytes and
         # handle slots must start out null.
         start = offset + OBJECT_HEADER_SIZE
-        self.buf[start:start + payload_size] = bytes(payload_size)
-        if self.managed and refcount >= 0:
-            layout.write_active_objects(self.buf, self.active_objects + 1)
+        buf[start:start + payload_size] = bytes(payload_size)
         self.alloc_count += 1
         if self._m_allocs is not None:
             self._m_allocs.inc()
         return offset
 
-    def _bucket_for(self, total):
-        return max(total.bit_length() - 1, 4)
-
     def _take_from_freelist(self, total):
         """Pop a free chunk large enough for ``total`` bytes, or None.
+
+        Size class b holds chunks of [2**b, 2**(b+1)) bytes.  Only the
+        request's own class can hold a chunk that is too small, so that
+        list is walked first-fit; the head of any higher class fits, and
+        ``_free_mask`` names the lowest non-empty one directly.
 
         Free-chunk records live 8 bytes into the chunk so the freed
         object's tombstone (refcount + type code) stays intact for
         dangling-handle detection.
         """
-        for bucket in range(self._bucket_for(total), 64):
-            head = self._free_buckets[bucket]
+        bucket = _bucket_for(total)
+        higher = self._free_mask >> bucket
+        if not higher:
+            return None
+        buf = self.buf
+        heads = self._free_buckets
+        if higher & 1:
             prev = None
+            head = heads[bucket]
             while head != -1:
-                nxt, chunk_size = _FREE_CHUNK.unpack_from(self.buf, head + 8)
+                nxt, chunk_size = _FREE_CHUNK.unpack_from(buf, head + 8)
                 if chunk_size >= total:
                     if prev is None:
-                        self._free_buckets[bucket] = nxt
+                        self._set_head(bucket, nxt)
                     else:
-                        prev_nxt, prev_size = _FREE_CHUNK.unpack_from(
-                            self.buf, prev + 8
-                        )
-                        _FREE_CHUNK.pack_into(
-                            self.buf, prev + 8, nxt, prev_size
-                        )
+                        _FREE_NEXT.pack_into(buf, prev + 8, nxt)
                     self.freed_bytes -= chunk_size
                     return head
                 prev, head = head, nxt
-        return None
+        higher &= ~1
+        if not higher:
+            return None
+        bucket += (higher & -higher).bit_length() - 1
+        head = heads[bucket]
+        nxt, chunk_size = _FREE_CHUNK.unpack_from(buf, head + 8)
+        self._set_head(bucket, nxt)
+        self.freed_bytes -= chunk_size
+        return head
+
+    def _set_head(self, bucket, head):
+        """Repoint a size class at ``head``, keeping ``_free_mask`` in step."""
+        self._free_buckets[bucket] = head
+        if head == -1:
+            self._free_mask &= ~(1 << bucket)
+        else:
+            self._free_mask |= 1 << bucket
 
     # -- deallocation -------------------------------------------------------
 
@@ -273,7 +314,7 @@ class AllocationBlock:
             raise DanglingHandleError(
                 "object at offset %d was already freed" % offset
             )
-        total = max(align8(OBJECT_HEADER_SIZE + payload_size), 24)
+        total = _chunk_size(payload_size)
         layout.write_refcount(self.buf, offset, REFCOUNT_FREED)
         self.free_count += 1
         if self._m_frees is not None:
@@ -296,13 +337,13 @@ class AllocationBlock:
         self._add_to_freelist(offset, total)
 
     def _add_to_freelist(self, offset, total):
-        bucket = self._bucket_for(total)
+        bucket = _bucket_for(total)
         # The record sits past the 8-byte tombstone; every chunk is at
         # least 24 bytes (see allocate), so the record always fits.
         _FREE_CHUNK.pack_into(
             self.buf, offset + 8, self._free_buckets[bucket], total
         )
-        self._free_buckets[bucket] = offset
+        self._set_head(bucket, offset)
         self.freed_bytes += total
 
     # -- refcount plumbing ---------------------------------------------------

@@ -23,17 +23,23 @@ Layouts (all little-endian, offsets relative to the object's payload):
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 import numpy as np
 
-from repro.errors import ObjectModelError
+from repro.errors import BlockFullError, ObjectModelError
 from repro.memory import layout
 from repro.memory.handle import Handle
-from repro.memory.layout import OBJECT_HEADER_SIZE, align8
+from repro.memory.layout import (
+    HANDLE_STRUCT,
+    OBJECT_HEADER,
+    OBJECT_HEADER_SIZE,
+    align8,
+)
 from repro.memory.objects import (
     ObjectTypeDescriptor,
     as_descriptor,
-    deep_copy_object,
+    copy_handle_slot,
     release_reference,
 )
 from repro.memory.types import numpy_dtype_for
@@ -45,6 +51,21 @@ _FNV_PRIME = 0x100000001B3
 _HASH_MASK = (1 << 64) - 1
 
 
+@lru_cache(maxsize=1 << 16)
+def _string_hash(value):
+    """FNV-1a over the UTF-8 bytes of ``value``.
+
+    The loop runs in the interpreter, one step per byte, and an
+    aggregation hashes the same few thousand keys on every op — hence
+    the (bounded) memo.
+    """
+    h = _FNV_OFFSET
+    for byte in value.encode("utf-8"):
+        h ^= byte
+        h = (h * _FNV_PRIME) & _HASH_MASK
+    return h
+
+
 def stable_hash(value):
     """A deterministic 64-bit hash usable across processes and runs.
 
@@ -52,18 +73,14 @@ def stable_hash(value):
     hashes must stay valid when a page full of hashed entries is shipped to
     another (simulated) process, so strings use FNV-1a instead.
     """
+    if isinstance(value, str):
+        return _string_hash(value)
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, (int, np.integer)):
         return int(value) & _HASH_MASK
     if isinstance(value, (float, np.floating)):
         return hash(float(value)) & _HASH_MASK
-    if isinstance(value, str):
-        h = _FNV_OFFSET
-        for byte in value.encode("utf-8"):
-            h ^= byte
-            h = (h * _FNV_PRIME) & _HASH_MASK
-        return h
     if isinstance(value, tuple):
         h = _FNV_OFFSET
         for item in value:
@@ -71,6 +88,14 @@ def stable_hash(value):
             h = (h * _FNV_PRIME) & _HASH_MASK
         return h
     raise ObjectModelError("unhashable PC map key: %r" % (value,))
+
+
+# Building a container from a host value follows one rule — size once,
+# write once: the backing array or bucket table is allocated a single time
+# from ``len(value)``, primitive runs are encoded with one codec call, and
+# everything that does not depend on the value (type codes, element
+# writers) is resolved once per build through ``builder()`` /
+# ``slot_writer()``, not once per allocation.
 
 
 # ---------------------------------------------------------------------------
@@ -81,19 +106,7 @@ class StringType(ObjectTypeDescriptor):
     """UTF-8 string object.  Slots decode straight to Python ``str``."""
 
     name = "string"
-
-    #: Fixed well-known code so string bytes mean the same thing in every
-    #: registry, with no registration handshake (built-ins ship with PC).
     FIXED_CODE = 1
-
-    def type_code(self, block_or_registry):
-        from repro.memory.objects import _registry_from
-
-        registry = _registry_from(block_or_registry)
-        code = registry.code_for_name(self.name)
-        if code is None:
-            code = registry.register(self.name, self, code=self.FIXED_CODE)
-        return code
 
     def facade(self, block, offset):
         payload = offset + OBJECT_HEADER_SIZE
@@ -104,15 +117,26 @@ class StringType(ObjectTypeDescriptor):
     def _slot_value(self, block, target_offset, type_code):
         return self.facade(block, target_offset)
 
+    def builder(self, block):
+        code = self.type_code(block)
+        allocate = block.allocate
+        buf = block.buf
+
+        def build(value):
+            if not isinstance(value, str):
+                raise ObjectModelError("expected str, got %r" % (value,))
+            encoded = value.encode("utf-8")
+            length = len(encoded)
+            offset = allocate(4 + length, code)
+            start = offset + OBJECT_HEADER_SIZE + 4
+            _U32.pack_into(buf, start - 4, length)
+            buf[start:start + length] = encoded
+            return offset
+
+        return build
+
     def allocate_value(self, block, value):
-        if not isinstance(value, str):
-            raise ObjectModelError("expected str, got %r" % (value,))
-        encoded = value.encode("utf-8")
-        offset = block.allocate(4 + len(encoded), self.type_code(block))
-        payload = offset + OBJECT_HEADER_SIZE
-        _U32.pack_into(block.buf, payload, len(encoded))
-        block.buf[payload + 4:payload + 4 + len(encoded)] = encoded
-        return offset
+        return self.builder(block)(value)
 
 
 String = StringType()
@@ -128,15 +152,6 @@ class ArrayType(ObjectTypeDescriptor):
     def __init__(self, elem):
         self.elem = as_descriptor(elem)
         self.name = "array<%s>" % self.elem.name
-
-    def type_code(self, block_or_registry):
-        from repro.memory.objects import _registry_from
-
-        registry = _registry_from(block_or_registry)
-        code = registry.code_for_name(self.name)
-        if code is None:
-            code = registry.register(self.name, self)
-        return code
 
     def facade(self, block, offset):
         return ArrayFacade(block, offset, self)
@@ -172,20 +187,33 @@ class ArrayType(ObjectTypeDescriptor):
             return
         step = self.elem.slot_size
         for delta in range(0, payload_size - payload_size % step, step):
-            target, _code = layout.read_handle_slot(
-                src_block.buf, src_payload + delta
-            )
-            if target is None:
-                layout.write_handle_slot(
-                    dst_block.buf, dst_payload + delta, None, 0
-                )
-                continue
-            copied = deep_copy_object(src_block, target, dst_block, memo)
-            code = layout.read_object_header(dst_block.buf, copied)[1]
-            dst_block.retain(copied)
-            layout.write_handle_slot(
-                dst_block.buf, dst_payload + delta, copied, code
-            )
+            copy_handle_slot(src_block, src_payload + delta,
+                             dst_block, dst_payload + delta, memo)
+
+
+def _move_handle(buf, src_slot, dst_slot):
+    """Re-encode one handle slot at ``dst_slot`` of the same block.
+
+    The target stays put, so only the slot-relative delta changes and no
+    refcount traffic is needed; the source slot is left as it was.
+    """
+    delta, code = HANDLE_STRUCT.unpack_from(buf, src_slot)
+    if delta:
+        HANDLE_STRUCT.pack_into(
+            buf, dst_slot, delta + src_slot - dst_slot, code
+        )
+
+
+def _link_backing(block, slot, new_offset, code, old_offset):
+    """Point a container's backing-store ``slot`` at ``new_offset``.
+
+    The caller has moved the live slots over and zeroed the old store,
+    so releasing it cannot release the transferred targets.
+    """
+    block.retain(new_offset)
+    HANDLE_STRUCT.pack_into(block.buf, slot, new_offset - slot, code)
+    if old_offset is not None:
+        release_reference(block, old_offset)
 
 
 class ArrayFacade:
@@ -219,8 +247,26 @@ class ArrayFacade:
 # Vector<T>
 # ---------------------------------------------------------------------------
 
-_VECTOR_COUNT = 0  # payload offset of the count field
-_VECTOR_ARRAY = 8  # payload offset of the backing-array handle slot
+# Vector and Map payloads alike: ``uint64 count`` + the handle slot of the
+# backing array / bucket table.
+_COUNT = 0
+_BACKING = 8
+_CONTAINER_HEADER = struct.Struct("<QqI")
+
+
+def _container_state(buf, payload, unit):
+    """``(count, backing, capacity)`` of the Vector or Map at ``payload``.
+
+    ``backing`` is the offset of the backing array / bucket table object
+    (None before the first insert) and ``capacity`` how many ``unit``-byte
+    slots or entries it holds.  Callers read this once per operation and
+    address elements from it, not once per element.
+    """
+    count, delta, _code = _CONTAINER_HEADER.unpack_from(buf, payload)
+    if not delta:
+        return count, None, 0
+    backing = payload + _BACKING + delta
+    return count, backing, OBJECT_HEADER.unpack_from(buf, backing)[2] // unit
 
 
 class VectorType(ObjectTypeDescriptor):
@@ -230,16 +276,7 @@ class VectorType(ObjectTypeDescriptor):
         self.elem = as_descriptor(elem)
         self.name = "vector<%s>" % self.elem.name
         self.array_type = ArrayType(self.elem)
-        self.fixed_payload = align8(_VECTOR_ARRAY + layout.HANDLE_SLOT_SIZE)
-
-    def type_code(self, block_or_registry):
-        from repro.memory.objects import _registry_from
-
-        registry = _registry_from(block_or_registry)
-        code = registry.code_for_name(self.name)
-        if code is None:
-            code = registry.register(self.name, self)
-        return code
+        self.fixed_payload = align8(_BACKING + layout.HANDLE_SLOT_SIZE)
 
     def facade(self, block, offset):
         return VectorFacade(block, offset, self)
@@ -250,15 +287,100 @@ class VectorType(ObjectTypeDescriptor):
     def _slot_value(self, block, target_offset, type_code):
         return self.facade(block, target_offset)
 
+    def builder(self, block):
+        code = self.type_code(block)
+        allocate = block.allocate
+        fixed_payload = self.fixed_payload
+        extend = self.extender(block)
+
+        def build(value):
+            offset = allocate(fixed_payload, code)
+            if value is not None:
+                extend(offset, value)
+            return offset
+
+        return build
+
     def allocate_value(self, block, value):
-        offset = block.allocate(self.fixed_payload, self.type_code(block))
-        if value is not None:
-            view = self.facade(block, offset)
-            view.extend(value)
-        return offset
+        return self.builder(block)(value)
+
+    def extender(self, block):
+        """``extend(offset, values)``: append to the vector at ``offset``.
+
+        One pass: the backing array is (re)allocated at most once — at
+        exactly the needed size when the vector has none yet — and the
+        values land in it as one run.  Numeric numpy input is blitted
+        straight into the page (the write-side counterpart of
+        :meth:`VectorFacade.as_numpy`), so filling a MatrixBlock never
+        loops in Python.  If an element allocation faults on a full
+        block, the elements written so far stay appended.
+        """
+        elem = self.elem
+        slot_size = elem.slot_size
+        buf = block.buf
+        dtype = numpy_dtype_for(elem)
+        array_code = self.array_type.type_code(block)
+        write = elem.slot_writer(block) if elem.is_object_type else None
+
+        def extend(offset, values):
+            blit = dtype is not None and isinstance(values, np.ndarray)
+            if blit:
+                values = np.ascontiguousarray(values, dtype=dtype).reshape(-1)
+            elif not isinstance(values, (list, tuple)):
+                values = list(values)
+            added = len(values)
+            if not added:
+                return
+            payload = offset + OBJECT_HEADER_SIZE
+            count, array, capacity = _container_state(buf, payload, slot_size)
+            if count + added > capacity:
+                array = self.regrow(
+                    block, payload, array, count,
+                    max(capacity * 2, count + added), array_code,
+                )
+            start = array + OBJECT_HEADER_SIZE + count * slot_size
+            written = 0
+            try:
+                if blit:
+                    buf[start:start + added * slot_size] = values.tobytes()
+                    written = added
+                elif write is None:
+                    elem.write_run(buf, start, values)
+                    written = added
+                else:
+                    for value in values:
+                        write(start + written * slot_size, value)
+                        written += 1
+            finally:
+                _U64.pack_into(buf, payload, count + written)
+
+        return extend
+
+    def regrow(self, block, payload, old_array, count, capacity, array_code):
+        """Move ``count`` elements into a new ``capacity``-slot backing array.
+
+        Returns the new array's offset; the vector at ``payload`` points
+        at it and the old array (if any) is released.
+        """
+        buf = block.buf
+        slot_size = self.elem.slot_size
+        new_array = block.allocate(capacity * slot_size, array_code)
+        if old_array is not None:
+            src = old_array + OBJECT_HEADER_SIZE
+            dst = new_array + OBJECT_HEADER_SIZE
+            nbytes = count * slot_size
+            if self.elem.is_object_type:
+                for at in range(0, nbytes, slot_size):
+                    _move_handle(buf, src + at, dst + at)
+            else:
+                buf[dst:dst + nbytes] = buf[src:src + nbytes]
+            buf[src:src + nbytes] = bytes(nbytes)
+        _link_backing(block, payload + _BACKING, new_array, array_code,
+                      old_array)
+        return new_array
 
     def destroy_payload(self, block, payload_offset, payload_size):
-        slot = payload_offset + _VECTOR_ARRAY
+        slot = payload_offset + _BACKING
         target, _code = layout.read_handle_slot(block.buf, slot)
         if target is not None:
             release_reference(block, target)
@@ -266,16 +388,8 @@ class VectorType(ObjectTypeDescriptor):
 
     def rewrite_handles(self, src_block, src_payload, dst_block, dst_payload,
                         payload_size, memo):
-        src_slot = src_payload + _VECTOR_ARRAY
-        dst_slot = dst_payload + _VECTOR_ARRAY
-        target, _code = layout.read_handle_slot(src_block.buf, src_slot)
-        if target is None:
-            layout.write_handle_slot(dst_block.buf, dst_slot, None, 0)
-            return
-        copied = deep_copy_object(src_block, target, dst_block, memo)
-        code = layout.read_object_header(dst_block.buf, copied)[1]
-        dst_block.retain(copied)
-        layout.write_handle_slot(dst_block.buf, dst_slot, copied, code)
+        copy_handle_slot(src_block, src_payload + _BACKING,
+                         dst_block, dst_payload + _BACKING, memo)
 
 
 class VectorFacade:
@@ -290,96 +404,66 @@ class VectorFacade:
 
     # -- internals -------------------------------------------------------------
 
-    @property
-    def _payload(self):
-        return self.pc_offset + OBJECT_HEADER_SIZE
-
-    def _array_offset(self):
-        target, _code = layout.read_handle_slot(
-            self.pc_block.buf, self._payload + _VECTOR_ARRAY
-        )
-        return target
-
-    def _capacity(self):
-        array_offset = self._array_offset()
-        if array_offset is None:
-            return 0
-        return self.descriptor.array_type.capacity_of(
-            self.pc_block, array_offset
+    def _state(self):
+        return _container_state(
+            self.pc_block.buf, self.pc_offset + OBJECT_HEADER_SIZE,
+            self.descriptor.elem.slot_size,
         )
 
-    def _element_slot(self, array_offset, index):
-        return (
-            array_offset
-            + OBJECT_HEADER_SIZE
-            + index * self.descriptor.elem.slot_size
-        )
-
-    def _grow(self, minimum):
-        block = self.pc_block
-        old_offset = self._array_offset()
-        old_capacity = self._capacity()
-        new_capacity = max(4, old_capacity * 2, minimum)
-        array_type = self.descriptor.array_type
-        new_offset = array_type.allocate_value(block, new_capacity)
-        count = len(self)
-        elem = self.descriptor.elem
-        if old_offset is not None and count:
-            if elem.is_object_type:
-                # Transfer handle slots by re-encoding; the targets stay
-                # put, so no refcount traffic is needed.
-                for index in range(count):
-                    src = self._element_slot(old_offset, index)
-                    dst = self._element_slot(new_offset, index)
-                    target, _code = layout.read_handle_slot(block.buf, src)
-                    if target is None:
-                        continue
-                    code = layout.read_object_header(block.buf, target)[1]
-                    layout.write_handle_slot(block.buf, dst, target, code)
-                    layout.write_handle_slot(block.buf, src, None, 0)
-            else:
-                src = old_offset + OBJECT_HEADER_SIZE
-                dst = new_offset + OBJECT_HEADER_SIZE
-                nbytes = count * elem.slot_size
-                block.buf[dst:dst + nbytes] = block.buf[src:src + nbytes]
-        slot = self._payload + _VECTOR_ARRAY
-        code = layout.read_object_header(block.buf, new_offset)[1]
-        block.retain(new_offset)
-        layout.write_handle_slot(block.buf, slot, new_offset, code)
-        if old_offset is not None:
-            # Old slots were nulled above, so destroying the old array will
-            # not release the transferred targets.
-            release_reference(block, old_offset)
-
-    # -- sequence protocol -------------------------------------------------------
-
-    def __len__(self):
-        return _U64.unpack_from(self.pc_block.buf, self._payload + _VECTOR_COUNT)[0]
-
-    def _set_count(self, count):
-        _U64.pack_into(self.pc_block.buf, self._payload + _VECTOR_COUNT, count)
-
-    def _check_index(self, index):
-        count = len(self)
+    def _element_slot(self, index):
+        """The slot of element ``index`` (negative counts from the end)."""
+        count, array, _capacity = self._state()
         if index < 0:
             index += count
         if not 0 <= index < count:
             raise IndexError("vector index %d out of range (%d)" % (index, count))
-        return index
+        return (
+            array + OBJECT_HEADER_SIZE + index * self.descriptor.elem.slot_size
+        )
+
+    def _regrow(self, array, count, capacity, minimum):
+        """Amortised growth: at least double, never below four slots."""
+        descriptor = self.descriptor
+        block = self.pc_block
+        return descriptor.regrow(
+            block, self.pc_offset + OBJECT_HEADER_SIZE, array, count,
+            max(4, capacity * 2, minimum),
+            descriptor.array_type.type_code(block),
+        )
+
+    # -- sequence protocol -------------------------------------------------------
+
+    def __len__(self):
+        return _U64.unpack_from(
+            self.pc_block.buf,
+            self.pc_offset + OBJECT_HEADER_SIZE + _COUNT,
+        )[0]
 
     def __getitem__(self, index):
-        index = self._check_index(index)
-        slot = self._element_slot(self._array_offset(), index)
-        return self.descriptor.elem.read_slot(self.pc_block, slot)
+        return self.descriptor.elem.read_slot(
+            self.pc_block, self._element_slot(index)
+        )
 
     def __setitem__(self, index, value):
-        index = self._check_index(index)
-        slot = self._element_slot(self._array_offset(), index)
-        self.descriptor.elem.write_slot(self.pc_block, slot, value)
+        self.descriptor.elem.write_slot(
+            self.pc_block, self._element_slot(index), value
+        )
 
     def __iter__(self):
-        for index in range(len(self)):
-            yield self[index]
+        count, array, _capacity = self._state()
+        if not count:
+            return iter(())
+        elem = self.descriptor.elem
+        start = array + OBJECT_HEADER_SIZE
+        if not elem.is_object_type:
+            return iter(elem.read_run(self.pc_block.buf, start, count))
+        block = self.pc_block
+        read = elem.read_slot
+        return (
+            read(block, slot)
+            for slot in range(start, start + count * elem.slot_size,
+                              elem.slot_size)
+        )
 
     def reserve(self, capacity):
         """Ensure room for ``capacity`` elements without reallocation.
@@ -388,50 +472,27 @@ class VectorFacade:
         with objects, so recording an object never needs an allocation on
         an already-full page.
         """
-        if self._capacity() < capacity:
-            self._grow(capacity)
+        count, array, current = self._state()
+        if current < capacity:
+            self._regrow(array, count, current, capacity)
 
     def append(self, value):
         """Append ``value``, growing the backing array if needed."""
-        count = len(self)
-        if count >= self._capacity():
-            self._grow(count + 1)
-        slot = self._element_slot(self._array_offset(), count)
-        self.descriptor.elem.write_slot(self.pc_block, slot, value)
-        self._set_count(count + 1)
+        count, array, capacity = self._state()
+        if count >= capacity:
+            array = self._regrow(array, count, capacity, count + 1)
+        elem = self.descriptor.elem
+        elem.write_slot(
+            self.pc_block,
+            array + OBJECT_HEADER_SIZE + count * elem.slot_size, value,
+        )
+        _U64.pack_into(
+            self.pc_block.buf, self.pc_offset + OBJECT_HEADER_SIZE, count + 1
+        )
 
     def extend(self, values):
-        """Append every item of ``values``.
-
-        Numeric numpy input takes a bulk path: the array's bytes are
-        blitted straight into the page (the write-side counterpart of
-        :meth:`as_numpy`), so filling a MatrixBlock never loops in Python.
-        """
-        elem = self.descriptor.elem
-        dtype = numpy_dtype_for(elem)
-        if dtype is not None and isinstance(values, np.ndarray):
-            flat = np.ascontiguousarray(values, dtype=dtype).reshape(-1)
-            count = len(self)
-            if count + flat.size > self._capacity():
-                self._grow(count + flat.size)
-            array_offset = self._array_offset()
-            start = (
-                array_offset + OBJECT_HEADER_SIZE + count * elem.slot_size
-            )
-            nbytes = flat.size * elem.slot_size
-            self.pc_block.buf[start:start + nbytes] = flat.tobytes()
-            self._set_count(count + flat.size)
-            return
-        values = list(values)
-        count = len(self)
-        if count + len(values) > self._capacity():
-            self._grow(count + len(values))
-        array_offset = self._array_offset()
-        for index, value in enumerate(values, start=count):
-            elem.write_slot(
-                self.pc_block, self._element_slot(array_offset, index), value
-            )
-        self._set_count(count + len(values))
+        """Append every item of ``values`` (see :meth:`VectorType.extender`)."""
+        self.descriptor.extender(self.pc_block)(self.pc_offset, values)
 
     def to_list(self):
         """Decode the whole vector into a Python list."""
@@ -444,19 +505,19 @@ class VectorFacade:
         (Section 8.3.1): the returned array aliases the block's bytes, so
         writes through it mutate the page with no copying.
         """
-        dtype = numpy_dtype_for(self.descriptor.elem)
+        elem = self.descriptor.elem
+        dtype = numpy_dtype_for(elem)
         if dtype is None:
             raise ObjectModelError(
-                "as_numpy requires a numeric element type, not %s"
-                % self.descriptor.elem.name
+                "as_numpy requires a numeric element type, not %s" % elem.name
             )
-        count = len(self)
-        array_offset = self._array_offset()
-        if array_offset is None or count == 0:
+        count, array, _capacity = self._state()
+        if not count:
             return np.empty(0, dtype=dtype)
-        start = array_offset + OBJECT_HEADER_SIZE
-        nbytes = count * self.descriptor.elem.slot_size
-        view = memoryview(self.pc_block.buf)[start:start + nbytes]
+        start = array + OBJECT_HEADER_SIZE
+        view = memoryview(self.pc_block.buf)[
+            start:start + count * elem.slot_size
+        ]
         return np.frombuffer(view, dtype=dtype)
 
     def __repr__(self):
@@ -470,8 +531,6 @@ class VectorFacade:
 # Map<K, V>
 # ---------------------------------------------------------------------------
 
-_MAP_COUNT = 0
-_MAP_BUCKETS = 8
 _ENTRY_FLAGS = struct.Struct("<BxxxxxxxQ")  # occupied flag + stored hash
 
 
@@ -485,15 +544,13 @@ class MapBucketsType(ObjectTypeDescriptor):
         self.entry_size = align8(16 + self.key.slot_size + self.val.slot_size)
         self.key_offset = 16
         self.val_offset = 16 + self.key.slot_size
-
-    def type_code(self, block_or_registry):
-        from repro.memory.objects import _registry_from
-
-        registry = _registry_from(block_or_registry)
-        code = registry.code_for_name(self.name)
-        if code is None:
-            code = registry.register(self.name, self)
-        return code
+        #: entry-relative offsets of the slots that hold handles
+        self.handle_offsets = tuple(
+            delta
+            for descriptor, delta in ((self.key, self.key_offset),
+                                      (self.val, self.val_offset))
+            if descriptor.is_object_type
+        )
 
     def facade(self, block, offset):
         return Handle(block, offset, self.type_code(block))
@@ -506,56 +563,60 @@ class MapBucketsType(ObjectTypeDescriptor):
             nbuckets * self.entry_size, self.type_code(block)
         )
 
-    def capacity_of(self, block, offset):
-        payload_size = layout.read_object_header(block.buf, offset)[2]
-        return payload_size // self.entry_size
-
-    def _each_occupied(self, block, payload_offset, payload_size):
-        entry = payload_offset
+    def _each_occupied(self, buf, payload_offset, payload_size):
         end = payload_offset + payload_size - payload_size % self.entry_size
-        while entry < end:
-            occupied, stored_hash = _ENTRY_FLAGS.unpack_from(block.buf, entry)
-            if occupied:
-                yield entry, stored_hash
-            entry += self.entry_size
+        for entry in range(payload_offset, end, self.entry_size):
+            if buf[entry]:
+                yield entry
+
+    def probe(self, block, table, capacity, key, key_hash):
+        """Locate ``key`` in the ``capacity`` entries starting at ``table``.
+
+        Returns ``(entry_offset, found)``; when not found, ``entry_offset``
+        is the insertion slot (None if every entry is taken).
+        """
+        buf = block.buf
+        entry_size = self.entry_size
+        index = key_hash % capacity
+        for _probe in range(capacity):
+            entry = table + index * entry_size
+            occupied, stored_hash = _ENTRY_FLAGS.unpack_from(buf, entry)
+            if not occupied:
+                return entry, False
+            if stored_hash == key_hash and _keys_equal(
+                self.key.read_slot(block, entry + self.key_offset), key
+            ):
+                return entry, True
+            index += 1
+            if index == capacity:
+                index = 0
+        return None, False
+
+    def release_entry(self, block, entry):
+        """Drop (and null) the references one entry's handle slots hold."""
+        for delta in self.handle_offsets:
+            slot = entry + delta
+            target, _code = layout.read_handle_slot(block.buf, slot)
+            if target is not None:
+                layout.write_handle_slot(block.buf, slot, None, 0)
+                release_reference(block, target)
 
     def destroy_payload(self, block, payload_offset, payload_size):
-        for entry, _h in self._each_occupied(block, payload_offset, payload_size):
-            for descriptor, delta in (
-                (self.key, self.key_offset),
-                (self.val, self.val_offset),
-            ):
-                if descriptor.is_object_type:
-                    target, _code = layout.read_handle_slot(
-                        block.buf, entry + delta
-                    )
-                    if target is not None:
-                        release_reference(block, target)
+        for entry in self._each_occupied(block.buf, payload_offset,
+                                         payload_size):
+            self.release_entry(block, entry)
         block.buf[payload_offset:payload_offset + payload_size] = bytes(
             payload_size
         )
 
     def rewrite_handles(self, src_block, src_payload, dst_block, dst_payload,
                         payload_size, memo):
-        for entry, _h in self._each_occupied(src_block, src_payload, payload_size):
-            delta_from_start = entry - src_payload
-            for descriptor, delta in (
-                (self.key, self.key_offset),
-                (self.val, self.val_offset),
-            ):
-                if not descriptor.is_object_type:
-                    continue
-                target, _code = layout.read_handle_slot(
-                    src_block.buf, entry + delta
-                )
-                dst_slot = dst_payload + delta_from_start + delta
-                if target is None:
-                    layout.write_handle_slot(dst_block.buf, dst_slot, None, 0)
-                    continue
-                copied = deep_copy_object(src_block, target, dst_block, memo)
-                code = layout.read_object_header(dst_block.buf, copied)[1]
-                dst_block.retain(copied)
-                layout.write_handle_slot(dst_block.buf, dst_slot, copied, code)
+        moved = dst_payload - src_payload
+        for entry in self._each_occupied(src_block.buf, src_payload,
+                                         payload_size):
+            for delta in self.handle_offsets:
+                copy_handle_slot(src_block, entry + delta,
+                                 dst_block, entry + delta + moved, memo)
 
 
 class MapType(ObjectTypeDescriptor):
@@ -574,16 +635,7 @@ class MapType(ObjectTypeDescriptor):
         self.val = as_descriptor(val)
         self.name = "map<%s,%s>" % (self.key.name, self.val.name)
         self.buckets_type = MapBucketsType(self.key, self.val)
-        self.fixed_payload = align8(_MAP_BUCKETS + layout.HANDLE_SLOT_SIZE)
-
-    def type_code(self, block_or_registry):
-        from repro.memory.objects import _registry_from
-
-        registry = _registry_from(block_or_registry)
-        code = registry.code_for_name(self.name)
-        if code is None:
-            code = registry.register(self.name, self)
-        return code
+        self.fixed_payload = align8(_BACKING + layout.HANDLE_SLOT_SIZE)
 
     def facade(self, block, offset):
         return MapFacade(block, offset, self)
@@ -594,16 +646,141 @@ class MapType(ObjectTypeDescriptor):
     def _slot_value(self, block, target_offset, type_code):
         return self.facade(block, target_offset)
 
+    def builder(self, block):
+        code = self.type_code(block)
+        allocate = block.allocate
+        fixed_payload = self.fixed_payload
+        insert = self.inserter(block)
+
+        def build(value):
+            offset = allocate(fixed_payload, code)
+            if value:
+                pairs = value.items() if isinstance(value, dict) else value
+                _stored, full = insert(offset, pairs)
+                if full is not None:
+                    raise full
+            return offset
+
+        return build
+
     def allocate_value(self, block, value):
-        offset = block.allocate(self.fixed_payload, self.type_code(block))
-        if value:
-            view = self.facade(block, offset)
-            for key, item in value.items() if isinstance(value, dict) else value:
-                view.put(key, item)
-        return offset
+        return self.builder(block)(value)
+
+    def inserter(self, block):
+        """``insert(offset, pairs) -> (stored, full)`` for maps on ``block``.
+
+        Inserts or overwrites every ``(key, value)`` pair, in order, into
+        the map at ``offset`` in one pass: the bucket table is sized once
+        for all of ``pairs`` (growing by doubling only if the block has
+        no room for that), and key/value writers are resolved once.
+
+        A full block stops the pass: ``full`` is then the
+        :class:`BlockFullError`, ``stored`` says how many leading pairs
+        are in the map, and the map is consistent — every entry is
+        either wholly inserted (slots first, occupied flag last) or
+        absent.  ``full`` is None when every pair went in.
+        """
+        buckets = self.buckets_type
+        buf = block.buf
+        entry_size = buckets.entry_size
+        key_at = buckets.key_offset
+        val_at = buckets.val_offset
+        write_key = buckets.key.slot_writer(block)
+        write_val = buckets.val.slot_writer(block)
+        overwrite_val = buckets.val.write_slot
+        probe = buckets.probe
+        buckets_code = buckets.type_code(block)
+        load = self.LOAD_FACTOR
+
+        def grow(payload, table, capacity, needed):
+            doubled = max(8, capacity * 2)
+            exact = int(needed / load) + 1
+            if exact > doubled:
+                try:
+                    return self.rehash(block, payload, table, capacity,
+                                       exact, buckets_code), exact
+                except BlockFullError:
+                    pass
+            return self.rehash(block, payload, table, capacity,
+                               doubled, buckets_code), doubled
+
+        def insert(offset, pairs):
+            if not hasattr(pairs, "__len__"):
+                pairs = list(pairs)
+            payload = offset + OBJECT_HEADER_SIZE
+            count, table, capacity = _container_state(
+                buf, payload, entry_size
+            )
+            limit = int(capacity * load)
+            stored = 0
+            entry = None
+            try:
+                for key, value in pairs:
+                    if count >= limit:
+                        table, capacity = grow(
+                            payload, table, capacity,
+                            count + len(pairs) - stored,
+                        )
+                        limit = int(capacity * load)
+                    key_hash = stable_hash(key)
+                    entry, found = probe(
+                        block, table + OBJECT_HEADER_SIZE, capacity,
+                        key, key_hash,
+                    )
+                    if found:
+                        overwrite_val(block, entry + val_at, value)
+                    else:
+                        write_key(entry + key_at, key)
+                        write_val(entry + val_at, value)
+                        _ENTRY_FLAGS.pack_into(buf, entry, 1, key_hash)
+                        count += 1
+                        _U64.pack_into(buf, payload, count)
+                    stored += 1
+            except BlockFullError as full:
+                if entry is not None and not buf[entry]:
+                    # The entry being written got its key but not its
+                    # value: hand the key back so the slots stay null.
+                    buckets.release_entry(block, entry)
+                return stored, full
+            return stored, None
+
+        return insert
+
+    def rehash(self, block, payload, old_table, old_capacity, capacity,
+               buckets_code):
+        """Move every entry into a new ``capacity``-entry bucket table.
+
+        Returns the new table's offset; the map at ``payload`` points at
+        it and the old table (if any) is released.
+        """
+        buf = block.buf
+        buckets = self.buckets_type
+        entry_size = buckets.entry_size
+        new_table = block.allocate(capacity * entry_size, buckets_code)
+        if old_table is not None:
+            old_start = old_table + OBJECT_HEADER_SIZE
+            old_size = old_capacity * entry_size
+            new_start = new_table + OBJECT_HEADER_SIZE
+            for entry in buckets._each_occupied(buf, old_start, old_size):
+                stored_hash = _ENTRY_FLAGS.unpack_from(buf, entry)[1]
+                index = stored_hash % capacity
+                while buf[new_start + index * entry_size]:
+                    index += 1
+                    if index == capacity:
+                        index = 0
+                new_entry = new_start + index * entry_size
+                buf[new_entry:new_entry + entry_size] = buf[
+                    entry:entry + entry_size
+                ]
+                for delta in buckets.handle_offsets:
+                    _move_handle(buf, entry + delta, new_entry + delta)
+            buf[old_start:old_start + old_size] = bytes(old_size)
+        _link_backing(block, payload + _BACKING, new_table, buckets_code,
+                      old_table)
+        return new_table
 
     def destroy_payload(self, block, payload_offset, payload_size):
-        slot = payload_offset + _MAP_BUCKETS
+        slot = payload_offset + _BACKING
         target, _code = layout.read_handle_slot(block.buf, slot)
         if target is not None:
             release_reference(block, target)
@@ -611,16 +788,8 @@ class MapType(ObjectTypeDescriptor):
 
     def rewrite_handles(self, src_block, src_payload, dst_block, dst_payload,
                         payload_size, memo):
-        src_slot = src_payload + _MAP_BUCKETS
-        dst_slot = dst_payload + _MAP_BUCKETS
-        target, _code = layout.read_handle_slot(src_block.buf, src_slot)
-        if target is None:
-            layout.write_handle_slot(dst_block.buf, dst_slot, None, 0)
-            return
-        copied = deep_copy_object(src_block, target, dst_block, memo)
-        code = layout.read_object_header(dst_block.buf, copied)[1]
-        dst_block.retain(copied)
-        layout.write_handle_slot(dst_block.buf, dst_slot, copied, code)
+        copy_handle_slot(src_block, src_payload + _BACKING,
+                         dst_block, dst_payload + _BACKING, memo)
 
 
 class MapFacade:
@@ -633,186 +802,89 @@ class MapFacade:
         self.pc_offset = offset
         self.descriptor = descriptor
 
-    @property
-    def _payload(self):
-        return self.pc_offset + OBJECT_HEADER_SIZE
-
-    def _buckets_offset(self):
-        target, _code = layout.read_handle_slot(
-            self.pc_block.buf, self._payload + _MAP_BUCKETS
+    def _state(self):
+        return _container_state(
+            self.pc_block.buf, self.pc_offset + OBJECT_HEADER_SIZE,
+            self.descriptor.buckets_type.entry_size,
         )
-        return target
 
     def __len__(self):
-        return _U64.unpack_from(self.pc_block.buf, self._payload + _MAP_COUNT)[0]
+        return _U64.unpack_from(
+            self.pc_block.buf, self.pc_offset + OBJECT_HEADER_SIZE + _COUNT
+        )[0]
 
-    def _set_count(self, count):
-        _U64.pack_into(self.pc_block.buf, self._payload + _MAP_COUNT, count)
-
-    def _capacity(self):
-        buckets = self._buckets_offset()
-        if buckets is None:
-            return 0
-        return self.descriptor.buckets_type.capacity_of(self.pc_block, buckets)
-
-    def _entry_offset(self, buckets_offset, index):
-        return (
-            buckets_offset
-            + OBJECT_HEADER_SIZE
-            + index * self.descriptor.buckets_type.entry_size
-        )
-
-    def _find(self, key, key_hash):
-        """Locate ``key``; returns ``(entry_offset, found)``.
-
-        When not found, ``entry_offset`` is the insertion slot (or None if
-        there are no buckets yet).
-        """
-        buckets_offset = self._buckets_offset()
-        if buckets_offset is None:
-            return None, False
-        capacity = self._capacity()
+    def _value_slot(self, key):
+        """The value slot of the entry holding ``key``, or None."""
+        _count, table, capacity = self._state()
+        if table is None:
+            return None
         buckets = self.descriptor.buckets_type
-        index = key_hash % capacity
-        for _probe in range(capacity):
-            entry = self._entry_offset(buckets_offset, index)
-            occupied, stored_hash = _ENTRY_FLAGS.unpack_from(
-                self.pc_block.buf, entry
-            )
-            if not occupied:
-                return entry, False
-            if stored_hash == key_hash:
-                stored_key = buckets.key.read_slot(
-                    self.pc_block, entry + buckets.key_offset
-                )
-                if _keys_equal(stored_key, key):
-                    return entry, True
-            index = (index + 1) % capacity
-        return None, False
-
-    def _rehash(self, minimum_buckets):
-        block = self.pc_block
-        buckets_type = self.descriptor.buckets_type
-        old_offset = self._buckets_offset()
-        old_capacity = self._capacity()
-        new_capacity = max(8, old_capacity * 2, minimum_buckets)
-        new_offset = buckets_type.allocate_value(block, new_capacity)
-        if old_offset is not None:
-            payload_size = layout.read_object_header(block.buf, old_offset)[2]
-            payload = old_offset + OBJECT_HEADER_SIZE
-            for entry, stored_hash in buckets_type._each_occupied(
-                block, payload, payload_size
-            ):
-                index = stored_hash % new_capacity
-                while True:
-                    new_entry = self._entry_offset(new_offset, index)
-                    occupied, _h = _ENTRY_FLAGS.unpack_from(
-                        block.buf, new_entry
-                    )
-                    if not occupied:
-                        break
-                    index = (index + 1) % new_capacity
-                _ENTRY_FLAGS.pack_into(block.buf, new_entry, 1, stored_hash)
-                self._transfer_slot(
-                    buckets_type.key, entry + buckets_type.key_offset,
-                    new_entry + buckets_type.key_offset,
-                )
-                self._transfer_slot(
-                    buckets_type.val, entry + buckets_type.val_offset,
-                    new_entry + buckets_type.val_offset,
-                )
-                _ENTRY_FLAGS.pack_into(block.buf, entry, 0, 0)
-        slot = self._payload + _MAP_BUCKETS
-        code = layout.read_object_header(block.buf, new_offset)[1]
-        block.retain(new_offset)
-        layout.write_handle_slot(block.buf, slot, new_offset, code)
-        if old_offset is not None:
-            release_reference(block, old_offset)
-
-    def _transfer_slot(self, descriptor, src_slot, dst_slot):
-        """Move one entry slot without refcount traffic (same block)."""
-        block = self.pc_block
-        if descriptor.is_object_type:
-            target, _code = layout.read_handle_slot(block.buf, src_slot)
-            if target is None:
-                layout.write_handle_slot(block.buf, dst_slot, None, 0)
-            else:
-                code = layout.read_object_header(block.buf, target)[1]
-                layout.write_handle_slot(block.buf, dst_slot, target, code)
-                layout.write_handle_slot(block.buf, src_slot, None, 0)
-        else:
-            size = descriptor.slot_size
-            block.buf[dst_slot:dst_slot + size] = block.buf[
-                src_slot:src_slot + size
-            ]
+        entry, found = buckets.probe(
+            self.pc_block, table + OBJECT_HEADER_SIZE, capacity,
+            key, stable_hash(key),
+        )
+        return entry + buckets.val_offset if found else None
 
     # -- dict protocol -----------------------------------------------------------
 
     def put(self, key, value):
         """Insert or overwrite ``key`` with ``value``."""
-        count = len(self)
-        capacity = self._capacity()
-        if capacity == 0 or (count + 1) > capacity * self.descriptor.LOAD_FACTOR:
-            self._rehash(count + 1)
-        key_hash = stable_hash(key)
-        entry, found = self._find(key, key_hash)
-        buckets = self.descriptor.buckets_type
-        if not found:
-            # Write the slots before raising the occupied flag: if an
-            # allocation faults mid-insert (page full), the entry stays
-            # unoccupied and the map remains consistent.
-            buckets.key.write_slot(
-                self.pc_block, entry + buckets.key_offset, key
-            )
-            buckets.val.write_slot(
-                self.pc_block, entry + buckets.val_offset, value
-            )
-            _ENTRY_FLAGS.pack_into(self.pc_block.buf, entry, 1, key_hash)
-            self._set_count(count + 1)
-        else:
-            buckets.val.write_slot(
-                self.pc_block, entry + buckets.val_offset, value
-            )
+        _stored, full = self.descriptor.inserter(self.pc_block)(
+            self.pc_offset, ((key, value),)
+        )
+        if full is not None:
+            raise full
+
+    def fill(self, pairs):
+        """Insert leading ``pairs`` until they are all in or the block is full.
+
+        Returns how many were stored — the map then holds exactly that
+        prefix, so a sink can seal the page and carry on with the rest on
+        the next one.  Raises :class:`BlockFullError` only when not even
+        the first pair fits.
+        """
+        stored, full = self.descriptor.inserter(self.pc_block)(
+            self.pc_offset, pairs
+        )
+        if full is not None and not stored:
+            raise full
+        return stored
 
     def get(self, key, default=None):
         """Return the value stored for ``key`` or ``default``."""
-        entry, found = self._find(key, stable_hash(key))
-        if not found:
+        slot = self._value_slot(key)
+        if slot is None:
             return default
-        buckets = self.descriptor.buckets_type
-        return buckets.val.read_slot(self.pc_block, entry + buckets.val_offset)
+        return self.descriptor.val.read_slot(self.pc_block, slot)
 
     def __contains__(self, key):
-        return self._find(key, stable_hash(key))[1]
+        return self._value_slot(key) is not None
 
     def __getitem__(self, key):
-        entry, found = self._find(key, stable_hash(key))
-        if not found:
+        slot = self._value_slot(key)
+        if slot is None:
             raise KeyError(key)
-        buckets = self.descriptor.buckets_type
-        return buckets.val.read_slot(self.pc_block, entry + buckets.val_offset)
+        return self.descriptor.val.read_slot(self.pc_block, slot)
 
     def __setitem__(self, key, value):
         self.put(key, value)
 
     def items(self):
         """Iterate ``(key, value)`` pairs in bucket order."""
-        buckets_offset = self._buckets_offset()
-        if buckets_offset is None:
+        _count, table, capacity = self._state()
+        if table is None:
             return
+        block = self.pc_block
         buckets = self.descriptor.buckets_type
-        payload_size = layout.read_object_header(
-            self.pc_block.buf, buckets_offset
-        )[2]
-        payload = buckets_offset + OBJECT_HEADER_SIZE
-        for entry, _h in buckets._each_occupied(
-            self.pc_block, payload, payload_size
+        read_key = buckets.key.read_slot
+        read_val = buckets.val.read_slot
+        key_at = buckets.key_offset
+        val_at = buckets.val_offset
+        for entry in buckets._each_occupied(
+            block.buf, table + OBJECT_HEADER_SIZE,
+            capacity * buckets.entry_size,
         ):
-            key = buckets.key.read_slot(self.pc_block, entry + buckets.key_offset)
-            value = buckets.val.read_slot(
-                self.pc_block, entry + buckets.val_offset
-            )
-            yield key, value
+            yield read_key(block, entry + key_at), read_val(block, entry + val_at)
 
     def keys(self):
         """Iterate keys in bucket order."""
@@ -856,18 +928,7 @@ class AnyObjectType(ObjectTypeDescriptor):
     """
 
     name = "object"
-
-    #: Fixed well-known code (see StringType.FIXED_CODE).
     FIXED_CODE = 2
-
-    def type_code(self, block_or_registry):
-        from repro.memory.objects import _registry_from
-
-        registry = _registry_from(block_or_registry)
-        code = registry.code_for_name(self.name)
-        if code is None:
-            code = registry.register(self.name, self, code=self.FIXED_CODE)
-        return code
 
     def facade(self, block, offset):
         code = layout.read_object_header(block.buf, offset)[1]

@@ -51,18 +51,9 @@ class ColumnarRootType(ObjectTypeDescriptor):
 
     name = "columnar_root"
 
-    #: Fixed well-known code (see StringType.FIXED_CODE): a shipped page's
-    #: root slot must identify the layout with no registration handshake.
+    #: A shipped page's root slot must identify the layout with no
+    #: registration handshake (see ObjectTypeDescriptor.FIXED_CODE).
     FIXED_CODE = 3
-
-    def type_code(self, block_or_registry):
-        from repro.memory.objects import _registry_from
-
-        registry = _registry_from(block_or_registry)
-        code = registry.code_for_name(self.name)
-        if code is None:
-            code = registry.register(self.name, self, code=self.FIXED_CODE)
-        return code
 
     def facade(self, block, offset):
         return ColumnarPage._parse(block, offset)

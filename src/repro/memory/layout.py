@@ -83,6 +83,11 @@ _USED_OFFSET = struct.calcsize("<4sIQ")
 _ACTIVE_OFFSET = struct.calcsize("<4sIQQ")
 _U64 = struct.Struct("<Q")
 
+#: ``used`` and ``active_objects`` sit side by side, so the allocator reads
+#: and rewrites both with one codec call (same bytes as the two fields).
+ALLOC_STATE = struct.Struct("<QQ")
+ALLOC_STATE_OFFSET = _USED_OFFSET
+
 
 def write_used(buf, used):
     """Update the bump-pointer field of the block header in place."""

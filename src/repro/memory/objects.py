@@ -17,6 +17,7 @@ This module hosts the generic object-model machinery:
 from __future__ import annotations
 
 import threading
+from functools import partial
 
 from repro.errors import (
     NoActiveBlockError,
@@ -33,10 +34,13 @@ from repro.memory.block import (
 from repro.memory.handle import Handle
 from repro.memory.layout import (
     HANDLE_SLOT_SIZE,
+    HANDLE_STRUCT,
+    OBJECT_HEADER,
     OBJECT_HEADER_SIZE,
     REFCOUNT_UNCOUNTED,
     REFCOUNT_UNIQUE,
 )
+from repro.memory.typecodes import TypeRegistry, default_registry
 from repro.memory.types import PCType, registry_of
 
 _POLICY_INITIAL_REFCOUNT = {
@@ -58,10 +62,13 @@ def release_reference(block, offset):
 
 def destroy_object(block, offset):
     """Destroy the object at ``offset``: release children, free storage."""
-    _refcount, code, _size = layout.read_object_header(block.buf, offset)
+    _refcount, code, payload_size = OBJECT_HEADER.unpack_from(
+        block.buf, offset
+    )
     descriptor = registry_of(block).lookup(code)
-    descriptor.destroy_payload(block, offset + OBJECT_HEADER_SIZE,
-                               layout.read_object_header(block.buf, offset)[2])
+    descriptor.destroy_payload(
+        block, offset + OBJECT_HEADER_SIZE, payload_size
+    )
     recycle = code if descriptor.fixed_payload is not None else None
     block.free_object(offset, recycle_type_code=recycle)
 
@@ -98,6 +105,18 @@ def deep_copy_object(src_block, src_offset, dst_block, memo=None):
     return new_offset
 
 
+def copy_handle_slot(src_block, src_slot, dst_block, dst_slot, memo):
+    """Deep-copy the target of one handle slot and point ``dst_slot`` at it."""
+    target, _code = layout.read_handle_slot(src_block.buf, src_slot)
+    if target is None:
+        layout.write_handle_slot(dst_block.buf, dst_slot, None, 0)
+        return
+    copied = deep_copy_object(src_block, target, dst_block, memo)
+    code = layout.read_object_header(dst_block.buf, copied)[1]
+    dst_block.retain(copied)
+    layout.write_handle_slot(dst_block.buf, dst_slot, copied, code)
+
+
 class ObjectTypeDescriptor(PCType):
     """Shared slot semantics for all object (handle-referenced) types.
 
@@ -109,6 +128,18 @@ class ObjectTypeDescriptor(PCType):
     is_object_type = True
     slot_size = HANDLE_SLOT_SIZE
 
+    #: Built-ins that ship with PC pin a well-known code, so their bytes
+    #: mean the same thing in every registry with no registration
+    #: handshake; every other type takes the registry's next free code.
+    FIXED_CODE = None
+
+    def type_code(self, block_or_registry):
+        registry = _registry_from(block_or_registry)
+        code = registry.code_for_name(self.name)
+        if code is None:
+            code = registry.register(self.name, self, code=self.FIXED_CODE)
+        return code
+
     # -- to be provided by concrete descriptors ------------------------------
 
     def facade(self, block, offset):
@@ -118,6 +149,15 @@ class ObjectTypeDescriptor(PCType):
     def allocate_value(self, block, value):
         """Allocate ``value`` (a host-language value) as a new object."""
         raise NotImplementedError
+
+    def builder(self, block):
+        """``build(value) -> offset``: :meth:`allocate_value` on ``block``.
+
+        A container build calls this once and ``build`` once per element,
+        so whatever does not depend on the value (type codes, the block's
+        allocator) is resolved once per build, not once per allocation.
+        """
+        return partial(self.allocate_value, block)
 
     def destroy_payload(self, block, payload_offset, payload_size):
         """Release embedded handles before the object's storage is freed."""
@@ -138,28 +178,42 @@ class ObjectTypeDescriptor(PCType):
         return self._slot_value(block, target, code)
 
     def write_slot(self, block, offset, value):
-        new_target = self._resolve_target(block, value)
-        old_target, _old_code = layout.read_handle_slot(block.buf, offset)
-        if new_target is None:
-            layout.write_handle_slot(block.buf, offset, None, 0)
-        else:
-            code = layout.read_object_header(block.buf, new_target)[1]
-            block.retain(new_target)
-            layout.write_handle_slot(block.buf, offset, new_target, code)
-        if old_target is not None:
-            release_reference(block, old_target)
-
-    def _resolve_target(self, block, value):
-        """Map ``value`` to an offset on ``block``, deep-copying if foreign."""
+        buf = block.buf
+        old_delta = HANDLE_STRUCT.unpack_from(buf, offset)[0]
+        self.slot_writer(block)(offset, value)
         if value is None:
-            return None
-        ref = _as_reference(value)
-        if ref is not None:
-            src_block, src_offset = ref
-            if src_block is block:
-                return src_offset
-            return deep_copy_object(src_block, src_offset, block)
-        return self.allocate_value(block, value)
+            HANDLE_STRUCT.pack_into(buf, offset, 0, 0)
+        if old_delta:
+            release_reference(block, offset + old_delta)
+
+    def slot_writer(self, block):
+        """``write(offset, value)`` for slots of ``block`` that hold null.
+
+        Fresh storage is zeroed, so a container under construction fills
+        its slots through this: no old target to read and release, and
+        the element :meth:`builder` is made once for the whole run.
+        ``value`` is None (the slot stays null), a handle or facade (a
+        foreign target is deep-copied in), or a host value to allocate.
+        """
+        buf = block.buf
+        retain = block.retain
+        build = self.builder(block)
+
+        def write(offset, value):
+            if value is None:
+                return
+            ref = _as_reference(value)
+            if ref is None:
+                target = build(value)
+            elif ref[0] is block:
+                target = ref[1]
+            else:
+                target = deep_copy_object(ref[0], ref[1], block)
+            code = OBJECT_HEADER.unpack_from(buf, target)[1]
+            retain(target)
+            HANDLE_STRUCT.pack_into(buf, offset, target - offset, code)
+
+        return write
 
     def default_value(self):
         return None
@@ -212,13 +266,6 @@ class ClassDescriptor(ObjectTypeDescriptor):
         self.name = cls.__name__
         self.fixed_payload = cls.pc_payload_size
 
-    def type_code(self, block_or_registry):
-        registry = _registry_from(block_or_registry)
-        code = registry.code_for_name(self.name)
-        if code is None:
-            code = registry.register(self.name, self)
-        return code
-
     def facade(self, block, offset):
         return self.cls._from_location(block, offset)
 
@@ -247,23 +294,14 @@ class ClassDescriptor(ObjectTypeDescriptor):
     def rewrite_handles(self, src_block, src_payload, dst_block, dst_payload,
                         payload_size, memo):
         for accessor in self.cls.pc_accessors:
-            if not accessor.pc_type.is_object_type:
-                continue
-            src_slot = src_payload + accessor.byte_offset
-            dst_slot = dst_payload + accessor.byte_offset
-            target, _code = layout.read_handle_slot(src_block.buf, src_slot)
-            if target is None:
-                layout.write_handle_slot(dst_block.buf, dst_slot, None, 0)
-                continue
-            copied = deep_copy_object(src_block, target, dst_block, memo)
-            code = layout.read_object_header(dst_block.buf, copied)[1]
-            dst_block.retain(copied)
-            layout.write_handle_slot(dst_block.buf, dst_slot, copied, code)
+            if accessor.pc_type.is_object_type:
+                copy_handle_slot(
+                    src_block, src_payload + accessor.byte_offset,
+                    dst_block, dst_payload + accessor.byte_offset, memo,
+                )
 
 
 def _registry_from(block_or_registry):
-    from repro.memory.typecodes import TypeRegistry, default_registry
-
     if block_or_registry is None:
         return default_registry()
     if isinstance(block_or_registry, TypeRegistry):

@@ -18,6 +18,7 @@ type code, so fully "compiled" element accessors exist per instantiation.
 from __future__ import annotations
 
 import struct
+from functools import partial
 
 from repro.errors import TypeRegistrationError
 from repro.memory.typecodes import default_registry, simple_code
@@ -63,6 +64,14 @@ class PCType:
         """Encode ``value`` into the slot at ``offset``."""
         raise NotImplementedError
 
+    def slot_writer(self, block):
+        """``write(offset, value)`` for still-zeroed slots of ``block``.
+
+        What a container build calls once and then applies per element;
+        object types override it to skip the old-target bookkeeping.
+        """
+        return partial(self.write_slot, block)
+
     def default_value(self):
         """The value a zero-initialized slot decodes to."""
         raise NotImplementedError
@@ -106,6 +115,23 @@ class PrimitiveType(PCType):
             value = self._caster(value)
         self._codec.pack_into(block.buf, offset, value)
 
+    def _run_format(self, count):
+        return "<%d%s" % (count, self._codec.format[1:])
+
+    def read_run(self, buf, offset, count):
+        """Decode ``count`` consecutive slots with one codec call."""
+        return struct.unpack_from(self._run_format(count), buf, offset)
+
+    def write_run(self, buf, offset, values):
+        """Encode the sequence ``values`` into consecutive slots at once.
+
+        Each value goes through the same caster as :meth:`write_slot`.
+        """
+        count = len(values)
+        if self._caster is not None:
+            values = map(self._caster, values)
+        struct.pack_into(self._run_format(count), buf, offset, *values)
+
     def default_value(self):
         return self._default
 
@@ -136,6 +162,12 @@ class BoolType(PrimitiveType):
 
     def write_slot(self, block, offset, value):
         super().write_slot(block, offset, 1 if value else 0)
+
+    def read_run(self, buf, offset, count):
+        return tuple(map(bool, super().read_run(buf, offset, count)))
+
+    def write_run(self, buf, offset, values):
+        super().write_run(buf, offset, [1 if v else 0 for v in values])
 
 
 Int8 = PrimitiveType("int8", "b", caster=int)

@@ -11,7 +11,7 @@ that used to fall back silently and now fail loudly.
 import numpy as np
 import pytest
 
-from repro.cluster import PCCluster, scheduler, transport
+from repro.cluster import PCCluster, RetryPolicy, scheduler, transport
 from repro.cluster.transport import ProcessTransport, remote_available
 from repro.core import (
     JoinComp,
@@ -208,5 +208,41 @@ def test_probe_without_its_hash_table_names_the_join(tmp_path, kind,
             )
         # A scheduling bug, not a back-end crash: nothing was retried.
         assert cluster.metrics().value("pc_worker_reforks_total") == 0
+    finally:
+        cluster.close()
+
+
+@needs_process
+def test_failed_await_releases_the_attempts_behind_it(tmp_path):
+    """A job that dies mid-settle leaves no export pin behind.
+
+    Every worker's scan is pinned and shipped up front; when worker-0's
+    await raises, the attempts still pending behind it must drop their
+    pins as well, or the pages stay unevictable for the cluster's life.
+    """
+    from test_fault_tolerance import SumX, load_points
+
+    class Exploding(SumX):
+        def get_value_projection(self, arg):
+            def boom(point):
+                raise RuntimeError("user code bug")
+
+            return lambda_from_native([arg], boom)
+
+    cluster = PCCluster(
+        n_workers=3, page_size=1 << 12, spill_root=str(tmp_path),
+        transport="process", retry_policy=RetryPolicy.disabled(),
+    )
+    try:
+        load_points(cluster, n=200)
+
+        def pins():
+            return [w.storage.pool.pinned_pages() for w in cluster.workers]
+
+        before = pins()
+        agg = Exploding().set_input(ObjectReader("db", "points"))
+        with pytest.raises(ExecutionError, match="worker-0"):
+            Writer("db", "sums").set_input(agg).execute(cluster)
+        assert pins() == before
     finally:
         cluster.close()

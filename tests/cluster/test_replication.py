@@ -350,6 +350,45 @@ def test_recover_replays_the_journal_and_serves_identical_reads(tmp_path):
     assert read_pids(cluster) == list(range(650))
 
 
+def test_recover_drops_a_final_record_torn_at_any_byte(tmp_path):
+    """A master killed mid-append leaves a prefix of its last record.
+
+    Whatever the cut — one byte in, or the whole JSON minus its newline —
+    recovery applies every earlier record, drops the tail from the file
+    (so the next append starts on a clean line) and keeps journaling.  A
+    *terminated* line that does not parse is corruption and still raises.
+    """
+    import json
+
+    cluster = make_cluster(tmp_path, "c")
+    load_points(cluster, n=40)
+    path = cluster.journal.path
+    with open(path, "rb") as f:
+        lines = f.read().splitlines(keepends=True)
+    head, final = b"".join(lines[:-1]), lines[-1]
+    assert json.loads(final)["op"] == "record_page"
+    assert cluster.recover() == len(lines)
+    pages = len(cluster.catalog.set_metadata("db", "points").pages)
+
+    for cut in range(len(final)):
+        with open(path, "wb") as f:
+            f.write(head + final[:cut])
+        assert cluster.recover() == len(lines) - 1
+        meta = cluster.catalog.set_metadata("db", "points")
+        assert len(meta.pages) == pages - 1  # prefix-consistent
+        with open(path, "rb") as f:
+            assert f.read() == head
+
+    cluster.create_set("db", "after", Point)
+    assert cluster.recover() == len(lines)
+    assert cluster.catalog.set_metadata("db", "after") is not None
+
+    with open(path, "wb") as f:
+        f.write(head + final[:len(final) // 2] + b"\n" + final)
+    with pytest.raises(json.JSONDecodeError):
+        cluster.recover()
+
+
 def test_recovery_after_kill_reflects_the_post_kill_replica_map(tmp_path):
     cluster = make_cluster(tmp_path, "c")
     load_points(cluster, replication=2)

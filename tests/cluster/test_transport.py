@@ -212,3 +212,46 @@ def test_process_transport_runs_real_child_processes(tmp_path):
     assert pids, "no task ran in a child process"
     assert os.getpid() not in pids
     cluster.close()
+
+
+_TRACKER_JOB = """
+from repro.cluster import PCCluster
+from repro.tpch import TpchSpec, customers_per_supplier_pc, load_pc_customers
+
+if __name__ == "__main__":
+    cluster = PCCluster(n_workers=2, spill_root={root!r}, transport="process")
+    try:
+        load_pc_customers(cluster, TpchSpec(30, n_parts=40, n_suppliers=6))
+        assert customers_per_supplier_pc(cluster)[1] > 0
+    finally:
+        cluster.close()
+"""
+
+
+@pytest.mark.skipif(
+    not remote_available(), reason="cloudpickle unavailable"
+)
+def test_backend_attach_leaves_the_resource_tracker_quiet(tmp_path):
+    """Children attach to pages without touching the shared tracker.
+
+    Run in a fresh interpreter so its resource tracker (which the spawned
+    back-ends share) starts inside the capture: the coordinator's unlink
+    of a segment a child had unregistered used to make the tracker print
+    one ``KeyError`` traceback per page.
+    """
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    script = tmp_path / "job.py"
+    script.write_text(_TRACKER_JOB.format(root=str(tmp_path / "spill")))
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "KeyError" not in done.stderr
+    assert "resource_tracker" not in done.stderr

@@ -162,6 +162,26 @@ def test_stable_hash_is_deterministic_and_typed():
         stable_hash(object())
 
 
+def test_stable_hash_values_are_pinned():
+    # Hashes live inside shipped and stored Map pages, so the memo in
+    # front of the string loop must never change a value: these are the
+    # FNV-1a results PR 12 produced.  Asked twice — computed, then memoised.
+    pinned = {
+        "": 0xCBF29CE484222325,
+        "a": 0xAF63DC4C8601EC8C,
+        "Supplier#000000001": 0xB6C2D5A06FD21CDD,
+        "caf\u00e9": 0x48E8823ACFA40D89,
+        ("a", 1): 0x1CA0AE15B8311B5E,
+        -1: 0xFFFFFFFFFFFFFFFF,
+    }
+    for _ in range(2):
+        for value, expected in pinned.items():
+            assert stable_hash(value) == expected
+    from repro.memory.builtins import _string_hash
+
+    assert _string_hash.cache_info().maxsize == 1 << 16  # bounded
+
+
 def test_align8():
     assert align8(0) == 0
     assert align8(1) == 8
