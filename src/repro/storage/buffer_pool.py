@@ -1,13 +1,22 @@
-"""The buffer pool: pinned in-memory pages with LRU spill.
+"""The buffer pool: pinned in-memory pages, spilled by a per-set policy.
 
 Each worker's local storage server manages a buffer pool (Appendix D.1)
 used for buffering and caching datasets.  Pages are pinned while a
-computation reads or writes them; unpinned pages are eligible for LRU
+computation reads or writes them; unpinned pages are eligible for
 eviction.  Evicted dirty pages are written to the *user-level file system*
 (a spill directory), evicted clean pages are simply dropped and re-read
 on demand.  Because a page's bytes are its authoritative representation,
 spilling and re-loading is a straight byte copy either way — the storage
 half of the paper's zero-cost data movement.
+
+Which unpinned page goes first is decided per set (DESIGN §17).  A named
+set whose pages on this pool add up to more than the pool's capacity
+cannot be kept resident by any policy, and every read of a stored set is
+a catalog-order scan, so the page such a scan just finished with is the
+one it will need again last: it re-enters the eviction order at the cold
+end (evict-most-recent), and the scan keeps the pages that fit instead
+of flooding the pool.  Sets that fit, and anonymous pages, are evicted
+least-recently-used.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import atexit
 import os
 import tempfile
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, deque
 
 from repro.errors import (
     BufferPoolExhaustedError,
@@ -24,6 +33,7 @@ from repro.errors import (
     PageReloadError,
     StorageError,
 )
+from repro.memory import layout
 from repro.memory.block import AllocationBlock
 from repro.obs import MetricsRegistry, Tracer
 from repro.storage.page import DEFAULT_PAGE_SIZE, Page
@@ -55,7 +65,7 @@ def _release_segments(pages, segments, graveyard, shm_registry=None):
         if shm_registry is not None:
             shm_registry.note_unlink(shm.name)
     segments.clear()
-    del graveyard[:]
+    graveyard.clear()
 
 
 #: Pools with shared-memory residency still open in this process; the
@@ -74,8 +84,21 @@ def _atexit_release_pools():
             pass
 
 
+#: Parked segments retried per dropped block.  Retrying all of them on
+#: every drop is quadratic in a scan that parks hundreds; a fixed few,
+#: longest-untried first, still retires a segment within ``len / 4``
+#: drops of its last view dying.
+_GRAVEYARD_RETRIES_PER_DROP = 4
+
+
 class BufferPool:
-    """Fixed-budget page cache with pinning and LRU spill."""
+    """Fixed-budget page cache with pinning and spill.
+
+    Victims are taken least-recently-used, except that the pages of a
+    named set too large for the pool are taken most-recently-used (see
+    the module docstring): the choice is made from the pool's own tally
+    of bytes per set, not from an argument.
+    """
 
     def __init__(self, capacity_bytes, page_size=DEFAULT_PAGE_SIZE,
                  registry=None, spill_dir=None, tracer=None,
@@ -99,7 +122,9 @@ class BufferPool:
         #: can reap what a hard-killed process stranded.
         self.shm_registry = shm_registry
         self._shm_segments = {}  # page_id -> SharedMemory
-        self._shm_graveyard = []  # segments kept alive by exported views
+        #: unlinked segments kept mapped by exported views, longest
+        #: untried first
+        self._shm_graveyard = deque()
         self._shm_prefix = "pc%d-%s" % (os.getpid(), os.urandom(3).hex())
         self._pages = {}  # page_id -> Page
         self._finalizer = weakref.finalize(
@@ -109,7 +134,11 @@ class BufferPool:
         )
         if residency == "shm":
             _LIVE_SHM_POOLS.add(self)
-        self._lru = OrderedDict()  # page_id -> None, oldest first
+        self._lru = OrderedDict()  # page_id -> None, next victim first
+        #: set_key -> block bytes of that set's pages on this pool,
+        #: resident or spilled; a set above ``capacity_bytes`` is scanned
+        #: evict-most-recent (see ``unpin``).
+        self._set_bytes = {}
         self._next_page_id = 1
         self._in_memory_bytes = 0
         #: high-water mark of in-memory bytes; the profiler resets and
@@ -139,7 +168,7 @@ class BufferPool:
         )
         self._c_evictions = self.metrics.counter(
             "pc_pool_evictions_total",
-            help="LRU evictions under memory pressure",
+            help="Evictions under memory pressure",
             trace="pool.evictions",
         )
         self._c_spills = self.metrics.counter(
@@ -181,6 +210,16 @@ class BufferPool:
             "pc_pool_shm_segments",
             help="Shared-memory segments currently backing resident pages",
         )
+        self._g_graveyard = self.metrics.gauge(
+            "pc_pool_graveyard_segments",
+            help="Segments unlinked but still mapped because a handle "
+                 "exports a view over them (memory beyond the budget)",
+        )
+        self._g_oversized = self.metrics.gauge(
+            "pc_pool_oversized_sets",
+            help="Named sets larger than the pool, evicted "
+                 "most-recently-used instead of LRU",
+        )
         self.metrics.on_collect(self._collect_gauges)
 
     def _collect_gauges(self):
@@ -189,6 +228,11 @@ class BufferPool:
         self._g_pages.set(len(self._pages))
         self._g_peak.set(self.peak_in_memory_bytes)
         self._g_shm.set(len(self._shm_segments))
+        self._g_graveyard.set(len(self._shm_graveyard))
+        self._g_oversized.set(sum(
+            1 for nbytes in self._set_bytes.values()
+            if nbytes > self.capacity_bytes
+        ))
 
     def _grow_resident(self, nbytes):
         self._in_memory_bytes += nbytes
@@ -264,14 +308,17 @@ class BufferPool:
         return page
 
     def _reconstitute_page(self, page_id, data, set_key):
-        """Page from shipped/spilled bytes, honoring the residency mode."""
+        """Page from shipped/spilled bytes, honoring the residency mode.
+
+        The caller has already made room for the block (its size is the
+        first field of ``data``'s header), so the pool never holds a
+        segment it has no budget for.
+        """
         if self.residency != "shm":
             return Page.from_bytes(
                 page_id, data, registry=self.registry, set_key=set_key,
                 metrics=self.metrics,
             )
-        from repro.memory import layout
-
         block_size = layout.unpack_block_header(data)[0]
         shm, buf = self._shm_create(page_id, block_size)
         try:
@@ -296,29 +343,27 @@ class BufferPool:
         page.shm = shm
         return page
 
-    def _discard_fresh(self, page):
-        """Undo a just-reconstituted page whose install step failed.
+    def _sweep_graveyard(self, limit=None):
+        """Retire parked segments whose exported views have died.
 
-        Without this, a ``_make_room`` raise between segment creation
-        and installation would leak the named segment — and the *next*
-        reload of the same page would die on FileExistsError.
+        Each parked segment holds an open file descriptor and a mapping.
+        A streaming scan keeps every segment it evicted mapped until its
+        batch of handles dies, so retrying all of them on every drop is
+        quadratic in the scan: ``limit`` bounds how many are retried,
+        longest-untried first.  Once views die their segments go
+        ``limit`` per drop while at most one arrives, so the graveyard
+        never holds more than were exported at one time.  ``close()``
+        retries all.
         """
-        if page is not None and page.shm is not None:
-            self._drop_block(page)
-
-    def _sweep_graveyard(self):
-        """Retire graveyard segments whose exported views have died.
-
-        Each unclosed segment holds an open file descriptor and a
-        mapping; under eviction churn the graveyard would otherwise
-        grow by hundreds of handles per scan and exhaust the fd limit.
-        """
-        for shm in self._shm_graveyard[:]:
+        graveyard = self._shm_graveyard
+        retries = len(graveyard) if limit is None \
+            else min(limit, len(graveyard))
+        for _ in range(retries):
+            shm = graveyard.popleft()
             try:
                 shm.close()
             except BufferError:  # pcsan: disable=PC005
-                continue  # still exported somewhere
-            self._shm_graveyard.remove(shm)
+                graveyard.append(shm)  # still exported somewhere
 
     def _drop_block(self, page):
         """Detach a page's block, releasing its shared-memory segment."""
@@ -334,13 +379,13 @@ class BufferPool:
             pass
         if self.shm_registry is not None:
             self.shm_registry.note_unlink(shm.name)
+        self._sweep_graveyard(_GRAVEYARD_RETRIES_PER_DROP)
         try:
             shm.close()
         except BufferError:
             # A facade somewhere still exports a view over the mapping;
             # keep the handle and retire it once the view dies.
             self._shm_graveyard.append(shm)
-        self._sweep_graveyard()
 
     def shm_export(self, page_id):
         """``(segment_name, block_size)`` of a shared-memory-resident page.
@@ -377,10 +422,7 @@ class BufferPool:
         page_id = self._next_page_id
         self._next_page_id += 1
         page = self._fresh_page(page_id, size, set_key, policy)
-        page.pin_count = 1
-        self._pages[page_id] = page
-        self._grow_resident(size)
-        self._c_pages_created.inc()
+        self._install(page)
         return page
 
     def adopt_page(self, data, set_key=None):
@@ -389,18 +431,22 @@ class BufferPool:
         self._next_page_id += 1
         # The shipped bytes are a used-prefix; the reconstituted block
         # occupies its full declared size, so budget for that, not for
-        # len(data).
+        # len(data) — and before the block (a named segment, under shm
+        # residency) exists.
+        self._make_room(layout.unpack_block_header(data)[0])
         page = self._reconstitute_page(page_id, data, set_key)
-        try:
-            self._make_room(page.size)
-        except BaseException:
-            self._discard_fresh(page)
-            raise
-        page.pin_count = 1
-        self._pages[page_id] = page
-        self._grow_resident(page.size)
-        self._c_pages_created.inc()
+        self._install(page)
         return page
+
+    def _install(self, page):
+        """Book a just-built page: pinned once, resident, in its set's tally."""
+        page.pin_count = 1
+        self._pages[page.page_id] = page
+        self._grow_resident(page.nbytes)
+        if page.set_key is not None:
+            self._set_bytes[page.set_key] = \
+                self._set_bytes.get(page.set_key, 0) + page.nbytes
+        self._c_pages_created.inc()
 
     def pin(self, page_id):
         """Pin a page, reloading it from spill if necessary."""
@@ -426,6 +472,13 @@ class BufferPool:
         page.pin_count -= 1
         if page.pin_count == 0:
             self._lru[page_id] = None
+            # Anonymous pages are in no set and so never oversized.
+            if self._set_bytes.get(page.set_key, 0) > self.capacity_bytes:
+                # The set cannot stay resident and is only ever read by
+                # a catalog-order scan, which needs this page again
+                # after every other one: evict it first, so the scan
+                # keeps what fits.
+                self._lru.move_to_end(page_id, last=False)
 
     def pinned_pages(self):
         """``{page_id: pin_count}`` for every currently pinned page.
@@ -449,6 +502,12 @@ class BufferPool:
         if shadow is not None:
             shadow.retire("page %d freed" % page_id)
         self._lru.pop(page_id, None)
+        if page.set_key is not None:
+            remaining = self._set_bytes[page.set_key] - page.nbytes
+            if remaining:
+                self._set_bytes[page.set_key] = remaining
+            else:
+                del self._set_bytes[page.set_key]
         if page.in_memory:
             self._in_memory_bytes -= page.size
             self._drop_block(page)
@@ -525,16 +584,13 @@ class BufferPool:
             )
         # Spill files hold a block's used-prefix, which can be far
         # smaller than the block it reconstitutes into; budget the real
-        # in-memory footprint, not the file size.
+        # in-memory footprint, not the file size, and evict for it
+        # before the block exists.
+        self._make_room(page.nbytes)
         reloaded = self._reconstitute_page(page.page_id, data, page.set_key)
-        try:
-            self._make_room(reloaded.size)
-        except BaseException:
-            self._discard_fresh(reloaded)
-            raise
         page.block = reloaded.block
         page.shm = reloaded.shm
-        self._grow_resident(reloaded.size)
+        self._grow_resident(page.nbytes)
         self._c_reloads.inc()
 
     # -- introspection ------------------------------------------------------------------

@@ -19,12 +19,15 @@ DEFAULT_PAGE_SIZE = 1 << 20
 class Page:
     """One buffer-pool page wrapping an allocation block."""
 
-    __slots__ = ("page_id", "block", "pin_count", "dirty", "set_key",
-                 "checksum", "shm")
+    __slots__ = ("page_id", "block", "nbytes", "pin_count", "dirty",
+                 "set_key", "checksum", "shm")
 
     def __init__(self, page_id, block, set_key=None):
         self.page_id = page_id
         self.block = block
+        #: the block's size, which outlives the block: ``size`` drops to
+        #: 0 while the page is spilled, the bytes it needs back do not.
+        self.nbytes = block.size
         self.pin_count = 0
         self.dirty = False
         #: the (database, set) this page belongs to, when any.
