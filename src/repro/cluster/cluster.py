@@ -39,7 +39,7 @@ from repro.errors import (
     BlockFullError,
     CatalogError,
     ExecutionError,
-    PageReloadError,
+    SetNotFoundError,
     StorageError,
 )
 from repro.obs import (
@@ -51,13 +51,13 @@ from repro.obs import (
     Tracer,
 )
 from repro.obs.tracer import Span
-from repro.memory.builtins import AnyObject, MapFacade, VectorType
+from repro.memory.builtins import MapFacade
 from repro.memory.columnar import ColumnarPage
 from repro.memory.handle import Handle
 from repro.memory.objects import make_object_on
 from repro.schema import Schema
 from repro.storage import DistributedStorageManager, ReplicationManager
-from repro.storage.page import DEFAULT_PAGE_SIZE
+from repro.storage.page import DEFAULT_PAGE_SIZE, open_root
 from repro.storage.shm_registry import ShmRegistry
 from repro.tcap.compiler import compile_computations
 from repro.tcap.optimizer import mark_columnar, optimize
@@ -68,8 +68,6 @@ from repro.cluster.scheduler import (
     DistributedScheduler,
 )
 from repro.cluster.worker import WorkerNode
-
-_ROOT_VECTOR = VectorType(AnyObject)
 
 
 class _FaultCounters:
@@ -328,65 +326,44 @@ class PCCluster:
             w for w in self.workers if w.worker_id not in self.blacklist
         ]
 
-    def decommission_worker(self, worker_id, reason=None):
-        """Blacklist a worker and redistribute its partitions to peers.
-
-        The worker's *front-end* storage is durable (the paper's premise:
-        only the back-end is unsafe), so losing the back-end loses no
-        data.  Sets governed by the catalog replica map keep serving from
-        their other replicas; pages whose only copy lived here are
-        evacuated verbatim to a survivor first.  Legacy sets (no replica
-        map) have all their pages shipped to the survivors, as before.
-        After detaching, replication factors are restored on the
-        survivors.  Returns the number of pages moved.
+    def _remove_worker(self, worker_id, evacuate):
+        """Blacklist and detach a worker and drop it from every set's
+        replica map (``evacuate``: shipping its sole copies to survivors
+        first).  Returns the pages evacuated, or None — nothing done —
+        for a worker that is unknown or already gone.
         """
         dead = next(
             (w for w in self.workers if w.worker_id == worker_id), None
         )
         if dead is None or worker_id in self.blacklist:
-            return 0
-        survivors = [
-            w for w in self.active_workers if w.worker_id != worker_id
-        ]
-        if not survivors:
-            raise ExecutionError(
-                "cannot decommission %s: no surviving workers" % worker_id
-            )
+            return None
+        if not [w for w in self.active_workers if w.worker_id != worker_id]:
+            raise ExecutionError("cannot %s %s: no surviving workers" % (
+                "decommission" if evacuate else "kill", worker_id
+            ))
         self.blacklist.add(worker_id)
-        moved = 0
-        for key, page_set in dead.storage.sets():
-            try:
-                meta = self.catalog.set_metadata(*key)
-            except CatalogError:
-                meta = None
-            if meta is not None and meta.pages:
-                moved += self.replication.forget_worker(
-                    key[0], key[1], worker_id, evacuate_from=dead.storage
-                )
-                continue
-            for index, page_id in enumerate(list(page_set.page_ids)):
-                page = dead.storage.pool.pin(page_id)
-                try:
-                    data = page.to_bytes()
-                finally:
-                    dead.storage.pool.unpin(page_id)
-                peer = survivors[(moved + index) % len(survivors)]
-                shipped = self.network.ship_page(
-                    worker_id, peer.worker_id, data
-                )
-                peer.storage.create_set(
-                    key[0], key[1], type_name=page_set.type_name,
-                    page_size=page_set.page_size, layout=page_set.layout,
-                    schema=page_set.schema,
-                )
-                peer.storage.get_set(*key).adopt_page_bytes(shipped)
-            moved += len(page_set.page_ids)
-            if meta is not None and worker_id in meta.partitions:
-                self.catalog.set_partitions(
-                    key[0], key[1],
-                    [w for w in meta.partitions if w != worker_id],
-                )
         self.storage_manager.detach_server(worker_id)
+        return sum(
+            self.replication.forget_worker(
+                meta.database, meta.name, worker_id,
+                evacuate_from=dead.storage if evacuate else None,
+            )
+            for meta in self.catalog.list_sets()
+        )
+
+    def decommission_worker(self, worker_id, reason=None):
+        """Blacklist a worker and redistribute its partitions to peers.
+
+        The worker's *front-end* storage is durable (the paper's premise:
+        only the back-end is unsafe), so losing the back-end loses no
+        data.  Every set keeps serving from its other replicas; pages
+        whose only copy lived here are evacuated verbatim (checksummed)
+        to a survivor first.  After detaching, replication factors are
+        restored on the survivors.  Returns the number of pages moved.
+        """
+        moved = self._remove_worker(worker_id, evacuate=True)
+        if moved is None:
+            return 0
         self.replication.restore_replication()
         self.fault_metrics.pages_redistributed.inc(moved)
         return moved
@@ -401,27 +378,8 @@ class PCCluster:
         replication factor is restored on the survivors.  Returns the
         number of replica copies created.
         """
-        dead = next(
-            (w for w in self.workers if w.worker_id == worker_id), None
-        )
-        if dead is None or worker_id in self.blacklist:
+        if self._remove_worker(worker_id, evacuate=False) is None:
             return 0
-        if not [w for w in self.active_workers if w.worker_id != worker_id]:
-            raise ExecutionError(
-                "cannot kill %s: no surviving workers" % worker_id
-            )
-        self.blacklist.add(worker_id)
-        self.storage_manager.detach_server(worker_id)
-        for meta in self.catalog.list_sets():
-            if meta.pages:
-                self.replication.forget_worker(
-                    meta.database, meta.name, worker_id
-                )
-            elif worker_id in meta.partitions:
-                self.catalog.set_partitions(
-                    meta.database, meta.name,
-                    [w for w in meta.partitions if w != worker_id],
-                )
         created = self.replication.restore_replication()
         # The counter is incremented inside the event span so the trace
         # mirror lands on the "kill" node, as the event counters used to.
@@ -585,34 +543,15 @@ class PCCluster:
                 statement = producers.get(inputs[0])
             if not isinstance(statement, ScanStmt):
                 return None
-            if self.replication.has_page_map(
-                statement.database, statement.set_name
-            ):
-                # Replica-aware: each page counted once, not per copy.
+            try:
                 return self.replication.estimated_bytes(
                     statement.database, statement.set_name
                 )
-            total = 0
-            try:
-                partitions = self.storage_manager.partitions(
-                    statement.database, statement.set_name
-                )
-            except (CatalogError, StorageError):  # pcsan: disable=PC005
-                # Unknown or not-yet-loaded source: size cannot be traced,
-                # keep the default build side.  Anything else (a genuine
-                # bug) must propagate, not silently skew join planning.
+            except SetNotFoundError:  # pcsan: disable=PC005
+                # Unknown source: size cannot be traced, keep the default
+                # build side.  Anything else (a genuine bug) must
+                # propagate, not silently skew join planning.
                 return None
-            for partition in partitions:
-                for page_id in partition.page_ids:
-                    try:
-                        page = partition.pool.pin(page_id)
-                    except PageReloadError:  # pcsan: disable=PC005
-                        # Planning only needs an estimate; a flaky reload
-                        # must not kill the job before it starts.
-                        continue
-                    total += page.block.used if page.block else 0
-                    partition.pool.unpin(page_id)
-            return total
 
         overrides = {}
         for statement in program.statements:
@@ -641,17 +580,12 @@ class PCCluster:
         :class:`~repro.errors.SetNotFoundError` — a typo'd name must not
         masquerade as an empty result.
         """
-        results = []
-        if self.replication.has_page_map(database, set_name):
-            # Replica-map governed set: each page is read once, from its
-            # first live replica, checksum-verified (and healed) on the
-            # way — the failover read path.
-            results.extend(self.replication.scan_objects(database, set_name))
-        else:
-            for partition in self.storage_manager.partitions(
-                database, set_name
-            ):
-                results.extend(partition.scan_objects())
+        # Each page is read once, from its first live replica,
+        # checksum-verified (and healed) on the way.
+        results = [
+            obj for items in self.replication.scan_pages(database, set_name)
+            for obj in items
+        ]
         results.extend(self.python_outputs.get((database, set_name), []))
         if not as_pairs:
             return results
@@ -734,8 +668,6 @@ class PCCluster:
         """Whether every replica-mapped page is at its set's factor."""
         live = len(self.storage_manager.worker_ids)
         for meta in self.catalog.list_sets():
-            if not meta.pages:
-                continue
             want = min(meta.replication, live)
             factors = self.replication.replication_factors(
                 meta.database, meta.name
@@ -835,9 +767,7 @@ class ClusterLoader:
         self._block = AllocationBlock(
             self.page_size, registry=self.cluster.catalog.registry
         )
-        handle = make_object_on(self._block, _ROOT_VECTOR, [])
-        self._block.set_root(handle.offset, handle.type_code)
-        self._root = _ROOT_VECTOR.facade(self._block, handle.offset)
+        self._root = open_root(self._block)
 
     def append(self, type_or_class, init=None, **fields):
         """Allocate one object in place on the client page."""

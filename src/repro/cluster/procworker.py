@@ -5,9 +5,9 @@ ProcessTransport`: it runs in a spawned OS process and executes one task
 at a time off a queue.  A task arrives fully described — the compiled
 program, the stage list, the source (shared-memory page names or plain
 columns), the sink class — so the child needs none of the coordinator's
-cluster machinery; it deliberately imports only the engine and memory
-layers, and runs the task through the engine's one task body,
-:meth:`~repro.engine.pipeline.PipelineEngine.run_stages`.
+cluster machinery: it uses only the engine, the memory layer and the
+one page decode (:func:`repro.storage.page.page_items`), and runs the task
+through :meth:`~repro.engine.pipeline.PipelineEngine.run_stages`.
 
 Sealed pages are attached zero-copy: the coordinator exports each page's
 ``multiprocessing.shared_memory`` segment name, the child attaches by
@@ -46,12 +46,9 @@ from multiprocessing import resource_tracker, shared_memory
 from repro.engine.pipeline import PipelineEngine, object_batches
 from repro.engine.vectors import batches_of
 from repro.memory.block import AllocationBlock
-from repro.memory.builtins import AnyObject, VectorType
-from repro.memory.columnar import ColumnarPage
 from repro.obs.events import FlightRecorder
 from repro.obs.tracer import Span, Tracer
-
-_ROOT_VECTOR = VectorType(AnyObject)
+from repro.storage.page import page_items
 
 #: Live progress of the task loop, published by the heartbeat thread.
 #: Plain dict writes are atomic under the GIL, so the task loop updates
@@ -184,42 +181,25 @@ def _detach(attachments):
             _lingering.remove(pair)
 
 
-def _page_objects(blocks):
-    """Yield every object (or columnar row batch) of the attached blocks.
-
-    Columnar pages yield one :class:`ColumnarRows` per page — downstream
-    ``object_batches`` slices or expands it depending on whether the scan
-    was columnar-lowered; row pages yield their root-vector handles.
-    """
-    for block in blocks:
-        colpage = ColumnarPage.attach(block)
-        if colpage is not None:
-            yield colpage.rows()
-            continue
-        offset, _code = block.root()
-        if offset is None:
-            continue
-        for handle in _ROOT_VECTOR.facade(block, offset):
-            yield handle
-
-
 def _source_batches(source, engine, registry, attachments):
-    kind = source[0]
-    if kind == "pages":
-        blocks = []
-        for name, size in source[1]:
+    """Batches of a shipped source: plain columns, or exported pages."""
+    if source[0] == "columns":
+        return batches_of(source[1], engine.batch_size)
+    _kind, refs, column, columnar = source
+
+    def pages():
+        for name, size in refs:
             shm = _attach(name)
-            # shm.buf is the mapped segment, not a PC block's
-            # backing store; the block façade is built over it below.
+            # shm.buf is the mapped segment, not a PC block's backing store.
             view = memoryview(shm.buf)[:size]  # pcsan: disable=PC002
             attachments.append((shm, view))
-            blocks.append(AllocationBlock.from_buffer(view, registry=registry))
-        columnar = len(source) > 3 and bool(source[3])
-        return object_batches(
-            _page_objects(blocks), source[2], engine.batch_size,
-            columnar=columnar,
-        )
-    return batches_of(source[1], engine.batch_size)
+            yield page_items(
+                AllocationBlock.from_buffer(view, registry=registry)
+            )
+
+    return object_batches(
+        pages(), column, engine.batch_size, columnar=columnar
+    )
 
 
 def _counted(batches):

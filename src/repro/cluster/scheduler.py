@@ -77,7 +77,6 @@ from repro.errors import (
     BufferPoolExhaustedError,
     ExecutionError,
     InjectedFaultError,
-    PageReloadError,
     StorageError,
     WorkerCrashError,
     WorkerLostError,
@@ -189,29 +188,10 @@ class DistributedScheduler:
         """
         engine = worker.backend.engines.get(self._job_key)
         if engine is None:
-            def scan_reader(scan_stmt, _worker=worker):
-                repl = self.cluster.replication
-                # Columnar-marked scans get whole-page array batches; the
-                # engine falls back per page if a row page sneaks in.
-                columnar = scan_stmt.info.get("columnar") == "1"
-                if repl.has_page_map(
-                    scan_stmt.database, scan_stmt.set_name
-                ):
-                    # Replica-map governed set: this worker reads exactly
-                    # the pages assigned to it (first live replica), with
-                    # failover and corruption healing built in.
-                    return repl.scan_objects(
-                        scan_stmt.database, scan_stmt.set_name,
-                        worker_id=_worker.worker_id,
-                        columnar_pages=columnar,
-                    )
-                page_set = _worker.storage.get_set(
-                    scan_stmt.database, scan_stmt.set_name
-                )
-                return page_set.scan_objects(columnar_pages=columnar)
-
+            # No scan_reader: run_stages is always handed its batches
+            # (_ScanSource / _ColumnSource), here as in the child.
             engine = PipelineEngine(
-                self.program, self.plan, scan_reader,
+                self.program, self.plan, None,
                 batch_size=self.cluster.batch_size,
                 tracer=self.tracer, profiler=self.profiler,
             )
@@ -560,14 +540,15 @@ class DistributedScheduler:
                 segments[-1].append(stage)
         return segments
 
-    def _pipeline_source(self, worker, pipeline):
+    def _pipeline_source(self, worker, pipeline, only_uids=None):
         """A per-attempt source factory for ``worker``'s share of
-        ``pipeline``: its stored-set scan, or the columns an earlier
-        stage materialized (a missing one raises its ExecutionError
-        here, front-end side, on every transport)."""
+        ``pipeline``: its stored-set scan (all its pages, or
+        ``only_uids``), or the columns an earlier stage materialized (a
+        missing one raises its ExecutionError here, front-end side, on
+        every transport)."""
         if pipeline.source_kind == SOURCE_SCAN:
             return lambda: _ScanSource(
-                self.cluster.replication, worker, pipeline
+                self.cluster.replication, worker, pipeline, only_uids
             )
         return lambda: _ColumnSource(
             self.engine_for(worker).stored(pipeline.source)
@@ -875,20 +856,15 @@ class DistributedScheduler:
     def _can_absorb(self, lost, pipeline):
         """Whether a lost worker's stage portion can move to survivors.
 
-        Absorption needs (a) a scan source whose pages are governed by
-        the catalog replica map — so the lost worker's input survives
-        elsewhere — and (b) no unrecoverable per-worker state from
-        earlier stages: a checkpointed *partitioned* hash-table shard or
-        materialized store partition died with the worker, forcing the
-        restart fallback.  Broadcast hash tables are identical on every
-        worker, so losing one copy loses nothing.
+        Absorption needs (a) a scan source — its pages are in the
+        catalog replica map, so the lost worker's input survives or is
+        evacuated elsewhere — and (b) no unrecoverable per-worker state
+        from earlier stages: a checkpointed *partitioned* hash-table
+        shard or materialized store partition died with the worker,
+        forcing the restart fallback.  Broadcast hash tables are
+        identical on every worker, so losing one copy loses nothing.
         """
         if pipeline.source_kind != SOURCE_SCAN:
-            return False
-        scan = pipeline.source
-        if not self.cluster.replication.has_page_map(
-            scan.database, scan.set_name
-        ):
             return False
         checkpoint = self._checkpoints.get(lost.worker_id)
         if checkpoint is not None:
@@ -963,10 +939,7 @@ class DistributedScheduler:
             return sink
 
         self._run_worker_tasks([(worker, self._attempt(
-            worker, stages,
-            lambda: _ScanSource(
-                self.cluster.replication, worker, pipeline, only_uids=uids
-            ),
+            worker, stages, self._pipeline_source(worker, pipeline, uids),
             merge_sink_factory,
         ))])
 
@@ -976,30 +949,9 @@ class DistributedScheduler:
         """Rough size of a pipeline's source for the broadcast decision."""
         if pipeline.source_kind == SOURCE_SCAN:
             scan = pipeline.source
-            repl = self.cluster.replication
-            if repl.has_page_map(scan.database, scan.set_name):
-                # Replica-aware: count each page once, not once per copy.
-                return repl.estimated_bytes(scan.database, scan.set_name)
-            total = 0
-            for worker in self.workers:
-                # PC005 fix: probe first instead of swallowing the miss —
-                # a worker simply not holding a partition is the normal
-                # case, not an exception to discard.
-                if not worker.storage.has_set(scan.database, scan.set_name):
-                    continue
-                page_set = worker.storage.get_set(
-                    scan.database, scan.set_name
-                )
-                for page_id in page_set.page_ids:
-                    try:
-                        page = worker.storage.pool.pin(page_id)
-                    except PageReloadError:  # pcsan: disable=PC005
-                        # An estimate tolerates a flaky reload; the scan
-                        # itself retries through the stage machinery.
-                        continue
-                    total += page.block.used if page.block else 0
-                    worker.storage.pool.unpin(page_id)
-            return total
+            return self.cluster.replication.estimated_bytes(
+                scan.database, scan.set_name
+            )
         total_rows = 0
         for worker in self.workers:
             store = self.engine_for(worker).store.get(pipeline.source) or {}
@@ -1199,40 +1151,32 @@ class DistributedScheduler:
             "PipelineJobStage",
             "pipeline into %s.%s" % (output.database, output.set_name),
         ):
-            premarks = {
-                worker.worker_id: len(
-                    worker.storage.get_set(
-                        output.database, output.set_name
-                    ).page_ids
-                )
-                for worker in self.workers
+            key = (output.database, output.set_name)
+            repl = self.cluster.replication
+            partitions = {
+                w.worker_id: w.storage.get_set(*key) for w in self.workers
             }
-            self._run_distributed_pipeline(pipeline, sink_factory)
-            self._register_output_pages(output, premarks)
-
-    def _register_output_pages(self, output, premarks):
-        """Checksum, record, and replicate the pages this stage wrote.
-
-        Sink pages are written in place on each worker; before the stage
-        is declared complete they are stamped into the catalog's replica
-        map and copied to their ring replicas, so output sets get the
-        same durability as loaded ones.  The new-page lists are snapshot
-        *before* any replica is shipped — replica copies land in peer
-        partitions and must not be mistaken for freshly written output.
-        """
-        new_pages = {}
-        for worker in self.workers:
-            page_set = worker.storage.get_set(
-                output.database, output.set_name
-            )
-            mark = premarks.get(worker.worker_id, 0)
-            pages = list(page_set.page_ids[mark:])
-            if pages:
-                new_pages[worker.worker_id] = pages
-        for worker_id, pages in new_pages.items():
-            self.cluster.replication.register_local_pages(
-                output.database, output.set_name, worker_id, pages
-            )
+            # Where each partition stood before the stage.
+            marks = {w: len(p.page_ids) for w, p in partitions.items()}
+            objects = {w: p.object_count for w, p in partitions.items()}
+            python_mark = len(self.cluster.python_outputs.get(key, ()))
+            try:
+                self._run_distributed_pipeline(pipeline, sink_factory)
+            except BaseException:
+                # A failed stage leaves nothing behind: the workers that
+                # finished wrote pages no catalog record will ever name.
+                for worker_id, pages in repl.unrecorded_pages(*key, marks):
+                    _rollback_pages(
+                        partitions[worker_id], pages, objects[worker_id]
+                    )
+                del self.cluster.python_outputs.get(key, [])[python_mark:]
+                raise
+            # Sink pages are written in place; before the stage is declared
+            # complete they are checksummed, recorded in the replica map
+            # and copied to their ring replicas, so output sets are as
+            # durable as loaded ones.
+            for worker_id, pages in repl.unrecorded_pages(*key, marks):
+                repl.register_local_pages(*key, worker_id, pages)
 
     def _aggregate_behind(self, output_stmt):
         """The AggregateComp whose pairs this OUTPUT writes, if any."""
@@ -1298,38 +1242,37 @@ class _ColumnSource:
 class _ScanSource:
     """One worker's share of a stored set's pages (all, or ``only_uids``)."""
 
-    def __init__(self, replication, worker, pipeline, only_uids=None):
+    def __init__(self, replication, worker, pipeline, only_uids):
         self.replication = replication
-        self.worker = worker
-        self.pipeline = pipeline
+        self.worker_id = worker.worker_id
+        self.scan = pipeline.source
         self.only_uids = only_uids
+        #: a columnar-lowered scan takes columnar pages as whole array
+        #: batches (row pages in the stream still go through per row).
+        self.columnar = self.scan.info.get("columnar") == "1"
 
     def batches(self, engine):
-        if self.only_uids is None:
-            return engine._source_batches(self.pipeline)
-        scan = self.pipeline.source
-        # Orphan re-runs take the per-row path: always correct, and the
-        # absorbed pages are few.
+        scan = self.scan
         return object_batches(
-            self.replication.scan_objects(
+            self.replication.scan_pages(
                 scan.database, scan.set_name,
-                worker_id=self.worker.worker_id, only_uids=self.only_uids,
+                worker_id=self.worker_id, only_uids=self.only_uids,
             ),
-            scan.column, engine.batch_size,
+            scan.column, engine.batch_size, columnar=self.columnar,
         )
 
     def export(self):
         """The pages as shared-memory references, pinned until released.
 
-        Returns ``(description, release)``.  The page selection mirrors
-        the replica-governed scan's exactly — failover accounting and
-        corruption healing included — and every exported page stays
+        Returns ``(description, release)``.  The page selection is
+        :meth:`batches`' own (``scan_page_copies``: failover accounting
+        and corruption healing included), and every exported page stays
         *pinned* until ``release`` runs, so eviction cannot unlink a
         segment the child is still reading.  A pool too small to pin the
         whole scan yields ``(None, None)``; a flaky reload or a missing
         replica raises its StorageError with nothing left pinned.
         """
-        scan, worker, repl = self.pipeline.source, self.worker, self.replication
+        scan = self.scan
         pinned = []
 
         def release():
@@ -1338,21 +1281,10 @@ class _ScanSource:
 
         refs = []
         try:
-            if repl.has_page_map(scan.database, scan.set_name):
-                copies = repl.scan_page_copies(
-                    scan.database, scan.set_name,
-                    worker_id=worker.worker_id, only_uids=self.only_uids,
-                )
-            elif worker.storage.has_set(scan.database, scan.set_name):
-                page_set = worker.storage.get_set(
-                    scan.database, scan.set_name
-                )
-                copies = [
-                    (page_set, page_id) for page_id in page_set.page_ids
-                ]
-            else:
-                copies = []
-            for page_set, page_id in copies:
+            for page_set, page_id in self.replication.scan_page_copies(
+                scan.database, scan.set_name,
+                worker_id=self.worker_id, only_uids=self.only_uids,
+            ):
                 pool = page_set.pool
                 page = pool.pin(page_id)
                 pinned.append((pool, page_id))
@@ -1361,7 +1293,7 @@ class _ScanSource:
                         "page %r of %s.%s has no shared-memory segment, "
                         "but worker %s's back-end is a separate process"
                         % (page_id, scan.database, scan.set_name,
-                           worker.worker_id)
+                           self.worker_id)
                     )
                 refs.append((page.shm.name, page.block.size))
         except BufferPoolExhaustedError:
@@ -1370,10 +1302,7 @@ class _ScanSource:
         except (StorageError, ExecutionError):
             release()
             raise
-        # The 4th element tells the remote worker whether this scan
-        # was columnar-lowered (attach pages as array batches).
-        columnar = scan.info.get("columnar") == "1"
-        return ("pages", refs, scan.column, columnar), release
+        return ("pages", refs, scan.column, self.columnar), release
 
 
 class ClusterOutputSink(Sink):
@@ -1439,7 +1368,10 @@ class ClusterOutputSink(Sink):
             self._writer._page = None
             self._writer._root = None
         self._writer = None
-        _rollback_pages(self.page_set, self._pages_mark, self._objects_mark)
+        _rollback_pages(
+            self.page_set, self.page_set.page_ids[self._pages_mark:],
+            self._objects_mark,
+        )
         outputs = self.cluster.python_outputs.get(self._key)
         if outputs is not None:
             del outputs[self._python_mark:]
@@ -1493,12 +1425,15 @@ class MapPageOutputSink(Sink):
         self.engine.metrics.pages_written += len(self.page_set.page_ids)
 
     def abort(self):
-        _rollback_pages(self.page_set, self._pages_mark, self._objects_mark)
+        _rollback_pages(
+            self.page_set, self.page_set.page_ids[self._pages_mark:],
+            self._objects_mark,
+        )
 
 
-def _rollback_pages(page_set, pages_mark, objects_mark):
-    """Free every page a failed attempt appended past ``pages_mark``."""
-    for page_id in page_set.page_ids[pages_mark:]:
+def _rollback_pages(page_set, pages, objects_mark):
+    """Free ``pages``: what a failed attempt (or stage) wrote on a partition."""
+    for page_id in pages:
         page_set.pool.free_page(page_id)
-    del page_set.page_ids[pages_mark:]
+        page_set.page_ids.remove(page_id)
     page_set.object_count = objects_mark

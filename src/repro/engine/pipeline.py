@@ -109,7 +109,8 @@ class PipelineEngine:
     def __init__(self, program, plan, scan_reader, batch_size=None,
                  output_sink_factory=None, metrics=None, tracer=None,
                  profiler=None):
-        """``scan_reader(scan_stmt)`` yields the objects of a stored set;
+        """``scan_reader(scan_stmt)`` yields the objects of a stored set
+        (None when every ``run_stages`` call is handed its batches);
         ``output_sink_factory(output_stmt)`` builds the sink for OUTPUT
         statements (defaults to collecting Python lists).  With a
         ``profiler`` every TCAP operator application is timed into the
@@ -319,7 +320,7 @@ class PipelineEngine:
         if pipeline.source_kind == SOURCE_SCAN:
             scan = pipeline.source
             yield from object_batches(
-                self.scan_reader(scan), scan.column, self.batch_size,
+                [self.scan_reader(scan)], scan.column, self.batch_size,
                 columnar=scan.info.get("columnar") == "1",
             )
             return
@@ -342,41 +343,38 @@ class PipelineEngine:
         return ListOutputSink(self, output_stmt)
 
 
-def object_batches(objects, column, batch_size, columnar=False):
-    """Batch a scanned object stream into single-column vector lists.
+def object_batches(pages, column, batch_size, columnar=False):
+    """Batch scanned pages into single-column vector lists.
 
-    Shared by the engine's scan source and the scheduler's orphan-page
-    re-runs; stored aggregation Maps are expanded into their pairs either
-    way.  A columnar page arrives in the stream as one
-    :class:`~repro.memory.columnar.ColumnarRows` item: with ``columnar``
-    set it is sliced into array batches the kernels consume whole,
-    otherwise it is expanded into per-row views for the object path.
+    ``pages`` yields one sequence of stored objects per page
+    (:func:`~repro.storage.page.page_items`); the engine's local scan
+    source, the scheduler's (whole scans and orphan re-runs) and the
+    back-end process's all batch here.  Stored aggregation Maps are
+    expanded into their pairs.  A columnar page's items are one
+    :class:`~repro.memory.columnar.ColumnarRows`: with ``columnar`` set
+    it is sliced into array batches the kernels consume whole, otherwise
+    it goes through per row like any other page.
     """
     chunk = []
-    for item in objects:
-        if isinstance(item, ColumnarRows):
-            if columnar:
-                if chunk:
-                    yield VectorList({column: chunk})
-                    chunk = []
-                for start in range(0, len(item), batch_size):
-                    yield VectorList(
-                        {column: item.slice(start, start + batch_size)}
-                    )
-            else:
-                chunk.extend(item)
-                while len(chunk) >= batch_size:
-                    yield VectorList({column: chunk[:batch_size]})
-                    chunk = chunk[batch_size:]
+    for items in pages:
+        if columnar and isinstance(items, ColumnarRows):
+            if chunk:
+                yield VectorList({column: chunk})
+                chunk = []
+            for start in range(0, len(items), batch_size):
+                yield VectorList(
+                    {column: items.slice(start, start + batch_size)}
+                )
             continue
-        expanded = _expand_aggregate_object(item)
-        if expanded is None:
-            chunk.append(item)
-        else:
-            chunk.extend(expanded)
-        if len(chunk) >= batch_size:
-            yield VectorList({column: chunk})
-            chunk = []
+        for item in items:
+            expanded = _expand_aggregate_object(item)
+            if expanded is None:
+                chunk.append(item)
+            else:
+                chunk.extend(expanded)
+            if len(chunk) >= batch_size:
+                yield VectorList({column: chunk})
+                chunk = []
     if chunk:
         yield VectorList({column: chunk})
 

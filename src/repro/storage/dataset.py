@@ -12,22 +12,8 @@ from __future__ import annotations
 import contextlib
 
 from repro.errors import BlockFullError, StorageError
-from repro.memory.builtins import AnyObject, VectorType
-from repro.memory.columnar import ColumnarPage, ColumnarRows
 from repro.memory.objects import make_object_on, use_allocation_block
-
-_ROOT_VECTOR = VectorType(AnyObject)
-
-
-def _block_object_count(block):
-    """Logical object (row) count of a sealed page block."""
-    colpage = ColumnarPage.attach(block)
-    if colpage is not None:
-        return len(colpage)
-    root_offset, _code = block.root()
-    if root_offset is None:
-        return 0
-    return len(_ROOT_VECTOR.facade(block, root_offset))
+from repro.storage.page import open_root, page_items
 
 
 class PageSet:
@@ -72,7 +58,7 @@ class PageSet:
         """
         page = self.pool.adopt_page(data, set_key=self.key)
         if count_objects:
-            self.object_count += _block_object_count(page.block)
+            self.object_count += len(page_items(page.block))
         self.page_ids.append(page.page_id)
         self.pool.unpin(page.page_id, dirty=True)
         return page.page_id
@@ -93,7 +79,7 @@ class PageSet:
     def page_object_count(self, page_id):
         """Number of objects (rows, for columnar pages) on one page."""
         with self.pinned_page(page_id) as page:
-            return _block_object_count(page.block)
+            return len(page_items(page.block))
 
     # -- reading --------------------------------------------------------------------
 
@@ -106,38 +92,12 @@ class PageSet:
         finally:
             self.pool.unpin(page_id)
 
-    def scan_pages(self):
-        """Yield ``(page, items)`` for each page, pinning in turn.
-
-        ``items`` is the root vector of handles for a row page, or the
-        page's :class:`~repro.memory.columnar.ColumnarRows` for a
-        columnar one — both iterate one element per stored object.
-        """
+    def scan_objects(self):
+        """Yield every object in the partition, page by page (a columnar
+        page's rows as per-row views)."""
         for page_id in self.page_ids:
             with self.pinned_page(page_id) as page:
-                colpage = ColumnarPage.attach(page.block)
-                if colpage is not None:
-                    yield page, colpage.rows()
-                    continue
-                root_offset, _code = page.block.root()
-                if root_offset is None:
-                    continue
-                yield page, _ROOT_VECTOR.facade(page.block, root_offset)
-
-    def scan_objects(self, columnar_pages=False):
-        """Yield a handle for every object in the set, page by page.
-
-        Columnar pages yield per-row views by default; with
-        ``columnar_pages`` set, each columnar page instead yields one
-        whole :class:`~repro.memory.columnar.ColumnarRows` batch (the
-        engine's vectorized scan source).
-        """
-        for _page, items in self.scan_pages():
-            if columnar_pages and isinstance(items, ColumnarRows):
-                yield items
-                continue
-            for handle in items:
-                yield handle
+                yield from page_items(page.block)
 
     def clear(self):
         """Drop all pages of this partition."""
@@ -176,10 +136,7 @@ class SetWriter:
         self._page = pool.new_page(
             size=self.page_set.page_size, set_key=self.page_set.key
         )
-        block = self._page.block
-        root_handle = make_object_on(block, _ROOT_VECTOR, [])
-        block.set_root(root_handle.offset, root_handle.type_code)
-        self._root = _ROOT_VECTOR.facade(block, root_handle.offset)
+        self._root = open_root(self._page.block)
 
     def _seal_page(self):
         if self._page is None:

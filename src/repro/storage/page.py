@@ -9,11 +9,43 @@ user-level file system, or shipped across the simulated network.
 from __future__ import annotations
 
 from repro.memory.block import LIGHTWEIGHT_REUSE, AllocationBlock
+from repro.memory.builtins import AnyObject, VectorType
+from repro.memory.columnar import ColumnarPage
+from repro.memory.objects import make_object_on
 
 #: PC's default page size is 256 MB (Section 8.3.1); the reproduction
 #: default is scaled down to keep laptop runs snappy, and every workload
 #: that tunes page size (Table 2) passes its own.
 DEFAULT_PAGE_SIZE = 1 << 20
+
+#: A row page's root object: the ``Vector<Handle<Object>>`` of everything
+#: stored on it.
+_ROOT_VECTOR = VectorType(AnyObject)
+
+
+def open_root(block):
+    """Give an empty ``block`` its root vector; returns the vector facade."""
+    handle = make_object_on(block, _ROOT_VECTOR, [])
+    block.set_root(handle.offset, handle.type_code)
+    return _ROOT_VECTOR.facade(block, handle.offset)
+
+
+def page_items(block):
+    """The stored objects of one page block — the one page decode.
+
+    A columnar page gives its :class:`~repro.memory.columnar.ColumnarRows`,
+    a row page its root vector of handles, a rootless page nothing; each
+    iterates (and ``len``s) one element per stored object.  Every reader
+    — front-end scan, client read, back-end process, object counts —
+    turns page bytes into objects here.
+    """
+    colpage = ColumnarPage.attach(block)
+    if colpage is not None:
+        return colpage.rows()
+    root_offset, _code = block.root()
+    if root_offset is None:
+        return ()
+    return _ROOT_VECTOR.facade(block, root_offset)
 
 
 class Page:

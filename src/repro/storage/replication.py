@@ -25,15 +25,12 @@ from __future__ import annotations
 import zlib
 
 from repro.errors import (
-    CatalogError,
     PageCorruptionError,
+    PageReloadError,
     ReplicationError,
 )
-from repro.memory.builtins import AnyObject, VectorType
-from repro.memory.columnar import ColumnarPage
 from repro.obs import MetricsRegistry, Tracer
-
-_ROOT_VECTOR = VectorType(AnyObject)
+from repro.storage.page import page_items
 
 
 def page_checksum(data):
@@ -173,6 +170,35 @@ class ReplicationManager:
             database, name, replicas, checksum, count, primary=primary
         )
 
+    def unrecorded_pages(self, database, name, marks):
+        """``[(worker_id, page ids)]``: what sinks wrote in place on each
+        live worker and nothing has recorded yet — the pages past
+        ``marks[worker_id]`` (the partition's length before the stage)
+        that no catalog record names.  Position alone is not enough: a
+        worker absorbed mid-stage has evacuated and re-replicated copies
+        of recorded pages appended to the survivors' partitions.  The
+        list is built whole, before any of it is registered — replica
+        copies land in peer partitions and are not fresh output either.
+        """
+        meta = self.catalog.set_metadata(database, name)
+        recorded = {
+            (worker_id, page_id)
+            for record in meta.pages.values()
+            for worker_id, page_id in record.replicas
+        }
+        unrecorded = []
+        for worker_id, mark in marks.items():
+            if not self.storage_manager.has_server(worker_id):
+                continue
+            page_set = self.storage_manager.server(worker_id).get_set(
+                database, name
+            )
+            unrecorded.append((worker_id, [
+                page_id for page_id in page_set.page_ids[mark:]
+                if (worker_id, page_id) not in recorded
+            ]))
+        return unrecorded
+
     def register_local_pages(self, database, name, worker_id, page_ids):
         """Record (and replicate) pages a sink wrote in place on a worker.
 
@@ -215,14 +241,6 @@ class ReplicationManager:
 
     # -- reads (failover + healing) --------------------------------------------
 
-    def has_page_map(self, database, name):
-        """Whether a set is governed by the catalog replica map."""
-        try:
-            meta = self.catalog.set_metadata(database, name)
-        except CatalogError:
-            return False
-        return bool(meta.pages)
-
     def _live_replicas(self, record):
         return [
             (worker_id, page_id)
@@ -248,13 +266,14 @@ class ReplicationManager:
                          only_uids=None):
         """Yield ``(page_set, page_id)`` of every page copy a scan reads.
 
-        The page-granular face of :meth:`scan_objects`: identical page
-        selection and ordering (catalog uid order), identical failover
-        accounting, identical corruption healing.  Used by transports
-        that hand whole pages to a back-end process instead of iterating
-        objects in the front-end.
+        The one page selection: catalog uid order, each page from its
+        first live replica, failover counted, corrupt copies healed.
+        :meth:`scan_pages` decodes these pages front-end side; the
+        scheduler's shm export hands the same pages to a back-end
+        process.  An unknown set raises
+        :class:`~repro.errors.SetNotFoundError`.
         """
-        meta = self.catalog.set_metadata(database, name)
+        meta = self.storage_manager.set_metadata(database, name)
         for uid in list(meta.pages):
             record = meta.pages.get(uid)
             if record is None or (only_uids is not None
@@ -273,36 +292,22 @@ class ReplicationManager:
                 self._c_failover_reads.inc()
             yield self._healthy_copy(database, name, record, reader)
 
-    def scan_objects(self, database, name, worker_id=None, only_uids=None,
-                     columnar_pages=False):
-        """Yield every object of a set, page by page, via live replicas.
+    def scan_pages(self, database, name, worker_id=None, only_uids=None):
+        """Yield each page's :func:`page_items`, via live replicas.
 
         ``worker_id`` restricts the scan to the pages *assigned* to that
         worker (each page is read exactly once cluster-wide by the worker
         holding its first live replica); ``only_uids`` restricts it to a
         subset of pages (the orphan re-run path).  Corrupted copies are
         quarantined and transparently healed from a healthy replica —
-        corrupted bytes are never yielded.  Columnar pages yield per-row
-        views by default; with ``columnar_pages`` set, each yields one
-        whole :class:`~repro.memory.columnar.ColumnarRows` batch instead.
+        corrupted bytes are never yielded.  A page stays pinned while the
+        consumer holds its items (until the next one is asked for).
         """
         for page_set, page_id in self.scan_page_copies(
             database, name, worker_id=worker_id, only_uids=only_uids
         ):
             with page_set.pinned_page(page_id) as page:
-                colpage = ColumnarPage.attach(page.block)
-                if colpage is not None:
-                    if columnar_pages:
-                        yield colpage.rows()
-                    else:
-                        yield from colpage.rows()
-                    continue
-                root_offset, _code = page.block.root()
-                if root_offset is None:
-                    continue
-                root = _ROOT_VECTOR.facade(page.block, root_offset)
-                for handle in root:
-                    yield handle
+                yield page_items(page.block)
 
     def _verified_bytes(self, database, name, record, worker_id, page_id):
         """A replica's bytes iff they pass the CRC check, else None."""
@@ -372,15 +377,18 @@ class ReplicationManager:
         )
 
     def estimated_bytes(self, database, name):
-        """Replica-aware source-size estimate (each page counted once)."""
-        meta = self.catalog.set_metadata(database, name)
+        """Source-size estimate for join planning (each page counted once,
+        from the first replica that pins)."""
+        meta = self.storage_manager.set_metadata(database, name)
         total = 0
         for record in meta.pages.values():
             for worker_id, page_id in self._live_replicas(record):
                 server = self.storage_manager.server(worker_id)
                 try:
                     page = server.pool.pin(page_id)
-                except Exception:
+                except PageReloadError:  # pcsan: disable=PC005
+                    # An estimate tolerates a flaky reload; the scan
+                    # itself retries through the stage machinery.
                     continue
                 total += page.block.used if page.block else 0
                 server.pool.unpin(page_id)
@@ -455,8 +463,6 @@ class ReplicationManager:
         created = 0
         ring = PlacementRing(self.storage_manager.worker_ids)
         for meta in self.catalog.list_sets(database):
-            if not meta.pages:
-                continue
             want = min(meta.replication, len(ring.worker_ids))
             for uid, record in list(meta.pages.items()):
                 live = self._live_replicas(record)

@@ -173,31 +173,36 @@ class DistributedStorageManager:
         for server in self._servers.values():
             server.drop_set(database, name)
 
-    def partitions(self, database, name):
-        """The per-worker :class:`PageSet` partitions of a set.
+    def set_metadata(self, database, name):
+        """The catalog record of a set.
 
         Raises :class:`SetNotFoundError` for an unknown database or set,
         so storage callers see one error family regardless of whether the
-        miss happened in the catalog or on a worker.  A partition whose
-        worker is gone is a hard :class:`StorageError` naming the missing
-        workers — unless every page of the set is still covered by a live
-        replica, in which case reads can proceed on the survivors.
+        miss happened in the catalog or on a worker.
         """
         try:
-            meta = self.catalog.set_metadata(database, name)
+            return self.catalog.set_metadata(database, name)
         except CatalogError:
             raise SetNotFoundError(
                 "unknown set %s.%s" % (database, name)
             ) from None
+
+    def partitions(self, database, name):
+        """The per-worker :class:`PageSet` partitions of a set.
+
+        A partition whose worker is gone is a hard :class:`StorageError`
+        naming the missing workers — unless every page of the set is
+        still covered by a live replica, in which case reads can proceed
+        on the survivors.
+        """
+        meta = self.set_metadata(database, name)
         missing = [w for w in meta.partitions if w not in self._servers]
-        if missing:
-            uncovered = self._uncovered_pages(meta)
-            if uncovered or not meta.pages:
-                raise StorageError(
-                    "set %s.%s is missing partitions on worker(s) %s "
-                    "with no live replica covering them"
-                    % (database, name, ", ".join(map(repr, sorted(missing))))
-                )
+        if missing and self._uncovered_pages(meta):
+            raise StorageError(
+                "set %s.%s is missing partitions on worker(s) %s "
+                "with no live replica covering them"
+                % (database, name, ", ".join(map(repr, sorted(missing))))
+            )
         return [
             self._servers[worker_id].get_set(database, name)
             for worker_id in meta.partitions
@@ -220,21 +225,10 @@ class DistributedStorageManager:
         return next(cycle)
 
     def total_objects(self, database, name):
-        """Total object count of a set across all partitions.
-
-        A set with a catalog replica map is counted from its page records
-        (the authoritative count even while a partition's worker is dead);
-        sets without one fall back to summing the live partitions.
-        """
-        try:
-            meta = self.catalog.set_metadata(database, name)
-        except CatalogError:
-            raise SetNotFoundError(
-                "unknown set %s.%s" % (database, name)
-            ) from None
-        if meta.pages:
-            return sum(record.count for record in meta.pages.values())
-        return sum(len(p) for p in self.partitions(database, name))
+        """Total object count of a set, from its catalog page records
+        (authoritative even while a partition's worker is dead)."""
+        meta = self.set_metadata(database, name)
+        return sum(record.count for record in meta.pages.values())
 
     def __contains__(self, key):
         database, name = key

@@ -1,0 +1,397 @@
+"""One scan path: the catalog page map says where a set's pages are, and
+``page_items`` is the only page -> objects decode.
+
+There is no map-less set: the front-end scan, the shared-memory export
+and the client read all select pages through ``scan_page_copies``, and
+the front-end and the back-end process both decode them with
+:func:`repro.storage.page.page_items`.  A page no catalog record names
+must therefore never survive a failed job.
+"""
+
+import pytest
+
+from repro.cluster import FakeClock, FaultInjector, PCCluster, RetryPolicy
+from repro.cluster.transport import remote_available
+from repro.core import (
+    AggregateComp,
+    ObjectReader,
+    SelectionComp,
+    Writer,
+    lambda_from_member,
+    lambda_from_native,
+)
+from repro.errors import ExecutionError, SetNotFoundError
+from repro.memory import Float64, Int64, PCObject, make_object
+from repro.memory.block import AllocationBlock
+from repro.memory.columnar import ColumnarRows
+from repro.memory.objects import make_object_on
+from repro.schema import Schema, f64, i64
+from repro.storage.page import open_root, page_items
+
+TRANSPORTS = [
+    "sim",
+    pytest.param(
+        "process",
+        marks=pytest.mark.skipif(
+            not remote_available(), reason="cloudpickle unavailable"
+        ),
+    ),
+]
+
+POINT_SCHEMA = Schema([("pid", i64), ("cid", i64), ("x", f64)])
+
+
+class Point(PCObject):
+    fields = [("pid", Int64), ("cid", Int64), ("x", Float64)]
+
+
+class Copy(SelectionComp):
+    """Every point, rebuilt as a PC object on the output page."""
+
+    def get_projection(self, arg):
+        return lambda_from_native([arg], lambda p: make_object(
+            Point, pid=p.pid, cid=p.cid, x=p.x
+        ))
+
+
+class SumX(AggregateComp):
+    key_type = Int64
+    value_type = Float64
+    reduce = "sum"
+
+    def get_key_projection(self, arg):
+        return lambda_from_member(arg, "cid")
+
+    def get_value_projection(self, arg):
+        return lambda_from_member(arg, "x")
+
+
+def make_cluster(tmp_path, subdir="c", **kwargs):
+    root = tmp_path / subdir
+    root.mkdir(exist_ok=True)
+    kwargs.setdefault("n_workers", 3)
+    kwargs.setdefault("page_size", 1 << 16)
+    return PCCluster(spill_root=str(root), **kwargs)
+
+
+def load_points(cluster, n=600, **set_options):
+    cluster.create_database("db")
+    cluster.create_set("db", "points", Point, **set_options)
+    # Small input pages, so every worker holds a share of the set.
+    append_points(cluster, n)
+
+
+def append_points(cluster, n):
+    # PC_LAYOUT=columnar turns the Point set columnar: same rows, but the
+    # columnar loader takes the columns as keywords.
+    columnar = cluster.catalog.set_metadata("db", "points").schema is not None
+    with cluster.loader("db", "points", page_size=1 << 12) as load:
+        for i in range(n):
+            if columnar:
+                load.append(pid=i, cid=i % 4, x=float(i))
+            else:
+                load.append(Point, pid=i, cid=i % 4, x=float(i))
+
+
+def expected_sums(n=600):
+    sums = {}
+    for i in range(n):
+        sums[i % 4] = sums.get(i % 4, 0.0) + float(i)
+    return sums
+
+
+def run_sums(cluster):
+    agg = SumX().set_input(ObjectReader("db", "points"))
+    Writer("db", "sums").set_input(agg).execute(cluster)
+    return cluster.read("db", "sums", as_pairs=True, comp=agg)
+
+
+def fast_policy(**overrides):
+    clock = FakeClock()
+    return RetryPolicy(sleep=clock.sleep, clock=clock.clock, **overrides)
+
+
+# -- a failed output stage leaves no pages ---------------------------------------------
+
+
+@pytest.mark.parametrize("preloaded", [False, True])
+def test_failed_output_stage_leaves_no_pages(tmp_path, preloaded):
+    injector = FaultInjector()
+    cluster = make_cluster(
+        tmp_path, fault_injector=injector,
+        retry_policy=fast_policy(
+            max_attempts=2, blacklist_on_exhaustion=False
+        ),
+    )
+    load_points(cluster)
+    job = Writer("db", "out").set_input(
+        Copy().set_input(ObjectReader("db", "points"))
+    )
+    if preloaded:
+        job.execute(cluster)
+    else:
+        cluster.create_set("db", "out", Point, layout="row")
+
+    def state():
+        partitions = [w.storage.get_set("db", "out") for w in cluster.workers]
+        return (
+            sorted(h.pid for h in cluster.read("db", "out")),
+            cluster.storage_manager.total_objects("db", "out"),
+            [list(p.page_ids) for p in partitions],
+            [p.object_count for p in partitions],
+            [w.storage.pool.stats()["in_memory_bytes"]
+             for w in cluster.workers],
+        )
+
+    before = state()
+    assert before[0] == (list(range(600)) if preloaded else [])
+
+    # worker-0 and worker-1 finish their share; worker-2 never does.
+    injector.crash_backend("worker-2", times=99)
+    with pytest.raises(ExecutionError, match="worker-2"):
+        job.execute(cluster)
+
+    assert state() == before
+    mapped = {
+        tuple(replica)
+        for record in cluster.catalog.set_metadata("db", "out").pages.values()
+        for replica in record.replicas
+    }
+    for worker in cluster.workers:
+        for page_id in worker.storage.get_set("db", "out").page_ids:
+            assert (worker.worker_id, page_id) in mapped
+
+
+@pytest.mark.parametrize("second_fault", [False, True])
+def test_output_stage_tells_its_pages_from_copies_landed_mid_stage(
+        tmp_path, second_fault):
+    """Absorbing a worker mid-stage lands evacuated and re-replicated
+    copies of ``out``'s *recorded* pages in the survivors' partitions,
+    behind the pages the stage's own sinks wrote: a later failure must
+    not free them, and success must not record them a second time."""
+    injector = FaultInjector()
+    cluster = make_cluster(
+        tmp_path, fault_injector=injector,
+        retry_policy=fast_policy(
+            max_attempts=2, blacklist_on_exhaustion=True,
+            min_surviving_workers=2,
+        ),
+    )
+    load_points(cluster)
+    job = Writer("db", "out").set_input(
+        Copy().set_input(ObjectReader("db", "points"))
+    )
+    job.execute(cluster)
+    assert len(cluster.read("db", "out")) == 600
+
+    injector.crash_backend("worker-1", times=99)  # absorbed: 2 survive
+    if second_fault:
+        injector.crash_backend("worker-2", times=99)  # below the floor
+        with pytest.raises(ExecutionError, match="worker-2"):
+            job.execute(cluster)
+        expected = list(range(600))
+    else:
+        job.execute(cluster)
+        expected = sorted(2 * list(range(600)))
+    assert "worker-1" in cluster.blacklist
+
+    assert sorted(h.pid for h in cluster.read("db", "out")) == expected
+    assert cluster.storage_manager.total_objects("db", "out") == len(expected)
+    mapped = [
+        tuple(replica)
+        for record in cluster.catalog.set_metadata("db", "out").pages.values()
+        for replica in record.replicas
+    ]
+    assert len(mapped) == len(set(mapped))
+    for worker in cluster.active_workers:
+        for page_id in worker.storage.get_set("db", "out").page_ids:
+            assert (worker.worker_id, page_id) in mapped
+
+
+# -- the size estimate tolerates a flaky reload, nothing else --------------------------
+
+
+def test_estimated_bytes_tolerates_only_a_flaky_reload(tmp_path, monkeypatch):
+    injector = FaultInjector()
+    cluster = make_cluster(
+        tmp_path, n_workers=2, page_size=1 << 12, worker_memory=3 << 12,
+        fault_injector=injector,
+    )
+    load_points(cluster, n=2400)
+    assert sum(
+        w.storage.pool.stats()["spills"] for w in cluster.workers
+    ) > 0, "test premise: loading must spill pages"
+    repl = cluster.replication
+    full = repl.estimated_bytes("db", "points")
+    assert full > 0
+
+    injector.fail_page_reload(times=1)
+    flaky = repl.estimated_bytes("db", "points")
+    assert injector.counts["reload_failures"] == 1
+    assert 0 < flaky < full  # the unreadable page is skipped, not fatal
+
+    def broken_pin(page_id):
+        raise RuntimeError("not a reload fault")
+
+    for worker in cluster.workers:
+        monkeypatch.setattr(worker.storage.pool, "pin", broken_pin)
+    with pytest.raises(RuntimeError, match="not a reload fault"):
+        repl.estimated_bytes("db", "points")
+    with pytest.raises(SetNotFoundError):
+        repl.estimated_bytes("db", "no_such_set")
+
+
+# -- page_items: one decode, front-end side and in a back-end process ------------------
+
+
+def _row_page_bytes(cluster, page_size, pids):
+    block = AllocationBlock(page_size, registry=cluster.catalog.registry)
+    root = open_root(block)
+    for pid in pids:
+        handle = make_object_on(
+            block, Point, None, pid=pid, cid=pid % 4, x=float(pid)
+        )
+        root.append(handle)
+        handle.release()
+    return block.to_bytes()
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_page_items_same_objects_front_end_and_back_end(tmp_path, transport):
+    page_size = 1 << 12
+    cluster = make_cluster(
+        tmp_path, n_workers=2, page_size=page_size, transport=transport
+    )
+    try:
+        cluster.register_type(Point)
+        cluster.create_database("db")
+        # A columnar set still adopts row pages: pages self-describe.
+        cluster.create_set("db", "points", schema=POINT_SCHEMA)
+        with cluster.loader("db", "points") as load:
+            for i in range(100):
+                load.append(pid=i, cid=i % 4, x=float(i))
+        cluster.replication.store_page(
+            "db", "points",
+            _row_page_bytes(cluster, page_size, range(100, 140)), 40,
+        )
+        cluster.replication.store_page(
+            "db", "points", AllocationBlock(page_size).to_bytes(), 0
+        )
+
+        kinds = {"columnar": 0, "row": 0, "rootless": 0}
+        front_end = []
+        for page_set, page_id in cluster.replication.scan_page_copies(
+            "db", "points"
+        ):
+            with page_set.pinned_page(page_id) as page:
+                items = page_items(page.block)
+                if isinstance(items, ColumnarRows):
+                    kinds["columnar"] += 1
+                elif page.block.root()[0] is None:
+                    kinds["rootless"] += 1
+                    assert len(items) == 0 and list(items) == []
+                else:
+                    kinds["row"] += 1
+                assert len(items) == page_set.page_object_count(page_id)
+                front_end.extend((p.pid, p.cid, p.x) for p in items)
+        assert kinds["columnar"] >= 1 and kinds["row"] == 1
+        assert kinds["rootless"] == 1
+        assert sorted(front_end) == [
+            (i, i % 4, float(i)) for i in range(140)
+        ]
+        # The client read and the catalog count are the same decode.
+        assert sorted(
+            (p.pid, p.cid, p.x) for p in cluster.read("db", "points")
+        ) == sorted(front_end)
+        assert cluster.storage_manager.total_objects("db", "points") == 140
+
+        # The same pages through a job: the pre-aggregation scan decodes
+        # them in the back-end process on the process leg.
+        assert run_sums(cluster) == expected_sums(n=140)
+        placements = {
+            span.detail for span in cluster.last_trace.spans(kind="task")
+        }
+        if transport == "process":
+            assert "shipped" in placements
+        else:
+            assert placements == {"front-end: in_process"}
+    finally:
+        cluster.close()
+
+
+# -- an orphan re-run is the same lowered scan ------------------------------------------
+
+
+def test_absorbed_worker_on_a_columnar_set_matches_no_fault_run(tmp_path):
+    clean = make_cluster(tmp_path, "clean", page_size=1 << 12)
+    load_points(clean, layout="columnar", replication=2)
+    baseline = run_sums(clean)
+    assert baseline == expected_sums()
+    # Every row went through each of the three lowered operators' kernels.
+    clean_rows = clean.metrics().value("pc_engine_columnar_rows_total")
+    assert clean_rows == 3 * 600
+
+    # The last worker in stage order: by the time it is lost the others
+    # have finished, so its pages are re-run as orphans (``only_uids``)
+    # on the survivor holding their second replica.
+    injector = FaultInjector().crash_backend("worker-2", times=99)
+    cluster = make_cluster(
+        tmp_path, "faulty", page_size=1 << 12, fault_injector=injector,
+        retry_policy=fast_policy(
+            max_attempts=2, blacklist_on_exhaustion=True
+        ),
+    )
+    load_points(cluster, layout="columnar", replication=2)
+    assert "worker-2" in set(
+        cluster.replication.scan_assignments("db", "points").values()
+    ), "test premise: worker-2 reads some pages"
+
+    assert run_sums(cluster) == baseline
+
+    kinds = [stage.kind for stage in cluster.last_job_log]
+    assert "WorkerAbsorbedEvent" in kinds
+    assert "WorkerBlacklistedEvent" not in kinds  # no job restart
+    # The orphaned pages took the lowered path too, not a per-row one.
+    assert cluster.metrics().value(
+        "pc_engine_columnar_rows_total"
+    ) == clean_rows
+
+
+# -- unknown and empty sets ---------------------------------------------------------------
+
+
+def test_unknown_set_raises_and_empty_set_reads_empty(tmp_path):
+    cluster = make_cluster(tmp_path)
+    cluster.create_database("db")
+    for database, name in (("db", "nope"), ("bd", "points")):
+        with pytest.raises(SetNotFoundError):
+            cluster.read(database, name)
+        with pytest.raises(SetNotFoundError):
+            cluster.storage_manager.total_objects(database, name)
+    cluster.create_set("db", "points", Point)
+    assert cluster.read("db", "points") == []
+    assert cluster.read("db", "points", as_pairs=True) == {}
+    assert cluster.storage_manager.total_objects("db", "points") == 0
+    # A job over the empty set runs and writes nothing.
+    assert run_sums(cluster) == {}
+
+
+def test_decommissioning_a_worker_of_an_empty_set_moves_nothing(tmp_path):
+    cluster = make_cluster(tmp_path)
+    cluster.create_database("db")
+    cluster.create_set("db", "points", Point)
+    meta = cluster.catalog.set_metadata("db", "points")
+    assert "worker-1" in meta.partitions
+
+    assert cluster.decommission_worker("worker-1", reason="drained") == 0
+
+    meta = cluster.catalog.set_metadata("db", "points")
+    assert meta.partitions == ["worker-0", "worker-2"]
+    assert len(cluster.storage_manager.partitions("db", "points")) == 2
+    assert cluster.read("db", "points") == []
+    # Loading afterwards routes around the departed worker.
+    append_points(cluster, 300)
+    assert cluster.storage_manager.total_objects("db", "points") == 300
+    assert "worker-1" not in set(
+        cluster.replication.scan_assignments("db", "points").values()
+    )
