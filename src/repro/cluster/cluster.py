@@ -36,7 +36,6 @@ from repro.catalog import CatalogJournal, CatalogManager
 from repro.engine.physical import plan_pipelines
 from repro.engine.vectors import DEFAULT_BATCH_SIZE
 from repro.errors import (
-    BlockFullError,
     CatalogError,
     ExecutionError,
     SetNotFoundError,
@@ -51,13 +50,14 @@ from repro.obs import (
     Tracer,
 )
 from repro.obs.tracer import Span
+from repro.memory.block import AllocationBlock
 from repro.memory.builtins import MapFacade
 from repro.memory.columnar import ColumnarPage
 from repro.memory.handle import Handle
-from repro.memory.objects import make_object_on
 from repro.schema import Schema
 from repro.storage import DistributedStorageManager, ReplicationManager
-from repro.storage.page import DEFAULT_PAGE_SIZE, open_root
+from repro.storage.dataset import FlushOnExit, RowPageWriter
+from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.shm_registry import ShmRegistry
 from repro.tcap.compiler import compile_computations
 from repro.tcap.optimizer import mark_columnar, optimize
@@ -731,13 +731,16 @@ class PCCluster:
         return False
 
 
-class ClusterLoader:
+class ClusterLoader(RowPageWriter):
     """Builds pages client-side and dispatches them to workers.
 
-    A context manager: ``__exit__`` flushes the final partial page on a
-    clean exit and discards the open block when the body raised, so a
-    failed load never ships a half-built page (and callers can no longer
-    forget the manual ``flush()``).
+    The row-page writer over client-side blocks: a sealed page's bytes
+    go to the replication layer, which stamps the checksum, places the
+    page on the set's ring replicas and records the placement in the
+    catalog's (journaled) replica map.  A context manager: ``__exit__``
+    flushes the final partial page on a clean exit and discards the open
+    block when the body raised, so a failed load never ships a
+    half-built page (and callers can no longer forget ``flush()``).
     """
 
     def __init__(self, cluster, database, set_name, page_size):
@@ -745,104 +748,32 @@ class ClusterLoader:
         self.database = database
         self.set_name = set_name
         self.page_size = page_size
-        self._block = None
-        self._root = None
-        self.pages_shipped = 0
-        self.objects_loaded = 0
         self.objects_discarded = 0
+        registry = cluster.catalog.registry
 
-    def __enter__(self):
-        return self
+        def open_page():
+            return AllocationBlock(page_size, registry=registry), None
 
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.flush()
-        else:
-            self.discard()
-        return False
+        def seal_page(block, _token, count):
+            if not count:
+                return None  # nothing recorded: the block is just dropped
+            return cluster.replication.store_page(
+                database, set_name, block.to_bytes(), count, source="client",
+            )
 
-    def _open_block(self):
-        from repro.memory.block import AllocationBlock
+        super().__init__(open_page, seal_page)
 
-        self._block = AllocationBlock(
-            self.page_size, registry=self.cluster.catalog.registry
-        )
-        self._root = open_root(self._block)
-
-    def append(self, type_or_class, init=None, **fields):
-        """Allocate one object in place on the client page."""
-        if self._block is None:
-            self._open_block()
-        for attempt in (0, 1):
-            try:
-                self._root.reserve(len(self._root) + 1)
-                handle = make_object_on(
-                    self._block, type_or_class, init, **fields
-                )
-                self._root.append(handle)
-                handle.release()
-                self.objects_loaded += 1
-                return
-            except BlockFullError as full:
-                if attempt:
-                    raise StorageError(
-                        "one object does not fit on an empty %d-byte page"
-                        % self.page_size
-                    ) from full
-                self._ship_block()
-                self._open_block()
-
-    def append_built(self, build):
-        """Allocate via ``build(block) -> handle`` on the client page."""
-        if self._block is None:
-            self._open_block()
-        for attempt in (0, 1):
-            try:
-                from repro.memory.objects import use_allocation_block
-
-                self._root.reserve(len(self._root) + 1)
-                with use_allocation_block(self._block):
-                    handle = build(self._block)
-                self._root.append(handle)
-                handle.release()
-                self.objects_loaded += 1
-                return
-            except BlockFullError as full:
-                if attempt:
-                    raise StorageError(
-                        "one object does not fit on an empty %d-byte page"
-                        % self.page_size
-                    ) from full
-                self._ship_block()
-                self._open_block()
-
-    def _ship_block(self):
-        if self._block is None or len(self._root) == 0:
-            return
-        # The replication layer stamps the sealed page's checksum, places
-        # it on the set's ring replicas, and records the placement in the
-        # catalog's (journaled) replica map.
-        self.cluster.replication.store_page(
-            self.database, self.set_name, self._block.to_bytes(),
-            len(self._root), source="client",
-        )
-        self.pages_shipped += 1
-        self._block = None
-        self._root = None
-
-    def flush(self):
-        """Ship the final partially-filled page."""
-        self._ship_block()
+    pages_shipped = property(lambda self: len(self.sealed))
+    objects_loaded = property(lambda self: self.appended)
 
     def discard(self):
         """Drop the open partially-built page without shipping it."""
-        if self._root is not None:
-            self.objects_discarded += len(self._root)
-        self._block = None
-        self._root = None
+        dropped = super().discard()
+        self.objects_discarded += dropped
+        return dropped
 
 
-class ColumnarClusterLoader:
+class ColumnarClusterLoader(FlushOnExit):
     """Builds struct-of-arrays pages client-side for a columnar set.
 
     Rows are buffered per column and laid onto a
@@ -871,16 +802,6 @@ class ColumnarClusterLoader:
         self.pages_shipped = 0
         self.objects_loaded = 0
         self.objects_discarded = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.flush()
-        else:
-            self.discard()
-        return False
 
     def append(self, type_or_class=None, init=None, **fields):
         """Buffer one row; keywords must cover every schema column.

@@ -304,10 +304,10 @@ def _execute(spec, task_id=0, recorder=None):
             # semantics apply against the coordinator's store, so its
             # pre-finish state travels and the coordinator's own sink
             # finishes front-end side.
-            sink_class, sink_arg, state_attr = spec["sink"]
+            sink_class, sink_arg = spec["sink"]
             sink = sink_class(engine, sink_arg)
             engine.run_stages(spec["stages"], _counted(batches), sink)
-            result = getattr(sink, state_attr)
+            result = sink.state
             _reject_pc_values(result)
         finally:
             _detach(attachments)

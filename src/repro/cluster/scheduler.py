@@ -83,27 +83,14 @@ from repro.errors import (
 )
 from repro.memory.block import AllocationBlock
 from repro.memory.builtins import MapType, stable_hash
-from repro.memory.objects import make_object_on
 from repro.obs.tracer import Span
+from repro.storage.dataset import fill_map_pages
 from repro.storage.replication import page_checksum
 from repro.tcap.ir import ApplyStmt, JoinStmt, OutputStmt
 from repro.tcap.verify import verify_program
 
 #: Scaled stand-in for the paper's 2 GB broadcast-join threshold.
 DEFAULT_BROADCAST_THRESHOLD = 8 << 20
-
-#: Sinks a back-end process can fill: class -> (constructor argument,
-#: pre-finish state), both attribute names.  The child builds the sink
-#: plain and returns the state; the coordinator loads it into its own
-#: sink and runs ``finish()`` front-end side, so merge semantics and the
-#: ``pre_aggregated_keys`` accounting happen exactly once, in one place.
-#: Every other sink writes worker-local pages or folds into coordinator
-#: state and stays here.
-_SHIPPABLE_SINKS = {
-    AggregateSink: ("statement", "groups"),
-    HashBuildSink: ("join", "table"),
-    MaterializeSink: ("vlist_name", "columns"),
-}
 
 
 class JobStage:
@@ -348,9 +335,11 @@ class DistributedScheduler:
                             self._graft_crash_evidence(worker, span, crash)
                             raise
                         if isinstance(outcome, RemoteOutcome):
-                            self._install_remote(
-                                worker, attempt.sink, outcome
-                            )
+                            # The child's deltas, then its sink's
+                            # pre-finish state; finish() runs here.
+                            self._apply_remote_deltas(worker, outcome)
+                            attempt.sink.state = outcome.result
+                            attempt.sink.finish()
                 finally:
                     attempt.release()
                 if attempts > 1:
@@ -555,7 +544,7 @@ class DistributedScheduler:
         )
 
     def _collect_sink(self, worker):
-        """A sink that only collects: the caller reads its ``columns``."""
+        """A sink that only collects: the caller reads its ``state``."""
         return MaterializeSink(self.engine_for(worker), None)
 
     # -- placement: ship the attempt, or keep it front-end side ------------------------
@@ -590,8 +579,8 @@ class DistributedScheduler:
         }
         if not getattr(worker.backend, "asynchronous", False):
             return front_end("in_process")
-        shippable = _SHIPPABLE_SINKS.get(type(sink))
-        if shippable is None or getattr(sink, "merge", False):
+        remote_sink = sink.remote_spec()
+        if remote_sink is None:
             return front_end("frontend_sink")
         try:
             exported, release = source.export()
@@ -607,7 +596,7 @@ class DistributedScheduler:
             "batch_size": self.cluster.batch_size,
             "stages": list(stages),
             "source": exported,
-            "sink": (type(sink), getattr(sink, shippable[0]), shippable[1]),
+            "sink": remote_sink,
             "hash_tables": tables,
             # Trace context (DESIGN §14): the child's task span adopts
             # this job's trace id and hangs off the span open at build
@@ -634,13 +623,6 @@ class DistributedScheduler:
             type(sink).__name__, worker.worker_id
         ))
         return _Attempt(sink, body, "shipped", task=task, release=release)
-
-    def _install_remote(self, worker, sink, outcome):
-        """Replay a child's deltas, load its pre-finish sink state into
-        the coordinator's sink, and finish front-end side."""
-        self._apply_remote_deltas(worker, outcome)
-        setattr(sink, _SHIPPABLE_SINKS[type(sink)][1], outcome.result)
-        sink.finish()
 
     def _apply_remote_deltas(self, worker, outcome):
         """Replay a child's engine-metric and trace-counter deltas, and
@@ -756,7 +738,7 @@ class DistributedScheduler:
             ))
             for worker in workers
         ])
-        return [done[worker.worker_id].columns or {} for worker in workers]
+        return [done[worker.worker_id].state or {} for worker in workers]
 
     def _shuffle_columns(self, per_worker_columns, hash_column):
         """Repartition rows by ``hash % n_workers``; returns per-worker columns."""
@@ -817,7 +799,7 @@ class DistributedScheduler:
             ])
             if not last:
                 per_worker_columns = [
-                    done[worker.worker_id].columns or {}
+                    done[worker.worker_id].state or {}
                     for worker in workers
                 ]
 
@@ -1080,16 +1062,14 @@ class DistributedScheduler:
         network = self.cluster.network
         if comp.key_type is not None and comp.value_type is not None:
             map_type = MapType(comp.key_type, comp.value_type)
-            pending = list(partition.items())
-            while pending:
+
+            def ship_page(build):
+                # The combiner page's root is the Map itself.
                 block = AllocationBlock(
                     self.cluster.combiner_page_size,
                     registry=src.local_catalog.registry,
                 )
-                handle = make_object_on(block, map_type, None)
-                # As many leading pairs as the page holds; the rest roll
-                # onto the next combiner page.
-                shipped = handle.deref().fill(pending)
+                handle = build(block)
                 block.set_root(handle.offset, handle.type_code)
                 payload = block.to_bytes()
                 # Checksummed transfer: a corrupted combiner page is
@@ -1110,7 +1090,8 @@ class DistributedScheduler:
                         into[key] = comp.combine(into[key], value)
                     else:
                         into[key] = value
-                pending = pending[shipped:]
+
+            fill_map_pages(map_type, partition.items(), ship_page)
         else:
             rows = list(partition.items())
             network.ship_rows(src.worker_id, dst.worker_id, rows)
@@ -1305,79 +1286,69 @@ class _ScanSource:
         return ("pages", refs, scan.column, self.columnar), release
 
 
-class ClusterOutputSink(Sink):
-    """Writes pipeline output to the worker-local partition of a set.
-
-    PC objects (handles / facades) are stored in place on set pages;
-    plain Python values fall back to a worker-local Python list that the
-    client gathers on :meth:`PCCluster.read`.  The sink records where the
-    partition stood at creation, so :meth:`abort` can roll a failed
-    attempt's half-written pages back before a retry.
+class _PageSink(Sink):
+    """Records objects on the worker-local partition of the output set,
+    through the partition's writer; :meth:`abort` frees the pages this
+    writer sealed, so a failed attempt's output is gone before a retry.
     """
 
-    def __init__(self, engine, output_stmt, page_set, cluster):
+    def __init__(self, engine, output_stmt, page_set):
         super().__init__(engine)
         self.statement = output_stmt
         self.page_set = page_set
-        self.cluster = cluster
-        self._writer = None
-        self._key = (output_stmt.database, output_stmt.set_name)
-        self._pages_mark = len(page_set.page_ids)
+        self.writer = page_set.writer()
         self._objects_mark = page_set.object_count
-        self._python_mark = len(cluster.python_outputs.get(self._key, ()))
 
-    def _ensure_writer(self):
-        if self._writer is None:
-            self._writer = self.page_set.writer().__enter__()
-        return self._writer
+    def finish(self):
+        self.writer.flush()
+        self.engine.metrics.pages_written += len(self.writer.sealed)
+
+    def abort(self):
+        self.writer.discard()
+        _rollback_pages(self.page_set, self.writer.sealed, self._objects_mark)
+
+
+class ClusterOutputSink(_PageSink):
+    """Writes pipeline output: PC objects (handles / facades) onto set
+    pages, plain Python values onto a worker-local Python list that the
+    client gathers on :meth:`PCCluster.read`.
+    """
+
+    def __init__(self, engine, output_stmt, page_set, cluster):
+        super().__init__(engine, output_stmt, page_set)
+        self._python = cluster.python_outputs.setdefault(
+            (output_stmt.database, output_stmt.set_name), []
+        )
+        self._python_mark = len(self._python)
 
     def allocation_block(self):
-        return self._ensure_writer()._page.block
+        return self.writer.block
 
     def roll_page(self):
-        writer = self._ensure_writer()
-        writer._seal_page()
-        writer._open_page()
-        self.engine.metrics.zombie_pages += 1
+        # A stage filled the page: nothing of its batch is recorded yet.
+        self.writer.flush()
 
     def consume(self, batch):
-        writer = self._ensure_writer()
-        key = (self.statement.database, self.statement.set_name)
+        # The writer retries the one object a full page refused on the
+        # next page, so no BlockFullError leaves here with part of the
+        # batch recorded (the engine would re-run all of it).
         for value in kernels.reify_column(batch.column(self.statement.column)):
             if hasattr(value, "pc_page"):
                 # A columnar scan's row view is page-backed but not a
                 # handle: store its detached form as a Python output
                 # (columnar *output* sets are not written in v1).
-                self.cluster.python_outputs.setdefault(key, []).append(
-                    value.detach()
-                )
+                self._python.append(value.detach())
             elif hasattr(value, "pc_block") or hasattr(value, "deref"):
-                writer._root.append(value)
-                self.page_set.object_count += 1
+                self.writer.append_object(value)
             else:
-                self.cluster.python_outputs.setdefault(key, []).append(value)
-
-    def finish(self):
-        if self._writer is not None:
-            self._writer.__exit__(None, None, None)
-            self.engine.metrics.pages_written += len(self.page_set.page_ids)
+                self._python.append(value)
 
     def abort(self):
-        if self._writer is not None and self._writer._page is not None:
-            self.page_set.pool.free_page(self._writer._page.page_id)
-            self._writer._page = None
-            self._writer._root = None
-        self._writer = None
-        _rollback_pages(
-            self.page_set, self.page_set.page_ids[self._pages_mark:],
-            self._objects_mark,
-        )
-        outputs = self.cluster.python_outputs.get(self._key)
-        if outputs is not None:
-            del outputs[self._python_mark:]
+        super().abort()
+        del self._python[self._python_mark:]
 
 
-class MapPageOutputSink(Sink):
+class MapPageOutputSink(_PageSink):
     """Writes aggregation pairs as a PC Map object in the destination set.
 
     This reproduces the paper's aggregation sink: the stored set holds
@@ -1386,13 +1357,9 @@ class MapPageOutputSink(Sink):
     """
 
     def __init__(self, engine, output_stmt, page_set, comp):
-        super().__init__(engine)
-        self.statement = output_stmt
-        self.page_set = page_set
+        super().__init__(engine, output_stmt, page_set)
         self.map_type = MapType(comp.key_type, comp.value_type)
         self.pairs = []
-        self._pages_mark = len(page_set.page_ids)
-        self._objects_mark = page_set.object_count
 
     def consume(self, batch):
         self.pairs.extend(
@@ -1400,35 +1367,8 @@ class MapPageOutputSink(Sink):
         )
 
     def finish(self):
-        if not self.pairs:
-            return
-        from repro.errors import ExecutionError
-
-        pending = list(self.pairs)
-        shipped = 0
-        with self.page_set.writer() as writer:
-            while pending:
-                def build(block):
-                    # A page too full for even the first pair raises
-                    # BlockFullError: the writer rolls to a fresh one.
-                    nonlocal shipped
-                    handle = make_object_on(block, self.map_type, None)
-                    shipped = handle.deref().fill(pending)
-                    return handle
-
-                writer.append_built(build)
-                if shipped == 0:
-                    raise ExecutionError(
-                        "one aggregation pair exceeds the page size"
-                    )
-                pending = pending[shipped:]
-        self.engine.metrics.pages_written += len(self.page_set.page_ids)
-
-    def abort(self):
-        _rollback_pages(
-            self.page_set, self.page_set.page_ids[self._pages_mark:],
-            self._objects_mark,
-        )
+        fill_map_pages(self.map_type, self.pairs, self.writer.append_built)
+        super().finish()
 
 
 def _rollback_pages(page_set, pages, objects_mark):

@@ -163,10 +163,13 @@ class PipelineEngine:
     def _process_batch(self, stages, batch, sink):
         """Push one batch through all stages into the sink.
 
-        Allocation faults from a page-backed sink roll the output page and
-        re-run the batch from the top; objects the failed attempt left on
-        the sealed page become dead space, and the sealed page — which may
-        hold output rows already — is the paper's zombie output page.
+        An allocation fault while the *stages* run (user code allocating
+        in place on a page-backed sink's page) rolls the output page and
+        re-runs the batch from the top: nothing of the batch is recorded
+        yet, the objects the failed attempt left on the sealed page are
+        dead space, and the sealed page — which may hold earlier batches'
+        rows — is the paper's zombie output page.  A page-writing sink's
+        ``consume`` never raises one: its writer rolls per object.
         """
         self.tracer.add("engine.batches")
         self.tracer.add("engine.rows_in", len(batch))
@@ -411,6 +414,13 @@ class Sink:
     def consume(self, batch):
         raise NotImplementedError
 
+    def remote_spec(self):
+        """``(sink_class, argument)``: a back-end process can fill
+        ``sink_class(engine, argument)`` and send its ``state`` for this
+        sink to ``finish()`` — None if the sink must stay front-end side
+        (it writes worker-local pages or merges into coordinator state)."""
+        return None
+
     def finish(self):
         """Flush at end of pipeline."""
 
@@ -437,18 +447,21 @@ class HashBuildSink(Sink):
         else:
             self.hash_column = join_stmt.left_hash
             self.columns = join_stmt.left_columns
-        self.table = {}
+        self.state = {}  # hash -> [row tuples]
+
+    def remote_spec(self):
+        return HashBuildSink, self.join
 
     def consume(self, batch):
         batch = kernels.reify(batch)
         cols = [batch.column(c) for c in self.columns]
         for row, hash_value in enumerate(batch.column(self.hash_column)):
-            self.table.setdefault(hash_value, []).append(
+            self.state.setdefault(hash_value, []).append(
                 tuple(column[row] for column in cols)
             )
 
     def finish(self):
-        self.engine.hash_tables[self.join.output] = self.table
+        self.engine.hash_tables[self.join.output] = self.state
 
 
 class AggregateSink(Sink):
@@ -464,8 +477,11 @@ class AggregateSink(Sink):
         super().__init__(engine)
         self.statement = agg_stmt
         self.comp = engine.program.computations[agg_stmt.computation]
-        self.groups = {}
+        self.state = {}  # key -> combined value
         self.merge = merge
+
+    def remote_spec(self):
+        return None if self.merge else (AggregateSink, self.statement)
 
     def consume(self, batch):
         keys = batch.column(self.statement.key_column)
@@ -477,13 +493,13 @@ class AggregateSink(Sink):
         ):
             # Declared-sum aggregation over array columns: one grouped
             # bincount per batch instead of a per-row combine loop.
-            kernels.aggregate_sum(self.groups, keys, values)
+            kernels.aggregate_sum(self.state, keys, values)
             self.engine._note_columnar("aggregate", len(batch))
             return
         keys = kernels.reify_column(keys)
         values = kernels.reify_column(values)
         combine = self.comp.combine
-        groups = self.groups
+        groups = self.state
         for key, value in zip(keys, values):
             if key in groups:
                 groups[key] = combine(groups[key], value)
@@ -491,8 +507,8 @@ class AggregateSink(Sink):
                 groups[key] = value
 
     def finish(self):
-        self.engine.metrics.pre_aggregated_keys += len(self.groups)
-        groups = self.groups
+        groups = self.state
+        self.engine.metrics.pre_aggregated_keys += len(groups)
         existing = (
             self.engine.store.get(self.statement.output)
             if self.merge else None
@@ -518,27 +534,30 @@ class MaterializeSink(Sink):
     ``merge=True`` appends the finished columns to the store's existing
     entry instead of replacing it (see :class:`AggregateSink`).  With
     ``vlist_name=None`` the sink only *collects*: ``finish()`` stores
-    nothing and the caller reads ``columns`` (the scheduler's shuffle
+    nothing and the caller reads ``state`` (the scheduler's shuffle
     inputs).
     """
 
     def __init__(self, engine, vlist_name, merge=False):
         super().__init__(engine)
         self.vlist_name = vlist_name
-        self.columns = None
+        self.state = None  # column name -> values, once a batch arrived
         self.merge = merge
+
+    def remote_spec(self):
+        return None if self.merge else (MaterializeSink, self.vlist_name)
 
     def consume(self, batch):
         batch = kernels.reify(batch)
-        if self.columns is None:
-            self.columns = {name: [] for name in batch.names()}
-        for name in self.columns:
-            self.columns[name].extend(batch.column(name))
+        if self.state is None:
+            self.state = {name: [] for name in batch.names()}
+        for name in self.state:
+            self.state[name].extend(batch.column(name))
 
     def finish(self):
         if self.vlist_name is None:
             return
-        columns = self.columns or {}
+        columns = self.state or {}
         existing = (
             self.engine.store.get(self.vlist_name) if self.merge else None
         )

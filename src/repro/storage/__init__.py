@@ -1,7 +1,7 @@
 """Storage subsystem: buffer pool, pages, page sets, storage managers."""
 
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.dataset import PageSet, SetWriter
+from repro.storage.dataset import PageSet, RowPageWriter
 from repro.storage.page import DEFAULT_PAGE_SIZE, Page
 from repro.storage.replication import (
     PlacementRing,
@@ -23,7 +23,7 @@ __all__ = [
     "PageSet",
     "PlacementRing",
     "ReplicationManager",
-    "SetWriter",
+    "RowPageWriter",
     "corrupt_bytes",
     "page_checksum",
 ]

@@ -45,8 +45,26 @@ class PageSet:
     # -- writing -------------------------------------------------------------------
 
     def writer(self):
-        """Context manager yielding a :class:`SetWriter`."""
-        return SetWriter(self)
+        """A :class:`RowPageWriter` over this partition's pool pages: an
+        empty block is a fresh pinned page, a sealed one joins
+        ``page_ids`` (its objects the partition's count) and is unpinned
+        dirty."""
+        pool = self.pool
+
+        def open_page():
+            page = pool.new_page(size=self.page_size, set_key=self.key)
+            return page.block, page.page_id
+
+        def seal_page(_block, page_id, count):
+            if not count:
+                pool.free_page(page_id)
+                return None
+            self.page_ids.append(page_id)
+            self.object_count += count
+            pool.unpin(page_id, dirty=True)
+            return page_id
+
+        return RowPageWriter(open_page, seal_page)
 
     def adopt_page_bytes(self, data, count_objects=True):
         """Install a page that arrived over the (simulated) network.
@@ -115,83 +133,154 @@ class PageSet:
         )
 
 
-class SetWriter:
-    """Appends objects to a page set, rolling pages as they fill."""
-
-    def __init__(self, page_set):
-        self.page_set = page_set
-        self._page = None
-        self._root = None
+class FlushOnExit:
+    """The ``with`` contract of everything that builds pages: a clean
+    exit flushes what is open, an exception discards it."""
 
     def __enter__(self):
-        self._open_page()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._seal_page()
+        if exc_type is None:
+            self.flush()
+        else:
+            self.discard()
         return False
 
-    def _open_page(self):
-        pool = self.page_set.pool
-        self._page = pool.new_page(
-            size=self.page_set.page_size, set_key=self.page_set.key
-        )
-        self._root = open_root(self._page.block)
 
-    def _seal_page(self):
-        if self._page is None:
-            return
-        self.page_set.page_ids.append(self._page.page_id)
-        self.page_set.pool.unpin(self._page.page_id, dirty=True)
-        self._page = None
-        self._root = None
+class RowPageWriter(FlushOnExit):
+    """The one way objects become row pages.
+
+    Objects are recorded — listed in the root vector — on the open page;
+    a page that cannot take an object is sealed and *that one object*
+    retried on the next (:class:`StorageError` if an empty page cannot
+    take it either).  A page with nothing recorded is freed, not sealed.
+
+    Callers differ in two things, and supply them: ``open_page() ->
+    (block, token)`` gives an empty block; ``seal_page(block, token,
+    count)`` takes a finished one holding ``count`` objects (0: nothing
+    on it is kept, free it) and returns its name, kept in :attr:`sealed`.
+    """
+
+    def __init__(self, open_page, seal_page):
+        self._open_page = open_page
+        self._seal_page = seal_page
+        self._block = self._token = self._root = None
+        #: what ``seal_page`` returned for every page sealed so far.
+        self.sealed = []
+        #: objects recorded so far (a later :meth:`discard` included).
+        self.appended = 0
+
+    @property
+    def block(self):
+        """The open page's block (opened if none is): where user code
+        allocates what it will hand to :meth:`append_object`."""
+        if self._root is None:
+            self._open()
+        return self._block
+
+    def _open(self):
+        self._block, self._token = self._open_page()
+        self._root = open_root(self._block)
+        # The root's first slots come with the page (the first record
+        # allocates them anyway): an object living on a page with nothing
+        # recorded can always be listed there, so a page that is freed
+        # never holds an object still to be recorded.
+        self._root.reserve(1)
+
+    def _retire(self, count):
+        block, token = self._block, self._token
+        self._block = self._token = self._root = None
+        sealed = self._seal_page(block, token, count)
+        if count:
+            self.sealed.append(sealed)
+
+    def flush(self):
+        """Seal the open page, if any; the next object opens a fresh one."""
+        if self._root is not None:
+            self._retire(len(self._root))
+
+    def discard(self):
+        """Drop the open page unsealed; returns how many recorded objects
+        went with it."""
+        if self._root is None:
+            return 0
+        dropped = len(self._root)
+        self._retire(0)
+        return dropped
+
+    def _record(self, place, /, *args, **fields):
+        """``place(root, block, ...)`` one object on the open page; if the
+        page fills, seal it and retry once on a fresh one.  A failed
+        ``place`` leaves the root's count as it was; what it allocated is
+        dead space on the sealed page."""
+        for fresh in (False, True):
+            if self._root is None:
+                self._open()
+            try:
+                place(self._root, self._block, *args, **fields)
+            except BlockFullError as full:
+                if fresh:
+                    raise StorageError(
+                        "a single object does not fit on an empty %d-byte page"
+                        % self._block.size
+                    ) from full
+                self.flush()
+            else:
+                self.appended += 1
+                return
 
     def append(self, type_or_class, init=None, **fields):
-        """Allocate one object in place on the current page and record it.
-
-        On a full page, the page is sealed and the allocation retried on a
-        fresh one (the engine's reaction to the out-of-memory fault).
-        """
-        for attempt in (0, 1):
-            block = self._page.block
-            try:
-                self._root.reserve(len(self._root) + 1)
-                handle = make_object_on(block, type_or_class, init, **fields)
-                self._root.append(handle)
-                handle.release()
-                self.page_set.object_count += 1
-                return
-            except BlockFullError as full:
-                if attempt:
-                    raise StorageError(
-                        "a single object does not fit on an empty %d-byte page"
-                        % self.page_set.page_size
-                    ) from full
-                self._seal_page()
-                self._open_page()
+        """Allocate one object in place on the open page and record it."""
+        self._record(_place_new, make_object_on, type_or_class, init,
+                     **fields)
 
     def append_built(self, build):
-        """Run ``build(block)`` on the current page; it returns a handle.
+        """Record the one object ``build(block)`` allocates and returns the
+        handle of (the page's block is the active allocation block
+        meanwhile): for objects too intricate for keyword construction."""
+        self._record(_place_new, _build_on, build)
 
-        For objects too intricate for keyword construction: ``build`` is
-        called with the page's block as the active allocation block and
-        must return the handle of the single object to record.
-        """
-        for attempt in (0, 1):
-            block = self._page.block
-            try:
-                self._root.reserve(len(self._root) + 1)
-                with use_allocation_block(block):
-                    handle = build(block)
-                self._root.append(handle)
-                handle.release()
-                self.page_set.object_count += 1
-                return
-            except BlockFullError as full:
-                if attempt:
-                    raise StorageError(
-                        "a single object does not fit on an empty %d-byte page"
-                        % self.page_set.page_size
-                    ) from full
-                self._seal_page()
-                self._open_page()
+    def append_object(self, value):
+        """Record an existing object (a handle or facade): linked if it
+        lives on the open page, deep-copied onto it if not."""
+        self._record(_place_existing, value)
+
+
+def _place_new(root, block, make, /, *args, **fields):
+    # The slot is reserved first, so listing the object never needs an
+    # allocation on a page the object itself just filled.
+    root.reserve(len(root) + 1)
+    handle = make(block, *args, **fields)
+    root.append(handle)
+    handle.release()
+
+
+def _build_on(block, build):
+    with use_allocation_block(block):
+        return build(block)
+
+
+def _place_existing(root, _block, value):
+    root.append(value)
+
+
+def fill_map_pages(map_type, pairs, place):
+    """Spread ``pairs`` over as many ``map_type`` Maps as it takes.
+
+    ``place(build)`` runs ``build(block) -> handle`` on the next page:
+    each Map takes the leading pairs its page holds (``build`` raises
+    :class:`BlockFullError` if not even one), the rest go on.
+    """
+    pending = list(pairs)
+    taken = 0
+
+    def build(block):
+        nonlocal taken
+        handle = make_object_on(block, map_type, None)
+        taken = handle.deref().fill(pending)
+        return handle
+
+    while pending:
+        place(build)
+        del pending[:taken]

@@ -1,0 +1,92 @@
+"""Regenerate ``loader_pages.json``: the pages ``ClusterLoader`` ships.
+
+Run against the commit whose loader bytes should be frozen (PR 15's, for
+the checked-in file)::
+
+    PYTHONPATH=<checkout>/src python tests/cluster/fixtures/make_loader_pages.py
+
+The JSON holds, per load, the CRC32 and object count of every page the
+loader handed to ``replication.store_page``, in shipping order (see
+``test_write_path_property.py``).  Three fixed loads: TPC-H ``Customer``
+trees and a chunked matrix through ``append_built``, and flat keyword
+``append`` rows, each on pages small enough to roll many times.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+import zlib
+
+import numpy as np
+
+from repro.cluster import PCCluster
+from repro.lillinalg.ops import DistributedMatrix
+from repro.memory import Float64, Int32, PCObject, String, VectorType
+from repro.tpch.generator import TpchSpec, load_pc_customers
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+class LoaderRow(PCObject):
+    fields = [("row_id", Int32), ("label", String),
+              ("features", VectorType(Float64))]
+
+
+def _recording(cluster):
+    """Make ``cluster`` note ``[crc32, count]`` of every page it stores."""
+    shipped = []
+    store_page = cluster.replication.store_page
+
+    def recording_store(database, name, data, count, source="client"):
+        shipped.append([zlib.crc32(bytes(data)), count])
+        return store_page(database, name, data, count, source=source)
+
+    cluster.replication.store_page = recording_store
+    return shipped
+
+
+def _load_customers(cluster):
+    load_pc_customers(cluster, TpchSpec(60, seed=7))
+
+
+def _load_matrix(cluster):
+    values = np.arange(96 * 40, dtype="f8").reshape(96, 40) / 8.0
+    DistributedMatrix.from_numpy(cluster, "la", values, 8, 10,
+                                 set_name="fixture_matrix")
+
+
+def _load_rows(cluster):
+    cluster.register_type(LoaderRow)
+    cluster.create_database("db")
+    cluster.create_set("db", "rows", LoaderRow)
+    with cluster.loader("db", "rows") as load:
+        for i in range(400):
+            load.append(LoaderRow, row_id=i, label="row-%d" % i,
+                        features=[i / 4.0] * (1 + i % 7))
+
+
+LOADS = {
+    "tpch_customers": (_load_customers, 1 << 14),
+    "matrix_blocks": (_load_matrix, 1 << 13),
+    "keyword_rows": (_load_rows, 1 << 12),
+}
+
+
+def shipped_pages(name):
+    """``[[crc32, count], ...]`` for the load called ``name``."""
+    load, page_size = LOADS[name]
+    with tempfile.TemporaryDirectory() as spill_root:
+        with PCCluster(n_workers=2, page_size=page_size,
+                       spill_root=spill_root, transport="sim") as cluster:
+            shipped = _recording(cluster)
+            load(cluster)
+    return shipped
+
+
+if __name__ == "__main__":
+    out = {name: shipped_pages(name) for name in LOADS}
+    with open(os.path.join(HERE, "loader_pages.json"), "w") as f:
+        json.dump(out, f, indent=1)
+    print({name: len(pages) for name, pages in out.items()})
