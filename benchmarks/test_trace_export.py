@@ -40,7 +40,7 @@ SPEC = TpchSpec(n_customers=60, n_parts=80, n_suppliers=10, seed=11)
 @pytest.mark.benchmark(group="trace")
 def test_trace_export_writes_valid_chrome_timeline(benchmark):
     cluster = PCCluster(n_workers=3, page_size=1 << 14,
-                        transport="process")
+                        transport="process", profiling=True)
     try:
         load_pc_customers(cluster, SPEC)
         customers_per_supplier_pc(cluster)

@@ -202,8 +202,9 @@ class PCCluster:
             self.catalog, self.storage_manager, self.network,
             tracer=self.tracer, metrics=self.metrics_registry,
         )
-        # The per-stage / per-operator profiler observes every worker's
-        # buffer pool; profiling=False drops it wholesale (zero overhead).
+        # The stage profiler observes every worker's buffer pool, and
+        # with it on every engine (here and in a back-end process) gets
+        # an operator recorder; profiling=False drops both wholesale.
         self.profiler = None
         if profiling:
             self.profiler = StageProfiler(

@@ -16,19 +16,23 @@ name and wraps the mapped bytes in an
 paper's "a page moves between processes with zero (de)serialization",
 for real this time.
 
-Results travel back as the sink's *pre-finish* state (plain Python
-values) plus the engine-metric and trace-counter deltas the coordinator
-replays into its shadow engine.  A task whose result would carry PC
-objects (handles/facades pointing into page memory) is *rejected*, not
-failed: the coordinator re-runs that portion front-end side.
+A task returns ``(sink state, evidence)``: the sink's *pre-finish*
+state (plain Python values) and the task's evidence (DESIGN §14) — the
+same engine counter deltas and operator records the coordinator closes
+for a body it runs itself, booked at home by the same
+:func:`~repro.obs.evidence.book_task_evidence`.  A task whose result
+would carry PC objects (handles/facades pointing into page memory) is
+*rejected*, not failed: the coordinator re-runs that portion front-end
+side.
 
-Since PR 9 the child runs a real :class:`~repro.obs.Tracer` (DESIGN
-§14): every task executes inside a ``task`` span that adopts the
-coordinator's trace context (``spec["trace_ctx"]``), each TCAP operator
-gets one coalesced ``op`` span (first batch to last), and the finished
-span batch ships back inside the result envelope — or, on failure,
-inside the *error* envelope with the spans marked ``truncated``, so a
-retry never loses the counters the attempt accumulated.  A
+``spec["profiling"]`` and ``spec["tracing"]`` mean here what they mean
+in the coordinator: the first puts an operator recorder behind the
+engine, the second makes the task a ``task`` span (adopting
+``spec["trace_ctx"]``) that travels inside the evidence; with both off
+the child does no observability work.  A failed task ships its
+evidence-so-far inside the *error* envelope (the span marked
+``truncated``, the task's flight events on it), so a retry never loses
+the counters the attempt accumulated.  A
 :class:`~repro.obs.FlightRecorder` writing a parent-allocated shared
 ring keeps the last-N structured events readable even after a SIGKILL.
 """
@@ -47,7 +51,8 @@ from repro.engine.pipeline import PipelineEngine, object_batches
 from repro.engine.vectors import batches_of
 from repro.memory.block import AllocationBlock
 from repro.obs.events import FlightRecorder
-from repro.obs.tracer import Span, Tracer
+from repro.obs.evidence import OperatorRecorder
+from repro.obs.tracer import Span
 from repro.storage.page import page_items
 
 #: Live progress of the task loop, published by the heartbeat thread.
@@ -55,10 +60,10 @@ from repro.storage.page import page_items
 #: it lock-free and the beat thread reads whatever is current.
 _progress = {"task": 0, "rows": 0}
 
-#: The in-flight task's tracer/engine, kept module-level so the main
-#: loop's error path can harvest partial spans and counter deltas after
-#: ``_execute`` unwound (the satellite fix: deltas accumulated before an
-#: exception must ship in the error envelope).
+#: The in-flight task's engine and task span, kept module-level so the
+#: main loop's error path can close the evidence after ``_execute``
+#: unwound (what accumulated before an exception must ship in the error
+#: envelope).
 _task_state = {}
 
 
@@ -95,51 +100,6 @@ class _PlanStub:
 
     def __init__(self, build_sides):
         self.build_sides = build_sides
-
-
-class _OpSpanRecorder:
-    """Coalesces operator applications into one ``op`` span per operator.
-
-    Plugs into :class:`PipelineEngine`'s profiler seam, so it sees every
-    TCAP operator application of the task body.  A
-    task applies each operator once per batch; a span per application
-    would explode the trace, so the span for an operator covers its
-    first application through its latest one, with per-batch row counts
-    accumulated on the span.  Spans attach directly to the task's root
-    span (never the tracer stack: coalesced ops overlap in time).
-    """
-
-    def __init__(self, root):
-        self._root = root
-        self._ops = {}
-
-    def operator(self, name, fn, stage, batch):
-        span = self._ops.get(name)
-        if span is None:
-            span = Span(name, kind="op")
-            span.pid = self._root.pid
-            span.parent_id = self._root.span_id
-            self._ops[name] = span
-            self._root.children.append(span)
-        span.inc("op.rows_in", len(batch))
-        result = fn(stage, batch)
-        span.end = time.monotonic()
-        if result is not None:
-            span.inc("op.rows_out", len(result))
-        return result
-
-    def note_columnar_rows(self, name, rows):
-        """Book array-kernel rows where the coordinator's replay reads.
-
-        With a profiler set, the engine routes columnar row counts here
-        instead of its tracer fallback.  They go on the task *root*
-        span, whose direct counters ship flat in the ``"trace"`` delta —
-        the channel ``_apply_remote_deltas`` re-books its
-        ``pc_op_columnar_rows_total`` series from.  Putting them on the
-        op span instead would strand them (replay only reads the flat
-        dict) and double-count once the span tree is grafted.
-        """
-        self._root.inc("op.%s.columnar_rows" % name, rows)
 
 
 def _attach(name):
@@ -227,95 +187,60 @@ def _reject_pc_values(value, depth=0):
             _reject_pc_values(item, depth + 1)
 
 
-def _pack_deltas(engine, root, events):
-    """The shipping form of one task's evidence (result or error leg).
+def _close_evidence(truncated=False, events=()):
+    """The in-flight task's evidence, as it ships (result or error leg).
 
-    The root span's *direct* counters travel flat in ``"trace"`` — the
-    coordinator replays them with ``tracer.add`` onto its own open task
-    span, exactly as the counter-only protocol did — and are emptied off
-    the shipped span tree so grafting cannot double-count them.  The op
-    spans keep their own counters; they exist only remotely.  Spans
-    serialize relative to the root's start, with the root's absolute
-    ``time.monotonic()`` carried once as ``"span_base"`` for the
-    coordinator's clock-offset shift.
+    What the engine counted and its recorder measured, this process's
+    pid, and — with tracing on — the ``task`` span, serialized relative
+    to its start with the absolute ``time.monotonic()`` carried once as
+    ``"span_base"`` for the coordinator's clock-offset shift.  None when
+    the failure precedes any execution state (a spec unpickle error).
     """
-    trace_counts = dict(root.counters)
-    root.counters = {}
-    return {
-        "metrics": engine.metrics.as_dict() if engine is not None else {},
-        "trace": trace_counts,
-        "spans": [root.to_dict()],
-        "span_base": root.start,
-        "events": events,
-        "pid": os.getpid(),
-    }
-
-
-def _failure_deltas(recorder):
-    """Harvest whatever the failed task accumulated before it blew up.
-
-    ``_execute`` registered its tracer/engine in ``_task_state`` before
-    running; by the time we get here the task span has been closed by
-    the context-manager unwind (or is force-closed via ``abandon`` if
-    the failure skipped the unwind), so the evidence is complete as far
-    as it goes — it is marked ``truncated`` because the task did not
-    finish, not because the spans are malformed.  Returns None when the
-    failure precedes any execution state (e.g. a spec unpickle error).
-    """
-    tracer = _task_state.get("tracer")
-    if tracer is None:
+    engine = _task_state.get("engine")
+    if engine is None:
         return None
-    trace = tracer.abandon() or tracer.last_trace
-    if trace is None:
-        return None
-    root = trace.root
-    for span in root.walk():
-        span.truncated = True
-    events = []
-    if recorder is not None:
-        events = recorder.snapshot(_task_state.get("events_since", 0))
-    return _pack_deltas(_task_state.get("engine"), root, events)
+    evidence = engine.take_evidence()
+    evidence["pid"] = os.getpid()
+    root = _task_state.get("root")
+    if root is not None:
+        root.end = time.monotonic()
+        root.truncated = truncated
+        root.events = list(events)
+        evidence["spans"] = [root.to_dict()]
+        evidence["span_base"] = root.start
+    return evidence
 
 
-def _execute(spec, task_id=0, recorder=None):
-    tracer = Tracer()
-    context = spec.get("trace_ctx") or {}
-    if context.get("trace_id"):
-        tracer.trace_id = context["trace_id"]
-    # Named after the worker, like the coordinator's task span it is
-    # grafted under; the task id stays visible in the flight events.
-    with tracer.span(spec["worker_id"], kind="task") as root:
+def _execute(spec):
+    engine = PipelineEngine(
+        spec["program"], _PlanStub(spec["build_sides"]), None,
+        batch_size=spec["batch_size"],
+        profiler=OperatorRecorder() if spec["profiling"] else None,
+    )
+    _task_state["engine"] = engine
+    if spec["tracing"]:
+        # Named after the worker, like the coordinator's task span it is
+        # grafted under; the task id stays visible in the flight events.
+        root = _task_state["root"] = Span(spec["worker_id"], kind="task")
         root.pid = os.getpid()
-        root.parent_id = context.get("parent_span_id")
-        engine = PipelineEngine(
-            spec["program"], _PlanStub(spec["build_sides"]), None,
-            batch_size=spec["batch_size"], tracer=tracer,
-            profiler=_OpSpanRecorder(root),
+        root.parent_id = spec["trace_ctx"]["parent_span_id"]
+    engine.hash_tables.update(spec["hash_tables"])
+    attachments = []
+    try:
+        batches = _source_batches(
+            spec["source"], engine, spec["registry"], attachments
         )
-        _task_state["tracer"] = tracer
-        _task_state["engine"] = engine
-        engine.hash_tables.update(spec["hash_tables"])
-        attachments = []
-        try:
-            batches = _source_batches(
-                spec["source"], engine, spec["registry"], attachments
-            )
-            # The sink is built plain and never finished: merge
-            # semantics apply against the coordinator's store, so its
-            # pre-finish state travels and the coordinator's own sink
-            # finishes front-end side.
-            sink_class, sink_arg = spec["sink"]
-            sink = sink_class(engine, sink_arg)
-            engine.run_stages(spec["stages"], _counted(batches), sink)
-            result = sink.state
-            _reject_pc_values(result)
-        finally:
-            _detach(attachments)
-    events = []
-    if recorder is not None:
-        events = recorder.snapshot(_task_state.get("events_since", 0))
-    deltas = _pack_deltas(engine, root, events)
-    return result, deltas
+        # The sink is built plain and never finished: merge semantics
+        # apply against the coordinator's store, so its pre-finish state
+        # travels and the coordinator's own sink finishes front-end side.
+        sink_class, sink_arg = spec["sink"]
+        sink = sink_class(engine, sink_arg)
+        engine.run_stages(spec["stages"], _counted(batches), sink)
+        result = sink.state
+        _reject_pc_values(result)
+    finally:
+        _detach(attachments)
+    return result, _close_evidence()
 
 
 def backend_main(task_queue, result_queue, heartbeat=None,
@@ -344,13 +269,11 @@ def backend_main(task_queue, result_queue, heartbeat=None,
         _progress["task"] = task_id
         _progress["rows"] = 0
         _task_state.clear()
-        _task_state["events_since"] = recorder.seq
+        events_since = recorder.seq
         recorder.record("task.dispatch", task=task_id)
         try:
             try:
-                spec = pickle.loads(blob)
-                result, deltas = _execute(spec, task_id=task_id,
-                                          recorder=recorder)
+                returned = _execute(pickle.loads(blob))
             except _TaskRejected as rejected:
                 recorder.record("task.reject", task=task_id,
                                 reason=str(rejected)[:120])
@@ -358,18 +281,21 @@ def backend_main(task_queue, result_queue, heartbeat=None,
                 continue
             except Exception:  # noqa: BLE001 - reported as a crash, parent re-forks
                 recorder.record("task.error", task=task_id)
-                # The error envelope carries the deltas accumulated
-                # before the exception (spans marked truncated), so a
+                # The error envelope carries the evidence accumulated
+                # before the exception (its span marked truncated), so a
                 # retry never loses this attempt's counters.
                 result_queue.put((task_id, "error", {
                     "traceback": traceback.format_exc(limit=20),
-                    "deltas": _failure_deltas(recorder),
+                    "evidence": _close_evidence(
+                        truncated=True,
+                        events=recorder.snapshot(events_since),
+                    ),
                 }))
                 continue
             recorder.record("task.complete", task=task_id,
                             rows=_progress["rows"])
             try:
-                payload = pickle.dumps((result, deltas))
+                payload = pickle.dumps(returned)
             except Exception as exc:  # noqa: BLE001 - unshippable, not fatal
                 result_queue.put(
                     (task_id, "reject", "unpicklable result: %s" % exc)

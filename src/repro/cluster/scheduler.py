@@ -83,6 +83,7 @@ from repro.errors import (
 )
 from repro.memory.block import AllocationBlock
 from repro.memory.builtins import MapType, stable_hash
+from repro.obs.evidence import OperatorRecorder, book_task_evidence
 from repro.obs.tracer import Span
 from repro.storage.dataset import fill_map_pages
 from repro.storage.replication import page_checksum
@@ -151,6 +152,12 @@ class DistributedScheduler:
                  "job traces",
             trace="trace.remote_spans",
         )
+        self._c_graft_failures = cluster.metrics_registry.counter(
+            "pc_trace_span_graft_failures_total",
+            help="Remote span batches too malformed to graft (torn by a "
+                 "dying child); the task's evidence still books",
+            trace="trace.span_graft_failures",
+        )
         self._c_frontend = cluster.metrics_registry.counter(
             "pc_sched_frontend_tasks_total",
             help="Task bodies the coordinator ran itself instead of "
@@ -180,11 +187,9 @@ class DistributedScheduler:
             engine = PipelineEngine(
                 self.program, self.plan, None,
                 batch_size=self.cluster.batch_size,
-                tracer=self.tracer, profiler=self.profiler,
+                profiler=OperatorRecorder() if self.profiler is not None
+                else None,
             )
-            # Engine counters stay exact per instance; binding publishes
-            # their deltas into the worker's registry as pc_engine_*.
-            engine.metrics.bind(worker.metrics)
             checkpoint = self._checkpoints.get(worker.worker_id)
             if checkpoint is not None:
                 engine.hash_tables.update(checkpoint["hash_tables"])
@@ -331,15 +336,35 @@ class DistributedScheduler:
                                 if isinstance(span, Span):
                                     span.detail = "front-end: child_rejected"
                                 outcome = worker.dispatch(attempt.body)
+                            if isinstance(outcome, RemoteOutcome):
+                                # The child's evidence, then its sink's
+                                # pre-finish state; finish() runs here.
+                                self._book_remote(worker, outcome)
+                                attempt.sink.state = outcome.result
+                                attempt.sink.finish()
                         except WorkerCrashError as crash:
-                            self._graft_crash_evidence(worker, span, crash)
+                            # What a crashed remote attempt managed to
+                            # produce — the error envelope's evidence,
+                            # or the span + flight-ring dump synthesized
+                            # for a child that died without answering —
+                            # is booked like a finished one's, so a
+                            # retry never loses the attempt's counters.
+                            if isinstance(span, Span):  # not a null span
+                                span.truncated = True
+                            outcome = getattr(crash, "remote_outcome", None)
+                            if outcome is not None:
+                                self._book_remote(worker, outcome)
                             raise
-                        if isinstance(outcome, RemoteOutcome):
-                            # The child's deltas, then its sink's
-                            # pre-finish state; finish() runs here.
-                            self._apply_remote_deltas(worker, outcome)
-                            attempt.sink.state = outcome.result
-                            attempt.sink.finish()
+                        finally:
+                            # What this process's engine did under the
+                            # span: the whole body, finish() after a
+                            # shipped one, a failed body's counters.
+                            book_task_evidence(
+                                attempt.sink.engine.take_evidence(),
+                                worker.metrics,
+                                self.cluster.metrics_registry,
+                                self.tracer.active,
+                            )
                 finally:
                     attempt.release()
                 if attempts > 1:
@@ -598,10 +623,13 @@ class DistributedScheduler:
             "source": exported,
             "sink": remote_sink,
             "hash_tables": tables,
-            # Trace context (DESIGN §14): the child's task span adopts
-            # this job's trace id and hangs off the span open at build
-            # time (the stage span; grafting re-parents onto the task
-            # span the coordinator opens around the await).
+            # Measured and traced there as here (DESIGN §14).
+            "profiling": self.profiler is not None,
+            "tracing": self.tracer.enabled,
+            # Trace context: the child's task span adopts this job's
+            # trace id and hangs off the span open at build time (the
+            # stage span; grafting re-parents onto the task span the
+            # coordinator opens around the await).
             "trace_ctx": {
                 "trace_id": self.tracer.trace_id,
                 "parent_span_id": active.span_id if active is not None
@@ -624,78 +652,36 @@ class DistributedScheduler:
         ))
         return _Attempt(sink, body, "shipped", task=task, release=release)
 
-    def _apply_remote_deltas(self, worker, outcome):
-        """Replay a child's engine-metric and trace-counter deltas, and
-        graft its span batch into the job tree.
+    def _book_remote(self, worker, outcome):
+        """Graft a child's span batch under the worker's open task span
+        and book its evidence there, so attribution matches the inline
+        run: onto the child's own ``task`` span (the window the body
+        really ran in), or onto the open one when no span arrived whole.
 
-        Applied inside the worker's task span, so trace attribution
-        matches the inline path; the engine's bound registry mirrors the
-        metric deltas into ``pc_engine_*`` automatically.  Span
-        timestamps arrive relative to ``outcome.span_base`` on the
-        child's clock; ``span_base + clock_offset`` shifts the whole
-        batch into the coordinator's ``time.monotonic()`` frame (DESIGN
-        §14), after which the remote root becomes a child of the open
-        task span.  Flight-recorder events the child shipped attach to
-        its root span.
+        Span timestamps arrive relative to ``span_base`` on the child's
+        clock; ``span_base + clock_offset`` shifts the whole batch into
+        the coordinator's ``time.monotonic()`` frame (DESIGN §14).
         """
-        engine = self.engine_for(worker)
-        for field, delta in outcome.metrics.items():
-            if delta:
-                setattr(
-                    engine.metrics, field,
-                    getattr(engine.metrics, field) + delta,
-                )
-        for name, value in outcome.trace_counts.items():
-            self.tracer.add(name, value)
-            if (self.profiler is not None and name.startswith("op.")
-                    and name.endswith(".columnar_rows")):
-                # The child had no profiler; re-book its columnar row
-                # counts under the operator they belong to.
-                operator = name[len("op."):-len(".columnar_rows")]
-                self.profiler.op_columnar_rows.child(
-                    operator=operator
-                ).inc(value)
-        self._graft_remote_spans(outcome)
-
-    def _graft_crash_evidence(self, worker, span, crash):
-        """Preserve what a crashed remote attempt managed to produce.
-
-        The transport attaches a ``remote_outcome`` to the crash when it
-        has evidence — the error envelope's pre-exception deltas and
-        truncated spans, or the synthesized span + flight-ring dump of a
-        child that died without answering.  Replayed inside the still-
-        open task span (the caller re-raises right after), so retries
-        never lose the attempt's counters and the trace shows what the
-        worker was doing when it died.
-        """
-        if isinstance(span, Span):  # a disabled tracer yields a null span
-            span.truncated = True
-        outcome = getattr(crash, "remote_outcome", None)
-        if outcome is None:
-            return
-        self._apply_remote_deltas(worker, outcome)
-
-    def _graft_remote_spans(self, outcome):
-        """Attach a remote span batch under the currently open span."""
-        parent = self.tracer.active
-        if parent is None or not outcome.spans:
-            return
-        shift_s = outcome.span_base + outcome.clock_offset
+        evidence = outcome.evidence
+        parent = task_span = self.tracer.active
+        shift_s = evidence.get("span_base", 0.0) + outcome.clock_offset
         grafted = 0
-        for payload in outcome.spans:
+        spans = evidence.get("spans") if parent is not None else None
+        for payload in spans or ():
             try:
                 span = Span.from_dict(payload)
-            except (KeyError, TypeError, ValueError):  # pcsan: disable=PC005
-                # Malformed span batch (torn by a dying child): the
-                # counters already landed above, only the tree is lost.
-                self.tracer.add("trace.span_graft_failures")
+            except (KeyError, TypeError, ValueError):
+                # Malformed span batch (torn by a dying child): only the
+                # tree is lost, the evidence books onto the open span.
+                self._c_graft_failures.inc()
                 continue
             span.shift(shift_s)
             span.parent_id = parent.span_id
             if span.pid is None:
-                span.pid = outcome.pid
+                span.pid = evidence.get("pid")
             parent.children.append(span)
             grafted += sum(1 for _ in span.walk())
+            task_span = span
         if grafted:
             self._c_remote_spans.inc(grafted)
             error_s = outcome.clock_error_s
@@ -706,6 +692,10 @@ class DistributedScheduler:
                     parent.counters.get("trace.clock_error_s", 0.0),
                     error_s,
                 )
+        book_task_evidence(
+            evidence, worker.metrics, self.cluster.metrics_registry,
+            task_span, outcome.clock_offset,
+        )
 
     # -- stage runners -----------------------------------------------------------------
 

@@ -410,50 +410,27 @@ class RemoteTask:
 class RemoteOutcome:
     """What a completed remote task hands back to the coordinator.
 
-    Beyond the result and counter deltas, it carries the child's span
-    batch (serialized :meth:`Span.to_dict` trees, timestamps relative to
-    ``span_base`` on the *child's* ``time.monotonic()`` clock), the
-    flight-recorder events of the task, and the clock calibration
+    ``result`` is the sink's pre-finish state and ``evidence`` the task's
+    evidence as the child closed it (:mod:`repro.obs.evidence`; with
+    tracing on it carries the child's ``task`` span under ``"spans"``,
+    timestamps relative to ``"span_base"`` on the *child's*
+    ``time.monotonic()`` clock), plus the clock calibration
     (``clock_offset`` such that master ≈ child + offset, accurate to
-    ``clock_error_s``) the coordinator needs to graft the spans into the
-    job tree.  Error and death envelopes build one too (``result=None``)
-    so partial evidence takes the same grafting path.  ``rejected`` is
-    the child's reason when it judged the task unshippable (a result
-    still pointing into page memory): nothing ran to completion and the
-    scheduler re-runs the portion front-end side.
+    ``clock_error_s``) the coordinator needs to place the child's
+    timestamps in the job tree.  Error and death envelopes build one too
+    (``result=None``) so partial evidence takes the same booking path.
+    ``rejected`` is the child's reason when it judged the task
+    unshippable (a result still pointing into page memory): nothing ran
+    to completion and the scheduler re-runs the portion front-end side.
     """
 
-    def __init__(self, result, metrics, trace_counts, spans=(),
-                 span_base=0.0, events=(), clock_offset=0.0,
-                 clock_error_s=0.0, pid=None, rejected=None):
+    def __init__(self, result=None, evidence=None, clock_offset=0.0,
+                 clock_error_s=0.0, rejected=None):
         self.result = result
-        self.rejected = rejected
-        #: EngineMetrics field deltas accumulated by the child's engine.
-        self.metrics = metrics
-        #: tracer counter deltas (``engine.batches`` etc.) from the child.
-        self.trace_counts = trace_counts
-        self.spans = list(spans or ())
-        self.span_base = span_base
-        self.events = list(events or ())
+        self.evidence = evidence or {}
         self.clock_offset = clock_offset
         self.clock_error_s = clock_error_s
-        self.pid = pid
-
-    @classmethod
-    def from_deltas(cls, deltas, result=None, clock_offset=0.0,
-                    clock_error_s=0.0):
-        """Build from a child's shipped ``deltas`` dict (ok or error leg)."""
-        return cls(
-            result,
-            deltas.get("metrics") or {},
-            deltas.get("trace") or {},
-            spans=deltas.get("spans"),
-            span_base=deltas.get("span_base", 0.0),
-            events=deltas.get("events"),
-            clock_offset=clock_offset,
-            clock_error_s=clock_error_s,
-            pid=deltas.get("pid"),
-        )
+        self.rejected = rejected
 
 
 class _PendingFuture:
@@ -500,7 +477,7 @@ class _PendingFuture:
         )
         if status == "ok":
             try:
-                result, deltas = pickle.loads(payload)
+                result, evidence = pickle.loads(payload)
             except Exception as exc:  # noqa: BLE001 - any decode failure is a crash
                 self._backend.crashed = True
                 self._error = WorkerCrashError(
@@ -508,35 +485,32 @@ class _PendingFuture:
                     "%r: %s" % (worker_id, exc)
                 )
                 raise self._error from exc
-            offset, error_s = self._child.calibrate_clock()
-            self._value = RemoteOutcome.from_deltas(
-                deltas, result=result, clock_offset=offset,
-                clock_error_s=error_s,
+            self._value = RemoteOutcome(
+                result, evidence, *self._child.calibrate_clock()
             )
             return self._value
         if status == "reject":
-            self._value = RemoteOutcome(None, {}, {}, rejected=payload)
+            self._value = RemoteOutcome(rejected=payload)
             return self._value
         self._backend.crashed = True
         if status == "error":
             # A Python-level failure inside the child: the envelope is a
-            # dict carrying the traceback plus the deltas the task
-            # accumulated before it blew up (spans marked truncated), so
-            # retries keep the attempt's counters.  Legacy string
+            # dict carrying the traceback plus the evidence the task
+            # accumulated before it blew up (its span marked truncated),
+            # so retries keep the attempt's counters.  Legacy string
             # payloads (a pooled pre-upgrade child) degrade gracefully.
             if isinstance(payload, dict):
                 message = payload.get("traceback", "")
-                deltas = payload.get("deltas")
+                evidence = payload.get("evidence")
             else:
-                message, deltas = payload, None
+                message, evidence = payload, None
             self._error = WorkerCrashError(
                 "back-end process of worker %r died: %s"
                 % (worker_id, message)
             )
-            if deltas:
-                offset, error_s = self._child.calibrate_clock()
-                self._error.remote_outcome = RemoteOutcome.from_deltas(
-                    deltas, clock_offset=offset, clock_error_s=error_s,
+            if evidence:
+                self._error.remote_outcome = RemoteOutcome(
+                    None, evidence, *self._child.calibrate_clock()
                 )
             self._error.detected_at = time.monotonic()
             raise self._error
@@ -700,11 +674,10 @@ class _ChildProcess:
         if events:
             span["events"] = events
         return RemoteOutcome(
-            None, {}, {}, spans=[span], span_base=submitted,
-            events=events, clock_offset=0.0,
+            evidence={"spans": [span], "span_base": submitted,
+                      "pid": self.pid},
             clock_error_s=self.clock_error_s
             if self.clock_error_s is not None else float("inf"),
-            pid=self.pid,
         )
 
     def _pull_result(self, timeout):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import BlockFullError, ExecutionError
-from repro.obs import Tracer
 from repro.engine import kernels
 from repro.memory.builtins import MapFacade, stable_hash
 from repro.memory.columnar import ColumnarRows
@@ -46,54 +45,26 @@ from repro.tcap.ir import (
 
 
 class EngineMetrics:
-    """Counters surfaced by tests and the Figure 4/5 benches.
+    """Plain counters, exact per engine instance (tests and the Figure
+    4/5 benches assert per-run values).
 
-    The fields stay exact per engine instance (tests assert per-run
-    values); :meth:`bind` additionally publishes every increase into a
-    metrics registry as cumulative ``pc_engine_*`` counters, so the
-    cluster-wide snapshot sees engine activity without disturbing the
-    per-instance numbers.
+    What an engine counted reaches ``pc_engine_*`` and the trace as task
+    evidence (:meth:`PipelineEngine.take_evidence`), never from here.
     """
 
-    FIELDS = ("batches", "rows_in", "stage_invocations", "pages_written",
-              "zombie_pages", "pre_aggregated_keys", "probe_matches",
-              "columnar_rows")
+    FIELDS = ("batches", "rows_in", "rows_out", "stage_invocations",
+              "pages_written", "zombie_pages", "pre_aggregated_keys",
+              "probe_matches", "columnar_rows")
 
     def __init__(self):
-        object.__setattr__(self, "_counters", None)
         for name in self.FIELDS:
-            object.__setattr__(self, name, 0)
-
-    def bind(self, registry):
-        """Mirror future (and already-accumulated) increases into
-        ``registry`` as ``pc_engine_<field>_total`` counters."""
-        counters = {
-            name: registry.counter(
-                "pc_engine_%s_total" % name,
-                help="Pipeline-engine counter: %s" % name.replace("_", " "),
-            )
-            for name in self.FIELDS
-        }
-        for name, counter in counters.items():
-            accumulated = getattr(self, name)
-            if accumulated:
-                counter.inc(accumulated)
-        object.__setattr__(self, "_counters", counters)
-        return self
-
-    def __setattr__(self, name, value):
-        counters = self._counters
-        if counters is not None and name in counters:
-            delta = value - getattr(self, name, 0)
-            if delta > 0:
-                counters[name].inc(delta)
-        object.__setattr__(self, name, value)
+            setattr(self, name, 0)
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
-#: Operator labels for the profiler's ``pc_op_seconds`` histogram.
+#: Operator names in task evidence (``pc_op_*{operator=...}``, ``op`` spans).
 _OPERATOR_NAMES = {
     ApplyStmt: "apply",
     FilterStmt: "filter",
@@ -107,22 +78,21 @@ class PipelineEngine:
     """Executes a physical plan over one worker's data."""
 
     def __init__(self, program, plan, scan_reader, batch_size=None,
-                 output_sink_factory=None, metrics=None, tracer=None,
-                 profiler=None):
+                 output_sink_factory=None, metrics=None, profiler=None):
         """``scan_reader(scan_stmt)`` yields the objects of a stored set
         (None when every ``run_stages`` call is handed its batches);
         ``output_sink_factory(output_stmt)`` builds the sink for OUTPUT
         statements (defaults to collecting Python lists).  With a
-        ``profiler`` every TCAP operator application is timed into the
-        ``pc_op_seconds{operator=...}`` histograms.
+        ``profiler`` (:class:`repro.obs.evidence.OperatorRecorder`) every
+        TCAP operator application is measured into the task's evidence.
         """
         self.program = program
         self.plan = plan
         self.scan_reader = scan_reader
         self.batch_size = batch_size or DEFAULT_BATCH_SIZE
         self.metrics = metrics or EngineMetrics()
-        self.tracer = tracer or Tracer()
         self.profiler = profiler
+        self._closed = self.metrics.as_dict()  # counters at the last close
         self.hash_tables = {}  # join output vlist -> {hash: [row tuples]}
         self.store = {}  # materialized vlist -> {column: list}
         self.outputs = {}  # (db, set) -> list (when using the default sink)
@@ -160,6 +130,25 @@ class PipelineEngine:
             self.metrics.rows_in += len(batch)
             self._process_batch(stages, batch, sink)
 
+    def take_evidence(self):
+        """Close the evidence of the task that just ran (or failed).
+
+        Plain data: the counter increases since the previous close and
+        the operator records of the recorder behind ``profiler`` (none
+        without one).  :func:`repro.obs.evidence.book_task_evidence`
+        books it — here when the coordinator ran the body, after the trip
+        home when a back-end process did.
+        """
+        counters = self.metrics.as_dict()
+        closed, self._closed = self._closed, counters
+        return {
+            "engine": {
+                name: counters[name] - closed[name] for name in counters
+            },
+            "ops": self.profiler.drain() if self.profiler is not None
+            else {},
+        }
+
     def _process_batch(self, stages, batch, sink):
         """Push one batch through all stages into the sink.
 
@@ -171,8 +160,6 @@ class PipelineEngine:
         rows — is the paper's zombie output page.  A page-writing sink's
         ``consume`` never raises one: its writer rolls per object.
         """
-        self.tracer.add("engine.batches")
-        self.tracer.add("engine.rows_in", len(batch))
         for attempt in range(3):
             block = sink.allocation_block()
             try:
@@ -186,7 +173,7 @@ class PipelineEngine:
                     if current is not None:
                         sink.consume(current)
                 if current is not None:
-                    self.tracer.add("engine.rows_out", len(current))
+                    self.metrics.rows_out += len(current)
                 return
             except BlockFullError:
                 if attempt == 2:
@@ -274,12 +261,7 @@ class PipelineEngine:
     def _note_columnar(self, operator, rows):
         self.metrics.columnar_rows += rows
         if self.profiler is not None:
-            self.profiler.note_columnar_rows(operator, rows)
-        elif self.tracer is not None:
-            # No profiler in a back-end process: record the per-operator
-            # count as a trace counter so the coordinator can replay it
-            # into its own pc_op_columnar_rows_total series.
-            self.tracer.add("op.%s.columnar_rows" % operator, rows)
+            self.profiler.columnar(operator, rows)
 
     def hash_table(self, output):
         """The built hash table of join ``output``; raises when missing."""

@@ -15,6 +15,7 @@ _HEADLINE_COUNTERS = (
     "net.bytes_zero_copy",
     "net.bytes_rows",
     "pool.pages_pinned",
+    "op.wall_ms",
 )
 
 

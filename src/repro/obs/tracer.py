@@ -23,11 +23,11 @@ surfaced as ``PCCluster.traces``), so back-to-back jobs do not clobber
 each other's evidence.
 
 Since PR 9 the trace layer is *distributed* (DESIGN §14): spans carry a
-``pid`` and ``time.monotonic()`` timestamps, back-end processes run
-their own :class:`Tracer` whose finished span batches ship back in the
-result envelope, and the coordinator grafts them (clock-aligned) into
-the job tree.  A span cut short by a worker death is marked
-``truncated`` — it is evidence, not an error.
+``pid`` and ``time.monotonic()`` timestamps, a back-end process records
+its ``task`` span and ships it home with the task's evidence, and the
+coordinator grafts it (clock-aligned) into the job tree.  A span cut
+short by a worker death is marked ``truncated`` — it is evidence, not an
+error.
 """
 
 from __future__ import annotations
@@ -293,14 +293,11 @@ class Tracer:
         try:
             yield span
         finally:
-            # abandon() may have force-closed this span already (crash
-            # path); its end timestamp and truncated mark then stand.
-            if self._stack and self._stack[-1] is span:
-                span.end = time.monotonic()
-                self._stack.pop()
-                if not self._stack:
-                    self.last_trace = Trace(span)
-                    self.trace_ring.append(self.last_trace)
+            span.end = time.monotonic()
+            self._stack.pop()
+            if not self._stack:
+                self.last_trace = Trace(span)
+                self.trace_ring.append(self.last_trace)
 
     def recent_traces(self, n=1):
         """The last ``n`` completed traces, most recent first."""
@@ -308,26 +305,6 @@ class Tracer:
         if n <= 0:
             return []
         return [ring[-i] for i in range(1, min(n, len(ring)) + 1)]
-
-    def abandon(self, truncated=True):
-        """Force-close every open span (crash path in a back-end process).
-
-        The spans get real end timestamps and, by default, the
-        ``truncated`` mark; the bottom span's :class:`Trace` is returned
-        (and becomes ``last_trace``) so partial evidence can ship in an
-        error envelope.  No-op returning None when nothing is open.
-        """
-        if not self._stack:
-            return None
-        now = time.monotonic()
-        bottom = self._stack[0]
-        for span in self._stack:
-            span.end = now
-            span.truncated = truncated
-        del self._stack[:]
-        self.last_trace = Trace(bottom)
-        self.trace_ring.append(self.last_trace)
-        return self.last_trace
 
     def add(self, counter, value=1):
         """Report into the active span; no-op when no span is open."""

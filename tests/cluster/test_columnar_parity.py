@@ -125,17 +125,11 @@ def test_selection_projection_aggregation_parity(tmp_path, transport):
             results[columnar] = _run_selection_and_sum(cluster, columnar)
             snapshot = cluster.metrics()
             if columnar:
-                # The engine-total counter is authoritative on every
-                # transport (process workers ship their metric deltas
-                # home); the per-operator split is master-side
-                # observability, so assert it where the pipeline runs
-                # in the coordinator process.
                 assert snapshot.value("pc_engine_columnar_rows_total") > 0
-                if transport == "sim":
-                    for operator in ("filter", "apply", "aggregate"):
-                        assert snapshot.value(
-                            "pc_op_columnar_rows_total", operator=operator
-                        ) > 0, operator
+                for operator in ("filter", "apply", "aggregate"):
+                    assert snapshot.value(
+                        "pc_op_columnar_rows_total", operator=operator
+                    ) > 0, operator
             else:
                 assert snapshot.value("pc_op_columnar_rows_total") == 0
                 assert snapshot.value("pc_engine_columnar_rows_total") == 0

@@ -23,7 +23,7 @@ from repro.core import AggregateComp, ObjectReader, SelectionComp, \
 from repro.errors import ExecutionError
 from repro.memory import Float64, Int32, Int64, PCObject
 from repro.obs import validate_chrome_trace, to_chrome_trace
-from repro.obs.tracer import Span, Trace, Tracer
+from repro.obs.tracer import Span, Trace
 from repro.tpch import TpchSpec, customers_per_supplier_pc, \
     load_pc_customers
 
@@ -34,12 +34,12 @@ needs_process = pytest.mark.skipif(
 TPCH_SPEC = TpchSpec(n_customers=30, n_parts=40, n_suppliers=6, seed=11)
 
 
-def _tpch_cluster(tmp_path, subdir, policy=None):
+def _tpch_cluster(tmp_path, subdir, policy=None, profiling=False):
     root = tmp_path / subdir
     root.mkdir(exist_ok=True)
     cluster = PCCluster(
         n_workers=3, page_size=1 << 14, spill_root=str(root),
-        transport="process", retry_policy=policy,
+        transport="process", retry_policy=policy, profiling=profiling,
     )
     load_pc_customers(cluster, TPCH_SPEC, replication=2)
     return cluster
@@ -50,7 +50,7 @@ def _tpch_cluster(tmp_path, subdir, policy=None):
 
 @needs_process
 def test_merged_trace_has_spans_from_every_worker_pid(tmp_path):
-    cluster = _tpch_cluster(tmp_path, "merge")
+    cluster = _tpch_cluster(tmp_path, "merge", profiling=True)
     try:
         customers_per_supplier_pc(cluster)
         trace = cluster.last_trace
@@ -347,22 +347,6 @@ def test_remote_span_traces_round_trip_through_json(root):
         assert got.duration_s == round(want.duration_s, 9)
         # Relative offsets survive (start anchored at the root).
         assert got.start == round(want.start - root.start, 9)
-
-
-def test_abandon_marks_open_spans_truncated():
-    tracer = Tracer()
-    context = tracer.span("task-1", kind="task")
-    span = context.__enter__()
-    tracer.add("engine.rows_in", 17)
-    trace = tracer.abandon()
-    assert trace is not None
-    assert trace.root is span
-    assert span.truncated and span.end is not None
-    assert span.counters == {"engine.rows_in": 17}
-    assert tracer.active is None
-    # The abandoned trace is reachable like a finished one.
-    assert tracer.last_trace is trace
-    assert tracer.recent_traces(1) == [trace]
 
 
 @needs_process
