@@ -34,6 +34,7 @@ import time
 from repro.analysis import sanitizer as pcsan
 from repro.catalog import CatalogJournal, CatalogManager
 from repro.engine.physical import plan_pipelines
+from repro.engine.pipeline import combine_into
 from repro.engine.vectors import DEFAULT_BATCH_SIZE
 from repro.errors import (
     CatalogError,
@@ -575,7 +576,8 @@ class PCCluster:
         as-is.  With ``as_pairs=True`` the set is treated as an
         aggregation output and merged into one ``{key: value}`` dict;
         ``comp`` (the AggregateComp) supplies ``decode_key`` /
-        ``decode_value`` / ``combine`` for stored PC Maps.
+        ``decode_value`` / ``combine`` for stored PC Maps; without it a
+        key stored twice keeps the value read last.
 
         An unknown database or set raises
         :class:`~repro.errors.SetNotFoundError` — a typo'd name must not
@@ -607,13 +609,9 @@ class PCCluster:
                     "set %s.%s does not look like an aggregation output"
                     % (database, set_name)
                 )
-            for key, value in pairs:
-                key = decode_key(key)
-                value = decode_value(value)
-                if key in merged and combine is not None:
-                    merged[key] = combine(merged[key], value)
-                else:
-                    merged[key] = value
+            combine_into(merged, (
+                (decode_key(key), decode_value(value)) for key, value in pairs
+            ), combine)
         return merged
 
     # -- introspection ------------------------------------------------------------------------

@@ -64,6 +64,9 @@ from repro.engine.pipeline import (
     MaterializeSink,
     PipelineEngine,
     Sink,
+    combine_into,
+    hash_rows_into,
+    join_sides,
     object_batches,
 )
 from repro.cluster.transport import (
@@ -568,10 +571,6 @@ class DistributedScheduler:
             self.engine_for(worker).stored(pipeline.source)
         )
 
-    def _collect_sink(self, worker):
-        """A sink that only collects: the caller reads its ``state``."""
-        return MaterializeSink(self.engine_for(worker), None)
-
     # -- placement: ship the attempt, or keep it front-end side ------------------------
 
     def _place(self, worker, stages, source, sink, body):
@@ -718,80 +717,86 @@ class DistributedScheduler:
 
         return make_attempt
 
-    def _collect_from_workers(self, pipeline, stages):
-        """Every worker's collected columns for one segment, in order."""
-        workers = list(self.workers)
-        done = self._run_worker_tasks([
-            (worker, self._attempt(
-                worker, stages, self._pipeline_source(worker, pipeline),
-                self._collect_sink,
-            ))
-            for worker in workers
-        ])
-        return [done[worker.worker_id].state or {} for worker in workers]
+    # -- the one exchange: partition -> ship -> receive ------------------------------------
 
-    def _shuffle_columns(self, per_worker_columns, hash_column):
-        """Repartition rows by ``hash % n_workers``; returns per-worker columns."""
+    def _exchange(self, held, comp=None):
+        """Move rows between workers — every shuffle, broadcast and merge.
+
+        ``held[s]`` is worker ``s``'s ``(rows, hashes)``: row ``i`` goes
+        to worker ``hashes[i] % n`` — to every worker when ``hashes`` is
+        None.  Returns the rows each worker received, sources in worker
+        order.  On the wire (:meth:`_wire`) a partition becomes messages,
+        a message crosses, an arrived message becomes rows again.  Three
+        decisions, made here once: an empty partition makes no message; a
+        worker's own messages are handed over in their place in that
+        order — no transfer, so nothing to count, checksum or
+        fault-inject; every other one is shipped, and what is unpacked is
+        what ``ship`` returned: the message that *arrived*.
+        """
         workers = self.workers
         n = len(workers)
-        received = [None] * n
-        for src_index, columns in enumerate(per_worker_columns):
-            if not columns:
-                continue
-            names = list(columns)
-            hashes = columns[hash_column]
-            buckets = [dict((name, []) for name in names) for _ in range(n)]
-            for row, hash_value in enumerate(hashes):
-                dest = hash_value % n
-                bucket = buckets[dest]
-                for name in names:
-                    bucket[name].append(columns[name][row])
-            for dst_index, bucket in enumerate(buckets):
-                if not bucket[names[0]]:
-                    continue
-                rows = list(zip(*(bucket[name] for name in names)))
-                self.cluster.network.ship_rows(
-                    workers[src_index].worker_id,
-                    workers[dst_index].worker_id,
-                    rows,
-                )
-                target = received[dst_index]
-                if target is None:
-                    target = {name: [] for name in names}
-                    received[dst_index] = target
-                for name in names:
-                    target[name].extend(bucket[name])
-        return [r or {} for r in received]
+        pack, ship, unpack = self._wire(comp)
+        received = [[] for _ in workers]
+        for src, (rows, hashes) in zip(workers, held):
+            if hashes is None:
+                partitions = [rows] * n
+            else:
+                partitions = [[] for _ in workers]
+                for row, hash_value in zip(rows, hashes):
+                    partitions[hash_value % n].append(row)
+            for dst, partition, into in zip(workers, partitions, received):
+                for message in pack(src, partition) if partition else ():
+                    if src is not dst:
+                        message = ship(src.worker_id, dst.worker_id, message)
+                    into.extend(unpack(dst, message))
+        return received
 
-    def _probe_segments(self, pipeline, per_worker_columns, segments,
-                        sink_factory):
-        """Run the remaining probe segments, shuffling between them."""
-        for index, segment in enumerate(segments):
-            join = segment[0]
-            build_side = self.plan.build_sides.get(join.output, "right")
-            probe_hash = (
-                join.left_hash if build_side == "right" else join.right_hash
+    def _wire(self, comp=None):
+        """``(pack, ship, unpack)``: structured rows, one message a
+        partition — or, for the ``(key, value)`` rows of an aggregation
+        that declares PC types, PC Maps on combiner pages (Figure 5): the
+        page bytes are shipped verbatim and the receiver reads the Map
+        out of the arrived page with no deserialization."""
+        if comp is None or comp.key_type is None or comp.value_type is None:
+            return (
+                lambda src, rows: [rows], self.cluster.network.ship_rows,
+                lambda dst, rows: rows,
             )
-            per_worker_columns = self._shuffle_columns(
-                per_worker_columns, probe_hash
+        map_type = MapType(comp.key_type, comp.value_type)
+
+        def pack(src, pairs):
+            pages = []
+
+            def place(build):
+                block = AllocationBlock(
+                    self.cluster.combiner_page_size,
+                    registry=src.local_catalog.registry,
+                )
+                handle = build(block)
+                # The combiner page's root is the Map itself.
+                block.set_root(handle.offset, handle.type_code)
+                pages.append(block.to_bytes())
+
+            fill_map_pages(map_type, pairs, place)
+            return pages
+
+        def ship(src_id, dst_id, payload):
+            # Checksummed transfer: a corrupted combiner page is
+            # detected on receipt and re-sent, never merged.
+            return self.cluster.network.ship_page(
+                src_id, dst_id, payload, checksum=page_checksum(payload)
             )
-            last = index == len(segments) - 1
-            workers = list(self.workers)
-            done = self._run_worker_tasks([
-                (worker, self._attempt(
-                    worker, segment,
-                    functools.partial(
-                        _ColumnSource, per_worker_columns[w_index]
-                    ),
-                    sink_factory if last else self._collect_sink,
-                ))
-                for w_index, worker in enumerate(workers)
-            ])
-            if not last:
-                per_worker_columns = [
-                    done[worker.worker_id].state or {}
-                    for worker in workers
-                ]
+
+        def unpack(dst, data):
+            page = AllocationBlock.from_bytes(
+                data, registry=dst.local_catalog.registry
+            )
+            return [
+                (comp.decode_key(key), comp.decode_value(value))
+                for key, value in map_type.facade(page, page.root()[0]).items()
+            ]
+
+        return pack, ship, unpack
 
     def _run_distributed_pipeline(self, pipeline, sink_factory):
         """Run a full pipeline on every worker, honoring join partitioning.
@@ -804,26 +809,53 @@ class DistributedScheduler:
         back to the restart-from-scratch degradation.
         """
         segments = self._segments(pipeline.stages)
-        first, rest = segments[0], segments[1:]
-        if not rest:
+        on_lost = None
+        if len(segments) == 1:
             def on_lost(worker, lost, completed):
                 if not self._can_absorb(lost, pipeline):
                     raise lost
                 self._absorb_lost_worker(
-                    lost, pipeline, first, sink_factory, completed
+                    lost, pipeline, segments[0], sink_factory, completed
                 )
 
-            items = [
+        # A later segment probes a partitioned table: its input is what
+        # the one before collected, each row at worker ``probe hash % n``.
+        for segment in segments:
+            last = segment is segments[-1]
+            workers = list(self.workers)
+            if segment is segments[0]:
+                sources = [
+                    self._pipeline_source(worker, pipeline)
+                    for worker in workers
+                ]
+            else:
+                _build, (probe_hash, _carried) = join_sides(
+                    self.plan, segment[0]
+                )
+                names = next((list(c) for c in collected if c), [])
+                received = self._exchange([(
+                    zip(*(c.get(name, ()) for name in names)),
+                    c.get(probe_hash, ()),
+                ) for c in collected])
+                sources = [
+                    functools.partial(
+                        _ColumnSource, dict(zip(names, map(list, zip(*rows))))
+                    )
+                    for rows in received
+                ]
+            done = self._run_worker_tasks([
                 (worker, self._attempt(
-                    worker, first, self._pipeline_source(worker, pipeline),
-                    sink_factory,
+                    worker, segment, source,
+                    sink_factory if last else lambda w: MaterializeSink(
+                        self.engine_for(w), None
+                    ),
                 ))
-                for worker in list(self.workers)
-            ]
-            self._run_worker_tasks(items, on_lost=on_lost)
-            return
-        collected = self._collect_from_workers(pipeline, first)
-        self._probe_segments(pipeline, collected, rest, sink_factory)
+                for worker, source in zip(workers, sources)
+            ], on_lost=on_lost)
+            if not last:
+                collected = [
+                    done[worker.worker_id].state or {} for worker in workers
+                ]
 
     def _can_absorb(self, lost, pipeline):
         """Whether a lost worker's stage portion can move to survivors.
@@ -933,63 +965,44 @@ class DistributedScheduler:
         return total_rows * 64
 
     def _run_build(self, pipeline):
+        """Each worker builds a table from its own build rows; the
+        tables' rows ``(hash, *carried columns)`` are exchanged — every
+        row to every worker (broadcast) or to worker ``hash % n``
+        (partition) — and each worker's table is what it received."""
         join = pipeline.sink
         size = self._estimate_source_bytes(pipeline)
         mode = (
             "broadcast" if size <= self.broadcast_threshold else "partition"
         )
         self.join_modes[join.output] = mode
+        workers = self.workers
         with self._stage(
             "BuildHashTableJobStage",
             "%s join build for %s (est %d bytes)" % (mode, join.output, size),
         ):
-            self._run_build_stage(pipeline, join, mode)
-
-    def _run_build_stage(self, pipeline, join, mode):
-        if mode == "broadcast":
-            # Builds overlap across back-end processes; the ship and
-            # merge pass is a serial coordinator loop.
+            # Builds overlap across back-end processes; the exchange and
+            # the folds are a serial coordinator loop.
             self._run_worker_tasks([
                 (worker, self._attempt(
                     worker, pipeline.stages,
                     self._pipeline_source(worker, pipeline),
                     lambda w: HashBuildSink(self.engine_for(w), join),
                 ))
-                for worker in self.workers
+                for worker in workers
             ])
-            merged = {}
-            for worker in self.workers:
+            held = []
+            for worker in workers:
                 table = self.engine_for(worker).hash_tables[join.output]
-                rows = [row for bucket in table.values() for row in bucket]
-                self.cluster.network.ship_rows(
-                    worker.worker_id, "master", rows
-                )
-                for hash_value, bucket in table.items():
-                    merged.setdefault(hash_value, []).extend(bucket)
-            for worker in self.workers:
-                rows = [r for b in merged.values() for r in b]
-                self.cluster.network.ship_rows("master", worker.worker_id, rows)
-                self.engine_for(worker).hash_tables[join.output] = merged
-            return
-
-        # Partitioned: collect (hash, row) per worker, shuffle, build shards.
-        side = self.plan.build_sides[join.output]
-        hash_column = join.right_hash if side == "right" else join.left_hash
-        collected = self._collect_from_workers(pipeline, pipeline.stages)
-        shuffled = self._shuffle_columns(collected, hash_column)
-        columns_kept = (
-            join.right_columns if side == "right" else join.left_columns
-        )
-        for w_index, worker in enumerate(self.workers):
-            columns = shuffled[w_index]
-            table = {}
-            if columns:
-                cols = [columns[c] for c in columns_kept]
-                for row, hash_value in enumerate(columns[hash_column]):
-                    table.setdefault(hash_value, []).append(
-                        tuple(column[row] for column in cols)
-                    )
-            self.engine_for(worker).hash_tables[join.output] = table
+                rows = [
+                    (hash_value,) + row
+                    for hash_value, bucket in table.items() for row in bucket
+                ]
+                held.append((
+                    rows, None if mode == "broadcast" else [r[0] for r in rows]
+                ))
+            for worker, rows in zip(workers, self._exchange(held)):
+                self.engine_for(worker).hash_tables[join.output] = \
+                    hash_rows_into({}, rows)
 
     def _run_aggregate(self, pipeline):
         agg = pipeline.sink
@@ -1003,93 +1016,29 @@ class DistributedScheduler:
                 lambda worker: AggregateSink(self.engine_for(worker), agg),
             )
 
-        # Shuffle combiner pages: hash-partition the pre-aggregated keys.
+        # Consuming stage: the pre-aggregated pairs, exchanged by key hash.
         workers = self.workers
-        n = len(workers)
         with self._stage(
-            "AggregationJobStage",
-            "shuffled merge for %s over %d partitions" % (agg.output, n),
+            "AggregationJobStage", "shuffled merge for %s over %d partitions"
+            % (agg.output, len(workers)),
         ):
-            final_groups = [dict() for _ in range(n)]
-            for src_index, worker in enumerate(workers):
-                engine = self.engine_for(worker)
-                store = engine.store.pop(agg.output, None)
-                if store is None:
-                    continue
-                partitions = [dict() for _ in range(n)]
-                for key, value in zip(store["key"], store["val"]):
-                    bucket = partitions[stable_hash(key) % n]
-                    if key in bucket:
-                        # A store can carry a key twice after a survivor
-                        # absorbed a lost peer's portion — combine, never
-                        # silently overwrite.
-                        bucket[key] = comp.combine(bucket[key], value)
-                    else:
-                        bucket[key] = value
-                for dst_index, partition in enumerate(partitions):
-                    if not partition:
-                        continue
-                    self._ship_aggregate_partition(
-                        comp, worker, workers[dst_index], partition,
-                        final_groups[dst_index],
-                    )
-            for w_index, worker in enumerate(workers):
-                groups = final_groups[w_index]
-                self.tracer.add("agg.merged_keys", len(final_groups[w_index]))
+            held = []
+            for worker in workers:
+                store = self.engine_for(worker).store.pop(agg.output, None)
+                # A store can carry a key twice after a survivor absorbed
+                # a lost peer's portion — combine, never overwrite.
+                groups = combine_into(
+                    {}, zip(store["key"], store["val"]) if store else (),
+                    comp.combine,
+                )
+                held.append((groups.items(), map(stable_hash, groups)))
+            for worker, pairs in zip(workers, self._exchange(held, comp)):
+                groups = combine_into({}, pairs, comp.combine)
+                self.tracer.add("agg.merged_keys", len(groups))
                 self.engine_for(worker).store[agg.output] = {
                     "key": list(groups.keys()),
                     "val": list(groups.values()),
                 }
-
-    def _ship_aggregate_partition(self, comp, src, dst, partition, into):
-        """Move one hash partition of pre-aggregated data src -> dst.
-
-        When the aggregation declares PC key/value descriptors, the
-        partition travels as a real PC Map on a combiner page: the bytes
-        are shipped verbatim, and the receiver reads the Map out of the
-        arrived page with no deserialization (Figure 5).
-        """
-        network = self.cluster.network
-        if comp.key_type is not None and comp.value_type is not None:
-            map_type = MapType(comp.key_type, comp.value_type)
-
-            def ship_page(build):
-                # The combiner page's root is the Map itself.
-                block = AllocationBlock(
-                    self.cluster.combiner_page_size,
-                    registry=src.local_catalog.registry,
-                )
-                handle = build(block)
-                block.set_root(handle.offset, handle.type_code)
-                payload = block.to_bytes()
-                # Checksummed transfer: a corrupted combiner page is
-                # detected on receipt and re-sent, never merged.
-                data = network.ship_page(
-                    src.worker_id, dst.worker_id, payload,
-                    checksum=page_checksum(payload),
-                )
-                arrived = AllocationBlock.from_bytes(
-                    data, registry=dst.local_catalog.registry
-                )
-                offset, _code = arrived.root()
-                arrived_map = map_type.facade(arrived, offset)
-                for key, value in arrived_map.items():
-                    key = comp.decode_key(key)
-                    value = comp.decode_value(value)
-                    if key in into:
-                        into[key] = comp.combine(into[key], value)
-                    else:
-                        into[key] = value
-
-            fill_map_pages(map_type, partition.items(), ship_page)
-        else:
-            rows = list(partition.items())
-            network.ship_rows(src.worker_id, dst.worker_id, rows)
-            for key, value in rows:
-                if key in into:
-                    into[key] = comp.combine(into[key], value)
-                else:
-                    into[key] = value
 
     def _run_materialize(self, pipeline):
         with self._stage(

@@ -281,13 +281,9 @@ class PipelineEngine:
 
     def _probe(self, stage, batch):
         table = self.hash_table(stage.output)
-        build_side = self.plan.build_sides.get(stage.output, "right")
-        if build_side == "right":
-            probe_columns, probe_hash = stage.left_columns, stage.left_hash
-            built_columns = stage.right_columns
-        else:
-            probe_columns, probe_hash = stage.right_columns, stage.right_hash
-            built_columns = stage.left_columns
+        (_hash, built_columns), (probe_hash, probe_columns) = join_sides(
+            self.plan, stage
+        )
         out = {c: [] for c in stage.output_columns()}
         probe_cols = [batch.column(c) for c in probe_columns]
         for row, hash_value in enumerate(batch.column(probe_hash)):
@@ -380,6 +376,36 @@ def _expand_aggregate_object(item):
     return None
 
 
+def combine_into(groups, pairs, combine):
+    """Fold ``(key, value)`` pairs into ``groups``, in order: a key held
+    already takes ``combine(held, value)`` — or, with ``combine=None``,
+    just the later value."""
+    for key, value in pairs:
+        if combine is not None and key in groups:
+            groups[key] = combine(groups[key], value)
+        else:
+            groups[key] = value
+    return groups
+
+
+def hash_rows_into(table, rows):
+    """Bucket ``rows`` — tuples ``(hash, *values)`` — by their hash:
+    ``table[hash]`` gains the ``values`` tuple, in order."""
+    for row in rows:
+        table.setdefault(row[0], []).append(row[1:])
+    return table
+
+
+def join_sides(plan, join):
+    """``(build, probe)`` for ``join``: each side's ``(hash column,
+    carried columns)``, by which side the plan builds the table from."""
+    left = (join.left_hash, join.left_columns)
+    right = (join.right_hash, join.right_columns)
+    if plan.build_sides.get(join.output, "right") == "right":
+        return right, left
+    return left, right
+
+
 class Sink:
     """Base pipe sink."""
 
@@ -422,13 +448,9 @@ class HashBuildSink(Sink):
     def __init__(self, engine, join_stmt):
         super().__init__(engine)
         self.join = join_stmt
-        side = engine.plan.build_sides[join_stmt.output]
-        if side == "right":
-            self.hash_column = join_stmt.right_hash
-            self.columns = join_stmt.right_columns
-        else:
-            self.hash_column = join_stmt.left_hash
-            self.columns = join_stmt.left_columns
+        (self.hash_column, self.columns), _probe = join_sides(
+            engine.plan, join_stmt
+        )
         self.state = {}  # hash -> [row tuples]
 
     def remote_spec(self):
@@ -436,11 +458,10 @@ class HashBuildSink(Sink):
 
     def consume(self, batch):
         batch = kernels.reify(batch)
-        cols = [batch.column(c) for c in self.columns]
-        for row, hash_value in enumerate(batch.column(self.hash_column)):
-            self.state.setdefault(hash_value, []).append(
-                tuple(column[row] for column in cols)
-            )
+        hash_rows_into(self.state, zip(
+            batch.column(self.hash_column),
+            *(batch.column(c) for c in self.columns),
+        ))
 
     def finish(self):
         self.engine.hash_tables[self.join.output] = self.state
@@ -478,15 +499,11 @@ class AggregateSink(Sink):
             kernels.aggregate_sum(self.state, keys, values)
             self.engine._note_columnar("aggregate", len(batch))
             return
-        keys = kernels.reify_column(keys)
-        values = kernels.reify_column(values)
-        combine = self.comp.combine
-        groups = self.state
-        for key, value in zip(keys, values):
-            if key in groups:
-                groups[key] = combine(groups[key], value)
-            else:
-                groups[key] = value
+        combine_into(
+            self.state,
+            zip(kernels.reify_column(keys), kernels.reify_column(values)),
+            self.comp.combine,
+        )
 
     def finish(self):
         groups = self.state
@@ -496,14 +513,10 @@ class AggregateSink(Sink):
             if self.merge else None
         )
         if existing:
-            merged = dict(zip(existing["key"], existing["val"]))
-            combine = self.comp.combine
-            for key, value in groups.items():
-                if key in merged:
-                    merged[key] = combine(merged[key], value)
-                else:
-                    merged[key] = value
-            groups = merged
+            groups = combine_into(
+                dict(zip(existing["key"], existing["val"])), groups.items(),
+                self.comp.combine,
+            )
         self.engine.store[self.statement.output] = {
             "key": list(groups.keys()),
             "val": list(groups.values()),

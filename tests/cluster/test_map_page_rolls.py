@@ -1,6 +1,6 @@
 """Aggregation maps larger than a page: both Map-page writers roll.
 
-The combiner shuffle (``_ship_aggregate_partition``) and the aggregation
+The combiner-page wire (``DistributedScheduler._wire``) and the aggregation
 output sink (``MapPageOutputSink``) each build a PC ``Map`` per page with
 ``MapFacade.fill`` and carry the pairs that did not fit to the next page.
 With pages this small every partition needs several; no pair may be lost
