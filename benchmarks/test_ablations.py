@@ -170,7 +170,7 @@ def test_ablation_join_threshold(benchmark):
         with cluster.loader("db", "items") as load:
             for i in range(1500):
                 load.append(Item, key=i % 20, weight=float(i))
-        cluster.network.reset()
+        before = cluster.metrics()
         join = WeightJoin()
         join.set_input(0, ObjectReader("db", "dims"))
         join.set_input(1, ObjectReader("db", "items"))
@@ -181,7 +181,13 @@ def test_ablation_join_threshold(benchmark):
             s.detail.split()[0] for s in cluster.last_job_log
             if s.kind == "BuildHashTableJobStage"
         ]
-        return elapsed, cluster.network.stats(), modes, sorted(out)
+        after = cluster.metrics()
+        net = {
+            key: after.value("pc_net_%s_total" % key)
+            - before.value("pc_net_%s_total" % key)
+            for key in ("bytes_rows", "messages")
+        }
+        return elapsed, net, modes, sorted(out)
 
     b_time, b_net, b_modes, b_out = run(threshold=1 << 30)
     p_time, p_net, p_modes, p_out = run(threshold=0)
@@ -258,10 +264,7 @@ def test_ablation_page_size(benchmark):
             lambda: matrix.transpose_multiply(matrix).to_numpy()
         )
         assert np.allclose(gram, x.T @ x)
-        pages = sum(
-            worker.storage.stats()["buffer_pool"]["pages_created"]
-            for worker in cluster.workers
-        )
+        pages = cluster.metrics().value("pc_pool_pages_created_total")
         rows.append((page_size >> 10, fmt_seconds(elapsed), pages))
         results[page_size] = pages
     report("ablation_page_size", render_table(

@@ -73,12 +73,15 @@ def test_figure4_runtime_trace(benchmark):
         % (len(cluster.catalog.registry.entries()),
            cluster.catalog.library_requests),
     ))
+    lifetime = cluster.metrics()
     for worker in cluster.workers:
-        stats = worker.storage.stats()
         rows.append((
             worker.worker_id, "front-end storage",
-            "pool: %(pages_created)d pages, %(evictions)d evictions, "
-            "%(spills)d spills" % stats["buffer_pool"],
+            "pool: %d pages, %d evictions, %d spills" % tuple(
+                lifetime.value("pc_pool_%s_total" % key,
+                               worker=worker.worker_id)
+                for key in ("pages_created", "evictions", "spills")
+            ),
         ))
         rows.append((
             worker.worker_id, "front-end catalog",
@@ -88,11 +91,13 @@ def test_figure4_runtime_trace(benchmark):
             worker.worker_id, "back-end",
             "re-forked %d times" % worker.refork_count,
         ))
-    network = cluster.network.stats()
+    zero_copy = lifetime.value("pc_net_bytes_zero_copy_total")
     rows.append((
         "network", "traffic",
-        "%(messages)d messages, %(bytes_total)d bytes "
-        "(%(bytes_zero_copy)d zero-copy)" % network,
+        "%d messages, %d bytes (%d zero-copy)" % (
+            lifetime.value("pc_net_messages_total"),
+            lifetime.value("pc_net_bytes_total"), zero_copy,
+        ),
     ))
     report("figure4_runtime", render_table(
         "Figure 4 — distributed runtime trace of one execution",
@@ -101,7 +106,7 @@ def test_figure4_runtime_trace(benchmark):
     ))
 
     assert any("AggregationJobStage" in repr(s) for s in job_log)
-    assert network["bytes_zero_copy"] > 0
+    assert zero_copy > 0
     assert all(w.refork_count == 0 for w in cluster.workers)
 
     benchmark(lambda: cluster.execute_computations(

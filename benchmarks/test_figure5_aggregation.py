@@ -45,7 +45,7 @@ def test_figure5_distributed_aggregation(benchmark):
     with cluster.loader("db", "sales") as load:
         for i in range(2000):
             load.append(Sale, store=i % n_keys, amount=float(i))
-    cluster.network.reset()
+    loaded = cluster.metrics()
 
     reader = ObjectReader("db", "sales")
     agg = TotalByStore().set_input(reader)
@@ -66,7 +66,12 @@ def test_figure5_distributed_aggregation(benchmark):
             for key in worker.backend.engines
         )
     )
-    network = cluster.network.stats()
+    after = cluster.metrics()
+    network = {
+        key: after.value("pc_net_%s" % key) - loaded.value("pc_net_%s" % key)
+        for key in ("messages_total", "bytes_total", "bytes_rows_total",
+                    "bytes_zero_copy_total")
+    }
     rows = [
         ("1. producing stage",
          "pipelining threads pre-aggregated %d (key, value) groups "
@@ -77,8 +82,8 @@ def test_figure5_distributed_aggregation(benchmark):
         ("3. shuffle",
          "%d messages, %d bytes — all zero-copy page bytes "
          "(row bytes: %d)" % (
-             network["messages"], network["bytes_total"],
-             network["bytes_rows"])),
+             network["messages_total"], network["bytes_total"],
+             network["bytes_rows_total"])),
         ("4. consuming stage",
          "aggregation threads merged shuffled Maps into %d final keys"
          % len(result)),
@@ -91,8 +96,8 @@ def test_figure5_distributed_aggregation(benchmark):
 
     # The signature property: the aggregation shuffle moves only whole
     # PC Map pages (zero serialization), never pickled rows.
-    assert network["bytes_zero_copy"] > 0
-    assert network["bytes_rows"] == 0
+    assert network["bytes_zero_copy_total"] > 0
+    assert network["bytes_rows_total"] == 0
     # Pre-aggregation means each worker sends at most n_keys groups.
     assert pre_aggregated <= n_keys * n_workers
 

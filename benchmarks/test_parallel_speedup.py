@@ -90,12 +90,9 @@ def _kmeans_run(tmp_path, n_workers, points):
     for _ in range(KM_ITERATIONS):
         centers = km.iterate(centers)
     elapsed = time.perf_counter() - start
-    spills = sum(
-        w.storage.pool.stats()["spills"] for w in cluster.workers
-    )
-    reloads = sum(
-        w.storage.pool.stats()["reloads"] for w in cluster.workers
-    )
+    lifetime = cluster.metrics()
+    spills = lifetime.value("pc_pool_spills_total")
+    reloads = lifetime.value("pc_pool_reloads_total")
     pages = sum(
         len(partition.page_ids)
         for partition in cluster.storage_manager.partitions(

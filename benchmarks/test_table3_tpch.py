@@ -62,11 +62,14 @@ def _run_size(n_customers):
 
     results = {}
 
-    cluster.network.reset()
+    def net_bytes(kind):
+        return cluster.metrics().value("pc_net_bytes_%s_total" % kind)
+
+    before = net_bytes("zero_copy")
     context.serde.reset()
     pc_time, (pc_cps, _total) = timed(customers_per_supplier_pc, cluster)
     pc_serde = 0  # by construction: pages move as bytes
-    pc_zero_copy = cluster.network.bytes_zero_copy
+    pc_zero_copy = net_bytes("zero_copy") - before
     hdfs_time, (hdfs_cps, _t) = timed(
         lambda: customers_per_supplier_baseline(
             context.object_file("hdfs://tpch")
@@ -90,10 +93,10 @@ def _run_size(n_customers):
         "pc_zero_copy": pc_zero_copy,
     }
 
-    cluster.network.reset()
+    before = net_bytes("rows")
     context.serde.reset()
     pc_time, pc_top = timed(top_k_jaccard_pc, cluster, k, query)
-    pc_shuffle_rows = cluster.network.bytes_rows
+    pc_shuffle_rows = net_bytes("rows") - before
     hdfs_time, hdfs_top = timed(
         lambda: top_k_jaccard_baseline(
             context.object_file("hdfs://tpch"), k, query

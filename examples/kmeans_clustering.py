@@ -33,7 +33,12 @@ def main():
     ]
     print("\nper-iteration max center movement:",
           [round(d, 4) for d in drift])
-    print("network:", cluster.network.stats())
+    lifetime = cluster.metrics()
+    print("network: %d messages, %d bytes (%d as zero-copy pages)" % (
+        lifetime.value("pc_net_messages_total"),
+        lifetime.value("pc_net_bytes_total"),
+        lifetime.value("pc_net_bytes_zero_copy_total"),
+    ))
 
 
 if __name__ == "__main__":

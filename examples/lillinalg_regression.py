@@ -38,7 +38,12 @@ def main():
     print("estimated beta:", np.round(estimate, 4))
     print("max abs error: ", float(np.abs(estimate - np.linalg.solve(
         x.T @ x, x.T @ y)).max()))
-    print("\nnetwork:", cluster.network.stats())
+    lifetime = cluster.metrics()
+    print("\nnetwork: %d messages, %d bytes (%d as zero-copy pages)" % (
+        lifetime.value("pc_net_messages_total"),
+        lifetime.value("pc_net_bytes_total"),
+        lifetime.value("pc_net_bytes_zero_copy_total"),
+    ))
 
 
 if __name__ == "__main__":

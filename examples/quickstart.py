@@ -76,7 +76,7 @@ def main():
                 features=[(i % 7) / 3.0, (i % 5) / 3.0],
             )
     print("loaded:", cluster.storage_manager.total_objects("demo", "points"),
-          "points;", cluster.network.stats()["bytes_zero_copy"],
+          "points;", cluster.metrics().value("pc_net_bytes_zero_copy_total"),
           "bytes moved zero-copy")
 
     reader = ObjectReader("demo", "points")

@@ -29,7 +29,7 @@ delay any transfer.  Dropped transfers are re-sent up to
 exhausted a :class:`~repro.errors.TransferDroppedError` surfaces to the
 caller.  Corrupted page *and row* transfers are detected by checksum on
 receipt and re-sent within the same budget.  Delays are *simulated*: the
-delay seconds are accounted (``net.delay_ms``), not slept.
+delay seconds are accounted (``net.delay_s_total``), not slept.
 """
 
 from __future__ import annotations

@@ -657,13 +657,13 @@ class DistributedScheduler:
         run: onto the child's own ``task`` span (the window the body
         really ran in), or onto the open one when no span arrived whole.
 
-        Span timestamps arrive relative to ``span_base`` on the child's
-        clock; ``span_base + clock_offset`` shifts the whole batch into
-        the coordinator's ``time.monotonic()`` frame (DESIGN §14).
+        Span timestamps arrive relative to ``span_base``, an instant on
+        the ``time.monotonic()`` the child shares with this process
+        (DESIGN §14 "One clock").
         """
         evidence = outcome.evidence
         parent = task_span = self.tracer.active
-        shift_s = evidence.get("span_base", 0.0) + outcome.clock_offset
+        shift_s = evidence.get("span_base", 0.0)
         grafted = 0
         spans = evidence.get("spans") if parent is not None else None
         for payload in spans or ():
@@ -683,17 +683,9 @@ class DistributedScheduler:
             task_span = span
         if grafted:
             self._c_remote_spans.inc(grafted)
-            error_s = outcome.clock_error_s
-            if error_s == error_s and error_s not in (float("inf"),):
-                # Finite calibration error only: an uncalibrated child
-                # (inf bound) would poison the span's JSON encoding.
-                parent.counters["trace.clock_error_s"] = max(
-                    parent.counters.get("trace.clock_error_s", 0.0),
-                    error_s,
-                )
         book_task_evidence(
             evidence, worker.metrics, self.cluster.metrics_registry,
-            task_span, outcome.clock_offset,
+            task_span,
         )
 
     # -- stage runners -----------------------------------------------------------------

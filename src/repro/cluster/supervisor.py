@@ -69,16 +69,6 @@ SUSPECT = "suspect"
 DEAD = "dead"
 
 
-def _env_float(name, default):
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        return default
-
-
 class WorkerVitals:
     """One worker's last-observed heartbeat, decoded for callers."""
 
@@ -104,34 +94,21 @@ class WorkerVitals:
 class Supervisor:
     """Tracks back-end liveness and enforces the DEAD verdict.
 
-    Configuration resolves, in order: explicit constructor arguments,
-    then ``PC_SUP_BEAT_S`` / ``PC_SUP_SUSPECT_BEATS`` /
-    ``PC_SUP_DEAD_S`` / ``PC_SUP_SPAWN_GRACE_S`` environment variables,
-    then the module defaults.
+    ``clock`` is ``time.monotonic`` — the clock the children stamp their
+    beats (and their spans) with: same host, same ``CLOCK_MONOTONIC``,
+    so staleness is a plain difference (DESIGN §14 "One clock").
     """
 
-    def __init__(self, metrics=None, beat_interval_s=None,
-                 suspect_beats=None, dead_after_s=None,
-                 spawn_grace_s=None, clock=time.monotonic, kill=None,
-                 recorder=None):
-        self.beat_interval_s = (
-            beat_interval_s if beat_interval_s is not None
-            else _env_float("PC_SUP_BEAT_S", DEFAULT_BEAT_INTERVAL_S)
-        )
-        self.suspect_beats = (
-            suspect_beats if suspect_beats is not None
-            else int(_env_float("PC_SUP_SUSPECT_BEATS",
-                                DEFAULT_SUSPECT_BEATS))
-        )
-        self.dead_after_s = (
-            dead_after_s if dead_after_s is not None
-            else _env_float("PC_SUP_DEAD_S", DEFAULT_DEAD_AFTER_S)
-        )
-        self.spawn_grace_s = max(
-            self.dead_after_s,
-            spawn_grace_s if spawn_grace_s is not None
-            else _env_float("PC_SUP_SPAWN_GRACE_S", DEFAULT_SPAWN_GRACE_S),
-        )
+    def __init__(self, metrics=None,
+                 beat_interval_s=DEFAULT_BEAT_INTERVAL_S,
+                 suspect_beats=DEFAULT_SUSPECT_BEATS,
+                 dead_after_s=DEFAULT_DEAD_AFTER_S,
+                 spawn_grace_s=DEFAULT_SPAWN_GRACE_S,
+                 clock=time.monotonic, kill=None, recorder=None):
+        self.beat_interval_s = beat_interval_s
+        self.suspect_beats = suspect_beats
+        self.dead_after_s = dead_after_s
+        self.spawn_grace_s = max(dead_after_s, spawn_grace_s)
         self.clock = clock
         #: injectable for tests; the default delivers a real SIGKILL.
         self._kill = kill if kill is not None else self._sigkill

@@ -34,15 +34,12 @@ import queue
 import time
 import weakref
 import zlib
-from collections import defaultdict
 
 from repro.cluster.supervisor import (
     BEAT_ROWS,
-    BEAT_TIME,
     DEFAULT_BEAT_INTERVAL_S,
     HEARTBEAT_FIELDS,
     Supervisor,
-    _env_float,
 )
 from repro.cluster.worker import BackendProcess
 from repro.errors import (
@@ -123,8 +120,7 @@ class Transport:
         #: optional flight recorder (page ships et al. leave events).
         self.recorder = recorder
         # All accounting lives in the metrics registry; each counter
-        # declares its trace-mirror name once, so the trace counters,
-        # the Prometheus series, and stats() cannot drift apart.
+        # declares its trace mirror beside it (one increment, two readers).
         self.metrics = metrics if metrics is not None else \
             MetricsRegistry(tracer=self.tracer)
         self._c_messages = self.metrics.counter(
@@ -171,11 +167,6 @@ class Transport:
             help="Transfers hit by an injected delay",
             trace="net.delay_events",
         )
-        self._c_delay_ms = self.metrics.counter(
-            "pc_net_delay_ms_total",
-            help="Simulated delay in whole milliseconds",
-            trace="net.delay_ms",
-        )
         self._c_delay_seconds = self.metrics.counter(
             "pc_net_delay_seconds_total",
             help="Simulated delay in (float) seconds",
@@ -191,48 +182,11 @@ class Transport:
     def close(self):
         """Release transport-held resources (child processes etc.)."""
 
-    # Legacy counter attributes: read-only views over the registry.
-
-    @property
-    def messages(self):
-        return self._c_messages.value
-
     @property
     def bytes_total(self):
+        """Kept for the frozen ``bench/workloads.py``; everything else
+        reads ``pc_net_bytes_total`` off a metrics snapshot."""
         return self._c_bytes_total.value
-
-    @property
-    def bytes_zero_copy(self):
-        return self._c_bytes_zero_copy.value
-
-    @property
-    def bytes_rows(self):
-        return self._c_bytes_rows.value
-
-    @property
-    def by_link(self):
-        """Fresh ``{(src, dst): bytes}`` dict — mutating it cannot touch
-        the transport's own accounting."""
-        link = defaultdict(int)
-        for (src, dst), nbytes in self._c_link_bytes.series().items():
-            link[(src, dst)] = nbytes
-        return link
-
-    @property
-    def transfers_dropped(self):
-        return self._c_transfers_dropped.value
-
-    @property
-    def transfers_corrupted(self):
-        return self._c_transfers_corrupted.value
-
-    @property
-    def transfer_retries(self):
-        return self._c_transfer_retries.value
-
-    @property
-    def delay_s_total(self):
-        return self._c_delay_seconds.value
 
     def _record(self, src, dst, nbytes, counter):
         self._c_messages.inc()
@@ -263,7 +217,6 @@ class Transport:
             if delay_s:
                 self._c_delay_seconds.inc(delay_s)
                 self._c_delay_events.inc()
-                self._c_delay_ms.inc(int(delay_s * 1000))
             if verdict != "drop":
                 self._record(src, dst, nbytes, counter)
                 return verdict
@@ -347,37 +300,6 @@ class Transport:
             attempts += 1
             self._c_transfer_retries.inc()
 
-    def stats(self):
-        return {
-            "transport": self.name,
-            "messages": self.messages,
-            "bytes_total": self.bytes_total,
-            "bytes_zero_copy": self.bytes_zero_copy,
-            "bytes_rows": self.bytes_rows,
-            "transfers_dropped": self.transfers_dropped,
-            "transfers_corrupted": self.transfers_corrupted,
-            "transfer_retries": self.transfer_retries,
-            "delay_s_total": self.delay_s_total,
-            # Serializable per-link breakdown: "src->dst" -> bytes.  This
-            # is what exposes skewed shuffle partners in cluster.stats().
-            # Built fresh on every call — callers mutating the returned
-            # dict cannot corrupt the transport's accounting.
-            "by_link": {
-                "%s->%s" % link: nbytes
-                for link, nbytes in self.by_link.items()
-            },
-        }
-
-    def reset(self):
-        for counter in (
-            self._c_messages, self._c_bytes_total, self._c_bytes_zero_copy,
-            self._c_bytes_rows, self._c_link_bytes,
-            self._c_transfers_dropped, self._c_transfers_corrupted,
-            self._c_transfer_retries, self._c_delay_events,
-            self._c_delay_ms, self._c_delay_seconds,
-        ):
-            counter.reset()
-
 
 # -- remote tasks ----------------------------------------------------------------
 
@@ -413,23 +335,18 @@ class RemoteOutcome:
     ``result`` is the sink's pre-finish state and ``evidence`` the task's
     evidence as the child closed it (:mod:`repro.obs.evidence`; with
     tracing on it carries the child's ``task`` span under ``"spans"``,
-    timestamps relative to ``"span_base"`` on the *child's*
-    ``time.monotonic()`` clock), plus the clock calibration
-    (``clock_offset`` such that master ≈ child + offset, accurate to
-    ``clock_error_s``) the coordinator needs to place the child's
-    timestamps in the job tree.  Error and death envelopes build one too
+    timestamps relative to ``"span_base"`` on ``time.monotonic()`` — the
+    one clock a same-host child shares with the coordinator, DESIGN
+    §14).  Error and death envelopes build one too
     (``result=None``) so partial evidence takes the same booking path.
     ``rejected`` is the child's reason when it judged the task
     unshippable (a result still pointing into page memory): nothing ran
     to completion and the scheduler re-runs the portion front-end side.
     """
 
-    def __init__(self, result=None, evidence=None, clock_offset=0.0,
-                 clock_error_s=0.0, rejected=None):
+    def __init__(self, result=None, evidence=None, rejected=None):
         self.result = result
         self.evidence = evidence or {}
-        self.clock_offset = clock_offset
-        self.clock_error_s = clock_error_s
         self.rejected = rejected
 
 
@@ -485,9 +402,7 @@ class _PendingFuture:
                     "%r: %s" % (worker_id, exc)
                 )
                 raise self._error from exc
-            self._value = RemoteOutcome(
-                result, evidence, *self._child.calibrate_clock()
-            )
+            self._value = RemoteOutcome(result, evidence)
             return self._value
         if status == "reject":
             self._value = RemoteOutcome(rejected=payload)
@@ -509,9 +424,7 @@ class _PendingFuture:
                 % (worker_id, message)
             )
             if evidence:
-                self._error.remote_outcome = RemoteOutcome(
-                    None, evidence, *self._child.calibrate_clock()
-                )
+                self._error.remote_outcome = RemoteOutcome(None, evidence)
             self._error.detected_at = time.monotonic()
             raise self._error
         verdict = self._child.kill_verdicts.pop(self._task_id, None)
@@ -562,9 +475,7 @@ class _ChildProcess:
         # shared memory, single-writer (the child), readable by the
         # master post-mortem after a SIGKILL.
         self.flight = ctx.Array("c", RING_BYTES, lock=False)
-        self.beat_interval_s = _env_float(
-            "PC_SUP_BEAT_S", DEFAULT_BEAT_INTERVAL_S
-        )
+        self.beat_interval_s = DEFAULT_BEAT_INTERVAL_S
         self.started_at = time.monotonic()
         self._proc = ctx.Process(
             target=backend_main,
@@ -582,9 +493,6 @@ class _ChildProcess:
         #: task_id -> (reason, deadline_exceeded) for supervisor kills,
         #: consumed by _PendingFuture to type the resulting error.
         self.kill_verdicts = {}
-        #: lazily calibrated clock translation (master ≈ child + offset).
-        self.clock_offset = None
-        self.clock_error_s = None
         self.broken = False
 
     @property
@@ -604,40 +512,6 @@ class _ChildProcess:
         self._outstanding.add(task_id)
         return _PendingFuture(self, backend, task, task_id)
 
-    def calibrate_clock(self):
-        """Estimate the child→master ``time.monotonic()`` offset.
-
-        Each heartbeat publishes the child's monotonic clock at beat
-        time; a master-side sample ``now - BEAT_TIME`` therefore equals
-        ``offset + staleness`` with staleness in ``[0, beat interval]``.
-        Sampling across at least one beat period and keeping the minimum
-        bounds the estimate's error by the beat interval — the handshake
-        DESIGN §14 promises.  Calibrated once per child (children are
-        pooled), lazily, on first use.  A child that never beat (or died
-        first) yields offset 0 with an infinite error bound; on Linux
-        both processes read the same CLOCK_MONOTONIC, so 0 is in fact
-        the right translation.
-        """
-        if self.clock_offset is not None:
-            return self.clock_offset, self.clock_error_s
-        interval = self.beat_interval_s
-        best = None
-        horizon = time.monotonic() + 1.25 * interval
-        while time.monotonic() < horizon:
-            beat_time = self.heartbeat[BEAT_TIME]
-            if beat_time:
-                sample = time.monotonic() - beat_time
-                if best is None or sample < best:
-                    best = sample
-            if not self._proc.is_alive():
-                break
-            time.sleep(min(interval / 8.0, 0.01))
-        if best is None:
-            self.clock_offset, self.clock_error_s = 0.0, float("inf")
-        else:
-            self.clock_offset, self.clock_error_s = best, interval
-        return self.clock_offset, self.clock_error_s
-
     def post_mortem_outcome(self, task_id, worker_id):
         """Synthesize the evidence for a task whose child never answered.
 
@@ -646,19 +520,18 @@ class _ChildProcess:
         events, readable post-mortem), and its own submit instant — so
         the coordinator can graft a ``truncated`` task span covering
         submit → detection rather than leaving a hole in the trace.
-        Timestamps are assembled directly in the master's clock frame:
-        ``span_base`` is the submit instant and ``clock_offset`` is 0.
+        ``span_base`` is the submit instant; the ring's timestamps are
+        already on the same clock.
         """
         submitted = self.submit_times.get(task_id)
         if submitted is None:
             return None
         now = time.monotonic()
-        offset = self.clock_offset or 0.0
-        events = []
-        for event in read_ring(self.flight):
-            ts = event.get("ts", 0.0) + offset
-            if ts >= submitted - self.beat_interval_s:
-                events.append(dict(event, ts=ts - submitted))
+        events = [
+            dict(event, ts=event["ts"] - submitted)
+            for event in read_ring(self.flight)
+            if event.get("ts", 0.0) >= submitted
+        ]
         span = {
             "name": worker_id,
             "kind": "task",
@@ -673,12 +546,9 @@ class _ChildProcess:
         }
         if events:
             span["events"] = events
-        return RemoteOutcome(
-            evidence={"spans": [span], "span_base": submitted,
-                      "pid": self.pid},
-            clock_error_s=self.clock_error_s
-            if self.clock_error_s is not None else float("inf"),
-        )
+        return RemoteOutcome(evidence={
+            "spans": [span], "span_base": submitted, "pid": self.pid,
+        })
 
     def _pull_result(self, timeout):
         """One queue read; True if a result was installed, False if not.

@@ -69,8 +69,7 @@ class OperatorRecorder:
         return ops
 
 
-def book_task_evidence(evidence, engine_registry, op_registry, span=None,
-                       clock_offset=0.0):
+def book_task_evidence(evidence, engine_registry, op_registry, span=None):
     """Book one task's evidence — the only place it becomes signals.
 
     Engine counter deltas go to ``pc_engine_<field>_total`` in
@@ -83,8 +82,7 @@ def book_task_evidence(evidence, engine_registry, op_registry, span=None,
     application to its last — a timeline fact, other operators' time
     included — while ``op.wall_ms`` on it is the busy time, the number
     that adds up.  ``span`` is the task span the body ran under (None
-    when spans are off); ``clock_offset`` moves a back-end process's
-    timestamps into this process's ``time.monotonic()`` frame.
+    when spans are off).
     """
     for field, delta in (evidence.get("engine") or {}).items():
         counter = engine_registry.counter(
@@ -136,8 +134,8 @@ def book_task_evidence(evidence, engine_registry, op_registry, span=None,
                 # Attached directly, never through the tracer stack: the
                 # operators of one task interleave, so their spans overlap.
                 holder = Span(name, kind="op")
-                holder.start = record["first"] + clock_offset
-                holder.end = record["last"] + clock_offset
+                holder.start = record["first"]
+                holder.end = record["last"]
                 holder.parent_id = span.span_id
                 holder.pid = evidence.get("pid")
                 holder.truncated = span.truncated

@@ -19,10 +19,10 @@ Design points:
 * **Trace mirrors.**  A counter may declare the dotted trace-counter
   name it historically reported through :meth:`Tracer.add`
   (``trace="repl.replica_writes"``).  Incrementing the counter then
-  *also* reports into the active trace span — the metric name, the trace
-  counter, and the ``stats()`` key are all derived from one declaration,
-  so they can no longer drift apart.  Labeled mirrors may use a format
-  template (``trace="net.link.{src}->{dst}"``).
+  *also* reports into the active trace span: one declaration, one
+  increment, two readers — ``cluster.metrics()`` for the lifetime value,
+  the span for attribution.  Labeled mirrors may use a format template
+  (``trace="net.link.{src}->{dst}"``).
 
 * **Histograms** use fixed log-scaled buckets (upper bounds, ``le``
   semantics: an observation equal to a bound lands in that bound's
@@ -200,10 +200,8 @@ class Gauge(_Metric):
 
     @property
     def value(self):
-        values = list(self._values.values())
-        if not values:
-            return 0
-        return values[0] if len(values) == 1 else sum(values)
+        """Sum over every labeled series."""
+        return sum(self._values.values())
 
     def value_for(self, **labels):
         return self._values.get(self._key(labels), 0)
@@ -402,36 +400,6 @@ class MetricsRegistry:
 
     def get(self, name):
         return self._metrics.get(name)
-
-    def trace_names(self, prefix=""):
-        """Every declared trace-mirror name under ``prefix``.
-
-        This is the single source both the trace counters and the
-        ``stats()`` views derive from; tests assert the two key sets
-        match by comparing against it.
-        """
-        return {
-            m.trace_name for m in self._metrics.values()
-            if m.trace_name is not None and m.trace_name.startswith(prefix)
-        }
-
-    def stats_view(self, trace_prefix):
-        """``{trace-suffix: value}`` for counters mirrored under a prefix.
-
-        The thin-view backbone of the legacy ``stats()`` dicts: keys are
-        derived from the same declarations as the trace counters, values
-        read straight from the registry, so the two surfaces cannot
-        drift.  Templated (per-label) mirrors are skipped — they surface
-        through their own structured entries.
-        """
-        view = {}
-        for metric in self._metrics.values():
-            trace = metric.trace_name
-            if trace is None or "{" in trace or \
-                    not trace.startswith(trace_prefix):
-                continue
-            view[trace[len(trace_prefix):]] = metric.value
-        return view
 
     # -- snapshots ----------------------------------------------------------------
 

@@ -4,13 +4,15 @@ The scheduler wraps every distributed job stage in a
 :class:`StageProfiler` scope recording wall time (a log-bucketed
 histogram, ``pc_sched_stage_seconds{stage=...}``: p50/p95/p99 come out
 of the bucket math), CPU time (``time.process_time``), pages touched
-(the delta of buffer-pool pins across the provided pools) and the
-peak-bytes watermark of total pool occupancy inside the scope.  Each is
-*also* attached to the stage's trace span (``prof.wall_ms`` /
-``prof.cpu_ms`` / ``prof.pages_touched`` / ``prof.peak_bytes``), so one
-job's trace and the cluster-lifetime metrics tell the same story.  What
-the TCAP operators inside a stage did is task evidence, recorded and
-booked by :mod:`repro.obs.evidence`.
+(the delta of ``pc_pool_pages_pinned_total`` across the provided pools)
+and the peak-bytes watermark of total pool occupancy inside the scope —
+the five ``pc_sched_stage_*`` families, which is what
+``profiling=True, tracing=False`` has.  The stage's trace span gets only
+what it does not already hold: ``prof.cpu_ms`` and ``prof.peak_bytes``
+(its own ``duration_s`` is the wall time, its rolled-up
+``pool.pages_pinned`` the pages touched).  What the TCAP operators
+inside a stage did is task evidence, recorded and booked by
+:mod:`repro.obs.evidence`.
 
 ``PCCluster(profiling=False)`` drops both wholesale: the scheduler opens
 no scope and the engines get no operator recorder.  The enabled-path
@@ -33,9 +35,9 @@ class StageProfiler:
         self.registry = registry if registry is not None else \
             MetricsRegistry()
         self.tracer = tracer
-        #: buffer pools observed for pages-touched / peak-bytes; the
-        #: cluster appends each worker's pool (duck-typed: ``pins``,
-        #: ``in_memory_bytes``, ``peak_in_memory_bytes`` attributes).
+        #: buffer pools observed for pages-touched / peak-bytes: every
+        #: worker's (``metrics``, ``in_memory_bytes`` and
+        #: ``peak_in_memory_bytes`` are what is read).
         self.pools = list(pools) if pools is not None else []
         self.stage_seconds = self.registry.histogram(
             "pc_sched_stage_seconds",
@@ -63,11 +65,17 @@ class StageProfiler:
             labelnames=("stage",),
         )
 
+    def _pins(self):
+        return sum(
+            pool.metrics.get("pc_pool_pages_pinned_total").value
+            for pool in self.pools
+        )
+
     @contextmanager
     def stage(self, name):
         """Profile one distributed job stage for the with-block."""
         pools = self.pools
-        pins = sum(pool.pins for pool in pools)
+        pins = self._pins()
         # Reset each pool's watermark for the stage; restored (as the
         # running max) on the way out.
         saved = [pool.peak_in_memory_bytes for pool in pools]
@@ -86,7 +94,7 @@ class StageProfiler:
                 pool.peak_in_memory_bytes = max(
                     before, pool.peak_in_memory_bytes
                 )
-            pages = sum(pool.pins for pool in pools) - pins
+            pages = self._pins() - pins
             self.stage_seconds.observe(wall, stage=name)
             self.stages_total.inc(stage=name)
             self.stage_cpu_seconds.inc(cpu, stage=name)
@@ -96,7 +104,5 @@ class StageProfiler:
                 self.stage_peak_bytes.set(peak, stage=name)
             tracer = self.tracer
             if tracer is not None and tracer.active is not None:
-                tracer.add("prof.wall_ms", wall * 1e3)
                 tracer.add("prof.cpu_ms", cpu * 1e3)
-                tracer.add("prof.pages_touched", pages)
                 tracer.add("prof.peak_bytes", peak)

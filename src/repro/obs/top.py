@@ -7,8 +7,8 @@ consumption rate (rows/sec, differentiated from the heartbeat slot's
 rows counter between samples), buffer-pool residency, and how many times
 the back-end was re-forked.  Everything it shows is read from state the
 runtime already publishes — heartbeat slots via ``Supervisor.vitals``
-and the metrics registry via ``cluster.metrics()`` — so watching costs
-the cluster nothing.
+and each worker's metrics registry — so watching costs the cluster
+nothing.
 
 The module is importable without a cluster: :class:`ClusterTop` takes
 any object with ``workers`` and a ``transport`` (whose supervisor may be
@@ -72,10 +72,11 @@ class ClusterTop:
             if last is not None and now > last[0] and rows >= last[1]:
                 rate = (rows - last[1]) / (now - last[0])
             self._last_rows[worker.worker_id] = (now, rows)
-            pool_stats = worker.storage.pool.stats()
+            snapshot = worker.metrics.snapshot()
             frame.append(WorkerSample(
                 worker.worker_id, state, pid, task_id, rows, rate,
-                pool_stats["in_memory_bytes"], pool_stats["capacity_bytes"],
+                snapshot.value("pc_pool_in_memory_bytes"),
+                snapshot.value("pc_pool_capacity_bytes"),
                 worker.refork_count,
             ))
         frame.sort(key=lambda sample: (-_STATE_ORDER.get(sample.state, 0),

@@ -151,9 +151,8 @@ class BufferPool:
             self._spill_dir = spill_dir
         self._spilled = {}  # page_id -> file path
         self._spill_checksums = {}  # page_id -> CRC32 of the spill file
-        # Statistics live in the metrics registry; the metric name, the
-        # trace-counter mirror, and the stats() key each derive from one
-        # declaration here (drift-proof by construction).
+        # Statistics live in the metrics registry; each counter declares
+        # its trace mirror beside it (one increment, two readers).
         self.metrics = metrics if metrics is not None else \
             MetricsRegistry(tracer=self.tracer)
         self._c_pages_created = self.metrics.counter(
@@ -239,36 +238,11 @@ class BufferPool:
         if self._in_memory_bytes > self.peak_in_memory_bytes:
             self.peak_in_memory_bytes = self._in_memory_bytes
 
-    # Legacy counter attributes: thin read-only views over the registry,
-    # so `pool.spills` and `pool.stats()["spills"]` cannot disagree.
-
-    @property
-    def pages_created(self):
-        return self._c_pages_created.value
-
-    @property
-    def pins(self):
-        return self._c_pins.value
-
-    @property
-    def evictions(self):
-        return self._c_evictions.value
-
-    @property
-    def spills(self):
-        return self._c_spills.value
-
     @property
     def reloads(self):
+        """Kept for the frozen ``bench/probes.py``; everything else reads
+        ``pc_pool_reloads_total`` off a metrics snapshot."""
         return self._c_reloads.value
-
-    @property
-    def reload_failures(self):
-        return self._c_reload_failures.value
-
-    @property
-    def checksum_failures(self):
-        return self._c_checksum_failures.value
 
     # -- shared-memory backing ----------------------------------------------------
 
@@ -598,18 +572,3 @@ class BufferPool:
     @property
     def in_memory_bytes(self):
         return self._in_memory_bytes
-
-    def stats(self):
-        """Counters used by tests and the runtime benches."""
-        return {
-            "capacity_bytes": self.capacity_bytes,
-            "in_memory_bytes": self._in_memory_bytes,
-            "pages": len(self._pages),
-            "pages_created": self.pages_created,
-            "evictions": self.evictions,
-            "spills": self.spills,
-            "reloads": self.reloads,
-            "reload_failures": self.reload_failures,
-            "checksum_failures": self.checksum_failures,
-            "pins": self.pins,
-        }

@@ -72,17 +72,6 @@ class LocalStorageServer:
         if page_set is not None:
             page_set.clear()
 
-    def stats(self):
-        """Buffer-pool counters plus local set sizes."""
-        return {
-            "worker_id": self.worker_id,
-            "buffer_pool": self.pool.stats(),
-            "sets": {
-                "%s.%s" % key: len(page_set)
-                for key, page_set in self._sets.items()
-            },
-        }
-
 
 class DistributedStorageManager:
     """The master-side coordinator for stored sets."""

@@ -84,7 +84,7 @@ def test_new_read_api_does_not_warn(cluster):
 
 def test_loader_discards_open_block_when_body_raises(cluster):
     before = cluster.storage_manager.total_objects("db", "points")
-    shipped_before = cluster.network.stats()["messages"]
+    shipped_before = cluster.metrics().value("pc_net_messages_total")
     with pytest.raises(RuntimeError, match="interrupted"):
         with cluster.loader("db", "points") as load:
             load.append(Point, pid=999, cluster_id=0, x=1.0)
@@ -92,6 +92,6 @@ def test_loader_discards_open_block_when_body_raises(cluster):
     # The half-built page was dropped, not shipped.
     assert load.objects_discarded == 1
     assert load.pages_shipped == 0
-    assert cluster.network.stats()["messages"] == shipped_before
+    assert cluster.metrics().value("pc_net_messages_total") == shipped_before
     assert cluster.storage_manager.total_objects("db", "points") == before
     assert all(h.pid != 999 for h in cluster.read("db", "points"))

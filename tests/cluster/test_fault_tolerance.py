@@ -171,8 +171,9 @@ def test_dropped_shuffle_transfer_is_retried_exactly_once(tmp_path):
     injector.drop_transfer(times=1)
     result = run_aggregation(cluster)
     assert result == expected_sums()
-    assert cluster.network.transfers_dropped == 1
-    assert cluster.network.transfer_retries == 1
+    lifetime = cluster.metrics()
+    assert lifetime.value("pc_net_transfers_dropped_total") == 1
+    assert lifetime.value("pc_net_transfer_retries_total") == 1
     totals = cluster.last_trace.totals()
     assert totals["net.transfers_dropped"] == 1
     assert totals["net.transfer_retries"] == 1
@@ -196,7 +197,8 @@ def test_delayed_transfers_are_accounted_not_slept(tmp_path):
     result = run_aggregation(cluster)
     assert result == expected_sums()
     # 15 simulated seconds of link delay, recorded but never slept.
-    assert cluster.network.delay_s_total == pytest.approx(15.0)
+    assert cluster.metrics().value("pc_net_delay_seconds_total") == \
+        pytest.approx(15.0)
     assert injector.counts["transfer_delays"] == 3
     if cluster.network.name == "sim":
         # Wall-clock proof of "never slept"; only deterministic without
@@ -219,18 +221,13 @@ def test_failed_page_reload_recovers_via_stage_retry(tmp_path):
     # Enough rows that loading overflows the tiny pool in either page
     # layout (columnar pages pack ~4x more rows than object pages here).
     load_points(cluster, n=2400)
-    spilled = sum(
-        w.storage.pool.stats()["spills"] for w in cluster.workers
-    )
-    assert spilled > 0, "test premise: loading must spill pages"
+    assert cluster.metrics().value("pc_pool_spills_total") > 0, \
+        "test premise: loading must spill pages"
     injector.fail_page_reload(times=1)
     result = run_aggregation(cluster)
     assert result == expected_sums(n=2400)
     assert injector.counts["reload_failures"] == 1
-    reload_failures = sum(
-        w.storage.pool.stats()["reload_failures"] for w in cluster.workers
-    )
-    assert reload_failures == 1
+    assert cluster.metrics().value("pc_pool_reload_failures_total") == 1
     # The reload fault surfaced as a back-end crash and was retried.
     assert sum(w.refork_count for w in cluster.workers) == 1
     assert cluster.last_trace.spans(kind="retry")
@@ -254,7 +251,6 @@ def test_hopeless_worker_is_blacklisted_and_absorbed_without_restart(
     assert result == expected_sums(n=600)  # the job still finished, correctly
     assert cluster.blacklist == {"worker-2"}
     assert len(cluster.active_workers) == 2
-    assert cluster.stats()["blacklist"] == ["worker-2"]
     # The dead worker's durable partitions moved to the survivors.
     assert cluster.storage_manager.total_objects("db", "points") == 600
     totals = cluster.last_trace.totals()
@@ -267,7 +263,7 @@ def test_hopeless_worker_is_blacklisted_and_absorbed_without_restart(
     assert "WorkerBlacklistedEvent" not in kinds
     assert totals["faults.workers_absorbed"] == 1
     # The absorbed pages really were re-read (served off a survivor).
-    assert cluster.replication.failover_reads > 0
+    assert cluster.metrics().value("pc_repl_failover_reads_total") > 0
 
 
 def test_blacklisting_stops_at_min_surviving_workers(tmp_path):
@@ -386,13 +382,10 @@ def test_seeded_storm_with_corruption_over_replicated_load(tmp_path):
     assert factors and all(count >= want for count in factors.values())
     # Any at-rest corruption that struck a reload was detected and
     # healed — never silently served.
-    repl = cluster.replication.stats()
-    pool_failures = sum(
-        w.storage.pool.stats()["checksum_failures"]
-        for w in cluster.workers
-    )
+    lifetime = cluster.metrics()
     assert injector.counts["page_corruptions"] == 0 or \
-        repl["checksum_failures"] + pool_failures > 0
+        lifetime.value("pc_repl_checksum_failures_total") + \
+        lifetime.value("pc_pool_checksum_failures_total") > 0
 
 
 # -- TPC-H acceptance -----------------------------------------------------------------

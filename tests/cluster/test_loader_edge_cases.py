@@ -37,7 +37,7 @@ def test_flush_on_unused_loader_is_a_noop(cluster):
         pass  # never appended anything
     assert load.pages_shipped == 0
     assert load.objects_loaded == 0
-    assert cluster.network.stats()["messages"] == 0
+    assert cluster.metrics().value("pc_net_messages_total") == 0
     assert cluster.storage_manager.total_objects("db", "wide") == 0
 
     # Explicit double-flush after the context exit is also a no-op.
@@ -55,7 +55,7 @@ def test_partial_page_ships_exactly_once(cluster):
         load.flush()  # ...and flushing again must not re-ship it
     assert shipped_after_flush == 1
     assert load.pages_shipped == 1  # context-exit flush shipped nothing new
-    assert cluster.network.stats()["messages"] == 1
+    assert cluster.metrics().value("pc_net_messages_total") == 1
     assert cluster.storage_manager.total_objects("db", "wide") == 3
     values = sorted(h.pid for h in cluster.read("db", "wide"))
     assert values == [0, 1, 2]

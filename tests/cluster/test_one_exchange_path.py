@@ -106,6 +106,28 @@ def _join(out):
     )
 
 
+class _Since:
+    """What the network's ``pc_net_*`` families gained since this was
+    made: ``after - before`` over snapshots of the transport's registry."""
+
+    def __init__(self, network):
+        self._metrics = network.metrics
+        self._before = network.metrics.snapshot()
+
+    def __call__(self, name, **labels):
+        after = self._metrics.snapshot()
+        return after.value(name, **labels) - self._before.value(name, **labels)
+
+    def links(self):
+        """The ``(src, dst)`` links that carried bytes since, sorted."""
+        name = "pc_net_link_bytes_total"
+        return sorted(
+            (link["src"], link["dst"])
+            for link in self._metrics.snapshot().labels(name)
+            if self(name, **link)
+        )
+
+
 def _record_transfers(cluster):
     """Every transfer the network is asked for: ``(src, dst, size)``."""
     network, asked = cluster.network, []
@@ -135,9 +157,9 @@ def test_no_self_links_and_no_empty_messages(tmp_path, transport):
         # source tells the two other workers (the parent sent 6 messages:
         # three to a ``master`` hop, two of them empty, and three back).
         cluster.broadcast_threshold = 1 << 30
-        cluster.network.reset()
+        sent = _Since(cluster.network)
         cluster.execute_computations(_join("broadcast"))
-        assert cluster.network.messages == 2
+        assert sent("pc_net_messages_total") == 2
         cluster.broadcast_threshold = 0
         cluster.execute_computations(_join("partition"))
         for comp in (SumX(), SumXRows()):
@@ -162,13 +184,13 @@ def test_one_worker_cluster_never_touches_the_network(tmp_path, transport):
     cluster = _cluster(tmp_path, 1, transport)
     try:
         cluster.network.fault_injector = FaultInjector(drop_rate=1.0)
-        cluster.network.reset()
+        sent = _Since(cluster.network)
         cluster.broadcast_threshold = 0
         cluster.execute_computations(_join("joined"))
         agg = SumX().set_input(ObjectReader("db", "points"))
         Writer("db", "sums").set_input(agg).execute(cluster)
-        assert cluster.network.messages == 0
-        assert cluster.network.by_link == {}
+        assert sent("pc_net_messages_total") == 0
+        assert sent.links() == []
         assert cluster.network.fault_injector.counts["transfer_drops"] == 0
         assert sorted(cluster.read("db", "joined")) == sorted(
             (pid, "L%d" % cluster_id) for pid, cluster_id, _x in POINTS
@@ -236,10 +258,9 @@ def _expected(per_worker):
 
 
 def _watch(network, seed=None, **rates):
-    """Reset the network's accounting; with ``rates`` install a seeded
-    injector and a generous re-send budget.  Returns the ``(src, dst)``
-    list the injector gets consulted about."""
-    network.reset()
+    """With ``rates`` install a seeded injector and a generous re-send
+    budget.  Returns the ``(src, dst)`` list the injector gets consulted
+    about and the network's accounting from here on (:class:`_Since`)."""
     network.fault_injector = FaultInjector(seed=seed, **rates)
     network.retry_policy = RetryPolicy(transfer_retries=200)
     consulted = []
@@ -250,7 +271,7 @@ def _watch(network, seed=None, **rates):
         return on_transfer(src, dst, nbytes)
 
     network.fault_injector.on_transfer = watching
-    return consulted
+    return consulted, _Since(network)
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,7 +281,7 @@ def test_every_row_arrives_once_at_hash_mod_n_in_source_order(
     n = len(per_worker)
     scheduler = schedulers[n]
     network = scheduler.cluster.network
-    consulted = _watch(network)
+    consulted, sent = _watch(network)
     assert scheduler._exchange(_held(per_worker)) == _expected(per_worker)
     crossing = [
         [
@@ -268,13 +289,13 @@ def test_every_row_arrives_once_at_hash_mod_n_in_source_order(
         ]
         for s, rows in enumerate(per_worker) for d in range(n) if d != s
     ]
-    assert network.bytes_total == network.bytes_rows == sum(
-        estimate_value_bytes(row) for rows in crossing for row in rows
-    )
-    assert network.messages == sum(1 for rows in crossing if rows)
-    assert len(consulted) == network.messages
+    assert sent("pc_net_bytes_total") == sent("pc_net_bytes_rows_total") == \
+        sum(estimate_value_bytes(row) for rows in crossing for row in rows)
+    assert sent("pc_net_messages_total") == \
+        sum(1 for rows in crossing if rows)
+    assert len(consulted) == sent("pc_net_messages_total")
     assert all(src != dst for src, dst in consulted)
-    assert all(src != dst for src, dst in network.by_link)
+    assert all(src != dst for src, dst in sent.links())
 
 
 @settings(max_examples=40, deadline=None)
@@ -283,15 +304,17 @@ def test_drops_and_corruptions_cost_one_retry_each_and_change_nothing(
         schedulers, per_worker, seed):
     scheduler = schedulers[len(per_worker)]
     network = scheduler.cluster.network
-    consulted = _watch(network, seed, drop_rate=0.3, corrupt_rate=0.3)
+    consulted, sent = _watch(network, seed, drop_rate=0.3, corrupt_rate=0.3)
     # A corrupted row batch arrives with a foreign frame row prepended:
     # folding it would show up as a result that is not the expected one.
     assert scheduler._exchange(_held(per_worker)) == _expected(per_worker)
     counts = network.fault_injector.counts
-    assert network.transfer_retries == \
+    assert sent("pc_net_transfer_retries_total") == \
         counts["transfer_drops"] + counts["transfer_corruptions"]
-    assert network.transfers_corrupted == counts["transfer_corruptions"]
-    assert len(consulted) == network.messages + counts["transfer_drops"]
+    assert sent("pc_net_transfers_corrupted_total") == \
+        counts["transfer_corruptions"]
+    assert len(consulted) == \
+        sent("pc_net_messages_total") + counts["transfer_drops"]
     assert all(src != dst for src, dst in consulted)
 
 
@@ -312,7 +335,7 @@ def test_map_page_wire_delivers_the_same_pairs_with_and_without_faults(
     network = scheduler.cluster.network
     comp = SumX()
     held = [(list(groups.items()), list(groups)) for groups in per_worker]
-    consulted = _watch(network)
+    consulted, sent = _watch(network)
     clean = scheduler._exchange(held, comp)
     # A Map page lists its pairs in slot order, not insertion order.
     assert [sorted(pairs) for pairs in clean] == [
@@ -322,13 +345,13 @@ def test_map_page_wire_delivers_the_same_pairs_with_and_without_faults(
         )
         for d in range(n)
     ]
-    assert network.bytes_total == network.bytes_zero_copy
+    assert sent("pc_net_bytes_total") == sent("pc_net_bytes_zero_copy_total")
     assert all(src != dst for src, dst in consulted)
 
-    consulted = _watch(network, seed, drop_rate=0.3, corrupt_rate=0.3)
+    consulted, sent = _watch(network, seed, drop_rate=0.3, corrupt_rate=0.3)
     assert scheduler._exchange(held, comp) == clean
     counts = network.fault_injector.counts
-    assert network.transfer_retries == \
+    assert sent("pc_net_transfer_retries_total") == \
         counts["transfer_drops"] + counts["transfer_corruptions"]
     assert all(src != dst for src, dst in consulted)
 
@@ -336,11 +359,11 @@ def test_map_page_wire_delivers_the_same_pairs_with_and_without_faults(
 def test_broadcast_sends_every_row_to_every_other_worker(schedulers):
     scheduler = schedulers[3]
     network = scheduler.cluster.network
-    _watch(network)
+    _consulted, sent = _watch(network)
     rows = [[("a", 1), ("b", 2)], [], [("c", 3)]]
     everything = [("a", 1), ("b", 2), ("c", 3)]
     assert scheduler._exchange([(r, None) for r in rows]) == [everything] * 3
-    assert sorted(network.by_link) == [
+    assert sent.links() == [
         ("worker-0", "worker-1"), ("worker-0", "worker-2"),
         ("worker-2", "worker-0"), ("worker-2", "worker-1"),
     ]
@@ -402,12 +425,12 @@ def test_join_modes_and_aggregation_wires_match_the_local_engine(
             for comp in (SumX(), SumXRows()):
                 agg = comp.set_input(ObjectReader("db", "points"))
                 out = "%s-%s" % (type(comp).__name__, twice)
-                cluster.network.reset()
+                sent = _Since(cluster.network)
                 Writer("db", out).set_input(agg).execute(cluster)
                 assert cluster.read("db", out, as_pairs=True, comp=agg) == \
                     dict(local_sums[("db", "sums")])
                 # The declared PC types pick the wire.
                 paged = comp.key_type is not None
-                assert (cluster.network.bytes_rows == 0) == paged
+                assert (sent("pc_net_bytes_rows_total") == 0) == paged
     finally:
         cluster.close()

@@ -139,8 +139,7 @@ def test_failed_output_stage_leaves_no_pages(tmp_path, preloaded):
             cluster.storage_manager.total_objects("db", "out"),
             [list(p.page_ids) for p in partitions],
             [p.object_count for p in partitions],
-            [w.storage.pool.stats()["in_memory_bytes"]
-             for w in cluster.workers],
+            [w.storage.pool.in_memory_bytes for w in cluster.workers],
         )
 
     before = state()
@@ -218,9 +217,8 @@ def test_estimated_bytes_tolerates_only_a_flaky_reload(tmp_path, monkeypatch):
         fault_injector=injector,
     )
     load_points(cluster, n=2400)
-    assert sum(
-        w.storage.pool.stats()["spills"] for w in cluster.workers
-    ) > 0, "test premise: loading must spill pages"
+    assert cluster.metrics().value("pc_pool_spills_total") > 0, \
+        "test premise: loading must spill pages"
     repl = cluster.replication
     full = repl.estimated_bytes("db", "points")
     assert full > 0

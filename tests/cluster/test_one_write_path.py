@@ -194,7 +194,11 @@ def test_set_writer_frees_a_page_it_recorded_nothing_on(tmp_path):
         cluster.create_database("db")
         cluster.create_set("db", "points", DataPoint)
         page_set = cluster.workers[0].storage.get_set("db", "points")
-        created = page_set.pool.pages_created
+        def created():
+            return cluster.metrics().value(
+                "pc_pool_pages_created_total", worker="worker-0")
+
+        before = created()
         with page_set.writer() as writer:
             assert writer.sealed == []
         assert page_set.page_ids == [] and writer.sealed == []
@@ -202,5 +206,5 @@ def test_set_writer_frees_a_page_it_recorded_nothing_on(tmp_path):
             block = writer.block  # opened, nothing recorded: freed at exit
             assert len(page_items(block)) == 0
         assert page_set.page_ids == []
-        assert page_set.pool.pages_created == created + 1
+        assert created() == before + 1
         assert page_set.pool.pinned_pages() == {}

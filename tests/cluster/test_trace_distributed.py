@@ -2,21 +2,18 @@
 
 The PR 9 bar (DESIGN §14): on ``transport="process"`` the merged job
 trace must contain spans recorded *inside* every back-end child — task
-and operator spans carrying the child's real pid, shifted into the
-coordinator's clock with an error bounded by the heartbeat handshake —
+and operator spans carrying the child's real pid, on the one
+``time.monotonic()`` a same-host child shares with the coordinator —
 and a worker killed mid-task must still contribute evidence: truncated
 spans plus a flight-recorder dump, grafted from the error envelope or
 synthesized post-mortem from the shared ring.
 """
-
-import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ChaosMonkey, PCCluster, RetryPolicy
-from repro.cluster.supervisor import DEFAULT_BEAT_INTERVAL_S
 from repro.cluster.transport import remote_available
 from repro.core import AggregateComp, ObjectReader, SelectionComp, \
     Writer, lambda_from_member, lambda_from_native
@@ -77,27 +74,37 @@ def test_merged_trace_has_spans_from_every_worker_pid(tmp_path):
         cluster.close()
 
 
+def grafted_tasks(trace):
+    """``(stage span, coordinator task span, child task span)`` for every
+    ``task`` span a back-end process recorded and the scheduler grafted."""
+    for stage in trace.spans(kind="stage"):
+        for task in stage.children:
+            for child in task.children:
+                if task.kind == "task" and child.kind == "task":
+                    yield stage, task, child
+
+
 @needs_process
 def test_clock_alignment_error_is_bounded_by_the_handshake(tmp_path):
-    cluster = _tpch_cluster(tmp_path, "clock")
+    """The containment this test's name always wanted to pin (the name
+    is kept from when an estimated offset and its "error bound" were
+    recorded; there is no handshake now, and the error is zero).  One
+    clock (DESIGN §14): a child's span is placed at its own
+    ``time.monotonic()`` readings, unshifted — so it ends before the
+    await that received its result returned, and starts after the stage
+    that submitted it began."""
+    cluster = _tpch_cluster(tmp_path, "clock", profiling=True)
     try:
         customers_per_supplier_pc(cluster)
         trace = cluster.last_trace
-        root = trace.root
-        errors = [s.counters["trace.clock_error_s"]
-                  for s in trace.spans(kind="task")
-                  if "trace.clock_error_s" in s.counters]
-        assert errors  # the handshake ran and its bound was recorded
-        for error_s in errors:
-            assert 0 < error_s <= DEFAULT_BEAT_INTERVAL_S + 1e-9
-        # Aligned means contained: every remote span's window must land
-        # inside the job span (both clocks are CLOCK_MONOTONIC here, so
-        # a graft without calibration would still pass — the bound above
-        # is what pins the general case).
-        for span in trace.spans():
-            if span.pid is not None:
-                assert span.start >= root.start - DEFAULT_BEAT_INTERVAL_S
-                assert span.end <= root.end + DEFAULT_BEAT_INTERVAL_S
+        nested = list(grafted_tasks(trace))
+        assert len(nested) >= 3  # every worker shipped at least one task
+        for stage, task, child in nested:
+            assert child.pid is not None and not child.truncated
+            assert stage.start <= child.start <= child.end <= task.end
+            for op in child.children:  # the child's operator spans
+                assert child.start <= op.start <= op.end <= child.end
+        assert "trace.clock_error_s" not in trace.totals()
     finally:
         cluster.close()
 

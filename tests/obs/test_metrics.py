@@ -3,8 +3,7 @@
 Covers the counter/gauge/histogram primitives, the bucket-boundary
 percentile math (satellite: histogram quantiles at exact bucket
 boundaries), snapshot merging across per-process registries, and the
-trace-mirror / ``stats_view`` derivation that keeps metric names, trace
-counters, and legacy ``stats()`` keys from drifting apart.
+trace mirror a counter declares beside its metric name.
 """
 
 import pytest
@@ -69,6 +68,15 @@ def test_gauge_set_inc_dec():
     g.inc(5)
     g.dec(3)
     assert g.value == 12
+
+
+def test_gauge_value_is_the_sum_of_its_series():
+    g = Gauge("pc_level", labelnames=("worker",))
+    assert g.value == 0
+    g.set(3, worker="a")
+    assert g.value == 3
+    g.set(4, worker="b")
+    assert g.value == 7
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +212,7 @@ def test_on_collect_hooks_run_before_snapshot():
 
 
 # ---------------------------------------------------------------------------
-# Trace mirrors + stats_view (satellite: single-source naming)
+# Trace mirrors
 # ---------------------------------------------------------------------------
 
 def test_counter_with_trace_mirror_reports_into_active_span():
@@ -228,20 +236,3 @@ def test_templated_mirror_formats_label_values():
         with tracer.span("ship"):
             c.inc(64, src="w0", dst="w1")
     assert tracer.last_trace.totals()["net.link.w0->w1"] == 64
-
-
-def test_stats_view_derives_keys_from_trace_mirrors():
-    reg = MetricsRegistry()
-    reg.counter("pc_repl_replica_writes_total",
-                trace="repl.replica_writes").inc(2)
-    reg.counter("pc_repl_pages_healed_total", trace="repl.pages_healed")
-    # Templated mirrors are structured entries, not flat stats keys.
-    reg.counter("pc_net_link_bytes_total", labelnames=("src", "dst"),
-                trace="net.link.{src}->{dst}")
-    assert reg.stats_view("repl.") == {
-        "replica_writes": 2, "pages_healed": 0,
-    }
-    assert reg.stats_view("net.") == {}
-    assert reg.trace_names("repl.") == {
-        "repl.replica_writes", "repl.pages_healed",
-    }

@@ -1,9 +1,12 @@
 """Tests for the live console (repro.obs.top / ``python -m repro.obs.top``)."""
 
+import time
+
 import pytest
 
 from repro.cluster import PCCluster
 from repro.cluster.transport import remote_available
+from repro.obs import MetricsRegistry
 from repro.obs.top import ClusterTop, _human_bytes, main
 from repro.tpch import TpchSpec, customers_per_supplier_pc, \
     load_pc_customers
@@ -49,7 +52,12 @@ def test_sample_reads_heartbeats_on_the_process_transport(tmp_path):
         child_pids = {w.backend.child_pid for w in cluster.workers}
         assert {s.pid for s in frame} == child_pids
         assert all(s.state in ("alive", "suspect", "dead") for s in frame)
-        # Rows consumed were published through the heartbeat slot.
+        # Rows consumed are published through the heartbeat slot — by
+        # the child's next beat, which a short job can finish ahead of.
+        deadline = time.monotonic() + 5.0
+        while not sum(s.rows for s in frame) and time.monotonic() < deadline:
+            time.sleep(0.01)
+            frame = top.sample()
         assert sum(s.rows for s in frame) > 0
         assert all(s.reforks == 0 for s in frame)
     finally:
@@ -86,17 +94,9 @@ def test_dead_workers_sort_to_the_top():
             vit.pid, vit.task_id, vit.rows = 99, 0, 0
             return vit
 
-    class _Pool:
-        @staticmethod
-        def stats():
-            return {"in_memory_bytes": 0, "capacity_bytes": 1024}
-
-    class _Storage:
-        pool = _Pool()
-
     class _Worker:
         refork_count = 0
-        storage = _Storage()
+        metrics = MetricsRegistry()
 
         def __init__(self, worker_id):
             self.worker_id = worker_id

@@ -45,7 +45,7 @@ def test_reload_respects_the_memory_budget(tmp_path):
     _fill_lightly(page_c)
     pool.unpin(page_c.page_id, dirty=True)
     assert not page_a.in_memory
-    assert pool.stats()["spills"] >= 1
+    assert pool.metrics.snapshot().value("pc_pool_spills_total") >= 1
 
     # Reloading A must evict C: its spill file is ~100 bytes, but the
     # page it reconstitutes into occupies a full PAGE of budget.
@@ -85,13 +85,13 @@ def test_spill_reload_churn_keeps_accounting_exact(tmp_path):
         for i in range(300):
             writer.append(Tiny, pid=i, xs=[float(i)] * 24)
     pool = server.pool
-    assert pool.stats()["spills"] > 0
+    assert pool.metrics.snapshot().value("pc_pool_spills_total") > 0
 
     for _ in range(3):  # repeated scans force reload churn
         assert sum(1 for _ in page_set.scan_objects()) == 300
         assert pool.in_memory_bytes == _resident_bytes(pool)
         assert pool.in_memory_bytes <= pool.capacity_bytes
-    assert pool.stats()["reloads"] > 0
+    assert pool.metrics.snapshot().value("pc_pool_reloads_total") > 0
 
     # A reloaded-then-evicted-again page costs the budget exactly once.
     before = pool.in_memory_bytes

@@ -139,7 +139,8 @@ def test_corrupted_transfer_never_delivers_damage(data, corruptions):
         "a", "b", data, checksum=page_checksum(data)
     )
     assert delivered == data
-    assert network.transfers_corrupted == corruptions
+    assert network.metrics.snapshot().value(
+        "pc_net_transfers_corrupted_total") == corruptions
 
 
 def test_corrupted_transfer_without_budget_raises():

@@ -29,7 +29,8 @@ def test_writer_rolls_pages_and_scan_reads_back(tmp_path):
 
     seen = [h.pid for h in page_set.scan_objects()]
     assert seen == list(range(500))
-    assert pool.stats()["pages_created"] == 0  # unrelated pool untouched
+    # an unrelated pool is untouched
+    assert pool.metrics.snapshot().value("pc_pool_pages_created_total") == 0
 
 
 def test_spill_and_reload_roundtrip(tmp_path):
@@ -42,10 +43,10 @@ def test_spill_and_reload_roundtrip(tmp_path):
         for i in range(400):
             writer.append(Point, pid=i, name="x" * 20, xs=[1.0] * 16)
     # Pool can hold 4 pages; the set is bigger, so scans must reload spills.
-    assert server.pool.stats()["spills"] > 0
+    assert server.pool.metrics.snapshot().value("pc_pool_spills_total") > 0
     total = sum(1 for _ in page_set.scan_objects())
     assert total == 400
-    assert server.pool.stats()["reloads"] > 0
+    assert server.pool.metrics.snapshot().value("pc_pool_reloads_total") > 0
 
 
 def test_pool_exhaustion_when_everything_pinned(tmp_path):
