@@ -124,7 +124,8 @@ class CatalogJournal:
     catalog mutation it describes, so a master crash between the two
     leaves the journal ahead of (never behind) the catalog —
     :meth:`CatalogManager.replay_journal` then reconstructs a state that
-    includes every acknowledged mutation.
+    includes every acknowledged mutation.  The one append handle stays
+    open between records; :meth:`close` releases it.
     """
 
     def __init__(self, path):
@@ -133,14 +134,25 @@ class CatalogJournal:
         if directory:
             os.makedirs(directory, exist_ok=True)
         self.records_written = 0
+        self._file = None
 
-    def append(self, record):
-        with open(self.path, "a") as f:
-            f.write(json.dumps(record, sort_keys=True))
-            f.write("\n")
-            f.flush()
-            os.fsync(f.fileno())
-        self.records_written += 1
+    def append(self, *records):
+        """Commit ``records`` as one group: all written in order, then
+        synced once — a crash mid-group leaves a prefix of it."""
+        if self._file is None:
+            self._file = open(self.path, "a")
+        self._file.write("".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in records
+        ))
+        self._file.flush()
+        os.fsync(self._file.fileno())
+        self.records_written += len(records)
+
+    def close(self):
+        """Release the append handle (the next append reopens it)."""
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
     def entries(self):
         """All committed journal records, oldest first ([] when fresh).
@@ -154,6 +166,7 @@ class CatalogJournal:
         """
         if not os.path.exists(self.path):
             return []
+        self.close()  # appends after a truncation start from a fresh handle
         with open(self.path, "rb") as f:
             data = f.read()
         committed = data.rfind(b"\n") + 1
@@ -178,10 +191,11 @@ class CatalogManager:
         self.journal = journal
         self._replaying = False
 
-    def _journal(self, record):
-        """Append a WAL record (no-op without a journal or during replay)."""
-        if self.journal is not None and not self._replaying:
-            self.journal.append(record)
+    def _journal(self, *records):
+        """Append WAL records as one group (no-op without a journal or
+        during replay)."""
+        if self.journal is not None and not self._replaying and records:
+            self.journal.append(*records)
 
     # -- type registration -----------------------------------------------------
 
@@ -284,29 +298,38 @@ class CatalogManager:
 
     # -- replica-map bookkeeping ---------------------------------------------------
 
-    def record_page(self, database, name, replicas, checksum, count,
-                    primary=None, uid=None):
-        """Record one newly stored page and its replica placement.
+    def record_pages(self, database, name, pages, uids=None):
+        """Record newly stored pages and their replica placement.
 
-        Returns the page's :class:`PageRecord`.  ``replicas`` is the
-        ordered ``(worker_id, local_page_id)`` placement; ``checksum`` is
-        the CRC32 of the sealed bytes; ``count`` the objects on the page.
+        ``pages`` lists ``(replicas, checksum, count, primary)`` per
+        page: ``replicas`` the ordered ``(worker_id, local_page_id)``
+        placement, ``checksum`` the CRC32 of the sealed bytes, ``count``
+        the objects on the page.  The records are journaled as one group
+        — written and synced once — before any of them is applied.
+        Returns the pages' :class:`PageRecord` list.  ``uids`` are the
+        recorded ones when the journal is replayed.
         """
         with self._lock:
             meta = self._set_metadata_locked(database, name)
-            if uid is None:
-                uid = meta.next_page_uid()
-            else:
-                meta.note_replayed_uid(uid)
-            if primary is None:
-                primary = replicas[0][0]
-            record = PageRecord(uid, replicas, checksum, count, primary)
-            self._journal({
+            records = []
+            for index, (replicas, checksum, count, primary) in enumerate(pages):
+                if uids is None:
+                    uid = meta.next_page_uid()
+                else:
+                    uid = uids[index]
+                    meta.note_replayed_uid(uid)
+                if primary is None:
+                    primary = replicas[0][0]
+                records.append(
+                    PageRecord(uid, replicas, checksum, count, primary)
+                )
+            self._journal(*({
                 "op": "record_page", "db": database, "set": name,
                 **record.to_record(),
-            })
-            meta.pages[uid] = record
-            return record
+            } for record in records))
+            for record in records:
+                meta.pages[record.uid] = record
+            return records
 
     def update_page_replicas(self, database, name, uid, replicas):
         """Replace a page's replica list (quarantine, heal, re-replicate)."""
@@ -391,10 +414,11 @@ class CatalogManager:
         elif op == "drop_set":
             self.drop_set(record["db"], record["set"])
         elif op == "record_page":
-            self.record_page(
-                record["db"], record["set"], record["replicas"],
-                record["checksum"], record["count"],
-                primary=record.get("primary"), uid=record["uid"],
+            self.record_pages(
+                record["db"], record["set"],
+                [(record["replicas"], record["checksum"], record["count"],
+                  record.get("primary"))],
+                uids=[record["uid"]],
             )
         elif op == "update_page":
             self.update_page_replicas(

@@ -695,13 +695,12 @@ class PCCluster:
     # -- lifecycle ----------------------------------------------------------------------------
 
     def close(self):
-        """Release transport-held resources (idempotent).
+        """Release what the cluster holds open (idempotent).
 
         Under the process transport this returns every worker's child
         process to the shared pool (or terminates it) and unlinks the
-        shared-memory segments the buffer pools still own.  The simulated
-        transport holds nothing, so closing is free — but closing every
-        cluster keeps code portable across transports.
+        shared-memory segments the buffer pools still own; on any, it
+        closes the catalog journal's append handle.
         """
         for worker in self.workers:
             worker.backend.shutdown()
@@ -709,6 +708,7 @@ class PCCluster:
             worker.storage.pool.close()
         self.transport.close()
         self.shm_registry.close()
+        self.journal.close()
 
     def __enter__(self):
         return self

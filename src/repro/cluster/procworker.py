@@ -2,11 +2,14 @@
 
 This module is the *child* side of :class:`~repro.cluster.transport.
 ProcessTransport`: it runs in a spawned OS process and executes one task
-at a time off a queue.  A task arrives fully described — the compiled
-program, the stage list, the source (shared-memory page names or plain
-columns), the sink class — so the child needs none of the coordinator's
-cluster machinery: it uses only the engine, the memory layer and the
-one page decode (:func:`repro.storage.page.page_items`), and runs the task
+at a time off a queue.  A task arrives fully described — the stage list,
+the source (shared-memory page names or plain columns), the sink class —
+against its job's constant state (the compiled program, build sides,
+batch size, type registry, the profiling/tracing flags), which arrives
+once, ahead of the job's first task here, and is kept until another
+job's replaces it.  So the child needs none of the coordinator's cluster
+machinery: it uses only the engine, the memory layer and the one page
+decode (:func:`repro.storage.page.page_items`), and runs the task
 through :meth:`~repro.engine.pipeline.PipelineEngine.run_stages`.
 
 Sealed pages are attached zero-copy: the coordinator exports each page's
@@ -16,8 +19,10 @@ name and wraps the mapped bytes in an
 paper's "a page moves between processes with zero (de)serialization",
 for real this time.
 
-A task returns ``(sink state, evidence)``: the sink's *pre-finish*
-state (plain Python values) and the task's evidence (DESIGN §14) — the
+A task returns ``(sink state, evidence)``: the sealed sink's state —
+plain Python values, and the bytes (CRC-stamped) of every combiner or
+output page the task built on private blocks, for the coordinator's own
+sink to ``finish()`` — and the task's evidence (DESIGN §14) — the
 same engine counter deltas and operator records the coordinator closes
 for a body it runs itself, booked at home by the same
 :func:`~repro.obs.evidence.book_task_evidence`.  A task whose result
@@ -25,7 +30,7 @@ would carry PC objects (handles/facades pointing into page memory) is
 *rejected*, not failed: the coordinator re-runs that portion front-end
 side.
 
-``spec["profiling"]`` and ``spec["tracing"]`` mean here what they mean
+The job's ``"profiling"`` and ``"tracing"`` mean here what they mean
 in the coordinator: the first puts an operator recorder behind the
 engine, the second makes the task a ``task`` span (adopting
 ``spec["trace_ctx"]``) that travels inside the evidence; with both off
@@ -66,6 +71,9 @@ _progress = {"task": 0, "rows": 0}
 #: envelope).
 _task_state = {}
 
+#: The constant state of the one job this process currently works for.
+_job = {}
+
 
 def _beat_loop(slot, interval):
     """Publish liveness + progress into the shared heartbeat slot.
@@ -100,6 +108,15 @@ class _PlanStub:
 
     def __init__(self, build_sides):
         self.build_sides = build_sides
+
+
+def _unregistered(name, _descriptor):
+    """The job registry's ``register_delegate`` here: this copy cannot
+    hand out a code the master catalog would agree with, so a task that
+    needs a brand-new type is re-run front-end side, where it can."""
+    raise _TaskRejected(
+        "type %r is not registered with the master catalog" % (name,)
+    )
 
 
 def _attach(name):
@@ -213,12 +230,13 @@ def _close_evidence(truncated=False, events=()):
 
 def _execute(spec):
     engine = PipelineEngine(
-        spec["program"], _PlanStub(spec["build_sides"]), None,
-        batch_size=spec["batch_size"],
-        profiler=OperatorRecorder() if spec["profiling"] else None,
+        _job["program"], _PlanStub(_job["build_sides"]), None,
+        batch_size=_job["batch_size"],
+        profiler=OperatorRecorder() if _job["profiling"] else None,
+        registry=_job["registry"],
     )
     _task_state["engine"] = engine
-    if spec["tracing"]:
+    if _job["tracing"]:
         # Named after the worker, like the coordinator's task span it is
         # grafted under; the task id stays visible in the flight events.
         root = _task_state["root"] = Span(spec["worker_id"], kind="task")
@@ -228,13 +246,13 @@ def _execute(spec):
     attachments = []
     try:
         batches = _source_batches(
-            spec["source"], engine, spec["registry"], attachments
+            spec["source"], engine, _job["registry"], attachments
         )
-        # The sink is built plain and never finished: merge semantics
-        # apply against the coordinator's store, so its pre-finish state
-        # travels and the coordinator's own sink finishes front-end side.
-        sink_class, sink_arg = spec["sink"]
-        sink = sink_class(engine, sink_arg)
+        # The sink is built plain, sealed by run_stages and never
+        # finished: its state travels and the coordinator's own sink
+        # installs it (adopting pages, merging) front-end side.
+        sink_class, sink_args = spec["sink"]
+        sink = sink_class(engine, *sink_args)
         engine.run_stages(spec["stages"], _counted(batches), sink)
         result = sink.state
         _reject_pc_values(result)
@@ -265,7 +283,7 @@ def backend_main(task_queue, result_queue, heartbeat=None,
         item = task_queue.get()
         if item is None:
             break
-        task_id, blob = item
+        task_id, job, blob = item
         _progress["task"] = task_id
         _progress["rows"] = 0
         _task_state.clear()
@@ -273,6 +291,10 @@ def backend_main(task_queue, result_queue, heartbeat=None,
         recorder.record("task.dispatch", task=task_id)
         try:
             try:
+                if job is not None:
+                    _job.clear()
+                    _job.update(pickle.loads(job))
+                    _job["registry"].register_delegate = _unregistered
                 returned = _execute(pickle.loads(blob))
             except _TaskRejected as rejected:
                 recorder.record("task.reject", task=task_id,

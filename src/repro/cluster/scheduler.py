@@ -16,16 +16,18 @@ otherwise both sides are hash-partitioned (the paper's 2 GB rule,
 Section 8.3.2, scaled to simulation sizes).
 
 Aggregation shuffles are the paper's signature move and are reproduced
-bit-for-bit: each worker's pre-aggregated groups are materialized into a
-PC ``Map`` on a combiner page, the page's *bytes* are shipped, and the
-receiver reads the Map straight out of the arrived bytes — zero
+bit-for-bit: the task that pre-aggregated a worker's groups materializes
+them into PC ``Map``s on combiner pages, the pages' *bytes* are shipped,
+and the receiver reads the Map straight out of the arrived bytes — zero
 serialization on both ends.
 
 One task body, one attempt loop: a worker's portion of a stage is always
-``engine.run_stages(stages, batches, sink)`` — run by the back-end process
-the attempt was shipped to, or by the coordinator when the one placement
-decision (:meth:`DistributedScheduler._place`) keeps it front-end side
-for a counted reason (``pc_sched_frontend_tasks_total{reason}``).
+``engine.run_stages(stages, batches, sink)`` — run, pages built and all,
+by the back-end process the attempt was shipped to, or by the coordinator
+when the one placement decision (:meth:`DistributedScheduler._place`)
+keeps it front-end side for a counted reason
+(``pc_sched_frontend_tasks_total{reason}``).  What is constant over a job
+(program, registry, ...) travels to a back-end process once, not per task.
 
 Fault tolerance (Section 2's dual-process rationale): every per-worker
 task runs through :meth:`DistributedScheduler._run_worker_tasks`, which
@@ -50,7 +52,6 @@ import contextlib
 import functools
 
 from repro.core.computation import AggregateComp
-from repro.engine import kernels
 from repro.engine.physical import (
     SINK_AGGREGATE,
     SINK_HASH_BUILD,
@@ -60,14 +61,16 @@ from repro.engine.physical import (
 )
 from repro.engine.pipeline import (
     AggregateSink,
+    ClusterOutputSink,
     HashBuildSink,
+    MapPageOutputSink,
     MaterializeSink,
     PipelineEngine,
-    Sink,
     combine_into,
     hash_rows_into,
     join_sides,
     object_batches,
+    row_messages,
 )
 from repro.cluster.transport import (
     PICKLING_ERRORS,
@@ -85,10 +88,10 @@ from repro.errors import (
     WorkerLostError,
 )
 from repro.memory.block import AllocationBlock
-from repro.memory.builtins import MapType, stable_hash
+from repro.memory.builtins import MapType
 from repro.obs.evidence import OperatorRecorder, book_task_evidence
 from repro.obs.tracer import Span
-from repro.storage.dataset import fill_map_pages
+from repro.storage.page import register_root_type
 from repro.storage.replication import page_checksum
 from repro.tcap.ir import ApplyStmt, JoinStmt, OutputStmt
 from repro.tcap.verify import verify_program
@@ -192,6 +195,7 @@ class DistributedScheduler:
                 batch_size=self.cluster.batch_size,
                 profiler=OperatorRecorder() if self.profiler is not None
                 else None,
+                registry=worker.local_catalog.registry,
             )
             checkpoint = self._checkpoints.get(worker.worker_id)
             if checkpoint is not None:
@@ -234,6 +238,18 @@ class DistributedScheduler:
     # -- main entry ------------------------------------------------------------------
 
     def execute(self):
+        # A back-end process works on a copy of the registry, which cannot
+        # hand out cluster-wide codes: the types this job's sinks stamp on
+        # combiner and output pages — the row-page root, the aggregations'
+        # Maps — are registered first, on any transport (so the codes, and
+        # the page bytes, agree across them).
+        register_root_type(self.cluster.catalog)
+        for comp in self.program.computations.values():
+            if (isinstance(comp, AggregateComp) and comp.key_type is not None
+                    and comp.value_type is not None):
+                self.cluster.register_type(
+                    MapType(comp.key_type, comp.value_type)
+                )
         try:
             while True:
                 try:
@@ -340,8 +356,8 @@ class DistributedScheduler:
                                     span.detail = "front-end: child_rejected"
                                 outcome = worker.dispatch(attempt.body)
                             if isinstance(outcome, RemoteOutcome):
-                                # The child's evidence, then its sink's
-                                # pre-finish state; finish() runs here.
+                                # The child's evidence, then its sealed
+                                # sink's state; finish() runs here.
                                 self._book_remote(worker, outcome)
                                 attempt.sink.state = outcome.result
                                 attempt.sink.finish()
@@ -573,39 +589,61 @@ class DistributedScheduler:
 
     # -- placement: ship the attempt, or keep it front-end side ------------------------
 
+    @functools.cached_property
+    def _job_blob(self):
+        """What every task of this job needs and no task changes, pickled
+        once: a back-end process is sent it the first time it works for
+        the job and keeps it until another job's arrives."""
+        return serialize_task({
+            "program": self.program,
+            "build_sides": dict(self.plan.build_sides),
+            "batch_size": self.cluster.batch_size,
+            # Measured and traced there as here (DESIGN §14).
+            "profiling": self.profiler is not None,
+            "tracing": self.tracer.enabled,
+            # The master registry is authoritative and its codes are
+            # cluster-consistent (local catalogs mirror them on their
+            # simulated .so fetches); the worker-local registry may not
+            # have lazily fetched every type the pages reference yet.
+            "registry": self.cluster.catalog.registry,
+        })
+
     def _place(self, worker, stages, source, sink, body):
         """The one placement decision for an attempt; returns it built.
 
         The attempt is shipped to the worker's back-end process unless
         one of a closed set of reasons keeps ``body`` front-end side:
         ``in_process`` (the simulator has no other side),
-        ``frontend_sink`` (the sink writes worker-local pages or merges
-        into coordinator state), ``pool_pressure`` (the pool cannot pin
-        the whole scan; the front-end streams it page by page through
-        the spill machinery), ``unpicklable_spec`` (a hash table or
-        closure holds something that cannot travel) — each counted in
+        ``pool_pressure`` (the pool cannot pin the whole scan; the
+        front-end streams it page by page through the spill machinery),
+        ``unpicklable_spec`` (a hash table or closure holds something
+        that cannot travel) — each counted in
         ``pc_sched_frontend_tasks_total{reason}`` and named on the task
         span; ``child_rejected`` joins them in :meth:`_await_attempt`.
-        A probe whose hash table was never built is a scheduling bug on
-        any transport and raises its ExecutionError right here.  A
-        storage fault while exporting the scan is replayed through the
-        back-end as a raising stand-in, so it books as a crash (retry +
-        re-fork) exactly where the front-end scan would have hit it.
+        Every sink can be filled by a back-end (its pages included), so
+        one that cannot say how is a bug, as is a probe whose hash table
+        was never built: each raises its ExecutionError right here, on
+        any transport.  A storage fault while exporting the scan is
+        replayed through the back-end as a raising stand-in, so it books
+        as a crash (retry + re-fork) exactly where the front-end scan
+        would have hit it.
         """
         def front_end(reason):
             self._c_frontend.inc(reason=reason)
             return _Attempt(sink, body, "front-end: %s" % reason)
 
-        engine = sink.engine
         tables = {
-            stage.output: engine.hash_table(stage.output)
+            stage.output: sink.engine.hash_table(stage.output)
             for stage in stages if isinstance(stage, JoinStmt)
         }
-        if not getattr(worker.backend, "asynchronous", False):
-            return front_end("in_process")
         remote_sink = sink.remote_spec()
         if remote_sink is None:
-            return front_end("frontend_sink")
+            raise ExecutionError(
+                "%s does not say how a back-end fills it (remote_spec)"
+                % type(sink).__name__
+            )
+        if not getattr(worker.backend, "asynchronous", False):
+            return front_end("in_process")
         try:
             exported, release = source.export()
         except StorageError as fault:
@@ -613,42 +651,29 @@ class DistributedScheduler:
         if exported is None:
             return front_end("pool_pressure")
         active = self.tracer.active
-        spec = {
-            "worker_id": worker.worker_id,
-            "program": self.program,
-            "build_sides": dict(self.plan.build_sides),
-            "batch_size": self.cluster.batch_size,
-            "stages": list(stages),
-            "source": exported,
-            "sink": remote_sink,
-            "hash_tables": tables,
-            # Measured and traced there as here (DESIGN §14).
-            "profiling": self.profiler is not None,
-            "tracing": self.tracer.enabled,
-            # Trace context: the child's task span adopts this job's
-            # trace id and hangs off the span open at build time (the
-            # stage span; grafting re-parents onto the task span the
-            # coordinator opens around the await).
-            "trace_ctx": {
-                "trace_id": self.tracer.trace_id,
-                "parent_span_id": active.span_id if active is not None
-                else None,
-            },
-            # The master registry is authoritative and its codes are
-            # cluster-consistent (local catalogs mirror them on their
-            # simulated .so fetches); the worker-local registry may not
-            # have lazily fetched every type the pages reference yet.
-            "registry": self.cluster.catalog.registry,
-        }
         try:
-            blob = serialize_task(spec)
+            task = RemoteTask(serialize_task({
+                "worker_id": worker.worker_id,
+                "stages": list(stages),
+                "source": exported,
+                "sink": remote_sink,
+                "hash_tables": tables,
+                # Trace context: the child's task span adopts this job's
+                # trace id and hangs off the span open at build time (the
+                # stage span; grafting re-parents onto the task span the
+                # coordinator opens around the await).
+                "trace_ctx": {
+                    "trace_id": self.tracer.trace_id,
+                    "parent_span_id": active.span_id if active is not None
+                    else None,
+                },
+            }), self._job_blob, label="%s on %s" % (
+                type(sink).__name__, worker.worker_id
+            ))
         except PICKLING_ERRORS:
             if release is not None:
                 release()
             return front_end("unpicklable_spec")
-        task = RemoteTask(blob, label="%s on %s" % (
-            type(sink).__name__, worker.worker_id
-        ))
         return _Attempt(sink, body, "shipped", task=task, release=release)
 
     def _book_remote(self, worker, outcome):
@@ -714,63 +739,42 @@ class DistributedScheduler:
     def _exchange(self, held, comp=None):
         """Move rows between workers — every shuffle, broadcast and merge.
 
-        ``held[s]`` is worker ``s``'s ``(rows, hashes)``: row ``i`` goes
-        to worker ``hashes[i] % n`` — to every worker when ``hashes`` is
-        None.  Returns the rows each worker received, sources in worker
-        order.  On the wire (:meth:`_wire`) a partition becomes messages,
-        a message crosses, an arrived message becomes rows again.  Three
-        decisions, made here once: an empty partition makes no message; a
-        worker's own messages are handed over in their place in that
-        order — no transfer, so nothing to count, checksum or
-        fault-inject; every other one is shipped, and what is unpacked is
-        what ``ship`` returned: the message that *arrived*.
+        ``held[s]`` is what worker ``s`` sends: one list of messages per
+        partition, as the task that held the rows partitioned and packed
+        them (:func:`row_messages`; an aggregation's sink) — partition
+        ``p`` is for worker ``p % n``, so an aggregation partitioned
+        before a peer was absorbed mid-stage still lands every key on
+        one survivor.  Returns the rows each worker received, sources in
+        worker order.  A message crosses, an arrived message becomes
+        rows again (:meth:`_wire`).  Three decisions, made here once: an
+        empty partition is no message; a worker's own messages are
+        handed over in their place in that order — no transfer, so
+        nothing to count, checksum or fault-inject; every other one is
+        shipped, and what is unpacked is what ``ship`` returned: the
+        message that *arrived*.
         """
         workers = self.workers
         n = len(workers)
-        pack, ship, unpack = self._wire(comp)
+        ship, unpack = self._wire(comp)
         received = [[] for _ in workers]
-        for src, (rows, hashes) in zip(workers, held):
-            if hashes is None:
-                partitions = [rows] * n
-            else:
-                partitions = [[] for _ in workers]
-                for row, hash_value in zip(rows, hashes):
-                    partitions[hash_value % n].append(row)
-            for dst, partition, into in zip(workers, partitions, received):
-                for message in pack(src, partition) if partition else ():
+        for src, outbox in zip(workers, held):
+            for partition, messages in enumerate(outbox):
+                dst, into = workers[partition % n], received[partition % n]
+                for message in messages:
                     if src is not dst:
                         message = ship(src.worker_id, dst.worker_id, message)
                     into.extend(unpack(dst, message))
         return received
 
     def _wire(self, comp=None):
-        """``(pack, ship, unpack)``: structured rows, one message a
-        partition — or, for the ``(key, value)`` rows of an aggregation
-        that declares PC types, PC Maps on combiner pages (Figure 5): the
+        """``(ship, unpack)``: structured rows as they are — or, for the
+        ``(key, value)`` rows of an aggregation that declares PC types,
+        the PC Maps on combiner pages its sinks packed (Figure 5): the
         page bytes are shipped verbatim and the receiver reads the Map
         out of the arrived page with no deserialization."""
         if comp is None or comp.key_type is None or comp.value_type is None:
-            return (
-                lambda src, rows: [rows], self.cluster.network.ship_rows,
-                lambda dst, rows: rows,
-            )
+            return self.cluster.network.ship_rows, lambda dst, rows: rows
         map_type = MapType(comp.key_type, comp.value_type)
-
-        def pack(src, pairs):
-            pages = []
-
-            def place(build):
-                block = AllocationBlock(
-                    self.cluster.combiner_page_size,
-                    registry=src.local_catalog.registry,
-                )
-                handle = build(block)
-                # The combiner page's root is the Map itself.
-                block.set_root(handle.offset, handle.type_code)
-                pages.append(block.to_bytes())
-
-            fill_map_pages(map_type, pairs, place)
-            return pages
 
         def ship(src_id, dst_id, payload):
             # Checksummed transfer: a corrupted combiner page is
@@ -788,7 +792,7 @@ class DistributedScheduler:
                 for key, value in map_type.facade(page, page.root()[0]).items()
             ]
 
-        return pack, ship, unpack
+        return ship, unpack
 
     def _run_distributed_pipeline(self, pipeline, sink_factory):
         """Run a full pipeline on every worker, honoring join partitioning.
@@ -825,9 +829,9 @@ class DistributedScheduler:
                     self.plan, segment[0]
                 )
                 names = next((list(c) for c in collected if c), [])
-                received = self._exchange([(
+                received = self._exchange([row_messages(
                     zip(*(c.get(name, ()) for name in names)),
-                    c.get(probe_hash, ()),
+                    c.get(probe_hash, ()), len(workers),
                 ) for c in collected])
                 sources = [
                     functools.partial(
@@ -930,8 +934,7 @@ class DistributedScheduler:
         """Run ``stages`` over just the orphaned pages, merging results."""
         def merge_sink_factory(w):
             sink = sink_factory(w)
-            if hasattr(sink, "merge"):
-                sink.merge = True
+            sink.merge = True
             return sink
 
         self._run_worker_tasks([(worker, self._attempt(
@@ -989,8 +992,9 @@ class DistributedScheduler:
                     (hash_value,) + row
                     for hash_value, bucket in table.items() for row in bucket
                 ]
-                held.append((
-                    rows, None if mode == "broadcast" else [r[0] for r in rows]
+                held.append(row_messages(
+                    rows, None if mode == "broadcast" else [r[0] for r in rows],
+                    len(workers),
                 ))
             for worker, rows in zip(workers, self._exchange(held)):
                 self.engine_for(worker).hash_tables[join.output] = \
@@ -999,13 +1003,19 @@ class DistributedScheduler:
     def _run_aggregate(self, pipeline):
         agg = pipeline.sink
         comp = self.program.computations[agg.computation]
-        # Producing stage: per-worker pre-aggregation (pipelining threads).
+        # Fixed for the stage: a survivor absorbing a lost peer's pages
+        # must partition them as its finished portion was.
+        exchange = (len(self.workers), self.cluster.combiner_page_size)
+        # Producing stage: per-worker pre-aggregation (pipelining threads),
+        # each task partitioning and packing what it sends.
         with self._stage(
             "PipelineJobStage", "pre-aggregation for %s" % agg.output,
         ):
             self._run_distributed_pipeline(
                 pipeline,
-                lambda worker: AggregateSink(self.engine_for(worker), agg),
+                lambda worker: AggregateSink(
+                    self.engine_for(worker), agg, exchange
+                ),
             )
 
         # Consuming stage: the pre-aggregated pairs, exchanged by key hash.
@@ -1014,17 +1024,13 @@ class DistributedScheduler:
             "AggregationJobStage", "shuffled merge for %s over %d partitions"
             % (agg.output, len(workers)),
         ):
-            held = []
-            for worker in workers:
-                store = self.engine_for(worker).store.pop(agg.output, None)
-                # A store can carry a key twice after a survivor absorbed
-                # a lost peer's portion — combine, never overwrite.
-                groups = combine_into(
-                    {}, zip(store["key"], store["val"]) if store else (),
-                    comp.combine,
-                )
-                held.append((groups.items(), map(stable_hash, groups)))
+            held = [
+                self.engine_for(worker).store.pop(agg.output, ())
+                for worker in workers
+            ]
             for worker, pairs in zip(workers, self._exchange(held, comp)):
+                # A key can arrive twice even from one worker (it absorbed
+                # a lost peer's portion) — combine, never overwrite.
                 groups = combine_into({}, pairs, comp.combine)
                 self.tracer.add("agg.merged_keys", len(groups))
                 self.engine_for(worker).store[agg.output] = {
@@ -1045,25 +1051,25 @@ class DistributedScheduler:
     def _run_output(self, pipeline):
         output = pipeline.sink
         self.cluster.ensure_set(output.database, output.set_name)
-        agg_comp = self._aggregate_behind(output)
+        key = (output.database, output.set_name)
+        aggregation = self._aggregate_behind(output)
 
         def sink_factory(worker):
-            page_set = worker.storage.get_set(
-                output.database, output.set_name
-            )
-            if agg_comp is not None:
+            page_set = worker.storage.get_set(*key)
+            if aggregation is not None:
                 return MapPageOutputSink(
-                    self.engine_for(worker), output, page_set, agg_comp
+                    self.engine_for(worker), output, page_set.page_size,
+                    aggregation, page_set,
                 )
             return ClusterOutputSink(
-                self.engine_for(worker), output, page_set, self.cluster
+                self.engine_for(worker), output, page_set.page_size,
+                page_set, self.cluster.python_outputs.setdefault(key, []),
             )
 
         with self._stage(
             "PipelineJobStage",
             "pipeline into %s.%s" % (output.database, output.set_name),
         ):
-            key = (output.database, output.set_name)
             repl = self.cluster.replication
             partitions = {
                 w.worker_id: w.storage.get_set(*key) for w in self.workers
@@ -1078,20 +1084,20 @@ class DistributedScheduler:
                 # A failed stage leaves nothing behind: the workers that
                 # finished wrote pages no catalog record will ever name.
                 for worker_id, pages in repl.unrecorded_pages(*key, marks):
-                    _rollback_pages(
-                        partitions[worker_id], pages, objects[worker_id]
-                    )
+                    partitions[worker_id].rollback(pages, objects[worker_id])
                 del self.cluster.python_outputs.get(key, [])[python_mark:]
                 raise
-            # Sink pages are written in place; before the stage is declared
-            # complete they are checksummed, recorded in the replica map
-            # and copied to their ring replicas, so output sets are as
-            # durable as loaded ones.
-            for worker_id, pages in repl.unrecorded_pages(*key, marks):
-                repl.register_local_pages(*key, worker_id, pages)
+            # Before the stage is declared complete the pages its sinks
+            # adopted are checksummed, recorded in the replica map and
+            # copied to their ring replicas, so output sets are as durable
+            # as loaded ones.
+            repl.register_local_pages(
+                *key, repl.unrecorded_pages(*key, marks)
+            )
 
     def _aggregate_behind(self, output_stmt):
-        """The AggregateComp whose pairs this OUTPUT writes, if any."""
+        """The name of the typed AggregateComp whose pairs this OUTPUT
+        writes, if any."""
         for statement in self.program.statements:
             if (
                 isinstance(statement, ApplyStmt)
@@ -1100,7 +1106,7 @@ class DistributedScheduler:
             ):
                 comp = self.program.computations.get(statement.computation)
                 if isinstance(comp, AggregateComp) and comp.key_type is not None:
-                    return comp
+                    return statement.computation
         return None
 
 
@@ -1215,96 +1221,3 @@ class _ScanSource:
             release()
             raise
         return ("pages", refs, scan.column, self.columnar), release
-
-
-class _PageSink(Sink):
-    """Records objects on the worker-local partition of the output set,
-    through the partition's writer; :meth:`abort` frees the pages this
-    writer sealed, so a failed attempt's output is gone before a retry.
-    """
-
-    def __init__(self, engine, output_stmt, page_set):
-        super().__init__(engine)
-        self.statement = output_stmt
-        self.page_set = page_set
-        self.writer = page_set.writer()
-        self._objects_mark = page_set.object_count
-
-    def finish(self):
-        self.writer.flush()
-        self.engine.metrics.pages_written += len(self.writer.sealed)
-
-    def abort(self):
-        self.writer.discard()
-        _rollback_pages(self.page_set, self.writer.sealed, self._objects_mark)
-
-
-class ClusterOutputSink(_PageSink):
-    """Writes pipeline output: PC objects (handles / facades) onto set
-    pages, plain Python values onto a worker-local Python list that the
-    client gathers on :meth:`PCCluster.read`.
-    """
-
-    def __init__(self, engine, output_stmt, page_set, cluster):
-        super().__init__(engine, output_stmt, page_set)
-        self._python = cluster.python_outputs.setdefault(
-            (output_stmt.database, output_stmt.set_name), []
-        )
-        self._python_mark = len(self._python)
-
-    def allocation_block(self):
-        return self.writer.block
-
-    def roll_page(self):
-        # A stage filled the page: nothing of its batch is recorded yet.
-        self.writer.flush()
-
-    def consume(self, batch):
-        # The writer retries the one object a full page refused on the
-        # next page, so no BlockFullError leaves here with part of the
-        # batch recorded (the engine would re-run all of it).
-        for value in kernels.reify_column(batch.column(self.statement.column)):
-            if hasattr(value, "pc_page"):
-                # A columnar scan's row view is page-backed but not a
-                # handle: store its detached form as a Python output
-                # (columnar *output* sets are not written in v1).
-                self._python.append(value.detach())
-            elif hasattr(value, "pc_block") or hasattr(value, "deref"):
-                self.writer.append_object(value)
-            else:
-                self._python.append(value)
-
-    def abort(self):
-        super().abort()
-        del self._python[self._python_mark:]
-
-
-class MapPageOutputSink(_PageSink):
-    """Writes aggregation pairs as a PC Map object in the destination set.
-
-    This reproduces the paper's aggregation sink: the stored set holds
-    ``Map`` objects (one per worker partition), readable with zero
-    deserialization and expanded back into pairs on scan.
-    """
-
-    def __init__(self, engine, output_stmt, page_set, comp):
-        super().__init__(engine, output_stmt, page_set)
-        self.map_type = MapType(comp.key_type, comp.value_type)
-        self.pairs = []
-
-    def consume(self, batch):
-        self.pairs.extend(
-            kernels.reify_column(batch.column(self.statement.column))
-        )
-
-    def finish(self):
-        fill_map_pages(self.map_type, self.pairs, self.writer.append_built)
-        super().finish()
-
-
-def _rollback_pages(page_set, pages, objects_mark):
-    """Free ``pages``: what a failed attempt (or stage) wrote on a partition."""
-    for page_id in pages:
-        page_set.pool.free_page(page_id)
-        page_set.page_ids.remove(page_id)
-    page_set.object_count = objects_mark

@@ -9,8 +9,9 @@ stay in-process (the deterministic CI / fault-matrix backend).
 
 :class:`ProcessTransport` is the real one.  Each worker's back-end is a
 spawned OS process (the paper's front-end/back-end split made literal):
-the coordinator submits self-contained task blobs over a per-worker task
-queue, the child attaches to sealed pages through
+the coordinator submits task blobs over a per-worker task queue (what is
+constant over a job goes to a child once, ahead of the job's first task
+there), the child attaches to sealed pages through
 ``multiprocessing.shared_memory`` *by segment name* — page bytes are
 never pickled — and ``refork_backend`` terminates the child and leases a
 fresh one.  ``spawn`` (not ``fork``) is used deliberately: a forked
@@ -310,19 +311,24 @@ def remote_available():
 
 
 def serialize_task(spec):
-    """Pickle a task spec for a back-end process (cloudpickle: closures)."""
+    """Pickle a task spec, or a job's constant state, for a back-end
+    process (cloudpickle: closures)."""
     return cloudpickle.dumps(spec)
 
 
 class RemoteTask:
     """One worker's stage portion, packaged for a back-end process.
 
-    ``blob`` is a self-contained cloudpickle payload the child executes
-    with :mod:`repro.cluster.procworker`; ``label`` names it in errors.
+    ``blob`` is the cloudpickle payload the child executes with
+    :mod:`repro.cluster.procworker` against ``job``, the job-constant
+    state — one blob shared by every task of the job, which a child is
+    sent only when it is not the one it already holds; ``label`` names
+    the task in errors.
     """
 
-    def __init__(self, blob, label=""):
+    def __init__(self, blob, job, label=""):
         self.blob = blob
+        self.job = job
         self.label = label
 
     def __repr__(self):
@@ -332,7 +338,7 @@ class RemoteTask:
 class RemoteOutcome:
     """What a completed remote task hands back to the coordinator.
 
-    ``result`` is the sink's pre-finish state and ``evidence`` the task's
+    ``result`` is the sealed sink's state and ``evidence`` the task's
     evidence as the child closed it (:mod:`repro.obs.evidence`; with
     tracing on it carries the child's ``task`` span under ``"spans"``,
     timestamps relative to ``"span_base"`` on ``time.monotonic()`` — the
@@ -494,6 +500,9 @@ class _ChildProcess:
         #: consumed by _PendingFuture to type the resulting error.
         self.kill_verdicts = {}
         self.broken = False
+        #: the job blob this process holds (by identity: the reference
+        #: kept here is what makes the comparison safe).
+        self._job = None
 
     @property
     def pid(self):
@@ -508,7 +517,9 @@ class _ChildProcess:
     def submit(self, task, backend):
         task_id = next(self._task_ids)
         self.submit_times[task_id] = time.monotonic()
-        self._tasks.put((task_id, task.blob))
+        job = None if task.job is self._job else task.job
+        self._job = task.job
+        self._tasks.put((task_id, job, task.blob))
         self._outstanding.add(task_id)
         return _PendingFuture(self, backend, task, task_id)
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import BlockFullError, ExecutionError
+from repro.errors import BlockFullError, ExecutionError, WorkerCrashError
 from repro.engine import kernels
-from repro.memory.builtins import MapFacade, stable_hash
+from repro.memory.builtins import MapFacade, MapType, stable_hash
 from repro.memory.columnar import ColumnarRows
 from repro.memory.handle import Handle
 from repro.memory.objects import use_allocation_block
@@ -35,6 +35,12 @@ from repro.engine.physical import (
     SOURCE_SCAN,
 )
 from repro.engine.vectors import DEFAULT_BATCH_SIZE, VectorList, batches_of
+from repro.storage.dataset import (
+    fill_map_pages,
+    pack_map_pages,
+    private_page_writer,
+)
+from repro.storage.replication import page_checksum
 from repro.tcap.ir import (
     ApplyStmt,
     FilterStmt,
@@ -78,13 +84,16 @@ class PipelineEngine:
     """Executes a physical plan over one worker's data."""
 
     def __init__(self, program, plan, scan_reader, batch_size=None,
-                 output_sink_factory=None, metrics=None, profiler=None):
+                 output_sink_factory=None, metrics=None, profiler=None,
+                 registry=None):
         """``scan_reader(scan_stmt)`` yields the objects of a stored set
         (None when every ``run_stages`` call is handed its batches);
         ``output_sink_factory(output_stmt)`` builds the sink for OUTPUT
         statements (defaults to collecting Python lists).  With a
         ``profiler`` (:class:`repro.obs.evidence.OperatorRecorder`) every
         TCAP operator application is measured into the task's evidence.
+        ``registry`` is the type registry of the pages this engine's
+        sinks build (combiner and output pages).
         """
         self.program = program
         self.plan = plan
@@ -92,6 +101,7 @@ class PipelineEngine:
         self.batch_size = batch_size or DEFAULT_BATCH_SIZE
         self.metrics = metrics or EngineMetrics()
         self.profiler = profiler
+        self.registry = registry
         self._closed = self.metrics.as_dict()  # counters at the last close
         self.hash_tables = {}  # join output vlist -> {hash: [row tuples]}
         self.store = {}  # materialized vlist -> {column: list}
@@ -122,13 +132,15 @@ class PipelineEngine:
         Every execution of user stages goes through here — a local
         pipeline, a scheduler task the coordinator runs itself, and a
         task a back-end process runs (``repro.cluster.procworker``).  The
-        sink is left un-finished: the caller decides whether its state is
-        stored (``finish()``) or handed elsewhere first.
+        sink is sealed — what it consumed is now its ``state``, pages
+        built — and left un-finished: the caller decides whether the
+        state is stored (``finish()``) or travels home first.
         """
         for batch in batches:
             self.metrics.batches += 1
             self.metrics.rows_in += len(batch)
             self._process_batch(stages, batch, sink)
+        sink.seal()
 
     def take_evidence(self):
         """Close the evidence of the task that just ran (or failed).
@@ -396,6 +408,28 @@ def hash_rows_into(table, rows):
     return table
 
 
+def partition_rows(rows, hashes, n):
+    """The partitioner: ``n`` lists, row ``i`` in list ``hashes[i] % n``,
+    order kept — or every list the whole of ``rows`` when ``hashes`` is
+    None (a broadcast)."""
+    if hashes is None:
+        return [rows] * n
+    partitions = [[] for _ in range(n)]
+    for row, hash_value in zip(rows, hashes):
+        partitions[hash_value % n].append(row)
+    return partitions
+
+
+def row_messages(rows, hashes, n):
+    """``rows`` as what their holder sends into an exchange on the row
+    wire: one list of messages per partition — a partition is one
+    message, an empty one none."""
+    return [
+        [partition] if partition else []
+        for partition in partition_rows(rows, hashes, n)
+    ]
+
+
 def join_sides(plan, join):
     """``(build, probe)`` for ``join``: each side's ``(hash column,
     carried columns)``, by which side the plan builds the table from."""
@@ -407,7 +441,21 @@ def join_sides(plan, join):
 
 
 class Sink:
-    """Base pipe sink."""
+    """Base pipe sink.
+
+    A sink lives in three steps: ``consume`` takes the batches, ``seal``
+    (end of the task body, wherever it ran) turns what was consumed into
+    ``state`` — plain data, pages built — and ``finish`` installs the
+    state where the job keeps it.  A back-end process runs the first two
+    on a sink built from :meth:`remote_spec` and sends ``state`` home; the
+    coordinator's own sink gets it assigned and runs the third.
+    """
+
+    #: ``finish()`` adds to what an earlier task of this stage installed
+    #: instead of replacing it: set by the scheduler on the sinks of a
+    #: survivor absorbing a lost peer's pages after its own portion
+    #: completed.  A property of ``finish()`` only — what ships is plain.
+    merge = False
 
     def __init__(self, engine):
         self.engine = engine
@@ -422,15 +470,18 @@ class Sink:
     def consume(self, batch):
         raise NotImplementedError
 
+    def seal(self):
+        """Turn what was consumed into ``state`` (default: it already is)."""
+
     def remote_spec(self):
-        """``(sink_class, argument)``: a back-end process can fill
-        ``sink_class(engine, argument)`` and send its ``state`` for this
-        sink to ``finish()`` — None if the sink must stay front-end side
-        (it writes worker-local pages or merges into coordinator state)."""
+        """``(sink_class, arguments)``: a back-end process fills and seals
+        ``sink_class(engine, *arguments)`` and sends its ``state`` for
+        this sink to ``finish()``.  None — a sink no back-end can fill —
+        is an error in a scheduled job."""
         return None
 
     def finish(self):
-        """Flush at end of pipeline."""
+        """Install ``state`` at end of pipeline."""
 
     def abort(self):
         """Undo any *durable* half-effects of a failed attempt.
@@ -438,7 +489,7 @@ class Sink:
         Called by the scheduler's retry machinery after a back-end crash,
         before the task is re-dispatched into a fresh sink.  Sinks whose
         state is engine-transient (discarded with the re-forked back-end)
-        need do nothing; page-writing sinks roll their partial pages back.
+        need do nothing; page-writing sinks free the pages they adopted.
         """
 
 
@@ -454,7 +505,7 @@ class HashBuildSink(Sink):
         self.state = {}  # hash -> [row tuples]
 
     def remote_spec(self):
-        return HashBuildSink, self.join
+        return type(self), (self.join,)
 
     def consume(self, batch):
         batch = kernels.reify(batch)
@@ -470,21 +521,28 @@ class HashBuildSink(Sink):
 class AggregateSink(Sink):
     """Pre-aggregates (key, value) pairs — the paper's producing stage.
 
-    With ``merge=True`` the finished groups are combined into whatever the
-    engine's store already holds for this output instead of overwriting
-    it — the mode the scheduler uses when a surviving worker absorbs a
-    lost peer's orphaned scan pages after its own portion completed.
+    Sealed, the groups are the ``key`` / ``val`` columns the next local
+    pipeline reads — or, with ``exchange=(n, page_size)``, what this
+    worker sends into the aggregation exchange: ``n`` lists of messages,
+    the groups partitioned by ``stable_hash(key) % n``.  A partition of
+    an aggregation that declares PC types is packed into PC Maps on
+    combiner pages right here, by the task that holds the data (Figure
+    5); any other is one message of ``(key, value)`` rows; an empty one
+    is no message.  Merging (see :attr:`Sink.merge`) appends a later
+    task's messages partition by partition: the receiver's fold combines
+    a key that arrives twice.
     """
 
-    def __init__(self, engine, agg_stmt, merge=False):
+    def __init__(self, engine, agg_stmt, exchange=None):
         super().__init__(engine)
         self.statement = agg_stmt
         self.comp = engine.program.computations[agg_stmt.computation]
-        self.state = {}  # key -> combined value
-        self.merge = merge
+        self.groups = {}  # key -> combined value
+        self.exchange = exchange
+        self.state = None
 
     def remote_spec(self):
-        return None if self.merge else (AggregateSink, self.statement)
+        return type(self), (self.statement, self.exchange)
 
     def consume(self, batch):
         keys = batch.column(self.statement.key_column)
@@ -496,51 +554,59 @@ class AggregateSink(Sink):
         ):
             # Declared-sum aggregation over array columns: one grouped
             # bincount per batch instead of a per-row combine loop.
-            kernels.aggregate_sum(self.state, keys, values)
+            kernels.aggregate_sum(self.groups, keys, values)
             self.engine._note_columnar("aggregate", len(batch))
             return
         combine_into(
-            self.state,
+            self.groups,
             zip(kernels.reify_column(keys), kernels.reify_column(values)),
             self.comp.combine,
         )
 
-    def finish(self):
-        groups = self.state
+    def seal(self):
+        groups, comp = self.groups, self.comp
         self.engine.metrics.pre_aggregated_keys += len(groups)
-        existing = (
-            self.engine.store.get(self.statement.output)
-            if self.merge else None
+        if self.exchange is None:
+            self.state = {
+                "key": list(groups.keys()), "val": list(groups.values()),
+            }
+            return
+        n, page_size = self.exchange
+        hashes = map(stable_hash, groups)
+        if comp.key_type is None or comp.value_type is None:
+            self.state = row_messages(groups.items(), hashes, n)
+            return
+        map_type = MapType(comp.key_type, comp.value_type)
+        self.state = [
+            pack_map_pages(map_type, rows, page_size, self.engine.registry)
+            for rows in partition_rows(groups.items(), hashes, n)
+        ]
+
+    def finish(self):
+        store = self.engine.store
+        held = store.get(self.statement.output) if self.merge else None
+        store[self.statement.output] = (
+            [a + b for a, b in zip(held, self.state)] if held else self.state
         )
-        if existing:
-            groups = combine_into(
-                dict(zip(existing["key"], existing["val"])), groups.items(),
-                self.comp.combine,
-            )
-        self.engine.store[self.statement.output] = {
-            "key": list(groups.keys()),
-            "val": list(groups.values()),
-        }
 
 
 class MaterializeSink(Sink):
     """Materializes a multi-consumer vector list.
 
-    ``merge=True`` appends the finished columns to the store's existing
-    entry instead of replacing it (see :class:`AggregateSink`).  With
+    Merging (see :attr:`Sink.merge`) appends the finished columns to the
+    store's existing entry instead of replacing it.  With
     ``vlist_name=None`` the sink only *collects*: ``finish()`` stores
     nothing and the caller reads ``state`` (the scheduler's shuffle
     inputs).
     """
 
-    def __init__(self, engine, vlist_name, merge=False):
+    def __init__(self, engine, vlist_name):
         super().__init__(engine)
         self.vlist_name = vlist_name
         self.state = None  # column name -> values, once a batch arrived
-        self.merge = merge
 
     def remote_spec(self):
-        return None if self.merge else (MaterializeSink, self.vlist_name)
+        return type(self), (self.vlist_name,)
 
     def consume(self, batch):
         batch = kernels.reify(batch)
@@ -576,3 +642,137 @@ class ListOutputSink(Sink):
         self.engine.outputs.setdefault(key, []).extend(
             kernels.reify_column(batch.column(self.statement.column))
         )
+
+
+class _PageSink(Sink):
+    """Records objects on row pages built by the task that holds them.
+
+    The writer works on private blocks (``private_page_writer``), so the
+    same body runs in a back-end process and in the coordinator; sealed,
+    the pages are ``(bytes, CRC, allocations)`` in ``state["pages"]``.
+    ``finish()`` runs where ``page_set`` — the worker-local partition of
+    the output set — lives: it verifies every CRC, then adopts the bytes
+    into the partition.  Appending is all it does, so merging needs
+    nothing more; :meth:`abort` undoes what ``finish()`` did — frees the
+    pages this sink adopted — so a failed attempt's output is gone
+    before a retry.
+    """
+
+    def __init__(self, engine, output_stmt, page_size, page_set=None):
+        super().__init__(engine)
+        self.statement = output_stmt
+        self.page_size = page_size
+        self.page_set = page_set
+        self.writer = private_page_writer(page_size, engine.registry)
+        self.state = None
+        self._adopted = []
+        self._objects_mark = None  # the partition's count before finish()
+
+    def remote_spec(self):
+        return type(self), (self.statement, self.page_size)
+
+    def seal(self):
+        self.writer.flush()
+        self.state = {"pages": self.writer.sealed}
+
+    def finish(self):
+        pages = self.state["pages"]
+        for index, (data, checksum, _allocations) in enumerate(pages):
+            if page_checksum(data) != checksum:
+                raise WorkerCrashError(
+                    "output page %d of %d for %s arrived corrupt (CRC "
+                    "mismatch); none of the task's pages is adopted"
+                    % (index + 1, len(pages), self.page_set.qualified_name)
+                )
+        self._objects_mark = len(self.page_set)
+        for data, _checksum, allocations in pages:
+            self._adopted.append(self.page_set.adopt_page_bytes(
+                data, allocations=allocations
+            ))
+        self.engine.metrics.pages_written += len(pages)
+
+    def abort(self):
+        if self._objects_mark is not None:
+            self.page_set.rollback(self._adopted, self._objects_mark)
+
+
+class ClusterOutputSink(_PageSink):
+    """Writes pipeline output: PC objects (handles / facades) onto set
+    pages, plain Python values onto ``python`` — the set's Python-output
+    list, which the client gathers on :meth:`PCCluster.read`.
+    """
+
+    def __init__(self, engine, output_stmt, page_size, page_set=None,
+                 python=None):
+        super().__init__(engine, output_stmt, page_size, page_set)
+        self._values = []
+        self._python = python
+        self._python_mark = None  # the list's length before finish()
+
+    def allocation_block(self):
+        return self.writer.block
+
+    def roll_page(self):
+        # A stage filled the page: nothing of its batch is recorded yet.
+        self.writer.flush()
+
+    def consume(self, batch):
+        # The writer retries the one object a full page refused on the
+        # next page, so no BlockFullError leaves here with part of the
+        # batch recorded (the engine would re-run all of it).
+        for value in kernels.reify_column(batch.column(self.statement.column)):
+            if hasattr(value, "pc_page"):
+                # A columnar scan's row view is page-backed but not a
+                # handle: store its detached form as a Python output
+                # (columnar *output* sets are not written in v1).
+                self._values.append(value.detach())
+            elif hasattr(value, "pc_block") or hasattr(value, "deref"):
+                self.writer.append_object(value)
+            else:
+                self._values.append(value)
+
+    def seal(self):
+        super().seal()
+        self.state["python"] = self._values
+
+    def finish(self):
+        super().finish()
+        self._python_mark = len(self._python)
+        self._python.extend(self.state["python"])
+
+    def abort(self):
+        super().abort()
+        if self._python_mark is not None:
+            del self._python[self._python_mark:]
+
+
+class MapPageOutputSink(_PageSink):
+    """Writes aggregation pairs as a PC Map object in the destination set.
+
+    This reproduces the paper's aggregation sink: the stored set holds
+    ``Map`` objects (one per worker partition), readable with zero
+    deserialization and expanded back into pairs on scan.  ``computation``
+    names the AggregateComp whose declared types the Map has.
+    """
+
+    def __init__(self, engine, output_stmt, page_size, computation,
+                 page_set=None):
+        super().__init__(engine, output_stmt, page_size, page_set)
+        self.computation = computation
+        self.pairs = []
+
+    def remote_spec(self):
+        return type(self), (self.statement, self.page_size, self.computation)
+
+    def consume(self, batch):
+        self.pairs.extend(
+            kernels.reify_column(batch.column(self.statement.column))
+        )
+
+    def seal(self):
+        comp = self.engine.program.computations[self.computation]
+        fill_map_pages(
+            MapType(comp.key_type, comp.value_type), self.pairs,
+            self.writer.append_built,
+        )
+        super().seal()

@@ -458,6 +458,14 @@ class AllocationBlock:
             metrics=metrics,
         )
 
+    def book_allocations(self, count):
+        """Count allocator work done on this block's bytes before they
+        were reconstituted here — a page a task built on a private block,
+        adopted by the pool whose metrics this block reports to."""
+        self.alloc_count += count
+        if self._m_allocs is not None:
+            self._m_allocs.inc(count)
+
     def stats(self):
         """Allocator statistics, used by the ablation benchmarks."""
         return {

@@ -399,8 +399,9 @@ class BufferPool:
         self._install(page)
         return page
 
-    def adopt_page(self, data, set_key=None):
-        """Install bytes that arrived from the network as a pinned page."""
+    def adopt_page(self, data, set_key=None, allocations=0):
+        """Install bytes that arrived from the network as a pinned page
+        (built elsewhere by ``allocations`` object allocations)."""
         page_id = self._next_page_id
         self._next_page_id += 1
         # The shipped bytes are a used-prefix; the reconstituted block
@@ -409,6 +410,7 @@ class BufferPool:
         # residency) exists.
         self._make_room(layout.unpack_block_header(data)[0])
         page = self._reconstitute_page(page_id, data, set_key)
+        page.block.book_allocations(allocations)
         self._install(page)
         return page
 

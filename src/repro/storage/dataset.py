@@ -12,8 +12,10 @@ from __future__ import annotations
 import contextlib
 
 from repro.errors import BlockFullError, StorageError
+from repro.memory.block import AllocationBlock
 from repro.memory.objects import make_object_on, use_allocation_block
 from repro.storage.page import open_root, page_items
+from repro.storage.replication import page_checksum
 
 
 class PageSet:
@@ -66,15 +68,19 @@ class PageSet:
 
         return RowPageWriter(open_page, seal_page)
 
-    def adopt_page_bytes(self, data, count_objects=True):
+    def adopt_page_bytes(self, data, count_objects=True, allocations=0):
         """Install a page that arrived over the (simulated) network.
 
         The arriving bytes are used verbatim — zero-cost data movement.
         ``count_objects=False`` adopts the page without adding its objects
         to the partition's logical count; the replication layer uses it
         for redundant copies, which must not inflate set cardinality.
+        ``allocations`` is the allocator work that built the page, when a
+        task of this worker did (booked with the pool's own).
         """
-        page = self.pool.adopt_page(data, set_key=self.key)
+        page = self.pool.adopt_page(
+            data, set_key=self.key, allocations=allocations
+        )
         if count_objects:
             self.object_count += len(page_items(page.block))
         self.page_ids.append(page.page_id)
@@ -116,6 +122,14 @@ class PageSet:
         for page_id in self.page_ids:
             with self.pinned_page(page_id) as page:
                 yield from page_items(page.block)
+
+    def rollback(self, page_ids, object_count):
+        """Free ``page_ids`` — what a failed attempt (or stage) left on
+        this partition — and put the object count back."""
+        for page_id in page_ids:
+            self.pool.free_page(page_id)
+            self.page_ids.remove(page_id)
+        self.object_count = object_count
 
     def clear(self):
         """Drop all pages of this partition."""
@@ -247,6 +261,25 @@ class RowPageWriter(FlushOnExit):
         self._record(_place_existing, value)
 
 
+def private_page_writer(page_size, registry):
+    """A :class:`RowPageWriter` for a task that holds no pool: an empty
+    block is a private :class:`AllocationBlock`, a sealed one is its
+    ``(bytes, CRC, allocations made on it)`` — what travels home for the
+    partition's owner to verify and adopt.  A task that dies leaves
+    nothing behind."""
+
+    def open_page():
+        return AllocationBlock(page_size, registry=registry), None
+
+    def seal_page(block, _token, count):
+        if not count:
+            return None
+        data = block.to_bytes()
+        return data, page_checksum(data), block.alloc_count
+
+    return RowPageWriter(open_page, seal_page)
+
+
 def _place_new(root, block, make, /, *args, **fields):
     # The slot is reserved first, so listing the object never needs an
     # allocation on a page the object itself just filled.
@@ -284,3 +317,19 @@ def fill_map_pages(map_type, pairs, place):
     while pending:
         place(build)
         del pending[:taken]
+
+
+def pack_map_pages(map_type, pairs, page_size, registry):
+    """``pairs`` as combiner pages (Figure 5): the bytes of as many
+    ``page_size`` blocks as it takes, each one's root a ``map_type`` Map
+    the receiver reads straight out of the arrived bytes."""
+    pages = []
+
+    def place(build):
+        block = AllocationBlock(page_size, registry=registry)
+        handle = build(block)
+        block.set_root(handle.offset, handle.type_code)
+        pages.append(block.to_bytes())
+
+    fill_map_pages(map_type, pairs, place)
+    return pages

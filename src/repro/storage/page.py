@@ -30,6 +30,14 @@ def open_root(block):
     return _ROOT_VECTOR.facade(block, handle.offset)
 
 
+def register_root_type(catalog):
+    """Register the row-page root type with ``catalog``: done before a
+    job's tasks are placed, so that a back-end process — whose registry
+    is a copy that cannot ask for a cluster-wide code — can build row
+    pages even when no row page was loaded before."""
+    return catalog.register_type(_ROOT_VECTOR)
+
+
 def page_items(block):
     """The stored objects of one page block — the one page decode.
 

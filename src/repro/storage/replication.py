@@ -146,9 +146,9 @@ class ReplicationManager:
             replicas.append([worker_id, page_id])
             if index > 0:
                 self._c_replica_writes.inc()
-        return self.catalog.record_page(
-            database, name, replicas, checksum, count, primary=primary
-        )
+        return self.catalog.record_pages(
+            database, name, [(replicas, checksum, count, primary)]
+        )[0]
 
     def unrecorded_pages(self, database, name, marks):
         """``[(worker_id, page ids)]``: what sinks wrote in place on each
@@ -179,45 +179,45 @@ class ReplicationManager:
             ]))
         return unrecorded
 
-    def register_local_pages(self, database, name, worker_id, page_ids):
-        """Record (and replicate) pages a sink wrote in place on a worker.
+    def register_local_pages(self, database, name, unrecorded):
+        """Record (and replicate) the pages a stage's sinks put on the
+        workers' own partitions — ``unrecorded`` as
+        :meth:`unrecorded_pages` lists them.
 
-        Materialization writes pages directly into the owning worker's
-        partition; this stamps their checksums, records them in the
-        replica map, and ships the extra copies the set's replication
-        factor asks for — synchronously, before the stage is declared
-        complete.
+        Stamps their checksums, ships the extra copies the set's
+        replication factor asks for and records them all in the replica
+        map as one journal group — synchronously, before the stage is
+        declared complete.
         """
         meta = self.catalog.set_metadata(database, name)
-        server = self.storage_manager.server(worker_id)
-        page_set = server.get_set(database, name)
         ring = PlacementRing(self.storage_manager.worker_ids)
-        targets = ring.replicas_for(worker_id, meta.replication)
-        records = []
-        for page_id in page_ids:
-            page = server.pool.pin(page_id)
-            try:
-                data = page.to_bytes()
-            finally:
-                server.pool.unpin(page_id)
-            checksum = page_checksum(data)
-            page.checksum = checksum
-            count = page_set.page_object_count(page_id)
-            replicas = [[worker_id, page_id]]
-            for peer_id in targets[1:]:
-                delivered = self.network.ship_page(
-                    worker_id, peer_id, data, checksum=checksum
-                )
-                peer = self.storage_manager.server(peer_id)
-                peer_pid = peer.get_set(database, name).adopt_page_bytes(
-                    delivered, count_objects=False
-                )
-                replicas.append([peer_id, peer_pid])
-                self._c_replica_writes.inc()
-            records.append(self.catalog.record_page(
-                database, name, replicas, checksum, count, primary=worker_id
-            ))
-        return records
+        pages = []
+        for worker_id, page_ids in unrecorded:
+            server = self.storage_manager.server(worker_id)
+            page_set = server.get_set(database, name)
+            targets = ring.replicas_for(worker_id, meta.replication)
+            for page_id in page_ids:
+                page = server.pool.pin(page_id)
+                try:
+                    data = page.to_bytes()
+                finally:
+                    server.pool.unpin(page_id)
+                checksum = page_checksum(data)
+                page.checksum = checksum
+                count = page_set.page_object_count(page_id)
+                replicas = [[worker_id, page_id]]
+                for peer_id in targets[1:]:
+                    delivered = self.network.ship_page(
+                        worker_id, peer_id, data, checksum=checksum
+                    )
+                    peer = self.storage_manager.server(peer_id)
+                    peer_pid = peer.get_set(database, name).adopt_page_bytes(
+                        delivered, count_objects=False
+                    )
+                    replicas.append([peer_id, peer_pid])
+                    self._c_replica_writes.inc()
+                pages.append((replicas, checksum, count, worker_id))
+        return self.catalog.record_pages(database, name, pages)
 
     # -- reads (failover + healing) --------------------------------------------
 

@@ -67,6 +67,26 @@ def expected_sums(n=200):
     return sums
 
 
+def orphan_placements(cluster):
+    """Where the tasks that re-ran an absorbed peer's orphaned pages on
+    the survivors were placed (they follow the ``absorb`` span in their
+    stage), and where this cluster places a task that can ship."""
+    placements = []
+    for stage in cluster.last_trace.spans(kind="stage"):
+        names = [child.name for child in stage.children]
+        if "absorb" in names:
+            placements += [
+                child.detail
+                for child in stage.children[names.index("absorb") + 1:]
+                if child.kind == "task"
+            ]
+    shippable = (
+        "shipped" if cluster.transport.name == "process"
+        else "front-end: in_process"
+    )
+    return placements, shippable
+
+
 def fast_policy(clock, **overrides):
     overrides.setdefault("sleep", clock.sleep)
     overrides.setdefault("clock", clock.clock)
@@ -262,8 +282,11 @@ def test_hopeless_worker_is_blacklisted_and_absorbed_without_restart(
     assert "WorkerAbsorbedEvent" in kinds
     assert "WorkerBlacklistedEvent" not in kinds
     assert totals["faults.workers_absorbed"] == 1
-    # The absorbed pages really were re-read (served off a survivor).
+    # The absorbed pages really were re-read (served off a survivor) —
+    # by tasks that ship like any other: merging is their finish()'s.
     assert cluster.metrics().value("pc_repl_failover_reads_total") > 0
+    placements, shippable = orphan_placements(cluster)
+    assert placements and set(placements) == {shippable}
 
 
 def test_blacklisting_stops_at_min_surviving_workers(tmp_path):

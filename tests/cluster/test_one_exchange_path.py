@@ -25,8 +25,13 @@ from repro.core import (
     lambda_from_native,
 )
 from repro.engine import run_local
-from repro.engine.pipeline import AggregateSink
-from repro.memory import Float64, Int32, Int64, PCObject, String
+from repro.engine.pipeline import (
+    AggregateSink,
+    partition_rows,
+    row_messages,
+)
+from repro.memory import Float64, Int32, Int64, MapType, PCObject, String
+from repro.storage.dataset import pack_map_pages
 
 TRANSPORTS = [
     "sim",
@@ -234,12 +239,13 @@ held_rows = st.lists(
 )
 
 
-def _held(per_worker):
-    """Rows tagged ``(source, position, payload)``, and their hashes."""
+def _held(scheduler, per_worker):
+    """Rows tagged ``(source, position, payload)``, partitioned by their
+    hashes into what each worker sends."""
     return [
-        (
+        row_messages(
             [(s, i, text) for i, (_h, text) in enumerate(rows)],
-            [h for h, _text in rows],
+            [h for h, _text in rows], len(scheduler.workers),
         )
         for s, rows in enumerate(per_worker)
     ]
@@ -282,7 +288,8 @@ def test_every_row_arrives_once_at_hash_mod_n_in_source_order(
     scheduler = schedulers[n]
     network = scheduler.cluster.network
     consulted, sent = _watch(network)
-    assert scheduler._exchange(_held(per_worker)) == _expected(per_worker)
+    assert scheduler._exchange(_held(scheduler, per_worker)) == \
+        _expected(per_worker)
     crossing = [
         [
             (s, i, text) for i, (h, text) in enumerate(rows) if h % n == d
@@ -307,7 +314,8 @@ def test_drops_and_corruptions_cost_one_retry_each_and_change_nothing(
     consulted, sent = _watch(network, seed, drop_rate=0.3, corrupt_rate=0.3)
     # A corrupted row batch arrives with a foreign frame row prepended:
     # folding it would show up as a result that is not the expected one.
-    assert scheduler._exchange(_held(per_worker)) == _expected(per_worker)
+    assert scheduler._exchange(_held(scheduler, per_worker)) == \
+        _expected(per_worker)
     counts = network.fault_injector.counts
     assert sent("pc_net_transfer_retries_total") == \
         counts["transfer_drops"] + counts["transfer_corruptions"]
@@ -334,7 +342,18 @@ def test_map_page_wire_delivers_the_same_pairs_with_and_without_faults(
     scheduler = schedulers[n]
     network = scheduler.cluster.network
     comp = SumX()
-    held = [(list(groups.items()), list(groups)) for groups in per_worker]
+    # What an AggregateSink seals, with the key itself as the hash.
+    held = [
+        [
+            pack_map_pages(
+                MapType(comp.key_type, comp.value_type), pairs,
+                scheduler.cluster.combiner_page_size,
+                scheduler.cluster.catalog.registry,
+            )
+            for pairs in partition_rows(groups.items(), groups, n)
+        ]
+        for groups in per_worker
+    ]
     consulted, sent = _watch(network)
     clean = scheduler._exchange(held, comp)
     # A Map page lists its pairs in slot order, not insertion order.
@@ -362,7 +381,9 @@ def test_broadcast_sends_every_row_to_every_other_worker(schedulers):
     _consulted, sent = _watch(network)
     rows = [[("a", 1), ("b", 2)], [], [("c", 3)]]
     everything = [("a", 1), ("b", 2), ("c", 3)]
-    assert scheduler._exchange([(r, None) for r in rows]) == [everything] * 3
+    assert scheduler._exchange(
+        [row_messages(r, None, 3) for r in rows]
+    ) == [everything] * 3
     assert sent.links() == [
         ("worker-0", "worker-1"), ("worker-0", "worker-2"),
         ("worker-2", "worker-0"), ("worker-2", "worker-1"),
@@ -390,15 +411,18 @@ LOCAL_SOURCES = {
 
 
 class _TwiceStoredSink(AggregateSink):
-    """Leaves every key in the pre-aggregated store twice — the shape a
-    store has when a survivor's absorbed portion was appended to it."""
+    """Sends every key twice, in two messages per partition — the shape
+    a worker's share has when the portion it absorbed from a lost peer
+    was appended to its own."""
 
-    def finish(self):
-        super().finish()
-        store = self.engine.store[self.statement.output]
-        store["key"] = store["key"] * 2
-        store["val"] = [value - 1.0 for value in store["val"]] \
-            + [1.0] * len(store["val"])
+    def seal(self):
+        groups = self.groups
+        self.groups = {key: value - 1.0 for key, value in groups.items()}
+        super().seal()
+        first = self.state
+        self.groups = dict.fromkeys(groups, 1.0)
+        super().seal()
+        self.state = [a + b for a, b in zip(first, self.state)]
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)

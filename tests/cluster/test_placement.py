@@ -20,10 +20,12 @@ from repro.core import (
     lambda_from_member,
     lambda_from_native,
 )
+from repro.engine import pipeline
 from repro.errors import ExecutionError
 from repro.lillinalg import DistributedMatrix
 from repro.memory import Int32, PCObject, String
 from repro.ml import PCKMeans
+from repro.storage import dataset
 from repro.tpch import TpchSpec, customers_per_supplier_pc, load_pc_customers
 
 needs_process = pytest.mark.skipif(
@@ -34,8 +36,8 @@ TRANSPORTS = [
     pytest.param("process", marks=needs_process),
 ]
 FAMILY = "pc_sched_frontend_tasks_total"
-REASONS = ("in_process", "frontend_sink", "pool_pressure",
-           "unpicklable_spec", "child_rejected")
+REASONS = ("in_process", "pool_pressure", "unpicklable_spec",
+           "child_rejected")
 
 
 def _frontend_tasks(cluster):
@@ -64,18 +66,26 @@ def _task_placements(trace):
 
 
 def _tpch_job(cluster):
-    """Customers-per-supplier: only the output stage stays front-end."""
+    """Customers-per-supplier: every task — the OUTPUT stage's, which
+    build the set's Map pages, included — runs in a back-end."""
     load_pc_customers(
         cluster, TpchSpec(n_customers=30, n_parts=40, n_suppliers=6, seed=11)
     )
-    _result, counts = _delta(
-        cluster, lambda: customers_per_supplier_pc(cluster)
-    )
-    output_tasks = len(cluster.workers)  # one OUTPUT pipeline, every worker
-    assert counts == {"frontend_sink": output_tasks}
+
+    def in_the_coordinator(*_args):
+        raise AssertionError("the coordinator built a Map page")
+
+    with pytest.MonkeyPatch.context() as patch:
+        # (This process only: the back-ends import their own.)
+        patch.setattr(dataset, "fill_map_pages", in_the_coordinator)
+        patch.setattr(pipeline, "fill_map_pages", in_the_coordinator)
+        _result, counts = _delta(
+            cluster, lambda: customers_per_supplier_pc(cluster)
+        )
+    assert counts == {}
     placements = _task_placements(cluster.last_trace)
-    assert placements.count("front-end: frontend_sink") == output_tasks
-    assert placements.count("shipped") == len(placements) - output_tasks > 0
+    # The producing stage and the OUTPUT stage, on every worker.
+    assert placements == ["shipped"] * (2 * len(cluster.workers))
 
 
 def _kmeans_job(cluster):
@@ -85,7 +95,7 @@ def _kmeans_job(cluster):
     centers = km.initialize(3, seed=1)
     _centers, counts = _delta(cluster, lambda: km.iterate(centers))
     workers = len(cluster.workers)
-    assert counts == {"pool_pressure": workers, "frontend_sink": workers}
+    assert counts == {"pool_pressure": workers}
     assert cluster.metrics().value("pc_pool_reloads_total") > 0
 
 
@@ -107,7 +117,7 @@ def _multiply_job(cluster):
         # the build side: the one worker holding the right matrix's page
         # builds a table of handles, which cannot come back
         "child_rejected": 1,
-        "frontend_sink": workers,
+        # (the OUTPUT stage's block pages are built by the back-ends)
     }
     reference = PCCluster(n_workers=2, page_size=1 << 16, transport="sim")
     try:
@@ -208,6 +218,27 @@ def test_probe_without_its_hash_table_names_the_join(tmp_path, kind,
             )
         # A scheduling bug, not a back-end crash: nothing was retried.
         assert cluster.metrics().value("pc_worker_reforks_total") == 0
+    finally:
+        cluster.close()
+
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_sink_that_cannot_say_how_to_ship_it_is_an_error(tmp_path, kind,
+                                                         monkeypatch):
+    """Every sink is shippable, so there is no placement for one that
+    answers ``remote_spec()`` with None: a bug, on either transport."""
+    from repro.engine.pipeline import AggregateSink
+    from test_fault_tolerance import SumX, load_points
+
+    cluster = PCCluster(n_workers=2, page_size=1 << 12,
+                        spill_root=str(tmp_path), transport=kind)
+    try:
+        load_points(cluster, n=40)
+        monkeypatch.setattr(AggregateSink, "remote_spec", lambda self: None)
+        agg = SumX().set_input(ObjectReader("db", "points"))
+        with pytest.raises(ExecutionError, match="AggregateSink.*remote_spec"):
+            Writer("db", "sums").set_input(agg).execute(cluster)
+        assert _frontend_tasks(cluster) == {}
     finally:
         cluster.close()
 

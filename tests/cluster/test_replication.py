@@ -386,6 +386,63 @@ def test_recover_drops_a_final_record_torn_at_any_byte(tmp_path):
         cluster.recover()
 
 
+def test_output_stage_records_are_one_group_torn_to_a_prefix(
+        tmp_path, monkeypatch):
+    """The page records of one OUTPUT stage are written together and
+    synced once, before any of them is applied; a master killed inside
+    the group leaves a prefix of it — never a record after a missing one.
+    """
+    import json
+
+    from repro.catalog import catalog as catalog_module
+
+    cluster = make_cluster(tmp_path, "c")
+    load_points(cluster)
+    path = cluster.journal.path
+    with open(path, "rb") as f:
+        before = f.read()
+
+    synced = []  # the output set's recorded pages at every fsync
+    fsync = catalog_module.os.fsync
+
+    def counting(fd):
+        # (Read past the catalog's lock: the journal syncs under it.)
+        meta = cluster.catalog._databases["db"].get("sums")
+        synced.append(len(meta.pages) if meta is not None else None)
+        fsync(fd)
+
+    monkeypatch.setattr(catalog_module.os, "fsync", counting)
+    assert run_aggregation(cluster) == expected_sums()
+    monkeypatch.undo()
+    with open(path, "rb") as f:
+        group = f.read()[len(before):].splitlines(keepends=True)
+    ops = [json.loads(line)["op"] for line in group]
+    # create_set, then one record per worker's output page: one sync
+    # each, and the stage's sync came before any of its records applied.
+    assert ops == ["create_set"] + ["record_page"] * 3
+    assert synced == [None, 0]
+    assert cluster.journal.records_written == \
+        len(before.splitlines()) + len(group)
+
+    head, records = before + group[0], group[1:]
+    uids = [json.loads(line)["uid"] for line in records]
+    body = b"".join(records)
+    for cut in range(len(body)):
+        with open(path, "wb") as f:
+            f.write(head + body[:cut])
+        whole = body[:cut].count(b"\n")
+        assert cluster.recover() == len(head.splitlines()) + whole
+        assert list(cluster.catalog.set_metadata("db", "sums").pages) == \
+            uids[:whole]
+        with open(path, "rb") as f:
+            assert f.read() == head + b"".join(records[:whole])
+    # The handle reopened after the truncation appends on a clean line.
+    cluster.create_set("db", "after", Point)
+    assert cluster.recover() == len(head.splitlines()) + len(uids)
+    cluster.close()
+    assert cluster.journal._file is None
+
+
 def test_recovery_after_kill_reflects_the_post_kill_replica_map(tmp_path):
     cluster = make_cluster(tmp_path, "c")
     load_points(cluster, replication=2)
@@ -453,6 +510,8 @@ def test_tpch_query_survives_worker_kill_byte_identical(tmp_path):
 
 
 def test_mid_job_blacklist_absorbs_orphans_without_restart(tmp_path):
+    from test_fault_tolerance import orphan_placements
+
     clock = FakeClock()
     injector = FaultInjector().crash_backend("worker-1", times=99)
     policy = fast_policy(
@@ -469,6 +528,8 @@ def test_mid_job_blacklist_absorbs_orphans_without_restart(tmp_path):
     totals = cluster.last_trace.totals()
     assert totals["faults.workers_absorbed"] == 1
     assert cluster.metrics().value("pc_repl_failover_reads_total") > 0
+    placements, shippable = orphan_placements(cluster)
+    assert placements and set(placements) == {shippable}
     # The set ended back at full replication factor on the survivors.
     factors = cluster.replication.replication_factors("db", "points")
     assert factors and all(count == 2 for count in factors.values())

@@ -374,7 +374,8 @@ def test_trace_context_is_propagated_into_task_specs(tmp_path):
         original = scheduler_mod.serialize_task
 
         def spy(spec):
-            seen.append(dict(spec.get("trace_ctx") or {}))
+            if "stages" in spec:  # a task spec, not the job's blob
+                seen.append(dict(spec.get("trace_ctx") or {}))
             return original(spec)
 
         scheduler_mod.serialize_task = spy
