@@ -7,10 +7,10 @@ the source (shared-memory page names or plain columns), the sink class —
 against its job's constant state (the compiled program, build sides,
 batch size, type registry, the profiling/tracing flags), which arrives
 once, ahead of the job's first task here, and is kept until another
-job's replaces it.  So the child needs none of the coordinator's cluster
-machinery: it uses only the engine, the memory layer and the one page
-decode (:func:`repro.storage.page.page_items`), and runs the task
-through :meth:`~repro.engine.pipeline.PipelineEngine.run_stages`.
+job's replaces it.  Running it is :func:`repro.engine.pipeline.run_task`
+on those two dicts — what the coordinator calls for a task it keeps —
+so this module adds only what being another process takes: attaching
+pages, the heartbeat, the evidence's pid and span.
 
 Sealed pages are attached zero-copy: the coordinator exports each page's
 ``multiprocessing.shared_memory`` segment name, the child attaches by
@@ -22,13 +22,11 @@ for real this time.
 A task returns ``(sink state, evidence)``: the sealed sink's state —
 plain Python values, and the bytes (CRC-stamped) of every combiner or
 output page the task built on private blocks, for the coordinator's own
-sink to ``finish()`` — and the task's evidence (DESIGN §14) — the
-same engine counter deltas and operator records the coordinator closes
-for a body it runs itself, booked at home by the same
-:func:`~repro.obs.evidence.book_task_evidence`.  A task whose result
-would carry PC objects (handles/facades pointing into page memory) is
-*rejected*, not failed: the coordinator re-runs that portion front-end
-side.
+sink to ``finish()`` — and the task's evidence (DESIGN §14), booked at
+home by the one :func:`~repro.obs.evidence.book_task_evidence`.  A task
+whose result would carry PC objects (handles/facades pointing into page
+memory) is *rejected*, not failed: the coordinator re-runs that portion
+front-end side.
 
 The job's ``"profiling"`` and ``"tracing"`` mean here what they mean
 in the coordinator: the first puts an operator recorder behind the
@@ -52,11 +50,9 @@ import traceback
 
 from multiprocessing import resource_tracker, shared_memory
 
-from repro.engine.pipeline import PipelineEngine, object_batches
-from repro.engine.vectors import batches_of
+from repro.engine.pipeline import run_task
 from repro.memory.block import AllocationBlock
 from repro.obs.events import FlightRecorder
-from repro.obs.evidence import OperatorRecorder
 from repro.obs.tracer import Span
 from repro.storage.page import page_items
 
@@ -64,12 +60,6 @@ from repro.storage.page import page_items
 #: Plain dict writes are atomic under the GIL, so the task loop updates
 #: it lock-free and the beat thread reads whatever is current.
 _progress = {"task": 0, "rows": 0}
-
-#: The in-flight task's engine and task span, kept module-level so the
-#: main loop's error path can close the evidence after ``_execute``
-#: unwound (what accumulated before an exception must ship in the error
-#: envelope).
-_task_state = {}
 
 #: The constant state of the one job this process currently works for.
 _job = {}
@@ -101,13 +91,6 @@ def _beat_loop(slot, interval):
 
 class _TaskRejected(Exception):
     """The task's result cannot leave this process; re-run it front-end."""
-
-
-class _PlanStub:
-    """The one slice of the physical plan the engine consults."""
-
-    def __init__(self, build_sides):
-        self.build_sides = build_sides
 
 
 def _unregistered(name, _descriptor):
@@ -158,32 +141,20 @@ def _detach(attachments):
             _lingering.remove(pair)
 
 
-def _source_batches(source, engine, registry, attachments):
-    """Batches of a shipped source: plain columns, or exported pages."""
-    if source[0] == "columns":
-        return batches_of(source[1], engine.batch_size)
-    _kind, refs, column, columnar = source
-
-    def pages():
-        for name, size in refs:
-            shm = _attach(name)
-            # shm.buf is the mapped segment, not a PC block's backing store.
-            view = memoryview(shm.buf)[:size]  # pcsan: disable=PC002
-            attachments.append((shm, view))
-            yield page_items(
-                AllocationBlock.from_buffer(view, registry=registry)
-            )
-
-    return object_batches(
-        pages(), column, engine.batch_size, columnar=columnar
-    )
-
-
-def _counted(batches):
-    """``batches``, publishing rows consumed for the heartbeat thread."""
-    for batch in batches:
-        _progress["rows"] += len(batch)
-        yield batch
+def _pages(refs, registry, attachments):
+    """The task's exported pages, attached by segment name as the task
+    reads them: one item sequence per page, its rows published for the
+    heartbeat thread."""
+    for name, size in refs:
+        shm = _attach(name)
+        # shm.buf is the mapped segment, not a PC block's backing store.
+        view = memoryview(shm.buf)[:size]  # pcsan: disable=PC002
+        attachments.append((shm, view))
+        items = page_items(
+            AllocationBlock.from_buffer(view, registry=registry)
+        )
+        _progress["rows"] += len(items)
+        yield items
 
 
 def _reject_pc_values(value, depth=0):
@@ -204,21 +175,12 @@ def _reject_pc_values(value, depth=0):
             _reject_pc_values(item, depth + 1)
 
 
-def _close_evidence(truncated=False, events=()):
-    """The in-flight task's evidence, as it ships (result or error leg).
-
-    What the engine counted and its recorder measured, this process's
-    pid, and — with tracing on — the ``task`` span, serialized relative
-    to its start with the absolute ``time.monotonic()`` carried once as
-    ``"span_base"`` for the coordinator's clock-offset shift.  None when
-    the failure precedes any execution state (a spec unpickle error).
-    """
-    engine = _task_state.get("engine")
-    if engine is None:
-        return None
-    evidence = engine.take_evidence()
+def _stamp(evidence, root, truncated=False, events=()):
+    """Add what only this process knows to a task's evidence, as it
+    ships (result or error leg): its pid and — with tracing on — the
+    ``task`` span, serialized relative to its start with the absolute
+    ``time.monotonic()`` carried once as ``"span_base"``."""
     evidence["pid"] = os.getpid()
-    root = _task_state.get("root")
     if root is not None:
         root.end = time.monotonic()
         root.truncated = truncated
@@ -228,37 +190,23 @@ def _close_evidence(truncated=False, events=()):
     return evidence
 
 
-def _execute(spec):
-    engine = PipelineEngine(
-        _job["program"], _PlanStub(_job["build_sides"]), None,
-        batch_size=_job["batch_size"],
-        profiler=OperatorRecorder() if _job["profiling"] else None,
-        registry=_job["registry"],
-    )
-    _task_state["engine"] = engine
-    if _job["tracing"]:
-        # Named after the worker, like the coordinator's task span it is
-        # grafted under; the task id stays visible in the flight events.
-        root = _task_state["root"] = Span(spec["worker_id"], kind="task")
-        root.pid = os.getpid()
-        root.parent_id = spec["trace_ctx"]["parent_span_id"]
-    engine.hash_tables.update(spec["hash_tables"])
+def _run(spec):
+    """:func:`run_task` over the spec's pages, attached from shared
+    memory, with the job's registry copy."""
+    source, registry = spec["source"], _job["registry"]
     attachments = []
+    if source[0] == "pages":
+        pages = _pages(source[1], registry, attachments)
+    else:
+        # Plain columns arrived whole, inside the spec.
+        pages = ()
+        _progress["rows"] = max(map(len, source[1].values()), default=0)
     try:
-        batches = _source_batches(
-            spec["source"], engine, _job["registry"], attachments
-        )
-        # The sink is built plain, sealed by run_stages and never
-        # finished: its state travels and the coordinator's own sink
-        # installs it (adopting pages, merging) front-end side.
-        sink_class, sink_args = spec["sink"]
-        sink = sink_class(engine, *sink_args)
-        engine.run_stages(spec["stages"], _counted(batches), sink)
-        result = sink.state
-        _reject_pc_values(result)
+        state, evidence = run_task(_job, spec, pages, registry)
+        _reject_pc_values(state)
     finally:
         _detach(attachments)
-    return result, _close_evidence()
+    return state, evidence
 
 
 def backend_main(task_queue, result_queue, heartbeat=None,
@@ -286,29 +234,38 @@ def backend_main(task_queue, result_queue, heartbeat=None,
         task_id, job, blob = item
         _progress["task"] = task_id
         _progress["rows"] = 0
-        _task_state.clear()
         events_since = recorder.seq
         recorder.record("task.dispatch", task=task_id)
+        root = None
         try:
             try:
                 if job is not None:
                     _job.clear()
                     _job.update(pickle.loads(job))
                     _job["registry"].register_delegate = _unregistered
-                returned = _execute(pickle.loads(blob))
+                spec = pickle.loads(blob)
+                if _job["tracing"]:
+                    # Named after the worker, like the coordinator's task
+                    # span it is grafted under; the task id stays visible
+                    # in the flight events.
+                    root = Span(spec["worker_id"], kind="task")
+                    root.pid = os.getpid()
+                    root.parent_id = spec["trace_ctx"]["parent_span_id"]
+                state, evidence = _run(spec)
             except _TaskRejected as rejected:
                 recorder.record("task.reject", task=task_id,
                                 reason=str(rejected)[:120])
                 result_queue.put((task_id, "reject", str(rejected)))
                 continue
-            except Exception:  # noqa: BLE001 - reported as a crash, parent re-forks
+            except Exception as error:  # noqa: BLE001 - reported as a crash, parent re-forks
                 recorder.record("task.error", task=task_id)
                 # The error envelope carries the evidence accumulated
                 # before the exception (its span marked truncated), so a
                 # retry never loses this attempt's counters.
                 result_queue.put((task_id, "error", {
                     "traceback": traceback.format_exc(limit=20),
-                    "evidence": _close_evidence(
+                    "evidence": _stamp(
+                        getattr(error, "evidence", None) or {}, root,
                         truncated=True,
                         events=recorder.snapshot(events_since),
                     ),
@@ -317,7 +274,7 @@ def backend_main(task_queue, result_queue, heartbeat=None,
             recorder.record("task.complete", task=task_id,
                             rows=_progress["rows"])
             try:
-                payload = pickle.dumps(returned)
+                payload = pickle.dumps((state, _stamp(evidence, root)))
             except Exception as exc:  # noqa: BLE001 - unshippable, not fatal
                 result_queue.put(
                     (task_id, "reject", "unpicklable result: %s" % exc)
@@ -326,4 +283,3 @@ def backend_main(task_queue, result_queue, heartbeat=None,
             result_queue.put((task_id, "ok", payload))
         finally:
             _progress["task"] = 0
-            _task_state.clear()

@@ -21,11 +21,12 @@ them into PC ``Map``s on combiner pages, the pages' *bytes* are shipped,
 and the receiver reads the Map straight out of the arrived bytes — zero
 serialization on both ends.
 
-One task body, one attempt loop: a worker's portion of a stage is always
-``engine.run_stages(stages, batches, sink)`` — run, pages built and all,
-by the back-end process the attempt was shipped to, or by the coordinator
-when the one placement decision (:meth:`DistributedScheduler._place`)
-keeps it front-end side for a counted reason
+One task runner, one attempt loop: a worker's portion of a stage is always
+:func:`repro.engine.pipeline.run_task`, ``(job, spec) -> (sink state,
+evidence)`` — called, pages built and all, by the back-end process the
+attempt was shipped to, or by the coordinator on the same dicts when the
+one placement decision (:meth:`DistributedScheduler._place`) keeps it
+front-end side for a counted reason
 (``pc_sched_frontend_tasks_total{reason}``).  What is constant over a job
 (program, registry, ...) travels to a back-end process once, not per task.
 
@@ -37,13 +38,15 @@ re-forks it and the scheduler consults its
 :class:`~repro.cluster.faults.RetryPolicy`: allowed retries re-dispatch
 *only the failed worker's portion* of the stage against the surviving
 front-end storage, after an exponential backoff (reported as a ``retry``
-span).  Completed stages' per-worker outputs (hash tables, materialized
-stores) are checkpointed at stage boundaries so a re-forked back-end can
-be rebuilt mid-job.  A worker that exhausts its attempts either fails the
-job with an :class:`~repro.errors.ExecutionError` naming the stage and
-worker, or — when the policy allows blacklisting — is decommissioned:
-its durable partitions are redistributed to the surviving workers and the
-job restarts over them.
+span).  What finished tasks left per worker (hash tables, materialized
+stores) is the scheduler's own data, front-end territory like storage:
+no back-end holds any of it, so a re-fork — at a stage boundary or
+between two tasks of one stage — loses none.  A worker that exhausts its
+attempts either fails the job with an
+:class:`~repro.errors.ExecutionError` naming the stage and worker, or —
+when the policy allows blacklisting — is decommissioned: its durable
+partitions are redistributed to the surviving workers and the job
+restarts over them.
 """
 
 from __future__ import annotations
@@ -63,22 +66,20 @@ from repro.engine.pipeline import (
     AggregateSink,
     ClusterOutputSink,
     HashBuildSink,
+    JobState,
     MapPageOutputSink,
     MaterializeSink,
-    PipelineEngine,
     combine_into,
     hash_rows_into,
     join_sides,
-    object_batches,
     row_messages,
+    run_task,
 )
 from repro.cluster.transport import (
     PICKLING_ERRORS,
-    RemoteOutcome,
     RemoteTask,
     serialize_task,
 )
-from repro.engine.vectors import batches_of
 from repro.errors import (
     BufferPoolExhaustedError,
     ExecutionError,
@@ -89,7 +90,7 @@ from repro.errors import (
 )
 from repro.memory.block import AllocationBlock
 from repro.memory.builtins import MapType
-from repro.obs.evidence import OperatorRecorder, book_task_evidence
+from repro.obs.evidence import book_task_evidence
 from repro.obs.tracer import Span
 from repro.storage.page import register_root_type
 from repro.storage.replication import page_checksum
@@ -148,7 +149,8 @@ class DistributedScheduler:
         self.retry_policy = cluster.retry_policy
         self.join_modes = {}  # join output vlist -> "broadcast"|"partition"
         self.job_log = []
-        self._checkpoints = {}  # worker_id -> {"hash_tables": .., "store": ..}
+        #: worker_id -> what the job keeps there between stages
+        self._kept = {}
         self._current_stage = None
         #: the cluster's flight recorder (scheduler decisions leave events)
         self.flight = getattr(cluster, "flight", None)
@@ -172,64 +174,16 @@ class DistributedScheduler:
             trace="sched.frontend.{reason}",
         )
 
-    # -- engines -------------------------------------------------------------------
-
-    @property
-    def _job_key(self):
-        """The key this scheduler registers its engines under."""
-        return id(self)
-
-    def engine_for(self, worker):
-        """This job's pipeline engine on ``worker``'s current back-end.
-
-        Keyed into the back-end's transient state, so a re-fork implicitly
-        invalidates it; the replacement engine is seeded with the
-        checkpointed outputs of the stages that already completed.
-        """
-        engine = worker.backend.engines.get(self._job_key)
-        if engine is None:
-            # No scan_reader: run_stages is always handed its batches
-            # (_ScanSource / _ColumnSource), here as in the child.
-            engine = PipelineEngine(
-                self.program, self.plan, None,
-                batch_size=self.cluster.batch_size,
-                profiler=OperatorRecorder() if self.profiler is not None
-                else None,
-                registry=worker.local_catalog.registry,
+    def _kept_on(self, worker):
+        """What this job keeps on ``worker`` between stages: what its
+        finished tasks' sinks installed (``finish()``) and later tasks
+        are handed — in the coordinator, where no re-fork reaches it."""
+        kept = self._kept.get(worker.worker_id)
+        if kept is None:
+            kept = self._kept[worker.worker_id] = JobState(
+                self.program, self.plan, worker.local_catalog.registry
             )
-            checkpoint = self._checkpoints.get(worker.worker_id)
-            if checkpoint is not None:
-                engine.hash_tables.update(checkpoint["hash_tables"])
-                engine.store.update(checkpoint["store"])
-            worker.backend.engines[self._job_key] = engine
-        return engine
-
-    def _checkpoint_workers(self):
-        """Snapshot every worker's completed-stage outputs.
-
-        Called at successful stage boundaries.  The snapshot lives with
-        the scheduler (front-end durable territory), so when a back-end is
-        re-forked mid-job its replacement engine can be rebuilt without
-        re-running the stages that already finished.
-        """
-        for worker in self.workers:
-            engine = worker.backend.engines.get(self._job_key)
-            if engine is None:
-                continue
-            self._checkpoints[worker.worker_id] = {
-                "hash_tables": dict(engine.hash_tables),
-                "store": dict(engine.store),
-            }
-
-    def _release_engines(self):
-        """Drop this job's engines from every back-end (leak fix).
-
-        Without this, engines keyed by finished jobs accumulate in
-        ``BackendProcess.engines`` across executions — and a recycled job
-        key could even resurrect a stale engine.
-        """
-        for worker in self.cluster.workers:
-            worker.backend.release_job(self._job_key)
+        return kept
 
     @property
     def workers(self):
@@ -250,15 +204,12 @@ class DistributedScheduler:
                 self.cluster.register_type(
                     MapType(comp.key_type, comp.value_type)
                 )
-        try:
-            while True:
-                try:
-                    self._execute_plan()
-                    return self.job_log
-                except WorkerLostError as lost:
-                    self._degrade(lost)
-        finally:
-            self._release_engines()
+        while True:
+            try:
+                self._execute_plan()
+                return self.job_log
+            except WorkerLostError as lost:
+                self._degrade(lost)
 
     def _execute_plan(self):
         for pipeline in self.plan:
@@ -327,7 +278,8 @@ class DistributedScheduler:
 
         The one retry loop.  An in-process back-end does the attempt's
         work inside ``await_result``, a process back-end has been at it
-        since submit; either way it happens under this worker's task
+        since submit; either way the outcome is ``(sink state,
+        evidence)`` and is installed and booked under this worker's task
         span, so engine counters and remote spans are attributed to it.
         Returns the finished sink.
         """
@@ -346,44 +298,36 @@ class DistributedScheduler:
                             span.inc("task.retry_attempt")
                         try:
                             outcome = worker.await_result(attempt.future)
-                            if (isinstance(outcome, RemoteOutcome)
-                                    and outcome.rejected is not None):
-                                # The child ran the body, but its result
+                            if outcome is None:
+                                # The child ran the task, but its result
                                 # still points into page memory: run the
-                                # same body here instead.
+                                # same task here instead.
                                 self._c_frontend.inc(reason="child_rejected")
                                 if isinstance(span, Span):
                                     span.detail = "front-end: child_rejected"
-                                outcome = worker.dispatch(attempt.body)
-                            if isinstance(outcome, RemoteOutcome):
-                                # The child's evidence, then its sealed
-                                # sink's state; finish() runs here.
-                                self._book_remote(worker, outcome)
-                                attempt.sink.state = outcome.result
-                                attempt.sink.finish()
+                                outcome = worker.dispatch(attempt.inline)
+                            state, evidence = outcome
+                            try:
+                                # The sealed sink's state is installed
+                                # here, wherever the task ran; a page
+                                # counts as written once it is adopted.
+                                attempt.sink.state = state
+                                evidence["engine"]["pages_written"] = \
+                                    attempt.sink.finish() or 0
+                            finally:
+                                self._book(worker, evidence)
                         except WorkerCrashError as crash:
-                            # What a crashed remote attempt managed to
-                            # produce — the error envelope's evidence,
-                            # or the span + flight-ring dump synthesized
-                            # for a child that died without answering —
-                            # is booked like a finished one's, so a
-                            # retry never loses the attempt's counters.
+                            # What a crashed attempt managed to produce —
+                            # a failed body's evidence so far, or the
+                            # span + flight-ring dump synthesized for a
+                            # child that died without answering — is
+                            # booked like a finished one's, so a retry
+                            # never loses the attempt's counters.
                             if isinstance(span, Span):  # not a null span
                                 span.truncated = True
-                            outcome = getattr(crash, "remote_outcome", None)
-                            if outcome is not None:
-                                self._book_remote(worker, outcome)
+                            if crash.evidence:
+                                self._book(worker, crash.evidence)
                             raise
-                        finally:
-                            # What this process's engine did under the
-                            # span: the whole body, finish() after a
-                            # shipped one, a failed body's counters.
-                            book_task_evidence(
-                                attempt.sink.engine.take_evidence(),
-                                worker.metrics,
-                                self.cluster.metrics_registry,
-                                self.tracer.active,
-                            )
                 finally:
                     attempt.release()
                 if attempts > 1:
@@ -526,10 +470,9 @@ class DistributedScheduler:
             "%s decommissioned; job restarting on %d worker(s)"
             % (lost.worker_id, len(self.workers)),
         ))
-        # Restart from a clean slate: transient engines, checkpoints, and
-        # physical join decisions are all worker-count dependent.
-        self._release_engines()
-        self._checkpoints.clear()
+        # Restart from a clean slate: what the job kept per worker and
+        # its physical join decisions are all worker-count dependent.
+        self._kept.clear()
         self.join_modes.clear()
         for statement in self.program.statements:
             if isinstance(statement, OutputStmt):
@@ -556,9 +499,6 @@ class DistributedScheduler:
                 yield stage
             finally:
                 self._current_stage = None
-        # Only reached when the stage completed: checkpoint its outputs
-        # so mid-job re-forks can rebuild engines without re-running it.
-        self._checkpoint_workers()
 
     def _segments(self, stages):
         """Split a stage chain at every *partitioned* join probe."""
@@ -574,74 +514,102 @@ class DistributedScheduler:
         return segments
 
     def _pipeline_source(self, worker, pipeline, only_uids=None):
-        """A per-attempt source factory for ``worker``'s share of
-        ``pipeline``: its stored-set scan (all its pages, or
-        ``only_uids``), or the columns an earlier stage materialized (a
-        missing one raises its ExecutionError here, front-end side, on
-        every transport)."""
+        """``worker``'s share of ``pipeline``'s source: its stored-set
+        scan (all its pages, or ``only_uids``; selected afresh by every
+        attempt that reads it), or the columns an earlier stage
+        materialized (a missing one raises its ExecutionError here,
+        front-end side, on every transport)."""
         if pipeline.source_kind == SOURCE_SCAN:
-            return lambda: _ScanSource(
+            return _ScanSource(
                 self.cluster.replication, worker, pipeline, only_uids
             )
-        return lambda: _ColumnSource(
-            self.engine_for(worker).stored(pipeline.source)
-        )
+        return _ColumnSource(self._kept_on(worker).stored(pipeline.source))
 
     # -- placement: ship the attempt, or keep it front-end side ------------------------
 
     @functools.cached_property
-    def _job_blob(self):
-        """What every task of this job needs and no task changes, pickled
-        once: a back-end process is sent it the first time it works for
-        the job and keeps it until another job's arrives."""
-        return serialize_task({
+    def _job(self):
+        """What every task of this job needs and no task changes: the
+        ``job`` of every :func:`run_task` call."""
+        return {
             "program": self.program,
             "build_sides": dict(self.plan.build_sides),
             "batch_size": self.cluster.batch_size,
             # Measured and traced there as here (DESIGN §14).
             "profiling": self.profiler is not None,
             "tracing": self.tracer.enabled,
-            # The master registry is authoritative and its codes are
-            # cluster-consistent (local catalogs mirror them on their
+            # A back-end's (the coordinator runs a task on the worker's
+            # own).  The master registry is authoritative and its codes
+            # are cluster-consistent (local catalogs mirror them on their
             # simulated .so fetches); the worker-local registry may not
             # have lazily fetched every type the pages reference yet.
             "registry": self.cluster.catalog.registry,
-        })
+        }
 
-    def _place(self, worker, stages, source, sink, body):
+    @functools.cached_property
+    def _job_blob(self):
+        """:attr:`_job` pickled, once and only if a task ships: a
+        back-end process is sent it the first time it works for the job
+        and keeps it until another job's arrives."""
+        return serialize_task(self._job)
+
+    def _place(self, worker, stages, source, sink):
         """The one placement decision for an attempt; returns it built.
 
-        The attempt is shipped to the worker's back-end process unless
-        one of a closed set of reasons keeps ``body`` front-end side:
-        ``in_process`` (the simulator has no other side),
-        ``pool_pressure`` (the pool cannot pin the whole scan; the
-        front-end streams it page by page through the spill machinery),
-        ``unpicklable_spec`` (a hash table or closure holds something
-        that cannot travel) — each counted in
+        The task is a ``spec`` for :func:`run_task`, shipped to the
+        worker's back-end process unless one of a closed set of reasons
+        makes the coordinator the caller — of the same function, on the
+        same ``job`` and ``spec`` dicts, with the front-end page stream
+        and the worker's own registry: ``in_process`` (the simulator has
+        no other side), ``pool_pressure`` (the pool cannot pin the whole
+        scan; the front-end streams it page by page through the spill
+        machinery), ``unpicklable_spec`` (a hash table or closure holds
+        something that cannot travel) — each counted in
         ``pc_sched_frontend_tasks_total{reason}`` and named on the task
         span; ``child_rejected`` joins them in :meth:`_await_attempt`.
-        Every sink can be filled by a back-end (its pages included), so
-        one that cannot say how is a bug, as is a probe whose hash table
-        was never built: each raises its ExecutionError right here, on
-        any transport.  A storage fault while exporting the scan is
-        replayed through the back-end as a raising stand-in, so it books
-        as a crash (retry + re-fork) exactly where the front-end scan
-        would have hit it.
+        Every sink can be filled by a task (its pages included), so one
+        that cannot say how is a bug, as is a probe whose hash table was
+        never built: each raises its ExecutionError right here, on any
+        transport.  A storage fault while exporting the scan is replayed
+        through the back-end as a raising stand-in, so it books as a
+        crash (retry + re-fork) exactly where the front-end scan would
+        have hit it.
         """
-        def front_end(reason):
-            self._c_frontend.inc(reason=reason)
-            return _Attempt(sink, body, "front-end: %s" % reason)
-
-        tables = {
-            stage.output: sink.engine.hash_table(stage.output)
-            for stage in stages if isinstance(stage, JoinStmt)
-        }
+        kept = self._kept_on(worker)
         remote_sink = sink.remote_spec()
         if remote_sink is None:
             raise ExecutionError(
                 "%s does not say how a back-end fills it (remote_spec)"
                 % type(sink).__name__
             )
+        active = self.tracer.active
+        spec = {
+            "worker_id": worker.worker_id,
+            "stages": list(stages),
+            "source": source.described,
+            "sink": remote_sink,
+            "hash_tables": {
+                stage.output: kept.hash_table(stage.output)
+                for stage in stages if isinstance(stage, JoinStmt)
+            },
+            # Trace context: a child's task span adopts this job's trace
+            # id and hangs off the span open at build time (the stage
+            # span; grafting re-parents onto the task span the
+            # coordinator opens around the await).
+            "trace_ctx": {
+                "trace_id": self.tracer.trace_id,
+                "parent_span_id": active.span_id if active is not None
+                else None,
+            },
+        }
+        inline = functools.partial(
+            run_task, self._job, spec, source.pages(), kept.registry
+        )
+
+        def front_end(reason):
+            self._c_frontend.inc(reason=reason)
+            return _Attempt(sink, inline, "front-end: %s" % reason)
+
         if not getattr(worker.backend, "asynchronous", False):
             return front_end("in_process")
         try:
@@ -650,43 +618,28 @@ class DistributedScheduler:
             return _Attempt(sink, _raiser(fault), None)
         if exported is None:
             return front_end("pool_pressure")
-        active = self.tracer.active
         try:
-            task = RemoteTask(serialize_task({
-                "worker_id": worker.worker_id,
-                "stages": list(stages),
-                "source": exported,
-                "sink": remote_sink,
-                "hash_tables": tables,
-                # Trace context: the child's task span adopts this job's
-                # trace id and hangs off the span open at build time (the
-                # stage span; grafting re-parents onto the task span the
-                # coordinator opens around the await).
-                "trace_ctx": {
-                    "trace_id": self.tracer.trace_id,
-                    "parent_span_id": active.span_id if active is not None
-                    else None,
-                },
-            }), self._job_blob, label="%s on %s" % (
-                type(sink).__name__, worker.worker_id
-            ))
+            task = RemoteTask(
+                serialize_task(dict(spec, source=exported)), self._job_blob,
+                label="%s on %s" % (type(sink).__name__, worker.worker_id),
+            )
         except PICKLING_ERRORS:
             if release is not None:
                 release()
             return front_end("unpicklable_spec")
-        return _Attempt(sink, body, "shipped", task=task, release=release)
+        return _Attempt(sink, inline, "shipped", task=task, release=release)
 
-    def _book_remote(self, worker, outcome):
-        """Graft a child's span batch under the worker's open task span
-        and book its evidence there, so attribution matches the inline
-        run: onto the child's own ``task`` span (the window the body
-        really ran in), or onto the open one when no span arrived whole.
+    def _book(self, worker, evidence):
+        """Book one task's evidence under the worker's open task span.
+        A back-end process's carries its own ``task`` span, which is
+        grafted there and booked onto (the window the task really ran
+        in); a task the coordinator ran carries none — nor does a batch
+        that arrived torn — and books onto the open span.
 
         Span timestamps arrive relative to ``span_base``, an instant on
         the ``time.monotonic()`` the child shares with this process
         (DESIGN §14 "One clock").
         """
-        evidence = outcome.evidence
         parent = task_span = self.tracer.active
         shift_s = evidence.get("span_base", 0.0)
         grafted = 0
@@ -715,24 +668,12 @@ class DistributedScheduler:
 
     # -- stage runners -----------------------------------------------------------------
 
-    def _attempt(self, worker, stages, source_factory, sink_factory):
+    def _attempt(self, worker, stages, source, sink_factory):
         """make_attempt for one worker's portion of a stage: ``stages``
-        over a fresh source into a fresh sink, placed by :meth:`_place`.
-        """
-
-        def make_attempt():
-            sink = sink_factory(worker)
-            source = source_factory()
-
-            def body():
-                sink.engine.run_stages(
-                    stages, source.batches(sink.engine), sink
-                )
-                sink.finish()
-
-            return self._place(worker, stages, source, sink, body)
-
-        return make_attempt
+        over ``source`` into a fresh sink, placed by :meth:`_place`."""
+        return lambda: self._place(
+            worker, stages, source, sink_factory(worker)
+        )
 
     # -- the one exchange: partition -> ship -> receive ------------------------------------
 
@@ -834,16 +775,14 @@ class DistributedScheduler:
                     c.get(probe_hash, ()), len(workers),
                 ) for c in collected])
                 sources = [
-                    functools.partial(
-                        _ColumnSource, dict(zip(names, map(list, zip(*rows))))
-                    )
+                    _ColumnSource(dict(zip(names, map(list, zip(*rows)))))
                     for rows in received
                 ]
             done = self._run_worker_tasks([
                 (worker, self._attempt(
                     worker, segment, source,
                     sink_factory if last else lambda w: MaterializeSink(
-                        self.engine_for(w), None
+                        self._kept_on(w), None
                     ),
                 ))
                 for worker, source in zip(workers, sources)
@@ -859,18 +798,18 @@ class DistributedScheduler:
         Absorption needs (a) a scan source — its pages are in the
         catalog replica map, so the lost worker's input survives or is
         evacuated elsewhere — and (b) no unrecoverable per-worker state
-        from earlier stages: a checkpointed *partitioned* hash-table
-        shard or materialized store partition died with the worker,
+        from earlier stages: a *partitioned* hash-table shard or
+        materialized store partition kept for the worker goes with it,
         forcing the restart fallback.  Broadcast hash tables are
         identical on every worker, so losing one copy loses nothing.
         """
         if pipeline.source_kind != SOURCE_SCAN:
             return False
-        checkpoint = self._checkpoints.get(lost.worker_id)
-        if checkpoint is not None:
-            if checkpoint["store"]:
+        kept = self._kept.get(lost.worker_id)
+        if kept is not None:
+            if kept.store:
                 return False
-            for output in checkpoint["hash_tables"]:
+            for output in kept.hash_tables:
                 if self.join_modes.get(output) != "broadcast":
                     return False
         return True
@@ -896,7 +835,7 @@ class DistributedScheduler:
         moved = self.cluster.decommission_worker(
             lost.worker_id, reason=lost.reason
         )
-        self._checkpoints.pop(lost.worker_id, None)
+        self._kept.pop(lost.worker_id, None)
         with self.tracer.span(
             "absorb", kind="fault",
             detail="worker %s lost (%s); %d orphaned page(s) absorbed by "
@@ -953,7 +892,7 @@ class DistributedScheduler:
             )
         total_rows = 0
         for worker in self.workers:
-            store = self.engine_for(worker).store.get(pipeline.source) or {}
+            store = self._kept_on(worker).store.get(pipeline.source) or {}
             for column in store.values():
                 total_rows += len(column)
                 break
@@ -981,13 +920,13 @@ class DistributedScheduler:
                 (worker, self._attempt(
                     worker, pipeline.stages,
                     self._pipeline_source(worker, pipeline),
-                    lambda w: HashBuildSink(self.engine_for(w), join),
+                    lambda w: HashBuildSink(self._kept_on(w), join),
                 ))
                 for worker in workers
             ])
             held = []
             for worker in workers:
-                table = self.engine_for(worker).hash_tables[join.output]
+                table = self._kept_on(worker).hash_tables[join.output]
                 rows = [
                     (hash_value,) + row
                     for hash_value, bucket in table.items() for row in bucket
@@ -997,7 +936,7 @@ class DistributedScheduler:
                     len(workers),
                 ))
             for worker, rows in zip(workers, self._exchange(held)):
-                self.engine_for(worker).hash_tables[join.output] = \
+                self._kept_on(worker).hash_tables[join.output] = \
                     hash_rows_into({}, rows)
 
     def _run_aggregate(self, pipeline):
@@ -1014,7 +953,7 @@ class DistributedScheduler:
             self._run_distributed_pipeline(
                 pipeline,
                 lambda worker: AggregateSink(
-                    self.engine_for(worker), agg, exchange
+                    self._kept_on(worker), agg, exchange
                 ),
             )
 
@@ -1025,7 +964,7 @@ class DistributedScheduler:
             % (agg.output, len(workers)),
         ):
             held = [
-                self.engine_for(worker).store.pop(agg.output, ())
+                self._kept_on(worker).store.pop(agg.output, ())
                 for worker in workers
             ]
             for worker, pairs in zip(workers, self._exchange(held, comp)):
@@ -1033,7 +972,7 @@ class DistributedScheduler:
                 # a lost peer's portion) — combine, never overwrite.
                 groups = combine_into({}, pairs, comp.combine)
                 self.tracer.add("agg.merged_keys", len(groups))
-                self.engine_for(worker).store[agg.output] = {
+                self._kept_on(worker).store[agg.output] = {
                     "key": list(groups.keys()),
                     "val": list(groups.values()),
                 }
@@ -1044,7 +983,7 @@ class DistributedScheduler:
         ):
             self._run_distributed_pipeline(
                 pipeline,
-                lambda worker: MaterializeSink(self.engine_for(worker),
+                lambda worker: MaterializeSink(self._kept_on(worker),
                                                pipeline.sink),
             )
 
@@ -1058,11 +997,11 @@ class DistributedScheduler:
             page_set = worker.storage.get_set(*key)
             if aggregation is not None:
                 return MapPageOutputSink(
-                    self.engine_for(worker), output, page_set.page_size,
+                    self._kept_on(worker), output, page_set.page_size,
                     aggregation, page_set,
                 )
             return ClusterOutputSink(
-                self.engine_for(worker), output, page_set.page_size,
+                self._kept_on(worker), output, page_set.page_size,
                 page_set, self.cluster.python_outputs.setdefault(key, []),
             )
 
@@ -1122,20 +1061,21 @@ class _Attempt:
     """One try at one worker's portion of a stage, as :meth:`_place` built it.
 
     ``payload`` is what the back-end is handed — the shipped
-    :class:`RemoteTask`, or ``body`` itself when the coordinator runs it
-    — and ``placement`` says which (and why) on the task span.
-    ``release`` drops what the attempt holds while it runs (the pins
-    keeping exported pages' shared-memory segments alive), exactly once.
+    :class:`RemoteTask`, or ``inline`` (the ``run_task`` call on the
+    same spec) when the coordinator runs it — and ``placement`` says
+    which (and why) on the task span.  ``release`` drops what the
+    attempt holds while it runs (the pins keeping exported pages'
+    shared-memory segments alive), exactly once.
     """
 
-    __slots__ = ("sink", "body", "placement", "payload", "_release",
+    __slots__ = ("sink", "inline", "placement", "payload", "_release",
                  "future", "started")
 
-    def __init__(self, sink, body, placement, task=None, release=None):
+    def __init__(self, sink, inline, placement, task=None, release=None):
         self.sink = sink
-        self.body = body
+        self.inline = inline
         self.placement = placement
-        self.payload = task if task is not None else body
+        self.payload = task if task is not None else inline
         self._release = release
 
     def release(self):
@@ -1145,16 +1085,17 @@ class _Attempt:
 
 
 class _ColumnSource:
-    """Plain columns (a materialized vector list, a shuffle's output)."""
+    """Plain columns (a materialized vector list, a shuffle's output):
+    they are their own description, shipped or not."""
 
     def __init__(self, columns):
-        self.columns = columns
+        self.described = ("columns", columns)
 
-    def batches(self, engine):
-        return batches_of(self.columns, engine.batch_size)
+    def pages(self):
+        return ()
 
     def export(self):
-        return ("columns", self.columns), None
+        return self.described, None
 
 
 class _ScanSource:
@@ -1163,27 +1104,29 @@ class _ScanSource:
     def __init__(self, replication, worker, pipeline, only_uids):
         self.replication = replication
         self.worker_id = worker.worker_id
-        self.scan = pipeline.source
+        self.scan = scan = pipeline.source
         self.only_uids = only_uids
-        #: a columnar-lowered scan takes columnar pages as whole array
+        #: ``("pages", segment references, column, columnar)``: no
+        #: references for a task handed :meth:`pages`.  A
+        #: columnar-lowered scan takes columnar pages as whole array
         #: batches (row pages in the stream still go through per row).
-        self.columnar = self.scan.info.get("columnar") == "1"
+        self.described = (
+            "pages", None, scan.column, scan.info.get("columnar") == "1",
+        )
 
-    def batches(self, engine):
-        scan = self.scan
-        return object_batches(
-            self.replication.scan_pages(
-                scan.database, scan.set_name,
-                worker_id=self.worker_id, only_uids=self.only_uids,
-            ),
-            scan.column, engine.batch_size, columnar=self.columnar,
+    def pages(self):
+        """The front-end page stream: each selected page pinned while
+        its items are read, through the spill machinery."""
+        return self.replication.scan_pages(
+            self.scan.database, self.scan.set_name,
+            worker_id=self.worker_id, only_uids=self.only_uids,
         )
 
     def export(self):
         """The pages as shared-memory references, pinned until released.
 
         Returns ``(description, release)``.  The page selection is
-        :meth:`batches`' own (``scan_page_copies``: failover accounting
+        :meth:`pages`' own (``scan_page_copies``: failover accounting
         and corruption healing included), and every exported page stays
         *pinned* until ``release`` runs, so eviction cannot unlink a
         segment the child is still reading.  A pool too small to pin the
@@ -1220,4 +1163,5 @@ class _ScanSource:
         except (StorageError, ExecutionError):
             release()
             raise
-        return ("pages", refs, scan.column, self.columnar), release
+        _kind, _refs, column, columnar = self.described
+        return ("pages", refs, column, columnar), release

@@ -335,29 +335,21 @@ class RemoteTask:
         return "<RemoteTask %s (%d bytes)>" % (self.label, len(self.blob))
 
 
-class RemoteOutcome:
-    """What a completed remote task hands back to the coordinator.
-
-    ``result`` is the sealed sink's state and ``evidence`` the task's
-    evidence as the child closed it (:mod:`repro.obs.evidence`; with
-    tracing on it carries the child's ``task`` span under ``"spans"``,
-    timestamps relative to ``"span_base"`` on ``time.monotonic()`` — the
-    one clock a same-host child shares with the coordinator, DESIGN
-    §14).  Error and death envelopes build one too
-    (``result=None``) so partial evidence takes the same booking path.
-    ``rejected`` is the child's reason when it judged the task
-    unshippable (a result still pointing into page memory): nothing ran
-    to completion and the scheduler re-runs the portion front-end side.
-    """
-
-    def __init__(self, result=None, evidence=None, rejected=None):
-        self.result = result
-        self.evidence = evidence or {}
-        self.rejected = rejected
-
-
 class _PendingFuture:
-    """Await-side handle of a task submitted to a back-end process."""
+    """Await-side handle of a task submitted to a back-end process.
+
+    ``result()`` is what :func:`repro.engine.pipeline.run_task` returned
+    over there: ``(sink state, evidence)``, the evidence as the child
+    stamped it (its ``pid``; with tracing on its ``task`` span under
+    ``"spans"``, timestamps relative to ``"span_base"`` on
+    ``time.monotonic()`` — the one clock a same-host child shares with
+    the coordinator, DESIGN §14).  None means the child judged the task
+    unshippable (a result still pointing into page memory): nothing
+    came home and the scheduler re-runs the portion front-end side.  A
+    crash carries what evidence there is — the error envelope's, or the
+    one synthesized for a child that died without answering — as
+    ``error.evidence``, so partial evidence takes the same booking path.
+    """
 
     def __init__(self, child, backend, task, task_id):
         self._child = child
@@ -400,7 +392,7 @@ class _PendingFuture:
         )
         if status == "ok":
             try:
-                result, evidence = pickle.loads(payload)
+                state, evidence = pickle.loads(payload)
             except Exception as exc:  # noqa: BLE001 - any decode failure is a crash
                 self._backend.crashed = True
                 self._error = WorkerCrashError(
@@ -408,11 +400,10 @@ class _PendingFuture:
                     "%r: %s" % (worker_id, exc)
                 )
                 raise self._error from exc
-            self._value = RemoteOutcome(result, evidence)
+            self._value = (state, evidence)
             return self._value
         if status == "reject":
-            self._value = RemoteOutcome(rejected=payload)
-            return self._value
+            return None
         self._backend.crashed = True
         if status == "error":
             # A Python-level failure inside the child: the envelope is a
@@ -429,8 +420,7 @@ class _PendingFuture:
                 "back-end process of worker %r died: %s"
                 % (worker_id, message)
             )
-            if evidence:
-                self._error.remote_outcome = RemoteOutcome(None, evidence)
+            self._error.evidence = evidence
             self._error.detected_at = time.monotonic()
             raise self._error
         verdict = self._child.kill_verdicts.pop(self._task_id, None)
@@ -449,9 +439,9 @@ class _PendingFuture:
                 "back-end process of worker %r died: %s"
                 % (worker_id, payload)
             )
-        outcome = self._child.post_mortem_outcome(self._task_id, worker_id)
-        if outcome is not None:
-            self._error.remote_outcome = outcome
+        self._error.evidence = self._child.post_mortem_evidence(
+            self._task_id, worker_id
+        )
         # When the death was detected, for recovery-latency accounting
         # (WorkerNode.await_result observes now -> post-re-fork).
         self._error.detected_at = time.monotonic()
@@ -523,7 +513,7 @@ class _ChildProcess:
         self._outstanding.add(task_id)
         return _PendingFuture(self, backend, task, task_id)
 
-    def post_mortem_outcome(self, task_id, worker_id):
+    def post_mortem_evidence(self, task_id, worker_id):
         """Synthesize the evidence for a task whose child never answered.
 
         A SIGKILLed child ships nothing, but the master still has the
@@ -557,9 +547,7 @@ class _ChildProcess:
         }
         if events:
             span["events"] = events
-        return RemoteOutcome(evidence={
-            "spans": [span], "span_base": submitted, "pid": self.pid,
-        })
+        return {"spans": [span], "span_base": submitted, "pid": self.pid}
 
     def _pull_result(self, timeout):
         """One queue read; True if a result was installed, False if not.

@@ -4,9 +4,10 @@ Each worker runs two processes.  The *front-end* is crash-proof
 infrastructure: the local catalog cache, the local storage server with
 its buffer pool, and the message proxy relaying requests.  The *back-end*
 is where potentially-unsafe user code runs; if a user stage raises, the
-front-end "re-forks" it — the back-end's transient state (pipeline
-engines, hash tables, materialized stores) is discarded and rebuilt,
-while the front-end's storage and catalog survive untouched.
+front-end "re-forks" it.  A back-end holds nothing between tasks
+(:func:`repro.engine.pipeline.run_task` builds an engine and drops it),
+so a re-fork discards only the running task: the front-end's storage and
+catalog, and what the scheduler keeps of the job, survive untouched.
 
 The back-end's execution model is the transport's choice: the simulated
 transport keeps it in-process (:class:`BackendProcess`, deterministic:
@@ -15,11 +16,6 @@ backs it with a real spawned OS process whose dispatches are
 asynchronous — submitted to a per-worker task queue and awaited later.
 :meth:`WorkerNode.dispatch` is submit + await in one call; the scheduler
 uses the split pair, so its one attempt loop serves both.
-
-The scheduler keys its per-job engine into :attr:`BackendProcess.engines`
-and must call :meth:`BackendProcess.release_job` when the job finishes;
-otherwise engines of finished jobs would accumulate across executions
-(and a recycled job key could silently reuse a stale engine).
 """
 
 from __future__ import annotations
@@ -58,18 +54,15 @@ class BackendProcess:
 
     def __init__(self, worker):
         self.worker = worker
-        #: transient per-job state, keyed by job: wiped on re-fork,
-        #: released per job when its scheduler finishes
-        self.engines = {}
         self.crashed = False
 
     def run_user_code(self, fn, *args, **kwargs):
         """Execute ``fn``; a raise marks this backend as crashed.
 
         A backend that already crashed rejects every further dispatch
-        until the front-end re-forks it: its transient state is gone,
-        so silently running more user code on it would produce wrong
-        answers, not crashes.
+        until the front-end re-forks it (a crashed process runs
+        nothing).  A failed task's ``error.evidence`` travels on the
+        crash, where a process back-end's error envelope puts it.
         """
         if self.crashed:
             raise BackendCrashedError(
@@ -81,10 +74,12 @@ class BackendProcess:
             return fn(*args, **kwargs)
         except Exception as exc:  # noqa: BLE001 - user code can raise anything
             self.crashed = True
-            raise WorkerCrashError(
+            crash = WorkerCrashError(
                 "user code crashed on worker %r: %s"
                 % (self.worker.worker_id, exc)
-            ) from exc
+            )
+            crash.evidence = getattr(exc, "evidence", None)
+            raise crash from exc
 
     def submit(self, fn, *args, **kwargs):
         """A future that runs ``fn`` as user code when awaited.
@@ -99,10 +94,6 @@ class BackendProcess:
 
     def shutdown(self):
         """Release backend resources (no-op for the in-process variant)."""
-
-    def release_job(self, job_key):
-        """Drop the transient engine of a finished job, if any."""
-        self.engines.pop(job_key, None)
 
 
 class WorkerNode:
@@ -161,11 +152,11 @@ class WorkerNode:
     def await_result(self, future):
         """Resolve a submitted dispatch, re-forking on a crash.
 
-        On a crash the front-end re-forks the back-end (fresh transient
-        state; a real child process is killed and respawned) before
-        re-raising, so the worker stays usable — the paper's rationale
-        for the dual-process design.  Recovery (re-dispatching the
-        failed portion) is the scheduler's job, via its RetryPolicy.
+        On a crash the front-end re-forks the back-end (a real child
+        process is killed and respawned) before re-raising, so the
+        worker stays usable — the paper's rationale for the
+        dual-process design.  Recovery (re-dispatching the failed
+        portion) is the scheduler's job, via its RetryPolicy.
         """
         try:
             return future.result()
@@ -190,10 +181,8 @@ class WorkerNode:
 
         The old backend is shut down first — for a process-backed worker
         that *terminates the child process*; the replacement leases a
-        fresh one.  The new backend starts with an empty
-        :attr:`BackendProcess.engines` map, so any engine a still-running
-        job had registered is gone — the scheduler rebuilds it (restoring
-        checkpointed stage outputs) on the next ``engine_for`` call.
+        fresh one.  Nothing of a running job lived in the old one, so
+        nothing is restored into the new.
         """
         self.backend.shutdown()
         if self.transport is not None:

@@ -33,8 +33,10 @@ from repro.engine.physical import (
     SINK_MATERIALIZE,
     SINK_OUTPUT,
     SOURCE_SCAN,
+    PhysicalPlan,
 )
 from repro.engine.vectors import DEFAULT_BATCH_SIZE, VectorList, batches_of
+from repro.obs.evidence import OperatorRecorder
 from repro.storage.dataset import (
     fill_map_pages,
     pack_map_pages,
@@ -55,7 +57,7 @@ class EngineMetrics:
     4/5 benches assert per-run values).
 
     What an engine counted reaches ``pc_engine_*`` and the trace as task
-    evidence (:meth:`PipelineEngine.take_evidence`), never from here.
+    evidence (:meth:`PipelineEngine.evidence`), never from here.
     """
 
     FIELDS = ("batches", "rows_in", "rows_out", "stage_invocations",
@@ -80,33 +82,55 @@ _OPERATOR_NAMES = {
 }
 
 
-class PipelineEngine:
+class JobState:
+    """What a job keeps on one worker between pipelines — plain data a
+    sink's ``finish()`` installs and a later pipeline reads.  A local
+    run's engine is one; a scheduled job keeps one per worker in the
+    coordinator, where no back-end crash can reach it.
+    """
+
+    def __init__(self, program, plan, registry=None):
+        self.program = program
+        self.plan = plan
+        self.registry = registry
+        self.hash_tables = {}  # join output vlist -> {hash: [row tuples]}
+        self.store = {}  # materialized vlist -> {column: list}
+
+    def hash_table(self, output):
+        """The built hash table of join ``output``; raises when missing."""
+        table = self.hash_tables.get(output)
+        if table is None:
+            raise ExecutionError("hash table for %s was not built" % output)
+        return table
+
+    def stored(self, vlist_name):
+        """The materialized columns of ``vlist_name``; raises when missing."""
+        columns = self.store.get(vlist_name)
+        if columns is None:
+            raise ExecutionError(
+                "vector list %r was not materialized" % vlist_name
+            )
+        return columns
+
+
+class PipelineEngine(JobState):
     """Executes a physical plan over one worker's data."""
 
     def __init__(self, program, plan, scan_reader, batch_size=None,
-                 output_sink_factory=None, metrics=None, profiler=None,
-                 registry=None):
+                 metrics=None, profiler=None, registry=None):
         """``scan_reader(scan_stmt)`` yields the objects of a stored set
-        (None when every ``run_stages`` call is handed its batches);
-        ``output_sink_factory(output_stmt)`` builds the sink for OUTPUT
-        statements (defaults to collecting Python lists).  With a
-        ``profiler`` (:class:`repro.obs.evidence.OperatorRecorder`) every
-        TCAP operator application is measured into the task's evidence.
-        ``registry`` is the type registry of the pages this engine's
-        sinks build (combiner and output pages).
+        (None when every ``run_stages`` call is handed its batches).
+        With a ``profiler`` (:class:`repro.obs.evidence.OperatorRecorder`)
+        every TCAP operator application is measured into the task's
+        evidence.  ``registry`` is the type registry of the pages this
+        engine's sinks build (combiner and output pages).
         """
-        self.program = program
-        self.plan = plan
+        super().__init__(program, plan, registry)
         self.scan_reader = scan_reader
         self.batch_size = batch_size or DEFAULT_BATCH_SIZE
         self.metrics = metrics or EngineMetrics()
         self.profiler = profiler
-        self.registry = registry
-        self._closed = self.metrics.as_dict()  # counters at the last close
-        self.hash_tables = {}  # join output vlist -> {hash: [row tuples]}
-        self.store = {}  # materialized vlist -> {column: list}
-        self.outputs = {}  # (db, set) -> list (when using the default sink)
-        self._sink_factory = output_sink_factory or self._default_sink
+        self.outputs = {}  # (db, set) -> list (a local run's OUTPUT sinks)
 
     # -- public ------------------------------------------------------------------
 
@@ -130,11 +154,10 @@ class PipelineEngine:
         ``sink``.
 
         Every execution of user stages goes through here — a local
-        pipeline, a scheduler task the coordinator runs itself, and a
-        task a back-end process runs (``repro.cluster.procworker``).  The
-        sink is sealed — what it consumed is now its ``state``, pages
-        built — and left un-finished: the caller decides whether the
-        state is stored (``finish()``) or travels home first.
+        pipeline, and every scheduled task (:func:`run_task`).  The sink
+        is sealed — what it consumed is now its ``state``, pages built —
+        and left un-finished: the caller decides whether the state is
+        stored (``finish()``) or travels home first.
         """
         for batch in batches:
             self.metrics.batches += 1
@@ -142,21 +165,14 @@ class PipelineEngine:
             self._process_batch(stages, batch, sink)
         sink.seal()
 
-    def take_evidence(self):
-        """Close the evidence of the task that just ran (or failed).
-
-        Plain data: the counter increases since the previous close and
-        the operator records of the recorder behind ``profiler`` (none
-        without one).  :func:`repro.obs.evidence.book_task_evidence`
-        books it — here when the coordinator ran the body, after the trip
-        home when a back-end process did.
+    def evidence(self):
+        """What this engine did, as plain data: its counters and the
+        records of the recorder behind ``profiler`` (none without one).
+        An engine built for a task runs that one task, so this is the
+        task's evidence, for :func:`~repro.obs.evidence.book_task_evidence`.
         """
-        counters = self.metrics.as_dict()
-        closed, self._closed = self._closed, counters
         return {
-            "engine": {
-                name: counters[name] - closed[name] for name in counters
-            },
+            "engine": self.metrics.as_dict(),
             "ops": self.profiler.drain() if self.profiler is not None
             else {},
         }
@@ -275,22 +291,6 @@ class PipelineEngine:
         if self.profiler is not None:
             self.profiler.columnar(operator, rows)
 
-    def hash_table(self, output):
-        """The built hash table of join ``output``; raises when missing."""
-        table = self.hash_tables.get(output)
-        if table is None:
-            raise ExecutionError("hash table for %s was not built" % output)
-        return table
-
-    def stored(self, vlist_name):
-        """The materialized columns of ``vlist_name``; raises when missing."""
-        columns = self.store.get(vlist_name)
-        if columns is None:
-            raise ExecutionError(
-                "vector list %r was not materialized" % vlist_name
-            )
-        return columns
-
     def _probe(self, stage, batch):
         table = self.hash_table(stage.output)
         (_hash, built_columns), (probe_hash, probe_columns) = join_sides(
@@ -329,11 +329,48 @@ class PipelineEngine:
         if pipeline.sink_kind == SINK_MATERIALIZE:
             return MaterializeSink(self, pipeline.sink)
         if pipeline.sink_kind == SINK_OUTPUT:
-            return self._sink_factory(pipeline.sink)
+            return ListOutputSink(self, pipeline.sink)
         raise ExecutionError("unknown sink kind %r" % pipeline.sink_kind)
 
-    def _default_sink(self, output_stmt):
-        return ListOutputSink(self, output_stmt)
+
+def run_task(job, spec, pages, registry):
+    """The one task runner: ``(job, spec) -> (sink state, evidence)``.
+
+    One worker's portion of a stage, whoever calls — a back-end process
+    with the pages it attached and its copy of the job's registry, the
+    coordinator with the front-end page stream and the worker's own —
+    from the same plain inputs: ``job`` is what is constant over the job
+    (program, build sides, batch size, profiling), ``spec`` the task
+    (stages, source description, ``(sink class, arguments)``, the hash
+    tables its probes read).  The engine lives for this one task: a
+    plain sink is filled from ``pages`` (one item sequence per page) or
+    the spec's own columns, and sealed, never finished — its ``state``
+    goes to whoever keeps the job's state.  When the body raises, the
+    evidence so far travels on the exception (``error.evidence``).
+    """
+    engine = PipelineEngine(
+        job["program"], PhysicalPlan((), job["build_sides"]), None,
+        batch_size=job["batch_size"],
+        profiler=OperatorRecorder() if job["profiling"] else None,
+        registry=registry,
+    )
+    engine.hash_tables = spec["hash_tables"]
+    try:
+        sink_class, sink_args = spec["sink"]
+        sink = sink_class(engine, *sink_args)
+        source = spec["source"]
+        if source[0] == "columns":
+            batches = batches_of(source[1], engine.batch_size)
+        else:
+            _kind, _refs, column, columnar = source
+            batches = object_batches(
+                pages, column, engine.batch_size, columnar=columnar
+            )
+        engine.run_stages(spec["stages"], batches, sink)
+    except Exception as error:
+        error.evidence = engine.evidence()
+        raise
+    return sink.state, engine.evidence()
 
 
 def object_batches(pages, column, batch_size, columnar=False):
@@ -446,9 +483,10 @@ class Sink:
     A sink lives in three steps: ``consume`` takes the batches, ``seal``
     (end of the task body, wherever it ran) turns what was consumed into
     ``state`` — plain data, pages built — and ``finish`` installs the
-    state where the job keeps it.  A back-end process runs the first two
-    on a sink built from :meth:`remote_spec` and sends ``state`` home; the
-    coordinator's own sink gets it assigned and runs the third.
+    state where the job keeps it.  A scheduled task (:func:`run_task`)
+    runs the first two on a sink built from :meth:`remote_spec` over its
+    engine; the coordinator's own sink, built over the worker's
+    :class:`JobState`, gets that ``state`` assigned and runs the third.
     """
 
     #: ``finish()`` adds to what an earlier task of this stage installed
@@ -474,22 +512,23 @@ class Sink:
         """Turn what was consumed into ``state`` (default: it already is)."""
 
     def remote_spec(self):
-        """``(sink_class, arguments)``: a back-end process fills and seals
-        ``sink_class(engine, *arguments)`` and sends its ``state`` for
-        this sink to ``finish()``.  None — a sink no back-end can fill —
-        is an error in a scheduled job."""
+        """``(sink_class, arguments)``: a task fills and seals
+        ``sink_class(engine, *arguments)`` and returns its ``state`` for
+        this sink to ``finish()``.  None — a sink no task can fill — is
+        an error in a scheduled job."""
         return None
 
     def finish(self):
-        """Install ``state`` at end of pipeline."""
+        """Install ``state`` at end of pipeline; returns the pages that
+        adopted, if any (the task's ``pages_written``)."""
 
     def abort(self):
         """Undo any *durable* half-effects of a failed attempt.
 
         Called by the scheduler's retry machinery after a back-end crash,
-        before the task is re-dispatched into a fresh sink.  Sinks whose
-        state is engine-transient (discarded with the re-forked back-end)
-        need do nothing; page-writing sinks free the pages they adopted.
+        before the task is re-dispatched into a fresh sink.  A sink that
+        installs only on success need do nothing; page-writing sinks free
+        the pages they adopted.
         """
 
 
@@ -689,7 +728,7 @@ class _PageSink(Sink):
             self._adopted.append(self.page_set.adopt_page_bytes(
                 data, allocations=allocations
             ))
-        self.engine.metrics.pages_written += len(pages)
+        return len(pages)
 
     def abort(self):
         if self._objects_mark is not None:
@@ -736,9 +775,10 @@ class ClusterOutputSink(_PageSink):
         self.state["python"] = self._values
 
     def finish(self):
-        super().finish()
+        adopted = super().finish()
         self._python_mark = len(self._python)
         self._python.extend(self.state["python"])
+        return adopted
 
     def abort(self):
         super().abort()

@@ -164,6 +164,11 @@ class WorkerCrashError(ClusterError):
     the dual-process design of Section 2.
     """
 
+    #: What the crashed task did before it died (task evidence, see
+    #: :mod:`repro.obs.evidence`), when whoever raised the crash had any;
+    #: the scheduler books it like a finished task's.
+    evidence = None
+
 
 class TaskDeadlineError(WorkerCrashError):
     """A dispatched task overran its wall-clock deadline and was killed.

@@ -22,7 +22,7 @@ import pytest
 from repro.cluster import FaultInjector, PCCluster
 from repro.cluster import scheduler as scheduler_module
 from repro.cluster import transport as transport_module
-from repro.cluster.transport import RemoteOutcome, remote_available
+from repro.cluster.transport import remote_available
 from repro.cluster.worker import WorkerNode
 from repro.core import (
     JoinComp,
@@ -33,6 +33,7 @@ from repro.core import (
     lambda_from_native,
 )
 from repro.engine.pipeline import AggregateSink
+from repro.lillinalg import DistributedMatrix
 from repro.memory import Int32, PCObject, String, make_object
 from repro.ml.kmeans_columnar import ColumnarKMeans
 from repro.storage import corrupt_bytes, page_checksum
@@ -211,13 +212,11 @@ def test_page_corrupted_on_the_way_home_is_retried_never_adopted(
 
     def flip_one_page(self, future):
         outcome = await_result(self, future)
-        if (not flipped and isinstance(outcome, RemoteOutcome)
-                and isinstance(outcome.result, dict)
-                and len(outcome.result["pages"]) > 1):
-            data, checksum, allocations = outcome.result["pages"][1]
-            outcome.result["pages"][1] = (
-                corrupt_bytes(data), checksum, allocations
-            )
+        state = outcome[0] if outcome is not None else None
+        if (not flipped and isinstance(state, dict)
+                and len(state["pages"]) > 1):
+            data, checksum, allocations = state["pages"][1]
+            state["pages"][1] = (corrupt_bytes(data), checksum, allocations)
             flipped.append(page_checksum(corrupt_bytes(data)))
         return outcome
 
@@ -373,6 +372,28 @@ def _etl(cluster):
     return [("etl", "even"), ("etl", "joined")]
 
 
+def _multiply(cluster):
+    """A join over handles: the probe tasks' specs carry a hash table
+    that cannot be pickled and the build task's table cannot come back,
+    so the coordinator runs both (``unpicklable_spec``,
+    ``child_rejected``) — the same task, the same bytes."""
+    rng = np.random.default_rng(7)
+    left = DistributedMatrix.from_numpy(
+        cluster, "lla", rng.normal(size=(48, 40)), 8, 8
+    )
+    right = DistributedMatrix.from_numpy(
+        cluster, "lla", rng.normal(size=(40, 32)), 8, 8
+    )
+    product = left.multiply(right)
+    if cluster.transport.name == "process":
+        metrics = cluster.metrics()
+        for reason in ("unpicklable_spec", "child_rejected"):
+            assert metrics.value(
+                "pc_sched_frontend_tasks_total", reason=reason
+            ) > 0, reason
+    return [(product.database, product.set_name)]
+
+
 def _run_and_dump(tmp_path, transport, jobs, **cluster_args):
     """What the jobs left: every output partition's sealed page bytes, the
     Python outputs, and the bytes the jobs moved between workers."""
@@ -380,16 +401,18 @@ def _run_and_dump(tmp_path, transport, jobs, **cluster_args):
         before = cluster.metrics().value("pc_net_bytes_total")
         outputs = jobs(cluster)
         shuffled = cluster.metrics().value("pc_net_bytes_total") - before
+        # Keyed by position: a generated set name (a matrix product's)
+        # differs from run to run.
         pages = {}
-        for key in outputs:
+        for nth, key in enumerate(outputs):
             for worker in cluster.workers:
                 page_set = worker.storage.get_set(*key)
                 for page_id in page_set.page_ids:
                     with page_set.pinned_page(page_id) as page:
-                        pages.setdefault((key, worker.worker_id), []).append(
+                        pages.setdefault((nth, worker.worker_id), []).append(
                             page.to_bytes()
                         )
-        python = {key: cluster.python_outputs.get(key) for key in outputs}
+        python = [cluster.python_outputs.get(key) for key in outputs]
         # Handles the jobs' reads left in cycles still export views of the
         # pools' segments; close() must find none (a SharedMemory whose
         # close fails raises from __del__ wherever the collector next runs).
@@ -401,7 +424,8 @@ def _run_and_dump(tmp_path, transport, jobs, **cluster_args):
     (_tpch, dict(page_size=1 << 13)),
     # (a batch's stage-built output must fit one page: 256 Orders do)
     (_etl, dict(page_size=1 << 15, batch_size=256)),
-], ids=["tpch", "etl"])
+    (_multiply, dict(page_size=1 << 12)),
+], ids=["tpch", "etl", "multiply"])
 def test_sim_and_process_leave_the_same_page_bytes(tmp_path, jobs,
                                                    cluster_args):
     sim_pages, sim_python, sim_shuffled = _run_and_dump(

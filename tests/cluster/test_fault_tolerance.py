@@ -9,13 +9,23 @@ surviving front-end storage, back off exponentially, and (when allowed)
 blacklist a hopeless worker and degrade onto its peers.
 """
 
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
 from repro.cluster import FakeClock, FaultInjector, PCCluster, RetryPolicy
-from repro.core import AggregateComp, ObjectReader, Writer, lambda_from_member
+from repro.cluster.scheduler import DistributedScheduler
+from repro.cluster.transport import remote_available
+from repro.core import (
+    AggregateComp,
+    ObjectReader,
+    SelectionComp,
+    Writer,
+    lambda_from_member,
+)
 from repro.errors import ExecutionError, TransferDroppedError, WorkerCrashError
 from repro.memory import Float64, Int32, Int64, PCObject
 
@@ -36,12 +46,12 @@ class SumX(AggregateComp):
 
 
 def make_cluster(tmp_path, subdir, injector=None, policy=None, n_workers=3,
-                 worker_memory=64 << 20):
+                 worker_memory=64 << 20, transport=None):
     root = tmp_path / subdir
     root.mkdir(exist_ok=True)
     return PCCluster(
         n_workers=n_workers, page_size=1 << 12, spill_root=str(root),
-        worker_memory=worker_memory,
+        worker_memory=worker_memory, transport=transport,
         fault_injector=injector, retry_policy=policy,
     )
 
@@ -304,26 +314,106 @@ def test_blacklisting_stops_at_min_surviving_workers(tmp_path):
     assert len(cluster.active_workers) >= 2
 
 
-# -- engine lifecycle -----------------------------------------------------------------
+# -- what a job keeps per worker ------------------------------------------------------
 
 
-def test_backend_engines_released_after_jobs(tmp_path):
-    cluster = make_cluster(tmp_path, "c")
-    load_points(cluster)
-    run_aggregation(cluster)
-    run_aggregation(cluster)
-    assert all(not w.backend.engines for w in cluster.workers)
+class AllX(SelectionComp):
+    """Every point's ``x``: plain values, so two writers over it share a
+    materialized vector list."""
+
+    def get_projection(self, arg):
+        return lambda_from_member(arg, "x")
 
 
-def test_backend_engines_released_after_failed_job(tmp_path):
-    injector = FaultInjector().crash_backend("worker-0", times=99)
+class SecondTaskCrasher(FaultInjector):
+    """worker-2's back-end crashes on every task, worker-0's on its
+    second task only — the one that absorbs worker-2's orphaned pages
+    after worker-0's own portion of the stage has finished."""
+
+    def __init__(self):
+        super().__init__()
+        self._tasks = {}
+
+    def should_crash_backend(self, worker_id, stage_kind):
+        nth = self._tasks[worker_id] = self._tasks.get(worker_id, 0) + 1
+        fired = worker_id == "worker-2" or (worker_id, nth) == ("worker-0", 2)
+        self.counts["backend_crashes"] += fired
+        return fired
+
+
+def _run_merging_job(cluster, sink):
+    if sink == "aggregate":
+        return run_aggregation(cluster)
+    selection = AllX().set_input(ObjectReader("db", "points"))
+    cluster.execute_computations([
+        Writer("db", name).set_input(selection) for name in ("a", "b")
+    ])
+    return [sorted(cluster.read("db", name)) for name in ("a", "b")]
+
+
+# Directed seeds for the generated-plan fault schedules of ROADMAP item
+# 1(a): a re-fork between two tasks of one stage on the same worker.
+@pytest.mark.parametrize("sink", ["aggregate", "materialize"])
+@pytest.mark.parametrize("transport", [
+    "sim",
+    pytest.param("process", marks=pytest.mark.skipif(
+        not remote_available(), reason="process transport needs cloudpickle"
+    )),
+])
+def test_refork_before_an_orphan_task_keeps_the_finished_portion(
+        tmp_path, transport, sink):
+    """A survivor's finished portion of a stage outlives a re-fork of its
+    back-end: the retried orphan-page task merges into it (the parent
+    commit re-seeded from the previous stage and summed 30528.0 where
+    44700.0 was due, silently, on both transports)."""
+    with make_cluster(tmp_path, "clean", transport=transport) as clean:
+        load_points(clean, n=600, replication=2)
+        expected = _run_merging_job(clean, sink)
+    clock = FakeClock()
+    policy = fast_policy(clock, max_attempts=2, blacklist_on_exhaustion=True)
+    with make_cluster(tmp_path, "faulty", injector=SecondTaskCrasher(),
+                      policy=policy, transport=transport) as cluster:
+        load_points(cluster, n=600, replication=2)
+        assert _run_merging_job(cluster, sink) == expected
+        kinds = [stage.kind for stage in cluster.last_job_log]
+        assert "WorkerAbsorbedEvent" in kinds
+        assert "WorkerBlacklistedEvent" not in kinds  # no job restart
+        metrics = cluster.metrics()
+        # worker-2 twice, worker-0's orphan task once — and recovered.
+        assert metrics.value("pc_faults_backend_crashes_total") == 3
+        assert metrics.value("pc_faults_tasks_recovered_total") == 1
+        assert metrics.value("pc_worker_reforks_total", worker="worker-0") == 1
+
+
+def test_job_state_dies_with_the_job(tmp_path, monkeypatch):
+    """What a job keeps per worker is the scheduler's and goes with it —
+    after a job that returned and after one that raised no worker,
+    back-end or cluster object still holds a per-job entry."""
+    kept = []
+    execute = DistributedScheduler.execute
+
+    def spy(self):
+        try:
+            return execute(self)
+        finally:
+            kept.extend(weakref.ref(k) for k in self._kept.values())
+
+    monkeypatch.setattr(DistributedScheduler, "execute", spy)
+    injector = FaultInjector()
     cluster = make_cluster(
         tmp_path, "c", injector=injector, policy=RetryPolicy.disabled()
     )
-    load_points(cluster, n=20)
+    load_points(cluster)
+    run_aggregation(cluster)
+    assert len(kept) == 3
+    # worker-0 and worker-1 install their portions, then worker-2 fails.
+    injector.crash_backend("worker-2", times=99)
     with pytest.raises(ExecutionError):
         run_aggregation(cluster)
-    assert all(not w.backend.engines for w in cluster.workers)
+    assert len(kept) == 6
+    while gc.collect():  # (garbage a finalizer frees takes another pass)
+        pass
+    assert [ref() for ref in kept] == [None] * 6
 
 
 # -- determinism and storms -----------------------------------------------------------

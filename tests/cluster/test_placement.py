@@ -1,11 +1,13 @@
 """Where task bodies run, and why: the scheduler's one placement decision.
 
-Every worker task is ``PipelineEngine.run_stages`` — in the back-end
-process it was shipped to, or in the coordinator for a reason from a
-closed set, counted in ``pc_sched_frontend_tasks_total{reason}``.  The
-tests pin the exact ``{reason: count}`` of three jobs on the process
-transport, the single reason a simulator run reports, and the conditions
-that used to fall back silently and now fail loudly.
+Every worker task is ``run_task(job, spec, pages, registry)`` — called by
+the back-end process it was shipped to, or by the coordinator for a
+reason from a closed set, counted in
+``pc_sched_frontend_tasks_total{reason}``, with the same ``job`` and
+``spec`` either way.  The tests pin the exact ``{reason: count}`` of
+three jobs on the process transport, the single reason a simulator run
+reports (which pickles nothing), and the conditions that used to fall
+back silently and now fail loudly.
 """
 
 import numpy as np
@@ -55,6 +57,43 @@ def _delta(cluster, job):
         reason: n - before.get(reason, 0) for reason, n in after.items()
         if n != before.get(reason, 0)
     }
+
+
+JOB_KEYS = {"program", "build_sides", "batch_size", "profiling", "tracing",
+            "registry"}
+SPEC_KEYS = {"worker_id", "stages", "source", "sink", "hash_tables",
+             "trace_ctx"}
+
+
+def _record_task_inputs(monkeypatch, pickles=True):
+    """What the scheduler hands ``run_task``: ``(who, job keys, spec
+    keys)`` per call the coordinator makes itself and per spec it
+    pickles for a back-end (whose ``job`` is the pickled job state)."""
+    seen = []
+    run_task, serialize = scheduler.run_task, scheduler.serialize_task
+
+    def inline(job, spec, pages, registry):
+        seen.append(("coordinator", set(job), set(spec)))
+        return run_task(job, spec, pages, registry)
+
+    def pickled(payload):
+        if not pickles:
+            raise AssertionError("a simulator job pickled something")
+        if "program" in payload:
+            seen.append(("job state", set(payload), SPEC_KEYS))
+        else:
+            seen.append(("back-end", JOB_KEYS, set(payload)))
+        return serialize(payload)
+
+    monkeypatch.setattr(scheduler, "run_task", inline)
+    monkeypatch.setattr(scheduler, "serialize_task", pickled)
+    return seen
+
+
+def _assert_one_task_shape(seen, callers):
+    assert {who for who, _job, _spec in seen} == callers
+    for who, job, spec in seen:
+        assert (job, spec) == (JOB_KEYS, SPEC_KEYS), who
 
 
 def _task_placements(trace):
@@ -135,16 +174,24 @@ def _multiply_job(cluster):
     (_multiply_job, dict(n_workers=2, page_size=1 << 16)),
 ], ids=["tpch", "kmeans_small_pool", "lillinalg_multiply"])
 def test_process_transport_frontend_reasons_are_exact(tmp_path, job,
-                                                      cluster_args):
+                                                      cluster_args,
+                                                      monkeypatch):
+    seen = _record_task_inputs(monkeypatch)
     cluster = PCCluster(spill_root=str(tmp_path), transport="process",
                         **cluster_args)
     try:
         job(cluster)
     finally:
         cluster.close()
+    # Whoever calls it and why, the task is the same two dicts.
+    callers = {"job state", "back-end"}
+    if job is not _tpch_job:
+        callers.add("coordinator")
+    _assert_one_task_shape(seen, callers)
 
 
-def test_sim_reports_only_in_process(tmp_path):
+def test_sim_reports_only_in_process(tmp_path, monkeypatch):
+    seen = _record_task_inputs(monkeypatch, pickles=False)
     cluster = PCCluster(n_workers=3, page_size=1 << 14,
                         spill_root=str(tmp_path), transport="sim")
     load_pc_customers(
@@ -157,6 +204,8 @@ def test_sim_reports_only_in_process(tmp_path):
     assert {span.detail for span in tasks} == {"front-end: in_process"}
     # PC004: the counter's trace mirror carries the same number.
     assert trace.totals()["sched.frontend.in_process"] == len(tasks)
+    assert len(seen) == len(tasks)
+    _assert_one_task_shape(seen, {"coordinator"})
 
 
 # -- what used to fall back silently ----------------------------------------------------

@@ -12,14 +12,21 @@ counters.
 import numpy as np
 import pytest
 
-from repro.cluster import PCCluster
+from repro.cluster import PCCluster, RetryPolicy
 from repro.cluster.scheduler import DistributedScheduler
-from repro.cluster.transport import RemoteOutcome, remote_available
+from repro.cluster.transport import remote_available
 from repro.cluster.worker import WorkerNode
+from repro.core import ObjectReader, SelectionComp, Writer, lambda_from_native
+from repro.errors import ExecutionError
+from repro.memory import Int32, PCObject
 from repro.ml.kmeans_columnar import ColumnarKMeans
 from repro.tpch import TpchSpec, customers_per_supplier_pc, \
     load_pc_customers
 from repro.tpch.lineitem import load_lineitems, q1_sums, q6_revenue
+
+# (a join over handles: on the process transport the coordinator runs its
+# probe tasks — ``unpicklable_spec`` — and build task — ``child_rejected``)
+from test_backend_pages import _multiply
 
 needs_process = pytest.mark.skipif(
     not remote_available(), reason="cloudpickle unavailable"
@@ -49,6 +56,7 @@ WORKLOADS = {
     "lineitem": (_lineitem_queries, 1 << 16),
     "tpch_objects": (_tpch_objects, 1 << 14),
     "kmeans": (_kmeans_iteration, 1 << 14),
+    "multiply": (_multiply, 1 << 16),
 }
 
 
@@ -133,15 +141,74 @@ def test_signals_are_equal_across_transports(tmp_path, workload):
             if seen[2]} == rows
 
 
+class Item(PCObject):
+    fields = [("n", Int32)]
+
+
+def _poisoned(item):
+    if item.n == 150:
+        raise ValueError("poisoned item")
+    return item.n
+
+
+class Poisoned(SelectionComp):
+    def get_projection(self, arg):
+        return lambda_from_native([arg], _poisoned)
+
+
+@needs_process
+def test_failing_body_books_the_same_evidence_on_both_transports(tmp_path):
+    """A stage that raises mid-scan: the evidence so far travels with the
+    error, and booking it is the same one path wherever the task ran."""
+    def run(transport):
+        root = tmp_path / transport
+        root.mkdir()
+        cluster = PCCluster(
+            n_workers=1, page_size=1 << 12, spill_root=str(root),
+            transport=transport, profiling=True, batch_size=16,
+            retry_policy=RetryPolicy.disabled(),
+        )
+        try:
+            cluster.create_database("db")
+            cluster.create_set("db", "items", Item)
+            with cluster.loader("db", "items") as load:
+                for n in range(400):
+                    load.append(Item, n=n)
+            with pytest.raises(ExecutionError, match="poisoned item"):
+                Writer("db", "out").set_input(
+                    Poisoned().set_input(ObjectReader("db", "items"))
+                ).execute(cluster)
+            assert all(
+                task.truncated
+                for task in cluster.last_trace.spans(kind="task")
+            )
+            return cluster.metrics()
+        finally:
+            cluster.close()
+
+    sim, proc = run("sim"), run("process")
+    # Ten batches went in before the one holding item 150 raised.
+    assert sim.value("pc_engine_rows_in_total") == 160
+    assert sim.value("pc_engine_batches_total") == 10
+    assert _engine_totals(proc) == _engine_totals(sim)
+    # (the selection's apply and its filter saw the tenth batch; the
+    # projection's apply raised inside it)
+    assert _by_operator(sim, "pc_op_rows_total") == \
+        {"apply": 160 + 144, "filter": 160}
+    for family in ("pc_op_rows_total", "pc_op_seconds"):
+        assert _by_operator(proc, family) == _by_operator(sim, family), family
+
+
 def _shipped_evidence(monkeypatch):
-    """Collect the evidence of every remote outcome the coordinator awaits."""
+    """Collect the evidence of every outcome a back-end process sent the
+    coordinator (it carries the child's pid)."""
     shipped = []
     await_result = WorkerNode.await_result
 
     def spy(self, future):
         outcome = await_result(self, future)
-        if isinstance(outcome, RemoteOutcome):
-            shipped.append(outcome.evidence)
+        if outcome is not None and "pid" in outcome[1]:
+            shipped.append(outcome[1])
         return outcome
 
     monkeypatch.setattr(WorkerNode, "await_result", spy)
@@ -203,15 +270,15 @@ def test_torn_span_batch_is_counted_and_costs_no_counters(tmp_path):
         )
         worker = cluster.workers[0]
         rows_before = cluster.metrics().value("pc_engine_rows_in_total")
-        torn = RemoteOutcome(evidence={
+        torn = {
             "engine": {"rows_in": 7, "batches": 1}, "ops": {}, "pid": 4242,
             # A span payload without its name: Span.from_dict's KeyError.
             "spans": [{"kind": "task", "start_s": 0.0, "duration_s": 0.1}],
             "span_base": 0.0,
-        })
+        }
         with cluster.tracer.span("job", kind="job"):
             with cluster.tracer.span("worker-0", kind="task") as task:
-                scheduler._book_remote(worker, torn)
+                scheduler._book(worker, torn)
         assert task.children == []
         assert task.counters["engine.rows_in"] == 7
         assert task.counters["trace.span_graft_failures"] == 1

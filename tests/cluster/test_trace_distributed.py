@@ -358,9 +358,9 @@ def test_remote_span_traces_round_trip_through_json(root):
 
 @needs_process
 def test_trace_context_is_propagated_into_task_specs(tmp_path):
-    # Only shipped specs carry trace context (the scheduler's _place
-    # keeps every task in_process on the simulator), so this needs the
-    # process transport.
+    # Only a back-end process reads the spec's trace context (a task the
+    # coordinator runs books onto the span already open), so this needs
+    # the process transport.
     cluster = PCCluster(n_workers=2, page_size=1 << 12,
                         spill_root=str(tmp_path), transport="process")
     try:
