@@ -23,8 +23,9 @@ PC005     Exception-swallowing ``except`` in ``repro/cluster/*`` hot
           masquerade as slow or wrong answers.
 PC006     Row-path handle access (``.deref()`` / ``make_object*`` /
           ``.facade()``) inside a columnar kernel scope — the kernel
-          library and any ``lambda_from_native(kernel=...)`` body must
-          stay whole-batch array code; a per-row deref there silently
+          library, any ``lambda_from_native(kernel=...)`` callable, what
+          it calls, and every ``*_batch`` definition must stay
+          whole-batch array code; a per-row deref there silently
           serializes the hot loop it exists to vectorize.
 PC007     ``pin``/``retain`` without its ``unpin``/``release`` on some
           path to function exit, including exception edges (flow-
@@ -497,18 +498,22 @@ def _kernel_scopes(tree, path):
 
     The columnar kernel library (``repro/engine/kernels.py``) counts
     wholesale; elsewhere, every ``kernel=`` argument of a
-    ``lambda_from_native`` call counts — inline lambdas directly, named
-    functions via their module-level (or nested) definition.
+    ``lambda_from_native`` call counts — an inline lambda directly, a
+    function or method (``kernel=batch_fn``, ``kernel=Cls.batch_fn``)
+    via its definition in the module — and so does whatever such a
+    scope calls that the module defines, and every ``*_batch``
+    definition: the name a class gives the whole-page form of a method
+    (``Customer.part_ids_batch``) is how a kernel written in one module
+    and passed as ``kernel=`` in another is still found.
     """
-    scopes = []
     if os.path.basename(path) == "kernels.py" \
             and "engine" in _path_parts(path):
-        scopes.append(tree)
-        return scopes
+        return [tree]
     defs = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defs.setdefault(node.name, node)
+    scopes = [node for name, node in defs.items() if name.endswith("_batch")]
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) \
                 or _call_name(node) != "lambda_from_native":
@@ -517,10 +522,17 @@ def _kernel_scopes(tree, path):
             if keyword.arg != "kernel":
                 continue
             value = keyword.value
+            name = getattr(value, "id", getattr(value, "attr", None))
             if isinstance(value, ast.Lambda):
                 scopes.append(value)
-            elif isinstance(value, ast.Name) and value.id in defs:
-                scopes.append(defs[value.id])
+            elif name in defs:
+                scopes.append(defs[name])
+    for scope in scopes:  # grows: a kernel's helpers are kernel code too
+        for sub in ast.walk(scope):
+            if isinstance(sub, ast.Call):
+                callee = defs.get(_call_name(sub))
+                if callee is not None and callee not in scopes:
+                    scopes.append(callee)
     return scopes
 
 

@@ -54,6 +54,7 @@ from repro.obs.tracer import Span
 from repro.memory.block import AllocationBlock
 from repro.memory.builtins import MapFacade
 from repro.memory.columnar import ColumnarPage
+from repro.memory.gather import row_class
 from repro.memory.handle import Handle
 from repro.schema import Schema
 from repro.storage import DistributedStorageManager, ReplicationManager
@@ -426,8 +427,8 @@ class PCCluster:
         columns as keywords and ``append_columns`` loads whole arrays at
         once.
         """
-        schema = self._columnar_layout_of(database, set_name)
-        if schema is not None:
+        schema = self._layout_of(database, set_name)
+        if isinstance(schema, Schema):
             return ColumnarClusterLoader(
                 self, database, set_name, page_size or self.page_size,
                 schema,
@@ -435,21 +436,21 @@ class PCCluster:
         return ClusterLoader(self, database, set_name,
                              page_size or self.page_size)
 
-    def _columnar_layout_of(self, database, set_name):
-        """The set's Schema when its catalog layout is columnar, else None.
-
-        This is both the loader dispatch and the layout oracle handed to
-        :func:`repro.tcap.optimizer.mark_columnar` when planning a job.
+    def _layout_of(self, database, set_name):
+        """What the array path can read the set's pages as: its Schema
+        (columnar layout), the ``PCObject`` class it was declared with
+        (row layout), else None — the loader dispatch, and the oracle of
+        :func:`repro.tcap.optimizer.mark_columnar` and the verifier.
         """
         try:
             meta = self.catalog.set_metadata(database, set_name)
         except CatalogError:  # pcsan: disable=PC005
-            # Not-yet-created sets (e.g. a job's output set) simply are
-            # not columnar; creation-time errors surface on their own.
+            # Not-yet-created sets (e.g. a job's output set) simply have
+            # none; creation-time errors surface on their own.
             return None
-        if meta.layout != "columnar":
-            return None
-        return meta.schema
+        if meta.layout == "columnar":
+            return meta.schema
+        return row_class(self.catalog.registry, meta.type_name)
 
     # -- execution ----------------------------------------------------------------------
 
@@ -463,10 +464,9 @@ class PCCluster:
         afterwards (even when a stage raised — partial traces are often
         the most interesting ones).
 
-        ``columnar`` controls whether eligible operator subgraphs over
-        columnar-layout scans are lowered onto whole-page array kernels
-        (:func:`repro.tcap.optimizer.mark_columnar`); pass False to force
-        every operator down the object path (the parity tests' baseline).
+        ``columnar`` controls whether eligible operator subgraphs are
+        lowered onto whole-page array kernels (``mark_columnar``); pass
+        False to force the object path (the parity tests' baseline).
         """
         started = time.perf_counter()
         # PCSan pin-leak detection: pins held before the job are fine
@@ -483,7 +483,7 @@ class PCCluster:
                 if optimized:
                     optimize(program)
                 if columnar:
-                    mark_columnar(program, self._columnar_layout_of)
+                    mark_columnar(program, self._layout_of)
             with self.tracer.span("plan", kind="phase"):
                 overrides = self._choose_build_sides(program)
                 overrides.update(build_side_overrides or {})

@@ -141,7 +141,7 @@ class DistributedScheduler:
                 verify_program(
                     program,
                     catalog=cluster.catalog,
-                    layout_of=cluster._columnar_layout_of,
+                    layout_of=cluster._layout_of,
                 )
         self.faults = cluster.fault_injector
         self.fault_metrics = cluster.fault_metrics
@@ -1107,12 +1107,10 @@ class _ScanSource:
         self.scan = scan = pipeline.source
         self.only_uids = only_uids
         #: ``("pages", segment references, column, columnar)``: no
-        #: references for a task handed :meth:`pages`.  A
-        #: columnar-lowered scan takes columnar pages as whole array
-        #: batches (row pages in the stream still go through per row).
-        self.described = (
-            "pages", None, scan.column, scan.info.get("columnar") == "1",
-        )
+        #: references for a task handed :meth:`pages`; ``columnar`` is
+        #: the scan's mark, which says what goes through as whole array
+        #: batches (``object_batches``).
+        self.described = ("pages", None, scan.column, scan.array_rows)
 
     def pages(self):
         """The front-end page stream: each selected page pinned while

@@ -276,13 +276,17 @@ def lambda_from_native(args, fn, kernel=None):
     trades optimization for expressiveness, exactly as in the paper.
 
     ``kernel`` optionally supplies a whole-batch implementation: a
-    callable taking one column per arg — a numpy array, or a
-    :class:`~repro.memory.columnar.ColumnarRows` batch for object
-    columns — and returning one numpy array of results.  A kernelized
-    term is eligible for columnar lowering; the kernel MUST be pure
-    (no side effects, output a function of the inputs only — the PCSan
-    PC003 discipline) and agree with ``fn`` row-for-row, since the
-    engine freely switches between the two at fallback boundaries.
+    callable taking one column per arg — a numpy array, or for an
+    object column its :class:`~repro.memory.columnar.RowBatch` (the
+    rows of a columnar page; on a row page the
+    :class:`~repro.memory.gather.ObjectRows` of the set's class, with
+    its nested ``strings`` / ``objects`` / ``elements`` reads) — and
+    returning one column of the batch's length: a numpy array, or a
+    list when the results are objects.  A kernelized term is eligible
+    for columnar lowering; the kernel MUST be pure (no side effects,
+    output a function of the inputs only — the PCSan PC003 discipline),
+    stay whole-batch (no ``.deref()``, PC006) and agree with ``fn``
+    row-for-row, since the engine switches between the two per batch.
     """
     if isinstance(args, Arg):
         args = [args]

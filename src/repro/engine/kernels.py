@@ -8,13 +8,18 @@ batch as a single array operation: attribute access becomes a zero-copy
 column view, comparisons/arithmetic become ufunc calls, FILTER becomes a
 boolean mask, and grouped sums become one ``bincount``.
 
+A rows column is a :class:`~repro.memory.columnar.RowBatch` — the rows
+of a columnar page, or the objects of one class on a row page
+(:mod:`repro.memory.gather`); nothing here tells the two apart.
+
 Every kernel is *total over its guard, partial over its inputs*: it
-returns ``None`` whenever the batch does not actually carry array-typed
-columns (e.g. an orphan-page replay feeding per-row objects into a marked
-stage), and the engine falls back to the object path for that stage.  The
-:func:`reify` boundary converts array columns back into plain Python
-values so fallback operators and sinks observe exactly what the object
-path would have produced.
+raises :class:`~repro.memory.gather.GatherIneligible` whenever the batch
+does not actually carry array-typed columns (e.g. an orphan-page replay
+feeding per-row objects into a marked stage) or a gather read cannot
+serve it, and the engine counts the reason and falls back to the object
+path for that stage.  The :func:`reify` boundary converts array columns
+back into plain Python values so fallback operators and sinks observe
+exactly what the object path would have produced.
 
 Accumulation order note: grouped float sums use sequential in-input-order
 accumulation (``np.bincount`` / ``np.add.at``) per *batch*, then combine
@@ -29,7 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.vectors import VectorList
-from repro.memory.columnar import ColumnarRows
+from repro.memory.columnar import RowBatch
+from repro.memory.gather import GatherIneligible
 
 _COMPARISON_OPS = {
     "==": np.equal,
@@ -50,7 +56,7 @@ _ARITHMETIC_OPS = {
 
 def is_array_column(column):
     """True for column values the kernels can consume whole."""
-    return isinstance(column, (np.ndarray, ColumnarRows))
+    return isinstance(column, (np.ndarray, RowBatch))
 
 
 def is_columnar_batch(batch):
@@ -58,17 +64,23 @@ def is_columnar_batch(batch):
     return any(is_array_column(batch.column(name)) for name in batch.names())
 
 
-def reify_column(column):
-    """One column's object-path representation (plain Python values).
+def array_path(batch):
+    """The counter the rows kernels serve of ``batch`` are booked under:
+    its rows column's (``RowBatch.path``); ``columnar_rows`` for a batch
+    of plain arrays."""
+    for name in batch.names():
+        column = batch.column(name)
+        if isinstance(column, RowBatch):
+            return column.path
+    return "columnar_rows"
 
-    Row batches detach: the produced rows keep their schema-named
-    attribute surface but hold copied values, so they are free to
-    outlive the page and to cross a process boundary.
-    """
+
+def reify_column(column):
+    """One column's object-path representation (plain Python values)."""
     if isinstance(column, np.ndarray):
         return column.tolist()
-    if isinstance(column, ColumnarRows):
-        return [row.detach() for row in column]
+    if isinstance(column, RowBatch):
+        return column.reify()
     return column
 
 
@@ -96,14 +108,19 @@ def _as_arrays(columns):
 
 
 def apply_kernel(engine, stage, batch):
-    """Run a columnar-marked APPLY as one array op; None means fall back."""
+    """Run a columnar-marked APPLY as one array op.
+
+    A native lambda's kernel takes a rows column as its object column
+    and returns one column of the batch's length: an ndarray, or a list
+    (an object column).
+    """
     info = stage.info
     kind = info.get("type")
     inputs = [batch.column(c) for c in stage.apply_columns]
     produced = None
     if kind == "attAccess":
         rows = inputs[0]
-        if isinstance(rows, ColumnarRows):
+        if isinstance(rows, RowBatch):
             try:
                 produced = rows.column(info["attName"])
             except KeyError:
@@ -138,30 +155,30 @@ def apply_kernel(engine, stage, batch):
         )
         if kernel is not None and all(is_array_column(c) for c in inputs):
             produced = kernel(*inputs)
-            if not isinstance(produced, np.ndarray) or \
+            if not isinstance(produced, (np.ndarray, list)) or \
                     len(produced) != len(batch):
-                produced = None
+                raise GatherIneligible("bad_kernel_result")
     if produced is None:
-        return None
+        raise GatherIneligible("not_array_batch")
     out = batch.shallow_copy(stage.copy_columns)
     return out.with_column(stage.new_column, produced)
 
 
 def filter_kernel(stage, batch):
-    """Run a columnar-marked FILTER as a boolean mask; None → fall back."""
+    """Run a columnar-marked FILTER as a boolean mask."""
     mask = batch.column(stage.bool_column)
     if not isinstance(mask, np.ndarray):
-        return None
+        raise GatherIneligible("not_array_batch")
     mask = mask.astype(bool, copy=False)
     out = {}
     for name in stage.copy_columns:
         column = batch.column(name)
-        if isinstance(column, ColumnarRows):
+        if isinstance(column, RowBatch):
             out[name] = column.mask(mask)
         elif isinstance(column, np.ndarray):
             out[name] = column[mask]
         else:
-            return None
+            raise GatherIneligible("not_array_batch")
     return VectorList(out)
 
 

@@ -24,7 +24,8 @@ import numpy as np
 from repro.errors import BlockFullError, ExecutionError, WorkerCrashError
 from repro.engine import kernels
 from repro.memory.builtins import MapFacade, MapType, stable_hash
-from repro.memory.columnar import ColumnarRows
+from repro.memory.columnar import RowBatch
+from repro.memory.gather import GatherIneligible, root_rows
 from repro.memory.handle import Handle
 from repro.memory.objects import use_allocation_block
 from repro.engine.physical import (
@@ -62,11 +63,14 @@ class EngineMetrics:
 
     FIELDS = ("batches", "rows_in", "rows_out", "stage_invocations",
               "pages_written", "zombie_pages", "pre_aggregated_keys",
-              "probe_matches", "columnar_rows")
+              "probe_matches", "columnar_rows", "gather_rows")
 
     def __init__(self):
         for name in self.FIELDS:
             setattr(self, name, 0)
+        #: (operator, reason) -> batches of a marked stage that took the
+        #: object path (``pc_engine_kernel_fallback_total``)
+        self.kernel_fallbacks = {}
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.FIELDS}
@@ -131,6 +135,8 @@ class PipelineEngine(JobState):
         self.metrics = metrics or EngineMetrics()
         self.profiler = profiler
         self.outputs = {}  # (db, set) -> list (a local run's OUTPUT sinks)
+        #: the counter kernel-served rows of the running batch book under
+        self._array_path = "columnar_rows"
 
     # -- public ------------------------------------------------------------------
 
@@ -162,6 +168,7 @@ class PipelineEngine(JobState):
         for batch in batches:
             self.metrics.batches += 1
             self.metrics.rows_in += len(batch)
+            self._array_path = kernels.array_path(batch)
             self._process_batch(stages, batch, sink)
         sink.seal()
 
@@ -173,6 +180,7 @@ class PipelineEngine(JobState):
         """
         return {
             "engine": self.metrics.as_dict(),
+            "fallbacks": dict(self.metrics.kernel_fallbacks),
             "ops": self.profiler.drain() if self.profiler is not None
             else {},
         }
@@ -269,27 +277,33 @@ class PipelineEngine(JobState):
     def _apply_columnar(self, stage, batch):
         """Try the whole-batch kernel for a columnar-marked stage.
 
-        Returns None when the batch is not actually array-typed (orphan
-        replays, post-fallback segments) — the caller then takes the
-        per-row path, which is always correct.
+        Returns None when the batch cannot take it — it is not actually
+        array-typed (orphan replays, post-fallback segments), a gather
+        met a row it does not serve, the kernel's result is no column —
+        with the reason counted: the caller then takes the per-row path,
+        which is always correct.
         """
-        if isinstance(stage, ApplyStmt):
-            result = kernels.apply_kernel(self, stage, batch)
-        elif isinstance(stage, FilterStmt):
-            result = kernels.filter_kernel(stage, batch)
-        else:
-            result = None
-        if result is not None:
-            self._note_columnar(
-                _OPERATOR_NAMES.get(type(stage), type(stage).__name__),
-                len(batch),
-            )
+        operator = _OPERATOR_NAMES.get(type(stage))
+        try:
+            if isinstance(stage, ApplyStmt):
+                result = kernels.apply_kernel(self, stage, batch)
+            elif isinstance(stage, FilterStmt):
+                result = kernels.filter_kernel(stage, batch)
+            else:
+                return None
+        except GatherIneligible as ineligible:
+            fallbacks = self.metrics.kernel_fallbacks
+            key = (operator, ineligible.reason)
+            fallbacks[key] = fallbacks.get(key, 0) + 1
+            return None
+        self._note_columnar(operator, len(batch))
         return result
 
     def _note_columnar(self, operator, rows):
-        self.metrics.columnar_rows += rows
+        path = self._array_path
+        setattr(self.metrics, path, getattr(self.metrics, path) + rows)
         if self.profiler is not None:
-            self.profiler.columnar(operator, rows)
+            self.profiler.array_rows(operator, path, rows)
 
     def _probe(self, stage, batch):
         table = self.hash_table(stage.output)
@@ -314,7 +328,7 @@ class PipelineEngine(JobState):
             scan = pipeline.source
             yield from object_batches(
                 [self.scan_reader(scan)], scan.column, self.batch_size,
-                columnar=scan.info.get("columnar") == "1",
+                columnar=scan.array_rows,
             )
             return
         yield from batches_of(self.stored(pipeline.source), self.batch_size)
@@ -380,14 +394,20 @@ def object_batches(pages, column, batch_size, columnar=False):
     (:func:`~repro.storage.page.page_items`); the engine's local scan
     source, the scheduler's (whole scans and orphan re-runs) and the
     back-end process's all batch here.  Stored aggregation Maps are
-    expanded into their pairs.  A columnar page's items are one
-    :class:`~repro.memory.columnar.ColumnarRows`: with ``columnar`` set
-    it is sliced into array batches the kernels consume whole, otherwise
-    it goes through per row like any other page.
+    expanded into their pairs.  ``columnar`` is the scan's mark
+    (:attr:`~repro.tcap.ir.ScanStmt.array_rows`) and this the one place
+    a row batch is built: a marked scan's page goes through as one
+    :class:`~repro.memory.columnar.RowBatch` — a columnar page's items
+    are one already, a row page's root vector becomes the
+    :class:`~repro.memory.gather.ObjectRows` of the class the mark
+    names — sliced into batches the kernels consume whole.  Unmarked,
+    any page goes through per row, batches filling across pages.
     """
     chunk = []
     for items in pages:
-        if columnar and isinstance(items, ColumnarRows):
+        if isinstance(columnar, str):
+            items = root_rows(items, columnar)
+        if columnar and isinstance(items, RowBatch):
             if chunk:
                 yield VectorList({column: chunk})
                 chunk = []

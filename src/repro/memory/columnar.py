@@ -320,16 +320,36 @@ class DetachedRow:
         return "DetachedRow(%s)" % parts
 
 
-class ColumnarRows:
+class RowBatch:
+    """The rows of one page as the array path carries them: what flows
+    through a marked pipeline in place of a list of objects.
+
+    Kernels consume the batch whole — ``column(name)`` is one array per
+    fixed-width field — and narrow it with ``slice`` / ``mask``; a
+    per-row fallback operator iterates it, or takes ``reify()``, and
+    sees what the object path would have.  ``path`` names the counter
+    the rows a kernel served are booked under.
+    """
+
+    __slots__ = ()
+    path = None
+
+    def reify(self):
+        """The rows as the object path's plain list."""
+        raise NotImplementedError
+
+
+class ColumnarRows(RowBatch):
     """A batch of rows of one columnar page, optionally index-selected.
 
-    This is what flows through the pipeline in place of a list of objects
-    when a scan is columnar: kernels consume whole batches via
-    :meth:`column`, while per-row fallback operators iterate it and get
-    :class:`RowView` facades.
+    Per-row fallback operators iterate it and get :class:`RowView`
+    facades; reified, the rows detach: they keep their schema-named
+    attribute surface but hold copied values, so they are free to
+    outlive the page and to cross a process boundary.
     """
 
     __slots__ = ("page", "_indices")
+    path = "columnar_rows"
 
     def __init__(self, page, indices=None):
         self.page = page
@@ -389,6 +409,9 @@ class ColumnarRows:
         if self._indices is None:
             return ColumnarRows(self.page, np.nonzero(keep)[0])
         return ColumnarRows(self.page, self._indices[keep])
+
+    def reify(self):
+        return [row.detach() for row in self]
 
     def __repr__(self):
         return "<ColumnarRows %d of %r>" % (len(self), self.page)

@@ -339,6 +339,7 @@ class PCObjectMeta(type):
         for accessor in inherited:
             setattr(cls, accessor.name, accessor)
         cls.pc_accessors = accessors
+        cls.pc_fields = {accessor.name: accessor for accessor in accessors}
         cls.pc_payload_size = layout.align8(offset) if offset else 0
         cls.pc_descriptor = ClassDescriptor(cls)
         return cls

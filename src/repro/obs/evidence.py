@@ -1,15 +1,14 @@
 """Task evidence: what one run of a task body did, and its one booking.
 
 *Evidence* is plain data closed when a task body ends
-(:meth:`repro.engine.pipeline.PipelineEngine.take_evidence`): the
-engine's counter increases (``"engine"``: field -> delta) and one record
-per TCAP operator the body applied (``"ops"``: name -> record), the
-latter only when an :class:`OperatorRecorder` sat behind the engine's
-``profiler`` seam.  A body the coordinator ran and a body a back-end
-process ran close the same evidence; a shipped task sends it home next
-to its sink state (with its ``pid`` and, when spans are on, its ``task``
-span), and :func:`book_task_evidence` is the only place either kind is
-turned into metrics, trace counters and ``op`` spans.
+(:meth:`repro.engine.pipeline.PipelineEngine.evidence`): the engine's
+counters (``"engine"``: field -> count), the batches of marked stages
+that took the object path (``"fallbacks"``: (operator, reason) -> count)
+and — only when an :class:`OperatorRecorder` sat behind the engine's
+``profiler`` seam — one record per TCAP operator applied (``"ops"``).
+Whoever ran the body closes the same evidence (a shipped task sends it
+home with its ``pid`` and ``task`` span), and :func:`book_task_evidence`
+is the only place it becomes metrics, trace counters and ``op`` spans.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ class OperatorRecorder:
     ``profiler`` seam, so it sees every operator application.  A record
     keeps each application's wall seconds (``walls``: their count is the
     operator's calls, their sum its busy time), CPU seconds, rows in and
-    out, the rows an array kernel handled, and when the first
-    application began and the last one ended (``time.monotonic()``, the
-    clock spans use).
+    out, the rows an array kernel handled (off columnar pages, off row
+    pages), and when the first application began and the last ended
+    (``time.monotonic()``, the spans' clock).
     """
 
     def __init__(self):
@@ -39,7 +38,8 @@ class OperatorRecorder:
         if record is None:
             record = self._ops[name] = {
                 "walls": [], "cpu_s": 0.0, "rows_in": 0, "rows_out": 0,
-                "columnar_rows": 0, "first": None, "last": None,
+                "columnar_rows": 0, "gather_rows": 0, "first": None,
+                "last": None,
             }
         return record
 
@@ -59,9 +59,9 @@ class OperatorRecorder:
         record["last"] = end
         return result
 
-    def columnar(self, name, rows):
-        """``rows`` of operator ``name`` went through its array kernel."""
-        self._record(name)["columnar_rows"] += rows
+    def array_rows(self, name, path, rows):
+        """``rows`` of ``name`` went through its array kernel on ``path``."""
+        self._record(name)[path] += rows
 
     def drain(self):
         """The records so far; the next task starts from none."""
@@ -69,20 +69,30 @@ class OperatorRecorder:
         return ops
 
 
+#: record field -> (family, help) of the per-operator row counters
+_ROW_FAMILIES = {
+    "rows_out": ("pc_op_rows_total", "Rows emitted per TCAP operator"),
+    "columnar_rows": ("pc_op_columnar_rows_total",
+                      "Rows an array kernel took whole, off columnar pages"),
+    "gather_rows": ("pc_op_gather_rows_total",
+                    "Rows an array kernel took whole, off row pages"),
+}
+
+
 def book_task_evidence(evidence, engine_registry, op_registry, span=None):
     """Book one task's evidence — the only place it becomes signals.
 
-    Engine counter deltas go to ``pc_engine_<field>_total`` in
-    ``engine_registry`` (the worker's, so the series carry its label) and
-    onto ``span`` as ``engine.<field>``.  Each operator record goes to
-    ``pc_op_seconds`` (one observation per application),
-    ``pc_op_cpu_seconds_total``, ``pc_op_rows_total`` and
-    ``pc_op_columnar_rows_total`` in ``op_registry`` and becomes one
-    ``op`` span under ``span``: it runs from the operator's first
-    application to its last — a timeline fact, other operators' time
-    included — while ``op.wall_ms`` on it is the busy time, the number
-    that adds up.  ``span`` is the task span the body ran under (None
-    when spans are off).
+    Engine counts go to ``pc_engine_<field>_total`` in ``engine_registry``
+    (the worker's, so the series carry its label) and onto ``span`` as
+    ``engine.<field>``.  Each operator record goes to ``pc_op_seconds``
+    (one observation per application), ``pc_op_cpu_seconds_total`` and
+    the ``_ROW_FAMILIES`` in ``op_registry`` and becomes one ``op`` span
+    under ``span``: it runs from the operator's first application to its
+    last — a timeline fact, other operators' time included — while
+    ``op.wall_ms`` on it is the busy time, the number that adds up.
+    Fallbacks go to ``pc_engine_kernel_fallback_total{operator, reason}``
+    and, as ``op.kernel_fallback.<reason>``, onto the operator's span.
+    ``span`` is the task span the body ran under (None with spans off).
     """
     for field, delta in (evidence.get("engine") or {}).items():
         counter = engine_registry.counter(
@@ -93,37 +103,22 @@ def book_task_evidence(evidence, engine_registry, op_registry, span=None):
             counter.inc(delta)
             if span is not None:
                 span.inc("engine.%s" % field, delta)
-    ops = evidence.get("ops")
-    if not ops:
-        return
-    seconds = op_registry.histogram(
-        "pc_op_seconds",
-        help="Wall seconds per TCAP operator application",
-        labelnames=("operator",),
-    )
-    cpu_seconds = op_registry.counter(
-        "pc_op_cpu_seconds_total",
-        help="CPU seconds per TCAP operator",
-        labelnames=("operator",),
-    )
-    rows = op_registry.counter(
-        "pc_op_rows_total",
-        help="Rows emitted per TCAP operator",
-        labelnames=("operator",),
-    )
-    columnar_rows = op_registry.counter(
-        "pc_op_columnar_rows_total",
-        help="Rows each operator processed on the columnar "
-             "(whole-page array kernel) path; compare against "
-             "pc_op_rows_total for the columnar-vs-object split",
-        labelnames=("operator",),
-    )
+    ops = evidence.get("ops") or {}
+    holders = {}  # operator -> its op span
+    if ops:
+        seconds = op_registry.histogram(
+            "pc_op_seconds", labelnames=("operator",),
+            help="Wall seconds per TCAP operator application",
+        )
+        cpu_seconds = op_registry.counter(
+            "pc_op_cpu_seconds_total", "CPU seconds per TCAP operator",
+            ("operator",))
+        rows = {
+            field: op_registry.counter(family, help, ("operator",))
+            for field, (family, help) in _ROW_FAMILIES.items()
+        }
     for name, record in ops.items():
         walls = record["walls"]
-        if record["rows_out"]:
-            rows.inc(record["rows_out"], operator=name)
-        if record["columnar_rows"]:
-            columnar_rows.inc(record["columnar_rows"], operator=name)
         holder = span
         if walls:
             observe = seconds.child(operator=name).observe
@@ -133,7 +128,7 @@ def book_task_evidence(evidence, engine_registry, op_registry, span=None):
             if span is not None:
                 # Attached directly, never through the tracer stack: the
                 # operators of one task interleave, so their spans overlap.
-                holder = Span(name, kind="op")
+                holder = holders[name] = Span(name, kind="op")
                 holder.start = record["first"]
                 holder.end = record["last"]
                 holder.parent_id = span.span_id
@@ -147,7 +142,18 @@ def book_task_evidence(evidence, engine_registry, op_registry, span=None):
                     "op.rows_out": record["rows_out"],
                 }
                 span.children.append(holder)
-        if holder is not None and record["columnar_rows"]:
-            # A sink's kernel (``aggregate``) has rows but no application
-            # of its own; its count stays on the task span.
-            holder.inc("op.%s.columnar_rows" % name, record["columnar_rows"])
+        for field, counter in rows.items():
+            if record[field]:
+                counter.inc(record[field], operator=name)
+                # (a sink's kernel — ``aggregate`` — has rows but no
+                # application of its own: they stay on the task span)
+                if holder is not None and field != "rows_out":
+                    holder.inc("op.%s.%s" % (name, field), record[field])
+    fallbacks = engine_registry.counter(
+        "pc_engine_kernel_fallback_total", labelnames=("operator", "reason"),
+        help="Batches of a kernel-marked stage that took the object path",
+    )
+    for (name, reason), count in (evidence.get("fallbacks") or {}).items():
+        fallbacks.inc(count, operator=name, reason=reason)
+        if (holder := holders.get(name, span)) is not None:
+            holder.inc("op.kernel_fallback." + reason, count)

@@ -22,12 +22,11 @@ traces stay reachable through a small ring (``Tracer.recent_traces``,
 surfaced as ``PCCluster.traces``), so back-to-back jobs do not clobber
 each other's evidence.
 
-Since PR 9 the trace layer is *distributed* (DESIGN §14): spans carry a
-``pid`` and ``time.monotonic()`` timestamps, a back-end process records
-its ``task`` span and ships it home with the task's evidence, and the
-coordinator grafts it (clock-aligned) into the job tree.  A span cut
-short by a worker death is marked ``truncated`` — it is evidence, not an
-error.
+The trace layer is *distributed* (DESIGN §14): spans carry a ``pid``
+and ``time.monotonic()`` timestamps, a back-end process ships its
+``task`` span home with the task's evidence, and the coordinator grafts
+it into the job tree.  A span cut short by a worker death is marked
+``truncated`` — it is evidence, not an error.
 """
 
 from __future__ import annotations
@@ -56,13 +55,12 @@ class Span:
     human text.  ``counters`` holds only what was reported *directly*
     into this span; :meth:`totals` rolls descendants up.
 
-    Timestamps are ``time.monotonic()`` — the same clock the heartbeat
-    slot publishes, so spans recorded in a back-end process can be
-    shifted into the coordinator's frame by one per-child offset.
-    ``pid`` is set on spans recorded in (or synthesized for) a back-end
-    process; ``truncated`` marks a span closed by a crash or kill rather
-    than completion; ``events`` carries flight-recorder dumps attached
-    to this span (each a dict with at least ``ts`` and ``kind``).
+    Timestamps are ``time.monotonic()``, the one clock a back-end
+    process shares with the coordinator.  ``pid`` is set on spans
+    recorded in (or synthesized for) a back-end process; ``truncated``
+    marks a span closed by a crash or kill rather than completion;
+    ``events`` carries flight-recorder dumps attached to this span
+    (each a dict with at least ``ts`` and ``kind``).
     """
 
     __slots__ = ("name", "kind", "detail", "start", "end", "counters",
@@ -114,12 +112,8 @@ class Span:
             yield from child.walk()
 
     def shift(self, delta_s):
-        """Shift this subtree's timestamps (and event times) by a delta.
-
-        The coordinator uses this to move a remote span batch from the
-        child's ``time.monotonic()`` frame into its own, after the
-        heartbeat clock-offset handshake estimated ``delta_s``.
-        """
+        """Shift this subtree's timestamps (and event times) by a delta:
+        a remote span batch arrives relative to its ``span_base``."""
         for span in self.walk():
             span.start += delta_s
             if span.end is not None:

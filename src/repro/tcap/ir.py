@@ -73,6 +73,15 @@ class ScanStmt(Statement):
         self.database = database
         self.set_name = set_name
 
+    @property
+    def array_rows(self):
+        """How ``mark_columnar`` marked this scan, for whoever batches
+        its pages: False (unmarked — objects go through row by row), True
+        (a columnar set's pages go through whole), or the name of the
+        class whose objects on a row page are gathered as arrays."""
+        return self.info.get("columnar") == "1" and \
+            self.info.get("gather", True)
+
     def output_columns(self):
         return [self.column]
 

@@ -33,8 +33,11 @@ Three families of checks:
 * **kernel-eligibility consistency** — every statement
   :func:`repro.tcap.optimizer.columnar.mark_columnar` stamped
   ``columnar`` must still be eligible under the same rules (the check
-  reuses the optimizer's own ``_apply_output_tag``), so a plan edited
-  after marking cannot smuggle a row-path term into a kernel stage.
+  reuses the optimizer's own ``_apply_output_tag`` and ``scan_tag``),
+  so a plan edited after marking cannot smuggle a row-path term into a
+  kernel stage; a marked scan of a row-layout set must name the set's
+  class, and its rows must reach a marked ``APPLY`` that reads them as
+  arrays through marked statements only.
 
 The checks are deliberately one-sided: the verifier only rejects what
 it can *prove* inconsistent, and types it cannot resolve (unknown
@@ -58,7 +61,12 @@ from repro.tcap.ir import (
     ScanStmt,
     _columns_consumed,
 )
-from repro.tcap.optimizer.columnar import _NUM, _apply_output_tag
+from repro.tcap.optimizer.columnar import (
+    _NUM,
+    _apply_output_tag,
+    reads_rows,
+    scan_tag,
+)
 
 ROWS = "rows"
 NUM = "num"
@@ -157,7 +165,8 @@ def verify_program(program, catalog=None, layout_of=None, registry=None):
 
     ``catalog`` (a :class:`repro.catalog.CatalogManager`) types scans
     from set metadata; ``layout_of(db, set)`` returns the Schema of
-    columnar sets (the same oracle :func:`mark_columnar` used);
+    columnar sets and the class of row sets declared with one (the same
+    oracle :func:`mark_columnar` used);
     ``registry`` overrides the catalog's type registry.  All three are
     optional — a bare text plan still gets structural and
     mark-consistency checks.  Returns a :class:`PlanTypes`.
@@ -167,16 +176,18 @@ def verify_program(program, catalog=None, layout_of=None, registry=None):
     types = PlanTypes()
     env = types.env
     col_tags = {}  # mark-consistency shadow of mark_columnar's tags
+    waiting = {}  # vlist carrying a marked row scan's unread rows -> scan
     # Without the layout oracle the marks cannot be re-derived, so the
     # per-column consistency checks stand down (the structural "always
     # opaque" checks below still run).
     check_marks = layout_of is not None
     for statement in program.statements:
         _check_structure(statement, env)
+        _tags_row_scan(statement, col_tags, waiting)
         if isinstance(statement, ScanStmt):
             _scan(statement, env, catalog, layout_of, registry)
             if check_marks:
-                _tags_scan(statement, col_tags, layout_of)
+                _tags_scan(statement, col_tags, layout_of, waiting)
         elif isinstance(statement, ApplyStmt):
             _apply(statement, env, registry, program)
             if check_marks:
@@ -205,6 +216,8 @@ def verify_program(program, catalog=None, layout_of=None, registry=None):
                 "unknown statement type %r" % type(statement).__name__,
                 statement,
             )
+    for scan in waiting.values():
+        _mark_error(scan, "no kernel reads its rows")
     return types
 
 
@@ -256,7 +269,7 @@ def _scan(statement, env, catalog, layout_of, registry):
     ctype = _ANY
     if layout_of is not None:
         schema = layout_of(statement.database, statement.set_name)
-        if schema is not None:
+        if schema is not None and not isinstance(schema, type):
             ctype = (ROWS, frozenset(schema.names()), schema)
     if ctype is _ANY and catalog is not None:
         try:
@@ -467,18 +480,40 @@ def _no_mark(statement):
                     % statement.op)
 
 
-def _tags_scan(statement, col_tags, layout_of):
+def _tags_scan(statement, col_tags, layout_of, waiting):
     if not _marked(statement):
         return
-    schema = layout_of(statement.database, statement.set_name)
-    if schema is None:
+    tag, gathered = scan_tag(
+        layout_of(statement.database, statement.set_name)
+    )
+    if tag is None:
         _mark_error(
-            statement, "set %s.%s is not stored columnar"
+            statement, "set %s.%s is not stored columnar, nor are its "
+            "rows of a declared class"
             % (statement.database, statement.set_name),
         )
-    col_tags[statement.output] = {
-        statement.column: frozenset(schema.names())
-    }
+    if statement.info.get("gather") != gathered:
+        _mark_error(
+            statement, "its row class is %s, the mark says %s"
+            % (gathered, statement.info.get("gather")),
+        )
+    col_tags[statement.output] = {statement.column: tag}
+    if gathered is not None:
+        waiting[statement.output] = statement
+
+
+def _tags_row_scan(statement, col_tags, waiting):
+    """A row scan is marked only for a kernel that reads its rows: every
+    statement they reach before one does must be marked too."""
+    for name in statement.input_names():
+        scan = waiting.pop(name, None)
+        if scan is None:
+            continue
+        if not _marked(statement):
+            _mark_error(scan, "its rows reach an unmarked statement (%s) "
+                        "before any kernel reads them" % statement.op)
+        if not reads_rows(statement, col_tags.get(name, {})):
+            waiting[statement.output] = scan
 
 
 def _tags_apply(statement, col_tags, program):

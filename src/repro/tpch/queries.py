@@ -23,7 +23,10 @@ from repro.core import (
     Writer,
     lambda_from_native,
 )
+import numpy as np
+
 from repro.memory import Int32, MapType, String, VectorType
+from repro.tpch.schema import Customer
 
 
 def jaccard(parts, query_set):
@@ -44,15 +47,20 @@ class CustomerMultiSelection(MultiSelectionComp):
     """Customer -> (supplier name, {customer name: [part ids]}) pieces."""
 
     def get_projection(self, arg):
-        def explode(customer):
-            name = customer.name
+        def pieces(name, supplier_parts):
             return [
                 (supplier_name, {name: part_ids})
-                for supplier_name, part_ids
-                in customer.supplier_parts().items()
+                for supplier_name, part_ids in supplier_parts.items()
             ]
 
-        return lambda_from_native([arg], explode)
+        def explode(customer):
+            return pieces(customer.name, customer.supplier_parts())
+
+        def explode_batch(rows):
+            return list(map(pieces, rows.strings("name"),
+                            Customer.supplier_parts_batch(rows)))
+
+        return lambda_from_native([arg], explode, kernel=explode_batch)
 
 
 class CustomerSupplierPartGroupBy(AggregateComp):
@@ -154,18 +162,26 @@ class TopJaccard(AggregateComp):
         self.query_set = frozenset(query_parts)
 
     def get_key_projection(self, arg):
-        return lambda_from_native([arg], lambda customer: 0)
+        return lambda_from_native(
+            [arg], lambda customer: 0,
+            kernel=lambda rows: np.zeros(len(rows), dtype=np.int64),
+        )
 
     def get_value_projection(self, arg):
         query_set = self.query_set
         k = self.k
 
-        def candidate(customer):
-            parts = customer.part_ids()
-            similarity = jaccard(parts, query_set)
-            return [(similarity, customer.cust_key, sorted(parts))][:k]
+        def scored(cust_key, parts):
+            return [(jaccard(parts, query_set), cust_key, sorted(parts))][:k]
 
-        return lambda_from_native([arg], candidate)
+        def candidate(customer):
+            return scored(customer.cust_key, customer.part_ids())
+
+        def candidate_batch(rows):
+            return list(map(scored, rows.column("cust_key").tolist(),
+                            Customer.part_ids_batch(rows)))
+
+        return lambda_from_native([arg], candidate, kernel=candidate_batch)
 
     def combine(self, a, b):
         merged = sorted(a + b, key=lambda c: (-c[0], c[1]))

@@ -23,3 +23,23 @@ def make_terms(arg, lambda_from_native):
 def row_path_elsewhere(handle):
     # Outside any kernel scope: deref is the object path's daily bread.
     return handle.deref()
+
+
+class Thing:
+    @staticmethod
+    def weights_batch(rows):
+        # A whole-page form named the way kernels are: found wherever the
+        # ``kernel=`` that passes it lives.
+        return [h.deref().w for h in rows]  # fires (deref in a *_batch)
+
+    @staticmethod
+    def totals(rows):
+        return _sum_rows(rows)  # clean itself; its helper is not
+
+
+def _sum_rows(rows):
+    return [make_object(Thing, w=h.w) for h in rows]  # fires (helper)
+
+
+def make_method_terms(arg, lambda_from_native):
+    return lambda_from_native([arg], lambda t: t.w, kernel=Thing.totals)

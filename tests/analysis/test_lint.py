@@ -68,9 +68,17 @@ def test_pc005_fires_on_swallowing_excepts_only():
 
 def test_pc006_fires_in_kernel_scopes_only():
     findings = run_lint([fixture("pc006_kernel_deref.py")])
-    assert [f.code for f in findings] == ["PC006"] * 2
+    assert [f.code for f in findings] == ["PC006"] * 4
     messages = " ".join(f.message for f in findings)
     assert "deref" in messages and "facade" in messages
+    # A method passed as ``kernel=Cls.method`` and the helper it calls; a
+    # ``*_batch`` definition no ``kernel=`` in its module names.
+    assert "make_object" in messages
+    source = open(fixture("pc006_kernel_deref.py")).read().splitlines()
+    assert sorted(
+        source[f.line - 1].split("# fires ")[1] for f in findings
+    ) == ["(deref in a *_batch)", "(deref in kernel def)",
+          "(facade in kernel)", "(helper)"]
 
 
 def test_pc006_covers_the_kernel_library_module():

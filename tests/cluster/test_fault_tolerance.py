@@ -389,6 +389,11 @@ def test_job_state_dies_with_the_job(tmp_path, monkeypatch):
     """What a job keeps per worker is the scheduler's and goes with it —
     after a job that returned and after one that raised no worker,
     back-end or cluster object still holds a per-job entry."""
+    # Garbage earlier tests left is finalized here, not inside a job: a
+    # finalizer that raises there (a SharedMemory still exported) hands
+    # pytest an unraisable whose traceback pins the job's frames.
+    while gc.collect():
+        pass
     kept = []
     execute = DistributedScheduler.execute
 

@@ -9,6 +9,8 @@ both processes, and a torn span batch costs the tree, never the
 counters.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -100,8 +102,18 @@ def test_signals_are_equal_across_transports(tmp_path, workload):
     rows = _by_operator(sim, "pc_op_rows_total")
     assert rows and sum(rows.values()) > 0
     for family in ("pc_op_rows_total", "pc_op_columnar_rows_total",
-                   "pc_op_seconds"):
+                   "pc_op_gather_rows_total", "pc_op_seconds"):
         assert _by_operator(proc, family) == _by_operator(sim, family), family
+    # A row page's rows go through the kernels as gather rows, a columnar
+    # page's as columnar rows (a sanitized block's through neither); the
+    # fallbacks, by operator and reason, are the same series on both.
+    if workload == "tpch_objects" and os.environ.get("PC_SANITIZE") != "1":
+        assert _by_operator(sim, "pc_op_gather_rows_total") \
+            == {"apply": 60, "filter": 30}
+        assert sim.value("pc_engine_kernel_fallback_total") == 0
+    fallbacks = "pc_engine_kernel_fallback_total"
+    assert proc.families[fallbacks]["series"] \
+        == sim.families[fallbacks]["series"]
     engine = _engine_totals(sim)
     assert engine["pc_engine_rows_in_total"] > 0
     assert engine["pc_engine_rows_out_total"] > 0

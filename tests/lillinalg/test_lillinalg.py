@@ -9,7 +9,9 @@ from repro.lillinalg import DistributedMatrix, LilLinAlg
 
 @pytest.fixture(scope="module")
 def cluster():
-    return PCCluster(n_workers=2, page_size=1 << 16)
+    # closed, not left to the collector (see tests/ml/test_pc_ml.py)
+    with PCCluster(n_workers=2, page_size=1 << 16) as cluster:
+        yield cluster
 
 
 RNG = np.random.default_rng(7)

@@ -11,7 +11,11 @@ from repro.ml.sampling import multinomial_fast, multinomial_slow
 
 @pytest.fixture
 def cluster():
-    return PCCluster(n_workers=2, page_size=1 << 16)
+    # Closed, not left to the collector: a pool's segments finalised in
+    # arbitrary order raise from ``SharedMemory.__del__`` whenever the
+    # collector next runs (some unrelated later test).
+    with PCCluster(n_workers=2, page_size=1 << 16) as cluster:
+        yield cluster
 
 
 def _blobs(rng, centers, per=40, scale=0.05):

@@ -15,6 +15,7 @@ from repro.core import (
     lambda_from_native,
 )
 from repro.errors import PlanTypeError
+from repro.memory import Float64, Int32, PCObject, String
 from repro.memory.types import Int64
 from repro.schema import Schema, f64, i64
 from repro.tcap import compile_computations, parse_tcap, verify_program
@@ -198,6 +199,120 @@ def test_mark_columnar_output_always_verifies():
     marked = mark_columnar(program, layout_of)
     assert marked > 0
     verify_program(program, layout_of=layout_of)
+
+
+# -- row-layout scans: marked when a kernel reads their rows ------------------
+
+
+class _Point(PCObject):
+    fields = [("pid", Int32), ("tag", String), ("w", Float64)]
+
+
+def row_layout_of(database, set_name):
+    if (database, set_name) == ("db", "pts"):
+        return _Point
+    return layout_of("db", "pts") if set_name == "cols" else None
+
+
+def _row_program(first):
+    return TcapProgram([
+        scan(), first,
+        OutputStmt(first.output, first.new_column, "db", "out", "C"),
+    ])
+
+
+def test_row_scan_is_marked_when_a_kernel_reads_its_rows():
+    program = _row_program(att_access("pid"))
+    assert mark_columnar(program, row_layout_of) == 2
+    scan_stmt = program.statements[0]
+    assert scan_stmt.info == {"columnar": "1", "gather": "_Point"}
+    assert scan_stmt.array_rows == "_Point"
+    verify_program(program, layout_of=row_layout_of)
+    # Unmarked it is the object path's, and batches as it always did.
+    assert scan().array_rows is False
+    columnar = scan(set_name="cols")
+    assert mark_columnar(TcapProgram([columnar]), row_layout_of) == 1
+    assert columnar.array_rows is True
+
+
+@pytest.mark.parametrize("first", [
+    att_access("tag"),  # a String: no gather serves it as a column
+    att_access("w"),  # eight bytes, four into the payload: served
+    ApplyStmt("B", "A", ["in"], ["in"], "v", "C", "s1",
+              {"type": "methodCall", "methodName": "getX"}),
+    HashStmt("B", "A", "in", ["in"], "v", "C"),
+], ids=["string", "f64", "method", "hash"])
+def test_row_scan_is_marked_only_for_a_statement_that_reads_it(first):
+    program = _row_program(first)
+    later = att_access("pid", output="D", new_column="p")
+    program.statements.insert(2, later)
+    eligible = first.info.get("attName") == "w"
+    assert mark_columnar(program, row_layout_of) == (3 if eligible else 0)
+    # ... and so does every later consumer of the same scan: no batch of
+    # it will carry an array column.
+    assert ("columnar" in later.info) == eligible
+    assert program.statements[0].array_rows == ("_Point" if eligible
+                                                else False)
+    verify_program(program, layout_of=row_layout_of)
+
+
+def _selection_then(reader):
+    """The shape a (multi-)selection compiles to: a constant mask, the
+    filter, then ``reader`` over the rows that passed."""
+    return TcapProgram([
+        scan(),
+        ApplyStmt("B", "A", ["in"], ["in"], "mask", "C", "s1",
+                  {"type": "constant", "value": True}),
+        FilterStmt("F", "B", "mask", ["in"], "C"),
+        reader,
+        OutputStmt("G", "v", "db", "out", "C"),
+    ])
+
+
+def test_row_scan_mark_waits_for_the_statement_that_reads_the_rows():
+    """Eligible statements the rows merely pass (a constant mask, its
+    filter) do not mark the scan: a kernel has to read the rows."""
+    read = _selection_then(att_access("pid", output="G", input_name="F"))
+    assert mark_columnar(read, row_layout_of) == 4
+    assert read.statements[0].array_rows == "_Point"
+    verify_program(read, layout_of=row_layout_of)
+    # No kernel waits at the end (a native lambda that declared none —
+    # the k-means chunk walk): nothing is marked, the scan batches as it
+    # always did.
+    opaque = _selection_then(
+        ApplyStmt("G", "F", ["in"], [], "v", "C", "s2",
+                  {"type": "nativeLambda"})
+    )
+    assert mark_columnar(opaque, row_layout_of) == 0
+    assert all("columnar" not in s.info for s in opaque.statements)
+    verify_program(opaque, layout_of=row_layout_of)
+    # ... and marks on the way to no kernel are rejected.
+    for statement in opaque.statements[:3]:
+        statement.info["columnar"] = "1"
+    opaque.statements[0].info["gather"] = "_Point"
+    with pytest.raises(PlanTypeError, match="reach an unmarked statement"):
+        verify_program(opaque, layout_of=row_layout_of)
+    dropped = TcapProgram(opaque.statements[:2])
+    dropped.statements[1].copy_columns = []
+    with pytest.raises(PlanTypeError, match="no kernel reads its rows"):
+        verify_program(dropped, layout_of=row_layout_of)
+
+
+def test_marked_row_scan_must_name_its_class_and_reach_a_kernel_marked():
+    program = _row_program(att_access("pid"))
+    mark_columnar(program, row_layout_of)
+    scan_stmt, first = program.statements[:2]
+    scan_stmt.info["gather"] = "Other"
+    with pytest.raises(PlanTypeError, match="row class is _Point"):
+        verify_program(program, layout_of=row_layout_of)
+    scan_stmt.info["gather"] = "_Point"
+    del first.info["columnar"]
+    with pytest.raises(PlanTypeError, match="reach an unmarked statement"):
+        verify_program(program, layout_of=row_layout_of)
+    del scan_stmt.info["columnar"]
+    first.info["columnar"] = "1"
+    with pytest.raises(PlanTypeError, match="not columnar"):
+        verify_program(program, layout_of=row_layout_of)
 
 
 # -- compiled programs verify unchanged ---------------------------------------
