@@ -119,10 +119,9 @@ class PCCluster:
     def __init__(self, n_workers=4, page_size=DEFAULT_PAGE_SIZE,
                  worker_memory=64 << 20, batch_size=DEFAULT_BATCH_SIZE,
                  broadcast_threshold=DEFAULT_BROADCAST_THRESHOLD,
-                 combiner_page_size=None, spill_root=None,
-                 fault_injector=None, retry_policy=None, profiling=False,
-                 sanitize=False, transport=None, tracing=True,
-                 verify_plans=True):
+                 spill_root=None, fault_injector=None, retry_policy=None,
+                 profiling=False, sanitize=False, transport=None,
+                 tracing=True, verify_plans=True):
         # The master's durable territory: the catalog journals every DDL
         # and replica-map mutation (write-ahead) under the spill root, so
         # recover() can rebuild its state after a simulated master crash.
@@ -184,7 +183,8 @@ class PCCluster:
         self.page_size = page_size
         self.batch_size = batch_size
         self.broadcast_threshold = broadcast_threshold
-        self.combiner_page_size = combiner_page_size or page_size
+        #: an aggregation's combiner pages are the size of a set's
+        self.combiner_page_size = page_size
         self.workers = []
         self.blacklist = set()
         self.storage_manager = DistributedStorageManager(self.catalog)

@@ -10,6 +10,9 @@ turns every pipeline into distributed *job stages*:
 * ``AggregationJobStage`` — merging shuffled pre-aggregation Maps (the
   consuming stage of Figure 5).
 
+All one shape: per-worker tasks over local data, cut at every partitioned
+join probe, whose sealed outboxes the coordinator only moves and installs.
+
 Join physicality is decided here, not in TCAP: a build side estimated
 smaller than ``broadcast_threshold`` bytes is broadcast to every worker;
 otherwise both sides are hash-partitioned (the paper's 2 GB rule,
@@ -72,7 +75,6 @@ from repro.engine.pipeline import (
     combine_into,
     hash_rows_into,
     join_sides,
-    row_messages,
     run_task,
 )
 from repro.cluster.transport import (
@@ -682,12 +684,12 @@ class DistributedScheduler:
 
         ``held[s]`` is what worker ``s`` sends: one list of messages per
         partition, as the task that held the rows partitioned and packed
-        them (:func:`row_messages`; an aggregation's sink) — partition
-        ``p`` is for worker ``p % n``, so an aggregation partitioned
-        before a peer was absorbed mid-stage still lands every key on
-        one survivor.  Returns the rows each worker received, sources in
-        worker order.  A message crosses, an arrived message becomes
-        rows again (:meth:`_wire`).  Three decisions, made here once: an
+        them (its sink's ``seal()``) — partition ``p`` is for worker
+        ``p % n``, so an aggregation partitioned before a peer was
+        absorbed mid-stage still lands every key on one survivor.
+        Returns the rows each worker received, sources in worker order.
+        A message crosses, an arrived message becomes rows again
+        (:meth:`_wire`).  Three decisions, made here once: an
         empty partition is no message; a worker's own messages are
         handed over in their place in that order — no transfer, so
         nothing to count, checksum or fault-inject; every other one is
@@ -735,8 +737,26 @@ class DistributedScheduler:
 
         return ship, unpack
 
+    def _exchange_kept(self, output, install, comp=None):
+        """The second half of a stage that feeds an exchange: pop the
+        outboxes every worker's tasks sealed and kept under ``output``,
+        exchange them, and ``install(kept, rows)`` what each worker
+        received into what the job keeps there.  Returns the installs'
+        results, in worker order."""
+        kept = [self._kept_on(worker) for worker in self.workers]
+        held = [on_worker.store.pop(output, ()) for on_worker in kept]
+        received = self._exchange(held, comp)
+        return [
+            install(on_worker, rows) for on_worker, rows in zip(kept, received)
+        ]
+
     def _run_distributed_pipeline(self, pipeline, sink_factory):
-        """Run a full pipeline on every worker, honoring join partitioning.
+        """Run a full pipeline on every worker — the one stage shape:
+        tasks, then (where the sink feeds one) exchange and install.
+        The chain is cut at every partitioned join probe, whatever the
+        pipeline's own sink: a segment ending at a cut collects what the
+        probe reads, each task partitioning its rows by the probe hash,
+        and the next segment reads what its worker received.
 
         Single-segment scan-sourced stages get the no-restart failover
         path: when a worker is declared lost mid-stage and every page it
@@ -752,58 +772,53 @@ class DistributedScheduler:
                 if not self._can_absorb(lost, pipeline):
                     raise lost
                 self._absorb_lost_worker(
-                    lost, pipeline, segments[0], sink_factory, completed
+                    lost, pipeline, sink_factory, completed
                 )
 
-        # A later segment probes a partitioned table: its input is what
-        # the one before collected, each row at worker ``probe hash % n``.
-        for segment in segments:
-            last = segment is segments[-1]
-            workers = list(self.workers)
-            if segment is segments[0]:
-                sources = [
-                    self._pipeline_source(worker, pipeline)
-                    for worker in workers
-                ]
-            else:
-                _build, (probe_hash, _carried) = join_sides(
-                    self.plan, segment[0]
-                )
-                names = next((list(c) for c in collected if c), [])
-                received = self._exchange([row_messages(
-                    zip(*(c.get(name, ()) for name in names)),
-                    c.get(probe_hash, ()), len(workers),
-                ) for c in collected])
-                sources = [
-                    _ColumnSource(dict(zip(names, map(list, zip(*rows)))))
-                    for rows in received
-                ]
-            done = self._run_worker_tasks([
-                (worker, self._attempt(
-                    worker, segment, source,
-                    sink_factory if last else lambda w: MaterializeSink(
-                        self._kept_on(w), None
-                    ),
-                ))
+        workers = list(self.workers)
+
+        def run(segment, sources, factory):
+            self._run_worker_tasks([
+                (worker, self._attempt(worker, segment, source, factory))
                 for worker, source in zip(workers, sources)
             ], on_lost=on_lost)
-            if not last:
-                collected = [
-                    done[worker.worker_id].state or {} for worker in workers
-                ]
+
+        sources = [
+            self._pipeline_source(worker, pipeline) for worker in workers
+        ]
+        for segment, following in zip(segments, segments[1:]):
+            probe = following[0]
+            _build, (probe_hash, carried) = join_sides(self.plan, probe)
+            names = (probe_hash, *carried)
+            exchange = (len(workers), names)
+            run(segment, sources, lambda worker: MaterializeSink(
+                self._kept_on(worker), probe.output, exchange
+            ))
+            sources = self._exchange_kept(
+                probe.output, lambda _kept, rows: _ColumnSource(
+                    dict(zip(names, map(list, zip(*rows))))
+                ),
+            )
+        run(segments[-1], sources, sink_factory)
 
     def _can_absorb(self, lost, pipeline):
         """Whether a lost worker's stage portion can move to survivors.
 
         Absorption needs (a) a scan source — its pages are in the
         catalog replica map, so the lost worker's input survives or is
-        evacuated elsewhere — and (b) no unrecoverable per-worker state
+        evacuated elsewhere — (b) no unrecoverable per-worker state
         from earlier stages: a *partitioned* hash-table shard or
         materialized store partition kept for the worker goes with it,
-        forcing the restart fallback.  Broadcast hash tables are
-        identical on every worker, so losing one copy loses nothing.
+        forcing the restart fallback (broadcast hash tables are
+        identical on every worker, so losing one copy loses nothing) —
+        and (c) an outbox that survives re-mapping onto fewer workers.
+        An aggregation's does (the receiver combines); a join build's is
+        addressed to the workers alive when it was packed — a
+        partitioned table must sit where the probe's ``hash % n`` looks,
+        a broadcast folded onto fewer workers delivers a copy twice.
         """
-        if pipeline.source_kind != SOURCE_SCAN:
+        if (pipeline.source_kind != SOURCE_SCAN
+                or pipeline.sink_kind == SINK_HASH_BUILD):
             return False
         kept = self._kept.get(lost.worker_id)
         if kept is not None:
@@ -814,8 +829,7 @@ class DistributedScheduler:
                     return False
         return True
 
-    def _absorb_lost_worker(self, lost, pipeline, stages, sink_factory,
-                            completed):
+    def _absorb_lost_worker(self, lost, pipeline, sink_factory, completed):
         """Decommission a lost worker and re-run its orphans on survivors.
 
         The worker's scan assignment (the pages it was reading) is
@@ -864,21 +878,19 @@ class DistributedScheduler:
                 if after.get(uid) == worker.worker_id
             }
             if assigned:
-                self._run_orphan_pages(
-                    worker, pipeline, stages, sink_factory, assigned
-                )
+                self._run_orphan_pages(worker, pipeline, sink_factory, assigned)
 
-    def _run_orphan_pages(self, worker, pipeline, stages, sink_factory,
-                          uids):
-        """Run ``stages`` over just the orphaned pages, merging results."""
+    def _run_orphan_pages(self, worker, pipeline, sink_factory, uids):
+        """Run the pipeline's stages (an absorbing stage is one segment)
+        over just the orphaned pages, merging results."""
         def merge_sink_factory(w):
             sink = sink_factory(w)
             sink.merge = True
             return sink
 
         self._run_worker_tasks([(worker, self._attempt(
-            worker, stages, self._pipeline_source(worker, pipeline, uids),
-            merge_sink_factory,
+            worker, pipeline.stages,
+            self._pipeline_source(worker, pipeline, uids), merge_sink_factory,
         ))])
 
     # -- per-sink handlers ------------------------------------------------------------------
@@ -899,45 +911,34 @@ class DistributedScheduler:
         return total_rows * 64
 
     def _run_build(self, pipeline):
-        """Each worker builds a table from its own build rows; the
-        tables' rows ``(hash, *carried columns)`` are exchanged — every
-        row to every worker (broadcast) or to worker ``hash % n``
-        (partition) — and each worker's table is what it received."""
+        """Each worker's task seals its build rows ``(hash, *carried
+        columns)`` into what it sends — every row to every worker
+        (broadcast) or to worker ``hash % n`` (partition) — and each
+        worker's table is built from what it received."""
         join = pipeline.sink
         size = self._estimate_source_bytes(pipeline)
         mode = (
             "broadcast" if size <= self.broadcast_threshold else "partition"
         )
         self.join_modes[join.output] = mode
-        workers = self.workers
+        exchange = (len(self.workers), mode)
+
+        def install(kept, rows):
+            kept.hash_tables[join.output] = hash_rows_into({}, rows)
+
         with self._stage(
             "BuildHashTableJobStage",
             "%s join build for %s (est %d bytes)" % (mode, join.output, size),
         ):
             # Builds overlap across back-end processes; the exchange and
             # the folds are a serial coordinator loop.
-            self._run_worker_tasks([
-                (worker, self._attempt(
-                    worker, pipeline.stages,
-                    self._pipeline_source(worker, pipeline),
-                    lambda w: HashBuildSink(self._kept_on(w), join),
-                ))
-                for worker in workers
-            ])
-            held = []
-            for worker in workers:
-                table = self._kept_on(worker).hash_tables[join.output]
-                rows = [
-                    (hash_value,) + row
-                    for hash_value, bucket in table.items() for row in bucket
-                ]
-                held.append(row_messages(
-                    rows, None if mode == "broadcast" else [r[0] for r in rows],
-                    len(workers),
-                ))
-            for worker, rows in zip(workers, self._exchange(held)):
-                self._kept_on(worker).hash_tables[join.output] = \
-                    hash_rows_into({}, rows)
+            self._run_distributed_pipeline(
+                pipeline,
+                lambda worker: HashBuildSink(
+                    self._kept_on(worker), join, exchange
+                ),
+            )
+            self._exchange_kept(join.output, install)
 
     def _run_aggregate(self, pipeline):
         agg = pipeline.sink
@@ -945,6 +946,7 @@ class DistributedScheduler:
         # Fixed for the stage: a survivor absorbing a lost peer's pages
         # must partition them as its finished portion was.
         exchange = (len(self.workers), self.cluster.combiner_page_size)
+
         # Producing stage: per-worker pre-aggregation (pipelining threads),
         # each task partitioning and packing what it sends.
         with self._stage(
@@ -958,24 +960,21 @@ class DistributedScheduler:
             )
 
         # Consuming stage: the pre-aggregated pairs, exchanged by key hash.
-        workers = self.workers
+        def install(kept, pairs):
+            # A key can arrive twice even from one worker (it absorbed
+            # a lost peer's portion) — combine, never overwrite.
+            groups = combine_into({}, pairs, comp.combine)
+            self.tracer.add("agg.merged_keys", len(groups))
+            kept.store[agg.output] = {
+                "key": list(groups.keys()),
+                "val": list(groups.values()),
+            }
+
         with self._stage(
             "AggregationJobStage", "shuffled merge for %s over %d partitions"
-            % (agg.output, len(workers)),
+            % (agg.output, len(self.workers)),
         ):
-            held = [
-                self._kept_on(worker).store.pop(agg.output, ())
-                for worker in workers
-            ]
-            for worker, pairs in zip(workers, self._exchange(held, comp)):
-                # A key can arrive twice even from one worker (it absorbed
-                # a lost peer's portion) — combine, never overwrite.
-                groups = combine_into({}, pairs, comp.combine)
-                self.tracer.add("agg.merged_keys", len(groups))
-                self._kept_on(worker).store[agg.output] = {
-                    "key": list(groups.keys()),
-                    "val": list(groups.values()),
-                }
+            self._exchange_kept(agg.output, install, comp)
 
     def _run_materialize(self, pipeline):
         with self._stage(

@@ -231,6 +231,31 @@ class Transport:
             attempts += 1
             self._c_transfer_retries.inc()
 
+    def _transfer(self, src, dst, payload, nbytes, counter, checksum, stamp,
+                  spoil, what):
+        """Deliver ``payload`` and return what arrived: ``spoil``ed on a
+        ``corrupt`` verdict, and — when there is a ``checksum`` to hold
+        the arrival's ``stamp`` against — re-sent within the transfer
+        retry budget until it arrives intact.  ``what`` names it in the
+        error: a template over ``(src, dst, len(payload))``."""
+        attempts = 0
+        while True:
+            verdict = self._deliver(src, dst, nbytes, counter)
+            arrived = payload
+            if verdict == "corrupt":
+                arrived = spoil(payload)
+                self._c_transfers_corrupted.inc()
+            if checksum is None or stamp(arrived) == checksum:
+                return arrived
+            budget = self._retry_budget()
+            if attempts >= budget:
+                raise PageCorruptionError(
+                    what % (src, dst, len(payload)) + " arrived corrupt and "
+                    "the re-send budget of %d is exhausted" % budget
+                )
+            attempts += 1
+            self._c_transfer_retries.inc()
+
     def ship_page(self, src, dst, data, checksum=None):
         """Move a PC page's bytes; zero serialization on either end.
 
@@ -246,24 +271,10 @@ class Transport:
         if self.recorder is not None:
             self.recorder.record("net.page_ship", src=src, dst=dst,
                                  bytes=nbytes)
-        attempts = 0
-        while True:
-            verdict = self._deliver(src, dst, nbytes, self._c_bytes_zero_copy)
-            payload = data
-            if verdict == "corrupt":
-                payload = corrupt_bytes(data)
-                self._c_transfers_corrupted.inc()
-            if checksum is None or page_checksum(payload) == checksum:
-                return payload
-            budget = self._retry_budget()
-            if attempts >= budget:
-                raise PageCorruptionError(
-                    "page transfer %s->%s (%d bytes) arrived corrupt and "
-                    "the re-send budget of %d is exhausted"
-                    % (src, dst, nbytes, budget)
-                )
-            attempts += 1
-            self._c_transfer_retries.inc()
+        return self._transfer(
+            src, dst, data, nbytes, self._c_bytes_zero_copy, checksum,
+            page_checksum, corrupt_bytes, "page transfer %s->%s (%d bytes)",
+        )
 
     def ship_rows(self, src, dst, rows):
         """Move structured rows (the join-shuffle path).
@@ -281,25 +292,11 @@ class Transport:
         if self.fault_injector is None:
             self._deliver(src, dst, nbytes, self._c_bytes_rows)
             return rows
-        checksum = rows_checksum(rows)
-        attempts = 0
-        while True:
-            verdict = self._deliver(src, dst, nbytes, self._c_bytes_rows)
-            payload = rows
-            if verdict == "corrupt":
-                payload = [_CORRUPT_ROW_FRAME] + list(rows)
-                self._c_transfers_corrupted.inc()
-            if rows_checksum(payload) == checksum:
-                return payload
-            budget = self._retry_budget()
-            if attempts >= budget:
-                raise PageCorruptionError(
-                    "row transfer %s->%s (%d rows) arrived corrupt and "
-                    "the re-send budget of %d is exhausted"
-                    % (src, dst, len(rows), budget)
-                )
-            attempts += 1
-            self._c_transfer_retries.inc()
+        return self._transfer(
+            src, dst, rows, nbytes, self._c_bytes_rows, rows_checksum(rows),
+            rows_checksum, lambda sent: [_CORRUPT_ROW_FRAME] + list(sent),
+            "row transfer %s->%s (%d rows)",
+        )
 
 
 # -- remote tasks ----------------------------------------------------------------

@@ -553,28 +553,49 @@ class Sink:
 
 
 class HashBuildSink(Sink):
-    """Builds the hash table for a join's build side."""
+    """Collects a join's build side as rows ``(hash, *carried columns)``.
 
-    def __init__(self, engine, join_stmt):
+    A local run's ``finish()`` folds them into the table its probes
+    read.  A scheduled task, with ``exchange=(n, mode)``, seals them
+    into what its worker sends into the build exchange — ``n`` lists of
+    messages, every row for every worker (``mode`` "broadcast") or for
+    worker ``hash % n`` ("partition") — and the receiver builds the
+    table: either way it is built once (:func:`hash_rows_into`).
+    """
+
+    def __init__(self, engine, join_stmt, exchange=None):
         super().__init__(engine)
         self.join = join_stmt
         (self.hash_column, self.columns), _probe = join_sides(
             engine.plan, join_stmt
         )
-        self.state = {}  # hash -> [row tuples]
+        self.exchange = exchange
+        self.state = []
 
     def remote_spec(self):
-        return type(self), (self.join,)
+        return type(self), (self.join, self.exchange)
 
     def consume(self, batch):
         batch = kernels.reify(batch)
-        hash_rows_into(self.state, zip(
+        self.state.extend(zip(
             batch.column(self.hash_column),
             *(batch.column(c) for c in self.columns),
         ))
 
+    def seal(self):
+        if self.exchange is not None:
+            n, mode = self.exchange
+            hashes = None if mode == "broadcast" else [
+                row[0] for row in self.state
+            ]
+            self.state = row_messages(self.state, hashes, n)
+
     def finish(self):
-        self.engine.hash_tables[self.join.output] = self.state
+        if self.exchange is None:
+            self.engine.hash_tables[self.join.output] = \
+                hash_rows_into({}, self.state)
+        else:
+            self.engine.store[self.join.output] = self.state
 
 
 class AggregateSink(Sink):
@@ -650,22 +671,29 @@ class AggregateSink(Sink):
 
 
 class MaterializeSink(Sink):
-    """Materializes a multi-consumer vector list.
+    """Materializes a vector list under its name.
 
-    Merging (see :attr:`Sink.merge`) appends the finished columns to the
-    store's existing entry instead of replacing it.  With
-    ``vlist_name=None`` the sink only *collects*: ``finish()`` stores
-    nothing and the caller reads ``state`` (the scheduler's shuffle
-    inputs).
+    Sealed, it is the columns a later pipeline reads — or, with
+    ``exchange=(n, names)``, what this worker sends into the exchange
+    ahead of a partitioned probe: the columns ``names`` as rows, the
+    first of them the probe hash, in ``n`` lists of messages, a row for
+    worker ``hash % n``.  Merging (see :attr:`Sink.merge`) appends the
+    finished columns to the store's existing entry instead of replacing
+    it.
     """
 
-    def __init__(self, engine, vlist_name):
+    def __init__(self, engine, vlist_name, exchange=None):
         super().__init__(engine)
         self.vlist_name = vlist_name
-        self.state = None  # column name -> values, once a batch arrived
+        self.exchange = exchange
+        #: column name -> values: every column, once a batch arrived —
+        #: or just the exchange's
+        self.state = None if exchange is None else {
+            name: [] for name in exchange[1]
+        }
 
     def remote_spec(self):
-        return type(self), (self.vlist_name,)
+        return type(self), (self.vlist_name, self.exchange)
 
     def consume(self, batch):
         batch = kernels.reify(batch)
@@ -674,9 +702,15 @@ class MaterializeSink(Sink):
         for name in self.state:
             self.state[name].extend(batch.column(name))
 
+    def seal(self):
+        if self.exchange is not None:
+            n, names = self.exchange
+            self.state = row_messages(
+                zip(*(self.state[name] for name in names)),
+                self.state[names[0]], n,
+            )
+
     def finish(self):
-        if self.vlist_name is None:
-            return
         columns = self.state or {}
         existing = (
             self.engine.store.get(self.vlist_name) if self.merge else None

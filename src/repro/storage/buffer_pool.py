@@ -361,23 +361,6 @@ class BufferPool:
             # keep the handle and retire it once the view dies.
             self._shm_graveyard.append(shm)
 
-    def shm_export(self, page_id):
-        """``(segment_name, block_size)`` of a shared-memory-resident page.
-
-        Reloads the page first if it was spilled.  Returns None when the
-        pool runs bytearray residency — callers fall back to shipping the
-        page's bytes.  The name stays valid until the page is evicted or
-        freed; sealed pages are never mutated, and POSIX keeps an attached
-        segment's memory alive for readers even across an unlink.
-        """
-        page = self.pin(page_id)
-        try:
-            if page.shm is None:
-                return None
-            return (page.shm.name, page.block.size)
-        finally:
-            self.unpin(page_id)
-
     def close(self):
         """Release every shared-memory segment this pool still owns."""
         for page in self._pages.values():

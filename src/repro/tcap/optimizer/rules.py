@@ -88,26 +88,32 @@ def _rename_inputs(statement, old_vlist, new_vlist, col_map=None):
     def rename_col(c):
         return col_map.get(c, c)
 
+    def rename_cols(columns):
+        # A carried list names a column once: the one renamed onto may
+        # already sit in it (eliminate_redundant_applies carries the
+        # surviving column along the path before it renames).
+        return list(dict.fromkeys(rename_col(c) for c in columns))
+
     if isinstance(statement, ApplyStmt):
         if statement.input_name == old_vlist:
             statement.input_name = new_vlist
         statement.apply_columns = [rename_col(c) for c in statement.apply_columns]
-        statement.copy_columns = [rename_col(c) for c in statement.copy_columns]
+        statement.copy_columns = rename_cols(statement.copy_columns)
     elif isinstance(statement, FilterStmt):
         if statement.input_name == old_vlist:
             statement.input_name = new_vlist
         statement.bool_column = rename_col(statement.bool_column)
-        statement.copy_columns = [rename_col(c) for c in statement.copy_columns]
+        statement.copy_columns = rename_cols(statement.copy_columns)
     elif isinstance(statement, HashStmt):
         if statement.input_name == old_vlist:
             statement.input_name = new_vlist
         statement.key_column = rename_col(statement.key_column)
-        statement.copy_columns = [rename_col(c) for c in statement.copy_columns]
+        statement.copy_columns = rename_cols(statement.copy_columns)
     elif isinstance(statement, FlattenStmt):
         if statement.input_name == old_vlist:
             statement.input_name = new_vlist
         statement.seq_column = rename_col(statement.seq_column)
-        statement.copy_columns = [rename_col(c) for c in statement.copy_columns]
+        statement.copy_columns = rename_cols(statement.copy_columns)
     elif isinstance(statement, JoinStmt):
         if statement.left_input == old_vlist:
             statement.left_input = new_vlist
@@ -115,8 +121,8 @@ def _rename_inputs(statement, old_vlist, new_vlist, col_map=None):
             statement.right_input = new_vlist
         statement.left_hash = rename_col(statement.left_hash)
         statement.right_hash = rename_col(statement.right_hash)
-        statement.left_columns = [rename_col(c) for c in statement.left_columns]
-        statement.right_columns = [rename_col(c) for c in statement.right_columns]
+        statement.left_columns = rename_cols(statement.left_columns)
+        statement.right_columns = rename_cols(statement.right_columns)
     elif isinstance(statement, AggregateStmt):
         if statement.input_name == old_vlist:
             statement.input_name = new_vlist

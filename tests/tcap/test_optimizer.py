@@ -20,6 +20,7 @@ from repro.engine.interpreter import LocalInterpreter
 from repro.tcap import compile_computations
 from repro.tcap.ir import ApplyStmt, FilterStmt, JoinStmt
 from repro.tcap.optimizer import optimize
+from repro.tcap.verify import verify_program
 
 
 class Emp:
@@ -166,3 +167,39 @@ def test_optimizer_reaches_fixpoint_and_validates():
     before = program.to_text()
     optimize(program)
     assert program.to_text() == before  # idempotent at the fixpoint
+
+
+class NativeKeyJoin(JoinComp):
+    """A member key on one side, an opaque one on the other."""
+
+    def get_selection(self, sup, emp):
+        return lambda_from_member(sup, "name") == \
+            lambda_from_native([emp], lambda e: e.supervisor)
+
+    def get_projection(self, sup, emp):
+        return lambda_from_native(
+            [sup, emp], lambda s, e: (s.region, e.name)
+        )
+
+
+def test_rename_onto_a_carried_column_names_it_once():
+    # ROADMAP 1(a) directed seed.  The member access repeated after the
+    # join collapses onto the one before it, whose column the join
+    # already carries: renaming used to leave it twice in the next copy
+    # list, and the verifier rejected a plan that executed correctly.
+    def graph():
+        join = NativeKeyJoin().set_input(0, ObjectReader("db", "sups"))
+        join.set_input(1, ObjectReader("db", "emps"))
+        return Writer("db", "out").set_input(join)
+
+    sources = {("db", "emps"): EMPS, ("db", "sups"): SUPS}
+    optimized = compile_computations(graph())
+    optimize(optimized)
+    for statement in optimized.statements:
+        columns = statement.output_columns()
+        assert len(set(columns)) == len(columns), statement.to_text()
+    verify_program(optimized)
+    assert sorted(_outputs(optimized, sources)[("db", "out")]) == sorted(
+        _outputs(compile_computations(graph()), sources)[("db", "out")]
+    ) == [("east", "high"), ("east", "mid2"), ("west", "low"),
+          ("west", "mid")]
