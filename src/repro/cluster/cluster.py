@@ -331,28 +331,28 @@ class PCCluster:
 
     def _remove_worker(self, worker_id, evacuate):
         """Blacklist and detach a worker and drop it from every set's
-        replica map (``evacuate``: shipping its sole copies to survivors
-        first).  Returns the pages evacuated, or None — nothing done —
-        for a worker that is unknown or already gone.
+        replica map.  ``evacuate``: its sole copies are shipped to
+        survivors *first*, while nothing has changed — a transfer that
+        fails leaves membership and catalog as they were, and the call
+        can be repeated.  Returns the pages evacuated, or None — nothing
+        done — for a worker that is unknown or already gone.
         """
-        dead = next(
-            (w for w in self.workers if w.worker_id == worker_id), None
-        )
-        if dead is None or worker_id in self.blacklist:
+        if worker_id in self.blacklist or worker_id not in [
+            w.worker_id for w in self.workers
+        ]:
             return None
         if not [w for w in self.active_workers if w.worker_id != worker_id]:
             raise ExecutionError("cannot %s %s: no surviving workers" % (
                 "decommission" if evacuate else "kill", worker_id
             ))
+        moved = self.replication.evacuate(worker_id) if evacuate else {}
         self.blacklist.add(worker_id)
         self.storage_manager.detach_server(worker_id)
-        return sum(
+        for meta in self.catalog.list_sets():
             self.replication.forget_worker(
-                meta.database, meta.name, worker_id,
-                evacuate_from=dead.storage if evacuate else None,
+                meta.database, meta.name, worker_id, moved
             )
-            for meta in self.catalog.list_sets()
-        )
+        return len(moved)
 
     def decommission_worker(self, worker_id, reason=None):
         """Blacklist a worker and redistribute its partitions to peers.

@@ -988,50 +988,50 @@ class DistributedScheduler:
 
     def _run_output(self, pipeline):
         output = pipeline.sink
-        self.cluster.ensure_set(output.database, output.set_name)
         key = (output.database, output.set_name)
+        self.cluster.ensure_set(*key)
         aggregation = self._aggregate_behind(output)
+        #: worker id -> every sink built there (own portion, retries,
+        #: orphan merges); a worker's first is built in worker order
+        sinks = {}
 
         def sink_factory(worker):
             page_set = worker.storage.get_set(*key)
             if aggregation is not None:
-                return MapPageOutputSink(
+                sink = MapPageOutputSink(
                     self._kept_on(worker), output, page_set.page_size,
                     aggregation, page_set,
                 )
-            return ClusterOutputSink(
-                self._kept_on(worker), output, page_set.page_size,
-                page_set, self.cluster.python_outputs.setdefault(key, []),
-            )
+            else:
+                sink = ClusterOutputSink(
+                    self._kept_on(worker), output, page_set.page_size, page_set
+                )
+            sinks.setdefault(worker.worker_id, []).append(sink)
+            return sink
 
-        with self._stage(
-            "PipelineJobStage",
-            "pipeline into %s.%s" % (output.database, output.set_name),
-        ):
-            repl = self.cluster.replication
-            partitions = {
-                w.worker_id: w.storage.get_set(*key) for w in self.workers
-            }
-            # Where each partition stood before the stage.
-            marks = {w: len(p.page_ids) for w, p in partitions.items()}
-            objects = {w: p.object_count for w, p in partitions.items()}
-            python_mark = len(self.cluster.python_outputs.get(key, ()))
+        with self._stage("PipelineJobStage", "pipeline into %s.%s" % key):
             try:
                 self._run_distributed_pipeline(pipeline, sink_factory)
+                # Before the stage is declared complete what its sinks
+                # adopted is copied to the ring replicas and recorded, so
+                # output sets are as durable as loaded ones — only now: a
+                # record must never name a peer absorbed later in the stage.
+                self.cluster.replication.place_pages(*key, [
+                    (worker_id, *page) for worker_id, built in sinks.items()
+                    for sink in built for page in sink.adopted
+                ])
             except BaseException:
-                # A failed stage leaves nothing behind: the workers that
-                # finished wrote pages no catalog record will ever name.
-                for worker_id, pages in repl.unrecorded_pages(*key, marks):
-                    partitions[worker_id].rollback(pages, objects[worker_id])
-                del self.cluster.python_outputs.get(key, [])[python_mark:]
+                # A failed stage leaves nothing behind: no record will
+                # ever name the pages its finished sinks adopted.
+                for built in sinks.values():
+                    for sink in built:
+                        sink.abort()
                 raise
-            # Before the stage is declared complete the pages its sinks
-            # adopted are checksummed, recorded in the replica map and
-            # copied to their ring replicas, so output sets are as durable
-            # as loaded ones.
-            repl.register_local_pages(
-                *key, repl.unrecorded_pages(*key, marks)
-            )
+            if aggregation is None:
+                python = self.cluster.python_outputs.setdefault(key, [])
+                for built in sinks.values():
+                    for sink in built:
+                        python.extend(sink.python)
 
     def _aggregate_behind(self, output_stmt):
         """The name of the typed AggregateComp whose pairs this OUTPUT

@@ -406,18 +406,12 @@ class _PendingFuture:
             # A Python-level failure inside the child: the envelope is a
             # dict carrying the traceback plus the evidence the task
             # accumulated before it blew up (its span marked truncated),
-            # so retries keep the attempt's counters.  Legacy string
-            # payloads (a pooled pre-upgrade child) degrade gracefully.
-            if isinstance(payload, dict):
-                message = payload.get("traceback", "")
-                evidence = payload.get("evidence")
-            else:
-                message, evidence = payload, None
+            # so retries keep the attempt's counters.
             self._error = WorkerCrashError(
                 "back-end process of worker %r died: %s"
-                % (worker_id, message)
+                % (worker_id, payload["traceback"])
             )
-            self._error.evidence = evidence
+            self._error.evidence = payload["evidence"]
             self._error.detected_at = time.monotonic()
             raise self._error
         verdict = self._child.kill_verdicts.pop(self._task_id, None)

@@ -193,10 +193,12 @@ class PipelineEngine(JobState):
         re-runs the batch from the top: nothing of the batch is recorded
         yet, the objects the failed attempt left on the sealed page are
         dead space, and the sealed page — which may hold earlier batches'
-        rows — is the paper's zombie output page.  A page-writing sink's
-        ``consume`` never raises one: its writer rolls per object.
+        rows — is the paper's zombie output page.  A batch the fresh
+        page refuses too fits no page of this size, and says so.  A
+        page-writing sink's ``consume`` never raises one: its writer
+        rolls per object.
         """
-        for attempt in range(3):
+        for fresh in (False, True):
             block = sink.allocation_block()
             try:
                 if block is not None:
@@ -211,9 +213,14 @@ class PipelineEngine(JobState):
                 if current is not None:
                     self.metrics.rows_out += len(current)
                 return
-            except BlockFullError:
-                if attempt == 2:
-                    raise
+            except BlockFullError as full:
+                if fresh:
+                    raise ExecutionError(
+                        "what the stages allocate for one batch of %d rows "
+                        "does not fit on an empty %d-byte output page (%s): "
+                        "lower batch_size or raise the set's page_size"
+                        % (len(batch), block.size, full)
+                    ) from full
                 sink.roll_page()
                 self.metrics.zombie_pages += 1
 
@@ -742,13 +749,15 @@ class _PageSink(Sink):
 
     The writer works on private blocks (``private_page_writer``), so the
     same body runs in a back-end process and in the coordinator; sealed,
-    the pages are ``(bytes, CRC, allocations)`` in ``state["pages"]``.
-    ``finish()`` runs where ``page_set`` — the worker-local partition of
-    the output set — lives: it verifies every CRC, then adopts the bytes
-    into the partition.  Appending is all it does, so merging needs
-    nothing more; :meth:`abort` undoes what ``finish()`` did — frees the
-    pages this sink adopted — so a failed attempt's output is gone
-    before a retry.
+    the pages are ``(bytes, CRC, allocations, objects)`` in
+    ``state["pages"]``.  ``finish()`` runs where ``page_set`` — the
+    worker-local partition of the output set — lives: it verifies every
+    CRC, then adopts the bytes into the partition and says so in
+    :attr:`adopted`, for the stage to place once every task is through
+    (``ReplicationManager.place_pages``).  Appending is all it does, so
+    merging needs nothing more; :meth:`abort` frees the pages this sink
+    adopted and takes their objects back off the partition's count —
+    whatever other sinks added since, and nothing the second time.
     """
 
     def __init__(self, engine, output_stmt, page_size, page_set=None):
@@ -758,8 +767,10 @@ class _PageSink(Sink):
         self.page_set = page_set
         self.writer = private_page_writer(page_size, engine.registry)
         self.state = None
-        self._adopted = []
-        self._objects_mark = None  # the partition's count before finish()
+        #: ``(bytes, CRC, objects, page id)`` of every page adopted, and
+        #: the plain Python values that came with them (a
+        #: :class:`ClusterOutputSink`'s): what the stage commits
+        self.adopted, self.python = [], []
 
     def remote_spec(self):
         return type(self), (self.statement, self.page_size)
@@ -770,37 +781,38 @@ class _PageSink(Sink):
 
     def finish(self):
         pages = self.state["pages"]
-        for index, (data, checksum, _allocations) in enumerate(pages):
+        for index, (data, checksum, _allocations, _count) in enumerate(pages):
             if page_checksum(data) != checksum:
                 raise WorkerCrashError(
                     "output page %d of %d for %s arrived corrupt (CRC "
                     "mismatch); none of the task's pages is adopted"
                     % (index + 1, len(pages), self.page_set.qualified_name)
                 )
-        self._objects_mark = len(self.page_set)
-        for data, _checksum, allocations in pages:
-            self._adopted.append(self.page_set.adopt_page_bytes(
-                data, allocations=allocations
+        for data, checksum, allocations, count in pages:
+            self.adopted.append((
+                data, checksum, count, self.page_set.adopt_page_bytes(
+                    data, count=count, allocations=allocations
+                ),
             ))
+        self.python = self.state.get("python", [])
         return len(pages)
 
     def abort(self):
-        if self._objects_mark is not None:
-            self.page_set.rollback(self._adopted, self._objects_mark)
+        adopted, self.adopted, self.python = self.adopted, [], []
+        for _data, _checksum, count, page_id in adopted:
+            self.page_set.rollback(page_id, count)
 
 
 class ClusterOutputSink(_PageSink):
     """Writes pipeline output: PC objects (handles / facades) onto set
-    pages, plain Python values onto ``python`` — the set's Python-output
-    list, which the client gathers on :meth:`PCCluster.read`.
+    pages, plain Python values into :attr:`python` — which the stage
+    adds to the set's Python-output list (the client gathers it on
+    :meth:`PCCluster.read`) when it commits the pages.
     """
 
-    def __init__(self, engine, output_stmt, page_size, page_set=None,
-                 python=None):
+    def __init__(self, engine, output_stmt, page_size, page_set=None):
         super().__init__(engine, output_stmt, page_size, page_set)
         self._values = []
-        self._python = python
-        self._python_mark = None  # the list's length before finish()
 
     def allocation_block(self):
         return self.writer.block
@@ -827,17 +839,6 @@ class ClusterOutputSink(_PageSink):
     def seal(self):
         super().seal()
         self.state["python"] = self._values
-
-    def finish(self):
-        adopted = super().finish()
-        self._python_mark = len(self._python)
-        self._python.extend(self.state["python"])
-        return adopted
-
-    def abort(self):
-        super().abort()
-        if self._python_mark is not None:
-            del self._python[self._python_mark:]
 
 
 class MapPageOutputSink(_PageSink):

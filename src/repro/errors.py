@@ -60,10 +60,6 @@ class TypeRegistrationError(ObjectModelError):
     """A type could not be registered (duplicate name, bad field spec...)."""
 
 
-class CrossBlockWriteError(ObjectModelError):
-    """An illegal mutation on a block that does not permit it."""
-
-
 class CatalogError(PCError):
     """Base class for catalog-manager errors."""
 
@@ -74,10 +70,6 @@ class StorageError(PCError):
 
 class BufferPoolExhaustedError(StorageError):
     """The buffer pool could not evict enough pages to satisfy a request."""
-
-
-class DatabaseNotFoundError(StorageError):
-    """A database name did not exist in the distributed storage manager."""
 
 
 class SetNotFoundError(StorageError):

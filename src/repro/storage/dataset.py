@@ -68,35 +68,22 @@ class PageSet:
 
         return RowPageWriter(open_page, seal_page)
 
-    def adopt_page_bytes(self, data, count_objects=True, allocations=0):
+    def adopt_page_bytes(self, data, count=0, allocations=0):
         """Install a page that arrived over the (simulated) network.
 
         The arriving bytes are used verbatim — zero-cost data movement.
-        ``count_objects=False`` adopts the page without adding its objects
-        to the partition's logical count; the replication layer uses it
-        for redundant copies, which must not inflate set cardinality.
-        ``allocations`` is the allocator work that built the page, when a
-        task of this worker did (booked with the pool's own).
+        ``count`` is what the page adds to the partition's logical count:
+        the objects on it as its writer sealed them for the copy readers
+        count, 0 for a redundant copy, which must not inflate set
+        cardinality.  ``allocations`` is the allocator work that built
+        the page, when a task of this worker did (booked with the pool's
+        own).
         """
         page = self.pool.adopt_page(
             data, set_key=self.key, allocations=allocations
         )
-        if count_objects:
-            self.object_count += len(page_items(page.block))
+        self.object_count += count
         self.page_ids.append(page.page_id)
-        self.pool.unpin(page.page_id, dirty=True)
-        return page.page_id
-
-    def replace_page_bytes(self, old_page_id, data):
-        """Swap a page's bytes for a healthy copy fetched from a replica.
-
-        The old (quarantined) page is freed and the replacement adopted in
-        its slot, keeping scan order and the logical object count intact.
-        """
-        index = self.page_ids.index(old_page_id)
-        self.pool.free_page(old_page_id)
-        page = self.pool.adopt_page(data, set_key=self.key)
-        self.page_ids[index] = page.page_id
         self.pool.unpin(page.page_id, dirty=True)
         return page.page_id
 
@@ -123,13 +110,12 @@ class PageSet:
             with self.pinned_page(page_id) as page:
                 yield from page_items(page.block)
 
-    def rollback(self, page_ids, object_count):
-        """Free ``page_ids`` — what a failed attempt (or stage) left on
-        this partition — and put the object count back."""
-        for page_id in page_ids:
-            self.pool.free_page(page_id)
-            self.page_ids.remove(page_id)
-        self.object_count = object_count
+    def rollback(self, page_id, count=0):
+        """Free one page — a copy nothing will record, or one a healed
+        copy replaced — and take back the ``count`` objects it added."""
+        self.pool.free_page(page_id)
+        self.page_ids.remove(page_id)
+        self.object_count -= count
 
     def clear(self):
         """Drop all pages of this partition."""
@@ -264,9 +250,9 @@ class RowPageWriter(FlushOnExit):
 def private_page_writer(page_size, registry):
     """A :class:`RowPageWriter` for a task that holds no pool: an empty
     block is a private :class:`AllocationBlock`, a sealed one is its
-    ``(bytes, CRC, allocations made on it)`` — what travels home for the
-    partition's owner to verify and adopt.  A task that dies leaves
-    nothing behind."""
+    ``(bytes, CRC, allocations made on it, objects recorded on it)`` —
+    what travels home for the partition's owner to verify, adopt and
+    place.  A task that dies leaves nothing behind."""
 
     def open_page():
         return AllocationBlock(page_size, registry=registry), None
@@ -275,7 +261,7 @@ def private_page_writer(page_size, registry):
         if not count:
             return None
         data = block.to_bytes()
-        return data, page_checksum(data), block.alloc_count
+        return data, page_checksum(data), block.alloc_count, count
 
     return RowPageWriter(open_page, seal_page)
 

@@ -60,7 +60,7 @@ class Page:
     """One buffer-pool page wrapping an allocation block."""
 
     __slots__ = ("page_id", "block", "nbytes", "pin_count", "dirty",
-                 "set_key", "checksum", "shm")
+                 "set_key", "shm")
 
     def __init__(self, page_id, block, set_key=None):
         self.page_id = page_id
@@ -72,8 +72,6 @@ class Page:
         self.dirty = False
         #: the (database, set) this page belongs to, when any.
         self.set_key = set_key
-        #: CRC32 stamped when the page was sealed (None while writable).
-        self.checksum = None
         #: the SharedMemory segment backing ``block.buf`` when the owning
         #: pool runs in ``shm`` residency (None for bytearray residency).
         self.shm = None

@@ -8,7 +8,9 @@ front-ends; this module adds the redundancy layer on top:
   reload, network receipt, and replicated read;
 * ``create_set(..., replication=k)`` places each page on ``k`` workers
   chosen by a deterministic :class:`PlacementRing`, written synchronously
-  at load/materialization time;
+  at load/materialization time — through one function: a copy lands by
+  ``_copy`` and a page is recorded by ``place_pages``, after every copy
+  of it has arrived;
 * the catalog's per-set replica map (``SetMetadata.pages``) is the
   authoritative record of where each page's copies live, so reads can
   fail over to any live replica, corrupted copies are quarantined and
@@ -81,7 +83,13 @@ class PlacementRing:
 
 
 class ReplicationManager:
-    """Places, verifies, heals, and re-replicates stored pages."""
+    """Places, verifies, heals, and re-replicates stored pages.
+
+    One order everywhere a copy is made: the transfer arrives, what
+    arrived is adopted, the catalog is told — so a transfer that fails
+    has changed no replica list, partition list or membership, and the
+    copies made before it are freed.
+    """
 
     def __init__(self, catalog, storage_manager, network, tracer=None,
                  metrics=None):
@@ -121,103 +129,86 @@ class ReplicationManager:
 
     # -- placement (writes) ----------------------------------------------------
 
+    def _page_bytes(self, worker_id, page_id):
+        """The bytes of one stored copy, pinned only while they are read."""
+        pool = self.storage_manager.server(worker_id).pool
+        page = pool.pin(page_id)
+        try:
+            return page.to_bytes()
+        finally:
+            pool.unpin(page_id)
+
+    def _copy(self, src_id, dst_id, database, name, data, checksum, count=0):
+        """The one way a page copy lands on a worker: the bytes are
+        shipped under their CRC and what *arrived* is adopted into
+        ``dst_id``'s partition — as a redundant copy, unless ``count``
+        says it is the one readers count.  Returns ``[dst_id, page id]``,
+        which no record names yet: the caller records it, or frees it
+        (:meth:`_free`) if a later step fails.
+        """
+        delivered = self.network.ship_page(
+            src_id, dst_id, data, checksum=checksum
+        )
+        page_set = self.storage_manager.server(dst_id).get_set(database, name)
+        return [dst_id, page_set.adopt_page_bytes(delivered, count=count)]
+
+    def _free(self, database, name, copy, count=0):
+        """Drop a ``[worker_id, page id]`` copy that no record names (and
+        the ``count`` objects it added to its partition)."""
+        worker_id, page_id = copy
+        self.storage_manager.server(worker_id).get_set(
+            database, name
+        ).rollback(page_id, count)
+
+    def place_pages(self, database, name, pages, source=None):
+        """The one way pages become *recorded*: deliver, adopt, record.
+
+        Each page is ``(primary, data, checksum, count, page_id)``.  A
+        ``page_id`` says a task of ``primary`` already adopted the page
+        there (a job's output, as its sinks sealed it), so only its ring
+        replicas are missing and they are copied from the primary;
+        ``None`` says no copy exists yet (the loader) and every one
+        travels from ``source``.  Every copy of every page lands first
+        (:meth:`_copy`); one journaled ``record_pages`` group names them
+        last.  If anything raises on the way, the copies adopted here
+        are freed and nothing is recorded — a primary that was there
+        before is its owner's to drop.  Returns the :class:`PageRecord`
+        list.
+        """
+        meta = self.catalog.set_metadata(database, name)
+        ring = PlacementRing(self.storage_manager.worker_ids)
+        placed = []
+        landed = []  # (copy, the objects it added) of every copy made here
+        try:
+            for primary, data, checksum, count, page_id in pages:
+                targets = ring.replicas_for(primary, meta.replication)
+                src_id = source if page_id is None else primary
+                replicas = [] if page_id is None else [[primary, page_id]]
+                for dst_id in targets[len(replicas):]:
+                    # Readers count the primary's copy, no other.
+                    counted = count if dst_id == primary else 0
+                    replicas.append(self._copy(
+                        src_id, dst_id, database, name, data, checksum,
+                        counted,
+                    ))
+                    landed.append((replicas[-1], counted))
+                    if dst_id != primary:
+                        self._c_replica_writes.inc()
+                placed.append((replicas, checksum, count, primary))
+            return self.catalog.record_pages(database, name, placed)
+        except BaseException:
+            for copy, counted in landed:
+                self._free(database, name, copy, counted)
+            raise
+
     def store_page(self, database, name, data, count, source="client"):
-        """Place one loaded page on its primary plus ring replicas.
-
-        Used by the bulk loader: the page's bytes are shipped verbatim to
-        ``replication`` workers chosen by the placement ring, adopted into
-        each worker's partition, and recorded in the catalog's replica map
-        (checksummed, journaled).  Returns the :class:`PageRecord`.
-        """
-        meta = self.catalog.set_metadata(database, name)
-        checksum = page_checksum(data)
+        """Place one loaded page on its primary plus ring replicas
+        (:meth:`place_pages`, every copy shipped from ``source``).
+        Returns the :class:`PageRecord`."""
         primary = self.storage_manager.next_target(database, name)
-        ring = PlacementRing(self.storage_manager.worker_ids)
-        targets = ring.replicas_for(primary, meta.replication)
-        replicas = []
-        for index, worker_id in enumerate(targets):
-            delivered = self.network.ship_page(
-                source, worker_id, data, checksum=checksum
-            )
-            server = self.storage_manager.server(worker_id)
-            page_id = server.get_set(database, name).adopt_page_bytes(
-                delivered, count_objects=(index == 0)
-            )
-            replicas.append([worker_id, page_id])
-            if index > 0:
-                self._c_replica_writes.inc()
-        return self.catalog.record_pages(
-            database, name, [(replicas, checksum, count, primary)]
-        )[0]
-
-    def unrecorded_pages(self, database, name, marks):
-        """``[(worker_id, page ids)]``: what sinks wrote in place on each
-        live worker and nothing has recorded yet — the pages past
-        ``marks[worker_id]`` (the partition's length before the stage)
-        that no catalog record names.  Position alone is not enough: a
-        worker absorbed mid-stage has evacuated and re-replicated copies
-        of recorded pages appended to the survivors' partitions.  The
-        list is built whole, before any of it is registered — replica
-        copies land in peer partitions and are not fresh output either.
-        """
-        meta = self.catalog.set_metadata(database, name)
-        recorded = {
-            (worker_id, page_id)
-            for record in meta.pages.values()
-            for worker_id, page_id in record.replicas
-        }
-        unrecorded = []
-        for worker_id, mark in marks.items():
-            if not self.storage_manager.has_server(worker_id):
-                continue
-            page_set = self.storage_manager.server(worker_id).get_set(
-                database, name
-            )
-            unrecorded.append((worker_id, [
-                page_id for page_id in page_set.page_ids[mark:]
-                if (worker_id, page_id) not in recorded
-            ]))
-        return unrecorded
-
-    def register_local_pages(self, database, name, unrecorded):
-        """Record (and replicate) the pages a stage's sinks put on the
-        workers' own partitions — ``unrecorded`` as
-        :meth:`unrecorded_pages` lists them.
-
-        Stamps their checksums, ships the extra copies the set's
-        replication factor asks for and records them all in the replica
-        map as one journal group — synchronously, before the stage is
-        declared complete.
-        """
-        meta = self.catalog.set_metadata(database, name)
-        ring = PlacementRing(self.storage_manager.worker_ids)
-        pages = []
-        for worker_id, page_ids in unrecorded:
-            server = self.storage_manager.server(worker_id)
-            page_set = server.get_set(database, name)
-            targets = ring.replicas_for(worker_id, meta.replication)
-            for page_id in page_ids:
-                page = server.pool.pin(page_id)
-                try:
-                    data = page.to_bytes()
-                finally:
-                    server.pool.unpin(page_id)
-                checksum = page_checksum(data)
-                page.checksum = checksum
-                count = page_set.page_object_count(page_id)
-                replicas = [[worker_id, page_id]]
-                for peer_id in targets[1:]:
-                    delivered = self.network.ship_page(
-                        worker_id, peer_id, data, checksum=checksum
-                    )
-                    peer = self.storage_manager.server(peer_id)
-                    peer_pid = peer.get_set(database, name).adopt_page_bytes(
-                        delivered, count_objects=False
-                    )
-                    replicas.append([peer_id, peer_pid])
-                    self._c_replica_writes.inc()
-                pages.append((replicas, checksum, count, worker_id))
-        return self.catalog.record_pages(database, name, pages)
+        return self.place_pages(database, name, [
+            (primary, data, page_checksum(data), count, None)
+        ], source)[0]
 
     # -- reads (failover + healing) --------------------------------------------
 
@@ -291,16 +282,11 @@ class ReplicationManager:
 
     def _verified_bytes(self, database, name, record, worker_id, page_id):
         """A replica's bytes iff they pass the CRC check, else None."""
-        server = self.storage_manager.server(worker_id)
         try:
-            page = server.pool.pin(page_id)
+            data = self._page_bytes(worker_id, page_id)
         except PageCorruptionError:
             self._note_checksum_failure(record, worker_id)
             return None
-        try:
-            data = page.to_bytes()
-        finally:
-            server.pool.unpin(page_id)
         if record.checksum is not None and \
                 page_checksum(data) != record.checksum:
             self._note_checksum_failure(record, worker_id)
@@ -319,13 +305,13 @@ class ReplicationManager:
         """(page_set, local page id) of a verified copy on ``reader``.
 
         The reader's local copy is verified first; on corruption, a
-        healthy replica is fetched over the network, the local copy is
-        replaced in place (same scan slot, object counts untouched), and
-        the catalog replica map updated.  Only when *every* replica is
-        corrupt does the read fail.
+        healthy replica is copied over the network (:meth:`_copy`), the
+        catalog replica map names the fresh copy in the quarantined
+        one's place, and only then is the quarantined one freed (object
+        counts untouched).  Only when *every* replica is corrupt does
+        the read fail.
         """
-        server = self.storage_manager.server(reader)
-        page_set = server.get_set(database, name)
+        page_set = self.storage_manager.server(reader).get_set(database, name)
         local = dict((w, p) for w, p in record.replicas)[reader]
         data = self._verified_bytes(database, name, record, reader, local)
         if data is not None:
@@ -338,19 +324,15 @@ class ReplicationManager:
             )
             if data is None:
                 continue
-            delivered = self.network.ship_page(
-                peer_id, reader, data, checksum=record.checksum
+            healed = self._copy(
+                peer_id, reader, database, name, data, record.checksum
             )
-            healed_pid = page_set.replace_page_bytes(local, delivered)
-            replicas = [
-                [w, healed_pid if w == reader else p]
-                for w, p in record.replicas
-            ]
-            self.catalog.update_page_replicas(
-                database, name, record.uid, replicas
-            )
+            self.catalog.update_page_replicas(database, name, record.uid, [
+                healed if w == reader else [w, p] for w, p in record.replicas
+            ])
+            self._free(database, name, [reader, local])
             self._c_pages_healed.inc()
-            return page_set, healed_pid
+            return page_set, healed[1]
         raise ReplicationError(
             "page %s of %s.%s is corrupt on every replica"
             % (record.uid, database, name)
@@ -377,61 +359,65 @@ class ReplicationManager:
 
     # -- membership changes ------------------------------------------------------
 
-    def forget_worker(self, database, name, worker_id, evacuate_from=None):
-        """Drop ``worker_id`` from a set's replica map and partition list.
+    def evacuate(self, worker_id):
+        """Copy every page whose *only* live copy sits on ``worker_id`` —
+        still attached, its storage readable: a decommission, not a
+        crash — to a survivor, over every set.  Returns ``{(database,
+        name, uid): [target, page id]}`` for :meth:`forget_worker` to
+        record once the worker is detached; nothing else has changed by
+        then, so a transfer that fails frees the copies made so far and
+        leaves membership and catalog as they were.
+        """
+        ring = PlacementRing(self.storage_manager.worker_ids)
+        moved = {}
+        try:
+            for meta in self.catalog.list_sets():
+                for uid, record in meta.pages.items():
+                    live = dict(self._live_replicas(record))
+                    if set(live) != {worker_id}:
+                        continue
+                    target = ring.rereplication_target(uid, {worker_id})
+                    if target is None:
+                        raise ReplicationError(
+                            "no surviving worker can take page %s of %s"
+                            % (uid, meta.qualified_name)
+                        )
+                    moved[meta.database, meta.name, uid] = self._copy(
+                        worker_id, target, meta.database, meta.name,
+                        self._page_bytes(worker_id, live[worker_id]),
+                        record.checksum,
+                    )
+        except BaseException:
+            for (database, name, _uid), copy in moved.items():
+                self._free(database, name, copy)
+            raise
+        return moved
 
-        With ``evacuate_from`` (the departing worker's still-readable
-        storage server — a decommission, not a crash), pages whose *only*
-        copy lived there are shipped to a survivor first.  Without it (a
-        node kill), a page with no other live replica is data loss and
-        raises :class:`ReplicationError`.  Returns pages evacuated.
+    def forget_worker(self, database, name, worker_id, moved=()):
+        """Drop ``worker_id`` — detached by now — from a set's replica
+        map and partition list.  A page it held the only live copy of is
+        served from the copy :meth:`evacuate` ``moved`` off it; without
+        one (a node kill) that is data loss and raises
+        :class:`ReplicationError`.
         """
         meta = self.catalog.set_metadata(database, name)
-        ring = PlacementRing(self.storage_manager.worker_ids)
-        moved = 0
         for uid, record in list(meta.pages.items()):
             if worker_id not in record.workers():
                 continue
-            survivors = [
-                [w, p] for w, p in record.replicas
-                if w != worker_id and self.storage_manager.has_server(w)
-            ]
+            survivors = self._live_replicas(record)
             if not survivors:
-                if evacuate_from is None:
+                if (database, name, uid) not in moved:
                     raise ReplicationError(
                         "page %s of %s.%s lost its last replica with "
                         "worker %r" % (uid, database, name, worker_id)
                     )
-                local = dict(
-                    (w, p) for w, p in record.replicas
-                )[worker_id]
-                page = evacuate_from.pool.pin(local)
-                try:
-                    data = page.to_bytes()
-                finally:
-                    evacuate_from.pool.unpin(local)
-                target = ring.rereplication_target(uid, {worker_id})
-                if target is None:
-                    raise ReplicationError(
-                        "no surviving worker can take page %s of %s.%s"
-                        % (uid, database, name)
-                    )
-                delivered = self.network.ship_page(
-                    worker_id, target, data, checksum=record.checksum
-                )
-                peer = self.storage_manager.server(target)
-                peer_pid = peer.get_set(database, name).adopt_page_bytes(
-                    delivered, count_objects=False
-                )
-                survivors = [[target, peer_pid]]
-                moved += 1
+                survivors = [moved[database, name, uid]]
             self.catalog.update_page_replicas(database, name, uid, survivors)
         if worker_id in meta.partitions:
             self.catalog.set_partitions(
                 database, name,
                 [w for w in meta.partitions if w != worker_id],
             )
-        return moved
 
     def restore_replication(self, database=None):
         """Bring every page back to its set's replication factor.
@@ -475,16 +461,12 @@ class ReplicationManager:
                         data = self._verified_bytes(
                             meta.database, meta.name, record, src_id, healed
                         )
-                    delivered = self.network.ship_page(
-                        src_id, target, data, checksum=record.checksum
-                    )
-                    peer = self.storage_manager.server(target)
-                    peer_pid = peer.get_set(
-                        meta.database, meta.name
-                    ).adopt_page_bytes(delivered, count_objects=False)
                     record = self.catalog.update_page_replicas(
                         meta.database, meta.name, uid,
-                        record.replicas + [[target, peer_pid]],
+                        record.replicas + [self._copy(
+                            src_id, target, meta.database, meta.name, data,
+                            record.checksum,
+                        )],
                     )
                     holders.add(target)
                     created += 1

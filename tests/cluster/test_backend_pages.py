@@ -49,6 +49,7 @@ from test_fault_tolerance import (
     load_points as load_xy_points,
     run_aggregation,
 )
+from test_one_placement_path import assert_every_page_is_named_once
 from test_one_write_path import (
     Identity,
     assert_each_point_once,
@@ -159,11 +160,7 @@ def _record_job_blobs(monkeypatch):
 
 
 def _assert_nothing_left_behind(cluster, database, set_name):
-    marks = {worker.worker_id: 0 for worker in cluster.workers}
-    assert all(
-        pages == [] for _worker_id, pages
-        in cluster.replication.unrecorded_pages(database, set_name, marks)
-    )
+    assert_every_page_is_named_once(cluster, database, set_name)
     assert cluster.metrics().value("pc_worker_reforks_total") == 1
     assert cluster.metrics().value("pc_faults_tasks_recovered_total") == 1
     cluster.close()
@@ -215,8 +212,8 @@ def test_page_corrupted_on_the_way_home_is_retried_never_adopted(
         state = outcome[0] if outcome is not None else None
         if (not flipped and isinstance(state, dict)
                 and len(state["pages"]) > 1):
-            data, checksum, allocations = state["pages"][1]
-            state["pages"][1] = (corrupt_bytes(data), checksum, allocations)
+            data, *sealed_with = state["pages"][1]
+            state["pages"][1] = (corrupt_bytes(data), *sealed_with)
             flipped.append(page_checksum(corrupt_bytes(data)))
         return outcome
 

@@ -81,7 +81,7 @@ def test_ship_and_adopt_roundtrip_is_byte_identical(tmp_path_factory, records):
         checksum = page_checksum(data)
         delivered = network.ship_page("a", "b", data, checksum=checksum)
         assert delivered == data  # byte-identical arrival
-        pid = dst.adopt_page_bytes(delivered, count_objects=False)
+        pid = dst.adopt_page_bytes(delivered)
         checksums.append((pid, checksum))
     for pid, checksum in checksums:
         with dst.pinned_page(pid) as page:
