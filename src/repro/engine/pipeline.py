@@ -19,6 +19,8 @@ native lambda allocates directly on the output page — the paper's
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.errors import BlockFullError, ExecutionError, WorkerCrashError
@@ -68,12 +70,19 @@ class EngineMetrics:
     def __init__(self):
         for name in self.FIELDS:
             setattr(self, name, 0)
-        #: (operator, reason) -> batches of a marked stage that took the
-        #: object path (``pc_engine_kernel_fallback_total``)
+        #: (operator, reason) -> batches of a marked stage, or Map builds
+        #: (``map_build``), that took the object path
+        #: (``pc_engine_kernel_fallback_total``)
         self.kernel_fallbacks = {}
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.FIELDS}
+
+    def fallback(self, operator, reason):
+        """One batch of ``operator`` — or one Map build, ``"map_build"``
+        — took the object path, for ``reason``."""
+        key = (operator, reason)
+        self.kernel_fallbacks[key] = self.kernel_fallbacks.get(key, 0) + 1
 
 
 #: Operator names in task evidence (``pc_op_*{operator=...}``, ``op`` spans).
@@ -299,9 +308,7 @@ class PipelineEngine(JobState):
             else:
                 return None
         except GatherIneligible as ineligible:
-            fallbacks = self.metrics.kernel_fallbacks
-            key = (operator, ineligible.reason)
-            fallbacks[key] = fallbacks.get(key, 0) + 1
+            self.metrics.fallback(operator, ineligible.reason)
             return None
         self._note_columnar(operator, len(batch))
         return result
@@ -664,8 +671,10 @@ class AggregateSink(Sink):
             self.state = row_messages(groups.items(), hashes, n)
             return
         map_type = MapType(comp.key_type, comp.value_type)
+        declined = partial(self.engine.metrics.fallback, "map_build")
         self.state = [
-            pack_map_pages(map_type, rows, page_size, self.engine.registry)
+            pack_map_pages(map_type, rows, page_size, self.engine.registry,
+                           declined)
             for rows in partition_rows(groups.items(), hashes, n)
         ]
 
@@ -869,5 +878,6 @@ class MapPageOutputSink(_PageSink):
         fill_map_pages(
             MapType(comp.key_type, comp.value_type), self.pairs,
             self.writer.append_built,
+            partial(self.engine.metrics.fallback, "map_build"),
         )
         super().seal()

@@ -180,6 +180,15 @@ class AllocationBlock:
         return layout.read_active_objects(self.buf)
 
     @property
+    def bump_only(self):
+        """True while the next allocations are bumps of the pointer: no
+        free chunk can be handed out (``RECYCLING`` may hand out a
+        recycled slot at any time)."""
+        return self.policy == NO_REUSE or (
+            self.policy == LIGHTWEIGHT_REUSE and not self._free_mask
+        )
+
+    @property
     def policy_name(self):
         """Human-readable allocator policy name."""
         return _POLICY_NAMES[self.policy]
@@ -248,6 +257,21 @@ class AllocationBlock:
         if self._m_allocs is not None:
             self._m_allocs.inc()
         return offset
+
+    def bump(self, total, objects):
+        """Take ``total`` bytes at the bump pointer for ``objects``
+        reference-counted objects the caller lays out and writes itself
+        (a planned build, :mod:`repro.memory.scatter`): what
+        :meth:`allocate` does to ``used``, ``active_objects`` and the
+        allocation counts, once for all of them."""
+        buf = self.buf
+        used, active = ALLOC_STATE.unpack_from(buf, ALLOC_STATE_OFFSET)
+        if used + total > self.size:
+            raise BlockFullError(total, self.size - used)
+        if self.managed:
+            active += objects
+        ALLOC_STATE.pack_into(buf, ALLOC_STATE_OFFSET, used + total, active)
+        self.book_allocations(objects)
 
     def _take_from_freelist(self, total):
         """Pop a free chunk large enough for ``total`` bytes, or None.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -667,12 +668,17 @@ class MapType(ObjectTypeDescriptor):
         return self.builder(block)(value)
 
     def inserter(self, block):
-        """``insert(offset, pairs) -> (stored, full)`` for maps on ``block``.
+        """``insert(offset, pairs, declined=None) -> (stored, full)`` for
+        maps on ``block``.
 
         Inserts or overwrites every ``(key, value)`` pair, in order, into
         the map at ``offset`` in one pass: the bucket table is sized once
         for all of ``pairs`` (growing by doubling only if the block has
-        no room for that), and key/value writers are resolved once.
+        no room for that), and key/value writers are resolved once.  An
+        empty map is first built as far as it can be by the planner
+        (:func:`repro.memory.scatter.scatter_map`: the same bytes, laid
+        out at once and written as arrays; ``declined(reason)`` hears why
+        it took none), and the per-pair pass continues from there.
 
         A full block stops the pass: ``full`` is then the
         :class:`BlockFullError`, ``stored`` says how many leading pairs
@@ -680,6 +686,8 @@ class MapType(ObjectTypeDescriptor):
         either wholly inserted (slots first, occupied flag last) or
         absent.  ``full`` is None when every pair went in.
         """
+        from repro.memory.scatter import scatter_map
+
         buckets = self.buckets_type
         buf = block.buf
         entry_size = buckets.entry_size
@@ -704,18 +712,26 @@ class MapType(ObjectTypeDescriptor):
             return self.rehash(block, payload, table, capacity,
                                doubled, buckets_code), doubled
 
-        def insert(offset, pairs):
+        def insert(offset, pairs, declined=None):
             if not hasattr(pairs, "__len__"):
                 pairs = list(pairs)
             payload = offset + OBJECT_HEADER_SIZE
             count, table, capacity = _container_state(
                 buf, payload, entry_size
             )
-            limit = int(capacity * load)
             stored = 0
+            if table is None and len(pairs):
+                stored = scatter_map(block, self, payload, pairs, declined)
+                if stored == len(pairs):
+                    return stored, None
+                if stored:
+                    count, table, capacity = _container_state(
+                        buf, payload, entry_size
+                    )
+            limit = int(capacity * load)
             entry = None
             try:
-                for key, value in pairs:
+                for key, value in islice(pairs, stored, None):
                     if count >= limit:
                         table, capacity = grow(
                             payload, table, capacity,
@@ -741,7 +757,9 @@ class MapType(ObjectTypeDescriptor):
                     # The entry being written got its key but not its
                     # value: hand the key back so the slots stay null.
                     buckets.release_entry(block, entry)
-                return stored, full
+                # Handed back without its traceback: the frames it holds
+                # hold the block, and the caller's frame holds it.
+                return stored, full.with_traceback(None)
             return stored, None
 
         return insert
@@ -835,16 +853,18 @@ class MapFacade:
         if full is not None:
             raise full
 
-    def fill(self, pairs):
+    def fill(self, pairs, declined=None):
         """Insert leading ``pairs`` until they are all in or the block is full.
 
         Returns how many were stored — the map then holds exactly that
         prefix, so a sink can seal the page and carry on with the rest on
         the next one.  Raises :class:`BlockFullError` only when not even
-        the first pair fits.
+        the first pair fits.  ``declined(reason)`` is told why an empty
+        map was built pair by pair instead of planned
+        (:data:`repro.memory.scatter.FALLBACK_REASONS`).
         """
         stored, full = self.descriptor.inserter(self.pc_block)(
-            self.pc_offset, pairs
+            self.pc_offset, pairs, declined
         )
         if full is not None and not stored:
             raise full

@@ -47,7 +47,8 @@ from repro.memory.objects import ClassDescriptor, PCObject
 from repro.memory.types import numpy_dtype_for, registry_of
 
 #: Why a batch of a marked stage took the object path instead — the
-#: closed set of ``pc_engine_kernel_fallback_total{reason}``.  The first
+#: closed set of ``pc_engine_kernel_fallback_total{reason}`` for TCAP
+#: operators (a Map build's are ``repro.memory.scatter``'s).  The first
 #: two are the engine's (the batch carries no array column; a kernel
 #: returned something other than a column of the batch's length), the
 #: rest a gather's.

@@ -1,0 +1,605 @@
+"""Scatter writes: a Map built from host values, planned once and
+written as arrays — the write half of :mod:`repro.memory.gather`.
+
+Built object by object, every key, vector and array of an aggregation's
+``Map`` is an ``allocate`` → ``retain`` → ``pack_into`` round in the
+interpreter.  :func:`scatter_map` writes the same bytes in two phases:
+**plan** — lay out every object the inserter's per-pair loop would
+allocate, in its order (the table, sized as that loop sizes it; per
+entry the key, then the value tree), which on a bump-only block is one
+run of the bump pointer, bucket positions from the same linear probe
+over the same ``stable_hash``; **scatter** — write the run into a fresh
+image with one ``numpy`` assignment per word size and one byte scatter
+(primitives encoded by ``PrimitiveType.write_run``: the same casters and
+range checks), copy it onto the page in one slice, and move ``used`` /
+``active_objects`` and the allocation counts once.
+
+The per-object page is the oracle.  What the plan does not cover it
+declines before writing anything (:data:`FALLBACK_REASONS`); a host
+value the per-pair loop rejects is left to it, so it raises where it
+always did; a run that does not fit is planned up to its longest prefix
+of whole pairs and the per-pair loop continues.  A plan holds offsets
+and bytes, never the block (DESIGN §16, "Plan, then scatter").
+"""
+
+from __future__ import annotations
+
+import struct
+from itertools import chain
+
+import numpy as np
+
+from repro.errors import ObjectModelError
+from repro.memory import layout
+from repro.memory.block import _chunk_size
+from repro.memory.builtins import (
+    _BACKING,
+    MapType,
+    StringType,
+    VectorType,
+    _keys_equal,
+    _string_hash,
+    stable_hash,
+)
+from repro.memory.handle import Handle
+from repro.memory.layout import OBJECT_HEADER_SIZE
+from repro.memory.types import PrimitiveType, numpy_dtype_for
+
+#: Why a Map build took the per-pair path — the closed set of
+#: ``pc_engine_kernel_fallback_total{operator="map_build", reason}``.
+FALLBACK_REASONS = (
+    "not_bump_only",   # a free chunk or a recycled slot could be handed out
+    "repeated_key",    # a key repeats under ``_keys_equal``: an overwrite
+    "reference",       # a handle or facade: a link or deep copy, no build
+    "uncovered_type",  # a declared type, or a host value's, not planned
+)
+
+#: What the per-pair path raises for a host value it rejects; a plan
+#: that meets one leaves the build to that path.
+_REJECTED = (struct.error, TypeError, ValueError, OverflowError,
+             ObjectModelError)
+
+_HEADER = OBJECT_HEADER_SIZE
+_COUNT = struct.Struct("<Q")
+#: a handle slot's delta as two 4-byte words, low first
+_HALVES = np.array([0, 4])
+#: pairs measured before the budget is first checked; windows double
+_FIRST_WINDOW = 256
+#: host values a ``Vector<primitive>`` slot takes as they are
+_SEQUENCES = {list, tuple, type(None)}
+
+
+class _Decline(Exception):
+    def __init__(self, reason):
+        super().__init__(reason)
+        self.reason = reason
+
+
+def scatter_map(block, map_type, payload, pairs, declined=None):
+    """Write the leading ``pairs`` into the empty ``map_type`` Map whose
+    payload starts at ``payload``; returns how many went in.
+
+    0 means nothing was written and the per-pair path builds it all —
+    because no pair fits, a host value is one that path rejects, or the
+    plan declined, in which case ``declined(reason)`` is told why.
+    """
+    try:
+        if not block.bump_only:
+            raise _Decline("not_bump_only")
+        shape = _MapShape(map_type, block)
+        plan = _Plan(block.used, 1 if block.managed else 0)
+        stored, table = plan.map_body(
+            shape, pairs, len(pairs), block.size - block.used
+        )
+    except _Decline as decline:
+        if declined is not None:
+            declined(decline.reason)
+        return 0
+    except _REJECTED:
+        return 0
+    if stored:
+        plan.scatter(block)
+        _COUNT.pack_into(block.buf, payload, stored)
+        layout.write_handle_slot(
+            block.buf, payload + _BACKING, table, shape.buckets_code
+        )
+    return stored
+
+
+# -- shapes: what a plan needs of a descriptor, resolved once per build ----------
+
+
+def _reject(value):
+    """Decline a value no shape plans (None is the caller's to allow)."""
+    if isinstance(value, Handle) or \
+            getattr(value, "pc_block", None) is not None:
+        raise _Decline("reference")
+    raise _Decline("uncovered_type")
+
+
+def _chunks(payloads):
+    """:func:`~repro.memory.block._chunk_size` of every payload size of
+    at least one byte (no such chunk is under the 24-byte minimum)."""
+    return (payloads + _HEADER + 7) // 8 * 8
+
+
+def _lengths(data):
+    """``len`` of every item, -1 for None."""
+    try:
+        return np.fromiter(map(len, data), np.int64, len(data))
+    except TypeError:  # a None among them
+        return np.fromiter(
+            (-1 if item is None else len(item) for item in data),
+            np.int64, len(data),
+        )
+
+
+class _Primitive:
+    """A primitive slot: the value is encoded in place, no object.
+    ``fill`` returns the slots' bytes."""
+
+    def __init__(self, descriptor):
+        self.descriptor = descriptor
+        self.width = descriptor.slot_size
+
+    def measure(self, values):
+        return values, np.zeros(len(values), np.int64)
+
+    def fill(self, plan, data, offsets):
+        buf = bytearray(len(data) * self.width)
+        self.descriptor.write_run(buf, 0, data)
+        return bytes(buf)
+
+
+class _Strings:
+    """A String slot: one object per value — a key's, or a value's
+    (None: a null slot).  ``fill`` returns ``(targets, code)``, a
+    target 0 where the slot stays null."""
+
+    def __init__(self, descriptor, block):
+        self.code = descriptor.type_code(block)
+
+    def measure(self, values):
+        if set(map(type, values)) <= {str}:
+            data = [value.encode("utf-8") for value in values]
+        else:
+            data = [
+                value.encode("utf-8") if isinstance(value, str)
+                else None if value is None else _reject(value)
+                for value in values
+            ]
+        lengths = _lengths(data)
+        return data, _chunks(4 + lengths) * (lengths >= 0)
+
+    def fill(self, plan, data, offsets):
+        lengths = _lengths(data)
+        present = lengths >= 0
+        if not present.all():
+            offsets = offsets * present
+            data = [item for item in data if item is not None]
+        strings, lengths = offsets[present], lengths[present]
+        plan.objects(strings, self.code, 4 + lengths)
+        plan.words32(strings + _HEADER, lengths)
+        plan.run(strings + _HEADER + 4, lengths, b"".join(data))
+        return offsets, self.code
+
+
+class _Vectors:
+    """A ``Vector<primitive>`` slot: the vector, then — when it is not
+    empty — its exactly sized array, as ``VectorType.extender`` builds
+    it (None: a null slot)."""
+
+    def __init__(self, descriptor, block):
+        self.elem = descriptor.elem
+        self.dtype = numpy_dtype_for(self.elem)
+        self.code = descriptor.type_code(block)
+        self.array_code = descriptor.array_type.type_code(block)
+        self.payload = descriptor.fixed_payload
+        self.box = _chunk_size(self.payload)
+
+    def _prepare(self, value):
+        if value is None or isinstance(value, (list, tuple)):
+            return value
+        if isinstance(value, np.ndarray):
+            if self.dtype is None:
+                return list(value)
+            return np.ascontiguousarray(value, dtype=self.dtype).reshape(-1)
+        return _reject(value)
+
+    def measure(self, values):
+        if set(map(type, values)) <= _SEQUENCES:
+            data = list(values)
+        else:
+            data = list(map(self._prepare, values))
+        counts = _lengths(data)
+        arrays = _chunks(counts * self.elem.slot_size) * (counts > 0)
+        return data, (self.box + arrays) * (counts >= 0)
+
+    def fill(self, plan, data, offsets):
+        counts = _lengths(data)
+        present = counts >= 0
+        if not present.all():
+            offsets = offsets * present
+        vectors, counts = offsets[present], counts[present]
+        filled = counts > 0
+        arrays = vectors[filled] + self.box
+        nbytes = counts[filled] * self.elem.slot_size
+        plan.objects(vectors, self.code, self.payload)
+        plan.words64(vectors + _HEADER, counts.view(np.uint64))
+        plan.handles(vectors[filled] + _HEADER + _BACKING, arrays,
+                     self.array_code)
+        plan.objects(arrays, self.array_code, nbytes)
+        plan.run(arrays + _HEADER, nbytes, self._encode(
+            [item for item in data if item is not None and len(item)]
+        ))
+        return offsets, self.code
+
+    def _encode(self, runs):
+        """The element bytes of ``runs``, in order: host sequences
+        through one ``write_run``, numpy input blitted as the extender
+        blits it."""
+        if np.ndarray not in set(map(type, runs)):
+            return self._write(list(chain.from_iterable(runs)))
+        pieces, pending = [], []
+        for run in runs:
+            if isinstance(run, np.ndarray):
+                pieces += [self._write(pending), run.tobytes()]
+                pending = []
+            else:
+                pending.extend(run)
+        pieces.append(self._write(pending))
+        return b"".join(pieces)
+
+    def _write(self, values):
+        buf = bytearray(len(values) * self.elem.slot_size)
+        if values:
+            self.elem.write_run(buf, 0, values)
+        return bytes(buf)
+
+
+class _MapShape:
+    """A ``Map`` the plan covers: primitive or String keys; values
+    primitive, String, ``Vector<primitive>`` or a covered Map."""
+
+    def __init__(self, map_type, block):
+        buckets = map_type.buckets_type
+        self.load = map_type.LOAD_FACTOR
+        self.code = map_type.type_code(block)
+        self.buckets_code = buckets.type_code(block)
+        self.entry_size = buckets.entry_size
+        self.key_at = buckets.key_offset
+        self.val_at = buckets.val_offset
+        self.payload = map_type.fixed_payload
+        self.box = _chunk_size(self.payload)
+        self.key = _slot_shape(map_type.key, block)
+        if not isinstance(self.key, (_Primitive, _Strings)):
+            raise _Decline("uncovered_type")
+        self.val = _slot_shape(map_type.val, block)
+
+    def capacity(self, n):
+        """The table ``MapType.inserter`` sizes for ``n`` pairs into an
+        empty map: ``n / load + 1``, at least 8 — never re-grown before
+        the ``n``-th insert."""
+        exact = int(n / self.load) + 1
+        return exact if exact > 8 else 8
+
+    def stored_key(self, key):
+        """``key`` as it reads back out of its slot (what ``probe``
+        compares a later key with)."""
+        if isinstance(self.key, _Strings):
+            return key
+        scratch = _Scratch(self.key.width)
+        self.key.descriptor.write_slot(scratch, 0, key)
+        return self.key.descriptor.read_slot(scratch, 0)
+
+
+class _Scratch:
+    """A slot's worth of bytes for a primitive codec round trip."""
+
+    __slots__ = ("buf",)
+
+    def __init__(self, width):
+        self.buf = bytearray(width)
+
+
+def _slot_shape(descriptor, block):
+    if isinstance(descriptor, PrimitiveType):
+        return _Primitive(descriptor)
+    if isinstance(descriptor, StringType):
+        return _Strings(descriptor, block)
+    if isinstance(descriptor, VectorType) and \
+            isinstance(descriptor.elem, PrimitiveType):
+        return _Vectors(descriptor, block)
+    if isinstance(descriptor, MapType):
+        return _MapShape(descriptor, block)
+    raise _Decline("uncovered_type")
+
+
+def _hashes(shape, keys):
+    """``stable_hash`` of every key — declining a key that repeats under
+    ``_keys_equal`` (the per-pair path would overwrite its value)."""
+    hashes = list(map(
+        _string_hash if isinstance(shape.key, _Strings) else stable_hash, keys
+    ))
+    if len(set(hashes)) < len(hashes):
+        held = {}
+        for key, key_hash in zip(keys, hashes):
+            stored = held.setdefault(key_hash, [])
+            if any(_keys_equal(earlier, key) for earlier in stored):
+                raise _Decline("repeated_key")
+            stored.append(shape.stored_key(key))
+    return hashes
+
+
+def _probe(hashes, capacity):
+    """Each entry's bucket: ``MapBucketsType.probe``'s linear probe,
+    inserting in order into an empty table."""
+    taken = bytearray(capacity)
+    positions = []
+    for key_hash in hashes:
+        index = key_hash % capacity
+        while taken[index]:
+            index += 1
+            if index == capacity:
+                index = 0
+        taken[index] = 1
+        positions.append(index)
+    return positions
+
+
+# -- the plan ---------------------------------------------------------------------
+
+
+class _Plan:
+    """One build's layout, from ``base`` (the bump pointer) to
+    ``cursor``, at absolute offsets: object headers, handle slots, 8- and
+    4-byte words and byte runs, each kind a list of array chunks that
+    :meth:`scatter` turns into words at once.  Every word's position is
+    a multiple of its size: objects start on 8 bytes, and so do a
+    table's entries."""
+
+    def __init__(self, base, refcount):
+        self.base = self.cursor = base
+        self.refcount = refcount
+        self.heads = []  # (offsets, type code, payload sizes)
+        self.links = []  # (handle slots, the targets' type code, targets)
+        self.w64 = []    # (positions, values)
+        self.w32 = []    # (positions, values below 2**32)
+        self.runs = []   # (positions, lengths, their bytes joined)
+
+    def _mark(self):
+        return (self.cursor,) + tuple(map(len, (
+            self.heads, self.links, self.w64, self.w32, self.runs)))
+
+    def _rollback(self, mark):
+        self.cursor = mark[0]
+        for kind, length in zip((self.heads, self.links, self.w64, self.w32,
+                                 self.runs), mark[1:]):
+            del kind[length:]
+
+    def objects(self, offsets, code, payloads):
+        self.heads.append((offsets, code, payloads))
+
+    def handles(self, slots, targets, code):
+        """Handle slots at ``slots`` (one alignment) pointing at
+        ``targets``: a slot-relative ``int64`` and the type code."""
+        if len(slots) and int(slots[0]) % 4:  # behind a 1- or 2-byte key
+            records = np.zeros(len(slots), [("delta", "<i8"), ("code", "<u4")])
+            records["delta"], records["code"] = targets - slots, code
+            self.run(slots, np.full(len(slots), 12), records.tobytes())
+        else:
+            self.links.append((slots, code, targets))
+
+    def words64(self, positions, values):
+        self.w64.append((positions, values))
+
+    def words32(self, positions, values):
+        self.w32.append((positions, values))
+
+    def run(self, positions, lengths, data):
+        self.runs.append((positions, lengths, data))
+
+    def slots(self, positions, data, width):
+        """Primitive slots ``width`` bytes wide at ``positions`` (one
+        alignment): their encoded bytes, as words where it allows."""
+        if not len(positions):
+            return
+        aligned = int(positions[0])
+        if width == 8 and aligned % 8 == 0:
+            self.words64(positions, np.frombuffer(data, "<u8"))
+        elif width % 4 == 0 and aligned % 4 == 0:
+            self.words32(
+                (positions[:, None] + np.arange(0, width, 4)).reshape(-1),
+                np.frombuffer(data, "<u4"),
+            )
+        else:
+            self.run(positions, np.full(len(positions), width), data)
+
+    # -- walking ------------------------------------------------------------
+
+    def map_body(self, shape, pairs, n, budget=None):
+        """Lay out the table for ``n`` pairs and the leading ``pairs``
+        that fit in ``budget`` bytes (all of them: None); returns
+        ``(pairs laid out, table offset)`` — ``(0, None)``, and nothing
+        laid out, when there are none."""
+        size = shape.capacity(n) * shape.entry_size
+        chunk = _chunk_size(size)
+        if budget is not None and chunk > budget:
+            return 0, None
+        table = self.cursor
+        self.cursor += chunk
+        if not isinstance(pairs, list):
+            pairs = list(pairs)
+        rest = None if budget is None else budget - chunk
+        walk = self._nested_pairs if isinstance(shape.val, _MapShape) \
+            else self._leaf_pairs
+        keys, key_fill, val_fill = walk(shape, pairs, rest)
+        if not keys:
+            self.cursor = table
+            return 0, None
+        self.objects(np.array([table], np.int64), shape.buckets_code, size)
+        hashes = _hashes(shape, keys)
+        first, step = table + _HEADER, shape.entry_size
+        entries = np.array([first + index * step for index in
+                            _probe(hashes, size // step)], np.int64)
+        self.words64(entries, np.ones(len(keys), np.uint64))
+        self.words64(entries + 8, np.array(hashes, np.uint64))
+        for at, side, fill in ((shape.key_at, shape.key, key_fill),
+                               (shape.val_at, shape.val, val_fill)):
+            if isinstance(side, _Primitive):
+                self.slots(entries + at, fill, side.width)
+                continue
+            targets, code = fill
+            linked = targets != 0
+            if not linked.all():
+                targets, entries = targets[linked], entries[linked]
+            self.handles(entries + at, targets, code)
+        return len(keys), table
+
+    def _leaf_pairs(self, shape, pairs, budget):
+        """Pairs whose values hold no map: measured — in doubling
+        windows, until the budget is spent — then laid out at once."""
+        if isinstance(shape.key, _Primitive) and \
+                isinstance(shape.val, _Primitive):
+            keys = [key for key, _value in pairs]  # in place: all fit
+            return keys, shape.key.fill(self, keys, None), shape.val.fill(
+                self, [value for _key, value in pairs], None)
+        keys, key_data, val_data, key_sizes, sizes = [], [], [], [], []
+        start, step, spent = 0, len(pairs), 0
+        if budget is not None:
+            step = _FIRST_WINDOW
+        while start < len(pairs) and (budget is None or spent <= budget):
+            window = pairs[start:start + step]
+            window_keys = [key for key, _value in window]
+            data, key_size = shape.key.measure(window_keys)
+            values, val_size = shape.val.measure(
+                [value for _key, value in window])
+            keys += window_keys
+            key_data += data
+            val_data += values
+            key_sizes.append(key_size)
+            sizes.append(key_size + val_size)
+            spent += int(sizes[-1].sum())
+            start += step
+            step *= 2
+        if not keys:
+            return [], None, None
+        sizes = np.concatenate(sizes)
+        ends = np.cumsum(sizes)
+        stored = len(sizes) if budget is None else int((ends <= budget).sum())
+        if not stored:
+            return [], None, None
+        starts = self.cursor + ends[:stored] - sizes[:stored]
+        self.cursor += int(ends[stored - 1])
+        key_fill = shape.key.fill(self, key_data[:stored], starts)
+        val_fill = shape.val.fill(
+            self, val_data[:stored],
+            starts + np.concatenate(key_sizes)[:stored],
+        )
+        return keys[:stored], key_fill, val_fill
+
+    def _nested_pairs(self, shape, pairs, budget):
+        """Pairs whose values are maps, one at a time: a pair that does
+        not fit is rolled back and ends the run."""
+        start = self.cursor
+        inner = shape.val
+        keys, key_data, key_offsets, maps, counts, tables = \
+            [], [], [], [], [], []
+        for key, value in pairs:
+            mark = self._mark()
+            data, key_size = shape.key.measure([key])
+            key_offset = self.cursor
+            self.cursor += int(key_size[0])
+            offset = count = table = 0
+            if isinstance(value, dict):
+                offset = self.cursor
+                self.cursor += inner.box
+                count, table = self.map_body(inner, value.items(), len(value))
+            elif value is not None:
+                _reject(value)
+            if budget is not None and self.cursor - start > budget:
+                self._rollback(mark)
+                break
+            keys.append(key)
+            key_data += data
+            key_offsets.append(key_offset)
+            maps.append(offset)
+            counts.append(count)
+            tables.append(table or 0)
+        if not keys:
+            return [], None, None
+        key_fill = shape.key.fill(self, key_data,
+                                  np.array(key_offsets, np.int64))
+        maps, counts, tables = (np.array(column, np.int64)
+                                for column in (maps, counts, tables))
+        built, linked = maps != 0, tables != 0
+        self.objects(maps[built], inner.code, inner.payload)
+        self.words64(maps[built] + _HEADER, counts[built].view(np.uint64))
+        self.handles(maps[linked] + _HEADER + _BACKING, tables[linked],
+                     inner.buckets_code)
+        return keys, key_fill, (maps, inner.code)
+
+    # -- scattering ---------------------------------------------------------
+
+    def scatter(self, block):
+        """Write the planned run onto ``block`` and account for it."""
+        base, total = self.base, self.cursor - self.base
+        offsets, codes, payloads = _columns(self.heads)
+        heads = np.empty((len(offsets), 2), np.uint32)  # refcount, code
+        heads[:, 0], heads[:, 1] = self.refcount, codes
+        self.w64 += [(offsets, heads.view(np.uint64).reshape(-1)),
+                     (offsets + 8, payloads.view(np.uint64))]
+        if self.links:
+            slots, link_codes, targets = _columns(self.links)
+            self.w32 += [
+                ((slots[:, None] + _HALVES).reshape(-1),
+                 (targets - slots).view(np.uint32)),
+                (slots + 8, link_codes),
+            ]
+        image = np.zeros(total, np.uint8)  # chunks are 8-byte multiples
+        for size, words in ((8, self.w64), (4, self.w32)):
+            if words:
+                image.view("<u%d" % size)[
+                    (np.concatenate([p for p, _v in words]) - base) // size
+                ] = np.concatenate([v for _p, v in words])
+        data = b"".join(d for _p, _n, d in self.runs)
+        if data:
+            image[_run_bytes(self.runs) - base] = np.frombuffer(data, np.uint8)
+        block.bump(total, len(offsets))
+        # The bytes past the bump pointer are zero on every block (fresh,
+        # reconstituted or a new shm segment), as the image's gaps are.
+        block.buf[base:base + total] = memoryview(image)
+        shadow = block._san
+        if shadow is not None:
+            for offset, code in zip(offsets.tolist(), codes.tolist()):
+                shadow.on_alloc(offset, code, 0)
+                if block.managed:
+                    shadow.on_refcount(offset, 0, 1)
+
+
+def _columns(chunks):
+    """``(positions, code, values)`` chunks as three arrays: a chunk's
+    one type code, and a scalar third column, spread over its rows."""
+    return (
+        np.concatenate([chunk[0] for chunk in chunks]),
+        np.concatenate([np.full(len(chunk[0]), chunk[1], np.int64)
+                        for chunk in chunks]),
+        np.concatenate([
+            np.full(len(chunk[0]), chunk[2], np.int64)
+            if isinstance(chunk[2], int) else chunk[2] for chunk in chunks
+        ]),
+    )
+
+
+def _run_bytes(runs):
+    """The position of every byte of ``(positions, lengths, _)`` runs, in
+    order: a running sum of steps of one that jumps at each run's start."""
+    positions = np.concatenate([p for p, _n, _d in runs])
+    lengths = np.concatenate([n for _p, n, _d in runs])
+    filled = lengths > 0
+    positions, lengths = positions[filled], lengths[filled]
+    ends = np.cumsum(lengths)
+    steps = np.ones(int(ends[-1]), np.int64)
+    steps[ends[:-1]] = positions[1:] - (positions[:-1] + lengths[:-1] - 1)
+    steps[0] = positions[0]
+    return np.cumsum(steps)

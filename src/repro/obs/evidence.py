@@ -151,7 +151,7 @@ def book_task_evidence(evidence, engine_registry, op_registry, span=None):
                     holder.inc("op.%s.%s" % (name, field), record[field])
     fallbacks = engine_registry.counter(
         "pc_engine_kernel_fallback_total", labelnames=("operator", "reason"),
-        help="Batches of a kernel-marked stage that took the object path",
+        help="Batches of a kernel-marked stage, or Map builds, that took the object path",
     )
     for (name, reason), count in (evidence.get("fallbacks") or {}).items():
         fallbacks.inc(count, operator=name, reason=reason)

@@ -284,12 +284,14 @@ def _place_existing(root, _block, value):
     root.append(value)
 
 
-def fill_map_pages(map_type, pairs, place):
+def fill_map_pages(map_type, pairs, place, declined=None):
     """Spread ``pairs`` over as many ``map_type`` Maps as it takes.
 
     ``place(build)`` runs ``build(block) -> handle`` on the next page:
     each Map takes the leading pairs its page holds (``build`` raises
     :class:`BlockFullError` if not even one), the rest go on.
+    ``declined(reason)`` hears why a Map was built pair by pair instead
+    of planned (:meth:`~repro.memory.builtins.MapFacade.fill`).
     """
     pending = list(pairs)
     taken = 0
@@ -297,7 +299,7 @@ def fill_map_pages(map_type, pairs, place):
     def build(block):
         nonlocal taken
         handle = make_object_on(block, map_type, None)
-        taken = handle.deref().fill(pending)
+        taken = handle.deref().fill(pending, declined)
         return handle
 
     while pending:
@@ -305,7 +307,7 @@ def fill_map_pages(map_type, pairs, place):
         del pending[:taken]
 
 
-def pack_map_pages(map_type, pairs, page_size, registry):
+def pack_map_pages(map_type, pairs, page_size, registry, declined=None):
     """``pairs`` as combiner pages (Figure 5): the bytes of as many
     ``page_size`` blocks as it takes, each one's root a ``map_type`` Map
     the receiver reads straight out of the arrived bytes."""
@@ -317,5 +319,5 @@ def pack_map_pages(map_type, pairs, page_size, registry):
         block.set_root(handle.offset, handle.type_code)
         pages.append(block.to_bytes())
 
-    fill_map_pages(map_type, pairs, place)
+    fill_map_pages(map_type, pairs, place, declined)
     return pages

@@ -5,14 +5,27 @@ value and writes it in one pass; ``put`` / ``append`` grow it as they go.
 Both must describe the same value, however it is then moved: decoded in
 place, shipped as bytes, or deep-copied to another block — and dropping
 the last handle must give every byte's worth of objects back.
+
+A Map built from host values on a bump-only block is planned and
+scattered (``repro.memory.scatter``); the oracle is the per-object build
+of the same input on a ``RECYCLING`` block, which the planner declines
+and whose allocations are otherwise the same bumps: the pages, the
+allocation counts and the sanitizer's shadow must be the same.
 """
 
-from hypothesis import given, settings
+import gc
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
+from repro.analysis.sanitizer import current_sanitizer, sanitize_scope
 from repro.errors import BlockFullError
 from repro.memory import (
+    LIGHTWEIGHT_REUSE,
+    OBJECT_HEADER_SIZE,
+    RECYCLING,
     AllocationBlock,
     Bool,
     Float64,
@@ -25,6 +38,9 @@ from repro.memory import (
     deep_copy_object,
     make_object_on,
 )
+from repro.memory.layout import ALLOC_STATE, ALLOC_STATE_OFFSET
+from repro.memory.scatter import FALLBACK_REASONS, scatter_map
+from repro.storage.dataset import pack_map_pages
 
 _BLOCK_SIZE = 1 << 18
 
@@ -180,3 +196,189 @@ def test_a_nested_build_that_overflows_leaves_the_outer_map_intact():
     assert len(view) == 1
     assert decode(view) == {"small": {"b": [1]}}
     assert "huge" not in view
+
+
+# -- planned builds write the per-object page ------------------------------------------
+
+#: the block header's policy field: the one byte range the oracle's
+#: ``RECYCLING`` block differs in by construction
+_POLICY = ALLOC_STATE_OFFSET + ALLOC_STATE.size
+
+
+def _page(block):
+    data = block.to_bytes()
+    return (data[:_POLICY] + data[_POLICY + 4:], block.alloc_count,
+            block.active_objects, block.freed_bytes)
+
+
+def _planned_and_oracle(build, size):
+    """``build(block)`` on a block the planner takes and on the
+    per-object oracle: each one's page, counts and outcome."""
+    runs = []
+    for policy in (LIGHTWEIGHT_REUSE, RECYCLING):
+        block = AllocationBlock(size, policy=policy)
+        try:
+            outcome = build(block)
+        except Exception as error:  # the same error, at the same point
+            outcome = (type(error), str(error))
+        runs.append((_page(block), outcome))
+    return runs
+
+
+def _make(descriptor, value):
+    return lambda block: make_object_on(block, descriptor, value).offset
+
+
+def _fill(descriptor, pairs):
+    return lambda block: make_object_on(block, descriptor, None).deref() \
+        .fill(pairs)
+
+
+_INT32_MAX = (1 << 31) - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(typed=_typed_values, size=st.integers(min_value=1 << 8,
+                                             max_value=1 << 13))
+@example(typed=(MapType(String, VectorType(Int32)), {}), size=1 << 12)
+@example(typed=(MapType(String, VectorType(Int32)), {"": []}), size=1 << 12)
+@example(typed=(MapType(String, VectorType(Int32)), {"one": [1]}),
+         size=1 << 12)
+@example(typed=(_NESTED, {"Ünïcødé": {"日本": [1], "ß": []}, "": {}}),
+         size=1 << 12)
+@example(typed=(MapType(String, VectorType(Int32)),
+                {"max": [_INT32_MAX], "min": [-_INT32_MAX, -_INT32_MAX - 1]}),
+         size=1 << 12)
+@example(typed=(MapType(String, VectorType(Int32)),
+                {"ok": [1], "over": [_INT32_MAX + 1]}), size=1 << 12)
+@example(typed=(MapType(Int32, Float64), {1: 1.0, _INT32_MAX + 1: 2.0}),
+         size=1 << 12)
+@example(typed=(MapType(String, VectorType(Int32)), {"f": [1.7, -2.9]}),
+         size=1 << 12)
+@example(typed=(MapType(String, VectorType(Float64)),
+                {"a": np.arange(3.0), "b": np.zeros(0), "c": [0.5]}),
+         size=1 << 12)
+@example(typed=(MapType(String, VectorType(Int32)),
+                {"i": np.arange(4), "f": np.array([1.7, -2.9]), "l": [3]}),
+         size=1 << 12)
+def test_a_planned_build_writes_the_per_object_page(typed, size):
+    descriptor, value = typed
+    planned, oracle = _planned_and_oracle(_make(descriptor, value), size)
+    assert planned == oracle
+    if isinstance(descriptor, MapType):
+        pairs = list(value.items())
+        planned, oracle = _planned_and_oracle(_fill(descriptor, pairs), size)
+        assert planned == oracle
+
+
+_MAPS = [case for case in _CASES if isinstance(case[0], MapType)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(typed=st.sampled_from(_MAPS).flatmap(
+    lambda case: st.tuples(st.just(case[0]), case[1])))
+def test_every_map_the_aggregations_declare_is_planned_whole(typed):
+    descriptor, value = typed
+    block = AllocationBlock(_BLOCK_SIZE)
+    view = make_object_on(block, descriptor, None).deref()
+    declined = []
+    pairs = list(value.items())
+    assert scatter_map(block, descriptor, view.pc_offset + OBJECT_HEADER_SIZE,
+                       pairs, declined.append) == len(pairs)
+    assert declined == []
+    assert decode(view) == value
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("descriptor, pairs, reason", [
+    (MapType(Float64, Float64), [(0.0, 1.0), (-0.0, 2.0)], "repeated_key"),
+    (MapType(Int32, Float64), [(1, 1.0), (1.0, 2.0), (True, 3.0)],
+     "repeated_key"),
+    (MapType(String, String), [("k", "a"), ("k", "b")], "repeated_key"),
+    # one NaN object twice: one hash, keys unequal — two entries, planned
+    (MapType(Float64, Float64), [(_NAN, 1.0), (_NAN, 2.0)], None),
+    (MapType(String, VectorType(String)), [("k", ["v"])], "uncovered_type"),
+], ids=["zeros", "one", "string", "nan", "vector-of-strings"])
+def test_a_declined_build_is_the_per_pair_build(descriptor, pairs, reason):
+    planned, oracle = _planned_and_oracle(_fill(descriptor, pairs), _BLOCK_SIZE)
+    assert planned == oracle
+    block = AllocationBlock(_BLOCK_SIZE)
+    view = make_object_on(block, descriptor, None).deref()
+    declined = []
+    stored = scatter_map(block, descriptor, view.pc_offset + OBJECT_HEADER_SIZE,
+                         pairs, declined.append)
+    assert declined == ([reason] if reason else [])
+    assert set(declined) <= set(FALLBACK_REASONS)
+    assert stored == (0 if reason else len(pairs))
+
+
+def test_a_reused_block_is_declined():
+    block = AllocationBlock(_BLOCK_SIZE)
+    make_object_on(block, String, "freed").release()
+    view = make_object_on(block, _NESTED, None).deref()
+    declined = []
+    assert view.fill(_nested_pairs(3), declined.append) == 3
+    assert declined == ["not_bump_only"]
+
+
+def _straddles(descriptor, pairs, sizes):
+    """The outcome of filling ``pairs`` on a block of every size, checked
+    against the oracle on the way."""
+    outcomes = set()
+    for size in sizes:
+        planned, oracle = _planned_and_oracle(_fill(descriptor, pairs), size)
+        assert planned == oracle, size
+        outcomes.add(planned[1])
+    return outcomes
+
+
+def test_a_run_straddling_the_block_end_stops_where_the_per_pair_path_does():
+    pairs = _nested_pairs(8)
+    stored = _straddles(_NESTED, pairs, range(1 << 8, 10 << 10, 40))
+    assert set(range(1, len(pairs) + 1)) <= stored
+
+
+def test_a_long_run_is_measured_in_windows_and_still_stops_there():
+    pairs = [(i, None if i % 7 == 0 else list(range(i % 5)))
+             for i in range(700)]
+    stored = _straddles(MapType(Int32, VectorType(Int32)), pairs,
+                        range(33 << 10, 70 << 10, 1300))
+    # past the first window of pairs measured, short of the last pair
+    assert any(isinstance(n, int) and 256 < n < 700 for n in stored)
+    assert 700 in stored
+
+
+def test_a_planned_build_leaves_the_per_object_shadow():
+    with sanitize_scope():
+        shadows = []
+        for policy in (LIGHTWEIGHT_REUSE, RECYCLING):
+            block = AllocationBlock(_BLOCK_SIZE, policy=policy)
+            handle = make_object_on(block, _NESTED, dict(_nested_pairs(5)))
+            live = dict(block._san.live)
+            built = (live, dict(block._san.refcounts), _page(block)[0])
+            handle.release()
+            shadows.append(built)
+            # releasing the map poisons every one of its objects
+            assert block._san.live == {}
+            assert set(block._san.poisoned) == set(live)
+        assert shadows[0] == shadows[1]
+
+
+@pytest.mark.skipif(current_sanitizer() is not None,
+                    reason="a watched block and its shadow refer to each "
+                    "other by design")
+def test_combiner_pages_leave_no_block_for_the_cyclic_collector():
+    def blocks():
+        return {id(obj) for obj in gc.get_objects()
+                if isinstance(obj, AllocationBlock)}
+
+    before = blocks()
+    gc.disable()
+    try:
+        for _ in range(50):
+            assert pack_map_pages(_NESTED, _nested_pairs(4), 1 << 12, None)
+        assert blocks() - before == set()
+    finally:
+        gc.enable()
