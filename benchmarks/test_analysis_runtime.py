@@ -1,6 +1,6 @@
 """Full-repo static-analysis wall clock: the CI latency budget.
 
-The pcsan lint (all nine rules, including the CFG/dataflow-backed
+The pcsan lint (all eight rules, including the CFG/dataflow-backed
 PC007–PC009) runs over the entire ``src`` tree on every CI push, so its
 wall time is a latency budget, not just a curiosity: the acceptance bar
 is under ten seconds for the whole repository.  The rendered table
@@ -25,7 +25,7 @@ BUDGET_SECONDS = 10.0
 
 @pytest.mark.benchmark(group="analysis")
 def test_full_repo_lint_within_budget(benchmark):
-    pattern_rules = {"PC001", "PC002", "PC003", "PC004", "PC005", "PC006"}
+    pattern_rules = {"PC001", "PC002", "PC003", "PC005", "PC006"}
     flow_rules = {"PC007", "PC008", "PC009"}
 
     pattern_s, pattern_findings = timed(

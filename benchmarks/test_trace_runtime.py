@@ -166,7 +166,7 @@ def test_trace_runtime_writes_bench_json(benchmark):
     assert parsed["jobs"]["agg-sums"]["counters"]["net.bytes_zero_copy"] > 0
     assert parsed["jobs"]["tag-join"]["counters"]["net.bytes_rows"] > 0
     assert any(
-        key.startswith("net.link.")
+        key.startswith("net.link_bytes.")
         for key in parsed["jobs"]["agg-sums"]["counters"]
     )
 

@@ -12,9 +12,8 @@ invariants:
 * :mod:`repro.analysis.lint` — an AST lint pass (``python -m
   repro.analysis lint src``) with PC-specific rules PC001–PC009 that
   ruff cannot express (handle escapes, raw ``buf`` access, impure
-  native lambdas, counters missing their trace mirror, swallowed
-  exceptions in cluster hot paths — plus the path-sensitive
-  :mod:`repro.analysis.flowrules`, which run a forward dataflow
+  native lambdas, swallowed exceptions in cluster hot paths — plus the
+  path-sensitive :mod:`repro.analysis.flowrules`, which run a forward dataflow
   fixpoint over the :mod:`repro.analysis.cfg` control-flow graph to
   catch pin/shm leaks on *some* path and writes after ``seal()``);
 * :mod:`repro.analysis.sanitizer` — an opt-in runtime sanitizer

@@ -13,10 +13,6 @@ PC002     Raw ``block.buf`` byte access outside ``repro/memory/`` —
 PC003     Impure lambda passed to ``lambda_from_native`` — I/O,
           nondeterminism, or closure mutation breaks the purity the
           TCAP optimizer assumes when it reorders terms.
-PC004     Metrics counter in a mirrored family (``pc_pool_*``,
-          ``pc_net_*``, ``pc_repl_*``, ``pc_faults_*``, ``pc_san_*``)
-          declared without its ``trace=`` mirror — the single-
-          declaration rule the obs layer established.
 PC005     Exception-swallowing ``except`` in ``repro/cluster/*`` hot
           paths (body is only ``pass``/``continue``/``break``/bare
           ``return``) — silent failures in the scheduler/network layer
@@ -404,45 +400,6 @@ def check_impure_native_lambda(tree, path, source):
                     path, arg.lineno, arg.col_offset,
                     end_line=span_of(arg)[1],
                 ))
-    return findings
-
-
-# -- PC004: counter without trace mirror -------------------------------------
-
-_MIRRORED_PREFIXES = (
-    "pc_pool_", "pc_net_", "pc_repl_", "pc_faults_", "pc_san_", "pc_sup_",
-    "pc_trace_",
-)
-
-
-@rule("PC004", "counter-missing-trace")
-def check_counter_missing_trace(tree, path, source):
-    """Mirrored-family counter declared without ``trace=``."""
-    findings = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "counter"):
-            continue
-        if not node.args:
-            continue
-        first = node.args[0]
-        if not (isinstance(first, ast.Constant)
-                and isinstance(first.value, str)):
-            continue
-        name = first.value
-        if not name.startswith(_MIRRORED_PREFIXES):
-            continue
-        if any(kw.arg == "trace" for kw in node.keywords):
-            continue
-        findings.append(Finding(
-            "PC004",
-            "counter %r declared without its trace= mirror; its family "
-            "publishes both views from one declaration" % name,
-            path, node.lineno, node.col_offset,
-            end_line=span_of(node)[1],
-        ))
     return findings
 
 

@@ -271,37 +271,30 @@ class Sanitizer:
         self.c_blocks_watched = metrics.counter(
             "pc_san_blocks_watched_total",
             help="Allocation blocks created under the sanitizer",
-            trace="san.blocks_watched",
         )
         self.c_poisoned_frees = metrics.counter(
             "pc_san_poisoned_frees_total",
             help="Freed objects whose payload was poisoned with 0xDD",
-            trace="san.poisoned_frees",
         )
         self.c_poison_violations = metrics.counter(
             "pc_san_poison_violations_total",
             help="Freed chunks found scribbled on before reallocation",
-            trace="san.poison_violations",
         )
         self.c_dangling_derefs = metrics.counter(
             "pc_san_dangling_derefs_total",
             help="Use-after-free derefs caught via generations/retirement",
-            trace="san.dangling_derefs",
         )
         self.c_refcount_mismatches = metrics.counter(
             "pc_san_refcount_mismatches_total",
             help="Shadow refcount disagreements with on-page headers",
-            trace="san.refcount_mismatches",
         )
         self.c_pin_leaks = metrics.counter(
             "pc_san_pin_leaks_total",
             help="Buffer-pool pins still held when their job ended",
-            trace="san.pin_leaks",
         )
         self.c_leaked_objects = metrics.counter(
             "pc_san_leaked_objects_total",
             help="Live objects sealed into a block with no root handle",
-            trace="san.leaked_objects",
         )
 
     # -- recording ----------------------------------------------------------

@@ -63,6 +63,7 @@ from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.shm_registry import ShmRegistry
 from repro.tcap.compiler import compile_computations
 from repro.tcap.optimizer import mark_columnar, optimize
+from repro.tcap.verify import verify_program
 from repro.cluster.faults import RetryPolicy
 from repro.cluster.transport import make_transport
 from repro.cluster.scheduler import (
@@ -84,32 +85,26 @@ class _FaultCounters:
         self.backend_crashes = metrics.counter(
             "pc_faults_backend_crashes_total",
             help="Back-end process crashes (injected or real)",
-            trace="faults.backend_crashes",
         )
         self.tasks_recovered = metrics.counter(
             "pc_faults_tasks_recovered_total",
             help="Worker tasks that succeeded on a retry",
-            trace="faults.tasks_recovered",
         )
         self.workers_blacklisted = metrics.counter(
             "pc_faults_workers_blacklisted_total",
             help="Workers decommissioned after exhausting retries",
-            trace="faults.workers_blacklisted",
         )
         self.workers_absorbed = metrics.counter(
             "pc_faults_workers_absorbed_total",
             help="Lost workers whose stage portion survivors absorbed",
-            trace="faults.workers_absorbed",
         )
         self.workers_killed = metrics.counter(
             "pc_faults_workers_killed_total",
             help="Workers lost entirely (front-end storage included)",
-            trace="faults.workers_killed",
         )
         self.pages_redistributed = metrics.counter(
             "pc_faults_pages_redistributed_total",
             help="Pages moved off dead workers onto survivors",
-            trace="faults.pages_redistributed",
         )
 
 
@@ -121,7 +116,7 @@ class PCCluster:
                  broadcast_threshold=DEFAULT_BROADCAST_THRESHOLD,
                  spill_root=None, fault_injector=None, retry_policy=None,
                  profiling=False, sanitize=False, transport=None,
-                 tracing=True, verify_plans=True):
+                 tracing=True):
         # The master's durable territory: the catalog journals every DDL
         # and replica-map mutation (write-ahead) under the spill root, so
         # recover() can rebuild its state after a simulated master crash.
@@ -161,11 +156,6 @@ class PCCluster:
         self.fault_metrics = _FaultCounters(self.metrics_registry)
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy or RetryPolicy()
-        # Static plan verification (repro.tcap.verify): the scheduler
-        # type-checks every compiled plan against the catalog before it
-        # dispatches anything.  On by default; False is the escape hatch
-        # for deliberately-broken plans in fault experiments.
-        self.verify_plans = verify_plans
         # The master-side flight recorder (DESIGN §14): a constant-memory
         # ring of structured runtime events, dumped into the job trace
         # when something dies.  Children get their own shared rings.
@@ -484,6 +474,11 @@ class PCCluster:
                     optimize(program)
                 if columnar:
                     mark_columnar(program, self._layout_of)
+            # A mistyped plan dies here, before any stage is planned or
+            # dispatched, with a PlanTypeError naming its TCAP statement.
+            with self.tracer.span("verify", kind="phase"):
+                verify_program(program, catalog=self.catalog,
+                               layout_of=self._layout_of)
             with self.tracer.span("plan", kind="phase"):
                 overrides = self._choose_build_sides(program)
                 overrides.update(build_side_overrides or {})

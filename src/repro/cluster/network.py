@@ -19,8 +19,8 @@ which is why it remains the CI/fault-matrix backend.
 Besides the global counters, every transfer is reported into the active
 trace span (when a :class:`~repro.obs.Tracer` is attached and a job is
 running), so ``cluster.last_trace`` can attribute shuffle traffic to the
-stage that caused it (counters ``net.bytes_total``, ``net.bytes_zero_copy``,
-``net.bytes_rows``, ``net.messages``, and ``net.link.<src>-><dst>``).
+stage that caused it (counters ``net.bytes``, ``net.bytes_zero_copy``,
+``net.bytes_rows``, ``net.messages``, and ``net.link_bytes.<src>.<dst>``).
 
 A :class:`~repro.cluster.faults.FaultInjector` can drop, corrupt, or
 delay any transfer.  Dropped transfers are re-sent up to
@@ -29,7 +29,7 @@ delay any transfer.  Dropped transfers are re-sent up to
 exhausted a :class:`~repro.errors.TransferDroppedError` surfaces to the
 caller.  Corrupted page *and row* transfers are detected by checksum on
 receipt and re-sent within the same budget.  Delays are *simulated*: the
-delay seconds are accounted (``net.delay_s_total``), not slept.
+delay seconds are accounted (``net.delay_seconds``), not slept.
 """
 
 from __future__ import annotations

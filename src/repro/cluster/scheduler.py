@@ -97,7 +97,6 @@ from repro.obs.tracer import Span
 from repro.storage.page import register_root_type
 from repro.storage.replication import page_checksum
 from repro.tcap.ir import ApplyStmt, JoinStmt, OutputStmt
-from repro.tcap.verify import verify_program
 
 #: Scaled stand-in for the paper's 2 GB broadcast-join threshold.
 DEFAULT_BROADCAST_THRESHOLD = 8 << 20
@@ -133,18 +132,6 @@ class DistributedScheduler:
         self.plan = plan
         self.broadcast_threshold = broadcast_threshold
         self.tracer = cluster.tracer
-        # Submit-time plan verification (repro.tcap.verify): type-check
-        # the compiled program against the catalog *before* any stage is
-        # planned or dispatched, so a mistyped plan dies here — no worker
-        # spawn, no partial sink output — with a PlanTypeError naming the
-        # offending TCAP statement.
-        if getattr(cluster, "verify_plans", False):
-            with self.tracer.span("verify", kind="phase"):
-                verify_program(
-                    program,
-                    catalog=cluster.catalog,
-                    layout_of=cluster._layout_of,
-                )
         self.faults = cluster.fault_injector
         self.fault_metrics = cluster.fault_metrics
         self.profiler = cluster.profiler
@@ -160,20 +147,17 @@ class DistributedScheduler:
             "pc_trace_remote_spans_total",
             help="Spans recorded in back-end processes and grafted into "
                  "job traces",
-            trace="trace.remote_spans",
         )
         self._c_graft_failures = cluster.metrics_registry.counter(
             "pc_trace_span_graft_failures_total",
             help="Remote span batches too malformed to graft (torn by a "
                  "dying child); the task's evidence still books",
-            trace="trace.span_graft_failures",
         )
         self._c_frontend = cluster.metrics_registry.counter(
             "pc_sched_frontend_tasks_total",
             help="Task bodies the coordinator ran itself instead of "
                  "shipping them to a back-end process, by reason",
             labelnames=("reason",),
-            trace="sched.frontend.{reason}",
         )
 
     def _kept_on(self, worker):

@@ -122,35 +122,29 @@ class Supervisor:
             self._c_beats = metrics.counter(
                 "pc_sup_beats_total",
                 help="Heartbeats observed from back-end processes",
-                trace="sup.beats",
             )
             self._c_suspects = metrics.counter(
                 "pc_sup_suspects_total",
                 help="ALIVE->SUSPECT transitions (heartbeat lag)",
-                trace="sup.suspects",
             )
             self._c_deaths = metrics.counter(
                 "pc_sup_deaths_total",
                 help="Workers declared DEAD after heartbeat silence",
-                trace="sup.deaths",
             )
             self._c_deadline_kills = metrics.counter(
                 "pc_sup_deadline_kills_total",
                 help="Wedged tasks killed at their wall-clock deadline",
-                trace="sup.deadline_kills",
             )
             self._h_recovery = metrics.histogram(
                 "pc_sup_recovery_seconds",
                 help="Detect -> re-fork recovery latency per real "
                      "back-end death",
-                trace="sup.recovery_s",
             )
             self._g_rows = metrics.gauge(
                 "pc_sup_rows_consumed",
                 help="Rows consumed by each worker's current task, as "
                      "published in its heartbeat slot",
                 labelnames=("worker",),
-                trace="sup.rows_consumed",
             )
         else:
             self._c_beats = self._c_suspects = None

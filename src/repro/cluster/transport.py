@@ -120,58 +120,46 @@ class Transport:
         self.retry_policy = retry_policy
         #: optional flight recorder (page ships et al. leave events).
         self.recorder = recorder
-        # All accounting lives in the metrics registry; each counter
-        # declares its trace mirror beside it (one increment, two readers).
+        # All accounting lives in the metrics registry; a pc_net_* counter
+        # mirrors into the active span by name (one increment, two readers).
         self.metrics = metrics if metrics is not None else \
             MetricsRegistry(tracer=self.tracer)
         self._c_messages = self.metrics.counter(
-            "pc_net_messages_total", help="Simulated network transfers",
-            trace="net.messages",
-        )
+            "pc_net_messages_total", help="Simulated network transfers")
         self._c_bytes_total = self.metrics.counter(
-            "pc_net_bytes_total", help="Bytes moved over the network",
-            trace="net.bytes_total",
-        )
+            "pc_net_bytes_total", help="Bytes moved over the network")
         self._c_bytes_zero_copy = self.metrics.counter(
             "pc_net_bytes_zero_copy_total",
             help="Bytes moved as whole PC pages (no serde)",
-            trace="net.bytes_zero_copy",
         )
         self._c_bytes_rows = self.metrics.counter(
             "pc_net_bytes_rows_total",
             help="Bytes moved as structured rows (join shuffles)",
-            trace="net.bytes_rows",
         )
         self._c_link_bytes = self.metrics.counter(
             "pc_net_link_bytes_total",
             help="Bytes moved per (src, dst) link",
             labelnames=("src", "dst"),
-            trace="net.link.{src}->{dst}",
         )
         self._c_transfers_dropped = self.metrics.counter(
             "pc_net_transfers_dropped_total",
             help="Transfers dropped by fault injection",
-            trace="net.transfers_dropped",
         )
         self._c_transfers_corrupted = self.metrics.counter(
             "pc_net_transfers_corrupted_total",
             help="Transfers delivered with bit-flipped payloads",
-            trace="net.transfers_corrupted",
         )
         self._c_transfer_retries = self.metrics.counter(
             "pc_net_transfer_retries_total",
             help="Re-sends after drops or detected corruption",
-            trace="net.transfer_retries",
         )
         self._c_delay_events = self.metrics.counter(
             "pc_net_delay_events_total",
             help="Transfers hit by an injected delay",
-            trace="net.delay_events",
         )
         self._c_delay_seconds = self.metrics.counter(
             "pc_net_delay_seconds_total",
             help="Simulated delay in (float) seconds",
-            trace="net.delay_s_total",
         )
 
     # -- back-end lifecycle ------------------------------------------------------

@@ -114,7 +114,6 @@ class WorkerNode:
         self._c_reforks = self.metrics.counter(
             "pc_worker_reforks_total",
             help="Back-end processes re-forked after a crash",
-            trace="faults.reforks",
         )
         # The transport decides where sealed page bytes must live so its
         # back-ends can reach them ("shm" for real child processes).

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 
+from repro.obs.metrics import span_counter_name
 from repro.obs.tracer import Span
 
 
@@ -102,7 +103,7 @@ def book_task_evidence(evidence, engine_registry, op_registry, span=None):
         if delta:
             counter.inc(delta)
             if span is not None:
-                span.inc("engine.%s" % field, delta)
+                span.inc(span_counter_name(counter.name), delta)
     ops = evidence.get("ops") or {}
     holders = {}  # operator -> its op span
     if ops:

@@ -16,13 +16,14 @@ Design points:
   registries into one cluster-wide :class:`MetricsSnapshot` without name
   collisions.
 
-* **Trace mirrors.**  A counter may declare the dotted trace-counter
-  name it historically reported through :meth:`Tracer.add`
-  (``trace="repl.replica_writes"``).  Incrementing the counter then
-  *also* reports into the active trace span: one declaration, one
-  increment, two readers — ``cluster.metrics()`` for the lifetime value,
-  the span for attribution.  Labeled mirrors may use a format template
-  (``trace="net.link.{src}->{dst}"``).
+* **Trace mirrors, by one rule.**  A counter ``pc_<family>_<rest>`` of
+  a family in :data:`MIRRORED_FAMILIES` *also* reports each increment
+  into the active trace span, as ``<family>.<rest>`` less a trailing
+  ``_total``, with its label values appended as ``.<value>`` in
+  declaration order (``pc_net_link_bytes_total{src,dst}`` ->
+  ``net.link_bytes.<src>.<dst>``): one declaration, one increment, two
+  readers — ``cluster.metrics()`` for the lifetime value, the span for
+  attribution.  Gauges and histograms never mirror.
 
 * **Histograms** use fixed log-scaled buckets (upper bounds, ``le``
   semantics: an observation equal to a bound lands in that bound's
@@ -53,17 +54,29 @@ DEFAULT_LATENCY_BUCKETS = exponential_buckets(1e-6, 2.0, 26)
 #: The quantiles exported as Prometheus ``quantile=`` series.
 EXPORT_QUANTILES = (0.5, 0.95, 0.99)
 
+#: The families whose counters mirror into the active trace span.
+MIRRORED_FAMILIES = (
+    "pool", "net", "repl", "faults", "san", "sup", "trace", "worker",
+)
+_MIRRORED_PREFIXES = tuple("pc_%s_" % family for family in MIRRORED_FAMILIES)
+
+
+def span_counter_name(name):
+    """The span counter that reads metric ``pc_<family>_<rest>``:
+    ``<family>.<rest>``, less a trailing ``_total``."""
+    _pc, family, rest = name.split("_", 2)
+    return "%s.%s" % (family, rest.removesuffix("_total"))
+
 
 class _Metric:
     """Shared bookkeeping for all metric kinds."""
 
     kind = "untyped"
 
-    def __init__(self, name, help="", labelnames=(), trace=None):
+    def __init__(self, name, help="", labelnames=()):
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
-        self.trace_name = trace
         self._registry = None  # set on registration (for trace mirrors)
 
     def _key(self, labels):
@@ -79,36 +92,21 @@ class _Metric:
             )
         return tuple(str(labels[n]) for n in self.labelnames)
 
-    def _mirror(self, amount, labels):
-        """Report into the active trace span, if a mirror is declared."""
-        if self.trace_name is None or self._registry is None:
-            return
-        tracer = self._registry.tracer
-        if tracer is None:
-            return
-        name = self.trace_name
-        if labels and "{" in name:
-            name = name.format(**labels)
-        tracer.add(name, amount)
-
 
 class _CounterChild:
     """One pre-resolved labeled series: the allocation-free hot path.
 
     Obtained via :meth:`Counter.child`; skips per-call label validation
-    and trace-name formatting (both are done once, at resolution time).
+    and trace-name building (both are done once, at resolution time).
     """
 
     __slots__ = ("_metric", "_values", "_series_key", "_trace_name")
 
-    def __init__(self, metric, series_key, labels):
+    def __init__(self, metric, series_key):
         self._metric = metric
         self._values = metric._values
         self._series_key = series_key
-        name = metric.trace_name
-        if name is not None and labels and "{" in name:
-            name = name.format(**labels)
-        self._trace_name = name
+        self._trace_name = metric._trace_name_for(series_key)
 
     def inc(self, amount=1):
         if amount < 0:
@@ -128,20 +126,33 @@ class Counter(_Metric):
 
     kind = "counter"
 
-    def __init__(self, name, help="", labelnames=(), trace=None):
-        super().__init__(name, help, labelnames, trace)
+    def __init__(self, name, help="", labelnames=()):
+        super().__init__(name, help, labelnames)
         self._values = {}  # label-values tuple -> number
+        #: the span counter the unlabeled series mirrors into, or None
+        self.trace_name = (
+            span_counter_name(name) if name.startswith(_MIRRORED_PREFIXES)
+            else None
+        )
+
+    def _trace_name_for(self, key):
+        """The span counter of the series with label values ``key``."""
+        if self.trace_name is None or not key:
+            return self.trace_name
+        return ".".join((self.trace_name,) + key)
 
     def inc(self, amount=1, **labels):
         if amount < 0:
             raise ValueError("counter %s cannot decrease" % self.name)
         key = self._key(labels)
         self._values[key] = self._values.get(key, 0) + amount
-        self._mirror(amount, labels)
+        if self.trace_name is not None and self._registry is not None \
+                and self._registry.tracer is not None:
+            self._registry.tracer.add(self._trace_name_for(key), amount)
 
     def child(self, **labels):
         """A pre-resolved handle on one labeled series (hot paths)."""
-        return _CounterChild(self, self._key(labels), labels)
+        return _CounterChild(self, self._key(labels))
 
     @property
     def value(self):
@@ -163,33 +174,12 @@ class Gauge(_Metric):
 
     kind = "gauge"
 
-    def __init__(self, name, help="", labelnames=(), trace=None):
-        super().__init__(name, help, labelnames, trace)
+    def __init__(self, name, help="", labelnames=()):
+        super().__init__(name, help, labelnames)
         self._values = {}
 
     def set(self, value, **labels):
         self._values[self._key(labels)] = value
-        self._mirror_set(value, labels)
-
-    def _mirror_set(self, value, labels):
-        """Last-write-wins mirror into the active span.
-
-        Counters *add* into their trace mirror; a gauge is a level, so
-        each set overwrites the span counter instead — the span keeps
-        the value the gauge had when the span closed.
-        """
-        if self.trace_name is None or self._registry is None:
-            return
-        tracer = self._registry.tracer
-        if tracer is None:
-            return
-        span = tracer.active
-        if span is None:
-            return
-        name = self.trace_name
-        if labels and "{" in name:
-            name = name.format(**labels)
-        span.counters[name] = value
 
     def inc(self, amount=1, **labels):
         key = self._key(labels)
@@ -270,23 +260,14 @@ def quantile_from_buckets(q, bounds, counts, count, max_observed=None):
 class _HistogramChild:
     """One pre-resolved labeled histogram series (see ``Histogram.child``)."""
 
-    __slots__ = ("_metric", "_series", "_bounds", "_trace_name")
+    __slots__ = ("_series", "_bounds")
 
-    def __init__(self, metric, series, labels):
-        self._metric = metric
+    def __init__(self, metric, series):
         self._series = series
         self._bounds = metric.bounds
-        name = metric.trace_name
-        if name is not None and labels and "{" in name:
-            name = name.format(**labels)
-        self._trace_name = name
 
     def observe(self, value):
         self._series.observe(value, self._bounds)
-        if self._trace_name is not None:
-            registry = self._metric._registry
-            if registry is not None and registry.tracer is not None:
-                registry.tracer.add(self._trace_name, value)
 
 
 class Histogram(_Metric):
@@ -294,9 +275,8 @@ class Histogram(_Metric):
 
     kind = "histogram"
 
-    def __init__(self, name, help="", labelnames=(), trace=None,
-                 buckets=None):
-        super().__init__(name, help, labelnames, trace)
+    def __init__(self, name, help="", labelnames=(), buckets=None):
+        super().__init__(name, help, labelnames)
         self.bounds = list(buckets) if buckets else list(
             DEFAULT_LATENCY_BUCKETS
         )
@@ -313,11 +293,10 @@ class Histogram(_Metric):
 
     def observe(self, value, **labels):
         self._child(labels).observe(value, self.bounds)
-        self._mirror(value, labels)
 
     def child(self, **labels):
         """A pre-resolved handle on one labeled series (hot paths)."""
-        return _HistogramChild(self, self._child(labels), labels)
+        return _HistogramChild(self, self._child(labels))
 
     def quantile(self, q, **labels):
         """The q-quantile of one labeled series (all merged when unlabeled
@@ -360,14 +339,14 @@ class MetricsRegistry:
     def __init__(self, labels=None, tracer=None):
         #: constant labels stamped on every series at snapshot time
         self.constant_labels = dict(labels or {})
-        #: optional tracer for counters declaring a trace mirror
+        #: optional tracer the mirrored families' counters report into
         self.tracer = tracer
         self._metrics = {}  # name -> metric
         self._collect_hooks = []
 
     # -- registration (get-or-create) ------------------------------------------
 
-    def _register(self, cls, name, help, labelnames, trace, **kwargs):
+    def _register(self, cls, name, help, labelnames, **kwargs):
         metric = self._metrics.get(name)
         if metric is not None:
             if not isinstance(metric, cls):
@@ -376,21 +355,19 @@ class MetricsRegistry:
                     % (name, metric.kind, cls.kind)
                 )
             return metric
-        metric = cls(name, help=help, labelnames=labelnames, trace=trace,
-                     **kwargs)
+        metric = cls(name, help=help, labelnames=labelnames, **kwargs)
         metric._registry = self
         self._metrics[name] = metric
         return metric
 
-    def counter(self, name, help="", labelnames=(), trace=None):
-        return self._register(Counter, name, help, labelnames, trace)
+    def counter(self, name, help="", labelnames=()):
+        return self._register(Counter, name, help, labelnames)
 
-    def gauge(self, name, help="", labelnames=(), trace=None):
-        return self._register(Gauge, name, help, labelnames, trace)
+    def gauge(self, name, help="", labelnames=()):
+        return self._register(Gauge, name, help, labelnames)
 
-    def histogram(self, name, help="", labelnames=(), trace=None,
-                  buckets=None):
-        return self._register(Histogram, name, help, labelnames, trace,
+    def histogram(self, name, help="", labelnames=(), buckets=None):
+        return self._register(Histogram, name, help, labelnames,
                               buckets=buckets)
 
     # -- introspection -----------------------------------------------------------

@@ -151,44 +151,37 @@ class BufferPool:
             self._spill_dir = spill_dir
         self._spilled = {}  # page_id -> file path
         self._spill_checksums = {}  # page_id -> CRC32 of the spill file
-        # Statistics live in the metrics registry; each counter declares
-        # its trace mirror beside it (one increment, two readers).
+        # Statistics live in the metrics registry; each pc_pool_* counter
+        # mirrors into the active span by name (one increment, two readers).
         self.metrics = metrics if metrics is not None else \
             MetricsRegistry(tracer=self.tracer)
         self._c_pages_created = self.metrics.counter(
             "pc_pool_pages_created_total",
             help="Pages allocated or adopted into the buffer pool",
-            trace="pool.pages_created",
         )
         self._c_pins = self.metrics.counter(
             "pc_pool_pages_pinned_total",
             help="Pin operations (page touches)",
-            trace="pool.pages_pinned",
         )
         self._c_evictions = self.metrics.counter(
             "pc_pool_evictions_total",
             help="Evictions under memory pressure",
-            trace="pool.evictions",
         )
         self._c_spills = self.metrics.counter(
             "pc_pool_spills_total",
             help="Dirty/unspilled pages written to the spill directory",
-            trace="pool.spills",
         )
         self._c_reloads = self.metrics.counter(
             "pc_pool_reloads_total",
             help="Spilled pages read back on demand",
-            trace="pool.reloads",
         )
         self._c_reload_failures = self.metrics.counter(
             "pc_pool_reload_failures_total",
             help="Injected/real I/O faults reloading spilled pages",
-            trace="pool.reload_failures",
         )
         self._c_checksum_failures = self.metrics.counter(
             "pc_pool_checksum_failures_total",
             help="Spilled pages failing their CRC32 on reload",
-            trace="pool.checksum_failures",
         )
         self._g_in_memory = self.metrics.gauge(
             "pc_pool_in_memory_bytes",

@@ -97,34 +97,29 @@ class ReplicationManager:
         self.storage_manager = storage_manager
         self.network = network
         self.tracer = tracer or Tracer()
-        # Counters live in the metrics registry, each with its trace
-        # mirror declared beside it.
+        # Counters live in the metrics registry; each pc_repl_* counter
+        # mirrors into the active span by name.
         self.metrics = metrics if metrics is not None else \
             MetricsRegistry(tracer=self.tracer)
         self._c_replica_writes = self.metrics.counter(
             "pc_repl_replica_writes_total",
             help="Page copies placed on replica workers",
-            trace="repl.replica_writes",
         )
         self._c_failover_reads = self.metrics.counter(
             "pc_repl_failover_reads_total",
             help="Reads served from a replica after a primary failure",
-            trace="repl.failover_reads",
         )
         self._c_checksum_failures = self.metrics.counter(
             "pc_repl_checksum_failures_total",
             help="Replica copies failing their recorded checksum",
-            trace="repl.checksum_failures",
         )
         self._c_re_replications = self.metrics.counter(
             "pc_repl_re_replications_total",
             help="Copies re-created to restore the replication factor",
-            trace="repl.re_replications",
         )
         self._c_pages_healed = self.metrics.counter(
             "pc_repl_pages_healed_total",
             help="Corrupt copies overwritten from a healthy replica",
-            trace="repl.pages_healed",
         )
 
     # -- placement (writes) ----------------------------------------------------

@@ -30,14 +30,14 @@ Three families of checks:
   ``methodCall`` a real method, comparisons/arithmetic/connectives and
   filter masks are not applied to whole row batches, a ``sum``
   aggregate's value column is summable;
-* **kernel-eligibility consistency** — every statement
-  :func:`repro.tcap.optimizer.columnar.mark_columnar` stamped
-  ``columnar`` must still be eligible under the same rules (the check
-  reuses the optimizer's own ``_apply_output_tag`` and ``scan_tag``),
-  so a plan edited after marking cannot smuggle a row-path term into a
-  kernel stage; a marked scan of a row-layout set must name the set's
-  class, and its rows must reach a marked ``APPLY`` that reads them as
-  arrays through marked statements only.
+* **kernel-mark consistency** — ``HASH`` / ``JOIN`` / ``FLATTEN`` /
+  ``OUTPUT`` are never marked; and, given the layout oracle, the marks
+  (``columnar``, ``gather``) of a marked plan are re-derived rather than
+  shadowed: :func:`repro.tcap.optimizer.columnar.mark_columnar` runs on
+  an unmarked copy of the plan, and every statement must carry exactly
+  the mark it derives — so a plan edited after marking can neither
+  smuggle a row-path term into a kernel stage nor drop a mark its
+  neighbours rely on.
 
 The checks are deliberately one-sided: the verifier only rejects what
 it can *prove* inconsistent, and types it cannot resolve (unknown
@@ -47,6 +47,8 @@ existed.
 """
 
 from __future__ import annotations
+
+import copy
 
 from repro.errors import CatalogError, PlanTypeError
 from repro.memory.types import NUMPY_DTYPES
@@ -61,12 +63,7 @@ from repro.tcap.ir import (
     ScanStmt,
     _columns_consumed,
 )
-from repro.tcap.optimizer.columnar import (
-    _NUM,
-    _apply_output_tag,
-    reads_rows,
-    scan_tag,
-)
+from repro.tcap.optimizer.columnar import mark_columnar
 
 ROWS = "rows"
 NUM = "num"
@@ -168,34 +165,23 @@ def verify_program(program, catalog=None, layout_of=None, registry=None):
     columnar sets and the class of row sets declared with one (the same
     oracle :func:`mark_columnar` used);
     ``registry`` overrides the catalog's type registry.  All three are
-    optional — a bare text plan still gets structural and
-    mark-consistency checks.  Returns a :class:`PlanTypes`.
+    optional — a bare text plan still gets the structural checks and
+    the never-marked check of the opaque statements; without
+    ``layout_of`` the marks cannot be re-derived.  Returns a
+    :class:`PlanTypes`.
     """
     if registry is None and catalog is not None:
         registry = getattr(catalog, "registry", None)
     types = PlanTypes()
     env = types.env
-    col_tags = {}  # mark-consistency shadow of mark_columnar's tags
-    waiting = {}  # vlist carrying a marked row scan's unread rows -> scan
-    # Without the layout oracle the marks cannot be re-derived, so the
-    # per-column consistency checks stand down (the structural "always
-    # opaque" checks below still run).
-    check_marks = layout_of is not None
     for statement in program.statements:
         _check_structure(statement, env)
-        _tags_row_scan(statement, col_tags, waiting)
         if isinstance(statement, ScanStmt):
             _scan(statement, env, catalog, layout_of, registry)
-            if check_marks:
-                _tags_scan(statement, col_tags, layout_of, waiting)
         elif isinstance(statement, ApplyStmt):
             _apply(statement, env, registry, program)
-            if check_marks:
-                _tags_apply(statement, col_tags, program)
         elif isinstance(statement, FilterStmt):
             _filter(statement, env)
-            if check_marks:
-                _tags_filter(statement, col_tags)
         elif isinstance(statement, HashStmt):
             _hash(statement, env)
             _no_mark(statement)
@@ -207,8 +193,6 @@ def verify_program(program, catalog=None, layout_of=None, registry=None):
             _no_mark(statement)
         elif isinstance(statement, AggregateStmt):
             _aggregate(statement, env, program)
-            if check_marks:
-                _tags_aggregate(statement, col_tags, program)
         elif isinstance(statement, OutputStmt):
             _no_mark(statement)
         else:
@@ -216,8 +200,8 @@ def verify_program(program, catalog=None, layout_of=None, registry=None):
                 "unknown statement type %r" % type(statement).__name__,
                 statement,
             )
-    for scan in waiting.values():
-        _mark_error(scan, "no kernel reads its rows")
+    if layout_of is not None:
+        _rederive_marks(program, layout_of)
     return types
 
 
@@ -460,101 +444,50 @@ def _aggregate(statement, env, program):
                              else _ANY}
 
 
-# -- mark_columnar consistency ------------------------------------------------
+# -- kernel marks ---------------------------------------------------------------
+
+#: the ``info`` keys :func:`mark_columnar` writes
+_MARK_KEYS = ("columnar", "gather")
 
 
-def _marked(statement):
-    return statement.info.get("columnar") == "1"
+def _mark_of(statement):
+    return statement.info.get("columnar") == "1", statement.info.get("gather")
 
 
-def _mark_error(statement, why):
-    raise PlanTypeError(
-        "statement is marked columnar but is not kernel-eligible: %s "
-        "(mark_columnar would not have marked it)" % why, statement,
-    )
+def _mark_text(statement):
+    columnar, gather = _mark_of(statement)
+    text = "columnar" if columnar else "not columnar"
+    return text + (" gathering %s" % gather if gather else "")
 
 
 def _no_mark(statement):
-    if _marked(statement):
-        _mark_error(statement, "%s is always opaque to the array engine"
-                    % statement.op)
-
-
-def _tags_scan(statement, col_tags, layout_of, waiting):
-    if not _marked(statement):
-        return
-    tag, gathered = scan_tag(
-        layout_of(statement.database, statement.set_name)
-    )
-    if tag is None:
-        _mark_error(
-            statement, "set %s.%s is not stored columnar, nor are its "
-            "rows of a declared class"
-            % (statement.database, statement.set_name),
+    if _mark_of(statement)[0]:
+        raise PlanTypeError(
+            "statement is marked columnar, but %s is always opaque to the "
+            "array engine" % statement.op, statement,
         )
-    if statement.info.get("gather") != gathered:
-        _mark_error(
-            statement, "its row class is %s, the mark says %s"
-            % (gathered, statement.info.get("gather")),
-        )
-    col_tags[statement.output] = {statement.column: tag}
-    if gathered is not None:
-        waiting[statement.output] = statement
 
 
-def _tags_row_scan(statement, col_tags, waiting):
-    """A row scan is marked only for a kernel that reads its rows: every
-    statement they reach before one does must be marked too."""
-    for name in statement.input_names():
-        scan = waiting.pop(name, None)
-        if scan is None:
-            continue
-        if not _marked(statement):
-            _mark_error(scan, "its rows reach an unmarked statement (%s) "
-                        "before any kernel reads them" % statement.op)
-        if not reads_rows(statement, col_tags.get(name, {})):
-            waiting[statement.output] = scan
+def _rederive_marks(program, layout_of):
+    """Reject the first statement whose mark is not the one
+    :func:`mark_columnar` derives on an unmarked copy of ``program``.
 
-
-def _tags_apply(statement, col_tags, program):
-    tags = col_tags.get(statement.input_name)
-    if not _marked(statement):
+    The copy's statements get fresh ``info`` dicts; ``program`` itself is
+    never touched, so its TCAP text stays byte-identical.
+    """
+    if not any(any(_mark_of(s)) for s in program.statements):
         return
-    if tags is None:
-        _mark_error(statement, "its input vector list is not columnar")
-    out_tag = _apply_output_tag(program, statement, tags)
-    if out_tag is None:
-        _mark_error(
-            statement, "%r term over these columns has no array form"
-            % statement.info.get("type"),
-        )
-    out_tags = {name: tags[name] for name in statement.copy_columns}
-    out_tags[statement.new_column] = out_tag
-    col_tags[statement.output] = out_tags
-
-
-def _tags_filter(statement, col_tags):
-    if not _marked(statement):
-        return
-    tags = col_tags.get(statement.input_name)
-    if tags is None:
-        _mark_error(statement, "its input vector list is not columnar")
-    if tags.get(statement.bool_column) != _NUM:
-        _mark_error(statement, "its mask column is not array-typed")
-    col_tags[statement.output] = {
-        name: tags[name] for name in statement.copy_columns
-    }
-
-
-def _tags_aggregate(statement, col_tags, program):
-    if not _marked(statement):
-        return
-    tags = col_tags.get(statement.input_name)
-    comp = program.computations.get(statement.computation)
-    if tags is None:
-        _mark_error(statement, "its input vector list is not columnar")
-    if tags.get(statement.key_column) != _NUM \
-            or tags.get(statement.value_column) != _NUM:
-        _mark_error(statement, "key/value columns are not array-typed")
-    if getattr(comp, "reduce", None) != "sum":
-        _mark_error(statement, "only reduce='sum' aggregates kernelize")
+    derived = copy.copy(program)
+    derived.statements = []
+    for statement in program.statements:
+        clone = copy.copy(statement)
+        clone.info = {key: value for key, value in statement.info.items()
+                      if key not in _MARK_KEYS}
+        derived.statements.append(clone)
+    mark_columnar(derived, layout_of)
+    for statement, clone in zip(program.statements, derived.statements):
+        if _mark_of(statement) != _mark_of(clone):
+            raise PlanTypeError(
+                "the plan marks this statement %s; mark_columnar marks it %s"
+                % (_mark_text(statement), _mark_text(clone)), statement,
+            )

@@ -14,10 +14,8 @@ def noisy(arg):
     return lambda_from_native([arg], lambda v: print(v))  # pcsan: disable=PC003
 
 
-def declare(metrics):
-    return metrics.counter(  # pcsan: disable=PC004
-        "pc_pool_quiet_total", help="No mirror, on purpose",
-    )
+def points_batch(rows):
+    return [row.deref() for row in rows]  # pcsan: disable=PC006
 
 
 def probe(worker):

@@ -54,13 +54,6 @@ def test_pc003_fires_only_on_impure_lambdas():
     assert "seen" in reasons  # the mutated closure name
 
 
-def test_pc004_fires_only_on_mirrorless_family_counter():
-    findings = run_lint([fixture("pc004_counter_no_trace.py")])
-    assert len(findings) == 1
-    assert findings[0].code == "PC004"
-    assert "pc_pool_probe_hits_total" in findings[0].message
-
-
 def test_pc005_fires_on_swallowing_excepts_only():
     findings = run_lint([fixture("cluster", "pc005_swallow.py")])
     assert [f.code for f in findings] == ["PC005"] * 3
@@ -174,7 +167,7 @@ def test_pc009_fires_on_late_writes_only():
 def test_fixture_tree_violates_every_rule():
     codes = {f.code for f in run_lint([FIXTURES])}
     assert codes == {
-        "PC001", "PC002", "PC003", "PC004", "PC005", "PC006",
+        "PC001", "PC002", "PC003", "PC005", "PC006",
         "PC007", "PC008", "PC009",
     }
 
@@ -195,7 +188,7 @@ def test_repo_is_flow_rule_clean():
 def test_rule_catalog_is_complete():
     codes = [code for code, _name, _summary in iter_rules()]
     assert codes == [
-        "PC001", "PC002", "PC003", "PC004", "PC005", "PC006",
+        "PC001", "PC002", "PC003", "PC005", "PC006",
         "PC007", "PC008", "PC009",
     ]
 
@@ -213,12 +206,12 @@ def test_syntax_error_is_reported_not_raised(tmp_path):
 
 
 def test_reporters():
-    findings = run_lint([fixture("pc004_counter_no_trace.py")])
+    findings = lint_source("x = block.buf\n", "repro/engine/foo.py")
     text = format_text(findings)
-    assert "PC004" in text and text.endswith("1 finding")
+    assert "PC002" in text and text.endswith("1 finding")
     payload = json.loads(format_json(findings))
     assert payload["count"] == 1
-    assert payload["findings"][0]["code"] == "PC004"
+    assert payload["findings"][0]["code"] == "PC002"
 
 
 @pytest.mark.parametrize(
@@ -287,7 +280,7 @@ def test_baseline_rejects_unknown_version(tmp_path):
 def test_cli_baseline_flags(tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC)
     snapshot = str(tmp_path / "baseline.json")
-    target = fixture("pc004_counter_no_trace.py")
+    target = fixture("pc002_raw_buf.py")
     wrote = subprocess.run(
         [sys.executable, "-m", "repro.analysis", "lint", target,
          "--write-baseline", snapshot],
@@ -324,7 +317,7 @@ def test_sarif_document_shape_and_validation():
 def test_sarif_validator_catches_broken_documents():
     from repro.analysis import to_sarif, validate_sarif
 
-    doc = to_sarif(run_lint([fixture("pc004_counter_no_trace.py")]))
+    doc = to_sarif(run_lint([fixture("pc002_raw_buf.py")]))
     del doc["runs"][0]["results"][0]["message"]
     assert validate_sarif(doc)
     assert validate_sarif({"version": "2.1.0"})  # no runs at all

@@ -45,8 +45,8 @@ def test_transfers_report_into_the_active_span():
     totals = tracer.last_trace.totals()
     assert totals["net.bytes_zero_copy"] == 10
     assert totals["net.bytes_rows"] == estimate_value_bytes((1, 2))
-    assert totals["net.link.worker-0->worker-1"] == 10
-    assert "net.link.a->b" not in totals
+    assert totals["net.link_bytes.worker-0.worker-1"] == 10
+    assert "net.link_bytes.a.b" not in totals
     # the registry still covers everything
     assert net.metrics.snapshot().value("pc_net_bytes_zero_copy_total") == 17
 

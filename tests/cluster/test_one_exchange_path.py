@@ -215,7 +215,7 @@ def schedulers(tmp_path_factory):
     """A scheduler per worker count 1-5 (sim; no job is ever run)."""
     clusters = [
         PCCluster(
-            n_workers=n, transport="sim", verify_plans=False,
+            n_workers=n, transport="sim",
             spill_root=str(tmp_path_factory.mktemp("exchange-%d" % n)),
         )
         for n in range(1, 6)

@@ -1,15 +1,14 @@
-"""Submit-time plan verification wired into the scheduler.
+"""Submit-time plan verification, a phase of ``execute_computations``.
 
-A schema-mismatched plan must die when the scheduler is constructed —
-before any stage is planned or dispatched, with no partial sink output
-— on both the simulated and the process transports; valid plans run
-unchanged, and ``verify_plans=False`` is the escape hatch back to the
-old die-inside-a-worker behavior.
+A schema-mismatched plan must die in the ``verify`` phase — before any
+stage is planned or dispatched, with no partial sink output — on both
+the simulated and the process transports; valid plans run unchanged.
+Verification is always on: there is no knob to ship a mistyped plan.
 """
 
 import pytest
 
-from repro.cluster import PCCluster, RetryPolicy
+from repro.cluster import PCCluster
 from repro.cluster.transport import remote_available
 from repro.core import (
     ObjectReader,
@@ -17,7 +16,7 @@ from repro.core import (
     Writer,
     lambda_from_member,
 )
-from repro.errors import PCError, PlanTypeError, SetNotFoundError
+from repro.errors import PlanTypeError, SetNotFoundError
 from repro.schema import Schema, f64, i64
 
 TRANSPORTS = [
@@ -96,24 +95,6 @@ def test_valid_plan_runs_and_records_verify_phase(tmp_path, transport):
         ]
         phases = {span.name for span in cluster.last_trace.spans(kind="phase")}
         assert "verify" in phases
-    finally:
-        cluster.close()
-
-
-def test_verify_plans_false_is_the_escape_hatch(tmp_path):
-    cluster = make_cluster(
-        tmp_path, "escape", "sim", verify_plans=False,
-        retry_policy=RetryPolicy(max_attempts=1),
-    )
-    try:
-        _load_points(cluster)
-        sel = MistypedSelection().set_input(ObjectReader("db", "points"))
-        # The plan still fails — but the old way, inside the job, after
-        # dispatch started.
-        with pytest.raises(PCError) as excinfo:
-            cluster.execute_computations(Writer("db", "out").set_input(sel))
-        assert not isinstance(excinfo.value, PlanTypeError)
-        assert cluster.last_job_log is not None
     finally:
         cluster.close()
 

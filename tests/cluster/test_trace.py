@@ -103,10 +103,11 @@ def test_trace_rolls_up_pool_and_network_counters(cluster):
     # Network byte split: the aggregation shuffle ships PC Map pages
     # (zero-copy) and per-link counters attribute them.
     assert totals["net.bytes_zero_copy"] > 0
-    assert totals["net.bytes_total"] >= totals["net.bytes_zero_copy"]
-    links = {k: v for k, v in totals.items() if k.startswith("net.link.")}
+    assert totals["net.bytes"] >= totals["net.bytes_zero_copy"]
+    links = {k: v for k, v in totals.items()
+             if k.startswith("net.link_bytes.")}
     assert links
-    assert sum(links.values()) == totals["net.bytes_total"]
+    assert sum(links.values()) == totals["net.bytes"]
 
     # Engine tuple counts reached the trace too.
     assert totals["engine.rows_in"] >= 200

@@ -296,7 +296,7 @@ def test_chaos_killed_workers_still_contribute_trace_evidence(tmp_path):
 
 span_kinds = st.sampled_from(["stage", "task", "op"])
 counter_names = st.sampled_from(
-    ["engine.rows_in", "op.rows_out", "net.bytes_total", "pool.pages_pinned"]
+    ["engine.rows_in", "op.rows_out", "net.bytes", "pool.pages_pinned"]
 )
 counters = st.dictionaries(counter_names, st.integers(0, 10 ** 9),
                            max_size=3)

@@ -7,7 +7,7 @@ processes attached to sealed pages over POSIX shared memory.  These
 tests pin the contracts the split must keep: row shuffles get the same
 checksum/re-send integrity as page transfers, a crashed back-end
 refuses work until it is re-forked, the re-fork counter is a real
-PC004-compliant metric, and an injected crash racing an in-flight
+metric mirrored into the trace, and an injected crash racing an in-flight
 shuffle produces byte-identical TPC-H results on both transports.
 """
 
@@ -134,7 +134,7 @@ def test_run_user_code_on_crashed_backend_raises_backend_crashed(tmp_path):
 # -- satellite: re-fork counter is a real metric --------------------------------------
 
 
-def test_refork_count_is_pc004_counter_with_trace_mirror(tmp_path):
+def test_refork_count_is_a_counter_with_trace_mirror(tmp_path):
     clock = FakeClock()
     injector = FaultInjector().crash_backend("worker-1", times=1)
     cluster = make_cluster(
@@ -147,7 +147,7 @@ def test_refork_count_is_pc004_counter_with_trace_mirror(tmp_path):
     assert snapshot.value("pc_worker_reforks_total", worker="worker-1") == 1
     assert snapshot.value("pc_worker_reforks_total", worker="worker-0") == 0
     # the same increment feeds the job trace
-    assert cluster.last_trace.totals()["faults.reforks"] == 1
+    assert cluster.last_trace.totals()["worker.reforks"] == 1
     assert "pc_worker_reforks_total" in snapshot.to_prometheus()
 
 

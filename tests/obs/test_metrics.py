@@ -3,7 +3,7 @@
 Covers the counter/gauge/histogram primitives, the bucket-boundary
 percentile math (satellite: histogram quantiles at exact bucket
 boundaries), snapshot merging across per-process registries, and the
-trace mirror a counter declares beside its metric name.
+trace mirror a counter's name implies.
 """
 
 import pytest
@@ -17,7 +17,7 @@ from repro.obs import (
     Tracer,
     exponential_buckets,
 )
-from repro.obs.metrics import quantile_from_buckets
+from repro.obs.metrics import quantile_from_buckets, span_counter_name
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +215,60 @@ def test_on_collect_hooks_run_before_snapshot():
 # Trace mirrors
 # ---------------------------------------------------------------------------
 
-def test_counter_with_trace_mirror_reports_into_active_span():
-    tracer = Tracer()
-    reg = MetricsRegistry(tracer=tracer)
-    c = reg.counter("pc_repl_replica_writes_total",
-                    trace="repl.replica_writes")
-    with tracer.span("job", kind="job"):
-        with tracer.span("write"):
-            c.inc(3)
-    assert tracer.last_trace.totals()["repl.replica_writes"] == 3
+def _span_totals(registry, touch):
+    """The span counters ``touch(registry)`` leaves on an open span."""
+    with registry.tracer.span("job", kind="job"):
+        with registry.tracer.span("write"):
+            touch(registry)
+    return registry.tracer.last_trace.totals()
+
+
+def test_span_counter_name_is_the_family_dot_rest_less_total():
+    assert span_counter_name("pc_repl_replica_writes_total") == \
+        "repl.replica_writes"
+    assert span_counter_name("pc_net_bytes_total") == "net.bytes"
+    assert span_counter_name("pc_net_delay_seconds_total") == \
+        "net.delay_seconds"
+    assert span_counter_name("pc_worker_reforks_total") == "worker.reforks"
+    assert span_counter_name("pc_engine_rows_in_total") == "engine.rows_in"
+    assert span_counter_name("pc_pool_in_memory_bytes") == \
+        "pool.in_memory_bytes"
+
+
+def test_mirrored_family_counter_reports_into_active_span():
+    reg = MetricsRegistry(tracer=Tracer())
+    c = reg.counter("pc_repl_replica_writes_total")
+    assert _span_totals(reg, lambda _reg: c.inc(3)) == \
+        {"repl.replica_writes": 3}
     assert c.value == 3
 
 
-def test_templated_mirror_formats_label_values():
-    tracer = Tracer()
-    reg = MetricsRegistry(tracer=tracer)
-    c = reg.counter("pc_net_link_bytes_total", labelnames=("src", "dst"),
-                    trace="net.link.{src}->{dst}")
-    with tracer.span("job", kind="job"):
-        with tracer.span("ship"):
-            c.inc(64, src="w0", dst="w1")
-    assert tracer.last_trace.totals()["net.link.w0->w1"] == 64
+def test_labeled_mirror_appends_label_values_in_declaration_order():
+    reg = MetricsRegistry(tracer=Tracer())
+    c = reg.counter("pc_net_link_bytes_total", labelnames=("src", "dst"))
+
+    def ship(_reg):
+        c.inc(64, dst="w1", src="w0")
+        c.child(src="w1", dst="w0").inc(8)
+
+    assert _span_totals(reg, ship) == {
+        "net.link_bytes.w0.w1": 64, "net.link_bytes.w1.w0": 8,
+    }
+
+
+def test_only_counters_of_a_mirrored_family_mirror():
+    reg = MetricsRegistry(tracer=Tracer())
+
+    def touch(reg):
+        reg.counter("pc_sched_frontend_tasks_total",
+                    labelnames=("reason",)).inc(reason="in_process")
+        reg.counter("pc_engine_rows_in_total").inc(5)
+        reg.counter("pc_poolside_total").inc()
+        reg.counter("baseline_shuffles_total").inc()
+        reg.gauge("pc_pool_pages").set(4)
+        reg.gauge("pc_sup_rows_consumed", labelnames=("worker",)).set(
+            9, worker="w0")
+        reg.histogram("pc_sup_recovery_seconds").observe(0.5)
+        reg.histogram("pc_net_lag_seconds").child().observe(0.5)
+
+    assert _span_totals(reg, touch) == {}

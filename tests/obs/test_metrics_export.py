@@ -156,5 +156,5 @@ def test_trace_totals_agree_with_registry_after_job(cluster):
     after = cluster.metrics()
     assert totals["net.messages"] == \
         after.value("pc_net_messages_total") - before["pc_net_messages_total"]
-    assert totals["net.bytes_total"] == \
+    assert totals["net.bytes"] == \
         after.value("pc_net_bytes_total") - before["pc_net_bytes_total"]

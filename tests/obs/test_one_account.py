@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.analysis.sanitizer import sanitize_scope
 from repro.cluster import FakeClock, FaultInjector, PCCluster, RetryPolicy
 from repro.cluster.network import SimulatedNetwork
 from repro.cluster.supervisor import BEAT_TASK, BEAT_TIME
@@ -28,6 +29,7 @@ from repro.core import (
     lambda_from_native,
 )
 from repro.memory import Float64, Int32, Int64, PCObject, String
+from repro.obs.metrics import MIRRORED_FAMILIES
 
 needs_process = pytest.mark.skipif(
     not remote_available(), reason="cloudpickle unavailable"
@@ -104,17 +106,25 @@ def _join(out="joined"):
     )
 
 
-def _mirrored_counters(cluster):
-    """``{metric name: trace-counter name}`` for every counter that
-    declares an un-templated ``trace=`` mirror, in any registry."""
-    registries = [cluster.metrics_registry] + \
+def _registries(cluster):
+    return [cluster.metrics_registry] + \
         [worker.metrics for worker in cluster.workers]
-    return {
-        metric.name: metric.trace_name
-        for registry in registries for metric in registry.metrics()
-        if metric.kind == "counter" and metric.trace_name is not None
-        and "{" not in metric.trace_name
-    }
+
+
+def _mirrors(cluster):
+    """``{span counter: (metric name, labels)}`` for every series of every
+    mirrored counter, in any registry: the unlabeled series mirrors as the
+    counter's ``trace_name``, a labeled one appends ``.<value>`` per label
+    in declaration order."""
+    mirrors = {}
+    for registry in _registries(cluster):
+        for metric in registry.metrics():
+            if metric.kind != "counter" or metric.trace_name is None:
+                continue
+            for key in metric.series() if metric.labelnames else [()]:
+                name = metric.trace_name + "".join("." + v for v in key)
+                mirrors[name] = (metric.name, dict(zip(metric.labelnames, key)))
+    return mirrors
 
 
 # -- (a) the two readers of one increment agree ---------------------------------------
@@ -144,19 +154,22 @@ def test_trace_mirrors_sum_to_the_registry_delta(tmp_path, transport):
             for name, amount in trace.totals().items():
                 traced[name] = traced.get(name, 0) + amount
 
-        mirrored = _mirrored_counters(cluster)
         moved = set()
-        for metric, trace_name in sorted(mirrored.items()):
-            delta = after.value(metric) - before.value(metric)
+        for trace_name, (metric, labels) in sorted(_mirrors(cluster).items()):
+            delta = after.value(metric, **labels) - \
+                before.value(metric, **labels)
             assert traced.get(trace_name, 0) == pytest.approx(delta), \
-                (metric, trace_name)
+                (metric, labels, trace_name)
             if delta:
                 moved.add(trace_name)
-        # The workload spilled, reloaded, shuffled on both wires,
-        # replicated, retried a task and re-sent a transfer.
+        # The workload spilled, reloaded, shuffled on both wires and
+        # between workers, replicated, retried a task and re-sent a
+        # transfer.
+        assert any(name.startswith("net.link_bytes.") for name in moved)
         assert moved >= {
             "pool.spills", "pool.reloads", "pool.pages_pinned",
-            "net.messages", "net.bytes_zero_copy", "net.bytes_rows",
+            "net.messages", "net.bytes", "net.bytes_zero_copy",
+            "net.bytes_rows",
             "net.transfers_dropped", "net.transfer_retries",
             "repl.replica_writes", "faults.backend_crashes",
             "faults.tasks_recovered",
@@ -164,6 +177,44 @@ def test_trace_mirrors_sum_to_the_registry_delta(tmp_path, transport):
         assert sorted(cluster.read("db", "joined")) == sorted(
             (i, "L%d" % (i % 4)) for i in range(1200)
         )
+    finally:
+        cluster.close()
+
+
+@needs_process
+def test_every_counter_mirrors_by_the_one_rule(tmp_path):
+    """A span counter's name is a fact of the metric's name: in every
+    registry of a process cluster with profiling and PCSan on, a counter
+    ``pc_<family>_<rest>`` reports into the open span as
+    ``<family>.<rest>`` (less ``_total``, plus ``.<value>`` per label)
+    exactly when its family is listed; no gauge or histogram reports."""
+    cluster = _cluster(tmp_path, "process", profiling=True)
+    try:
+        cluster.execute_computations(_sums())  # job-time families
+        # PCSan's counters join the cluster's registry as sanitize=True
+        # puts them there; enabled after the job, so no shm-backed block
+        # is shadowed (a shadow keeps its segment's buffer exported).
+        with sanitize_scope(metrics=cluster.metrics_registry):
+            metrics = [metric for registry in _registries(cluster)
+                       for metric in registry.metrics()]
+        expected = {}
+        with cluster.tracer.span("probe", kind="job") as probe:
+            for metric in metrics:
+                labels = dict.fromkeys(metric.labelnames, "v")
+                if metric.kind == "gauge":
+                    metric.set(metric.value_for(**labels), **labels)
+                elif metric.kind == "histogram":
+                    metric.observe(0.0, **labels)
+                else:
+                    metric.inc(0, **labels)
+                    prefix, family, rest = metric.name.split("_", 2)
+                    if prefix == "pc" and family in MIRRORED_FAMILIES:
+                        name = family + "." + rest.removesuffix("_total")
+                        expected[name + ".v" * len(labels)] = 0
+        assert probe.counters == expected
+        families = {metric.name.split("_")[1] for metric in metrics
+                    if metric.kind == "counter"}
+        assert families >= set(MIRRORED_FAMILIES) | {"engine", "op", "sched"}
     finally:
         cluster.close()
 

@@ -19,7 +19,7 @@ def _merged_trace():
         with tracer.span("PipelineJobStage", kind="stage"):
             with tracer.span("worker-0", kind="task") as task:
                 tracer.event("refork worker-0", kind="fault",
-                             counters={"faults.reforks": 1})
+                             counters={"worker.reforks": 1})
                 remote = Span("task-1", kind="task")
                 remote.pid = 4242
                 remote.start, remote.end = task.start, task.start + 0.004

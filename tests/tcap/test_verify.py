@@ -175,7 +175,7 @@ def test_marked_ineligible_apply_is_rejected():
                    "columnar": "1"}),
     ])
     bad.statements[0].info["columnar"] = "1"
-    with pytest.raises(PlanTypeError, match="no array form"):
+    with pytest.raises(PlanTypeError, match="marks it not columnar"):
         verify_program(bad, layout_of=layout_of)
 
 
@@ -183,7 +183,9 @@ def test_marked_scan_of_row_set_is_rejected():
     stmt = scan(set_name="rows_only")
     stmt.info["columnar"] = "1"
     program = TcapProgram([stmt])
-    with pytest.raises(PlanTypeError, match="not stored columnar"):
+    with pytest.raises(PlanTypeError,
+                       match="marks this statement columnar; mark_columnar "
+                             "marks it not columnar"):
         verify_program(program, layout_of=layout_of)
 
 
@@ -256,6 +258,10 @@ def test_row_scan_is_marked_only_for_a_statement_that_reads_it(first):
     verify_program(program, layout_of=row_layout_of)
 
 
+#: the rejection of a row scan marked although no kernel reads its rows
+NOT_MARKED = "gathering _Point; mark_columnar marks it not columnar"
+
+
 def _selection_then(reader):
     """The shape a (multi-)selection compiles to: a constant mask, the
     filter, then ``reader`` over the rows that passed."""
@@ -290,29 +296,42 @@ def test_row_scan_mark_waits_for_the_statement_that_reads_the_rows():
     for statement in opaque.statements[:3]:
         statement.info["columnar"] = "1"
     opaque.statements[0].info["gather"] = "_Point"
-    with pytest.raises(PlanTypeError, match="reach an unmarked statement"):
+    with pytest.raises(PlanTypeError, match=NOT_MARKED):
         verify_program(opaque, layout_of=row_layout_of)
     dropped = TcapProgram(opaque.statements[:2])
     dropped.statements[1].copy_columns = []
-    with pytest.raises(PlanTypeError, match="no kernel reads its rows"):
+    with pytest.raises(PlanTypeError, match=NOT_MARKED):
         verify_program(dropped, layout_of=row_layout_of)
 
 
 def test_marked_row_scan_must_name_its_class_and_reach_a_kernel_marked():
     program = _row_program(att_access("pid"))
     mark_columnar(program, row_layout_of)
+    text = program.to_text()
     scan_stmt, first = program.statements[:2]
     scan_stmt.info["gather"] = "Other"
-    with pytest.raises(PlanTypeError, match="row class is _Point"):
+    with pytest.raises(PlanTypeError,
+                       match="gathering Other; mark_columnar marks it "
+                             "columnar gathering _Point"):
         verify_program(program, layout_of=row_layout_of)
     scan_stmt.info["gather"] = "_Point"
+    # A strict subset of mark_columnar's marks is rejected too.
     del first.info["columnar"]
-    with pytest.raises(PlanTypeError, match="reach an unmarked statement"):
+    with pytest.raises(PlanTypeError) as excinfo:
         verify_program(program, layout_of=row_layout_of)
+    assert excinfo.value.statement is first
+    assert "plan marks this statement not columnar; mark_columnar marks " \
+        "it columnar\n" in str(excinfo.value)
     del scan_stmt.info["columnar"]
     first.info["columnar"] = "1"
-    with pytest.raises(PlanTypeError, match="not columnar"):
+    with pytest.raises(PlanTypeError,
+                       match="not columnar gathering _Point; mark_columnar "
+                             "marks it columnar gathering _Point"):
         verify_program(program, layout_of=row_layout_of)
+    # The re-derivation runs on a copy: the plan's marks are its own.
+    scan_stmt.info["columnar"] = "1"
+    verify_program(program, layout_of=row_layout_of)
+    assert program.to_text() == text
 
 
 # -- compiled programs verify unchanged ---------------------------------------
