@@ -10,9 +10,10 @@ lambda.  This package turns the conventions into machine-checked
 invariants:
 
 * :mod:`repro.analysis.lint` — an AST lint pass (``python -m
-  repro.analysis lint src``) with PC-specific rules PC001–PC009 that
+  repro.analysis lint src``) with PC-specific rules PC001–PC010 that
   ruff cannot express (handle escapes, raw ``buf`` access, impure
-  native lambdas, swallowed exceptions in cluster hot paths — plus the
+  native lambdas, swallowed exceptions in cluster hot paths, the
+  architecture table of who may reference each one-path API — plus the
   path-sensitive :mod:`repro.analysis.flowrules`, which run a forward dataflow
   fixpoint over the :mod:`repro.analysis.cfg` control-flow graph to
   catch pin/shm leaks on *some* path and writes after ``seal()``);

@@ -1,7 +1,7 @@
 """CLI for the PC analysis tools.
 
 ``python -m repro.analysis lint [PATH ...]`` lints the given paths
-(default ``src``) with rules PC001–PC009 and exits non-zero when any
+(default ``src``) with rules PC001–PC010 and exits non-zero when any
 finding survives suppression and the baseline.  ``--format sarif``
 emits SARIF 2.1.0 for CI code-scanning upload; ``--write-baseline``
 snapshots the current findings so ``--baseline`` can gate on *new*
@@ -98,7 +98,7 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command")
 
-    lint_parser = sub.add_parser("lint", help="run rules PC001-PC009")
+    lint_parser = sub.add_parser("lint", help="run rules PC001-PC010")
     lint_parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)",

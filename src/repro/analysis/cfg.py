@@ -92,14 +92,6 @@ class CFG:
     def add_edge(self, source, target, kind=EDGE_NORMAL):
         self.blocks[source].edges.append((target, kind))
 
-    def predecessors(self):
-        """``{block_id: [(pred_id, kind)]}`` over all edges."""
-        preds = {block_id: [] for block_id in self.blocks}
-        for block in self.blocks.values():
-            for target, kind in block.edges:
-                preds[target].append((block.block_id, kind))
-        return preds
-
     def reachable(self):
         """Block ids reachable from the entry block."""
         seen = set()

@@ -1,4 +1,4 @@
-"""AST lint rules for PC-specific invariants (PC001–PC009).
+"""AST lint rules for PC-specific invariants (PC001–PC010).
 
 ruff and friends check Python; these rules check *PlinyCompute*.  Each
 rule encodes one discipline the simulated object model or the cluster
@@ -30,6 +30,10 @@ PC008     ``SharedMemory``/``ShmRegistry`` created but not closed,
           unlinked, or handed off on every path (flow-sensitive).
 PC009     Write to a page payload after ``seal()``/``to_bytes()`` on
           any path (flow-sensitive).
+PC010     The architecture, as one table (:data:`ARCHITECTURE`): a
+          one-path API referenced from a function the table does not
+          name, a confined name (``frombuffer``) outside its package, or
+          a tracked module over its line ceiling.
 ========  ==============================================================
 
 A finding is silenced by a trailing ``# pcsan: disable=PCnnn`` comment
@@ -129,7 +133,7 @@ def rule(code, name):
 
 def iter_rules():
     """Yield ``(code, name, summary)`` for every registered rule."""
-    for code, name, fn in _RULES:
+    for code, name, fn in sorted(_RULES, key=lambda entry: entry[0]):
         summary = (fn.__doc__ or "").strip().splitlines()[0]
         yield code, name, summary
 
@@ -297,9 +301,11 @@ def check_raw_buf_access(tree, path, source):
     Any ``.buf`` attribute access counts, not just a direct subscript —
     aliasing the buffer into a local (``buf = block.buf``) is the same
     escape with one more step, as are ``getattr(block, "buf")`` and
-    subscripts through a name the buffer was unpacked into.
+    subscripts through a name the buffer was unpacked into.  Where the
+    buffer may be touched is the ``confined`` entry of
+    :data:`ARCHITECTURE`.
     """
-    if "memory" in _path_parts(path):
+    if ARCHITECTURE["confined"]["buf"] in _path_parts(path):
         return []
     findings = []
     for node in ast.walk(tree):
@@ -517,6 +523,192 @@ def check_row_path_in_kernel(tree, path, source):
                 path, sub.lineno, sub.col_offset,
                 end_line=span_of(sub)[1],
             ))
+    return findings
+
+
+# -- PC010: the architecture table --------------------------------------------
+
+#: What the one-path refactors left, as data.
+#:
+#: ``references``: a one-path API -> the only functions that may reference
+#: it (any load of the name, bare or as an attribute; a call, a returned
+#: bound method and a ``partial`` argument alike).  A reference inside a
+#: nested function is its enclosing top-level function's or method's.
+#: ``confined``: a name -> the package directory outside which nothing may
+#: reference it; page bytes are the object layer's (paper §2).  ``buf``'s
+#: entry is enforced by PC002, which also follows aliases and ``getattr``.
+#: ``ceilings``: a module -> its line ceiling (a package's total is
+#: reported at its ``__init__.py``).  Ceilings go down, not up.
+ARCHITECTURE = {
+    "references": {
+        "ship_page": (
+            "repro.cluster.scheduler.DistributedScheduler._wire",
+            "repro.storage.replication.ReplicationManager._copy",
+        ),
+        "ship_rows": (
+            "repro.cluster.scheduler.DistributedScheduler._wire",
+        ),
+        "adopt_page_bytes": (
+            "repro.storage.replication.ReplicationManager._copy",
+            "repro.engine.pipeline._PageSink.finish",
+        ),
+        "record_pages": (
+            "repro.storage.replication.ReplicationManager.place_pages",
+            "repro.catalog.catalog.CatalogManager._apply_journal_record",
+        ),
+        "open_root": (
+            "repro.storage.dataset.RowPageWriter._open",
+        ),
+        "run_task": (
+            "repro.cluster.scheduler.DistributedScheduler._place",
+            "repro.cluster.procworker._run",
+        ),
+        "run_stages": (
+            "repro.engine.pipeline.run_task",
+            "repro.engine.pipeline.PipelineEngine._run_pipeline",
+        ),
+        "_run_worker_tasks": (
+            "repro.cluster.scheduler.DistributedScheduler"
+            "._run_distributed_pipeline",
+            "repro.cluster.scheduler.DistributedScheduler._run_orphan_pages",
+        ),
+        "row_messages": (
+            "repro.engine.pipeline.HashBuildSink.seal",
+            "repro.engine.pipeline.AggregateSink.seal",
+            "repro.engine.pipeline.MaterializeSink.seal",
+        ),
+        "partition_rows": (
+            "repro.engine.pipeline.AggregateSink.seal",
+            "repro.engine.pipeline.row_messages",
+        ),
+        "pack_map_pages": (
+            "repro.engine.pipeline.AggregateSink.seal",
+        ),
+        "fill_map_pages": (
+            "repro.engine.pipeline.MapPageOutputSink.seal",
+            "repro.storage.dataset.pack_map_pages",
+        ),
+        "scatter_map": (
+            "repro.memory.builtins.MapType.inserter",
+        ),
+        "book_task_evidence": (
+            "repro.cluster.scheduler.DistributedScheduler._book",
+        ),
+    },
+    "confined": {
+        "buf": "memory",
+        "frombuffer": "memory",
+    },
+    "ceilings": {
+        "repro/cluster/scheduler.py": 1148,
+        "repro/cluster/transport.py": 762,
+        "repro/cluster/cluster.py": 863,
+        "repro/cluster/procworker.py": 285,
+        "repro/cluster/worker.py": 200,
+        "repro/storage/replication.py": 477,
+        "repro/memory/scatter.py": 605,
+        "repro/obs": 2000,
+    },
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _repro_path(path):
+    """``path`` from its last ``repro`` directory on, ``/``-joined
+    (``src/repro/obs/__init__.py`` -> ``repro/obs/__init__.py``); just
+    the file name outside the package."""
+    parts = os.path.normpath(path).split(os.sep)
+    dirs = parts[:-1]
+    if "repro" not in dirs:
+        return parts[-1]
+    return "/".join(parts[len(dirs) - 1 - dirs[::-1].index("repro"):])
+
+
+def module_of(path):
+    """Dotted module name of ``path`` (see :func:`_repro_path`)."""
+    module = _repro_path(path)[:-len(".py")].replace("/", ".")
+    if module.endswith(".__init__"):
+        module = module[:-len(".__init__")]
+    return module
+
+
+def _scopes(tree, module):
+    """``(caller, node)``: each top-level function and method under its
+    qualified name, every other statement under the module's."""
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            yield "%s.%s" % (module, node.name), node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _DEFS):
+                    yield "%s.%s.%s" % (module, node.name, item.name), item
+                else:
+                    yield module, item
+        else:
+            yield module, node
+
+
+def references_in(tree, module):
+    """``(caller, name, node)`` for every load of a name or attribute."""
+    for caller, scope in _scopes(tree, module):
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if isinstance(node.ctx, ast.Load):
+                yield caller, name, node
+
+
+def _line_count(path, source):
+    """``(what, lines, ceiling)`` for a module the table caps, else None."""
+    ceilings = ARCHITECTURE["ceilings"]
+    what = _repro_path(path)
+    lines = source.count("\n")
+    package = what[:-len("/__init__.py")]
+    if what.endswith("/__init__.py") and package in ceilings:
+        what = package
+        folder = os.path.dirname(path) or os.curdir
+        for name in os.listdir(folder):
+            if name.endswith(".py") and name != "__init__.py":
+                with open(os.path.join(folder, name), encoding="utf-8") as f:
+                    lines += f.read().count("\n")
+    if what not in ceilings:
+        return None
+    return what, lines, ceilings[what]
+
+
+@rule("PC010", "architecture")
+def check_architecture(tree, path, source):
+    """Stray reference, confined name, or line ceiling (the table)."""
+    references = ARCHITECTURE["references"]
+    confined = ARCHITECTURE["confined"]
+    parts = _path_parts(path)
+    findings = []
+    for caller, name, node in references_in(tree, module_of(path)):
+        allowed = references.get(name)
+        if allowed is not None and caller not in allowed:
+            message = "%s referenced from %s; only %s may" % (
+                name, caller, ", ".join(allowed))
+        elif name in confined and name != "buf" \
+                and confined[name] not in parts:
+            message = "%s outside repro/%s; page bytes are the object " \
+                "layer's" % (name, confined[name])
+        else:
+            continue
+        findings.append(Finding(
+            "PC010", message, path, node.lineno, node.col_offset,
+            end_line=node.end_lineno,
+        ))
+    counted = _line_count(path, source)
+    if counted is not None and counted[1] > counted[2]:
+        findings.append(Finding(
+            "PC010", "%s is %d lines, over its ceiling of %d" % counted,
+            path, 1,
+        ))
     return findings
 
 

@@ -241,11 +241,6 @@ class CatalogManager:
             raise UnknownTypeCodeError(code)
         return library
 
-    def code_for_type(self, cls_or_descriptor):
-        """Type code previously assigned to a registered type, or None."""
-        descriptor = _to_descriptor(cls_or_descriptor)
-        return self.registry.code_for_name(descriptor.name)
-
     # -- database / set metadata -------------------------------------------------
 
     def create_database(self, name):
@@ -483,18 +478,6 @@ class LocalCatalog:
         for type_name, descriptor in library.descriptors:
             master_code = self.master.registry.code_for_name(type_name)
             registry.register(type_name, descriptor, code=master_code)
-
-    def preload(self, cls_or_descriptor):
-        """Eagerly install a type (what deploying code to a worker does)."""
-        descriptor = _to_descriptor(cls_or_descriptor)
-        code = self.master.registry.code_for_name(descriptor.name)
-        if code is None:
-            raise CatalogError(
-                "type %r is not registered with the master catalog"
-                % descriptor.name
-            )
-        self.registry.register(descriptor.name, descriptor, code=code)
-        return code
 
 
 def _to_descriptor(cls_or_descriptor):

@@ -163,13 +163,12 @@ class PCCluster:
         # ``transport`` picks where worker back-ends live: "sim" (default)
         # keeps them in-process and deterministic, "process" backs each one
         # with a real spawned OS process attaching sealed pages over
-        # shared memory.  ``self.network`` stays as the historical alias.
+        # shared memory.
         self.transport = make_transport(
             transport, tracer=self.tracer, fault_injector=fault_injector,
             retry_policy=self.retry_policy, metrics=self.metrics_registry,
             recorder=self.flight,
         )
-        self.network = self.transport
         self.page_size = page_size
         self.batch_size = batch_size
         self.broadcast_threshold = broadcast_threshold
@@ -191,7 +190,7 @@ class PCCluster:
             self.workers.append(worker)
             self.storage_manager.attach_server(worker.storage)
         self.replication = ReplicationManager(
-            self.catalog, self.storage_manager, self.network,
+            self.catalog, self.storage_manager, self.transport,
             tracer=self.tracer, metrics=self.metrics_registry,
         )
         # The stage profiler observes every worker's buffer pool, and

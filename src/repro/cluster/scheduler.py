@@ -700,13 +700,13 @@ class DistributedScheduler:
         page bytes are shipped verbatim and the receiver reads the Map
         out of the arrived page with no deserialization."""
         if comp is None or comp.key_type is None or comp.value_type is None:
-            return self.cluster.network.ship_rows, lambda dst, rows: rows
+            return self.cluster.transport.ship_rows, lambda dst, rows: rows
         map_type = MapType(comp.key_type, comp.value_type)
 
         def ship(src_id, dst_id, payload):
             # Checksummed transfer: a corrupted combiner page is
             # detected on receipt and re-sent, never merged.
-            return self.cluster.network.ship_page(
+            return self.cluster.transport.ship_page(
                 src_id, dst_id, payload, checksum=page_checksum(payload)
             )
 

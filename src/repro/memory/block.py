@@ -170,11 +170,6 @@ class AllocationBlock:
         return layout.read_used(self.buf)
 
     @property
-    def bytes_free(self):
-        """Bytes remaining past the bump pointer."""
-        return self.size - self.used
-
-    @property
     def active_objects(self):
         """Number of live reference-counted objects on this block."""
         return layout.read_active_objects(self.buf)

@@ -89,11 +89,6 @@ ALLOC_STATE = struct.Struct("<QQ")
 ALLOC_STATE_OFFSET = _USED_OFFSET
 
 
-def write_used(buf, used):
-    """Update the bump-pointer field of the block header in place."""
-    _U64.pack_into(buf, _USED_OFFSET, used)
-
-
 def read_used(buf):
     """Read the bump-pointer field of the block header."""
     return _U64.unpack_from(buf, _USED_OFFSET)[0]
@@ -133,11 +128,6 @@ def read_handle_slot(buf, slot_offset):
     if delta == 0:
         return None, 0
     return slot_offset + delta, type_code
-
-
-def write_object_header(buf, offset, refcount, type_code, payload_size):
-    """Write an object header at ``offset``."""
-    OBJECT_HEADER.pack_into(buf, offset, refcount, type_code, payload_size)
 
 
 def read_object_header(buf, offset):

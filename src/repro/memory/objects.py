@@ -215,9 +215,6 @@ class ObjectTypeDescriptor(PCType):
 
         return write
 
-    def default_value(self):
-        return None
-
 
 def _as_reference(value):
     """Extract ``(block, offset)`` from a Handle or facade, else None."""

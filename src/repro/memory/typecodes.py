@@ -45,16 +45,6 @@ def simple_code(size):
     return SIMPLE_FLAG | size
 
 
-def is_simple_code(code):
-    """True when ``code`` denotes a simple type rather than an Object type."""
-    return bool(code & SIMPLE_FLAG)
-
-
-def simple_size(code):
-    """Size in bytes encoded in a simple type code."""
-    return code & SIMPLE_SIZE_MASK
-
-
 class TypeRegistry:
     """Maps type names and codes to type descriptors.
 

@@ -72,10 +72,6 @@ class PCType:
         """
         return partial(self.write_slot, block)
 
-    def default_value(self):
-        """The value a zero-initialized slot decodes to."""
-        raise NotImplementedError
-
     def dependents(self):
         """Descriptors this type's on-page layout refers to.
 
@@ -97,11 +93,10 @@ class PrimitiveType(PCType):
     ``memmove`` suffices, and their type code encodes their size.
     """
 
-    def __init__(self, name, fmt, default=0, caster=None):
+    def __init__(self, name, fmt, caster=None):
         self.name = name
         self._codec = struct.Struct("<" + fmt)
         self.slot_size = self._codec.size
-        self._default = default
         self._caster = caster
 
     def type_code(self, block_or_registry):
@@ -132,9 +127,6 @@ class PrimitiveType(PCType):
             values = map(self._caster, values)
         struct.pack_into(self._run_format(count), buf, offset, *values)
 
-    def default_value(self):
-        return self._default
-
     # ``struct.Struct`` objects refuse to pickle, but primitive
     # descriptors ride inside every registry shipped to a back-end
     # process (they become container element descriptors the first time
@@ -155,7 +147,7 @@ class BoolType(PrimitiveType):
     """One-byte boolean."""
 
     def __init__(self):
-        super().__init__("bool", "B", default=False)
+        super().__init__("bool", "B")
 
     def read_slot(self, block, offset):
         return bool(super().read_slot(block, offset))
@@ -176,8 +168,8 @@ Int32 = PrimitiveType("int32", "i", caster=int)
 Int64 = PrimitiveType("int64", "q", caster=int)
 UInt32 = PrimitiveType("uint32", "I", caster=int)
 UInt64 = PrimitiveType("uint64", "Q", caster=int)
-Float32 = PrimitiveType("float32", "f", default=0.0, caster=float)
-Float64 = PrimitiveType("float64", "d", default=0.0, caster=float)
+Float32 = PrimitiveType("float32", "f", caster=float)
+Float64 = PrimitiveType("float64", "d", caster=float)
 Bool = BoolType()
 
 _PRIMITIVES_BY_NAME = {

@@ -331,23 +331,6 @@ class TcapProgram:
         self.statements.append(statement)
         return statement
 
-    def producer_of(self, vlist_name):
-        """The statement producing ``vlist_name``."""
-        for statement in self.statements:
-            if statement.output == vlist_name and not isinstance(
-                statement, OutputStmt
-            ):
-                return statement
-        raise TcapError("no producer for vector list %r" % vlist_name)
-
-    def consumers_of(self, vlist_name):
-        """All statements consuming ``vlist_name``."""
-        return [
-            statement
-            for statement in self.statements
-            if vlist_name in statement.input_names()
-        ]
-
     def stage_fn(self, computation, stage):
         """The compiled stage callable registered for an APPLY."""
         try:

@@ -18,6 +18,10 @@ def points_batch(rows):
     return [row.deref() for row in rows]  # pcsan: disable=PC006
 
 
+def exchange(transport, rows):
+    return transport.ship_rows("a", "b", rows)  # pcsan: disable=PC010
+
+
 def probe(worker):
     try:
         worker.ping()

@@ -1,6 +1,7 @@
 """The pcsan lint pass: every rule fires on its fixture, suppressions
 silence them, and the repo itself is PC-rule-clean."""
 
+import ast
 import json
 import os
 import subprocess
@@ -9,7 +10,14 @@ import sys
 import pytest
 
 from repro.analysis import iter_rules, run_lint
-from repro.analysis.lint import format_json, format_text, lint_source
+from repro.analysis.lint import (
+    ARCHITECTURE,
+    format_json,
+    format_text,
+    lint_source,
+    module_of,
+    references_in,
+)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -23,6 +31,12 @@ def fixture(*parts):
 
 def codes_in(path, select=None):
     return [f.code for f in run_lint([path], select=select)]
+
+
+def marked_lines(name):
+    """Line numbers of a fixture's ``# fires`` comments."""
+    with open(fixture(name)) as handle:
+        return [n for n, text in enumerate(handle, 1) if "# fires" in text]
 
 
 # -- each rule fires on its fixture ------------------------------------------
@@ -80,6 +94,131 @@ def test_pc006_covers_the_kernel_library_module():
         f.code for f in lint_source(source, "repro/engine/kernels.py")
     ] == ["PC006"]
     assert lint_source(source, "repro/engine/pipeline.py") == []
+
+
+def test_pc010_fires_on_every_stray_reference():
+    findings = run_lint([fixture("pc010_stray_reference.py")])
+    assert {f.code for f in findings} == {"PC010"}
+    assert [f.line for f in findings] == marked_lines(
+        "pc010_stray_reference.py")
+    messages = "\n".join(f.message for f in findings)
+    # A caller is module-qualified, a nested function is its enclosing
+    # function's, and a class body is the module's.
+    assert "run_task referenced from " \
+        "pc010_stray_reference.DistributedScheduler._place;" in messages
+    assert "ship_page referenced from pc010_stray_reference.copy_page;" \
+        in messages
+    assert "run_stages referenced from pc010_stray_reference;" in messages
+
+
+def test_pc010_fires_on_a_confined_name_outside_its_package():
+    findings = run_lint([fixture("pc010_confined_name.py")])
+    assert [f.line for f in findings] == marked_lines(
+        "pc010_confined_name.py")
+    assert all("frombuffer outside repro/memory" in f.message
+               for f in findings)
+    with open(fixture("pc010_confined_name.py")) as handle:
+        source = handle.read()
+    assert lint_source(source, "src/repro/memory/gather.py") == []
+
+
+def _over_by(path, lines):
+    """A stand-in for ``path`` that is ``lines`` past its ceiling."""
+    ceiling = ARCHITECTURE["ceilings"][path]
+    return '"""A module."""\n' + "\n" * (ceiling - 1 + lines)
+
+
+def test_pc010_fires_on_a_module_over_its_line_ceiling():
+    path = os.path.join(SRC, "repro", "cluster", "worker.py")
+    assert lint_source(_over_by("repro/cluster/worker.py", 0), path) == []
+    over = _over_by("repro/cluster/worker.py", 1)
+    findings = lint_source(over, path)
+    assert [(f.code, f.line) for f in findings] == [("PC010", 1)]
+    assert findings[0].message == (
+        "repro/cluster/worker.py is %d lines, over its ceiling of %d"
+        % (ARCHITECTURE["ceilings"]["repro/cluster/worker.py"] + 1,
+           ARCHITECTURE["ceilings"]["repro/cluster/worker.py"])
+    )
+    assert lint_source("# pcsan: disable=PC010\n" + over, path) == []
+
+
+def test_pc010_totals_a_package_at_its_init():
+    folder = os.path.join(SRC, "repro", "obs")
+    init = os.path.join(folder, "__init__.py")
+    with open(init) as handle:
+        source = handle.read()
+    others = 0
+    for name in os.listdir(folder):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(folder, name)) as handle:
+                others += handle.read().count("\n")
+    spare = ARCHITECTURE["ceilings"]["repro/obs"] - others \
+        - source.count("\n")
+    assert lint_source(source + "\n" * spare, init) == []
+    findings = lint_source(source + "\n" * (spare + 1), init)
+    assert [f.message for f in findings] == [
+        "repro/obs is %d lines, over its ceiling of %d"
+        % (ARCHITECTURE["ceilings"]["repro/obs"] + 1,
+           ARCHITECTURE["ceilings"]["repro/obs"])
+    ]
+
+
+@pytest.mark.parametrize("module,added,expected", [
+    ("repro/cluster/scheduler.py",
+     "def _stray(transport, data):\n"
+     "    return transport.ship_page('a', 'b', data)\n",
+     "ship_page referenced from repro.cluster.scheduler._stray;"),
+    ("repro/cluster/scheduler.py",
+     "def _stray(engine, stages, batches, sink):\n"
+     "    engine.run_stages(stages, batches, sink)\n",
+     "run_stages referenced from repro.cluster.scheduler._stray;"),
+    ("repro/storage/dataset.py",
+     "def _stray(data):\n"
+     "    return np.frombuffer(data, dtype='<u4')\n",
+     "frombuffer outside repro/memory;"),
+])
+def test_pc010_catches_a_second_path_in_the_real_module(
+        module, added, expected):
+    path = os.path.join(SRC, *module.split("/"))
+    with open(path) as handle:
+        source = handle.read()
+    assert lint_source(source, path) == []
+    messages = [f.message for f in lint_source(source + "\n\n" + added, path)
+                if f.code == "PC010"]
+    assert any(message.startswith(expected) for message in messages), \
+        messages
+
+
+def test_architecture_table_cannot_go_stale():
+    # Every listed name is still defined, every allowed caller still
+    # references it (so it still exists), every confined name is still
+    # used at home, and every capped module is still there.
+    table = ARCHITECTURE["references"]
+    confined = ARCHITECTURE["confined"]
+    defined, callers, at_home = set(), {}, set()
+    for root, _dirs, files in os.walk(SRC):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            with open(path) as handle:
+                tree = ast.parse(handle.read())
+            defined.update(
+                node.name for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+            parts = set(os.path.relpath(path, SRC).split(os.sep))
+            for caller, ref, _node in references_in(tree, module_of(path)):
+                if ref in table:
+                    callers.setdefault(ref, set()).add(caller)
+                if confined.get(ref) in parts:
+                    at_home.add(ref)
+    for name, allowed in table.items():
+        assert name in defined, name
+        assert callers.get(name) == set(allowed), name
+    assert at_home == set(confined)
+    for capped in ARCHITECTURE["ceilings"]:
+        assert os.path.exists(os.path.join(SRC, *capped.split("/"))), capped
 
 
 def test_pc005_is_scoped_to_cluster_paths():
@@ -168,7 +307,7 @@ def test_fixture_tree_violates_every_rule():
     codes = {f.code for f in run_lint([FIXTURES])}
     assert codes == {
         "PC001", "PC002", "PC003", "PC005", "PC006",
-        "PC007", "PC008", "PC009",
+        "PC007", "PC008", "PC009", "PC010",
     }
 
 
@@ -185,12 +324,18 @@ def test_repo_is_flow_rule_clean():
 # -- registry, select, reporters, CLI ----------------------------------------
 
 
-def test_rule_catalog_is_complete():
+def test_rule_catalog_is_complete(capsys):
+    from repro.analysis.__main__ import main
+
     codes = [code for code, _name, _summary in iter_rules()]
     assert codes == [
         "PC001", "PC002", "PC003", "PC005", "PC006",
-        "PC007", "PC008", "PC009",
+        "PC007", "PC008", "PC009", "PC010",
     ]
+    assert main(["rules"]) == 0
+    listed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in listed] == codes
+    assert listed[-1].split()[1] == "architecture"
 
 
 def test_select_runs_only_requested_rules():
@@ -206,12 +351,16 @@ def test_syntax_error_is_reported_not_raised(tmp_path):
 
 
 def test_reporters():
-    findings = lint_source("x = block.buf\n", "repro/engine/foo.py")
+    findings = lint_source(
+        "x = block.buf\ny = transport.ship_rows\n", "repro/engine/foo.py")
     text = format_text(findings)
-    assert "PC002" in text and text.endswith("1 finding")
+    assert "PC002" in text and "PC010" in text
+    assert text.endswith("2 findings")
     payload = json.loads(format_json(findings))
-    assert payload["count"] == 1
-    assert payload["findings"][0]["code"] == "PC002"
+    assert payload["count"] == 2
+    assert [f["code"] for f in payload["findings"]] == ["PC002", "PC010"]
+    assert payload["findings"][1]["message"].startswith(
+        "ship_rows referenced from repro.engine.foo;")
 
 
 @pytest.mark.parametrize(
@@ -308,7 +457,9 @@ def test_sarif_document_shape_and_validation():
     assert run["tool"]["driver"]["name"] == "pcsan"
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
     assert rule_ids == [code for code, _n, _s in iter_rules()]
+    assert "PC010" in rule_ids
     assert len(run["results"]) == len(findings)
+    assert {r["ruleId"] for r in run["results"]} >= {"PC002", "PC010"}
     result = run["results"][0]
     region = result["locations"][0]["physicalLocation"]["region"]
     assert region["startLine"] >= 1 and region["startColumn"] >= 1

@@ -230,7 +230,7 @@ def test_delayed_transfers_are_accounted_not_slept(tmp_path):
     assert cluster.metrics().value("pc_net_delay_seconds_total") == \
         pytest.approx(15.0)
     assert injector.counts["transfer_delays"] == 3
-    if cluster.network.name == "sim":
+    if cluster.transport.name == "sim":
         # Wall-clock proof of "never slept"; only deterministic without
         # real back-end processes (and their spawn time) in the loop.
         assert cluster.last_trace.root.duration_s < 5.0

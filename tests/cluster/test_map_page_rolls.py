@@ -53,7 +53,7 @@ def test_both_writers_roll_pages_without_losing_or_repeating_a_pair(tmp_path):
                 load.append(Sale, shop=shop, buyer=buyer, item=item)
 
         shipped = []  # (src, dst, keys on the combiner page)
-        ship_page = cluster.network.ship_page
+        ship_page = cluster.transport.ship_page
 
         def recording(src, dst, data, checksum=None):
             block = AllocationBlock.from_bytes(
@@ -68,9 +68,9 @@ def test_both_writers_roll_pages_without_losing_or_repeating_a_pair(tmp_path):
 
         agg = BuyersPerShop().set_input(ObjectReader("db", "sales"))
         agg_map = MapType(agg.key_type, agg.value_type)
-        cluster.network.ship_page = recording
+        cluster.transport.ship_page = recording
         Writer("db", "by_shop").set_input(agg).execute(cluster)
-        cluster.network.ship_page = ship_page
+        cluster.transport.ship_page = ship_page
         result = cluster.read("db", "by_shop", as_pairs=True, comp=agg)
     finally:
         cluster.close()

@@ -135,7 +135,7 @@ class _Since:
 
 def _record_transfers(cluster):
     """Every transfer the network is asked for: ``(src, dst, size)``."""
-    network, asked = cluster.network, []
+    network, asked = cluster.transport, []
     ship_rows, ship_page = network.ship_rows, network.ship_page
 
     def rows(src, dst, payload):
@@ -162,7 +162,7 @@ def test_no_self_links_and_no_empty_messages(tmp_path, transport):
         # source tells the two other workers (the parent sent 6 messages:
         # three to a ``master`` hop, two of them empty, and three back).
         cluster.broadcast_threshold = 1 << 30
-        sent = _Since(cluster.network)
+        sent = _Since(cluster.transport)
         cluster.execute_computations(_join("broadcast"))
         assert sent("pc_net_messages_total") == 2
         cluster.broadcast_threshold = 0
@@ -188,15 +188,15 @@ def test_one_worker_cluster_never_touches_the_network(tmp_path, transport):
     # a local hand-over is not a transfer and is never offered to it.
     cluster = _cluster(tmp_path, 1, transport)
     try:
-        cluster.network.fault_injector = FaultInjector(drop_rate=1.0)
-        sent = _Since(cluster.network)
+        cluster.transport.fault_injector = FaultInjector(drop_rate=1.0)
+        sent = _Since(cluster.transport)
         cluster.broadcast_threshold = 0
         cluster.execute_computations(_join("joined"))
         agg = SumX().set_input(ObjectReader("db", "points"))
         Writer("db", "sums").set_input(agg).execute(cluster)
         assert sent("pc_net_messages_total") == 0
         assert sent.links() == []
-        assert cluster.network.fault_injector.counts["transfer_drops"] == 0
+        assert cluster.transport.fault_injector.counts["transfer_drops"] == 0
         assert sorted(cluster.read("db", "joined")) == sorted(
             (pid, "L%d" % cluster_id) for pid, cluster_id, _x in POINTS
         )
@@ -286,7 +286,7 @@ def test_every_row_arrives_once_at_hash_mod_n_in_source_order(
         schedulers, per_worker):
     n = len(per_worker)
     scheduler = schedulers[n]
-    network = scheduler.cluster.network
+    network = scheduler.cluster.transport
     consulted, sent = _watch(network)
     assert scheduler._exchange(_held(scheduler, per_worker)) == \
         _expected(per_worker)
@@ -310,7 +310,7 @@ def test_every_row_arrives_once_at_hash_mod_n_in_source_order(
 def test_drops_and_corruptions_cost_one_retry_each_and_change_nothing(
         schedulers, per_worker, seed):
     scheduler = schedulers[len(per_worker)]
-    network = scheduler.cluster.network
+    network = scheduler.cluster.transport
     consulted, sent = _watch(network, seed, drop_rate=0.3, corrupt_rate=0.3)
     # A corrupted row batch arrives with a foreign frame row prepended:
     # folding it would show up as a result that is not the expected one.
@@ -340,7 +340,7 @@ def test_map_page_wire_delivers_the_same_pairs_with_and_without_faults(
         schedulers, per_worker, seed):
     n = len(per_worker)
     scheduler = schedulers[n]
-    network = scheduler.cluster.network
+    network = scheduler.cluster.transport
     comp = SumX()
     # What an AggregateSink seals, with the key itself as the hash.
     held = [
@@ -377,7 +377,7 @@ def test_map_page_wire_delivers_the_same_pairs_with_and_without_faults(
 
 def test_broadcast_sends_every_row_to_every_other_worker(schedulers):
     scheduler = schedulers[3]
-    network = scheduler.cluster.network
+    network = scheduler.cluster.transport
     _consulted, sent = _watch(network)
     rows = [[("a", 1), ("b", 2)], [], [("c", 3)]]
     everything = [("a", 1), ("b", 2), ("c", 3)]
@@ -449,7 +449,7 @@ def test_join_modes_and_aggregation_wires_match_the_local_engine(
             for comp in (SumX(), SumXRows()):
                 agg = comp.set_input(ObjectReader("db", "points"))
                 out = "%s-%s" % (type(comp).__name__, twice)
-                sent = _Since(cluster.network)
+                sent = _Since(cluster.transport)
                 Writer("db", out).set_input(agg).execute(cluster)
                 assert cluster.read("db", out, as_pairs=True, comp=agg) == \
                     dict(local_sums[("db", "sums")])

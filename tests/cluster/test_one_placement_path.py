@@ -243,13 +243,13 @@ def _steps(replication):
 
 
 def _spy_on_transfers(cluster, on_transfer):
-    ship_page = cluster.network.ship_page
+    ship_page = cluster.transport.ship_page
 
     def spy(src, dst, data, checksum=None):
         on_transfer(src, dst)
         return ship_page(src, dst, data, checksum=checksum)
 
-    cluster.network.ship_page = spy
+    cluster.transport.ship_page = spy
 
 
 def _reads(cluster):

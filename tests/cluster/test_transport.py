@@ -53,8 +53,9 @@ def test_make_transport_resolves_names_and_passthrough():
 
 def test_cluster_exposes_selected_transport(tmp_path):
     cluster = make_cluster(tmp_path, "c")
-    assert cluster.transport is cluster.network
     assert cluster.transport.name in ("sim", "process")
+    assert cluster.replication.network is cluster.transport
+    assert not hasattr(cluster, "network")  # one name for the transport
 
 
 # -- satellite: row-shuffle integrity (seed regression) -------------------------------
@@ -67,7 +68,7 @@ def test_corrupted_row_shuffle_is_detected_and_resent(tmp_path):
     injector = FaultInjector().corrupt_transfer(times=1)
     cluster = make_cluster(tmp_path, "c", injector=injector)
     rows = [(1, 2.0), (2, 3.0), (3, 5.0)]
-    shipped = cluster.network.ship_rows("worker-0", "worker-1", rows)
+    shipped = cluster.transport.ship_rows("worker-0", "worker-1", rows)
     assert shipped == rows  # the receiver never sees the corrupt batch
     lifetime = cluster.metrics()
     assert lifetime.value("pc_net_transfers_corrupted_total") == 1
@@ -80,7 +81,7 @@ def test_corrupted_row_shuffle_without_budget_raises(tmp_path):
         tmp_path, "c", injector=injector, policy=RetryPolicy.disabled()
     )
     with pytest.raises(PageCorruptionError, match="re-send budget"):
-        cluster.network.ship_rows("worker-0", "worker-1", [(1, 1.0)])
+        cluster.transport.ship_rows("worker-0", "worker-1", [(1, 1.0)])
     lifetime = cluster.metrics()
     assert lifetime.value("pc_net_transfers_corrupted_total") == 1
     assert lifetime.value("pc_net_transfer_retries_total") == 0
@@ -89,7 +90,7 @@ def test_corrupted_row_shuffle_without_budget_raises(tmp_path):
 def test_row_shuffle_checksum_skipped_without_injector(tmp_path):
     cluster = make_cluster(tmp_path, "c")  # no fault injector
     rows = [(7, 11.0)]
-    assert cluster.network.ship_rows("worker-0", "worker-1", rows) is rows
+    assert cluster.transport.ship_rows("worker-0", "worker-1", rows) is rows
 
 
 # -- satellite: crashed back-end rejects dispatch -------------------------------------
