@@ -591,6 +591,9 @@ ARCHITECTURE = {
         "scatter_map": (
             "repro.memory.builtins.MapType.inserter",
         ),
+        "plan_objects": (
+            "repro.storage.dataset.RowPageWriter.extend",
+        ),
         "book_task_evidence": (
             "repro.cluster.scheduler.DistributedScheduler._book",
         ),
@@ -602,12 +605,12 @@ ARCHITECTURE = {
     "ceilings": {
         "repro/cluster/scheduler.py": 1148,
         "repro/cluster/transport.py": 762,
-        "repro/cluster/cluster.py": 863,
+        "repro/cluster/cluster.py": 862,
         "repro/cluster/procworker.py": 285,
         "repro/cluster/worker.py": 200,
         "repro/storage/replication.py": 477,
-        "repro/memory/scatter.py": 605,
-        "repro/obs": 2000,
+        "repro/memory/scatter.py": 844,
+        "repro/obs": 1999,
     },
 }
 

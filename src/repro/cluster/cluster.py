@@ -50,6 +50,7 @@ from repro.obs import (
     StageProfiler,
     Tracer,
 )
+from repro.obs.evidence import kernel_fallbacks
 from repro.obs.tracer import Span
 from repro.memory.block import AllocationBlock
 from repro.memory.builtins import MapFacade
@@ -402,20 +403,11 @@ class PCCluster:
     # -- loading data -----------------------------------------------------------------
 
     def loader(self, database, set_name, page_size=None):
-        """Client-side bulk loader: build pages locally, ship bytes.
-
-        Pages are filled on the client with in-place allocations and
-        dispatched whole to round-robin workers — the paper's
-        ``sendData`` with zero-cost movement.  Use as a context manager:
-        a clean exit flushes the final partial page; an exception inside
-        the block *discards* the open page instead of shipping a
-        half-built one.
-
-        For a ``layout="columnar"`` set the returned loader builds
-        struct-of-arrays pages instead: ``append`` takes the schema
-        columns as keywords and ``append_columns`` loads whole arrays at
-        once.
-        """
+        """Client-side bulk loader (a context manager): pages are built
+        on the client in place and shipped whole to the set's workers —
+        the paper's ``sendData`` with zero-cost movement
+        (:class:`ClusterLoader`); a ``layout="columnar"`` set's are
+        struct-of-arrays pages (:class:`ColumnarClusterLoader`)."""
         schema = self._layout_of(database, set_name)
         if isinstance(schema, Schema):
             return ColumnarClusterLoader(
@@ -742,7 +734,9 @@ class ClusterLoader(RowPageWriter):
                 database, set_name, block.to_bytes(), count, source="client",
             )
 
-        super().__init__(open_page, seal_page)
+        fallbacks = kernel_fallbacks(cluster.metrics_registry)
+        super().__init__(open_page, seal_page, lambda reason: fallbacks.inc(
+            operator="object_build", reason=reason))
 
     pages_shipped = property(lambda self: len(self.sealed))
     objects_loaded = property(lambda self: self.appended)
@@ -803,6 +797,11 @@ class ColumnarClusterLoader(FlushOnExit):
         self.objects_loaded += 1
         if self._buffered >= self.capacity:
             self._ship_page()
+
+    def extend(self, cls, records, declined=None):
+        """Buffer each record as :meth:`append` does."""
+        for record in records:
+            self.append(cls, **record)
 
     def append_columns(self, **columns):
         """Buffer many rows at once from equal-length per-column arrays."""

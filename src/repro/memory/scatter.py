@@ -1,9 +1,11 @@
-"""Scatter writes: a Map built from host values, planned once and
-written as arrays — the write half of :mod:`repro.memory.gather`.
+"""Scatter writes: a Map, or a page of object trees, built from host
+values, planned once and written as arrays — the write half of
+:mod:`repro.memory.gather`.
 
 Built object by object, every key, vector and array of an aggregation's
 ``Map`` is an ``allocate`` → ``retain`` → ``pack_into`` round in the
-interpreter.  :func:`scatter_map` writes the same bytes in two phases:
+interpreter, and so is every object of a loaded ``PCObject`` tree.
+:func:`scatter_map` writes the Map's bytes in two phases:
 **plan** — lay out every object the inserter's per-pair loop would
 allocate, in its order (the table, sized as that loop sizes it; per
 entry the key, then the value tree), which on a bump-only block is one
@@ -18,8 +20,9 @@ The per-object page is the oracle.  What the plan does not cover it
 declines before writing anything (:data:`FALLBACK_REASONS`); a host
 value the per-pair loop rejects is left to it, so it raises where it
 always did; a run that does not fit is planned up to its longest prefix
-of whole pairs and the per-pair loop continues.  A plan holds offsets
-and bytes, never the block (DESIGN §16, "Plan, then scatter").
+of whole pairs and the per-pair loop continues.  :func:`plan_objects`
+does the same for a page of trees (:class:`ObjectPlan`).  A plan holds
+offsets and bytes, never the block (DESIGN §16, "Plan, then scatter").
 """
 
 from __future__ import annotations
@@ -37,16 +40,19 @@ from repro.memory.builtins import (
     MapType,
     StringType,
     VectorType,
+    _container_state,
     _keys_equal,
     _string_hash,
     stable_hash,
 )
 from repro.memory.handle import Handle
-from repro.memory.layout import OBJECT_HEADER_SIZE
-from repro.memory.types import PrimitiveType, numpy_dtype_for
+from repro.memory.layout import HANDLE_SLOT_SIZE, OBJECT_HEADER_SIZE
+from repro.memory.objects import ClassDescriptor
+from repro.memory.types import PrimitiveType, numpy_dtype_for, registry_of
 
-#: Why a Map build took the per-pair path — the closed set of
-#: ``pc_engine_kernel_fallback_total{operator="map_build", reason}``.
+#: Why a Map build took the per-pair path, or a tree the per-object one
+#: — the closed set of ``pc_engine_kernel_fallback_total{operator=
+#: "map_build" | "object_build", reason}``.
 FALLBACK_REASONS = (
     "not_bump_only",   # a free chunk or a recycled slot could be handed out
     "repeated_key",    # a key repeats under ``_keys_equal``: an overwrite
@@ -67,6 +73,10 @@ _HALVES = np.array([0, 4])
 _FIRST_WINDOW = 256
 #: host values a ``Vector<primitive>`` slot takes as they are
 _SEQUENCES = {list, tuple, type(None)}
+#: one embedded handle, as ``layout.HANDLE_STRUCT`` packs it
+_SLOT = np.dtype([("delta", "<i8"), ("code", "<u4")])
+#: the slots ``VectorFacade.reserve`` gives an empty vector at least
+_RESERVE_MIN = 4
 
 
 class _Decline(Exception):
@@ -104,6 +114,88 @@ def scatter_map(block, map_type, payload, pairs, declined=None):
             block.buf, payload + _BACKING, table, shape.buckets_code
         )
     return stored
+
+
+def plan_objects(block, cls, records):
+    """Measure ``records`` — host-value trees of the ``PCObject`` class
+    ``cls``, each the dict ``make_object_on(block, cls, record)`` takes —
+    for a page of ``block``'s registry: their :class:`ObjectPlan`."""
+    return ObjectPlan(block, cls, records)
+
+
+class ObjectPlan:
+    """A window of trees measured for one page.
+
+    The leading ``covered`` records are planned; the next, if any, is
+    not — ``reason`` says why (:data:`FALLBACK_REASONS`), or is None when
+    it holds a host value the per-object path rejects.  A record lays
+    out as ``make_object_on`` builds it: the object, then each field's
+    tree in the dict's key order, depth first; a vector before its
+    exactly sized array, the array before its elements.
+    """
+
+    def __init__(self, block, cls, records):
+        self.shape = _Records(cls.pc_descriptor, registry_of(block))
+        self.records = records
+        self.covered, self.reason, self._measured = _leading(
+            self._measure, records)
+
+    def _measure(self, records):
+        if None in records:  # ``make_object_on(block, cls, None)``: empty
+            raise _Decline("uncovered_type")
+        return self.shape.measure(records)
+
+    def fit(self, block):
+        """How many leading covered records the fresh page ``block``
+        takes, its empty root vector reserved for exactly that many."""
+        if not self.covered:
+            return 0
+        ends = np.cumsum(self._measured[1])
+        roots = _chunks(HANDLE_SLOT_SIZE * np.maximum(
+            np.arange(1, self.covered + 1), _RESERVE_MIN))
+        return int((roots + ends <= block.size - block.used).sum())
+
+    def write(self, block, root, stored):
+        """Reserve ``root`` (``block``'s empty root vector) for the
+        leading ``stored`` records, write them — one plan, one scatter —
+        and list them in it, as ``root.append`` would."""
+        data, sizes = self._measured if stored == self.covered \
+            else self.shape.measure(self.records[:stored])
+        root.reserve(stored)
+        plan = _Plan(block.used, 1 if block.managed else 0)
+        ends = np.cumsum(sizes)
+        starts = plan.base + ends - sizes
+        plan.cursor += int(ends[-1])
+        self.shape.fill(plan, data, starts)
+        plan.scatter(block)
+        payload = root.pc_offset + _HEADER
+        array = _container_state(block.buf, payload, HANDLE_SLOT_SIZE)[1]
+        first = array + _HEADER
+        entries = np.zeros(stored, _SLOT)
+        entries["delta"] = starts - first - HANDLE_SLOT_SIZE * np.arange(
+            stored)
+        entries["code"] = self.shape.code
+        block.buf[first:first + entries.nbytes] = entries.tobytes()
+        _COUNT.pack_into(block.buf, payload, stored)
+
+
+def _leading(measure, records):
+    """``(covered, reason, measured)``: how many leading ``records``
+    ``measure`` takes, why not the next one, and what it made of those.
+    A window it refuses is searched from the front — probes that double
+    while they pass — so a refused first record costs one probe more."""
+    good, bad, probe, step = 0, len(records) + 1, len(records), 1
+    measured = failure = None
+    while bad - good > 1:
+        try:
+            measured = measure(records[:probe])
+        except (_Decline,) + _REJECTED as error:
+            bad, failure, step = probe, error, 1
+        else:
+            good, step = probe, step * 2
+        probe = min(good + step, bad - 1)
+    reason = failure.reason if isinstance(failure, _Decline) else None
+    return good, reason, measured
 
 
 # -- shapes: what a plan needs of a descriptor, resolved once per build ----------
@@ -206,33 +298,44 @@ class _Vectors:
             return np.ascontiguousarray(value, dtype=self.dtype).reshape(-1)
         return _reject(value)
 
-    def measure(self, values):
+    def _sequences(self, values):
         if set(map(type, values)) <= _SEQUENCES:
-            data = list(values)
-        else:
-            data = list(map(self._prepare, values))
-        counts = _lengths(data)
+            return list(values)
+        return list(map(self._prepare, values))
+
+    def _sizes(self, counts):
+        """Each vector's bytes with its array's (count -1: a null slot)."""
         arrays = _chunks(counts * self.elem.slot_size) * (counts > 0)
-        return data, (self.box + arrays) * (counts >= 0)
+        return (self.box + arrays) * (counts >= 0)
+
+    def measure(self, values):
+        data = self._sequences(values)
+        return data, self._sizes(_lengths(data))
 
     def fill(self, plan, data, offsets):
-        counts = _lengths(data)
-        present = counts >= 0
-        if not present.all():
-            offsets = offsets * present
-        vectors, counts = offsets[present], counts[present]
-        filled = counts > 0
-        arrays = vectors[filled] + self.box
-        nbytes = counts[filled] * self.elem.slot_size
-        plan.objects(vectors, self.code, self.payload)
-        plan.words64(vectors + _HEADER, counts.view(np.uint64))
-        plan.handles(vectors[filled] + _HEADER + _BACKING, arrays,
-                     self.array_code)
-        plan.objects(arrays, self.array_code, nbytes)
+        offsets, arrays, counts = self._containers(plan, _lengths(data),
+                                                   offsets)
+        nbytes = counts * self.elem.slot_size
         plan.run(arrays + _HEADER, nbytes, self._encode(
             [item for item in data if item is not None and len(item)]
         ))
         return offsets, self.code
+
+    def _containers(self, plan, counts, offsets):
+        """Lay out the vectors at ``offsets`` and their arrays; returns
+        the offsets (0 for a null slot), the arrays and their counts."""
+        present = counts >= 0
+        if not present.all():
+            offsets = offsets * present
+        vectors, counts = offsets[present], counts[present]
+        plan.objects(vectors, self.code, self.payload)
+        plan.words64(vectors + _HEADER, counts.view(np.uint64))
+        filled = counts > 0
+        arrays, counts = vectors[filled] + self.box, counts[filled]
+        plan.handles(vectors[filled] + _HEADER + _BACKING, arrays,
+                     self.array_code)
+        plan.objects(arrays, self.array_code, counts * self.elem.slot_size)
+        return offsets, arrays, counts
 
     def _encode(self, runs):
         """The element bytes of ``runs``, in order: host sequences
@@ -315,6 +418,142 @@ def _slot_shape(descriptor, block):
     raise _Decline("uncovered_type")
 
 
+class _Records:
+    """A ``PCObject`` class's slot: one object per value, a dict of its
+    fields (None: a null slot).  A field's shape is resolved the first
+    time a record sets it.  ``fill`` returns ``(targets, code)``."""
+
+    def __init__(self, descriptor, registry):
+        self.registry = registry
+        self.code = descriptor.type_code(registry)
+        self.payload = descriptor.fixed_payload
+        self.box = _chunk_size(self.payload)
+        self.accessors = descriptor.cls.pc_fields
+        self.fields = {}  # name -> (payload-relative slot, shape)
+
+    def _field(self, name):
+        field = self.fields.get(name)
+        if field is None:
+            accessor = self.accessors.get(name)
+            if accessor is None:  # ``setattr`` on the facade: not a field
+                raise _Decline("uncovered_type")
+            field = self.fields[name] = (
+                _HEADER + accessor.byte_offset,
+                _tree_slot(accessor.pc_type, self.registry),
+            )
+        return field
+
+    def measure(self, values):
+        rows, records = None, values
+        if not set(map(type, values)) <= {dict}:
+            rows = [i for i, value in enumerate(values) if value is not None]
+            records = [values[i] if isinstance(values[i], dict)
+                       else _reject(values[i]) for i in rows]
+        sizes = np.full(len(records), self.box, np.int64)
+        fields = []
+        for keys, index, columns in _key_groups(records):
+            running = sizes[index].copy()
+            for name, column in zip(keys, columns):
+                at, shape = self._field(name)
+                data, size = shape.measure(column)
+                if isinstance(shape, _Primitive):
+                    fields.append((at, shape, index, shape.fill(
+                        None, data, None), None))
+                    continue
+                fields.append((at, shape, index, data, running.copy()))
+                running += size
+            sizes[index] = running
+        if rows is None:
+            return (None, fields), sizes
+        rows = np.array(rows, np.int64)
+        spread = np.zeros(len(values), np.int64)
+        spread[rows] = sizes
+        return (rows, fields), spread
+
+    def fill(self, plan, data, offsets):
+        rows, fields = data
+        objects = offsets if rows is None else offsets[rows]
+        plan.objects(objects, self.code, self.payload)
+        for at, shape, index, field_data, rel in fields:
+            mine = objects[index]
+            if rel is None:
+                plan.slots(mine + at, field_data, shape.width)
+                continue
+            targets, code = shape.fill(plan, field_data, mine + rel)
+            linked = targets != 0
+            plan.handles((mine + at)[linked], targets[linked], code)
+        if rows is None:
+            return offsets, self.code
+        targets = np.zeros(len(offsets), np.int64)
+        targets[rows] = objects
+        return targets, self.code
+
+
+class _RecordVectors(_Vectors):
+    """A ``Vector<Class>`` slot: the vector, then — when it is not empty
+    — its exactly sized array of handles, then each element's tree in
+    order (a None element: a null handle), as ``VectorType.extender``
+    builds it (None: a null slot)."""
+
+    def __init__(self, descriptor, registry):
+        super().__init__(descriptor, registry)
+        self.trees = _Records(descriptor.elem, registry)
+
+    def measure(self, values):
+        data = self._sequences(values)
+        counts = _lengths(data)
+        trees, sizes = self.trees.measure(list(chain.from_iterable(
+            value for value in data if value)))
+        owners = np.repeat(np.arange(len(data)), np.maximum(counts, 0))
+        totals = np.bincount(owners, sizes, len(data)).astype(np.int64)
+        return (counts, trees, sizes), self._sizes(counts) + totals
+
+    def fill(self, plan, data, offsets):
+        counts, trees, sizes = data
+        offsets, arrays, counts = self._containers(plan, counts, offsets)
+        # the elements' trees follow the array, back to back
+        starts = np.cumsum(sizes) - sizes
+        firsts = np.cumsum(counts) - counts
+        targets, code = self.trees.fill(plan, trees, np.repeat(
+            arrays + _chunks(counts * HANDLE_SLOT_SIZE) - starts[firsts],
+            counts) + starts)
+        slots = np.repeat(arrays + _HEADER - firsts * HANDLE_SLOT_SIZE,
+                          counts) + HANDLE_SLOT_SIZE * np.arange(len(sizes))
+        linked = targets != 0
+        plan.handles(slots[linked], targets[linked], code)
+        return offsets, self.code
+
+
+def _tree_slot(descriptor, registry):
+    """The shape of a class field's slot: a map's, bar maps, or a tree."""
+    if isinstance(descriptor, ClassDescriptor):
+        return _Records(descriptor, registry)
+    if isinstance(descriptor, VectorType) and \
+            isinstance(descriptor.elem, ClassDescriptor):
+        return _RecordVectors(descriptor, registry)
+    if isinstance(descriptor, MapType):
+        raise _Decline("uncovered_type")
+    return _slot_shape(descriptor, registry)
+
+
+def _key_groups(records):
+    """``(keys, index, columns)`` per key order among ``records`` (dicts):
+    the keys, which records have that order (a slice when all do), and
+    their values, one tuple per key."""
+    if not records:
+        return []
+    orders = list(map(tuple, records))
+    if orders.count(orders[0]) == len(orders):
+        return [(orders[0], slice(None),
+                 list(zip(*map(dict.values, records))))]
+    groups = {}
+    for i, keys in enumerate(orders):
+        groups.setdefault(keys, []).append(i)
+    return [(keys, np.array(index, np.int64),
+             list(zip(*(records[i].values() for i in index))))
+            for keys, index in groups.items()]
+
+
 def _hashes(shape, keys):
     """``stable_hash`` of every key — declining a key that repeats under
     ``_keys_equal`` (the per-pair path would overwrite its value)."""
@@ -384,7 +623,7 @@ class _Plan:
         """Handle slots at ``slots`` (one alignment) pointing at
         ``targets``: a slot-relative ``int64`` and the type code."""
         if len(slots) and int(slots[0]) % 4:  # behind a 1- or 2-byte key
-            records = np.zeros(len(slots), [("delta", "<i8"), ("code", "<u4")])
+            records = np.zeros(len(slots), _SLOT)
             records["delta"], records["code"] = targets - slots, code
             self.run(slots, np.full(len(slots), 12), records.tobytes())
         else:

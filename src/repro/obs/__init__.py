@@ -18,11 +18,8 @@ from repro.obs.metrics import (
 )
 from repro.obs.profiler import StageProfiler
 from repro.obs.report import render_trace
-from repro.obs.timeline import (
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
+from repro.obs.timeline import to_chrome_trace, validate_chrome_trace, \
+    write_chrome_trace
 from repro.obs.top import ClusterTop
 from repro.obs.tracer import Span, Trace, Tracer
 

@@ -70,6 +70,13 @@ class OperatorRecorder:
         return ops
 
 
+def kernel_fallbacks(registry):
+    """``registry``'s count of what took the object path instead."""
+    return registry.counter(
+        "pc_engine_kernel_fallback_total", labelnames=("operator", "reason"),
+        help="Batches of kernel-marked stages, or builds, that took the object path")
+
+
 #: record field -> (family, help) of the per-operator row counters
 _ROW_FAMILIES = {
     "rows_out": ("pc_op_rows_total", "Rows emitted per TCAP operator"),
@@ -150,10 +157,7 @@ def book_task_evidence(evidence, engine_registry, op_registry, span=None):
                 # application of its own: they stay on the task span)
                 if holder is not None and field != "rows_out":
                     holder.inc("op.%s.%s" % (name, field), record[field])
-    fallbacks = engine_registry.counter(
-        "pc_engine_kernel_fallback_total", labelnames=("operator", "reason"),
-        help="Batches of a kernel-marked stage, or Map builds, that took the object path",
-    )
+    fallbacks = kernel_fallbacks(engine_registry)
     for (name, reason), count in (evidence.get("fallbacks") or {}).items():
         fallbacks.inc(count, operator=name, reason=reason)
         if (holder := holders.get(name, span)) is not None:

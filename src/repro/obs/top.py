@@ -20,6 +20,7 @@ frames — a smoke-testable stand-in for an interactive session.
 
 from __future__ import annotations
 
+import threading
 import time
 
 _STATE_ORDER = {"alive": 0, "suspect": 1, "dead": 2}
@@ -145,10 +146,7 @@ def main(argv=None):
                         choices=("sim", "process"))
     options = parser.parse_args(argv)
 
-    # Imported lazily: repro.cluster imports repro.obs at module load,
-    # so a module-level import here would be circular.
-    import threading
-
+    # Imported here: repro.cluster imports repro.obs at module load.
     from repro.cluster import PCCluster
     from repro.tpch import TpchSpec, customers_per_supplier_pc, \
         load_pc_customers

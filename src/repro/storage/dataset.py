@@ -10,12 +10,17 @@ one at a time and iterate the root vector.
 from __future__ import annotations
 
 import contextlib
+from itertools import chain, islice
 
 from repro.errors import BlockFullError, StorageError
 from repro.memory.block import AllocationBlock
 from repro.memory.objects import make_object_on, use_allocation_block
+from repro.memory.scatter import plan_objects
 from repro.storage.page import open_root, page_items
 from repro.storage.replication import page_checksum
+
+#: records :meth:`RowPageWriter.extend` measures for its first page
+_FIRST_WINDOW = 32
 
 
 class PageSet:
@@ -159,12 +164,14 @@ class RowPageWriter(FlushOnExit):
     Callers differ in two things, and supply them: ``open_page() ->
     (block, token)`` gives an empty block; ``seal_page(block, token,
     count)`` takes a finished one holding ``count`` objects (0: nothing
-    on it is kept, free it) and returns its name, kept in :attr:`sealed`.
+    on it is kept, free it) and returns its name, kept in :attr:`sealed`;
+    ``declined(reason)`` is what :meth:`extend` tells by default.
     """
 
-    def __init__(self, open_page, seal_page):
+    def __init__(self, open_page, seal_page, declined=None):
         self._open_page = open_page
         self._seal_page = seal_page
+        self._declined = declined
         self._block = self._token = self._root = None
         #: what ``seal_page`` returned for every page sealed so far.
         self.sealed = []
@@ -179,14 +186,15 @@ class RowPageWriter(FlushOnExit):
             self._open()
         return self._block
 
-    def _open(self):
+    def _open(self, bare=False):
         self._block, self._token = self._open_page()
         self._root = open_root(self._block)
-        # The root's first slots come with the page (the first record
-        # allocates them anyway): an object living on a page with nothing
-        # recorded can always be listed there, so a page that is freed
-        # never holds an object still to be recorded.
-        self._root.reserve(1)
+        if not bare:
+            # The root's first slots come with the page (the first record
+            # allocates them anyway): an object living on a page with
+            # nothing recorded can always be listed there, so a page that
+            # is freed never holds an object still to be recorded.
+            self._root.reserve(1)
 
     def _retire(self, count):
         block, token = self._block, self._token
@@ -245,6 +253,60 @@ class RowPageWriter(FlushOnExit):
         """Record an existing object (a handle or facade): linked if it
         lives on the open page, deep-copied onto it if not."""
         self._record(_place_existing, value)
+
+    def extend(self, cls, records, declined=None):
+        """Record the host-value trees ``records`` of the ``PCObject``
+        class ``cls`` — each the dict ``append(cls, record)`` takes — a
+        page at a time: a fresh page takes the longest prefix of whole
+        trees that fits, its root vector sized once for them, written
+        with one plan and one scatter
+        (:func:`~repro.memory.scatter.plan_objects`), and is sealed.
+
+        A tree the planner does not cover is appended object by object
+        after ``declined(reason)`` is told why (no reason: it holds a
+        host value that path rejects, and it raises); the trees that
+        follow it share its page until the next planned one.  ``records``
+        is read one page-sized window at a time.
+        """
+        declined = declined or self._declined
+        source = iter(records)
+        window, want, bare = [], _FIRST_WINDOW, False
+        while True:
+            window += islice(source, max(want - len(window), 0))
+            if not window:
+                return
+            if self._root is None:
+                self._open(bare=True)
+                bare = True
+            plan = plan_objects(self._block, cls, window)
+            if plan.covered and not bare:
+                self.flush()
+                self._open(bare=True)
+                bare = True
+            if plan.covered and not self._block.bump_only:
+                for record in chain(window, source):  # freed space reused
+                    if declined is not None:
+                        declined("not_bump_only")
+                    self.append(cls, record)
+                return
+            stored = plan.fit(self._block)
+            if stored == len(window) >= want:  # the page may take more
+                want = 2 * len(window)
+                continue
+            if not stored:  # not covered, or too big for an empty page
+                if not plan.covered and plan.reason is not None \
+                        and declined is not None:
+                    declined(plan.reason)
+                self.append(cls, window.pop(0))
+                bare = False
+                continue
+            plan.write(self._block, self._root, stored)
+            self.appended += stored
+            del window[:stored]
+            bare = False
+            if stored < plan.covered:  # the page is full
+                self.flush()
+                want = stored + stored // 4 + 1
 
 
 def private_page_writer(page_size, registry):

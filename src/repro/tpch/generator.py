@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.memory import make_object
 from repro.tpch.schema import (
     Customer,
     LineItem,
@@ -43,7 +42,8 @@ class TpchSpec:
 
 
 def _customer_records(spec):
-    """Yield one plain-dict record tree per customer (engine-neutral)."""
+    """Yield one plain-dict record tree per customer (engine-neutral): the
+    host value of a ``Customer`` the PC loader writes as it stands."""
     rng = np.random.default_rng(spec.seed)
     order_key = 0
     for cust_key in range(spec.n_customers):
@@ -110,60 +110,9 @@ def load_pc_customers(cluster, spec, database="tpch", set_name="customers",
         cluster.register_type(cls)
     cluster.create_database(database)
     cluster.create_set(database, set_name, Customer, replication=replication)
-    count = 0
     with cluster.loader(database, set_name) as load:
-        for record in _customer_records(spec):
-            load.append_built(
-                lambda block, _r=record: _build_customer(_r)
-            )
-            count += 1
-    return count
-
-
-def _build_customer(record):
-    """Allocate one nested Customer tree on the active page."""
-    order_handles = []
-    for order in record["orders"]:
-        item_handles = []
-        for item in order["line_items"]:
-            part = make_object(Part, **item["part"])
-            supplier = make_object(Supplier, **item["supplier"])
-            line_item = make_object(
-                LineItem,
-                order_key=item["order_key"],
-                line_number=item["line_number"],
-                supplier=supplier,
-                part=part,
-                quantity=item["quantity"],
-                extended_price=item["extended_price"],
-                discount=item["discount"],
-                tax=item["tax"],
-                ship_mode=item["ship_mode"],
-            )
-            part.release()
-            supplier.release()
-            item_handles.append(line_item)
-        order_handle = make_object(
-            Order,
-            **{k: v for k, v in order.items() if k != "line_items"},
-        )
-        items_vector = order_handle.deref().line_items
-        if items_vector is None:
-            order_handle.deref().line_items = []
-            items_vector = order_handle.deref().line_items
-        for handle in item_handles:
-            items_vector.append(handle)
-            handle.release()
-        order_handles.append(order_handle)
-    customer = make_object(
-        Customer, **{k: v for k, v in record.items() if k != "orders"}
-    )
-    customer.deref().orders = []
-    orders_vector = customer.deref().orders
-    for handle in order_handles:
-        orders_vector.append(handle)
-        handle.release()
-    return customer
+        load.extend(Customer, _customer_records(spec))
+    return load.objects_loaded
 
 
 def python_customers(spec):

@@ -16,7 +16,6 @@ the computations and preserves single-page locality.)
 from __future__ import annotations
 
 from repro.memory import Int32, PCObject, String, VectorType
-from repro.memory.builtins import AnyObject
 
 
 class Part(PCObject):
@@ -66,7 +65,7 @@ class Order(PCObject):
         ("order_date", String),
         ("priority", String),
         ("clerk", String),
-        ("line_items", VectorType(AnyObject)),
+        ("line_items", VectorType(LineItem)),
     ]
 
 
@@ -79,7 +78,7 @@ class Customer(PCObject):
         ("phone", String),
         ("acct_bal", Int32),
         ("market_segment", String),
-        ("orders", VectorType(AnyObject)),
+        ("orders", VectorType(Order)),
     ]
 
     def part_ids(self):

@@ -1,15 +1,17 @@
 """Regenerate ``loader_pages.json``: the pages ``ClusterLoader`` ships.
 
-Run against the commit whose loader bytes should be frozen (PR 15's, for
-the checked-in file)::
+Run against the commit whose loader bytes should be frozen::
 
     PYTHONPATH=<checkout>/src python tests/cluster/fixtures/make_loader_pages.py
 
 The JSON holds, per load, the CRC32 and object count of every page the
 loader handed to ``replication.store_page``, in shipping order (see
 ``test_write_path_property.py``).  Three fixed loads: TPC-H ``Customer``
-trees and a chunked matrix through ``append_built``, and flat keyword
-``append`` rows, each on pages small enough to roll many times.
+trees through the planned ``extend``, a chunked matrix through
+``append_built``, and flat keyword ``append`` rows, each on pages small
+enough to roll many times.  The checked-in ``matrix_blocks`` and
+``keyword_rows`` were frozen before ``extend`` existed, and still hold:
+only ``tpch_customers`` was regenerated when the loader began planning.
 """
 
 from __future__ import annotations

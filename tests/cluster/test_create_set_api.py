@@ -126,6 +126,21 @@ def test_columnar_loader_accepts_rows_and_columns(cluster):
     ]
 
 
+@pytest.mark.parametrize("layout", ["row", "columnar"])
+def test_an_extend_call_site_loads_either_layout_unedited(cluster, layout):
+    cluster.create_set("db", "readings", Reading, layout=layout)
+    records = [{"sensor": i % 7, "value": i / 4.0} for i in range(900)]
+    with cluster.loader("db", "readings") as load:
+        load.extend(Reading, iter(records))
+    assert _meta(cluster, "readings").layout == layout
+    assert load.objects_loaded == 900 and load.pages_shipped > 1
+    rows = cluster.read("db", "readings")
+    if layout == "row":
+        rows = [row.deref() for row in rows]
+    assert sorted((row.sensor, row.value) for row in rows) == sorted(
+        (record["sensor"], record["value"]) for record in records)
+
+
 def test_columnar_loader_rejects_missing_and_built_objects(cluster):
     from repro.errors import StorageError
 

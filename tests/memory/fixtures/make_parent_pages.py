@@ -8,6 +8,10 @@ checked-in file)::
 The JSON holds, per page, the sealed bytes (base64), the registry's
 ``code -> name`` table the bytes were written under, and the decoded
 value the page must still produce (see ``test_page_compat.py``).
+
+The customer page was written under the schema of its day, in which
+``Customer.orders`` and ``Order.line_items`` were ``Vector<AnyObject>``,
+by the builder of its day; both are kept here as they were.
 """
 
 from __future__ import annotations
@@ -20,14 +24,18 @@ from repro.memory import (
     AllocationBlock,
     Int32,
     MapType,
+    PCObject,
     String,
     VectorType,
+    make_object,
     make_object_on,
     use_allocation_block,
 )
 from repro.memory.builtins import AnyObject
 from repro.memory.typecodes import TypeRegistry
-from repro.tpch.generator import TpchSpec, _build_customer, _customer_records
+from repro.tpch import schema
+from repro.tpch.generator import TpchSpec, _customer_records
+from repro.tpch.schema import LineItem, Part, Supplier
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -40,6 +48,84 @@ AGG_VALUE = {
     }
     for s in range(4)
 }
+
+
+class Order(PCObject):
+    fields = [
+        ("order_key", Int32),
+        ("cust_key", Int32),
+        ("order_status", String),
+        ("total_price", Int32),
+        ("order_date", String),
+        ("priority", String),
+        ("clerk", String),
+        ("line_items", VectorType(AnyObject)),
+    ]
+
+
+class Customer(PCObject):
+    fields = [
+        ("cust_key", Int32),
+        ("name", String),
+        ("address", String),
+        ("nation", String),
+        ("phone", String),
+        ("acct_bal", Int32),
+        ("market_segment", String),
+        ("orders", VectorType(AnyObject)),
+    ]
+
+    part_ids = schema.Customer.part_ids
+
+
+#: the classes the customer page's codes name
+CUSTOMER_CLASSES = (Customer, Order, LineItem, Part, Supplier)
+
+
+def _build_customer(record):
+    """Allocate one nested Customer tree on the active page."""
+    order_handles = []
+    for order in record["orders"]:
+        item_handles = []
+        for item in order["line_items"]:
+            part = make_object(Part, **item["part"])
+            supplier = make_object(Supplier, **item["supplier"])
+            line_item = make_object(
+                LineItem,
+                order_key=item["order_key"],
+                line_number=item["line_number"],
+                supplier=supplier,
+                part=part,
+                quantity=item["quantity"],
+                extended_price=item["extended_price"],
+                discount=item["discount"],
+                tax=item["tax"],
+                ship_mode=item["ship_mode"],
+            )
+            part.release()
+            supplier.release()
+            item_handles.append(line_item)
+        order_handle = make_object(
+            Order,
+            **{k: v for k, v in order.items() if k != "line_items"},
+        )
+        items_vector = order_handle.deref().line_items
+        if items_vector is None:
+            order_handle.deref().line_items = []
+            items_vector = order_handle.deref().line_items
+        for handle in item_handles:
+            items_vector.append(handle)
+            handle.release()
+        order_handles.append(order_handle)
+    customer = make_object(
+        Customer, **{k: v for k, v in record.items() if k != "orders"}
+    )
+    customer.deref().orders = []
+    orders_vector = customer.deref().orders
+    for handle in order_handles:
+        orders_vector.append(handle)
+        handle.release()
+    return customer
 
 
 def decode_customer(customer):

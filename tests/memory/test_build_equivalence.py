@@ -11,9 +11,15 @@ scattered (``repro.memory.scatter``); the oracle is the per-object build
 of the same input on a ``RECYCLING`` block, which the planner declines
 and whose allocations are otherwise the same bumps: the pages, the
 allocation counts and the sanitizer's shadow must be the same.
+
+A page of host-value trees that ``RowPageWriter.extend`` plans is held
+to the same oracle, page by page: its root reserved for the page's
+count, then ``make_object_on`` once per record.
 """
 
 import gc
+import itertools
+import struct
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.sanitizer import current_sanitizer, sanitize_scope
-from repro.errors import BlockFullError
+from repro.errors import BlockFullError, StorageError
 from repro.memory import (
     LIGHTWEIGHT_REUSE,
     OBJECT_HEADER_SIZE,
@@ -29,9 +35,11 @@ from repro.memory import (
     AllocationBlock,
     Bool,
     Float64,
+    Handle,
     Int32,
     MapFacade,
     MapType,
+    PCObject,
     String,
     VectorFacade,
     VectorType,
@@ -39,8 +47,13 @@ from repro.memory import (
     make_object_on,
 )
 from repro.memory.layout import ALLOC_STATE, ALLOC_STATE_OFFSET
+from repro.memory.objects import PCObjectMeta
 from repro.memory.scatter import FALLBACK_REASONS, scatter_map
-from repro.storage.dataset import pack_map_pages
+from repro.memory.typecodes import TypeRegistry
+from repro.storage.dataset import RowPageWriter, _place_new, pack_map_pages
+from repro.storage.page import open_root, page_items
+from repro.tpch.generator import TpchSpec, _customer_records
+from repro.tpch.schema import Customer
 
 _BLOCK_SIZE = 1 << 18
 
@@ -382,3 +395,257 @@ def test_combiner_pages_leave_no_block_for_the_cyclic_collector():
         assert blocks() - before == set()
     finally:
         gc.enable()
+
+
+# -- a page of planned object trees is the per-object page ---------------------------
+
+_serial = itertools.count()
+
+#: a generated class's leaf fields: (descriptor, host values)
+_LEAVES = [
+    (Int32, _ints),
+    (Float64, st.floats(allow_nan=False, width=64)),
+    (Bool, st.booleans()),
+    (String, st.none() | _text),
+    (VectorType(Int32), st.none() | _int_lists),
+]
+
+
+@st.composite
+def _tree_classes(draw, depth=2):
+    """A generated ``PCObject`` class over the five field kinds the
+    planner covers — primitive, ``String``, ``Vector<primitive>``,
+    ``Handle<Class>``, ``Vector<Class>`` — and a strategy of its records:
+    all its fields in declared order, or any subset in any order."""
+    fields = []
+    for index in range(draw(st.integers(1, 5))):
+        kind = draw(st.integers(0, len(_LEAVES) + (1 if depth else -1)))
+        if kind < len(_LEAVES):
+            descriptor, values = _LEAVES[kind]
+        else:
+            child, records = draw(_tree_classes(depth - 1))
+            descriptor, values = (child, st.none() | records)
+            if kind > len(_LEAVES):
+                descriptor = VectorType(child)
+                values = st.none() | st.lists(st.none() | records, max_size=3)
+        fields.append(("f%d" % index, descriptor, values))
+    cls = PCObjectMeta("Tree%d" % next(_serial), (PCObject,), {
+        "fields": [(name, descriptor) for name, descriptor, _v in fields]})
+    picks = st.just(list(range(len(fields)))) | st.lists(
+        st.sampled_from(range(len(fields))), unique=True)
+    return cls, picks.flatmap(lambda picked: st.tuples(
+        *(fields[i][2] for i in picked)
+    ).map(lambda drawn: dict(zip((fields[i][0] for i in picked), drawn))))
+
+
+def _writer(size, registry, seal):
+    return RowPageWriter(
+        lambda: (AllocationBlock(size, registry=registry), None), seal)
+
+
+def _extended(cls, records, size, registry):
+    """What ``extend`` does: its pages ``[(count, page)]``, its outcome
+    and the reasons it was told."""
+    pages, declined = [], []
+
+    def seal(block, _token, count):
+        if count:
+            pages.append((count, _page(block)))
+
+    try:
+        with _writer(size, registry, seal) as writer:
+            writer.extend(cls, records, declined.append)
+    except Exception as error:  # the same error, at the same record
+        return pages, (type(error), str(error)), declined
+    return pages, None, declined
+
+
+def _per_object(cls, records, counts, size, registry):
+    """The oracle: each page built object by object — its root reserved
+    for its count, then ``make_object_on`` once per record — and what
+    appending the records left over does."""
+    pages, rest = [], list(records)
+    for count in counts:
+        block = AllocationBlock(size, registry=registry)
+        root = open_root(block)
+        root.reserve(count)
+        for record in rest[:count]:
+            _place_new(root, block, make_object_on, cls, record)
+        del rest[:count]
+        pages.append((count, _page(block)))
+    try:
+        writer = _writer(size, registry, lambda *_: None)
+        for record in rest:
+            writer.append(cls, record)
+    except Exception as error:
+        return pages, (type(error), str(error))
+    return pages, None
+
+
+def _extend_is_per_object(cls, records, size):
+    registry = TypeRegistry()
+    pages, outcome, declined = _extended(cls, records, size, registry)
+    assert declined == []
+    counts = [count for count, _page in pages]
+    assert (pages, outcome) == _per_object(cls, records, counts, size,
+                                           registry)
+    return counts, outcome
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_extend_writes_the_per_object_pages(data):
+    cls, records = data.draw(_tree_classes())
+    _extend_is_per_object(cls, data.draw(st.lists(records, max_size=10)),
+                          data.draw(st.integers(1 << 9, 1 << 13)))
+
+
+class _Leaf(PCObject):
+    fields = [("flag", Bool), ("text", String), ("value", Float64)]
+
+
+class _Mixed(PCObject):
+    fields = [("id", Int32), ("name", String), ("ints", VectorType(Int32)),
+              ("child", _Leaf), ("kids", VectorType(_Leaf))]
+
+
+_MIXED = [
+    {"id": 1, "name": None, "ints": [], "child": None, "kids": []},
+    {"id": 2, "ints": None, "kids": [None, {}]},
+    {},
+    {"kids": [{"text": "é"}], "name": "Ünïcødé 日本 ß",
+     "child": {"flag": True, "text": "", "value": -0.0}},
+    {"id": _INT32_MAX, "ints": [_INT32_MAX, -_INT32_MAX, -_INT32_MAX - 1]},
+    {"id": -_INT32_MAX, "name": "x" * 40, "ints": list(range(9)),
+     "kids": [{"value": 2.5}, {"flag": True, "text": "kid"}]},
+]
+
+
+@pytest.mark.parametrize("size", [640, 900, 1 << 12])
+def test_nulls_empty_vectors_and_non_ascii_text_are_the_per_object_page(size):
+    counts, outcome = _extend_is_per_object(_Mixed, _MIXED * 3, size)
+    assert outcome is None and sum(counts) == 18
+
+
+def test_an_out_of_range_int32_raises_what_the_per_object_build_raises():
+    with pytest.raises(struct.error) as direct:
+        make_object_on(AllocationBlock(1 << 12), _Mixed, {"id": 1 << 31})
+    _counts, outcome = _extend_is_per_object(
+        _Mixed, _MIXED + [{"id": 1 << 31}] + _MIXED, 1 << 12)
+    assert outcome == (struct.error, str(direct.value))
+
+
+def test_a_page_boundary_falls_after_every_record():
+    records = [dict(record, id=i)
+               for i, record in enumerate(_MIXED[::-1] * 7)]
+    ends = set()
+    for size in range(320, 10 << 10, 32):
+        counts, outcome = _extend_is_per_object(_Mixed, records, size)
+        if outcome is None:  # else the oracle raised the same
+            ends.update(itertools.accumulate(counts[:-1]))
+    assert ends == set(range(1, len(records)))
+
+
+def test_a_record_no_empty_page_takes_raises_the_storage_error():
+    huge = {"id": 1, "ints": list(range(400))}
+    _counts, outcome = _extend_is_per_object(_Mixed, _MIXED + [huge],
+                                             1 << 10)
+    assert outcome[0] is StorageError
+    with pytest.raises(StorageError) as direct:
+        _writer(1 << 10, None, lambda *_: None).append(_Mixed, huge)
+    assert outcome[1] == str(direct.value)
+
+
+def test_tpch_customers_are_planned_whole():
+    records = list(_customer_records(TpchSpec(90, n_parts=40,
+                                              n_suppliers=6, seed=3)))
+    counts, outcome = _extend_is_per_object(Customer, records, 1 << 15)
+    assert outcome is None and sum(counts) == 90 and len(counts) > 3
+
+
+def test_extend_leaves_the_per_object_shadow():
+    records = list(_customer_records(TpchSpec(6, n_parts=20, n_suppliers=4)))
+    with sanitize_scope():
+        registry, sealed = TypeRegistry(), []
+        with _writer(1 << 16, registry, lambda block, *_: sealed.append(
+                block)) as writer:
+            writer.extend(Customer, records)
+        oracle = AllocationBlock(1 << 16, registry=registry)
+        root = open_root(oracle)
+        root.reserve(len(records))
+        for record in records:
+            _place_new(root, oracle, make_object_on, Customer, record)
+        (planned,) = sealed
+        for block in (planned, oracle):
+            assert len(block._san.live) == block.alloc_count
+        assert dict(planned._san.live) == dict(oracle._san.live)
+        assert dict(planned._san.refcounts) == dict(oracle._san.refcounts)
+        assert _page(planned) == _page(oracle)
+
+
+def _read_mixed(view):
+    kids, child = view.kids, view.child
+    return (view.id, view.name, None if view.ints is None else list(view.ints),
+            None if kids is None else len(kids),
+            None if child is None else child.deref().text)
+
+
+def _read_mixed_plain(record):
+    kids, child = record.get("kids"), record.get("child")
+    if isinstance(child, Handle):
+        child = {"text": child.deref().text}
+    return (record.get("id", 0), record.get("name"), record.get("ints"),
+            None if kids is None else len(kids),
+            None if child is None else child.get("text", ""))
+
+
+def _load(records, size=1 << 12, first=None):
+    """``records`` through ``extend`` (after ``first`` through ``append``):
+    the reasons it was told and the rows of the pages, read back."""
+    declined, rows = [], []
+
+    def seal(block, _token, count):
+        rows.extend(_read_mixed(handle.deref()) for handle in
+                    page_items(AllocationBlock.from_bytes(block.to_bytes())))
+
+    with _writer(size, None, seal) as writer:
+        if first is not None:
+            writer.append(_Mixed, first)
+        writer.extend(_Mixed, records, declined.append)
+    return declined, rows
+
+
+def test_a_record_holding_a_handle_is_declined_once_and_deep_copied():
+    elsewhere = AllocationBlock(1 << 12)
+    leaf = make_object_on(elsewhere, _Leaf, flag=True, text="linked")
+    records = [dict(record, id=i) for i, record in enumerate(_MIXED * 4)]
+    records[9]["child"] = leaf
+    declined, rows = _load(records, first={"id": -1})
+    assert declined == ["reference"]
+    assert rows == [_read_mixed_plain(record)
+                    for record in [{"id": -1}] + records]
+    assert rows[10][4] == "linked"
+
+
+class _Tagged(PCObject):
+    fields = [("id", Int32), ("tags", VectorType(String))]
+
+
+def test_an_uncovered_field_type_is_declined_per_record_and_appended():
+    records = [{"id": i, "tags": ["t%d" % j for j in range(i % 4)]}
+               for i in range(40)]
+    registry = TypeRegistry()
+    pages, outcome, declined = _extended(_Tagged, records, 1 << 10,
+                                         registry)
+    appended = []
+
+    def seal(block, _token, count):
+        if count:
+            appended.append((count, _page(block)))
+
+    with _writer(1 << 10, registry, seal) as writer:
+        for record in records:
+            writer.append(_Tagged, record)
+    assert outcome is None and declined == ["uncovered_type"] * 40
+    assert set(declined) <= set(FALLBACK_REASONS)
+    assert pages == appended

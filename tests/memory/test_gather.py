@@ -53,7 +53,7 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.page import open_root, page_items
 from repro.tcap import compile_computations
 from repro.tcap.optimizer import mark_columnar, optimize
-from repro.tpch.generator import TpchSpec, _build_customer, _customer_records
+from repro.tpch.generator import TpchSpec, _customer_records
 from repro.tpch.queries import CustomerMultiSelection
 from repro.tpch.schema import Customer, LineItem, Order
 
@@ -72,11 +72,10 @@ def customer_page(n=12, size=1 << 18, seed=5, block=None):
     root = open_root(block)
     root.reserve(n + 4)
     spec = TpchSpec(n, n_parts=30, n_suppliers=4, seed=seed)
-    with use_allocation_block(block):
-        for record in _customer_records(spec):
-            handle = _build_customer(record)
-            root.append(handle)
-            handle.release()
+    for record in _customer_records(spec):
+        handle = make_object_on(block, Customer, record)
+        root.append(handle)
+        handle.release()
     return block, page_items(block)
 
 

@@ -6,7 +6,9 @@ bytes written by the previous builders must read back unchanged:
 ``fixtures/parent_pages.json`` holds one set page of ``Customer`` trees
 and one aggregation ``Map`` page sealed at the parent commit (see
 ``fixtures/make_parent_pages.py``), with the registry codes they were
-written under and the values they hold.
+written under and the values they hold.  The customer page is read under
+the schema it was written with, whose ``orders`` and ``line_items`` are
+``Vector<AnyObject>`` (the maker's ``CUSTOMER_CLASSES``).
 """
 
 import base64
@@ -19,7 +21,6 @@ import pytest
 from repro.memory import AllocationBlock, VectorType
 from repro.memory.builtins import AnyObject
 from repro.memory.typecodes import TypeRegistry
-from repro.tpch.schema import Customer, LineItem, Order, Part, Supplier
 
 _FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -75,8 +76,7 @@ def _plain(view):
 def test_parent_customer_page_decodes_unchanged(pages):
     page = pages["customer"]
     root = _attach(page, [VectorType(AnyObject)] + [
-        cls.pc_descriptor
-        for cls in (Customer, Order, LineItem, Part, Supplier)
+        cls.pc_descriptor for cls in maker.CUSTOMER_CLASSES
     ])
     customers = [handle.deref() for handle in root]
     assert [maker.decode_customer(c) for c in customers] == page["expected"]
