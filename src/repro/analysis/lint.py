@@ -605,7 +605,7 @@ ARCHITECTURE = {
     "ceilings": {
         "repro/cluster/scheduler.py": 1148,
         "repro/cluster/transport.py": 762,
-        "repro/cluster/cluster.py": 862,
+        "repro/cluster/cluster.py": 833,
         "repro/cluster/procworker.py": 285,
         "repro/cluster/worker.py": 200,
         "repro/storage/replication.py": 477,

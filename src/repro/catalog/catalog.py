@@ -80,7 +80,7 @@ class SetMetadata:
     """Catalog record for one stored set."""
 
     def __init__(self, database, name, type_name, partitions,
-                 replication=1, page_size=None, layout="row", schema=None):
+                 replication=1, page_size=None, schema=None):
         self.database = database
         self.name = name
         self.type_name = type_name
@@ -89,10 +89,8 @@ class SetMetadata:
         #: copies kept of every page (1 = no redundancy).
         self.replication = replication
         self.page_size = page_size
-        #: physical page layout: "row" (object pages) or "columnar"
-        #: (struct-of-arrays pages; requires ``schema``).
-        self.layout = layout
-        #: the :class:`repro.schema.Schema` of a columnar set, else None.
+        #: the :class:`repro.schema.Schema` a columnar set was created
+        #: with; None for a set of object (row) pages.
         self.schema = schema
         #: page uid -> :class:`PageRecord`, in load order (dicts preserve
         #: insertion order, which fixes the scan order of the set).
@@ -251,18 +249,9 @@ class CatalogManager:
                 self._databases[name] = {}
 
     def create_set(self, database, name, type_name, partitions,
-                   replication=1, page_size=None, layout="row", schema=None):
-        """Record a new set partitioned over ``partitions`` (worker ids)."""
-        if layout not in ("row", "columnar"):
-            raise CatalogError(
-                "unknown layout %r (expected 'row' or 'columnar')"
-                % (layout,)
-            )
-        if layout == "columnar" and schema is None:
-            raise CatalogError(
-                "columnar layout requires a schema for set %s.%s"
-                % (database, name)
-            )
+                   replication=1, page_size=None, schema=None):
+        """Record a new set partitioned over ``partitions`` (worker ids);
+        it is columnar iff ``schema`` is not None."""
         with self._lock:
             if database not in self._databases:
                 raise CatalogError("database %r does not exist" % database)
@@ -275,12 +264,11 @@ class CatalogManager:
                 "op": "create_set", "db": database, "set": name,
                 "type": type_name, "partitions": list(partitions),
                 "replication": replication, "page_size": page_size,
-                "layout": layout,
                 "schema": schema.to_dict() if schema is not None else None,
             })
             meta = SetMetadata(database, name, type_name, partitions,
                                replication=replication, page_size=page_size,
-                               layout=layout, schema=schema)
+                               schema=schema)
             sets[name] = meta
             return meta
 
@@ -398,12 +386,12 @@ class CatalogManager:
         elif op == "create_set":
             from repro.schema import Schema
 
+            # Older records also carry a "layout" key; the schema says it.
             self.create_set(
                 record["db"], record["set"], record["type"],
                 record["partitions"],
                 replication=record.get("replication", 1),
                 page_size=record.get("page_size"),
-                layout=record.get("layout", "row"),
                 schema=Schema.from_dict(record.get("schema")),
             )
         elif op == "drop_set":

@@ -236,60 +236,31 @@ class PCCluster:
         self.storage_manager.create_database(name)
 
     def create_set(self, database, name, cls=None, *, page_size=None,
-                   replication=1, layout=None, schema=None):
+                   replication=1, schema=None):
         """Create a set partitioned over all workers — the one DDL surface.
 
         ``replication=k`` keeps ``k`` synchronous copies of every page on
         ring-chosen workers: reads fail over to any live replica, and a
         node loss triggers re-replication instead of data loss.
 
-        ``layout`` picks the physical page format: ``"row"`` (the default;
-        object pages holding a root vector of handles) or ``"columnar"``
-        (struct-of-arrays pages whose fixed-stride columns the engine can
-        run whole-page numpy kernels over).  Columnar sets need a
-        :class:`repro.schema.Schema`, given either explicitly via
-        ``schema=`` (a Schema or a ``[("x", f64), ...]`` field list, which
-        implies ``layout="columnar"``) or derived from ``cls`` when all of
-        its fields are fixed-stride primitives.  Setting ``PC_LAYOUT=
-        columnar`` in the environment makes derivable sets columnar by
-        default without touching call sites.
+        A set is columnar — struct-of-arrays pages whose fixed-stride
+        columns the engine runs whole-page numpy kernels over — iff it is
+        created with a ``schema=``: a :class:`repro.schema.Schema` (e.g.
+        ``Schema.from_class(cls)``) or a ``[("x", f64), ...]`` field
+        list.  Without one its pages are object pages holding a root
+        vector of handles.
         """
         type_name = None
         if isinstance(cls, str):
             type_name = cls
-            cls = None
         elif cls is not None:
             self.register_type(cls)
             type_name = getattr(cls, "__name__", getattr(cls, "name", None))
         if schema is not None and not isinstance(schema, Schema):
             schema = Schema(schema)
-        if layout is None:
-            if schema is not None:
-                layout = "columnar"
-            elif os.environ.get("PC_LAYOUT") == "columnar" and cls is not None:
-                # Default-on leg: derivable classes go columnar, the rest
-                # keep the row layout (no schema, no array kernels).
-                schema = Schema.from_class(cls)
-                layout = "columnar" if schema is not None else "row"
-            else:
-                layout = "row"
-        elif layout == "columnar" and schema is None:
-            if cls is not None:
-                schema = Schema.from_class(cls)
-            if schema is None:
-                raise CatalogError(
-                    "columnar layout for %s.%s needs a schema= (or a cls "
-                    "whose fields are all fixed-stride primitives)"
-                    % (database, name)
-                )
-        elif layout == "row" and schema is not None:
-            raise CatalogError(
-                "layout='row' does not take a schema; drop schema= or ask "
-                "for layout='columnar'"
-            )
         return self.storage_manager.create_set(
             database, name, type_name, page_size=page_size,
-            replication=replication, layout=layout, schema=schema,
+            replication=replication, schema=schema,
         )
 
     def ensure_set(self, database, name):
@@ -406,7 +377,7 @@ class PCCluster:
         """Client-side bulk loader (a context manager): pages are built
         on the client in place and shipped whole to the set's workers —
         the paper's ``sendData`` with zero-cost movement
-        (:class:`ClusterLoader`); a ``layout="columnar"`` set's are
+        (:class:`ClusterLoader`); a set created with a schema gets
         struct-of-arrays pages (:class:`ColumnarClusterLoader`)."""
         schema = self._layout_of(database, set_name)
         if isinstance(schema, Schema):
@@ -429,7 +400,7 @@ class PCCluster:
             # Not-yet-created sets (e.g. a job's output set) simply have
             # none; creation-time errors surface on their own.
             return None
-        if meta.layout == "columnar":
+        if meta.schema is not None:
             return meta.schema
         return row_class(self.catalog.registry, meta.type_name)
 
@@ -468,8 +439,8 @@ class PCCluster:
             # A mistyped plan dies here, before any stage is planned or
             # dispatched, with a PlanTypeError naming its TCAP statement.
             with self.tracer.span("verify", kind="phase"):
-                verify_program(program, catalog=self.catalog,
-                               layout_of=self._layout_of)
+                verify_program(program, layout_of=self._layout_of,
+                               registry=self.catalog.registry)
             with self.tracer.span("plan", kind="phase"):
                 overrides = self._choose_build_sides(program)
                 overrides.update(build_side_overrides or {})

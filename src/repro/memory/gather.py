@@ -74,8 +74,10 @@ _PAIR = np.arange(2)
 
 def row_class(registry, type_name):
     """The :class:`PCObject` class ``registry`` holds as ``type_name``,
-    or None."""
-    code = registry.code_for_name(type_name) if type_name else None
+    or None (also when there is no registry)."""
+    if registry is None or not type_name:
+        return None
+    code = registry.code_for_name(type_name)
     if code is None:
         return None
     cls = getattr(registry.lookup(code), "cls", None)

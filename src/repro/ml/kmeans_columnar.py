@@ -2,7 +2,7 @@
 
 Where :mod:`repro.ml.kmeans` stores points as chunk *objects* and runs
 the Lloyd step through per-chunk native lambdas, this variant stores one
-point per row in a ``layout="columnar"`` set (one ``f64`` column per
+point per row in a set created with ``schema=`` (one ``f64`` column per
 dimension) and expresses the step so every operator lowers onto the
 whole-page array kernels:
 

@@ -1,7 +1,8 @@
 """Declarative column schemas: the one way to opt a set into columnar layout.
 
 A :class:`Schema` names the fixed-stride columns of a set and is passed to
-``cluster.create_set(..., layout="columnar", schema=...)``.  It is the
+``cluster.create_set(..., schema=...)``; a set is columnar iff it was
+created with one.  It is the
 client-facing contract behind :class:`repro.memory.columnar.ColumnarPage`:
 every column is a primitive (fixed-width) PC type, so a page can store the
 set struct-of-arrays style and expose each column as a zero-copy numpy
@@ -96,16 +97,18 @@ class Schema:
     def from_class(cls, pc_class):
         """Derive a schema from a PCObject subclass of all-primitive fields.
 
-        Returns None when any field is not fixed-stride numeric (such a
-        class cannot be laid out columnar and must stay on the row path).
+        Raises :class:`TypeRegistrationError` naming the first field that
+        is not fixed-stride numeric: such a class cannot be laid out
+        columnar, and its set is created without a schema (row pages).
         """
-        accessors = getattr(pc_class, "pc_accessors", None)
-        if not accessors:
-            return None
         fields = []
-        for accessor in accessors:
+        for accessor in getattr(pc_class, "pc_accessors", ()):
             if NUMPY_DTYPES.get(accessor.pc_type.name) is None:
-                return None
+                raise TypeRegistrationError(
+                    "%s.%s is a %s, not a fixed-stride numeric column"
+                    % (pc_class.__name__, accessor.name,
+                       accessor.pc_type.name)
+                )
             fields.append((accessor.name, accessor.pc_type))
         return cls(fields)
 

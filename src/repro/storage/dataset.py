@@ -26,18 +26,11 @@ _FIRST_WINDOW = 32
 class PageSet:
     """One partition of a stored set, local to a worker."""
 
-    def __init__(self, database, name, pool, type_name=None, page_size=None,
-                 layout="row", schema=None):
+    def __init__(self, database, name, pool, page_size=None):
         self.database = database
         self.name = name
         self.pool = pool
-        self.type_name = type_name
         self.page_size = page_size or pool.page_size
-        #: "row" or "columnar"; individual pages self-describe (their root
-        #: type code), so a columnar set can still adopt row pages (e.g.
-        #: aggregation outputs written into it).
-        self.layout = layout
-        self.schema = schema
         self.page_ids = []
         self.object_count = 0
 

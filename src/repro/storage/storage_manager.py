@@ -42,14 +42,13 @@ class LocalStorageServer:
         """All local partitions, as ``((db, name), PageSet)`` pairs."""
         return list(self._sets.items())
 
-    def create_set(self, database, name, type_name=None, page_size=None,
-                   layout="row", schema=None):
-        """Create the local partition of a set; idempotent."""
+    def create_set(self, database, name, page_size=None):
+        """Create the local partition of a set; idempotent.  What the set
+        holds is the catalog's to say, not the partition's."""
         key = (database, name)
         if key not in self._sets:
             self._sets[key] = PageSet(
-                database, name, self.pool, type_name=type_name,
-                page_size=page_size, layout=layout, schema=schema,
+                database, name, self.pool, page_size=page_size,
             )
         return self._sets[key]
 
@@ -116,7 +115,7 @@ class DistributedStorageManager:
         self.catalog.create_database(name)
 
     def create_set(self, database, name, type_name=None, page_size=None,
-                   replication=1, layout="row", schema=None):
+                   replication=1, schema=None):
         """Create a set partitioned over every attached worker.
 
         The creation is atomic: if any worker-side create fails, the
@@ -136,16 +135,12 @@ class DistributedStorageManager:
             )
         meta = self.catalog.create_set(
             database, name, type_name, self.worker_ids,
-            replication=replication, page_size=page_size,
-            layout=layout, schema=schema,
+            replication=replication, page_size=page_size, schema=schema,
         )
         created = []
         try:
             for server in self._servers.values():
-                server.create_set(
-                    database, name, type_name, page_size=page_size,
-                    layout=layout, schema=schema,
-                )
+                server.create_set(database, name, page_size=page_size)
                 created.append(server)
         except Exception:
             for server in created:

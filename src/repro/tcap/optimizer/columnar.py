@@ -11,8 +11,8 @@ object path.
 
 Eligibility rules:
 
-* ``SCAN`` of a set stored with ``layout="columnar"`` (the schema comes
-  from the catalog via the ``layout_of`` callback) — or of a row-layout
+* ``SCAN`` of a set created with a ``schema=`` (the schema comes from
+  the catalog via the ``layout_of`` callback) — or of a row-layout
   set whose declared type is a ``PCObject`` class, *when a kernel reads
   its rows*: the rows are tagged with the fields a gather serves
   (:func:`repro.memory.gather.column_names`) and the scan's mark — with

@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import copy
 
-from repro.errors import CatalogError, PlanTypeError
+from repro.errors import PlanTypeError
+from repro.memory.gather import row_class
 from repro.memory.types import NUMPY_DTYPES
 from repro.tcap.ir import (
     AggregateStmt,
@@ -91,21 +92,6 @@ def _is_rows(ctype):
     return ctype[0] == ROWS
 
 
-def _class_for(type_name, registry):
-    """The registered class behind ``type_name``, or None."""
-    if registry is None or not type_name:
-        return None
-    try:
-        code = registry.code_for_name(type_name)
-        if code is None:
-            return None
-        descriptor = registry.lookup(code)
-    except Exception:  # unknown/unloadable type: stay untyped
-        return None
-    cls = getattr(descriptor, "cls", descriptor)
-    return cls if isinstance(cls, type) else None
-
-
 def _field_type(cls, att_name, registry):
     """The ctype of ``cls.att_name``, via its ``pc_accessors``."""
     for accessor in getattr(cls, "pc_accessors", ()):
@@ -115,7 +101,7 @@ def _field_type(cls, att_name, registry):
         dtype = NUMPY_DTYPES.get(getattr(pc_type, "name", None))
         if dtype is not None:
             return (NUM, dtype)
-        field_cls = _class_for(getattr(pc_type, "name", None), registry)
+        field_cls = row_class(registry, getattr(pc_type, "name", None))
         if field_cls is not None:
             return _object_ctype(field_cls)
         return _ANY
@@ -157,27 +143,23 @@ class PlanTypes:
         return self.env[vlist]
 
 
-def verify_program(program, catalog=None, layout_of=None, registry=None):
+def verify_program(program, layout_of=None, registry=None):
     """Type-check ``program``; raises :class:`PlanTypeError` on failure.
 
-    ``catalog`` (a :class:`repro.catalog.CatalogManager`) types scans
-    from set metadata; ``layout_of(db, set)`` returns the Schema of
+    ``layout_of(db, set)`` types scans: it returns the Schema of
     columnar sets and the class of row sets declared with one (the same
-    oracle :func:`mark_columnar` used);
-    ``registry`` overrides the catalog's type registry.  All three are
-    optional — a bare text plan still gets the structural checks and
-    the never-marked check of the opaque statements; without
-    ``layout_of`` the marks cannot be re-derived.  Returns a
-    :class:`PlanTypes`.
+    oracle :func:`mark_columnar` used); ``registry`` resolves the classes
+    of object-typed fields.  Both are optional — a bare text plan still
+    gets the structural checks and the never-marked check of the opaque
+    statements; without ``layout_of`` scans are untyped and the marks
+    cannot be re-derived.  Returns a :class:`PlanTypes`.
     """
-    if registry is None and catalog is not None:
-        registry = getattr(catalog, "registry", None)
     types = PlanTypes()
     env = types.env
     for statement in program.statements:
         _check_structure(statement, env)
         if isinstance(statement, ScanStmt):
-            _scan(statement, env, catalog, layout_of, registry)
+            _scan(statement, env, layout_of)
         elif isinstance(statement, ApplyStmt):
             _apply(statement, env, registry, program)
         elif isinstance(statement, FilterStmt):
@@ -249,23 +231,19 @@ def _check_structure(statement, env):
 # -- per-statement type propagation -------------------------------------------
 
 
-def _scan(statement, env, catalog, layout_of, registry):
-    ctype = _ANY
+def _scan(statement, env, layout_of):
+    """A scan's rows, typed by the oracle :func:`mark_columnar` asks:
+    a Schema's columns, a class's accessors, else untyped (no oracle,
+    or a not-yet-created set)."""
+    layout = None
     if layout_of is not None:
-        schema = layout_of(statement.database, statement.set_name)
-        if schema is not None and not isinstance(schema, type):
-            ctype = (ROWS, frozenset(schema.names()), schema)
-    if ctype is _ANY and catalog is not None:
-        try:
-            meta = catalog.set_metadata(
-                statement.database, statement.set_name
-            )
-        except CatalogError:
-            meta = None  # not-yet-created set: untyped, as before
-        if meta is not None:
-            cls = _class_for(meta.type_name, registry)
-            if cls is not None:
-                ctype = _object_ctype(cls)
+        layout = layout_of(statement.database, statement.set_name)
+    if isinstance(layout, type):
+        ctype = _object_ctype(layout)
+    elif layout is not None:
+        ctype = (ROWS, frozenset(layout.names()), layout)
+    else:
+        ctype = _ANY
     env[statement.output] = {statement.column: ctype}
 
 

@@ -233,9 +233,9 @@ class _HighX(SelectionComp):
         return lambda_from_self(arg)
 
 
-def _load_points(cluster):
+def _load_points(cluster, schema):
     cluster.create_database("db")
-    cluster.create_set("db", "points", _Point)
+    cluster.create_set("db", "points", _Point, schema=schema)
     with cluster.loader("db", "points") as load:
         for i in range(40):
             load.append(_Point, pid=i, x=float(i))
@@ -248,16 +248,17 @@ def _run_job(cluster):
     return sorted(h.pid for h in cluster.read("db", "high"))
 
 
-def _run_selection_job(cluster):
-    _load_points(cluster)
+def _run_selection_job(cluster, schema):
+    _load_points(cluster, schema)
     return _run_job(cluster)
 
 
-def test_sanitized_cluster_job_runs_clean(tmp_path):
+def test_sanitized_cluster_job_runs_clean(tmp_path, schema_of):
     cluster = PCCluster(n_workers=2, page_size=1 << 12,
                         spill_root=str(tmp_path), sanitize=True)
     assert cluster.sanitizer is pcsan.current_sanitizer()
-    assert _run_selection_job(cluster) == list(range(11, 40))
+    assert _run_selection_job(cluster, schema_of(_Point)) == \
+        list(range(11, 40))
     report = cluster.sanitizer.report
     assert report.by_kind("pin_leak") == []
     assert report.by_kind("refcount_mismatch") == []
@@ -283,10 +284,10 @@ def _leak_one_unpin(pool):
     return dropped
 
 
-def test_sanitized_cluster_catches_injected_pin_leak(tmp_path):
+def test_sanitized_cluster_catches_injected_pin_leak(tmp_path, schema_of):
     cluster = PCCluster(n_workers=2, page_size=1 << 12,
                         spill_root=str(tmp_path), sanitize=True)
-    _load_points(cluster)
+    _load_points(cluster, schema_of(_Point))
     # Inject the bug after loading so the leak happens *inside* the job.
     dropped = _leak_one_unpin(cluster.workers[0].storage.pool)
     _run_job(cluster)
@@ -297,12 +298,12 @@ def test_sanitized_cluster_catches_injected_pin_leak(tmp_path):
     assert snapshot.value("pc_san_pin_leaks_total") >= 1
 
 
-def test_plain_cluster_misses_injected_pin_leak(tmp_path):
+def test_plain_cluster_misses_injected_pin_leak(tmp_path, schema_of):
     plain_mode()
     cluster = PCCluster(n_workers=2, page_size=1 << 12,
                         spill_root=str(tmp_path))
     assert cluster.sanitizer is None
-    _load_points(cluster)
+    _load_points(cluster, schema_of(_Point))
     dropped = _leak_one_unpin(cluster.workers[0].storage.pool)
     assert _run_job(cluster) == list(range(11, 40))
     assert dropped  # same bug, same workload — and nothing noticed it

@@ -45,6 +45,7 @@ from repro.tpch import (
 )
 
 from test_fault_tolerance import (
+    Point as XyPoint,
     expected_sums,
     load_points as load_xy_points,
     run_aggregation,
@@ -188,11 +189,11 @@ def test_backend_killed_during_an_output_task(tmp_path, dies_once,
 
 
 def test_backend_killed_after_packing_its_combiner_pages(
-        tmp_path, dies_once, monkeypatch):
+        tmp_path, dies_once, monkeypatch, schema_of):
     monkeypatch.setattr(scheduler_module, "AggregateSink", DiesPacked)
     cluster = _cluster(tmp_path, page_size=1 << 12)
     try:
-        load_xy_points(cluster, n=200)
+        load_xy_points(cluster, n=200, schema=schema_of(XyPoint))
         assert run_aggregation(cluster) == expected_sums()
         assert set(_placements(cluster)) == {"shipped"}
     finally:
@@ -478,11 +479,12 @@ def test_kmeans_task_specs_fit_a_kibibyte(tmp_path, monkeypatch):
 
 
 def test_job_state_is_pickled_once_and_sent_once_per_child(tmp_path,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           schema_of):
     puts = _record_job_blobs(monkeypatch)
     pickled = _record_pickles(monkeypatch)
     with _cluster(tmp_path, page_size=1 << 12) as cluster:
-        load_xy_points(cluster, n=200)
+        load_xy_points(cluster, n=200, schema=schema_of(XyPoint))
         assert run_aggregation(cluster) == expected_sums()
         # One job: its state pickled once and sent to each of the two
         # back-ends once, with the first of its two tasks there; a task

@@ -30,11 +30,11 @@ class SumX(AggregateComp):
 
 
 @pytest.fixture
-def cluster(tmp_path):
+def cluster(tmp_path, schema_of):
     cluster = PCCluster(n_workers=2, page_size=1 << 12,
                         spill_root=str(tmp_path))
     cluster.create_database("db")
-    cluster.create_set("db", "points", Point)
+    cluster.create_set("db", "points", Point, schema=schema_of(Point))
     with cluster.loader("db", "points") as load:
         for i in range(40):
             load.append(Point, pid=i, cluster_id=i % 4, x=float(i))

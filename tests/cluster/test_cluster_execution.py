@@ -45,20 +45,20 @@ def cluster(tmp_path):
     )
 
 
-def _load_points(cluster, n=200):
+def _load_points(cluster, schema_of, n=200):
     cluster.create_database("db")
-    cluster.create_set("db", "points", Point)
+    cluster.create_set("db", "points", Point, schema=schema_of(Point))
     with cluster.loader("db", "points") as load:
         for i in range(n):
             load.append(Point, pid=i, cluster_id=i % 4, x=float(i))
     return n
 
 
-def test_loader_round_robins_pages(cluster):
+def test_loader_round_robins_pages(cluster, schema_of):
     # Enough rows to span several pages in either page layout (the
     # columnar struct-of-arrays packing fits ~16 bytes/row here, so 200
     # rows would seal just one page).
-    n = _load_points(cluster, n=900)
+    n = _load_points(cluster, schema_of, n=900)
     total = cluster.storage_manager.total_objects("db", "points")
     assert total == n
     per_worker = [
@@ -70,8 +70,8 @@ def test_loader_round_robins_pages(cluster):
     assert cluster.metrics().value("pc_net_bytes_zero_copy_total") > 0
 
 
-def test_distributed_aggregation_with_map_shuffle(cluster):
-    _load_points(cluster)
+def test_distributed_aggregation_with_map_shuffle(cluster, schema_of):
+    _load_points(cluster, schema_of)
     reader = ObjectReader("db", "points")
     agg = SumX().set_input(reader)
     writer = Writer("db", "sums").set_input(agg)
@@ -87,8 +87,8 @@ def test_distributed_aggregation_with_map_shuffle(cluster):
     assert "AggregationJobStage" in kinds
 
 
-def test_distributed_selection_writes_pc_objects(cluster):
-    _load_points(cluster)
+def test_distributed_selection_writes_pc_objects(cluster, schema_of):
+    _load_points(cluster, schema_of)
 
     class HighX(SelectionComp):
         def get_selection(self, arg):
@@ -108,8 +108,8 @@ def test_distributed_selection_writes_pc_objects(cluster):
     assert values == list(range(151, 200))
 
 
-def test_distributed_join_broadcast_and_partition(cluster):
-    _load_points(cluster, n=60)
+def test_distributed_join_broadcast_and_partition(cluster, schema_of):
+    _load_points(cluster, schema_of, n=60)
     cluster.create_set("db", "labels", Label)
     with cluster.loader("db", "labels") as load:
         for c in range(4):
@@ -145,14 +145,14 @@ def test_distributed_join_broadcast_and_partition(cluster):
     assert partition_result == expected
 
 
-def test_worker_backend_refork_on_crash(tmp_path):
+def test_worker_backend_refork_on_crash(tmp_path, schema_of):
     # Retries disabled: one crash means one re-fork and a permanent
     # ExecutionError naming the stage and worker.
     cluster = PCCluster(
         n_workers=3, page_size=1 << 12, spill_root=str(tmp_path),
         retry_policy=RetryPolicy.disabled(),
     )
-    _load_points(cluster, n=10)
+    _load_points(cluster, schema_of, n=10)
 
     class Exploding(SelectionComp):
         def get_projection(self, arg):
@@ -172,10 +172,10 @@ def test_worker_backend_refork_on_crash(tmp_path):
     assert cluster.storage_manager.total_objects("db", "points") == 10
 
 
-def test_deterministic_bug_exhausts_default_retries(cluster):
+def test_deterministic_bug_exhausts_default_retries(cluster, schema_of):
     # The default policy retries; a deterministic user-code bug crashes
     # every attempt, so the job fails with the chained crash as cause.
-    _load_points(cluster, n=10)
+    _load_points(cluster, schema_of, n=10)
 
     class Exploding(SelectionComp):
         def get_projection(self, arg):

@@ -56,9 +56,10 @@ def make_cluster(tmp_path, subdir, injector=None, policy=None, n_workers=3,
     )
 
 
-def load_points(cluster, n=200, replication=1):
+def load_points(cluster, n=200, replication=1, schema=None):
     cluster.create_database("db")
-    cluster.create_set("db", "points", Point, replication=replication)
+    cluster.create_set("db", "points", Point, replication=replication,
+                       schema=schema)
     with cluster.loader("db", "points") as load:
         for i in range(n):
             load.append(Point, pid=i, cluster_id=i % 4, x=float(i))
@@ -106,9 +107,9 @@ def fast_policy(clock, **overrides):
 # -- back-end crash recovery ----------------------------------------------------------
 
 
-def test_injected_crash_recovers_and_matches_no_fault_run(tmp_path):
+def test_injected_crash_recovers_and_matches_no_fault_run(tmp_path, schema_of):
     clean = make_cluster(tmp_path, "clean")
-    load_points(clean)
+    load_points(clean, schema=schema_of(Point))
     baseline = run_aggregation(clean)
 
     clock = FakeClock()
@@ -116,7 +117,7 @@ def test_injected_crash_recovers_and_matches_no_fault_run(tmp_path):
     faulted = make_cluster(
         tmp_path, "faulted", injector=injector, policy=fast_policy(clock)
     )
-    load_points(faulted)
+    load_points(faulted, schema=schema_of(Point))
     result = run_aggregation(faulted)
 
     assert result == baseline == expected_sums()
@@ -133,14 +134,14 @@ def test_injected_crash_recovers_and_matches_no_fault_run(tmp_path):
 
 
 def test_exhausted_retries_raise_execution_error_naming_stage_and_worker(
-    tmp_path,
+    tmp_path, schema_of,
 ):
     clock = FakeClock()
     injector = FaultInjector().crash_backend("worker-0", times=99)
     cluster = make_cluster(
         tmp_path, "c", injector=injector, policy=fast_policy(clock)
     )
-    load_points(cluster, n=20)
+    load_points(cluster, n=20, schema=schema_of(Point))
     with pytest.raises(ExecutionError) as excinfo:
         run_aggregation(cluster)
     message = str(excinfo.value)
@@ -155,12 +156,13 @@ def test_exhausted_retries_raise_execution_error_naming_stage_and_worker(
     assert clock.slept == sorted(clock.slept)  # exponential: non-decreasing
 
 
-def test_retries_disabled_same_injection_fails_immediately(tmp_path):
+def test_retries_disabled_same_injection_fails_immediately(
+        tmp_path, schema_of):
     injector = FaultInjector().crash_backend("worker-1", times=1)
     cluster = make_cluster(
         tmp_path, "c", injector=injector, policy=RetryPolicy.disabled()
     )
-    load_points(cluster, n=20)
+    load_points(cluster, n=20, schema=schema_of(Point))
     with pytest.raises(ExecutionError, match="worker-1"):
         run_aggregation(cluster)
     assert not cluster.last_trace.spans(kind="retry")
@@ -176,7 +178,7 @@ def test_backoff_schedule_is_exponential_and_capped():
     assert not policy.should_retry(6)
 
 
-def test_task_timeout_stops_retries(tmp_path):
+def test_task_timeout_stops_retries(tmp_path, schema_of):
     clock = FakeClock()
     injector = FaultInjector().crash_backend("worker-0", times=99)
     policy = fast_policy(
@@ -184,7 +186,7 @@ def test_task_timeout_stops_retries(tmp_path):
         timeout_s=2.5,
     )
     cluster = make_cluster(tmp_path, "c", injector=injector, policy=policy)
-    load_points(cluster, n=20)
+    load_points(cluster, n=20, schema=schema_of(Point))
     with pytest.raises(ExecutionError, match="task timeout"):
         run_aggregation(cluster)
     # The fake clock advanced past the deadline long before 50 attempts.
@@ -194,10 +196,11 @@ def test_task_timeout_stops_retries(tmp_path):
 # -- network faults -------------------------------------------------------------------
 
 
-def test_dropped_shuffle_transfer_is_retried_exactly_once(tmp_path):
+def test_dropped_shuffle_transfer_is_retried_exactly_once(tmp_path, schema_of):
     injector = FaultInjector()
     cluster = make_cluster(tmp_path, "c", injector=injector)
-    load_points(cluster)  # scripted below, so loading sees no faults
+    # Scripted below, so loading sees no faults.
+    load_points(cluster, schema=schema_of(Point))
     injector.drop_transfer(times=1)
     result = run_aggregation(cluster)
     assert result == expected_sums()
@@ -209,21 +212,21 @@ def test_dropped_shuffle_transfer_is_retried_exactly_once(tmp_path):
     assert totals["net.transfer_retries"] == 1
 
 
-def test_dropped_transfer_with_retries_disabled_raises(tmp_path):
+def test_dropped_transfer_with_retries_disabled_raises(tmp_path, schema_of):
     injector = FaultInjector()
     cluster = make_cluster(
         tmp_path, "c", injector=injector, policy=RetryPolicy.disabled()
     )
-    load_points(cluster)
+    load_points(cluster, schema=schema_of(Point))
     injector.drop_transfer(times=1)
     with pytest.raises(TransferDroppedError):
         run_aggregation(cluster)
 
 
-def test_delayed_transfers_are_accounted_not_slept(tmp_path):
+def test_delayed_transfers_are_accounted_not_slept(tmp_path, schema_of):
     injector = FaultInjector().delay_transfer(5.0, times=3)
     cluster = make_cluster(tmp_path, "c", injector=injector)
-    load_points(cluster)
+    load_points(cluster, schema=schema_of(Point))
     result = run_aggregation(cluster)
     assert result == expected_sums()
     # 15 simulated seconds of link delay, recorded but never slept.
@@ -239,7 +242,7 @@ def test_delayed_transfers_are_accounted_not_slept(tmp_path):
 # -- buffer-pool reload faults --------------------------------------------------------
 
 
-def test_failed_page_reload_recovers_via_stage_retry(tmp_path):
+def test_failed_page_reload_recovers_via_stage_retry(tmp_path, schema_of):
     clock = FakeClock()
     injector = FaultInjector()
     # A tiny pool forces spills during loading, so the scan inside the
@@ -250,7 +253,7 @@ def test_failed_page_reload_recovers_via_stage_retry(tmp_path):
     )
     # Enough rows that loading overflows the tiny pool in either page
     # layout (columnar pages pack ~4x more rows than object pages here).
-    load_points(cluster, n=2400)
+    load_points(cluster, n=2400, schema=schema_of(Point))
     assert cluster.metrics().value("pc_pool_spills_total") > 0, \
         "test premise: loading must spill pages"
     injector.fail_page_reload(times=1)
@@ -267,7 +270,7 @@ def test_failed_page_reload_recovers_via_stage_retry(tmp_path):
 
 
 def test_hopeless_worker_is_blacklisted_and_absorbed_without_restart(
-    tmp_path,
+    tmp_path, schema_of,
 ):
     clock = FakeClock()
     injector = FaultInjector().crash_backend("worker-2", times=99)
@@ -276,7 +279,7 @@ def test_hopeless_worker_is_blacklisted_and_absorbed_without_restart(
     )
     cluster = make_cluster(tmp_path, "c", injector=injector, policy=policy)
     # Several pages in either layout, so the doomed worker holds some.
-    load_points(cluster, n=600)
+    load_points(cluster, n=600, schema=schema_of(Point))
     result = run_aggregation(cluster)
     assert result == expected_sums(n=600)  # the job still finished, correctly
     assert cluster.blacklist == {"worker-2"}
@@ -299,7 +302,7 @@ def test_hopeless_worker_is_blacklisted_and_absorbed_without_restart(
     assert placements and set(placements) == {shippable}
 
 
-def test_blacklisting_stops_at_min_surviving_workers(tmp_path):
+def test_blacklisting_stops_at_min_surviving_workers(tmp_path, schema_of):
     clock = FakeClock()
     injector = FaultInjector().crash_backend(times=10 ** 6)  # every worker
     policy = fast_policy(
@@ -307,7 +310,7 @@ def test_blacklisting_stops_at_min_surviving_workers(tmp_path):
         min_surviving_workers=2,
     )
     cluster = make_cluster(tmp_path, "c", injector=injector, policy=policy)
-    load_points(cluster, n=20)
+    load_points(cluster, n=20, schema=schema_of(Point))
     with pytest.raises(ExecutionError):
         run_aggregation(cluster)
     # Degradation stopped before dipping under the floor.
@@ -361,19 +364,19 @@ def _run_merging_job(cluster, sink):
     )),
 ])
 def test_refork_before_an_orphan_task_keeps_the_finished_portion(
-        tmp_path, transport, sink):
+        tmp_path, transport, sink, schema_of):
     """A survivor's finished portion of a stage outlives a re-fork of its
     back-end: the retried orphan-page task merges into it (the parent
     commit re-seeded from the previous stage and summed 30528.0 where
     44700.0 was due, silently, on both transports)."""
     with make_cluster(tmp_path, "clean", transport=transport) as clean:
-        load_points(clean, n=600, replication=2)
+        load_points(clean, n=600, replication=2, schema=schema_of(Point))
         expected = _run_merging_job(clean, sink)
     clock = FakeClock()
     policy = fast_policy(clock, max_attempts=2, blacklist_on_exhaustion=True)
     with make_cluster(tmp_path, "faulty", injector=SecondTaskCrasher(),
                       policy=policy, transport=transport) as cluster:
-        load_points(cluster, n=600, replication=2)
+        load_points(cluster, n=600, replication=2, schema=schema_of(Point))
         assert _run_merging_job(cluster, sink) == expected
         kinds = [stage.kind for stage in cluster.last_job_log]
         assert "WorkerAbsorbedEvent" in kinds
@@ -385,7 +388,7 @@ def test_refork_before_an_orphan_task_keeps_the_finished_portion(
         assert metrics.value("pc_worker_reforks_total", worker="worker-0") == 1
 
 
-def test_job_state_dies_with_the_job(tmp_path, monkeypatch):
+def test_job_state_dies_with_the_job(tmp_path, monkeypatch, schema_of):
     """What a job keeps per worker is the scheduler's and goes with it —
     after a job that returned and after one that raised no worker,
     back-end or cluster object still holds a per-job entry."""
@@ -408,7 +411,7 @@ def test_job_state_dies_with_the_job(tmp_path, monkeypatch):
     cluster = make_cluster(
         tmp_path, "c", injector=injector, policy=RetryPolicy.disabled()
     )
-    load_points(cluster)
+    load_points(cluster, schema=schema_of(Point))
     run_aggregation(cluster)
     assert len(kept) == 3
     # worker-0 and worker-1 install their portions, then worker-2 fails.
@@ -436,13 +439,14 @@ def test_seeded_injector_is_deterministic():
     assert decisions[0] == decisions[1]
 
 
-def test_seeded_fault_storm_still_computes_the_right_answer(tmp_path):
+def test_seeded_fault_storm_still_computes_the_right_answer(
+        tmp_path, schema_of):
     seed = int(os.environ.get("PC_FAULT_SEED", "0"))
     clock = FakeClock()
     injector = FaultInjector(seed=seed)
     policy = fast_policy(clock, max_attempts=6, transfer_retries=3)
     cluster = make_cluster(tmp_path, "c", injector=injector, policy=policy)
-    load_points(cluster)
+    load_points(cluster, schema=schema_of(Point))
     # Arm the random rates only after loading, then storm the job.
     injector.crash_rate = 0.05
     injector.drop_rate = 0.02
@@ -458,7 +462,8 @@ def test_seeded_fault_storm_still_computes_the_right_answer(tmp_path):
         injector.counts["transfer_drops"]
 
 
-def test_seeded_storm_with_corruption_over_replicated_load(tmp_path):
+def test_seeded_storm_with_corruption_over_replicated_load(
+        tmp_path, schema_of):
     """Crashes, drops, *and* corruption (in-flight and at-rest) rain on a
     job over a replicated set; the answer is still byte-exact, corrupted
     copies were quarantined/healed (never served), and the set ends at
@@ -476,7 +481,7 @@ def test_seeded_storm_with_corruption_over_replicated_load(tmp_path):
         tmp_path, "storm", injector=injector, policy=policy,
         worker_memory=6 << 12,
     )
-    load_points(cluster, n=400, replication=2)
+    load_points(cluster, n=400, replication=2, schema=schema_of(Point))
     # Arm the combined storm only after the replicated load.
     injector.crash_rate = 0.03
     injector.drop_rate = 0.02

@@ -87,13 +87,13 @@ POINTS = [(i, i % 4, float(i)) for i in range(300)]
 LABELS = [(c, "L%d" % c) for c in range(4)]
 
 
-def _cluster(tmp_path, n_workers, transport):
+def _cluster(tmp_path, n_workers, transport, schema=None):
     cluster = PCCluster(
         n_workers=n_workers, page_size=1 << 12, spill_root=str(tmp_path),
         transport=transport,
     )
     cluster.create_database("db")
-    cluster.create_set("db", "points", Point)
+    cluster.create_set("db", "points", Point, schema=schema)
     with cluster.loader("db", "points") as load:
         for pid, cluster_id, x in POINTS:
             load.append(Point, pid=pid, cluster_id=cluster_id, x=x)
@@ -154,8 +154,8 @@ def _record_transfers(cluster):
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_no_self_links_and_no_empty_messages(tmp_path, transport):
-    cluster = _cluster(tmp_path, 3, transport)
+def test_no_self_links_and_no_empty_messages(tmp_path, transport, schema_of):
+    cluster = _cluster(tmp_path, 3, transport, schema_of(Point))
     try:
         asked = _record_transfers(cluster)
         # Broadcast: the four labels sit on one worker's one page, so one
@@ -183,10 +183,11 @@ def test_no_self_links_and_no_empty_messages(tmp_path, transport):
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_one_worker_cluster_never_touches_the_network(tmp_path, transport):
+def test_one_worker_cluster_never_touches_the_network(tmp_path, transport,
+                                                      schema_of):
     # The fault injector would drop every transfer it is asked about:
     # a local hand-over is not a transfer and is never offered to it.
-    cluster = _cluster(tmp_path, 1, transport)
+    cluster = _cluster(tmp_path, 1, transport, schema_of(Point))
     try:
         cluster.transport.fault_injector = FaultInjector(drop_rate=1.0)
         sent = _Since(cluster.transport)
@@ -427,13 +428,13 @@ class _TwiceStoredSink(AggregateSink):
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_join_modes_and_aggregation_wires_match_the_local_engine(
-        tmp_path, transport, monkeypatch):
+        tmp_path, transport, monkeypatch, schema_of):
     local, _program, _metrics = run_local(_join("joined"), LOCAL_SOURCES)
     local_agg = SumXRows().set_input(ObjectReader("db", "points"))
     local_sums, _program, _metrics = run_local(
         Writer("db", "sums").set_input(local_agg), LOCAL_SOURCES
     )
-    cluster = _cluster(tmp_path, 3, transport)
+    cluster = _cluster(tmp_path, 3, transport, schema_of(Point))
     try:
         for mode, threshold in (("broadcast", 1 << 30), ("partition", 0)):
             cluster.broadcast_threshold = threshold

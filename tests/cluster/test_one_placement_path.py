@@ -51,18 +51,19 @@ def make_cluster(tmp_path, injector=None, transport="sim", **policy):
     )
 
 
-def load(cluster, name="points", n=600, replication=2, layout=None):
+def load(cluster, name="points", n=600, replication=2, schema=None):
     cluster.create_database("db")
     cluster.create_set("db", name, Point, replication=replication,
-                       layout=layout)
+                       schema=schema)
     with cluster.loader("db", name) as loader:
         for i in range(n):
             loader.append(Point, pid=i, cluster_id=i % 4, x=float(i))
 
 
-def copy_points(cluster, replication=2):
+def copy_points(cluster, replication=2, schema=None):
     if ("db", "copy") not in cluster.storage_manager:
-        cluster.create_set("db", "copy", Point, replication=replication)
+        cluster.create_set("db", "copy", Point, replication=replication,
+                           schema=schema)
     Writer("db", "copy").set_input(
         Rebuild().set_input(ObjectReader("db", "points"))
     ).execute(cluster)
@@ -123,13 +124,14 @@ def pids(cluster, set_name):
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_failed_output_replica_transfer_leaves_nothing_behind(tmp_path,
-                                                               transport):
+def test_failed_output_replica_transfer_leaves_nothing_behind(
+        tmp_path, transport, schema_of):
     # Parent: 10 pages / 600 objects no record names, then 1,200 vs 600.
     injector = FaultInjector()
     with make_cluster(tmp_path, injector, transport) as cluster:
-        load(cluster)
-        cluster.create_set("db", "copy", Point, replication=2)
+        load(cluster, schema=schema_of(Point))
+        cluster.create_set("db", "copy", Point, replication=2,
+                           schema=schema_of(Point))
         before = pool_bytes(cluster)
         injector.drop_transfer(times=2)  # the budget is one re-send
         with pytest.raises(TransferDroppedError):
@@ -148,14 +150,14 @@ def test_failed_output_replica_transfer_leaves_nothing_behind(tmp_path,
 # -- bug 2: the loader's second copy fails ---------------------------------------------
 
 
-def test_failed_loader_replica_leaves_no_page_anywhere(tmp_path):
+def test_failed_loader_replica_leaves_no_page_anywhere(tmp_path, schema_of):
     # Parent: page 1 stays adopted on worker-0 (64 objects), catalog 0.
     injector = FaultInjector().drop_transfer(
         src="client", dst="worker-1", times=2
     )
     with make_cluster(tmp_path, injector) as cluster:
         with pytest.raises(TransferDroppedError):
-            load(cluster)
+            load(cluster, schema=schema_of(Point))
         assert [
             (worker_id, page_set.page_ids, len(page_set))
             for worker_id, page_set in partitions(cluster, "db", "points")
@@ -167,16 +169,16 @@ def test_failed_loader_replica_leaves_no_page_anywhere(tmp_path):
 # -- bug 3: decommission evacuates before it detaches ---------------------------------
 
 
-def _two_sole_copy_sets(cluster):
+def _two_sole_copy_sets(cluster, schema):
     for name in "ab":
-        load(cluster, name, replication=1)
+        load(cluster, name, replication=1, schema=schema)
 
 
-def test_failed_evacuation_leaves_the_worker_in_place(tmp_path):
+def test_failed_evacuation_leaves_the_worker_in_place(tmp_path, schema_of):
     # Parent: worker gone, both reads raise ReplicationError, retry = 0.
     injector = FaultInjector()
     with make_cluster(tmp_path, injector) as cluster:
-        _two_sole_copy_sets(cluster)
+        _two_sole_copy_sets(cluster, schema_of(Point))
         injector.drop_transfer(times=2)
         with pytest.raises(TransferDroppedError):
             cluster.decommission_worker("worker-1")
@@ -192,13 +194,14 @@ def test_failed_evacuation_leaves_the_worker_in_place(tmp_path):
             assert_every_page_is_named_once(cluster, "db", name)
 
 
-def test_failed_evacuation_under_an_absorb_loses_nothing(tmp_path):
+def test_failed_evacuation_under_an_absorb_loses_nothing(tmp_path,
+                                                          schema_of):
     """The scheduler decommissions a worker that exhausted its attempts;
     the evacuation's transfer fails: the job does, nothing else."""
     injector = FaultInjector().crash_backend("worker-1", times=2)
     with make_cluster(tmp_path, injector, max_attempts=2,
                       blacklist_on_exhaustion=True) as cluster:
-        _two_sole_copy_sets(cluster)
+        _two_sole_copy_sets(cluster, schema_of(Point))
         injector.drop_transfer(src="worker-1", times=2)
         agg = SumX().set_input(ObjectReader("db", "a"))
         with pytest.raises(TransferDroppedError):
@@ -212,13 +215,13 @@ def test_failed_evacuation_under_an_absorb_loses_nothing(tmp_path):
 # -- a batch no page can hold ------------------------------------------------------------
 
 
-def test_batch_that_fits_no_empty_page_says_so(tmp_path):
+def test_batch_that_fits_no_empty_page_says_so(tmp_path, schema_of):
     # Parent: "allocation of 32 bytes does not fit (only 8 bytes free)".
     with PCCluster(n_workers=1, page_size=1 << 12,
                    spill_root=str(tmp_path), transport="sim") as cluster:
-        load(cluster, n=200, replication=1)
+        load(cluster, n=200, replication=1, schema=schema_of(Point))
         with pytest.raises(ExecutionError) as failure:
-            copy_points(cluster, replication=1)
+            copy_points(cluster, replication=1, schema=schema_of(Point))
         message = str(failure.value)
         assert "200 rows" in message and "4096-byte" in message
         assert "batch_size" in message and "page_size" in message
@@ -234,9 +237,7 @@ _SETS = ("points", "copy")
 
 def _steps(replication):
     return [
-        # (row pages on every CI leg: the same transfers, the same count)
-        lambda cluster: load(cluster, n=200, replication=replication,
-                             layout="row"),
+        lambda cluster: load(cluster, n=200, replication=replication),
         lambda cluster: copy_points(cluster, replication),
         lambda cluster: cluster.decommission_worker("worker-1"),
     ]

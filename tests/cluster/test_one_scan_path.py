@@ -82,15 +82,9 @@ def load_points(cluster, n=600, **set_options):
 
 
 def append_points(cluster, n):
-    # PC_LAYOUT=columnar turns the Point set columnar: same rows, but the
-    # columnar loader takes the columns as keywords.
-    columnar = cluster.catalog.set_metadata("db", "points").schema is not None
     with cluster.loader("db", "points", page_size=1 << 12) as load:
         for i in range(n):
-            if columnar:
-                load.append(pid=i, cid=i % 4, x=float(i))
-            else:
-                load.append(Point, pid=i, cid=i % 4, x=float(i))
+            load.append(Point, pid=i, cid=i % 4, x=float(i))
 
 
 def expected_sums(n=600):
@@ -115,7 +109,7 @@ def fast_policy(**overrides):
 
 
 @pytest.mark.parametrize("preloaded", [False, True])
-def test_failed_output_stage_leaves_no_pages(tmp_path, preloaded):
+def test_failed_output_stage_leaves_no_pages(tmp_path, preloaded, schema_of):
     injector = FaultInjector()
     cluster = make_cluster(
         tmp_path, fault_injector=injector,
@@ -123,14 +117,14 @@ def test_failed_output_stage_leaves_no_pages(tmp_path, preloaded):
             max_attempts=2, blacklist_on_exhaustion=False
         ),
     )
-    load_points(cluster)
+    load_points(cluster, schema=schema_of(Point))
     job = Writer("db", "out").set_input(
         Copy().set_input(ObjectReader("db", "points"))
     )
     if preloaded:
         job.execute(cluster)
     else:
-        cluster.create_set("db", "out", Point, layout="row")
+        cluster.create_set("db", "out", Point)
 
     def state():
         partitions = [w.storage.get_set("db", "out") for w in cluster.workers]
@@ -163,7 +157,7 @@ def test_failed_output_stage_leaves_no_pages(tmp_path, preloaded):
 
 @pytest.mark.parametrize("second_fault", [False, True])
 def test_output_stage_tells_its_pages_from_copies_landed_mid_stage(
-        tmp_path, second_fault):
+        tmp_path, second_fault, schema_of):
     """Absorbing a worker mid-stage lands evacuated and re-replicated
     copies of ``out``'s *recorded* pages in the survivors' partitions,
     behind the pages the stage's own sinks wrote: a later failure must
@@ -176,7 +170,7 @@ def test_output_stage_tells_its_pages_from_copies_landed_mid_stage(
             min_surviving_workers=2,
         ),
     )
-    load_points(cluster)
+    load_points(cluster, schema=schema_of(Point))
     job = Writer("db", "out").set_input(
         Copy().set_input(ObjectReader("db", "points"))
     )
@@ -210,13 +204,14 @@ def test_output_stage_tells_its_pages_from_copies_landed_mid_stage(
 # -- the size estimate tolerates a flaky reload, nothing else --------------------------
 
 
-def test_estimated_bytes_tolerates_only_a_flaky_reload(tmp_path, monkeypatch):
+def test_estimated_bytes_tolerates_only_a_flaky_reload(tmp_path, monkeypatch,
+                                                       schema_of):
     injector = FaultInjector()
     cluster = make_cluster(
         tmp_path, n_workers=2, page_size=1 << 12, worker_memory=3 << 12,
         fault_injector=injector,
     )
-    load_points(cluster, n=2400)
+    load_points(cluster, n=2400, schema=schema_of(Point))
     assert cluster.metrics().value("pc_pool_spills_total") > 0, \
         "test premise: loading must spill pages"
     repl = cluster.replication
@@ -322,7 +317,7 @@ def test_page_items_same_objects_front_end_and_back_end(tmp_path, transport):
 
 def test_absorbed_worker_on_a_columnar_set_matches_no_fault_run(tmp_path):
     clean = make_cluster(tmp_path, "clean", page_size=1 << 12)
-    load_points(clean, layout="columnar", replication=2)
+    load_points(clean, schema=POINT_SCHEMA, replication=2)
     baseline = run_sums(clean)
     assert baseline == expected_sums()
     # Every row went through each of the three lowered operators' kernels.
@@ -339,7 +334,7 @@ def test_absorbed_worker_on_a_columnar_set_matches_no_fault_run(tmp_path):
             max_attempts=2, blacklist_on_exhaustion=True
         ),
     )
-    load_points(cluster, layout="columnar", replication=2)
+    load_points(cluster, schema=POINT_SCHEMA, replication=2)
     assert "worker-2" in set(
         cluster.replication.scan_assignments("db", "points").values()
     ), "test premise: worker-2 reads some pages"
@@ -358,7 +353,7 @@ def test_absorbed_worker_on_a_columnar_set_matches_no_fault_run(tmp_path):
 # -- unknown and empty sets ---------------------------------------------------------------
 
 
-def test_unknown_set_raises_and_empty_set_reads_empty(tmp_path):
+def test_unknown_set_raises_and_empty_set_reads_empty(tmp_path, schema_of):
     cluster = make_cluster(tmp_path)
     cluster.create_database("db")
     for database, name in (("db", "nope"), ("bd", "points")):
@@ -366,7 +361,7 @@ def test_unknown_set_raises_and_empty_set_reads_empty(tmp_path):
             cluster.read(database, name)
         with pytest.raises(SetNotFoundError):
             cluster.storage_manager.total_objects(database, name)
-    cluster.create_set("db", "points", Point)
+    cluster.create_set("db", "points", Point, schema=schema_of(Point))
     assert cluster.read("db", "points") == []
     assert cluster.read("db", "points", as_pairs=True) == {}
     assert cluster.storage_manager.total_objects("db", "points") == 0
@@ -374,10 +369,11 @@ def test_unknown_set_raises_and_empty_set_reads_empty(tmp_path):
     assert run_sums(cluster) == {}
 
 
-def test_decommissioning_a_worker_of_an_empty_set_moves_nothing(tmp_path):
+def test_decommissioning_a_worker_of_an_empty_set_moves_nothing(tmp_path,
+                                                                schema_of):
     cluster = make_cluster(tmp_path)
     cluster.create_database("db")
-    cluster.create_set("db", "points", Point)
+    cluster.create_set("db", "points", Point, schema=schema_of(Point))
     meta = cluster.catalog.set_metadata("db", "points")
     assert "worker-1" in meta.partitions
 

@@ -34,6 +34,7 @@ from repro.core import (
 from repro.engine import LocalInterpreter, run_local
 from repro.engine import pipeline as pipeline_module
 from repro.memory import Int32, PCObject
+from repro.schema import Schema
 from repro.tcap import compile_computations
 from repro.tcap.ir import JoinStmt
 
@@ -132,13 +133,15 @@ def _table_builds():
         yield calls
 
 
-def _loaded_cluster(tmp_path, relations, **cluster_args):
+def _loaded_cluster(tmp_path, relations, columnar=(), **cluster_args):
     """A cluster holding ``relations`` (lists of ``(x, y)``) as sets
-    ``db.r0``, ``db.r1``, ..."""
+    ``db.r0``, ``db.r1``, ...; those whose index is in ``columnar`` are
+    created with ``Rel``'s schema."""
     cluster = PCCluster(spill_root=str(tmp_path), **cluster_args)
     cluster.create_database("db")
     for index, rows in enumerate(relations):
-        cluster.create_set("db", "r%d" % index, Rel)
+        schema = Schema.from_class(Rel) if index in columnar else None
+        cluster.create_set("db", "r%d" % index, Rel, schema=schema)
         with cluster.loader("db", "r%d" % index) as load:
             for position, (x, y) in enumerate(rows):
                 load.append(Rel, x=x, y=y, id=position)
@@ -146,11 +149,12 @@ def _loaded_cluster(tmp_path, relations, **cluster_args):
 
 
 def _check(tmp_path, relations, tree, threshold, n_workers, transport="sim",
-           page_size=1 << 12):
-    """Run ``tree`` over ``relations`` (lists of ``(x, y)``) on a cluster
-    — whose verifier must accept the plan — and require the reference
-    interpreter's rows from it and from the local engine, every table
-    built once per worker.  Returns the rows."""
+           page_size=1 << 12, columnar=()):
+    """Run ``tree`` over ``relations`` (lists of ``(x, y)``; the indices
+    in ``columnar`` stored columnar) on a cluster — whose verifier must
+    accept the plan — and require the reference interpreter's rows from
+    it and from the local engine, every table built once per worker.
+    Returns the rows."""
     writer, joins = _graph(tree)
     program = compile_computations(writer)
     build_sides = {
@@ -173,8 +177,9 @@ def _check(tmp_path, relations, tree, threshold, n_workers, transport="sim",
     )
     assert sorted(local.get(("db", "out"), [])) == expected
     cluster = _loaded_cluster(
-        tmp_path, relations, n_workers=n_workers, page_size=page_size,
-        transport=transport, broadcast_threshold=threshold,
+        tmp_path, relations, columnar, n_workers=n_workers,
+        page_size=page_size, transport=transport,
+        broadcast_threshold=threshold,
     )
     try:
         with _table_builds() as builds:
@@ -233,8 +238,10 @@ def test_build_pipelines_are_cut_at_every_partitioned_probe(
     assert len(rows) == n_rows
 
 
+@pytest.mark.parametrize("columnar", [(), (0, 1, 2)],
+                         ids=["row", "columnar"])
 def test_a_scheduled_build_task_returns_an_outbox_and_no_table(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, columnar):
     """What a build task seals is what its worker sends — ``n`` message
     lists of ``(hash, *carried)`` rows — and partition mode cuts the
     build pipeline where it probes: one more round of tasks."""
@@ -243,8 +250,8 @@ def test_a_scheduled_build_task_returns_an_outbox_and_no_table(
     for mode, threshold in (("broadcast", DEFAULT_BROADCAST_THRESHOLD),
                             ("partition", 0)):
         cluster = _loaded_cluster(
-            tmp_path / mode, [A, B, C], n_workers=2, page_size=1 << 12,
-            transport="sim", broadcast_threshold=threshold,
+            tmp_path / mode, [A, B, C], columnar, n_workers=2,
+            page_size=1 << 12, transport="sim", broadcast_threshold=threshold,
         )
         try:
             sealed = []
@@ -321,17 +328,25 @@ def plan_count(request):
 
 
 @settings(max_examples=40, deadline=None)
-@given(join_cases(), st.sampled_from(THRESHOLDS), st.integers(1, 3))
+@given(join_cases(), st.sampled_from(THRESHOLDS), st.integers(1, 3),
+       st.sets(st.integers(0, 3)))
 # ROADMAP 1(a) directed seeds: the two bugs this PR's consolidation
 # walked into, in the generator's own vocabulary.
-@example(([A, B, C], CAB), 0, 2)
-@example(([A, B, C], (2, AB, (0, "x", True), (1, "y", False), "right")), 0, 3)
+@example(([A, B, C], CAB), 0, 2, set())
+@example(([A, B, C], (2, AB, (0, "x", True), (1, "y", False), "right")), 0, 3,
+         set())
+# The hand-written join trees above, every relation columnar.
+@example(([A, B, C], CAB), 0, 3, {0, 1, 2})
+@example(([A, B, C, D], ABC), 0, 3, {0, 1, 2})
+@example(([A, B, C, D], DABC), 0, 2, {0, 1, 2, 3})
 def test_generated_join_trees_match_the_interpreter(
-        tmp_path_factory, plan_count, case, threshold, n_workers):
+        tmp_path_factory, plan_count, case, threshold, n_workers, columnar):
+    """``columnar``: which relations are stored columnar (a layout per
+    relation, so one tree mixes them)."""
     relations, tree = case
     _check(
         tmp_path_factory.mktemp("tree"), relations, tree, threshold,
-        n_workers, page_size=256,
+        n_workers, page_size=256, columnar=columnar,
     )
     next(_generated)
 

@@ -276,16 +276,17 @@ def test_probe_without_its_hash_table_names_the_join(tmp_path, kind,
 
 @pytest.mark.parametrize("kind", TRANSPORTS)
 def test_sink_that_cannot_say_how_to_ship_it_is_an_error(tmp_path, kind,
-                                                         monkeypatch):
+                                                         monkeypatch,
+                                                         schema_of):
     """Every sink is shippable, so there is no placement for one that
     answers ``remote_spec()`` with None: a bug, on either transport."""
     from repro.engine.pipeline import AggregateSink
-    from test_fault_tolerance import SumX, load_points
+    from test_fault_tolerance import Point, SumX, load_points
 
     cluster = PCCluster(n_workers=2, page_size=1 << 12,
                         spill_root=str(tmp_path), transport=kind)
     try:
-        load_points(cluster, n=40)
+        load_points(cluster, n=40, schema=schema_of(Point))
         monkeypatch.setattr(AggregateSink, "remote_spec", lambda self: None)
         agg = SumX().set_input(ObjectReader("db", "points"))
         with pytest.raises(ExecutionError, match="AggregateSink.*remote_spec"):
@@ -296,14 +297,14 @@ def test_sink_that_cannot_say_how_to_ship_it_is_an_error(tmp_path, kind,
 
 
 @needs_process
-def test_failed_await_releases_the_attempts_behind_it(tmp_path):
+def test_failed_await_releases_the_attempts_behind_it(tmp_path, schema_of):
     """A job that dies mid-settle leaves no export pin behind.
 
     Every worker's scan is pinned and shipped up front; when worker-0's
     await raises, the attempts still pending behind it must drop their
     pins as well, or the pages stay unevictable for the cluster's life.
     """
-    from test_fault_tolerance import SumX, load_points
+    from test_fault_tolerance import Point, SumX, load_points
 
     class Exploding(SumX):
         def get_value_projection(self, arg):
@@ -317,7 +318,7 @@ def test_failed_await_releases_the_attempts_behind_it(tmp_path):
         transport="process", retry_policy=RetryPolicy.disabled(),
     )
     try:
-        load_points(cluster, n=200)
+        load_points(cluster, n=200, schema=schema_of(Point))
 
         def pins():
             return [w.storage.pool.pinned_pages() for w in cluster.workers]

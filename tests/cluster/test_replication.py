@@ -49,9 +49,10 @@ def make_cluster(tmp_path, subdir, injector=None, policy=None, n_workers=3,
     )
 
 
-def load_points(cluster, n=600, replication=1):
+def load_points(cluster, n=600, replication=1, schema=None):
     cluster.create_database("db")
-    cluster.create_set("db", "points", Point, replication=replication)
+    cluster.create_set("db", "points", Point, replication=replication,
+                       schema=schema)
     with cluster.loader("db", "points") as load:
         for i in range(n):
             load.append(Point, pid=i, cluster_id=i % 4, x=float(i))
@@ -98,9 +99,10 @@ def test_placement_ring_is_deterministic_and_distinct():
     assert ring.rereplication_target("p000001", set(ring.worker_ids)) is None
 
 
-def test_replicated_load_places_two_copies_on_distinct_workers(tmp_path):
+def test_replicated_load_places_two_copies_on_distinct_workers(
+        tmp_path, schema_of):
     cluster = make_cluster(tmp_path, "c")
-    load_points(cluster, replication=2)
+    load_points(cluster, replication=2, schema=schema_of(Point))
     meta = cluster.catalog.set_metadata("db", "points")
     assert meta.replication == 2
     assert meta.pages, "loading must populate the replica map"
@@ -116,18 +118,20 @@ def test_replicated_load_places_two_copies_on_distinct_workers(tmp_path):
     assert read_pids(cluster) == list(range(600))
 
 
-def test_replication_factor_validation(tmp_path):
+def test_replication_factor_validation(tmp_path, schema_of):
     cluster = make_cluster(tmp_path, "c")
     cluster.create_database("db")
     with pytest.raises(ReplicationError, match=">= 1"):
-        cluster.create_set("db", "bad", Point, replication=0)
+        cluster.create_set("db", "bad", Point, replication=0,
+                           schema=schema_of(Point))
     with pytest.raises(ReplicationError, match="exceeds"):
-        cluster.create_set("db", "bad", Point, replication=4)
+        cluster.create_set("db", "bad", Point, replication=4,
+                           schema=schema_of(Point))
     # Neither failure left a half-created set behind.
     assert ("db", "bad") not in cluster.storage_manager
 
 
-def test_create_set_rolls_back_on_worker_failure(tmp_path):
+def test_create_set_rolls_back_on_worker_failure(tmp_path, schema_of):
     cluster = make_cluster(tmp_path, "c")
     cluster.create_database("db")
     victim = cluster.workers[-1].storage
@@ -137,7 +141,7 @@ def test_create_set_rolls_back_on_worker_failure(tmp_path):
 
     victim.create_set = exploding_create_set
     with pytest.raises(StorageError, match="disk full"):
-        cluster.create_set("db", "points", Point)
+        cluster.create_set("db", "points", Point, schema=schema_of(Point))
     # Catalog record and the partitions created before the failure are gone.
     assert ("db", "points") not in cluster.storage_manager
     for worker in cluster.workers[:-1]:
@@ -147,9 +151,10 @@ def test_create_set_rolls_back_on_worker_failure(tmp_path):
 # -- strict partitions() --------------------------------------------------------------
 
 
-def test_partitions_raise_naming_missing_workers_without_replicas(tmp_path):
+def test_partitions_raise_naming_missing_workers_without_replicas(
+        tmp_path, schema_of):
     cluster = make_cluster(tmp_path, "c")
-    load_points(cluster, replication=1)
+    load_points(cluster, replication=1, schema=schema_of(Point))
     # Yank a worker's storage out from under the set (no decommission
     # bookkeeping): its pages have no other replica.
     cluster.storage_manager.detach_server("worker-1")
@@ -157,9 +162,10 @@ def test_partitions_raise_naming_missing_workers_without_replicas(tmp_path):
         cluster.storage_manager.partitions("db", "points")
 
 
-def test_partitions_serve_survivors_when_replicas_cover_the_set(tmp_path):
+def test_partitions_serve_survivors_when_replicas_cover_the_set(
+        tmp_path, schema_of):
     cluster = make_cluster(tmp_path, "c")
-    load_points(cluster, replication=2)
+    load_points(cluster, replication=2, schema=schema_of(Point))
     cluster.storage_manager.detach_server("worker-1")
     # Every page still has a live replica, so reads proceed.
     partitions = cluster.storage_manager.partitions("db", "points")
@@ -170,9 +176,9 @@ def test_partitions_serve_survivors_when_replicas_cover_the_set(tmp_path):
 # -- failover reads and re-replication ------------------------------------------------
 
 
-def test_kill_worker_fails_over_and_restores_replication(tmp_path):
+def test_kill_worker_fails_over_and_restores_replication(tmp_path, schema_of):
     cluster = make_cluster(tmp_path, "c")
-    load_points(cluster, replication=2)
+    load_points(cluster, replication=2, schema=schema_of(Point))
     baseline = read_pids(cluster)
     before = cluster.replication.scan_assignments("db", "points")
     assert "worker-1" in set(before.values()), \
@@ -197,16 +203,17 @@ def test_kill_worker_fails_over_and_restores_replication(tmp_path):
     assert run_aggregation(cluster) == expected_sums()
 
 
-def test_kill_worker_without_replication_is_data_loss(tmp_path):
+def test_kill_worker_without_replication_is_data_loss(tmp_path, schema_of):
     cluster = make_cluster(tmp_path, "c")
-    load_points(cluster, replication=1)
+    load_points(cluster, replication=1, schema=schema_of(Point))
     with pytest.raises(ReplicationError, match="last replica"):
         cluster.kill_worker("worker-0")
 
 
-def test_decommission_evacuates_sole_copies_from_durable_frontend(tmp_path):
+def test_decommission_evacuates_sole_copies_from_durable_frontend(
+        tmp_path, schema_of):
     cluster = make_cluster(tmp_path, "c")
-    load_points(cluster, replication=1)
+    load_points(cluster, replication=1, schema=schema_of(Point))
     # A decommission (back-end dead, front-end readable) evacuates the
     # unreplicated pages instead of losing them.
     moved = cluster.decommission_worker("worker-0", reason="drained")
@@ -218,7 +225,7 @@ def test_decommission_evacuates_sole_copies_from_durable_frontend(tmp_path):
 # -- corruption: quarantine and heal --------------------------------------------------
 
 
-def test_corrupt_spilled_page_is_quarantined_and_healed(tmp_path):
+def test_corrupt_spilled_page_is_quarantined_and_healed(tmp_path, schema_of):
     injector = FaultInjector()
     # A tiny pool forces spills during loading, so reads reload spilled
     # pages — where the sticky corruption fires.
@@ -227,7 +234,7 @@ def test_corrupt_spilled_page_is_quarantined_and_healed(tmp_path):
     )
     # Enough rows that loading overflows the tiny pool in either page
     # layout (columnar pages pack ~4x more rows than object pages here).
-    load_points(cluster, n=2400, replication=2)
+    load_points(cluster, n=2400, replication=2, schema=schema_of(Point))
     assert cluster.metrics().value("pc_pool_spills_total") > 0, \
         "test premise: loading must spill pages"
     injector.corrupt_page(times=1)
@@ -245,7 +252,7 @@ def test_corrupt_spilled_page_is_quarantined_and_healed(tmp_path):
     assert cluster.metrics().value("pc_repl_pages_healed_total") == healed
 
 
-def test_corrupt_transfer_is_detected_and_resent(tmp_path):
+def test_corrupt_transfer_is_detected_and_resent(tmp_path, schema_of):
     injector = FaultInjector()
     clock = FakeClock()
     cluster = make_cluster(
@@ -253,7 +260,8 @@ def test_corrupt_transfer_is_detected_and_resent(tmp_path):
         policy=fast_policy(clock, transfer_retries=3),
     )
     cluster.create_database("db")
-    cluster.create_set("db", "points", Point, replication=2)
+    cluster.create_set("db", "points", Point, replication=2,
+                       schema=schema_of(Point))
     injector.corrupt_transfer(times=1)
     with cluster.loader("db", "points") as load:
         for i in range(50):
@@ -270,13 +278,14 @@ def test_corrupt_transfer_is_detected_and_resent(tmp_path):
         assert record.checksum is not None
 
 
-def test_corrupt_transfer_with_retries_disabled_raises(tmp_path):
+def test_corrupt_transfer_with_retries_disabled_raises(tmp_path, schema_of):
     injector = FaultInjector()
     cluster = make_cluster(
         tmp_path, "c", injector=injector, policy=RetryPolicy.disabled(),
     )
     cluster.create_database("db")
-    cluster.create_set("db", "points", Point, replication=2)
+    cluster.create_set("db", "points", Point, replication=2,
+                       schema=schema_of(Point))
     injector.corrupt_transfer(times=1)
     with pytest.raises(PageCorruptionError):
         with cluster.loader("db", "points") as load:
@@ -294,10 +303,10 @@ def test_corrupt_bytes_always_changes_the_checksum():
 
 
 def test_materialized_output_pages_are_replicated_and_survive_a_kill(
-    tmp_path,
+    tmp_path, schema_of,
 ):
     cluster = make_cluster(tmp_path, "c")
-    load_points(cluster, replication=2)
+    load_points(cluster, replication=2, schema=schema_of(Point))
     # Pre-create the output set with a replication factor: the sink's
     # materialized pages are then registered and replicated too.
     cluster.create_set("db", "sums", replication=2)
@@ -318,9 +327,10 @@ def test_materialized_output_pages_are_replicated_and_survive_a_kill(
 # -- crash-consistent catalog recovery ------------------------------------------------
 
 
-def test_recover_replays_the_journal_and_serves_identical_reads(tmp_path):
+def test_recover_replays_the_journal_and_serves_identical_reads(
+        tmp_path, schema_of):
     cluster = make_cluster(tmp_path, "c")
-    load_points(cluster, replication=2)
+    load_points(cluster, replication=2, schema=schema_of(Point))
     baseline_pids = read_pids(cluster)
     baseline_sums = run_aggregation(cluster)
     pages_before = dict(cluster.catalog.set_metadata("db", "points").pages)
@@ -347,7 +357,7 @@ def test_recover_replays_the_journal_and_serves_identical_reads(tmp_path):
     assert read_pids(cluster) == list(range(650))
 
 
-def test_recover_drops_a_final_record_torn_at_any_byte(tmp_path):
+def test_recover_drops_a_final_record_torn_at_any_byte(tmp_path, schema_of):
     """A master killed mid-append leaves a prefix of its last record.
 
     Whatever the cut — one byte in, or the whole JSON minus its newline —
@@ -358,7 +368,7 @@ def test_recover_drops_a_final_record_torn_at_any_byte(tmp_path):
     import json
 
     cluster = make_cluster(tmp_path, "c")
-    load_points(cluster, n=40)
+    load_points(cluster, n=40, schema=schema_of(Point))
     path = cluster.journal.path
     with open(path, "rb") as f:
         lines = f.read().splitlines(keepends=True)
@@ -376,7 +386,7 @@ def test_recover_drops_a_final_record_torn_at_any_byte(tmp_path):
         with open(path, "rb") as f:
             assert f.read() == head
 
-    cluster.create_set("db", "after", Point)
+    cluster.create_set("db", "after", Point, schema=schema_of(Point))
     assert cluster.recover() == len(lines)
     assert cluster.catalog.set_metadata("db", "after") is not None
 
@@ -387,7 +397,7 @@ def test_recover_drops_a_final_record_torn_at_any_byte(tmp_path):
 
 
 def test_output_stage_records_are_one_group_torn_to_a_prefix(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, schema_of):
     """The page records of one OUTPUT stage are written together and
     synced once, before any of them is applied; a master killed inside
     the group leaves a prefix of it — never a record after a missing one.
@@ -397,7 +407,7 @@ def test_output_stage_records_are_one_group_torn_to_a_prefix(
     from repro.catalog import catalog as catalog_module
 
     cluster = make_cluster(tmp_path, "c")
-    load_points(cluster)
+    load_points(cluster, schema=schema_of(Point))
     path = cluster.journal.path
     with open(path, "rb") as f:
         before = f.read()
@@ -437,15 +447,16 @@ def test_output_stage_records_are_one_group_torn_to_a_prefix(
         with open(path, "rb") as f:
             assert f.read() == head + b"".join(records[:whole])
     # The handle reopened after the truncation appends on a clean line.
-    cluster.create_set("db", "after", Point)
+    cluster.create_set("db", "after", Point, schema=schema_of(Point))
     assert cluster.recover() == len(head.splitlines()) + len(uids)
     cluster.close()
     assert cluster.journal._file is None
 
 
-def test_recovery_after_kill_reflects_the_post_kill_replica_map(tmp_path):
+def test_recovery_after_kill_reflects_the_post_kill_replica_map(
+        tmp_path, schema_of):
     cluster = make_cluster(tmp_path, "c")
-    load_points(cluster, replication=2)
+    load_points(cluster, replication=2, schema=schema_of(Point))
     cluster.kill_worker("worker-0")
     after_kill = {
         uid: [list(r) for r in record.replicas]
@@ -509,7 +520,8 @@ def test_tpch_query_survives_worker_kill_byte_identical(tmp_path):
     assert "WorkerAbsorbedEvent" not in kinds
 
 
-def test_mid_job_blacklist_absorbs_orphans_without_restart(tmp_path):
+def test_mid_job_blacklist_absorbs_orphans_without_restart(
+        tmp_path, schema_of):
     from test_fault_tolerance import orphan_placements
 
     clock = FakeClock()
@@ -518,7 +530,7 @@ def test_mid_job_blacklist_absorbs_orphans_without_restart(tmp_path):
         clock, max_attempts=2, blacklist_on_exhaustion=True
     )
     cluster = make_cluster(tmp_path, "c", injector=injector, policy=policy)
-    load_points(cluster, replication=2)
+    load_points(cluster, replication=2, schema=schema_of(Point))
 
     assert run_aggregation(cluster) == expected_sums()
 

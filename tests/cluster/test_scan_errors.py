@@ -19,10 +19,10 @@ class Point(PCObject):
 
 
 @pytest.fixture
-def cluster(tmp_path):
+def cluster(tmp_path, schema_of):
     c = PCCluster(n_workers=2, page_size=1 << 12, spill_root=str(tmp_path))
     c.create_database("db")
-    c.create_set("db", "points", Point)
+    c.create_set("db", "points", Point, schema=schema_of(Point))
     with c.loader("db", "points") as load:
         for i in range(10):
             load.append(Point, pid=i, x=float(i))

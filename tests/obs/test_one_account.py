@@ -67,7 +67,7 @@ class LabelJoin(JoinComp):
         )
 
 
-def _cluster(tmp_path, transport, n_points=1200, **kwargs):
+def _cluster(tmp_path, transport, n_points=1200, schema=None, **kwargs):
     """Three workers with a replicated input; pools of four 4 KiB pages
     unless ``worker_memory`` says otherwise (a scan that fits its pool
     is shipped to the back-end process, one that does not is streamed
@@ -82,7 +82,7 @@ def _cluster(tmp_path, transport, n_points=1200, **kwargs):
         transport=transport, **kwargs
     )
     cluster.create_database("db")
-    cluster.create_set("db", "points", Point, replication=2)
+    cluster.create_set("db", "points", Point, replication=2, schema=schema)
     with cluster.loader("db", "points") as load:
         for i in range(n_points):
             load.append(Point, pid=i, cluster_id=i % 4, x=float(i))
@@ -131,12 +131,14 @@ def _mirrors(cluster):
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_trace_mirrors_sum_to_the_registry_delta(tmp_path, transport):
+def test_trace_mirrors_sum_to_the_registry_delta(tmp_path, transport,
+                                                 schema_of):
     """What "cannot drift" means, on values: over a run of jobs, Σ of a
     trace counter over the job traces equals the ``cluster.metrics()``
     delta of the counter it mirrors."""
     injector = FaultInjector()
-    cluster = _cluster(tmp_path, transport, fault_injector=injector)
+    cluster = _cluster(tmp_path, transport, schema=schema_of(Point),
+                       fault_injector=injector)
     try:
         cluster.create_set("db", "sums", replication=2)  # replica writes
         # Scripted after loading, so the faults land inside the jobs: a
@@ -182,13 +184,14 @@ def test_trace_mirrors_sum_to_the_registry_delta(tmp_path, transport):
 
 
 @needs_process
-def test_every_counter_mirrors_by_the_one_rule(tmp_path):
+def test_every_counter_mirrors_by_the_one_rule(tmp_path, schema_of):
     """A span counter's name is a fact of the metric's name: in every
     registry of a process cluster with profiling and PCSan on, a counter
     ``pc_<family>_<rest>`` reports into the open span as
     ``<family>.<rest>`` (less ``_total``, plus ``.<value>`` per label)
     exactly when its family is listed; no gauge or histogram reports."""
-    cluster = _cluster(tmp_path, "process", profiling=True)
+    cluster = _cluster(tmp_path, "process", schema=schema_of(Point),
+                       profiling=True)
     try:
         cluster.execute_computations(_sums())  # job-time families
         # PCSan's counters join the cluster's registry as sanitize=True
@@ -250,10 +253,9 @@ def test_totals_survive_losing_a_worker(tmp_path, transport):
     )
     try:
         cluster.create_database("db")
-        # Row pages whatever PC_LAYOUT says: the premise below is that
-        # the points overflow every worker's pool.
-        cluster.create_set("db", "points", Point, replication=2,
-                           layout="row")
+        # Row pages: the premise below is that the points overflow every
+        # worker's pool.
+        cluster.create_set("db", "points", Point, replication=2)
         with cluster.loader("db", "points") as load:
             for i in range(1200):
                 load.append(Point, pid=i, cluster_id=i % 4, x=float(i))

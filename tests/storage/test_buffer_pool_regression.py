@@ -80,7 +80,7 @@ def test_spill_reload_churn_keeps_accounting_exact(tmp_path):
         "w0", capacity_bytes=PAGE * 3, page_size=PAGE,
         spill_dir=str(tmp_path),
     )
-    page_set = server.create_set("db", "pts", "Tiny")
+    page_set = server.create_set("db", "pts")
     with page_set.writer() as writer:
         for i in range(300):
             writer.append(Tiny, pid=i, xs=[float(i)] * 24)

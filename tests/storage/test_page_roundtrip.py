@@ -45,7 +45,7 @@ payloads = st.lists(
 
 
 def _write(server, records):
-    page_set = server.create_set("db", "s", "Rec")
+    page_set = server.create_set("db", "s")
     with page_set.writer() as writer:
         for pid, name, xs in records:
             writer.append(Rec, pid=pid, name=name, xs=xs)
@@ -73,7 +73,7 @@ def test_ship_and_adopt_roundtrip_is_byte_identical(tmp_path_factory, records):
     )
     network = SimulatedNetwork()
     src = _write(src_server, records)
-    dst = dst_server.create_set("db", "s", "Rec")
+    dst = dst_server.create_set("db", "s")
     checksums = []
     for page_id in src.page_ids:
         with src.pinned_page(page_id) as page:

@@ -20,7 +20,7 @@ def test_writer_rolls_pages_and_scan_reads_back(tmp_path):
     pool = BufferPool(1 << 22, page_size=1 << 13, spill_dir=str(tmp_path))
     server = LocalStorageServer("w0", 1 << 22, page_size=1 << 13,
                                 spill_dir=str(tmp_path / "s"))
-    page_set = server.create_set("db", "points", "Point")
+    page_set = server.create_set("db", "points")
     with page_set.writer() as writer:
         for i in range(500):
             writer.append(Point, pid=i, name="p%d" % i, xs=[float(i)] * 8)
@@ -38,7 +38,7 @@ def test_spill_and_reload_roundtrip(tmp_path):
         "w0", capacity_bytes=1 << 15, page_size=1 << 13,
         spill_dir=str(tmp_path),
     )
-    page_set = server.create_set("db", "pts", "Point")
+    page_set = server.create_set("db", "pts")
     with page_set.writer() as writer:
         for i in range(400):
             writer.append(Point, pid=i, name="x" * 20, xs=[1.0] * 16)
@@ -85,11 +85,11 @@ def test_page_bytes_move_between_workers(tmp_path):
     bob_catalog = LocalCatalog(catalog)
     bob = LocalStorageServer("b", 1 << 22, registry=bob_catalog.registry,
                              spill_dir=str(tmp_path / "b"))
-    src = alice.create_set("db", "s", "Point")
+    src = alice.create_set("db", "s")
     with src.writer() as writer:
         for i in range(10):
             writer.append(Point, pid=i, name="n%d" % i, xs=[float(i)])
-    dst = bob.create_set("db", "s", "Point")
+    dst = bob.create_set("db", "s")
     for page_id in src.page_ids:
         with src.pinned_page(page_id) as page:
             dst.adopt_page_bytes(page.to_bytes())

@@ -209,6 +209,9 @@ def test_mark_columnar_output_always_verifies():
 class _Point(PCObject):
     fields = [("pid", Int32), ("tag", String), ("w", Float64)]
 
+    def getW(self):
+        return self.w
+
 
 def row_layout_of(database, set_name):
     if (database, set_name) == ("db", "pts"):
@@ -241,7 +244,7 @@ def test_row_scan_is_marked_when_a_kernel_reads_its_rows():
     att_access("tag"),  # a String: no gather serves it as a column
     att_access("w"),  # eight bytes, four into the payload: served
     ApplyStmt("B", "A", ["in"], ["in"], "v", "C", "s1",
-              {"type": "methodCall", "methodName": "getX"}),
+              {"type": "methodCall", "methodName": "getW"}),
     HashStmt("B", "A", "in", ["in"], "v", "C"),
 ], ids=["string", "f64", "method", "hash"])
 def test_row_scan_is_marked_only_for_a_statement_that_reads_it(first):
@@ -256,6 +259,27 @@ def test_row_scan_is_marked_only_for_a_statement_that_reads_it(first):
     assert program.statements[0].array_rows == ("_Point" if eligible
                                                 else False)
     verify_program(program, layout_of=row_layout_of)
+
+
+def test_a_row_scan_is_typed_by_the_class_the_oracle_answers():
+    """The verifier types a scan from ``layout_of`` alone — the oracle
+    :func:`mark_columnar` asks — so a row set's class checks attribute
+    and method names with no catalog in sight."""
+    for info, message in (
+        ({"type": "attAccess", "attName": "wx"}, "'wx', which is not a "
+                                                 "column of the input rows"),
+        ({"type": "methodCall", "methodName": "getX"},
+         "'getX', which _Point does not define"),
+    ):
+        program = _row_program(
+            ApplyStmt("B", "A", ["in"], ["in"], "v", "C", "s1", info)
+        )
+        with pytest.raises(PlanTypeError, match=message):
+            verify_program(program, layout_of=row_layout_of)
+        verify_program(program)  # no oracle: the scan is untyped
+    types = verify_program(_row_program(att_access("w")),
+                           layout_of=row_layout_of)
+    assert types["B"]["v"] == ("num", "f8")
 
 
 #: the rejection of a row scan marked although no kernel reads its rows
