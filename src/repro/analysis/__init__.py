@@ -26,15 +26,7 @@ invariants:
 
 from repro.analysis.cfg import CFG, BasicBlock, build_cfg
 from repro.analysis.dataflow import ForwardAnalysis, run_forward
-from repro.analysis.lint import (
-    Finding,
-    apply_baseline,
-    iter_rules,
-    load_baseline,
-    run_lint,
-    span_of,
-    write_baseline,
-)
+from repro.analysis.lint import Finding, iter_rules, run_lint, span_of
 from repro.analysis.sarif import format_sarif, to_sarif, validate_sarif
 from repro.analysis.sanitizer import (
     Sanitizer,
@@ -54,19 +46,16 @@ __all__ = [
     "Sanitizer",
     "SanitizerFinding",
     "SanitizerReport",
-    "apply_baseline",
     "build_cfg",
     "current_sanitizer",
     "disable",
     "enable",
     "format_sarif",
     "iter_rules",
-    "load_baseline",
     "run_forward",
     "run_lint",
     "sanitize_scope",
     "span_of",
     "to_sarif",
     "validate_sarif",
-    "write_baseline",
 ]

@@ -2,10 +2,8 @@
 
 ``python -m repro.analysis lint [PATH ...]`` lints the given paths
 (default ``src``) with rules PC001–PC010 and exits non-zero when any
-finding survives suppression and the baseline.  ``--format sarif``
-emits SARIF 2.1.0 for CI code-scanning upload; ``--write-baseline``
-snapshots the current findings so ``--baseline`` can gate on *new*
-findings only.  ``python -m repro.analysis verify PLAN.tcap``
+finding survives suppression.  ``--format sarif`` emits SARIF 2.1.0
+for CI code-scanning upload.  ``python -m repro.analysis verify PLAN.tcap``
 statically type-checks a textual TCAP plan, and ``rules`` lists the
 rule catalog.
 """
@@ -15,15 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.lint import (
-    apply_baseline,
-    format_json,
-    format_text,
-    iter_rules,
-    load_baseline,
-    run_lint,
-    write_baseline,
-)
+from repro.analysis.lint import format_json, format_text, iter_rules, run_lint
 from repro.analysis.sarif import format_sarif
 
 
@@ -35,25 +25,11 @@ def _emit(report, output):
             handle.write(report + "\n")
 
 
-def _lint(args, parser):
+def _lint(args):
     select = None
     if args.select:
         select = {c.strip() for c in args.select.split(",") if c.strip()}
     findings = run_lint(args.paths, select=select)
-    if args.write_baseline:
-        write_baseline(findings, args.write_baseline)
-        print("baseline of %d finding%s written to %s" % (
-            len(findings), "" if len(findings) == 1 else "s",
-            args.write_baseline,
-        ))
-        return 0
-    if args.baseline:
-        try:
-            known = load_baseline(args.baseline)
-        except (OSError, ValueError) as error:
-            parser.error("cannot read baseline %s: %s"
-                         % (args.baseline, error))
-        findings = apply_baseline(findings, known)
     if args.format == "json":
         _emit(format_json(findings), args.output)
     elif args.format == "sarif":
@@ -115,14 +91,6 @@ def main(argv=None):
         "--select", default=None,
         help="comma-separated rule codes to run (default: all)",
     )
-    lint_parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppress findings recorded in this baseline snapshot",
-    )
-    lint_parser.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="write a baseline snapshot of current findings and exit 0",
-    )
 
     verify_parser = sub.add_parser(
         "verify", help="statically type-check a textual TCAP plan",
@@ -141,7 +109,7 @@ def main(argv=None):
     if args.command != "lint":
         parser.print_help()
         return 2
-    return _lint(args, parser)
+    return _lint(args)
 
 
 if __name__ == "__main__":

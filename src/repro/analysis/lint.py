@@ -46,7 +46,6 @@ repro.analysis lint src`` to lint the repo.
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 import os
 import re
@@ -59,13 +58,10 @@ class Finding:
 
     ``line`` is the anchor the report points at; ``end_line`` extends
     to the statement's last physical line so suppression comments work
-    anywhere inside a multi-line statement.  ``snippet`` (the stripped
-    anchor line, filled in by :func:`lint_source`) makes baseline
-    fingerprints survive unrelated edits above the finding.
+    anywhere inside a multi-line statement.
     """
 
-    __slots__ = ("code", "message", "path", "line", "col", "end_line",
-                 "snippet")
+    __slots__ = ("code", "message", "path", "line", "col", "end_line")
 
     def __init__(self, code, message, path, line, col=0, end_line=None):
         self.code = code
@@ -74,17 +70,9 @@ class Finding:
         self.line = line
         self.col = col
         self.end_line = end_line if end_line is not None else line
-        self.snippet = ""
 
     def sort_key(self):
         return (self.path, self.line, self.col, self.code)
-
-    def fingerprint(self):
-        """Location-independent identity used by ``--baseline``."""
-        text = "%s|%s|%s" % (
-            self.code, self.path.replace(os.sep, "/"), self.snippet,
-        )
-        return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
     def to_dict(self):
         return {
@@ -583,10 +571,7 @@ ARCHITECTURE = {
         ),
         "pack_map_pages": (
             "repro.engine.pipeline.AggregateSink.seal",
-        ),
-        "fill_map_pages": (
             "repro.engine.pipeline.MapPageOutputSink.seal",
-            "repro.storage.dataset.pack_map_pages",
         ),
         "scatter_map": (
             "repro.memory.builtins.MapType.inserter",
@@ -603,9 +588,9 @@ ARCHITECTURE = {
         "frombuffer": "memory",
     },
     "ceilings": {
-        "repro/cluster/scheduler.py": 1148,
+        "repro/cluster/scheduler.py": 1147,
         "repro/cluster/transport.py": 762,
-        "repro/cluster/cluster.py": 833,
+        "repro/cluster/cluster.py": 829,
         "repro/cluster/procworker.py": 285,
         "repro/cluster/worker.py": 200,
         "repro/storage/replication.py": 477,
@@ -747,17 +732,14 @@ def lint_source(source, path, select=None):
     """Run the registered rules over one module's source text."""
     tree = ast.parse(source, filename=path)
     suppressed = suppressions_of(source)
-    lines = source.splitlines()
     findings = []
     for code, _name, fn in _RULES:
         if select is not None and code not in select:
             continue
-        for finding in fn(tree, path, source):
-            if _is_suppressed(finding, suppressed):
-                continue
-            if 1 <= finding.line <= len(lines):
-                finding.snippet = lines[finding.line - 1].strip()
-            findings.append(finding)
+        findings.extend(
+            finding for finding in fn(tree, path, source)
+            if not _is_suppressed(finding, suppressed)
+        )
     return findings
 
 
@@ -792,56 +774,6 @@ def format_json(findings):
          "count": len(findings)},
         indent=2, sort_keys=True,
     )
-
-
-# -- baselines ----------------------------------------------------------------
-
-
-def write_baseline(findings, path):
-    """Snapshot ``findings`` so a later run can gate on *new* ones.
-
-    The snapshot stores content fingerprints (rule code + file +
-    stripped source line), not line numbers, so edits elsewhere in a
-    file do not invalidate it.
-    """
-    payload = {
-        "version": 1,
-        "fingerprints": sorted(f.fingerprint() for f in findings),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return payload
-
-
-def load_baseline(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("version") != 1:
-        raise ValueError(
-            "unsupported baseline version %r in %s"
-            % (payload.get("version"), path)
-        )
-    return list(payload.get("fingerprints", ()))
-
-
-def apply_baseline(findings, fingerprints):
-    """Drop findings already recorded in the baseline (multiset-wise).
-
-    Each baseline entry absolves at most one finding, so a *second*
-    occurrence of an identical line is still reported.
-    """
-    budget = {}
-    for fingerprint in fingerprints:
-        budget[fingerprint] = budget.get(fingerprint, 0) + 1
-    fresh = []
-    for finding in findings:
-        fingerprint = finding.fingerprint()
-        if budget.get(fingerprint, 0) > 0:
-            budget[fingerprint] -= 1
-            continue
-        fresh.append(finding)
-    return fresh
 
 
 # The flow-sensitive rules (PC007–PC009) live in their own module on

@@ -756,14 +756,16 @@ class ColumnarClusterLoader(FlushOnExit):
         sites can switch a set to columnar without edits — the schema
         already fixes the row type.
         """
-        try:
-            for name in self._names:
-                self._buffers[name].append(fields[name])
-        except KeyError:
+        missing = [name for name in self._names if name not in fields]
+        if missing:
+            # Checked before any buffer grows: a partial row would shift
+            # every later row of the columns it reached.
             raise StorageError(
                 "columnar append needs every schema column; missing %r"
-                % (sorted(set(self._names) - set(fields)),)
-            ) from None
+                % (sorted(missing),)
+            )
+        for name in self._names:
+            self._buffers[name].append(fields[name])
         self._buffered += 1
         self.objects_loaded += 1
         if self._buffered >= self.capacity:
@@ -794,12 +796,6 @@ class ColumnarClusterLoader(FlushOnExit):
         self.objects_loaded += count
         while self._buffered >= self.capacity:
             self._ship_page()
-
-    def append_built(self, build):
-        raise StorageError(
-            "columnar sets store fixed-stride columns, not built objects; "
-            "use append(**fields) / append_columns(**arrays)"
-        )
 
     def _ship_page(self):
         if not self._buffered:

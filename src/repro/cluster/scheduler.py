@@ -94,8 +94,7 @@ from repro.memory.block import AllocationBlock
 from repro.memory.builtins import MapType
 from repro.obs.evidence import book_task_evidence
 from repro.obs.tracer import Span
-from repro.storage.page import register_root_type
-from repro.storage.replication import page_checksum
+from repro.storage.page import page_items, register_root_type
 from repro.tcap.ir import ApplyStmt, JoinStmt, OutputStmt
 
 #: Scaled stand-in for the paper's 2 GB broadcast-join threshold.
@@ -701,22 +700,22 @@ class DistributedScheduler:
         out of the arrived page with no deserialization."""
         if comp is None or comp.key_type is None or comp.value_type is None:
             return self.cluster.transport.ship_rows, lambda dst, rows: rows
-        map_type = MapType(comp.key_type, comp.value_type)
 
-        def ship(src_id, dst_id, payload):
-            # Checksummed transfer: a corrupted combiner page is
-            # detected on receipt and re-sent, never merged.
-            return self.cluster.transport.ship_page(
-                src_id, dst_id, payload, checksum=page_checksum(payload)
-            )
+        def ship(src_id, dst_id, page):
+            # Checked against the CRC the packing task sealed: bytes that
+            # changed since, in flight or before, are re-sent, never merged.
+            data, checksum, *sealed = page
+            return (self.cluster.transport.ship_page(
+                src_id, dst_id, data, checksum=checksum
+            ), checksum, *sealed)
 
-        def unpack(dst, data):
-            page = AllocationBlock.from_bytes(
-                data, registry=dst.local_catalog.registry
+        def unpack(dst, page):
+            block = AllocationBlock.from_bytes(
+                page[0], registry=dst.local_catalog.registry
             )
             return [
                 (comp.decode_key(key), comp.decode_value(value))
-                for key, value in map_type.facade(page, page.root()[0]).items()
+                for stored in page_items(block) for key, value in stored.items()
             ]
 
         return ship, unpack

@@ -40,11 +40,7 @@ from repro.engine.physical import (
 )
 from repro.engine.vectors import DEFAULT_BATCH_SIZE, VectorList, batches_of
 from repro.obs.evidence import OperatorRecorder
-from repro.storage.dataset import (
-    fill_map_pages,
-    pack_map_pages,
-    private_page_writer,
-)
+from repro.storage.dataset import pack_map_pages, private_page_writer
 from repro.storage.replication import page_checksum
 from repro.tcap.ir import (
     ApplyStmt,
@@ -754,13 +750,13 @@ class ListOutputSink(Sink):
 
 
 class _PageSink(Sink):
-    """Records objects on row pages built by the task that holds them.
+    """Writes output pages in the task that holds the objects.
 
-    The writer works on private blocks (``private_page_writer``), so the
-    same body runs in a back-end process and in the coordinator; sealed,
-    the pages are ``(bytes, CRC, allocations, objects)`` in
-    ``state["pages"]``.  ``finish()`` runs where ``page_set`` — the
-    worker-local partition of the output set — lives: it verifies every
+    The pages are private blocks, so the same body runs in a back-end
+    process and in the coordinator; sealed, they are ``(bytes, CRC,
+    allocations, objects)`` in ``state["pages"]``.  ``finish()`` runs
+    where ``page_set`` — the worker-local partition of the output set —
+    lives: it verifies every
     CRC, then adopts the bytes into the partition and says so in
     :attr:`adopted`, for the stage to place once every task is through
     (``ReplicationManager.place_pages``).  Appending is all it does, so
@@ -774,7 +770,6 @@ class _PageSink(Sink):
         self.statement = output_stmt
         self.page_size = page_size
         self.page_set = page_set
-        self.writer = private_page_writer(page_size, engine.registry)
         self.state = None
         #: ``(bytes, CRC, objects, page id)`` of every page adopted, and
         #: the plain Python values that came with them (a
@@ -783,10 +778,6 @@ class _PageSink(Sink):
 
     def remote_spec(self):
         return type(self), (self.statement, self.page_size)
-
-    def seal(self):
-        self.writer.flush()
-        self.state = {"pages": self.writer.sealed}
 
     def finish(self):
         pages = self.state["pages"]
@@ -813,14 +804,16 @@ class _PageSink(Sink):
 
 
 class ClusterOutputSink(_PageSink):
-    """Writes pipeline output: PC objects (handles / facades) onto set
-    pages, plain Python values into :attr:`python` — which the stage
-    adds to the set's Python-output list (the client gathers it on
-    :meth:`PCCluster.read`) when it commits the pages.
+    """Writes pipeline output: PC objects (handles / facades) onto row
+    pages (``private_page_writer``), plain Python values into
+    :attr:`python` — which the stage adds to the set's Python-output
+    list (the client gathers it on :meth:`PCCluster.read`) when it
+    commits the pages.
     """
 
     def __init__(self, engine, output_stmt, page_size, page_set=None):
         super().__init__(engine, output_stmt, page_size, page_set)
+        self.writer = private_page_writer(page_size, engine.registry)
         self._values = []
 
     def allocation_block(self):
@@ -846,17 +839,19 @@ class ClusterOutputSink(_PageSink):
                 self._values.append(value)
 
     def seal(self):
-        super().seal()
-        self.state["python"] = self._values
+        self.writer.flush()
+        self.state = {"pages": self.writer.sealed, "python": self._values}
 
 
 class MapPageOutputSink(_PageSink):
-    """Writes aggregation pairs as a PC Map object in the destination set.
+    """Writes aggregation pairs as PC Maps in the destination set.
 
     This reproduces the paper's aggregation sink: the stored set holds
-    ``Map`` objects (one per worker partition), readable with zero
-    deserialization and expanded back into pairs on scan.  ``computation``
-    names the AggregateComp whose declared types the Map has.
+    ``Map`` objects, each the root of its own page — the combiner-page
+    format (``pack_map_pages``), one object per page — readable with
+    zero deserialization and expanded back into pairs on scan.
+    ``computation`` names the AggregateComp whose declared types the Map
+    has.
     """
 
     def __init__(self, engine, output_stmt, page_size, computation,
@@ -875,9 +870,8 @@ class MapPageOutputSink(_PageSink):
 
     def seal(self):
         comp = self.engine.program.computations[self.computation]
-        fill_map_pages(
+        self.state = {"pages": pack_map_pages(
             MapType(comp.key_type, comp.value_type), self.pairs,
-            self.writer.append_built,
+            self.page_size, self.engine.registry,
             partial(self.engine.metrics.fallback, "map_build"),
-        )
-        super().seal()
+        )}

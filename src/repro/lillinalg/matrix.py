@@ -49,18 +49,19 @@ class MatrixBlock(PCObject):
         return (self.block_row, self.block_col)
 
 
-def make_matrix_block(block_row, block_col, values):
-    """Allocate a MatrixBlock on the active block from a 2-D numpy array."""
+def matrix_block_fields(block_row, block_col, values):
+    """The keyword fields of a MatrixBlock holding a 2-D numpy array."""
     values = np.asarray(values, dtype="f8")
     if values.ndim != 2:
         raise LinAlgError("matrix block values must be 2-D")
+    return dict(block_row=block_row, block_col=block_col,
+                rows=values.shape[0], cols=values.shape[1], data=values)
+
+
+def make_matrix_block(block_row, block_col, values):
+    """Allocate a MatrixBlock on the active block from a 2-D numpy array."""
     return make_object(
-        MatrixBlock,
-        block_row=block_row,
-        block_col=block_col,
-        rows=values.shape[0],
-        cols=values.shape[1],
-        data=values,
+        MatrixBlock, **matrix_block_fields(block_row, block_col, values)
     )
 
 

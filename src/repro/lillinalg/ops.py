@@ -34,6 +34,7 @@ from repro.lillinalg.matrix import (
     decode_block_key,
     encode_block_key,
     make_matrix_block,
+    matrix_block_fields,
 )
 
 _set_ids = itertools.count(1)
@@ -95,11 +96,9 @@ class DistributedMatrix:
             for brow, bcol, rslice, cslice in block_grid(
                 n_rows, n_cols, block_rows, block_cols
             ):
-                chunk = values[rslice, cslice]
-                load.append_built(
-                    lambda block, _b=brow, _c=bcol, _chunk=chunk:
-                    make_matrix_block(_b, _c, _chunk)
-                )
+                load.append(MatrixBlock, **matrix_block_fields(
+                    brow, bcol, values[rslice, cslice]
+                ))
         return cls(cluster, database, set_name, n_rows, n_cols,
                    block_rows, block_cols)
 
@@ -147,11 +146,9 @@ class DistributedMatrix:
                 brow, bcol = decode_block_key(key)
                 rows = min(block_rows, n_rows - brow * block_rows)
                 cols = min(block_cols, n_cols - bcol * block_cols)
-                chunk = np.asarray(flat).reshape(rows, cols)
-                load.append_built(
-                    lambda block, _b=brow, _c=bcol, _chunk=chunk:
-                    make_matrix_block(_b, _c, _chunk)
-                )
+                load.append(MatrixBlock, **matrix_block_fields(
+                    brow, bcol, np.asarray(flat).reshape(rows, cols)
+                ))
         self.cluster.drop_set(self.database, out_set)
         return self._result(
             result_set, n_rows, n_cols, block_rows, block_cols

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.memory import Float64, Int32, PCObject, VectorType, make_object
+from repro.memory import Float64, Int32, PCObject, VectorType
 
 
 class PointsChunk(PCObject):
@@ -40,13 +40,6 @@ def load_points(cluster, database, set_name, points, chunk_size=256):
     with cluster.loader(database, set_name) as load:
         for start in range(0, n, chunk_size):
             chunk = points[start:start + chunk_size]
-            load.append_built(
-                lambda block, _s=start, _c=chunk: make_object(
-                    PointsChunk,
-                    start_id=_s,
-                    count=_c.shape[0],
-                    dims=_c.shape[1],
-                    data=_c,
-                )
-            )
+            load.append(PointsChunk, start_id=start, count=chunk.shape[0],
+                        dims=d, data=chunk)
     return n, d

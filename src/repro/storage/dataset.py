@@ -14,7 +14,7 @@ from itertools import chain, islice
 
 from repro.errors import BlockFullError, StorageError
 from repro.memory.block import AllocationBlock
-from repro.memory.objects import make_object_on, use_allocation_block
+from repro.memory.objects import make_object_on
 from repro.memory.scatter import plan_objects
 from repro.storage.page import open_root, page_items
 from repro.storage.replication import page_checksum
@@ -236,12 +236,6 @@ class RowPageWriter(FlushOnExit):
         self._record(_place_new, make_object_on, type_or_class, init,
                      **fields)
 
-    def append_built(self, build):
-        """Record the one object ``build(block)`` allocates and returns the
-        handle of (the page's block is the active allocation block
-        meanwhile): for objects too intricate for keyword construction."""
-        self._record(_place_new, _build_on, build)
-
     def append_object(self, value):
         """Record an existing object (a handle or facade): linked if it
         lives on the open page, deep-copied onto it if not."""
@@ -330,49 +324,28 @@ def _place_new(root, block, make, /, *args, **fields):
     handle.release()
 
 
-def _build_on(block, build):
-    with use_allocation_block(block):
-        return build(block)
-
-
 def _place_existing(root, _block, value):
     root.append(value)
 
 
-def fill_map_pages(map_type, pairs, place, declined=None):
-    """Spread ``pairs`` over as many ``map_type`` Maps as it takes.
-
-    ``place(build)`` runs ``build(block) -> handle`` on the next page:
-    each Map takes the leading pairs its page holds (``build`` raises
-    :class:`BlockFullError` if not even one), the rest go on.
-    ``declined(reason)`` hears why a Map was built pair by pair instead
-    of planned (:meth:`~repro.memory.builtins.MapFacade.fill`).
+def pack_map_pages(map_type, pairs, page_size, registry, declined=None):
+    """``pairs`` as Map pages — an aggregation's combiner pages (Figure
+    5) and its stored output alike: as many ``page_size`` blocks as it
+    takes, each one's root a ``map_type`` Map holding the leading pairs
+    its page takes (:class:`BlockFullError` if not even one), read
+    straight out of the bytes by :func:`~repro.storage.page.page_items`.
+    Each is sealed as :func:`private_page_writer` seals a page: ``(bytes,
+    CRC, allocations made on it, 1)``.  ``declined(reason)`` hears why a
+    Map was built pair by pair instead of planned
+    (:meth:`~repro.memory.builtins.MapFacade.fill`).
     """
     pending = list(pairs)
-    taken = 0
-
-    def build(block):
-        nonlocal taken
-        handle = make_object_on(block, map_type, None)
-        taken = handle.deref().fill(pending, declined)
-        return handle
-
-    while pending:
-        place(build)
-        del pending[:taken]
-
-
-def pack_map_pages(map_type, pairs, page_size, registry, declined=None):
-    """``pairs`` as combiner pages (Figure 5): the bytes of as many
-    ``page_size`` blocks as it takes, each one's root a ``map_type`` Map
-    the receiver reads straight out of the arrived bytes."""
     pages = []
-
-    def place(build):
+    while pending:
         block = AllocationBlock(page_size, registry=registry)
-        handle = build(block)
+        handle = make_object_on(block, map_type, None)
+        del pending[:handle.deref().fill(pending, declined)]
         block.set_root(handle.offset, handle.type_code)
-        pages.append(block.to_bytes())
-
-    fill_map_pages(map_type, pairs, place, declined)
+        data = block.to_bytes()
+        pages.append((data, page_checksum(data), block.alloc_count, 1))
     return pages

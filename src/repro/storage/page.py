@@ -12,6 +12,7 @@ from repro.memory.block import LIGHTWEIGHT_REUSE, AllocationBlock
 from repro.memory.builtins import AnyObject, VectorType
 from repro.memory.columnar import ColumnarPage
 from repro.memory.objects import make_object_on
+from repro.memory.types import registry_of
 
 #: PC's default page size is 256 MB (Section 8.3.1); the reproduction
 #: default is scaled down to keep laptop runs snappy, and every workload
@@ -42,18 +43,26 @@ def page_items(block):
     """The stored objects of one page block — the one page decode.
 
     A columnar page gives its :class:`~repro.memory.columnar.ColumnarRows`,
-    a row page its root vector of handles, a rootless page nothing; each
-    iterates (and ``len``s) one element per stored object.  Every reader
-    — front-end scan, client read, back-end process, object counts —
-    turns page bytes into objects here.
+    a row page its root vector of handles, a Map page (an aggregation's
+    combiner and output pages, whose root is the Map) its one
+    :class:`~repro.memory.builtins.MapFacade`, a rootless page nothing;
+    each iterates (and ``len``s) one element per stored object.  Every
+    reader — front-end scan, client read, back-end process, the
+    aggregation exchange, object counts — turns page bytes into objects
+    here.
     """
     colpage = ColumnarPage.attach(block)
     if colpage is not None:
         return colpage.rows()
-    root_offset, _code = block.root()
+    root_offset, code = block.root()
     if root_offset is None:
         return ()
-    return _ROOT_VECTOR.facade(block, root_offset)
+    # The root vector's code is asked for by name (a worker's registry
+    # learns it from the master); a registry may be unable to fetch it by
+    # number, so only another root's code is looked up.
+    if code == _ROOT_VECTOR.type_code(block):
+        return _ROOT_VECTOR.facade(block, root_offset)
+    return (registry_of(block).lookup(code).facade(block, root_offset),)
 
 
 class Page:

@@ -378,72 +378,6 @@ def test_cli_exit_codes(target, expected_exit):
     assert (payload["count"] > 0) == (expected_exit == 1)
 
 
-# -- baselines ----------------------------------------------------------------
-
-
-def test_baseline_roundtrip_suppresses_known_findings(tmp_path):
-    from repro.analysis import apply_baseline, load_baseline, write_baseline
-
-    findings = run_lint([fixture("pc002_raw_buf.py")])
-    assert findings
-    snapshot = tmp_path / "baseline.json"
-    write_baseline(findings, str(snapshot))
-    known = load_baseline(str(snapshot))
-    assert apply_baseline(findings, known) == []
-
-
-def test_baseline_budget_is_multiset(tmp_path):
-    # Two identical findings with one baselined occurrence: exactly one
-    # survives — a budget, not a set test.
-    from repro.analysis import apply_baseline
-
-    source = "def f(b):\n    return b.buf[0]\n\ndef g(b):\n    return b.buf[0]\n"
-    findings = lint_source(source, "repro/engine/foo.py")
-    assert len(findings) == 2
-    assert findings[0].fingerprint() == findings[1].fingerprint()
-    remaining = apply_baseline(findings, [findings[0].fingerprint()])
-    assert len(remaining) == 1
-
-
-def test_baseline_survives_unrelated_line_shifts(tmp_path):
-    from repro.analysis import apply_baseline, load_baseline, write_baseline
-
-    before = "def f(b):\n    return b.buf[0]\n"
-    after = "import os\n\n\ndef f(b):\n    return b.buf[0]\n"
-    snapshot = tmp_path / "baseline.json"
-    write_baseline(lint_source(before, "repro/engine/foo.py"), str(snapshot))
-    shifted = lint_source(after, "repro/engine/foo.py")
-    assert shifted  # still found...
-    assert apply_baseline(shifted, load_baseline(str(snapshot))) == []
-
-
-def test_baseline_rejects_unknown_version(tmp_path):
-    from repro.analysis import load_baseline
-
-    bad = tmp_path / "baseline.json"
-    bad.write_text('{"version": 99, "fingerprints": []}')
-    with pytest.raises(ValueError):
-        load_baseline(str(bad))
-
-
-def test_cli_baseline_flags(tmp_path):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    snapshot = str(tmp_path / "baseline.json")
-    target = fixture("pc002_raw_buf.py")
-    wrote = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "lint", target,
-         "--write-baseline", snapshot],
-        capture_output=True, text=True, env=env, cwd=REPO_ROOT,
-    )
-    assert wrote.returncode == 0, wrote.stderr
-    gated = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "lint", target,
-         "--baseline", snapshot],
-        capture_output=True, text=True, env=env, cwd=REPO_ROOT,
-    )
-    assert gated.returncode == 0, gated.stderr + gated.stdout
-
-
 # -- SARIF --------------------------------------------------------------------
 
 

@@ -6,12 +6,15 @@ Run against the commit whose loader bytes should be frozen::
 
 The JSON holds, per load, the CRC32 and object count of every page the
 loader handed to ``replication.store_page``, in shipping order (see
-``test_write_path_property.py``).  Three fixed loads: TPC-H ``Customer``
-trees through the planned ``extend``, a chunked matrix through
-``append_built``, and flat keyword ``append`` rows, each on pages small
-enough to roll many times.  The checked-in ``matrix_blocks`` and
+``test_write_path_property.py``).  Four fixed loads: TPC-H ``Customer``
+trees through the planned ``extend``, and a chunked matrix, k-means
+point chunks and flat rows through keyword ``append``, each on pages
+small enough to roll many times.  The checked-in ``matrix_blocks`` and
 ``keyword_rows`` were frozen before ``extend`` existed, and still hold:
 only ``tpch_customers`` was regenerated when the loader began planning.
+``points_chunks`` was frozen while ``load_points`` still built each
+chunk with a callback, and holds under ``append``, as ``matrix_blocks``
+does.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 
 from repro.cluster import PCCluster
 from repro.lillinalg.ops import DistributedMatrix
+from repro.ml.points import load_points
 from repro.memory import Float64, Int32, PCObject, String, VectorType
 from repro.tpch.generator import TpchSpec, load_pc_customers
 
@@ -59,6 +63,11 @@ def _load_matrix(cluster):
                                  set_name="fixture_matrix")
 
 
+def _load_points(cluster):
+    points = np.arange(2000 * 4, dtype="f8").reshape(2000, 4) / 16.0
+    load_points(cluster, "ml", "points", points, chunk_size=20)
+
+
 def _load_rows(cluster):
     cluster.register_type(LoaderRow)
     cluster.create_database("db")
@@ -73,6 +82,7 @@ LOADS = {
     "tpch_customers": (_load_customers, 1 << 14),
     "matrix_blocks": (_load_matrix, 1 << 13),
     "keyword_rows": (_load_rows, 1 << 12),
+    "points_chunks": (_load_points, 1 << 12),
 }
 
 

@@ -165,16 +165,20 @@ def test_an_extend_call_site_loads_either_layout_unedited(cluster, schema_of):
         (record["sensor"], record["value"]) for record in records)
 
 
-def test_columnar_loader_rejects_missing_and_built_objects(cluster):
+def test_columnar_loader_rejects_a_row_missing_a_column(cluster):
     from repro.errors import StorageError
 
-    cluster.create_set("db", "points", schema=[("x", f64)])
-    load = cluster.loader("db", "points")
-    with pytest.raises(StorageError, match="missing"):
-        load.append(y=1.0)
-    with pytest.raises(StorageError, match="fixed-stride columns"):
-        load.append_built(lambda block: None)
-    load.discard()
+    cluster.create_set("db", "points", schema=[("a", f64), ("b", f64)])
+    with cluster.loader("db", "points") as load:
+        with pytest.raises(StorageError, match="missing"):
+            load.append(a=1.0)
+        load.append(a=2.0, b=20.0)
+        load.append(a=3.0, b=30.0)
+    # The rejected row left no column a row longer than the others.
+    assert load.objects_loaded == 2
+    assert sorted(r.as_tuple() for r in cluster.read("db", "points")) == [
+        (2.0, 20.0), (3.0, 30.0)
+    ]
 
 
 # -- journal replay -----------------------------------------------------------

@@ -343,11 +343,15 @@ def test_map_page_wire_delivers_the_same_pairs_with_and_without_faults(
     scheduler = schedulers[n]
     network = scheduler.cluster.transport
     comp = SumX()
+    # Registered cluster-wide as ``execute()`` does, so that a receiving
+    # worker's registry resolves the Map's code.
+    map_type = MapType(comp.key_type, comp.value_type)
+    scheduler.cluster.register_type(map_type)
     # What an AggregateSink seals, with the key itself as the hash.
     held = [
         [
             pack_map_pages(
-                MapType(comp.key_type, comp.value_type), pairs,
+                map_type, pairs,
                 scheduler.cluster.combiner_page_size,
                 scheduler.cluster.catalog.registry,
             )

@@ -21,12 +21,21 @@ from repro.core import (
     lambda_from_native,
 )
 from repro.errors import ExecutionError, SetNotFoundError
-from repro.memory import Float64, Int64, PCObject, make_object
+from repro.memory import (
+    Float64,
+    Int64,
+    MapFacade,
+    MapType,
+    PCObject,
+    make_object,
+)
 from repro.memory.block import AllocationBlock
 from repro.memory.columnar import ColumnarRows
 from repro.memory.objects import make_object_on
 from repro.schema import Schema, f64, i64
+from repro.storage.dataset import pack_map_pages
 from repro.storage.page import open_root, page_items
+from repro.storage.replication import page_checksum
 
 TRANSPORTS = [
     "sim",
@@ -308,6 +317,61 @@ def test_page_items_same_objects_front_end_and_back_end(tmp_path, transport):
             assert "shipped" in placements
         else:
             assert placements == {"front-end: in_process"}
+    finally:
+        cluster.close()
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_page_items_reads_a_map_page_as_its_one_map(tmp_path, transport):
+    """The third page kind: a page whose root is a Map — what an
+    aggregation ships and stores — is one object, read where it lies,
+    and a job scanning such a set gets the Map's pairs."""
+    page_size = 1 << 12
+    cluster = make_cluster(
+        tmp_path, n_workers=2, page_size=page_size, transport=transport
+    )
+    try:
+        comp = SumX()
+        map_type = MapType(comp.key_type, comp.value_type)
+        cluster.register_type(map_type)
+        cluster.create_database("db")
+        cluster.create_set("db", "sums")  # as a Writer makes its set
+        pairs = [(cid, float(cid) / 2) for cid in range(400)]
+        pages = pack_map_pages(map_type, pairs, page_size,
+                               cluster.catalog.registry)
+        assert len(pages) > 1
+        for data, checksum, _allocations, count in pages:
+            assert count == 1 and page_checksum(data) == checksum
+            cluster.replication.store_page("db", "sums", data, count)
+
+        read = []
+        for page_set, page_id in cluster.replication.scan_page_copies(
+            "db", "sums"
+        ):
+            with page_set.pinned_page(page_id) as page:
+                (view,) = page_items(page.block)
+                assert isinstance(view, MapFacade)
+                read.extend(view.items())
+            assert page_set.page_object_count(page_id) == 1
+        assert sorted(read) == pairs
+        assert cluster.storage_manager.total_objects("db", "sums") \
+            == len(pages)
+        assert cluster.read("db", "sums", as_pairs=True, comp=comp) \
+            == dict(pairs)
+
+        # A scan of the set folds the pairs, on either transport.
+        class SumOfSums(SumX):
+            def get_key_projection(self, arg):
+                return lambda_from_native([arg], lambda pair: pair[0] % 4)
+
+            def get_value_projection(self, arg):
+                return lambda_from_native([arg], lambda pair: pair[1])
+
+        agg = SumOfSums().set_input(ObjectReader("db", "sums"))
+        Writer("db", "by_four").set_input(agg).execute(cluster)
+        assert cluster.read("db", "by_four", as_pairs=True, comp=agg) == {
+            b: sum(v for k, v in pairs if k % 4 == b) for b in range(4)
+        }
     finally:
         cluster.close()
 

@@ -116,8 +116,8 @@ def _tpch_job(cluster):
 
     with pytest.MonkeyPatch.context() as patch:
         # (This process only: the back-ends import their own.)
-        patch.setattr(dataset, "fill_map_pages", in_the_coordinator)
-        patch.setattr(pipeline, "fill_map_pages", in_the_coordinator)
+        patch.setattr(dataset, "pack_map_pages", in_the_coordinator)
+        patch.setattr(pipeline, "pack_map_pages", in_the_coordinator)
         _result, counts = _delta(
             cluster, lambda: customers_per_supplier_pc(cluster)
         )

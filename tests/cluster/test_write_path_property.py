@@ -9,7 +9,7 @@ exactly the appended sequence, in order, once; an append that fails
 leaves every root-vector count as it was.
 
 The loader's page *bytes* are pinned as well: ``fixtures/loader_pages.json``
-holds the CRC32 of every page three fixed loads shipped at the parent
+holds the CRC32 of every page four fixed loads shipped at the parent
 commit (see ``fixtures/make_loader_pages.py``).
 """
 
@@ -26,7 +26,7 @@ from repro.analysis import sanitizer as pcsan
 from repro.cluster import PCCluster
 from repro.core import ObjectReader, SelectionComp, Writer
 from repro.errors import BlockFullError, StorageError
-from repro.memory import Float64, Int32, PCObject, VectorType, make_object
+from repro.memory import Float64, Int32, PCObject, VectorType
 from repro.memory.block import AllocationBlock
 from repro.memory.objects import make_object_on
 from repro.storage.dataset import RowPageWriter
@@ -130,19 +130,14 @@ def append_all(page_size, lengths_, append, counts):
 
 
 @settings(max_examples=40, deadline=None)
-@given(page_sizes, lengths, st.booleans())
+@given(page_sizes, lengths)
 def test_set_writer_records_each_object_once_in_order(
-        tmp_path_factory, page_size, lengths_, built):
+        tmp_path_factory, page_size, lengths_):
     with make_cluster(tmp_path_factory, page_size) as cluster:
         page_set = cluster.workers[0].storage.get_set("db", "blobs")
         with page_set.writer() as writer:
             def append(seq, length):
-                if built:
-                    writer.append_built(lambda block: make_object(
-                        Blob, seq=seq, data=[0.0] * length
-                    ))
-                else:
-                    writer.append(Blob, seq=seq, data=[0.0] * length)
+                writer.append(Blob, seq=seq, data=[0.0] * length)
 
             stored = append_all(page_size, lengths_, append,
                                 lambda: page_counts(page_set, writer))
