@@ -577,7 +577,7 @@ ARCHITECTURE = {
             "repro.memory.builtins.MapType.inserter",
         ),
         "plan_objects": (
-            "repro.storage.dataset.RowPageWriter.extend",
+            "repro.storage.dataset.RowPageWriter._write",
         ),
         "book_task_evidence": (
             "repro.cluster.scheduler.DistributedScheduler._book",
@@ -597,6 +597,7 @@ ARCHITECTURE = {
         "repro/cluster/procworker.py": 285,
         "repro/cluster/worker.py": 204,
         "repro/storage/replication.py": 477,
+        "repro/storage/dataset.py": 419,
         "repro/memory/scatter.py": 844,
         "repro/ml/kmeans_columnar.py": 166,
         "repro/obs": 1999,

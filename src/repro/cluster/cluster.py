@@ -682,8 +682,8 @@ class ClusterLoader(RowPageWriter):
     go to the replication layer, which stamps the checksum, places the
     page on the set's ring replicas and records the placement in the
     catalog's (journaled) replica map.  A context manager: ``__exit__``
-    flushes the final partial page on a clean exit and discards the open
-    block when the body raised, so a failed load never ships a
+    writes the window and seals the last page on a clean exit and drops
+    both when the body raised, so a failed load never ships a
     half-built page (and callers can no longer forget ``flush()``).
     """
 
@@ -771,7 +771,7 @@ class ColumnarClusterLoader(FlushOnExit):
         if self._buffered >= self.capacity:
             self._ship_page()
 
-    def extend(self, cls, records, declined=None):
+    def extend(self, cls, records):
         """Buffer each record as :meth:`append` does."""
         for record in records:
             self.append(cls, **record)

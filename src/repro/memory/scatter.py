@@ -1,28 +1,21 @@
 """Scatter writes: a Map, or a page of object trees, built from host
 values, planned once and written as arrays — the write half of
-:mod:`repro.memory.gather`.
-
-Built object by object, every key, vector and array of an aggregation's
-``Map`` is an ``allocate`` → ``retain`` → ``pack_into`` round in the
-interpreter, and so is every object of a loaded ``PCObject`` tree.
-:func:`scatter_map` writes the Map's bytes in two phases:
-**plan** — lay out every object the inserter's per-pair loop would
-allocate, in its order (the table, sized as that loop sizes it; per
-entry the key, then the value tree), which on a bump-only block is one
-run of the bump pointer, bucket positions from the same linear probe
-over the same ``stable_hash``; **scatter** — write the run into a fresh
+:mod:`repro.memory.gather`, in two phases.  **Plan**: lay out every
+object the per-object build would allocate, in its order — on a
+bump-only block one run of the bump pointer (a Map's table sized as
+its inserter sizes it, bucket positions from the same linear probe over
+the same ``stable_hash``).  **Scatter**: write the run into a fresh
 image with one ``numpy`` assignment per word size and one byte scatter
-(primitives encoded by ``PrimitiveType.write_run``: the same casters and
+(primitives through ``PrimitiveType.write_run``: the same casters and
 range checks), copy it onto the page in one slice, and move ``used`` /
 ``active_objects`` and the allocation counts once.
 
 The per-object page is the oracle.  What the plan does not cover it
 declines before writing anything (:data:`FALLBACK_REASONS`); a host
-value the per-pair loop rejects is left to it, so it raises where it
+value the per-object build rejects is left to it, so it raises where it
 always did; a run that does not fit is planned up to its longest prefix
-of whole pairs and the per-pair loop continues.  :func:`plan_objects`
-does the same for a page of trees (:class:`ObjectPlan`).  A plan holds
-offsets and bytes, never the block (DESIGN §16, "Plan, then scatter").
+of whole pairs (:func:`scatter_map`) or trees (:func:`plan_objects`).
+A plan holds offsets and bytes, never the block (DESIGN §16).
 """
 
 from __future__ import annotations
@@ -58,6 +51,7 @@ FALLBACK_REASONS = (
     "repeated_key",    # a key repeats under ``_keys_equal``: an overwrite
     "reference",       # a handle or facade: a link or deep copy, no build
     "uncovered_type",  # a declared type, or a host value's, not planned
+    "one_per_page",    # a tree that fills a page alone: built object by object
 )
 
 #: What the per-pair path raises for a host value it rejects; a plan
@@ -80,9 +74,7 @@ _RESERVE_MIN = 4
 
 
 class _Decline(Exception):
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
+    reason = property(lambda self: self.args[0])
 
 
 def scatter_map(block, map_type, payload, pairs, declined=None):
@@ -98,9 +90,8 @@ def scatter_map(block, map_type, payload, pairs, declined=None):
             raise _Decline("not_bump_only")
         shape = _MapShape(map_type, block)
         plan = _Plan(block.used, 1 if block.managed else 0)
-        stored, table = plan.map_body(
-            shape, pairs, len(pairs), block.size - block.used
-        )
+        stored, table = plan.map_body(shape, pairs, len(pairs),
+                                      block.size - block.used)
     except _Decline as decline:
         if declined is not None:
             declined(decline.reason)
@@ -110,9 +101,8 @@ def scatter_map(block, map_type, payload, pairs, declined=None):
     if stored:
         plan.scatter(block)
         _COUNT.pack_into(block.buf, payload, stored)
-        layout.write_handle_slot(
-            block.buf, payload + _BACKING, table, shape.buckets_code
-        )
+        layout.write_handle_slot(block.buf, payload + _BACKING, table,
+                                 shape.buckets_code)
     return stored
 
 
@@ -136,7 +126,6 @@ class ObjectPlan:
 
     def __init__(self, block, cls, records):
         self.shape = _Records(cls.pc_descriptor, registry_of(block))
-        self.records = records
         self.covered, self.reason, self._measured = _leading(
             self._measure, records)
 
@@ -145,22 +134,29 @@ class ObjectPlan:
             raise _Decline("uncovered_type")
         return self.shape.measure(records)
 
-    def fit(self, block):
-        """How many leading covered records the fresh page ``block``
-        takes, its empty root vector reserved for exactly that many."""
+    def fit(self, room, start=0):
+        """How many covered records from ``start`` on a fresh page with
+        ``room`` bytes free takes, its empty root reserved for that many."""
         if not self.covered:
             return 0
-        ends = np.cumsum(self._measured[1])
+        ends = np.cumsum(self._measured[1][start:])
         roots = _chunks(HANDLE_SLOT_SIZE * np.maximum(
-            np.arange(1, self.covered + 1), _RESERVE_MIN))
-        return int((roots + ends <= block.size - block.used).sum())
+            np.arange(1, len(ends) + 1), _RESERVE_MIN))
+        return int((roots + ends <= room).sum())
+
+    def capacity(self, room):
+        """Records of the covered ones' mean size a fresh page takes."""
+        need = int(self._measured[1].sum()) + HANDLE_SLOT_SIZE * self.covered
+        return self.covered * room // max(need, 1)
 
     def write(self, block, root, stored):
         """Reserve ``root`` (``block``'s empty root vector) for the
-        leading ``stored`` records, write them — one plan, one scatter —
-        and list them in it, as ``root.append`` would."""
-        data, sizes = self._measured if stored == self.covered \
-            else self.shape.measure(self.records[:stored])
+        leading ``stored`` records, write them — one plan, one scatter,
+        from what was measured of them — and list them in it, as
+        ``root.append`` would."""
+        data, sizes = self._measured
+        if stored < self.covered:
+            data, sizes = self.shape.take(data, stored), sizes[:stored]
         root.reserve(stored)
         plan = _Plan(block.used, 1 if block.managed else 0)
         ends = np.cumsum(sizes)
@@ -169,11 +165,10 @@ class ObjectPlan:
         self.shape.fill(plan, data, starts)
         plan.scatter(block)
         payload = root.pc_offset + _HEADER
-        array = _container_state(block.buf, payload, HANDLE_SLOT_SIZE)[1]
-        first = array + _HEADER
+        first = _container_state(block.buf, payload, HANDLE_SLOT_SIZE)[1] \
+            + _HEADER
         entries = np.zeros(stored, _SLOT)
-        entries["delta"] = starts - first - HANDLE_SLOT_SIZE * np.arange(
-            stored)
+        entries["delta"] = starts - first - HANDLE_SLOT_SIZE * np.arange(stored)
         entries["code"] = self.shape.code
         block.buf[first:first + entries.nbytes] = entries.tobytes()
         _COUNT.pack_into(block.buf, payload, stored)
@@ -220,10 +215,12 @@ def _lengths(data):
     try:
         return np.fromiter(map(len, data), np.int64, len(data))
     except TypeError:  # a None among them
-        return np.fromiter(
-            (-1 if item is None else len(item) for item in data),
-            np.int64, len(data),
-        )
+        return np.fromiter((-1 if item is None else len(item)
+                            for item in data), np.int64, len(data))
+
+
+class _Leaf:
+    take = staticmethod(lambda data, n: data[:n])  # the first n values
 
 
 class _Primitive:
@@ -243,7 +240,7 @@ class _Primitive:
         return bytes(buf)
 
 
-class _Strings:
+class _Strings(_Leaf):
     """A String slot: one object per value — a key's, or a value's
     (None: a null slot).  ``fill`` returns ``(targets, code)``, a
     target 0 where the slot stays null."""
@@ -255,11 +252,9 @@ class _Strings:
         if set(map(type, values)) <= {str}:
             data = [value.encode("utf-8") for value in values]
         else:
-            data = [
-                value.encode("utf-8") if isinstance(value, str)
-                else None if value is None else _reject(value)
-                for value in values
-            ]
+            data = [value.encode("utf-8") if isinstance(value, str) else
+                    None if value is None else _reject(value)
+                    for value in values]
         lengths = _lengths(data)
         return data, _chunks(4 + lengths) * (lengths >= 0)
 
@@ -276,7 +271,7 @@ class _Strings:
         return offsets, self.code
 
 
-class _Vectors:
+class _Vectors(_Leaf):
     """A ``Vector<primitive>`` slot: the vector, then — when it is not
     empty — its exactly sized array, as ``VectorType.extender`` builds
     it (None: a null slot)."""
@@ -391,18 +386,9 @@ class _MapShape:
         compares a later key with)."""
         if isinstance(self.key, _Strings):
             return key
-        scratch = _Scratch(self.key.width)
-        self.key.descriptor.write_slot(scratch, 0, key)
-        return self.key.descriptor.read_slot(scratch, 0)
-
-
-class _Scratch:
-    """A slot's worth of bytes for a primitive codec round trip."""
-
-    __slots__ = ("buf",)
-
-    def __init__(self, width):
-        self.buf = bytearray(width)
+        scratch = bytearray(self.key.width)
+        self.key.descriptor.write_run(scratch, 0, [key])
+        return self.key.descriptor.read_run(scratch, 0, 1)[0]
 
 
 def _slot_shape(descriptor, block):
@@ -470,6 +456,21 @@ class _Records:
         spread[rows] = sizes
         return (rows, fields), spread
 
+    def take(self, data, n):
+        rows, fields = data
+        if rows is not None:
+            rows = rows[:np.searchsorted(rows, n)]
+            n = len(rows)
+        kept = []
+        for at, shape, index, field_data, rel in fields:
+            if not isinstance(index, slice):
+                index = index[:np.searchsorted(index, n)]
+            m = n if isinstance(index, slice) else len(index)
+            kept.append((at, shape, index, shape.take(field_data, m)
+                         if rel is not None else field_data[:m * shape.width],
+                         None if rel is None else rel[:m]))
+        return rows, kept
+
     def fill(self, plan, data, offsets):
         rows, fields = data
         objects = offsets if rows is None else offsets[rows]
@@ -508,6 +509,11 @@ class _RecordVectors(_Vectors):
         totals = np.bincount(owners, sizes, len(data)).astype(np.int64)
         return (counts, trees, sizes), self._sizes(counts) + totals
 
+    def take(self, data, n):
+        counts, trees, sizes = data
+        k = int(np.maximum(counts[:n], 0).sum())
+        return counts[:n], self.trees.take(trees, k), sizes[:k]
+
     def fill(self, plan, data, offsets):
         counts, trees, sizes = data
         offsets, arrays, counts = self._containers(plan, counts, offsets)
@@ -542,13 +548,12 @@ def _key_groups(records):
     their values, one tuple per key."""
     if not records:
         return []
-    orders = list(map(tuple, records))
-    if orders.count(orders[0]) == len(orders):
-        return [(orders[0], slice(None),
-                 list(zip(*map(dict.values, records))))]
+    first = tuple(records[0])
+    if all(map(first.__eq__, map(tuple, records))):
+        return [(first, slice(None), list(zip(*map(dict.values, records))))]
     groups = {}
-    for i, keys in enumerate(orders):
-        groups.setdefault(keys, []).append(i)
+    for i, record in enumerate(records):
+        groups.setdefault(tuple(record), []).append(i)
     return [(keys, np.array(index, np.int64),
              list(zip(*(records[i].values() for i in index))))
             for keys, index in groups.items()]
@@ -704,9 +709,8 @@ class _Plan:
             return keys, shape.key.fill(self, keys, None), shape.val.fill(
                 self, [value for _key, value in pairs], None)
         keys, key_data, val_data, key_sizes, sizes = [], [], [], [], []
-        start, step, spent = 0, len(pairs), 0
-        if budget is not None:
-            step = _FIRST_WINDOW
+        start, spent = 0, 0
+        step = len(pairs) if budget is None else _FIRST_WINDOW
         while start < len(pairs) and (budget is None or spent <= budget):
             window = pairs[start:start + step]
             window_keys = [key for key, _value in window]
@@ -731,10 +735,8 @@ class _Plan:
         starts = self.cursor + ends[:stored] - sizes[:stored]
         self.cursor += int(ends[stored - 1])
         key_fill = shape.key.fill(self, key_data[:stored], starts)
-        val_fill = shape.val.fill(
-            self, val_data[:stored],
-            starts + np.concatenate(key_sizes)[:stored],
-        )
+        val_fill = shape.val.fill(self, val_data[:stored], starts
+                                  + np.concatenate(key_sizes)[:stored])
         return keys[:stored], key_fill, val_fill
 
     def _nested_pairs(self, shape, pairs, budget):
@@ -803,7 +805,7 @@ class _Plan:
                 ] = np.concatenate([v for _p, v in words])
         data = b"".join(d for _p, _n, d in self.runs)
         if data:
-            image[_run_bytes(self.runs) - base] = np.frombuffer(data, np.uint8)
+            image[_run_bytes(self.runs, base)] = np.frombuffer(data, np.uint8)
         block.bump(total, len(offsets))
         # The bytes past the bump pointer are zero on every block (fresh,
         # reconstituted or a new shm segment), as the image's gaps are.
@@ -819,26 +821,24 @@ class _Plan:
 def _columns(chunks):
     """``(positions, code, values)`` chunks as three arrays: a chunk's
     one type code, and a scalar third column, spread over its rows."""
-    return (
-        np.concatenate([chunk[0] for chunk in chunks]),
-        np.concatenate([np.full(len(chunk[0]), chunk[1], np.int64)
-                        for chunk in chunks]),
-        np.concatenate([
-            np.full(len(chunk[0]), chunk[2], np.int64)
-            if isinstance(chunk[2], int) else chunk[2] for chunk in chunks
-        ]),
-    )
+    return (np.concatenate([chunk[0] for chunk in chunks]),
+            np.concatenate([np.full(len(chunk[0]), chunk[1], np.int64)
+                            for chunk in chunks]),
+            np.concatenate([np.full(len(chunk[0]), chunk[2], np.int64)
+                            if isinstance(chunk[2], int) else chunk[2]
+                            for chunk in chunks]))
 
 
-def _run_bytes(runs):
-    """The position of every byte of ``(positions, lengths, _)`` runs, in
-    order: a running sum of steps of one that jumps at each run's start."""
-    positions = np.concatenate([p for p, _n, _d in runs])
+def _run_bytes(runs, base):
+    """The position past ``base`` of every byte of ``(positions, lengths,
+    _)`` runs, in order: a running sum of steps of one that jumps at each
+    run's start, in 32 bits (a page is under 2 GiB)."""
+    positions = np.concatenate([p for p, _n, _d in runs]) - base
     lengths = np.concatenate([n for _p, n, _d in runs])
     filled = lengths > 0
     positions, lengths = positions[filled], lengths[filled]
     ends = np.cumsum(lengths)
-    steps = np.ones(int(ends[-1]), np.int64)
+    steps = np.ones(int(ends[-1]), np.int32)
     steps[ends[:-1]] = positions[1:] - (positions[:-1] + lengths[:-1] - 1)
     steps[0] = positions[0]
-    return np.cumsum(steps)
+    return np.cumsum(steps, out=steps)

@@ -10,16 +10,15 @@ one at a time and iterate the root vector.
 from __future__ import annotations
 
 import contextlib
-from itertools import chain, islice
 
 from repro.errors import BlockFullError, StorageError
 from repro.memory.block import AllocationBlock
-from repro.memory.objects import make_object_on
+from repro.memory.objects import PCObject, make_object_on
 from repro.memory.scatter import plan_objects
 from repro.storage.page import open_root, page_items
 from repro.storage.replication import page_checksum
 
-#: records :meth:`RowPageWriter.extend` measures for its first page
+#: records :meth:`RowPageWriter._write` measures for a class's first page
 _FIRST_WINDOW = 32
 
 
@@ -133,14 +132,19 @@ class PageSet:
 
 class FlushOnExit:
     """The ``with`` contract of everything that builds pages: a clean
-    exit flushes what is open, an exception discards it."""
+    exit flushes what is open, an exception — the body's or the
+    flush's — discards it."""
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if exc_type is None:
-            self.flush()
+            try:
+                self.flush()
+            except BaseException:
+                self.discard()
+                raise
         else:
             self.discard()
         return False
@@ -149,16 +153,22 @@ class FlushOnExit:
 class RowPageWriter(FlushOnExit):
     """The one way objects become row pages.
 
-    Objects are recorded — listed in the root vector — on the open page;
-    a page that cannot take an object is sealed and *that one object*
-    retried on the next (:class:`StorageError` if an empty page cannot
-    take it either).  A page with nothing recorded is freed, not sealed.
+    A host-value record of a ``PCObject`` class — :meth:`append`'s
+    fields, each of :meth:`extend`'s records — joins the *write window*,
+    which is written a page at a time (:meth:`_write`): a page is sealed
+    when it is full or at :meth:`flush`, never at a call boundary.  Any
+    other object — an existing one (:meth:`append_object`), a descriptor
+    value — is recorded (listed in the root vector) on the open page at
+    once, the window written first; a page that cannot take it is sealed
+    and *that one object* retried on the next (:class:`StorageError` if
+    an empty page cannot take it either).  A page with nothing recorded
+    is freed, not sealed.
 
-    Callers differ in two things, and supply them: ``open_page() ->
+    Callers differ in three things, and supply them: ``open_page() ->
     (block, token)`` gives an empty block; ``seal_page(block, token,
     count)`` takes a finished one holding ``count`` objects (0: nothing
     on it is kept, free it) and returns its name, kept in :attr:`sealed`;
-    ``declined(reason)`` is what :meth:`extend` tells by default.
+    ``declined(reason)`` hears why a record was built object by object.
     """
 
     def __init__(self, open_page, seal_page, declined=None):
@@ -166,15 +176,20 @@ class RowPageWriter(FlushOnExit):
         self._seal_page = seal_page
         self._declined = declined
         self._block = self._token = self._root = None
+        self._bare = False
+        self._window, self._cls, self._want = [], None, _FIRST_WINDOW
         #: what ``seal_page`` returned for every page sealed so far.
         self.sealed = []
-        #: objects recorded so far (a later :meth:`discard` included).
+        #: records accepted so far — recorded, in the window, or refused
+        #: where their page was written — a later :meth:`discard` included.
         self.appended = 0
 
     @property
     def block(self):
-        """The open page's block (opened if none is): where user code
-        allocates what it will hand to :meth:`append_object`."""
+        """The open page's block (opened if none is), the window written
+        first: where user code allocates what it will hand to
+        :meth:`append_object`."""
+        self._write(final=True)
         if self._root is None:
             self._open()
         return self._block
@@ -182,6 +197,7 @@ class RowPageWriter(FlushOnExit):
     def _open(self, bare=False):
         self._block, self._token = self._open_page()
         self._root = open_root(self._block)
+        self._bare = bare
         if not bare:
             # The root's first slots come with the page (the first record
             # allocates them anyway): an object living on a page with
@@ -196,18 +212,24 @@ class RowPageWriter(FlushOnExit):
         if count:
             self.sealed.append(sealed)
 
-    def flush(self):
-        """Seal the open page, if any; the next object opens a fresh one."""
+    def _seal(self):
         if self._root is not None:
             self._retire(len(self._root))
 
+    def flush(self):
+        """Write the window, then seal the open page, if any; the next
+        object opens a fresh one."""
+        self._write(final=True)
+        self._seal()
+
     def discard(self):
-        """Drop the open page unsealed; returns how many recorded objects
-        went with it."""
-        if self._root is None:
-            return 0
-        dropped = len(self._root)
-        self._retire(0)
+        """Drop the window and the open page unsealed; returns how many
+        accepted records went with them."""
+        dropped = len(self._window)
+        self._window.clear()
+        if self._root is not None:
+            dropped += len(self._root)
+            self._retire(0)
         return dropped
 
     def _record(self, place, /, *args, **fields):
@@ -229,73 +251,117 @@ class RowPageWriter(FlushOnExit):
                         % self._block.size
                     ) from full
             else:
-                self.appended += 1
+                self._bare = False
                 return
-            self.flush()
+            self._seal()
 
     def append(self, type_or_class, init=None, **fields):
-        """Allocate one object in place on the open page and record it."""
+        """One object: a ``PCObject`` class's record — ``init`` (a dict or
+        None) updated with ``fields`` — joins the window; anything else
+        is allocated in place on the open page and recorded."""
+        if isinstance(type_or_class, type) and \
+                issubclass(type_or_class, PCObject) and \
+                (init is None or isinstance(init, dict)):
+            self._accept(type_or_class,
+                         fields if init is None else {**init, **fields})
+            return
+        self._write(final=True)
         self._record(_place_new, make_object_on, type_or_class, init,
                      **fields)
+        self.appended += 1
 
     def append_object(self, value):
         """Record an existing object (a handle or facade): linked if it
         lives on the open page, deep-copied onto it if not."""
+        self._write(final=True)
         self._record(_place_existing, value)
+        self.appended += 1
 
-    def extend(self, cls, records, declined=None):
-        """Record the host-value trees ``records`` of the ``PCObject``
-        class ``cls`` — each the dict ``append(cls, record)`` takes — a
-        page at a time: a fresh page takes the longest prefix of whole
-        trees that fits, its root vector sized once for them, written
-        with one plan and one scatter
-        (:func:`~repro.memory.scatter.plan_objects`), and is sealed.
+    def extend(self, cls, records):
+        """Put the host-value trees ``records`` of the ``PCObject`` class
+        ``cls`` — each the dict ``append(cls, record)`` takes — in the
+        window, one after another, as :meth:`append` puts one."""
+        for record in records:
+            self._accept(cls, record)
 
-        A tree the planner does not cover is appended object by object
-        after ``declined(reason)`` is told why (no reason: it holds a
-        host value that path rejects, and it raises); the trees that
-        follow it share its page until the next planned one.  ``records``
-        is read one page-sized window at a time.
+    def _accept(self, cls, record):
+        if cls is not self._cls:
+            self._write(final=True)
+            self._cls, self._want = cls, _FIRST_WINDOW
+        self._window.append(record)
+        self.appended += 1
+        if len(self._window) >= self._want:
+            self._write()
+
+    def _write(self, final=False):
+        """Write the window a page at a time: every page it fills and,
+        ``final``, the rest, on a page left open.  A fresh page takes the
+        longest prefix of whole trees that fits, its root vector sized
+        once for them, written with one plan and one scatter
+        (:func:`~repro.memory.scatter.plan_objects`), and is sealed when
+        the next tree does not fit.  The window is measured once it holds
+        ``_want`` records: 32 first; while a page takes them all, as many
+        as a page takes of their mean size (1.125× as many at least);
+        after a full page, 1.125× its count.
+
+        A tree the planner does not cover, and one the measure shows
+        fills a page alone, is built object by object (:meth:`_build`);
+        the trees after one it does not cover share its page until the
+        next planned one.
         """
-        declined = declined or self._declined
-        source = iter(records)
-        window, want, bare = [], _FIRST_WINDOW, False
-        while True:
-            window += islice(source, max(want - len(window), 0))
-            if not window:
-                return
+        window = self._window
+        while window and (final or len(window) >= self._want):
             if self._root is None:
                 self._open(bare=True)
-                bare = True
-            plan = plan_objects(self._block, cls, window)
-            if plan.covered and not bare:
-                self.flush()
+            plan = plan_objects(self._block, self._cls, window)
+            if plan.covered and not self._bare:
+                self._seal()
                 self._open(bare=True)
-                bare = True
             if plan.covered and not self._block.bump_only:
-                for record in chain(window, source):  # freed space reused
-                    if declined is not None:
-                        declined("not_bump_only")
-                    self.append(cls, record)
+                while window:  # freed space could be handed out
+                    self._build("not_bump_only")
                 return
-            stored = plan.fit(self._block)
-            if stored == len(window) >= want:  # the page may take more
-                want = 2 * len(window)
-                continue
-            if not stored:  # not covered, or too big for an empty page
-                if not plan.covered and plan.reason is not None \
-                        and declined is not None:
-                    declined(plan.reason)
-                self.append(cls, window.pop(0))
-                bare = False
-                continue
-            plan.write(self._block, self._root, stored)
-            self.appended += stored
-            del window[:stored]
-            bare = False
-            if stored < plan.covered:  # the page is full
-                self.flush()
-                want = stored + stored // 4 + 1
+            room = self._block.size - self._block.used
+            stored = plan.fit(room)
+            if stored == len(window) and not final:  # the page may take more
+                self._want = max(plan.capacity(room), stored + stored // 8) + 1
+                return
+            if stored > 1:
+                plan.write(self._block, self._root, stored)
+                del window[:stored]
+                self._bare = False
+                if stored < plan.covered:  # the page is full
+                    self._seal()
+                    self._want = stored + stored // 8 + 1
+            elif stored:  # one tree: built object by object, as is each
+                # next one the measure shows alone before a measured tree
+                self._build("one_per_page")
+                for start in range(1, plan.covered - 1):
+                    self._seal()  # tree ``start`` did not fit beside it
+                    if plan.fit(room, start) != 1:
+                        break
+                    self._build("one_per_page")
+            else:  # not covered, or too big for an empty page
+                self._build(None if plan.covered else plan.reason)
+
+    def _build(self, reason):
+        """Build the window's first record object by object, after
+        ``declined(reason)`` hears why.  No reason: it holds a host value
+        that path rejects, or no empty page takes it, and it raises on a
+        fresh page, the one before sealed — the error's ``position`` its
+        index in ``appended`` order; the records before it are recorded,
+        the ones after stay in the window."""
+        if reason is None:  # its failed build is dead space on no page kept
+            self._seal()
+        elif self._declined is not None:
+            self._declined(reason)
+        position = self.appended - len(self._window)
+        record = self._window.pop(0)
+        try:
+            self._record(_place_new, make_object_on, self._cls, record)
+        except Exception as error:
+            error.position = position
+            raise
 
 
 def private_page_writer(page_size, registry):

@@ -176,6 +176,10 @@ def test_pc010_totals_a_package_at_its_init():
      "def _stray(data):\n"
      "    return np.frombuffer(data, dtype='<u4')\n",
      "frombuffer outside repro/memory;"),
+    ("repro/storage/dataset.py",
+     "def _stray(block, cls, records):\n"
+     "    return plan_objects(block, cls, records).covered\n",
+     "plan_objects referenced from repro.storage.dataset._stray;"),
 ])
 def test_pc010_catches_a_second_path_in_the_real_module(
         module, added, expected):

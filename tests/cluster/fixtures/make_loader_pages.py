@@ -7,14 +7,18 @@ Run against the commit whose loader bytes should be frozen::
 The JSON holds, per load, the CRC32 and object count of every page the
 loader handed to ``replication.store_page``, in shipping order (see
 ``test_write_path_property.py``).  Four fixed loads: TPC-H ``Customer``
-trees through the planned ``extend``, and a chunked matrix, k-means
-point chunks and flat rows through keyword ``append``, each on pages
-small enough to roll many times.  The checked-in ``matrix_blocks`` and
-``keyword_rows`` were frozen before ``extend`` existed, and still hold:
-only ``tpch_customers`` was regenerated when the loader began planning.
-``points_chunks`` was frozen while ``load_points`` still built each
-chunk with a callback, and holds under ``append``, as ``matrix_blocks``
-does.
+trees through ``extend``, and a chunked matrix, k-means point chunks and
+flat rows through keyword ``append``, each on pages small enough to roll
+many times.  ``tpch_customers`` was regenerated when the loader began
+planning pages of trees.  ``keyword_rows``, ``matrix_blocks`` and
+``points_chunks`` were regenerated when ``append`` began writing through
+the same planned window as ``extend``: a page's root vector is reserved
+once for its count instead of growing a slot at a time, so the outgrown
+root arrays are gone from their pages (``keyword_rows`` also moves its
+page boundaries: the room they took holds more rows).  ``tpch_customers``
+did not move.  Whatever the bytes, every page equals the per-object
+build of its records with its root reserved for its count
+(``test_every_loader_page_is_the_per_object_build_of_its_records``).
 """
 
 from __future__ import annotations
@@ -86,15 +90,21 @@ LOADS = {
 }
 
 
-def shipped_pages(name):
-    """``[[crc32, count], ...]`` for the load called ``name``."""
+def run_load(name, watch):
+    """Run the load called ``name`` on a fresh cluster, ``watch(cluster)``
+    first; returns what ``watch`` returned."""
     load, page_size = LOADS[name]
     with tempfile.TemporaryDirectory() as spill_root:
         with PCCluster(n_workers=2, page_size=page_size,
                        spill_root=spill_root, transport="sim") as cluster:
-            shipped = _recording(cluster)
+            watched = watch(cluster)
             load(cluster)
-    return shipped
+    return watched
+
+
+def shipped_pages(name):
+    """``[[crc32, count], ...]`` for the load called ``name``."""
+    return run_load(name, _recording)
 
 
 if __name__ == "__main__":

@@ -69,3 +69,89 @@ def test_loading_resumes_after_a_flush(cluster):
         load.append(Wide, pid=1, name="b", xs=[1.0])
     assert load.pages_shipped == 2
     assert cluster.storage_manager.total_objects("db", "wide") == 2
+
+
+# -- one write window ------------------------------------------------------------------
+
+
+def _shipping(cluster):
+    """Note the bytes of every page ``cluster`` stores from the client."""
+    shipped = []
+    store_page = cluster.replication.store_page
+
+    def recording_store(database, name, data, count, source="client"):
+        shipped.append((bytes(data), count))
+        return store_page(database, name, data, count, source=source)
+
+    cluster.replication.store_page = recording_store
+    return shipped
+
+
+def _rows(n):
+    return [{"pid": i, "name": "row-%d" % i, "xs": [i / 4.0] * (1 + i % 5)}
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("calls", [2, 3, 8])
+def test_consecutive_extend_calls_ship_the_pages_of_one_call(tmp_path,
+                                                             calls):
+    rows = _rows(600)
+    shipped = {}
+    for n in (1, calls):
+        with PCCluster(n_workers=2, page_size=1 << 12,
+                       spill_root=str(tmp_path / str(n))) as cluster:
+            _setup(cluster)
+            shipped[n] = _shipping(cluster)
+            with cluster.loader("db", "wide") as load:
+                step = -(-len(rows) // n)
+                for start in range(0, len(rows), step):
+                    load.extend(Wide, rows[start:start + step])
+            assert sorted(h.pid for h in cluster.read("db", "wide")) \
+                == list(range(len(rows)))
+    assert len(shipped[1]) > 3
+    assert shipped[calls] == shipped[1]
+
+
+def test_objects_loaded_counts_the_window_and_pages_shipped_sealed_pages(
+        cluster):
+    _setup(cluster)
+    shipped = _shipping(cluster)
+    with cluster.loader("db", "wide") as load:
+        load.extend(Wide, _rows(5))  # less than a window: nothing written
+        assert (load.objects_loaded, load.pages_shipped, shipped) \
+            == (5, 0, [])
+        load.extend(Wide, _rows(200))  # pages fill and are sealed
+        assert load.objects_loaded == 205
+        assert load.pages_shipped == len(shipped) > 0
+        assert sum(count for _data, count in shipped) < 205
+    assert load.pages_shipped == len(shipped)
+    assert sum(count for _data, count in shipped) == 205
+    assert cluster.storage_manager.total_objects("db", "wide") == 205
+
+
+def test_a_raising_body_discards_the_window_and_the_open_page(cluster):
+    _setup(cluster)
+    shipped = _shipping(cluster)
+    with pytest.raises(RuntimeError):
+        with cluster.loader("db", "wide") as load:
+            load.extend(Wide, _rows(3))
+            load.block  # the window is written onto the open page
+            load.extend(Wide, _rows(2))  # and two more wait in the window
+            raise RuntimeError("the body failed")
+    assert (load.objects_loaded, load.objects_discarded) == (5, 5)
+    assert load.pages_shipped == 0 and shipped == []
+    assert cluster.storage_manager.total_objects("db", "wide") == 0
+
+
+def test_a_refused_record_is_named_by_its_position(cluster):
+    _setup(cluster)
+    rows = _rows(40)
+    rows[33]["xs"] = [1.0] * 2048  # no empty 4 KB page takes it
+    with cluster.loader("db", "wide") as load:
+        with pytest.raises(StorageError) as refused:
+            load.extend(Wide, rows)  # the window is written at 32, 64, ...
+            load.flush()
+        assert refused.value.position == 33
+    assert load.objects_loaded == 40
+    assert sorted(h.pid for h in cluster.read("db", "wide")) \
+        == [i for i in range(40) if i != 33]

@@ -5,12 +5,17 @@ record objects through :class:`repro.storage.dataset.RowPageWriter`.  For
 generated page sizes and append sequences — objects of a few bytes, one
 that fills a page to the last chunk, one that fits only an empty page,
 one that fits none — the pages they produce decode with ``page_items`` to
-exactly the appended sequence, in order, once; an append that fails
-leaves every root-vector count as it was.
+exactly the appended sequence less the refused objects, in order, once.
+A refused object's ``StorageError`` comes from the call that wrote its
+page and names it by ``position``; it ends the page before it and
+changes no other page: the pages are those of the runs between refused
+objects, each loaded alone.
 
 The loader's page *bytes* are pinned as well: ``fixtures/loader_pages.json``
-holds the CRC32 of every page four fixed loads shipped at the parent
-commit (see ``fixtures/make_loader_pages.py``).
+holds the CRC32 of every page four fixed loads shipped when it was last
+regenerated (see ``fixtures/make_loader_pages.py``), and every page those
+loads ship is the per-object build of its records, its root reserved for
+its count.
 """
 
 import functools
@@ -29,8 +34,8 @@ from repro.errors import BlockFullError, StorageError
 from repro.memory import Float64, Int32, PCObject, VectorType
 from repro.memory.block import AllocationBlock
 from repro.memory.objects import make_object_on
-from repro.storage.dataset import RowPageWriter
-from repro.storage.page import page_items
+from repro.storage.dataset import RowPageWriter, _place_new
+from repro.storage.page import open_root, page_items
 
 _FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -50,6 +55,7 @@ def _fits_empty_page(page_size, length):
     )
     try:
         writer.append(Blob, seq=0, data=[0.0] * length)
+        writer.flush()
     except StorageError:
         return False
     return True
@@ -90,13 +96,28 @@ def decoded(page_set):
     return [(h.seq, len(h.data)) for h in page_set.scan_objects()]
 
 
-def page_counts(page_set, writer=None):
-    """Objects on every page, in order: the sealed pages, then — given
-    the writer — what its open page lists (a failed append may seal the
-    open page, but changes no page's count)."""
-    counts = [page_set.page_object_count(p) for p in page_set.page_ids]
-    if writer is not None and len(page_items(writer.block)):
-        counts.append(len(page_items(writer.block)))
+def page_counts(page_set):
+    """Objects on every sealed page, in order."""
+    return [page_set.page_object_count(p) for p in page_set.page_ids]
+
+
+def split_counts(page_size, stored, refused):
+    """The page counts of each run of ``stored`` objects between
+    ``refused`` seqs, loaded alone on a writer of its own, in order."""
+    counts, runs = [], [[]]
+    for seq, length in stored:
+        while refused and refused[0] < seq:
+            runs.append([])
+            refused = refused[1:]
+        runs[-1].append((seq, length))
+    for run in runs:
+        with RowPageWriter(
+            lambda: (AllocationBlock(page_size), None),
+            lambda _block, _token, count: counts.append(count)
+            if count else None,
+        ) as writer:
+            for seq, length in run:
+                writer.append(Blob, seq=seq, data=[0.0] * length)
     return counts
 
 
@@ -111,22 +132,31 @@ def make_cluster(tmp_path_factory, page_size):
     return cluster
 
 
-def append_all(page_size, lengths_, append, counts):
-    """Append one Blob per length; returns ``[(seq, length)]`` of those
-    that went in.  ``counts()`` is checked across every failed append."""
-    stored = []
-    for seq, length in enumerate(lengths_):
-        length = resolve(page_size, length)
-        before = counts()
+def append_all(page_size, lengths_, writer):
+    """Append one Blob per length through ``writer``, then flush it until
+    a flush raises nothing.  Returns ``[(seq, length)]`` of the Blobs
+    that fit an empty page — what must have gone in — and the seqs the
+    ``StorageError``s named, checked to be the others, in order."""
+    fit = largest_fit(page_size)
+    blobs = [(seq, resolve(page_size, length))
+             for seq, length in enumerate(lengths_)]
+    refused = []
+
+    def attempt(call):
         try:
-            append(seq, length)
-        except StorageError:
-            assert length > largest_fit(page_size)
-            assert counts() == before
-        else:
-            assert length <= largest_fit(page_size)
-            stored.append((seq, length))
-    return stored
+            call()
+        except StorageError as error:
+            refused.append(error.position)
+            return False
+        return True
+
+    for seq, length in blobs:
+        attempt(lambda: writer.append(Blob, seq=seq, data=[0.0] * length))
+    while not attempt(writer.flush):
+        pass
+    assert refused == [seq for seq, length in blobs if length > fit]
+    assert writer.appended == len(blobs)
+    return [(seq, length) for seq, length in blobs if length <= fit], refused
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,13 +166,11 @@ def test_set_writer_records_each_object_once_in_order(
     with make_cluster(tmp_path_factory, page_size) as cluster:
         page_set = cluster.workers[0].storage.get_set("db", "blobs")
         with page_set.writer() as writer:
-            def append(seq, length):
-                writer.append(Blob, seq=seq, data=[0.0] * length)
-
-            stored = append_all(page_size, lengths_, append,
-                                lambda: page_counts(page_set, writer))
+            stored, refused = append_all(page_size, lengths_, writer)
         assert decoded(page_set) == stored
-        assert page_set.object_count == len(stored) == writer.appended
+        assert page_set.object_count == len(stored)
+        assert page_counts(page_set) == split_counts(page_size, stored,
+                                                     refused)
         assert writer.sealed == page_set.page_ids
         assert 0 not in page_counts(page_set)
         assert page_set.pool.pinned_pages() == {}
@@ -155,16 +183,13 @@ def test_loader_and_output_stage_record_each_object_once_in_order(
     with make_cluster(tmp_path_factory, page_size) as cluster:
         page_set = cluster.workers[0].storage.get_set("db", "blobs")
         with cluster.loader("db", "blobs") as load:
-            stored = append_all(
-                page_size, lengths_,
-                lambda seq, length: load.append(
-                    Blob, seq=seq, data=[0.0] * length
-                ),
-                lambda: page_counts(page_set, load),
-            )
+            stored, refused = append_all(page_size, lengths_, load)
         assert decoded(page_set) == stored
-        assert load.objects_loaded == len(stored)
+        assert load.objects_loaded == len(stored) + len(refused)
+        assert load.objects_discarded == 0
         assert load.pages_shipped == len(page_set.page_ids)
+        assert page_counts(page_set) == split_counts(page_size, stored,
+                                                     refused)
         assert 0 not in page_counts(page_set)
 
         # The same objects through an OUTPUT stage: deep-copied off the
@@ -269,3 +294,55 @@ def test_loader_ships_the_bytes_the_parent_commit_shipped(load):
         expected = json.load(f)[load]
     assert len(expected) > 3
     assert maker.shipped_pages(load) == expected
+
+
+def _watching(cluster):
+    """Note the bytes and count of every page ``cluster`` stores from the
+    client, and ``(cls, record)`` of every record its loaders are given,
+    in order."""
+    pages, records = [], []
+    store_page, loader = cluster.replication.store_page, cluster.loader
+
+    def recording_store(database, name, data, count, source="client"):
+        pages.append((bytes(data), count))
+        return store_page(database, name, data, count, source=source)
+
+    def noting_loader(*args, **kwargs):
+        load = loader(*args, **kwargs)
+        append, extend = load.append, load.extend
+
+        def noted_append(cls, init=None, **fields):
+            records.append((cls, dict(init or {}, **fields)))
+            append(cls, init, **fields)
+
+        def noted_extend(cls, rows):
+            rows = list(rows)
+            records.extend((cls, row) for row in rows)
+            extend(cls, rows)
+
+        load.append, load.extend = noted_append, noted_extend
+        return load
+
+    cluster.replication.store_page = recording_store
+    cluster.loader = noting_loader
+    return pages, records, cluster.catalog.registry
+
+
+@pytest.mark.parametrize("load", sorted(maker.LOADS))
+def test_every_loader_page_is_the_per_object_build_of_its_records(load):
+    """Each page holds the next ``count`` records in load order, built as
+    the per-object path builds them — ``make_object_on`` once per record,
+    what every page of the parent commit held — its root reserved once
+    for its count."""
+    pages, records, registry = maker.run_load(load, _watching)
+    page_size = maker.LOADS[load][1]
+    assert len(pages) > 3
+    assert sum(count for _data, count in pages) == len(records)
+    for data, count in pages:
+        block = AllocationBlock(page_size, registry=registry)
+        root = open_root(block)
+        root.reserve(count)
+        for cls, record in records[:count]:
+            _place_new(root, block, make_object_on, cls, record)
+        del records[:count]
+        assert data == block.to_bytes()

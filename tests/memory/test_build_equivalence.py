@@ -12,9 +12,12 @@ of the same input on a ``RECYCLING`` block, which the planner declines
 and whose allocations are otherwise the same bumps: the pages, the
 allocation counts and the sanitizer's shadow must be the same.
 
-A page of host-value trees that ``RowPageWriter.extend`` plans is held
-to the same oracle, page by page: its root reserved for the page's
-count, then ``make_object_on`` once per record.
+A page of host-value trees that ``RowPageWriter`` writes from its window
+— ``append`` and ``extend`` alike — is held to the same oracle, page by
+page: its root reserved for the page's count, then ``make_object_on``
+once per record.  What is left over is built the way the writer builds
+any other object, ``make_object_on`` once per record on pages that roll
+when one fills, and must end the same way.
 """
 
 import gc
@@ -438,14 +441,16 @@ def _tree_classes(draw, depth=2):
     ).map(lambda drawn: dict(zip((fields[i][0] for i in picked), drawn))))
 
 
-def _writer(size, registry, seal):
+def _writer(size, registry, seal, declined=None):
     return RowPageWriter(
-        lambda: (AllocationBlock(size, registry=registry), None), seal)
+        lambda: (AllocationBlock(size, registry=registry), None), seal,
+        declined)
 
 
-def _extended(cls, records, size, registry):
-    """What ``extend`` does: its pages ``[(count, page)]``, its outcome
-    and the reasons it was told."""
+def _extended(cls, records, size, registry, one_by_one=False):
+    """What the writer does with ``records`` — one ``extend``, or one
+    ``append`` each: its pages ``[(count, page)]``, its outcome and the
+    reasons it was told."""
     pages, declined = [], []
 
     def seal(block, _token, count):
@@ -453,17 +458,55 @@ def _extended(cls, records, size, registry):
             pages.append((count, _page(block)))
 
     try:
-        with _writer(size, registry, seal) as writer:
-            writer.extend(cls, records, declined.append)
+        with _writer(size, registry, seal, declined.append) as writer:
+            if one_by_one:
+                for record in records:
+                    writer.append(cls, record)
+            else:
+                writer.extend(cls, records)
     except Exception as error:  # the same error, at the same record
         return pages, (type(error), str(error)), declined
     return pages, None, declined
 
 
+def _rolled(cls, records, size, registry):
+    """``records`` built object by object — ``make_object_on`` once per
+    record, a page rolled when one fills and the record retried once on
+    a fresh one, as the writer records any other object: the pages and
+    how it ended."""
+    pages, block = [], None
+
+    def seal():
+        if block is not None and len(root):
+            pages.append((len(root), _page(block)))
+
+    try:
+        for record in records:
+            for fresh in (False, True):
+                if block is None:
+                    block = AllocationBlock(size, registry=registry)
+                    root = open_root(block)
+                    root.reserve(1)
+                try:
+                    _place_new(root, block, make_object_on, cls, record)
+                    break
+                except BlockFullError:
+                    if fresh:
+                        raise StorageError(
+                            "a single object does not fit on an empty "
+                            "%d-byte page" % size) from None
+                    seal()
+                    block = None
+    except Exception as error:
+        return pages, (type(error), str(error))
+    seal()
+    return pages, None
+
+
 def _per_object(cls, records, counts, size, registry):
     """The oracle: each page built object by object — its root reserved
-    for its count, then ``make_object_on`` once per record — and what
-    appending the records left over does."""
+    for its count, then ``make_object_on`` once per record — and how
+    building the records left over ends (:func:`_rolled`)."""
     pages, rest = [], list(records)
     for count in counts:
         block = AllocationBlock(size, registry=registry)
@@ -473,20 +516,17 @@ def _per_object(cls, records, counts, size, registry):
             _place_new(root, block, make_object_on, cls, record)
         del rest[:count]
         pages.append((count, _page(block)))
-    try:
-        writer = _writer(size, registry, lambda *_: None)
-        for record in rest:
-            writer.append(cls, record)
-    except Exception as error:
-        return pages, (type(error), str(error))
-    return pages, None
+    return pages, _rolled(cls, rest, size, registry)[1]
 
 
-def _extend_is_per_object(cls, records, size):
+def _extend_is_per_object(cls, records, size, one_by_one=False):
     registry = TypeRegistry()
-    pages, outcome, declined = _extended(cls, records, size, registry)
-    assert declined == []
+    pages, outcome, declined = _extended(cls, records, size, registry,
+                                         one_by_one)
+    assert set(declined) <= {"one_per_page"}
     counts = [count for count, _page in pages]
+    if outcome is None:  # each page of one tree was told, no other
+        assert len(declined) == counts.count(1)
     assert (pages, outcome) == _per_object(cls, records, counts, size,
                                            registry)
     return counts, outcome
@@ -498,6 +538,18 @@ def test_extend_writes_the_per_object_pages(data):
     cls, records = data.draw(_tree_classes())
     _extend_is_per_object(cls, data.draw(st.lists(records, max_size=10)),
                           data.draw(st.integers(1 << 9, 1 << 13)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_append_per_record_ships_the_pages_extend_ships(data):
+    cls, records = data.draw(_tree_classes())
+    records = data.draw(st.lists(records, max_size=40))
+    size = data.draw(st.integers(1 << 9, 1 << 13))
+    registry = TypeRegistry()
+    appended = _extended(cls, records, size, registry, one_by_one=True)
+    assert appended == _extended(cls, records, size, registry)
+    _extend_is_per_object(cls, records, size, one_by_one=True)
 
 
 class _Leaf(PCObject):
@@ -552,8 +604,51 @@ def test_a_record_no_empty_page_takes_raises_the_storage_error():
                                              1 << 10)
     assert outcome[0] is StorageError
     with pytest.raises(StorageError) as direct:
-        _writer(1 << 10, None, lambda *_: None).append(_Mixed, huge)
+        with _writer(1 << 10, None, lambda *_: None) as writer:
+            writer.append(_Mixed, huge)
     assert outcome[1] == str(direct.value)
+    assert direct.value.position == 0
+
+
+class _Chunk(PCObject):
+    fields = [("id", Int32), ("values", VectorType(Float64))]
+
+
+def test_a_tree_that_fills_a_page_alone_is_built_object_by_object():
+    records = [{"id": i, "values": [i / 8.0] * (300 + i % 3)}
+               for i in range(40)]
+    registry = TypeRegistry()
+    pages, outcome, declined = _extended(_Chunk, records, 1 << 12, registry)
+    assert outcome is None
+    assert [count for count, _page in pages] == [1] * 40
+    assert declined == ["one_per_page"] * 40
+    assert set(declined) <= set(FALLBACK_REASONS)
+    assert pages == _per_object(_Chunk, records, [1] * 40, 1 << 12,
+                                registry)[0]
+
+
+def test_an_error_names_its_record_and_leaves_the_rest_in_the_window():
+    records = [dict(record, id=i) for i, record in enumerate(_MIXED * 2)]
+    records[7]["id"] = 1 << 31
+    sealed = []
+
+    def seal(block, _token, count):
+        if count:
+            sealed.append([handle.deref().id for handle in page_items(block)])
+
+    writer = _writer(1 << 12, None, seal)
+    for record in records:  # under a window: nothing is written yet
+        writer.append(_Mixed, record)
+    assert sealed == [] and writer.appended == len(records)
+    with pytest.raises(struct.error) as error:
+        writer.flush()
+    assert error.value.position == 7
+    # the records before it are on a page, sealed before its build was
+    # tried; it is on none; the ones after it wait for the next flush
+    assert sealed == [list(range(7))]
+    writer.flush()
+    assert sealed == [list(range(7)), list(range(8, 12))]
+    assert writer.appended == len(records)
 
 
 def test_tpch_customers_are_planned_whole():
@@ -608,10 +703,10 @@ def _load(records, size=1 << 12, first=None):
         rows.extend(_read_mixed(handle.deref()) for handle in
                     page_items(AllocationBlock.from_bytes(block.to_bytes())))
 
-    with _writer(size, None, seal) as writer:
+    with _writer(size, None, seal, declined.append) as writer:
         if first is not None:
             writer.append(_Mixed, first)
-        writer.extend(_Mixed, records, declined.append)
+        writer.extend(_Mixed, records)
     return declined, rows
 
 
@@ -637,15 +732,6 @@ def test_an_uncovered_field_type_is_declined_per_record_and_appended():
     registry = TypeRegistry()
     pages, outcome, declined = _extended(_Tagged, records, 1 << 10,
                                          registry)
-    appended = []
-
-    def seal(block, _token, count):
-        if count:
-            appended.append((count, _page(block)))
-
-    with _writer(1 << 10, registry, seal) as writer:
-        for record in records:
-            writer.append(_Tagged, record)
     assert outcome is None and declined == ["uncovered_type"] * 40
     assert set(declined) <= set(FALLBACK_REASONS)
-    assert pages == appended
+    assert (pages, None) == _rolled(_Tagged, records, 1 << 10, registry)
