@@ -576,6 +576,13 @@ ARCHITECTURE = {
         "scatter_map": (
             "repro.memory.builtins.MapType.inserter",
         ),
+        "map_pairs": (
+            "repro.engine.pipeline.map_items",
+        ),
+        "map_items": (
+            "repro.cluster.scheduler.DistributedScheduler._wire",
+            "repro.cluster.cluster.PCCluster.read",
+        ),
         "plan_objects": (
             "repro.storage.dataset.RowPageWriter._write",
         ),
@@ -591,15 +598,15 @@ ARCHITECTURE = {
         "frombuffer": "memory",
     },
     "ceilings": {
-        "repro/cluster/scheduler.py": 1151,
+        "repro/cluster/scheduler.py": 1148,
         "repro/cluster/transport.py": 762,
-        "repro/cluster/cluster.py": 829,
+        "repro/cluster/cluster.py": 823,
         "repro/cluster/procworker.py": 285,
         "repro/cluster/worker.py": 204,
         "repro/storage/replication.py": 477,
         "repro/storage/dataset.py": 419,
         "repro/memory/scatter.py": 844,
-        "repro/ml/kmeans_columnar.py": 166,
+        "repro/ml/kmeans_columnar.py": 164,
         "repro/obs": 1999,
     },
 }

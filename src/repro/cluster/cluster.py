@@ -34,7 +34,7 @@ import time
 from repro.analysis import sanitizer as pcsan
 from repro.catalog import CatalogJournal, CatalogManager
 from repro.engine.physical import plan_pipelines
-from repro.engine.pipeline import combine_into
+from repro.engine.pipeline import combine_into, map_items
 from repro.engine.vectors import DEFAULT_BATCH_SIZE
 from repro.errors import (
     CatalogError,
@@ -531,9 +531,9 @@ class PCCluster:
         objects come back as handles/facades (the client shares the
         process in this simulation), Python-value outputs come back
         as-is.  With ``as_pairs=True`` the set is treated as an
-        aggregation output and merged into one ``{key: value}`` dict;
-        ``comp`` (the AggregateComp) supplies ``decode_key`` /
-        ``decode_value`` / ``combine`` for stored PC Maps; without it a
+        aggregation output and merged into one ``{key: value}`` dict:
+        its PC Maps are read as host values (``map_items``), which
+        ``comp`` (the AggregateComp) decodes and combines; without it a
         key stored twice keeps the value read last.
 
         An unknown database or set raises
@@ -550,25 +550,19 @@ class PCCluster:
         if not as_pairs:
             return results
         merged = {}
-        decode_key = comp.decode_key if comp is not None else (lambda k: k)
-        decode_value = comp.decode_value if comp is not None else (lambda v: v)
-        combine = comp.combine if comp is not None else None
         for item in results:
             view = item
             if isinstance(item, Handle) and not item.is_null:
                 view = item.deref()
-            if isinstance(view, MapFacade):
-                pairs = view.items()
-            elif isinstance(view, tuple) and len(view) == 2:
-                pairs = [view]
-            else:
+            if isinstance(view, tuple) and len(view) == 2:
+                view = [view]
+            elif not isinstance(view, MapFacade):
                 raise StorageError(
                     "set %s.%s does not look like an aggregation output"
                     % (database, set_name)
                 )
-            combine_into(merged, (
-                (decode_key(key), decode_value(value)) for key, value in pairs
-            ), combine)
+            combine_into(merged, map_items(view, comp, self.metrics_registry),
+                         None if comp is None else comp.combine)
         return merged
 
     # -- introspection ------------------------------------------------------------------------

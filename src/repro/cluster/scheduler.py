@@ -75,6 +75,7 @@ from repro.engine.pipeline import (
     combine_into,
     hash_rows_into,
     join_sides,
+    map_items,
     run_task,
 )
 from repro.cluster.transport import (
@@ -710,13 +711,9 @@ class DistributedScheduler:
             ), checksum, *sealed)
 
         def unpack(dst, page):
-            block = AllocationBlock.from_bytes(
-                page[0], registry=dst.local_catalog.registry
-            )
-            return [
-                (comp.decode_key(key), comp.decode_value(value))
-                for stored in page_items(block) for key, value in stored.items()
-            ]
+            (stored,) = page_items(AllocationBlock.from_bytes(
+                page[0], registry=dst.local_catalog.registry))
+            return map_items(stored, comp, self.cluster.metrics_registry)
 
         return ship, unpack
 

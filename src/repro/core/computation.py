@@ -16,8 +16,12 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 
+import numpy as np
+
 from repro.errors import PCError
 from repro.core.lambdas import Arg
+from repro.memory.builtins import VectorFacade, VectorType
+from repro.memory.types import numpy_dtype_for
 
 _kind_counters = defaultdict(itertools.count)
 
@@ -225,11 +229,21 @@ class AggregateComp(Computation):
     def decode_value(self, stored):
         """Convert a value read back from a PC Map into combinable form.
 
-        Primitive values round-trip unchanged; computations whose value
-        type is a composite or vector override this to rebuild the Python
-        form that :meth:`combine` works on.
+        A ``Vector<numeric>`` ``value_type``'s value — a stored facade,
+        a host list or an ndarray — becomes an ndarray of the declared
+        dtype (never a view of a page); any other value is returned as
+        read.  Computations whose value type is a composite override
+        this to rebuild the Python form that :meth:`combine` works on.
         """
-        return stored
+        value_type = self.value_type
+        if not isinstance(value_type, VectorType):
+            return stored
+        dtype = numpy_dtype_for(value_type.elem)
+        if dtype is None:
+            return stored
+        if isinstance(stored, VectorFacade):
+            return np.array(stored.as_numpy(), dtype=dtype)
+        return np.asarray(stored, dtype=dtype)
 
     def decode_key(self, stored):
         """Convert a key read back from a PC Map (default: unchanged)."""

@@ -27,7 +27,7 @@ from repro.errors import BlockFullError, ExecutionError, WorkerCrashError
 from repro.engine import kernels
 from repro.memory.builtins import MapFacade, MapType, stable_hash
 from repro.memory.columnar import RowBatch
-from repro.memory.gather import GatherIneligible, root_rows
+from repro.memory.gather import GatherIneligible, map_pairs, root_rows
 from repro.memory.handle import Handle
 from repro.memory.objects import use_allocation_block
 from repro.engine.physical import (
@@ -39,7 +39,7 @@ from repro.engine.physical import (
     PhysicalPlan,
 )
 from repro.engine.vectors import DEFAULT_BATCH_SIZE, VectorList, batches_of
-from repro.obs.evidence import OperatorRecorder
+from repro.obs.evidence import OperatorRecorder, kernel_fallbacks
 from repro.storage.dataset import pack_map_pages, private_page_writer
 from repro.storage.replication import page_checksum
 from repro.tcap.ir import (
@@ -465,6 +465,28 @@ def combine_into(groups, pairs, combine):
         else:
             groups[key] = value
     return groups
+
+
+def map_items(view, comp, registry):
+    """The ``(key, value)`` pairs of a stored Map ``view`` — or of
+    ``view`` itself, any other iterable of pairs — decoded by ``comp``'s
+    ``decode_key`` / ``decode_value`` (``comp`` None: as read).  The one
+    read of an aggregation's Map pages, the arrived combiner pages and
+    the stored output alike: a Map is read as arrays
+    (:func:`~repro.memory.gather.map_pairs`), in host values, and one it
+    declines entry by entry, its reason counted in ``registry`` as
+    ``pc_engine_kernel_fallback_total{operator="map_read"}``."""
+    if isinstance(view, MapFacade):
+        try:
+            view = map_pairs(view)
+        except GatherIneligible as declined:
+            kernel_fallbacks(registry).inc(operator="map_read",
+                                           reason=declined.reason)
+            view = view.items()
+    if comp is None:
+        return list(view)
+    decode_key, decode_value = comp.decode_key, comp.decode_value
+    return [(decode_key(key), decode_value(value)) for key, value in view]
 
 
 def hash_rows_into(table, rows):

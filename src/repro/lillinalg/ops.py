@@ -59,11 +59,6 @@ class BlockSumAggregate(AggregateComp):
     def combine(self, a, b):
         return a + b
 
-    def decode_value(self, stored):
-        if isinstance(stored, np.ndarray):
-            return stored
-        return np.array(stored.as_numpy())
-
 
 class DistributedMatrix:
     """A matrix stored as a PC set of MatrixBlock objects."""
@@ -338,11 +333,6 @@ class DistributedMatrix:
             def combine(self, a, b):
                 return a + b
 
-            def decode_value(self, stored):
-                if isinstance(stored, np.ndarray):
-                    return stored
-                return np.array(stored.as_numpy())
-
         agg = RowSum().set_input(self._reader())
         return self._run_aggregated(
             agg, self.n_rows, 1, block_rows, 1
@@ -366,11 +356,6 @@ class DistributedMatrix:
 
             def combine(self, a, b):
                 return a + b
-
-            def decode_value(self, stored):
-                if isinstance(stored, np.ndarray):
-                    return stored
-                return np.array(stored.as_numpy())
 
         agg = ColSum().set_input(self._reader())
         return self._run_aggregated(

@@ -20,6 +20,12 @@ raises its exception at its row.  Iterating or indexing an
 :class:`ObjectRows` needs none of this: it yields the very handles the
 page's root vector yields.
 
+:func:`map_pairs` is the same read over a Map page (an aggregation's
+combiner and output pages): every ``Map``, ``Vector`` and ``String``
+under the page's Map is read with one gather per nesting level, and
+comes back as the host values :func:`repro.memory.scatter.scatter_map`
+writes.
+
 No ``numpy`` view of the page is kept: each read takes its own
 ``frombuffer`` view and returns copies, so nothing here pins a
 shared-memory segment past the call (DESIGN §12, §17).
@@ -31,7 +37,10 @@ import numpy as np
 
 from repro.errors import ObjectModelError, UnknownTypeCodeError
 from repro.memory.builtins import (
+    _BACKING,
     AnyObjectType,
+    MapFacade,
+    MapType,
     StringType,
     VectorFacade,
     VectorType,
@@ -46,15 +55,16 @@ from repro.memory.layout import (
 from repro.memory.objects import ClassDescriptor, PCObject
 from repro.memory.types import numpy_dtype_for, registry_of
 
-#: Why a batch of a marked stage took the object path instead — the
-#: closed set of ``pc_engine_kernel_fallback_total{reason}`` for TCAP
-#: operators (a Map build's are ``repro.memory.scatter``'s).  The first
-#: two are the engine's (the batch carries no array column; a kernel
-#: returned something other than a column of the batch's length), the
-#: rest a gather's.
+#: Why a batch of a marked stage, or a Map page read, took the object
+#: path instead — the closed set of ``pc_engine_kernel_fallback_total
+#: {reason}`` for TCAP operators and ``map_read`` (a Map build's are
+#: ``repro.memory.scatter``'s).  The first two are the engine's (the
+#: batch carries no array column; a kernel returned something other than
+#: a column of the batch's length), the rest a gather's;
+#: ``uncovered_type`` is a Map type :func:`map_pairs` does not read.
 FALLBACK_REASONS = (
     "not_array_batch", "bad_kernel_result", "mixed_types",
-    "null_or_dangling", "sanitizer", "unaligned",
+    "null_or_dangling", "sanitizer", "unaligned", "uncovered_type",
 )
 
 
@@ -346,3 +356,197 @@ class ObjectRows(RowBatch):
 
     def __repr__(self):
         return "<ObjectRows %d x %s>" % (len(self), self.cls.__name__)
+
+
+# -- Map pages ---------------------------------------------------------------------
+
+#: the payload bytes a Vector or Map read needs: its count and the
+#: handle slot of its backing array / bucket table
+_CONTAINER = _BACKING + 12
+#: A Map whose entries and page objects number fewer is read entry by
+#: entry (:func:`_host`): a gather's fixed cost per nesting level is more
+#: than what so few cost one by one.  The measured break-even, in these
+#: units, is ~110 for ``Map<Int64, Float64>``, ~120 for ``Map<Int64,
+#: Vector<Float64>>`` and ~230 for ``Map<String, Map<String,
+#: Vector<Int32>>>`` (EXPERIMENTS.md, "Map-page gathers").
+MAP_GATHER_MIN_SIZE = 128
+#: the dtypes :meth:`_MapPage.read` reads as two words
+_WIDE = frozenset(("<i8", "i8", "u8", "f8"))
+
+
+def map_pairs(view):
+    """The ``(key, value)`` pairs of the stored ``Map`` ``view``, in
+    bucket order — ``view.items()`` — as host values: what
+    ``scatter_map`` takes for the declared type, a ``dict`` per nested
+    Map, a ``list`` per Vector, a ``str`` per String, an ``int`` or
+    ``float`` per primitive and None per null slot.
+
+    The Maps, Vectors and Strings under ``view`` are read level by
+    level, one gather per level for all of them.  A type it does not
+    cover (``uncovered_type``: a key that is not a four- or eight-byte
+    primitive or a String, a value that is none of those nor a Vector
+    or Map of covered types) or a handle, count or capacity the entry
+    path would not read as it is (``null_or_dangling``) raises
+    :class:`GatherIneligible` before anything is returned; the entry
+    path then gives its pairs or raises its exception.  A sanitized
+    block is read all the same: the entry path of a covered Map makes
+    no handle, so PCSan checks nothing there either.
+    """
+    _cover(view.descriptor)
+    if len(view) + view.pc_block.active_objects < MAP_GATHER_MIN_SIZE:
+        return [(key, _host(value)) for key, value in view.items()]
+    page = _MapPage(view.pc_block)
+    keys, values, _counts = page.entries(
+        view.descriptor, np.array([view.pc_offset + _HEADER], np.int64))
+    return list(zip(keys, values))
+
+
+def _host(value):
+    """A value the entry path read, in the form :func:`map_pairs` gives."""
+    if isinstance(value, MapFacade):
+        return {key: _host(item) for key, item in value.items()}
+    if isinstance(value, VectorFacade):
+        if value.descriptor.elem.is_object_type:
+            return list(map(_host, value))
+        return list(value)
+    return value
+
+
+def _cover(descriptor, key=False):
+    """Raise ``uncovered_type`` unless :func:`map_pairs` reads a
+    ``descriptor`` slot (a Map key's, with ``key``)."""
+    if isinstance(descriptor, StringType) or _dtype_of(descriptor) is not None:
+        return
+    if not key and isinstance(descriptor, VectorType):
+        return _cover(descriptor.elem)
+    if not key and isinstance(descriptor, MapType):
+        _cover(descriptor.key, key=True)
+        return _cover(descriptor.val)
+    raise GatherIneligible("uncovered_type")
+
+
+def _spans(starts, counts, step):
+    """``starts[i] + j * step`` for ``j < counts[i]``, run after run."""
+    firsts = np.cumsum(counts) - counts
+    return np.repeat(starts - firsts * step, counts) \
+        + np.arange(int(counts.sum()), dtype=np.int64) * step
+
+
+def _runs(items, counts):
+    """``items`` cut into consecutive runs of ``counts``, as lists."""
+    ends = np.cumsum(counts).tolist()
+    return [items[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _with_nulls(values, null):
+    """``values``, one per live slot, with None at every ``null`` slot."""
+    if not null.any():
+        return values
+    live = iter(values)
+    return [None if empty else next(live) for empty in null.tolist()]
+
+
+class _MapPage:
+    """The page of a Map :func:`map_pairs` reads: its words and size.
+    Every position it reads at is a checked target plus a fixed offset,
+    so on a word."""
+
+    __slots__ = ("buf", "words", "size")
+
+    def __init__(self, block):
+        self.buf = block.buf
+        self.words = _words(block)
+        self.size = len(self.words) * 4
+
+    def read(self, positions, dtype):
+        """The four- or eight-byte values at byte ``positions``."""
+        index = positions >> 2
+        if dtype in _WIDE:
+            return self.words[index[:, None] + _PAIR].view(dtype)[:, 0]
+        return self.words[index].view(dtype)
+
+    def targets(self, slots, need):
+        """``(targets, null)`` of the handle slots at ``slots``: a null
+        slot's target is 0, every other one's object header and first
+        ``need`` payload bytes lie on the page, on a word."""
+        delta = self.read(slots, "<i8")
+        targets = slots + delta
+        null = delta == 0
+        live = targets
+        if null.any():
+            targets[null] = 0
+            live = targets[~null]
+        if len(live) and (live.min() < BLOCK_HEADER_SIZE
+                          or live.max() > self.size - _HEADER - need
+                          or (live & 3).any()):
+            raise GatherIneligible("null_or_dangling")
+        return targets, null
+
+    def values(self, descriptor, slots):
+        """The host values of the ``descriptor`` slots at ``slots``."""
+        if isinstance(descriptor, StringType):
+            return self.strings(slots)
+        if isinstance(descriptor, VectorType):
+            return self.vectors(descriptor, slots)
+        if isinstance(descriptor, MapType):
+            return self.maps(descriptor, slots)
+        return self.read(slots, _dtype_of(descriptor)).tolist()
+
+    def strings(self, slots):
+        targets, null = self.targets(slots, 4)
+        starts = targets[~null] + _HEADER + 4
+        ends = starts + self.read(starts - 4, "<u4")
+        # a string that runs off the page is cut short, as the entry
+        # path's ``StringType.facade`` cuts it
+        buf = self.buf
+        try:
+            decoded = [str(buf[start:end], "utf-8") for start, end in
+                       zip(starts.tolist(), ends.tolist())]
+        except UnicodeDecodeError:
+            raise GatherIneligible("null_or_dangling") from None
+        return _with_nulls(decoded, null)
+
+    def vectors(self, vector, slots):
+        targets, null = self.targets(slots, _CONTAINER)
+        payloads = targets[~null] + _HEADER
+        counts = self.read(payloads, "<i8")
+        arrays, empty = self.targets(payloads + _BACKING, 0)
+        step = vector.elem.slot_size
+        capacity = self.read(arrays + 8, "<i8") // step
+        capacity[empty] = 0
+        if len(counts) and ((counts < 0) | (counts > capacity) | (
+                counts > (self.size - arrays - _HEADER) // step)).any():
+            raise GatherIneligible("null_or_dangling")
+        elements = self.values(vector.elem,
+                               _spans(arrays + _HEADER, counts, step))
+        return _with_nulls(_runs(elements, counts), null)
+
+    def maps(self, map_type, slots):
+        targets, null = self.targets(slots, _CONTAINER)
+        keys, values, counts = self.entries(map_type,
+                                            targets[~null] + _HEADER)
+        return _with_nulls([
+            dict(zip(run_keys, run_values)) for run_keys, run_values in
+            zip(_runs(keys, counts), _runs(values, counts))
+        ], null)
+
+    def entries(self, map_type, payloads):
+        """``(keys, values, counts)``: the occupied entries of the Maps
+        whose payloads start at ``payloads``, Map after Map, each in
+        bucket order, and how many each Map holds."""
+        buckets = map_type.buckets_type
+        tables, empty = self.targets(payloads + _BACKING, 0)
+        sizes = self.read(tables + 8, "<i8")
+        sizes[empty] = 0
+        if ((sizes < 0) | (sizes > self.size - tables - _HEADER)).any():
+            raise GatherIneligible("null_or_dangling")
+        capacity = sizes // buckets.entry_size
+        entries = _spans(tables + _HEADER, capacity, buckets.entry_size)
+        occupied = self.words[entries >> 2] & 0xFF != 0
+        counts = np.bincount(
+            np.repeat(np.arange(len(capacity)), capacity)[occupied],
+            minlength=len(capacity))
+        entries = entries[occupied]
+        return (self.values(buckets.key, entries + buckets.key_offset),
+                self.values(buckets.val, entries + buckets.val_offset),
+                counts)

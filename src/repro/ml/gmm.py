@@ -117,11 +117,6 @@ class AccumulateStats(AggregateComp):
     def combine(self, a, b):
         return a + b
 
-    def decode_value(self, stored):
-        if isinstance(stored, np.ndarray):
-            return stored
-        return np.array(stored.as_numpy())
-
 
 class PCGmm:
     """GMM EM driver bound to one cluster and one stored point set."""

@@ -93,11 +93,6 @@ class GetNewCentroids(AggregateComp):
     def combine(self, a, b):
         return a + b
 
-    def decode_value(self, stored):
-        if isinstance(stored, np.ndarray):
-            return stored
-        return np.array(stored.as_numpy())
-
 
 class PCKMeans:
     """k-means driver bound to one cluster and one stored point set."""

@@ -26,7 +26,6 @@ import numpy as np
 from repro.core import AggregateComp, ObjectReader, Writer, lambda_from_native
 from repro.errors import PCError
 from repro.memory import Float64, Int64, VectorType
-from repro.ml.kmeans import GetNewCentroids
 from repro.schema import Schema, f64
 
 
@@ -81,7 +80,6 @@ class AssignedSums(AggregateComp):
     key_type = Int64
     value_type = VectorType(Float64)
     reduce = "sum"
-    decode_value = GetNewCentroids.decode_value
 
     def __init__(self, centers):
         super().__init__()

@@ -111,11 +111,6 @@ class CountAggregate(AggregateComp):
     def combine(self, a, b):
         return a + b
 
-    def decode_value(self, stored):
-        if isinstance(stored, np.ndarray):
-            return stored
-        return np.array(stored.as_numpy())
-
 
 class PCLda:
     """LDA driver bound to one cluster."""
