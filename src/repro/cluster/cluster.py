@@ -110,7 +110,12 @@ class _FaultCounters:
 
 
 class PCCluster:
-    """One master plus ``n_workers`` simulated worker nodes."""
+    """One master plus ``n_workers`` simulated worker nodes.
+
+    ``batch_size`` bounds object-path batches and the batches of a
+    pipeline whose sink writes pages; a columnar scan into any other sink
+    runs ``ARRAY_BATCH_ROWS``-row kernel batches (``engine/vectors.py``).
+    """
 
     def __init__(self, n_workers=4, page_size=DEFAULT_PAGE_SIZE,
                  worker_memory=64 << 20, batch_size=DEFAULT_BATCH_SIZE,
@@ -141,10 +146,8 @@ class PCCluster:
         # shared no-op span and no trace is built — the zero-overhead
         # baseline BENCH_trace.json's overhead budget is measured against.
         self.tracer = Tracer(enabled=tracing)
-        # The master process's metrics registry.  Every master-side
-        # component (network, replication, scheduler, fault recovery)
-        # publishes here; each worker front-end has its own registry and
-        # metrics() merges them all into one cluster-wide snapshot.
+        # Every master-side component publishes here; each worker front
+        # end has its own registry, and metrics() merges them all.
         self.metrics_registry = MetricsRegistry(tracer=self.tracer)
         # PCSan: must be enabled before any worker allocates a block, so
         # every AllocationBlock in the cluster gets a shadow.  sanitize=
@@ -157,14 +160,11 @@ class PCCluster:
         self.fault_metrics = _FaultCounters(self.metrics_registry)
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy or RetryPolicy()
-        # The master-side flight recorder (DESIGN §14): a constant-memory
-        # ring of structured runtime events, dumped into the job trace
-        # when something dies.  Children get their own shared rings.
+        # The master-side flight recorder (DESIGN §14): a ring of runtime
+        # events, dumped into the job trace when something dies.
         self.flight = FlightRecorder(capacity=256)
-        # ``transport`` picks where worker back-ends live: "sim" (default)
-        # keeps them in-process and deterministic, "process" backs each one
-        # with a real spawned OS process attaching sealed pages over
-        # shared memory.
+        # ``transport``: "sim" (default) keeps worker back-ends in-process
+        # and deterministic, "process" spawns one OS process each.
         self.transport = make_transport(
             transport, tracer=self.tracer, fault_injector=fault_injector,
             retry_policy=self.retry_policy, metrics=self.metrics_registry,

@@ -23,12 +23,18 @@ back into plain Python values so fallback operators and sinks observe
 exactly what the object path would have produced.
 
 Accumulation order note: grouped float sums use sequential in-input-order
-accumulation (``np.bincount`` / ``np.add.at``; a vector sum accumulates
-each of its ``w`` lanes the same way) per *batch*, then combine batch
-subtotals.  Relative to the strictly row-at-a-time object path this
-reassociates floating-point addition across batch boundaries; results are
-identical whenever the addends are exactly representable (the parity
-suite uses dyadic rationals for this reason).
+accumulation in float64 (``np.bincount`` / ``np.add.at``; a vector sum
+accumulates each of its ``w`` lanes the same way) per *batch*, then
+combine batch subtotals.  A kernel batch of a columnar scan spans pages
+(up to :data:`~repro.engine.vectors.ARRAY_BATCH_ROWS` rows copied from
+consecutive pages), so a batch boundary falls wherever that row count
+does, not at a page's edge.  Relative to the strictly row-at-a-time
+object path this reassociates floating-point addition across batch
+boundaries; results are identical whenever the addends are exactly
+representable (the parity suite uses dyadic rationals for this reason).
+Integer sums accumulate in 64 bits, so a total past the declared type's
+range (an ``Int32`` sum of 3 × 2³⁰) raises when it is stored, on both
+paths, instead of wrapping on this one.
 """
 
 from __future__ import annotations
@@ -184,28 +190,44 @@ def filter_kernel(stage, batch):
     return VectorList(out)
 
 
+def _accumulator(dtype):
+    """The dtype a grouped sum of ``dtype`` values accumulates in: 64-bit
+    integers (signed, or unsigned for unsigned values) and float64 — the
+    widths of the object path's Python ``int`` and ``float`` — so a
+    batch's subtotal neither wraps nor rounds at the column's width."""
+    if dtype.kind in "bi":
+        return np.dtype(np.int64)
+    if dtype.kind == "u":
+        return np.dtype(np.uint64)
+    if dtype.kind == "f":
+        return np.dtype(np.float64)
+    return dtype
+
+
 def aggregate_sum(groups, keys, values):
     """Fold one batch of (key, value) pairs into ``groups`` as grouped sums.
 
     ``values`` is one scalar per row, or an ``(n, w)`` array: one vector
     of ``w`` per row (a ``Vector<numeric>`` sum, e.g. k-means'
     ``(count, Σx)``).  Accumulation is sequential in input order within
-    the batch (bincount for float64 scalars, unbuffered ``np.add.at``
+    the batch (bincount for float scalars, unbuffered ``np.add.at``
     otherwise, so integer sums stay exact integers as on the object
-    path).  A vector group is held as an ndarray row, never a list: the
-    object path's ``+`` must add it, not concatenate.
+    path), at the width :func:`_accumulator` gives.  A vector group is
+    held as an ndarray row, never a list: the object path's ``+`` must
+    add it, not concatenate.
     """
     unique, inverse = np.unique(keys, return_inverse=True)
+    wide = _accumulator(values.dtype)
     if values.ndim == 2:
-        sums = np.zeros((len(unique), values.shape[1]), dtype=values.dtype)
+        sums = np.zeros((len(unique), values.shape[1]), dtype=wide)
         np.add.at(sums, inverse, values)
         for key, total in zip(unique.tolist(), sums):
             groups[key] = groups[key] + total if key in groups else total
         return
-    if values.dtype == np.float64:
+    if wide == np.float64:
         sums = np.bincount(inverse, weights=values, minlength=len(unique))
     else:
-        sums = np.zeros(len(unique), dtype=np.result_type(values))
+        sums = np.zeros(len(unique), dtype=wide)
         np.add.at(sums, inverse, values)
     for key, total in zip(unique.tolist(), sums.tolist()):
         if key in groups:

@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import BlockFullError, ExecutionError, WorkerCrashError
 from repro.engine import kernels
 from repro.memory.builtins import MapFacade, MapType, stable_hash
-from repro.memory.columnar import RowBatch
+from repro.memory.columnar import ColumnarRows, RowBatch
 from repro.memory.gather import GatherIneligible, map_pairs, root_rows
 from repro.memory.handle import Handle
 from repro.memory.objects import use_allocation_block
@@ -38,7 +38,12 @@ from repro.engine.physical import (
     SOURCE_SCAN,
     PhysicalPlan,
 )
-from repro.engine.vectors import DEFAULT_BATCH_SIZE, VectorList, batches_of
+from repro.engine.vectors import (
+    ARRAY_BATCH_ROWS,
+    DEFAULT_BATCH_SIZE,
+    VectorList,
+    batches_of,
+)
 from repro.obs.evidence import OperatorRecorder, kernel_fallbacks
 from repro.storage.dataset import pack_map_pages, private_page_writer
 from repro.storage.replication import page_checksum
@@ -156,7 +161,7 @@ class PipelineEngine(JobState):
     def _run_pipeline(self, pipeline):
         sink = self._make_sink(pipeline)
         self.run_stages(
-            pipeline.stages, self._source_batches(pipeline), sink
+            pipeline.stages, self._source_batches(pipeline, sink), sink
         )
         sink.finish()
 
@@ -333,12 +338,12 @@ class PipelineEngine(JobState):
 
     # -- sources ---------------------------------------------------------------------
 
-    def _source_batches(self, pipeline):
+    def _source_batches(self, pipeline, sink):
         if pipeline.source_kind == SOURCE_SCAN:
             scan = pipeline.source
             yield from object_batches(
                 [self.scan_reader(scan)], scan.column, self.batch_size,
-                columnar=scan.array_rows,
+                columnar=scan.array_rows, kernel_rows=kernel_batch_rows(sink),
             )
             return
         yield from batches_of(self.stored(pipeline.source), self.batch_size)
@@ -388,7 +393,8 @@ def run_task(job, spec, pages, registry):
         else:
             _kind, _refs, column, columnar = source
             batches = object_batches(
-                pages, column, engine.batch_size, columnar=columnar
+                pages, column, engine.batch_size, columnar=columnar,
+                kernel_rows=kernel_batch_rows(sink),
             )
         engine.run_stages(spec["stages"], batches, sink)
     except Exception as error:
@@ -397,7 +403,16 @@ def run_task(job, spec, pages, registry):
     return sink.state, engine.evidence()
 
 
-def object_batches(pages, column, batch_size, columnar=False):
+def kernel_batch_rows(sink):
+    """Rows per kernel batch of a marked columnar scan into ``sink``:
+    :data:`~repro.engine.vectors.ARRAY_BATCH_ROWS` when its stages write
+    no page, else None — what the stages allocate for one batch must fit
+    on one output page, so a page-writing pipeline keeps ``batch_size``."""
+    return ARRAY_BATCH_ROWS if sink.allocation_block() is None else None
+
+
+def object_batches(pages, column, batch_size, columnar=False,
+                   kernel_rows=None):
     """Batch scanned pages into single-column vector lists.
 
     ``pages`` yields one sequence of stored objects per page
@@ -410,13 +425,31 @@ def object_batches(pages, column, batch_size, columnar=False):
     :class:`~repro.memory.columnar.RowBatch` — a columnar page's items
     are one already, a row page's root vector becomes the
     :class:`~repro.memory.gather.ObjectRows` of the class the mark
-    names — sliced into batches the kernels consume whole.  Unmarked,
-    any page goes through per row, batches filling across pages.
+    names — sliced into batches the kernels consume whole.  With
+    ``kernel_rows`` (see :func:`kernel_batch_rows`) columnar pages are not
+    sliced but coalesced: a batch fills with consecutive pages' rows up
+    to ``kernel_rows``, each page's columns copied into the batch's own
+    arrays as it arrives (its pin ends when the next page is asked for);
+    a batch that is one whole page stays a view of it.  Any other page
+    flushes the rows held first, so row order is kept.  Unmarked, any
+    page goes through per row, batches filling across pages.
     """
     chunk = []
+    filling = _KernelBatch(kernel_rows) if kernel_rows and columnar else None
     for items in pages:
         if isinstance(columnar, str):
             items = root_rows(items, columnar)
+        if filling is not None:
+            if isinstance(items, ColumnarRows):
+                if chunk:
+                    yield VectorList({column: chunk})
+                    chunk = []
+                for batch in filling.add(items):
+                    yield VectorList({column: batch})
+                continue
+            held = filling.flush()
+            if held is not None:
+                yield VectorList({column: held})
         if columnar and isinstance(items, RowBatch):
             if chunk:
                 yield VectorList({column: chunk})
@@ -437,6 +470,58 @@ def object_batches(pages, column, batch_size, columnar=False):
                 chunk = []
     if chunk:
         yield VectorList({column: chunk})
+    held = filling.flush() if filling is not None else None
+    if held is not None:
+        yield VectorList({column: held})
+
+
+class _KernelBatch:
+    """A kernel batch being filled from consecutive columnar pages.
+
+    ``add`` copies a page's rows into the batch's own arrays and yields
+    each batch it completes, before the next page is asked for; ``flush``
+    hands over the rows held.  A batch a page fills on its own, with
+    nothing held, is the page's rows themselves (zero-copy).  The pages
+    of one scan share the set's schema, so the held arrays take every
+    page's columns as they are."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.columns = None  # name -> array of ``rows`` rows, being filled
+        self.filled = 0
+
+    def add(self, page_rows):
+        count = len(page_rows)
+        start = 0
+        while start < count:
+            if not self.filled and count - start >= self.rows:
+                yield page_rows if count == self.rows else \
+                    page_rows.slice(start, start + self.rows)
+                start += self.rows
+                continue
+            if self.columns is None:
+                self.columns = {
+                    name: np.empty(self.rows, page_rows.column(name).dtype)
+                    for name in page_rows.names()
+                }
+            take = min(self.rows - self.filled, count - start)
+            for name, held in self.columns.items():
+                held[self.filled:self.filled + take] = \
+                    page_rows.column(name)[start:start + take]
+            self.filled += take
+            start += take
+            if self.filled == self.rows:
+                yield self.flush()
+
+    def flush(self):
+        """The held rows as one batch (None when nothing is held)."""
+        if not self.filled:
+            return None
+        filled, columns = self.filled, self.columns
+        self.columns, self.filled = None, 0
+        return ColumnarRows.copied({
+            name: array[:filled] for name, array in columns.items()
+        })
 
 
 def _expand_aggregate_object(item):

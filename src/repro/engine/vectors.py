@@ -1,24 +1,45 @@
 """Vector lists: the unit of data flowing through TCAP pipelines.
 
 A :class:`VectorList` is an ordered bundle of equal-length named columns
-(Section 5.2).  Pipelines push *batches* — small vector lists whose row
-count is tuned so a batch's working set stays cache-resident; the default
-matches the paper's guidance of sizing vectors to the L1/L2 cache rather
-than processing one row (Volcano) or one full column (materialization) at
-a time.
+(Section 5.2).  Pipelines push *batches* — vector lists whose row count
+is sized so that a batch's per-call dispatch is amortised while its
+working set stays small (the paper sizes a vector list to the cache
+rather than processing one row, Volcano style, or one full column,
+materialization style).  There are two batch sizes, one per executor:
+
+* an *object batch* holds :data:`DEFAULT_BATCH_SIZE` rows.  Every stage
+  runs per row on it, so the size only bounds the working set; it is
+  also the batch of every pipeline whose sink writes pages — what the
+  stages allocate for one batch must fit on one output page, so this is
+  the ``PCCluster(batch_size=)`` users lower when it does not;
+* a *kernel batch* holds up to :data:`ARRAY_BATCH_ROWS` rows of a marked
+  scan over columnar pages, copied out of consecutive pages, whenever
+  the pipeline's sink writes no page.  Each stage is one numpy call over
+  the whole batch, so the per-batch Python cost (a stage call, a vector
+  list copy, one ``np.unique`` in a grouped sum) is what the size
+  amortises.
+
+:data:`ARRAY_BATCH_ROWS` is a constant, not a knob: it is a property of
+the kernels (how many rows amortise their dispatch before the batch's
+copied columns cost more memory than they save time), not of a job or a
+data set, and no result depends on it beyond float reassociation, which
+the kernels' accumulation note (:mod:`repro.engine.kernels`) bounds.
 
 Columns are Python lists on the object path and numpy arrays or
-:class:`~repro.memory.columnar.ColumnarRows` batches on the columnar
-path; the vector list itself is agnostic — it only requires that every
-column report the same ``len``.
+:class:`~repro.memory.columnar.RowBatch` batches on the array path; the
+vector list itself is agnostic — it only requires that every column
+report the same ``len``.
 """
 
 from __future__ import annotations
 
 from repro.errors import ExecutionError
 
-#: Default rows per batch; the ablation bench sweeps this.
+#: Rows per object batch (and per batch of a page-writing pipeline).
 DEFAULT_BATCH_SIZE = 1024
+#: Rows per kernel batch: a columnar scan into a sink that writes no
+#: page.  Swept from 8k to 64k rows in EXPERIMENTS.md.
+ARRAY_BATCH_ROWS = 24576
 
 
 class VectorList:

@@ -340,36 +340,57 @@ class RowBatch:
 
 
 class ColumnarRows(RowBatch):
-    """A batch of rows of one columnar page, optionally index-selected.
+    """A batch of columnar rows, optionally index-selected: the rows of
+    one columnar page, or of several pages' columns copied into arrays
+    this batch owns (:meth:`copied`, a kernel batch).
 
     Per-row fallback operators iterate it and get :class:`RowView`
-    facades; reified, the rows detach: they keep their schema-named
+    facades over a page's rows, :class:`DetachedRow` s over copied ones;
+    reified, the rows detach either way: they keep their schema-named
     attribute surface but hold copied values, so they are free to
     outlive the page and to cross a process boundary.
     """
 
-    __slots__ = ("page", "_indices")
+    __slots__ = ("page", "_indices", "_columns")
     path = "columnar_rows"
 
-    def __init__(self, page, indices=None):
+    def __init__(self, page, indices=None, columns=None):
+        #: the page the rows are views of; None when ``columns`` holds
+        #: them (name -> owned array, schema order)
         self.page = page
         self._indices = indices
+        self._columns = columns
+
+    @classmethod
+    def copied(cls, columns):
+        """A batch over ``columns`` (name -> array, schema order, equal
+        lengths), arrays no page owns."""
+        return cls(None, columns=columns)
 
     def __len__(self):
-        if self._indices is None:
+        if self._indices is not None:
+            return len(self._indices)
+        if self.page is not None:
             return self.page.count
-        return len(self._indices)
+        for column in self._columns.values():
+            return len(column)
+        return 0
 
     def column(self, name):
         """Column values for the selected rows (a view when unfiltered)."""
-        column = self.page.column(name)
+        if self.page is not None:
+            column = self.page.column(name)
+        else:
+            column = self._columns[name]
         if self._indices is None:
             return column
         return column[self._indices]
 
     def names(self):
         """Column names in schema order."""
-        return self.page.names()
+        if self.page is not None:
+            return self.page.names()
+        return list(self._columns)
 
     def _row_index(self, index):
         length = len(self)
@@ -389,29 +410,43 @@ class ColumnarRows(RowBatch):
             if step != 1:
                 raise ObjectModelError("columnar batches slice by step 1")
             return self.slice(start, stop)
-        return RowView(self.page, self._row_index(index))
+        row = self._row_index(index)
+        if self.page is None:
+            return DetachedRow(self.names(), (
+                column[row].item() for column in self._columns.values()
+            ))
+        return RowView(self.page, row)
 
     def __iter__(self):
+        if self.page is None:
+            yield from self.reify()
+            return
         for index in range(len(self)):
             yield RowView(self.page, self._row_index(index))
+
+    def _select(self, indices):
+        return ColumnarRows(self.page, indices, self._columns)
 
     def slice(self, start, stop):
         """Rows ``[start:stop)`` of this batch as a new batch."""
         if self._indices is None:
-            indices = np.arange(start, min(stop, self.page.count))
-        else:
-            indices = self._indices[start:stop]
-        return ColumnarRows(self.page, indices)
+            return self._select(np.arange(start, min(stop, len(self))))
+        return self._select(self._indices[start:stop])
 
     def mask(self, keep):
         """The rows where boolean ``keep`` is True, as a new batch."""
         keep = np.asarray(keep, dtype=bool)
         if self._indices is None:
-            return ColumnarRows(self.page, np.nonzero(keep)[0])
-        return ColumnarRows(self.page, self._indices[keep])
+            return self._select(np.nonzero(keep)[0])
+        return self._select(self._indices[keep])
 
     def reify(self):
-        return [row.detach() for row in self]
+        names = self.names()
+        columns = [self.column(name).tolist() for name in names]
+        return [DetachedRow(names, values) for values in zip(*columns)]
 
     def __repr__(self):
-        return "<ColumnarRows %d of %r>" % (len(self), self.page)
+        return "<ColumnarRows %d of %r>" % (
+            len(self), self.page if self.page is not None
+            else "copied [%s]" % ", ".join(self._columns),
+        )

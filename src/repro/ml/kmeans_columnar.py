@@ -52,10 +52,11 @@ def load_columnar_points(cluster, database, set_name, points,
 def _assignment_lambda(arg, centers):
     """Closest-centroid index as a kernelized native lambda.
 
-    The per-row function and the whole-batch kernel compute the same
-    plain squared distances (no norm-bound shortcut), so on exactly
-    representable inputs they agree bit-for-bit, ties (strict argmin)
-    included.
+    The per-row function and the whole-batch kernel (one centroid at a
+    time into one ``(n, d)`` scratch array, not an ``(n, k, d)``
+    temporary) compute the same plain squared distances, no norm-bound
+    shortcut, so on exactly representable inputs they agree bit-for-bit,
+    strict-argmin ties too.
     """
     centers = np.asarray(centers, dtype=np.float64)
     names = ["x%d" % j for j in range(centers.shape[1])]
@@ -67,7 +68,11 @@ def _assignment_lambda(arg, centers):
 
     def assign_kernel(rows):
         points = np.stack([rows.column(name) for name in names], axis=1)
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        scratch = np.empty_like(points)
+        d2 = np.empty((len(points), len(centers)))
+        for j, c in enumerate(centers):
+            np.square(np.subtract(points, c, out=scratch), out=scratch)
+            scratch.sum(axis=1, out=d2[:, j])
         return np.argmin(d2, axis=1)
 
     return lambda_from_native([arg], assign_one, kernel=assign_kernel)
@@ -99,8 +104,7 @@ class AssignedSums(AggregateComp):
                 [np.ones(len(rows))] + [rows.column(name) for name in names]
             )
 
-        return lambda_from_native([arg], count_and_point,
-                                  kernel=counts_and_points)
+        return lambda_from_native([arg], count_and_point, kernel=counts_and_points)
 
 
 class ColumnarKMeans:
@@ -115,9 +119,7 @@ class ColumnarKMeans:
 
     def load(self, points, page_size=None):
         self.n_points, self.dims = load_columnar_points(
-            self.cluster, self.database, self.set_name, points,
-            page_size=page_size,
-        )
+            self.cluster, self.database, self.set_name, points, page_size=page_size)
         return self
 
     def initialize(self, k, seed=0):
@@ -146,9 +148,7 @@ class ColumnarKMeans:
             self.cluster.clear_set(self.database, out_set)
         writer = Writer(self.database, out_set).set_input(agg)
         self.cluster.execute_computations(writer, columnar=columnar)
-        sums = self.cluster.read(
-            self.database, out_set, as_pairs=True, comp=agg
-        )
+        sums = self.cluster.read(self.database, out_set, as_pairs=True, comp=agg)
         new_centers = centers.copy()
         for j, value in sums.items():
             if value[0] > 0:
