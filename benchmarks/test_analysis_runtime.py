@@ -1,11 +1,10 @@
 """Full-repo static-analysis wall clock: the CI latency budget.
 
-The pcsan lint (all nine rules, including the CFG/dataflow-backed
-PC007–PC009) runs over the entire ``src`` tree on every CI push, so its
-wall time is a latency budget, not just a curiosity: the acceptance bar
-is under ten seconds for the whole repository.  The rendered table
-splits the pattern rules from the path-sensitive rules so a regression
-points at the layer that caused it.
+The pcsan lint runs over the entire ``src`` tree on every CI push, so
+its wall time is a latency budget, not just a curiosity: the acceptance
+bar is under ten seconds for the whole repository.  The rendered table
+splits the architecture table (PC010) from the other pattern rules so a
+regression points at the rule that caused it.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import os
 
 import pytest
 
-from repro.analysis import run_lint
+from repro.analysis.lint import run_lint
 
 from bench_utils import fmt_seconds, render_table, report, timed
 
@@ -25,13 +24,13 @@ BUDGET_SECONDS = 10.0
 
 @pytest.mark.benchmark(group="analysis")
 def test_full_repo_lint_within_budget(benchmark):
-    pattern_rules = {"PC001", "PC002", "PC003", "PC005", "PC006", "PC010"}
-    flow_rules = {"PC007", "PC008", "PC009"}
+    pattern_rules = {"PC001", "PC002", "PC003", "PC005", "PC006"}
+    table_rules = {"PC010"}
 
     pattern_s, pattern_findings = timed(
         run_lint, [SRC], select=pattern_rules
     )
-    flow_s, flow_findings = timed(run_lint, [SRC], select=flow_rules)
+    table_s, table_findings = timed(run_lint, [SRC], select=table_rules)
     total_s, findings = timed(run_lint, [SRC])
 
     n_files = sum(
@@ -43,10 +42,10 @@ def test_full_repo_lint_within_budget(benchmark):
         "Full-repo pcsan lint (%d Python files)" % n_files,
         ["pass", "rules", "wall", "findings"],
         [
-            ["pattern (AST)", "PC001-PC006, PC010", fmt_seconds(pattern_s),
+            ["pattern (AST)", "PC001-PC006", fmt_seconds(pattern_s),
              len(pattern_findings)],
-            ["dataflow (CFG)", "PC007-PC009", fmt_seconds(flow_s),
-             len(flow_findings)],
+            ["architecture", "PC010", fmt_seconds(table_s),
+             len(table_findings)],
             ["all", "PC001-PC010", fmt_seconds(total_s), len(findings)],
         ],
     )
@@ -59,4 +58,4 @@ def test_full_repo_lint_within_budget(benchmark):
     )
 
     # One representative operation for pytest-benchmark stats.
-    benchmark(lambda: run_lint([SRC], select=flow_rules))
+    benchmark(lambda: run_lint([SRC]))

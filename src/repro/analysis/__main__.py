@@ -1,11 +1,10 @@
 """CLI for the PC analysis tools.
 
 ``python -m repro.analysis lint [PATH ...]`` lints the given paths
-(default ``src``) with rules PC001–PC010 and exits non-zero when any
-finding survives suppression.  ``--format sarif`` emits SARIF 2.1.0
-for CI code-scanning upload.  ``python -m repro.analysis verify PLAN.tcap``
-statically type-checks a textual TCAP plan, and ``rules`` lists the
-rule catalog.
+(default ``src``) with the PC rules and exits non-zero when any finding
+survives suppression; ``--format json`` serves machines.  ``python -m
+repro.analysis verify PLAN.tcap`` statically type-checks a textual TCAP
+plan, and ``rules`` lists the rule catalog.
 """
 
 from __future__ import annotations
@@ -14,15 +13,6 @@ import argparse
 import sys
 
 from repro.analysis.lint import format_json, format_text, iter_rules, run_lint
-from repro.analysis.sarif import format_sarif
-
-
-def _emit(report, output):
-    if output is None:
-        print(report)
-    else:
-        with open(output, "w") as handle:
-            handle.write(report + "\n")
 
 
 def _lint(args):
@@ -31,13 +21,9 @@ def _lint(args):
         select = {c.strip() for c in args.select.split(",") if c.strip()}
     findings = run_lint(args.paths, select=select)
     if args.format == "json":
-        _emit(format_json(findings), args.output)
-    elif args.format == "sarif":
-        _emit(format_sarif(findings), args.output)
-    elif findings:
-        _emit(format_text(findings), args.output)
+        print(format_json(findings))
     else:
-        _emit("0 findings", args.output)
+        print(format_text(findings))
     return 1 if findings else 0
 
 
@@ -74,18 +60,14 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command")
 
-    lint_parser = sub.add_parser("lint", help="run rules PC001-PC010")
+    lint_parser = sub.add_parser("lint", help="run the PC rules")
     lint_parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)",
     )
     lint_parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
-    )
-    lint_parser.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="write the report to FILE instead of stdout",
     )
     lint_parser.add_argument(
         "--select", default=None,

@@ -23,17 +23,11 @@ PC006     Row-path handle access (``.deref()`` / ``make_object*`` /
           it calls, and every ``*_batch`` definition must stay
           whole-batch array code; a per-row deref there silently
           serializes the hot loop it exists to vectorize.
-PC007     ``pin``/``retain`` without its ``unpin``/``release`` on some
-          path to function exit, including exception edges (flow-
-          sensitive; see :mod:`repro.analysis.flowrules`).
-PC008     ``SharedMemory``/``ShmRegistry`` created but not closed,
-          unlinked, or handed off on every path (flow-sensitive).
-PC009     Write to a page payload after ``seal()``/``to_bytes()`` on
-          any path (flow-sensitive).
 PC010     The architecture, as one table (:data:`ARCHITECTURE`): a
-          one-path API referenced from a function the table does not
-          name, a confined name (``frombuffer``) outside its package, or
-          a tracked module over its line ceiling.
+          one-path API (``ship_page``, ``pin``, ...) referenced from a
+          function the table does not name, a confined name
+          (``frombuffer``, ``retain``) outside its package, or a tracked
+          module over its line ceiling.
 ========  ==============================================================
 
 A finding is silenced by a trailing ``# pcsan: disable=PCnnn`` comment
@@ -523,8 +517,9 @@ def check_row_path_in_kernel(tree, path, source):
 #: bound method and a ``partial`` argument alike).  A reference inside a
 #: nested function is its enclosing top-level function's or method's.
 #: ``confined``: a name -> the package directory outside which nothing may
-#: reference it; page bytes are the object layer's (paper §2).  ``buf``'s
-#: entry is enforced by PC002, which also follows aliases and ``getattr``.
+#: reference it; page bytes and refcounts are the object layer's (paper
+#: §2).  ``buf``'s entry is enforced by PC002, which also follows aliases
+#: and ``getattr``.
 #: ``ceilings``: a module -> its line ceiling (a package's total is
 #: reported at its ``__init__.py``).  Ceilings go down, not up.
 ARCHITECTURE = {
@@ -592,10 +587,19 @@ ARCHITECTURE = {
         "aggregate_sum": (
             "repro.engine.pipeline.AggregateSink.consume",
         ),
+        # Each pin is released in a ``finally`` (or handed to the caller);
+        # a pin leaked on a real path is the sanitizer's ``pin_leak``.
+        "pin": (
+            "repro.cluster.scheduler._ScanSource.export",
+            "repro.storage.dataset.PageSet.pinned_page",
+            "repro.storage.replication.ReplicationManager._page_bytes",
+            "repro.storage.replication.ReplicationManager.estimated_bytes",
+        ),
     },
     "confined": {
         "buf": "memory",
         "frombuffer": "memory",
+        "retain": "memory",
     },
     "ceilings": {
         "repro/cluster/scheduler.py": 1148,
@@ -605,9 +609,12 @@ ARCHITECTURE = {
         "repro/cluster/worker.py": 204,
         "repro/storage/replication.py": 477,
         "repro/storage/dataset.py": 419,
+        "repro/engine/pipeline.py": 984,
+        "repro/memory/gather.py": 552,
         "repro/memory/scatter.py": 844,
         "repro/ml/kmeans_columnar.py": 164,
         "repro/obs": 1999,
+        "repro/analysis": 1342,
     },
 }
 
@@ -695,8 +702,8 @@ def check_architecture(tree, path, source):
                 name, caller, ", ".join(allowed))
         elif name in confined and name != "buf" \
                 and confined[name] not in parts:
-            message = "%s outside repro/%s; page bytes are the object " \
-                "layer's" % (name, confined[name])
+            message = "%s outside repro/%s; it is the object layer's" % (
+                name, confined[name])
         else:
             continue
         findings.append(Finding(
@@ -786,10 +793,3 @@ def format_json(findings):
          "count": len(findings)},
         indent=2, sort_keys=True,
     )
-
-
-# The flow-sensitive rules (PC007–PC009) live in their own module on
-# top of the CFG/dataflow engine; importing it registers them.  The
-# import sits at the bottom because flowrules imports Finding/rule
-# from here.
-from repro.analysis import flowrules as _flowrules  # noqa: E402,F401

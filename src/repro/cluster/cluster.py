@@ -144,7 +144,7 @@ class PCCluster:
         self.shm_registry.sweep_orphans()
         # ``tracing=False`` swaps in the null tracer: spans become the
         # shared no-op span and no trace is built — the zero-overhead
-        # baseline BENCH_trace.json's overhead budget is measured against.
+        # baseline ``obs.trace_overhead`` (python3 -m bench) divides by.
         self.tracer = Tracer(enabled=tracing)
         # Every master-side component publishes here; each worker front
         # end has its own registry, and metrics() merges them all.

@@ -21,8 +21,8 @@ the scheduler needs to exercise and survive those faults:
 
 Every injected fault keeps a typed count in :attr:`FaultInjector.counts`,
 and the scheduler/network/buffer-pool report the recovery work (retries,
-backoff sleeps, blacklist events) into the job trace, so a
-``BENCH_trace.json``-style report shows what recovery cost.
+backoff sleeps, blacklist events) into the job trace, so
+``render_trace`` shows what recovery cost.
 """
 
 from __future__ import annotations

@@ -35,8 +35,8 @@ Three pieces:
   *timeout*, not a crash, even under an injectable test clock.
 
 Everything observable lands in ``pc_sup_*`` metrics, including the
-``pc_sup_recovery_seconds`` histogram of detect → re-fork latency that
-``BENCH_chaos.json`` reports.
+``pc_sup_recovery_seconds`` histogram of detect → re-fork latency
+(``Supervisor.recovery_quantile`` reads its percentiles).
 """
 
 from __future__ import annotations

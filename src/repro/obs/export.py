@@ -7,8 +7,8 @@ Three surfaces over the same snapshot:
   ``_bucket``/``_sum``/``_count`` triple plus summary-style
   ``{quantile="0.5|0.95|0.99"}`` series computed from the buckets, so a
   scrape sees per-stage and per-operator p50/p95/p99 latency directly.
-* :func:`to_json` — the snapshot as a JSON document (``BENCH_metrics.json``
-  and test fixtures).
+* :func:`to_json` — the snapshot as a JSON document (for machines and
+  test fixtures).
 * :func:`render_metrics` — a terminal summary (top counters, per-operator
   latency table), the metrics sibling of
   :func:`~repro.obs.report.render_trace`.

@@ -2,8 +2,7 @@
 
 ``render_trace`` turns the span tree into an indented text report with
 per-span wall times and counters — the quick look at where a job spent
-its time that ``examples/quickstart.py`` prints and the runtime bench
-persists alongside ``BENCH_trace.json``.
+its time that ``examples/quickstart.py`` prints.
 """
 
 from __future__ import annotations

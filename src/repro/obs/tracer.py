@@ -16,8 +16,8 @@ outside a job costs one dictionary miss per event.
 
 A finished top-level span becomes a :class:`Trace` (``tracer.last_trace``,
 surfaced as ``PCCluster.last_trace``) that serializes with
-:meth:`Trace.to_json` — the format written by ``BENCH_trace.json`` and
-documented in README.md's Observability section.  The last few completed
+:meth:`Trace.to_json` — the format documented in README.md's
+Observability section.  The last few completed
 traces stay reachable through a small ring (``Tracer.recent_traces``,
 surfaced as ``PCCluster.traces``), so back-to-back jobs do not clobber
 each other's evidence.
@@ -250,8 +250,8 @@ class Tracer:
 
     ``enabled=False`` turns the tracer into a sink: :meth:`span` yields
     a shared null span, :meth:`add` no-ops (the stack stays empty), and
-    no trace is ever built — the zero-overhead baseline the tracing
-    overhead budget in ``BENCH_trace.json`` is measured against.
+    no trace is ever built — the zero-overhead baseline that ``python3
+    -m bench``'s ``obs.trace_overhead`` is measured against.
     """
 
     def __init__(self, enabled=True):

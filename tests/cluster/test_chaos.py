@@ -4,10 +4,9 @@ The acceptance bar for the supervision layer (DESIGN §13): a seeded
 storm of real SIGKILLs and SIGSTOP/SIGCONT pairs delivered mid-job must
 leave results byte-identical to an unfaulted run, leak no shared-memory
 segment and no child process, and land detect→re-fork latencies in the
-``pc_sup_recovery_seconds`` histogram that ``BENCH_chaos.json`` reports.
+``pc_sup_recovery_seconds`` histogram.
 """
 
-import os
 import time
 
 import pytest
@@ -16,7 +15,6 @@ from repro.cluster import ChaosMonkey, PCCluster, RetryPolicy
 from repro.cluster import transport as transport_mod
 from repro.cluster.chaos import KILL, STOP
 from repro.cluster.transport import remote_available
-from repro.storage.shm_registry import pid_alive
 from repro.tpch import TpchSpec, customers_per_supplier_pc, load_pc_customers
 
 needs_process = pytest.mark.skipif(

@@ -12,7 +12,11 @@ are exact on both paths and equality is equality.
 The two named bugs are the grouped-sum kernel's accumulator: it summed
 at the column's width, so an ``Int32`` sum wrapped where the object path
 raises, and a ``Float32`` sum rounded at every addition where the object
-path adds Python floats.
+path adds Python floats.  Bugs 15 and 16 are the same gap one width up
+and in arithmetic: an ``Int64`` sum has nothing wider to accumulate in,
+and ``v + v`` on an ``Int32`` column wraps before the comparison.  Both
+are live, so their tests are strict ``xfail`` until one numeric
+contract covers every executor.
 """
 
 import math
@@ -283,3 +287,46 @@ def test_float32_sum_agrees_across_paths(tmp_path):
     kernel = _sum_column(tmp_path, True, Float32, f32, values)
     assert kernel == _sum_column(tmp_path, False, Float32, f32, values)
     assert kernel[0] == pytest.approx(1638.4, abs=1e-3)
+
+
+# -- bug 15: an Int64 sum wraps on the kernel path (no wider accumulator) -----------
+
+# -- bug 16: Int32 arithmetic in a selection wraps on the kernel path ---------------
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+def test_int64_sum_overflow_agrees_across_paths(tmp_path):
+    values = np.full(3, 1 << 62, dtype=np.int64)
+    kernel = _sum_column(tmp_path, True, Int64, i64, values)
+    assert kernel == _sum_column(tmp_path, False, Int64, i64, values)
+    assert kernel.startswith("raised: ")  # 3 x 2^62 is no Int64
+
+
+def _doubled_positive(tmp_path, columnar, values):
+    class DoubledPositive(SelectionComp):
+        def get_selection(self, arg):
+            v = lambda_from_member(arg, "v")
+            return (v + v) > 0
+
+        def get_projection(self, arg):
+            return lambda_from_member(arg, "v")
+
+    with PCCluster(n_workers=1, page_size=1 << 16, transport="sim",
+                   spill_root=str(tmp_path / str(columnar))) as cluster:
+        cluster.create_database("db")
+        cluster.create_set("db", "values", schema=Schema([("v", i32)]))
+        with cluster.loader("db", "values") as loader:
+            loader.append_columns(v=values)
+        selection = DoubledPositive().set_input(ObjectReader("db", "values"))
+        cluster.execute_computations(
+            Writer("db", "out").set_input(selection), columnar=columnar
+        )
+        return sorted(cluster.read("db", "out"))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+def test_int32_arithmetic_in_a_selection_agrees_across_paths(tmp_path):
+    values = np.full(3, 1 << 30, dtype=np.int32)
+    kernel = _doubled_positive(tmp_path, True, values)
+    assert kernel == _doubled_positive(tmp_path, False, values)
+    assert kernel == [1 << 30] * 3  # 2^31 > 0 in exact arithmetic
