@@ -23,7 +23,7 @@ from repro.core import (
     lambda_from_method,
     lambda_from_native,
 )
-from repro.engine import run_local
+from repro.engine import run_local, vectors
 from repro.lillinalg import DistributedMatrix
 from repro.memory import (
     Float64,
@@ -211,8 +211,9 @@ def test_ablation_join_threshold(benchmark):
 
 
 @pytest.mark.benchmark(group="ablations")
-def test_ablation_vector_size(benchmark):
-    """Pipeline batch size: too small pays dispatch, too big pays cache."""
+def test_ablation_vector_size(benchmark, monkeypatch):
+    """Rows per object batch — the engine constant ``OBJECT_BATCH_ROWS``,
+    swept: too small pays dispatch, too big pays cache."""
     class Gain(SelectionComp):
         def get_projection(self, arg):
             return lambda_from_native([arg], lambda x: x * 2.0)
@@ -222,21 +223,22 @@ def test_ablation_vector_size(benchmark):
 
     rows = []
     times = {}
-    for batch_size in (8, 64, 1024, 16384):
+    for batch_rows in (8, 64, 1024, 16384):
+        monkeypatch.setattr(vectors, "OBJECT_BATCH_ROWS", batch_rows)
+
         def graph():
             return Writer("db", "out").set_input(
                 Gain().set_input(ObjectReader("db", "xs"))
             )
 
-        elapsed, (outputs, _p, metrics) = timed(
-            run_local, graph(), sources, batch_size
-        )
+        elapsed, (outputs, _p, metrics) = timed(run_local, graph(), sources)
         assert len(outputs[("db", "out")]) == len(data)
-        rows.append((batch_size, fmt_seconds(elapsed), metrics.batches))
-        times[batch_size] = elapsed
+        rows.append((batch_rows, fmt_seconds(elapsed), metrics.batches))
+        times[batch_rows] = elapsed
+    monkeypatch.undo()
     report("ablation_vector_size", render_table(
         "Ablation — pipeline vector (batch) size",
-        ("batch size", "time", "batches"),
+        ("rows per batch", "time", "batches"),
         rows,
     ))
     # Tiny batches pay per-batch overhead.
@@ -245,7 +247,7 @@ def test_ablation_vector_size(benchmark):
     benchmark(lambda: run_local(
         Writer("db", "out").set_input(
             Gain().set_input(ObjectReader("db", "xs"))
-        ), sources, 1024,
+        ), sources,
     ))
 
 

@@ -528,9 +528,7 @@ ARCHITECTURE = {
             "repro.cluster.scheduler.DistributedScheduler._wire",
             "repro.storage.replication.ReplicationManager._copy",
         ),
-        "ship_rows": (
-            "repro.cluster.scheduler.DistributedScheduler._wire",
-        ),
+        "ship_rows": ("repro.cluster.scheduler.DistributedScheduler._wire",),
         "adopt_page_bytes": (
             "repro.storage.replication.ReplicationManager._copy",
             "repro.engine.pipeline._PageSink.finish",
@@ -539,12 +537,14 @@ ARCHITECTURE = {
             "repro.storage.replication.ReplicationManager.place_pages",
             "repro.catalog.catalog.CatalogManager._apply_journal_record",
         ),
-        "open_root": (
-            "repro.storage.dataset.RowPageWriter._open",
-        ),
+        "open_root": ("repro.storage.dataset.RowPageWriter._open",),
         "run_task": (
             "repro.cluster.scheduler.DistributedScheduler._place",
             "repro.cluster.procworker._run",
+        ),
+        "object_batches": (
+            "repro.engine.pipeline.PipelineEngine._source_batches",
+            "repro.engine.pipeline.run_task",
         ),
         "run_stages": (
             "repro.engine.pipeline.run_task",
@@ -568,25 +568,17 @@ ARCHITECTURE = {
             "repro.engine.pipeline.AggregateSink.seal",
             "repro.engine.pipeline.MapPageOutputSink.seal",
         ),
-        "scatter_map": (
-            "repro.memory.builtins.MapType.inserter",
-        ),
-        "map_pairs": (
-            "repro.engine.pipeline.map_items",
-        ),
+        "scatter_map": ("repro.memory.builtins.MapType.inserter",),
+        "map_pairs": ("repro.engine.pipeline.map_items",),
         "map_items": (
             "repro.cluster.scheduler.DistributedScheduler._wire",
             "repro.cluster.cluster.PCCluster.read",
         ),
-        "plan_objects": (
-            "repro.storage.dataset.RowPageWriter._write",
-        ),
+        "plan_objects": ("repro.storage.dataset.RowPageWriter._write",),
         "book_task_evidence": (
             "repro.cluster.scheduler.DistributedScheduler._book",
         ),
-        "aggregate_sum": (
-            "repro.engine.pipeline.AggregateSink.consume",
-        ),
+        "aggregate_sum": ("repro.engine.pipeline.AggregateSink.consume",),
         # Each pin is released in a ``finally`` (or handed to the caller);
         # a pin leaked on a real path is the sanitizer's ``pin_leak``.
         "pin": (
@@ -602,19 +594,19 @@ ARCHITECTURE = {
         "retain": "memory",
     },
     "ceilings": {
-        "repro/cluster/scheduler.py": 1148,
+        "repro/cluster/scheduler.py": 1147,
         "repro/cluster/transport.py": 762,
-        "repro/cluster/cluster.py": 823,
+        "repro/cluster/cluster.py": 820,
         "repro/cluster/procworker.py": 285,
         "repro/cluster/worker.py": 204,
         "repro/storage/replication.py": 477,
         "repro/storage/dataset.py": 419,
-        "repro/engine/pipeline.py": 984,
+        "repro/engine/pipeline.py": 983,
         "repro/memory/gather.py": 552,
         "repro/memory/scatter.py": 844,
         "repro/ml/kmeans_columnar.py": 164,
         "repro/obs": 1999,
-        "repro/analysis": 1342,
+        "repro/analysis": 1334,
     },
 }
 

@@ -35,7 +35,6 @@ from repro.analysis import sanitizer as pcsan
 from repro.catalog import CatalogJournal, CatalogManager
 from repro.engine.physical import plan_pipelines
 from repro.engine.pipeline import combine_into, map_items
-from repro.engine.vectors import DEFAULT_BATCH_SIZE
 from repro.errors import (
     CatalogError,
     ExecutionError,
@@ -112,13 +111,12 @@ class _FaultCounters:
 class PCCluster:
     """One master plus ``n_workers`` simulated worker nodes.
 
-    ``batch_size`` bounds object-path batches and the batches of a
-    pipeline whose sink writes pages; a columnar scan into any other sink
-    runs ``ARRAY_BATCH_ROWS``-row kernel batches (``engine/vectors.py``).
+    There is no batch size to set: the engine sizes a batch by what it
+    holds and cuts it to what an output page takes (``engine/vectors.py``).
     """
 
     def __init__(self, n_workers=4, page_size=DEFAULT_PAGE_SIZE,
-                 worker_memory=64 << 20, batch_size=DEFAULT_BATCH_SIZE,
+                 worker_memory=64 << 20,
                  broadcast_threshold=DEFAULT_BROADCAST_THRESHOLD,
                  spill_root=None, fault_injector=None, retry_policy=None,
                  profiling=False, sanitize=False, transport=None,
@@ -171,7 +169,6 @@ class PCCluster:
             recorder=self.flight,
         )
         self.page_size = page_size
-        self.batch_size = batch_size
         self.broadcast_threshold = broadcast_threshold
         #: an aggregation's combiner pages are the size of a set's
         self.combiner_page_size = page_size

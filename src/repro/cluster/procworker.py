@@ -5,7 +5,7 @@ ProcessTransport`: it runs in a spawned OS process and executes one task
 at a time off a queue.  A task arrives fully described — the stage list,
 the source (shared-memory page names or plain columns), the sink class —
 against its job's constant state (the compiled program, build sides,
-batch size, type registry, the profiling/tracing flags), which arrives
+type registry, the profiling/tracing flags), which arrives
 once, ahead of the job's first task here, and is kept until another
 job's replaces it.  Running it is :func:`repro.engine.pipeline.run_task`
 on those two dicts — what the coordinator calls for a task it keeps —

@@ -520,7 +520,6 @@ class DistributedScheduler:
         return {
             "program": self.program,
             "build_sides": dict(self.plan.build_sides),
-            "batch_size": self.cluster.batch_size,
             # Measured and traced there as here (DESIGN §14).
             "profiling": self.profiler is not None,
             "tracing": self.tracer.enabled,

@@ -4,12 +4,15 @@ from repro.engine.interpreter import LocalInterpreter
 from repro.engine.local import run_local
 from repro.engine.physical import PhysicalPlan, Pipeline, plan_pipelines
 from repro.engine.pipeline import EngineMetrics, PipelineEngine
-from repro.engine.vectors import DEFAULT_BATCH_SIZE, VectorList, batches_of
+from repro.engine.vectors import (
+    ARRAY_BATCH_ROWS, OBJECT_BATCH_ROWS, VectorList, batches_of,
+)
 
 __all__ = [
-    "DEFAULT_BATCH_SIZE",
+    "ARRAY_BATCH_ROWS",
     "EngineMetrics",
     "LocalInterpreter",
+    "OBJECT_BATCH_ROWS",
     "PhysicalPlan",
     "Pipeline",
     "PipelineEngine",

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from repro.engine.physical import plan_pipelines
 from repro.engine.pipeline import EngineMetrics, PipelineEngine
-from repro.engine.vectors import DEFAULT_BATCH_SIZE
 from repro.tcap.compiler import compile_computations
 from repro.tcap.optimizer import optimize
 
 
-def run_local(sinks, sources, batch_size=DEFAULT_BATCH_SIZE, optimized=True,
-              build_side_overrides=None, metrics=None):
+def run_local(sinks, sources, optimized=True, build_side_overrides=None,
+              metrics=None):
     """Compile, (optionally) optimize, plan, and execute locally.
 
     ``sources`` maps ``(database, set)`` to lists of objects.  Returns
@@ -34,8 +33,6 @@ def run_local(sinks, sources, batch_size=DEFAULT_BATCH_SIZE, optimized=True,
         key = (scan_stmt.database, scan_stmt.set_name)
         return iter(sources[key])
 
-    engine = PipelineEngine(
-        program, plan, scan_reader, batch_size=batch_size, metrics=metrics
-    )
+    engine = PipelineEngine(program, plan, scan_reader, metrics=metrics)
     outputs = engine.run()
     return outputs, program, metrics

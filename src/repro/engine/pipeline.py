@@ -19,12 +19,13 @@ native lambda allocates directly on the output page — the paper's
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
 
 from repro.errors import BlockFullError, ExecutionError, WorkerCrashError
-from repro.engine import kernels
+from repro.engine import kernels, vectors
 from repro.memory.builtins import MapFacade, MapType, stable_hash
 from repro.memory.columnar import ColumnarRows, RowBatch
 from repro.memory.gather import GatherIneligible, map_pairs, root_rows
@@ -38,12 +39,7 @@ from repro.engine.physical import (
     SOURCE_SCAN,
     PhysicalPlan,
 )
-from repro.engine.vectors import (
-    ARRAY_BATCH_ROWS,
-    DEFAULT_BATCH_SIZE,
-    VectorList,
-    batches_of,
-)
+from repro.engine.vectors import VectorList, batches_of
 from repro.obs.evidence import OperatorRecorder, kernel_fallbacks
 from repro.storage.dataset import pack_map_pages, private_page_writer
 from repro.storage.replication import page_checksum
@@ -130,8 +126,8 @@ class JobState:
 class PipelineEngine(JobState):
     """Executes a physical plan over one worker's data."""
 
-    def __init__(self, program, plan, scan_reader, batch_size=None,
-                 metrics=None, profiler=None, registry=None):
+    def __init__(self, program, plan, scan_reader, metrics=None,
+                 profiler=None, registry=None):
         """``scan_reader(scan_stmt)`` yields the objects of a stored set
         (None when every ``run_stages`` call is handed its batches).
         With a ``profiler`` (:class:`repro.obs.evidence.OperatorRecorder`)
@@ -141,7 +137,6 @@ class PipelineEngine(JobState):
         """
         super().__init__(program, plan, registry)
         self.scan_reader = scan_reader
-        self.batch_size = batch_size or DEFAULT_BATCH_SIZE
         self.metrics = metrics or EngineMetrics()
         self.profiler = profiler
         self.outputs = {}  # (db, set) -> list (a local run's OUTPUT sinks)
@@ -160,9 +155,7 @@ class PipelineEngine(JobState):
 
     def _run_pipeline(self, pipeline):
         sink = self._make_sink(pipeline)
-        self.run_stages(
-            pipeline.stages, self._source_batches(pipeline, sink), sink
-        )
+        self.run_stages(pipeline.stages, self._source_batches(pipeline), sink)
         sink.finish()
 
     def run_stages(self, stages, batches, sink):
@@ -174,12 +167,27 @@ class PipelineEngine(JobState):
         is sealed — what it consumed is now its ``state``, pages built —
         and left un-finished: the caller decides whether the state is
         stored (``finish()``) or travels home first.
+
+        A batch enters the stages in cuts of ``sink.fit_rows`` rows (None:
+        whole), which :meth:`_process_batch` halves for the rest of the
+        task when a fresh page refuses one.  A cut is counted once as it
+        enters, however often it re-runs — unless it was refused: its rows
+        enter again, in smaller cuts.
         """
+        self._fresh_page = True  # whether the open page holds nothing yet
         for batch in batches:
-            self.metrics.batches += 1
-            self.metrics.rows_in += len(batch)
-            self._array_path = kernels.array_path(batch)
-            self._process_batch(stages, batch, sink)
+            start, rows = 0, len(batch)
+            while start < rows:
+                fit = sink.fit_rows
+                cut = batch if fit is None else batch.slice(start, start + fit)
+                self._array_path = kernels.array_path(cut)
+                self.metrics.batches += 1
+                self.metrics.rows_in += len(cut)
+                if self._process_batch(stages, cut, sink):
+                    start += len(cut)
+                else:
+                    self.metrics.batches -= 1
+                    self.metrics.rows_in -= len(cut)
         sink.seal()
 
     def evidence(self):
@@ -196,43 +204,47 @@ class PipelineEngine(JobState):
         }
 
     def _process_batch(self, stages, batch, sink):
-        """Push one batch through all stages into the sink.
+        """Push one cut through all stages into the sink; False when a
+        fresh output page refused it.
 
         An allocation fault while the *stages* run (user code allocating
-        in place on a page-backed sink's page) rolls the output page and
-        re-runs the batch from the top: nothing of the batch is recorded
-        yet, the objects the failed attempt left on the sealed page are
-        dead space, and the sealed page — which may hold earlier batches'
-        rows — is the paper's zombie output page.  A batch the fresh
-        page refuses too fits no page of this size, and says so.  A
-        page-writing sink's ``consume`` never raises one: its writer
-        rolls per object.
+        in place on a page-backed sink's page) rolls the output page:
+        nothing of the cut is recorded yet, and what the failed attempt
+        allocated is dead space.  A page holding earlier cuts' rows is
+        sealed — the paper's zombie output page — and one with nothing
+        recorded freed; the cut re-runs on a fresh page, fresh until a cut
+        goes through on it.  A fresh page that refuses the cut halves the
+        sink's ``fit_rows``; only a single row no empty page takes fails
+        the task.  A page-writing sink's ``consume`` never raises one: its
+        writer rolls per object.
         """
-        for fresh in (False, True):
+        while True:
             block = sink.allocation_block()
             try:
-                if block is not None:
-                    with use_allocation_block(block):
-                        current = self._apply_stages(stages, batch)
-                        if current is not None:
-                            sink.consume(current)
-                else:
+                with nullcontext() if block is None \
+                        else use_allocation_block(block):
                     current = self._apply_stages(stages, batch)
                     if current is not None:
                         sink.consume(current)
                 if current is not None:
                     self.metrics.rows_out += len(current)
-                return
+                self._fresh_page = False
+                return True
             except BlockFullError as full:
-                if fresh:
+                kept = sink.roll_page()
+                if kept:
+                    self.metrics.zombie_pages += 1
+                if kept or not self._fresh_page:
+                    self._fresh_page = True
+                    continue
+                if len(batch) == 1:
                     raise ExecutionError(
-                        "what the stages allocate for one batch of %d rows "
-                        "does not fit on an empty %d-byte output page (%s): "
-                        "lower batch_size or raise the set's page_size"
-                        % (len(batch), block.size, full)
+                        "what the stages allocate for one row does not fit "
+                        "on an empty %d-byte output page (%s): raise the "
+                        "set's page_size" % (block.size, full)
                     ) from full
-                sink.roll_page()
-                self.metrics.zombie_pages += 1
+                sink.fit_rows = len(batch) // 2
+                return False
 
     def _apply_stages(self, stages, batch):
         """Run all stages; returns None when a stage empties the batch."""
@@ -338,15 +350,12 @@ class PipelineEngine(JobState):
 
     # -- sources ---------------------------------------------------------------------
 
-    def _source_batches(self, pipeline, sink):
+    def _source_batches(self, pipeline):
         if pipeline.source_kind == SOURCE_SCAN:
             scan = pipeline.source
-            yield from object_batches(
-                [self.scan_reader(scan)], scan.column, self.batch_size,
-                columnar=scan.array_rows, kernel_rows=kernel_batch_rows(sink),
-            )
-            return
-        yield from batches_of(self.stored(pipeline.source), self.batch_size)
+            return object_batches([self.scan_reader(scan)], scan.column,
+                                  columnar=scan.array_rows)
+        return batches_of(self.stored(pipeline.source))
 
     # -- sinks -----------------------------------------------------------------------
 
@@ -369,7 +378,7 @@ def run_task(job, spec, pages, registry):
     with the pages it attached and its copy of the job's registry, the
     coordinator with the front-end page stream and the worker's own —
     from the same plain inputs: ``job`` is what is constant over the job
-    (program, build sides, batch size, profiling), ``spec`` the task
+    (program, build sides, profiling), ``spec`` the task
     (stages, source description, ``(sink class, arguments)``, the hash
     tables its probes read).  The engine lives for this one task: a
     plain sink is filled from ``pages`` (one item sequence per page) or
@@ -379,7 +388,6 @@ def run_task(job, spec, pages, registry):
     """
     engine = PipelineEngine(
         job["program"], PhysicalPlan((), job["build_sides"]), None,
-        batch_size=job["batch_size"],
         profiler=OperatorRecorder() if job["profiling"] else None,
         registry=registry,
     )
@@ -389,13 +397,10 @@ def run_task(job, spec, pages, registry):
         sink = sink_class(engine, *sink_args)
         source = spec["source"]
         if source[0] == "columns":
-            batches = batches_of(source[1], engine.batch_size)
+            batches = batches_of(source[1])
         else:
             _kind, _refs, column, columnar = source
-            batches = object_batches(
-                pages, column, engine.batch_size, columnar=columnar,
-                kernel_rows=kernel_batch_rows(sink),
-            )
+            batches = object_batches(pages, column, columnar=columnar)
         engine.run_stages(spec["stages"], batches, sink)
     except Exception as error:
         error.evidence = engine.evidence()
@@ -403,61 +408,47 @@ def run_task(job, spec, pages, registry):
     return sink.state, engine.evidence()
 
 
-def kernel_batch_rows(sink):
-    """Rows per kernel batch of a marked columnar scan into ``sink``:
-    :data:`~repro.engine.vectors.ARRAY_BATCH_ROWS` when its stages write
-    no page, else None — what the stages allocate for one batch must fit
-    on one output page, so a page-writing pipeline keeps ``batch_size``."""
-    return ARRAY_BATCH_ROWS if sink.allocation_block() is None else None
-
-
-def object_batches(pages, column, batch_size, columnar=False,
-                   kernel_rows=None):
-    """Batch scanned pages into single-column vector lists.
+def object_batches(pages, column, columnar=False):
+    """Batch scanned pages into single-column vector lists: the one scan
+    batching, for :meth:`PipelineEngine._source_batches` and
+    :func:`run_task`.
 
     ``pages`` yields one sequence of stored objects per page
-    (:func:`~repro.storage.page.page_items`); the engine's local scan
-    source, the scheduler's (whole scans and orphan re-runs) and the
-    back-end process's all batch here.  Stored aggregation Maps are
+    (:func:`~repro.storage.page.page_items`); stored aggregation Maps are
     expanded into their pairs.  ``columnar`` is the scan's mark
-    (:attr:`~repro.tcap.ir.ScanStmt.array_rows`) and this the one place
-    a row batch is built: a marked scan's page goes through as one
-    :class:`~repro.memory.columnar.RowBatch` — a columnar page's items
-    are one already, a row page's root vector becomes the
-    :class:`~repro.memory.gather.ObjectRows` of the class the mark
-    names — sliced into batches the kernels consume whole.  With
-    ``kernel_rows`` (see :func:`kernel_batch_rows`) columnar pages are not
-    sliced but coalesced: a batch fills with consecutive pages' rows up
-    to ``kernel_rows``, each page's columns copied into the batch's own
-    arrays as it arrives (its pin ends when the next page is asked for);
-    a batch that is one whole page stays a view of it.  Any other page
-    flushes the rows held first, so row order is kept.  Unmarked, any
-    page goes through per row, batches filling across pages.
+    (:attr:`~repro.tcap.ir.ScanStmt.array_rows`), and this the one place
+    a row batch is built.  Batches are sized by what they hold
+    (:mod:`repro.engine.vectors`): a marked scan's columnar pages fill
+    kernel batches of ``ARRAY_BATCH_ROWS`` rows, each page's columns
+    copied into the batch's own arrays as it arrives (its pin ends when
+    the next page is asked for) — a batch that is one whole page stays a
+    view of it; a row page's root vector, as the
+    :class:`~repro.memory.gather.ObjectRows` of the class the mark names,
+    is sliced, and unmarked rows batch across pages, at
+    ``OBJECT_BATCH_ROWS``: those rows are handles into pages.  A page of
+    another kind flushes the rows held first, so row order is kept.
     """
-    chunk = []
-    filling = _KernelBatch(kernel_rows) if kernel_rows and columnar else None
+    chunk, rows = [], vectors.OBJECT_BATCH_ROWS
+    filling = _KernelBatch(vectors.ARRAY_BATCH_ROWS)
     for items in pages:
         if isinstance(columnar, str):
             items = root_rows(items, columnar)
-        if filling is not None:
-            if isinstance(items, ColumnarRows):
-                if chunk:
-                    yield VectorList({column: chunk})
-                    chunk = []
-                for batch in filling.add(items):
-                    yield VectorList({column: batch})
-                continue
-            held = filling.flush()
-            if held is not None:
-                yield VectorList({column: held})
+        if columnar and isinstance(items, ColumnarRows):
+            if chunk:
+                yield VectorList({column: chunk})
+                chunk = []
+            for batch in filling.add(items):
+                yield VectorList({column: batch})
+            continue
+        held = filling.flush()
+        if held is not None:
+            yield VectorList({column: held})
         if columnar and isinstance(items, RowBatch):
             if chunk:
                 yield VectorList({column: chunk})
                 chunk = []
-            for start in range(0, len(items), batch_size):
-                yield VectorList(
-                    {column: items.slice(start, start + batch_size)}
-                )
+            for start in range(0, len(items), rows):
+                yield VectorList({column: items.slice(start, start + rows)})
             continue
         for item in items:
             expanded = _expand_aggregate_object(item)
@@ -465,12 +456,12 @@ def object_batches(pages, column, batch_size, columnar=False,
                 chunk.append(item)
             else:
                 chunk.extend(expanded)
-            if len(chunk) >= batch_size:
+            if len(chunk) >= rows:
                 yield VectorList({column: chunk})
                 chunk = []
     if chunk:
         yield VectorList({column: chunk})
-    held = filling.flush() if filling is not None else None
+    held = filling.flush()
     if held is not None:
         yield VectorList({column: held})
 
@@ -631,6 +622,9 @@ class Sink:
     #: survivor absorbing a lost peer's pages after its own portion
     #: completed.  A property of ``finish()`` only — what ships is plain.
     merge = False
+    #: Rows the stages take at a time (None: any); the engine halves a
+    #: page-writing sink's when a fresh page refuses a cut.
+    fit_rows = None
 
     def __init__(self, engine):
         self.engine = engine
@@ -640,6 +634,8 @@ class Sink:
         return None
 
     def roll_page(self):
+        """Seal the output page a stage filled: True when it was kept
+        (it holds earlier rows), False when it was freed."""
         raise BlockFullError(0, 0)  # sinks without pages cannot recover
 
     def consume(self, batch):
@@ -922,13 +918,16 @@ class ClusterOutputSink(_PageSink):
         super().__init__(engine, output_stmt, page_size, page_set)
         self.writer = private_page_writer(page_size, engine.registry)
         self._values = []
+        self.fit_rows = vectors.OBJECT_BATCH_ROWS
 
     def allocation_block(self):
         return self.writer.block
 
     def roll_page(self):
-        # A stage filled the page: nothing of its batch is recorded yet.
+        # A stage filled the page: nothing of its cut is recorded yet.
+        sealed = len(self.writer.sealed)
         self.writer.flush()
+        return len(self.writer.sealed) > sealed
 
     def consume(self, batch):
         # The writer retries the one object a full page refused on the

@@ -5,25 +5,26 @@ A :class:`VectorList` is an ordered bundle of equal-length named columns
 is sized so that a batch's per-call dispatch is amortised while its
 working set stays small (the paper sizes a vector list to the cache
 rather than processing one row, Volcano style, or one full column,
-materialization style).  There are two batch sizes, one per executor:
+materialization style).  One rule sizes every batch, from what the
+batch holds:
 
-* an *object batch* holds :data:`DEFAULT_BATCH_SIZE` rows.  Every stage
-  runs per row on it, so the size only bounds the working set; it is
-  also the batch of every pipeline whose sink writes pages — what the
-  stages allocate for one batch must fit on one output page, so this is
-  the ``PCCluster(batch_size=)`` users lower when it does not;
 * a *kernel batch* holds up to :data:`ARRAY_BATCH_ROWS` rows of a marked
-  scan over columnar pages, copied out of consecutive pages, whenever
-  the pipeline's sink writes no page.  Each stage is one numpy call over
-  the whole batch, so the per-batch Python cost (a stage call, a vector
-  list copy, one ``np.unique`` in a grouped sum) is what the size
-  amortises.
+  scan over columnar pages, copied out of consecutive pages.  Each stage
+  is one numpy call over the whole batch, so the per-batch Python cost
+  (a stage call, a vector list copy, one ``np.unique`` in a grouped sum)
+  is what the size amortises; the rows are copies, so the batch holds
+  no page;
+* an *object batch* holds :data:`OBJECT_BATCH_ROWS` rows: handles into
+  pages (unmarked rows, a row page's gathered slice, stored columns).
+  Every stage runs per row on it, so the size only bounds the working
+  set — and how many pages the batch keeps reachable.
 
-:data:`ARRAY_BATCH_ROWS` is a constant, not a knob: it is a property of
-the kernels (how many rows amortise their dispatch before the batch's
-copied columns cost more memory than they save time), not of a job or a
-data set, and no result depends on it beyond float reassociation, which
-the kernels' accumulation note (:mod:`repro.engine.kernels`) bounds.
+Neither is a knob: each is a property of its executor, not of a job or
+a data set, and no result depends on either beyond float reassociation
+(bounded by the accumulation note of :mod:`repro.engine.kernels`).
+Whether a batch fits the sink's output page is the engine's business:
+it cuts a batch to what the page takes, halving the cut when an empty
+page refuses it (:meth:`~repro.engine.pipeline.PipelineEngine.run_stages`).
 
 Columns are Python lists on the object path and numpy arrays or
 :class:`~repro.memory.columnar.RowBatch` batches on the array path; the
@@ -34,11 +35,12 @@ report the same ``len``.
 from __future__ import annotations
 
 from repro.errors import ExecutionError
+from repro.memory.columnar import RowBatch
 
-#: Rows per object batch (and per batch of a page-writing pipeline).
-DEFAULT_BATCH_SIZE = 1024
-#: Rows per kernel batch: a columnar scan into a sink that writes no
-#: page.  Swept from 8k to 64k rows in EXPERIMENTS.md.
+#: Rows per object batch, and where a page-writing sink's cut starts.
+OBJECT_BATCH_ROWS = 1024
+#: Rows per kernel batch: a marked columnar scan.  Swept from 8k to 64k
+#: rows in EXPERIMENTS.md.
 ARRAY_BATCH_ROWS = 24576
 
 
@@ -102,6 +104,14 @@ class VectorList:
         out.append_column(name, values)
         return out
 
+    def slice(self, start, stop):
+        """Rows ``start:stop`` of every column (a ``RowBatch`` its own way)."""
+        return VectorList({
+            name: column.slice(start, stop) if isinstance(column, RowBatch)
+            else column[start:stop]
+            for name, column in self._columns.items()
+        })
+
     def names(self):
         return list(self._columns)
 
@@ -109,14 +119,8 @@ class VectorList:
         return "VectorList(%s x %d rows)" % (sorted(self._columns), len(self))
 
 
-def batches_of(column_dict, batch_size=DEFAULT_BATCH_SIZE):
-    """Slice aligned columns into VectorList batches."""
-    names = list(column_dict)
-    if not names:
-        return
-    total = len(column_dict[names[0]])
-    for start in range(0, total, batch_size):
-        yield VectorList({
-            name: column_dict[name][start:start + batch_size]
-            for name in names
-        })
+def batches_of(column_dict):
+    """Aligned columns as :data:`OBJECT_BATCH_ROWS`-row VectorList batches."""
+    columns = VectorList(column_dict)
+    for start in range(0, len(columns), OBJECT_BATCH_ROWS):
+        yield columns.slice(start, start + OBJECT_BATCH_ROWS)

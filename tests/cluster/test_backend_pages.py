@@ -420,8 +420,7 @@ def _run_and_dump(tmp_path, transport, jobs, **cluster_args):
 
 @pytest.mark.parametrize("jobs, cluster_args", [
     (_tpch, dict(page_size=1 << 13)),
-    # (a batch's stage-built output must fit one page: 256 Orders do)
-    (_etl, dict(page_size=1 << 15, batch_size=256)),
+    (_etl, dict(page_size=1 << 15)),
     (_multiply, dict(page_size=1 << 12)),
 ], ids=["tpch", "etl", "multiply"])
 def test_sim_and_process_leave_the_same_page_bytes(tmp_path, jobs,

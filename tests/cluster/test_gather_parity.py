@@ -34,7 +34,7 @@ def _fallbacks(snapshot):
 
 @pytest.mark.parametrize("jobs, cluster_args", [
     (_tpch, dict(page_size=1 << 13)),
-    (_etl, dict(page_size=1 << 15, batch_size=256)),
+    (_etl, dict(page_size=1 << 15)),
 ], ids=["tpch", "etl"])
 def test_kernels_leave_what_the_object_path_leaves(tmp_path, monkeypatch,
                                                    jobs, cluster_args):

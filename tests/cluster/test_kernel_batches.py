@@ -4,10 +4,10 @@ writes no page runs its kernels ``ARRAY_BATCH_ROWS`` rows at a time.
 Each page's columns are copied into the batch as the page arrives (its
 pin ends when the next one is asked for), so a batch fills across page
 boundaries — a page may be split between two batches — and a task's
-batch count is ⌈task rows ÷ ARRAY_BATCH_ROWS⌉.  A pipeline whose sink
-writes pages keeps ``batch_size`` slicing: what its stages allocate for
-one batch must fit on one output page.  Values are dyadic, so float sums
-are exact on both paths and equality is equality.
+batch count is ⌈task rows ÷ ARRAY_BATCH_ROWS⌉, whatever the sink.  A
+sink that writes pages takes each batch in cuts of what its output page
+holds.  Values are dyadic, so float sums are exact on both paths and
+equality is equality.
 
 The two named bugs are the grouped-sum kernel's accumulator: it summed
 at the column's width, so an ``Int32`` sum wrapped where the object path
@@ -34,8 +34,9 @@ from repro.core import (
     lambda_from_member,
     lambda_from_native,
 )
+from repro.engine import vectors
 from repro.engine.pipeline import object_batches
-from repro.engine.vectors import ARRAY_BATCH_ROWS
+from repro.engine.vectors import ARRAY_BATCH_ROWS, OBJECT_BATCH_ROWS
 from repro.errors import ExecutionError
 from repro.memory import Float32, Float64, Int32, Int64, PCObject, make_object
 from repro.memory.columnar import ColumnarPage, ColumnarRows, DetachedRow
@@ -159,27 +160,53 @@ def test_coalesced_aggregation_equals_the_object_path(tmp_path, transport):
     assert as_bytes(results[True]) == as_bytes(results[False])
 
 
+def stored_pages(cluster, set_name):
+    """``{worker id: [page bytes]}`` of a set, in page order."""
+    pages = {}
+    for worker in cluster.workers:
+        page_set = worker.storage.get_set("db", set_name)
+        for page_id in page_set.page_ids:
+            with page_set.pinned_page(page_id) as page:
+                pages.setdefault(worker.worker_id, []).append(
+                    page.block.to_bytes()
+                )
+    return pages
+
+
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_page_writing_pipeline_keeps_batch_size(tmp_path, transport):
-    batch_size = 16
-    with make_cluster(tmp_path, "writer", transport,
-                      batch_size=batch_size) as cluster:
-        load(cluster)
-        cluster.create_set("db", "low", Reading)
-        Writer("db", "low").set_input(
-            Rebuild().set_input(ObjectReader("db", "readings"))
-        ).execute(cluster)
-        tasks = scan_tasks(cluster)
-        for worker in cluster.workers:
-            pages = page_rows(cluster, worker.worker_id)
-            # Batches never cross a page: each is sliced at batch_size.
-            assert tasks[worker.worker_id].counters["engine.batches"] == \
-                sum(math.ceil(rows / batch_size) for rows in pages)
-        low = sorted((h.k, h.x) for h in cluster.read("db", "low"))
+def test_page_writing_pipeline_cuts_kernel_batches(tmp_path, transport):
+    # Parent: a page-writing pipeline sliced each page at ``batch_size``,
+    # which this test set to 16 (a coalesced batch overflowed a 4 KiB
+    # output page).  Now the sink takes the kernel batches in cuts, halved
+    # until an empty page takes one: the cuts, the pages and the zombie
+    # pages are the object path's, whose 1,024-row batches cut the same.
+    written = {}
+    for columnar in (True, False):
+        with make_cluster(tmp_path, str(columnar), transport) as cluster:
+            load(cluster)
+            cluster.create_set("db", "low", Reading)
+            cluster.execute_computations(Writer("db", "low").set_input(
+                Rebuild().set_input(ObjectReader("db", "readings"))
+            ), columnar=columnar)
+            tasks = scan_tasks(cluster)
+            cuts = {}
+            for worker in cluster.workers:
+                counters = tasks[worker.worker_id].counters
+                rows = sum(page_rows(cluster, worker.worker_id))
+                assert counters["engine.rows_in"] == rows > ARRAY_BATCH_ROWS
+                cuts[worker.worker_id] = counters["engine.batches"]
+                assert cuts[worker.worker_id] > \
+                    math.ceil(rows / OBJECT_BATCH_ROWS)
+            written[columnar] = (
+                cuts, stored_pages(cluster, "low"),
+                cluster.metrics().value("pc_engine_zombie_pages_total"),
+                sorted((h.k, h.x) for h in cluster.read("db", "low")),
+            )
+    assert written[True] == written[False]
     index = np.arange(ROWS)
     x = (index % 1000) / 8.0
-    assert low == sorted(zip((index % 7)[x < 64.0].tolist(),
-                             x[x < 64.0].tolist()))
+    assert written[True][3] == sorted(zip((index % 7)[x < 64.0].tolist(),
+                                          x[x < 64.0].tolist()))
 
 
 def _page(start, count, page_size=1 << 12):
@@ -189,16 +216,15 @@ def _page(start, count, page_size=1 << 12):
     ).rows()
 
 
-def test_a_row_page_mid_scan_flushes_the_rows_held():
+def test_a_row_page_mid_scan_flushes_the_rows_held(monkeypatch):
     # An orphan re-run can hand a marked scan a page of plain rows: the
     # columnar rows held so far go first, the plain rows before any
     # later page's, so row order is kept.
     plain = [DetachedRow(("k", "x"), (index % 7, index / 8.0))
              for index in range(100, 130)]
     pages = [_page(0, 60), _page(60, 40), plain, _page(130, 50)]
-    batches = list(object_batches(
-        pages, "rows", 1024, columnar=True, kernel_rows=48,
-    ))
+    monkeypatch.setattr(vectors, "ARRAY_BATCH_ROWS", 48)
+    batches = list(object_batches(pages, "rows", columnar=True))
     columns = [batch.column("rows") for batch in batches]
     assert [len(column) for column in columns] == [48, 48, 4, 30, 48, 2]
     assert all(isinstance(columns[i], ColumnarRows) for i in (0, 1, 2, 4))
@@ -209,13 +235,14 @@ def test_a_row_page_mid_scan_flushes_the_rows_held():
     ]
 
 
-def test_pages_split_between_batches_and_a_full_page_stays_a_view():
+def test_pages_split_between_batches_and_a_full_page_stays_a_view(
+        monkeypatch):
     pages = [_page(0, 5), _page(5, 7), _page(12, 3), _page(15, 5),
              _page(20, 2)]
+    monkeypatch.setattr(vectors, "ARRAY_BATCH_ROWS", 5)
     batches = [
-        batch.column("rows") for batch in object_batches(
-            pages, "rows", 1024, columnar=True, kernel_rows=5,
-        )
+        batch.column("rows")
+        for batch in object_batches(pages, "rows", columnar=True)
     ]
     assert [len(batch) for batch in batches] == [5, 5, 5, 5, 2]
     assert [row.as_tuple()[1] * 8 for batch in batches for row in batch] \

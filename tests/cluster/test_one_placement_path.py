@@ -27,7 +27,7 @@ from repro.errors import (
     PageCorruptionError,
     TransferDroppedError,
 )
-from repro.memory import make_object
+from repro.memory import Float64, PCObject, VectorType, make_object
 
 from test_fault_tolerance import Point, SumX, fast_policy
 from test_one_write_path import TRANSPORTS
@@ -44,7 +44,7 @@ class Rebuild(SelectionComp):
 
 def make_cluster(tmp_path, injector=None, transport="sim", **policy):
     return PCCluster(
-        n_workers=3, page_size=1 << 12, batch_size=16,
+        n_workers=3, page_size=1 << 12,
         spill_root=str(tmp_path), transport=transport,
         fault_injector=injector,
         retry_policy=fast_policy(FakeClock(), **policy),
@@ -215,18 +215,46 @@ def test_failed_evacuation_under_an_absorb_loses_nothing(tmp_path,
 # -- a batch no page can hold ------------------------------------------------------------
 
 
-def test_batch_that_fits_no_empty_page_says_so(tmp_path, schema_of):
-    # Parent: "allocation of 32 bytes does not fit (only 8 bytes free)".
+def test_a_batch_no_empty_page_takes_is_cut_in_half(tmp_path, schema_of):
+    # Parent: "what the stages allocate for one batch of 200 rows does not
+    # fit on an empty 4096-byte output page (...): lower batch_size or
+    # raise the set's page_size".
     with PCCluster(n_workers=1, page_size=1 << 12,
                    spill_root=str(tmp_path), transport="sim") as cluster:
         load(cluster, n=200, replication=1, schema=schema_of(Point))
-        with pytest.raises(ExecutionError) as failure:
-            copy_points(cluster, replication=1, schema=schema_of(Point))
-        message = str(failure.value)
-        assert "200 rows" in message and "4096-byte" in message
-        assert "batch_size" in message and "page_size" in message
-        assert counts(cluster, "db", "copy") == (0, 0)
+        copy_points(cluster, replication=1, schema=schema_of(Point))
+        assert pids(cluster, "copy") == list(range(200))
+        assert counts(cluster, "db", "copy") == (200, 200)
         assert_every_page_is_named_once(cluster, "db", "copy")
+
+
+class Blob(PCObject):
+    fields = [("values", VectorType(Float64))]
+
+
+class Bloat(SelectionComp):
+    """Every point as a Blob larger than an empty 4 KiB page."""
+
+    def get_projection(self, arg):
+        return lambda_from_native(
+            [arg], lambda p: make_object(Blob, values=[p.x] * 600)
+        )
+
+
+def test_a_row_no_empty_page_takes_names_the_page_size(tmp_path, schema_of):
+    with PCCluster(n_workers=1, page_size=1 << 12,
+                   spill_root=str(tmp_path), transport="sim") as cluster:
+        load(cluster, n=200, replication=1, schema=schema_of(Point))
+        cluster.create_set("db", "blobs", Blob, replication=1)
+        with pytest.raises(ExecutionError) as failure:
+            Writer("db", "blobs").set_input(
+                Bloat().set_input(ObjectReader("db", "points"))
+            ).execute(cluster)
+        message = str(failure.value)
+        assert "one row" in message and "4096-byte" in message
+        assert "page_size" in message and "batch_size" not in message
+        assert counts(cluster, "db", "blobs") == (0, 0)
+        assert_every_page_is_named_once(cluster, "db", "blobs")
 
 
 # -- every transfer of the sequence, dropped and corrupted in turn --------------------

@@ -28,8 +28,9 @@ from repro.memory import (
     String,
     VectorType,
     make_object,
+    use_allocation_block,
 )
-from repro.storage.dataset import RowPageWriter
+from repro.storage.dataset import RowPageWriter, private_page_writer
 from repro.storage.page import page_items
 
 TRANSPORTS = [
@@ -144,8 +145,9 @@ def test_page_filling_in_a_stage_reruns_the_batch_once(tmp_path, transport):
     # The roll happens while user code allocates: nothing of the batch is
     # recorded yet, so the engine seals the page (a zombie page: it keeps
     # the failed attempt's objects as dead space) and re-runs the batch.
-    # (A batch's objects must fit one page: 100 rows of ~125 bytes.)
-    with make_cluster(tmp_path, transport, batch_size=100) as cluster:
+    # (Parent: a batch's objects had to fit one page, so this test set
+    # 100 rows a batch; now the first cut an empty page refuses halves.)
+    with make_cluster(tmp_path, transport) as cluster:
         load_points(cluster, 2000)
         select_into(cluster, Rebuild(), "rebuilt", page_size=1 << 16)
         assert_each_point_once(cluster, "rebuilt", 2000)
@@ -156,6 +158,51 @@ def test_page_filling_in_a_stage_reruns_the_batch_once(tmp_path, transport):
         assert zombies == len(pages) - 1 > 0
         assert cluster.metrics().value("pc_engine_pages_written_total") \
             == len(pages)
+
+
+def clean_page_bytes(registry, points):
+    """The bytes of a page on which ``points`` — ``(point_id, label,
+    features)`` — are rebuilt in place and recorded, and nothing else."""
+    writer = private_page_writer(1 << 12, registry)
+    with use_allocation_block(writer.block):
+        handles = [
+            make_object(DataPoint, point_id=point_id, label=label,
+                        features=features)
+            for point_id, label, features in points
+        ]
+    for handle in handles:
+        writer.append_object(handle)
+    del handles
+    writer.flush()
+    [(data, _checksum, _allocations, _count)] = writer.sealed
+    return len(data)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_zombie_pages_are_the_kept_pages_with_dead_space(tmp_path, transport):
+    # Parent: every roll counted a zombie page, also one that sealed a page
+    # with nothing recorded on it (freed, not kept) — which each cut an
+    # empty page refuses now does.
+    with make_cluster(tmp_path, transport, n_workers=2) as cluster:
+        load_points(cluster, 300)
+        select_into(cluster, Rebuild(), "rebuilt", page_size=1 << 12)
+        assert_each_point_once(cluster, "rebuilt", 300)
+        registry = cluster.catalog.registry
+        dead = 0
+        for worker in cluster.workers:
+            page_set = worker.storage.get_set("db", "rebuilt")
+            for page_id in page_set.page_ids:
+                with page_set.pinned_page(page_id) as page:
+                    points = [
+                        (p.point_id, str(p.label), list(p.features))
+                        for p in page_items(page.block)
+                    ]
+                    used = len(page.block.to_bytes())
+                dead += used > clean_page_bytes(registry, points)
+        zombies = cluster.metrics().value("pc_engine_zombie_pages_total")
+        print("%s: %d zombie pages of %d" % (
+            transport, zombies, len(output_pages(cluster, "rebuilt"))))
+        assert zombies == dead > 0
 
 
 @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")

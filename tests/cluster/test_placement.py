@@ -59,8 +59,7 @@ def _delta(cluster, job):
     }
 
 
-JOB_KEYS = {"program", "build_sides", "batch_size", "profiling", "tracing",
-            "registry"}
+JOB_KEYS = {"program", "build_sides", "profiling", "tracing", "registry"}
 SPEC_KEYS = {"worker_id", "stages", "source", "sink", "hash_tables",
              "trace_ctx"}
 

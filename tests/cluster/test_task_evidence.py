@@ -158,7 +158,7 @@ class Item(PCObject):
 
 
 def _poisoned(item):
-    if item.n == 150:
+    if item.n == 2500:
         raise ValueError("poisoned item")
     return item.n
 
@@ -178,14 +178,14 @@ def test_failing_body_books_the_same_evidence_on_both_transports(tmp_path,
         root.mkdir()
         cluster = PCCluster(
             n_workers=1, page_size=1 << 12, spill_root=str(root),
-            transport=transport, profiling=True, batch_size=16,
+            transport=transport, profiling=True,
             retry_policy=RetryPolicy.disabled(),
         )
         try:
             cluster.create_database("db")
             cluster.create_set("db", "items", Item, schema=schema_of(Item))
             with cluster.loader("db", "items") as load:
-                for n in range(400):
+                for n in range(4000):
                     load.append(Item, n=n)
             with pytest.raises(ExecutionError, match="poisoned item"):
                 Writer("db", "out").set_input(
@@ -200,14 +200,15 @@ def test_failing_body_books_the_same_evidence_on_both_transports(tmp_path,
             cluster.close()
 
     sim, proc = run("sim"), run("process")
-    # Ten batches went in before the one holding item 150 raised.
-    assert sim.value("pc_engine_rows_in_total") == 160
-    assert sim.value("pc_engine_batches_total") == 10
+    # Three 1,024-row batches went in, the third holding item 2,500,
+    # which raised; the fourth never did.
+    assert sim.value("pc_engine_rows_in_total") == 3 * 1024
+    assert sim.value("pc_engine_batches_total") == 3
     assert _engine_totals(proc) == _engine_totals(sim)
-    # (the selection's apply and its filter saw the tenth batch; the
+    # (the selection's apply and its filter saw the third batch; the
     # projection's apply raised inside it)
     assert _by_operator(sim, "pc_op_rows_total") == \
-        {"apply": 160 + 144, "filter": 160}
+        {"apply": 3 * 1024 + 2 * 1024, "filter": 3 * 1024}
     for family in ("pc_op_rows_total", "pc_op_seconds"):
         assert _by_operator(proc, family) == _by_operator(sim, family), family
 

@@ -1,11 +1,12 @@
 """Property-based differential tests: pipelined engine vs interpreter.
 
-For randomly generated predicates, projections, join keys, and batch
-sizes, the optimized vectorized pipeline engine must agree exactly with
+For randomly generated predicates, projections, join keys, and rows per
+batch, the optimized vectorized pipeline engine must agree exactly with
 the unoptimized reference interpreter — the strongest statement that
 TCAP optimization and physical planning preserve semantics.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from repro.core import (
     lambda_from_member,
     lambda_from_native,
 )
-from repro.engine import LocalInterpreter, run_local
+from repro.engine import LocalInterpreter, run_local, vectors
 from repro.memory.types import Int64
 from repro.tcap import compile_computations
 
@@ -37,7 +38,15 @@ rows = st.lists(
 ).map(lambda pairs: [Row(k, v) for k, v in pairs])
 
 thresholds = st.integers(-40, 40)
-batch_sizes = st.sampled_from([1, 3, 17, 1024])
+batch_rows = st.sampled_from([1, 3, 17, 1024])
+
+
+def run_in_batches_of(rows, graph, sources, **kwargs):
+    """``run_local`` with ``rows`` rows to a batch (the engine constant
+    patched: a hypothesis example cannot take a function-scoped fixture)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vectors, "OBJECT_BATCH_ROWS", rows)
+        return run_local(graph, sources, **kwargs)
 
 
 def _mk_selection(threshold):
@@ -52,8 +61,8 @@ def _mk_selection(threshold):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows, thresholds, batch_sizes)
-def test_selection_engine_matches_interpreter(data, threshold, batch_size):
+@given(rows, thresholds, batch_rows)
+def test_selection_engine_matches_interpreter(data, threshold, per_batch):
     def graph():
         return Writer("db", "out").set_input(
             _mk_selection(threshold).set_input(ObjectReader("db", "xs"))
@@ -63,7 +72,7 @@ def test_selection_engine_matches_interpreter(data, threshold, batch_size):
     reference = LocalInterpreter(
         compile_computations(graph()), sources
     ).run().get(("db", "out"), [])
-    outputs, _p, _m = run_local(graph(), sources, batch_size=batch_size)
+    outputs, _p, _m = run_in_batches_of(per_batch, graph(), sources)
     assert outputs.get(("db", "out"), []) == reference
     assert reference == [
         (r.key, r.value) for r in data if r.value > threshold
@@ -82,8 +91,8 @@ class KeyJoin(JoinComp):
 
 
 @settings(max_examples=30, deadline=None)
-@given(rows, rows, batch_sizes, st.booleans())
-def test_join_engine_matches_interpreter(left, right, batch_size, flip):
+@given(rows, rows, batch_rows, st.booleans())
+def test_join_engine_matches_interpreter(left, right, per_batch, flip):
     def graph():
         join = KeyJoin()
         join.set_input(0, ObjectReader("db", "l"))
@@ -103,9 +112,8 @@ def test_join_engine_matches_interpreter(left, right, batch_size, flip):
             s for s in program.statements if isinstance(s, JoinStmt)
         )
         overrides = {join_stmt.output: "left"}
-    outputs, _p, _m = run_local(
-        graph(), sources, batch_size=batch_size,
-        build_side_overrides=overrides,
+    outputs, _p, _m = run_in_batches_of(
+        per_batch, graph(), sources, build_side_overrides=overrides,
     )
     assert sorted(outputs.get(("db", "out"), [])) == reference
     expected = sorted(
@@ -127,8 +135,8 @@ class SumByKey(AggregateComp):
 
 
 @settings(max_examples=30, deadline=None)
-@given(rows, batch_sizes)
-def test_aggregation_engine_matches_interpreter(data, batch_size):
+@given(rows, batch_rows)
+def test_aggregation_engine_matches_interpreter(data, per_batch):
     def graph():
         return Writer("db", "out").set_input(
             SumByKey().set_input(ObjectReader("db", "xs"))
@@ -139,7 +147,7 @@ def test_aggregation_engine_matches_interpreter(data, batch_size):
         LocalInterpreter(compile_computations(graph()), sources)
         .run().get(("db", "out"), [])
     )
-    outputs, _p, _m = run_local(graph(), sources, batch_size=batch_size)
+    outputs, _p, _m = run_in_batches_of(per_batch, graph(), sources)
     assert dict(outputs.get(("db", "out"), [])) == reference
     expected = {}
     for row in data:

@@ -17,7 +17,7 @@ from repro.core import (
     lambda_from_method,
     lambda_from_native,
 )
-from repro.engine import LocalInterpreter, plan_pipelines, run_local
+from repro.engine import LocalInterpreter, plan_pipelines, run_local, vectors
 from repro.engine.physical import SINK_AGGREGATE, SINK_HASH_BUILD
 from repro.memory.types import Float64, Int64
 from repro.tcap import compile_computations
@@ -94,9 +94,10 @@ def test_pipeline_engine_matches_interpreter_on_join_aggregate():
     assert metrics.batches > 0
 
 
-@pytest.mark.parametrize("batch_size", [1, 3, 7, 1024])
-def test_batch_size_does_not_change_results(batch_size):
-    outputs, _p, _m = run_local(_graph(), SOURCES, batch_size=batch_size)
+@pytest.mark.parametrize("rows", [1, 3, 7, 1024])
+def test_batch_rows_do_not_change_results(rows, monkeypatch):
+    monkeypatch.setattr(vectors, "OBJECT_BATCH_ROWS", rows)
+    outputs, _p, _m = run_local(_graph(), SOURCES)
     result = dict(outputs[("db", "by_region")])
     totals = {}
     for customer in CUSTOMERS:
@@ -144,10 +145,11 @@ def test_build_side_override_changes_plan():
     assert flipped.build_sides != default_plan.build_sides
 
 
-def test_selection_only_pipeline():
+def test_selection_only_pipeline(monkeypatch):
+    monkeypatch.setattr(vectors, "OBJECT_BATCH_ROWS", 8)
     reader = ObjectReader("db", "orders")
     writer = Writer("db", "big").set_input(BigOrders().set_input(reader))
-    outputs, _p, metrics = run_local(writer, SOURCES, batch_size=8)
+    outputs, _p, metrics = run_local(writer, SOURCES)
     expected = [o.order_id for o in ORDERS if o.total > 100.0]
     assert outputs[("db", "big")] == expected
     assert metrics.batches == (len(ORDERS) + 7) // 8
@@ -165,7 +167,9 @@ def test_multi_consumer_materializes():
     assert any(p.sink_kind == "materialize" for p in plan)
 
 
-def test_flatten_through_pipeline():
+def test_flatten_through_pipeline(monkeypatch):
+    monkeypatch.setattr(vectors, "OBJECT_BATCH_ROWS", 10)
+
     class Explode(MultiSelectionComp):
         def get_projection(self, arg):
             return lambda_from_native(
@@ -174,7 +178,7 @@ def test_flatten_through_pipeline():
 
     reader = ObjectReader("db", "orders")
     writer = Writer("db", "x").set_input(Explode().set_input(reader))
-    outputs, _p, _m = run_local(writer, SOURCES, batch_size=10)
+    outputs, _p, _m = run_local(writer, SOURCES)
     expected = []
     for order in ORDERS:
         expected.extend([order.order_id] * (order.order_id % 3))

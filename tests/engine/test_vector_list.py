@@ -10,8 +10,10 @@ every write, not just at construction.
 import numpy as np
 import pytest
 
-from repro.engine.vectors import DEFAULT_BATCH_SIZE, VectorList, batches_of
+from repro.engine import vectors
+from repro.engine.vectors import VectorList, batches_of
 from repro.errors import ExecutionError
+from repro.memory.columnar import ColumnarRows
 
 
 def test_constructor_rejects_ragged_columns():
@@ -81,10 +83,24 @@ def test_numpy_columns_satisfy_the_len_contract():
         batch.append_column("c", np.zeros(5))
 
 
-def test_batches_of_slices_aligned_columns():
+def test_batches_of_slices_aligned_columns(monkeypatch):
+    assert vectors.OBJECT_BATCH_ROWS == 1024
+    monkeypatch.setattr(vectors, "OBJECT_BATCH_ROWS", 4)
     columns = {"a": list(range(10)), "b": list(range(10, 20))}
-    batches = list(batches_of(columns, batch_size=4))
+    batches = list(batches_of(columns))
     assert [len(b) for b in batches] == [4, 4, 2]
     assert batches[-1].column("b") == [18, 19]
     assert list(batches_of({})) == []
-    assert DEFAULT_BATCH_SIZE == 1024
+
+
+def test_slice_cuts_every_column_its_own_way():
+    rows = ColumnarRows.copied({"k": np.arange(6), "x": np.arange(6) / 2.0})
+    batch = VectorList({"rows": rows, "a": list(range(6)),
+                        "n": np.arange(6) * 10})
+    cut = batch.slice(2, 5)
+    assert len(cut) == 3 and cut.names() == batch.names()
+    assert isinstance(cut.column("rows"), ColumnarRows)
+    assert cut.column("rows").column("k").tolist() == [2, 3, 4]
+    assert cut.column("a") == [2, 3, 4]
+    assert cut.column("n").tolist() == [20, 30, 40]
+    assert len(batch.slice(4, 100)) == 2 and len(batch) == 6

@@ -22,7 +22,7 @@ from repro.core import (
     Writer,
     lambda_from_native,
 )
-from repro.engine import PipelineEngine, plan_pipelines
+from repro.engine import PipelineEngine, plan_pipelines, vectors
 from repro.engine.pipeline import object_batches
 from repro.errors import DanglingHandleError
 from repro.memory import (
@@ -79,9 +79,10 @@ def customer_page(n=12, size=1 << 18, seed=5, block=None):
     return block, page_items(block)
 
 
-def run_explode(block, marked=True, batch_size=None):
+def run_explode(block, marked=True, rows=None):
     """The customers-per-supplier projection over the page, through the
-    engine; returns ``(pieces or the exception raised, engine metrics)``."""
+    engine — ``rows`` to a batch, if given; returns ``(pieces or the
+    exception raised, engine metrics)``."""
     program = compile_computations(Writer("db", "out").set_input(
         CustomerMultiSelection().set_input(ObjectReader("db", "customers"))
     ))
@@ -90,21 +91,23 @@ def run_explode(block, marked=True, batch_size=None):
         assert mark_columnar(program, lambda db, name: Customer) == 4
     engine = PipelineEngine(
         program, plan_pipelines(program), lambda scan: page_items(block),
-        batch_size=batch_size,
     )
-    try:
-        outcome = engine.run()[("db", "out")]
-    except Exception as error:  # noqa: BLE001 - compared with the other path's
-        outcome = error
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(vectors, "OBJECT_BATCH_ROWS", rows)
+        try:
+            outcome = engine.run()[("db", "out")]
+        except Exception as error:  # noqa: BLE001 - compared with the other path's
+            outcome = error
     return outcome, engine.metrics
 
 
-def assert_parity(block, reason, batch_size=None):
+def assert_parity(block, reason, rows=None):
     """Marked and unmarked runs agree — on the result, or on the
     exception and its message (which names the row's offset) — and the
     marked one counted one fallback per batch under ``reason``."""
-    expected, plain = run_explode(block, marked=False, batch_size=batch_size)
-    outcome, metrics = run_explode(block, batch_size=batch_size)
+    expected, plain = run_explode(block, marked=False, rows=rows)
+    outcome, metrics = run_explode(block, rows=rows)
     assert plain.kernel_fallbacks == {} and plain.gather_rows == 0
     if isinstance(expected, Exception):
         assert type(outcome) is type(expected)
@@ -191,7 +194,7 @@ def test_clean_page_is_all_gather_rows():
     block, _root = customer_page()
     pieces = assert_parity(block, None)
     assert len(pieces) > 12
-    assert_parity(block, None, batch_size=5)
+    assert_parity(block, None, rows=5)
 
 
 def test_freed_customer_raises_at_its_row():
@@ -201,7 +204,7 @@ def test_freed_customer_raises_at_its_row():
     assert isinstance(outcome, DanglingHandleError)
     assert str(root[7].offset) in str(outcome)
     # Batches before the freed row's still gather.
-    _outcome, metrics = run_explode(block, batch_size=4)
+    _outcome, metrics = run_explode(block, rows=4)
     if not SANITIZED:
         assert metrics.kernel_fallbacks == {("apply", "null_or_dangling"): 1}
         assert metrics.gather_rows == 3 * 4 + 2 * 4
@@ -335,7 +338,7 @@ def _explode_under_a_freed_page(pool):
 
     def batches():
         for batch in object_batches(
-            [page_items(page.block)], pipeline.source.column, 1024,
+            [page_items(page.block)], pipeline.source.column,
             columnar=pipeline.source.array_rows,
         ):
             pool.unpin(page.page_id)
