@@ -553,7 +553,6 @@ ARCHITECTURE = {
         "_run_worker_tasks": (
             "repro.cluster.scheduler.DistributedScheduler"
             "._run_distributed_pipeline",
-            "repro.cluster.scheduler.DistributedScheduler._run_orphan_pages",
         ),
         "row_messages": (
             "repro.engine.pipeline.HashBuildSink.seal",
@@ -594,19 +593,19 @@ ARCHITECTURE = {
         "retain": "memory",
     },
     "ceilings": {
-        "repro/cluster/scheduler.py": 1147,
+        "repro/cluster/scheduler.py": 1020,
         "repro/cluster/transport.py": 762,
-        "repro/cluster/cluster.py": 820,
+        "repro/cluster/cluster.py": 816,
         "repro/cluster/procworker.py": 285,
         "repro/cluster/worker.py": 204,
-        "repro/storage/replication.py": 477,
+        "repro/storage/replication.py": 467,
         "repro/storage/dataset.py": 419,
-        "repro/engine/pipeline.py": 983,
+        "repro/engine/pipeline.py": 961,
         "repro/memory/gather.py": 552,
         "repro/memory/scatter.py": 844,
         "repro/ml/kmeans_columnar.py": 164,
         "repro/obs": 1999,
-        "repro/analysis": 1334,
+        "repro/analysis": 1333,
     },
 }
 

@@ -94,10 +94,6 @@ class _FaultCounters:
             "pc_faults_workers_blacklisted_total",
             help="Workers decommissioned after exhausting retries",
         )
-        self.workers_absorbed = metrics.counter(
-            "pc_faults_workers_absorbed_total",
-            help="Lost workers whose stage portion survivors absorbed",
-        )
         self.workers_killed = metrics.counter(
             "pc_faults_workers_killed_total",
             help="Workers lost entirely (front-end storage included)",

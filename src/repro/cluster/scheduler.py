@@ -47,9 +47,11 @@ no back-end holds any of it, so a re-fork — at a stage boundary or
 between two tasks of one stage — loses none.  A worker that exhausts its
 attempts either fails the job with an
 :class:`~repro.errors.ExecutionError` naming the stage and worker, or —
-when the policy allows blacklisting — is decommissioned: its durable
-partitions are redistributed to the surviving workers and the job
-restarts over them.
+when the policy allows blacklisting — is lost: the one response is a
+restart.  Its durable partitions are redistributed to the surviving
+workers and the job re-runs from the top over them.  A run records its
+output only once the whole plan is through, so a restart or a failure
+drops what the run wrote and nothing that earlier jobs did.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ from repro.memory.builtins import MapType
 from repro.obs.evidence import book_task_evidence
 from repro.obs.tracer import Span
 from repro.storage.page import page_items, register_root_type
-from repro.tcap.ir import ApplyStmt, JoinStmt, OutputStmt
+from repro.tcap.ir import ApplyStmt, JoinStmt
 
 #: Scaled stand-in for the paper's 2 GB broadcast-join threshold.
 DEFAULT_BROADCAST_THRESHOLD = 8 << 20
@@ -191,11 +193,18 @@ class DistributedScheduler:
                     MapType(comp.key_type, comp.value_type)
                 )
         while True:
+            #: (database, set) -> worker id -> the OUTPUT sinks built there
+            self._outputs = {}
             try:
                 self._execute_plan()
+                self._commit_outputs()
                 return self.job_log
             except WorkerLostError as lost:
+                self._abort_outputs()
                 self._degrade(lost)
+            except BaseException:
+                self._abort_outputs()
+                raise
 
     def _execute_plan(self):
         for pipeline in self.plan:
@@ -211,6 +220,39 @@ class DistributedScheduler:
                 raise ExecutionError(
                     "unschedulable sink %r" % pipeline.sink_kind
                 )
+
+    def _commit_outputs(self):
+        """Make the run's output durable, once the whole plan is through.
+
+        What every OUTPUT sink adopted is copied to the ring replicas
+        and recorded in one :meth:`place_pages` call, then its Python
+        values join the set's.  Until then no record names a page of
+        this run, so a scan in the job reads every set as it was before
+        the job, and a run that fails or restarts is undone by
+        :meth:`_abort_outputs` alone — whatever earlier jobs wrote to
+        the same sets stays.
+        """
+        self.cluster.replication.place_pages({
+            key: [
+                (worker_id, *page) for worker_id, built in sinks.items()
+                for sink in built for page in sink.adopted
+            ]
+            for key, sinks in self._outputs.items()
+        })
+        outputs, self._outputs = self._outputs, {}
+        for key, sinks in outputs.items():
+            python = self.cluster.python_outputs.setdefault(key, [])
+            for built in sinks.values():
+                for sink in built:
+                    python.extend(sink.python)
+
+    def _abort_outputs(self):
+        """Free every page the run's OUTPUT sinks adopted (none is
+        recorded yet) and take their objects back off the counts."""
+        for sinks in self._outputs.values():
+            for built in sinks.values():
+                for sink in built:
+                    sink.abort()
 
     # -- fault recovery -----------------------------------------------------------------
 
@@ -267,7 +309,6 @@ class DistributedScheduler:
         since submit; either way the outcome is ``(sink state,
         evidence)`` and is installed and booked under this worker's task
         span, so engine counters and remote spans are attributed to it.
-        Returns the finished sink.
         """
         policy = self.retry_policy
         stage = self._current_stage
@@ -318,7 +359,7 @@ class DistributedScheduler:
                     attempt.release()
                 if attempts > 1:
                     self.fault_metrics.tasks_recovered.inc()
-                return attempt.sink
+                return
             except WorkerCrashError as crash:
                 self.fault_metrics.backend_crashes.inc()
                 attempt.sink.abort()
@@ -336,61 +377,40 @@ class DistributedScheduler:
                 attempts += 1
                 attempt = self._submit_attempt(worker, make_attempt)
 
-    def _run_worker_tasks(self, items, on_lost=None):
+    def _run_worker_tasks(self, items):
         """Run per-worker attempts through the one submit/await loop.
 
         ``items`` is a list of ``(worker, make_attempt)`` pairs.  An
         in-process back-end does a submitted attempt's work when it is
         awaited, so each worker is settled before the next is submitted
-        — the simulator's strict worker order, including mid-loop
-        blacklist checks and immediate loss handling.  Process back-ends
-        work from submit on, so every worker's first attempt is
-        submitted up front and all are settled afterwards, in order;
-        losses are then handled *after* all awaits finish, because
-        already-submitted survivors snapshot their sources at submit
-        time and cannot pick up orphans mid-flight.
-
-        ``on_lost(worker, lost, done)`` absorbs a lost worker or
-        re-raises; without it the loss propagates immediately.  Returns
-        ``{worker_id: sink}``: the finished sink of every worker that
-        completed its portion.
+        — the simulator's strict worker order.  Process back-ends work
+        from submit on, so every worker's first attempt is submitted up
+        front and all are settled afterwards, in order.  A lost worker
+        restarts the job (:meth:`execute`), but only once every attempt
+        submitted beside it has been awaited: no child is left owing a
+        result.
         """
         overlap = any(
             getattr(worker.backend, "asynchronous", False)
             for worker in self.workers
         )
-        done, pending = {}, []
+        pending = []
 
         def settle():
-            losses = []
+            lost = None
             for worker, make_attempt, attempt in pending:
                 try:
-                    done[worker.worker_id] = self._await_attempt(
-                        worker, make_attempt, attempt
-                    )
-                except WorkerLostError as lost:
-                    if on_lost is None:
-                        raise
-                    losses.append((worker, lost))
+                    self._await_attempt(worker, make_attempt, attempt)
+                except WorkerLostError as error:
+                    # The first loss restarts the job; a worker lost
+                    # beside it is tried again by the restart.
+                    lost = lost or error
             del pending[:]
-            for worker, lost in losses:
-                # _fail_permanently's surviving-workers check ran against
-                # the cluster as it stood at await time; earlier entries
-                # in this loop may have decommissioned workers since.
-                # Re-check the floor before each loss is absorbed.
-                floor = self.retry_policy.min_surviving_workers
-                if len(self.workers) - 1 < floor:
-                    raise ExecutionError(
-                        "worker %s lost (%s), but decommissioning it would "
-                        "leave fewer than %d surviving worker(s)"
-                        % (lost.worker_id, lost.reason, floor)
-                    ) from lost
-                on_lost(worker, lost, done)
+            if lost is not None:
+                raise lost
 
         try:
             for worker, make_attempt in items:
-                if worker.worker_id in self.cluster.blacklist:
-                    continue
                 pending.append((
                     worker, make_attempt,
                     self._submit_attempt(worker, make_attempt),
@@ -403,7 +423,6 @@ class DistributedScheduler:
             # it; drop their export pins too (release is once-only).
             for _worker, _make_attempt, attempt in pending:
                 attempt.release()
-        return done
 
     def _fail_permanently(self, worker, stage, attempts, crash, timed_out):
         """A worker task is out of retries: blacklist or fail the job."""
@@ -432,9 +451,9 @@ class DistributedScheduler:
 
         Graceful degradation: the dead worker's durable partitions are
         redistributed to its peers (the front-end storage survives the
-        back-end, so pages move as verbatim bytes), this job's partial
-        outputs are cleared, and the stage loop re-runs from the top over
-        the surviving workers.
+        back-end, so pages move as verbatim bytes), and the stage loop
+        re-runs from the top over the surviving workers — the run's
+        output was aborted already, nothing else is cleared.
         """
         moved = self.cluster.decommission_worker(
             lost.worker_id, reason=lost.reason
@@ -460,11 +479,6 @@ class DistributedScheduler:
         # its physical join decisions are all worker-count dependent.
         self._kept.clear()
         self.join_modes.clear()
-        for statement in self.program.statements:
-            if isinstance(statement, OutputStmt):
-                key = (statement.database, statement.set_name)
-                if key in self.cluster.storage_manager:
-                    self.cluster.clear_set(*key)
 
     # -- segment execution helpers ------------------------------------------------------
 
@@ -499,16 +513,13 @@ class DistributedScheduler:
                 segments[-1].append(stage)
         return segments
 
-    def _pipeline_source(self, worker, pipeline, only_uids=None):
+    def _pipeline_source(self, worker, pipeline):
         """``worker``'s share of ``pipeline``'s source: its stored-set
-        scan (all its pages, or ``only_uids``; selected afresh by every
-        attempt that reads it), or the columns an earlier stage
-        materialized (a missing one raises its ExecutionError here,
-        front-end side, on every transport)."""
+        scan (selected afresh by every attempt that reads it), or the
+        columns an earlier stage materialized (a missing one raises its
+        ExecutionError here, front-end side, on every transport)."""
         if pipeline.source_kind == SOURCE_SCAN:
-            return _ScanSource(
-                self.cluster.replication, worker, pipeline, only_uids
-            )
+            return _ScanSource(self.cluster.replication, worker, pipeline)
         return _ColumnSource(self._kept_on(worker).stored(pipeline.source))
 
     # -- placement: ship the attempt, or keep it front-end side ------------------------
@@ -668,10 +679,8 @@ class DistributedScheduler:
         ``held[s]`` is what worker ``s`` sends: one list of messages per
         partition, as the task that held the rows partitioned and packed
         them (its sink's ``seal()``) — partition ``p`` is for worker
-        ``p % n``, so an aggregation partitioned before a peer was
-        absorbed mid-stage still lands every key on one survivor.
-        Returns the rows each worker received, sources in worker order.
-        A message crosses, an arrived message becomes rows again
+        ``p``.  Returns the rows each worker received, sources in worker
+        order.  A message crosses, an arrived message becomes rows again
         (:meth:`_wire`).  Three decisions, made here once: an
         empty partition is no message; a worker's own messages are
         handed over in their place in that order — no transfer, so
@@ -680,12 +689,10 @@ class DistributedScheduler:
         message that *arrived*.
         """
         workers = self.workers
-        n = len(workers)
         ship, unpack = self._wire(comp)
         received = [[] for _ in workers]
         for src, outbox in zip(workers, held):
-            for partition, messages in enumerate(outbox):
-                dst, into = workers[partition % n], received[partition % n]
+            for dst, into, messages in zip(workers, received, outbox):
                 for message in messages:
                     if src is not dst:
                         message = ship(src.worker_id, dst.worker_id, message)
@@ -736,31 +743,15 @@ class DistributedScheduler:
         pipeline's own sink: a segment ending at a cut collects what the
         probe reads, each task partitioning its rows by the probe hash,
         and the next segment reads what its worker received.
-
-        Single-segment scan-sourced stages get the no-restart failover
-        path: when a worker is declared lost mid-stage and every page it
-        was scanning survives on a replica, the survivors *absorb* its
-        orphaned pages (merge-aware sinks) and the stage completes without
-        restarting the job.  Anything unabsorbable re-raises and falls
-        back to the restart-from-scratch degradation.
         """
         segments = self._segments(pipeline.stages)
-        on_lost = None
-        if len(segments) == 1:
-            def on_lost(worker, lost, completed):
-                if not self._can_absorb(lost, pipeline):
-                    raise lost
-                self._absorb_lost_worker(
-                    lost, pipeline, sink_factory, completed
-                )
-
-        workers = list(self.workers)
+        workers = self.workers
 
         def run(segment, sources, factory):
             self._run_worker_tasks([
                 (worker, self._attempt(worker, segment, source, factory))
                 for worker, source in zip(workers, sources)
-            ], on_lost=on_lost)
+            ])
 
         sources = [
             self._pipeline_source(worker, pipeline) for worker in workers
@@ -779,98 +770,6 @@ class DistributedScheduler:
                 ),
             )
         run(segments[-1], sources, sink_factory)
-
-    def _can_absorb(self, lost, pipeline):
-        """Whether a lost worker's stage portion can move to survivors.
-
-        Absorption needs (a) a scan source — its pages are in the
-        catalog replica map, so the lost worker's input survives or is
-        evacuated elsewhere — (b) no unrecoverable per-worker state
-        from earlier stages: a *partitioned* hash-table shard or
-        materialized store partition kept for the worker goes with it,
-        forcing the restart fallback (broadcast hash tables are
-        identical on every worker, so losing one copy loses nothing) —
-        and (c) an outbox that survives re-mapping onto fewer workers.
-        An aggregation's does (the receiver combines); a join build's is
-        addressed to the workers alive when it was packed — a
-        partitioned table must sit where the probe's ``hash % n`` looks,
-        a broadcast folded onto fewer workers delivers a copy twice.
-        """
-        if (pipeline.source_kind != SOURCE_SCAN
-                or pipeline.sink_kind == SINK_HASH_BUILD):
-            return False
-        kept = self._kept.get(lost.worker_id)
-        if kept is not None:
-            if kept.store:
-                return False
-            for output in kept.hash_tables:
-                if self.join_modes.get(output) != "broadcast":
-                    return False
-        return True
-
-    def _absorb_lost_worker(self, lost, pipeline, sink_factory, completed):
-        """Decommission a lost worker and re-run its orphans on survivors.
-
-        The worker's scan assignment (the pages it was reading) is
-        captured before decommissioning; afterwards those pages' first
-        live replicas sit on survivors.  Survivors that already finished
-        this stage run *only* the orphaned pages through merge-aware
-        sinks; survivors still queued pick the orphans up automatically
-        through their refreshed scan assignments.
-        """
-        scan = pipeline.source
-        repl = self.cluster.replication
-        before = repl.scan_assignments(scan.database, scan.set_name)
-        orphans = {
-            uid for uid, worker_id in before.items()
-            if worker_id == lost.worker_id
-        }
-        moved = self.cluster.decommission_worker(
-            lost.worker_id, reason=lost.reason
-        )
-        self._kept.pop(lost.worker_id, None)
-        with self.tracer.span(
-            "absorb", kind="fault",
-            detail="worker %s lost (%s); %d orphaned page(s) absorbed by "
-            "survivors, no restart" % (
-                lost.worker_id, lost.reason, len(orphans)
-            ),
-        ):
-            self.fault_metrics.workers_blacklisted.inc()
-            self.fault_metrics.workers_absorbed.inc()
-        self.job_log.append(JobStage(
-            "WorkerAbsorbedEvent",
-            "%s decommissioned mid-stage; %d orphaned page(s) absorbed "
-            "by %d survivor(s) without a job restart"
-            % (lost.worker_id, len(orphans), len(self.workers)),
-        ))
-        if not orphans:
-            return
-        after = repl.scan_assignments(scan.database, scan.set_name)
-        for worker in self.workers:
-            if worker.worker_id not in completed:
-                # Still queued in the stage loop: its refreshed scan
-                # assignment already includes any orphans routed to it.
-                continue
-            assigned = {
-                uid for uid in orphans
-                if after.get(uid) == worker.worker_id
-            }
-            if assigned:
-                self._run_orphan_pages(worker, pipeline, sink_factory, assigned)
-
-    def _run_orphan_pages(self, worker, pipeline, sink_factory, uids):
-        """Run the pipeline's stages (an absorbing stage is one segment)
-        over just the orphaned pages, merging results."""
-        def merge_sink_factory(w):
-            sink = sink_factory(w)
-            sink.merge = True
-            return sink
-
-        self._run_worker_tasks([(worker, self._attempt(
-            worker, pipeline.stages,
-            self._pipeline_source(worker, pipeline, uids), merge_sink_factory,
-        ))])
 
     # -- per-sink handlers ------------------------------------------------------------------
 
@@ -922,8 +821,6 @@ class DistributedScheduler:
     def _run_aggregate(self, pipeline):
         agg = pipeline.sink
         comp = self.program.computations[agg.computation]
-        # Fixed for the stage: a survivor absorbing a lost peer's pages
-        # must partition them as its finished portion was.
         exchange = (len(self.workers), self.cluster.combiner_page_size)
 
         # Producing stage: per-worker pre-aggregation (pipelining threads),
@@ -940,8 +837,8 @@ class DistributedScheduler:
 
         # Consuming stage: the pre-aggregated pairs, exchanged by key hash.
         def install(kept, pairs):
-            # A key can arrive twice even from one worker (it absorbed
-            # a lost peer's portion) — combine, never overwrite.
+            # Every worker that saw a key sends it: combine, never
+            # overwrite.
             groups = combine_into({}, pairs, comp.combine)
             self.tracer.add("agg.merged_keys", len(groups))
             kept.store[agg.output] = {
@@ -970,9 +867,7 @@ class DistributedScheduler:
         key = (output.database, output.set_name)
         self.cluster.ensure_set(*key)
         aggregation = self._aggregate_behind(output)
-        #: worker id -> every sink built there (own portion, retries,
-        #: orphan merges); a worker's first is built in worker order
-        sinks = {}
+        sinks = self._outputs.setdefault(key, {})
 
         def sink_factory(worker):
             page_set = worker.storage.get_set(*key)
@@ -989,28 +884,7 @@ class DistributedScheduler:
             return sink
 
         with self._stage("PipelineJobStage", "pipeline into %s.%s" % key):
-            try:
-                self._run_distributed_pipeline(pipeline, sink_factory)
-                # Before the stage is declared complete what its sinks
-                # adopted is copied to the ring replicas and recorded, so
-                # output sets are as durable as loaded ones — only now: a
-                # record must never name a peer absorbed later in the stage.
-                self.cluster.replication.place_pages(*key, [
-                    (worker_id, *page) for worker_id, built in sinks.items()
-                    for sink in built for page in sink.adopted
-                ])
-            except BaseException:
-                # A failed stage leaves nothing behind: no record will
-                # ever name the pages its finished sinks adopted.
-                for built in sinks.values():
-                    for sink in built:
-                        sink.abort()
-                raise
-            if aggregation is None:
-                python = self.cluster.python_outputs.setdefault(key, [])
-                for built in sinks.values():
-                    for sink in built:
-                        python.extend(sink.python)
+            self._run_distributed_pipeline(pipeline, sink_factory)
 
     def _aggregate_behind(self, output_stmt):
         """The name of the typed AggregateComp whose pairs this OUTPUT
@@ -1081,13 +955,12 @@ class _ColumnSource:
 
 
 class _ScanSource:
-    """One worker's share of a stored set's pages (all, or ``only_uids``)."""
+    """One worker's share of a stored set's pages."""
 
-    def __init__(self, replication, worker, pipeline, only_uids):
+    def __init__(self, replication, worker, pipeline):
         self.replication = replication
         self.worker_id = worker.worker_id
         self.scan = scan = pipeline.source
-        self.only_uids = only_uids
         #: ``("pages", segment references, column, columnar)``: no
         #: references for a task handed :meth:`pages`; ``columnar`` is
         #: the scan's mark, which says what goes through as whole array
@@ -1099,7 +972,7 @@ class _ScanSource:
         its items are read, through the spill machinery."""
         return self.replication.scan_pages(
             self.scan.database, self.scan.set_name,
-            worker_id=self.worker_id, only_uids=self.only_uids,
+            worker_id=self.worker_id,
         )
 
     def export(self):
@@ -1124,7 +997,7 @@ class _ScanSource:
         try:
             for page_set, page_id in self.replication.scan_page_copies(
                 scan.database, scan.set_name,
-                worker_id=self.worker_id, only_uids=self.only_uids,
+                worker_id=self.worker_id,
             ):
                 pool = page_set.pool
                 page = pool.pin(page_id)

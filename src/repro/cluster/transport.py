@@ -462,8 +462,8 @@ class _ChildProcess:
         self._task_ids = itertools.count(1)
         self._arrived = {}
         self._outstanding = set()
-        #: task_id -> submit instant (master clock), for synthesizing a
-        #: truncated task span when the child dies without an envelope.
+        #: task_id -> submit instant (master clock) of an unresolved task,
+        #: to synthesize a truncated span if the child dies silently.
         self.submit_times = {}
         #: task_id -> (reason, deadline_exceeded) for supervisor kills,
         #: consumed by _PendingFuture to type the resulting error.
@@ -500,10 +500,9 @@ class _ChildProcess:
         events, readable post-mortem), and its own submit instant — so
         the coordinator can graft a ``truncated`` task span covering
         submit → detection rather than leaving a hole in the trace.
-        ``span_base`` is the submit instant; the ring's timestamps are
-        already on the same clock.
-        """
-        submitted = self.submit_times.get(task_id)
+        ``span_base`` is the submit instant (consumed here), on the
+        ring's clock."""
+        submitted = self.submit_times.pop(task_id, None)
         if submitted is None:
             return None
         now = time.monotonic()
@@ -578,8 +577,9 @@ class _ChildProcess:
         status, payload = self._arrived.pop(task_id)
         if status != "died":
             # The task delivered despite any kill verdict (result raced
-            # the SIGKILL out the door): the verdict is moot.
+            # the SIGKILL out the door): verdict and instant are moot.
             self.kill_verdicts.pop(task_id, None)
+            self.submit_times.pop(task_id, None)
         return status, payload
 
     def stop(self):

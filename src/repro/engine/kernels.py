@@ -15,12 +15,12 @@ of a columnar page, or the objects of one class on a row page
 
 Every kernel is *total over its guard, partial over its inputs*: it
 raises :class:`~repro.memory.gather.GatherIneligible` whenever the batch
-does not actually carry array-typed columns (e.g. an orphan-page replay
-feeding per-row objects into a marked stage) or a gather read cannot
-serve it, and the engine counts the reason and falls back to the object
-path for that stage.  The :func:`reify` boundary converts array columns
-back into plain Python values so fallback operators and sinks observe
-exactly what the object path would have produced.
+does not actually carry array-typed columns (e.g. a row page stored in
+a columnar set feeding per-row objects into a marked stage) or a gather
+read cannot serve it, and the engine counts the reason and falls back
+to the object path for that stage.  The :func:`reify` boundary converts
+array columns back into plain Python values so fallback operators and
+sinks observe exactly what the object path would have produced.
 
 Accumulation order note: grouped float sums use sequential in-input-order
 accumulation in float64 (``np.bincount`` / ``np.add.at``; a vector sum

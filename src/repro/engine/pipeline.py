@@ -307,10 +307,10 @@ class PipelineEngine(JobState):
         """Try the whole-batch kernel for a columnar-marked stage.
 
         Returns None when the batch cannot take it — it is not actually
-        array-typed (orphan replays, post-fallback segments), a gather
-        met a row it does not serve, the kernel's result is no column —
-        with the reason counted: the caller then takes the per-row path,
-        which is always correct.
+        array-typed (a row page in a columnar set, post-fallback
+        segments), a gather met a row it does not serve, the kernel's
+        result is no column — with the reason counted: the caller then
+        takes the per-row path, which is always correct.
         """
         operator = _OPERATOR_NAMES.get(type(stage))
         try:
@@ -617,11 +617,6 @@ class Sink:
     :class:`JobState`, gets that ``state`` assigned and runs the third.
     """
 
-    #: ``finish()`` adds to what an earlier task of this stage installed
-    #: instead of replacing it: set by the scheduler on the sinks of a
-    #: survivor absorbing a lost peer's pages after its own portion
-    #: completed.  A property of ``finish()`` only — what ships is plain.
-    merge = False
     #: Rows the stages take at a time (None: any); the engine halves a
     #: page-writing sink's when a fresh page refuses a cut.
     fit_rows = None
@@ -721,9 +716,7 @@ class AggregateSink(Sink):
     an aggregation that declares PC types is packed into PC Maps on
     combiner pages right here, by the task that holds the data (Figure
     5); any other is one message of ``(key, value)`` rows; an empty one
-    is no message.  Merging (see :attr:`Sink.merge`) appends a later
-    task's messages partition by partition: the receiver's fold combines
-    a key that arrives twice.
+    is no message.
     """
 
     def __init__(self, engine, agg_stmt, exchange=None):
@@ -778,11 +771,7 @@ class AggregateSink(Sink):
         ]
 
     def finish(self):
-        store = self.engine.store
-        held = store.get(self.statement.output) if self.merge else None
-        store[self.statement.output] = (
-            [a + b for a, b in zip(held, self.state)] if held else self.state
-        )
+        self.engine.store[self.statement.output] = self.state
 
 
 class MaterializeSink(Sink):
@@ -792,9 +781,7 @@ class MaterializeSink(Sink):
     ``exchange=(n, names)``, what this worker sends into the exchange
     ahead of a partitioned probe: the columns ``names`` as rows, the
     first of them the probe hash, in ``n`` lists of messages, a row for
-    worker ``hash % n``.  Merging (see :attr:`Sink.merge`) appends the
-    finished columns to the store's existing entry instead of replacing
-    it.
+    worker ``hash % n``.
     """
 
     def __init__(self, engine, vlist_name, exchange=None):
@@ -826,16 +813,7 @@ class MaterializeSink(Sink):
             )
 
     def finish(self):
-        columns = self.state or {}
-        existing = (
-            self.engine.store.get(self.vlist_name) if self.merge else None
-        )
-        if existing:
-            merged = {name: list(vals) for name, vals in existing.items()}
-            for name, vals in columns.items():
-                merged.setdefault(name, []).extend(vals)
-            columns = merged
-        self.engine.store[self.vlist_name] = columns
+        self.engine.store[self.vlist_name] = self.state or {}
 
 
 class ListOutputSink(Sink):
@@ -861,11 +839,11 @@ class _PageSink(Sink):
     where ``page_set`` — the worker-local partition of the output set —
     lives: it verifies every
     CRC, then adopts the bytes into the partition and says so in
-    :attr:`adopted`, for the stage to place once every task is through
-    (``ReplicationManager.place_pages``).  Appending is all it does, so
-    merging needs nothing more; :meth:`abort` frees the pages this sink
-    adopted and takes their objects back off the partition's count —
-    whatever other sinks added since, and nothing the second time.
+    :attr:`adopted`, for the job to place once its whole plan is through
+    (``ReplicationManager.place_pages``).  :meth:`abort` frees the pages
+    this sink adopted and takes their objects back off the partition's
+    count — whatever other sinks added since, and nothing the second
+    time.
     """
 
     def __init__(self, engine, output_stmt, page_size, page_set=None):
@@ -876,7 +854,7 @@ class _PageSink(Sink):
         self.state = None
         #: ``(bytes, CRC, objects, page id)`` of every page adopted, and
         #: the plain Python values that came with them (a
-        #: :class:`ClusterOutputSink`'s): what the stage commits
+        #: :class:`ClusterOutputSink`'s): what the job commits
         self.adopted, self.python = [], []
 
     def remote_spec(self):
@@ -909,7 +887,7 @@ class _PageSink(Sink):
 class ClusterOutputSink(_PageSink):
     """Writes pipeline output: PC objects (handles / facades) onto row
     pages (``private_page_writer``), plain Python values into
-    :attr:`python` — which the stage adds to the set's Python-output
+    :attr:`python` — which the job adds to the set's Python-output
     list (the client gathers it on :meth:`PCCluster.read`) when it
     commits the pages.
     """

@@ -155,44 +155,51 @@ class ReplicationManager:
             database, name
         ).rollback(page_id, count)
 
-    def place_pages(self, database, name, pages, source=None):
+    def place_pages(self, placements, source=None):
         """The one way pages become *recorded*: deliver, adopt, record.
 
-        Each page is ``(primary, data, checksum, count, page_id)``.  A
-        ``page_id`` says a task of ``primary`` already adopted the page
-        there (a job's output, as its sinks sealed it), so only its ring
-        replicas are missing and they are copied from the primary;
-        ``None`` says no copy exists yet (the loader) and every one
-        travels from ``source``.  Every copy of every page lands first
-        (:meth:`_copy`); one journaled ``record_pages`` group names them
-        last.  If anything raises on the way, the copies adopted here
-        are freed and nothing is recorded — a primary that was there
-        before is its owner's to drop.  Returns the :class:`PageRecord`
-        list.
+        ``placements`` maps ``(database, name)`` to its pages, each
+        ``(primary, data, checksum, count, page_id)``.  A ``page_id``
+        says a task of ``primary`` already adopted the page there (a
+        job's output, as its sinks sealed it), so only its ring replicas
+        are missing and they are copied from the primary; ``None`` says
+        no copy exists yet (the loader) and every one travels from
+        ``source``.  Every copy of every page of every set lands first
+        (:meth:`_copy`); one journaled ``record_pages`` group per set
+        names them last.  If anything raises on the way, the copies
+        adopted here are freed and nothing is recorded — a primary that
+        was there before is its owner's to drop.  Returns the
+        :class:`PageRecord` list, in ``placements`` order.
         """
-        meta = self.catalog.set_metadata(database, name)
         ring = PlacementRing(self.storage_manager.worker_ids)
-        placed = []
-        landed = []  # (copy, the objects it added) of every copy made here
+        placed = {}
+        landed = []  # (set, copy, the objects it added) of every copy made
         try:
-            for primary, data, checksum, count, page_id in pages:
-                targets = ring.replicas_for(primary, meta.replication)
-                src_id = source if page_id is None else primary
-                replicas = [] if page_id is None else [[primary, page_id]]
-                for dst_id in targets[len(replicas):]:
-                    # Readers count the primary's copy, no other.
-                    counted = count if dst_id == primary else 0
-                    replicas.append(self._copy(
-                        src_id, dst_id, database, name, data, checksum,
-                        counted,
-                    ))
-                    landed.append((replicas[-1], counted))
-                    if dst_id != primary:
-                        self._c_replica_writes.inc()
-                placed.append((replicas, checksum, count, primary))
-            return self.catalog.record_pages(database, name, placed)
+            for key, pages in placements.items():
+                database, name = key
+                meta = self.catalog.set_metadata(database, name)
+                placed[key] = []
+                for primary, data, checksum, count, page_id in pages:
+                    targets = ring.replicas_for(primary, meta.replication)
+                    src_id = source if page_id is None else primary
+                    replicas = [] if page_id is None else [[primary, page_id]]
+                    for dst_id in targets[len(replicas):]:
+                        # Readers count the primary's copy, no other.
+                        counted = count if dst_id == primary else 0
+                        replicas.append(self._copy(
+                            src_id, dst_id, database, name, data, checksum,
+                            counted,
+                        ))
+                        landed.append((key, replicas[-1], counted))
+                        if dst_id != primary:
+                            self._c_replica_writes.inc()
+                    placed[key].append((replicas, checksum, count, primary))
+            return [
+                record for key, pages in placed.items()
+                for record in self.catalog.record_pages(*key, pages)
+            ]
         except BaseException:
-            for copy, counted in landed:
+            for (database, name), copy, counted in landed:
                 self._free(database, name, copy, counted)
             raise
 
@@ -201,9 +208,9 @@ class ReplicationManager:
         (:meth:`place_pages`, every copy shipped from ``source``).
         Returns the :class:`PageRecord`."""
         primary = self.storage_manager.next_target(database, name)
-        return self.place_pages(database, name, [
+        return self.place_pages({(database, name): [
             (primary, data, page_checksum(data), count, None)
-        ], source)[0]
+        ]}, source)[0]
 
     # -- reads (failover + healing) --------------------------------------------
 
@@ -214,22 +221,7 @@ class ReplicationManager:
             if self.storage_manager.has_server(worker_id)
         ]
 
-    def scan_assignments(self, database, name):
-        """``uid -> worker_id`` reading each page (its first live replica)."""
-        meta = self.catalog.set_metadata(database, name)
-        assignments = {}
-        for uid, record in meta.pages.items():
-            live = self._live_replicas(record)
-            if not live:
-                raise ReplicationError(
-                    "page %s of %s.%s has no surviving replica"
-                    % (uid, database, name)
-                )
-            assignments[uid] = live[0][0]
-        return assignments
-
-    def scan_page_copies(self, database, name, worker_id=None,
-                         only_uids=None):
+    def scan_page_copies(self, database, name, worker_id=None):
         """Yield ``(page_set, page_id)`` of every page copy a scan reads.
 
         The one page selection: catalog uid order, each page from its
@@ -242,8 +234,7 @@ class ReplicationManager:
         meta = self.storage_manager.set_metadata(database, name)
         for uid in list(meta.pages):
             record = meta.pages.get(uid)
-            if record is None or (only_uids is not None
-                                  and uid not in only_uids):
+            if record is None:
                 continue
             live = self._live_replicas(record)
             if not live:
@@ -258,19 +249,18 @@ class ReplicationManager:
                 self._c_failover_reads.inc()
             yield self._healthy_copy(database, name, record, reader)
 
-    def scan_pages(self, database, name, worker_id=None, only_uids=None):
+    def scan_pages(self, database, name, worker_id=None):
         """Yield each page's :func:`page_items`, via live replicas.
 
         ``worker_id`` restricts the scan to the pages *assigned* to that
         worker (each page is read exactly once cluster-wide by the worker
-        holding its first live replica); ``only_uids`` restricts it to a
-        subset of pages (the orphan re-run path).  Corrupted copies are
+        holding its first live replica).  Corrupted copies are
         quarantined and transparently healed from a healthy replica —
         corrupted bytes are never yielded.  A page stays pinned while the
         consumer holds its items (until the next one is asked for).
         """
         for page_set, page_id in self.scan_page_copies(
-            database, name, worker_id=worker_id, only_uids=only_uids
+            database, name, worker_id=worker_id
         ):
             with page_set.pinned_page(page_id) as page:
                 yield page_items(page.block)

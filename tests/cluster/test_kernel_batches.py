@@ -217,9 +217,10 @@ def _page(start, count, page_size=1 << 12):
 
 
 def test_a_row_page_mid_scan_flushes_the_rows_held(monkeypatch):
-    # An orphan re-run can hand a marked scan a page of plain rows: the
-    # columnar rows held so far go first, the plain rows before any
-    # later page's, so row order is kept.
+    # A columnar set can hold a row page (pages self-describe), so a
+    # marked scan can meet a page of plain rows: the columnar rows held
+    # so far go first, the plain rows before any later page's, so row
+    # order is kept.
     plain = [DetachedRow(("k", "x"), (index % 7, index / 8.0))
              for index in range(100, 130)]
     pages = [_page(0, 60), _page(60, 40), plain, _page(130, 50)]

@@ -416,9 +416,9 @@ LOCAL_SOURCES = {
 
 
 class _TwiceStoredSink(AggregateSink):
-    """Sends every key twice, in two messages per partition — the shape
-    a worker's share has when the portion it absorbed from a lost peer
-    was appended to its own."""
+    """Sends every key twice, in two messages per partition — as two
+    workers that each saw some of a key's rows do: the receiver must
+    combine them, never let one overwrite the other."""
 
     def seal(self):
         groups = self.groups

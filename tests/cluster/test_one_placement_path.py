@@ -147,6 +147,30 @@ def test_failed_output_replica_transfer_leaves_nothing_behind(
         assert_every_page_is_named_once(cluster, "db", "copy")
 
 
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_failed_commit_leaves_every_output_set_of_the_job_as_it_was(
+        tmp_path, transport, schema_of):
+    """A job writes two sets and a replica transfer of the second runs out
+    of re-sends: the first keeps none of the job's rows either (recorded
+    at the end of its own stage, it once kept all 600)."""
+    injector = FaultInjector()
+    with make_cluster(tmp_path, injector, transport) as cluster:
+        load(cluster, schema=schema_of(Point))
+        cluster.create_set("db", "a", Point, replication=1)
+        cluster.create_set("db", "b", Point, replication=2)
+        injector.drop_transfer(times=2)  # b's first replica copy
+        with pytest.raises(TransferDroppedError):
+            cluster.execute_computations([
+                Writer("db", name).set_input(
+                    Rebuild().set_input(ObjectReader("db", "points"))
+                ) for name in "ab"
+            ])
+        for name in "ab":
+            assert counts(cluster, "db", name) == (0, 0)
+            assert cluster.read("db", name) == []
+            assert_every_page_is_named_once(cluster, "db", name)
+
+
 # -- bug 2: the loader's second copy fails ---------------------------------------------
 
 
@@ -194,8 +218,8 @@ def test_failed_evacuation_leaves_the_worker_in_place(tmp_path, schema_of):
             assert_every_page_is_named_once(cluster, "db", name)
 
 
-def test_failed_evacuation_under_an_absorb_loses_nothing(tmp_path,
-                                                          schema_of):
+def test_failed_evacuation_under_a_restart_loses_nothing(tmp_path,
+                                                         schema_of):
     """The scheduler decommissions a worker that exhausted its attempts;
     the evacuation's transfer fails: the job does, nothing else."""
     injector = FaultInjector().crash_backend("worker-1", times=2)

@@ -14,6 +14,7 @@ from repro.cluster import FakeClock, FaultInjector, PCCluster, RetryPolicy
 from repro.cluster.transport import remote_available
 from repro.core import (
     AggregateComp,
+    JoinComp,
     ObjectReader,
     SelectionComp,
     Writer,
@@ -36,6 +37,9 @@ from repro.schema import Schema, f64, i64
 from repro.storage.dataset import pack_map_pages
 from repro.storage.page import open_root, page_items
 from repro.storage.replication import page_checksum
+
+from test_one_placement_path import assert_every_page_is_named_once
+from test_replication import scan_readers
 
 TRANSPORTS = [
     "sim",
@@ -165,12 +169,13 @@ def test_failed_output_stage_leaves_no_pages(tmp_path, preloaded, schema_of):
 
 
 @pytest.mark.parametrize("second_fault", [False, True])
-def test_output_stage_tells_its_pages_from_copies_landed_mid_stage(
+def test_output_stage_tells_its_pages_from_copies_landed_mid_job(
         tmp_path, second_fault, schema_of):
-    """Absorbing a worker mid-stage lands evacuated and re-replicated
-    copies of ``out``'s *recorded* pages in the survivors' partitions,
-    behind the pages the stage's own sinks wrote: a later failure must
-    not free them, and success must not record them a second time."""
+    """Losing a worker mid-job lands evacuated and re-replicated copies
+    of ``out``'s *recorded* pages in the survivors' partitions, beside
+    the pages the first run's sinks wrote: the restart and a later
+    failure must not free them, and success must not record them a
+    second time."""
     injector = FaultInjector()
     cluster = make_cluster(
         tmp_path, fault_injector=injector,
@@ -186,7 +191,7 @@ def test_output_stage_tells_its_pages_from_copies_landed_mid_stage(
     job.execute(cluster)
     assert len(cluster.read("db", "out")) == 600
 
-    injector.crash_backend("worker-1", times=99)  # absorbed: 2 survive
+    injector.crash_backend("worker-1", times=99)  # lost: 2 survive
     if second_fault:
         injector.crash_backend("worker-2", times=99)  # below the floor
         with pytest.raises(ExecutionError, match="worker-2"):
@@ -208,6 +213,103 @@ def test_output_stage_tells_its_pages_from_copies_landed_mid_stage(
     for worker in cluster.active_workers:
         for page_id in worker.storage.get_set("db", "out").page_ids:
             assert (worker.worker_id, page_id) in mapped
+
+
+# -- a restart rolls back only what the restarted job wrote ----------------------------
+
+
+class SelfJoin(JoinComp):
+    """Every point joined with itself on ``pid``, rebuilt as a PC object:
+    the job builds a hash table before its OUTPUT stage."""
+
+    def get_selection(self, left, right):
+        return lambda_from_member(left, "pid") \
+            == lambda_from_member(right, "pid")
+
+    def get_projection(self, left, right):
+        return lambda_from_native([left, right], lambda p, _q: make_object(
+            Point, pid=p.pid, cid=p.cid, x=p.x
+        ))
+
+
+def self_join_into(database, name):
+    join = SelfJoin() \
+        .set_input(0, ObjectReader("db", "points")) \
+        .set_input(1, ObjectReader("db", "points"))
+    return Writer(database, name).set_input(join)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("second_fault", [False, True])
+def test_a_restart_keeps_the_rows_earlier_jobs_wrote(
+        tmp_path, transport, second_fault, schema_of):
+    """A job that loses a worker restarts, and one that then fails
+    below the worker floor gives up: either way the rows an earlier job
+    wrote to its output set stay (a restart once cleared the whole set:
+    600 rows where 1,200 were due, and 0 after the failure)."""
+    injector = FaultInjector()
+    with make_cluster(
+        tmp_path, transport=transport, fault_injector=injector,
+        retry_policy=fast_policy(
+            max_attempts=2, blacklist_on_exhaustion=True,
+            min_surviving_workers=2,
+        ),
+    ) as cluster:
+        load_points(cluster, schema=schema_of(Point))
+        Writer("db", "out").set_input(
+            Copy().set_input(ObjectReader("db", "points"))
+        ).execute(cluster)
+        assert len(cluster.read("db", "out")) == 600
+
+        injector.crash_backend("worker-1", times=99)  # lost: 2 survive
+        if second_fault:
+            injector.crash_backend("worker-2", times=99)  # below the floor
+            with pytest.raises(ExecutionError, match="worker-2"):
+                self_join_into("db", "out").execute(cluster)
+            expected = list(range(600))
+        else:
+            self_join_into("db", "out").execute(cluster)
+            kinds = [stage.kind for stage in cluster.last_job_log]
+            assert "WorkerBlacklistedEvent" in kinds
+            expected = sorted(2 * list(range(600)))
+        assert cluster.blacklist == {"worker-1"}
+
+        assert sorted(h.pid for h in cluster.read("db", "out")) == expected
+        assert cluster.storage_manager.total_objects("db", "out") \
+            == len(expected)
+        assert_every_page_is_named_once(cluster, "db", "out")
+
+
+@pytest.mark.skipif(not remote_available(), reason="cloudpickle unavailable")
+def test_a_restart_leaves_every_child_idle(tmp_path, schema_of):
+    """worker-0 is lost in the probe stage of a partitioned join, while
+    its peers' tasks are in flight: they are awaited before the job
+    restarts, so every child is idle (poolable) and owes no submit
+    instant when the job returns, and no segment outlives the cluster."""
+    injector = FaultInjector()
+    cluster = make_cluster(
+        tmp_path, transport="process", broadcast_threshold=0,
+        fault_injector=injector,
+        retry_policy=fast_policy(max_attempts=2,
+                                 blacklist_on_exhaustion=True),
+    )
+    with cluster:
+        load_points(cluster, schema=schema_of(Point))
+        injector.crash_backend("worker-0", stage_kind="PipelineJobStage",
+                               times=99)
+        self_join_into("db", "out").execute(cluster)
+        assert "WorkerBlacklistedEvent" in [
+            stage.kind for stage in cluster.last_job_log
+        ]
+        assert cluster.blacklist == {"worker-0"}
+        assert sorted(h.pid for h in cluster.read("db", "out")) \
+            == list(range(600))
+        leased = list(cluster.transport._leased)
+        assert leased
+        for child in leased:
+            assert child.idle()
+            assert child.submit_times == {}
+    assert cluster.shm_registry.live == {}
 
 
 # -- the size estimate tolerates a flaky reload, nothing else --------------------------
@@ -376,10 +478,10 @@ def test_page_items_reads_a_map_page_as_its_one_map(tmp_path, transport):
         cluster.close()
 
 
-# -- an orphan re-run is the same lowered scan ------------------------------------------
+# -- a restarted job is the same lowered scan -------------------------------------------
 
 
-def test_absorbed_worker_on_a_columnar_set_matches_no_fault_run(tmp_path):
+def test_lost_worker_on_a_columnar_set_matches_no_fault_run(tmp_path):
     clean = make_cluster(tmp_path, "clean", page_size=1 << 12)
     load_points(clean, schema=POINT_SCHEMA, replication=2)
     baseline = run_sums(clean)
@@ -389,8 +491,7 @@ def test_absorbed_worker_on_a_columnar_set_matches_no_fault_run(tmp_path):
     assert clean_rows == 3 * 600
 
     # The last worker in stage order: by the time it is lost the others
-    # have finished, so its pages are re-run as orphans (``only_uids``)
-    # on the survivor holding their second replica.
+    # have finished their portions, and the job restarts on them.
     injector = FaultInjector().crash_backend("worker-2", times=99)
     cluster = make_cluster(
         tmp_path, "faulty", page_size=1 << 12, fault_injector=injector,
@@ -399,19 +500,23 @@ def test_absorbed_worker_on_a_columnar_set_matches_no_fault_run(tmp_path):
         ),
     )
     load_points(cluster, schema=POINT_SCHEMA, replication=2)
-    assert "worker-2" in set(
-        cluster.replication.scan_assignments("db", "points").values()
-    ), "test premise: worker-2 reads some pages"
+    assert "worker-2" in scan_readers(cluster), \
+        "test premise: worker-2 reads some pages"
+    finished = sum(
+        record.count
+        for record in cluster.catalog.set_metadata("db", "points").pages.values()
+        if record.replicas[0][0] != "worker-2"
+    )
 
     assert run_sums(cluster) == baseline
 
     kinds = [stage.kind for stage in cluster.last_job_log]
-    assert "WorkerAbsorbedEvent" in kinds
-    assert "WorkerBlacklistedEvent" not in kinds  # no job restart
-    # The orphaned pages took the lowered path too, not a per-row one.
+    assert "WorkerBlacklistedEvent" in kinds
+    # The restarted run took the lowered path too, not a per-row one, as
+    # did the portions finished before worker-2 was lost.
     assert cluster.metrics().value(
         "pc_engine_columnar_rows_total"
-    ) == clean_rows
+    ) == clean_rows + 3 * finished
 
 
 # -- unknown and empty sets ---------------------------------------------------------------
@@ -450,6 +555,4 @@ def test_decommissioning_a_worker_of_an_empty_set_moves_nothing(tmp_path,
     # Loading afterwards routes around the departed worker.
     append_points(cluster, 300)
     assert cluster.storage_manager.total_objects("db", "points") == 300
-    assert "worker-1" not in set(
-        cluster.replication.scan_assignments("db", "points").values()
-    )
+    assert "worker-1" not in scan_readers(cluster)

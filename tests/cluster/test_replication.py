@@ -58,6 +58,15 @@ def load_points(cluster, n=600, replication=1, schema=None):
             load.append(Point, pid=i, cluster_id=i % 4, x=float(i))
 
 
+def scan_readers(cluster, name="points"):
+    """The workers a scan of ``db.name`` reads pages on: each page's
+    first replica (every one is live until a worker leaves)."""
+    return {
+        record.replicas[0][0]
+        for record in cluster.catalog.set_metadata("db", name).pages.values()
+    }
+
+
 def read_pids(cluster):
     return sorted(h.pid for h in cluster.read("db", "points"))
 
@@ -180,8 +189,7 @@ def test_kill_worker_fails_over_and_restores_replication(tmp_path, schema_of):
     cluster = make_cluster(tmp_path, "c")
     load_points(cluster, replication=2, schema=schema_of(Point))
     baseline = read_pids(cluster)
-    before = cluster.replication.scan_assignments("db", "points")
-    assert "worker-1" in set(before.values()), \
+    assert "worker-1" in scan_readers(cluster), \
         "test premise: worker-1 reads some pages"
 
     created = cluster.kill_worker("worker-1", reason="pulled the plug")
@@ -517,13 +525,10 @@ def test_tpch_query_survives_worker_kill_byte_identical(tmp_path):
     # No restart machinery fired: the job simply ran on the survivors.
     kinds = [stage.kind for stage in survivor.last_job_log]
     assert "WorkerBlacklistedEvent" not in kinds
-    assert "WorkerAbsorbedEvent" not in kinds
 
 
-def test_mid_job_blacklist_absorbs_orphans_without_restart(
+def test_mid_job_blacklist_restarts_the_job_on_the_survivors(
         tmp_path, schema_of):
-    from test_fault_tolerance import orphan_placements
-
     clock = FakeClock()
     injector = FaultInjector().crash_backend("worker-1", times=99)
     policy = fast_policy(
@@ -535,13 +540,8 @@ def test_mid_job_blacklist_absorbs_orphans_without_restart(
     assert run_aggregation(cluster) == expected_sums()
 
     kinds = [stage.kind for stage in cluster.last_job_log]
-    assert "WorkerAbsorbedEvent" in kinds
-    assert "WorkerBlacklistedEvent" not in kinds  # no job restart
-    totals = cluster.last_trace.totals()
-    assert totals["faults.workers_absorbed"] == 1
+    assert "WorkerBlacklistedEvent" in kinds
     assert cluster.metrics().value("pc_repl_failover_reads_total") > 0
-    placements, shippable = orphan_placements(cluster)
-    assert placements and set(placements) == {shippable}
     # The set ended back at full replication factor on the survivors.
     factors = cluster.replication.replication_factors("db", "points")
     assert factors and all(count == 2 for count in factors.values())
