@@ -511,7 +511,6 @@ def check_row_path_in_kernel(tree, path, source):
 # -- PC010: the architecture table --------------------------------------------
 
 #: What the one-path refactors left, as data.
-#:
 #: ``references``: a one-path API -> the only functions that may reference
 #: it (any load of the name, bare or as an attribute; a call, a returned
 #: bound method and a ``partial`` argument alike).  A reference inside a
@@ -603,7 +602,8 @@ ARCHITECTURE = {
         "repro/engine/pipeline.py": 961,
         "repro/memory/gather.py": 552,
         "repro/memory/scatter.py": 844,
-        "repro/ml/kmeans_columnar.py": 164,
+        "repro/ml/kmeans.py": 148,
+        "repro/ml/kmeans_columnar.py": 157,
         "repro/obs": 1999,
         "repro/analysis": 1333,
     },

@@ -7,8 +7,8 @@ dimension) and expresses the step so every operator lowers onto the
 whole-page array kernels:
 
 * the closest-centroid assignment is a ``lambda_from_native`` whose
-  declared kernel stacks the coordinate columns and evaluates all
-  centroid distances in one einsum-free broadcast;
+  declared kernel stacks the coordinate columns and assigns them with
+  :func:`repro.ml.kmeans.assign_chunk`, the chunked driver's kernel;
 * the per-centroid ``(count, Σx)`` reduction is one ``reduce = "sum"``
   aggregation of ``Vector<Float64>`` values (Appendix A): its kernel
   stacks ones beside the coordinates into an ``(n, 1 + d)`` column that
@@ -26,6 +26,7 @@ import numpy as np
 from repro.core import AggregateComp, ObjectReader, Writer, lambda_from_native
 from repro.errors import PCError
 from repro.memory import Float64, Int64, VectorType
+from repro.ml.kmeans import assign_chunk
 from repro.schema import Schema, f64
 
 
@@ -52,28 +53,20 @@ def load_columnar_points(cluster, database, set_name, points,
 def _assignment_lambda(arg, centers):
     """Closest-centroid index as a kernelized native lambda.
 
-    The per-row function and the whole-batch kernel (one centroid at a
-    time into one ``(n, d)`` scratch array, not an ``(n, k, d)``
-    temporary) compute the same plain squared distances, no norm-bound
-    shortcut, so on exactly representable inputs they agree bit-for-bit,
-    strict-argmin ties too.
+    The per-row function and the whole-batch kernel both call
+    :func:`repro.ml.kmeans.assign_chunk` (the row as a 1-row block), so
+    they compute the same distances, strict-argmin ties too.
     """
     centers = np.asarray(centers, dtype=np.float64)
     names = ["x%d" % j for j in range(centers.shape[1])]
 
     def assign_one(p):
-        point = np.array([getattr(p, name) for name in names])
-        d2 = ((centers - point) ** 2).sum(axis=1)
-        return int(np.argmin(d2))
+        point = np.array([[getattr(p, name) for name in names]])
+        return int(assign_chunk(point, centers)[0])
 
     def assign_kernel(rows):
-        points = np.stack([rows.column(name) for name in names], axis=1)
-        scratch = np.empty_like(points)
-        d2 = np.empty((len(points), len(centers)))
-        for j, c in enumerate(centers):
-            np.square(np.subtract(points, c, out=scratch), out=scratch)
-            scratch.sum(axis=1, out=d2[:, j])
-        return np.argmin(d2, axis=1)
+        return assign_chunk(
+            np.stack([rows.column(name) for name in names], axis=1), centers)
 
     return lambda_from_native([arg], assign_one, kernel=assign_kernel)
 
