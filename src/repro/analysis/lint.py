@@ -583,7 +583,6 @@ ARCHITECTURE = {
             "repro.cluster.scheduler._ScanSource.export",
             "repro.storage.dataset.PageSet.pinned_page",
             "repro.storage.replication.ReplicationManager._page_bytes",
-            "repro.storage.replication.ReplicationManager.estimated_bytes",
         ),
     },
     "confined": {
@@ -592,13 +591,14 @@ ARCHITECTURE = {
         "retain": "memory",
     },
     "ceilings": {
-        "repro/cluster/scheduler.py": 1020,
+        "repro/cluster/scheduler.py": 998,
         "repro/cluster/transport.py": 762,
-        "repro/cluster/cluster.py": 816,
+        "repro/cluster/cluster.py": 763,
         "repro/cluster/procworker.py": 285,
         "repro/cluster/worker.py": 204,
-        "repro/storage/replication.py": 467,
+        "repro/storage/replication.py": 446,
         "repro/storage/dataset.py": 419,
+        "repro/engine/physical.py": 308,
         "repro/engine/pipeline.py": 961,
         "repro/memory/gather.py": 552,
         "repro/memory/scatter.py": 844,

@@ -51,17 +51,20 @@ class PageRecord:
     the worker the page was originally placed on, so a read served by any
     other worker counts as a failover read even after the replica list
     has been healed.  ``checksum`` is the CRC32 stamped when the page was
-    sealed — the integrity reference every copy is verified against.
+    sealed — the integrity reference every copy is verified against —
+    and ``size`` its sealed length in bytes (None in a record journaled
+    before sizes were).
     """
 
-    __slots__ = ("uid", "replicas", "checksum", "count", "primary")
+    __slots__ = ("uid", "replicas", "checksum", "count", "primary", "size")
 
-    def __init__(self, uid, replicas, checksum, count, primary):
+    def __init__(self, uid, replicas, checksum, count, primary, size):
         self.uid = uid
         self.replicas = [list(r) for r in replicas]
         self.checksum = checksum
         self.count = count
         self.primary = primary
+        self.size = size
 
     def workers(self):
         return [worker_id for worker_id, _pid in self.replicas]
@@ -73,6 +76,7 @@ class PageRecord:
             "checksum": self.checksum,
             "count": self.count,
             "primary": self.primary,
+            "size": self.size,
         }
 
 
@@ -284,18 +288,20 @@ class CatalogManager:
     def record_pages(self, database, name, pages, uids=None):
         """Record newly stored pages and their replica placement.
 
-        ``pages`` lists ``(replicas, checksum, count, primary)`` per
+        ``pages`` lists ``(replicas, checksum, count, primary, size)`` per
         page: ``replicas`` the ordered ``(worker_id, local_page_id)``
         placement, ``checksum`` the CRC32 of the sealed bytes, ``count``
-        the objects on the page.  The records are journaled as one group
-        — written and synced once — before any of them is applied.
+        the objects on the page, ``size`` the sealed bytes' length.  The
+        records are journaled as one group — written and synced once —
+        before any of them is applied.
         Returns the pages' :class:`PageRecord` list.  ``uids`` are the
         recorded ones when the journal is replayed.
         """
         with self._lock:
             meta = self._set_metadata_locked(database, name)
             records = []
-            for index, (replicas, checksum, count, primary) in enumerate(pages):
+            for index, (replicas, checksum, count, primary, size) in \
+                    enumerate(pages):
                 if uids is None:
                     uid = meta.next_page_uid()
                 else:
@@ -304,7 +310,7 @@ class CatalogManager:
                 if primary is None:
                     primary = replicas[0][0]
                 records.append(
-                    PageRecord(uid, replicas, checksum, count, primary)
+                    PageRecord(uid, replicas, checksum, count, primary, size)
                 )
             self._journal(*({
                 "op": "record_page", "db": database, "set": name,
@@ -400,7 +406,7 @@ class CatalogManager:
             self.record_pages(
                 record["db"], record["set"],
                 [(record["replicas"], record["checksum"], record["count"],
-                  record.get("primary"))],
+                  record.get("primary"), record.get("size"))],
                 uids=[record["uid"]],
             )
         elif op == "update_page":
@@ -426,6 +432,17 @@ class CatalogManager:
                 raise CatalogError(
                     "unknown set %s.%s" % (database, name)
                 ) from None
+
+    def set_bytes(self, database, name):
+        """The sealed bytes of a set's pages, summed over its records
+        (no page is read); None for an unknown set or when a record
+        carries no size."""
+        with self._lock:
+            meta = self._databases.get(database, {}).get(name)
+            if meta is None:
+                return None
+            sizes = [record.size for record in meta.pages.values()]
+        return None if None in sizes else sum(sizes)
 
     def list_sets(self, database=None):
         """All set metadata records, optionally restricted to one database."""

@@ -4,11 +4,7 @@ from repro.cluster.chaos import ChaosMonkey
 from repro.cluster.cluster import ClusterLoader, PCCluster
 from repro.cluster.faults import FakeClock, FaultInjector, RetryPolicy
 from repro.cluster.network import SimulatedNetwork, estimate_value_bytes
-from repro.cluster.scheduler import (
-    DEFAULT_BROADCAST_THRESHOLD,
-    DistributedScheduler,
-    JobStage,
-)
+from repro.cluster.scheduler import DistributedScheduler, JobStage
 from repro.cluster.supervisor import Supervisor, WorkerVitals
 from repro.cluster.transport import (
     ProcessTransport,
@@ -16,6 +12,7 @@ from repro.cluster.transport import (
     make_transport,
 )
 from repro.cluster.worker import BackendProcess, WorkerNode
+from repro.engine.physical import DEFAULT_BROADCAST_THRESHOLD
 
 __all__ = [
     "BackendProcess",

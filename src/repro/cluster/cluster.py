@@ -33,14 +33,9 @@ import time
 
 from repro.analysis import sanitizer as pcsan
 from repro.catalog import CatalogJournal, CatalogManager
-from repro.engine.physical import plan_pipelines
+from repro.engine.physical import DEFAULT_BROADCAST_THRESHOLD, plan_pipelines
 from repro.engine.pipeline import combine_into, map_items
-from repro.errors import (
-    CatalogError,
-    ExecutionError,
-    SetNotFoundError,
-    StorageError,
-)
+from repro.errors import CatalogError, ExecutionError, StorageError
 from repro.obs import (
     FlightRecorder,
     HealthCheck,
@@ -66,10 +61,7 @@ from repro.tcap.optimizer import mark_columnar, optimize
 from repro.tcap.verify import verify_program
 from repro.cluster.faults import RetryPolicy
 from repro.cluster.transport import make_transport
-from repro.cluster.scheduler import (
-    DEFAULT_BROADCAST_THRESHOLD,
-    DistributedScheduler,
-)
+from repro.cluster.scheduler import DistributedScheduler
 from repro.cluster.worker import WorkerNode
 
 
@@ -434,14 +426,15 @@ class PCCluster:
             with self.tracer.span("verify", kind="phase"):
                 verify_program(program, layout_of=self._layout_of,
                                registry=self.catalog.registry)
+            # Each join's side and exchange come from the sizes the
+            # catalog records: planning reads no page.
             with self.tracer.span("plan", kind="phase"):
-                overrides = self._choose_build_sides(program)
-                overrides.update(build_side_overrides or {})
-                plan = plan_pipelines(program, build_side_overrides=overrides)
-            scheduler = DistributedScheduler(
-                self, program, plan,
-                broadcast_threshold=self.broadcast_threshold,
-            )
+                plan = plan_pipelines(
+                    program, build_side_overrides,
+                    set_bytes=self.catalog.set_bytes,
+                    broadcast_threshold=self.broadcast_threshold,
+                )
+            scheduler = DistributedScheduler(self, program, plan)
             self.last_program = program
             self.last_plan = plan
             failed = True
@@ -468,52 +461,6 @@ class PCCluster:
                 if san is not None:
                     san.check_pins(pools, pin_baseline)
         return job_log
-
-    def _choose_build_sides(self, program):
-        """Pick each join's smaller input as the hash-build side.
-
-        This is a physical decision the user never makes (the paper's
-        data independence): the producer chain of each join input is
-        walked back to its SCAN and the stored set sizes compared.
-        Inputs whose size cannot be traced keep the default.
-        """
-        from repro.tcap.ir import JoinStmt, OutputStmt, ScanStmt
-
-        producers = {
-            s.output: s for s in program.statements
-            if not isinstance(s, OutputStmt)
-        }
-
-        def source_bytes(vlist):
-            statement = producers.get(vlist)
-            while statement is not None and not isinstance(
-                statement, (ScanStmt, JoinStmt)
-            ):
-                inputs = statement.input_names()
-                if not inputs:
-                    return None
-                statement = producers.get(inputs[0])
-            if not isinstance(statement, ScanStmt):
-                return None
-            try:
-                return self.replication.estimated_bytes(
-                    statement.database, statement.set_name
-                )
-            except SetNotFoundError:  # pcsan: disable=PC005
-                # Unknown source: size cannot be traced, keep the default
-                # build side.  Anything else (a genuine bug) must
-                # propagate, not silently skew join planning.
-                return None
-
-        overrides = {}
-        for statement in program.statements:
-            if not isinstance(statement, JoinStmt):
-                continue
-            left = source_bytes(statement.left_input)
-            right = source_bytes(statement.right_input)
-            if left is not None and right is not None and left < right:
-                overrides[statement.output] = "left"
-        return overrides
 
     # -- reading results --------------------------------------------------------------------
 

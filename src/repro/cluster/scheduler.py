@@ -13,10 +13,11 @@ turns every pipeline into distributed *job stages*:
 All one shape: per-worker tasks over local data, cut at every partitioned
 join probe, whose sealed outboxes the coordinator only moves and installs.
 
-Join physicality is decided here, not in TCAP: a build side estimated
-smaller than ``broadcast_threshold`` bytes is broadcast to every worker;
-otherwise both sides are hash-partitioned (the paper's 2 GB rule,
-Section 8.3.2, scaled to simulation sizes).
+A join's shape is the plan's, not the scheduler's: which input builds
+and whether its table is broadcast to every worker or both inputs are
+hash-partitioned were decided at plan time
+(:func:`repro.engine.physical.plan_joins`); the scheduler only reads
+them.
 
 Aggregation shuffles are the paper's signature move and are reproduced
 bit-for-bit: the task that pre-aggregated a worker's groups materializes
@@ -100,9 +101,6 @@ from repro.obs.tracer import Span
 from repro.storage.page import page_items, register_root_type
 from repro.tcap.ir import ApplyStmt, JoinStmt
 
-#: Scaled stand-in for the paper's 2 GB broadcast-join threshold.
-DEFAULT_BROADCAST_THRESHOLD = 8 << 20
-
 
 class JobStage:
     """A record of one scheduled distributed job stage (for Figure 4).
@@ -127,18 +125,15 @@ class JobStage:
 class DistributedScheduler:
     """Schedules one execution of a program across the cluster."""
 
-    def __init__(self, cluster, program, plan,
-                 broadcast_threshold=DEFAULT_BROADCAST_THRESHOLD):
+    def __init__(self, cluster, program, plan):
         self.cluster = cluster
         self.program = program
         self.plan = plan
-        self.broadcast_threshold = broadcast_threshold
         self.tracer = cluster.tracer
         self.faults = cluster.fault_injector
         self.fault_metrics = cluster.fault_metrics
         self.profiler = cluster.profiler
         self.retry_policy = cluster.retry_policy
-        self.join_modes = {}  # join output vlist -> "broadcast"|"partition"
         self.job_log = []
         #: worker_id -> what the job keeps there between stages
         self._kept = {}
@@ -475,10 +470,9 @@ class DistributedScheduler:
             "%s decommissioned; job restarting on %d worker(s)"
             % (lost.worker_id, len(self.workers)),
         ))
-        # Restart from a clean slate: what the job kept per worker and
-        # its physical join decisions are all worker-count dependent.
+        # Restart from a clean slate: what the job kept per worker is
+        # worker-count dependent.
         self._kept.clear()
-        self.join_modes.clear()
 
     # -- segment execution helpers ------------------------------------------------------
 
@@ -506,7 +500,7 @@ class DistributedScheduler:
         for stage in stages:
             if (
                 isinstance(stage, JoinStmt)
-                and self.join_modes.get(stage.output) == "partition"
+                and self.plan.join_modes[stage.output] == "partition"
             ):
                 segments.append([stage])
             else:
@@ -773,32 +767,13 @@ class DistributedScheduler:
 
     # -- per-sink handlers ------------------------------------------------------------------
 
-    def _estimate_source_bytes(self, pipeline):
-        """Rough size of a pipeline's source for the broadcast decision."""
-        if pipeline.source_kind == SOURCE_SCAN:
-            scan = pipeline.source
-            return self.cluster.replication.estimated_bytes(
-                scan.database, scan.set_name
-            )
-        total_rows = 0
-        for worker in self.workers:
-            store = self._kept_on(worker).store.get(pipeline.source) or {}
-            for column in store.values():
-                total_rows += len(column)
-                break
-        return total_rows * 64
-
     def _run_build(self, pipeline):
         """Each worker's task seals its build rows ``(hash, *carried
         columns)`` into what it sends — every row to every worker
         (broadcast) or to worker ``hash % n`` (partition) — and each
         worker's table is built from what it received."""
         join = pipeline.sink
-        size = self._estimate_source_bytes(pipeline)
-        mode = (
-            "broadcast" if size <= self.broadcast_threshold else "partition"
-        )
-        self.join_modes[join.output] = mode
+        mode = self.plan.join_modes[join.output]
         exchange = (len(self.workers), mode)
 
         def install(kept, rows):
@@ -806,7 +781,7 @@ class DistributedScheduler:
 
         with self._stage(
             "BuildHashTableJobStage",
-            "%s join build for %s (est %d bytes)" % (mode, join.output, size),
+            "%s join build for %s" % (mode, join.output),
         ):
             # Builds overlap across back-end processes; the exchange and
             # the folds are a serial coordinator loop.
@@ -961,6 +936,9 @@ class _ScanSource:
         self.replication = replication
         self.worker_id = worker.worker_id
         self.scan = scan = pipeline.source
+        # An unknown set is SetNotFoundError here, front-end side, not a
+        # crash every attempt of the task retries.
+        replication.storage_manager.set_metadata(scan.database, scan.set_name)
         #: ``("pages", segment references, column, columnar)``: no
         #: references for a task handed :meth:`pages`; ``columnar`` is
         #: the scan's mark, which says what goes through as whole array

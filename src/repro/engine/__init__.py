@@ -2,7 +2,9 @@
 
 from repro.engine.interpreter import LocalInterpreter
 from repro.engine.local import run_local
-from repro.engine.physical import PhysicalPlan, Pipeline, plan_pipelines
+from repro.engine.physical import (
+    PhysicalPlan, Pipeline, plan_joins, plan_pipelines,
+)
 from repro.engine.pipeline import EngineMetrics, PipelineEngine
 from repro.engine.vectors import (
     ARRAY_BATCH_ROWS, OBJECT_BATCH_ROWS, VectorList, batches_of,
@@ -18,6 +20,7 @@ __all__ = [
     "PipelineEngine",
     "VectorList",
     "batches_of",
+    "plan_joins",
     "plan_pipelines",
     "run_local",
 ]

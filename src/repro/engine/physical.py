@@ -15,7 +15,9 @@ sink*; only a few operations require one:
 
 Choosing which join input builds and which probes yields the alternative
 pipelinings of Figure 3; :func:`plan_pipelines` accepts overrides so the
-figure bench can enumerate them.
+figure bench can enumerate them.  Otherwise :func:`plan_joins` chooses,
+together with each join's exchange mode, once, from the sizes the
+catalog records.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ SINK_MATERIALIZE = "materialize"
 #: Source kinds.
 SOURCE_SCAN = "scan"
 SOURCE_VLIST = "vlist"
+
+#: Scaled stand-in for the paper's 2 GB broadcast-join threshold.
+DEFAULT_BROADCAST_THRESHOLD = 8 << 20
 
 
 class Pipeline:
@@ -101,11 +106,13 @@ class Pipeline:
 
 
 class PhysicalPlan:
-    """Ordered pipelines plus the join build-side decisions."""
+    """Ordered pipelines plus each join's build side and exchange mode."""
 
-    def __init__(self, pipelines, build_sides):
+    def __init__(self, pipelines, build_sides, join_modes=None):
         self.pipelines = pipelines
         self.build_sides = build_sides  # JoinStmt.output -> "left"/"right"
+        #: JoinStmt.output -> "broadcast"/"partition"
+        self.join_modes = join_modes or {}
 
     def __iter__(self):
         return iter(self.pipelines)
@@ -117,20 +124,77 @@ class PhysicalPlan:
         return "\n".join(p.describe() for p in self.pipelines)
 
 
-def plan_pipelines(program, build_side_overrides=None):
-    """Cut ``program`` into an ordered :class:`PhysicalPlan`."""
-    overrides = dict(build_side_overrides or {})
+def plan_joins(program, build_side_overrides=None, set_bytes=None,
+               broadcast_threshold=DEFAULT_BROADCAST_THRESHOLD):
+    """Each join's shape, decided before any data moves: ``(build_sides,
+    join_modes)``, keyed by the join's output vector list.
+
+    A vector list's size is what ``set_bytes(database, set)`` records
+    for the stored set at the head of the pipeline producing it (None:
+    unknown); the walk goes back through single-input statements,
+    through a join along its probe input and through a materialized
+    vector list to its producer.  The smaller known input builds — ties
+    and unknowns keep the right one — unless ``build_side_overrides``
+    names the join.  A build broadcasts iff its size is known and at
+    most ``broadcast_threshold`` bytes; otherwise both inputs are
+    hash-partitioned (the paper's rule, Section 8.3.2).
+    """
+    overrides = build_side_overrides or {}
+    producers = {
+        s.output: s for s in program.statements
+        if not isinstance(s, OutputStmt)
+    }
+    build_sides, join_modes = {}, {}
+
+    def size(vlist):
+        statement = producers.get(vlist)
+        while not isinstance(statement, ScanStmt):
+            if statement is None:
+                return None
+            if isinstance(statement, JoinStmt):
+                vlist = statement.left_input if side(statement) == "right" \
+                    else statement.right_input
+            else:
+                (vlist,) = statement.input_names()
+            statement = producers.get(vlist)
+        if set_bytes is None:
+            return None
+        return set_bytes(statement.database, statement.set_name)
+
+    def side(join):
+        if join.output not in build_sides:
+            left, right = size(join.left_input), size(join.right_input)
+            chosen = overrides.get(join.output) or (
+                "left" if None not in (left, right) and left < right
+                else "right"
+            )
+            build = left if chosen == "left" else right
+            build_sides[join.output] = chosen
+            join_modes[join.output] = (
+                "broadcast"
+                if build is not None and build <= broadcast_threshold
+                else "partition"
+            )
+        return build_sides[join.output]
+
+    for statement in program.statements:
+        if isinstance(statement, JoinStmt):
+            side(statement)
+    return build_sides, join_modes
+
+
+def plan_pipelines(program, build_side_overrides=None, set_bytes=None,
+                   broadcast_threshold=DEFAULT_BROADCAST_THRESHOLD):
+    """Cut ``program`` into an ordered :class:`PhysicalPlan`, its joins
+    shaped by :func:`plan_joins` (same arguments)."""
     consumers = {}
     for statement in program.statements:
         for name in statement.input_names():
             consumers.setdefault(name, []).append(statement)
 
-    build_sides = {}
-    for statement in program.statements:
-        if isinstance(statement, JoinStmt):
-            build_sides[statement.output] = overrides.get(
-                statement.output, "right"
-            )
+    build_sides, join_modes = plan_joins(
+        program, build_side_overrides, set_bytes, broadcast_threshold
+    )
 
     # Vector lists that force a pipeline cut when *consumed*.
     materialized = set()
@@ -214,7 +278,7 @@ def plan_pipelines(program, build_side_overrides=None):
         for consumer in consumers.get(name, []):
             follow(SOURCE_VLIST, name, name, entry=consumer)
 
-    return PhysicalPlan(_topo_sort(pipelines), build_sides)
+    return PhysicalPlan(_topo_sort(pipelines), build_sides, join_modes)
 
 
 def _topo_sort(pipelines):

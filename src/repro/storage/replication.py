@@ -26,11 +26,7 @@ from __future__ import annotations
 
 import zlib
 
-from repro.errors import (
-    PageCorruptionError,
-    PageReloadError,
-    ReplicationError,
-)
+from repro.errors import PageCorruptionError, ReplicationError
 from repro.obs import MetricsRegistry, Tracer
 from repro.storage.page import page_items
 
@@ -193,7 +189,9 @@ class ReplicationManager:
                         landed.append((key, replicas[-1], counted))
                         if dst_id != primary:
                             self._c_replica_writes.inc()
-                    placed[key].append((replicas, checksum, count, primary))
+                    placed[key].append(
+                        (replicas, checksum, count, primary, len(data))
+                    )
             return [
                 record for key, pages in placed.items()
                 for record in self.catalog.record_pages(*key, pages)
@@ -322,25 +320,6 @@ class ReplicationManager:
             "page %s of %s.%s is corrupt on every replica"
             % (record.uid, database, name)
         )
-
-    def estimated_bytes(self, database, name):
-        """Source-size estimate for join planning (each page counted once,
-        from the first replica that pins)."""
-        meta = self.storage_manager.set_metadata(database, name)
-        total = 0
-        for record in meta.pages.values():
-            for worker_id, page_id in self._live_replicas(record):
-                server = self.storage_manager.server(worker_id)
-                try:
-                    page = server.pool.pin(page_id)
-                except PageReloadError:  # pcsan: disable=PC005
-                    # An estimate tolerates a flaky reload; the scan
-                    # itself retries through the stage machinery.
-                    continue
-                total += page.block.used if page.block else 0
-                server.pool.unpin(page_id)
-                break
-        return total
 
     # -- membership changes ------------------------------------------------------
 

@@ -247,3 +247,66 @@ def test_create_set_records_with_a_layout_key_still_replay(cluster):
     assert {name: _scan(cluster, name) for name in old} == scans
     assert isinstance(cluster.loader("db", "rows"), ClusterLoader)
     assert isinstance(cluster.loader("db", "cols"), ColumnarClusterLoader)
+
+
+def test_record_page_records_without_a_size_still_replay(cluster):
+    """A ``record_page`` record as the catalog wrote it before page
+    records carried their sealed size (the fixture) replays; the planner
+    then sizes its set as unknown, so a join with it builds from the
+    right input and partitions — and returns the same rows."""
+    from repro.core import JoinComp, ObjectReader, Writer, \
+        lambda_from_member, lambda_from_native
+
+    class SensorJoin(JoinComp):
+        def get_selection(self, left, right):
+            return lambda_from_member(left, "sensor") == \
+                lambda_from_member(right, "sensor")
+
+        def get_projection(self, left, right):
+            return lambda_from_native(
+                [left, right], lambda a, b: (a.sensor, a.value, b.value)
+            )
+
+    with open(os.path.join(FIXTURES, "record_page_without_size.jsonl")) as f:
+        (old,) = map(json.loads, f)
+    few = [{"sensor": i, "value": i / 4.0} for i in range(3)]
+    rows = [{"sensor": i % 5, "value": i / 2.0} for i in range(40)]
+    for name, records in (("few", few), ("rows", rows)):
+        cluster.create_set("db", name, Reading)
+        with cluster.loader("db", name) as load:
+            load.extend(Reading, records)
+    expected = sorted(
+        (a["sensor"], a["value"], b["value"])
+        for a in few for b in rows if a["sensor"] == b["sensor"]
+    )
+
+    def join_into(name):
+        join = SensorJoin() \
+            .set_input(0, ObjectReader("db", "few")) \
+            .set_input(1, ObjectReader("db", "rows"))
+        cluster.execute_computations(Writer("db", name).set_input(join))
+        plan = cluster.last_plan
+        assert sorted(cluster.read("db", name)) == expected
+        return list(plan.build_sides.values()), list(plan.join_modes.values())
+
+    # Sized: the smaller left input builds, broadcast.
+    assert join_into("sized") == (["left"], ["broadcast"])
+
+    # Today's record is the old one plus its size; put the old one in.
+    with open(cluster.journal.path) as f:
+        journal = [json.loads(line) for line in f]
+    (index,) = [
+        index for index, record in enumerate(journal)
+        if record["op"] == "record_page" and record["set"] == "rows"
+    ]
+    assert {k: v for k, v in journal[index].items() if k != "size"} == old
+    journal[index] = old
+    cluster.journal.close()
+    with open(cluster.journal.path, "w") as f:
+        f.writelines(json.dumps(record, sort_keys=True) + "\n"
+                     for record in journal)
+
+    assert cluster.recover() == len(journal)
+    assert cluster.catalog.set_bytes("db", "rows") is None
+    assert cluster.catalog.set_bytes("db", "few") > 0
+    assert join_into("unsized") == (["right"], ["partition"])

@@ -312,37 +312,77 @@ def test_a_restart_leaves_every_child_idle(tmp_path, schema_of):
     assert cluster.shm_registry.live == {}
 
 
-# -- the size estimate tolerates a flaky reload, nothing else --------------------------
+# -- planning a join reads no page -----------------------------------------------------
 
 
-def test_estimated_bytes_tolerates_only_a_flaky_reload(tmp_path, monkeypatch,
-                                                       schema_of):
-    injector = FaultInjector()
+def _out_of_core(tmp_path, schema, injector=None):
+    """Two workers whose three-page pools hold a fraction of 2,400
+    points: loading spills, and every scan of the set reloads."""
     cluster = make_cluster(
         tmp_path, n_workers=2, page_size=1 << 12, worker_memory=3 << 12,
         fault_injector=injector,
     )
-    load_points(cluster, n=2400, schema=schema_of(Point))
+    load_points(cluster, n=2400, schema=schema)
     assert cluster.metrics().value("pc_pool_spills_total") > 0, \
         "test premise: loading must spill pages"
-    repl = cluster.replication
-    full = repl.estimated_bytes("db", "points")
-    assert full > 0
+    return cluster
 
-    injector.fail_page_reload(times=1)
-    flaky = repl.estimated_bytes("db", "points")
-    assert injector.counts["reload_failures"] == 1
-    assert 0 < flaky < full  # the unreadable page is skipped, not fatal
 
-    def broken_pin(page_id):
-        raise RuntimeError("not a reload fault")
+def test_planning_a_join_fires_no_reload_fault(tmp_path, schema_of):
+    """Sizing a join reads the catalog's page records, not the pages: a
+    reload fault armed before the job is still armed after it, and an
+    unknown input set is the scan's ``SetNotFoundError`` (planned as
+    unknown: its side builds, partitioned)."""
+    injector = FaultInjector()
+    with _out_of_core(tmp_path, schema_of(Point), injector) as cluster:
+        injector.fail_page_reload(times=1)
+        join = SelfJoin() \
+            .set_input(0, ObjectReader("db", "points")) \
+            .set_input(1, ObjectReader("db", "no_such_set"))
+        with pytest.raises(SetNotFoundError, match="no_such_set"):
+            cluster.execute_computations(Writer("db", "out").set_input(join))
+        assert injector.counts["reload_failures"] == 0
+        assert list(cluster.last_plan.build_sides.values()) == ["right"]
+        assert list(cluster.last_plan.join_modes.values()) == ["partition"]
 
-    for worker in cluster.workers:
-        monkeypatch.setattr(worker.storage.pool, "pin", broken_pin)
-    with pytest.raises(RuntimeError, match="not a reload fault"):
-        repl.estimated_bytes("db", "points")
-    with pytest.raises(SetNotFoundError):
-        repl.estimated_bytes("db", "no_such_set")
+
+@pytest.mark.parametrize("threshold", [0, 1 << 30])
+def test_a_join_over_a_set_larger_than_its_pools_plans_without_reloads(
+        tmp_path, threshold, schema_of):
+    """Compile, verify and plan move no ``pc_pool_reloads_total``: the
+    job's reloads are all its stages', i.e. its scans' (sizing the join
+    from the pages once cost as many reloads again as the scans)."""
+    with _out_of_core(tmp_path, schema_of(Point)) as cluster:
+        cluster.create_set("db", "few", Point)
+        with cluster.loader("db", "few") as load:
+            for i in range(50):
+                load.append(Point, pid=i, cid=i % 4, x=float(i))
+        cluster.broadcast_threshold = threshold
+        before = cluster.metrics().value("pc_pool_reloads_total")
+        join = SelfJoin() \
+            .set_input(0, ObjectReader("db", "points")) \
+            .set_input(1, ObjectReader("db", "few"))
+        cluster.execute_computations(Writer("db", "out").set_input(join))
+        assert sorted(h.pid for h in cluster.read("db", "out")) \
+            == list(range(50))
+
+        reloads = cluster.metrics().value("pc_pool_reloads_total") - before
+        trace = cluster.last_trace
+        phases = {
+            span.name: span.totals().get("pool.reloads", 0)
+            for span in trace.spans("phase")
+        }
+        assert phases == {"compile": 0, "verify": 0, "plan": 0}
+        in_stages = sum(
+            span.totals().get("pool.reloads", 0)
+            for span in trace.spans("stage")
+        )
+        assert in_stages == trace.totals()["pool.reloads"] == reloads > 0
+        mode = "broadcast" if threshold else "partition"
+        (output,) = cluster.last_plan.build_sides
+        assert [stage.detail for stage in cluster.last_job_log
+                if stage.kind == "BuildHashTableJobStage"] \
+            == ["%s join build for %s" % (mode, output)]
 
 
 # -- page_items: one decode, front-end side and in a back-end process ------------------

@@ -20,19 +20,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import PCCluster
+from repro.cluster import DEFAULT_BROADCAST_THRESHOLD, PCCluster
 from repro.cluster import scheduler as scheduler_module
-from repro.cluster.scheduler import DEFAULT_BROADCAST_THRESHOLD
 from repro.cluster.transport import remote_available
 from repro.core import (
     JoinComp,
     ObjectReader,
+    SelectionComp,
     Writer,
     lambda_from_member,
     lambda_from_native,
 )
 from repro.engine import LocalInterpreter, run_local
 from repro.engine import pipeline as pipeline_module
+from repro.engine.physical import SINK_HASH_BUILD, SOURCE_VLIST
 from repro.memory import Int32, PCObject
 from repro.schema import Schema
 from repro.tcap import compile_computations
@@ -281,6 +282,62 @@ def test_a_scheduled_build_task_returns_an_outbox_and_no_table(
     # AB's build; CAB's build (cut once when AB is partitioned); the
     # probe pipeline (cut once when CAB is) — on two workers.
     assert kinds == {"broadcast": 3 * 2, "partition": 5 * 2}
+
+
+# -- a build over a materialized vector list -------------------------------------------
+
+
+class Leaf(SelectionComp):
+    """The rows with ``x < 9`` as join-tree leaves: one computation that
+    feeds both inputs of a self-join, so its output is a materialized
+    vector list and the build pipeline starts from it, not from a scan."""
+
+    def get_selection(self, arg):
+        return lambda_from_native([arg], lambda row: row.x < 9)
+
+    def get_projection(self, arg):
+        return lambda_from_native(
+            [arg], lambda row: ((row.x, row.y, row.id),)
+        )
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("threshold", [0, 1 << 30])
+def test_a_build_over_a_materialized_vector_list(tmp_path, threshold,
+                                                 transport):
+    """The plan sizes a materialized input by the set at the head of the
+    pipeline that produced it: ``B``'s recorded bytes, over or under the
+    threshold — and the build stage runs the mode the plan chose."""
+    leaf = Leaf().set_input(ObjectReader("db", "r0"))
+    join = TreeJoin(NATIVE_X, (0, "y", False))
+    writer = Writer("db", "out").set_input(
+        join.set_input(0, leaf).set_input(1, leaf)
+    )
+    sources = {("db", "r0"): [_Row(x, y, i) for i, (x, y) in enumerate(B)]}
+    expected = sorted(LocalInterpreter(
+        compile_computations(writer), sources
+    ).run()[("db", "out")])
+    assert expected
+    cluster = _loaded_cluster(
+        tmp_path, [B], n_workers=2, page_size=1 << 12, transport=transport,
+        broadcast_threshold=threshold,
+    )
+    try:
+        cluster.execute_computations(writer)
+        (build,) = [
+            pipeline for pipeline in cluster.last_plan
+            if pipeline.sink_kind == SINK_HASH_BUILD
+        ]
+        assert build.source_kind == SOURCE_VLIST
+        mode = "broadcast" if threshold else "partition"
+        assert cluster.last_plan.join_modes == {build.sink.output: mode}
+        assert [
+            stage.detail for stage in cluster.last_job_log
+            if stage.kind == "BuildHashTableJobStage"
+        ] == ["%s join build for %s" % (mode, build.sink.output)]
+        assert sorted(cluster.read("db", "out")) == expected
+    finally:
+        cluster.close()
 
 
 # -- generated join trees ---------------------------------------------------------------

@@ -67,10 +67,11 @@ def test_python_value_outputs_still_gathered_after_execution(cluster):
 
 
 def test_unknown_join_source_keeps_default_build_side(cluster):
-    """The join-planning size probe tolerates a storage-lookup miss on
-    one input (keeps the default build side) instead of crashing — but
-    only for lookup errors, not arbitrary exceptions."""
+    """The join planner sizes an input over a set the catalog does not
+    know as unknown: the default (right) side builds and its table is
+    partitioned, nothing crashes — the scan reports the miss."""
     from repro.core import JoinComp, lambda_from_native
+    from repro.engine import plan_joins
     from repro.tcap.compiler import compile_computations
 
     class PidJoin(JoinComp):
@@ -85,5 +86,9 @@ def test_unknown_join_source_keeps_default_build_side(cluster):
         .set_input(0, ObjectReader("db", "points")) \
         .set_input(1, ObjectReader("db", "never_loaded"))
     program = compile_computations(Writer("db", "out").set_input(join))
-    overrides = cluster._choose_build_sides(program)
-    assert overrides == {}
+    sides, modes = plan_joins(
+        program, set_bytes=cluster.catalog.set_bytes,
+        broadcast_threshold=cluster.broadcast_threshold,
+    )
+    assert set(sides.values()) == {"right"}
+    assert set(modes.values()) == {"partition"}

@@ -45,16 +45,25 @@ from test_fault_tolerance import (
 # -- transport selection --------------------------------------------------------------
 
 
+needs_process = pytest.mark.skipif(
+    not remote_available(), reason="cloudpickle unavailable"
+)
+
+
 def test_make_transport_resolves_names_and_passthrough():
     sim = make_transport("sim")
     assert isinstance(sim, SimulatedNetwork)
     assert sim.name == "sim" and sim.page_residency == "mem"
-    proc = make_transport("process")
-    assert isinstance(proc, ProcessTransport)
-    assert proc.name == "process" and proc.page_residency == "shm"
     assert make_transport(sim) is sim  # instances pass through untouched
     with pytest.raises(ValueError, match="unknown transport"):
         make_transport("carrier-pigeon")
+
+
+@needs_process
+def test_make_transport_resolves_the_process_name():
+    proc = make_transport("process")
+    assert isinstance(proc, ProcessTransport)
+    assert proc.name == "process" and proc.page_residency == "shm"
     proc.close()
 
 
@@ -217,7 +226,9 @@ def _tpch_with_midshuffle_crash(tmp_path, subdir, transport, injector=None):
     return cluster, result, total
 
 
-@pytest.mark.parametrize("transport", ["sim", "process"])
+@pytest.mark.parametrize(
+    "transport", ["sim", pytest.param("process", marks=needs_process)]
+)
 def test_refork_racing_inflight_shuffle_is_byte_identical(
     tmp_path, transport
 ):
