@@ -20,9 +20,8 @@ PC005     Exception-swallowing ``except`` in ``repro/cluster/*`` hot
 PC006     Row-path handle access (``.deref()`` / ``make_object*`` /
           ``.facade()``) inside a columnar kernel scope — the kernel
           library, any ``lambda_from_native(kernel=...)`` callable, what
-          it calls, and every ``*_batch`` definition must stay
-          whole-batch array code; a per-row deref there silently
-          serializes the hot loop it exists to vectorize.
+          it calls, every ``*_batch`` definition: a per-row deref there
+          silently serializes the hot loop it exists to vectorize.
 PC010     The architecture, as one table (:data:`ARCHITECTURE`): a
           one-path API (``ship_page``, ``pin``, ...) referenced from a
           function the table does not name, a confined name
@@ -534,6 +533,7 @@ ARCHITECTURE = {
         ),
         "record_pages": (
             "repro.storage.replication.ReplicationManager.place_pages",
+            "repro.storage.replication.ReplicationManager.record_landed",
             "repro.catalog.catalog.CatalogManager._apply_journal_record",
         ),
         "open_root": ("repro.storage.dataset.RowPageWriter._open",),
@@ -593,10 +593,10 @@ ARCHITECTURE = {
     "ceilings": {
         "repro/cluster/scheduler.py": 998,
         "repro/cluster/transport.py": 762,
-        "repro/cluster/cluster.py": 763,
+        "repro/cluster/cluster.py": 694,
         "repro/cluster/procworker.py": 285,
         "repro/cluster/worker.py": 204,
-        "repro/storage/replication.py": 446,
+        "repro/storage/replication.py": 445,
         "repro/storage/dataset.py": 419,
         "repro/engine/physical.py": 308,
         "repro/engine/pipeline.py": 961,

@@ -136,6 +136,8 @@ class CatalogJournal:
         if directory:
             os.makedirs(directory, exist_ok=True)
         self.records_written = 0
+        #: groups committed: one write and one fsync each
+        self.syncs = 0
         self._file = None
 
     def append(self, *records):
@@ -149,6 +151,7 @@ class CatalogJournal:
         self._file.flush()
         os.fsync(self._file.fileno())
         self.records_written += len(records)
+        self.syncs += 1
 
     def close(self):
         """Release the append handle (the next append reopens it)."""

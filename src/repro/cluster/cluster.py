@@ -48,7 +48,7 @@ from repro.obs.evidence import kernel_fallbacks
 from repro.obs.tracer import Span
 from repro.memory.block import AllocationBlock
 from repro.memory.builtins import MapFacade
-from repro.memory.columnar import ColumnarPage
+from repro.memory.columnar import ColumnarPageWriter
 from repro.memory.gather import row_class
 from repro.memory.handle import Handle
 from repro.schema import Schema
@@ -609,155 +609,86 @@ class PCCluster:
         return False
 
 
-class ClusterLoader(RowPageWriter):
-    """Builds pages client-side and dispatches them to workers.
+class _LoadBlock:
+    """What both loaders share — the commit rule of a load block: a page
+    lands as it is sealed (shipped under its CRC and adopted on its
+    primary and ring replicas, :meth:`ReplicationManager.land_page`),
+    and the pages landed since the last commit are recorded as one
+    journal group — one write, one sync — at :meth:`flush` and at the end
+    of the ``with``, so they become readable then.  A body that raised
+    still records the pages sealed before the raise; the open page is
+    dropped (:meth:`discard`)."""
 
-    The row-page writer over client-side blocks: a sealed page's bytes
-    go to the replication layer, which stamps the checksum, places the
-    page on the set's ring replicas and records the placement in the
-    catalog's (journaled) replica map.  A context manager: ``__exit__``
-    writes the window and seals the last page on a clean exit and drops
-    both when the body raised, so a failed load never ships a
-    half-built page (and callers can no longer forget ``flush()``).
-    """
-
-    def __init__(self, cluster, database, set_name, page_size):
+    def __init__(self, cluster, database, set_name):
         self.cluster = cluster
         self.database = database
         self.set_name = set_name
-        self.page_size = page_size
         self.objects_discarded = 0
+        self._landed = []
+
+    pages_shipped = property(lambda self: len(self.sealed))
+    objects_loaded = property(lambda self: self.appended)
+
+    def _land(self, data, count):
+        self._landed.append(self.cluster.replication.land_page(
+            self.database, self.set_name, data, count, source="client",
+        ))
+        return self._landed[-1]
+
+    def _commit(self):
+        landed, self._landed = self._landed, []
+        self.cluster.replication.record_landed(
+            self.database, self.set_name, landed
+        )
+
+    def flush(self):
+        """Seal what is open, then record every page landed so far."""
+        super().flush()
+        self._commit()
+
+    def discard(self):
+        """Drop what is open unsealed, then record the pages landed."""
+        dropped = super().discard()
+        self.objects_discarded += dropped
+        self._commit()
+        return dropped
+
+
+class ClusterLoader(_LoadBlock, RowPageWriter):
+    """Builds row pages client-side (the row-page writer over client-side
+    blocks) and lands them on the set's workers as a load block does
+    (:class:`_LoadBlock`).  A context manager: ``__exit__`` writes the
+    window and seals the last page on a clean exit and drops both when
+    the body raised, so a failed load never ships a half-built page."""
+
+    def __init__(self, cluster, database, set_name, page_size):
+        _LoadBlock.__init__(self, cluster, database, set_name)
+        self.page_size = page_size
         registry = cluster.catalog.registry
 
         def open_page():
             return AllocationBlock(page_size, registry=registry), None
 
         def seal_page(block, _token, count):
-            if not count:
-                return None  # nothing recorded: the block is just dropped
-            return cluster.replication.store_page(
-                database, set_name, block.to_bytes(), count, source="client",
-            )
+            # An empty block is just dropped: nothing lands.
+            return self._land(block.to_bytes(), count) if count else None
 
         fallbacks = kernel_fallbacks(cluster.metrics_registry)
-        super().__init__(open_page, seal_page, lambda reason: fallbacks.inc(
-            operator="object_build", reason=reason))
-
-    pages_shipped = property(lambda self: len(self.sealed))
-    objects_loaded = property(lambda self: self.appended)
-
-    def discard(self):
-        """Drop the open partially-built page without shipping it."""
-        dropped = super().discard()
-        self.objects_discarded += dropped
-        return dropped
+        RowPageWriter.__init__(
+            self, open_page, seal_page, lambda reason: fallbacks.inc(
+                operator="object_build", reason=reason))
 
 
-class ColumnarClusterLoader(FlushOnExit):
-    """Builds struct-of-arrays pages client-side for a columnar set.
-
-    Rows are buffered per column and laid onto a
-    :class:`~repro.memory.columnar.ColumnarPage` whenever a full page's
-    worth (``capacity``) accumulates; the sealed page bytes ship through
-    the same replication path as row pages.  Same context-manager
-    contract as :class:`ClusterLoader`: clean exit flushes, an exception
-    discards the buffered remainder.
-    """
+class ColumnarClusterLoader(_LoadBlock, FlushOnExit, ColumnarPageWriter):
+    """Builds struct-of-arrays pages client-side for a columnar set
+    (:class:`~repro.memory.columnar.ColumnarPageWriter`: typed arrays per
+    column, a page cut off them by offset) and lands them as a load block
+    does.  Same context-manager contract as :class:`ClusterLoader`."""
 
     def __init__(self, cluster, database, set_name, page_size, schema):
-        self.cluster = cluster
-        self.database = database
-        self.set_name = set_name
-        self.page_size = page_size
-        self.schema = schema
-        self.capacity = ColumnarPage.capacity_for(schema, page_size)
-        if self.capacity < 1:
-            raise StorageError(
-                "no row of %r fits on a %d-byte page"
-                % (schema, page_size)
-            )
-        self._names = schema.names()
-        self._buffers = {name: [] for name in self._names}
-        self._buffered = 0
-        self.pages_shipped = 0
-        self.objects_loaded = 0
-        self.objects_discarded = 0
-
-    def append(self, type_or_class=None, init=None, **fields):
-        """Buffer one row; keywords must cover every schema column.
-
-        ``type_or_class`` is accepted (and ignored) so row-loader call
-        sites can switch a set to columnar without edits — the schema
-        already fixes the row type.
-        """
-        missing = [name for name in self._names if name not in fields]
-        if missing:
-            # Checked before any buffer grows: a partial row would shift
-            # every later row of the columns it reached.
-            raise StorageError(
-                "columnar append needs every schema column; missing %r"
-                % (sorted(missing),)
-            )
-        for name in self._names:
-            self._buffers[name].append(fields[name])
-        self._buffered += 1
-        self.objects_loaded += 1
-        if self._buffered >= self.capacity:
-            self._ship_page()
-
-    def extend(self, cls, records):
-        """Buffer each record as :meth:`append` does."""
-        for record in records:
-            self.append(cls, **record)
-
-    def append_columns(self, **columns):
-        """Buffer many rows at once from equal-length per-column arrays."""
-        lengths = {len(columns[name]) for name in self._names
-                   if name in columns}
-        if set(columns) != set(self._names) or len(lengths) != 1:
-            raise StorageError(
-                "append_columns needs equal-length values for exactly the "
-                "schema columns %r" % (self._names,)
-            )
-        count = lengths.pop()
-        for name in self._names:
-            values = columns[name]
-            buffer = self._buffers[name]
-            buffer.extend(
-                values.tolist() if hasattr(values, "tolist") else values
-            )
-        self._buffered += count
-        self.objects_loaded += count
-        while self._buffered >= self.capacity:
-            self._ship_page()
-
-    def _ship_page(self):
-        if not self._buffered:
-            return
-        take = min(self._buffered, self.capacity)
-        columns = {}
-        for name in self._names:
-            buffer = self._buffers[name]
-            columns[name] = buffer[:take]
-            self._buffers[name] = buffer[take:]
-        page = ColumnarPage.build(
-            self.schema, columns, self.page_size,
-            registry=self.cluster.catalog.registry,
+        _LoadBlock.__init__(self, cluster, database, set_name)
+        ColumnarPageWriter.__init__(
+            self, schema, page_size,
+            lambda page: self._land(page.block.to_bytes(), len(page)),
+            registry=cluster.catalog.registry,
         )
-        self.cluster.replication.store_page(
-            self.database, self.set_name, page.block.to_bytes(),
-            len(page), source="client",
-        )
-        self._buffered -= take
-        self.pages_shipped += 1
-
-    def flush(self):
-        """Ship everything still buffered (the final partial page last)."""
-        while self._buffered:
-            self._ship_page()
-
-    def discard(self):
-        """Drop the buffered, not-yet-shipped rows."""
-        self.objects_discarded += self._buffered
-        self._buffers = {name: [] for name in self._names}
-        self._buffered = 0

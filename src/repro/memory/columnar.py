@@ -25,10 +25,11 @@ falls back to per-row execution).
 from __future__ import annotations
 
 import struct
+from collections import deque
 
 import numpy as np
 
-from repro.errors import ObjectModelError
+from repro.errors import ObjectModelError, StorageError
 from repro.memory.block import AllocationBlock
 from repro.memory.layout import (
     BLOCK_HEADER_SIZE,
@@ -198,6 +199,139 @@ class ColumnarPage:
         return "<ColumnarPage %d rows x [%s]>" % (
             self.count, ", ".join(self._names)
         )
+
+
+class ColumnarPageWriter:
+    """The one way rows become columnar pages.
+
+    What :meth:`append` and :meth:`append_columns` take is held as arrays
+    of the schema's dtypes — each call's values converted once, all or
+    none (:meth:`~repro.schema.Schema.column_array`), so a value its
+    column cannot hold raises :class:`StorageError` at the call that
+    gave it, with nothing of that call held.  A page of ``capacity``
+    rows is built whenever that many are held, and one of the rest at
+    :meth:`flush`; a page's rows are read from the held arrays by
+    offset, so what is left is never copied again.
+    ``seal_page(page)`` takes each built :class:`ColumnarPage` and
+    returns its name, kept in :attr:`sealed`.
+    """
+
+    def __init__(self, schema, page_size, seal_page, registry=None):
+        self.schema = schema
+        self.page_size = page_size
+        self.capacity = ColumnarPage.capacity_for(schema, page_size)
+        if self.capacity < 1:
+            raise StorageError(
+                "no row of %r fits on a %d-byte page" % (schema, page_size)
+            )
+        self._seal_page = seal_page
+        self._registry = registry
+        self._names = schema.names()
+        self._rows = []  # append's one-record arrays, not yet a chunk
+        self._chunks = deque()  # name -> array, in arrival order
+        self._offset = 0  # rows of the first chunk already on a page
+        self._held = 0
+        #: what ``seal_page`` returned for every page sealed so far.
+        self.sealed = []
+        #: rows accepted so far, a later :meth:`discard` included.
+        self.appended = 0
+
+    def append(self, type_or_class=None, init=None, **fields):
+        """Hold one row; the keywords name exactly the schema columns.
+
+        ``type_or_class`` is accepted (and ignored) so row-loader call
+        sites can switch a set to columnar without edits — the schema
+        already fixes the row type.
+        """
+        if fields.keys() != set(self._names):
+            # Checked before anything is held: a partial row would shift
+            # every later row of the columns it reached.
+            raise StorageError(
+                "columnar append takes exactly the schema columns %r; "
+                "missing %r, unknown %r" % (
+                    self._names, sorted(set(self._names) - fields.keys()),
+                    sorted(fields.keys() - set(self._names)),
+                )
+            )
+        self._rows.append(self.schema.row_array(fields))
+        self._held += 1
+        self.appended += 1
+        self._write()
+
+    def extend(self, cls, records):
+        """Hold each record as :meth:`append` does."""
+        for record in records:
+            self.append(cls, **record)
+
+    def append_columns(self, **columns):
+        """Hold many rows at once from equal-length per-column values."""
+        lengths = {len(columns[name]) for name in self._names
+                   if name in columns}
+        if columns.keys() != set(self._names) or len(lengths) != 1:
+            raise StorageError(
+                "append_columns needs equal-length values for exactly the "
+                "schema columns %r" % (self._names,)
+            )
+        arrays = {name: self.schema.column_array(name, columns[name])
+                  for name in self._names}
+        count = lengths.pop()
+        self._fold()
+        if count:
+            self._chunks.append(arrays)
+        self._held += count
+        self.appended += count
+        self._write()
+
+    def _fold(self):
+        """Make the rows :meth:`append` holds one chunk, in order."""
+        if self._rows:
+            rows = np.concatenate(self._rows)
+            self._chunks.append({name: rows[name] for name in self._names})
+            self._rows = []
+
+    def _take(self, take):
+        """The next ``take`` held rows, name -> array: views into the
+        first chunk when it holds them, else copied across chunks."""
+        parts = []
+        while take:
+            chunk = self._chunks[0]
+            size = len(chunk[self._names[0]])
+            stop = min(size, self._offset + take)
+            parts.append({name: column[self._offset:stop]
+                          for name, column in chunk.items()})
+            take -= stop - self._offset
+            self._offset = stop
+            if stop == size:
+                self._chunks.popleft()
+                self._offset = 0
+        if len(parts) == 1:
+            return parts[0]
+        return {name: np.concatenate([part[name] for part in parts])
+                for name in self._names}
+
+    def _write(self, final=False):
+        """Build and seal a page of every ``capacity`` rows held and,
+        ``final``, one of the rest."""
+        while self._held >= self.capacity or (final and self._held):
+            self._fold()
+            take = min(self._held, self.capacity)
+            columns = self._take(take)
+            # Taken before it is sealed: a page whose seal raises is lost
+            # with the error, and what is held stays consistent.
+            self._held -= take
+            self.sealed.append(self._seal_page(ColumnarPage.build(
+                self.schema, columns, self.page_size, registry=self._registry,
+            )))
+
+    def flush(self):
+        """Seal everything held (the final partial page last)."""
+        self._write(final=True)
+
+    def discard(self):
+        """Drop the rows held, unsealed; returns how many."""
+        dropped, self._held = self._held, 0
+        self._rows, self._chunks, self._offset = [], deque(), 0
+        return dropped
 
 
 class RowView:

@@ -26,7 +26,9 @@ reconstruct them without shipping descriptor objects.
 
 from __future__ import annotations
 
-from repro.errors import TypeRegistrationError
+import numpy as np
+
+from repro.errors import StorageError, TypeRegistrationError
 from repro.memory.types import (
     NUMPY_DTYPES,
     Float32,
@@ -75,7 +77,7 @@ def _as_primitive(spec):
 class Schema:
     """An ordered list of ``(name, primitive type)`` columns."""
 
-    __slots__ = ("fields",)
+    __slots__ = ("fields", "row_dtype")
 
     def __init__(self, fields):
         seen = set()
@@ -90,6 +92,11 @@ class Schema:
         if not normalized:
             raise TypeRegistrationError("a schema needs at least one column")
         self.fields = tuple(normalized)
+        #: one row as a packed numpy record, a field per column
+        self.row_dtype = np.dtype([
+            (name, NUMPY_DTYPES[descriptor.name])
+            for name, descriptor in normalized
+        ])
 
     # -- derivation ---------------------------------------------------------
 
@@ -144,6 +151,39 @@ class Schema:
     def __hash__(self):
         return hash(tuple((n, t.name) for n, t in self.fields))
 
+    # -- values -------------------------------------------------------------
+
+    def column_array(self, name, values):
+        """``values`` as column ``name`` holds them: a new 1-d array of its
+        dtype, each value what ``np.array(values.tolist(), dtype)`` makes
+        of it, so a cast never wraps.  A value the dtype cannot hold
+        raises :class:`StorageError` naming the column."""
+        dtype = self.row_dtype[name]
+        try:
+            if type(values) is np.ndarray and values.dtype.kind in "biuf":
+                array = _cast_as_listed(values, dtype)
+            else:
+                array = np.array(values.tolist() if hasattr(values, "tolist")
+                                 else values, dtype=dtype)
+            if array.ndim != 1:
+                raise ValueError("the values are %d-dimensional" % array.ndim)
+        except (OverflowError, ValueError, TypeError) as error:
+            raise StorageError("column %r (%s) cannot hold the values: %s"
+                               % (name, dtype, error)) from None
+        return array
+
+    def row_array(self, fields):
+        """One row — ``fields`` maps every column to its value — as a
+        one-record array of :attr:`row_dtype`, each value converted as
+        :meth:`column_array` converts it."""
+        row = tuple(fields[name] for name in self.names())
+        try:
+            return np.array([row], dtype=self.row_dtype)
+        except (OverflowError, ValueError, TypeError):
+            for name, value in zip(self.names(), row):
+                self.column_array(name, [value])  # raises naming the column
+            raise
+
     # -- wire format --------------------------------------------------------
 
     def to_dict(self):
@@ -164,3 +204,22 @@ class Schema:
         return "Schema([%s])" % ", ".join(
             "(%r, %s)" % (n, t.name) for n, t in self.fields
         )
+
+
+def _cast_as_listed(values, dtype):
+    """A numeric array cast to ``dtype`` as its ``tolist()`` values would
+    convert one by one: to a float column through float64 (a Python int
+    becomes a double first); to an integer column truncated toward zero,
+    raising unless every value is finite and in the column's range."""
+    if dtype.kind == "f":
+        return values.astype(np.float64).astype(dtype, copy=False)
+    if values.dtype.kind == "f":
+        if not np.isfinite(values).all():
+            raise ValueError("NaN or infinity is no integer")
+        values = np.trunc(values)
+    info = np.iinfo(dtype)
+    if values.size and not (info.min <= values.min().item()
+                            and values.max().item() <= info.max):
+        raise OverflowError("a value is outside [%d, %d]"
+                            % (info.min, info.max))
+    return values.astype(dtype)

@@ -7,19 +7,17 @@ front-ends; this module adds the redundancy layer on top:
   integrity reference each copy is verified against on every spill
   reload, network receipt, and replicated read;
 * ``create_set(..., replication=k)`` places each page on ``k`` workers
-  chosen by a deterministic :class:`PlacementRing`, written synchronously
-  at load/materialization time — through one function: a copy lands by
-  ``_copy`` and a page is recorded by ``place_pages``, after every copy
-  of it has arrived;
+  chosen by a deterministic :class:`PlacementRing`: a copy lands by
+  ``_copy`` only, and pages are recorded — after every copy of them
+  arrived — in one journal group per set, a job's output by
+  ``place_pages`` and a load block's by ``record_landed``;
 * the catalog's per-set replica map (``SetMetadata.pages``) is the
-  authoritative record of where each page's copies live, so reads can
-  fail over to any live replica, corrupted copies are quarantined and
-  healed from a healthy one, and a node loss triggers re-replication on
-  the survivors instead of data loss.
+  authoritative record of where each page's copies live, so reads fail
+  over to any live replica, corrupted copies are quarantined and healed
+  from a healthy one, and a node loss triggers re-replication.
 
-All activity is counted (``repl.replica_writes``, ``repl.failover_reads``,
-``repl.checksum_failures``, ``repl.re_replications``, ``repl.pages_healed``)
-both on the manager and into the active trace span.
+All activity is counted in ``pc_repl_*`` counters, mirrored into the
+active trace span.
 """
 
 from __future__ import annotations
@@ -97,26 +95,22 @@ class ReplicationManager:
         # mirrors into the active span by name.
         self.metrics = metrics if metrics is not None else \
             MetricsRegistry(tracer=self.tracer)
-        self._c_replica_writes = self.metrics.counter(
+        counter = self.metrics.counter
+        self._c_replica_writes = counter(
             "pc_repl_replica_writes_total",
-            help="Page copies placed on replica workers",
-        )
-        self._c_failover_reads = self.metrics.counter(
+            help="Page copies placed on replica workers")
+        self._c_failover_reads = counter(
             "pc_repl_failover_reads_total",
-            help="Reads served from a replica after a primary failure",
-        )
-        self._c_checksum_failures = self.metrics.counter(
+            help="Reads served from a replica after a primary failure")
+        self._c_checksum_failures = counter(
             "pc_repl_checksum_failures_total",
-            help="Replica copies failing their recorded checksum",
-        )
-        self._c_re_replications = self.metrics.counter(
+            help="Replica copies failing their recorded checksum")
+        self._c_re_replications = counter(
             "pc_repl_re_replications_total",
-            help="Copies re-created to restore the replication factor",
-        )
-        self._c_pages_healed = self.metrics.counter(
+            help="Copies re-created to restore the replication factor")
+        self._c_pages_healed = counter(
             "pc_repl_pages_healed_total",
-            help="Corrupt copies overwritten from a healthy replica",
-        )
+            help="Corrupt copies overwritten from a healthy replica")
 
     # -- placement (writes) ----------------------------------------------------
 
@@ -143,72 +137,84 @@ class ReplicationManager:
         page_set = self.storage_manager.server(dst_id).get_set(database, name)
         return [dst_id, page_set.adopt_page_bytes(delivered, count=count)]
 
-    def _free(self, database, name, copy, count=0):
-        """Drop a ``[worker_id, page id]`` copy that no record names (and
-        the ``count`` objects it added to its partition)."""
-        worker_id, page_id = copy
-        self.storage_manager.server(worker_id).get_set(
-            database, name
-        ).rollback(page_id, count)
+    def _free(self, copies):
+        """Drop ``((database, name), [worker_id, page id], objects it
+        added)`` copies that no record names, taking the objects back."""
+        for (database, name), (worker_id, page_id), count in copies:
+            self.storage_manager.server(worker_id).get_set(
+                database, name
+            ).rollback(page_id, count)
+
+    def _land(self, ring, key, page, source, landed):
+        """Land the missing copies (:meth:`_copy`) of one page, ``(primary,
+        data, checksum, count, page_id)``, each noted in ``landed``.  A
+        ``page_id`` says a task of ``primary`` adopted it there (a job's
+        output), so its ring replicas are copied from the primary; with
+        None every copy travels from ``source`` (a load).  Returns the
+        page's ``record_pages`` entry."""
+        primary, data, checksum, count, page_id = page
+        targets = ring.replicas_for(
+            primary, self.catalog.set_metadata(*key).replication
+        )
+        replicas = [] if page_id is None else [[primary, page_id]]
+        for dst_id in targets[len(replicas):]:
+            # Readers count the primary's copy, no other.
+            counted = count if dst_id == primary else 0
+            replicas.append(self._copy(
+                source if page_id is None else primary, dst_id, *key, data,
+                checksum, counted,
+            ))
+            landed.append((key, replicas[-1], counted))
+            if dst_id != primary:
+                self._c_replica_writes.inc()
+        return replicas, checksum, count, primary, len(data)
 
     def place_pages(self, placements, source=None):
-        """The one way pages become *recorded*: deliver, adopt, record.
-
-        ``placements`` maps ``(database, name)`` to its pages, each
-        ``(primary, data, checksum, count, page_id)``.  A ``page_id``
-        says a task of ``primary`` already adopted the page there (a
-        job's output, as its sinks sealed it), so only its ring replicas
-        are missing and they are copied from the primary; ``None`` says
-        no copy exists yet (the loader) and every one travels from
-        ``source``.  Every copy of every page of every set lands first
-        (:meth:`_copy`); one journaled ``record_pages`` group per set
-        names them last.  If anything raises on the way, the copies
-        adopted here are freed and nothing is recorded — a primary that
-        was there before is its owner's to drop.  Returns the
-        :class:`PageRecord` list, in ``placements`` order.
-        """
+        """Land and record a job's pages: ``placements`` maps ``(database,
+        name)`` to its pages as :meth:`_land` takes them.  Every copy
+        lands first; one journaled ``record_pages`` group per set names
+        them last.  If anything raises, the copies landed here are freed
+        (a primary that was there before is its owner's to drop)."""
         ring = PlacementRing(self.storage_manager.worker_ids)
-        placed = {}
-        landed = []  # (set, copy, the objects it added) of every copy made
+        landed = []
         try:
-            for key, pages in placements.items():
-                database, name = key
-                meta = self.catalog.set_metadata(database, name)
-                placed[key] = []
-                for primary, data, checksum, count, page_id in pages:
-                    targets = ring.replicas_for(primary, meta.replication)
-                    src_id = source if page_id is None else primary
-                    replicas = [] if page_id is None else [[primary, page_id]]
-                    for dst_id in targets[len(replicas):]:
-                        # Readers count the primary's copy, no other.
-                        counted = count if dst_id == primary else 0
-                        replicas.append(self._copy(
-                            src_id, dst_id, database, name, data, checksum,
-                            counted,
-                        ))
-                        landed.append((key, replicas[-1], counted))
-                        if dst_id != primary:
-                            self._c_replica_writes.inc()
-                    placed[key].append(
-                        (replicas, checksum, count, primary, len(data))
-                    )
+            placed = {key: [self._land(ring, key, page, source, landed)
+                            for page in pages]
+                      for key, pages in placements.items()}
             return [
                 record for key, pages in placed.items()
                 for record in self.catalog.record_pages(*key, pages)
             ]
         except BaseException:
-            for (database, name), copy, counted in landed:
-                self._free(database, name, copy, counted)
+            self._free(landed)
             raise
 
-    def store_page(self, database, name, data, count, source="client"):
-        """Place one loaded page on its primary plus ring replicas
-        (:meth:`place_pages`, every copy shipped from ``source``).
-        Returns the :class:`PageRecord`."""
-        primary = self.storage_manager.next_target(database, name)
-        return self.place_pages({(database, name): [
-            (primary, data, page_checksum(data), count, None)
-        ]}, source)[0]
+    def land_page(self, database, name, data, count, source="client"):
+        """Land one loaded page on the set's next partition and its ring
+        replicas, shipped from ``source`` under its CRC, and record
+        nothing: :meth:`record_landed` takes what this returns.  A copy
+        that fails frees the ones landed before it."""
+        page = (self.storage_manager.next_target(database, name), data,
+                page_checksum(data), count, None)
+        landed = []
+        try:
+            return self._land(PlacementRing(self.storage_manager.worker_ids),
+                              (database, name), page, source, landed), landed
+        except BaseException:
+            self._free(landed)
+            raise
+
+    def record_landed(self, database, name, pages):
+        """Record pages :meth:`land_page` landed as one journaled
+        ``record_pages`` group: one write and one sync, none for no page.
+        If that fails, their copies are freed.  Returns the records."""
+        try:
+            return self.catalog.record_pages(
+                database, name, [entry for entry, _copies in pages]
+            )
+        except BaseException:
+            self._free([c for _entry, cs in pages for c in cs])
+            raise
 
     # -- reads (failover + healing) --------------------------------------------
 
@@ -223,10 +229,9 @@ class ReplicationManager:
         """Yield ``(page_set, page_id)`` of every page copy a scan reads.
 
         The one page selection: catalog uid order, each page from its
-        first live replica, failover counted, corrupt copies healed.
-        :meth:`scan_pages` decodes these pages front-end side; the
-        scheduler's shm export hands the same pages to a back-end
-        process.  An unknown set raises
+        first live replica, failover counted, corrupt copies healed —
+        decoded front-end side by :meth:`scan_pages`, handed to a
+        back-end by the scheduler's shm export.  An unknown set raises
         :class:`~repro.errors.SetNotFoundError`.
         """
         meta = self.storage_manager.set_metadata(database, name)
@@ -248,14 +253,10 @@ class ReplicationManager:
             yield self._healthy_copy(database, name, record, reader)
 
     def scan_pages(self, database, name, worker_id=None):
-        """Yield each page's :func:`page_items`, via live replicas.
-
-        ``worker_id`` restricts the scan to the pages *assigned* to that
-        worker (each page is read exactly once cluster-wide by the worker
-        holding its first live replica).  Corrupted copies are
-        quarantined and transparently healed from a healthy replica —
-        corrupted bytes are never yielded.  A page stays pinned while the
-        consumer holds its items (until the next one is asked for).
+        """Yield each page's :func:`page_items`, read from the copy
+        :meth:`scan_page_copies` picks (``worker_id``: only the pages that
+        worker reads, each page read once cluster-wide) — never corrupted
+        bytes.  A page stays pinned while the consumer holds its items.
         """
         for page_set, page_id in self.scan_page_copies(
             database, name, worker_id=worker_id
@@ -268,10 +269,8 @@ class ReplicationManager:
         try:
             data = self._page_bytes(worker_id, page_id)
         except PageCorruptionError:
-            self._note_checksum_failure(record, worker_id)
-            return None
-        if record.checksum is not None and \
-                page_checksum(data) != record.checksum:
+            data = None
+        if data is None or record.checksum not in (None, page_checksum(data)):
             self._note_checksum_failure(record, worker_id)
             return None
         return data
@@ -313,7 +312,7 @@ class ReplicationManager:
             self.catalog.update_page_replicas(database, name, record.uid, [
                 healed if w == reader else [w, p] for w, p in record.replicas
             ])
-            self._free(database, name, [reader, local])
+            self._free([((database, name), [reader, local], 0)])
             self._c_pages_healed.inc()
             return page_set, healed[1]
         raise ReplicationError(
@@ -352,8 +351,8 @@ class ReplicationManager:
                         record.checksum,
                     )
         except BaseException:
-            for (database, name, _uid), copy in moved.items():
-                self._free(database, name, copy)
+            self._free([((database, name), copy, 0)
+                        for (database, name, _uid), copy in moved.items()])
             raise
         return moved
 

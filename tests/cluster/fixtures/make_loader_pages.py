@@ -5,7 +5,7 @@ Run against the commit whose loader bytes should be frozen::
     PYTHONPATH=<checkout>/src python tests/cluster/fixtures/make_loader_pages.py
 
 The JSON holds, per load, the CRC32 and object count of every page the
-loader handed to ``replication.store_page``, in shipping order (see
+loader handed to ``replication.land_page``, in shipping order (see
 ``test_write_path_property.py``).  Four fixed loads: TPC-H ``Customer``
 trees through ``extend``, and a chunked matrix, k-means point chunks and
 flat rows through keyword ``append``, each on pages small enough to roll
@@ -47,13 +47,13 @@ class LoaderRow(PCObject):
 def _recording(cluster):
     """Make ``cluster`` note ``[crc32, count]`` of every page it stores."""
     shipped = []
-    store_page = cluster.replication.store_page
+    land_page = cluster.replication.land_page
 
-    def recording_store(database, name, data, count, source="client"):
+    def recording_land(database, name, data, count, source="client"):
         shipped.append([zlib.crc32(bytes(data)), count])
-        return store_page(database, name, data, count, source=source)
+        return land_page(database, name, data, count, source=source)
 
-    cluster.replication.store_page = recording_store
+    cluster.replication.land_page = recording_land
     return shipped
 
 

@@ -77,13 +77,13 @@ def test_loading_resumes_after_a_flush(cluster):
 def _shipping(cluster):
     """Note the bytes of every page ``cluster`` stores from the client."""
     shipped = []
-    store_page = cluster.replication.store_page
+    land_page = cluster.replication.land_page
 
-    def recording_store(database, name, data, count, source="client"):
+    def recording_land(database, name, data, count, source="client"):
         shipped.append((bytes(data), count))
-        return store_page(database, name, data, count, source=source)
+        return land_page(database, name, data, count, source=source)
 
-    cluster.replication.store_page = recording_store
+    cluster.replication.land_page = recording_land
     return shipped
 
 

@@ -400,6 +400,14 @@ def _row_page_bytes(cluster, page_size, pids):
     return block.to_bytes()
 
 
+def _store_page(cluster, database, name, data, count):
+    """Land and record one page, as a load block of one page does."""
+    replication = cluster.replication
+    replication.record_landed(database, name, [
+        replication.land_page(database, name, data, count)
+    ])
+
+
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_page_items_same_objects_front_end_and_back_end(tmp_path, transport):
     page_size = 1 << 12
@@ -414,12 +422,12 @@ def test_page_items_same_objects_front_end_and_back_end(tmp_path, transport):
         with cluster.loader("db", "points") as load:
             for i in range(100):
                 load.append(pid=i, cid=i % 4, x=float(i))
-        cluster.replication.store_page(
-            "db", "points",
+        _store_page(
+            cluster, "db", "points",
             _row_page_bytes(cluster, page_size, range(100, 140)), 40,
         )
-        cluster.replication.store_page(
-            "db", "points", AllocationBlock(page_size).to_bytes(), 0
+        _store_page(
+            cluster, "db", "points", AllocationBlock(page_size).to_bytes(), 0
         )
 
         kinds = {"columnar": 0, "row": 0, "rootless": 0}
@@ -484,7 +492,7 @@ def test_page_items_reads_a_map_page_as_its_one_map(tmp_path, transport):
         assert len(pages) > 1
         for data, checksum, _allocations, count in pages:
             assert count == 1 and page_checksum(data) == checksum
-            cluster.replication.store_page("db", "sums", data, count)
+            _store_page(cluster, "db", "sums", data, count)
 
         read = []
         for page_set, page_id in cluster.replication.scan_page_copies(

@@ -301,11 +301,11 @@ def _watching(cluster):
     client, and ``(cls, record)`` of every record its loaders are given,
     in order."""
     pages, records = [], []
-    store_page, loader = cluster.replication.store_page, cluster.loader
+    land_page, loader = cluster.replication.land_page, cluster.loader
 
-    def recording_store(database, name, data, count, source="client"):
+    def recording_land(database, name, data, count, source="client"):
         pages.append((bytes(data), count))
-        return store_page(database, name, data, count, source=source)
+        return land_page(database, name, data, count, source=source)
 
     def noting_loader(*args, **kwargs):
         load = loader(*args, **kwargs)
@@ -323,7 +323,7 @@ def _watching(cluster):
         load.append, load.extend = noted_append, noted_extend
         return load
 
-    cluster.replication.store_page = recording_store
+    cluster.replication.land_page = recording_land
     cluster.loader = noting_loader
     return pages, records, cluster.catalog.registry
 
