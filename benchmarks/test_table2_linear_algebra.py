@@ -168,4 +168,4 @@ def test_table2_linear_algebra(benchmark):
     # Representative op for --benchmark-only stats: the dim-100 Gram.
     x, y = _data(100, 1000)
     cluster, dx, _dy = _pc_matrices(x, y)
-    benchmark(lambda: dx.transpose_multiply(dx))
+    benchmark(lambda: dx.transpose_multiply(dx).to_numpy())

@@ -39,7 +39,10 @@ def main():
     print("max abs error: ", float(np.abs(estimate - np.linalg.solve(
         x.T @ x, x.T @ y)).max()))
     lifetime = cluster.metrics()
-    print("\nnetwork: %d messages, %d bytes (%d as zero-copy pages)" % (
+    # The program is two jobs: the Gram matrix gathered for ^-1, then
+    # the product that save() writes into lla.beta.
+    print("\njobs: %d" % lifetime.value("pc_sched_jobs_total"))
+    print("network: %d messages, %d bytes (%d as zero-copy pages)" % (
         lifetime.value("pc_net_messages_total"),
         lifetime.value("pc_net_bytes_total"),
         lifetime.value("pc_net_bytes_zero_copy_total"),

@@ -288,40 +288,42 @@ class CatalogManager:
 
     # -- replica-map bookkeeping ---------------------------------------------------
 
-    def record_pages(self, database, name, pages, uids=None):
+    def record_pages(self, placements, uids=None):
         """Record newly stored pages and their replica placement.
 
-        ``pages`` lists ``(replicas, checksum, count, primary, size)`` per
-        page: ``replicas`` the ordered ``(worker_id, local_page_id)``
-        placement, ``checksum`` the CRC32 of the sealed bytes, ``count``
-        the objects on the page, ``size`` the sealed bytes' length.  The
-        records are journaled as one group — written and synced once —
-        before any of them is applied.
+        ``placements`` maps ``(database, name)`` to its pages, each
+        ``(replicas, checksum, count, primary, size)``: ``replicas`` the
+        ordered ``(worker_id, local_page_id)`` placement, ``checksum`` the
+        CRC32 of the sealed bytes, ``count`` the objects on the page,
+        ``size`` the sealed bytes' length.  The records of every set are
+        journaled as one group — written and synced once — before any of
+        them is applied, so a failed write records none.
         Returns the pages' :class:`PageRecord` list.  ``uids`` are the
         recorded ones when the journal is replayed.
         """
+        uids = None if uids is None else iter(uids)
         with self._lock:
-            meta = self._set_metadata_locked(database, name)
-            records = []
-            for index, (replicas, checksum, count, primary, size) in \
-                    enumerate(pages):
-                if uids is None:
-                    uid = meta.next_page_uid()
-                else:
-                    uid = uids[index]
-                    meta.note_replayed_uid(uid)
-                if primary is None:
-                    primary = replicas[0][0]
-                records.append(
-                    PageRecord(uid, replicas, checksum, count, primary, size)
-                )
-            self._journal(*({
-                "op": "record_page", "db": database, "set": name,
-                **record.to_record(),
-            } for record in records))
-            for record in records:
+            staged, entries = [], []  # (SetMetadata, PageRecord), WAL
+            for (database, name), pages in placements.items():
+                meta = self._set_metadata_locked(database, name)
+                for replicas, checksum, count, primary, size in pages:
+                    if uids is None:
+                        uid = meta.next_page_uid()
+                    else:
+                        uid = next(uids)
+                        meta.note_replayed_uid(uid)
+                    if primary is None:
+                        primary = replicas[0][0]
+                    record = PageRecord(
+                        uid, replicas, checksum, count, primary, size
+                    )
+                    staged.append((meta, record))
+                    entries.append({"op": "record_page", "db": database,
+                                    "set": name, **record.to_record()})
+            self._journal(*entries)
+            for meta, record in staged:
                 meta.pages[record.uid] = record
-            return records
+            return [record for _meta, record in staged]
 
     def update_page_replicas(self, database, name, uid, replicas):
         """Replace a page's replica list (quarantine, heal, re-replicate)."""
@@ -406,12 +408,10 @@ class CatalogManager:
         elif op == "drop_set":
             self.drop_set(record["db"], record["set"])
         elif op == "record_page":
-            self.record_pages(
-                record["db"], record["set"],
-                [(record["replicas"], record["checksum"], record["count"],
-                  record.get("primary"), record.get("size"))],
-                uids=[record["uid"]],
-            )
+            self.record_pages({(record["db"], record["set"]): [
+                (record["replicas"], record["checksum"], record["count"],
+                 record.get("primary"), record.get("size"))
+            ]}, uids=[record["uid"]])
         elif op == "update_page":
             self.update_page_replicas(
                 record["db"], record["set"], record["uid"],

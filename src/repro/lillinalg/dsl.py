@@ -18,9 +18,12 @@ Functions: ``load(db, set | matrix literal)``, ``save(expr, db, set)``,
 ``rowSum``, ``colSum``, ``minElement``, ``maxElement``.
 
 The evaluator parses a program into an AST, then walks the AST building
-PC Computation graphs through :class:`~repro.lillinalg.ops.DistributedMatrix`
-— exactly the paper's flow of "parse into an AST, then use the AST to
-build up a graph of PC Computation objects".
+one graph of PC Computations through
+:class:`~repro.lillinalg.ops.DistributedMatrix` — exactly the paper's flow
+of "parse into an AST, then use the AST to build up a graph of PC
+Computation objects".  A statement evaluates to an expression and runs no
+job; ``save`` runs the graph into its set, and ``^-1`` gathers its
+operand (a small Gram matrix) to invert it.
 """
 
 from __future__ import annotations
@@ -225,7 +228,7 @@ class LilLinAlg:
     """The DSL front end bound to one cluster.
 
     Matrices referenced by ``load`` must have been registered with
-    :meth:`bind` (or created by a previous ``save``), mirroring the
+    :meth:`bind` (or stored by a previous ``save``), mirroring the
     paper's pattern of loading named sets from PC storage.
     """
 
@@ -310,9 +313,13 @@ class LilLinAlg:
                 % name
             )
         if fn == "save":
-            matrix, name = args[0], args[-1]
-            self.environment[name] = matrix
-            return matrix
+            matrix, database, name = args
+            if database != matrix.database:
+                raise LinAlgError(
+                    "save(%r): matrices live in database %r"
+                    % (name, matrix.database)
+                )
+            return self.bind(name, matrix.materialize(name))
         if fn == "rowSum":
             return args[0].row_sum()
         if fn == "colSum":

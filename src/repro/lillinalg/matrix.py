@@ -51,7 +51,7 @@ class MatrixBlock(PCObject):
 
 def matrix_block_fields(block_row, block_col, values):
     """The keyword fields of a MatrixBlock holding a 2-D numpy array."""
-    values = np.asarray(values, dtype="f8")
+    values = np.ascontiguousarray(values, dtype="f8")
     if values.ndim != 2:
         raise LinAlgError("matrix block values must be 2-D")
     return dict(block_row=block_row, block_col=block_col,

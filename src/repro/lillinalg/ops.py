@@ -1,14 +1,22 @@
-"""Distributed matrix operations as PC computation graphs (Section 8.3).
+"""Distributed matrix operations as one PC computation graph (Section 8.3).
 
-Every operation builds the same kind of graph a lilLinAlg AST node does in
-the paper: multiplication is a ``JoinComp`` (match A's block column with
-B's block row) followed by an ``AggregateComp`` (sum partial products per
-output block) — "distributed matrix multiplication is basically a join
-followed by an aggregation".
+A :class:`DistributedMatrix` is either *stored* — a set of MatrixBlocks —
+or an *expression*: a Computation yielding host rows ``(block_row,
+block_col, ndarray)``, plus its shape and chunking.  Every operator takes
+host rows and returns a new expression without running a job, so a
+statement sequence becomes one graph that TCAP optimizes whole and the
+scheduler runs where the blocks are — the paper's flow of "parse into an
+AST, then use the AST to build up a graph of PC Computation objects".
+Multiplication is a ``JoinComp`` (match A's block column with B's block
+row) followed by an ``AggregateComp`` (sum partial products per output
+block); whether a join broadcasts or hash-partitions is the scheduler's
+decision, not lilLinAlg's, exactly as in PC.
 
-The numeric kernels run through numpy views aliasing page bytes (the
-``Eigen::Map`` path); whether a join broadcasts or hash-partitions is the
-scheduler's decision, not lilLinAlg's, exactly as in PC.
+A stored matrix enters an expression through one selection that copies
+each block's matrix out of its page, so no view outlives its pin.  Only
+:meth:`DistributedMatrix.materialize` makes MatrixBlocks, through the
+job's own Writer; :meth:`~DistributedMatrix.to_numpy`,
+:meth:`~DistributedMatrix.inverse` and the scalar reductions run a job.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from repro.core import (
     ObjectReader,
     SelectionComp,
     Writer,
-    lambda_from_member,
     lambda_from_native,
 )
 from repro.errors import LinAlgError
@@ -44,6 +51,40 @@ def _fresh_set_name(prefix):
     return "%s_%d" % (prefix, next(_set_ids))
 
 
+def _coords(row):
+    """A host row's block coordinates as one int64 join key."""
+    return encode_block_key(row[0], row[1])
+
+
+class _RowMap(SelectionComp):
+    """Each input row becomes ``fn(row)``."""
+
+    def __init__(self, source, fn):
+        super().__init__()
+        self.fn = fn
+        self.set_input(source)
+
+    def get_projection(self, arg):
+        return lambda_from_native([arg], self.fn)
+
+
+class _RowJoin(JoinComp):
+    """Rows of two inputs whose keys are equal become ``fn(left, right)``."""
+
+    def __init__(self, left, right, left_key, right_key, fn):
+        super().__init__()
+        self.keys = (left_key, right_key)
+        self.fn = fn
+        self.set_input(0, left).set_input(1, right)
+
+    def get_selection(self, a, b):
+        return lambda_from_native([a], self.keys[0]) == \
+            lambda_from_native([b], self.keys[1])
+
+    def get_projection(self, a, b):
+        return lambda_from_native([a, b], self.fn)
+
+
 class BlockSumAggregate(AggregateComp):
     """Sums numpy partial blocks keyed by encoded block coordinates."""
 
@@ -61,10 +102,11 @@ class BlockSumAggregate(AggregateComp):
 
 
 class DistributedMatrix:
-    """A matrix stored as a PC set of MatrixBlock objects."""
+    """A matrix: a stored set of MatrixBlocks (``set_name``), or an
+    expression (``comp``, a Computation yielding host rows)."""
 
     def __init__(self, cluster, database, set_name, n_rows, n_cols,
-                 block_rows, block_cols):
+                 block_rows, block_cols, comp=None):
         self.cluster = cluster
         self.database = database
         self.set_name = set_name
@@ -72,8 +114,9 @@ class DistributedMatrix:
         self.n_cols = n_cols
         self.block_rows = block_rows
         self.block_cols = block_cols
+        self.comp = comp
 
-    # -- construction ----------------------------------------------------------------
+    # -- construction and evaluation ------------------------------------------------
 
     @classmethod
     def from_numpy(cls, cluster, database, values, block_rows, block_cols,
@@ -97,8 +140,32 @@ class DistributedMatrix:
         return cls(cluster, database, set_name, n_rows, n_cols,
                    block_rows, block_cols)
 
+    def materialize(self, set_name=None):
+        """Run the expression into a MatrixBlock set — ``set_name``, or a
+        fresh one — through the job's own Writer; returns it stored.  A
+        stored matrix with no ``set_name`` is returned as it is."""
+        if self.comp is None and set_name is None:
+            return self
+        set_name = set_name or _fresh_set_name("mat")
+        self.cluster.create_set(self.database, set_name, MatrixBlock)
+        blocks = _RowMap(self._rows(), lambda r: make_matrix_block(*r))
+        self.cluster.execute_computations(
+            Writer(self.database, set_name).set_input(blocks)
+        )
+        return DistributedMatrix(
+            self.cluster, self.database, set_name, self.n_rows, self.n_cols,
+            self.block_rows, self.block_cols,
+        )
+
     def to_numpy(self):
-        """Gather all blocks to the client and assemble the full matrix."""
+        """The full matrix on the client.  An expression is materialized
+        into a fresh set, read, and the set dropped."""
+        if self.comp is not None:
+            set_name = _fresh_set_name("mat")
+            try:
+                return self.materialize(set_name).to_numpy()
+            finally:
+                self.cluster.drop_set(self.database, set_name)
         out = np.zeros((self.n_rows, self.n_cols))
         for handle in self.cluster.read(self.database, self.set_name):
             view = handle.deref()
@@ -107,49 +174,41 @@ class DistributedMatrix:
             out[r0:r0 + view.rows, c0:c0 + view.cols] = view.get_matrix()
         return out
 
-    def _reader(self):
-        return ObjectReader(self.database, self.set_name)
+    def _rows(self):
+        """The Computation yielding this matrix's host rows."""
+        if self.comp is not None:
+            return self.comp
+        return _RowMap(
+            ObjectReader(self.database, self.set_name),
+            lambda b: (b.block_row, b.block_col, np.array(b.get_matrix())),
+        )
 
-    def _result(self, set_name, n_rows, n_cols, block_rows=None,
-                block_cols=None):
+    def _expression(self, comp, n_rows=None, n_cols=None, block_rows=None,
+                    block_cols=None):
         return DistributedMatrix(
-            self.cluster, self.database, set_name, n_rows, n_cols,
+            self.cluster, self.database, None,
+            self.n_rows if n_rows is None else n_rows,
+            self.n_cols if n_cols is None else n_cols,
             block_rows or self.block_rows, block_cols or self.block_cols,
+            comp=comp,
         )
 
-    def _run_blockwise(self, comp, n_rows, n_cols, block_rows=None,
-                       block_cols=None):
-        """Execute a graph whose output set holds MatrixBlock objects."""
-        out_set = _fresh_set_name("mat")
-        self.cluster.create_set(self.database, out_set, MatrixBlock)
-        writer = Writer(self.database, out_set).set_input(comp)
-        self.cluster.execute_computations(writer)
-        return self._result(out_set, n_rows, n_cols, block_rows, block_cols)
+    def _map(self, fn, **shape):
+        return self._expression(_RowMap(self._rows(), fn), **shape)
 
-    def _run_aggregated(self, agg, n_rows, n_cols, block_rows, block_cols):
-        """Execute a block-sum aggregation and rematerialize blocks."""
-        out_set = _fresh_set_name("agg")
-        writer = Writer(self.database, out_set).set_input(agg)
-        self.cluster.execute_computations(writer)
-        merged = self.cluster.read(
-            self.database, out_set, as_pairs=True, comp=agg
-        )
-        result_set = _fresh_set_name("mat")
-        self.cluster.create_set(self.database, result_set, MatrixBlock)
-        with self.cluster.loader(self.database, result_set) as load:
-            for key, flat in merged.items():
-                brow, bcol = decode_block_key(key)
-                rows = min(block_rows, n_rows - brow * block_rows)
-                cols = min(block_cols, n_cols - bcol * block_cols)
-                load.append(MatrixBlock, **matrix_block_fields(
-                    brow, bcol, np.asarray(flat).reshape(rows, cols)
-                ))
-        self.cluster.drop_set(self.database, out_set)
-        return self._result(
-            result_set, n_rows, n_cols, block_rows, block_cols
-        )
+    def _summed(self, pairs, n_rows, n_cols, block_rows, block_cols):
+        """The expression whose blocks are the sums of ``pairs``' ``(key,
+        flat)`` partials, decoded back into host rows on the workers."""
+        def unpack(pair):
+            brow, bcol = decode_block_key(pair[0])
+            rows = min(block_rows, n_rows - brow * block_rows)
+            return brow, bcol, pair[1].reshape(rows, -1)
 
-    # -- element-wise operations ---------------------------------------------------------
+        agg = BlockSumAggregate().set_input(pairs)
+        return self._expression(_RowMap(agg, unpack), n_rows, n_cols,
+                                block_rows, block_cols)
+
+    # -- element-wise operations -------------------------------------------------------
 
     def _elementwise(self, other, op_name, fn):
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
@@ -158,27 +217,10 @@ class DistributedMatrix:
                 % (op_name, self.n_rows, self.n_cols, other.n_rows,
                    other.n_cols)
             )
-
-        class ElementwiseJoin(JoinComp):
-            def get_selection(self, a, b):
-                return (
-                    lambda_from_member(a, "block_row")
-                    == lambda_from_member(b, "block_row")
-                ) & (
-                    lambda_from_member(a, "block_col")
-                    == lambda_from_member(b, "block_col")
-                )
-
-            def get_projection(self, a, b):
-                return lambda_from_native([a, b], lambda ba, bb:
-                                          make_matrix_block(
-                                              ba.block_row, ba.block_col,
-                                              fn(ba.get_matrix(),
-                                                 bb.get_matrix())))
-
-        join = ElementwiseJoin()
-        join.set_input(0, self._reader()).set_input(1, other._reader())
-        return self._run_blockwise(join, self.n_rows, self.n_cols)
+        return self._expression(_RowJoin(
+            self._rows(), other._rows(), _coords, _coords,
+            lambda a, b: (a[0], a[1], fn(a[2], b[2])),
+        ))
 
     def add(self, other):
         """Element-wise sum (a join on block coordinates)."""
@@ -195,15 +237,7 @@ class DistributedMatrix:
     def scale_multiply(self, scalar):
         """Multiply every entry by ``scalar``."""
         scalar = float(scalar)
-
-        class Scale(SelectionComp):
-            def get_projection(self, arg):
-                return lambda_from_native([arg], lambda b: make_matrix_block(
-                    b.block_row, b.block_col, b.get_matrix() * scalar
-                ))
-
-        sel = Scale().set_input(self._reader())
-        return self._run_blockwise(sel, self.n_rows, self.n_cols)
+        return self._map(lambda r: (r[0], r[1], r[2] * scalar))
 
     def subtract_row_vector(self, vector):
         """Subtract a length-``n_cols`` vector from every row.
@@ -212,44 +246,28 @@ class DistributedMatrix:
         lambda — the stand-in for a broadcast variable, used by the
         nearest-neighbor benchmark to form ``x_i - x'``.
         """
-        vector = np.asarray(vector, dtype="f8").reshape(-1)
+        vector = np.array(vector, dtype="f8").reshape(-1)  # not the caller's
         if vector.size != self.n_cols:
             raise LinAlgError("row vector length mismatch")
         block_cols = self.block_cols
 
-        class SubtractRow(SelectionComp):
-            def get_projection(self, arg):
-                def shift(b):
-                    c0 = b.block_col * block_cols
-                    segment = vector[c0:c0 + b.cols]
-                    return make_matrix_block(
-                        b.block_row, b.block_col, b.get_matrix() - segment
-                    )
+        def shift(r):
+            c0 = r[1] * block_cols
+            return r[0], r[1], r[2] - vector[c0:c0 + r[2].shape[1]]
 
-                return lambda_from_native([arg], shift)
+        return self._map(shift)
 
-        sel = SubtractRow().set_input(self._reader())
-        return self._run_blockwise(sel, self.n_rows, self.n_cols)
-
-    # -- structural operations ----------------------------------------------------------
+    # -- structural operations -------------------------------------------------------------
 
     def transpose(self):
         """Distributed transpose (a selection producing swapped blocks)."""
-
-        class Transpose(SelectionComp):
-            def get_projection(self, arg):
-                return lambda_from_native([arg], lambda b: make_matrix_block(
-                    b.block_col, b.block_row,
-                    np.ascontiguousarray(b.get_matrix().T),
-                ))
-
-        sel = Transpose().set_input(self._reader())
-        return self._run_blockwise(
-            sel, self.n_cols, self.n_rows,
+        return self._map(
+            lambda r: (r[1], r[0], r[2].T),
+            n_rows=self.n_cols, n_cols=self.n_rows,
             block_rows=self.block_cols, block_cols=self.block_rows,
         )
 
-    # -- multiplication -------------------------------------------------------------------
+    # -- multiplication and reductions ------------------------------------------------------
 
     def multiply(self, other):
         """Distributed matrix multiply: join + aggregation (``%*%``)."""
@@ -260,107 +278,39 @@ class DistributedMatrix:
             )
         if self.block_cols != other.block_rows:
             raise LinAlgError("multiply block chunking mismatch")
-
-        class MultiplyJoin(JoinComp):
-            def get_selection(self, a, b):
-                return lambda_from_member(a, "block_col") == \
-                    lambda_from_member(b, "block_row")
-
-            def get_projection(self, a, b):
-                def partial(ba, bb):
-                    product = ba.get_matrix() @ bb.get_matrix()
-                    return (
-                        encode_block_key(ba.block_row, bb.block_col),
-                        product.reshape(-1),
-                    )
-
-                return lambda_from_native([a, b], partial)
-
-        join = MultiplyJoin()
-        join.set_input(0, self._reader()).set_input(1, other._reader())
-        agg = BlockSumAggregate().set_input(join)
-        return self._run_aggregated(
-            agg, self.n_rows, other.n_cols, self.block_rows, other.block_cols
+        partials = _RowJoin(
+            self._rows(), other._rows(), lambda a: a[1], lambda b: b[0],
+            lambda a, b: (encode_block_key(a[0], b[1]),
+                          (a[2] @ b[2]).reshape(-1)),
         )
+        return self._summed(partials, self.n_rows, other.n_cols,
+                            self.block_rows, other.block_cols)
 
     def transpose_multiply(self, other):
         """``A '* B`` = ``transpose(A) %*% B`` without materializing A^T."""
         if self.n_rows != other.n_rows:
             raise LinAlgError("transpose-multiply dimension mismatch")
-
-        class TransposeMultiplyJoin(JoinComp):
-            def get_selection(self, a, b):
-                return lambda_from_member(a, "block_row") == \
-                    lambda_from_member(b, "block_row")
-
-            def get_projection(self, a, b):
-                def partial(ba, bb):
-                    product = ba.get_matrix().T @ bb.get_matrix()
-                    return (
-                        encode_block_key(ba.block_col, bb.block_col),
-                        product.reshape(-1),
-                    )
-
-                return lambda_from_native([a, b], partial)
-
-        join = TransposeMultiplyJoin()
-        join.set_input(0, self._reader()).set_input(1, other._reader())
-        agg = BlockSumAggregate().set_input(join)
-        return self._run_aggregated(
-            agg, self.n_cols, other.n_cols, self.block_cols, other.block_cols
+        partials = _RowJoin(
+            self._rows(), other._rows(), lambda a: a[0], lambda b: b[0],
+            lambda a, b: (encode_block_key(a[1], b[1]),
+                          (a[2].T @ b[2]).reshape(-1)),
         )
-
-    # -- reductions ---------------------------------------------------------------------------
+        return self._summed(partials, self.n_cols, other.n_cols,
+                            self.block_cols, other.block_cols)
 
     def row_sum(self):
         """Column vector of row sums."""
-        block_rows = self.block_rows
-
-        class RowSum(AggregateComp):
-            key_type = Int64
-            value_type = VectorType(Float64)
-
-            def get_key_projection(self, arg):
-                return lambda_from_native(
-                    [arg], lambda b: encode_block_key(b.block_row, 0)
-                )
-
-            def get_value_projection(self, arg):
-                return lambda_from_native(
-                    [arg], lambda b: b.get_matrix().sum(axis=1)
-                )
-
-            def combine(self, a, b):
-                return a + b
-
-        agg = RowSum().set_input(self._reader())
-        return self._run_aggregated(
-            agg, self.n_rows, 1, block_rows, 1
-        )
+        pairs = _RowMap(self._rows(), lambda r: (
+            encode_block_key(r[0], 0), r[2].sum(axis=1)
+        ))
+        return self._summed(pairs, self.n_rows, 1, self.block_rows, 1)
 
     def col_sum(self):
         """Row vector of column sums."""
-        class ColSum(AggregateComp):
-            key_type = Int64
-            value_type = VectorType(Float64)
-
-            def get_key_projection(self, arg):
-                return lambda_from_native(
-                    [arg], lambda b: encode_block_key(0, b.block_col)
-                )
-
-            def get_value_projection(self, arg):
-                return lambda_from_native(
-                    [arg], lambda b: b.get_matrix().sum(axis=0)
-                )
-
-            def combine(self, a, b):
-                return a + b
-
-        agg = ColSum().set_input(self._reader())
-        return self._run_aggregated(
-            agg, 1, self.n_cols, 1, self.block_cols
-        )
+        pairs = _RowMap(self._rows(), lambda r: (
+            encode_block_key(0, r[1]), r[2].sum(axis=0)
+        ))
+        return self._summed(pairs, 1, self.n_cols, 1, self.block_cols)
 
     def _scalar_reduce(self, reducer, projector):
         class Reduce(AggregateComp):
@@ -368,7 +318,7 @@ class DistributedMatrix:
             value_type = Float64
 
             def get_key_projection(self, arg):
-                return lambda_from_native([arg], lambda b: 0)
+                return lambda_from_native([arg], lambda r: 0)
 
             def get_value_projection(self, arg):
                 return lambda_from_native([arg], projector)
@@ -376,7 +326,7 @@ class DistributedMatrix:
             def combine(self, a, b):
                 return reducer(a, b)
 
-        agg = Reduce().set_input(self._reader())
+        agg = Reduce().set_input(self._rows())
         out_set = _fresh_set_name("sc")
         writer = Writer(self.database, out_set).set_input(agg)
         self.cluster.execute_computations(writer)
@@ -390,11 +340,11 @@ class DistributedMatrix:
 
     def min_element(self):
         """The smallest entry of the matrix."""
-        return self._scalar_reduce(min, lambda b: float(b.get_matrix().min()))
+        return self._scalar_reduce(min, lambda r: float(r[2].min()))
 
     def max_element(self):
         """The largest entry of the matrix."""
-        return self._scalar_reduce(max, lambda b: float(b.get_matrix().max()))
+        return self._scalar_reduce(max, lambda r: float(r[2].max()))
 
     # -- small-matrix escape hatch -----------------------------------------------------------
 
@@ -403,20 +353,20 @@ class DistributedMatrix:
 
         Inversion is inherently non-blockwise; like the paper's linear
         regression, it is applied to small (d x d) Gram matrices, so the
-        blocks are gathered to the client, inverted with the native
-        kernel, and redistributed.
+        whole matrix is gathered to the client by design, inverted with
+        the native kernel, and loaded as a stored matrix.
         """
         if self.n_rows != self.n_cols:
             raise LinAlgError("inverse of a non-square matrix")
-        full = self.to_numpy()
-        inverted = np.linalg.inv(full)
+        inverted = np.linalg.inv(self.to_numpy())
         return DistributedMatrix.from_numpy(
             self.cluster, self.database, inverted,
             self.block_rows, self.block_cols,
         )
 
     def __repr__(self):
+        what = self.set_name if self.comp is None else self.comp.name
         return "<DistributedMatrix %s.%s %dx%d (blocks %dx%d)>" % (
-            self.database, self.set_name, self.n_rows, self.n_cols,
+            self.database, what, self.n_rows, self.n_cols,
             self.block_rows, self.block_cols,
         )

@@ -9,7 +9,7 @@ front-ends; this module adds the redundancy layer on top:
 * ``create_set(..., replication=k)`` places each page on ``k`` workers
   chosen by a deterministic :class:`PlacementRing`: a copy lands by
   ``_copy`` only, and pages are recorded — after every copy of them
-  arrived — in one journal group per set, a job's output by
+  arrived — in one journal group, a job's output (all its sets) by
   ``place_pages`` and a load block's by ``record_landed``;
 * the catalog's per-set replica map (``SetMetadata.pages``) is the
   authoritative record of where each page's copies live, so reads fail
@@ -172,19 +172,18 @@ class ReplicationManager:
     def place_pages(self, placements, source=None):
         """Land and record a job's pages: ``placements`` maps ``(database,
         name)`` to its pages as :meth:`_land` takes them.  Every copy
-        lands first; one journaled ``record_pages`` group per set names
-        them last.  If anything raises, the copies landed here are freed
-        (a primary that was there before is its owner's to drop)."""
+        lands first; one journaled ``record_pages`` group, over all the
+        sets, names them last.  If anything raises, the copies landed
+        here are freed and no record names one (a primary that was there
+        before is its owner's to drop)."""
         ring = PlacementRing(self.storage_manager.worker_ids)
         landed = []
         try:
-            placed = {key: [self._land(ring, key, page, source, landed)
-                            for page in pages]
-                      for key, pages in placements.items()}
-            return [
-                record for key, pages in placed.items()
-                for record in self.catalog.record_pages(*key, pages)
-            ]
+            return self.catalog.record_pages({
+                key: [self._land(ring, key, page, source, landed)
+                      for page in pages]
+                for key, pages in placements.items()
+            })
         except BaseException:
             self._free(landed)
             raise
@@ -210,7 +209,7 @@ class ReplicationManager:
         If that fails, their copies are freed.  Returns the records."""
         try:
             return self.catalog.record_pages(
-                database, name, [entry for entry, _copies in pages]
+                {(database, name): [entry for entry, _copies in pages]}
             )
         except BaseException:
             self._free([c for _entry, cs in pages for c in cs])

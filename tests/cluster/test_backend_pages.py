@@ -33,7 +33,6 @@ from repro.core import (
     lambda_from_native,
 )
 from repro.engine.pipeline import AggregateSink
-from repro.lillinalg import DistributedMatrix
 from repro.memory import Int32, PCObject, String, make_object
 from repro.ml.kmeans_columnar import ColumnarKMeans
 from repro.storage import corrupt_bytes, page_checksum
@@ -51,6 +50,7 @@ from test_fault_tolerance import (
     run_aggregation,
 )
 from test_one_placement_path import assert_every_page_is_named_once
+from test_placement import handle_multiply
 from test_one_write_path import (
     Identity,
     assert_each_point_once,
@@ -376,20 +376,15 @@ def _multiply(cluster):
     so the coordinator runs both (``unpicklable_spec``,
     ``child_rejected``) — the same task, the same bytes."""
     rng = np.random.default_rng(7)
-    left = DistributedMatrix.from_numpy(
-        cluster, "lla", rng.normal(size=(48, 40)), 8, 8
-    )
-    right = DistributedMatrix.from_numpy(
-        cluster, "lla", rng.normal(size=(40, 32)), 8, 8
-    )
-    product = left.multiply(right)
+    handle_multiply(cluster, rng.normal(size=(48, 40)),
+                    rng.normal(size=(40, 32)), 8, "product")
     if cluster.transport.name == "process":
         metrics = cluster.metrics()
         for reason in ("unpicklable_spec", "child_rejected"):
             assert metrics.value(
                 "pc_sched_frontend_tasks_total", reason=reason
             ) > 0, reason
-    return [(product.database, product.set_name)]
+    return [("lla", "product")]
 
 
 def _run_and_dump(tmp_path, transport, jobs, **cluster_args):
@@ -399,8 +394,7 @@ def _run_and_dump(tmp_path, transport, jobs, **cluster_args):
         before = cluster.metrics().value("pc_net_bytes_total")
         outputs = jobs(cluster)
         shuffled = cluster.metrics().value("pc_net_bytes_total") - before
-        # Keyed by position: a generated set name (a matrix product's)
-        # differs from run to run.
+        # Keyed by the output's position in what the jobs returned.
         pages = {}
         for nth, key in enumerate(outputs):
             for worker in cluster.workers:

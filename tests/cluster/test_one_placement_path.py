@@ -171,6 +171,38 @@ def test_failed_commit_leaves_every_output_set_of_the_job_as_it_was(
             assert_every_page_is_named_once(cluster, "db", name)
 
 
+def test_failed_journal_write_records_no_output_set_of_the_job(tmp_path):
+    """A job's pages over all its output sets are journaled as one group:
+    when writing the second set's records fails, the first set's are not
+    recorded either (one group per set once left "a" naming freed
+    pages, and reading it raised ``unknown page id``)."""
+    with make_cluster(tmp_path) as cluster:
+        load(cluster)
+        for name in "ab":
+            load(cluster, name, n=50, replication=1)
+        before = {name: pids(cluster, name) for name in "ab"}
+        append = cluster.journal.append
+
+        def refuse_b(*records):
+            if any(r.get("set") == "b" and r["op"] == "record_page"
+                   for r in records):
+                raise OSError("journal device full")
+            append(*records)
+
+        cluster.journal.append = refuse_b
+        with pytest.raises(OSError, match="journal device full"):
+            cluster.execute_computations([
+                Writer("db", name).set_input(
+                    Rebuild().set_input(ObjectReader("db", "points"))
+                ) for name in "ab"
+            ])
+        cluster.journal.append = append
+        for name in "ab":
+            assert pids(cluster, name) == before[name]
+            assert counts(cluster, "db", name) == (50, 50)
+            assert_every_page_is_named_once(cluster, "db", name)
+
+
 # -- bug 2: the loader's second copy fails ---------------------------------------------
 
 

@@ -5,7 +5,7 @@ the back-end process it was shipped to, or by the coordinator for a
 reason from a closed set, counted in
 ``pc_sched_frontend_tasks_total{reason}``, with the same ``job`` and
 ``spec`` either way.  The tests pin the exact ``{reason: count}`` of
-three jobs on the process transport, the single reason a simulator run
+four jobs on the process transport, the single reason a simulator run
 reports (which pickles nothing), and the conditions that used to fall
 back silently and now fail loudly.
 """
@@ -24,7 +24,11 @@ from repro.core import (
 )
 from repro.engine import pipeline
 from repro.errors import ExecutionError
-from repro.lillinalg import DistributedMatrix
+from repro.lillinalg import (
+    BlockSumAggregate,
+    DistributedMatrix,
+    encode_block_key,
+)
 from repro.memory import Int32, PCObject, String
 from repro.ml import PCKMeans
 from repro.storage import dataset
@@ -100,7 +104,7 @@ def _task_placements(trace):
             if span.pid is None]
 
 
-# -- the three jobs ------------------------------------------------------------------
+# -- the four jobs -------------------------------------------------------------------
 
 
 def _tpch_job(cluster):
@@ -137,15 +141,47 @@ def _kmeans_job(cluster):
     assert cluster.metrics().value("pc_pool_reloads_total") > 0
 
 
+class HandleMultiply(JoinComp):
+    """A's block column against B's block row over the stored blocks
+    themselves: the join's hash table holds page handles."""
+
+    def get_selection(self, a, b):
+        return lambda_from_member(a, "block_col") == \
+            lambda_from_member(b, "block_row")
+
+    def get_projection(self, a, b):
+        return lambda_from_native([a, b], lambda ba, bb: (
+            encode_block_key(ba.block_row, bb.block_col),
+            (ba.get_matrix() @ bb.get_matrix()).reshape(-1),
+        ))
+
+
+def handle_multiply(cluster, a, b, block, out_set):
+    """Load ``a`` and ``b`` as MatrixBlock sets and write the block sums
+    of a handle join's partial products to ``out_set``; returns the
+    aggregation."""
+    left = DistributedMatrix.from_numpy(cluster, "lla", a, block, block)
+    right = DistributedMatrix.from_numpy(cluster, "lla", b, block, block)
+    join = HandleMultiply() \
+        .set_input(0, ObjectReader("lla", left.set_name)) \
+        .set_input(1, ObjectReader("lla", right.set_name))
+    agg = BlockSumAggregate().set_input(join)
+    Writer("lla", out_set).set_input(agg).execute(cluster)
+    return agg
+
+
+def _product_bytes(cluster, agg, out_set):
+    merged = cluster.read("lla", out_set, as_pairs=True, comp=agg)
+    return b"".join(merged[key].tobytes() for key in sorted(merged))
+
+
 def _multiply_job(cluster):
     """Hash tables of handles cannot be pickled; the result must not care."""
     rng = np.random.default_rng(7)
     a, b = rng.normal(size=(7, 6)), rng.normal(size=(6, 4))
 
     def multiply(on):
-        left = DistributedMatrix.from_numpy(on, "lla", a, 3, 3)
-        right = DistributedMatrix.from_numpy(on, "lla", b, 3, 3)
-        return left.multiply(right)
+        return _product_bytes(on, handle_multiply(on, a, b, 3, "ab"), "ab")
 
     product, counts = _delta(cluster, lambda: multiply(cluster))
     workers = len(cluster.workers)
@@ -155,14 +191,28 @@ def _multiply_job(cluster):
         # the build side: the one worker holding the right matrix's page
         # builds a table of handles, which cannot come back
         "child_rejected": 1,
-        # (the OUTPUT stage's block pages are built by the back-ends)
+        # (the OUTPUT stage's Map pages are built by the back-ends)
     }
     reference = PCCluster(n_workers=2, page_size=1 << 16, transport="sim")
     try:
-        expected = multiply(reference).to_numpy()
+        expected = multiply(reference)
     finally:
         reference.close()
-    assert product.to_numpy().tobytes() == expected.tobytes()
+    assert product == expected
+
+
+def _lillinalg_job(cluster):
+    """lilLinAlg joins host rows copied out of the pages, so every task
+    of its multiply ships."""
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(size=(7, 6)), rng.normal(size=(6, 4))
+    left = DistributedMatrix.from_numpy(cluster, "lla", a, 3, 3)
+    right = DistributedMatrix.from_numpy(cluster, "lla", b, 3, 3)
+    product, counts = _delta(
+        cluster, lambda: left.multiply(right).to_numpy()
+    )
+    assert counts == {}
+    assert np.allclose(product, a @ b)
 
 
 @needs_process
@@ -171,7 +221,8 @@ def _multiply_job(cluster):
     (_kmeans_job, dict(n_workers=2, page_size=1 << 13,
                        worker_memory=6 << 13)),
     (_multiply_job, dict(n_workers=2, page_size=1 << 16)),
-], ids=["tpch", "kmeans_small_pool", "lillinalg_multiply"])
+    (_lillinalg_job, dict(n_workers=2, page_size=1 << 16)),
+], ids=["tpch", "kmeans_small_pool", "handle_multiply", "lillinalg_multiply"])
 def test_process_transport_frontend_reasons_are_exact(tmp_path, job,
                                                       cluster_args,
                                                       monkeypatch):
@@ -184,7 +235,7 @@ def test_process_transport_frontend_reasons_are_exact(tmp_path, job,
         cluster.close()
     # Whoever calls it and why, the task is the same two dicts.
     callers = {"job state", "back-end"}
-    if job is not _tpch_job:
+    if job in (_kmeans_job, _multiply_job):
         callers.add("coordinator")
     _assert_one_task_shape(seen, callers)
 
