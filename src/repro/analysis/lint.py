@@ -591,20 +591,20 @@ ARCHITECTURE = {
     },
     "ceilings": {
         "repro/cluster/scheduler.py": 998,
-        "repro/cluster/transport.py": 762,
-        "repro/cluster/cluster.py": 694,
+        "repro/cluster/transport.py": 750,
+        "repro/cluster/cluster.py": 692,
         "repro/cluster/procworker.py": 285,
         "repro/cluster/worker.py": 204,
         "repro/storage/replication.py": 444,
-        "repro/storage/dataset.py": 419,
+        "repro/storage/dataset.py": 397,
         "repro/engine/physical.py": 308,
         "repro/engine/pipeline.py": 961,
         "repro/memory/gather.py": 552,
         "repro/memory/scatter.py": 844,
         "repro/ml/kmeans.py": 148,
         "repro/ml/kmeans_columnar.py": 157,
-        "repro/lillinalg": 817,
-        "repro/obs": 1999,
+        "repro/lillinalg": 806,
+        "repro/obs": 1888,
         "repro/analysis": 1333,
     },
 }

@@ -3,12 +3,12 @@
 from repro.cluster.chaos import ChaosMonkey
 from repro.cluster.cluster import ClusterLoader, PCCluster
 from repro.cluster.faults import FakeClock, FaultInjector, RetryPolicy
-from repro.cluster.network import SimulatedNetwork, estimate_value_bytes
 from repro.cluster.scheduler import DistributedScheduler, JobStage
 from repro.cluster.supervisor import Supervisor, WorkerVitals
 from repro.cluster.transport import (
     ProcessTransport,
     Transport,
+    estimate_value_bytes,
     make_transport,
 )
 from repro.cluster.worker import BackendProcess, WorkerNode
@@ -26,7 +26,6 @@ __all__ = [
     "PCCluster",
     "ProcessTransport",
     "RetryPolicy",
-    "SimulatedNetwork",
     "Supervisor",
     "Transport",
     "WorkerNode",

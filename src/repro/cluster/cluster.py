@@ -41,7 +41,6 @@ from repro.obs import (
     HealthCheck,
     MetricsRegistry,
     MetricsSnapshot,
-    StageProfiler,
     Tracer,
 )
 from repro.obs.evidence import kernel_fallbacks
@@ -179,32 +178,31 @@ class PCCluster:
             self.catalog, self.storage_manager, self.transport,
             tracer=self.tracer, metrics=self.metrics_registry,
         )
-        # The stage profiler observes every worker's buffer pool, and
-        # with it on every engine (here and in a back-end process) gets
-        # an operator recorder; profiling=False drops both wholesale.
-        self.profiler = None
-        if profiling:
-            self.profiler = StageProfiler(
-                registry=self.metrics_registry, tracer=self.tracer,
-                pools=[w.storage.pool for w in self.workers],
-            )
-        self._c_jobs = self.metrics_registry.counter(
-            "pc_sched_jobs_total", help="Jobs executed by the scheduler",
-        )
-        self._h_job_seconds = self.metrics_registry.histogram(
-            "pc_sched_job_seconds", help="Wall seconds per executed job",
-        )
-        self._g_workers_active = self.metrics_registry.gauge(
-            "pc_cluster_workers_active", help="Workers not blacklisted",
-        )
-        self._g_workers_blacklisted = self.metrics_registry.gauge(
-            "pc_cluster_workers_blacklisted", help="Blacklisted workers",
-        )
-        self._g_replication_satisfied = self.metrics_registry.gauge(
-            "pc_cluster_replication_satisfied",
-            help="1 when every replica-mapped page is at its set's "
-                 "replication factor",
-        )
+        # profiling= gives every engine (here and in a back-end process)
+        # an operator recorder, and switches nothing else.
+        self.profiling = profiling
+        # Jobs and stages are booked on every run (stages by the scheduler).
+        registry, stage = self.metrics_registry, ("stage",)
+        self._c_jobs = registry.counter(
+            "pc_sched_jobs_total", help="Jobs executed by the scheduler")
+        self._h_job_seconds = registry.histogram(
+            "pc_sched_job_seconds", help="Wall seconds per executed job")
+        self._h_stage_seconds = registry.histogram(
+            "pc_sched_stage_seconds", labelnames=stage,
+            help="Wall seconds per distributed job stage")
+        self._c_stages = registry.counter(
+            "pc_sched_stages_total", labelnames=stage,
+            help="Distributed job stages executed")
+        self._c_stage_cpu = registry.counter(
+            "pc_sched_stage_cpu_seconds_total", labelnames=stage,
+            help="Coordinator CPU seconds per distributed job stage")
+        self._g_workers_active = registry.gauge(
+            "pc_cluster_workers_active", help="Workers not blacklisted")
+        self._g_workers_blacklisted = registry.gauge(
+            "pc_cluster_workers_blacklisted", help="Blacklisted workers")
+        self._g_replication_satisfied = registry.gauge(
+            "pc_cluster_replication_satisfied", help="1 when every "
+            "replica-mapped page is at its set's replication factor")
         self.metrics_registry.on_collect(self._collect_cluster_gauges)
         self.python_outputs = {}  # (db, set) -> python values (non-PC sinks)
         self.last_program = None

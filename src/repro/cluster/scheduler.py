@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import time
 
 from repro.core.computation import AggregateComp
 from repro.engine.physical import (
@@ -132,7 +133,6 @@ class DistributedScheduler:
         self.tracer = cluster.tracer
         self.faults = cluster.fault_injector
         self.fault_metrics = cluster.fault_metrics
-        self.profiler = cluster.profiler
         self.retry_policy = cluster.retry_policy
         self.job_log = []
         #: worker_id -> what the job keeps there between stages
@@ -478,21 +478,21 @@ class DistributedScheduler:
 
     @contextlib.contextmanager
     def _stage(self, kind, detail):
-        """Record one job stage: a job-log entry plus its trace span."""
+        """One job stage: its job-log entry, trace span and stage series."""
         stage = JobStage(kind, detail)
         self.job_log.append(stage)
-        profiled = (
-            self.profiler.stage(kind) if self.profiler is not None
-            else contextlib.nullcontext()
-        )
-        with self.tracer.span(kind, kind="stage", detail=detail) as span, \
-                profiled:
+        cpu, wall = time.process_time(), time.perf_counter()
+        with self.tracer.span(kind, kind="stage", detail=detail) as span:
             stage.span = span
             self._current_stage = stage
             try:
                 yield stage
             finally:
                 self._current_stage = None
+                wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+                self.cluster._h_stage_seconds.observe(wall, stage=kind)
+                self.cluster._c_stages.inc(stage=kind)
+                self.cluster._c_stage_cpu.inc(cpu, stage=kind)
 
     def _segments(self, stages):
         """Split a stage chain at every *partitioned* join probe."""
@@ -526,7 +526,7 @@ class DistributedScheduler:
             "program": self.program,
             "build_sides": dict(self.plan.build_sides),
             # Measured and traced there as here (DESIGN §14).
-            "profiling": self.profiler is not None,
+            "profiling": self.cluster.profiling,
             "tracing": self.tracer.enabled,
             # A back-end's (the coordinator runs a task on the worker's
             # own).  The master registry is authoritative and its codes

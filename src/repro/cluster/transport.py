@@ -1,11 +1,14 @@
-"""Pluggable cluster transports: the accounting core plus two backends.
+"""Cluster transports: the deterministic simulator and real processes.
 
-The :class:`Transport` base carries everything the cluster needs to move
-bytes between nodes — the byte/message accounting, fault injection with
-drop/corrupt/delay verdicts, checksum verification with a re-send budget
-— exactly the machinery :class:`~repro.cluster.network.SimulatedNetwork`
-always had; the simulator is now simply the transport whose back-ends
-stay in-process (the deterministic CI / fault-matrix backend).
+:class:`Transport` is the simulator (``transport="sim"``, the default)
+and the byte accounting every transport shares — whole PC pages moved
+with zero serialization versus structured rows, each transfer also
+booked into the active trace span.  Its back-ends stay in-process and
+exactly reproducible under seeded fault injection, so it is the CI /
+fault-matrix backend.  A dropped transfer, and a page or row batch whose
+checksum fails on receipt, is re-sent up to
+``RetryPolicy.transfer_retries`` times; injected delays are accounted
+(``net.delay_seconds``), not slept.
 
 :class:`ProcessTransport` is the real one.  Each worker's back-end is a
 spawned OS process (the paper's front-end/back-end split made literal):
@@ -101,14 +104,15 @@ _CORRUPT_ROW_FRAME = ("__pc-corrupt-frame__",)
 
 
 class Transport:
-    """Byte-accounted message passing between nodes, fault-injectable.
+    """Byte-accounted message passing between nodes, fault-injectable:
+    the simulator, with in-process back-ends.
 
-    Subclasses pick how worker back-ends execute (:meth:`make_backend`)
-    and advertise the page residency their back-ends need
-    (``page_residency``); all shipping and accounting is shared.
+    A subclass picks how worker back-ends execute (:meth:`make_backend`)
+    and advertises the page residency they need (``page_residency``);
+    all shipping and accounting is shared.
     """
 
-    name = "base"
+    name = "sim"
     #: Buffer-pool residency workers should use so this transport's
     #: back-ends can reach sealed pages ("mem" or "shm").
     page_residency = "mem"
@@ -183,20 +187,21 @@ class Transport:
         self._c_link_bytes.inc(nbytes, src=src, dst=dst)
         counter.inc(nbytes)
 
-    def _retry_budget(self):
-        return (
-            self.retry_policy.transfer_retries
-            if self.retry_policy is not None else 0
-        )
+    def _transfer(self, src, dst, payload, nbytes, counter, checksum, stamp,
+                  spoil, what):
+        """Deliver ``payload`` and return what arrived: ``spoil``ed on a
+        ``corrupt`` verdict and, when there is a ``checksum`` to hold the
+        arrival's ``stamp`` against, re-sent until it arrives intact.
 
-    def _deliver(self, src, dst, nbytes, counter):
-        """Attempt delivery, re-sending dropped transfers per policy.
-
-        Returns the final verdict: ``"deliver"`` or ``"corrupt"`` (the
-        payload arrived, but bit-flipped — the *caller* decides whether
-        its payload type can detect that).
+        The fault injector is asked once per attempt.  A drop and a
+        corrupted arrival each get ``transfer_retries`` re-sends (every
+        re-send of a corrupted arrival its own drop budget); ``what``
+        names the payload in the error, a template over ``(src, dst,
+        len(payload))``.
         """
-        attempts = 0
+        budget = (self.retry_policy.transfer_retries
+                  if self.retry_policy is not None else 0)
+        drops = corruptions = 0
         while True:
             verdict, delay_s = "deliver", 0.0
             if self.fault_injector is not None:
@@ -206,42 +211,29 @@ class Transport:
             if delay_s:
                 self._c_delay_seconds.inc(delay_s)
                 self._c_delay_events.inc()
-            if verdict != "drop":
+            if verdict == "drop":
+                self._c_transfers_dropped.inc()
+                if drops >= budget:
+                    raise TransferDroppedError(
+                        "transfer %s->%s (%d bytes) dropped and retry "
+                        "budget of %d exhausted" % (src, dst, nbytes, budget)
+                    )
+                drops += 1
+            else:
                 self._record(src, dst, nbytes, counter)
-                return verdict
-            self._c_transfers_dropped.inc()
-            budget = self._retry_budget()
-            if attempts >= budget:
-                raise TransferDroppedError(
-                    "transfer %s->%s (%d bytes) dropped and retry budget "
-                    "of %d exhausted" % (src, dst, nbytes, budget)
-                )
-            attempts += 1
-            self._c_transfer_retries.inc()
-
-    def _transfer(self, src, dst, payload, nbytes, counter, checksum, stamp,
-                  spoil, what):
-        """Deliver ``payload`` and return what arrived: ``spoil``ed on a
-        ``corrupt`` verdict, and — when there is a ``checksum`` to hold
-        the arrival's ``stamp`` against — re-sent within the transfer
-        retry budget until it arrives intact.  ``what`` names it in the
-        error: a template over ``(src, dst, len(payload))``."""
-        attempts = 0
-        while True:
-            verdict = self._deliver(src, dst, nbytes, counter)
-            arrived = payload
-            if verdict == "corrupt":
-                arrived = spoil(payload)
-                self._c_transfers_corrupted.inc()
-            if checksum is None or stamp(arrived) == checksum:
-                return arrived
-            budget = self._retry_budget()
-            if attempts >= budget:
-                raise PageCorruptionError(
-                    what % (src, dst, len(payload)) + " arrived corrupt and "
-                    "the re-send budget of %d is exhausted" % budget
-                )
-            attempts += 1
+                arrived = payload
+                if verdict == "corrupt":
+                    arrived = spoil(payload)
+                    self._c_transfers_corrupted.inc()
+                if checksum is None or stamp(arrived) == checksum:
+                    return arrived
+                if corruptions >= budget:
+                    raise PageCorruptionError(
+                        what % (src, dst, len(payload)) + " arrived corrupt "
+                        "and the re-send budget of %d is exhausted" % budget
+                    )
+                corruptions += 1
+                drops = 0
             self._c_transfer_retries.inc()
 
     def ship_page(self, src, dst, data, checksum=None):
@@ -277,11 +269,9 @@ class Transport:
         but ``deliver``, so the checksum work is skipped entirely.
         """
         nbytes = sum(estimate_value_bytes(row) for row in rows)
-        if self.fault_injector is None:
-            self._deliver(src, dst, nbytes, self._c_bytes_rows)
-            return rows
+        checksum = None if self.fault_injector is None else rows_checksum(rows)
         return self._transfer(
-            src, dst, rows, nbytes, self._c_bytes_rows, rows_checksum(rows),
+            src, dst, rows, nbytes, self._c_bytes_rows, checksum,
             rows_checksum, lambda sent: [_CORRUPT_ROW_FRAME] + list(sent),
             "row transfer %s->%s (%d rows)",
         )
@@ -752,9 +742,7 @@ def make_transport(spec=None, **kwargs):
     if spec is None:
         spec = os.environ.get("PC_TRANSPORT") or "sim"
     if spec == "sim":
-        from repro.cluster.network import SimulatedNetwork
-
-        return SimulatedNetwork(**kwargs)
+        return Transport(**kwargs)
     if spec == "process":
         return ProcessTransport(**kwargs)
     raise ValueError(

@@ -28,6 +28,7 @@ operand (a small Gram matrix) to invert it.
 
 from __future__ import annotations
 
+import collections
 import re
 
 import numpy as np
@@ -90,43 +91,12 @@ def tokenize(source):
 
 # -- AST nodes -----------------------------------------------------------------
 
-class Node:
-    pass
-
-
-class Name(Node):
-    def __init__(self, name):
-        self.name = name
-
-
-class Number(Node):
-    def __init__(self, value):
-        self.value = value
-
-
-class BinOp(Node):
-    def __init__(self, op, left, right):
-        self.op = op
-        self.left = left
-        self.right = right
-
-
-class Postfix(Node):
-    def __init__(self, op, operand):
-        self.op = op
-        self.operand = operand
-
-
-class Call(Node):
-    def __init__(self, fn, args):
-        self.fn = fn
-        self.args = args
-
-
-class Assign(Node):
-    def __init__(self, target, expr):
-        self.target = target
-        self.expr = expr
+Name = collections.namedtuple("Name", "name")
+Number = collections.namedtuple("Number", "value")
+BinOp = collections.namedtuple("BinOp", "op left right")
+Postfix = collections.namedtuple("Postfix", "op operand")
+Call = collections.namedtuple("Call", "fn args")
+Assign = collections.namedtuple("Assign", "target expr")
 
 
 class Parser:
@@ -224,6 +194,15 @@ class Parser:
         )
 
 
+#: the DistributedMatrix method of each binary operator but ``*``
+_BINARY = {"+": "add", "-": "subtract", "MMUL": "multiply",
+           "TMUL": "transpose_multiply", "EMUL": "elementwise_multiply"}
+#: the DistributedMatrix method of each one-argument function
+_UNARY = {"rowSum": "row_sum", "colSum": "col_sum", "inv": "inverse",
+          "minElement": "min_element", "maxElement": "max_element",
+          "toNumpy": "to_numpy"}
+
+
 class LilLinAlg:
     """The DSL front end bound to one cluster.
 
@@ -282,23 +261,15 @@ class LilLinAlg:
         if isinstance(node, BinOp):
             left = self._eval(node.left)
             right = self._eval(node.right)
-            if node.op == "+":
-                return left.add(right)
-            if node.op == "-":
-                return left.subtract(right)
-            if node.op == "MMUL":
-                return left.multiply(right)
-            if node.op == "TMUL":
-                return left.transpose_multiply(right)
-            if node.op == "EMUL":
-                return left.elementwise_multiply(right)
             if node.op == "*":
                 if isinstance(left, (int, float)):
                     return right.scale_multiply(left)
                 if isinstance(right, (int, float)):
                     return left.scale_multiply(right)
                 return left.multiply(right)
-            raise LinAlgError("unknown operator %r" % node.op)
+            if node.op not in _BINARY:
+                raise LinAlgError("unknown operator %r" % node.op)
+            return getattr(left, _BINARY[node.op])(right)
         if isinstance(node, Call):
             return self._call(node.fn, [self._eval(a) for a in node.args])
         raise LinAlgError("cannot evaluate %r" % node)
@@ -320,18 +291,8 @@ class LilLinAlg:
                     % (name, matrix.database)
                 )
             return self.bind(name, matrix.materialize(name))
-        if fn == "rowSum":
-            return args[0].row_sum()
-        if fn == "colSum":
-            return args[0].col_sum()
-        if fn == "minElement":
-            return args[0].min_element()
-        if fn == "maxElement":
-            return args[0].max_element()
-        if fn == "inv":
-            return args[0].inverse()
-        if fn == "toNumpy":
-            return args[0].to_numpy()
+        if fn in _UNARY:
+            return getattr(args[0], _UNARY[fn])()
         raise LinAlgError("unknown function %r" % fn)
 
 

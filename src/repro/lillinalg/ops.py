@@ -51,6 +51,20 @@ def _fresh_set_name(prefix):
     return "%s_%d" % (prefix, next(_set_ids))
 
 
+def _load(cluster, database, set_name, values, block_rows, block_cols):
+    """Chunk ``values`` into the MatrixBlocks of a new set."""
+    cluster.register_type(MatrixBlock)
+    cluster.create_database(database)
+    cluster.create_set(database, set_name, MatrixBlock)
+    with cluster.loader(database, set_name) as load:
+        for brow, bcol, rslice, cslice in block_grid(
+            *values.shape, block_rows, block_cols
+        ):
+            load.append(MatrixBlock, **matrix_block_fields(
+                brow, bcol, values[rslice, cslice]
+            ))
+
+
 def _coords(row):
     """A host row's block coordinates as one int64 join key."""
     return encode_block_key(row[0], row[1])
@@ -85,6 +99,14 @@ class _RowJoin(JoinComp):
         return lambda_from_native([a, b], self.fn)
 
 
+def _read_rows(database, set_name):
+    """A MatrixBlock set's host rows, each block copied out of its page."""
+    return _RowMap(
+        ObjectReader(database, set_name),
+        lambda b: (b.block_row, b.block_col, np.array(b.get_matrix())),
+    )
+
+
 class BlockSumAggregate(AggregateComp):
     """Sums numpy partial blocks keyed by encoded block coordinates."""
 
@@ -103,10 +125,13 @@ class BlockSumAggregate(AggregateComp):
 
 class DistributedMatrix:
     """A matrix: a stored set of MatrixBlocks (``set_name``), or an
-    expression (``comp``, a Computation yielding host rows)."""
+    expression (``comp``, a Computation yielding host rows).  ``hosts``
+    are the client-side matrices an expression reads (``{set name:
+    (ndarray, block_rows, block_cols)}``): each job that runs it loads
+    them into those sets first and drops the sets after."""
 
     def __init__(self, cluster, database, set_name, n_rows, n_cols,
-                 block_rows, block_cols, comp=None):
+                 block_rows, block_cols, comp=None, hosts=None):
         self.cluster = cluster
         self.database = database
         self.set_name = set_name
@@ -115,6 +140,7 @@ class DistributedMatrix:
         self.block_rows = block_rows
         self.block_cols = block_cols
         self.comp = comp
+        self.hosts = hosts or {}
 
     # -- construction and evaluation ------------------------------------------------
 
@@ -126,18 +152,8 @@ class DistributedMatrix:
         if values.ndim == 1:
             values = values.reshape(-1, 1)
         set_name = set_name or _fresh_set_name("mat")
-        cluster.register_type(MatrixBlock)
-        cluster.create_database(database)
-        cluster.create_set(database, set_name, MatrixBlock)
-        n_rows, n_cols = values.shape
-        with cluster.loader(database, set_name) as load:
-            for brow, bcol, rslice, cslice in block_grid(
-                n_rows, n_cols, block_rows, block_cols
-            ):
-                load.append(MatrixBlock, **matrix_block_fields(
-                    brow, bcol, values[rslice, cslice]
-                ))
-        return cls(cluster, database, set_name, n_rows, n_cols,
+        _load(cluster, database, set_name, values, block_rows, block_cols)
+        return cls(cluster, database, set_name, *values.shape,
                    block_rows, block_cols)
 
     def materialize(self, set_name=None):
@@ -149,9 +165,7 @@ class DistributedMatrix:
         set_name = set_name or _fresh_set_name("mat")
         self.cluster.create_set(self.database, set_name, MatrixBlock)
         blocks = _RowMap(self._rows(), lambda r: make_matrix_block(*r))
-        self.cluster.execute_computations(
-            Writer(self.database, set_name).set_input(blocks)
-        )
+        self._run(Writer(self.database, set_name).set_input(blocks))
         return DistributedMatrix(
             self.cluster, self.database, set_name, self.n_rows, self.n_cols,
             self.block_rows, self.block_cols,
@@ -174,29 +188,40 @@ class DistributedMatrix:
             out[r0:r0 + view.rows, c0:c0 + view.cols] = view.get_matrix()
         return out
 
+    def _run(self, writer):
+        """Run ``writer``'s job with the expression's host matrices loaded
+        for it; their sets are dropped however the job ends."""
+        try:
+            for set_name, host in self.hosts.items():
+                _load(self.cluster, self.database, set_name, *host)
+            self.cluster.execute_computations(writer)
+        finally:
+            for set_name in self.hosts:
+                if (self.database, set_name) in self.cluster.storage_manager:
+                    self.cluster.drop_set(self.database, set_name)
+
     def _rows(self):
         """The Computation yielding this matrix's host rows."""
         if self.comp is not None:
             return self.comp
-        return _RowMap(
-            ObjectReader(self.database, self.set_name),
-            lambda b: (b.block_row, b.block_col, np.array(b.get_matrix())),
-        )
+        return _read_rows(self.database, self.set_name)
 
     def _expression(self, comp, n_rows=None, n_cols=None, block_rows=None,
-                    block_cols=None):
+                    block_cols=None, other=None):
+        """An expression over this matrix (and ``other``, if binary)."""
         return DistributedMatrix(
             self.cluster, self.database, None,
             self.n_rows if n_rows is None else n_rows,
             self.n_cols if n_cols is None else n_cols,
             block_rows or self.block_rows, block_cols or self.block_cols,
-            comp=comp,
+            comp=comp, hosts={**self.hosts, **getattr(other, "hosts", {})},
         )
 
     def _map(self, fn, **shape):
         return self._expression(_RowMap(self._rows(), fn), **shape)
 
-    def _summed(self, pairs, n_rows, n_cols, block_rows, block_cols):
+    def _summed(self, pairs, n_rows, n_cols, block_rows, block_cols,
+                other=None):
         """The expression whose blocks are the sums of ``pairs``' ``(key,
         flat)`` partials, decoded back into host rows on the workers."""
         def unpack(pair):
@@ -206,7 +231,7 @@ class DistributedMatrix:
 
         agg = BlockSumAggregate().set_input(pairs)
         return self._expression(_RowMap(agg, unpack), n_rows, n_cols,
-                                block_rows, block_cols)
+                                block_rows, block_cols, other)
 
     # -- element-wise operations -------------------------------------------------------
 
@@ -220,7 +245,7 @@ class DistributedMatrix:
         return self._expression(_RowJoin(
             self._rows(), other._rows(), _coords, _coords,
             lambda a, b: (a[0], a[1], fn(a[2], b[2])),
-        ))
+        ), other=other)
 
     def add(self, other):
         """Element-wise sum (a join on block coordinates)."""
@@ -284,7 +309,7 @@ class DistributedMatrix:
                           (a[2] @ b[2]).reshape(-1)),
         )
         return self._summed(partials, self.n_rows, other.n_cols,
-                            self.block_rows, other.block_cols)
+                            self.block_rows, other.block_cols, other)
 
     def transpose_multiply(self, other):
         """``A '* B`` = ``transpose(A) %*% B`` without materializing A^T."""
@@ -296,7 +321,7 @@ class DistributedMatrix:
                           (a[2].T @ b[2]).reshape(-1)),
         )
         return self._summed(partials, self.n_cols, other.n_cols,
-                            self.block_cols, other.block_cols)
+                            self.block_cols, other.block_cols, other)
 
     def row_sum(self):
         """Column vector of row sums."""
@@ -328,8 +353,7 @@ class DistributedMatrix:
 
         agg = Reduce().set_input(self._rows())
         out_set = _fresh_set_name("sc")
-        writer = Writer(self.database, out_set).set_input(agg)
-        self.cluster.execute_computations(writer)
+        self._run(Writer(self.database, out_set).set_input(agg))
         merged = self.cluster.read(self.database, out_set, as_pairs=True)
         self.cluster.drop_set(self.database, out_set)
         values = list(merged.values())
@@ -353,15 +377,19 @@ class DistributedMatrix:
 
         Inversion is inherently non-blockwise; like the paper's linear
         regression, it is applied to small (d x d) Gram matrices, so the
-        whole matrix is gathered to the client by design, inverted with
-        the native kernel, and loaded as a stored matrix.
+        whole matrix is gathered to the client by design and inverted
+        with the native kernel.  The inverse stays a host matrix, loaded
+        only for the jobs that read it (``hosts``).
         """
         if self.n_rows != self.n_cols:
             raise LinAlgError("inverse of a non-square matrix")
-        inverted = np.linalg.inv(self.to_numpy())
-        return DistributedMatrix.from_numpy(
-            self.cluster, self.database, inverted,
+        set_name = _fresh_set_name("inv")
+        hosts = {set_name: (np.linalg.inv(self.to_numpy()), self.block_rows,
+                            self.block_cols)}
+        return DistributedMatrix(
+            self.cluster, self.database, None, self.n_rows, self.n_cols,
             self.block_rows, self.block_cols,
+            comp=_read_rows(self.database, set_name), hosts=hosts,
         )
 
     def __repr__(self):

@@ -110,14 +110,11 @@ class AllocationBlock:
     )
 
     def __init__(self, size, policy=LIGHTWEIGHT_REUSE, registry=None,
-                 managed=True, buf=None, on_empty=None, metrics=None,
-                 init_header=False):
+                 managed=True, buf=None, on_empty=None, metrics=None):
         if buf is None:
             if size < BLOCK_HEADER_SIZE + OBJECT_HEADER_SIZE:
                 raise ValueError("block size %d too small" % size)
             buf = bytearray(size)
-            init_header = True
-        if init_header:
             layout.pack_block_header(buf, size, BLOCK_HEADER_SIZE, 0, policy)
             layout.write_handle_slot(buf, layout.ROOT_HANDLE_OFFSET, None, 0)
         self.buf = buf

@@ -1,4 +1,4 @@
-"""Observability: job traces, typed metrics, profiling, and exposition."""
+"""Observability: job traces, typed metrics, operator records, and exposition."""
 
 from repro.obs.events import FlightRecorder, read_ring
 from repro.obs.export import (
@@ -16,7 +16,6 @@ from repro.obs.metrics import (
     MetricsSnapshot,
     exponential_buckets,
 )
-from repro.obs.profiler import StageProfiler
 from repro.obs.report import render_trace
 from repro.obs.timeline import to_chrome_trace, validate_chrome_trace, \
     write_chrome_trace
@@ -34,7 +33,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "Span",
-    "StageProfiler",
     "Trace",
     "Tracer",
     "exponential_buckets",

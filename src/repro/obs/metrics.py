@@ -81,7 +81,7 @@ class _Metric:
 
     def _key(self, labels):
         # Fast path: kwargs arrive in declaration order (the hot-path
-        # callers — profiler, network — always do), so a tuple compare
+        # callers — scheduler, network — always do), so a tuple compare
         # avoids building two sets per increment.
         if tuple(labels) == self.labelnames:
             return tuple(str(value) for value in labels.values())

@@ -128,7 +128,7 @@ def main(argv=None):
     """Watch a demo cluster: bounded frames, suitable for smoke tests.
 
     Real deployments would point this at a long-lived job service
-    (ROADMAP item 3); until then it demonstrates the console against a
+    (ROADMAP, "Parked": the multi-tenant service); until then it demonstrates the console against a
     local process-transport cluster executing a TPC-H-shaped job.
     """
     import argparse

@@ -176,8 +176,8 @@ class BufferPool:
         self._set_bytes = {}
         self._next_page_id = 1
         self._in_memory_bytes = 0
-        #: high-water mark of in-memory bytes; the profiler resets and
-        #: reads it per stage/operator scope (plain attribute by design).
+        #: lifetime high-water mark of in-memory bytes (the pool's own
+        #: ``pc_pool_peak_bytes``; nothing else writes it).
         self.peak_in_memory_bytes = 0
         if spill_dir is None:
             self._spill_dir = tempfile.mkdtemp(prefix="pc-spill-")
@@ -230,8 +230,7 @@ class BufferPool:
         )
         self._g_peak = self.metrics.gauge(
             "pc_pool_peak_bytes",
-            help="High-water mark of resident bytes since last profiler "
-                 "scope reset",
+            help="Lifetime high-water mark of resident bytes",
         )
         self._g_shm = self.metrics.gauge(
             "pc_pool_shm_segments",
@@ -296,18 +295,6 @@ class BufferPool:
         # shm.buf is the raw mapping the AllocationBlock is built over,
         # not an existing block's backing store.
         return shm, memoryview(shm.buf)[:block_size]  # pcsan: disable=PC002
-
-    def _fresh_page(self, page_id, size, set_key, policy):
-        kwargs = {"registry": self.registry, "metrics": self.metrics}
-        if policy is not None:
-            kwargs["policy"] = policy
-        if self.residency != "shm":
-            return Page.fresh(page_id, size, set_key=set_key, **kwargs)
-        shm, buf = self._shm_create(page_id, size)
-        block = AllocationBlock(size, buf=buf, init_header=True, **kwargs)
-        page = Page(page_id, block, set_key=set_key)
-        page.shm = shm
-        return page
 
     def _reconstitute_page(self, page_id, data, set_key):
         """Page from shipped/spilled bytes, honoring the residency mode.
@@ -379,16 +366,6 @@ class BufferPool:
         _sweep_graveyard()
 
     # -- page lifecycle -----------------------------------------------------------
-
-    def new_page(self, size=None, set_key=None, policy=None):
-        """Allocate a fresh pinned page."""
-        size = size or self.page_size
-        self._make_room(size)
-        page_id = self._next_page_id
-        self._next_page_id += 1
-        page = self._fresh_page(page_id, size, set_key, policy)
-        self._install(page)
-        return page
 
     def adopt_page(self, data, set_key=None, allocations=0):
         """Install bytes that arrived from the network as a pinned page

@@ -43,28 +43,6 @@ class PageSet:
 
     # -- writing -------------------------------------------------------------------
 
-    def writer(self):
-        """A :class:`RowPageWriter` over this partition's pool pages: an
-        empty block is a fresh pinned page, a sealed one joins
-        ``page_ids`` (its objects the partition's count) and is unpinned
-        dirty."""
-        pool = self.pool
-
-        def open_page():
-            page = pool.new_page(size=self.page_size, set_key=self.key)
-            return page.block, page.page_id
-
-        def seal_page(_block, page_id, count):
-            if not count:
-                pool.free_page(page_id)
-                return None
-            self.page_ids.append(page_id)
-            self.object_count += count
-            pool.unpin(page_id, dirty=True)
-            return page_id
-
-        return RowPageWriter(open_page, seal_page)
-
     def adopt_page_bytes(self, data, count=0, allocations=0):
         """Install a page that arrived over the (simulated) network.
 

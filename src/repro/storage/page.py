@@ -1,14 +1,14 @@
 """Pages: fixed-size units of buffered, movable object storage.
 
-A :class:`Page` owns one allocation block.  Pages are handed out by the
-buffer pool, pinned while in use, and either recycled (overwritten by a
-new set of objects — the paper's cheapest "deallocation"), spilled to the
-user-level file system, or shipped across the simulated network.
+A :class:`Page` owns one allocation block.  A page enters a buffer pool
+as the bytes of a block built elsewhere (``BufferPool.adopt_page``), is
+pinned while in use, and is spilled to the user-level file system,
+shipped across the simulated network, or freed.
 """
 
 from __future__ import annotations
 
-from repro.memory.block import LIGHTWEIGHT_REUSE, AllocationBlock
+from repro.memory.block import AllocationBlock
 from repro.memory.builtins import AnyObject, VectorType
 from repro.memory.columnar import ColumnarPage
 from repro.memory.objects import make_object_on
@@ -104,14 +104,6 @@ class Page:
         """Reconstitute a page that arrived from disk or the network."""
         block = AllocationBlock.from_bytes(data, registry=registry,
                                            metrics=metrics)
-        return cls(page_id, block, set_key=set_key)
-
-    @classmethod
-    def fresh(cls, page_id, size, registry=None, policy=LIGHTWEIGHT_REUSE,
-              set_key=None, metrics=None):
-        """A brand-new, empty page."""
-        block = AllocationBlock(size, policy=policy, registry=registry,
-                                metrics=metrics)
         return cls(page_id, block, set_key=set_key)
 
     def __repr__(self):

@@ -130,7 +130,7 @@ def test_sanitizer_catches_realloc_use_after_free():
 def test_handle_into_freed_page_raises_when_sanitized():
     with sanitize_scope() as san:
         pool = BufferPool(1 << 20, page_size=BLOCK_SIZE)
-        page = pool.new_page()
+        page = pool.adopt_page(AllocationBlock(BLOCK_SIZE).to_bytes())
         handle = make_object_on(page.block, String, PAYLOAD)
         pool.unpin(page.page_id)
         pool.free_page(page.page_id)
@@ -142,7 +142,7 @@ def test_handle_into_freed_page_raises_when_sanitized():
 def test_handle_into_freed_page_reads_stale_bytes_in_plain_mode():
     plain_mode()
     pool = BufferPool(1 << 20, page_size=BLOCK_SIZE)
-    page = pool.new_page()
+    page = pool.adopt_page(AllocationBlock(BLOCK_SIZE).to_bytes())
     handle = make_object_on(page.block, String, PAYLOAD)
     pool.unpin(page.page_id)
     pool.free_page(page.page_id)
@@ -205,10 +205,11 @@ def test_seal_with_root_is_clean():
 def test_pin_leak_found_by_snapshot_diff():
     with sanitize_scope() as san:
         pool = BufferPool(1 << 20, page_size=BLOCK_SIZE)
-        held = pool.new_page()  # pinned before the "job": in the baseline
+        empty = AllocationBlock(BLOCK_SIZE).to_bytes()  # adopted: pinned
+        held = pool.adopt_page(empty)  # pinned before the "job": baseline
         baseline = san.snapshot_pins([pool])
-        leaked = pool.new_page()  # pinned during the "job", never unpinned
-        balanced = pool.new_page()
+        leaked = pool.adopt_page(empty)  # pinned in the "job", never unpinned
+        balanced = pool.adopt_page(empty)
         pool.unpin(balanced.page_id)
         found = san.check_pins([pool], baseline)
         assert [f.page_id for f in found] == [leaked.page_id]

@@ -327,8 +327,8 @@ def _run_merging_job(cluster, sink):
     return [sorted(cluster.read("db", name)) for name in ("a", "b")]
 
 
-# Directed seeds for the generated-plan fault schedules of ROADMAP item
-# 1(a): a lost worker, then a survivor's re-fork in the restarted job.
+# Directed seeds for the fault schedules of the ROADMAP's whole-plan
+# generator: a lost worker, then a survivor's re-fork in the restarted job.
 @pytest.mark.parametrize("sink", ["aggregate", "materialize"])
 @pytest.mark.parametrize("transport", [
     "sim",

@@ -388,7 +388,8 @@ def _run_with_fault(tmp_path, replication, k, arm):
 
 @pytest.fixture(scope="module")
 def fault_points(request):
-    """Says how many fault points the module enumerated (ROADMAP 1(b))."""
+    """Says how many fault points the module enumerated (the ROADMAP's
+    crash-point enumeration)."""
     enumerated = []
     yield enumerated
     capture = request.config.pluginmanager.getplugin("capturemanager")

@@ -7,8 +7,8 @@ tests run joins whose build side is itself a join — on the parent a
 build task probed its worker's shard of a partitioned table with rows
 nobody had re-partitioned, and half the result went missing without an
 error.  The property test generates join trees; its ``@example``s are
-that bug and the optimizer bug its reproducer tripped over, ROADMAP
-1(a)'s directed seeds.
+that bug and the optimizer bug its reproducer tripped over: directed
+seeds of the ROADMAP's whole-plan generator.
 """
 
 import contextlib
@@ -376,7 +376,8 @@ def join_cases(draw):
 
 @pytest.fixture(scope="module")
 def plan_count(request):
-    """Says how many generated plans the module ran (ROADMAP 1(a))."""
+    """Says how many generated plans the module ran (the ROADMAP's
+    whole-plan generator)."""
     yield
     capture = request.config.pluginmanager.getplugin("capturemanager")
     with capture.global_and_fixture_disabled():
@@ -387,8 +388,8 @@ def plan_count(request):
 @settings(max_examples=40, deadline=None)
 @given(join_cases(), st.sampled_from(THRESHOLDS), st.integers(1, 3),
        st.sets(st.integers(0, 3)))
-# ROADMAP 1(a) directed seeds: the two bugs this PR's consolidation
-# walked into, in the generator's own vocabulary.
+# Directed seeds of the ROADMAP's whole-plan generator: the two bugs the
+# one-stage-shape consolidation walked into, in the generator's vocabulary.
 @example(([A, B, C], CAB), 0, 2, set())
 @example(([A, B, C], (2, AB, (0, "x", True), (1, "y", False), "right")), 0, 3,
          set())

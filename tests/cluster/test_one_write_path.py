@@ -1,9 +1,9 @@
 """One write path: one writer turns objects into row pages.
 
-The loader, ``PageSet.writer()`` and both OUTPUT sinks record objects
-through :class:`repro.storage.dataset.RowPageWriter`: a page that fills
-while an object is being recorded is sealed, and *that one object* is
-retried on the next page.  Only a page filling while user *stages* run
+The loader, a task's ``private_page_writer`` and both OUTPUT sinks
+record objects through :class:`repro.storage.dataset.RowPageWriter`: a
+page that fills while an object is being recorded is sealed, and *that
+one object* is retried on the next page.  Only a page filling while user *stages* run
 (nothing of the batch recorded yet) makes the engine roll the page and
 re-run the batch.  A page with nothing recorded on it is freed, never
 stored.
@@ -257,25 +257,3 @@ def test_a_selection_that_keeps_nothing_stores_no_page(tmp_path, transport):
         assert output_pages(cluster, "none") == []
         assert cluster.catalog.set_metadata("db", "none").pages == {}
         assert cluster.metrics().value("pc_engine_pages_written_total") == 0
-
-
-def test_set_writer_frees_a_page_it_recorded_nothing_on(tmp_path):
-    with make_cluster(tmp_path, "sim") as cluster:
-        cluster.register_type(DataPoint)
-        cluster.create_database("db")
-        cluster.create_set("db", "points", DataPoint)
-        page_set = cluster.workers[0].storage.get_set("db", "points")
-        def created():
-            return cluster.metrics().value(
-                "pc_pool_pages_created_total", worker="worker-0")
-
-        before = created()
-        with page_set.writer() as writer:
-            assert writer.sealed == []
-        assert page_set.page_ids == [] and writer.sealed == []
-        with page_set.writer() as writer:
-            block = writer.block  # opened, nothing recorded: freed at exit
-            assert len(page_items(block)) == 0
-        assert page_set.page_ids == []
-        assert created() == before + 1
-        assert page_set.pool.pinned_pages() == {}

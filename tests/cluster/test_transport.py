@@ -1,7 +1,7 @@
 """Pluggable-transport tests: sim/process parity and shuffle integrity.
 
 The transport layer (DESIGN §11) carries two back-ends behind one
-interface: the deterministic ``SimulatedNetwork`` and the
+interface: the deterministic simulator (the ``Transport`` base) and the
 ``ProcessTransport`` whose workers run user code in real spawned
 processes attached to sealed pages over POSIX shared memory.  These
 tests pin the contracts the split must keep: row shuffles get the same
@@ -22,7 +22,7 @@ from repro.cluster import (
     FaultInjector,
     PCCluster,
     RetryPolicy,
-    SimulatedNetwork,
+    Transport,
     make_transport,
 )
 from repro.cluster.scheduler import _raiser
@@ -52,7 +52,7 @@ needs_process = pytest.mark.skipif(
 
 def test_make_transport_resolves_names_and_passthrough():
     sim = make_transport("sim")
-    assert isinstance(sim, SimulatedNetwork)
+    assert type(sim) is Transport
     assert sim.name == "sim" and sim.page_residency == "mem"
     assert make_transport(sim) is sim  # instances pass through untouched
     with pytest.raises(ValueError, match="unknown transport"):

@@ -1,7 +1,8 @@
 """Property: every way in writes each object once, in order.
 
-``page_set.writer()``, ``cluster.loader()`` and an OUTPUT stage all
-record objects through :class:`repro.storage.dataset.RowPageWriter`.  For
+A task's ``private_page_writer``, ``cluster.loader()`` and an OUTPUT
+stage all record objects through
+:class:`repro.storage.dataset.RowPageWriter`.  For
 generated page sizes and append sequences — objects of a few bytes, one
 that fills a page to the last chunk, one that fits only an empty page,
 one that fits none — the pages they produce decode with ``page_items`` to
@@ -34,7 +35,8 @@ from repro.errors import BlockFullError, StorageError
 from repro.memory import Float64, Int32, PCObject, VectorType
 from repro.memory.block import AllocationBlock
 from repro.memory.objects import make_object_on
-from repro.storage.dataset import RowPageWriter, _place_new
+from repro.storage.dataset import RowPageWriter, _place_new, \
+    private_page_writer
 from repro.storage.page import open_root, page_items
 
 _FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -165,13 +167,15 @@ def test_set_writer_records_each_object_once_in_order(
         tmp_path_factory, page_size, lengths_):
     with make_cluster(tmp_path_factory, page_size) as cluster:
         page_set = cluster.workers[0].storage.get_set("db", "blobs")
-        with page_set.writer() as writer:
+        with private_page_writer(page_size, page_set.pool.registry) as writer:
             stored, refused = append_all(page_size, lengths_, writer)
+        adopted = [page_set.adopt_page_bytes(data, count, allocations)
+                   for data, _crc, allocations, count in writer.sealed]
         assert decoded(page_set) == stored
         assert page_set.object_count == len(stored)
         assert page_counts(page_set) == split_counts(page_size, stored,
                                                      refused)
-        assert writer.sealed == page_set.page_ids
+        assert adopted == page_set.page_ids
         assert 0 not in page_counts(page_set)
         assert page_set.pool.pinned_pages() == {}
 

@@ -4,9 +4,10 @@ Operators compose lazily into one graph of host rows ``(block_row,
 block_col, ndarray)``; only ``to_numpy``, ``inverse``, the scalar
 reductions and ``materialize`` (the DSL's ``save``) run it.  These tests
 pin how many jobs the Table 2 computations take, that evaluating an
-expression leaves no set behind, that a captured constant is the one the
-expression was built with, and that the simulator and the process
-transport give the same bytes.
+expression — an inverse and the DSL regression too — leaves no set
+behind, that a captured constant is the one the expression was built
+with, and that the simulator and the process transport give the same
+bytes.
 """
 
 import numpy as np
@@ -107,9 +108,14 @@ def test_operators_run_no_job(cluster):
                        (2.0 * (a @ b + a)).T.sum(axis=0))
 
 
-def test_to_numpy_leaves_no_set_behind(cluster):
-    a = RNG.normal(size=(10, 7))
-    da = _mat(cluster, a, 4, 3)
+def _leaves_no_set_behind(cluster):
+    """Evaluating an expression — an inverse's too — leaves the sets the
+    caller made, and a DSL program adds only the set it saves."""
+    a, y = RNG.normal(size=(10, 7)), RNG.normal(size=10)
+    da, dy = _mat(cluster, a, 4, 3), _mat(cluster, y, 4, 1)
+    lla = LilLinAlg(cluster)
+    lla.bind("A", da)
+    lla.bind("y", dy)
     sets = _set_names(cluster)
     for expression in (da.transpose(), da.add(da).row_sum(),
                        da.transpose_multiply(da)):
@@ -117,6 +123,29 @@ def test_to_numpy_leaves_no_set_behind(cluster):
         assert _set_names(cluster) == sets
     assert da.min_element() == pytest.approx(a.min())
     assert _set_names(cluster) == sets
+    inverse = da.transpose_multiply(da).inverse()
+    beta = inverse.multiply(da.transpose_multiply(dy)).to_numpy()
+    assert np.allclose(beta.ravel(), np.linalg.solve(a.T @ a, a.T @ y))
+    assert _set_names(cluster) == sets
+    saved = lla.run("""
+        A = load("lla", "A");
+        y = load("lla", "y");
+        beta = (A '* A)^-1 %*% (A '* y);
+        save(beta, "lla", "beta_saved");
+    """)
+    assert _set_names(cluster) == sorted(sets + ["beta_saved"])
+    assert np.allclose(saved.to_numpy(), beta)
+
+
+def test_to_numpy_leaves_no_set_behind(cluster):
+    _leaves_no_set_behind(cluster)
+
+
+@pytest.mark.skipif(not remote_available(), reason="cloudpickle unavailable")
+def test_to_numpy_leaves_no_set_behind_on_process(tmp_path):
+    with PCCluster(n_workers=2, page_size=1 << 16, transport="process",
+                   spill_root=str(tmp_path)) as cluster:
+        _leaves_no_set_behind(cluster)
 
 
 def test_a_captured_query_vector_is_the_one_built_with(cluster):

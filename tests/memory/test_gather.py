@@ -65,10 +65,9 @@ needs_plain = pytest.mark.skipif(
 )
 
 
-def customer_page(n=12, size=1 << 18, seed=5, block=None):
+def customer_page(n=12, size=1 << 18, seed=5):
     """A row page of ``n`` Customer trees; returns ``(block, root vector)``."""
-    if block is None:
-        block = AllocationBlock(size)
+    block = AllocationBlock(size)
     root = open_root(block)
     root.reserve(n + 4)
     spec = TpchSpec(n, n_parts=30, n_suppliers=4, seed=seed)
@@ -325,8 +324,7 @@ def test_sanitized_block_takes_the_object_path():
 def _explode_under_a_freed_page(pool):
     """Run the kernelized stage over a batch whose page is freed under
     it (the bug); returns ``(outcome, engine metrics)``."""
-    page = pool.new_page()
-    customer_page(6, block=page.block)
+    page = pool.adopt_page(customer_page(6, pool.page_size)[0].to_bytes())
     program = compile_computations(Writer("db", "out").set_input(
         CustomerMultiSelection().set_input(ObjectReader("db", "customers"))
     ))
@@ -480,8 +478,8 @@ def _walk_batch(rows, kinds, leaf_kinds, leaf):
     return list(zip(*columns)) if len(rows) else []
 
 
-# The directed seeds (ROADMAP item 1(a)): the generator's shrunk cases, by
-# what they pin down.
+# The directed seeds (the ROADMAP's whole-plan generator): the generator's
+# shrunk cases, by what they pin down.
 @example((["i4"], ["i4"], []))  # an empty set
 @example((["str"], ["str"], [("shared",)]))  # a one-row page
 @example((["str"], ["str", "leaf", "leaf"],

@@ -16,9 +16,8 @@ import pytest
 
 from repro.analysis.sanitizer import sanitize_scope
 from repro.cluster import FakeClock, FaultInjector, PCCluster, RetryPolicy
-from repro.cluster.network import SimulatedNetwork
 from repro.cluster.supervisor import BEAT_TASK, BEAT_TIME
-from repro.cluster.transport import remote_available
+from repro.cluster.transport import Transport, remote_available
 from repro.core import (
     AggregateComp,
     JoinComp,
@@ -396,7 +395,7 @@ def test_sub_millisecond_delays_are_not_truncated_away():
     """Ten 0.4 ms delays are 0.004 s over 10 events — float seconds and
     a count, no whole-millisecond family that truncates each to 0."""
     injector = FaultInjector().delay_transfer(0.0004, times=10)
-    network = SimulatedNetwork(fault_injector=injector)
+    network = Transport(fault_injector=injector)
     for _ in range(12):
         network.ship_page("worker-0", "worker-1", b"x" * 64)
     stats = network.metrics.snapshot()

@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import BufferPoolExhaustedError
 from repro.memory import Float64, Int32, PCObject, VectorType
+from repro.memory.block import AllocationBlock
 from repro.memory.objects import make_object_on
 from repro.storage import BufferPool, LocalStorageServer
 
@@ -22,10 +23,13 @@ class Tiny(PCObject):
 PAGE = 1 << 12
 
 
-def _fill_lightly(page):
-    """Put one small object on a page so its used-prefix is tiny but real."""
-    handle = make_object_on(page.block, Tiny, pid=1, xs=[1.0, 2.0])
-    page.block.set_root(handle.offset, handle.type_code)
+def _light_page(pool):
+    """Adopt a page holding one small object, so its used-prefix is tiny
+    but real; it stays pinned."""
+    block = AllocationBlock(PAGE)
+    handle = make_object_on(block, Tiny, pid=1, xs=[1.0, 2.0])
+    block.set_root(handle.offset, handle.type_code)
+    return pool.adopt_page(block.to_bytes())
 
 
 def _resident_bytes(pool):
@@ -36,13 +40,10 @@ def test_reload_respects_the_memory_budget(tmp_path):
     # Capacity of 2.5 pages: A spilled, B pinned, C unpinned-resident.
     pool = BufferPool(PAGE * 2 + PAGE // 2, page_size=PAGE,
                       spill_dir=str(tmp_path))
-    page_a = pool.new_page()
-    _fill_lightly(page_a)
+    page_a = _light_page(pool)
     pool.unpin(page_a.page_id, dirty=True)
-    page_b = pool.new_page()          # stays pinned
-    _fill_lightly(page_b)
-    page_c = pool.new_page()          # evicts A to make room
-    _fill_lightly(page_c)
+    _light_page(pool)                 # B stays pinned
+    page_c = _light_page(pool)        # evicts A to make room
     pool.unpin(page_c.page_id, dirty=True)
     assert not page_a.in_memory
     assert pool.metrics.snapshot().value("pc_pool_spills_total") >= 1
@@ -59,13 +60,10 @@ def test_reload_respects_the_memory_budget(tmp_path):
 def test_reload_raises_rather_than_overcommit_when_all_pinned(tmp_path):
     pool = BufferPool(PAGE * 2 + PAGE // 2, page_size=PAGE,
                       spill_dir=str(tmp_path))
-    page_a = pool.new_page()
-    _fill_lightly(page_a)
+    page_a = _light_page(pool)
     pool.unpin(page_a.page_id, dirty=True)
-    page_b = pool.new_page()
-    _fill_lightly(page_b)
-    page_c = pool.new_page()  # evicts A; both B and C stay pinned
-    _fill_lightly(page_c)
+    _light_page(pool)
+    _light_page(pool)  # C evicts A; both B and C stay pinned
 
     with pytest.raises(BufferPoolExhaustedError):
         pool.pin(page_a.page_id)
@@ -74,16 +72,16 @@ def test_reload_raises_rather_than_overcommit_when_all_pinned(tmp_path):
     assert pool.in_memory_bytes <= pool.capacity_bytes
 
 
-def test_spill_reload_churn_keeps_accounting_exact(tmp_path):
+def test_spill_reload_churn_keeps_accounting_exact(tmp_path, write_pages):
     """Scan a set much larger than the pool; the budget never drifts."""
     server = LocalStorageServer(
         "w0", capacity_bytes=PAGE * 3, page_size=PAGE,
         spill_dir=str(tmp_path),
     )
     page_set = server.create_set("db", "pts")
-    with page_set.writer() as writer:
-        for i in range(300):
-            writer.append(Tiny, pid=i, xs=[float(i)] * 24)
+    write_pages(page_set, Tiny, (
+        {"pid": i, "xs": [float(i)] * 24} for i in range(300)
+    ))
     pool = server.pool
     assert pool.metrics.snapshot().value("pc_pool_spills_total") > 0
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.catalog import CatalogManager, LocalCatalog
 from repro.cluster import FaultInjector, RetryPolicy
-from repro.cluster.network import SimulatedNetwork
+from repro.cluster.transport import Transport
 from repro.errors import PageCorruptionError
 from repro.memory import Float64, Int32, PCObject, String, VectorType
 from repro.storage import (
@@ -44,11 +44,11 @@ payloads = st.lists(
 )
 
 
-def _write(server, records):
+def _write(server, records, write_pages):
     page_set = server.create_set("db", "s")
-    with page_set.writer() as writer:
-        for pid, name, xs in records:
-            writer.append(Rec, pid=pid, name=name, xs=xs)
+    write_pages(page_set, Rec, (
+        {"pid": pid, "name": name, "xs": xs} for pid, name, xs in records
+    ))
     return page_set
 
 
@@ -58,7 +58,9 @@ def _values(page_set):
 
 @settings(max_examples=30, deadline=None)
 @given(payloads)
-def test_ship_and_adopt_roundtrip_is_byte_identical(tmp_path_factory, records):
+def test_ship_and_adopt_roundtrip_is_byte_identical(
+    tmp_path_factory, write_pages, records,
+):
     """sealed page -> network ship -> replica adopt: same bytes, values."""
     tmp = tmp_path_factory.mktemp("roundtrip")
     catalog = CatalogManager()
@@ -71,8 +73,8 @@ def test_ship_and_adopt_roundtrip_is_byte_identical(tmp_path_factory, records):
         "b", 1 << 22, page_size=1 << 12,
         registry=LocalCatalog(catalog).registry, spill_dir=str(tmp / "b"),
     )
-    network = SimulatedNetwork()
-    src = _write(src_server, records)
+    network = Transport()
+    src = _write(src_server, records, write_pages)
     dst = dst_server.create_set("db", "s")
     checksums = []
     for page_id in src.page_ids:
@@ -94,7 +96,7 @@ def test_ship_and_adopt_roundtrip_is_byte_identical(tmp_path_factory, records):
 @settings(max_examples=20, deadline=None)
 @given(payloads)
 def test_spill_reload_roundtrip_is_checksum_identical(
-    tmp_path_factory, records,
+    tmp_path_factory, write_pages, records,
 ):
     """sealed page -> spill -> reload: the CRC32 stamped at seal holds."""
     tmp = tmp_path_factory.mktemp("spill")
@@ -102,7 +104,7 @@ def test_spill_reload_roundtrip_is_checksum_identical(
         "w", capacity_bytes=3 << 12, page_size=1 << 12,
         spill_dir=str(tmp),
     )
-    page_set = _write(server, records)
+    page_set = _write(server, records, write_pages)
     sealed = {}
     for page_id in page_set.page_ids:
         with page_set.pinned_page(page_id) as page:
@@ -131,7 +133,7 @@ def test_corrupted_transfer_never_delivers_damage(data, corruptions):
     """With a checksum, a flipped arrival is re-sent or raises — the
     caller either gets the pristine bytes or an error, never damage."""
     injector = FaultInjector().corrupt_transfer(times=corruptions)
-    network = SimulatedNetwork(
+    network = Transport(
         fault_injector=injector,
         retry_policy=RetryPolicy(transfer_retries=2),
     )
@@ -145,7 +147,7 @@ def test_corrupted_transfer_never_delivers_damage(data, corruptions):
 
 def test_corrupted_transfer_without_budget_raises():
     injector = FaultInjector().corrupt_transfer(times=5)
-    network = SimulatedNetwork(
+    network = Transport(
         fault_injector=injector, retry_policy=RetryPolicy.disabled()
     )
     data = b"sealed page bytes"
@@ -157,6 +159,6 @@ def test_unchecksummed_transfer_delivers_flipped_bytes():
     """Without a checksum the network cannot detect the flip — the
     damaged payload is delivered for downstream checks to catch."""
     injector = FaultInjector().corrupt_transfer(times=1)
-    network = SimulatedNetwork(fault_injector=injector)
+    network = Transport(fault_injector=injector)
     data = b"sealed page bytes"
     assert network.ship_page("a", "b", data) == corrupt_bytes(data)

@@ -16,10 +16,13 @@ from repro.errors import (
     PageCorruptionError,
     PageReloadError,
 )
+from repro.memory.block import AllocationBlock
 from repro.storage import BufferPool, buffer_pool
 from repro.storage.shm_registry import ShmRegistry
 
 PAGE = 1 << 12
+#: an empty page's bytes: what ``_load`` adopts
+EMPTY = AllocationBlock(PAGE).to_bytes()
 BIG = ("db", "big")
 
 
@@ -38,7 +41,7 @@ def _load(pool, count, set_key):
     """``count`` sealed pages of ``set_key``, written in order."""
     pages = []
     for _ in range(count):
-        page = pool.new_page(set_key=set_key)
+        page = pool.adopt_page(EMPTY, set_key=set_key)
         pool.unpin(page.page_id, dirty=True)
         pages.append(page)
     return pages

@@ -5,6 +5,7 @@ import pytest
 from repro.catalog import CatalogManager, LocalCatalog
 from repro.errors import BufferPoolExhaustedError, SetNotFoundError
 from repro.memory import Float64, Int32, PCObject, String, VectorType
+from repro.memory.block import AllocationBlock
 from repro.storage import (
     BufferPool,
     DistributedStorageManager,
@@ -16,14 +17,15 @@ class Point(PCObject):
     fields = [("pid", Int32), ("name", String), ("xs", VectorType(Float64))]
 
 
-def test_writer_rolls_pages_and_scan_reads_back(tmp_path):
+def test_writer_rolls_pages_and_scan_reads_back(tmp_path, write_pages):
     pool = BufferPool(1 << 22, page_size=1 << 13, spill_dir=str(tmp_path))
     server = LocalStorageServer("w0", 1 << 22, page_size=1 << 13,
                                 spill_dir=str(tmp_path / "s"))
     page_set = server.create_set("db", "points")
-    with page_set.writer() as writer:
-        for i in range(500):
-            writer.append(Point, pid=i, name="p%d" % i, xs=[float(i)] * 8)
+    write_pages(page_set, Point, (
+        {"pid": i, "name": "p%d" % i, "xs": [float(i)] * 8}
+        for i in range(500)
+    ))
     assert len(page_set) == 500
     assert len(page_set.page_ids) > 1  # small pages forced a roll
 
@@ -33,15 +35,15 @@ def test_writer_rolls_pages_and_scan_reads_back(tmp_path):
     assert pool.metrics.snapshot().value("pc_pool_pages_created_total") == 0
 
 
-def test_spill_and_reload_roundtrip(tmp_path):
+def test_spill_and_reload_roundtrip(tmp_path, write_pages):
     server = LocalStorageServer(
         "w0", capacity_bytes=1 << 15, page_size=1 << 13,
         spill_dir=str(tmp_path),
     )
     page_set = server.create_set("db", "pts")
-    with page_set.writer() as writer:
-        for i in range(400):
-            writer.append(Point, pid=i, name="x" * 20, xs=[1.0] * 16)
+    write_pages(page_set, Point, (
+        {"pid": i, "name": "x" * 20, "xs": [1.0] * 16} for i in range(400)
+    ))
     # Pool can hold 4 pages; the set is bigger, so scans must reload spills.
     assert server.pool.metrics.snapshot().value("pc_pool_spills_total") > 0
     total = sum(1 for _ in page_set.scan_objects())
@@ -51,10 +53,11 @@ def test_spill_and_reload_roundtrip(tmp_path):
 
 def test_pool_exhaustion_when_everything_pinned(tmp_path):
     pool = BufferPool(1 << 14, page_size=1 << 13, spill_dir=str(tmp_path))
-    pool.new_page()
-    pool.new_page()
+    empty = AllocationBlock(1 << 13).to_bytes()  # adopted pages stay pinned
+    pool.adopt_page(empty)
+    pool.adopt_page(empty)
     with pytest.raises(BufferPoolExhaustedError):
-        pool.new_page()
+        pool.adopt_page(empty)
 
 
 def test_distributed_manager_partitions_over_workers(tmp_path):
@@ -76,7 +79,7 @@ def test_distributed_manager_partitions_over_workers(tmp_path):
         manager.next_target("db", "pts")
 
 
-def test_page_bytes_move_between_workers(tmp_path):
+def test_page_bytes_move_between_workers(tmp_path, write_pages):
     """A sealed page's bytes adopted by another worker read identically."""
     catalog = CatalogManager()
     catalog.register_type(Point)
@@ -86,9 +89,9 @@ def test_page_bytes_move_between_workers(tmp_path):
     bob = LocalStorageServer("b", 1 << 22, registry=bob_catalog.registry,
                              spill_dir=str(tmp_path / "b"))
     src = alice.create_set("db", "s")
-    with src.writer() as writer:
-        for i in range(10):
-            writer.append(Point, pid=i, name="n%d" % i, xs=[float(i)])
+    write_pages(src, Point, (
+        {"pid": i, "name": "n%d" % i, "xs": [float(i)]} for i in range(10)
+    ))
     dst = bob.create_set("db", "s")
     for page_id in src.page_ids:
         with src.pinned_page(page_id) as page:

@@ -183,10 +183,11 @@ class NativeKeyJoin(JoinComp):
 
 
 def test_rename_onto_a_carried_column_names_it_once():
-    # ROADMAP 1(a) directed seed.  The member access repeated after the
-    # join collapses onto the one before it, whose column the join
-    # already carries: renaming used to leave it twice in the next copy
-    # list, and the verifier rejected a plan that executed correctly.
+    # A directed seed of the ROADMAP's whole-plan generator.  The member
+    # access repeated after the join collapses onto the one before it,
+    # whose column the join already carries: renaming used to leave it
+    # twice in the next copy list, and the verifier rejected a plan that
+    # executed correctly.
     def graph():
         join = NativeKeyJoin().set_input(0, ObjectReader("db", "sups"))
         join.set_input(1, ObjectReader("db", "emps"))
