@@ -541,12 +541,11 @@ ARCHITECTURE = {
             "repro.cluster.procworker._run",
         ),
         "object_batches": (
-            "repro.engine.pipeline.PipelineEngine._source_batches",
-            "repro.engine.pipeline.run_task",
+            "repro.engine.pipeline.PipelineEngine.source_batches",
         ),
         "run_stages": (
             "repro.engine.pipeline.run_task",
-            "repro.engine.pipeline.PipelineEngine._run_pipeline",
+            "repro.engine.pipeline.PipelineEngine.run",
         ),
         "_run_worker_tasks": (
             "repro.cluster.scheduler.DistributedScheduler"
@@ -554,7 +553,6 @@ ARCHITECTURE = {
         ),
         "row_messages": (
             "repro.engine.pipeline.HashBuildSink.seal",
-            "repro.engine.pipeline.AggregateSink.seal",
             "repro.engine.pipeline.MaterializeSink.seal",
         ),
         "partition_rows": (
@@ -567,8 +565,10 @@ ARCHITECTURE = {
         ),
         "scatter_map": ("repro.memory.builtins.MapType.inserter",),
         "map_pairs": ("repro.engine.pipeline.map_items",),
+        # Read where a Map page is: in the task that merges what an
+        # aggregation's exchange delivered, and in the client's read.
         "map_items": (
-            "repro.cluster.scheduler.DistributedScheduler._wire",
+            "repro.engine.pipeline.PipelineEngine.source_batches",
             "repro.cluster.cluster.PCCluster.read",
         ),
         "plan_objects": ("repro.storage.dataset.RowPageWriter._write",),
@@ -590,11 +590,11 @@ ARCHITECTURE = {
         "retain": "memory",
     },
     "ceilings": {
-        "repro/cluster/scheduler.py": 998,
+        "repro/cluster/scheduler.py": 987,
         "repro/cluster/transport.py": 750,
         "repro/cluster/cluster.py": 692,
-        "repro/cluster/procworker.py": 285,
-        "repro/cluster/worker.py": 204,
+        "repro/cluster/procworker.py": 284,
+        "repro/cluster/worker.py": 195,
         "repro/storage/replication.py": 444,
         "repro/storage/dataset.py": 397,
         "repro/engine/physical.py": 308,

@@ -417,16 +417,16 @@ class PCCluster:
                 program = compile_computations(sinks)
                 if optimized:
                     optimize(program)
-                if columnar:
-                    mark_columnar(program, self._layout_of)
             # A mistyped plan dies here, before any stage is planned or
             # dispatched, with a PlanTypeError naming its TCAP statement.
             with self.tracer.span("verify", kind="phase"):
                 verify_program(program, layout_of=self._layout_of,
                                registry=self.catalog.registry)
-            # Each join's side and exchange come from the sizes the
-            # catalog records: planning reads no page.
+            # Kernel marks, then each join's side and exchange from the
+            # sizes the catalog records: planning reads no page.
             with self.tracer.span("plan", kind="phase"):
+                if columnar:
+                    mark_columnar(program, self._layout_of)
                 plan = plan_pipelines(
                     program, build_side_overrides,
                     set_bytes=self.catalog.set_bytes,
@@ -487,7 +487,7 @@ class PCCluster:
         results.extend(self.python_outputs.get((database, set_name), []))
         if not as_pairs:
             return results
-        merged = {}
+        merged, fallbacks = {}, kernel_fallbacks(self.metrics_registry)
         for item in results:
             view = item
             if isinstance(item, Handle) and not item.is_null:
@@ -499,8 +499,8 @@ class PCCluster:
                     "set %s.%s does not look like an aggregation output"
                     % (database, set_name)
                 )
-            combine_into(merged, map_items(view, comp, self.metrics_registry),
-                         None if comp is None else comp.combine)
+            pairs = map_items(view, comp, lambda r: fallbacks.inc(operator="map_read", reason=r))
+            combine_into(merged, pairs, None if comp is None else comp.combine)
         return merged
 
     # -- introspection ------------------------------------------------------------------------

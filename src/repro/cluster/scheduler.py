@@ -7,8 +7,8 @@ turns every pipeline into distributed *job stages*:
   over its local data;
 * ``BuildHashTableJobStage`` — building join hash tables from shuffled or
   broadcast data;
-* ``AggregationJobStage`` — merging shuffled pre-aggregation Maps (the
-  consuming stage of Figure 5).
+* ``AggregationJobStage`` — moving shuffled pre-aggregation Maps to the
+  workers whose tasks merge them (the consuming stage of Figure 5).
 
 All one shape: per-worker tasks over local data, cut at every partitioned
 join probe, whose sealed outboxes the coordinator only moves and installs.
@@ -22,8 +22,10 @@ them.
 Aggregation shuffles are the paper's signature move and are reproduced
 bit-for-bit: the task that pre-aggregated a worker's groups materializes
 them into PC ``Map``s on combiner pages, the pages' *bytes* are shipped,
-and the receiver reads the Map straight out of the arrived bytes — zero
-serialization on both ends.
+and the task that reads the aggregation on the receiving worker reads
+each Map straight out of the arrived bytes and merges it — zero
+serialization on both ends, and no decode in the coordinator, which
+only moves the pages and keeps them for that task.
 
 One task runner, one attempt loop: a worker's portion of a stage is always
 :func:`repro.engine.pipeline.run_task`, ``(job, spec) -> (sink state,
@@ -76,10 +78,8 @@ from repro.engine.pipeline import (
     JobState,
     MapPageOutputSink,
     MaterializeSink,
-    combine_into,
     hash_rows_into,
     join_sides,
-    map_items,
     run_task,
 )
 from repro.cluster.transport import (
@@ -95,11 +95,9 @@ from repro.errors import (
     WorkerCrashError,
     WorkerLostError,
 )
-from repro.memory.block import AllocationBlock
-from repro.memory.builtins import MapType
 from repro.obs.evidence import book_task_evidence
 from repro.obs.tracer import Span
-from repro.storage.page import page_items, register_root_type
+from repro.storage.page import register_root_type
 from repro.tcap.ir import ApplyStmt, JoinStmt
 
 
@@ -182,11 +180,8 @@ class DistributedScheduler:
         # the page bytes, agree across them).
         register_root_type(self.cluster.catalog)
         for comp in self.program.computations.values():
-            if (isinstance(comp, AggregateComp) and comp.key_type is not None
-                    and comp.value_type is not None):
-                self.cluster.register_type(
-                    MapType(comp.key_type, comp.value_type)
-                )
+            if isinstance(comp, AggregateComp) and comp.map_type is not None:
+                self.cluster.register_type(comp.map_type)
         while True:
             #: (database, set) -> worker id -> the OUTPUT sinks built there
             self._outputs = {}
@@ -509,12 +504,13 @@ class DistributedScheduler:
 
     def _pipeline_source(self, worker, pipeline):
         """``worker``'s share of ``pipeline``'s source: its stored-set
-        scan (selected afresh by every attempt that reads it), or the
-        columns an earlier stage materialized (a missing one raises its
-        ExecutionError here, front-end side, on every transport)."""
+        scan (selected afresh by every attempt that reads it), the
+        columns an earlier stage materialized, or what an aggregation's
+        exchange delivered there (a missing one raises its ExecutionError
+        here, front-end side, on every transport)."""
         if pipeline.source_kind == SOURCE_SCAN:
             return _ScanSource(self.cluster.replication, worker, pipeline)
-        return _ColumnSource(self._kept_on(worker).stored(pipeline.source))
+        return _KeptSource(self._kept_on(worker).stored(pipeline.source))
 
     # -- placement: ship the attempt, or keep it front-end side ------------------------
 
@@ -673,49 +669,46 @@ class DistributedScheduler:
         ``held[s]`` is what worker ``s`` sends: one list of messages per
         partition, as the task that held the rows partitioned and packed
         them (its sink's ``seal()``) — partition ``p`` is for worker
-        ``p``.  Returns the rows each worker received, sources in worker
-        order.  A message crosses, an arrived message becomes rows again
-        (:meth:`_wire`).  Three decisions, made here once: an
-        empty partition is no message; a worker's own messages are
-        handed over in their place in that order — no transfer, so
-        nothing to count, checksum or fault-inject; every other one is
-        shipped, and what is unpacked is what ``ship`` returned: the
-        message that *arrived*.
+        ``p``.  A message is a list: of rows, or of an aggregation's
+        combiner pages.  Returns what each worker received, sources in
+        worker order and each message's items in its order — nothing is
+        decoded here.  Three decisions, made here once: an empty
+        partition is no message; a worker's own messages are handed over
+        in their place in that order — no transfer, so nothing to count,
+        checksum or fault-inject; every other one is shipped
+        (:meth:`_wire`), and what is received is what ``ship`` returned:
+        the message that *arrived*.
         """
         workers = self.workers
-        ship, unpack = self._wire(comp)
+        ship = self._wire(comp)
         received = [[] for _ in workers]
         for src, outbox in zip(workers, held):
             for dst, into, messages in zip(workers, received, outbox):
                 for message in messages:
                     if src is not dst:
                         message = ship(src.worker_id, dst.worker_id, message)
-                    into.extend(unpack(dst, message))
+                    into.extend(message)
         return received
 
     def _wire(self, comp=None):
-        """``(ship, unpack)``: structured rows as they are — or, for the
-        ``(key, value)`` rows of an aggregation that declares PC types,
-        the PC Maps on combiner pages its sinks packed (Figure 5): the
-        page bytes are shipped verbatim and the receiver reads the Map
-        out of the arrived page with no deserialization."""
-        if comp is None or comp.key_type is None or comp.value_type is None:
-            return self.cluster.transport.ship_rows, lambda dst, rows: rows
+        """How a message crosses: structured rows as they are — or, for
+        an aggregation whose pairs travel as PC Maps (``comp.map_type``),
+        its combiner pages (Figure 5), each page's bytes shipped verbatim
+        for the receiving task to read the Map out of."""
+        if comp is None or comp.map_type is None:
+            return self.cluster.transport.ship_rows
+        ship_page = self.cluster.transport.ship_page
 
-        def ship(src_id, dst_id, page):
+        def ship(src_id, dst_id, pages):
             # Checked against the CRC the packing task sealed: bytes that
             # changed since, in flight or before, are re-sent, never merged.
-            data, checksum, *sealed = page
-            return (self.cluster.transport.ship_page(
-                src_id, dst_id, data, checksum=checksum
-            ), checksum, *sealed)
+            return [
+                (ship_page(src_id, dst_id, data, checksum=checksum),
+                 checksum, *sealed)
+                for data, checksum, *sealed in pages
+            ]
 
-        def unpack(dst, page):
-            (stored,) = page_items(AllocationBlock.from_bytes(
-                page[0], registry=dst.local_catalog.registry))
-            return map_items(stored, comp, self.cluster.metrics_registry)
-
-        return ship, unpack
+        return ship
 
     def _exchange_kept(self, output, install, comp=None):
         """The second half of a stage that feeds an exchange: pop the
@@ -759,8 +752,8 @@ class DistributedScheduler:
                 self._kept_on(worker), probe.output, exchange
             ))
             sources = self._exchange_kept(
-                probe.output, lambda _kept, rows: _ColumnSource(
-                    dict(zip(names, map(list, zip(*rows))))
+                probe.output, lambda _kept, rows: _KeptSource(
+                    ("columns", dict(zip(names, map(list, zip(*rows)))))
                 ),
             )
         run(segments[-1], sources, sink_factory)
@@ -810,16 +803,11 @@ class DistributedScheduler:
                 ),
             )
 
-        # Consuming stage: the pre-aggregated pairs, exchanged by key hash.
-        def install(kept, pairs):
-            # Every worker that saw a key sends it: combine, never
-            # overwrite.
-            groups = combine_into({}, pairs, comp.combine)
-            self.tracer.add("agg.merged_keys", len(groups))
-            kept.store[agg.output] = {
-                "key": list(groups.keys()),
-                "val": list(groups.values()),
-            }
+        # Consuming stage: the pre-aggregated pairs, exchanged by key hash,
+        # are kept as they arrived; each task that reads the aggregation
+        # merges its worker's (``PipelineEngine.source_batches``).
+        def install(kept, arrived):
+            kept.store[agg.output] = ("arrived", agg.computation, arrived)
 
         with self._stage(
             "AggregationJobStage", "shuffled merge for %s over %d partitions"
@@ -871,7 +859,7 @@ class DistributedScheduler:
                 and statement.info.get("type") == "pairUp"
             ):
                 comp = self.program.computations.get(statement.computation)
-                if isinstance(comp, AggregateComp) and comp.key_type is not None:
+                if isinstance(comp, AggregateComp) and comp.map_type is not None:
                     return statement.computation
         return None
 
@@ -915,12 +903,13 @@ class _Attempt:
             release()
 
 
-class _ColumnSource:
-    """Plain columns (a materialized vector list, a shuffle's output):
-    they are their own description, shipped or not."""
+class _KeptSource:
+    """What the job keeps for a worker — plain columns (a materialized
+    vector list, a shuffle's output), or an aggregation's arrived
+    messages: it is its own description, shipped or not."""
 
-    def __init__(self, columns):
-        self.described = ("columns", columns)
+    def __init__(self, described):
+        self.described = described
 
     def pages(self):
         return ()

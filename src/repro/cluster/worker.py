@@ -104,8 +104,8 @@ class WorkerNode:
     """One worker: front-end process + (re-forkable) back-end."""
 
     def __init__(self, worker_id, master_catalog, capacity_bytes,
-                 page_size, spill_dir=None, tracer=None,
-                 fault_injector=None, transport=None, shm_registry=None):
+                 page_size, transport, spill_dir=None, tracer=None,
+                 fault_injector=None, shm_registry=None):
         self.worker_id = worker_id
         self.transport = transport
         # Front-end components (survive backend crashes).  The worker's
@@ -121,20 +121,14 @@ class WorkerNode:
         )
         # The transport decides where sealed page bytes must live so its
         # back-ends can reach them ("shm" for real child processes).
-        residency = (
-            transport.page_residency if transport is not None else "mem"
-        )
         self.storage = LocalStorageServer(
             worker_id, capacity_bytes, page_size=page_size,
             registry=self.local_catalog.registry, spill_dir=spill_dir,
             tracer=tracer, fault_injector=fault_injector,
-            metrics=self.metrics, residency=residency,
+            metrics=self.metrics, residency=transport.page_residency,
             shm_registry=shm_registry,
         )
-        if transport is not None:
-            self.backend = transport.make_backend(self)
-        else:
-            self.backend = BackendProcess(self)
+        self.backend = transport.make_backend(self)
 
     @property
     def refork_count(self):
@@ -188,12 +182,9 @@ class WorkerNode:
         nothing is restored into the new.
         """
         self.backend.shutdown()
-        if self.transport is not None:
-            self.backend = self.transport.make_backend(self)
-        else:
-            self.backend = BackendProcess(self)
+        self.backend = self.transport.make_backend(self)
         self._c_reforks.inc()
-        recorder = getattr(self.transport, "recorder", None)
+        recorder = self.transport.recorder
         if recorder is not None:
             recorder.record(
                 "worker.refork", worker=self.worker_id,

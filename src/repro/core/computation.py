@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import PCError
 from repro.core.lambdas import Arg
-from repro.memory.builtins import VectorFacade, VectorType
+from repro.memory.builtins import MapType, VectorFacade, VectorType
 from repro.memory.types import numpy_dtype_for
 
 _kind_counters = defaultdict(itertools.count)
@@ -215,6 +215,16 @@ class AggregateComp(Computation):
     #: combine is plain addition over fixed-stride values, which lets the
     #: columnar optimizer lower the aggregation onto grouped array sums.
     reduce = None
+
+    @property
+    def map_type(self):
+        """The ``MapType`` its pairs travel and are stored in — combiner
+        pages, the exchange's Map wire, the output set's pages — when
+        both ``key_type`` and ``value_type`` are declared; else None (the
+        pairs travel as rows and are stored as Python values)."""
+        if self.key_type is None or self.value_type is None:
+            return None
+        return MapType(self.key_type, self.value_type)
 
     def get_key_projection(self, arg):
         raise NotImplementedError

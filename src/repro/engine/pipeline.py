@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.errors import BlockFullError, ExecutionError, WorkerCrashError
 from repro.engine import kernels, vectors
-from repro.memory.builtins import MapFacade, MapType, stable_hash
+from repro.memory.block import AllocationBlock
+from repro.memory.builtins import MapFacade, stable_hash
 from repro.memory.columnar import ColumnarRows, RowBatch
 from repro.memory.gather import GatherIneligible, map_pairs, root_rows
 from repro.memory.handle import Handle
@@ -40,8 +41,9 @@ from repro.engine.physical import (
     PhysicalPlan,
 )
 from repro.engine.vectors import VectorList, batches_of
-from repro.obs.evidence import OperatorRecorder, kernel_fallbacks
+from repro.obs.evidence import OperatorRecorder
 from repro.storage.dataset import pack_map_pages, private_page_writer
+from repro.storage.page import page_items
 from repro.storage.replication import page_checksum
 from repro.tcap.ir import (
     ApplyStmt,
@@ -62,13 +64,13 @@ class EngineMetrics:
 
     FIELDS = ("batches", "rows_in", "rows_out", "stage_invocations",
               "pages_written", "zombie_pages", "pre_aggregated_keys",
-              "probe_matches", "columnar_rows", "gather_rows")
+              "probe_matches", "columnar_rows", "gather_rows", "merged_keys")
 
     def __init__(self):
         for name in self.FIELDS:
             setattr(self, name, 0)
-        #: (operator, reason) -> batches of a marked stage, or Map builds
-        #: (``map_build``), that took the object path
+        #: (operator, reason) -> batches of a marked stage, or Map builds and
+        #: reads (``map_build`` / ``map_read``), that took the object path
         #: (``pc_engine_kernel_fallback_total``)
         self.kernel_fallbacks = {}
 
@@ -76,8 +78,8 @@ class EngineMetrics:
         return {name: getattr(self, name) for name in self.FIELDS}
 
     def fallback(self, operator, reason):
-        """One batch of ``operator`` — or one Map build, ``"map_build"``
-        — took the object path, for ``reason``."""
+        """One batch of ``operator`` — or one Map build or read, ``"map_build"``
+        / ``"map_read"`` — took the object path, for ``reason``."""
         key = (operator, reason)
         self.kernel_fallbacks[key] = self.kernel_fallbacks.get(key, 0) + 1
 
@@ -104,7 +106,7 @@ class JobState:
         self.plan = plan
         self.registry = registry
         self.hash_tables = {}  # join output vlist -> {hash: [row tuples]}
-        self.store = {}  # materialized vlist -> {column: list}
+        self.store = {}  # vlist -> a source description, or an outbox
 
     def hash_table(self, output):
         """The built hash table of join ``output``; raises when missing."""
@@ -114,13 +116,13 @@ class JobState:
         return table
 
     def stored(self, vlist_name):
-        """The materialized columns of ``vlist_name``; raises when missing."""
-        columns = self.store.get(vlist_name)
-        if columns is None:
+        """The source description kept under ``vlist_name``; raises if none."""
+        described = self.store.get(vlist_name)
+        if described is None:
             raise ExecutionError(
                 "vector list %r was not materialized" % vlist_name
             )
-        return columns
+        return described
 
 
 class PipelineEngine(JobState):
@@ -148,15 +150,17 @@ class PipelineEngine(JobState):
     def run(self):
         """Execute every pipeline in dependency order."""
         for pipeline in self.plan:
-            self._run_pipeline(pipeline)
+            sink, source, pages = self._make_sink(pipeline), pipeline.source, ()
+            if pipeline.source_kind == SOURCE_SCAN:
+                pages = [self.scan_reader(source)]
+                source = ("pages", None, source.column, source.array_rows)
+            else:
+                source = self.stored(source)
+            self.run_stages(pipeline.stages, self.source_batches(source, pages), sink)
+            sink.finish()
         return self.outputs
 
     # -- pipeline execution --------------------------------------------------------
-
-    def _run_pipeline(self, pipeline):
-        sink = self._make_sink(pipeline)
-        self.run_stages(pipeline.stages, self._source_batches(pipeline), sink)
-        sink.finish()
 
     def run_stages(self, stages, batches, sink):
         """The one task body: push ``batches`` through ``stages`` into
@@ -350,25 +354,34 @@ class PipelineEngine(JobState):
 
     # -- sources ---------------------------------------------------------------------
 
-    def _source_batches(self, pipeline):
-        if pipeline.source_kind == SOURCE_SCAN:
-            scan = pipeline.source
-            return object_batches([self.scan_reader(scan)], scan.column,
-                                  columnar=scan.array_rows)
-        return batches_of(self.stored(pipeline.source))
+    def source_batches(self, source, pages=()):
+        """The batches of a source: a scan's ``("pages", refs, column,
+        columnar)`` read from ``pages``, ``("columns", columns)``, or what an
+        aggregation's exchange delivered, ``("arrived", computation, items)``
+        — rows, or combiner pages read in place — every sender's value of a
+        key combined (never overwritten), in arrival order."""
+        if source[0] == "pages":
+            return object_batches(pages, *source[2:])
+        if source[0] == "columns":
+            return batches_of(source[1])
+        comp, pairs = self.program.computations[source[1]], source[2]
+        if comp.map_type is not None:
+            declined, pairs = partial(self.metrics.fallback, "map_read"), []
+            for data, *_sealed in source[2]:
+                block = AllocationBlock.from_bytes(data, registry=self.registry)
+                pairs.extend(map_items(page_items(block)[0], comp, declined))
+        groups = combine_into({}, pairs, comp.combine)
+        self.metrics.merged_keys += len(groups)
+        return batches_of({"key": list(groups), "val": list(groups.values())})
 
     # -- sinks -----------------------------------------------------------------------
 
     def _make_sink(self, pipeline):
-        if pipeline.sink_kind == SINK_HASH_BUILD:
-            return HashBuildSink(self, pipeline.sink)
-        if pipeline.sink_kind == SINK_AGGREGATE:
-            return AggregateSink(self, pipeline.sink)
-        if pipeline.sink_kind == SINK_MATERIALIZE:
-            return MaterializeSink(self, pipeline.sink)
-        if pipeline.sink_kind == SINK_OUTPUT:
-            return ListOutputSink(self, pipeline.sink)
-        raise ExecutionError("unknown sink kind %r" % pipeline.sink_kind)
+        sink_class = {
+            SINK_HASH_BUILD: HashBuildSink, SINK_AGGREGATE: AggregateSink,
+            SINK_MATERIALIZE: MaterializeSink, SINK_OUTPUT: ListOutputSink,
+        }[pipeline.sink_kind]
+        return sink_class(self, pipeline.sink)
 
 
 def run_task(job, spec, pages, registry):
@@ -381,10 +394,10 @@ def run_task(job, spec, pages, registry):
     (program, build sides, profiling), ``spec`` the task
     (stages, source description, ``(sink class, arguments)``, the hash
     tables its probes read).  The engine lives for this one task: a
-    plain sink is filled from ``pages`` (one item sequence per page) or
-    the spec's own columns, and sealed, never finished — its ``state``
-    goes to whoever keeps the job's state.  When the body raises, the
-    evidence so far travels on the exception (``error.evidence``).
+    plain sink is filled from the source (:meth:`PipelineEngine.source_batches`)
+    and sealed, never finished — its ``state`` goes to whoever keeps the
+    job's state.  When the body raises, the evidence so far travels on
+    the exception (``error.evidence``).
     """
     engine = PipelineEngine(
         job["program"], PhysicalPlan((), job["build_sides"]), None,
@@ -395,12 +408,7 @@ def run_task(job, spec, pages, registry):
     try:
         sink_class, sink_args = spec["sink"]
         sink = sink_class(engine, *sink_args)
-        source = spec["source"]
-        if source[0] == "columns":
-            batches = batches_of(source[1])
-        else:
-            _kind, _refs, column, columnar = source
-            batches = object_batches(pages, column, columnar=columnar)
+        batches = engine.source_batches(spec["source"], pages)
         engine.run_stages(spec["stages"], batches, sink)
     except Exception as error:
         error.evidence = engine.evidence()
@@ -410,8 +418,7 @@ def run_task(job, spec, pages, registry):
 
 def object_batches(pages, column, columnar=False):
     """Batch scanned pages into single-column vector lists: the one scan
-    batching, for :meth:`PipelineEngine._source_batches` and
-    :func:`run_task`.
+    batching, for :meth:`PipelineEngine.source_batches`.
 
     ``pages`` yields one sequence of stored objects per page
     (:func:`~repro.storage.page.page_items`); stored aggregation Maps are
@@ -522,13 +529,9 @@ def _expand_aggregate_object(item):
     downstream computation scanning such a set consumes the pairs.
     Returns None when ``item`` is not an aggregation map.
     """
-    if isinstance(item, MapFacade):
-        return list(item.items())
     if isinstance(item, Handle) and not item.is_null:
-        view = item.deref()
-        if isinstance(view, MapFacade):
-            return list(view.items())
-    return None
+        item = item.deref()
+    return list(item.items()) if isinstance(item, MapFacade) else None
 
 
 def combine_into(groups, pairs, combine):
@@ -543,21 +546,20 @@ def combine_into(groups, pairs, combine):
     return groups
 
 
-def map_items(view, comp, registry):
+def map_items(view, comp, declined):
     """The ``(key, value)`` pairs of a stored Map ``view`` — or of
     ``view`` itself, any other iterable of pairs — decoded by ``comp``'s
     ``decode_key`` / ``decode_value`` (``comp`` None: as read).  The one
     read of an aggregation's Map pages, the arrived combiner pages and
     the stored output alike: a Map is read as arrays
     (:func:`~repro.memory.gather.map_pairs`), in host values, and one it
-    declines entry by entry, its reason counted in ``registry`` as
-    ``pc_engine_kernel_fallback_total{operator="map_read"}``."""
+    declines entry by entry, ``declined(reason)`` hearing why (it is
+    counted as ``pc_engine_kernel_fallback_total{operator="map_read"}``)."""
     if isinstance(view, MapFacade):
         try:
             view = map_pairs(view)
-        except GatherIneligible as declined:
-            kernel_fallbacks(registry).inc(operator="map_read",
-                                           reason=declined.reason)
+        except GatherIneligible as ineligible:
+            declined(ineligible.reason)
             view = view.items()
     if comp is None:
         return list(view)
@@ -712,11 +714,11 @@ class AggregateSink(Sink):
     Sealed, the groups are the ``key`` / ``val`` columns the next local
     pipeline reads — or, with ``exchange=(n, page_size)``, what this
     worker sends into the aggregation exchange: ``n`` lists of messages,
-    the groups partitioned by ``stable_hash(key) % n``.  A partition of
-    an aggregation that declares PC types is packed into PC Maps on
-    combiner pages right here, by the task that holds the data (Figure
-    5); any other is one message of ``(key, value)`` rows; an empty one
-    is no message.
+    the groups partitioned by ``stable_hash(key) % n``.  A partition is
+    one message: of an aggregation whose pairs travel as PC Maps
+    (``map_type``), its combiner pages, packed right here by the task
+    that holds the data (Figure 5); of any other, its ``(key, value)``
+    rows.  An empty one is no message.
     """
 
     def __init__(self, engine, agg_stmt, exchange=None):
@@ -753,22 +755,20 @@ class AggregateSink(Sink):
         groups, comp = self.groups, self.comp
         self.engine.metrics.pre_aggregated_keys += len(groups)
         if self.exchange is None:
-            self.state = {
+            self.state = ("columns", {
                 "key": list(groups.keys()), "val": list(groups.values()),
-            }
+            })
             return
         n, page_size = self.exchange
-        hashes = map(stable_hash, groups)
-        if comp.key_type is None or comp.value_type is None:
-            self.state = row_messages(groups.items(), hashes, n)
-            return
-        map_type = MapType(comp.key_type, comp.value_type)
-        declined = partial(self.engine.metrics.fallback, "map_build")
-        self.state = [
-            pack_map_pages(map_type, rows, page_size, self.engine.registry,
-                           declined)
-            for rows in partition_rows(groups.items(), hashes, n)
-        ]
+        partitions = partition_rows(groups.items(), map(stable_hash, groups), n)
+        if comp.map_type is not None:
+            declined = partial(self.engine.metrics.fallback, "map_build")
+            partitions = [
+                pack_map_pages(comp.map_type, rows, page_size,
+                               self.engine.registry, declined)
+                for rows in partitions
+            ]
+        self.state = [[held] if held else [] for held in partitions]
 
     def finish(self):
         self.engine.store[self.statement.output] = self.state
@@ -813,7 +813,8 @@ class MaterializeSink(Sink):
             )
 
     def finish(self):
-        self.engine.store[self.vlist_name] = self.state or {}
+        self.engine.store[self.vlist_name] = self.state if self.exchange \
+            else ("columns", self.state or {})
 
 
 class ListOutputSink(Sink):
@@ -955,7 +956,6 @@ class MapPageOutputSink(_PageSink):
     def seal(self):
         comp = self.engine.program.computations[self.computation]
         self.state = {"pages": pack_map_pages(
-            MapType(comp.key_type, comp.value_type), self.pairs,
-            self.page_size, self.engine.registry,
+            comp.map_type, self.pairs, self.page_size, self.engine.registry,
             partial(self.engine.metrics.fallback, "map_build"),
         )}

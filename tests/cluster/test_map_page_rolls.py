@@ -197,13 +197,14 @@ def test_a_combiner_page_changed_after_its_seal_is_never_merged(
 
     def change_then_exchange(scheduler, held, comp=None):
         # Every page another worker is sent changes; a worker's own
-        # partition is handed over, never shipped or checked.
+        # partition is handed over, never shipped or checked.  A
+        # partition's message is the list of its pages.
         n = len(held)
         held = [
             [
-                [(corrupt_bytes(data) if p % n != s else data, *sealed)
-                 for data, *sealed in pages]
-                for p, pages in enumerate(outbox)
+                [[(corrupt_bytes(data) if p % n != s else data, *sealed)
+                  for data, *sealed in pages] for pages in messages]
+                for p, messages in enumerate(outbox)
             ]
             for s, outbox in enumerate(held)
         ]

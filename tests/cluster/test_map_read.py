@@ -1,14 +1,16 @@
 """One Map read: both readers of an aggregation's Map pages gather them.
 
-The coordinator's unpack of every arrived combiner page
-(``DistributedScheduler._wire``) and ``cluster.read(..., as_pairs=True)``
-read a stored ``Map`` through one helper, ``map_items``: the Map is read
-as arrays (``repro.memory.gather.map_pairs``) into host values, which the
+The task that merges the combiner pages an aggregation's exchange
+delivered to its worker (``PipelineEngine.source_batches``, in a back-end process
+on the process transport — the coordinator only moves the pages) and
+``cluster.read(..., as_pairs=True)`` read a stored ``Map`` through one
+helper, ``map_items``: the Map is read as arrays
+(``repro.memory.gather.map_pairs``) into host values, which the
 aggregation's ``decode_key`` / ``decode_value`` turn into what
 ``combine`` folds.  A Map it declines is read entry by entry and
 counted, ``pc_engine_kernel_fallback_total{operator="map_read",
-reason}``.  The result is the same whichever way a Map was read and
-whichever transport ran the job.
+reason}`` (a task's through its evidence).  The result is the same
+whichever way a Map was read and whichever transport ran the job.
 """
 
 from unittest import mock
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import PCCluster
+from repro.cluster.scheduler import DistributedScheduler
 from repro.cluster.transport import remote_available
 from repro.core import AggregateComp, ObjectReader, Writer, lambda_from_native
 from repro.engine import pipeline
@@ -60,6 +63,23 @@ def _counting_map_pairs(monkeypatch):
 
     monkeypatch.setattr(pipeline, "map_pairs", counting)
     return calls
+
+
+def _counting_arrived_pages(monkeypatch):
+    """Record every combiner page an aggregation's exchange delivers:
+    each is read once, by the task that merges it — in a back-end
+    process, where :func:`_counting_map_pairs` cannot count it."""
+    pages = []
+    exchange = DistributedScheduler._exchange
+
+    def counting(scheduler, held, comp=None):
+        received = exchange(scheduler, held, comp)
+        if comp is not None and comp.map_type is not None:
+            pages.extend(page for into in received for page in into)
+        return received
+
+    monkeypatch.setattr(DistributedScheduler, "_exchange", counting)
+    return pages
 
 
 def _supplier_parts(tmp_path, transport):
@@ -135,10 +155,12 @@ class AnyEven(AggregateComp):
 def test_an_uncovered_value_type_is_counted_and_read_all_the_same(
         tmp_path, monkeypatch, transport):
     calls = _counting_map_pairs(monkeypatch)
+    arrived = _counting_arrived_pages(monkeypatch)
     cluster = _sales_cluster(tmp_path, transport=transport)
     try:
         agg = AnyEven().set_input(ObjectReader("db", "sales"))
         Writer("db", "any_even").set_input(agg).execute(cluster)
+        in_job = len(calls)
         result = cluster.read("db", "any_even", as_pairs=True, comp=agg)
         reads = _map_reads(cluster)
     finally:
@@ -147,10 +169,13 @@ def test_an_uncovered_value_type_is_counted_and_read_all_the_same(
     for shop, _buyer, item in _sales():
         expected[shop] = expected.get(shop, False) or item % 2 == 0
     assert result == expected
-    # every Map read — each arrived combiner page, each output page —
-    # is one decline
-    assert reads == {"uncovered_type": len(calls)}
-    assert len(calls) >= 4
+    # every Map read — each arrived combiner page, read by the task that
+    # merges it, each output page, read here — is one decline
+    read_here = len(calls) - in_job
+    assert reads == {"uncovered_type": len(arrived) + read_here}
+    # no arrived page is read in this process unless the task ran here
+    assert in_job == (len(arrived) if transport == "sim" else 0)
+    assert len(arrived) >= 2 and read_here >= 2
 
 
 class Point(PCObject):

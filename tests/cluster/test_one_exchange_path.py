@@ -4,8 +4,11 @@ Join partition, join broadcast and the aggregation merge all move rows
 through ``DistributedScheduler._exchange`` (DESIGN §11 "One exchange"):
 a row goes to worker ``hash % n`` (or to every worker), an empty
 partition is not sent, a worker's own partition is handed over without
-touching the network or the fault injector, and what a receiver folds is
+touching the network or the fault injector, and what a receiver gets is
 what arrived — on both wires, structured rows and PC Map combiner pages.
+The exchange decodes nothing: a receiver gets an aggregation's combiner
+pages as they arrived, and the task reading the aggregation there merges
+them (``PipelineEngine.source_batches``).
 """
 
 import pytest
@@ -27,11 +30,15 @@ from repro.core import (
 from repro.engine import run_local
 from repro.engine.pipeline import (
     AggregateSink,
+    map_items,
     partition_rows,
     row_messages,
 )
-from repro.memory import Float64, Int32, Int64, MapType, PCObject, String
+from repro.memory import (
+    AllocationBlock, Float64, Int32, Int64, PCObject, String,
+)
 from repro.storage.dataset import pack_map_pages
+from repro.storage.page import page_items
 
 TRANSPORTS = [
     "sim",
@@ -345,24 +352,31 @@ def test_map_page_wire_delivers_the_same_pairs_with_and_without_faults(
     comp = SumX()
     # Registered cluster-wide as ``execute()`` does, so that a receiving
     # worker's registry resolves the Map's code.
-    map_type = MapType(comp.key_type, comp.value_type)
-    scheduler.cluster.register_type(map_type)
-    # What an AggregateSink seals, with the key itself as the hash.
+    scheduler.cluster.register_type(comp.map_type)
+    # What an AggregateSink seals, with the key itself as the hash: a
+    # partition's pages are one message.
     held = [
         [
-            pack_map_pages(
-                map_type, pairs,
-                scheduler.cluster.combiner_page_size,
-                scheduler.cluster.catalog.registry,
+            [pages] if pages else []
+            for pages in (
+                pack_map_pages(
+                    comp.map_type, pairs,
+                    scheduler.cluster.combiner_page_size,
+                    scheduler.cluster.catalog.registry,
+                )
+                for pairs in partition_rows(groups.items(), groups, n)
             )
-            for pairs in partition_rows(groups.items(), groups, n)
         ]
         for groups in per_worker
     ]
     consulted, sent = _watch(network)
     clean = scheduler._exchange(held, comp)
-    # A Map page lists its pairs in slot order, not insertion order.
-    assert [sorted(pairs) for pairs in clean] == [
+    # What arrives is pages, decoded by the receiver: a Map page lists its
+    # pairs in slot order, not insertion order.
+    assert [
+        sorted(_map_pairs(worker, pages, comp))
+        for worker, pages in zip(scheduler.workers, clean)
+    ] == [
         sorted(
             pair for groups in per_worker for pair in groups.items()
             if pair[0] % n == d
@@ -378,6 +392,17 @@ def test_map_page_wire_delivers_the_same_pairs_with_and_without_faults(
     assert sent("pc_net_transfer_retries_total") == \
         counts["transfer_drops"] + counts["transfer_corruptions"]
     assert all(src != dst for src, dst in consulted)
+
+
+def _map_pairs(worker, pages, comp):
+    """The pairs of the Map pages ``worker`` received, read as the task
+    that merges them reads them."""
+    registry = worker.local_catalog.registry
+    pairs = []
+    for data, *_sealed in pages:
+        (view,) = page_items(AllocationBlock.from_bytes(data, registry=registry))
+        pairs.extend(map_items(view, comp, pytest.fail))
+    return pairs
 
 
 def test_broadcast_sends_every_row_to_every_other_worker(schedulers):

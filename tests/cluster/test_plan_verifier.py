@@ -9,6 +9,7 @@ Verification is always on: there is no knob to ship a mistyped plan.
 import pytest
 
 from repro.cluster import PCCluster
+from repro.cluster import cluster as cluster_module
 from repro.cluster.transport import remote_available
 from repro.core import (
     ObjectReader,
@@ -111,3 +112,34 @@ def test_error_names_the_offending_statement(tmp_path):
         assert "APPLY" in message  # the statement's TCAP text rides along
     finally:
         cluster.close()
+
+
+def test_the_plan_is_verified_unmarked_and_marked_while_planning(
+        tmp_path, monkeypatch):
+    """The verifier sees the plan before ``mark_columnar`` does, so it
+    has no mark to re-derive; the marks are made in the ``plan`` phase."""
+    seen = []
+    verify, mark = cluster_module.verify_program, cluster_module.mark_columnar
+
+    def verifying(program, **kwargs):
+        seen.append(("verify", any(s.info.get("columnar") == "1"
+                                   for s in program.statements)))
+        return verify(program, **kwargs)
+
+    def marking(program, layout_of):
+        seen.append(("mark", cluster.tracer.active.name))
+        return mark(program, layout_of)
+
+    monkeypatch.setattr(cluster_module, "verify_program", verifying)
+    monkeypatch.setattr(cluster_module, "mark_columnar", marking)
+    cluster = make_cluster(tmp_path, "order", "sim")
+    try:
+        _load_points(cluster)
+        sel = GoodSelection().set_input(ObjectReader("db", "points"))
+        cluster.execute_computations(Writer("db", "out").set_input(sel))
+        marked = [s for s in cluster.last_program.statements
+                  if s.info.get("columnar") == "1"]
+    finally:
+        cluster.close()
+    assert seen == [("verify", False), ("mark", "plan")]
+    assert marked

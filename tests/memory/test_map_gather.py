@@ -43,6 +43,7 @@ from repro.memory import (
 )
 from repro.memory.gather import FALLBACK_REASONS, GatherIneligible, map_pairs
 from repro.memory.layout import HANDLE_STRUCT, OBJECT_HEADER_SIZE
+from repro.obs.evidence import kernel_fallbacks
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.dataset import pack_map_pages
 from repro.storage.page import page_items
@@ -239,6 +240,13 @@ def test_an_uncovered_type_declines_before_reading(descriptor):
     assert "uncovered_type" in FALLBACK_REASONS
 
 
+def _declined(registry):
+    """A ``map_items`` ``declined(reason)`` that counts into
+    ``registry`` as the client's read counts into the master's."""
+    fallbacks = kernel_fallbacks(registry)
+    return lambda reason: fallbacks.inc(operator="map_read", reason=reason)
+
+
 class Flags(AggregateComp):
     key_type = Int32
     value_type = Bool
@@ -249,7 +257,7 @@ def test_an_uncovered_value_type_counts_one_map_read_and_decodes():
     block = AllocationBlock(_BLOCK_SIZE)
     value = {i: i % 3 == 0 for i in range(300)}
     view = make_object_on(block, MapType(Int32, Bool), value).deref()
-    assert dict(map_items(view, Flags(), registry)) == value
+    assert dict(map_items(view, Flags(), _declined(registry))) == value
     assert registry.snapshot().value(
         "pc_engine_kernel_fallback_total", operator="map_read",
         reason="uncovered_type") == 1
@@ -313,7 +321,7 @@ def test_a_bad_handle_declines_and_the_entry_path_reads_it(depth, target):
         map_pairs(view)
     assert raised.value.reason == "null_or_dangling"
     registry = MetricsRegistry()
-    assert _outcome(lambda: map_items(view, None, registry)) == \
+    assert _outcome(lambda: map_items(view, None, _declined(registry))) == \
         _outcome(lambda: list(view.items()))
     assert registry.snapshot().value(
         "pc_engine_kernel_fallback_total", operator="map_read",
@@ -353,7 +361,7 @@ def test_a_string_that_runs_off_the_page_reads_as_the_entry_path_reads_it(
     registry = MetricsRegistry()
     assert _outcome(lambda: [
         (key, decode(value))
-        for key, value in map_items(view, None, registry)
+        for key, value in map_items(view, None, _declined(registry))
     ]) == _outcome(lambda: entry_pairs(view))
 
 
@@ -364,7 +372,7 @@ def test_a_sanitized_block_is_gathered_too():
         view = _supplier_page()
         assert view.pc_block._san is not None
         registry = MetricsRegistry()
-        assert same(map_items(view, None, registry), entry_pairs(view))
+        assert same(map_items(view, None, _declined(registry)), entry_pairs(view))
         assert registry.snapshot().value(
             "pc_engine_kernel_fallback_total") == 0
 
