@@ -590,17 +590,17 @@ ARCHITECTURE = {
         "retain": "memory",
     },
     "ceilings": {
-        "repro/cluster/scheduler.py": 987,
+        "repro/cluster/scheduler.py": 979,
         "repro/cluster/transport.py": 750,
         "repro/cluster/cluster.py": 692,
-        "repro/cluster/procworker.py": 284,
+        "repro/cluster/procworker.py": 283,
         "repro/cluster/worker.py": 195,
         "repro/storage/replication.py": 444,
         "repro/storage/dataset.py": 397,
         "repro/engine/physical.py": 308,
         "repro/engine/pipeline.py": 961,
         "repro/memory/gather.py": 552,
-        "repro/memory/scatter.py": 844,
+        "repro/memory/scatter.py": 838,
         "repro/ml/kmeans.py": 148,
         "repro/ml/kmeans_columnar.py": 157,
         "repro/lillinalg": 806,

@@ -2,15 +2,16 @@
 
 This module is the *child* side of :class:`~repro.cluster.transport.
 ProcessTransport`: it runs in a spawned OS process and executes one task
-at a time off a queue.  A task arrives fully described — the stage list,
-the source (shared-memory page names, or what the spec holds), the sink
-class — against its job's constant state (the compiled program, build
-sides, type registry, the profiling/tracing flags), which arrives once,
-ahead of the job's first task here, and is kept until another job's
-replaces it.  Running it is :func:`repro.engine.pipeline.run_task` on
-those two dicts — what the coordinator calls for a task it keeps — so
-this module adds only what being another process takes: attaching pages,
-the heartbeat, the evidence's pid and span.
+at a time off a queue.  A task arrives as only what is its own — its
+segment of the plan, the source (shared-memory page names, or what the
+spec holds), the sink class and arguments — against its job's constant
+state (the compiled program and plan, type registry, profiling/tracing
+flags), which arrives once, ahead of the job's first task here, and is
+kept until another job's replaces it.  Running it is
+:func:`repro.engine.pipeline.run_task` on those two dicts — what the
+coordinator calls for a task it keeps — so this module adds only what
+being another process takes: attaching pages, the heartbeat, the
+evidence's pid and span.
 
 Sealed pages are attached zero-copy: the coordinator exports each page's
 ``multiprocessing.shared_memory`` segment name, the child attaches by
@@ -47,7 +48,6 @@ import pickle
 import threading
 import time
 import traceback
-import zlib
 
 from multiprocessing import resource_tracker, shared_memory
 
@@ -145,7 +145,7 @@ def _detach(attachments):
 def _pages(refs, registry, attachments):
     """The task's exported pages, attached by segment name as the task
     reads them: one item sequence per page, its rows published for the
-    heartbeat thread."""
+    heartbeat thread while the task runs."""
     for name, size in refs:
         shm = _attach(name)
         # shm.buf is the mapped segment, not a PC block's backing store.
@@ -192,19 +192,18 @@ def _stamp(evidence, root, truncated=False, events=()):
 
 
 def _run(spec):
-    """:func:`run_task` on the job's registry copy, pages attached."""
+    """:func:`run_task` on the job's registry copy, pages attached; once
+    it finished, the heartbeat's rows are its stages' ``rows_in``."""
     source, registry = spec["source"], _job["registry"]
     attachments, pages = [], ()
     if source[0] == "pages":
         pages = _pages(source[1], registry, attachments)
-    elif source[0] == "columns":
-        # Plain columns arrived whole, inside the spec.
-        _progress["rows"] = max(map(len, source[1].values()), default=0)
     try:
         state, evidence = run_task(_job, spec, pages, registry)
         _reject_pc_values(state)
     finally:
         _detach(attachments)
+    _progress["rows"] = evidence["engine"]["rows_in"]
     return state, evidence
 
 
@@ -240,9 +239,9 @@ def backend_main(task_queue, result_queue, heartbeat=None,
             try:
                 if job is not None:
                     _job.clear()
-                    _job.update(pickle.loads(zlib.decompress(job)))
+                    _job.update(pickle.loads(job))
                     _job["registry"].register_delegate = _unregistered
-                spec = pickle.loads(zlib.decompress(blob))
+                spec = pickle.loads(blob)
                 if _job["tracing"]:
                     # Named after the worker, like the coordinator's task
                     # span it is grafted under; the task id stays visible

@@ -34,7 +34,8 @@ attempt was shipped to, or by the coordinator on the same dicts when the
 one placement decision (:meth:`DistributedScheduler._place`) keeps it
 front-end side for a counted reason
 (``pc_sched_frontend_tasks_total{reason}``).  What is constant over a job
-(program, registry, ...) travels to a back-end process once, not per task.
+(program, physical plan, registry, ...) travels to a back-end process
+once; a task spec names its segment of the plan and holds only its own.
 
 Fault tolerance (Section 2's dual-process rationale): every per-worker
 task runs through :meth:`DistributedScheduler._run_worker_tasks`, which
@@ -489,19 +490,6 @@ class DistributedScheduler:
                 self.cluster._c_stages.inc(stage=kind)
                 self.cluster._c_stage_cpu.inc(cpu, stage=kind)
 
-    def _segments(self, stages):
-        """Split a stage chain at every *partitioned* join probe."""
-        segments = [[]]
-        for stage in stages:
-            if (
-                isinstance(stage, JoinStmt)
-                and self.plan.join_modes[stage.output] == "partition"
-            ):
-                segments.append([stage])
-            else:
-                segments[-1].append(stage)
-        return segments
-
     def _pipeline_source(self, worker, pipeline):
         """``worker``'s share of ``pipeline``'s source: its stored-set
         scan (selected afresh by every attempt that reads it), the
@@ -520,7 +508,7 @@ class DistributedScheduler:
         ``job`` of every :func:`run_task` call."""
         return {
             "program": self.program,
-            "build_sides": dict(self.plan.build_sides),
+            "plan": self.plan,
             # Measured and traced there as here (DESIGN §14).
             "profiling": self.cluster.profiling,
             "tracing": self.tracer.enabled,
@@ -539,10 +527,12 @@ class DistributedScheduler:
         and keeps it until another job's arrives."""
         return serialize_task(self._job)
 
-    def _place(self, worker, stages, source, sink):
+    def _place(self, worker, segment, source, sink):
         """The one placement decision for an attempt; returns it built.
 
-        The task is a ``spec`` for :func:`run_task`, shipped to the
+        The task is a ``spec`` for :func:`run_task` — the ``segment``
+        ``(pipeline id, index)`` of the job's plan it runs, and only what
+        is this task's own — shipped to the
         worker's back-end process unless one of a closed set of reasons
         makes the coordinator the caller — of the same function, on the
         same ``job`` and ``spec`` dicts, with the front-end page stream
@@ -569,9 +559,10 @@ class DistributedScheduler:
                 % type(sink).__name__
             )
         active = self.tracer.active
+        stages, _target = self.plan.segment(*segment)
         spec = {
             "worker_id": worker.worker_id,
-            "stages": list(stages),
+            "segment": segment,
             "source": source.described,
             "sink": remote_sink,
             "hash_tables": {
@@ -654,11 +645,11 @@ class DistributedScheduler:
 
     # -- stage runners -----------------------------------------------------------------
 
-    def _attempt(self, worker, stages, source, sink_factory):
-        """make_attempt for one worker's portion of a stage: ``stages``
+    def _attempt(self, worker, segment, source, sink_factory):
+        """make_attempt for one worker's portion of a stage: ``segment``
         over ``source`` into a fresh sink, placed by :meth:`_place`."""
         return lambda: self._place(
-            worker, stages, source, sink_factory(worker)
+            worker, segment, source, sink_factory(worker)
         )
 
     # -- the one exchange: partition -> ship -> receive ------------------------------------
@@ -731,10 +722,11 @@ class DistributedScheduler:
         probe reads, each task partitioning its rows by the probe hash,
         and the next segment reads what its worker received.
         """
-        segments = self._segments(pipeline.stages)
+        segments = self.plan.segments(pipeline)
         workers = self.workers
 
-        def run(segment, sources, factory):
+        def run(index, sources, factory):
+            segment = (pipeline.pipeline_id, index)
             self._run_worker_tasks([
                 (worker, self._attempt(worker, segment, source, factory))
                 for worker, source in zip(workers, sources)
@@ -743,12 +735,12 @@ class DistributedScheduler:
         sources = [
             self._pipeline_source(worker, pipeline) for worker in workers
         ]
-        for segment, following in zip(segments, segments[1:]):
+        for index, following in enumerate(segments[1:]):
             probe = following[0]
             _build, (probe_hash, carried) = join_sides(self.plan, probe)
             names = (probe_hash, *carried)
             exchange = (len(workers), names)
-            run(segment, sources, lambda worker: MaterializeSink(
+            run(index, sources, lambda worker: MaterializeSink(
                 self._kept_on(worker), probe.output, exchange
             ))
             sources = self._exchange_kept(
@@ -756,7 +748,7 @@ class DistributedScheduler:
                     ("columns", dict(zip(names, map(list, zip(*rows)))))
                 ),
             )
-        run(segments[-1], sources, sink_factory)
+        run(len(segments) - 1, sources, sink_factory)
 
     # -- per-sink handlers ------------------------------------------------------------------
 

@@ -287,8 +287,8 @@ def remote_available():
 
 def serialize_task(spec):
     """Pickle a task spec, or a job's constant state, for a back-end process
-    (cloudpickle: closures), deflated: the combiner pages it carries are sparse."""
-    return zlib.compress(cloudpickle.dumps(spec), 1)
+    (cloudpickle: closures)."""
+    return cloudpickle.dumps(spec)
 
 
 class RemoteTask:

@@ -108,17 +108,37 @@ class Pipeline:
 class PhysicalPlan:
     """Ordered pipelines plus each join's build side and exchange mode."""
 
-    def __init__(self, pipelines, build_sides, join_modes=None):
+    def __init__(self, pipelines, build_sides, join_modes):
         self.pipelines = pipelines
         self.build_sides = build_sides  # JoinStmt.output -> "left"/"right"
         #: JoinStmt.output -> "broadcast"/"partition"
-        self.join_modes = join_modes or {}
+        self.join_modes = join_modes
 
     def __iter__(self):
         return iter(self.pipelines)
 
     def __len__(self):
         return len(self.pipelines)
+
+    def segments(self, pipeline):
+        """``pipeline``'s stages cut at every *partitioned* join probe."""
+        segments = [[]]
+        for stage in pipeline.stages:
+            if isinstance(stage, JoinStmt) and \
+                    self.join_modes[stage.output] == "partition":
+                segments.append([])
+            segments[-1].append(stage)
+        return segments
+
+    def segment(self, pipeline_id, index):
+        """``(stages, sink target)`` of a task's segment, wherever it runs:
+        the target is the pipeline's sink for its last segment, else the
+        vector list of the probe that heads the next."""
+        (pipeline,) = [p for p in self.pipelines if p.pipeline_id == pipeline_id]
+        segments = self.segments(pipeline)
+        if index + 1 < len(segments):
+            return segments[index], segments[index + 1][0].output
+        return segments[index], pipeline.sink
 
     def describe(self):
         return "\n".join(p.describe() for p in self.pipelines)
@@ -197,17 +217,13 @@ def plan_pipelines(program, build_side_overrides=None, set_bytes=None,
     )
 
     # Vector lists that force a pipeline cut when *consumed*.
-    materialized = set()
-    for statement in program.statements:
-        if isinstance(statement, OutputStmt):
-            continue
-        if isinstance(statement, AggregateStmt):
-            materialized.add(statement.output)
-        elif len(consumers.get(statement.output, [])) > 1:
-            materialized.add(statement.output)
+    materialized = {
+        statement.output for statement in program.statements
+        if isinstance(statement, AggregateStmt)
+        or len(consumers.get(statement.output, [])) > 1
+    }
 
     pipelines = []
-    counter = iter(range(1_000_000))
 
     def follow(source_kind, source, start_vlist, entry=None):
         """Extend a pipeline from ``start_vlist`` until a sink.
@@ -218,23 +234,19 @@ def plan_pipelines(program, build_side_overrides=None, set_bytes=None,
         """
         stages = []
         current = start_vlist
+
+        def end(sink_kind, sink):
+            pipelines.append(Pipeline(
+                len(pipelines), source_kind, source, stages, sink_kind, sink,
+            ))
+
         while True:
             if entry is not None:
                 statement, entry = entry, None
             else:
                 consuming = consumers.get(current, [])
-                if not consuming:
-                    pipelines.append(Pipeline(
-                        next(counter), source_kind, source, stages,
-                        SINK_MATERIALIZE, current,
-                    ))
-                    return
-                if current in materialized or len(consuming) > 1:
-                    pipelines.append(Pipeline(
-                        next(counter), source_kind, source, stages,
-                        SINK_MATERIALIZE, current,
-                    ))
-                    return
+                if len(consuming) != 1 or current in materialized:
+                    return end(SINK_MATERIALIZE, current)
                 statement = consuming[0]
             if isinstance(statement, (ApplyStmt, FilterStmt, HashStmt,
                                       FlattenStmt)):
@@ -247,25 +259,13 @@ def plan_pipelines(program, build_side_overrides=None, set_bytes=None,
                     else statement.right_input
                 )
                 if current == build_input:
-                    pipelines.append(Pipeline(
-                        next(counter), source_kind, source, stages,
-                        SINK_HASH_BUILD, statement,
-                    ))
-                    return
+                    return end(SINK_HASH_BUILD, statement)
                 stages.append(statement)  # probe stage, pipeline continues
                 current = statement.output
             elif isinstance(statement, AggregateStmt):
-                pipelines.append(Pipeline(
-                    next(counter), source_kind, source, stages,
-                    SINK_AGGREGATE, statement,
-                ))
-                return
+                return end(SINK_AGGREGATE, statement)
             elif isinstance(statement, OutputStmt):
-                pipelines.append(Pipeline(
-                    next(counter), source_kind, source, stages,
-                    SINK_OUTPUT, statement,
-                ))
-                return
+                return end(SINK_OUTPUT, statement)
             else:
                 raise PlanningError(
                     "cannot place statement %r" % type(statement).__name__

@@ -38,7 +38,6 @@ from repro.engine.physical import (
     SINK_MATERIALIZE,
     SINK_OUTPUT,
     SOURCE_SCAN,
-    PhysicalPlan,
 )
 from repro.engine.vectors import VectorList, batches_of
 from repro.obs.evidence import OperatorRecorder
@@ -391,25 +390,26 @@ def run_task(job, spec, pages, registry):
     with the pages it attached and its copy of the job's registry, the
     coordinator with the front-end page stream and the worker's own —
     from the same plain inputs: ``job`` is what is constant over the job
-    (program, build sides, profiling), ``spec`` the task
-    (stages, source description, ``(sink class, arguments)``, the hash
-    tables its probes read).  The engine lives for this one task: a
+    (program, plan, profiling), ``spec`` what is not (the plan's segment,
+    source description, ``(sink class, arguments)``, the hash tables its
+    probes read).  The engine lives for this one task: a
     plain sink is filled from the source (:meth:`PipelineEngine.source_batches`)
     and sealed, never finished — its ``state`` goes to whoever keeps the
     job's state.  When the body raises, the evidence so far travels on
     the exception (``error.evidence``).
     """
     engine = PipelineEngine(
-        job["program"], PhysicalPlan((), job["build_sides"]), None,
+        job["program"], job["plan"], None,
         profiler=OperatorRecorder() if job["profiling"] else None,
         registry=registry,
     )
     engine.hash_tables = spec["hash_tables"]
     try:
+        stages, target = engine.plan.segment(*spec["segment"])
         sink_class, sink_args = spec["sink"]
-        sink = sink_class(engine, *sink_args)
+        sink = sink_class(engine, target, *sink_args)
         batches = engine.source_batches(spec["source"], pages)
-        engine.run_stages(spec["stages"], batches, sink)
+        engine.run_stages(stages, batches, sink)
     except Exception as error:
         error.evidence = engine.evidence()
         raise
@@ -643,9 +643,9 @@ class Sink:
 
     def remote_spec(self):
         """``(sink_class, arguments)``: a task fills and seals
-        ``sink_class(engine, *arguments)`` and returns its ``state`` for
-        this sink to ``finish()``.  None — a sink no task can fill — is
-        an error in a scheduled job."""
+        ``sink_class(engine, target, *arguments)`` (``target`` what its
+        plan segment ends in) and returns its ``state`` for this sink to
+        ``finish()``.  None — a sink no task can fill — is an error."""
         return None
 
     def finish(self):
@@ -683,7 +683,7 @@ class HashBuildSink(Sink):
         self.state = []
 
     def remote_spec(self):
-        return type(self), (self.join, self.exchange)
+        return type(self), (self.exchange,)
 
     def consume(self, batch):
         batch = kernels.reify(batch)
@@ -730,7 +730,7 @@ class AggregateSink(Sink):
         self.state = None
 
     def remote_spec(self):
-        return type(self), (self.statement, self.exchange)
+        return type(self), (self.exchange,)
 
     def consume(self, batch):
         keys = batch.column(self.statement.key_column)
@@ -795,7 +795,7 @@ class MaterializeSink(Sink):
         }
 
     def remote_spec(self):
-        return type(self), (self.vlist_name, self.exchange)
+        return type(self), (self.exchange,)
 
     def consume(self, batch):
         batch = kernels.reify(batch)
@@ -859,7 +859,7 @@ class _PageSink(Sink):
         self.adopted, self.python = [], []
 
     def remote_spec(self):
-        return type(self), (self.statement, self.page_size)
+        return type(self), (self.page_size,)
 
     def finish(self):
         pages = self.state["pages"]
@@ -946,7 +946,7 @@ class MapPageOutputSink(_PageSink):
         self.pairs = []
 
     def remote_spec(self):
-        return type(self), (self.statement, self.page_size, self.computation)
+        return type(self), (self.page_size, self.computation)
 
     def consume(self, batch):
         self.pairs.extend(

@@ -631,6 +631,13 @@ class MapType(ObjectTypeDescriptor):
     #: Grow the bucket array when count / capacity exceeds this.
     LOAD_FACTOR = 0.7
 
+    @classmethod
+    def table_capacity(cls, n):
+        """The bucket count of a table sized for ``n`` pairs — the least
+        that holds them under :attr:`LOAD_FACTOR`: the one size rule of
+        the inserter and the planner (:mod:`repro.memory.scatter`)."""
+        return int(n / cls.LOAD_FACTOR) + 1
+
     def __init__(self, key, val):
         self.key = as_descriptor(key)
         self.val = as_descriptor(val)
@@ -701,8 +708,10 @@ class MapType(ObjectTypeDescriptor):
         load = self.LOAD_FACTOR
 
         def grow(payload, table, capacity, needed):
-            doubled = max(8, capacity * 2)
-            exact = int(needed / load) + 1
+            # Sized for every pair at once; doubled when the block has
+            # no room for that (a fresh map's: sized for one pair).
+            doubled = capacity * 2 or self.table_capacity(1)
+            exact = self.table_capacity(needed)
             if exact > doubled:
                 try:
                     return self.rehash(block, payload, table, capacity,

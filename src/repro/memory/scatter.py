@@ -361,7 +361,8 @@ class _MapShape:
 
     def __init__(self, map_type, block):
         buckets = map_type.buckets_type
-        self.load = map_type.LOAD_FACTOR
+        #: ``n`` pairs -> the table's bucket count, the inserter's rule
+        self.capacity = map_type.table_capacity
         self.code = map_type.type_code(block)
         self.buckets_code = buckets.type_code(block)
         self.entry_size = buckets.entry_size
@@ -373,13 +374,6 @@ class _MapShape:
         if not isinstance(self.key, (_Primitive, _Strings)):
             raise _Decline("uncovered_type")
         self.val = _slot_shape(map_type.val, block)
-
-    def capacity(self, n):
-        """The table ``MapType.inserter`` sizes for ``n`` pairs into an
-        empty map: ``n / load + 1``, at least 8 — never re-grown before
-        the ``n``-th insert."""
-        exact = int(n / self.load) + 1
-        return exact if exact > 8 else 8
 
     def stored_key(self, key):
         """``key`` as it reads back out of its slot (what ``probe``

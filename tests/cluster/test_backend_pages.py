@@ -452,8 +452,8 @@ def _record_pickles(monkeypatch):
 def test_kmeans_task_specs_fit_a_kibibyte(tmp_path, monkeypatch):
     """One small job an iteration (the bench's ``kmeans_iter``): what
     does not change over the job is pickled once, and a task spec —
-    stages, source, sink, trace context — is under 1 KiB (6.4 KB when
-    each carried the program and the registry), plus the groups an
+    plan segment, source, sink, trace context — is under 1 KiB (6.4 KB
+    when each carried the program and the registry), plus the groups an
     OUTPUT task is handed."""
     pickled = _record_pickles(monkeypatch)
     points = np.random.default_rng(5).normal(size=(600, 8))
@@ -470,9 +470,9 @@ def test_kmeans_task_specs_fit_a_kibibyte(tmp_path, monkeypatch):
         specs = [size for is_job, size in pickled if not is_job]
         assert len(specs) == 4 * jobs
         # The two scan tasks' specs are envelope alone.  An OUTPUT task's
-        # also carries its share of the merged (count, Σx) groups as its
-        # source, one 9-float ndarray a key (≈ 135 bytes pickled), so
-        # its bound grows with the keys.
+        # also carries its share of the (count, Σx) groups as its source,
+        # the combiner Map pages its worker received, so its bound grows
+        # with the keys.
         assert sorted(specs)[1] <= 1024
         assert max(specs) <= 1024 + 160 * len(centers)
         assert set(_placements(cluster)) == {"shipped"}

@@ -10,6 +10,8 @@ reports (which pickles nothing), and the conditions that used to fall
 back silently and now fail loudly.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,13 @@ from repro.cluster.transport import ProcessTransport, remote_available
 from repro.core import (
     JoinComp,
     ObjectReader,
+    SelectionComp,
     Writer,
     lambda_from_member,
     lambda_from_native,
 )
 from repro.engine import pipeline
+from repro.engine.physical import Pipeline, PhysicalPlan
 from repro.errors import ExecutionError
 from repro.lillinalg import (
     BlockSumAggregate,
@@ -32,6 +36,7 @@ from repro.lillinalg import (
 from repro.memory import Int32, PCObject, String
 from repro.ml import PCKMeans
 from repro.storage import dataset
+from repro.tcap.ir import Statement
 from repro.tpch import TpchSpec, customers_per_supplier_pc, load_pc_customers
 
 needs_process = pytest.mark.skipif(
@@ -63,29 +68,30 @@ def _delta(cluster, job):
     }
 
 
-JOB_KEYS = {"program", "build_sides", "profiling", "tracing", "registry"}
-SPEC_KEYS = {"worker_id", "stages", "source", "sink", "hash_tables",
+JOB_KEYS = {"program", "plan", "profiling", "tracing", "registry"}
+SPEC_KEYS = {"worker_id", "segment", "source", "sink", "hash_tables",
              "trace_ctx"}
 
 
 def _record_task_inputs(monkeypatch, pickles=True):
     """What the scheduler hands ``run_task``: ``(who, job keys, spec
-    keys)`` per call the coordinator makes itself and per spec it
-    pickles for a back-end (whose ``job`` is the pickled job state)."""
+    keys, spec)`` per call the coordinator makes itself and per spec it
+    pickles for a back-end (whose ``job`` is the pickled job state; the
+    job state's own entry has no spec)."""
     seen = []
     run_task, serialize = scheduler.run_task, scheduler.serialize_task
 
     def inline(job, spec, pages, registry):
-        seen.append(("coordinator", set(job), set(spec)))
+        seen.append(("coordinator", set(job), set(spec), spec))
         return run_task(job, spec, pages, registry)
 
     def pickled(payload):
         if not pickles:
             raise AssertionError("a simulator job pickled something")
         if "program" in payload:
-            seen.append(("job state", set(payload), SPEC_KEYS))
+            seen.append(("job state", set(payload), SPEC_KEYS, None))
         else:
-            seen.append(("back-end", JOB_KEYS, set(payload)))
+            seen.append(("back-end", JOB_KEYS, set(payload), payload))
         return serialize(payload)
 
     monkeypatch.setattr(scheduler, "run_task", inline)
@@ -93,10 +99,26 @@ def _record_task_inputs(monkeypatch, pickles=True):
     return seen
 
 
+def _holds_plan(value):
+    """Whether ``value`` holds a TCAP statement or a physical plan (or
+    one of its pipelines), however deep in dicts, lists and tuples."""
+    if isinstance(value, (Statement, PhysicalPlan, Pipeline)):
+        return True
+    if isinstance(value, dict):
+        return any(map(_holds_plan, value)) or \
+            any(map(_holds_plan, value.values()))
+    if isinstance(value, (list, tuple, set)):
+        return any(map(_holds_plan, value))
+    return False
+
+
 def _assert_one_task_shape(seen, callers):
-    assert {who for who, _job, _spec in seen} == callers
-    for who, job, spec in seen:
+    assert {who for who, _job, _spec, _payload in seen} == callers
+    for who, job, spec, payload in seen:
         assert (job, spec) == (JOB_KEYS, SPEC_KEYS), who
+        # The plan travels with the job's state, once; a spec names its
+        # segment of it and holds only what is the task's own.
+        assert not _holds_plan(payload), who
 
 
 def _task_placements(trace):
@@ -259,6 +281,59 @@ def test_sim_reports_only_in_process(tmp_path, monkeypatch):
     assert not any(name.startswith("sched.") for name in trace.totals())
     assert len(seen) == len(tasks)
     _assert_one_task_shape(seen, {"coordinator"})
+
+
+class Keep(SelectionComp):
+    """Every point, as it is: one link of a selection chain."""
+
+    def get_selection(self, arg):
+        return lambda_from_member(arg, "x") >= 0.0
+
+    def get_projection(self, arg):
+        return lambda_from_native([arg], lambda point: point)
+
+
+class PointId(Keep):
+    def get_projection(self, arg):
+        return lambda_from_native([arg], lambda point: point.pid)
+
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_a_scan_spec_does_not_grow_with_its_stages(tmp_path, kind,
+                                                   monkeypatch):
+    """One selection and six chained ones over the same pages: each
+    worker's scan spec pickles to the same size, for it names its
+    segment of the plan instead of carrying the stages.  (Tracing is
+    off: trace and span ids are counters, whose pickles grow.)"""
+    from test_fault_tolerance import load_points
+
+    seen = _record_task_inputs(monkeypatch, pickles=kind == "process")
+    cluster = PCCluster(n_workers=2, page_size=1 << 12, tracing=False,
+                        spill_root=str(tmp_path), transport=kind)
+    stages, sizes = [], []
+    try:
+        load_points(cluster, n=100)
+        for links in (0, 5):
+            query = ObjectReader("db", "points")
+            for _link in range(links):
+                query = Keep().set_input(query)
+            del seen[:]
+            Writer("db", "ids%d" % links).set_input(
+                PointId().set_input(query)
+            ).execute(cluster)
+            (scan,) = cluster.last_plan
+            stages.append(len(scan.stages))
+            sizes.append([
+                len(pickle.dumps(payload)) for _who, _job, _spec, payload
+                in seen if payload is not None
+                and payload["source"][0] == "pages"
+            ])
+            _assert_one_task_shape(seen, {"coordinator"} if kind == "sim"
+                                   else {"job state", "back-end"})
+    finally:
+        cluster.close()
+    assert stages[1] > stages[0]
+    assert len(sizes[0]) == 2 and sizes[1] == sizes[0]
 
 
 # -- what used to fall back silently ----------------------------------------------------

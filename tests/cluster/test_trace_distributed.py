@@ -374,7 +374,7 @@ def test_trace_context_is_propagated_into_task_specs(tmp_path, schema_of):
         original = scheduler_mod.serialize_task
 
         def spy(spec):
-            if "stages" in spec:  # a task spec, not the job's blob
+            if "segment" in spec:  # a task spec, not the job's blob
                 seen.append(dict(spec.get("trace_ctx") or {}))
             return original(spec)
 
