@@ -565,12 +565,11 @@ ARCHITECTURE = {
         ),
         "scatter_map": ("repro.memory.builtins.MapType.inserter",),
         "map_pairs": ("repro.engine.pipeline.map_items",),
-        # Read where a Map page is: in the task that merges what an
-        # aggregation's exchange delivered, and in the client's read.
-        "map_items": (
-            "repro.engine.pipeline.PipelineEngine.source_batches",
-            "repro.cluster.cluster.PCCluster.read",
-        ),
+        # Read where a Map page is: where an exchange or a job's result
+        # arrives (``map_page_pairs``, a result sink), the client's read.
+        "map_items": ("repro.engine.pipeline.map_page_pairs",
+                      "repro.engine.pipeline._PageSink.finish",
+                      "repro.cluster.cluster.PCCluster.read"),
         "plan_objects": ("repro.storage.dataset.RowPageWriter._write",),
         "book_task_evidence": (
             "repro.cluster.scheduler.DistributedScheduler._book",
@@ -590,22 +589,22 @@ ARCHITECTURE = {
         "retain": "memory",
     },
     "ceilings": {
-        "repro/cluster/scheduler.py": 979,
+        "repro/cluster/scheduler.py": 978,
         "repro/cluster/transport.py": 750,
-        "repro/cluster/cluster.py": 692,
+        "repro/cluster/cluster.py": 691,
         "repro/cluster/procworker.py": 283,
         "repro/cluster/worker.py": 195,
-        "repro/storage/replication.py": 444,
+        "repro/storage/replication.py": 443,
         "repro/storage/dataset.py": 397,
-        "repro/engine/physical.py": 308,
-        "repro/engine/pipeline.py": 961,
+        "repro/engine/physical.py": 307,
+        "repro/engine/pipeline.py": 959,
         "repro/memory/gather.py": 552,
         "repro/memory/scatter.py": 838,
-        "repro/ml/kmeans.py": 148,
-        "repro/ml/kmeans_columnar.py": 157,
-        "repro/lillinalg": 806,
+        "repro/ml/kmeans.py": 142,
+        "repro/ml/kmeans_columnar.py": 151,
+        "repro/lillinalg": 799,
         "repro/obs": 1888,
-        "repro/analysis": 1333,
+        "repro/analysis": 1332,
     },
 }
 

@@ -33,6 +33,7 @@ import time
 
 from repro.analysis import sanitizer as pcsan
 from repro.catalog import CatalogJournal, CatalogManager
+from repro.core.computation import AggregateComp, Computation
 from repro.engine.physical import DEFAULT_BROADCAST_THRESHOLD, plan_pipelines
 from repro.engine.pipeline import combine_into, map_items
 from repro.errors import CatalogError, ExecutionError, StorageError
@@ -73,26 +74,18 @@ class _FaultCounters:
     """
 
     def __init__(self, metrics):
-        self.backend_crashes = metrics.counter(
-            "pc_faults_backend_crashes_total",
-            help="Back-end process crashes (injected or real)",
-        )
-        self.tasks_recovered = metrics.counter(
-            "pc_faults_tasks_recovered_total",
-            help="Worker tasks that succeeded on a retry",
-        )
-        self.workers_blacklisted = metrics.counter(
-            "pc_faults_workers_blacklisted_total",
-            help="Workers decommissioned after exhausting retries",
-        )
-        self.workers_killed = metrics.counter(
-            "pc_faults_workers_killed_total",
-            help="Workers lost entirely (front-end storage included)",
-        )
-        self.pages_redistributed = metrics.counter(
-            "pc_faults_pages_redistributed_total",
-            help="Pages moved off dead workers onto survivors",
-        )
+        for name, help in (
+            ("backend_crashes", "Back-end process crashes (injected or real)"),
+            ("tasks_recovered", "Worker tasks that succeeded on a retry"),
+            ("workers_blacklisted",
+             "Workers decommissioned after exhausting retries"),
+            ("workers_killed",
+             "Workers lost entirely (front-end storage included)"),
+            ("pages_redistributed",
+             "Pages moved off dead workers onto survivors"),
+        ):
+            setattr(self, name, metrics.counter(
+                "pc_faults_%s_total" % name, help=help))
 
 
 class PCCluster:
@@ -394,15 +387,22 @@ class PCCluster:
                              columnar=True):
         """Compile, optimize, plan, and run a computation graph.
 
-        Returns the scheduler's job log (the Figure 4 trace); the full
-        span tree with counters is available as :attr:`last_trace`
-        afterwards (even when a stage raised — partial traces are often
-        the most interesting ones).
+        ``sinks`` are Writers — it returns the scheduler's job log (the
+        Figure 4 trace) — or AggregateComps, whose merged ``{key:
+        value}`` pairs it returns (a list, in sink order, for a list of
+        sinks) and stores nowhere: what ``read(as_pairs=True, comp=agg)``
+        gives for the job written to a set.  A mix of the two raises.
+        The span tree is :attr:`last_trace` afterwards (even when a stage
+        raised — partial traces are often the most interesting ones).
 
         ``columnar`` controls whether eligible operator subgraphs are
         lowered onto whole-page array kernels (``mark_columnar``); pass
         False to force the object path (the parity tests' baseline).
         """
+        listed = [sinks] if isinstance(sinks, Computation) else list(sinks)
+        results = [sink for sink in listed if isinstance(sink, AggregateComp)]
+        if results and len(results) < len(listed):
+            raise ExecutionError("a job ends in Writers or in aggregations, not both")
         started = time.perf_counter()
         # PCSan pin-leak detection: pins held before the job are fine
         # (client handles, prior jobs); anything above that baseline
@@ -414,7 +414,7 @@ class PCCluster:
         crash_baseline = self.fault_metrics.backend_crashes.value
         with self.tracer.span(job_name, kind="job") as job_span:
             with self.tracer.span("compile", kind="phase"):
-                program = compile_computations(sinks)
+                program = compile_computations(listed)
                 if optimized:
                     optimize(program)
             # A mistyped plan dies here, before any stage is planned or
@@ -433,8 +433,7 @@ class PCCluster:
                     broadcast_threshold=self.broadcast_threshold,
                 )
             scheduler = DistributedScheduler(self, program, plan)
-            self.last_program = program
-            self.last_plan = plan
+            self.last_program, self.last_plan = program, plan
             failed = True
             try:
                 job_log = scheduler.execute()
@@ -450,15 +449,15 @@ class PCCluster:
                 # or any back-end died mid-job, attach the master ring's
                 # events from this job's window to the job span, so the
                 # trace carries the last-N-events context of the verdict.
-                died = (self.fault_metrics.backend_crashes.value
-                        > crash_baseline)
+                died = self.fault_metrics.backend_crashes.value > crash_baseline
                 if (failed or died) and isinstance(job_span, Span):
-                    job_span.events.extend(
-                        self.flight.snapshot(since_seq=flight_baseline)
-                    )
+                    job_span.events.extend(self.flight.snapshot(since_seq=flight_baseline))
                 if san is not None:
                     san.check_pins(pools, pin_baseline)
-        return job_log
+        if not results:
+            return job_log
+        merged = [scheduler.results[agg.name] for agg in results]
+        return merged[0] if isinstance(sinks, Computation) else merged
 
     # -- reading results --------------------------------------------------------------------
 

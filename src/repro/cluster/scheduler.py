@@ -79,6 +79,7 @@ from repro.engine.pipeline import (
     JobState,
     MapPageOutputSink,
     MaterializeSink,
+    combine_into,
     hash_rows_into,
     join_sides,
     run_task,
@@ -96,7 +97,7 @@ from repro.errors import (
     WorkerCrashError,
     WorkerLostError,
 )
-from repro.obs.evidence import book_task_evidence
+from repro.obs.evidence import book_task_evidence, kernel_fallbacks
 from repro.obs.tracer import Span
 from repro.storage.page import register_root_type
 from repro.tcap.ir import ApplyStmt, JoinStmt
@@ -174,18 +175,18 @@ class DistributedScheduler:
     # -- main entry ------------------------------------------------------------------
 
     def execute(self):
-        # A back-end process works on a copy of the registry, which cannot
-        # hand out cluster-wide codes: the types this job's sinks stamp on
-        # combiner and output pages — the row-page root, the aggregations'
-        # Maps — are registered first, on any transport (so the codes, and
-        # the page bytes, agree across them).
+        # A back-end's copy of the registry cannot hand out cluster-wide
+        # codes: the types this job's sinks stamp on pages — the row-page
+        # root, the aggregations' Maps — are registered first, on any
+        # transport (so the codes, and the page bytes, agree across them).
         register_root_type(self.cluster.catalog)
         for comp in self.program.computations.values():
             if isinstance(comp, AggregateComp) and comp.map_type is not None:
                 self.cluster.register_type(comp.map_type)
         while True:
-            #: (database, set) -> worker id -> the OUTPUT sinks built there
-            self._outputs = {}
+            #: (database, set) -> worker id -> the OUTPUT sinks built
+            #: there; a result's aggregation name -> its sinks
+            self._outputs, self._results = {}, {}
             try:
                 self._execute_plan()
                 self._commit_outputs()
@@ -198,19 +199,14 @@ class DistributedScheduler:
                 raise
 
     def _execute_plan(self):
+        runners = {
+            SINK_HASH_BUILD: self._run_build, SINK_AGGREGATE: self._run_aggregate,
+            SINK_MATERIALIZE: self._run_materialize, SINK_OUTPUT: self._run_output,
+        }
         for pipeline in self.plan:
-            if pipeline.sink_kind == SINK_HASH_BUILD:
-                self._run_build(pipeline)
-            elif pipeline.sink_kind == SINK_AGGREGATE:
-                self._run_aggregate(pipeline)
-            elif pipeline.sink_kind == SINK_MATERIALIZE:
-                self._run_materialize(pipeline)
-            elif pipeline.sink_kind == SINK_OUTPUT:
-                self._run_output(pipeline)
-            else:
-                raise ExecutionError(
-                    "unschedulable sink %r" % pipeline.sink_kind
-                )
+            if pipeline.sink_kind not in runners:
+                raise ExecutionError("unschedulable sink %r" % pipeline.sink_kind)
+            runners[pipeline.sink_kind](pipeline)
 
     def _commit_outputs(self):
         """Make the run's output durable, once the whole plan is through.
@@ -221,21 +217,26 @@ class DistributedScheduler:
         this run, so a scan in the job reads every set as it was before
         the job, and a run that fails or restarts is undone by
         :meth:`_abort_outputs` alone — whatever earlier jobs wrote to
-        the same sets stays.
+        the same sets stays.  A result's pairs are merged into
+        :attr:`results` from this run's sinks (an aborted one has none).
         """
-        self.cluster.replication.place_pages({
-            key: [
-                (worker_id, *page) for worker_id, built in sinks.items()
-                for sink in built for page in sink.adopted
-            ]
-            for key, sinks in self._outputs.items()
-        })
+        self.results = {name: combine_into(
+            {}, (pair for sink in sinks for pair in sink.result),
+            self.program.computations[name].combine,
+        ) for name, sinks in self._results.items()}
+        if self._outputs:
+            self.cluster.replication.place_pages({
+                key: [
+                    (worker_id, *page) for worker_id, built in sinks.items()
+                    for sink in built for page in sink.adopted
+                ]
+                for key, sinks in self._outputs.items()
+            })
         outputs, self._outputs = self._outputs, {}
         for key, sinks in outputs.items():
-            python = self.cluster.python_outputs.setdefault(key, [])
-            for built in sinks.values():
-                for sink in built:
-                    python.extend(sink.python)
+            self.cluster.python_outputs.setdefault(key, []).extend(
+                value for built in sinks.values() for sink in built
+                for value in sink.python)
 
     def _abort_outputs(self):
         """Free every page the run's OUTPUT sinks adopted (none is
@@ -287,9 +288,7 @@ class DistributedScheduler:
             % (stage_kind, worker.worker_id, attempts + 1),
         ) as retry_span:
             retry_span.inc("retry.count")
-            retry_span.inc(
-                "retry.backoff_ms", max(1, int(backoff * 1000))
-            )
+            retry_span.inc("retry.backoff_ms", max(1, int(backoff * 1000)))
             self.retry_policy.sleep(backoff)
 
     def _await_attempt(self, worker, make_attempt, attempt):
@@ -638,19 +637,15 @@ class DistributedScheduler:
             task_span = span
         if grafted:
             self._c_remote_spans.inc(grafted)
-        book_task_evidence(
-            evidence, worker.metrics, self.cluster.metrics_registry,
-            task_span,
-        )
+        book_task_evidence(evidence, worker.metrics,
+                           self.cluster.metrics_registry, task_span)
 
     # -- stage runners -----------------------------------------------------------------
 
     def _attempt(self, worker, segment, source, sink_factory):
         """make_attempt for one worker's portion of a stage: ``segment``
         over ``source`` into a fresh sink, placed by :meth:`_place`."""
-        return lambda: self._place(
-            worker, segment, source, sink_factory(worker)
-        )
+        return lambda: self._place(worker, segment, source, sink_factory(worker))
 
     # -- the one exchange: partition -> ship -> receive ------------------------------------
 
@@ -693,11 +688,8 @@ class DistributedScheduler:
         def ship(src_id, dst_id, pages):
             # Checked against the CRC the packing task sealed: bytes that
             # changed since, in flight or before, are re-sent, never merged.
-            return [
-                (ship_page(src_id, dst_id, data, checksum=checksum),
-                 checksum, *sealed)
-                for data, checksum, *sealed in pages
-            ]
+            return [(ship_page(src_id, dst_id, data, checksum=checksum),
+                     checksum, *sealed) for data, checksum, *sealed in pages]
 
         return ship
 
@@ -818,27 +810,34 @@ class DistributedScheduler:
             )
 
     def _run_output(self, pipeline):
+        """Each worker's task writes into an OUTPUT sink over its
+        partition of the set — or, for a job's result (no set), over
+        none: no set is made, no page adopted, nothing recorded."""
         output = pipeline.sink
         key = (output.database, output.set_name)
-        self.cluster.ensure_set(*key)
         aggregation = self._aggregate_behind(output)
-        sinks = self._outputs.setdefault(key, {})
+        fallbacks = kernel_fallbacks(self.cluster.metrics_registry)
+        if output.set_name is not None:
+            self.cluster.ensure_set(*key)
 
         def sink_factory(worker):
-            page_set = worker.storage.get_set(*key)
-            if aggregation is not None:
-                sink = MapPageOutputSink(
-                    self._kept_on(worker), output, page_set.page_size,
-                    aggregation, page_set,
-                )
+            page_set, kept = None, self._kept_on(worker)
+            if output.set_name is None:
+                sinks = self._results.setdefault(output.computation, [])
+                page_size = self.cluster.combiner_page_size
             else:
-                sink = ClusterOutputSink(
-                    self._kept_on(worker), output, page_set.page_size, page_set
-                )
-            sinks.setdefault(worker.worker_id, []).append(sink)
-            return sink
+                page_set = worker.storage.get_set(*key)
+                page_size = page_set.page_size
+                sinks = self._outputs.setdefault(key, {}).setdefault(
+                    worker.worker_id, [])
+            sinks.append(MapPageOutputSink(
+                kept, output, page_size, aggregation, page_set,
+                lambda reason: fallbacks.inc(operator="map_read", reason=reason),
+            ) if aggregation is not None else ClusterOutputSink(
+                kept, output, page_size, page_set))
+            return sinks[-1]
 
-        with self._stage("PipelineJobStage", "pipeline into %s.%s" % key):
+        with self._stage("PipelineJobStage", "pipeline into %s" % output.target):
             self._run_distributed_pipeline(pipeline, sink_factory)
 
     def _aggregate_behind(self, output_stmt):

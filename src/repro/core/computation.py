@@ -77,10 +77,12 @@ class Computation:
         The fluent client entry point::
 
             Writer("db", "out").set_input(agg).execute(cluster)
+            pairs = agg.execute(cluster)
 
         Keyword arguments pass through to
         ``PCCluster.execute_computations`` (``optimized``, ``job_name``,
-        ``build_side_overrides``); returns the scheduler's job log.
+        ``build_side_overrides``); returns the scheduler's job log — or,
+        for an aggregation, its merged ``{key: value}`` pairs.
         """
         return cluster.execute_computations(self, **kwargs)
 

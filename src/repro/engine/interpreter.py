@@ -141,7 +141,7 @@ class LocalInterpreter:
 
     def _output(self, statement):
         vlist = self._vlist(statement.input_name)
-        key = (statement.database, statement.set_name)
+        key = (statement.database, statement.set_name or statement.computation)
         self.outputs.setdefault(key, []).extend(vlist[statement.column])
 
     _HANDLERS = {

@@ -21,7 +21,8 @@ def run_local(sinks, sources, optimized=True, build_side_overrides=None,
 
     ``sources`` maps ``(database, set)`` to lists of objects.  Returns
     ``(outputs, program, metrics)`` where outputs maps ``(database, set)``
-    of each Writer to the produced Python list.
+    of each Writer — ``(None, name)`` of each aggregation sink — to the
+    produced Python list.
     """
     program = compile_computations(sinks)
     if optimized:

@@ -93,8 +93,7 @@ class Pipeline:
             else:
                 ops.append(stage.op.lower())
         sink = {
-            SINK_OUTPUT: lambda: "write %s.%s" % (self.sink.database,
-                                                  self.sink.set_name),
+            SINK_OUTPUT: lambda: "write %s" % self.sink.target,
             SINK_HASH_BUILD: lambda: "build(%s)" % self.sink.output,
             SINK_AGGREGATE: lambda: "aggregate(%s)" % self.sink.output,
             SINK_MATERIALIZE: lambda: "materialize(%s)" % self.sink,

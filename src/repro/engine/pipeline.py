@@ -202,8 +202,7 @@ class PipelineEngine(JobState):
         return {
             "engine": self.metrics.as_dict(),
             "fallbacks": dict(self.metrics.kernel_fallbacks),
-            "ops": self.profiler.drain() if self.profiler is not None
-            else {},
+            "ops": self.profiler.drain() if self.profiler is not None else {},
         }
 
     def _process_batch(self, stages, batch, sink):
@@ -290,9 +289,7 @@ class PipelineEngine(JobState):
         if isinstance(stage, HashStmt):
             keys = batch.column(stage.key_column)
             out = batch.shallow_copy(stage.copy_columns)
-            return out.with_column(
-                stage.new_column, [stable_hash(k) for k in keys]
-            )
+            return out.with_column(stage.new_column, [stable_hash(k) for k in keys])
         if isinstance(stage, FlattenStmt):
             out = {c: [] for c in stage.output_columns()}
             copies = [batch.column(c) for c in stage.copy_columns]
@@ -365,10 +362,8 @@ class PipelineEngine(JobState):
             return batches_of(source[1])
         comp, pairs = self.program.computations[source[1]], source[2]
         if comp.map_type is not None:
-            declined, pairs = partial(self.metrics.fallback, "map_read"), []
-            for data, *_sealed in source[2]:
-                block = AllocationBlock.from_bytes(data, registry=self.registry)
-                pairs.extend(map_items(page_items(block)[0], comp, declined))
+            pairs = map_page_pairs(pairs, comp, self.registry,
+                                   partial(self.metrics.fallback, "map_read"))
         groups = combine_into({}, pairs, comp.combine)
         self.metrics.merged_keys += len(groups)
         return batches_of({"key": list(groups), "val": list(groups.values())})
@@ -567,6 +562,13 @@ def map_items(view, comp, declined):
     return [(decode_key(key), decode_value(value)) for key, value in view]
 
 
+def map_page_pairs(pages, comp, registry, declined):
+    """The decoded pairs of sealed Map pages ``(bytes, *sealed)``: each
+    page's Map read in place (:func:`map_items`), in page order."""
+    return [pair for data, *_sealed in pages for pair in map_items(page_items(
+        AllocationBlock.from_bytes(data, registry=registry))[0], comp, declined)]
+
+
 def hash_rows_into(table, rows):
     """Bucket ``rows`` — tuples ``(hash, *values)`` — by their hash:
     ``table[hash]`` gains the ``values`` tuple, in order."""
@@ -695,9 +697,7 @@ class HashBuildSink(Sink):
     def seal(self):
         if self.exchange is not None:
             n, mode = self.exchange
-            hashes = None if mode == "broadcast" else [
-                row[0] for row in self.state
-            ]
+            hashes = None if mode == "broadcast" else [row[0] for row in self.state]
             self.state = row_messages(self.state, hashes, n)
 
     def finish(self):
@@ -745,19 +745,15 @@ class AggregateSink(Sink):
             kernels.aggregate_sum(self.groups, keys, values)
             self.engine._note_columnar("aggregate", len(batch))
             return
-        combine_into(
-            self.groups,
-            zip(kernels.reify_column(keys), kernels.reify_column(values)),
-            self.comp.combine,
-        )
+        combine_into(self.groups, zip(kernels.reify_column(keys),
+                                      kernels.reify_column(values)), self.comp.combine)
 
     def seal(self):
         groups, comp = self.groups, self.comp
         self.engine.metrics.pre_aggregated_keys += len(groups)
         if self.exchange is None:
-            self.state = ("columns", {
-                "key": list(groups.keys()), "val": list(groups.values()),
-            })
+            self.state = ("columns", {"key": list(groups.keys()),
+                                      "val": list(groups.values())})
             return
         n, page_size = self.exchange
         partitions = partition_rows(groups.items(), map(stable_hash, groups), n)
@@ -807,10 +803,8 @@ class MaterializeSink(Sink):
     def seal(self):
         if self.exchange is not None:
             n, names = self.exchange
-            self.state = row_messages(
-                zip(*(self.state[name] for name in names)),
-                self.state[names[0]], n,
-            )
+            self.state = row_messages(zip(*(self.state[name] for name in names)),
+                                      self.state[names[0]], n)
 
     def finish(self):
         self.engine.store[self.vlist_name] = self.state if self.exchange \
@@ -825,7 +819,7 @@ class ListOutputSink(Sink):
         self.statement = output_stmt
 
     def consume(self, batch):
-        key = (self.statement.database, self.statement.set_name)
+        key = (self.statement.database, self.statement.set_name or self.statement.computation)
         self.engine.outputs.setdefault(key, []).extend(
             kernels.reify_column(batch.column(self.statement.column))
         )
@@ -836,27 +830,30 @@ class _PageSink(Sink):
 
     The pages are private blocks, so the same body runs in a back-end
     process and in the coordinator; sealed, they are ``(bytes, CRC,
-    allocations, objects)`` in ``state["pages"]``.  ``finish()`` runs
-    where ``page_set`` — the worker-local partition of the output set —
-    lives: it verifies every
-    CRC, then adopts the bytes into the partition and says so in
-    :attr:`adopted`, for the job to place once its whole plan is through
-    (``ReplicationManager.place_pages``).  :meth:`abort` frees the pages
-    this sink adopted and takes their objects back off the partition's
-    count — whatever other sinks added since, and nothing the second
-    time.
+    allocations, objects)`` in ``state["pages"]``.  ``finish()`` runs in
+    the coordinator and verifies every CRC.  With a ``page_set`` — the
+    worker-local partition of the output set — it then adopts the bytes
+    into the partition and says so in :attr:`adopted`, for the job to
+    place once its whole plan is through
+    (``ReplicationManager.place_pages``).  Without one the sink is a
+    job's result: its pairs are decoded once (``declined`` hears why a
+    Map was read entry by entry) into :attr:`result`, and nothing is
+    stored.  :meth:`abort` frees the pages this sink adopted and takes
+    their objects back off the partition's count — whatever other sinks
+    added since, and nothing the second time — and drops its result.
     """
 
-    def __init__(self, engine, output_stmt, page_size, page_set=None):
+    def __init__(self, engine, output_stmt, page_size, page_set=None,
+                 declined=None):
         super().__init__(engine)
-        self.statement = output_stmt
-        self.page_size = page_size
-        self.page_set = page_set
+        self.statement, self.page_size = output_stmt, page_size
+        self.page_set, self.declined = page_set, declined
         self.state = None
         #: ``(bytes, CRC, objects, page id)`` of every page adopted, and
         #: the plain Python values that came with them (a
-        #: :class:`ClusterOutputSink`'s): what the job commits
-        self.adopted, self.python = [], []
+        #: :class:`ClusterOutputSink`'s): what the job commits — or, for
+        #: a result, its decoded ``(key, value)`` pairs
+        self.adopted, self.python, self.result = [], [], []
 
     def remote_spec(self):
         return type(self), (self.page_size,)
@@ -868,19 +865,22 @@ class _PageSink(Sink):
                 raise WorkerCrashError(
                     "output page %d of %d for %s arrived corrupt (CRC "
                     "mismatch); none of the task's pages is adopted"
-                    % (index + 1, len(pages), self.page_set.qualified_name)
+                    % (index + 1, len(pages), self.statement.target)
                 )
+        if self.page_set is None:
+            comp = self.engine.program.computations[self.statement.computation]
+            self.result = map_page_pairs(
+                pages, comp, self.engine.registry, self.declined,
+            ) + map_items(self.state.get("python", ()), comp, None)
+            return 0
         for data, checksum, allocations, count in pages:
-            self.adopted.append((
-                data, checksum, count, self.page_set.adopt_page_bytes(
-                    data, count=count, allocations=allocations
-                ),
-            ))
+            self.adopted.append((data, checksum, count, self.page_set.adopt_page_bytes(
+                data, count=count, allocations=allocations)))
         self.python = self.state.get("python", [])
         return len(pages)
 
     def abort(self):
-        adopted, self.adopted, self.python = self.adopted, [], []
+        adopted, self.adopted, self.python, self.result = self.adopted, [], [], []
         for _data, _checksum, count, page_id in adopted:
             self.page_set.rollback(page_id, count)
 
@@ -940,8 +940,8 @@ class MapPageOutputSink(_PageSink):
     """
 
     def __init__(self, engine, output_stmt, page_size, computation,
-                 page_set=None):
-        super().__init__(engine, output_stmt, page_size, page_set)
+                 page_set=None, declined=None):
+        super().__init__(engine, output_stmt, page_size, page_set, declined)
         self.computation = computation
         self.pairs = []
 
@@ -949,9 +949,7 @@ class MapPageOutputSink(_PageSink):
         return type(self), (self.page_size, self.computation)
 
     def consume(self, batch):
-        self.pairs.extend(
-            kernels.reify_column(batch.column(self.statement.column))
-        )
+        self.pairs.extend(kernels.reify_column(batch.column(self.statement.column)))
 
     def seal(self):
         comp = self.engine.program.computations[self.computation]

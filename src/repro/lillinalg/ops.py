@@ -16,7 +16,8 @@ A stored matrix enters an expression through one selection that copies
 each block's matrix out of its page, so no view outlives its pin.  Only
 :meth:`DistributedMatrix.materialize` makes MatrixBlocks, through the
 job's own Writer; :meth:`~DistributedMatrix.to_numpy`,
-:meth:`~DistributedMatrix.inverse` and the scalar reductions run a job.
+:meth:`~DistributedMatrix.inverse` and the scalar reductions run a job —
+a scalar reduction's aggregation is its job's result, stored nowhere.
 """
 
 from __future__ import annotations
@@ -188,13 +189,14 @@ class DistributedMatrix:
             out[r0:r0 + view.rows, c0:c0 + view.cols] = view.get_matrix()
         return out
 
-    def _run(self, writer):
-        """Run ``writer``'s job with the expression's host matrices loaded
-        for it; their sets are dropped however the job ends."""
+    def _run(self, sink):
+        """Run ``sink``'s job with the expression's host matrices loaded
+        for it; their sets are dropped however the job ends.  Returns
+        what the job does (:meth:`PCCluster.execute_computations`)."""
         try:
             for set_name, host in self.hosts.items():
                 _load(self.cluster, self.database, set_name, *host)
-            self.cluster.execute_computations(writer)
+            return self.cluster.execute_computations(sink)
         finally:
             for set_name in self.hosts:
                 if (self.database, set_name) in self.cluster.storage_manager:
@@ -351,16 +353,7 @@ class DistributedMatrix:
             def combine(self, a, b):
                 return reducer(a, b)
 
-        agg = Reduce().set_input(self._rows())
-        out_set = _fresh_set_name("sc")
-        self._run(Writer(self.database, out_set).set_input(agg))
-        merged = self.cluster.read(self.database, out_set, as_pairs=True)
-        self.cluster.drop_set(self.database, out_set)
-        values = list(merged.values())
-        result = values[0]
-        for value in values[1:]:
-            result = reducer(result, value)
-        return result
+        return self._run(Reduce().set_input(self._rows()))[0]
 
     def min_element(self):
         """The smallest entry of the matrix."""

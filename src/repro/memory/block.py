@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+import zlib
 
 from repro.analysis.sanitizer import current_sanitizer
 from repro.errors import BlockFullError, DanglingHandleError
@@ -426,6 +427,12 @@ class AllocationBlock:
         if self._san is not None:
             self._san.on_seal()
         return bytes(self.buf[: self.used])
+
+    def checksum(self):
+        """The CRC32 of :meth:`to_bytes`, computed in place over the
+        occupied prefix — nothing is copied."""
+        with memoryview(self.buf) as whole, whole[: self.used] as prefix:
+            return zlib.crc32(prefix) & 0xFFFFFFFF
 
     @classmethod
     def from_bytes(cls, data, registry=None, managed=False, metrics=None):

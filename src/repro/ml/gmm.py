@@ -3,9 +3,10 @@
 One EM iteration is a single ``AggregateComp`` carrying the current
 model, just as the paper describes: the aggregation softly assigns each
 point to each Gaussian and accumulates per-component sufficient
-statistics; the result is sent back to the main program, the model is
-updated there, and the next iteration's AggregateComp carries the new
-model.
+statistics; the result is sent back to the main program — the job
+ends in the aggregation, so ``execute_computations`` returns its merged
+pairs and no set is written — the model is updated there, and the next
+iteration's AggregateComp carries the new model.
 
 Difference from the baseline (called out in the paper): this
 implementation uses the log-space trick to compute soft assignments
@@ -20,7 +21,6 @@ from repro.core import (
     AggregateComp,
     MultiSelectionComp,
     ObjectReader,
-    Writer,
     lambda_from_native,
 )
 from repro.memory import Float64, Int64, VectorType
@@ -152,20 +152,13 @@ class PCGmm:
         )
 
     def iterate(self, weights, means, covariances):
-        """One EM step through a model-carrying AggregateComp."""
+        """One EM step: one job of a model-carrying AggregateComp, whose
+        pairs — the per-component statistics — are its result."""
         k, d = np.asarray(means).shape
-        reader = ObjectReader(self.database, self.set_name)
-        partials = PartialStats(weights, means, covariances)
-        partials.set_input(reader)
-        agg = AccumulateStats().set_input(partials)
-        out_set = "gmm_stats_tmp"
-        if (self.database, out_set) in self.cluster.storage_manager:
-            self.cluster.clear_set(self.database, out_set)
-        writer = Writer(self.database, out_set).set_input(agg)
-        self.cluster.execute_computations(writer)
-        merged = self.cluster.read(
-            self.database, out_set, as_pairs=True, comp=agg
-        )
+        partials = PartialStats(weights, means, covariances).set_input(
+            ObjectReader(self.database, self.set_name))
+        merged = self.cluster.execute_computations(
+            AccumulateStats().set_input(partials))
 
         total = sum(value[0] for value in merged.values())
         new_weights = np.zeros(k)

@@ -3,8 +3,9 @@
 One Lloyd iteration is a single ``AggregateComp``, exactly as in the
 paper's Appendix A example: the computation object carries the current
 centroids, each data point contributes an ``Avg``-style (count, sum)
-value keyed by its closest centroid, and the aggregation result — read
-back from the stored Map set — becomes the next model.
+value keyed by its closest centroid, and the aggregation's merged pairs
+— the job's result, returned to this program and never stored — become
+the next model.
 
 Assignment computes exact squared distances, a block of points against
 every centre in one broadcast (:func:`assign_chunk`, which the columnar
@@ -21,7 +22,6 @@ from repro.core import (
     AggregateComp,
     MultiSelectionComp,
     ObjectReader,
-    Writer,
     lambda_from_native,
 )
 from repro.errors import PCError
@@ -119,18 +119,12 @@ class PCKMeans:
         return sample[chosen].copy()
 
     def iterate(self, centers):
-        """One Lloyd step: run the aggregation, read the new centroids."""
-        reader = ObjectReader(self.database, self.set_name)
-        partials = PartialCentroids(centers).set_input(reader)
-        agg = GetNewCentroids().set_input(partials)
-        out_set = "centroids_tmp"
-        if (self.database, out_set) in self.cluster.storage_manager:
-            self.cluster.clear_set(self.database, out_set)
-        writer = Writer(self.database, out_set).set_input(agg)
-        self.cluster.execute_computations(writer)
-        merged = self.cluster.read(
-            self.database, out_set, as_pairs=True, comp=agg
-        )
+        """One Lloyd step: one aggregation job, whose pairs are the new
+        centroids' (count, sum)."""
+        partials = PartialCentroids(centers).set_input(
+            ObjectReader(self.database, self.set_name))
+        merged = self.cluster.execute_computations(
+            GetNewCentroids().set_input(partials))
         new_centers = np.asarray(centers).copy()
         for j, value in merged.items():
             count, total = value[0], value[1:]

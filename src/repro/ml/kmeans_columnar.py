@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AggregateComp, ObjectReader, Writer, lambda_from_native
+from repro.core import AggregateComp, ObjectReader, lambda_from_native
 from repro.errors import PCError
 from repro.memory import Float64, Int64, VectorType
 from repro.ml.kmeans import assign_chunk
@@ -127,21 +127,15 @@ class ColumnarKMeans:
         return np.array([rows[i].as_tuple() for i in chosen])
 
     def iterate(self, centers, columnar=True):
-        """One Lloyd step: one :class:`AssignedSums` job.
+        """One Lloyd step: one :class:`AssignedSums` job, whose pairs are
+        its result.
 
         ``columnar`` is forwarded to ``execute_computations`` so the
         parity tests can force the object path on the same program.
         """
         centers = np.asarray(centers, dtype=np.float64)
-        agg = AssignedSums(centers).set_input(
-            ObjectReader(self.database, self.set_name)
-        )
-        out_set = "kmeans_part_tmp"
-        if (self.database, out_set) in self.cluster.storage_manager:
-            self.cluster.clear_set(self.database, out_set)
-        writer = Writer(self.database, out_set).set_input(agg)
-        self.cluster.execute_computations(writer, columnar=columnar)
-        sums = self.cluster.read(self.database, out_set, as_pairs=True, comp=agg)
+        sums = self.cluster.execute_computations(AssignedSums(centers).set_input(
+            ObjectReader(self.database, self.set_name)), columnar=columnar)
         new_centers = centers.copy()
         for j, value in sums.items():
             if value[0] > 0:

@@ -6,12 +6,15 @@ matches every triple with its document's topic-probability vector
 (theta) and its word's per-topic probability column (phi) — the paper's
 many-to-one join — samples topic assignments with the GSL stand-in
 multinomial, and two ``AggregateComp``s rebuild the doc-topic and
-word-topic count matrices.  New theta/phi are drawn from Dirichlet
-posteriors in the main program and loaded for the next iteration.
+word-topic count matrices.  A sweep's job ends in the two aggregations,
+so their merged pairs come back to the main program as its result and
+no set is written; new theta/phi are drawn from Dirichlet posteriors
+there and loaded for the next iteration.
 
 The graph of one iteration (readers, the join, two multi-selections, two
 aggregations, two writers, plus the initialization computations) is what
-the Figure 2 benchmark renders.
+the Figure 2 benchmark renders; its writers store the counts when that
+graph is run as it is drawn.
 """
 
 from __future__ import annotations
@@ -188,19 +191,11 @@ class PCLda:
         return [doc_writer, word_writer], doc_agg, word_agg
 
     def iterate(self):
-        """One Gibbs sweep; updates theta/phi sets, returns the state."""
-        cluster = self.cluster
-        for name in ("doc_counts", "word_counts"):
-            if (self.database, name) in cluster.storage_manager:
-                cluster.clear_set(self.database, name)
-        writers, doc_agg, word_agg = self.build_iteration_graph()
-        cluster.execute_computations(writers)
-        doc_counts = cluster.read(
-            self.database, "doc_counts", as_pairs=True, comp=doc_agg
-        )
-        word_counts = cluster.read(
-            self.database, "word_counts", as_pairs=True, comp=word_agg
-        )
+        """One Gibbs sweep — one job whose result is the two count
+        aggregations' pairs; updates theta/phi sets, returns the state."""
+        _writers, doc_agg, word_agg = self.build_iteration_graph()
+        doc_counts, word_counts = self.cluster.execute_computations(
+            [doc_agg, word_agg])
         rng = np.random.default_rng(self.seed + 7919 * (self._iteration + 1))
         theta = {
             doc: dirichlet(

@@ -114,12 +114,16 @@ class ReplicationManager:
 
     # -- placement (writes) ----------------------------------------------------
 
-    def _page_bytes(self, worker_id, page_id):
-        """The bytes of one stored copy, pinned only while they are read."""
+    def _page_bytes(self, worker_id, page_id, checksum=None, copy=True):
+        """The bytes of one stored copy, pinned only while they are read
+        — None if ``checksum`` is given and the copy, CRC-checked in
+        place, does not match it; ``copy=False``: True, no bytes taken."""
         pool = self.storage_manager.server(worker_id).pool
         page = pool.pin(page_id)
         try:
-            return page.to_bytes()
+            if checksum is not None and page.block.checksum() != checksum:
+                return None
+            return page.to_bytes() if copy else True
         finally:
             pool.unpin(page_id)
 
@@ -263,15 +267,15 @@ class ReplicationManager:
             with page_set.pinned_page(page_id) as page:
                 yield page_items(page.block)
 
-    def _verified_bytes(self, database, name, record, worker_id, page_id):
-        """A replica's bytes iff they pass the CRC check, else None."""
+    def _verified_bytes(self, record, worker_id, page_id, copy=True):
+        """A replica's bytes (``copy=False``: True) iff it passes the CRC
+        check, else None."""
         try:
-            data = self._page_bytes(worker_id, page_id)
+            data = self._page_bytes(worker_id, page_id, record.checksum, copy)
         except PageCorruptionError:
             data = None
-        if data is None or record.checksum not in (None, page_checksum(data)):
+        if data is None:
             self._note_checksum_failure(record, worker_id)
-            return None
         return data
 
     def _note_checksum_failure(self, record, worker_id):
@@ -294,15 +298,14 @@ class ReplicationManager:
         """
         page_set = self.storage_manager.server(reader).get_set(database, name)
         local = dict((w, p) for w, p in record.replicas)[reader]
-        data = self._verified_bytes(database, name, record, reader, local)
-        if data is not None:
+        # The reader's own copy is checked where it lies; only a peer's
+        # healthy bytes are copied, to ship.
+        if self._verified_bytes(record, reader, local, copy=False):
             return page_set, local
         for peer_id, peer_pid in self._live_replicas(record):
             if peer_id == reader:
                 continue
-            data = self._verified_bytes(
-                database, name, record, peer_id, peer_pid
-            )
+            data = self._verified_bytes(record, peer_id, peer_pid)
             if data is None:
                 continue
             healed = self._copy(
@@ -410,9 +413,7 @@ class ReplicationManager:
                     if target is None:
                         break
                     src_id, src_pid = record.replicas[0]
-                    data = self._verified_bytes(
-                        meta.database, meta.name, record, src_id, src_pid
-                    )
+                    data = self._verified_bytes(record, src_id, src_pid)
                     if data is None:
                         # Source copy is corrupt: heal through the read
                         # path first, then copy from the healed bytes.
@@ -420,9 +421,7 @@ class ReplicationManager:
                             meta.database, meta.name, record, src_id
                         )
                         record = meta.pages[uid]
-                        data = self._verified_bytes(
-                            meta.database, meta.name, record, src_id, healed
-                        )
+                        data = self._verified_bytes(record, src_id, healed)
                     record = self.catalog.update_page_replicas(
                         meta.database, meta.name, uid,
                         record.replicas + [self._copy(

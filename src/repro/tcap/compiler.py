@@ -84,9 +84,12 @@ class TcapCompiler:
     # -- public entry point ---------------------------------------------------------
 
     def compile(self, sinks):
-        """Compile all computations feeding ``sinks`` (usually Writers)."""
-        if isinstance(sinks, Computation):
-            sinks = [sinks]
+        """Compile all computations feeding ``sinks``: Writers, or
+        aggregations whose pairs are the job's result (an OUTPUT with
+        no set)."""
+        sinks = [sinks] if isinstance(sinks, Computation) else list(sinks)
+        results = [sink.name for sink in sinks
+                   if isinstance(sink, AggregateComp)]
         outputs = {}  # computation name -> (vlist, column)
         for comp in computation_graph(sinks):
             self.program.computations[comp.name] = comp
@@ -102,6 +105,10 @@ class TcapCompiler:
                 )
             elif isinstance(comp, AggregateComp):
                 outputs[comp.name] = self._compile_aggregate(comp, outputs)
+                if comp.name in results:
+                    self.program.append(OutputStmt(
+                        *outputs[comp.name], None, None, comp.name
+                    ))
             elif isinstance(comp, SelectionComp):
                 outputs[comp.name] = self._compile_selection(comp, outputs)
             else:

@@ -281,7 +281,9 @@ class AggregateStmt(Statement):
 
 
 class OutputStmt(Statement):
-    """Write a column of objects (or aggregate pairs) to a stored set."""
+    """Write a column of objects (or aggregate pairs) to a stored set —
+    or, with no set (``set_name`` None), hand an aggregation's pairs to
+    the program that ran the job (its *result*)."""
 
     op = "OUTPUT"
 
@@ -293,6 +295,13 @@ class OutputStmt(Statement):
         self.database = database
         self.set_name = set_name
 
+    @property
+    def target(self):
+        """Where the rows go: ``database.set``, or ``result of <comp>``."""
+        if self.set_name is None:
+            return "result of %s" % self.computation
+        return "%s.%s" % (self.database, self.set_name)
+
     def output_columns(self):
         return []
 
@@ -300,9 +309,10 @@ class OutputStmt(Statement):
         return [self.input_name]
 
     def to_text(self):
-        return "OUTPUT(%s(%s), '%s', '%s', '%s');" % (
-            self.input_name, self.column, self.database, self.set_name,
-            self.computation,
+        target = () if self.set_name is None else (self.database, self.set_name)
+        return "OUTPUT(%s(%s), %s);" % (
+            self.input_name, self.column,
+            ", ".join("'%s'" % name for name in (*target, self.computation)),
         )
 
 

@@ -173,6 +173,7 @@ def _build(op, output, out_cols, body, line_no):
                              val_ref[1][0], comp, info=info)
     if op == "OUTPUT":
         in_ref = _ref(body[0], line_no)
-        database, set_name, comp = (_string(t, line_no) for t in body[1:4])
+        *target, comp = (_string(t, line_no) for t in body[1:4])
+        database, set_name = target or (None, None)
         return OutputStmt(in_ref[0], in_ref[1][0], database, set_name, comp)
     raise TcapParseError("unknown operation %r" % op, line_no)

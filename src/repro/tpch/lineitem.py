@@ -25,7 +25,6 @@ from repro.core import (
     AggregateComp,
     ObjectReader,
     SelectionComp,
-    Writer,
     lambda_from_member,
     lambda_from_native,
     lambda_from_self,
@@ -132,29 +131,19 @@ class Q1Sum(AggregateComp):
 def q6_revenue(cluster, database="tpch", set_name="lineitem",
                columnar=True, **predicate):
     """Run the Q6-style scan; returns the summed revenue (a float)."""
-    reader = ObjectReader(database, set_name)
-    selected = Q6Selection(**predicate).set_input(reader)
-    agg = Q6Revenue().set_input(selected)
-    out_set = "q6_tmp"
-    if (database, out_set) in cluster.storage_manager:
-        cluster.clear_set(database, out_set)
-    writer = Writer(database, out_set).set_input(agg)
-    cluster.execute_computations(writer, columnar=columnar)
-    merged = cluster.read(database, out_set, as_pairs=True, comp=agg)
+    selected = Q6Selection(**predicate).set_input(
+        ObjectReader(database, set_name))
+    merged = cluster.execute_computations(
+        Q6Revenue().set_input(selected), columnar=columnar)
     return merged.get(0, 0.0)
 
 
 def q1_sums(cluster, measure, database="tpch", set_name="lineitem",
             columnar=True):
     """Per-returnflag sums of ``measure``; returns {flag: sum}."""
-    reader = ObjectReader(database, set_name)
-    agg = Q1Sum(measure).set_input(reader)
-    out_set = "q1_tmp"
-    if (database, out_set) in cluster.storage_manager:
-        cluster.clear_set(database, out_set)
-    writer = Writer(database, out_set).set_input(agg)
-    cluster.execute_computations(writer, columnar=columnar)
-    return cluster.read(database, out_set, as_pairs=True, comp=agg)
+    return cluster.execute_computations(
+        Q1Sum(measure).set_input(ObjectReader(database, set_name)),
+        columnar=columnar)
 
 
 def reference_q6(columns, date_lo=365, date_hi=730, disc_lo=1 / 64.0,

@@ -20,7 +20,6 @@ from repro.core import (
     AggregateComp,
     MultiSelectionComp,
     ObjectReader,
-    Writer,
     lambda_from_native,
 )
 import numpy as np
@@ -103,15 +102,10 @@ def customers_per_supplier_pc(cluster, database="tpch",
     Like the paper, finishes with a count over each supplier's customer
     map (Spark's laziness forced the same action there).
     """
-    reader = ObjectReader(database, set_name)
-    multi = CustomerMultiSelection().set_input(reader)
-    agg = CustomerSupplierPartGroupBy().set_input(multi)
-    out_set = "supplier_info_tmp"
-    if (database, out_set) in cluster.storage_manager:
-        cluster.clear_set(database, out_set)
-    writer = Writer(database, out_set).set_input(agg)
-    cluster.execute_computations(writer)
-    result = cluster.read(database, out_set, as_pairs=True, comp=agg)
+    multi = CustomerMultiSelection().set_input(
+        ObjectReader(database, set_name))
+    result = cluster.execute_computations(
+        CustomerSupplierPartGroupBy().set_input(multi))
     total_customers = sum(len(v) for v in result.values())
     return result, total_customers
 
@@ -191,14 +185,8 @@ class TopJaccard(AggregateComp):
 def top_k_jaccard_pc(cluster, k, query_parts, database="tpch",
                      set_name="customers"):
     """Run top-k Jaccard on PC; returns the k best candidates."""
-    reader = ObjectReader(database, set_name)
-    top = TopJaccard(k, query_parts).set_input(reader)
-    out_set = "topk_tmp"
-    if (database, out_set) in cluster.storage_manager:
-        cluster.clear_set(database, out_set)
-    writer = Writer(database, out_set).set_input(top)
-    cluster.execute_computations(writer)
-    merged = cluster.read(database, out_set, as_pairs=True)
+    merged = cluster.execute_computations(
+        TopJaccard(k, query_parts).set_input(ObjectReader(database, set_name)))
     candidates = merged.get(0, [])
     return sorted(candidates, key=lambda c: (-c[0], c[1]))[:k]
 

@@ -37,10 +37,11 @@ from repro.memory import Int32, PCObject, String, make_object
 from repro.ml.kmeans_columnar import ColumnarKMeans
 from repro.storage import corrupt_bytes, page_checksum
 from repro.tpch import (
+    CustomerMultiSelection,
+    CustomerSupplierPartGroupBy,
+    TopJaccard,
     TpchSpec,
-    customers_per_supplier_pc,
     load_pc_customers,
-    top_k_jaccard_pc,
 )
 
 from test_fault_tolerance import (
@@ -342,12 +343,22 @@ class DimensionJoin(JoinComp):
 
 
 def _tpch(cluster):
+    """The two TPC-H aggregations, each written through a Writer into a
+    named set: the Map-typed one leaves Map pages, the row-wire
+    ``TopJaccard`` Python values."""
     load_pc_customers(
         cluster, TpchSpec(n_customers=60, n_parts=40, n_suppliers=6, seed=11)
     )
-    customers_per_supplier_pc(cluster)
-    top_k_jaccard_pc(cluster, 4, [1, 5, 9, 12])
-    return [("tpch", "supplier_info_tmp"), ("tpch", "topk_tmp")]
+    Writer("tpch", "supplier_info").set_input(
+        CustomerSupplierPartGroupBy().set_input(
+            CustomerMultiSelection().set_input(
+                ObjectReader("tpch", "customers")))
+    ).execute(cluster)
+    Writer("tpch", "topk").set_input(
+        TopJaccard(4, [1, 5, 9, 12]).set_input(
+            ObjectReader("tpch", "customers"))
+    ).execute(cluster)
+    return [("tpch", "supplier_info"), ("tpch", "topk")]
 
 
 def _etl(cluster):

@@ -13,8 +13,9 @@ bytes.
 import numpy as np
 import pytest
 
-from repro.cluster import PCCluster
+from repro.cluster import FaultInjector, PCCluster, RetryPolicy
 from repro.cluster.transport import remote_available
+from repro.errors import ExecutionError
 from repro.lillinalg import DistributedMatrix, LilLinAlg, MatrixBlock
 
 RNG = np.random.default_rng(11)
@@ -139,6 +140,35 @@ def _leaves_no_set_behind(cluster):
 
 def test_to_numpy_leaves_no_set_behind(cluster):
     _leaves_no_set_behind(cluster)
+
+
+class _OutputTaskCrasher(FaultInjector):
+    """Every worker's back-end crashes on its second task of a job and
+    on: a reduction's OUTPUT task, once its pre-aggregation is done."""
+
+    def __init__(self):
+        super().__init__()
+        self._tasks = {}
+
+    def should_crash_backend(self, worker_id, stage_kind):
+        nth = self._tasks[worker_id] = self._tasks.get(worker_id, 0) + 1
+        self.counts["backend_crashes"] += nth >= 2
+        return nth >= 2
+
+
+def test_a_failed_scalar_reduction_leaves_no_set_behind(tmp_path):
+    """A scalar reduction's job returns its pairs and stores nothing, so
+    a job that raises leaves the sets as they were."""
+    injector = _OutputTaskCrasher()
+    with PCCluster(n_workers=2, page_size=1 << 16, spill_root=str(tmp_path),
+                   fault_injector=injector,
+                   retry_policy=RetryPolicy.disabled()) as cluster:
+        da = _mat(cluster, RNG.normal(size=(10, 7)), 4, 3)
+        sets = _set_names(cluster)
+        with pytest.raises(ExecutionError, match="failed permanently"):
+            da.min_element()
+        assert injector.counts["backend_crashes"] > 0
+        assert _set_names(cluster) == sets
 
 
 @pytest.mark.skipif(not remote_available(), reason="cloudpickle unavailable")

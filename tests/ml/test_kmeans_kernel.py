@@ -16,12 +16,11 @@ from repro.cluster.transport import remote_available
 from repro.core.lambdas import Arg
 from repro.ml.kmeans import (
     BLOCK_ELEMENTS,
-    GetNewCentroids,
     PartialCentroids,
     PCKMeans,
     assign_chunk,
 )
-from repro.ml.kmeans_columnar import AssignedSums, ColumnarKMeans
+from repro.ml.kmeans_columnar import ColumnarKMeans
 
 TRANSPORTS = [
     "sim",
@@ -162,14 +161,13 @@ def test_both_drivers_assign_every_point_alike(tmp_path, transport):
                    spill_root=str(tmp_path)) as cluster:
         chunked = PCKMeans(cluster).load(points, chunk_size=32)
         columnar = ColumnarKMeans(cluster).load(points)
+        # Each step's job returns its aggregation's pairs: keep them.
+        returned, run = [], cluster.execute_computations
+        cluster.execute_computations = \
+            lambda *a, **kw: returned.append(run(*a, **kw)) or returned[-1]
         from_chunks = chunked.iterate(centers)
         from_columns = columnar.iterate(centers)
-        sums = {
-            "chunked": cluster.read("ml", "centroids_tmp", as_pairs=True,
-                                    comp=GetNewCentroids()),
-            "columnar": cluster.read("ml", "kmeans_part_tmp", as_pairs=True,
-                                     comp=AssignedSums(centers)),
-        }
+        sums = dict(zip(("chunked", "columnar"), returned))
     for driver, merged in sums.items():
         counts = {int(j): float(value[0]) for j, value in merged.items()}
         assert counts == expected_counts, driver

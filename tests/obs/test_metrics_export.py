@@ -13,7 +13,14 @@ import json
 import pytest
 
 from repro.cluster import PCCluster
-from repro.tpch import TpchSpec, customers_per_supplier_pc, load_pc_customers
+from repro.core import ObjectReader, Writer
+from repro.tpch import (
+    CustomerMultiSelection,
+    CustomerSupplierPartGroupBy,
+    TpchSpec,
+    customers_per_supplier_pc,
+    load_pc_customers,
+)
 
 SPEC = TpchSpec(n_customers=40, n_parts=60, n_suppliers=8, seed=3)
 
@@ -22,8 +29,13 @@ SPEC = TpchSpec(n_customers=40, n_parts=60, n_suppliers=8, seed=3)
 def cluster():
     cluster = PCCluster(n_workers=2, page_size=1 << 16, profiling=True)
     load_pc_customers(cluster, SPEC, replication=2)
-    result, total = customers_per_supplier_pc(cluster)
-    assert total > 0  # the job really ran
+    # Written to a set, so the job allocates its output pages in the
+    # workers' pools (a job that returns its pairs stores none).
+    agg = CustomerSupplierPartGroupBy().set_input(
+        CustomerMultiSelection().set_input(ObjectReader("tpch", "customers")))
+    Writer("tpch", "supplier_info").set_input(agg).execute(cluster)
+    result = cluster.read("tpch", "supplier_info", as_pairs=True, comp=agg)
+    assert sum(len(v) for v in result.values()) > 0  # the job really ran
     return cluster
 
 
