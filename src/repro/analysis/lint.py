@@ -566,9 +566,9 @@ ARCHITECTURE = {
         "scatter_map": ("repro.memory.builtins.MapType.inserter",),
         "map_pairs": ("repro.engine.pipeline.map_items",),
         # Read where a Map page is: where an exchange or a job's result
-        # arrives (``map_page_pairs``, a result sink), the client's read.
+        # arrives (``map_page_pairs``, the caller's merge), the client's read.
         "map_items": ("repro.engine.pipeline.map_page_pairs",
-                      "repro.engine.pipeline._PageSink.finish",
+                      "repro.cluster.scheduler.DistributedScheduler._merge_at_caller",
                       "repro.cluster.cluster.PCCluster.read"),
         "plan_objects": ("repro.storage.dataset.RowPageWriter._write",),
         "book_task_evidence": (
@@ -589,12 +589,12 @@ ARCHITECTURE = {
         "retain": "memory",
     },
     "ceilings": {
-        "repro/cluster/scheduler.py": 978,
+        "repro/cluster/scheduler.py": 977,
         "repro/cluster/transport.py": 750,
-        "repro/cluster/cluster.py": 691,
+        "repro/cluster/cluster.py": 690,
         "repro/cluster/procworker.py": 283,
         "repro/cluster/worker.py": 195,
-        "repro/storage/replication.py": 443,
+        "repro/storage/replication.py": 442,
         "repro/storage/dataset.py": 397,
         "repro/engine/physical.py": 307,
         "repro/engine/pipeline.py": 959,

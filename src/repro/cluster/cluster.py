@@ -626,10 +626,9 @@ class _LoadBlock:
     pages_shipped = property(lambda self: len(self.sealed))
     objects_loaded = property(lambda self: self.appended)
 
-    def _land(self, data, count):
+    def _land(self, data, count, allocations):
         self._landed.append(self.cluster.replication.land_page(
-            self.database, self.set_name, data, count, source="client",
-        ))
+            self.database, self.set_name, data, count, source="client", allocations=allocations))
         return self._landed[-1]
 
     def _commit(self):
@@ -668,7 +667,7 @@ class ClusterLoader(_LoadBlock, RowPageWriter):
 
         def seal_page(block, _token, count):
             # An empty block is just dropped: nothing lands.
-            return self._land(block.to_bytes(), count) if count else None
+            return self._land(block.to_bytes(), count, block.alloc_count) if count else None
 
         fallbacks = kernel_fallbacks(cluster.metrics_registry)
         RowPageWriter.__init__(
@@ -686,6 +685,6 @@ class ColumnarClusterLoader(_LoadBlock, FlushOnExit, ColumnarPageWriter):
         _LoadBlock.__init__(self, cluster, database, set_name)
         ColumnarPageWriter.__init__(
             self, schema, page_size,
-            lambda page: self._land(page.block.to_bytes(), len(page)),
+            lambda page: self._land(page.block.to_bytes(), len(page), page.block.alloc_count),
             registry=cluster.catalog.registry,
         )

@@ -30,6 +30,8 @@ from __future__ import annotations
 import random
 import time
 
+from repro.storage.replication import corrupt_bytes
+
 #: Transfer verdicts returned by :meth:`FaultInjector.on_transfer`.
 DELIVER = "deliver"
 DROP = "drop"
@@ -175,6 +177,16 @@ class FaultInjector:
             self.counts["transfer_delays"] += 1
             return DELIVER, self.delay_s
         return DELIVER, 0.0
+
+    def hand_over(self, src, dst, data):
+        """``data``, a page ``src``'s task sealed, as it reaches ``dst`` in
+        the task's result — no network transfer, but the same verdict
+        (:meth:`on_transfer`): anything but ``deliver`` spoils it
+        (:func:`~repro.storage.replication.corrupt_bytes`), for the
+        receiver's CRC check to turn away."""
+        if self.on_transfer(src, dst, len(data))[0] == DELIVER:
+            return data
+        return corrupt_bytes(data)
 
     def should_fail_reload(self, page_id):
         """Consulted by the buffer pool before reloading a spilled page."""

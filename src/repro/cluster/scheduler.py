@@ -8,7 +8,8 @@ turns every pipeline into distributed *job stages*:
 * ``BuildHashTableJobStage`` — building join hash tables from shuffled or
   broadcast data;
 * ``AggregationJobStage`` — moving shuffled pre-aggregation Maps to the
-  workers whose tasks merge them (the consuming stage of Figure 5).
+  workers whose tasks merge them (the consuming stage of Figure 5), or
+  merging a job's result at its caller.
 
 All one shape: per-worker tasks over local data, cut at every partitioned
 join probe, whose sealed outboxes the coordinator only moves and installs.
@@ -25,7 +26,8 @@ them into PC ``Map``s on combiner pages, the pages' *bytes* are shipped,
 and the task that reads the aggregation on the receiving worker reads
 each Map straight out of the arrived bytes and merges it — zero
 serialization on both ends, and no decode in the coordinator, which
-only moves the pages and keeps them for that task.
+only moves the pages and keeps them for that task.  A job's result has
+no consuming task: its caller merges what each producing task sealed.
 
 One task runner, one attempt loop: a worker's portion of a stage is always
 :func:`repro.engine.pipeline.run_task`, ``(job, spec) -> (sink state,
@@ -82,6 +84,8 @@ from repro.engine.pipeline import (
     combine_into,
     hash_rows_into,
     join_sides,
+    map_items,
+    map_page_pairs,
     run_task,
 )
 from repro.cluster.transport import (
@@ -185,8 +189,8 @@ class DistributedScheduler:
                 self.cluster.register_type(comp.map_type)
         while True:
             #: (database, set) -> worker id -> the OUTPUT sinks built
-            #: there; a result's aggregation name -> its sinks
-            self._outputs, self._results = {}, {}
+            #: there; a result's aggregation name -> its merged pairs
+            self._outputs, self.results = {}, {}
             try:
                 self._execute_plan()
                 self._commit_outputs()
@@ -217,13 +221,8 @@ class DistributedScheduler:
         this run, so a scan in the job reads every set as it was before
         the job, and a run that fails or restarts is undone by
         :meth:`_abort_outputs` alone — whatever earlier jobs wrote to
-        the same sets stays.  A result's pairs are merged into
-        :attr:`results` from this run's sinks (an aborted one has none).
+        the same sets stays.
         """
-        self.results = {name: combine_into(
-            {}, (pair for sink in sinks for pair in sink.result),
-            self.program.computations[name].combine,
-        ) for name, sinks in self._results.items()}
         if self._outputs:
             self.cluster.replication.place_pages({
                 key: [
@@ -773,68 +772,71 @@ class DistributedScheduler:
     def _run_aggregate(self, pipeline):
         agg = pipeline.sink
         comp = self.program.computations[agg.computation]
-        exchange = (len(self.workers), self.cluster.combiner_page_size)
+        caller = pipeline.result is not None  # one partition, the caller's
+        exchange = (None if caller else len(self.workers),
+                    self.cluster.combiner_page_size)
 
         # Producing stage: per-worker pre-aggregation (pipelining threads),
         # each task partitioning and packing what it sends.
-        with self._stage(
-            "PipelineJobStage", "pre-aggregation for %s" % agg.output,
-        ):
-            self._run_distributed_pipeline(
-                pipeline,
-                lambda worker: AggregateSink(
-                    self._kept_on(worker), agg, exchange
-                ),
-            )
+        with self._stage("PipelineJobStage", "pre-aggregation for %s" % agg.output):
+            self._run_distributed_pipeline(pipeline, lambda worker: AggregateSink(
+                self._kept_on(worker), agg, exchange, None if self.faults is None
+                else functools.partial(self.faults.hand_over, worker.worker_id, "caller"),
+            ))
 
         # Consuming stage: the pre-aggregated pairs, exchanged by key hash,
         # are kept as they arrived; each task that reads the aggregation
-        # merges its worker's (``PipelineEngine.source_batches``).
+        # merges its worker's (``PipelineEngine.source_batches``) — or the
+        # caller merges them all, a result's.
         def install(kept, arrived):
             kept.store[agg.output] = ("arrived", agg.computation, arrived)
 
-        with self._stage(
-            "AggregationJobStage", "shuffled merge for %s over %d partitions"
-            % (agg.output, len(self.workers)),
-        ):
-            self._exchange_kept(agg.output, install, comp)
+        with self._stage("AggregationJobStage", "merge of %s at the caller" % agg.output if caller
+                         else "shuffled merge for %s over %d partitions" % (agg.output, len(self.workers))):
+            if caller:
+                self.results[agg.computation] = self._merge_at_caller(agg.output, comp)
+            else:
+                self._exchange_kept(agg.output, install, comp)
+
+    def _merge_at_caller(self, output, comp):
+        """The job's result: what each worker's producing task sealed for
+        the caller under ``output`` — Map pages, CRC-checked as they
+        arrived (``AggregateSink.finish``), or rows — decoded by ``comp``
+        and folded in worker order."""
+        fallbacks = kernel_fallbacks(self.cluster.metrics_registry)
+
+        def declined(reason):
+            fallbacks.inc(operator="map_read", reason=reason)
+
+        merged = {}
+        for worker in self.workers:
+            for held in self._kept_on(worker).store.pop(output)[0]:
+                pairs = map_items(held, comp, None) if comp.map_type is None else \
+                    map_page_pairs(held, comp, self.cluster.catalog.registry, declined)
+                combine_into(merged, pairs, comp.combine)
+        return merged
 
     def _run_materialize(self, pipeline):
-        with self._stage(
-            "PipelineJobStage", "materialize %s" % pipeline.sink,
-        ):
-            self._run_distributed_pipeline(
-                pipeline,
-                lambda worker: MaterializeSink(self._kept_on(worker),
-                                               pipeline.sink),
-            )
+        with self._stage("PipelineJobStage", "materialize %s" % pipeline.sink):
+            self._run_distributed_pipeline(pipeline, lambda worker: MaterializeSink(
+                self._kept_on(worker), pipeline.sink))
 
     def _run_output(self, pipeline):
         """Each worker's task writes into an OUTPUT sink over its
-        partition of the set — or, for a job's result (no set), over
-        none: no set is made, no page adopted, nothing recorded."""
+        partition of the set."""
         output = pipeline.sink
         key = (output.database, output.set_name)
         aggregation = self._aggregate_behind(output)
-        fallbacks = kernel_fallbacks(self.cluster.metrics_registry)
-        if output.set_name is not None:
-            self.cluster.ensure_set(*key)
+        self.cluster.ensure_set(*key)
 
         def sink_factory(worker):
-            page_set, kept = None, self._kept_on(worker)
-            if output.set_name is None:
-                sinks = self._results.setdefault(output.computation, [])
-                page_size = self.cluster.combiner_page_size
-            else:
-                page_set = worker.storage.get_set(*key)
-                page_size = page_set.page_size
-                sinks = self._outputs.setdefault(key, {}).setdefault(
-                    worker.worker_id, [])
+            kept, page_set = self._kept_on(worker), worker.storage.get_set(*key)
+            sinks = self._outputs.setdefault(key, {}).setdefault(
+                worker.worker_id, [])
             sinks.append(MapPageOutputSink(
-                kept, output, page_size, aggregation, page_set,
-                lambda reason: fallbacks.inc(operator="map_read", reason=reason),
+                kept, output, page_set.page_size, aggregation, page_set,
             ) if aggregation is not None else ClusterOutputSink(
-                kept, output, page_size, page_set))
+                kept, output, page_set.page_size, page_set))
             return sinks[-1]
 
         with self._stage("PipelineJobStage", "pipeline into %s" % output.target):
@@ -844,14 +846,11 @@ class DistributedScheduler:
         """The name of the typed AggregateComp whose pairs this OUTPUT
         writes, if any."""
         for statement in self.program.statements:
-            if (
-                isinstance(statement, ApplyStmt)
-                and statement.new_column == output_stmt.column
-                and statement.info.get("type") == "pairUp"
-            ):
-                comp = self.program.computations.get(statement.computation)
-                if isinstance(comp, AggregateComp) and comp.map_type is not None:
-                    return statement.computation
+            comp = self.program.computations.get(statement.computation)
+            if isinstance(statement, ApplyStmt) and statement.info.get("type") == "pairUp" \
+                    and statement.new_column == output_stmt.column \
+                    and isinstance(comp, AggregateComp) and comp.map_type is not None:
+                return statement.computation
         return None
 
 

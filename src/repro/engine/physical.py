@@ -8,7 +8,8 @@ sink*; only a few operations require one:
 * JOIN — the build side ends in a hash-table sink; the probe side runs
   *through* the join as an ordinary stage;
 * AGGREGATE — the producing stage ends in an aggregation sink; consumers
-  start a new pipeline over the aggregated result;
+  start a new pipeline over the aggregated result — unless the job's
+  result is its only reader: then its pipeline ends at the caller;
 * OUTPUT — the terminal sink writing a stored set;
 * any vector list with more than one consumer is materialized (the
   paper's rule for multi-consumer outputs).
@@ -52,33 +53,32 @@ class Pipeline:
     """One executable pipeline: source -> stages -> sink."""
 
     def __init__(self, pipeline_id, source_kind, source, stages, sink_kind,
-                 sink):
+                 sink, result=None):
         self.pipeline_id = pipeline_id
         self.source_kind = source_kind
         self.source = source  # ScanStmt or vlist name
         self.stages = stages  # APPLY/FILTER/HASH/FLATTEN/JOIN(probe) stmts
         self.sink_kind = sink_kind
         self.sink = sink  # OutputStmt | JoinStmt | AggregateStmt | vlist name
+        #: the OUTPUT that hands an aggregation's pairs to the job's
+        #: caller, its only reader (None: a pipeline reads them on)
+        self.result = result
 
     def depends_on(self):
         """Names of materialized vector lists / join builds required."""
-        needs = []
-        if self.source_kind == SOURCE_VLIST:
-            needs.append(("vlist", self.source))
-        for stage in self.stages:
-            if isinstance(stage, JoinStmt):
-                needs.append(("hash_table", stage.output))
-        return needs
+        needs = [("vlist", self.source)] if self.source_kind == SOURCE_VLIST \
+            else []
+        return needs + [("hash_table", stage.output) for stage in self.stages
+                        if isinstance(stage, JoinStmt)]
 
     def provides(self):
         """What this pipeline makes available once it has run."""
-        if self.sink_kind == SINK_HASH_BUILD:
-            return ("hash_table", self.sink.output)
-        if self.sink_kind == SINK_AGGREGATE:
-            return ("vlist", self.sink.output)
         if self.sink_kind == SINK_MATERIALIZE:
             return ("vlist", self.sink)
-        return ("output", self.sink.set_name)
+        if self.sink_kind == SINK_OUTPUT:
+            return ("output", self.sink.set_name)
+        return ("hash_table" if self.sink_kind == SINK_HASH_BUILD else "vlist",
+                self.sink.output)
 
     def describe(self):
         """One-line description used by the Figure 3 bench."""
@@ -86,16 +86,13 @@ class Pipeline:
             src = "scan %s.%s" % (self.source.database, self.source.set_name)
         else:
             src = "read %s" % self.source
-        ops = []
-        for stage in self.stages:
-            if isinstance(stage, JoinStmt):
-                ops.append("probe(%s)" % stage.output)
-            else:
-                ops.append(stage.op.lower())
+        ops = ["probe(%s)" % stage.output if isinstance(stage, JoinStmt)
+               else stage.op.lower() for stage in self.stages]
         sink = {
             SINK_OUTPUT: lambda: "write %s" % self.sink.target,
             SINK_HASH_BUILD: lambda: "build(%s)" % self.sink.output,
-            SINK_AGGREGATE: lambda: "aggregate(%s)" % self.sink.output,
+            SINK_AGGREGATE: lambda: "aggregate(%s)" % self.sink.output + (
+                "" if self.result is None else " -> " + self.result.target),
             SINK_MATERIALIZE: lambda: "materialize(%s)" % self.sink,
         }[self.sink_kind]()
         return " -> ".join([src] + ops + [sink])
@@ -159,10 +156,7 @@ def plan_joins(program, build_side_overrides=None, set_bytes=None,
     hash-partitioned (the paper's rule, Section 8.3.2).
     """
     overrides = build_side_overrides or {}
-    producers = {
-        s.output: s for s in program.statements
-        if not isinstance(s, OutputStmt)
-    }
+    producers = {s.output: s for s in program.statements}
     build_sides, join_modes = {}, {}
 
     def size(vlist):
@@ -176,9 +170,8 @@ def plan_joins(program, build_side_overrides=None, set_bytes=None,
             else:
                 (vlist,) = statement.input_names()
             statement = producers.get(vlist)
-        if set_bytes is None:
-            return None
-        return set_bytes(statement.database, statement.set_name)
+        return None if set_bytes is None \
+            else set_bytes(statement.database, statement.set_name)
 
     def side(join):
         if join.output not in build_sides:
@@ -189,11 +182,8 @@ def plan_joins(program, build_side_overrides=None, set_bytes=None,
             )
             build = left if chosen == "left" else right
             build_sides[join.output] = chosen
-            join_modes[join.output] = (
-                "broadcast"
-                if build is not None and build <= broadcast_threshold
-                else "partition"
-            )
+            join_modes[join.output] = "broadcast" if build is not None \
+                and build <= broadcast_threshold else "partition"
         return build_sides[join.output]
 
     for statement in program.statements:
@@ -211,16 +201,17 @@ def plan_pipelines(program, build_side_overrides=None, set_bytes=None,
         for name in statement.input_names():
             consumers.setdefault(name, []).append(statement)
 
-    build_sides, join_modes = plan_joins(
-        program, build_side_overrides, set_bytes, broadcast_threshold
-    )
+    build_sides, join_modes = plan_joins(program, build_side_overrides,
+                                         set_bytes, broadcast_threshold)
 
-    # Vector lists that force a pipeline cut when *consumed*.
+    # Vector lists that force a pipeline cut when *consumed* — but no
+    # pipeline reads an aggregation whose pairs go to the caller.
+    results = _results(program, consumers)
     materialized = {
         statement.output for statement in program.statements
         if isinstance(statement, AggregateStmt)
         or len(consumers.get(statement.output, [])) > 1
-    }
+    } - set(results)
 
     pipelines = []
 
@@ -231,13 +222,11 @@ def plan_pipelines(program, build_side_overrides=None, set_bytes=None,
         materialized vector list fans out to several consumers, each of
         which heads its own pipeline).
         """
-        stages = []
-        current = start_vlist
+        stages, current = [], start_vlist
 
-        def end(sink_kind, sink):
-            pipelines.append(Pipeline(
-                len(pipelines), source_kind, source, stages, sink_kind, sink,
-            ))
+        def end(sink_kind, sink, result=None):
+            pipelines.append(Pipeline(len(pipelines), source_kind, source,
+                                      stages, sink_kind, sink, result))
 
         while True:
             if entry is not None:
@@ -252,23 +241,20 @@ def plan_pipelines(program, build_side_overrides=None, set_bytes=None,
                 stages.append(statement)
                 current = statement.output
             elif isinstance(statement, JoinStmt):
-                side = build_sides[statement.output]
-                build_input = (
-                    statement.left_input if side == "left"
-                    else statement.right_input
-                )
-                if current == build_input:
+                left = build_sides[statement.output] == "left"
+                if current == (statement.left_input if left
+                               else statement.right_input):
                     return end(SINK_HASH_BUILD, statement)
                 stages.append(statement)  # probe stage, pipeline continues
                 current = statement.output
             elif isinstance(statement, AggregateStmt):
-                return end(SINK_AGGREGATE, statement)
+                return end(SINK_AGGREGATE, statement,
+                           results.get(statement.output))
             elif isinstance(statement, OutputStmt):
                 return end(SINK_OUTPUT, statement)
             else:
-                raise PlanningError(
-                    "cannot place statement %r" % type(statement).__name__
-                )
+                raise PlanningError("cannot place statement %r"
+                                    % type(statement).__name__)
 
     for statement in program.statements:
         if isinstance(statement, ScanStmt):
@@ -280,27 +266,41 @@ def plan_pipelines(program, build_side_overrides=None, set_bytes=None,
     return PhysicalPlan(_topo_sort(pipelines), build_sides, join_modes)
 
 
+def _results(program, consumers):
+    """Aggregation output vlist -> the OUTPUT with no set that hands its
+    pairs, through its ``pairUp`` alone, to the job's caller; a
+    PlanningError if anything else in the job reads them too."""
+    producers = {statement.output: statement for statement in program.statements}
+    results = {}
+    for output in program.statements:
+        if isinstance(output, OutputStmt) and output.set_name is None:
+            pair_up = producers.get(output.input_name)
+            aggregate = producers.get(getattr(pair_up, "input_name", None))
+            if not isinstance(aggregate, AggregateStmt) or (
+                consumers[pair_up.output], consumers[aggregate.output]
+            ) != ([output], [pair_up]):
+                raise PlanningError(
+                    "%s is read by more than the job's caller" % output.target)
+            results[aggregate.output] = output
+    return results
+
+
 def _topo_sort(pipelines):
     """Order pipelines so every dependency runs before its consumer."""
-    providers = {}
-    for pipeline in pipelines:
-        providers[pipeline.provides()] = pipeline
-    ordered = []
-    state = {}  # pipeline_id -> "visiting" | "done"
+    providers = {pipeline.provides(): pipeline for pipeline in pipelines}
+    ordered, state = [], {}  # pipeline_id -> "visiting" | "done"
 
     def visit(pipeline):
         mark = state.get(pipeline.pipeline_id)
-        if mark == "done":
-            return
         if mark == "visiting":
             raise PlanningError("cyclic pipeline dependencies")
-        state[pipeline.pipeline_id] = "visiting"
-        for need in pipeline.depends_on():
-            provider = providers.get(need)
-            if provider is not None:
-                visit(provider)
-        state[pipeline.pipeline_id] = "done"
-        ordered.append(pipeline)
+        if mark is None:
+            state[pipeline.pipeline_id] = "visiting"
+            for need in pipeline.depends_on():
+                if need in providers:
+                    visit(providers[need])
+            state[pipeline.pipeline_id] = "done"
+            ordered.append(pipeline)
 
     for pipeline in pipelines:
         visit(pipeline)

@@ -157,6 +157,9 @@ class PipelineEngine(JobState):
                 source = self.stored(source)
             self.run_stages(pipeline.stages, self.source_batches(source, pages), sink)
             sink.finish()
+            if pipeline.result is not None:  # the pairs, keyed as a Writer's
+                groups = self.stored(pipeline.sink.output)[1]
+                self.outputs[None, pipeline.result.computation] = list(zip(groups["key"], groups["val"]))
         return self.outputs
 
     # -- pipeline execution --------------------------------------------------------
@@ -569,6 +572,16 @@ def map_page_pairs(pages, comp, registry, declined):
         AllocationBlock.from_bytes(data, registry=registry))[0], comp, declined)]
 
 
+def check_arrived(pages, target, arrived=None):
+    """Raise :class:`WorkerCrashError` unless every sealed page ``(bytes, CRC,
+    ...)`` for ``target`` arrived as sealed: ``arrived(bytes)`` (None: the bytes)."""
+    for index, (data, checksum, *_sealed) in enumerate(pages):
+        if page_checksum(data if arrived is None else arrived(data)) != checksum:
+            raise WorkerCrashError(
+                "page %d of %d for %s arrived corrupt (CRC mismatch); none "
+                "of the task's pages is kept" % (index + 1, len(pages), target))
+
+
 def hash_rows_into(table, rows):
     """Bucket ``rows`` — tuples ``(hash, *values)`` — by their hash:
     ``table[hash]`` gains the ``values`` tuple, in order."""
@@ -714,19 +727,21 @@ class AggregateSink(Sink):
     Sealed, the groups are the ``key`` / ``val`` columns the next local
     pipeline reads — or, with ``exchange=(n, page_size)``, what this
     worker sends into the aggregation exchange: ``n`` lists of messages,
-    the groups partitioned by ``stable_hash(key) % n``.  A partition is
-    one message: of an aggregation whose pairs travel as PC Maps
-    (``map_type``), its combiner pages, packed right here by the task
-    that holds the data (Figure 5); of any other, its ``(key, value)``
-    rows.  An empty one is no message.
+    the groups partitioned by ``stable_hash(key) % n``; ``n`` None is
+    one partition, for the job's caller.  A partition is one message: of
+    an aggregation whose pairs travel as PC Maps (``map_type``), its
+    combiner pages, packed right here by the task that holds the data
+    (Figure 5); of any other, its ``(key, value)`` rows.  An empty one is
+    no message.  ``finish()`` checks the CRC of each Map page for the
+    caller as ``arrived(bytes)`` hands it over (None: as sealed).
     """
 
-    def __init__(self, engine, agg_stmt, exchange=None):
+    def __init__(self, engine, agg_stmt, exchange=None, arrived=None):
         super().__init__(engine)
         self.statement = agg_stmt
         self.comp = engine.program.computations[agg_stmt.computation]
         self.groups = {}  # key -> combined value
-        self.exchange = exchange
+        self.exchange, self.arrived = exchange, arrived
         self.state = None
 
     def remote_spec(self):
@@ -756,7 +771,8 @@ class AggregateSink(Sink):
                                       "val": list(groups.values())})
             return
         n, page_size = self.exchange
-        partitions = partition_rows(groups.items(), map(stable_hash, groups), n)
+        partitions = [list(groups.items())] if n is None else \
+            partition_rows(groups.items(), map(stable_hash, groups), n)
         if comp.map_type is not None:
             declined = partial(self.engine.metrics.fallback, "map_build")
             partitions = [
@@ -767,6 +783,9 @@ class AggregateSink(Sink):
         self.state = [[held] if held else [] for held in partitions]
 
     def finish(self):
+        if self.exchange and self.exchange[0] is None and self.comp.map_type is not None:
+            for held in self.state[0]:
+                check_arrived(held, "the result of %s" % self.comp.name, self.arrived)
         self.engine.store[self.statement.output] = self.state
 
 
@@ -819,10 +838,9 @@ class ListOutputSink(Sink):
         self.statement = output_stmt
 
     def consume(self, batch):
-        key = (self.statement.database, self.statement.set_name or self.statement.computation)
-        self.engine.outputs.setdefault(key, []).extend(
-            kernels.reify_column(batch.column(self.statement.column))
-        )
+        statement = self.statement
+        self.engine.outputs.setdefault((statement.database, statement.set_name), []).extend(
+            kernels.reify_column(batch.column(statement.column)))
 
 
 class _PageSink(Sink):
@@ -831,48 +849,30 @@ class _PageSink(Sink):
     The pages are private blocks, so the same body runs in a back-end
     process and in the coordinator; sealed, they are ``(bytes, CRC,
     allocations, objects)`` in ``state["pages"]``.  ``finish()`` runs in
-    the coordinator and verifies every CRC.  With a ``page_set`` — the
-    worker-local partition of the output set — it then adopts the bytes
-    into the partition and says so in :attr:`adopted`, for the job to
-    place once its whole plan is through
-    (``ReplicationManager.place_pages``).  Without one the sink is a
-    job's result: its pairs are decoded once (``declined`` hears why a
-    Map was read entry by entry) into :attr:`result`, and nothing is
-    stored.  :meth:`abort` frees the pages this sink adopted and takes
-    their objects back off the partition's count — whatever other sinks
-    added since, and nothing the second time — and drops its result.
+    the coordinator, over the worker-local partition of the output set
+    (``page_set``): it verifies every CRC, then adopts the bytes into the
+    partition and says so in :attr:`adopted`, for the job to place once
+    its whole plan is through (``ReplicationManager.place_pages``).
+    :meth:`abort` frees the pages this sink adopted and takes their
+    objects back off the partition's count — whatever other sinks added
+    since, and nothing the second time.
     """
 
-    def __init__(self, engine, output_stmt, page_size, page_set=None,
-                 declined=None):
+    def __init__(self, engine, output_stmt, page_size, page_set=None):
         super().__init__(engine)
         self.statement, self.page_size = output_stmt, page_size
-        self.page_set, self.declined = page_set, declined
-        self.state = None
+        self.page_set, self.state = page_set, None
         #: ``(bytes, CRC, objects, page id)`` of every page adopted, and
         #: the plain Python values that came with them (a
-        #: :class:`ClusterOutputSink`'s): what the job commits — or, for
-        #: a result, its decoded ``(key, value)`` pairs
-        self.adopted, self.python, self.result = [], [], []
+        #: :class:`ClusterOutputSink`'s): what the job commits
+        self.adopted, self.python = [], []
 
     def remote_spec(self):
         return type(self), (self.page_size,)
 
     def finish(self):
         pages = self.state["pages"]
-        for index, (data, checksum, _allocations, _count) in enumerate(pages):
-            if page_checksum(data) != checksum:
-                raise WorkerCrashError(
-                    "output page %d of %d for %s arrived corrupt (CRC "
-                    "mismatch); none of the task's pages is adopted"
-                    % (index + 1, len(pages), self.statement.target)
-                )
-        if self.page_set is None:
-            comp = self.engine.program.computations[self.statement.computation]
-            self.result = map_page_pairs(
-                pages, comp, self.engine.registry, self.declined,
-            ) + map_items(self.state.get("python", ()), comp, None)
-            return 0
+        check_arrived(pages, self.statement.target)
         for data, checksum, allocations, count in pages:
             self.adopted.append((data, checksum, count, self.page_set.adopt_page_bytes(
                 data, count=count, allocations=allocations)))
@@ -880,7 +880,7 @@ class _PageSink(Sink):
         return len(pages)
 
     def abort(self):
-        adopted, self.adopted, self.python, self.result = self.adopted, [], [], []
+        adopted, self.adopted, self.python = self.adopted, [], []
         for _data, _checksum, count, page_id in adopted:
             self.page_set.rollback(page_id, count)
 
@@ -940,8 +940,8 @@ class MapPageOutputSink(_PageSink):
     """
 
     def __init__(self, engine, output_stmt, page_size, computation,
-                 page_set=None, declined=None):
-        super().__init__(engine, output_stmt, page_size, page_set, declined)
+                 page_set=None):
+        super().__init__(engine, output_stmt, page_size, page_set)
         self.computation = computation
         self.pairs = []
 

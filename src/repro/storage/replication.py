@@ -127,19 +127,19 @@ class ReplicationManager:
         finally:
             pool.unpin(page_id)
 
-    def _copy(self, src_id, dst_id, database, name, data, checksum, count=0):
+    def _copy(self, src_id, dst_id, database, name, data, checksum, count=0,
+              allocations=0):
         """The one way a page copy lands on a worker: the bytes are
         shipped under their CRC and what *arrived* is adopted into
         ``dst_id``'s partition — as a redundant copy, unless ``count``
-        says it is the one readers count.  Returns ``[dst_id, page id]``,
-        which no record names yet: the caller records it, or frees it
-        (:meth:`_free`) if a later step fails.
+        and ``allocations`` book it as the one readers count.  Returns
+        ``[dst_id, page id]``, which no record names yet: the caller
+        records it, or frees it (:meth:`_free`) if a later step fails.
         """
-        delivered = self.network.ship_page(
-            src_id, dst_id, data, checksum=checksum
-        )
+        delivered = self.network.ship_page(src_id, dst_id, data, checksum=checksum)
         page_set = self.storage_manager.server(dst_id).get_set(database, name)
-        return [dst_id, page_set.adopt_page_bytes(delivered, count=count)]
+        return [dst_id, page_set.adopt_page_bytes(
+            delivered, count=count, allocations=allocations)]
 
     def _free(self, copies):
         """Drop ``((database, name), [worker_id, page id], objects it
@@ -149,24 +149,22 @@ class ReplicationManager:
                 database, name
             ).rollback(page_id, count)
 
-    def _land(self, ring, key, page, source, landed):
+    def _land(self, ring, key, page, source, landed, allocations=0):
         """Land the missing copies (:meth:`_copy`) of one page, ``(primary,
         data, checksum, count, page_id)``, each noted in ``landed``.  A
         ``page_id`` says a task of ``primary`` adopted it there (a job's
         output), so its ring replicas are copied from the primary; with
-        None every copy travels from ``source`` (a load).  Returns the
-        page's ``record_pages`` entry."""
+        None every copy travels from ``source`` (a load; the primary's
+        books ``allocations``).  Returns the page's ``record_pages`` entry."""
         primary, data, checksum, count, page_id = page
-        targets = ring.replicas_for(
-            primary, self.catalog.set_metadata(*key).replication
-        )
+        targets = ring.replicas_for(primary, self.catalog.set_metadata(*key).replication)
         replicas = [] if page_id is None else [[primary, page_id]]
         for dst_id in targets[len(replicas):]:
             # Readers count the primary's copy, no other.
             counted = count if dst_id == primary else 0
             replicas.append(self._copy(
                 source if page_id is None else primary, dst_id, *key, data,
-                checksum, counted,
+                checksum, counted, allocations if dst_id == primary else 0,
             ))
             landed.append((key, replicas[-1], counted))
             if dst_id != primary:
@@ -192,17 +190,18 @@ class ReplicationManager:
             self._free(landed)
             raise
 
-    def land_page(self, database, name, data, count, source="client"):
-        """Land one loaded page on the set's next partition and its ring
-        replicas, shipped from ``source`` under its CRC, and record
-        nothing: :meth:`record_landed` takes what this returns.  A copy
-        that fails frees the ones landed before it."""
+    def land_page(self, database, name, data, count, source="client",
+                  allocations=0):
+        """Land one loaded page (``count`` objects, built by ``allocations``)
+        on the set's next partition and its ring replicas, shipped from
+        ``source`` under its CRC, and record nothing: :meth:`record_landed`
+        takes what this returns.  A copy that fails frees those before it."""
         page = (self.storage_manager.next_target(database, name), data,
                 page_checksum(data), count, None)
         landed = []
         try:
-            return self._land(PlacementRing(self.storage_manager.worker_ids),
-                              (database, name), page, source, landed), landed
+            ring = PlacementRing(self.storage_manager.worker_ids)
+            return self._land(ring, (database, name), page, source, landed, allocations), landed
         except BaseException:
             self._free(landed)
             raise

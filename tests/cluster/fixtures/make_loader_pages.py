@@ -49,9 +49,11 @@ def _recording(cluster):
     shipped = []
     land_page = cluster.replication.land_page
 
-    def recording_land(database, name, data, count, source="client"):
+    def recording_land(database, name, data, count, source="client",
+                       allocations=0):
         shipped.append([zlib.crc32(bytes(data)), count])
-        return land_page(database, name, data, count, source=source)
+        return land_page(database, name, data, count, source=source,
+                         allocations=allocations)
 
     cluster.replication.land_page = recording_land
     return shipped

@@ -464,8 +464,8 @@ def test_kmeans_task_specs_fit_a_kibibyte(tmp_path, monkeypatch):
     """One small job an iteration (the bench's ``kmeans_iter``): what
     does not change over the job is pickled once, and a task spec —
     plan segment, source, sink, trace context — is under 1 KiB (6.4 KB
-    when each carried the program and the registry), plus the groups an
-    OUTPUT task is handed."""
+    when each carried the program and the registry).  The job's result
+    has no OUTPUT task: its caller merges the scan tasks' groups."""
     pickled = _record_pickles(monkeypatch)
     points = np.random.default_rng(5).normal(size=(600, 8))
     with _cluster(tmp_path, page_size=1 << 14) as cluster:
@@ -479,13 +479,9 @@ def test_kmeans_task_specs_fit_a_kibibyte(tmp_path, monkeypatch):
         assert jobs == 1
         assert [is_job for is_job, _size in pickled].count(True) == jobs
         specs = [size for is_job, size in pickled if not is_job]
-        assert len(specs) == 4 * jobs
-        # The two scan tasks' specs are envelope alone.  An OUTPUT task's
-        # also carries its share of the (count, Σx) groups as its source,
-        # the combiner Map pages its worker received, so its bound grows
-        # with the keys.
-        assert sorted(specs)[1] <= 1024
-        assert max(specs) <= 1024 + 160 * len(centers)
+        assert len(specs) == 2 * jobs
+        # The two scan tasks' specs are envelope alone.
+        assert max(specs) <= 1024
         assert set(_placements(cluster)) == {"shipped"}
 
 

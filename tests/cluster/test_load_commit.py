@@ -182,3 +182,37 @@ def test_a_transfer_fault_on_page_k_keeps_the_pages_before_it(tmp_path,
     finally:
         cluster.close()
     assert cluster.shm_registry.live == {}
+
+
+# -- a loaded page books what building it cost ---------------------------------------------
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda k: "replication=%d" % k)
+def loaded(request, tmp_path):
+    """A cluster that has only loaded a row-page set with ``replication``
+    copies of each page, and the allocations its loader made per page."""
+    cluster = _cluster(tmp_path)
+    made, land_page = [], cluster.replication.land_page
+
+    def noting_land(database, name, data, count, source="client", allocations=0):
+        made.append(allocations)
+        return land_page(database, name, data, count, source=source,
+                         allocations=allocations)
+
+    cluster.replication.land_page = noting_land
+    cluster.register_type(Point)
+    cluster.create_database("db")
+    cluster.create_set("db", "points", Point, replication=request.param)
+    with cluster.loader("db", "points") as load:
+        _fill(load, 0, 600)
+    yield cluster, made
+    cluster.close()
+
+
+def test_a_loaded_page_books_its_loaders_allocations_once(loaded):
+    cluster, made = loaded
+    assert len(made) > 1 and all(made)
+    # Every page's allocations are booked on the copy readers count; the
+    # replicas book none, whatever the replication factor.
+    assert cluster.metrics().value("pc_alloc_allocations_total") == sum(made)
+    assert _pids(cluster) == list(range(600))

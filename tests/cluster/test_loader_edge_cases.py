@@ -79,9 +79,11 @@ def _shipping(cluster):
     shipped = []
     land_page = cluster.replication.land_page
 
-    def recording_land(database, name, data, count, source="client"):
+    def recording_land(database, name, data, count, source="client",
+                       allocations=0):
         shipped.append((bytes(data), count))
-        return land_page(database, name, data, count, source=source)
+        return land_page(database, name, data, count, source=source,
+                         allocations=allocations)
 
     cluster.replication.land_page = recording_land
     return shipped

@@ -28,6 +28,8 @@ from repro.core import (
 from repro.engine import pipeline
 from repro.memory import Float64, Int32, Int64, MapType, PCObject
 from repro.tpch import (
+    CustomerMultiSelection,
+    CustomerSupplierPartGroupBy,
     TpchSpec,
     customers_per_supplier_pc,
     load_pc_customers,
@@ -179,7 +181,8 @@ def test_a_merging_task_spec_is_its_arrived_pages_and_a_kibibyte(
         tmp_path, monkeypatch):
     """A customers-per-supplier OUTPUT task is shipped the combiner pages
     its worker received, not 25 KB of merged groups as pickled columns:
-    its spec is at most 1 KiB more than those pages."""
+    its spec is at most 1 KiB more than those pages.  The query is written
+    to a set: a job's result has no merging task (its caller merges)."""
     specs = []
     serialize_task = scheduler_module.serialize_task
 
@@ -196,7 +199,9 @@ def test_a_merging_task_spec_is_its_arrived_pages_and_a_kibibyte(
                    spill_root=str(tmp_path)) as cluster:
         load_pc_customers(cluster, spec)
         del specs[:], arrived[:]
-        customers_per_supplier_pc(cluster)
+        Writer("tpch", "suppliers").set_input(CustomerSupplierPartGroupBy().set_input(
+            CustomerMultiSelection().set_input(ObjectReader("tpch", "customers")))
+        ).execute(cluster)
         workers = [worker.worker_id for worker in cluster.workers]
     ((_comp, received),) = arrived
     page_bytes = {worker: sum(len(page[0]) for page in into)

@@ -37,7 +37,13 @@ from repro.memory import Int32, PCObject, String
 from repro.ml import PCKMeans
 from repro.storage import dataset
 from repro.tcap.ir import Statement
-from repro.tpch import TpchSpec, customers_per_supplier_pc, load_pc_customers
+from repro.tpch import (
+    CustomerMultiSelection,
+    CustomerSupplierPartGroupBy,
+    TpchSpec,
+    customers_per_supplier_pc,
+    load_pc_customers,
+)
 
 needs_process = pytest.mark.skipif(
     not remote_available(), reason="cloudpickle unavailable"
@@ -130,8 +136,9 @@ def _task_placements(trace):
 
 
 def _tpch_job(cluster):
-    """Customers-per-supplier: every task — the OUTPUT stage's, which
-    build the set's Map pages, included — runs in a back-end."""
+    """Customers-per-supplier written to a set: every task — the OUTPUT
+    stage's, which build the set's Map pages, included — runs in a
+    back-end."""
     load_pc_customers(
         cluster, TpchSpec(n_customers=30, n_parts=40, n_suppliers=6, seed=11)
     )
@@ -143,9 +150,9 @@ def _tpch_job(cluster):
         # (This process only: the back-ends import their own.)
         patch.setattr(dataset, "pack_map_pages", in_the_coordinator)
         patch.setattr(pipeline, "pack_map_pages", in_the_coordinator)
-        _result, counts = _delta(
-            cluster, lambda: customers_per_supplier_pc(cluster)
-        )
+        _log, counts = _delta(cluster, lambda: Writer("tpch", "suppliers").set_input(
+            CustomerSupplierPartGroupBy().set_input(CustomerMultiSelection().set_input(
+                ObjectReader("tpch", "customers")))).execute(cluster))
     assert counts == {}
     placements = _task_placements(cluster.last_trace)
     # The producing stage and the OUTPUT stage, on every worker.
@@ -256,8 +263,10 @@ def test_process_transport_frontend_reasons_are_exact(tmp_path, job,
     finally:
         cluster.close()
     # Whoever calls it and why, the task is the same two dicts.
-    callers = {"job state", "back-end"}
-    if job in (_kmeans_job, _multiply_job):
+    # (The k-means step's scans are all streamed by the coordinator, and
+    # its result has no OUTPUT task to ship.)
+    callers = {"coordinator"} if job is _kmeans_job else {"job state", "back-end"}
+    if job is _multiply_job:
         callers.add("coordinator")
     _assert_one_task_shape(seen, callers)
 

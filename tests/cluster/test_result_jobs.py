@@ -1,12 +1,13 @@
 """A job that ends in an aggregation returns its pairs to the caller.
 
 ``execute_computations(agg)`` runs the graph with an OUTPUT that has no
-set: the consuming tasks still merge the arrived combiner pages, each
-OUTPUT task's sealed pages are CRC-checked where they arrive and decoded
-once, and nothing is stored — no set, no page, no journal record.  What
-comes back is what ``read(as_pairs=True, comp=agg)`` gives for the same
-job written to a set, on both transports, under a crashed consuming task
-too.
+set, and no pipeline for it: each producing task seals its groups as one
+partition for the caller — combiner Map pages, or rows — and the caller
+CRC-checks each page as it arrives, decodes it once and folds the
+workers' pairs.  Nothing is stored — no set, no page, no journal record.
+What comes back is what ``read(as_pairs=True, comp=agg)`` gives for the
+same job written to a set, on both transports, under a crashed, lost or
+corrupted producing task too.
 """
 
 import numpy as np
@@ -149,12 +150,12 @@ def test_lda_two_aggregations_in_one_job(tmp_path, transport):
                                            comp=agg))
 
 
-class OutputTaskCrasher(FaultInjector):
-    """Crashes a worker's second task of the job — its OUTPUT task, which
-    merges the combiner pages that arrived: once on every worker
-    (``lose=None``; the retries run), or on every attempt on worker
-    ``lose``, which is lost once its peers' OUTPUT tasks are done, so the
-    job restarts on them."""
+class ProducingTaskCrasher(FaultInjector):
+    """Crashes a worker's first task of the job — its producing task, which
+    pre-aggregates its points and seals the groups for the caller: once on
+    every worker (``lose=None``; the retries run), or on every attempt on
+    worker ``lose``, which is lost once its peers' producing tasks are
+    done, so the job restarts on them."""
 
     def __init__(self, lose=None):
         super().__init__()
@@ -163,15 +164,14 @@ class OutputTaskCrasher(FaultInjector):
 
     def should_crash_backend(self, worker_id, stage_kind):
         nth = self._tasks[worker_id] = self._tasks.get(worker_id, 0) + 1
-        fired = nth == 2 if self.lose is None else \
-            (worker_id == self.lose and nth >= 2)
+        fired = nth == 1 if self.lose is None else worker_id == self.lose
         self.counts["backend_crashes"] += fired
         return fired
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("lose", [None, "worker-2"], ids=["retry", "restart"])
-def test_a_crashed_consuming_task_counts_its_pairs_once(tmp_path, transport,
+def test_a_crashed_producing_task_counts_its_pairs_once(tmp_path, transport,
                                                         lose):
     points = np.random.default_rng(2).integers(-40, 40, size=(400, 3)) / 8.0
     centers = points[:4].copy()
@@ -183,23 +183,25 @@ def test_a_crashed_consuming_task_counts_its_pairs_once(tmp_path, transport,
 
     with _cluster(tmp_path / "clean", transport, n_workers=3) as clean:
         want = step(clean)
-    clock, injector = FakeClock(), OutputTaskCrasher(lose)
+    clock, injector = FakeClock(), ProducingTaskCrasher(lose)
     policy = RetryPolicy(max_attempts=2, blacklist_on_exhaustion=True,
                          sleep=clock.sleep, clock=clock.clock)
     with _cluster(tmp_path / "faulted", transport, n_workers=3,
                   fault_injector=injector, retry_policy=policy) as cluster:
         got = step(cluster)
         metrics = cluster.metrics()
+        kinds = [stage.kind for stage in cluster.last_job_log]
         if lose is None:
             assert injector.counts["backend_crashes"] == 3
             assert metrics.value("pc_faults_tasks_recovered_total") == 3
+            assert kinds == ["PipelineJobStage", "AggregationJobStage"]
         else:
             assert injector.counts["backend_crashes"] == 2
             assert metrics.value("pc_faults_workers_blacklisted_total") == 1
-            # Lost in the OUTPUT stage, after its peers' tasks finished.
-            kinds = [stage.kind for stage in cluster.last_job_log]
-            assert kinds[:4] == ["PipelineJobStage", "AggregationJobStage",
-                                 "PipelineJobStage", "WorkerBlacklistedEvent"]
+            # Lost in the producing stage, after its peers' tasks finished;
+            # the restart's caller merges the two survivors' pairs.
+            assert kinds == ["PipelineJobStage", "WorkerBlacklistedEvent",
+                             "PipelineJobStage", "AggregationJobStage"]
     _equal_pairs(got, want)
     assert sum(value[0] for value in got.values()) == len(points)
 

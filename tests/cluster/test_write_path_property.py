@@ -307,9 +307,11 @@ def _watching(cluster):
     pages, records = [], []
     land_page, loader = cluster.replication.land_page, cluster.loader
 
-    def recording_land(database, name, data, count, source="client"):
+    def recording_land(database, name, data, count, source="client",
+                       allocations=0):
         pages.append((bytes(data), count))
-        return land_page(database, name, data, count, source=source)
+        return land_page(database, name, data, count, source=source,
+                         allocations=allocations)
 
     def noting_loader(*args, **kwargs):
         load = loader(*args, **kwargs)

@@ -142,24 +142,19 @@ def test_to_numpy_leaves_no_set_behind(cluster):
     _leaves_no_set_behind(cluster)
 
 
-class _OutputTaskCrasher(FaultInjector):
-    """Every worker's back-end crashes on its second task of a job and
-    on: a reduction's OUTPUT task, once its pre-aggregation is done."""
-
-    def __init__(self):
-        super().__init__()
-        self._tasks = {}
+class _TaskCrasher(FaultInjector):
+    """Every worker's back-end crashes on every task: a reduction's
+    producing task, whose groups would go to the caller."""
 
     def should_crash_backend(self, worker_id, stage_kind):
-        nth = self._tasks[worker_id] = self._tasks.get(worker_id, 0) + 1
-        self.counts["backend_crashes"] += nth >= 2
-        return nth >= 2
+        self.counts["backend_crashes"] += 1
+        return True
 
 
 def test_a_failed_scalar_reduction_leaves_no_set_behind(tmp_path):
     """A scalar reduction's job returns its pairs and stores nothing, so
     a job that raises leaves the sets as they were."""
-    injector = _OutputTaskCrasher()
+    injector = _TaskCrasher()
     with PCCluster(n_workers=2, page_size=1 << 16, spill_root=str(tmp_path),
                    fault_injector=injector,
                    retry_policy=RetryPolicy.disabled()) as cluster:
