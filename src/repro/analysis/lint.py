@@ -578,7 +578,7 @@ ARCHITECTURE = {
         # Each pin is released in a ``finally`` (or handed to the caller);
         # a pin leaked on a real path is the sanitizer's ``pin_leak``.
         "pin": (
-            "repro.cluster.scheduler._ScanSource.export",
+            "repro.cluster.scheduler._ScanSource.lease",
             "repro.storage.dataset.PageSet.pinned_page",
             "repro.storage.replication.ReplicationManager._page_bytes",
         ),
@@ -589,12 +589,12 @@ ARCHITECTURE = {
         "retain": "memory",
     },
     "ceilings": {
-        "repro/cluster/scheduler.py": 977,
+        "repro/cluster/scheduler.py": 975,
         "repro/cluster/transport.py": 750,
         "repro/cluster/cluster.py": 690,
         "repro/cluster/procworker.py": 283,
         "repro/cluster/worker.py": 195,
-        "repro/storage/replication.py": 442,
+        "repro/storage/replication.py": 440,
         "repro/storage/dataset.py": 397,
         "repro/engine/physical.py": 307,
         "repro/engine/pipeline.py": 959,
@@ -604,7 +604,7 @@ ARCHITECTURE = {
         "repro/ml/kmeans_columnar.py": 151,
         "repro/lillinalg": 799,
         "repro/obs": 1888,
-        "repro/analysis": 1332,
+        "repro/analysis": 1331,
     },
 }
 

@@ -42,6 +42,7 @@ or :func:`enable` / :func:`sanitize_scope`.
 from __future__ import annotations
 
 import os
+import weakref
 
 from repro.errors import DanglingHandleError
 
@@ -132,7 +133,7 @@ class _BlockShadow:
 
     def __init__(self, san, block):
         self.san = san
-        self.block = block
+        self.block = weakref.ref(block)  # no cycle: a dropped block dies
         self.seal_reported = False
         #: offset -> times the object at this offset has been freed
         self.generations = {}
@@ -154,15 +155,15 @@ class _BlockShadow:
         poisoned = self.poisoned.pop(offset, None)
         if poisoned is not None:
             start, end = poisoned
-            buf = self.block.buf  # pcsan: disable=PC002
+            buf = self.block().buf  # pcsan: disable=PC002
             if any(buf[i] != POISON_BYTE  # pcsan: disable=PC002
                    for i in range(start, end)):
                 self.san.record(
                     "poison_violation",
                     "freed chunk at offset %d of block %d was written "
                     "before reallocation (poison damaged)"
-                    % (offset, self.block.block_id),
-                    block_id=self.block.block_id, offset=offset,
+                    % (offset, self.block().block_id),
+                    block_id=self.block().block_id, offset=offset,
                 )
         self.live[offset] = type_code
         if refcount >= 0:
@@ -171,7 +172,7 @@ class _BlockShadow:
             self.refcounts.pop(offset, None)
 
     def on_free(self, offset, total):
-        buf = self.block.buf  # pcsan: disable=PC002
+        buf = self.block().buf  # pcsan: disable=PC002
         start = offset + POISON_SKIP
         end = offset + total
         if end > start:
@@ -195,8 +196,8 @@ class _BlockShadow:
                 "refcount_mismatch",
                 "on-page refcount %d at offset %d of block %d does not "
                 "match the shadow count %d (raw header write?)"
-                % (observed, offset, self.block.block_id, expected),
-                block_id=self.block.block_id, offset=offset,
+                % (observed, offset, self.block().block_id, expected),
+                block_id=self.block().block_id, offset=offset,
             )
         self.refcounts[offset] = new
 
@@ -207,7 +208,7 @@ class _BlockShadow:
             self.san.c_dangling_derefs.inc()
             raise DanglingHandleError(
                 "handle into retired block %d (%s)"
-                % (self.block.block_id, self.retired)
+                % (self.block().block_id, self.retired)
             )
         if generation is not None and \
                 self.generations.get(offset, 0) != generation:
@@ -215,7 +216,7 @@ class _BlockShadow:
             raise DanglingHandleError(
                 "stale handle: offset %d of block %d was freed (and "
                 "possibly reallocated) after the handle was created"
-                % (offset, self.block.block_id)
+                % (offset, self.block().block_id)
             )
         if refcount >= 0:
             expected = self.refcounts.get(offset)
@@ -224,8 +225,8 @@ class _BlockShadow:
                     "refcount_mismatch",
                     "deref observed on-page refcount %d at offset %d of "
                     "block %d, shadow expected %d"
-                    % (refcount, offset, self.block.block_id, expected),
-                    block_id=self.block.block_id, offset=offset,
+                    % (refcount, offset, self.block().block_id, expected),
+                    block_id=self.block().block_id, offset=offset,
                 )
 
     # -- lifecycle ----------------------------------------------------------
@@ -235,15 +236,13 @@ class _BlockShadow:
 
     def on_seal(self):
         """Seal-time leak check: live counted objects but no root."""
-        block = self.block
+        block = self.block()
         if self.seal_reported or not block.managed or not self.refcounts:
             return
         root_offset, _code = block.root()
         if root_offset is not None:
             return
-        leaked = sorted(
-            offset for offset, count in self.refcounts.items() if count > 0
-        )
+        leaked = sorted(offset for offset, count in self.refcounts.items() if count > 0)
         if not leaked:
             return
         self.seal_reported = True

@@ -29,7 +29,8 @@ serialization on both ends, and no decode in the coordinator, which
 only moves the pages and keeps them for that task.  A job's result has
 no consuming task: its caller merges what each producing task sealed.
 
-One task runner, one attempt loop: a worker's portion of a stage is always
+One task runner, one attempt loop: a worker's portion of a stage — one
+task per window of a scan larger than its pool — is always
 :func:`repro.engine.pipeline.run_task`, ``(job, spec) -> (sink state,
 evidence)`` — called, pages built and all, by the back-end process the
 attempt was shipped to, or by the coordinator on the same dicts when the
@@ -45,7 +46,7 @@ builds its inputs and sink fresh per attempt.  When the back-end crashes
 (a user-code bug, an injected fault, a failed page reload), the front-end
 re-forks it and the scheduler consults its
 :class:`~repro.cluster.faults.RetryPolicy`: allowed retries re-dispatch
-*only the failed worker's portion* of the stage against the surviving
+*only the failed task* (one worker's window) against the surviving
 front-end storage, after an exponential backoff (reported as a ``retry``
 span).  What finished tasks left per worker (hash tables, materialized
 stores) is the scheduler's own data, front-end territory like storage:
@@ -62,48 +63,27 @@ drops what the run wrote and nothing that earlier jobs did.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import time
 
 from repro.core.computation import AggregateComp
 from repro.engine.physical import (
-    SINK_AGGREGATE,
-    SINK_HASH_BUILD,
-    SINK_MATERIALIZE,
-    SINK_OUTPUT,
-    SOURCE_SCAN,
+    SINK_AGGREGATE, SINK_HASH_BUILD, SINK_MATERIALIZE, SINK_OUTPUT, SOURCE_SCAN,
 )
 from repro.engine.pipeline import (
-    AggregateSink,
-    ClusterOutputSink,
-    HashBuildSink,
-    JobState,
-    MapPageOutputSink,
-    MaterializeSink,
-    combine_into,
-    hash_rows_into,
-    join_sides,
-    map_items,
-    map_page_pairs,
-    run_task,
+    AggregateSink, ClusterOutputSink, HashBuildSink, JobState, MapPageOutputSink,
+    MaterializeSink, combine_into, hash_rows_into, join_sides, map_items,
+    map_page_pairs, run_task,
 )
-from repro.cluster.transport import (
-    PICKLING_ERRORS,
-    RemoteTask,
-    serialize_task,
-)
+from repro.cluster.transport import PICKLING_ERRORS, RemoteTask, serialize_task
 from repro.errors import (
-    BufferPoolExhaustedError,
-    ExecutionError,
-    InjectedFaultError,
-    StorageError,
-    WorkerCrashError,
-    WorkerLostError,
+    ExecutionError, InjectedFaultError, StorageError, WorkerCrashError, WorkerLostError,
 )
 from repro.obs.evidence import book_task_evidence, kernel_fallbacks
 from repro.obs.tracer import Span
-from repro.storage.page import register_root_type
+from repro.storage.page import page_items, register_root_type
 from repro.tcap.ir import ApplyStmt, JoinStmt
 
 
@@ -324,12 +304,13 @@ class DistributedScheduler:
                                 outcome = worker.dispatch(attempt.inline)
                             state, evidence = outcome
                             try:
-                                # The sealed sink's state is installed
-                                # here, wherever the task ran; a page
-                                # counts as written once it is adopted.
+                                # The sealed sink's state comes home here,
+                                # wherever the task ran, and is checked as
+                                # it arrived; it is installed in window
+                                # order (_run_worker_tasks).
                                 attempt.sink.state = state
                                 evidence["engine"]["pages_written"] = \
-                                    attempt.sink.finish() or 0
+                                    attempt.sink.check()
                             finally:
                                 self._book(worker, evidence)
                         except WorkerCrashError as crash:
@@ -348,10 +329,9 @@ class DistributedScheduler:
                     attempt.release()
                 if attempts > 1:
                     self.fault_metrics.tasks_recovered.inc()
-                return
+                return attempt.sink
             except WorkerCrashError as crash:
                 self.fault_metrics.backend_crashes.inc()
-                attempt.sink.abort()
                 # The policy clock covers sim determinism; real deadline
                 # kills (process transport) arrive pre-judged on the
                 # crash itself, so either channel books a timeout.
@@ -366,52 +346,64 @@ class DistributedScheduler:
                 attempts += 1
                 attempt = self._submit_attempt(worker, make_attempt)
 
-    def _run_worker_tasks(self, items):
-        """Run per-worker attempts through the one submit/await loop.
+    def _run_worker_tasks(self, items, install):
+        """Run every worker's queue of attempts through the one loop.
 
-        ``items`` is a list of ``(worker, make_attempt)`` pairs.  An
-        in-process back-end does a submitted attempt's work when it is
-        awaited, so each worker is settled before the next is submitted
-        — the simulator's strict worker order.  Process back-ends work
-        from submit on, so every worker's first attempt is submitted up
-        front and all are settled afterwards, in order.  A lost worker
-        restarts the job (:meth:`execute`), but only once every attempt
-        submitted beside it has been awaited: no child is left owing a
-        result.
+        ``items`` is a list of ``(worker, queue)``, the queue the
+        worker's windows as ``(index, make_attempt)`` in the order they
+        run; a worker runs one attempt at a time.  An in-process back-end
+        does a submitted attempt's work when it is awaited, so each is
+        settled before the next is submitted — the simulator's strict
+        worker order.  Process back-ends work from submit on: every
+        worker's first attempt is submitted up front, attempts are
+        awaited in the order they were submitted, and a worker's next one
+        is submitted as soon as its last has settled.  A settled
+        attempt's sink goes to ``install(worker, sink)`` in (worker,
+        window) order, as soon as every attempt before it has settled
+        too.  A lost worker restarts the job (:meth:`execute`), but only
+        once every attempt submitted beside it has been awaited: no child
+        is left owing a result.
         """
-        overlap = any(
-            getattr(worker.backend, "asynchronous", False)
-            for worker in self.workers
-        )
-        pending = []
+        overlap = any(getattr(worker.backend, "asynchronous", False)
+                      for worker in self.workers)
+        order = [(worker, index) for worker, queue in items
+                 for index in sorted(index for index, _make in queue)]
+        queues = {worker: list(queue) for worker, queue in items}
+        pending, settled, lost = collections.deque(), {}, []
 
-        def settle():
-            lost = None
-            for worker, make_attempt, attempt in pending:
-                try:
-                    self._await_attempt(worker, make_attempt, attempt)
-                except WorkerLostError as error:
-                    # The first loss restarts the job; a worker lost
-                    # beside it is tried again by the restart.
-                    lost = lost or error
-            del pending[:]
-            if lost is not None:
-                raise lost
+        def submit(worker):
+            if queues[worker] and not lost:
+                index, make_attempt = queues[worker].pop(0)
+                pending.append((worker, index, make_attempt,
+                                self._submit_attempt(worker, make_attempt)))
+
+        def settle_next():
+            worker, index, make_attempt, attempt = pending.popleft()
+            try:
+                settled[worker, index] = self._await_attempt(
+                    worker, make_attempt, attempt)
+            except WorkerLostError as error:
+                # The first loss restarts the job; a worker lost beside
+                # it is tried again by the restart.
+                lost.append(error)
+            submit(worker)
+            while not lost and order and order[0] in settled:
+                install(order[0][0], settled.pop(order.pop(0)))
 
         try:
-            for worker, make_attempt in items:
-                pending.append((
-                    worker, make_attempt,
-                    self._submit_attempt(worker, make_attempt),
-                ))
-                if not overlap:
-                    settle()
-            settle()
+            for worker, _queue in items:
+                submit(worker)
+                while pending and not overlap:
+                    settle_next()
+            while pending:
+                settle_next()
         finally:
             # An await that raised abandons the attempts submitted behind
-            # it; drop their export pins too (release is once-only).
-            for _worker, _make_attempt, attempt in pending:
+            # it; drop their leases too (release is once-only).
+            for *_queued, attempt in pending:
                 attempt.release()
+        if lost:
+            raise lost[0]
 
     def _fail_permanently(self, worker, stage, attempts, crash, timed_out):
         """A worker task is out of retries: blacklist or fail the job."""
@@ -530,24 +522,23 @@ class DistributedScheduler:
 
         The task is a ``spec`` for :func:`run_task` — the ``segment``
         ``(pipeline id, index)`` of the job's plan it runs, and only what
-        is this task's own — shipped to the
-        worker's back-end process unless one of a closed set of reasons
-        makes the coordinator the caller — of the same function, on the
-        same ``job`` and ``spec`` dicts, with the front-end page stream
-        and the worker's own registry: ``in_process`` (the simulator has
-        no other side), ``pool_pressure`` (the pool cannot pin the whole
-        scan; the front-end streams it page by page through the spill
-        machinery), ``unpicklable_spec`` (a hash table or closure holds
-        something that cannot travel) — each counted in
+        is this task's own — over the pages of its window, leased first
+        on every transport (pinned until the attempt is released).  It is
+        shipped to the worker's back-end process, which reads the pages
+        by name, unless one of a closed set of reasons makes the
+        coordinator the caller — of the same function, on the same
+        ``job`` and ``spec`` dicts, over the same pages read in place,
+        with the worker's own registry: ``in_process`` (the simulator has
+        no other side), ``unpicklable_spec`` (a hash table or closure
+        holds something that cannot travel) — each counted in
         ``pc_sched_frontend_tasks_total{reason}`` and named on the task
         span; ``child_rejected`` joins them in :meth:`_await_attempt`.
         Every sink can be filled by a task (its pages included), so one
         that cannot say how is a bug, as is a probe whose hash table was
         never built: each raises its ExecutionError right here, on any
-        transport.  A storage fault while exporting the scan is replayed
+        transport.  A storage fault while leasing the pages is replayed
         through the back-end as a raising stand-in, so it books as a
-        crash (retry + re-fork) exactly where the front-end scan would
-        have hit it.
+        crash (retry + re-fork) on every transport.
         """
         kept = self._kept_on(worker)
         remote_sink = sink.remote_spec()
@@ -577,30 +568,29 @@ class DistributedScheduler:
                 else None,
             },
         }
+        try:
+            pages, release = source.lease()
+        except StorageError as fault:
+            return _Attempt(sink, _raiser(fault), None)
         inline = functools.partial(
-            run_task, self._job, spec, source.pages(), kept.registry
+            run_task, self._job, spec,
+            (page_items(page.block) for page in pages), kept.registry,
         )
 
         def front_end(reason):
             self._c_frontend.inc(reason=reason)
-            return _Attempt(sink, inline, "front-end: %s" % reason)
+            return _Attempt(sink, inline, "front-end: %s" % reason,
+                            release=release)
 
         if not getattr(worker.backend, "asynchronous", False):
             return front_end("in_process")
         try:
-            exported, release = source.export()
-        except StorageError as fault:
-            return _Attempt(sink, _raiser(fault), None)
-        if exported is None:
-            return front_end("pool_pressure")
-        try:
             task = RemoteTask(
-                serialize_task(dict(spec, source=exported)), self._job_blob,
+                serialize_task(dict(spec, source=source.shipped(pages))),
+                self._job_blob,
                 label="%s on %s" % (type(sink).__name__, worker.worker_id),
             )
         except PICKLING_ERRORS:
-            if release is not None:
-                release()
             return front_end("unpicklable_spec")
         return _Attempt(sink, inline, "shipped", task=task, release=release)
 
@@ -705,9 +695,12 @@ class DistributedScheduler:
             install(on_worker, rows) for on_worker, rows in zip(kept, received)
         ]
 
-    def _run_distributed_pipeline(self, pipeline, sink_factory):
+    def _run_distributed_pipeline(self, pipeline, sink_factory, install=None):
         """Run a full pipeline on every worker — the one stage shape:
         tasks, then (where the sink feeds one) exchange and install.
+        A scan runs one task per window of each worker's share
+        (:meth:`_ScanSource.windows`), every sink installed in window
+        order (``install(worker, sink)``; by default its ``finish()``).
         The chain is cut at every partitioned join probe, whatever the
         pipeline's own sink: a segment ending at a cut collects what the
         probe reads, each task partitioning its rows by the probe hash,
@@ -716,12 +709,13 @@ class DistributedScheduler:
         segments = self.plan.segments(pipeline)
         workers = self.workers
 
-        def run(index, sources, factory):
+        def run(index, sources, factory, install=None):
             segment = (pipeline.pipeline_id, index)
             self._run_worker_tasks([
-                (worker, self._attempt(worker, segment, source, factory))
+                (worker, [(window, self._attempt(worker, segment, part, factory))
+                          for window, part in source.windows()])
                 for worker, source in zip(workers, sources)
-            ])
+            ], install or (lambda _worker, sink: sink.finish()))
 
         sources = [
             self._pipeline_source(worker, pipeline) for worker in workers
@@ -739,7 +733,7 @@ class DistributedScheduler:
                     ("columns", dict(zip(names, map(list, zip(*rows)))))
                 ),
             )
-        run(len(segments) - 1, sources, sink_factory)
+        run(len(segments) - 1, sources, sink_factory, install)
 
     # -- per-sink handlers ------------------------------------------------------------------
 
@@ -777,44 +771,44 @@ class DistributedScheduler:
                     self.cluster.combiner_page_size)
 
         # Producing stage: per-worker pre-aggregation (pipelining threads),
-        # each task partitioning and packing what it sends.
+        # each task partitioning and packing what it sends — a result's
+        # folded by the caller as each task settles.
+        merged = {}
         with self._stage("PipelineJobStage", "pre-aggregation for %s" % agg.output):
             self._run_distributed_pipeline(pipeline, lambda worker: AggregateSink(
                 self._kept_on(worker), agg, exchange, None if self.faults is None
                 else functools.partial(self.faults.hand_over, worker.worker_id, "caller"),
-            ))
+            ), functools.partial(self._merge_at_caller, merged, comp) if caller else None)
 
         # Consuming stage: the pre-aggregated pairs, exchanged by key hash,
         # are kept as they arrived; each task that reads the aggregation
-        # merges its worker's (``PipelineEngine.source_batches``) — or the
-        # caller merges them all, a result's.
+        # merges its worker's (``PipelineEngine.source_batches``) — or, a
+        # result's, the caller folded them as their tasks settled.
         def install(kept, arrived):
             kept.store[agg.output] = ("arrived", agg.computation, arrived)
 
         with self._stage("AggregationJobStage", "merge of %s at the caller" % agg.output if caller
                          else "shuffled merge for %s over %d partitions" % (agg.output, len(self.workers))):
             if caller:
-                self.results[agg.computation] = self._merge_at_caller(agg.output, comp)
+                self.results[agg.computation] = merged
             else:
                 self._exchange_kept(agg.output, install, comp)
 
-    def _merge_at_caller(self, output, comp):
-        """The job's result: what each worker's producing task sealed for
-        the caller under ``output`` — Map pages, CRC-checked as they
-        arrived (``AggregateSink.finish``), or rows — decoded by ``comp``
-        and folded in worker order."""
+    def _merge_at_caller(self, merged, comp, _worker, sink):
+        """Fold into the job's result ``merged`` what one producing task
+        sealed for the caller — Map pages, CRC-checked as they arrived
+        (``AggregateSink.check``), or rows — decoded by ``comp``: each
+        task in (worker, window) order, as soon as it and every task
+        before it settled."""
         fallbacks = kernel_fallbacks(self.cluster.metrics_registry)
 
         def declined(reason):
             fallbacks.inc(operator="map_read", reason=reason)
 
-        merged = {}
-        for worker in self.workers:
-            for held in self._kept_on(worker).store.pop(output)[0]:
-                pairs = map_items(held, comp, None) if comp.map_type is None else \
-                    map_page_pairs(held, comp, self.cluster.catalog.registry, declined)
-                combine_into(merged, pairs, comp.combine)
-        return merged
+        for held in sink.state[0]:
+            pairs = map_items(held, comp, None) if comp.map_type is None else \
+                map_page_pairs(held, comp, self.cluster.catalog.registry, declined)
+            combine_into(merged, pairs, comp.combine)
 
     def _run_materialize(self, pipeline):
         with self._stage("PipelineJobStage", "materialize %s" % pipeline.sink):
@@ -831,16 +825,18 @@ class DistributedScheduler:
 
         def sink_factory(worker):
             kept, page_set = self._kept_on(worker), worker.storage.get_set(*key)
-            sinks = self._outputs.setdefault(key, {}).setdefault(
-                worker.worker_id, [])
-            sinks.append(MapPageOutputSink(
+            return MapPageOutputSink(
                 kept, output, page_set.page_size, aggregation, page_set,
             ) if aggregation is not None else ClusterOutputSink(
-                kept, output, page_set.page_size, page_set))
-            return sinks[-1]
+                kept, output, page_set.page_size, page_set)
+
+        def install(worker, sink):
+            # Committed in (worker, window) order, or aborted.
+            self._outputs.setdefault(key, {}).setdefault(worker.worker_id, []).append(sink)
+            sink.finish()
 
         with self._stage("PipelineJobStage", "pipeline into %s" % output.target):
-            self._run_distributed_pipeline(pipeline, sink_factory)
+            self._run_distributed_pipeline(pipeline, sink_factory, install)
 
     def _aggregate_behind(self, output_stmt):
         """The name of the typed AggregateComp whose pairs this OUTPUT
@@ -872,18 +868,15 @@ class _Attempt:
     ``payload`` is what the back-end is handed — the shipped
     :class:`RemoteTask`, or ``inline`` (the ``run_task`` call on the
     same spec) when the coordinator runs it — and ``placement`` says
-    which (and why) on the task span.  ``release`` drops what the
-    attempt holds while it runs (the pins keeping exported pages'
-    shared-memory segments alive), exactly once.
+    which (and why) on the task span.  ``release`` ends the attempt's
+    lease on its pages (their pins), exactly once.
     """
 
     __slots__ = ("sink", "inline", "placement", "payload", "_release",
                  "future", "started")
 
     def __init__(self, sink, inline, placement, task=None, release=None):
-        self.sink = sink
-        self.inline = inline
-        self.placement = placement
+        self.sink, self.inline, self.placement = sink, inline, placement
         self.payload = task if task is not None else inline
         self._release = release
 
@@ -896,82 +889,87 @@ class _Attempt:
 class _KeptSource:
     """What the job keeps for a worker — plain columns (a materialized
     vector list, a shuffle's output), or an aggregation's arrived
-    messages: it is its own description, shipped or not."""
+    messages: one window, no pages, its own description shipped or not."""
 
     def __init__(self, described):
         self.described = described
 
-    def pages(self):
-        return ()
+    def windows(self):
+        return [(0, self)]
 
-    def export(self):
-        return self.described, None
+    def lease(self):
+        return (), None
+
+    def shipped(self, _pages):
+        return self.described
 
 
 class _ScanSource:
-    """One worker's share of a stored set's pages."""
+    """One worker's share of a stored set's pages — or a window of it,
+    the ``window`` slice of the share in catalog order."""
 
-    def __init__(self, replication, worker, pipeline):
-        self.replication = replication
-        self.worker_id = worker.worker_id
+    def __init__(self, replication, worker, pipeline, window=slice(None)):
+        self.replication, self.worker, self.pipeline = replication, worker, pipeline
         self.scan = scan = pipeline.source
+        self.window = window
         # An unknown set is SetNotFoundError here, front-end side, not a
         # crash every attempt of the task retries.
         replication.storage_manager.set_metadata(scan.database, scan.set_name)
         #: ``("pages", segment references, column, columnar)``: no
-        #: references for a task handed :meth:`pages`; ``columnar`` is
-        #: the scan's mark, which says what goes through as whole array
-        #: batches (``object_batches``).
+        #: references for a task that reads the pages in place;
+        #: ``columnar`` is the scan's mark, which says what goes through
+        #: as whole array batches (``object_batches``).
         self.described = ("pages", None, scan.column, scan.array_rows)
 
-    def pages(self):
-        """The front-end page stream: each selected page pinned while
-        its items are read, through the spill machinery."""
-        return self.replication.scan_pages(
-            self.scan.database, self.scan.set_name,
-            worker_id=self.worker_id,
-        )
+    def windows(self):
+        """``(index, window)``: a share larger than the worker's pool (C
+        frames) cut, in catalog order, into the fewest windows of at most
+        C - 1 pages, their sizes within one page of each other — one frame
+        is left for the pages a finished task's output adopts — a pure
+        function of the page count and the frames, so alike on every
+        transport; listed in the order they run, resident-first: the
+        fewest pages to reload first (ties in catalog order).  A cyclic
+        scan then reloads only the N - C pages that do not fit
+        (DESIGN §17)."""
+        scan, storage = self.scan, self.worker.storage
+        share = self.replication.scan_share(
+            scan.database, scan.set_name, self.worker.worker_id)
+        frames = storage.pool.capacity_bytes // storage.get_set(
+            scan.database, scan.set_name).page_size if share else 1
+        count = 1 if len(share) <= frames else -(-len(share) // max(1, frames - 1))
+        bounds = [len(share) * index // count for index in range(count + 1)]
+        cuts = [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+        missing = [sum(not storage.pool.resident(local) for *_held, local in share[cut])
+                   for cut in cuts]
+        return sorted(((index, _ScanSource(self.replication, self.worker, self.pipeline, cut))
+                       for index, cut in enumerate(cuts)), key=lambda held: missing[held[0]])
 
-    def export(self):
-        """The pages as shared-memory references, pinned until released.
-
-        Returns ``(description, release)``.  The page selection is
-        :meth:`pages`' own (``scan_page_copies``: failover accounting
-        and corruption healing included), and every exported page stays
-        *pinned* until ``release`` runs, so eviction cannot unlink a
-        segment the child is still reading.  A pool too small to pin the
-        whole scan yields ``(None, None)``; a flaky reload or a missing
-        replica raises its StorageError with nothing left pinned.
-        """
-        scan = self.scan
-        pinned = []
+    def lease(self):
+        """Pin the window's pages for the attempt — the pin is the lease —
+        and return ``(pages, release)``.  The selection is
+        ``scan_page_copies``' (failover accounting and corruption healing
+        included); a flaky reload or a missing replica raises its
+        StorageError with nothing left pinned."""
+        pool, pages = self.worker.storage.pool, []
 
         def release():
-            for pool, page_id in pinned:
-                pool.unpin(page_id)
+            for page in pages:
+                pool.unpin(page.page_id)
 
-        refs = []
         try:
-            for page_set, page_id in self.replication.scan_page_copies(
-                scan.database, scan.set_name,
-                worker_id=self.worker_id,
+            for _page_set, page_id in self.replication.scan_page_copies(
+                self.scan.database, self.scan.set_name,
+                worker_id=self.worker.worker_id, window=self.window,
             ):
-                pool = page_set.pool
-                page = pool.pin(page_id)
-                pinned.append((pool, page_id))
-                if page.shm is None:
-                    raise ExecutionError(
-                        "page %r of %s.%s has no shared-memory segment, "
-                        "but worker %s's back-end is a separate process"
-                        % (page_id, scan.database, scan.set_name,
-                           self.worker_id)
-                    )
-                refs.append((page.shm.name, page.block.size))
-        except BufferPoolExhaustedError:
-            release()
-            return None, None
-        except (StorageError, ExecutionError):
+                pages.append(pool.pin(page_id))
+        except BaseException:
             release()
             raise
+        return pages, release
+
+    def shipped(self, pages):
+        """The description a back-end process reads the leased pages by:
+        each one's shared-memory segment, named."""
         _kind, _refs, column, columnar = self.described
-        return ("pages", refs, column, columnar), release
+        return ("pages", [(page.shm.name, page.block.size) for page in pages],
+                column, columnar)

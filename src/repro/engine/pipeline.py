@@ -33,24 +33,14 @@ from repro.memory.gather import GatherIneligible, map_pairs, root_rows
 from repro.memory.handle import Handle
 from repro.memory.objects import use_allocation_block
 from repro.engine.physical import (
-    SINK_AGGREGATE,
-    SINK_HASH_BUILD,
-    SINK_MATERIALIZE,
-    SINK_OUTPUT,
-    SOURCE_SCAN,
+    SINK_AGGREGATE, SINK_HASH_BUILD, SINK_MATERIALIZE, SINK_OUTPUT, SOURCE_SCAN,
 )
 from repro.engine.vectors import VectorList, batches_of
 from repro.obs.evidence import OperatorRecorder
 from repro.storage.dataset import pack_map_pages, private_page_writer
 from repro.storage.page import page_items
 from repro.storage.replication import page_checksum
-from repro.tcap.ir import (
-    ApplyStmt,
-    FilterStmt,
-    FlattenStmt,
-    HashStmt,
-    JoinStmt,
-)
+from repro.tcap.ir import ApplyStmt, FilterStmt, FlattenStmt, HashStmt, JoinStmt
 
 
 class EngineMetrics:
@@ -79,18 +69,13 @@ class EngineMetrics:
     def fallback(self, operator, reason):
         """One batch of ``operator`` — or one Map build or read, ``"map_build"``
         / ``"map_read"`` — took the object path, for ``reason``."""
-        key = (operator, reason)
-        self.kernel_fallbacks[key] = self.kernel_fallbacks.get(key, 0) + 1
+        fallbacks = self.kernel_fallbacks
+        fallbacks[operator, reason] = fallbacks.get((operator, reason), 0) + 1
 
 
 #: Operator names in task evidence (``pc_op_*{operator=...}``, ``op`` spans).
-_OPERATOR_NAMES = {
-    ApplyStmt: "apply",
-    FilterStmt: "filter",
-    HashStmt: "hash",
-    FlattenStmt: "flatten",
-    JoinStmt: "join",
-}
+_OPERATOR_NAMES = {ApplyStmt: "apply", FilterStmt: "filter", HashStmt: "hash",
+                   FlattenStmt: "flatten", JoinStmt: "join"}
 
 
 class JobState:
@@ -101,9 +86,7 @@ class JobState:
     """
 
     def __init__(self, program, plan, registry=None):
-        self.program = program
-        self.plan = plan
-        self.registry = registry
+        self.program, self.plan, self.registry = program, plan, registry
         self.hash_tables = {}  # join output vlist -> {hash: [row tuples]}
         self.store = {}  # vlist -> a source description, or an outbox
 
@@ -386,7 +369,7 @@ def run_task(job, spec, pages, registry):
 
     One worker's portion of a stage, whoever calls — a back-end process
     with the pages it attached and its copy of the job's registry, the
-    coordinator with the front-end page stream and the worker's own —
+    coordinator with the leased pages read in place and the worker's own —
     from the same plain inputs: ``job`` is what is constant over the job
     (program, plan, profiling), ``spec`` what is not (the plan's segment,
     source description, ``(sink class, arguments)``, the hash tables its
@@ -396,11 +379,8 @@ def run_task(job, spec, pages, registry):
     job's state.  When the body raises, the evidence so far travels on
     the exception (``error.evidence``).
     """
-    engine = PipelineEngine(
-        job["program"], job["plan"], None,
-        profiler=OperatorRecorder() if job["profiling"] else None,
-        registry=registry,
-    )
+    engine = PipelineEngine(job["program"], job["plan"], None, registry=registry,
+                            profiler=OperatorRecorder() if job["profiling"] else None)
     engine.hash_tables = spec["hash_tables"]
     try:
         stages, target = engine.plan.segment(*spec["segment"])
@@ -582,6 +562,13 @@ def check_arrived(pages, target, arrived=None):
                 "of the task's pages is kept" % (index + 1, len(pages), target))
 
 
+def keep_outbox(store, name, outbox):
+    """Keep a task's sealed ``outbox`` — a list of messages per partition —
+    under ``name`` in ``store``, after what the worker's earlier tasks kept."""
+    for held, messages in zip(store.setdefault(name, [[] for _ in outbox]), outbox):
+        held.extend(messages)
+
+
 def hash_rows_into(table, rows):
     """Bucket ``rows`` — tuples ``(hash, *values)`` — by their hash:
     ``table[hash]`` gains the ``values`` tuple, in order."""
@@ -628,10 +615,12 @@ class Sink:
     A sink lives in three steps: ``consume`` takes the batches, ``seal``
     (end of the task body, wherever it ran) turns what was consumed into
     ``state`` — plain data, pages built — and ``finish`` installs the
-    state where the job keeps it.  A scheduled task (:func:`run_task`)
-    runs the first two on a sink built from :meth:`remote_spec` over its
-    engine; the coordinator's own sink, built over the worker's
-    :class:`JobState`, gets that ``state`` assigned and runs the third.
+    state where the job keeps it, after what earlier tasks of the worker
+    installed there.  A scheduled task (:func:`run_task`) runs the first
+    two on a sink built from :meth:`remote_spec` over its engine; the
+    coordinator's own sink, built over the worker's :class:`JobState`,
+    gets that ``state`` assigned, checks it as it arrived (:meth:`check`) and
+    later — in window order — runs the third.
     """
 
     #: Rows the stages take at a time (None: any); the engine halves a
@@ -663,18 +652,19 @@ class Sink:
         ``finish()``.  None — a sink no task can fill — is an error."""
         return None
 
+    def check(self):
+        """Raise :class:`WorkerCrashError` unless ``state`` arrived as its
+        task sealed it (the attempt re-runs); returns how many pages
+        ``finish()`` adopts (the task's ``pages_written``)."""
+        return 0
+
     def finish(self):
-        """Install ``state`` at end of pipeline; returns the pages that
-        adopted, if any (the task's ``pages_written``)."""
+        """Install ``state`` at end of pipeline."""
 
     def abort(self):
-        """Undo any *durable* half-effects of a failed attempt.
-
-        Called by the scheduler's retry machinery after a back-end crash,
-        before the task is re-dispatched into a fresh sink.  A sink that
-        installs only on success need do nothing; page-writing sinks free
-        the pages they adopted.
-        """
+        """Undo what ``finish()`` made durable, when the run that
+        installed it fails or restarts: a page-writing sink frees the
+        pages it adopted."""
 
 
 class HashBuildSink(Sink):
@@ -691,9 +681,7 @@ class HashBuildSink(Sink):
     def __init__(self, engine, join_stmt, exchange=None):
         super().__init__(engine)
         self.join = join_stmt
-        (self.hash_column, self.columns), _probe = join_sides(
-            engine.plan, join_stmt
-        )
+        (self.hash_column, self.columns), _probe = join_sides(engine.plan, join_stmt)
         self.exchange = exchange
         self.state = []
 
@@ -718,7 +706,7 @@ class HashBuildSink(Sink):
             self.engine.hash_tables[self.join.output] = \
                 hash_rows_into({}, self.state)
         else:
-            self.engine.store[self.join.output] = self.state
+            keep_outbox(self.engine.store, self.join.output, self.state)
 
 
 class AggregateSink(Sink):
@@ -732,7 +720,7 @@ class AggregateSink(Sink):
     an aggregation whose pairs travel as PC Maps (``map_type``), its
     combiner pages, packed right here by the task that holds the data
     (Figure 5); of any other, its ``(key, value)`` rows.  An empty one is
-    no message.  ``finish()`` checks the CRC of each Map page for the
+    no message.  :meth:`check` checks the CRC of each Map page for the
     caller as ``arrived(bytes)`` hands it over (None: as sealed).
     """
 
@@ -782,11 +770,17 @@ class AggregateSink(Sink):
             ]
         self.state = [[held] if held else [] for held in partitions]
 
-    def finish(self):
+    def check(self):
         if self.exchange and self.exchange[0] is None and self.comp.map_type is not None:
             for held in self.state[0]:
                 check_arrived(held, "the result of %s" % self.comp.name, self.arrived)
-        self.engine.store[self.statement.output] = self.state
+        return 0
+
+    def finish(self):
+        if self.exchange is None:
+            self.engine.store[self.statement.output] = self.state
+        else:
+            keep_outbox(self.engine.store, self.statement.output, self.state)
 
 
 class MaterializeSink(Sink):
@@ -826,8 +820,12 @@ class MaterializeSink(Sink):
                                       self.state[names[0]], n)
 
     def finish(self):
-        self.engine.store[self.vlist_name] = self.state if self.exchange \
-            else ("columns", self.state or {})
+        if self.exchange:
+            keep_outbox(self.engine.store, self.vlist_name, self.state)
+            return
+        _kind, columns = self.engine.store.setdefault(self.vlist_name, ("columns", {}))
+        for name, values in (self.state or {}).items():
+            columns.setdefault(name, []).extend(values)
 
 
 class ListOutputSink(Sink):
@@ -848,11 +846,12 @@ class _PageSink(Sink):
 
     The pages are private blocks, so the same body runs in a back-end
     process and in the coordinator; sealed, they are ``(bytes, CRC,
-    allocations, objects)`` in ``state["pages"]``.  ``finish()`` runs in
-    the coordinator, over the worker-local partition of the output set
-    (``page_set``): it verifies every CRC, then adopts the bytes into the
-    partition and says so in :attr:`adopted`, for the job to place once
-    its whole plan is through (``ReplicationManager.place_pages``).
+    allocations, objects)`` in ``state["pages"]``, every CRC verified as
+    they arrive (:meth:`check`).  ``finish()`` runs in the coordinator,
+    over the worker-local partition of the output set (``page_set``): it
+    adopts the bytes into the partition and says so in :attr:`adopted`,
+    for the job to place once its whole plan is through
+    (``ReplicationManager.place_pages``).
     :meth:`abort` frees the pages this sink adopted and takes their
     objects back off the partition's count — whatever other sinks added
     since, and nothing the second time.
@@ -870,14 +869,15 @@ class _PageSink(Sink):
     def remote_spec(self):
         return type(self), (self.page_size,)
 
+    def check(self):
+        check_arrived(self.state["pages"], self.statement.target)
+        return len(self.state["pages"])
+
     def finish(self):
-        pages = self.state["pages"]
-        check_arrived(pages, self.statement.target)
-        for data, checksum, allocations, count in pages:
+        for data, checksum, allocations, count in self.state["pages"]:
             self.adopted.append((data, checksum, count, self.page_set.adopt_page_bytes(
                 data, count=count, allocations=allocations)))
         self.python = self.state.get("python", [])
-        return len(pages)
 
     def abort(self):
         adopted, self.adopted, self.python = self.adopted, [], []

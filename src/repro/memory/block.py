@@ -108,6 +108,7 @@ class AllocationBlock:
         "_m_allocs",
         "_m_frees",
         "_san",
+        "__weakref__",
     )
 
     def __init__(self, size, policy=LIGHTWEIGHT_REUSE, registry=None,

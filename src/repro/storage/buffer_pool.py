@@ -17,11 +17,17 @@ one it will need again last: it re-enters the eviction order at the cold
 end (evict-most-recent), and the scan keeps the pages that fit instead
 of flooding the pool.  Sets that fit, and anonymous pages, are evicted
 least-recently-used.
+
+Under ``shm`` residency a page lives in a *frame*, a named shared-memory
+segment: an evicted page's frame is mapped again by the next page, unless
+a view still exports the evicted page's mapping (then the frame is
+retired, and the view keeps reading its own bytes).
 """
 
 from __future__ import annotations
 
 import atexit
+import mmap
 import os
 import tempfile
 import weakref
@@ -40,67 +46,114 @@ from repro.storage.page import DEFAULT_PAGE_SIZE, Page
 from repro.storage.replication import corrupt_bytes, page_checksum
 
 
-def _release_segments(pages, segments, shm_registry=None):
-    """Unlink and close every shared-memory segment a pool left behind.
+def _release_segments(pages, segments, free, shm_registry=None):
+    """Retire every frame a pool left behind: its resident pages' and its
+    free ones.
 
     Module-level so ``weakref.finalize`` can run it after the pool itself
     is gone.  Blocks are detached first so their memoryviews over the
-    mappings die and the segments can actually unmap; a segment whose
-    buffer is still exported (a facade somewhere keeps a view alive —
-    perhaps one the collector found in the same cycle as the pool) is
-    unlinked anyway so the kernel reclaims it once the last mapping
-    drops, and parked in the graveyard for the pools still alive to close.
+    mappings die and the frames can actually unmap; a frame whose mapping
+    is still exported (a facade somewhere keeps a view alive — perhaps
+    one the collector found in the same cycle as the pool) is unlinked
+    anyway so the kernel reclaims it once the last mapping drops, and
+    parked in the graveyard for the pools still alive to close.
     """
     for page in pages.values():
         if page.shm is not None:
             page.block = None
             page.shm = None
-    for shm in segments.values():
-        try:
-            shm.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-        if shm_registry is not None:
-            shm_registry.note_unlink(shm.name)
-        _close_or_park(shm)
+    for frame in list(segments.values()) + free:
+        _retire_frame(frame, shm_registry)
     segments.clear()
+    del free[:]
 
 
-def _close_or_park(shm):
-    """Close an unlinked segment, or park it while a view exports it.
+def _retire_frame(frame, shm_registry):
+    """Unlink a frame's segment, then close its mapping or park it."""
+    try:
+        frame.shm.unlink()
+    except (FileNotFoundError, OSError):
+        pass
+    if shm_registry is not None:
+        shm_registry.note_unlink(frame.name)
+    # The descriptor and SharedMemory's own mapping, which nothing exports.
+    frame.shm.close()
+    _close_or_park(frame)
 
-    A parked segment must stay referenced: dropping it would run
-    ``SharedMemory.__del__``, whose ``close()`` raises ``BufferError``
-    into whatever code the collector interrupted.
+
+def _close_or_park(frame):
+    """Close a retired frame's mapping, or park it while a view exports it.
+
+    A parked frame must stay referenced: dropping it would drop a
+    mapping some view still reads.
     """
     try:
-        shm.close()
+        frame.close()
     except BufferError:
-        _GRAVEYARD.append(shm)
+        _GRAVEYARD.append(frame)
+
+
+class _Frame:
+    """A named shared-memory segment that pages are mapped into, one at a time.
+
+    ``shm`` keeps the segment's name and descriptor for the frame's whole
+    life; each page that lands in the frame maps it afresh (:meth:`map`).
+    When that page is evicted and its mapping closes cleanly — no view
+    exports it any more — the frame is free for the next page: a reload
+    maps it again, with no ``shm_open``, ``ftruncate``, unlink, journal
+    record or resource-tracker message.  A mapping a view still exports
+    cannot be handed on: its frame is retired (:func:`_retire_frame`).
+    """
+
+    __slots__ = ("shm", "mapping")
+
+    def __init__(self, shm):
+        self.shm, self.mapping = shm, None
+
+    @property
+    def name(self):
+        return self.shm.name
+
+    @property
+    def size(self):
+        return self.shm.size
+
+    def map(self, block_size):
+        """A fresh mapping of the segment, sliced to ``block_size``."""
+        # SharedMemory keeps the descriptor open; mapping it again needs
+        # no shm_open, and SharedMemory's own buffer is never exported.
+        self.mapping = mmap.mmap(self.shm._fd, self.shm.size)
+        return memoryview(self.mapping)[:block_size]
+
+    def close(self):
+        """Close the current mapping; ``BufferError`` while a view exports it."""
+        if self.mapping is not None:
+            self.mapping.close()
+            self.mapping = None
 
 
 def _sweep_graveyard(limit=None):
-    """Retire parked segments whose exported views have died.
+    """Close parked frames whose exported views have died.
 
-    Each parked segment holds an open file descriptor and a mapping.
-    A streaming scan keeps every segment it evicted mapped until its
-    batch of handles dies, so retrying all of them on every drop is
+    Each parked frame holds a mapping of an unlinked segment.  A batch
+    of handles over evicted pages keeps every one of their mappings
+    alive until it dies, so retrying all of them on every drop is
     quadratic in the scan: ``limit`` bounds how many are retried,
-    longest-untried first.  Once views die their segments go ``limit``
+    longest-untried first.  Once views die their frames go ``limit``
     per drop while at most one arrives, so the graveyard never holds
     more than were exported at one time.  ``None`` retries all.
     """
     retries = len(_GRAVEYARD) if limit is None \
         else min(limit, len(_GRAVEYARD))
     for _ in range(retries):
-        shm = _GRAVEYARD.popleft()
+        frame = _GRAVEYARD.popleft()
         try:
-            shm.close()
+            frame.close()
         except BufferError:  # pcsan: disable=PC005
-            _GRAVEYARD.append(shm)  # still exported somewhere
+            _GRAVEYARD.append(frame)  # still exported somewhere
 
 
-#: The graveyard: unlinked segments still mapped by an exported view,
+#: The graveyard: frames of unlinked segments still mapped by an exported view,
 #: longest untried first.  One for the process, so what a pool could not
 #: close before it went away is retired by the sweeps of the pools left.
 _GRAVEYARD = deque()
@@ -160,12 +213,16 @@ class BufferPool:
         #: every named segment's create/unlink is recorded so a later run
         #: can reap what a hard-killed process stranded.
         self.shm_registry = shm_registry
-        self._shm_segments = {}  # page_id -> SharedMemory
+        self._shm_segments = {}  # page_id -> the _Frame it is mapped in
+        #: frames no page holds, each of them cleanly unmapped; with the
+        #: resident pages they never add up to more than the budget
+        self._free_frames = []
+        self._next_frame = 1
         self._shm_prefix = "pc%d-%s" % (os.getpid(), os.urandom(3).hex())
         self._pages = {}  # page_id -> Page
         self._finalizer = weakref.finalize(
-            self, _release_segments,
-            self._pages, self._shm_segments, shm_registry,
+            self, _release_segments, self._pages, self._shm_segments,
+            self._free_frames, shm_registry,
         )
         if residency == "shm":
             _LIVE_SHM_POOLS.add(self)
@@ -273,28 +330,36 @@ class BufferPool:
 
     # -- shared-memory backing ----------------------------------------------------
 
-    def _shm_create(self, page_id, block_size):
-        """A named shared-memory segment sized for one block.
-
-        The kernel may round the mapping up to a whole number of VM pages;
-        the returned memoryview is sliced back to exactly ``block_size`` so
-        block-header bookkeeping never sees the slack.
-        """
+    def _frame_for(self, page_id, block_size):
+        """A frame for one page's block, mapped: a free one of its size,
+        else a new named segment.  Returns ``(frame, buffer)``, the
+        buffer sliced to exactly ``block_size`` (the kernel may round
+        the segment up to whole VM pages)."""
         from multiprocessing import shared_memory
 
-        name = "%s-%d" % (self._shm_prefix, page_id)
-        if self.shm_registry is not None:
-            # Journaled *before* the segment exists (WAL discipline): the
-            # registry must always be a superset of what is in /dev/shm,
-            # so a kill between the two lines over-reports, never leaks.
-            self.shm_registry.note_create(name)
-        shm = shared_memory.SharedMemory(
-            name=name, create=True, size=block_size,
-        )
-        self._shm_segments[page_id] = shm
-        # shm.buf is the raw mapping the AllocationBlock is built over,
-        # not an existing block's backing store.
-        return shm, memoryview(shm.buf)[:block_size]  # pcsan: disable=PC002
+        frame = next((free for free in self._free_frames
+                      if free.size == block_size), None)
+        if frame is not None:
+            self._free_frames.remove(frame)
+        else:
+            name = "%s-%d" % (self._shm_prefix, self._next_frame)
+            self._next_frame += 1
+            if self.shm_registry is not None:
+                # Journaled *before* the segment exists (WAL discipline):
+                # the registry must always be a superset of what is in
+                # /dev/shm, so a kill between the two lines over-reports,
+                # never leaks.
+                self.shm_registry.note_create(name)
+            frame = _Frame(shared_memory.SharedMemory(
+                name=name, create=True, size=block_size,
+            ))
+        # Free frames give way to resident pages: together they stay
+        # within the budget.
+        while self._free_frames and self._in_memory_bytes + block_size + sum(
+                free.size for free in self._free_frames) > self.capacity_bytes:
+            _retire_frame(self._free_frames.pop(0), self.shm_registry)
+        self._shm_segments[page_id] = frame
+        return frame, frame.map(block_size)
 
     def _reconstitute_page(self, page_id, data, set_key):
         """Page from shipped/spilled bytes, honoring the residency mode.
@@ -309,52 +374,48 @@ class BufferPool:
                 metrics=self.metrics,
             )
         block_size = layout.unpack_block_header(data)[0]
-        shm, buf = self._shm_create(page_id, block_size)
+        frame, buf = self._frame_for(page_id, block_size)
         try:
             buf[: len(data)] = data
             block = AllocationBlock.from_buffer(
                 buf, registry=self.registry, metrics=self.metrics,
             )
         except BaseException:
-            # Don't leak the named segment: the next reload of this page
-            # would collide on the name with FileExistsError.
+            # Don't leak the named segment.
             self._shm_segments.pop(page_id, None)
             del buf
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pcsan: disable=PC005
-                pass  # never materialised
-            if self.shm_registry is not None:
-                self.shm_registry.note_unlink(shm.name)
-            shm.close()
+            _retire_frame(frame, self.shm_registry)
             raise
         page = Page(page_id, block, set_key=set_key)
-        page.shm = shm
+        page.shm = frame
         return page
 
     def parked_segments(self):
         """This pool's segments in the graveyard, longest untried first."""
         mine = self._shm_prefix + "-"
-        return [shm for shm in _GRAVEYARD if shm.name.startswith(mine)]
+        return [frame for frame in _GRAVEYARD if frame.name.startswith(mine)]
 
-    def _drop_block(self, page):
-        """Detach a page's block, releasing its shared-memory segment."""
+    def _drop_block(self, page, evicted=False):
+        """Detach a page's block and unmap its frame: an evicted page's
+        frame is free for the next page once its mapping closes; a freed
+        page's — or one a view still exports (a facade somewhere reads
+        it; parked, and closed once the view dies) — is retired."""
         page.block = None
-        shm = page.shm
-        if shm is None:
+        frame = page.shm
+        if frame is None:
             return
         page.shm = None
         self._shm_segments.pop(page.page_id, None)
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-        if self.shm_registry is not None:
-            self.shm_registry.note_unlink(shm.name)
         _sweep_graveyard(_GRAVEYARD_RETRIES_PER_DROP)
-        # A facade somewhere may still export a view over the mapping;
-        # then the handle is kept and retired once the view dies.
-        _close_or_park(shm)
+        if evicted:
+            try:
+                frame.close()
+            except BufferError:  # pcsan: disable=PC005
+                pass  # still exported: retired below
+            else:
+                self._free_frames.append(frame)
+                return
+        _retire_frame(frame, self.shm_registry)
 
     def close(self):
         """Release every shared-memory segment this pool still owns."""
@@ -363,6 +424,8 @@ class BufferPool:
                 size = page.size
                 self._drop_block(page)
                 self._in_memory_bytes -= size
+        while self._free_frames:
+            _retire_frame(self._free_frames.pop(), self.shm_registry)
         _sweep_graveyard()
 
     # -- page lifecycle -----------------------------------------------------------
@@ -424,6 +487,12 @@ class BufferPool:
                 # keeps what fits.
                 self._lru.move_to_end(page_id, last=False)
 
+    def resident(self, page_id):
+        """Whether ``page_id``'s bytes are in memory: pinning it costs no
+        reload."""
+        page = self._pages.get(page_id)
+        return page is not None and page.in_memory
+
     def pinned_pages(self):
         """``{page_id: pin_count}`` for every currently pinned page.
 
@@ -484,7 +553,7 @@ class BufferPool:
             self._c_spills.inc()
             page.dirty = False
         self._in_memory_bytes -= page.size
-        self._drop_block(page)
+        self._drop_block(page, evicted=True)
 
     def _reload(self, page):
         path = self._spilled.get(page.page_id)

@@ -81,8 +81,9 @@ class Page:
         self.dirty = False
         #: the (database, set) this page belongs to, when any.
         self.set_key = set_key
-        #: the SharedMemory segment backing ``block.buf`` when the owning
-        #: pool runs in ``shm`` residency (None for bytearray residency).
+        #: the shared-memory frame (``buffer_pool._Frame``: a named segment)
+        #: backing ``block.buf`` when the owning pool runs in ``shm``
+        #: residency (None for bytearray residency).
         self.shm = None
 
     @property

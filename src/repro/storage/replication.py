@@ -221,22 +221,15 @@ class ReplicationManager:
     # -- reads (failover + healing) --------------------------------------------
 
     def _live_replicas(self, record):
-        return [
-            (worker_id, page_id)
-            for worker_id, page_id in record.replicas
-            if self.storage_manager.has_server(worker_id)
-        ]
+        return [(worker_id, page_id) for worker_id, page_id in record.replicas
+                if self.storage_manager.has_server(worker_id)]
 
-    def scan_page_copies(self, database, name, worker_id=None):
-        """Yield ``(page_set, page_id)`` of every page copy a scan reads.
-
-        The one page selection: catalog uid order, each page from its
-        first live replica, failover counted, corrupt copies healed —
-        decoded front-end side by :meth:`scan_pages`, handed to a
-        back-end by the scheduler's shm export.  An unknown set raises
-        :class:`~repro.errors.SetNotFoundError`.
-        """
-        meta = self.storage_manager.set_metadata(database, name)
+    def scan_share(self, database, name, worker_id=None):
+        """``[(record, reader, local page id)]``: the one page selection —
+        catalog uid order, each page from its first live replica;
+        ``worker_id``: only the pages that worker reads, each page read
+        once cluster-wide.  An unknown set raises SetNotFoundError."""
+        share, meta = [], self.storage_manager.set_metadata(database, name)
         for uid in list(meta.pages):
             record = meta.pages.get(uid)
             if record is None:
@@ -247,19 +240,24 @@ class ReplicationManager:
                     "page %s of %s.%s has no surviving replica"
                     % (uid, database, name)
                 )
-            reader = live[0][0]
-            if worker_id is not None and reader != worker_id:
-                continue
+            if worker_id is None or live[0][0] == worker_id:
+                share.append((record, live[0][0], dict(live)[live[0][0]]))
+        return share
+
+    def scan_page_copies(self, database, name, worker_id=None, window=slice(None)):
+        """Yield ``(page_set, page_id)`` of every page copy a scan reads —
+        ``window``: of that slice of :meth:`scan_share` — failover counted
+        and corrupt copies healed: decoded front-end side by
+        :meth:`scan_pages`, leased to a task by the scheduler."""
+        for record, reader, _local in self.scan_share(database, name, worker_id)[window]:
             if reader != record.primary:
                 self._c_failover_reads.inc()
             yield self._healthy_copy(database, name, record, reader)
 
     def scan_pages(self, database, name, worker_id=None):
         """Yield each page's :func:`page_items`, read from the copy
-        :meth:`scan_page_copies` picks (``worker_id``: only the pages that
-        worker reads, each page read once cluster-wide) — never corrupted
-        bytes.  A page stays pinned while the consumer holds its items.
-        """
+        :meth:`scan_page_copies` picks — never corrupted bytes.  A page
+        stays pinned while the consumer holds its items."""
         for page_set, page_id in self.scan_page_copies(
             database, name, worker_id=worker_id
         ):

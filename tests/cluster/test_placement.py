@@ -53,8 +53,7 @@ TRANSPORTS = [
     pytest.param("process", marks=needs_process),
 ]
 FAMILY = "pc_sched_frontend_tasks_total"
-REASONS = ("in_process", "pool_pressure", "unpicklable_spec",
-           "child_rejected")
+REASONS = ("in_process", "unpicklable_spec", "child_rejected")
 
 
 def _frontend_tasks(cluster):
@@ -160,14 +159,20 @@ def _tpch_job(cluster):
 
 
 def _kmeans_job(cluster):
-    """A scan the pool cannot pin whole is streamed by the front-end."""
+    """A scan the pool cannot pin whole runs on the back-ends, one
+    pool-sized window per task."""
     rng = np.random.default_rng(3)
     km = PCKMeans(cluster).load(rng.normal(size=(4000, 8)), chunk_size=32)
     centers = km.initialize(3, seed=1)
+    reloads = cluster.metrics().value("pc_pool_reloads_total")
     _centers, counts = _delta(cluster, lambda: km.iterate(centers))
-    workers = len(cluster.workers)
-    assert counts == {"pool_pressure": workers}
-    assert cluster.metrics().value("pc_pool_reloads_total") > 0
+    assert counts == {}
+    placements = _task_placements(cluster.last_trace)
+    assert set(placements) == {"shipped"}
+    tasks = [span.name for span in cluster.last_trace.spans(kind="task")
+             if span.pid is None]
+    assert all(tasks.count(worker.worker_id) > 1 for worker in cluster.workers)
+    assert cluster.metrics().value("pc_pool_reloads_total") > reloads
 
 
 class HandleMultiply(JoinComp):
@@ -263,9 +268,7 @@ def test_process_transport_frontend_reasons_are_exact(tmp_path, job,
     finally:
         cluster.close()
     # Whoever calls it and why, the task is the same two dicts.
-    # (The k-means step's scans are all streamed by the coordinator, and
-    # its result has no OUTPUT task to ship.)
-    callers = {"coordinator"} if job is _kmeans_job else {"job state", "back-end"}
+    callers = {"job state", "back-end"}
     if job is _multiply_job:
         callers.add("coordinator")
     _assert_one_task_shape(seen, callers)

@@ -65,22 +65,23 @@ def _scan(pool, pages):
     return _count(pool, "reloads") - before
 
 
-def _engine_pass(pool, pages):
-    """One job's access pattern: the scheduler first tries to pin the
-    whole scan for export, gives up at the page that does not fit and
-    releases, then streams the set page by page."""
+def _engine_pass(pool, pages, frames):
+    """One job's access pattern (the scheduler's scan windows): a set
+    larger than the pool is cut into the fewest windows of at most
+    ``frames - 1`` pages, sizes within one page; the window with the
+    fewest pages to reload runs first, each page CRC-checked (pinned and
+    unpinned), then the whole window pinned for the task and released."""
     before = _count(pool, "reloads")
-    pinned = []
-    try:
-        for page in pages:
+    count = 1 if len(pages) <= frames else -(-len(pages) // max(1, frames - 1))
+    bounds = [len(pages) * index // count for index in range(count + 1)]
+    windows = [pages[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    for window in sorted(windows, key=lambda window: sum(
+            not pool.resident(page.page_id) for page in window)):
+        for page in window:
+            _touch(pool, page)
             pool.pin(page.page_id)
-            pinned.append(page)
-    except BufferPoolExhaustedError:
-        pass
-    for page in pinned:
-        pool.unpin(page.page_id)
-    for page in pages:
-        _touch(pool, page)
+        for page in window:
+            pool.unpin(page.page_id)
     return _count(pool, "reloads") - before
 
 
@@ -107,9 +108,9 @@ def test_oversized_set_reloads_only_what_does_not_fit(
     pool = _pool(tmp_path, frames, residency)
     try:
         pages = _load(pool, n_pages, BIG)
-        _engine_pass(pool, pages)
+        _engine_pass(pool, pages, frames)
         for _ in range(3):
-            assert _engine_pass(pool, pages) == n_pages - frames + 1
+            assert _engine_pass(pool, pages, frames) == n_pages - frames
         assert pool.in_memory_bytes <= pool.capacity_bytes
     finally:
         pool.close()
@@ -118,8 +119,8 @@ def test_oversized_set_reloads_only_what_does_not_fit(
 @pytest.mark.parametrize("n_pages,frames", [(6, 1), (4, 3), (9, 4)])
 def test_plain_cycle_over_an_oversized_set_never_floods(
         tmp_path, residency, n_pages, frames):
-    # Without the export attempt the resident window drifts by a page a
-    # pass, so a pass costs N - C reloads, or one more when it wraps;
+    # Without windows the resident window drifts by a page a pass, so a
+    # pass costs N - C reloads, or one more when it wraps;
     # least-recently-used would reload all N every time.
     pool = _pool(tmp_path, frames, residency)
     try:
