@@ -551,10 +551,7 @@ ARCHITECTURE = {
             "repro.cluster.scheduler.DistributedScheduler"
             "._run_distributed_pipeline",
         ),
-        "row_messages": (
-            "repro.engine.pipeline.HashBuildSink.seal",
-            "repro.engine.pipeline.MaterializeSink.seal",
-        ),
+        "row_messages": ("repro.engine.pipeline.HashBuildSink.seal",),
         "partition_rows": (
             "repro.engine.pipeline.AggregateSink.seal",
             "repro.engine.pipeline.row_messages",
@@ -589,7 +586,7 @@ ARCHITECTURE = {
         "retain": "memory",
     },
     "ceilings": {
-        "repro/cluster/scheduler.py": 975,
+        "repro/cluster/scheduler.py": 967,
         "repro/cluster/transport.py": 750,
         "repro/cluster/cluster.py": 690,
         "repro/cluster/procworker.py": 283,
@@ -597,14 +594,14 @@ ARCHITECTURE = {
         "repro/storage/replication.py": 440,
         "repro/storage/dataset.py": 397,
         "repro/engine/physical.py": 307,
-        "repro/engine/pipeline.py": 959,
+        "repro/engine/pipeline.py": 930,
         "repro/memory/gather.py": 552,
         "repro/memory/scatter.py": 838,
         "repro/ml/kmeans.py": 142,
         "repro/ml/kmeans_columnar.py": 151,
         "repro/lillinalg": 799,
         "repro/obs": 1888,
-        "repro/analysis": 1331,
+        "repro/analysis": 1328,
     },
 }
 

@@ -8,8 +8,7 @@ turns every pipeline into distributed *job stages*:
 * ``BuildHashTableJobStage`` — building join hash tables from shuffled or
   broadcast data;
 * ``AggregationJobStage`` — moving shuffled pre-aggregation Maps to the
-  workers whose tasks merge them (the consuming stage of Figure 5), or
-  merging a job's result at its caller.
+  workers whose tasks merge them (the consuming stage of Figure 5).
 
 All one shape: per-worker tasks over local data, cut at every partitioned
 join probe, whose sealed outboxes the coordinator only moves and installs.
@@ -27,7 +26,8 @@ and the task that reads the aggregation on the receiving worker reads
 each Map straight out of the arrived bytes and merges it — zero
 serialization on both ends, and no decode in the coordinator, which
 only moves the pages and keeps them for that task.  A job's result has
-no consuming task: its caller merges what each producing task sealed.
+no consuming stage: its caller merges what each producing task sealed,
+as the task settles.
 
 One task runner, one attempt loop: a worker's portion of a stage — one
 task per window of a scan larger than its pool — is always
@@ -682,40 +682,42 @@ class DistributedScheduler:
 
         return ship
 
-    def _exchange_kept(self, output, install, comp=None):
-        """The second half of a stage that feeds an exchange: pop the
-        outboxes every worker's tasks sealed and kept under ``output``,
-        exchange them, and ``install(kept, rows)`` what each worker
-        received into what the job keeps there.  Returns the installs'
-        results, in worker order."""
-        kept = [self._kept_on(worker) for worker in self.workers]
-        held = [on_worker.store.pop(output, ()) for on_worker in kept]
-        received = self._exchange(held, comp)
-        return [
-            install(on_worker, rows) for on_worker, rows in zip(kept, received)
-        ]
+    def _outboxes(self):
+        """``(held, install)`` for a stage that feeds an exchange:
+        ``install(worker, sink)`` appends a settled task's sealed outbox
+        — a list of messages per partition — to its worker's partitions,
+        in (worker, window) order; ``held`` is them in worker order, for
+        :meth:`_exchange`."""
+        held = [[[] for _ in self.workers] for _ in self.workers]
+        partitions = dict(zip(self.workers, held))
+
+        def install(worker, sink):
+            for messages, sealed in zip(partitions[worker], sink.state):
+                messages.extend(sealed)
+
+        return held, install
 
     def _run_distributed_pipeline(self, pipeline, sink_factory, install=None):
         """Run a full pipeline on every worker — the one stage shape:
-        tasks, then (where the sink feeds one) exchange and install.
-        A scan runs one task per window of each worker's share
-        (:meth:`_ScanSource.windows`), every sink installed in window
-        order (``install(worker, sink)``; by default its ``finish()``).
-        The chain is cut at every partitioned join probe, whatever the
-        pipeline's own sink: a segment ending at a cut collects what the
-        probe reads, each task partitioning its rows by the probe hash,
-        and the next segment reads what its worker received.
+        tasks, each sink installed as it settles (``install(worker,
+        sink)``, in window order; by default its ``finish()``).  A scan
+        runs one task per window of each worker's share
+        (:meth:`_ScanSource.windows`).  The chain is cut at every
+        partitioned join probe, whatever the pipeline's own sink: a
+        segment ending at a cut seals the rows the probe reads (a
+        probe-side ``HashBuildSink``), each task partitioning them by the
+        probe hash, and the next segment reads what its worker received.
         """
         segments = self.plan.segments(pipeline)
         workers = self.workers
 
-        def run(index, sources, factory, install=None):
+        def run(index, sources, factory, install):
             segment = (pipeline.pipeline_id, index)
             self._run_worker_tasks([
                 (worker, [(window, self._attempt(worker, segment, part, factory))
                           for window, part in source.windows()])
                 for worker, source in zip(workers, sources)
-            ], install or (lambda _worker, sink: sink.finish()))
+            ], install)
 
         sources = [
             self._pipeline_source(worker, pipeline) for worker in workers
@@ -723,17 +725,16 @@ class DistributedScheduler:
         for index, following in enumerate(segments[1:]):
             probe = following[0]
             _build, (probe_hash, carried) = join_sides(self.plan, probe)
-            names = (probe_hash, *carried)
-            exchange = (len(workers), names)
-            run(index, sources, lambda worker: MaterializeSink(
-                self._kept_on(worker), probe.output, exchange
-            ))
-            sources = self._exchange_kept(
-                probe.output, lambda _kept, rows: _KeptSource(
-                    ("columns", dict(zip(names, map(list, zip(*rows)))))
-                ),
-            )
-        run(len(segments) - 1, sources, sink_factory, install)
+            held, collect = self._outboxes()
+            run(index, sources, lambda worker: HashBuildSink(
+                self._kept_on(worker), probe, (len(workers), "probe")), collect)
+            sources = [
+                _KeptSource(("columns", dict(zip((probe_hash, *carried),
+                                                 map(list, zip(*rows))))))
+                for rows in self._exchange(held)
+            ]
+        run(len(segments) - 1, sources, sink_factory,
+            install or (lambda _worker, sink: sink.finish()))
 
     # -- per-sink handlers ------------------------------------------------------------------
 
@@ -744,55 +745,46 @@ class DistributedScheduler:
         worker's table is built from what it received."""
         join = pipeline.sink
         mode = self.plan.join_modes[join.output]
-        exchange = (len(self.workers), mode)
-
-        def install(kept, rows):
-            kept.hash_tables[join.output] = hash_rows_into({}, rows)
-
+        held, install = self._outboxes()
         with self._stage(
             "BuildHashTableJobStage",
             "%s join build for %s" % (mode, join.output),
         ):
             # Builds overlap across back-end processes; the exchange and
             # the folds are a serial coordinator loop.
-            self._run_distributed_pipeline(
-                pipeline,
-                lambda worker: HashBuildSink(
-                    self._kept_on(worker), join, exchange
-                ),
-            )
-            self._exchange_kept(join.output, install)
+            self._run_distributed_pipeline(pipeline, lambda worker: HashBuildSink(
+                self._kept_on(worker), join, (len(self.workers), "build")), install)
+            for worker, rows in zip(self.workers, self._exchange(held)):
+                self._kept_on(worker).hash_tables[join.output] = hash_rows_into({}, rows)
 
     def _run_aggregate(self, pipeline):
+        """Producing stage: per-worker pre-aggregation (pipelining
+        threads), each task partitioning and packing what it sends.  A
+        job's result is one partition, folded by the caller as each task
+        settles.  Otherwise a consuming stage exchanges the pre-aggregated
+        pairs by key hash and keeps them as they arrived; each task that
+        reads the aggregation merges its worker's
+        (``PipelineEngine.source_batches``)."""
         agg = pipeline.sink
         comp = self.program.computations[agg.computation]
-        caller = pipeline.result is not None  # one partition, the caller's
-        exchange = (None if caller else len(self.workers),
-                    self.cluster.combiner_page_size)
-
-        # Producing stage: per-worker pre-aggregation (pipelining threads),
-        # each task partitioning and packing what it sends — a result's
-        # folded by the caller as each task settles.
-        merged = {}
+        if pipeline.result is not None:
+            n, held = None, None
+            install = functools.partial(self._merge_at_caller, self.results.setdefault(
+                agg.computation, {}), comp)
+        else:
+            n, (held, install) = len(self.workers), self._outboxes()
         with self._stage("PipelineJobStage", "pre-aggregation for %s" % agg.output):
             self._run_distributed_pipeline(pipeline, lambda worker: AggregateSink(
-                self._kept_on(worker), agg, exchange, None if self.faults is None
+                self._kept_on(worker), agg, (n, self.cluster.combiner_page_size),
+                None if self.faults is None
                 else functools.partial(self.faults.hand_over, worker.worker_id, "caller"),
-            ), functools.partial(self._merge_at_caller, merged, comp) if caller else None)
-
-        # Consuming stage: the pre-aggregated pairs, exchanged by key hash,
-        # are kept as they arrived; each task that reads the aggregation
-        # merges its worker's (``PipelineEngine.source_batches``) — or, a
-        # result's, the caller folded them as their tasks settled.
-        def install(kept, arrived):
-            kept.store[agg.output] = ("arrived", agg.computation, arrived)
-
-        with self._stage("AggregationJobStage", "merge of %s at the caller" % agg.output if caller
-                         else "shuffled merge for %s over %d partitions" % (agg.output, len(self.workers))):
-            if caller:
-                self.results[agg.computation] = merged
-            else:
-                self._exchange_kept(agg.output, install, comp)
+            ), install)
+        if held is None:
+            return
+        with self._stage("AggregationJobStage", "shuffled merge for %s over %d partitions"
+                         % (agg.output, len(self.workers))):
+            for worker, arrived in zip(self.workers, self._exchange(held, comp)):
+                self._kept_on(worker).store[agg.output] = ("arrived", agg.computation, arrived)
 
     def _merge_at_caller(self, merged, comp, _worker, sink):
         """Fold into the job's result ``merged`` what one producing task

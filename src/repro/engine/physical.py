@@ -129,11 +129,11 @@ class PhysicalPlan:
     def segment(self, pipeline_id, index):
         """``(stages, sink target)`` of a task's segment, wherever it runs:
         the target is the pipeline's sink for its last segment, else the
-        vector list of the probe that heads the next."""
+        probe ``JoinStmt`` that heads the next."""
         (pipeline,) = [p for p in self.pipelines if p.pipeline_id == pipeline_id]
         segments = self.segments(pipeline)
         if index + 1 < len(segments):
-            return segments[index], segments[index + 1][0].output
+            return segments[index], segments[index + 1][0]
         return segments[index], pipeline.sink
 
     def describe(self):

@@ -80,15 +80,15 @@ _OPERATOR_NAMES = {ApplyStmt: "apply", FilterStmt: "filter", HashStmt: "hash",
 
 class JobState:
     """What a job keeps on one worker between pipelines — plain data a
-    sink's ``finish()`` installs and a later pipeline reads.  A local
-    run's engine is one; a scheduled job keeps one per worker in the
-    coordinator, where no back-end crash can reach it.
+    sink's ``finish()`` or an exchange installs and a later pipeline
+    reads.  A local run's engine is one; a scheduled job keeps one per
+    worker in the coordinator, where no back-end crash can reach it.
     """
 
     def __init__(self, program, plan, registry=None):
         self.program, self.plan, self.registry = program, plan, registry
         self.hash_tables = {}  # join output vlist -> {hash: [row tuples]}
-        self.store = {}  # vlist -> a source description, or an outbox
+        self.store = {}  # vlist -> a source description
 
     def hash_table(self, output):
         """The built hash table of join ``output``; raises when missing."""
@@ -562,13 +562,6 @@ def check_arrived(pages, target, arrived=None):
                 "of the task's pages is kept" % (index + 1, len(pages), target))
 
 
-def keep_outbox(store, name, outbox):
-    """Keep a task's sealed ``outbox`` — a list of messages per partition —
-    under ``name`` in ``store``, after what the worker's earlier tasks kept."""
-    for held, messages in zip(store.setdefault(name, [[] for _ in outbox]), outbox):
-        held.extend(messages)
-
-
 def hash_rows_into(table, rows):
     """Bucket ``rows`` — tuples ``(hash, *values)`` — by their hash:
     ``table[hash]`` gains the ``values`` tuple, in order."""
@@ -620,7 +613,8 @@ class Sink:
     two on a sink built from :meth:`remote_spec` over its engine; the
     coordinator's own sink, built over the worker's :class:`JobState`,
     gets that ``state`` assigned, checks it as it arrived (:meth:`check`) and
-    later — in window order — runs the third.
+    later — in window order — runs the third, or hands the state, an
+    outbox, to the exchange it feeds.
     """
 
     #: Rows the stages take at a time (None: any); the engine halves a
@@ -668,21 +662,25 @@ class Sink:
 
 
 class HashBuildSink(Sink):
-    """Collects a join's build side as rows ``(hash, *carried columns)``.
+    """Collects one side of a join as rows ``(hash, *carried columns)``.
 
-    A local run's ``finish()`` folds them into the table its probes
-    read.  A scheduled task, with ``exchange=(n, mode)``, seals them
-    into what its worker sends into the build exchange — ``n`` lists of
-    messages, every row for every worker (``mode`` "broadcast") or for
-    worker ``hash % n`` ("partition") — and the receiver builds the
-    table: either way it is built once (:func:`hash_rows_into`).
+    A local run's ``finish()`` folds the build side into the table its
+    probes read.  A scheduled task, with ``exchange=(n, side)``, seals
+    the ``side`` ("build" or "probe", :func:`join_sides`) into what its
+    worker sends into the exchange — ``n`` lists of messages, every row
+    for every worker when the plan broadcasts the join, else for worker
+    ``hash % n`` — and the receiver builds the table from the build
+    side (:func:`hash_rows_into`, once) or reads the probe side's rows
+    as the columns the probe runs over.
     """
 
     def __init__(self, engine, join_stmt, exchange=None):
         super().__init__(engine)
         self.join = join_stmt
-        (self.hash_column, self.columns), _probe = join_sides(engine.plan, join_stmt)
+        build, probe = join_sides(engine.plan, join_stmt)
         self.exchange = exchange
+        self.hash_column, self.columns = \
+            probe if exchange is not None and exchange[1] == "probe" else build
         self.state = []
 
     def remote_spec(self):
@@ -697,16 +695,12 @@ class HashBuildSink(Sink):
 
     def seal(self):
         if self.exchange is not None:
-            n, mode = self.exchange
-            hashes = None if mode == "broadcast" else [row[0] for row in self.state]
-            self.state = row_messages(self.state, hashes, n)
+            broadcast = self.engine.plan.join_modes[self.join.output] == "broadcast"
+            self.state = row_messages(self.state, None if broadcast else
+                                      [row[0] for row in self.state], self.exchange[0])
 
     def finish(self):
-        if self.exchange is None:
-            self.engine.hash_tables[self.join.output] = \
-                hash_rows_into({}, self.state)
-        else:
-            keep_outbox(self.engine.store, self.join.output, self.state)
+        self.engine.hash_tables[self.join.output] = hash_rows_into({}, self.state)
 
 
 class AggregateSink(Sink):
@@ -777,34 +771,20 @@ class AggregateSink(Sink):
         return 0
 
     def finish(self):
-        if self.exchange is None:
-            self.engine.store[self.statement.output] = self.state
-        else:
-            keep_outbox(self.engine.store, self.statement.output, self.state)
+        self.engine.store[self.statement.output] = self.state
 
 
 class MaterializeSink(Sink):
-    """Materializes a vector list under its name.
+    """Materializes a vector list under its name: sealed, it is the
+    columns a later pipeline reads."""
 
-    Sealed, it is the columns a later pipeline reads — or, with
-    ``exchange=(n, names)``, what this worker sends into the exchange
-    ahead of a partitioned probe: the columns ``names`` as rows, the
-    first of them the probe hash, in ``n`` lists of messages, a row for
-    worker ``hash % n``.
-    """
-
-    def __init__(self, engine, vlist_name, exchange=None):
+    def __init__(self, engine, vlist_name):
         super().__init__(engine)
         self.vlist_name = vlist_name
-        self.exchange = exchange
-        #: column name -> values: every column, once a batch arrived —
-        #: or just the exchange's
-        self.state = None if exchange is None else {
-            name: [] for name in exchange[1]
-        }
+        self.state = None  # column name -> values, once a batch arrived
 
     def remote_spec(self):
-        return type(self), (self.exchange,)
+        return type(self), ()
 
     def consume(self, batch):
         batch = kernels.reify(batch)
@@ -813,16 +793,7 @@ class MaterializeSink(Sink):
         for name in self.state:
             self.state[name].extend(batch.column(name))
 
-    def seal(self):
-        if self.exchange is not None:
-            n, names = self.exchange
-            self.state = row_messages(zip(*(self.state[name] for name in names)),
-                                      self.state[names[0]], n)
-
     def finish(self):
-        if self.exchange:
-            keep_outbox(self.engine.store, self.vlist_name, self.state)
-            return
         _kind, columns = self.engine.store.setdefault(self.vlist_name, ("columns", {}))
         for name, values in (self.state or {}).items():
             columns.setdefault(name, []).extend(values)

@@ -245,7 +245,9 @@ def test_a_scheduled_build_task_returns_an_outbox_and_no_table(
         tmp_path, monkeypatch, columnar):
     """What a build task seals is what its worker sends — ``n`` message
     lists of ``(hash, *carried)`` rows — and partition mode cuts the
-    build pipeline where it probes: one more round of tasks."""
+    build pipeline where it probes: one more round of tasks, each
+    ending in the same sink over the probe side — ``(probe hash,
+    *carried)`` rows, each in partition ``probe hash % n``."""
     kinds = {}
     seal = pipeline_module.HashBuildSink.seal
     for mode, threshold in (("broadcast", DEFAULT_BROADCAST_THRESHOLD),
@@ -255,23 +257,33 @@ def test_a_scheduled_build_task_returns_an_outbox_and_no_table(
             page_size=1 << 12, transport="sim", broadcast_threshold=threshold,
         )
         try:
-            sealed = []
-            monkeypatch.setattr(
-                pipeline_module.HashBuildSink, "seal",
-                lambda sink, sealed=sealed: (
-                    seal(sink), sealed.append(sink.state)
-                ),
-            )
+            sealed = {"build": [], "probe": []}
+
+            def spy(sink, sealed=sealed):
+                seal(sink)
+                side = sink.exchange[1]
+                sides = dict(zip(("build", "probe"), pipeline_module.join_sides(
+                    sink.engine.plan, sink.join)))
+                assert (sink.hash_column, sink.columns) == sides[side]
+                sealed[side].append((len(sink.columns), sink.state))
+
+            monkeypatch.setattr(pipeline_module.HashBuildSink, "seal", spy)
             cluster.execute_computations(_graph(CAB)[0])
-            assert len(sealed) == 2 * 2  # two joins, two workers
-            for outbox in sealed:
-                assert isinstance(outbox, list) and len(outbox) == 2
-                for partition, messages in enumerate(outbox):
-                    for rows in messages:
-                        assert rows and all(
-                            mode == "broadcast" or row[0] % 2 == partition
-                            for row in rows
-                        )
+            assert len(sealed["build"]) == 2 * 2  # two joins, two workers
+            # A cut before each partitioned probe: CAB's build pipeline
+            # probes AB, the writing pipeline probes CAB.
+            assert len(sealed["probe"]) == (0 if mode == "broadcast" else 2 * 2)
+            for side, outboxes in sealed.items():
+                for carried, outbox in outboxes:
+                    assert isinstance(outbox, list) and len(outbox) == 2
+                    for partition, messages in enumerate(outbox):
+                        for rows in messages:
+                            assert rows and all(
+                                len(row) == 1 + carried and (
+                                    mode == "broadcast" and side == "build"
+                                    or row[0] % 2 == partition)
+                                for row in rows
+                            )
             kinds[mode] = len(list(cluster.last_trace.spans(kind="task")))
             assert [stage.kind for stage in cluster.last_job_log] == [
                 "BuildHashTableJobStage", "BuildHashTableJobStage",

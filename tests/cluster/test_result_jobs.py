@@ -194,14 +194,14 @@ def test_a_crashed_producing_task_counts_its_pairs_once(tmp_path, transport,
         if lose is None:
             assert injector.counts["backend_crashes"] == 3
             assert metrics.value("pc_faults_tasks_recovered_total") == 3
-            assert kinds == ["PipelineJobStage", "AggregationJobStage"]
+            assert kinds == ["PipelineJobStage"]
         else:
             assert injector.counts["backend_crashes"] == 2
             assert metrics.value("pc_faults_workers_blacklisted_total") == 1
             # Lost in the producing stage, after its peers' tasks finished;
             # the restart's caller merges the two survivors' pairs.
             assert kinds == ["PipelineJobStage", "WorkerBlacklistedEvent",
-                             "PipelineJobStage", "AggregationJobStage"]
+                             "PipelineJobStage"]
     _equal_pairs(got, want)
     assert sum(value[0] for value in got.values()) == len(points)
 

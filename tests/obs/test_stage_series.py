@@ -12,7 +12,8 @@ import pytest
 
 from repro.cluster import PCCluster
 from repro.cluster.transport import remote_available
-from repro.tpch.lineitem import load_lineitems, q1_sums
+from repro.core import ObjectReader, Writer
+from repro.tpch.lineitem import Q1Sum, load_lineitems
 
 TRANSPORTS = [
     "sim",
@@ -36,7 +37,10 @@ def test_stage_series_are_booked_with_tracing_and_profiling_off(
                    spill_root=str(tmp_path), tracing=False,
                    profiling=False) as cluster:
         load_lineitems(cluster, 2000, seed=3)
-        q1_sums(cluster, "quantity")
+        # Written to a set, the aggregation has a consuming stage (a
+        # job's result has none: its caller merges it).
+        cluster.execute_computations(Writer("tpch", "q1").set_input(
+            Q1Sum("quantity").set_input(ObjectReader("tpch", "lineitem"))))
         kinds = collections.Counter(
             stage.kind for stage in cluster.last_job_log
         )
