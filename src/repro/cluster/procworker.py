@@ -5,40 +5,36 @@ ProcessTransport`: it runs in a spawned OS process and executes one task
 at a time off a queue.  A task arrives as only what is its own — its
 segment of the plan, the source (shared-memory page names, or what the
 spec holds), the sink class and arguments — against its job's constant
-state (the compiled program and plan, type registry, profiling/tracing
-flags), which arrives once, ahead of the job's first task here, and is
-kept until another job's replaces it.  Running it is
+state (the compiled program and plan, profiling/tracing flags), which
+arrives once, ahead of the job's first task here, and is kept until
+another job's replaces it.  Code and the type registry are held across
+jobs (:mod:`repro.cluster.codetable`): what this process lacks arrives
+beside a task, and a blob naming what it lacks is rejected as
+``"forgot"``, for the coordinator to send everything again.  Running it is
 :func:`repro.engine.pipeline.run_task` on those two dicts — what the
 coordinator calls for a task it keeps — so this module adds only what
 being another process takes: attaching pages, the heartbeat, the
 evidence's pid and span.
 
-Sealed pages are attached zero-copy: the coordinator exports each page's
-``multiprocessing.shared_memory`` segment name, the child attaches by
-name and wraps the mapped bytes in an
-:meth:`~repro.memory.block.AllocationBlock.from_buffer` view — the
-paper's "a page moves between processes with zero (de)serialization",
-for real this time.
-
-A task returns ``(sink state, evidence)``: the sealed sink's state —
-plain Python values, and the bytes (CRC-stamped) of every combiner or
-output page the task built on private blocks, for the coordinator's own
-sink to ``finish()`` — and the task's evidence (DESIGN §14), booked at
-home by the one :func:`~repro.obs.evidence.book_task_evidence`.  A task
-whose result would carry PC objects (handles/facades pointing into page
-memory) is *rejected*, not failed: the coordinator re-runs that portion
-front-end side.
+Sealed pages are attached zero-copy, by ``multiprocessing.shared_memory``
+segment name, and read through an
+:meth:`~repro.memory.block.AllocationBlock.from_buffer` view.  A task
+returns ``(sink state, evidence)``: the sealed sink's state — plain
+Python values, and the CRC-stamped bytes of every combiner or output
+page it built on private blocks — and its evidence (DESIGN §14), booked
+at home by :func:`~repro.obs.evidence.book_task_evidence`.  A result
+that would carry PC objects (handles into page memory) is *rejected*,
+not failed: the coordinator re-runs that portion front-end side.
 
 The job's ``"profiling"`` and ``"tracing"`` mean here what they mean
 in the coordinator: the first puts an operator recorder behind the
 engine, the second makes the task a ``task`` span (adopting
-``spec["trace_ctx"]``) that travels inside the evidence; with both off
-the child does no observability work.  A failed task ships its
-evidence-so-far inside the *error* envelope (the span marked
-``truncated``, the task's flight events on it), so a retry never loses
-the counters the attempt accumulated.  A
-:class:`~repro.obs.FlightRecorder` writing a parent-allocated shared
-ring keeps the last-N structured events readable even after a SIGKILL.
+``spec["trace_ctx"]``) that travels inside the evidence.  A failed task
+ships its evidence-so-far inside the *error* envelope (the span marked
+``truncated``, its flight events on it), so a retry never loses the
+attempt's counters; a :class:`~repro.obs.FlightRecorder` writing a
+parent-allocated shared ring keeps the last-N events readable even after
+a SIGKILL.
 """
 
 from __future__ import annotations
@@ -51,6 +47,7 @@ import traceback
 
 from multiprocessing import resource_tracker, shared_memory
 
+from repro.cluster.codetable import CodeMissing, install
 from repro.engine.pipeline import run_task
 from repro.memory.block import AllocationBlock
 from repro.obs.events import FlightRecorder
@@ -213,11 +210,9 @@ def backend_main(task_queue, result_queue, heartbeat=None,
 
     With a ``heartbeat`` slot (a shared ``Array('d', 5)``), a daemon
     thread publishes liveness + progress every ``beat_interval`` seconds
-    for the master-side Supervisor; without one the loop behaves exactly
-    as before (foreign callers, heartbeat-less tests).  ``flight`` is an
-    optional parent-allocated shared byte ring: the child's flight
-    recorder mirrors every event into it, so the master can read this
-    process's last-N events even after a SIGKILL.
+    for the master-side Supervisor.  ``flight`` is an optional
+    parent-allocated shared byte ring the child's flight recorder mirrors
+    every event into, readable by the master even after a SIGKILL.
     """
     if heartbeat is not None:
         threading.Thread(
@@ -229,7 +224,7 @@ def backend_main(task_queue, result_queue, heartbeat=None,
         item = task_queue.get()
         if item is None:
             break
-        task_id, job, blob = item
+        task_id, job, blob, prelude = item
         _progress["task"] = task_id
         _progress["rows"] = 0
         events_since = recorder.seq
@@ -237,10 +232,14 @@ def backend_main(task_queue, result_queue, heartbeat=None,
         root = None
         try:
             try:
+                if prelude is not None:
+                    install(prelude)
                 if job is not None:
                     _job.clear()
                     _job.update(pickle.loads(job))
                     _job["registry"].register_delegate = _unregistered
+                elif not _job:
+                    raise CodeMissing("no job is held here")
                 spec = pickle.loads(blob)
                 if _job["tracing"]:
                     # Named after the worker, like the coordinator's task
@@ -250,10 +249,11 @@ def backend_main(task_queue, result_queue, heartbeat=None,
                     root.pid = os.getpid()
                     root.parent_id = spec["trace_ctx"]["parent_span_id"]
                 state, evidence = _run(spec)
-            except _TaskRejected as rejected:
+            except (_TaskRejected, CodeMissing) as rejected:
                 recorder.record("task.reject", task=task_id,
                                 reason=str(rejected)[:120])
-                result_queue.put((task_id, "reject", str(rejected)))
+                result_queue.put((task_id, "forgot" if isinstance(
+                    rejected, CodeMissing) else "reject", str(rejected)))
                 continue
             except Exception as error:  # noqa: BLE001 - reported as a crash, parent re-forks
                 recorder.record("task.error", task=task_id)

@@ -37,8 +37,8 @@ attempt was shipped to, or by the coordinator on the same dicts when the
 one placement decision (:meth:`DistributedScheduler._place`) keeps it
 front-end side for a counted reason
 (``pc_sched_frontend_tasks_total{reason}``).  What is constant over a job
-(program, physical plan, registry, ...) travels to a back-end process
-once; a task spec names its segment of the plan and holds only its own.
+(program, plan, ...) travels to a back-end process once, its code once
+per process; a task spec names its segment of the plan and its own data.
 
 Fault tolerance (Section 2's dual-process rationale): every per-worker
 task runs through :meth:`DistributedScheduler._run_worker_tasks`, which
@@ -77,7 +77,8 @@ from repro.engine.pipeline import (
     MaterializeSink, combine_into, hash_rows_into, join_sides, map_items,
     map_page_pairs, run_task,
 )
-from repro.cluster.transport import PICKLING_ERRORS, RemoteTask, serialize_task
+from repro.cluster.codetable import PICKLING_ERRORS, serialize_task
+from repro.cluster.transport import RemoteTask
 from repro.errors import (
     ExecutionError, InjectedFaultError, StorageError, WorkerCrashError, WorkerLostError,
 )
@@ -502,11 +503,10 @@ class DistributedScheduler:
             # Measured and traced there as here (DESIGN §14).
             "profiling": self.cluster.profiling,
             "tracing": self.tracer.enabled,
-            # A back-end's (the coordinator runs a task on the worker's
-            # own).  The master registry is authoritative and its codes
-            # are cluster-consistent (local catalogs mirror them on their
-            # simulated .so fetches); the worker-local registry may not
-            # have lazily fetched every type the pages reference yet.
+            # A back-end's, held across jobs (the coordinator runs a task
+            # on the worker's own).  The master's codes are authoritative
+            # (local catalogs mirror them on their simulated .so fetches);
+            # a worker-local registry may not have fetched every type yet.
             "registry": self.cluster.catalog.registry,
         }
 
@@ -514,7 +514,7 @@ class DistributedScheduler:
     def _job_blob(self):
         """:attr:`_job` pickled, once and only if a task ships: a
         back-end process is sent it the first time it works for the job
-        and keeps it until another job's arrives."""
+        and keeps it until another job's arrives (its code, for good)."""
         return serialize_task(self._job)
 
     def _place(self, worker, segment, source, sink):

@@ -14,7 +14,8 @@ checksum fails on receipt, is re-sent up to
 spawned OS process (the paper's front-end/back-end split made literal):
 the coordinator submits task blobs over a per-worker task queue (what is
 constant over a job goes to a child once, ahead of the job's first task
-there), the child attaches to sealed pages through
+there; a function's code once per child, :mod:`repro.cluster.codetable`),
+the child attaches to sealed pages through
 ``multiprocessing.shared_memory`` *by segment name* — page bytes are
 never pickled — and ``refork_backend`` terminates the child and leases a
 fresh one.  ``spawn`` (not ``fork``) is used deliberately: a forked
@@ -39,6 +40,7 @@ import time
 import weakref
 import zlib
 
+from repro.cluster.codetable import HeldCodes, cloudpickle
 from repro.cluster.supervisor import (
     BEAT_ROWS,
     DEFAULT_BEAT_INTERVAL_S,
@@ -56,15 +58,6 @@ from repro.errors import (
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.events import RING_BYTES, read_ring
 from repro.storage.replication import corrupt_bytes, page_checksum
-
-try:  # optional: only the process transport needs it
-    import cloudpickle
-except ImportError:  # pragma: no cover - depends on the environment
-    cloudpickle = None
-
-#: What ``serialize_task`` raises when a piece of a spec cannot travel
-#: (a closure over a lock, a hash table of handles into page memory).
-PICKLING_ERRORS = (pickle.PicklingError, TypeError)
 
 
 def estimate_value_bytes(value):
@@ -285,20 +278,14 @@ def remote_available():
     return cloudpickle is not None
 
 
-def serialize_task(spec):
-    """Pickle a task spec, or a job's constant state, for a back-end process
-    (cloudpickle: closures)."""
-    return cloudpickle.dumps(spec)
-
-
 class RemoteTask:
     """One worker's stage portion, packaged for a back-end process.
 
-    ``blob`` is the cloudpickle payload the child executes with
-    :mod:`repro.cluster.procworker` against ``job``, the job-constant
-    state — one blob shared by every task of the job, which a child is
-    sent only when it is not the one it already holds; ``label`` names
-    the task in errors.
+    ``blob`` is the :class:`~repro.cluster.codetable.Blob` the child
+    executes with :mod:`repro.cluster.procworker` against ``job``, the
+    job-constant state — one blob for every task of the job, sent to a
+    child only when it is not the one it holds (their code and registry
+    only when it lacks them); ``label`` names the task in errors.
     """
 
     def __init__(self, blob, job, label=""):
@@ -316,14 +303,11 @@ class _PendingFuture:
     ``result()`` is what :func:`repro.engine.pipeline.run_task` returned
     over there: ``(sink state, evidence)``, the evidence as the child
     stamped it (its ``pid``; with tracing on its ``task`` span under
-    ``"spans"``, timestamps relative to ``"span_base"`` on
-    ``time.monotonic()`` — the one clock a same-host child shares with
-    the coordinator, DESIGN §14).  None means the child judged the task
-    unshippable (a result still pointing into page memory): nothing
-    came home and the scheduler re-runs the portion front-end side.  A
-    crash carries what evidence there is — the error envelope's, or the
-    one synthesized for a child that died without answering — as
-    ``error.evidence``, so partial evidence takes the same booking path.
+    ``"spans"``, timestamps relative to ``"span_base"`` on the
+    ``time.monotonic()`` a same-host child shares, DESIGN §14).  None
+    means the child rejected the task (a result still pointing into page
+    memory, or code it lacked): the scheduler re-runs it front-end side.
+    A crash carries what evidence there is as ``error.evidence``.
     """
 
     def __init__(self, child, backend, task, task_id):
@@ -377,7 +361,9 @@ class _PendingFuture:
                 raise self._error from exc
             self._value = (state, evidence)
             return self._value
-        if status == "reject":
+        if status == "forgot":
+            self._child.forget()
+        if status in ("reject", "forgot"):
             return None
         self._backend.crashed = True
         if status == "error":
@@ -460,8 +446,9 @@ class _ChildProcess:
         self.kill_verdicts = {}
         self.broken = False
         #: the job blob this process holds (by identity: the reference
-        #: kept here is what makes the comparison safe).
+        #: kept here is what makes the comparison safe) and its code.
         self._job = None
+        self.held = HeldCodes()
 
     @property
     def pid(self):
@@ -476,11 +463,20 @@ class _ChildProcess:
     def submit(self, task, backend):
         task_id = next(self._task_ids)
         self.submit_times[task_id] = time.monotonic()
-        job = None if task.job is self._job else task.job
+        blobs = (task.blob,) if task.job is self._job else (task.job, task.blob)
         self._job = task.job
-        self._tasks.put((task_id, job, task.blob))
+        prelude = self.held.prelude(blobs, task.job.registry,
+                                    backend.code_counter)
+        self._tasks.put((task_id, blobs[0].data if len(blobs) > 1 else None,
+                         task.blob.data, prelude))
         self._outstanding.add(task_id)
         return _PendingFuture(self, backend, task, task_id)
+
+    def forget(self):
+        """The child lacked what the mirror said it held (a rejection
+        ``"forgot"``): assume it holds nothing, so all is sent again."""
+        self._job = None
+        self.held = HeldCodes()
 
     def post_mortem_evidence(self, task_id, worker_id):
         """Synthesize the evidence for a task whose child never answered.
@@ -650,6 +646,7 @@ class ProcessBackend(BackendProcess):
     def __init__(self, worker, transport):
         super().__init__(worker)
         self._transport = transport
+        self.code_counter = transport.code_counter
         self._child = transport.lease_child()
         transport.supervisor.watch(worker.worker_id, self._child)
 
@@ -707,6 +704,9 @@ class ProcessTransport(Transport):
         #: liveness + deadline authority over this transport's children.
         self.supervisor = Supervisor(metrics=self.metrics,
                                      recorder=recorder)
+        self.code_counter = self.metrics.counter(
+            "pc_sched_job_code_total", labelnames=("outcome",),
+            help="Code entries tasks needed: sent to, or held by, a child")
         self._leased = []
         self._finalizer = weakref.finalize(
             self, _release_leased, self._leased

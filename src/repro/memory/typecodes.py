@@ -118,6 +118,11 @@ class TypeRegistry:
             self._by_code[code] = (name, descriptor)
             return code
 
+    @property
+    def size(self):
+        """How many types are registered (a registry only grows)."""
+        return len(self._by_code)
+
     def code_for_name(self, name):
         """Return the code registered for ``name`` or None."""
         return self._by_name.get(name)
