@@ -592,11 +592,11 @@ ARCHITECTURE = {
         "repro/cluster/codetable.py": 279,
         "repro/cluster/worker.py": 195,
         "repro/storage/replication.py": 440,
-        "repro/storage/dataset.py": 397,
+        "repro/storage/dataset.py": 396,
         "repro/engine/physical.py": 307,
         "repro/engine/pipeline.py": 930,
         "repro/memory/gather.py": 552,
-        "repro/memory/scatter.py": 838,
+        "repro/memory/scatter.py": 837,
         "repro/ml/kmeans.py": 142,
         "repro/ml/kmeans_columnar.py": 151,
         "repro/lillinalg": 799,

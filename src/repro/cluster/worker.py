@@ -174,13 +174,13 @@ class WorkerNode:
         return self.await_result(self.submit(fn, *args, **kwargs))
 
     def refork_backend(self):
-        """Replace a crashed back-end with a fresh one.
-
-        The old backend is shut down first — for a process-backed worker
-        that *terminates the child process*; the replacement leases a
-        fresh one.  Nothing of a running job lived in the old one, so
-        nothing is restored into the new.
+        """Replace the back-end with a fresh one, whatever its health: the
+        old one is shut down as crashed — a process-backed worker's child
+        is *terminated*, never pooled — and the new one leases another.
+        Nothing of a running job lived in the old one, so nothing is
+        restored into the new.
         """
+        self.backend.crashed = True
         self.backend.shutdown()
         self.backend = self.transport.make_backend(self)
         self._c_reforks.inc()

@@ -298,7 +298,7 @@ def lambda_from_native(args, fn, kernel=None):
     else:
         def stage(*cols):
             return [
-                fn(*(_deref(v) for v in row)) for row in zip(*cols)
+                fn(*map(_deref, row)) for row in zip(*cols)
             ]
 
     info = {"type": "nativeLambda"}

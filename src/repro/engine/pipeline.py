@@ -7,14 +7,12 @@ batches are pushed through each pipeline's stages; sinks collect results:
 * hash-table sinks build the join tables probe pipelines consume;
 * aggregation sinks pre-aggregate into a per-pipeline hash map (the
   paper's per-thread ``Map`` on an output page);
-* output sinks either collect Python values (local mode) or allocate PC
-  objects in place on output-set pages (cluster mode), rolling to a fresh
-  page on the out-of-memory fault and counting the resulting zombie pages.
+* output sinks either collect Python values (local mode) or write PC
+  objects onto output-set pages (cluster mode).
 
-Batches are processed with the current output page installed as the
-active allocation block, so user code calling ``make_object`` inside a
-native lambda allocates directly on the output page — the paper's
-"data should be constructed where it is ultimately needed".
+A batch runs with the output page's writer as the active allocation
+target, so a ``make_object`` in a native lambda writes its object where
+it is ultimately needed: the writer's window, a page at a time.
 """
 
 from __future__ import annotations
@@ -28,10 +26,10 @@ from repro.errors import BlockFullError, ExecutionError, WorkerCrashError
 from repro.engine import kernels, vectors
 from repro.memory.block import AllocationBlock
 from repro.memory.builtins import MapFacade, stable_hash
-from repro.memory.columnar import ColumnarRows, RowBatch
+from repro.memory.columnar import ColumnarRows, RowBatch, RowView
 from repro.memory.gather import GatherIneligible, map_pairs, root_rows
 from repro.memory.handle import Handle
-from repro.memory.objects import use_allocation_block
+from repro.memory.objects import PendingObject, use_allocation_block
 from repro.engine.physical import (
     SINK_AGGREGATE, SINK_HASH_BUILD, SINK_MATERIALIZE, SINK_OUTPUT, SOURCE_SCAN,
 )
@@ -195,8 +193,8 @@ class PipelineEngine(JobState):
         """Push one cut through all stages into the sink; False when a
         fresh output page refused it.
 
-        An allocation fault while the *stages* run (user code allocating
-        in place on a page-backed sink's page) rolls the output page:
+        An allocation fault while the *stages* run (an object built on a
+        page-writing sink's open page: a pending one escaped) rolls it:
         nothing of the cut is recorded yet, and what the failed attempt
         allocated is dead space.  A page holding earlier cuts' rows is
         sealed — the paper's zombie output page — and one with nothing
@@ -207,15 +205,14 @@ class PipelineEngine(JobState):
         writer rolls per object.
         """
         while True:
-            block = sink.allocation_block()
+            target = sink.allocation_target
             try:
-                with nullcontext() if block is None \
-                        else use_allocation_block(block):
+                with nullcontext() if target is None \
+                        else use_allocation_block(target):
                     current = self._apply_stages(stages, batch)
                     if current is not None:
                         sink.consume(current)
-                if current is not None:
-                    self.metrics.rows_out += len(current)
+                        self.metrics.rows_out += len(current)
                 self._fresh_page = False
                 return True
             except BlockFullError as full:
@@ -229,7 +226,7 @@ class PipelineEngine(JobState):
                     raise ExecutionError(
                         "what the stages allocate for one row does not fit "
                         "on an empty %d-byte output page (%s): raise the "
-                        "set's page_size" % (block.size, full)
+                        "set's page_size" % (sink.page_size, full)
                     ) from full
                 sink.fit_rows = len(batch) // 2
                 return False
@@ -620,13 +617,11 @@ class Sink:
     #: Rows the stages take at a time (None: any); the engine halves a
     #: page-writing sink's when a fresh page refuses a cut.
     fit_rows = None
+    #: The stages' active allocation target (None: none).
+    allocation_target = None
 
     def __init__(self, engine):
         self.engine = engine
-
-    def allocation_block(self):
-        """The output page block stages should allocate onto, if any."""
-        return None
 
     def roll_page(self):
         """Seal the output page a stage filled: True when it was kept
@@ -866,12 +861,11 @@ class ClusterOutputSink(_PageSink):
 
     def __init__(self, engine, output_stmt, page_size, page_set=None):
         super().__init__(engine, output_stmt, page_size, page_set)
-        self.writer = private_page_writer(page_size, engine.registry)
+        self.writer = private_page_writer(page_size, engine.registry, lambda reason: (
+            engine.metrics.fallback("object_build", reason)))  # a task's engine
         self._values = []
         self.fit_rows = vectors.OBJECT_BATCH_ROWS
-
-    def allocation_block(self):
-        return self.writer.block
+        self.allocation_target = self.writer  # make_object's records wait in it
 
     def roll_page(self):
         # A stage filled the page: nothing of its cut is recorded yet.
@@ -880,19 +874,25 @@ class ClusterOutputSink(_PageSink):
         return len(self.writer.sealed) > sealed
 
     def consume(self, batch):
-        # The writer retries the one object a full page refused on the
-        # next page, so no BlockFullError leaves here with part of the
-        # batch recorded (the engine would re-run all of it).
+        # A pending object's record joins the window, in output order; an
+        # object that exists (a handle, a facade, a pending one built or
+        # returned twice) is recorded after the batch's records.  The writer
+        # retries the one object a full page refused on the next page, so
+        # no BlockFullError leaves here with part of the batch recorded.
+        writer, existing = self.writer, []
         for value in kernels.reify_column(batch.column(self.statement.column)):
-            if hasattr(value, "pc_page"):
-                # A columnar scan's row view is page-backed but not a
-                # handle: store its detached form as a Python output
-                # (columnar *output* sets are not written in v1).
-                self._values.append(value.detach())
-            elif hasattr(value, "pc_block") or hasattr(value, "deref"):
-                self.writer.append_object(value)
+            record = value.take() if type(value) is PendingObject else None
+            if record is not None:
+                writer.extend(value.cls, (record,))
+            elif isinstance(value, RowView):  # page-backed, no handle: its
+                self._values.append(value.detach())  # values are the output
+            elif isinstance(value, (Handle, PendingObject)) or \
+                    getattr(value, "pc_block", None) is not None:
+                existing.append(value)
             else:
                 self._values.append(value)
+        for value in existing:
+            writer.append_object(value)
 
     def seal(self):
         self.writer.flush()

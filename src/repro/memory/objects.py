@@ -7,7 +7,8 @@ This module hosts the generic object-model machinery:
   requirement that complex types descend from PC's ``Object``);
 * the thread-local *active allocation block* and :func:`make_object`
   (Section 6.4: each thread has exactly one active block receiving all
-  allocations);
+  allocations) — or, in a stage that feeds a page writer, the writer's
+  window, where a new object waits as a :class:`PendingObject`;
 * reference-count release, recursive destruction, and the recursive
   deep-copy that enforces the paper's no-dangling-handles invariant: an
   embedded handle may never point outside its own block, so assigning a
@@ -202,6 +203,8 @@ class ObjectTypeDescriptor(PCType):
         def write(offset, value):
             if value is None:
                 return
+            if isinstance(value, PendingObject):  # built beside its holder
+                value = value.built("assigned", block)
             ref = _as_reference(value)
             if ref is None:
                 target = build(value)
@@ -422,14 +425,20 @@ def _stack():
     return _active.stack
 
 
-def current_allocation_block():
-    """The thread's active allocation block."""
+def _current_target():
     stack = _stack()
     if not stack:
         raise NoActiveBlockError(
             "no active allocation block; call make_allocation_block() first"
         )
     return stack[-1]
+
+
+def current_allocation_block():
+    """The thread's active allocation block (a page writer's open page,
+    while the writer is the active target)."""
+    target = _current_target()
+    return target if isinstance(target, AllocationBlock) else target.block
 
 
 def make_allocation_block(size, policy=LIGHTWEIGHT_REUSE, registry=None,
@@ -449,7 +458,9 @@ def make_allocation_block(size, policy=LIGHTWEIGHT_REUSE, registry=None,
 
 
 class use_allocation_block:
-    """Context manager installing ``block`` as the active allocation block."""
+    """Context manager installing ``block`` as the active allocation block
+    — or a page writer (``RowPageWriter``) as the active target, whose
+    window :func:`make_object` puts a ``PCObject`` class's record in."""
 
     def __init__(self, block):
         self.block = block
@@ -477,9 +488,92 @@ def make_object(type_or_class, init=None, policy=FULL_REF_COUNT, **fields):
     with ``**fields`` initializers) or a container/string descriptor with a
     single ``value`` to encode.  ``policy`` selects the per-object
     allocation policy of Appendix B.
+
+    When the active target is a page writer (a stage feeding a sink that
+    writes row pages), a ``PCObject`` class's record — ``init`` (a dict
+    or None) updated with ``fields``, the default policy — allocates
+    nothing: it is returned as a :class:`PendingObject`, for the writer to
+    write with the rest of its page.  Anything else is built on the
+    writer's open page.
     """
-    block = current_allocation_block()
-    return make_object_on(block, type_or_class, init, policy=policy, **fields)
+    target = _current_target()
+    if isinstance(target, AllocationBlock):
+        return make_object_on(target, type_or_class, init, policy=policy,
+                              **fields)
+    if policy == FULL_REF_COUNT and isinstance(type_or_class, type) and \
+            issubclass(type_or_class, PCObject) and \
+            (init is None or isinstance(init, dict)):
+        return PendingObject(target, type_or_class,
+                             fields if init is None else {**init, **fields})
+    return make_object_on(target.block, type_or_class, init, policy=policy,
+                          **fields)
+
+
+#: Why a stage's pending object was built object by object: with
+#: ``repro.memory.scatter.FALLBACK_REASONS``, the closed set of
+#: ``pc_engine_kernel_fallback_total{operator="object_build", reason}``.
+ESCAPE_REASONS = ("dereferenced", "assigned", "returned_twice")
+
+
+class PendingObject:
+    """A ``PCObject`` record :func:`make_object` returned while a page
+    writer was the active target: it stands for the object it will be.
+
+    The sink the stage feeds hands its record to the writer's window
+    (:meth:`take`, in output order), which writes it with its page's
+    others — one plan and one scatter — so nothing is allocated per
+    object, and one that never reaches the sink (a later FILTER dropped
+    it) is never written.  It *escapes* — is built object by object
+    (``make_object_on``), ``writer.declined(reason)`` hearing why — when
+    it is dereferenced (``deref``, a field read or any other handle
+    attribute: ``"dereferenced"``, on the writer's open page), assigned
+    into an object (``"assigned"``, on that object's block) or returned
+    again after its record was taken (``"returned_twice"``, on the page
+    that lists it).  An escaped one is recorded as a handle is.  The
+    window writes the record as it was taken: a later change to it, or
+    to an object built from it after, is not written.
+    """
+
+    __slots__ = ("writer", "cls", "record", "handle", "taken")
+
+    #: a probe for a page-backed value (``hasattr(value, "pc_block")``)
+    #: finds one without building it
+    pc_block = None
+
+    def __init__(self, writer, cls, record):
+        self.writer, self.cls, self.record = writer, cls, record
+        self.handle, self.taken = None, False
+
+    def take(self):
+        """The record, for the window — once, and only while nothing was
+        built of it (else None: it is recorded as its handle)."""
+        if self.handle is not None or self.taken:
+            return None
+        self.taken = True
+        return self.record
+
+    def built(self, reason, block=None):
+        """The object's handle, built the first time it is asked for —
+        on ``block``, or the writer's open page — and ``declined`` told
+        why: ``reason``, or ``"returned_twice"`` once its record was
+        taken (the sink records it again, as it records a handle)."""
+        if self.handle is None:
+            # It is this object's handle, and lives as long as it — the
+            # batch that holds it, as the handle make_object returns.
+            self.handle = make_object_on(  # pcsan: disable=PC001
+                block or self.writer.block, self.cls, self.record)
+            self.writer.declined("returned_twice" if self.taken else reason)
+        return self.handle
+
+    def deref(self):
+        return self.built("dereferenced").deref()
+
+    def __getattr__(self, name):
+        # ``pending.field`` reads as ``handle.field`` does; dunder probes
+        # (copy, pickle) fail as on a handle, building nothing.
+        if name.startswith("__") and name.endswith("__"):
+            raise AttributeError(name)
+        return getattr(self.built("dereferenced"), name)
 
 
 def make_object_on(block, type_or_class, init=None, policy=FULL_REF_COUNT,

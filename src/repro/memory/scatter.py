@@ -198,9 +198,8 @@ def _leading(measure, records):
 
 def _reject(value):
     """Decline a value no shape plans (None is the caller's to allow)."""
-    if isinstance(value, Handle) or \
-            getattr(value, "pc_block", None) is not None:
-        raise _Decline("reference")
+    if isinstance(value, Handle) or hasattr(value, "pc_block"):
+        raise _Decline("reference")  # a pending object's too: it escapes
     raise _Decline("uncovered_type")
 
 

@@ -37,10 +37,6 @@ class PageSet:
     def key(self):
         return (self.database, self.name)
 
-    @property
-    def qualified_name(self):
-        return "%s.%s" % (self.database, self.name)
-
     # -- writing -------------------------------------------------------------------
 
     def adopt_page_bytes(self, data, count=0, allocations=0):
@@ -103,8 +99,8 @@ class PageSet:
         return self.object_count
 
     def __repr__(self):
-        return "<PageSet %s: %d objects on %d pages>" % (
-            self.qualified_name, self.object_count, len(self.page_ids),
+        return "<PageSet %s.%s: %d objects on %d pages>" % (
+            self.database, self.name, self.object_count, len(self.page_ids),
         )
 
 
@@ -146,13 +142,15 @@ class RowPageWriter(FlushOnExit):
     (block, token)`` gives an empty block; ``seal_page(block, token,
     count)`` takes a finished one holding ``count`` objects (0: nothing
     on it is kept, free it) and returns its name, kept in :attr:`sealed`;
-    ``declined(reason)`` hears why a record was built object by object.
+    ``declined(reason)`` hears why a record was built object by object —
+    a stage's pending object too (``repro.memory.objects.PendingObject``):
+    a writer that is the active allocation target is its window.
     """
 
     def __init__(self, open_page, seal_page, declined=None):
         self._open_page = open_page
         self._seal_page = seal_page
-        self._declined = declined
+        self.declined = declined or (lambda _reason: None)
         self._block = self._token = self._root = None
         self._bare = False
         self._window, self._cls, self._want = [], None, _FIRST_WINDOW
@@ -225,7 +223,8 @@ class RowPageWriter(FlushOnExit):
             except BlockFullError as full:
                 if fresh:
                     raise StorageError(
-                        "a single object does not fit on an empty %d-byte page"
+                        "a single object (one row) does not fit on an empty "
+                        "%d-byte page: raise the set's page_size"
                         % self._block.size
                     ) from full
             else:
@@ -331,8 +330,8 @@ class RowPageWriter(FlushOnExit):
         the ones after stay in the window."""
         if reason is None:  # its failed build is dead space on no page kept
             self._seal()
-        elif self._declined is not None:
-            self._declined(reason)
+        else:
+            self.declined(reason)
         position = self.appended - len(self._window)
         record = self._window.pop(0)
         try:
@@ -342,7 +341,7 @@ class RowPageWriter(FlushOnExit):
             raise
 
 
-def private_page_writer(page_size, registry):
+def private_page_writer(page_size, registry, declined=None):
     """A :class:`RowPageWriter` for a task that holds no pool: an empty
     block is a private :class:`AllocationBlock`, a sealed one is its
     ``(bytes, CRC, allocations made on it, objects recorded on it)`` —
@@ -358,7 +357,7 @@ def private_page_writer(page_size, registry):
         data = block.to_bytes()
         return data, page_checksum(data), block.alloc_count, count
 
-    return RowPageWriter(open_page, seal_page)
+    return RowPageWriter(open_page, seal_page, declined)
 
 
 def _place_new(root, block, make, /, *args, **fields):

@@ -73,15 +73,21 @@ class SumByK(AggregateComp):
 
 
 class Rebuild(SelectionComp):
-    """The low readings, each built again in place on the output page."""
+    """The low readings, each built again in place on the output page
+    while the stage runs: the field it writes after ``make_object``
+    dereferences the new object (one that waits in the writer's window
+    allocates nothing in the stage, so no cut would halve)."""
 
     def get_selection(self, arg):
         return lambda_from_member(arg, "x") < 64.0
 
     def get_projection(self, arg):
-        return lambda_from_native(
-            [arg], lambda r: make_object(Reading, k=r.k, x=r.x)
-        )
+        def rebuild(r):
+            reading = make_object(Reading, k=r.k)
+            reading.deref().x = r.x
+            return reading
+
+        return lambda_from_native([arg], rebuild)
 
 
 def make_cluster(tmp_path, subdir, transport, **kwargs):

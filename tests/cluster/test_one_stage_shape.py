@@ -425,8 +425,8 @@ def test_generated_join_trees_match_the_interpreter(
 
 
 @pytest.mark.parametrize("threshold, at_parent", [
-    (DEFAULT_BROADCAST_THRESHOLD, (441783845, 3000, 508568)),
-    (0, (441783845, 3000, 603928)),
+    (DEFAULT_BROADCAST_THRESHOLD, (3204004258, 3000, 508568)),
+    (0, (3204004258, 3000, 603928)),
 ], ids=["broadcast", "partition"])
 def test_etl_parity_job_leaves_and_moves_what_it_did(tmp_path, threshold,
                                                      at_parent):
@@ -437,10 +437,13 @@ def test_etl_parity_job_leaves_and_moves_what_it_did(tmp_path, threshold,
     format or the row wire re-measures them; so did the loader's pages
     when ``append`` began reserving each page's root once for its count
     (the loaded sets' pages shrank, and with them the pages read and
-    moved), and the engine's halving cut when the job stopped setting a
+    moved), the engine's halving cut when the job stopped setting a
     batch size: every page holds the objects it held, but the failed
     attempt that fills a zombie page is a 512-row cut, not 256 rows, so
-    its dead space differs."""
+    its dead space differs — and the selection's pages when the objects
+    a stage makes began waiting in the writer's window: they are written
+    as the loader writes its records, the root sized once, no zombie
+    page."""
     pages, python, shuffled = _run_and_dump(
         tmp_path, "sim", _etl, page_size=1 << 15,
         broadcast_threshold=threshold,

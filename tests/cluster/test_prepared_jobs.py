@@ -252,6 +252,25 @@ def test_a_reforked_child_is_sent_its_code_again(tmp_path):
         assert _run(cluster, key, _mod(2)) == 0
 
 
+def test_a_healthy_worker_reforked_runs_a_new_process(tmp_path):
+    # Parent: the healthy child went back to the pool and the new back-end
+    # leased it again — the same pid, holding the code it held.
+    def key(item):
+        return item.pid % 5
+
+    with _cluster(tmp_path) as cluster:
+        _run(cluster, key, _mod(3))
+        assert _run(cluster, key, _mod(3)) == 0
+        worker = cluster.workers[0]
+        pid, reforks = worker.backend.child_pid, worker.refork_count
+        worker.refork_backend()
+        assert worker.backend.child_pid != pid
+        assert cluster.metrics().value("pc_worker_reforks_total",
+                                       worker=worker.worker_id) == reforks + 1
+        assert _run(cluster, key, _mod(3)) >= 1
+        assert _run(cluster, key, _mod(3)) == 0
+
+
 def test_a_pooled_child_takes_another_clusters_registry_and_program(
         tmp_path, monkeypatch):
     puts = _record_puts(monkeypatch)

@@ -493,8 +493,9 @@ def _rolled(cls, records, size, registry):
                 except BlockFullError:
                     if fresh:
                         raise StorageError(
-                            "a single object does not fit on an empty "
-                            "%d-byte page" % size) from None
+                            "a single object (one row) does not fit on an "
+                            "empty %d-byte page: raise the set's page_size"
+                            % size) from None
                     seal()
                     block = None
     except Exception as error:
