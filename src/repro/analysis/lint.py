@@ -595,7 +595,7 @@ ARCHITECTURE = {
         "repro/storage/dataset.py": 396,
         "repro/engine/physical.py": 307,
         "repro/engine/pipeline.py": 930,
-        "repro/memory/gather.py": 552,
+        "repro/memory/gather.py": 521,
         "repro/memory/scatter.py": 837,
         "repro/ml/kmeans.py": 142,
         "repro/ml/kmeans_columnar.py": 151,

@@ -1,4 +1,5 @@
-"""Gather reads: the objects of one class on one row page, read as arrays.
+"""Gather reads: the objects of one class on one row page, and the Maps
+of a Map page, read as arrays.
 
 All objects of a class on a page share one layout, so "field ``f`` of
 ``n`` objects" is ``n`` loads at ``offset + const`` — one ``numpy``
@@ -9,22 +10,24 @@ the :class:`~repro.memory.columnar.RowBatch` of the row layout, with the
 three nested reads a row page allows on top (:meth:`ObjectRows.strings`,
 :meth:`ObjectRows.objects`, :meth:`ObjectRows.elements`), each of which
 is again one gather per hop, whatever the number of rows.
+:func:`map_pairs` reads every ``Map``, ``Vector`` and ``String`` under
+a Map page's Map (an aggregation's combiner and output pages) with one
+gather per nesting level, into the host values
+:func:`repro.memory.scatter.scatter_map` writes.
 
-Every hop makes, for the whole vector at once, the checks ``deref``
-makes per object — the slot is not null, the target is not freed, the
-target's *header* type code is the expected class (exactly: a subclass
-may override the method a kernel stands in for) — and whatever a hop
-cannot serve raises one :class:`GatherIneligible`: the engine then runs
-the batch down the object path, which gives the object path's result or
-raises its exception at its row.  Iterating or indexing an
-:class:`ObjectRows` needs none of this: it yields the very handles the
-page's root vector yields.
-
-:func:`map_pairs` is the same read over a Map page (an aggregation's
-combiner and output pages): every ``Map``, ``Vector`` and ``String``
-under the page's Map is read with one gather per nesting level, and
-comes back as the host values :func:`repro.memory.scatter.scatter_map`
-writes.
+Both read through one reader, :class:`_Page`, which reads values at
+byte positions, resolves handle slots to targets on the page and on a
+word, decodes Strings and lays out Vector elements after every count
+and capacity check.  A row read is *typed*: it makes, for the whole
+vector at once, the checks ``deref`` makes per object — the slot is not
+null, the target is not freed, its *header* type code is the expected
+class (exactly: a subclass may override the method a kernel stands in
+for).  A Map read is not: the entry path reads a null slot as None and
+no code.  Whatever a read cannot serve raises one
+:class:`GatherIneligible`; the caller then takes the object (or entry)
+path, which gives its result or raises its exception at its row.
+Iterating or indexing an :class:`ObjectRows` reads nothing: it yields
+the very handles the page's root vector yields.
 
 No ``numpy`` view of the page is kept: each read takes its own
 ``frombuffer`` view and returns copies, so nothing here pins a
@@ -80,6 +83,9 @@ class GatherIneligible(ObjectModelError):
 
 _HEADER = OBJECT_HEADER_SIZE
 _PAIR = np.arange(2)
+#: the payload bytes a Vector or Map read needs: its count and the
+#: handle slot of its backing array / bucket table
+_CONTAINER = _BACKING + 12
 
 
 def row_class(registry, type_name):
@@ -112,45 +118,115 @@ def column_names(cls):
     )
 
 
-def _words(block):
-    """The page as little-endian 32-bit words (a view for one read)."""
-    buf = block.buf
-    return np.frombuffer(buf, dtype="<u4", count=len(buf) // 4)
+def _spans(starts, counts, step):
+    """``starts[i] + j * step`` for ``j < counts[i]``, run after run."""
+    firsts = np.cumsum(counts) - counts
+    return np.repeat(starts - firsts * step, counts) \
+        + np.arange(int(counts.sum()), dtype=np.int64) * step
 
 
-def _aligned(positions):
-    if len(positions) and (positions & 3).any():
-        raise GatherIneligible("unaligned")
-    return positions >> 2
+def _with_nulls(values, null):
+    """``values``, one per live slot, with None at every ``null`` slot."""
+    if not null.any():
+        return values
+    live = iter(values)
+    return [None if empty else next(live) for empty in null.tolist()]
 
 
-def _read(words, positions, dtype):
-    """The four- or eight-byte values at byte ``positions``."""
-    index = _aligned(positions)
-    if np.dtype(dtype).itemsize == 4:
-        return words[index].view(dtype)
-    return words[index[:, None] + _PAIR].view(dtype)[:, 0]
+class _Page:
+    """The one reader of a page's words, for one read.
 
+    A *typed* reader (a row page's) declines a null slot and checks
+    that every target is live and holds exactly its declared type code;
+    an untyped one (a Map page's) reads a null slot as target 0 and
+    checks no code.  Both check that every target's header, and the
+    payload bytes the read takes of it, lie on the page, on a word.
+    """
 
-def _read_handles(words, slots):
-    """``(targets, codes, null)`` of the handle slots at byte ``slots``."""
-    index = _aligned(slots)
-    delta = _read(words, slots, "<i8")
-    return slots + delta, words[index + 2], delta == 0
+    __slots__ = ("block", "buf", "words", "size", "typed")
 
+    def __init__(self, block, typed=False):
+        self.block = block
+        self.typed = typed
+        buf = self.buf = block.buf
+        self.words = np.frombuffer(buf, dtype="<u4", count=len(buf) // 4)
+        self.size = len(self.words) * 4
 
-def _check(words, targets, null, code):
-    """The checks of ``Handle.deref``, for every target at once."""
-    if not len(targets):
-        return
-    if null.any() or targets.min() < BLOCK_HEADER_SIZE \
-            or targets.max() + _HEADER > len(words) * 4:
-        raise GatherIneligible("null_or_dangling")
-    index = _aligned(targets)
-    if (words[index].view("<i4") == REFCOUNT_FREED).any():
-        raise GatherIneligible("null_or_dangling")
-    if (words[index + 1] != code).any():
-        raise GatherIneligible("mixed_types")
+    def read(self, positions, dtype):
+        """The four- or eight-byte values at byte ``positions``."""
+        if (positions & 3).any():
+            raise GatherIneligible("unaligned")
+        index = positions >> 2
+        if dtype[-1] == "8":
+            return self.words[index[:, None] + _PAIR].view(dtype)[:, 0]
+        return self.words[index].view(dtype)
+
+    def targets(self, slots, need, pc_type, nulls=False):
+        """``(targets, null)`` of the handle slots at byte ``slots``,
+        declared ``pc_type``, whose first ``need`` payload bytes the
+        read takes (:meth:`check`)."""
+        delta = self.read(slots, "<i8")
+        return self.check(slots + delta, delta == 0, need, pc_type, nulls)
+
+    def check(self, targets, null, need, pc_type, nulls=False):
+        """``(targets, null)`` once every target passed: a ``null`` one
+        declines (``null_or_dangling``) unless the reader is untyped or
+        ``nulls`` says it may be null, and reads as target 0."""
+        live = targets
+        if null.any():
+            if self.typed and not nulls:
+                raise GatherIneligible("null_or_dangling")
+            targets[null] = 0
+            live = targets[~null]
+        if not len(live):
+            return targets, null
+        if live.min() < BLOCK_HEADER_SIZE or (live & 3).any() \
+                or live.max() > self.size - _HEADER - need:
+            raise GatherIneligible("null_or_dangling")
+        if self.typed:
+            index = live >> 2
+            if (self.words[index].view("<i4") == REFCOUNT_FREED).any():
+                raise GatherIneligible("null_or_dangling")
+            if (self.words[index + 1] != pc_type.type_code(self.block)).any():
+                raise GatherIneligible("mixed_types")
+        return targets, null
+
+    def strings(self, slots, pc_type):
+        """The Strings at the handle slots ``slots``, decoded once per
+        distinct target, None per null slot.  A String that runs off the
+        page is cut short, as the entry path's ``StringType.facade``
+        cuts it; one that is not UTF-8 declines (``null_or_dangling``)."""
+        targets, null = self.targets(slots, 4, pc_type)
+        starts = targets[~null] + _HEADER + 4
+        spans = dict(zip(starts.tolist(),
+                         (starts + self.read(starts - 4, "<u4")).tolist()))
+        buf = self.buf
+        try:
+            text = {start: str(buf[start:end], "utf-8")
+                    for start, end in spans.items()}
+        except UnicodeDecodeError:
+            raise GatherIneligible("null_or_dangling") from None
+        return _with_nulls([text[start] for start in starts.tolist()], null)
+
+    def vectors(self, vector, slots):
+        """``(positions, counts, null)`` of the ``vector`` Vectors at the
+        handle slots ``slots``: where their elements lie, Vector after
+        Vector, and how many each holds (a null slot's, none).  Every
+        count is at most its backing array's capacity, a null backing
+        holds none, and every element lies on the page — or the read
+        declines (``null_or_dangling``)."""
+        targets, null = self.targets(slots, _CONTAINER, vector)
+        payloads = targets[~null] + _HEADER
+        counts = self.read(payloads, "<i8")
+        arrays, empty = self.targets(payloads + _BACKING, 0,
+                                     vector.array_type, nulls=True)
+        step = vector.elem.slot_size
+        capacity = self.read(arrays + 8, "<i8") // step
+        capacity[empty] = 0
+        if ((counts < 0) | (counts > capacity) | (
+                counts > (self.size - arrays - _HEADER) // step)).any():
+            raise GatherIneligible("null_or_dangling")
+        return _spans(arrays + _HEADER, counts, step), counts, null
 
 
 def root_rows(items, type_name):
@@ -166,7 +242,10 @@ def root_rows(items, type_name):
     block = items.pc_block
     count, array, _capacity = items._state()
     slots = (array or 0) + _HEADER + 12 * np.arange(count, dtype=np.int64)
-    targets, codes, null = _read_handles(_words(block), slots)
+    page = _Page(block)
+    delta = page.read(slots, "<i8")
+    codes = page.read(slots + 8, "<u4")
+    targets, null = slots + delta, delta == 0
     targets[null] = -1
     registry = registry_of(block)
     for code in set(codes[~null].tolist()):
@@ -208,7 +287,9 @@ class ObjectRows(RowBatch):
     def __iter__(self):
         block = self.block
         if self.codes is None:
-            codes = [self._code(self.cls.pc_descriptor)] * len(self)
+            # asked the way an allocation asks: a worker's registry that
+            # has not met the type yet learns the cluster-wide code here
+            codes = [self.cls.pc_descriptor.type_code(block)] * len(self)
         else:
             codes = self.codes.tolist()
         return (
@@ -245,23 +326,19 @@ class ObjectRows(RowBatch):
 
     # -- array reads -----------------------------------------------------------
 
-    def _code(self, descriptor):
-        """The type code of ``descriptor`` on this page (asked the way an
-        allocation asks: a worker's registry that has not met the type
-        yet learns the cluster-wide code here)."""
-        return descriptor.type_code(self.block)
-
     def _page(self):
-        """The page's words, once this batch passed the root hop's checks."""
+        """The page's typed reader, once this batch passed the root
+        hop's checks."""
         if getattr(self.block, "_san", None) is not None:
             # PCSan tracks handles, generations and derefs one by one.
             raise GatherIneligible("sanitizer")
-        words = _words(self.block)
+        page = _Page(self.block, typed=True)
         if not self._checked:
-            _check(words, self.offsets, self.offsets < 0,
-                   self._code(self.cls.pc_descriptor))
+            descriptor = self.cls.pc_descriptor
+            page.check(self.offsets, self.offsets < 0,
+                       descriptor.fixed_payload, descriptor)
             self._checked = True
-        return words
+        return page
 
     def _field(self, name, kind):
         accessor = self.cls.pc_fields.get(name)
@@ -272,11 +349,12 @@ class ObjectRows(RowBatch):
             )
         return accessor.pc_type, self.offsets + _HEADER + accessor.byte_offset
 
-    def _targets(self, words, slots, pc_type):
-        """The checked targets of handle ``slots`` declared ``pc_type``."""
-        targets, _codes, null = _read_handles(words, slots)
-        _check(words, targets, null, self._code(pc_type))
-        return targets
+    def _rows(self, page, slots, cls):
+        """The ``cls`` objects at the handle slots ``slots``, checked."""
+        descriptor = cls.pc_descriptor
+        targets, _null = page.targets(slots, descriptor.fixed_payload,
+                                      descriptor)
+        return ObjectRows(self.block, targets, cls, checked=True)
 
     def column(self, name):
         """Field ``name`` of every row as one ndarray (KeyError unless
@@ -285,35 +363,23 @@ class ObjectRows(RowBatch):
         dtype = accessor and _dtype_of(accessor.pc_type, accessor.byte_offset)
         if dtype is None:
             raise KeyError(name)
-        return _read(
-            self._page(), self.offsets + _HEADER + accessor.byte_offset, dtype
+        return self._page().read(
+            self.offsets + _HEADER + accessor.byte_offset, dtype
         )
 
     def strings(self, name):
         """``String`` field ``name`` of every row, as a list of ``str``
         — decoded once per distinct target."""
-        words = self._page()
+        page = self._page()
         pc_type, slots = self._field(name, StringType)
-        targets = self._targets(words, slots, pc_type)
-        lengths = _read(words, targets + _HEADER, "<u4").tolist()
-        targets = targets.tolist()
-        buf = self.block.buf
-        decoded = {}
-        for target, length in zip(targets, lengths):
-            if target not in decoded:
-                start = target + _HEADER + 4
-                decoded[target] = str(buf[start:start + length], "utf-8")
-        return [decoded[target] for target in targets]
+        return page.strings(slots, pc_type)
 
     def objects(self, name):
         """The objects field ``name`` (declared a ``PCObject`` class)
         points at, one per row, as a child batch."""
-        words = self._page()
+        page = self._page()
         pc_type, slots = self._field(name, ClassDescriptor)
-        return ObjectRows(
-            self.block, self._targets(words, slots, pc_type), pc_type.cls,
-            checked=True,
-        )
+        return self._rows(page, slots, pc_type.cls)
 
     def elements(self, name, cls=None):
         """Every element of ``Vector`` field ``name``, rows in order:
@@ -322,27 +388,16 @@ class ObjectRows(RowBatch):
         a child batch of the vector's declared class — of ``cls`` for a
         ``Vector<AnyObject>``, which declares none.
         """
-        words = self._page()
+        page = self._page()
         vector, slots = self._field(name, VectorType)
-        payloads = self._targets(words, slots, vector) + _HEADER
-        counts = _read(words, payloads, "<i8")
-        arrays, _codes, null = _read_handles(words, payloads + 8)
-        filled = counts > 0
-        elem = vector.elem
-        _check(words, arrays[filled], null[filled],
-               self._code(vector.array_type))
-        capacity = _read(words, arrays[filled] + 8, "<i8") // elem.slot_size
-        if (counts < 0).any() or (capacity < counts[filled]).any():
-            raise GatherIneligible("null_or_dangling")
+        positions, counts, _null = page.vectors(vector, slots)
         parent = np.repeat(np.arange(len(counts)), counts)
-        first = np.cumsum(counts) - counts
-        within = np.arange(len(parent)) - first[parent]
-        positions = arrays[parent] + _HEADER + within * elem.slot_size
+        elem = vector.elem
         if not elem.is_object_type:
             dtype = _dtype_of(elem)
             if dtype is None:
                 raise GatherIneligible("unaligned")
-            return _read(words, positions, dtype), parent
+            return page.read(positions, dtype), parent
         if isinstance(elem, ClassDescriptor):
             cls = elem.cls
         elif not isinstance(elem, AnyObjectType) or cls is None:
@@ -350,9 +405,7 @@ class ObjectRows(RowBatch):
                 "elements(%r): name the element class of a %s"
                 % (name, vector.name)
             )
-        targets, _codes, null = _read_handles(words, positions)
-        _check(words, targets, null, self._code(cls.pc_descriptor))
-        return ObjectRows(self.block, targets, cls, checked=True), parent
+        return self._rows(page, positions, cls), parent
 
     def __repr__(self):
         return "<ObjectRows %d x %s>" % (len(self), self.cls.__name__)
@@ -360,9 +413,6 @@ class ObjectRows(RowBatch):
 
 # -- Map pages ---------------------------------------------------------------------
 
-#: the payload bytes a Vector or Map read needs: its count and the
-#: handle slot of its backing array / bucket table
-_CONTAINER = _BACKING + 12
 #: A Map whose entries and page objects number fewer is read entry by
 #: entry (:func:`_host`): a gather's fixed cost per nesting level is more
 #: than what so few cost one by one.  The measured break-even, in these
@@ -370,8 +420,6 @@ _CONTAINER = _BACKING + 12
 #: Vector<Float64>>`` and ~230 for ``Map<String, Map<String,
 #: Vector<Int32>>>`` (EXPERIMENTS.md, "Map-page gathers").
 MAP_GATHER_MIN_SIZE = 128
-#: the dtypes :meth:`_MapPage.read` reads as two words
-_WIDE = frozenset(("<i8", "i8", "u8", "f8"))
 
 
 def map_pairs(view):
@@ -382,22 +430,23 @@ def map_pairs(view):
     ``float`` per primitive and None per null slot.
 
     The Maps, Vectors and Strings under ``view`` are read level by
-    level, one gather per level for all of them.  A type it does not
-    cover (``uncovered_type``: a key that is not a four- or eight-byte
-    primitive or a String, a value that is none of those nor a Vector
-    or Map of covered types) or a handle, count or capacity the entry
-    path would not read as it is (``null_or_dangling``) raises
-    :class:`GatherIneligible` before anything is returned; the entry
-    path then gives its pairs or raises its exception.  A sanitized
-    block is read all the same: the entry path of a covered Map makes
-    no handle, so PCSan checks nothing there either.
+    level, one gather per level for all of them, by an untyped
+    :class:`_Page`.  A type it does not cover (``uncovered_type``: a key
+    that is not a four- or eight-byte primitive or a String, a value
+    that is none of those nor a Vector or Map of covered types) or a
+    handle, count, capacity or String the entry path would not read as
+    it is (``null_or_dangling``) raises :class:`GatherIneligible` before
+    anything is returned; the entry path then gives its pairs or raises
+    its exception.  A sanitized block is read all the same: the entry
+    path of a covered Map makes no handle, so PCSan checks nothing
+    there either.
     """
     _cover(view.descriptor)
     if len(view) + view.pc_block.active_objects < MAP_GATHER_MIN_SIZE:
         return [(key, _host(value)) for key, value in view.items()]
-    page = _MapPage(view.pc_block)
-    keys, values, _counts = page.entries(
-        view.descriptor, np.array([view.pc_offset + _HEADER], np.int64))
+    keys, values, _counts = _entries(
+        _Page(view.pc_block), view.descriptor,
+        np.array([view.pc_offset + _HEADER], np.int64))
     return list(zip(keys, values))
 
 
@@ -425,128 +474,48 @@ def _cover(descriptor, key=False):
     raise GatherIneligible("uncovered_type")
 
 
-def _spans(starts, counts, step):
-    """``starts[i] + j * step`` for ``j < counts[i]``, run after run."""
-    firsts = np.cumsum(counts) - counts
-    return np.repeat(starts - firsts * step, counts) \
-        + np.arange(int(counts.sum()), dtype=np.int64) * step
-
-
 def _runs(items, counts):
     """``items`` cut into consecutive runs of ``counts``, as lists."""
     ends = np.cumsum(counts).tolist()
     return [items[start:end] for start, end in zip([0] + ends, ends)]
 
 
-def _with_nulls(values, null):
-    """``values``, one per live slot, with None at every ``null`` slot."""
-    if not null.any():
-        return values
-    live = iter(values)
-    return [None if empty else next(live) for empty in null.tolist()]
-
-
-class _MapPage:
-    """The page of a Map :func:`map_pairs` reads: its words and size.
-    Every position it reads at is a checked target plus a fixed offset,
-    so on a word."""
-
-    __slots__ = ("buf", "words", "size")
-
-    def __init__(self, block):
-        self.buf = block.buf
-        self.words = _words(block)
-        self.size = len(self.words) * 4
-
-    def read(self, positions, dtype):
-        """The four- or eight-byte values at byte ``positions``."""
-        index = positions >> 2
-        if dtype in _WIDE:
-            return self.words[index[:, None] + _PAIR].view(dtype)[:, 0]
-        return self.words[index].view(dtype)
-
-    def targets(self, slots, need):
-        """``(targets, null)`` of the handle slots at ``slots``: a null
-        slot's target is 0, every other one's object header and first
-        ``need`` payload bytes lie on the page, on a word."""
-        delta = self.read(slots, "<i8")
-        targets = slots + delta
-        null = delta == 0
-        live = targets
-        if null.any():
-            targets[null] = 0
-            live = targets[~null]
-        if len(live) and (live.min() < BLOCK_HEADER_SIZE
-                          or live.max() > self.size - _HEADER - need
-                          or (live & 3).any()):
-            raise GatherIneligible("null_or_dangling")
-        return targets, null
-
-    def values(self, descriptor, slots):
-        """The host values of the ``descriptor`` slots at ``slots``."""
-        if isinstance(descriptor, StringType):
-            return self.strings(slots)
-        if isinstance(descriptor, VectorType):
-            return self.vectors(descriptor, slots)
-        if isinstance(descriptor, MapType):
-            return self.maps(descriptor, slots)
-        return self.read(slots, _dtype_of(descriptor)).tolist()
-
-    def strings(self, slots):
-        targets, null = self.targets(slots, 4)
-        starts = targets[~null] + _HEADER + 4
-        ends = starts + self.read(starts - 4, "<u4")
-        # a string that runs off the page is cut short, as the entry
-        # path's ``StringType.facade`` cuts it
-        buf = self.buf
-        try:
-            decoded = [str(buf[start:end], "utf-8") for start, end in
-                       zip(starts.tolist(), ends.tolist())]
-        except UnicodeDecodeError:
-            raise GatherIneligible("null_or_dangling") from None
-        return _with_nulls(decoded, null)
-
-    def vectors(self, vector, slots):
-        targets, null = self.targets(slots, _CONTAINER)
-        payloads = targets[~null] + _HEADER
-        counts = self.read(payloads, "<i8")
-        arrays, empty = self.targets(payloads + _BACKING, 0)
-        step = vector.elem.slot_size
-        capacity = self.read(arrays + 8, "<i8") // step
-        capacity[empty] = 0
-        if len(counts) and ((counts < 0) | (counts > capacity) | (
-                counts > (self.size - arrays - _HEADER) // step)).any():
-            raise GatherIneligible("null_or_dangling")
-        elements = self.values(vector.elem,
-                               _spans(arrays + _HEADER, counts, step))
+def _values(page, descriptor, slots):
+    """The host values of the ``descriptor`` slots at ``slots``."""
+    if isinstance(descriptor, StringType):
+        return page.strings(slots, descriptor)
+    if isinstance(descriptor, VectorType):
+        positions, counts, null = page.vectors(descriptor, slots)
+        elements = _values(page, descriptor.elem, positions)
         return _with_nulls(_runs(elements, counts), null)
-
-    def maps(self, map_type, slots):
-        targets, null = self.targets(slots, _CONTAINER)
-        keys, values, counts = self.entries(map_type,
-                                            targets[~null] + _HEADER)
+    if isinstance(descriptor, MapType):
+        targets, null = page.targets(slots, _CONTAINER, descriptor)
+        keys, values, counts = _entries(page, descriptor,
+                                        targets[~null] + _HEADER)
         return _with_nulls([
             dict(zip(run_keys, run_values)) for run_keys, run_values in
             zip(_runs(keys, counts), _runs(values, counts))
         ], null)
+    return page.read(slots, _dtype_of(descriptor)).tolist()
 
-    def entries(self, map_type, payloads):
-        """``(keys, values, counts)``: the occupied entries of the Maps
-        whose payloads start at ``payloads``, Map after Map, each in
-        bucket order, and how many each Map holds."""
-        buckets = map_type.buckets_type
-        tables, empty = self.targets(payloads + _BACKING, 0)
-        sizes = self.read(tables + 8, "<i8")
-        sizes[empty] = 0
-        if ((sizes < 0) | (sizes > self.size - tables - _HEADER)).any():
-            raise GatherIneligible("null_or_dangling")
-        capacity = sizes // buckets.entry_size
-        entries = _spans(tables + _HEADER, capacity, buckets.entry_size)
-        occupied = self.words[entries >> 2] & 0xFF != 0
-        counts = np.bincount(
-            np.repeat(np.arange(len(capacity)), capacity)[occupied],
-            minlength=len(capacity))
-        entries = entries[occupied]
-        return (self.values(buckets.key, entries + buckets.key_offset),
-                self.values(buckets.val, entries + buckets.val_offset),
-                counts)
+
+def _entries(page, map_type, payloads):
+    """``(keys, values, counts)``: the occupied entries of the Maps
+    whose payloads start at ``payloads``, Map after Map, each in bucket
+    order, and how many each Map holds."""
+    buckets = map_type.buckets_type
+    tables, empty = page.targets(payloads + _BACKING, 0, buckets, nulls=True)
+    sizes = page.read(tables + 8, "<i8")
+    sizes[empty] = 0
+    if ((sizes < 0) | (sizes > page.size - tables - _HEADER)).any():
+        raise GatherIneligible("null_or_dangling")
+    capacity = sizes // buckets.entry_size
+    entries = _spans(tables + _HEADER, capacity, buckets.entry_size)
+    occupied = page.read(entries, "<u4") & 0xFF != 0
+    counts = np.bincount(
+        np.repeat(np.arange(len(capacity)), capacity)[occupied],
+        minlength=len(capacity))
+    entries = entries[occupied]
+    return (_values(page, buckets.key, entries + buckets.key_offset),
+            _values(page, buckets.val, entries + buckets.val_offset),
+            counts)

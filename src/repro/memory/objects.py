@@ -265,6 +265,17 @@ class ClassDescriptor(ObjectTypeDescriptor):
         self.cls = cls
         self.name = cls.__name__
         self.fixed_payload = cls.pc_payload_size
+        #: the name and the field layout: two classes of one name share
+        #: a type code only when this is the same for both
+        self.signature = "%s(%s)" % (self.name, ", ".join(
+            "%s %s" % (a.name, a.pc_type.name) for a in cls.pc_accessors))
+
+    def type_code(self, block_or_registry):
+        registry = _registry_from(block_or_registry)
+        code = registry.code_for_signature(self.signature)
+        if code is None:  # TypeRegistrationError if another layout has the name
+            code = registry.register(self.name, self)
+        return code
 
     def facade(self, block, offset):
         return self.cls._from_location(block, offset)

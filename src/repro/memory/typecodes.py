@@ -60,6 +60,8 @@ class TypeRegistry:
     def __init__(self, miss_handler=None, register_delegate=None):
         self._by_code = {}
         self._by_name = {}
+        #: a class descriptor's ``signature`` -> its code
+        self._by_signature = {}
         self._next_code = FIRST_USER_TYPE_CODE
         self._builtin_next = 1
         self._lock = threading.Lock()
@@ -76,19 +78,15 @@ class TypeRegistry:
         """Register ``descriptor`` under ``name`` and return its code.
 
         Re-registering the same name returns the existing code if the
-        descriptor matches, otherwise raises.  When ``code`` is given the
-        registry honors it (used when a worker installs a type fetched
-        from the master catalog: codes must agree cluster-wide).
+        descriptor matches — a class must have the registered one's
+        ``signature``, its fields — otherwise raises.  When ``code`` is
+        given the registry honors it (used when a worker installs a type
+        fetched from the master catalog: codes must agree cluster-wide).
         """
+        signature = getattr(descriptor, "signature", None)
         with self._lock:
             if name in self._by_name:
-                existing = self._by_name[name]
-                if code is not None and existing != code:
-                    raise TypeRegistrationError(
-                        "type %r already registered with code %d, not %d"
-                        % (name, existing, code)
-                    )
-                return existing
+                return self._registered(name, signature, code)
             if code is None and self.register_delegate is not None:
                 delegate = self.register_delegate
             else:
@@ -97,7 +95,7 @@ class TypeRegistry:
             code = delegate(name, descriptor)
         with self._lock:
             if name in self._by_name:
-                return self._by_name[name]
+                return self._registered(name, signature)
             if code is None:
                 if builtin:
                     code = self._builtin_next
@@ -116,7 +114,20 @@ class TypeRegistry:
                 self._next_code = max(self._next_code, code + 1)
             self._by_name[name] = code
             self._by_code[code] = (name, descriptor)
+            if signature is not None:
+                self._by_signature[signature] = code
             return code
+
+    def _registered(self, name, signature, code=None):
+        """``name``'s code, if ``code`` (when given) is it and the class
+        ``signature`` (None: not a class) is the registered one's."""
+        existing = self._by_name[name]
+        held = getattr(self._by_code[existing][1], "signature", None)
+        if code not in (None, existing) or signature != held:
+            raise TypeRegistrationError(
+                "type %r is registered with code %d as %s, not with code "
+                "%s as %s" % (name, existing, held, code, signature))
+        return existing
 
     @property
     def size(self):
@@ -126,6 +137,10 @@ class TypeRegistry:
     def code_for_name(self, name):
         """Return the code registered for ``name`` or None."""
         return self._by_name.get(name)
+
+    def code_for_signature(self, signature):
+        """The code of the class registered with ``signature``, or None."""
+        return self._by_signature.get(signature)
 
     def lookup(self, code):
         """Return the descriptor for ``code``.
@@ -167,6 +182,7 @@ class TypeRegistry:
             return {
                 "by_code": dict(self._by_code),
                 "by_name": dict(self._by_name),
+                "by_signature": dict(self._by_signature),
                 "next_code": self._next_code,
                 "builtin_next": self._builtin_next,
             }
@@ -175,6 +191,7 @@ class TypeRegistry:
         self.__init__()
         self._by_code.update(state["by_code"])
         self._by_name.update(state["by_name"])
+        self._by_signature.update(state["by_signature"])
         self._next_code = state["next_code"]
         self._builtin_next = state["builtin_next"]
 

@@ -152,7 +152,6 @@ class RowPageWriter(FlushOnExit):
         self._seal_page = seal_page
         self.declined = declined or (lambda _reason: None)
         self._block = self._token = self._root = None
-        self._bare = False
         self._window, self._cls, self._want = [], None, _FIRST_WINDOW
         #: what ``seal_page`` returned for every page sealed so far.
         self.sealed = []
@@ -165,7 +164,7 @@ class RowPageWriter(FlushOnExit):
         """The open page's block (opened if none is), the window written
         first: where user code allocates what it will hand to
         :meth:`append_object`."""
-        self._write(final=True)
+        self._write(final=True, shared=True)
         if self._root is None:
             self._open()
         return self._block
@@ -173,7 +172,6 @@ class RowPageWriter(FlushOnExit):
     def _open(self, bare=False):
         self._block, self._token = self._open_page()
         self._root = open_root(self._block)
-        self._bare = bare
         if not bare:
             # The root's first slots come with the page (the first record
             # allocates them anyway): an object living on a page with
@@ -228,7 +226,6 @@ class RowPageWriter(FlushOnExit):
                         % self._block.size
                     ) from full
             else:
-                self._bare = False
                 return
             self._seal()
 
@@ -242,7 +239,7 @@ class RowPageWriter(FlushOnExit):
             self._accept(type_or_class,
                          fields if init is None else {**init, **fields})
             return
-        self._write(final=True)
+        self._write(final=True, shared=True)
         self._record(_place_new, make_object_on, type_or_class, init,
                      **fields)
         self.appended += 1
@@ -250,7 +247,7 @@ class RowPageWriter(FlushOnExit):
     def append_object(self, value):
         """Record an existing object (a handle or facade): linked if it
         lives on the open page, deep-copied onto it if not."""
-        self._write(final=True)
+        self._write(final=True, shared=True)
         self._record(_place_existing, value)
         self.appended += 1
 
@@ -270,7 +267,7 @@ class RowPageWriter(FlushOnExit):
         if len(self._window) >= self._want:
             self._write()
 
-    def _write(self, final=False):
+    def _write(self, final=False, shared=False):
         """Write the window a page at a time: every page it fills and,
         ``final``, the rest, on a page left open.  A fresh page takes the
         longest prefix of whole trees that fits, its root vector sized
@@ -284,14 +281,18 @@ class RowPageWriter(FlushOnExit):
         A tree the planner does not cover, and one the measure shows
         fills a page alone, is built object by object (:meth:`_build`);
         the trees after one it does not cover share its page until the
-        next planned one.
+        next planned one.  When an object is recorded next (``shared``),
+        a last tree the open page takes is built there too, undeclined.
         """
         window = self._window
         while window and (final or len(window) >= self._want):
             if self._root is None:
                 self._open(bare=True)
             plan = plan_objects(self._block, self._cls, window)
-            if plan.covered and not self._bare:
+            if shared and plan.covered == len(window) == 1 \
+                    and plan.fit(self._block.size - self._block.used):
+                return self._build("")
+            if plan.covered and self._root._state()[2]:  # the root has slots
                 self._seal()
                 self._open(bare=True)
             if plan.covered and not self._block.bump_only:
@@ -306,7 +307,6 @@ class RowPageWriter(FlushOnExit):
             if stored > 1:
                 plan.write(self._block, self._root, stored)
                 del window[:stored]
-                self._bare = False
                 if stored < plan.covered:  # the page is full
                     self._seal()
                     self._want = stored + stored // 8 + 1
@@ -323,14 +323,14 @@ class RowPageWriter(FlushOnExit):
 
     def _build(self, reason):
         """Build the window's first record object by object, after
-        ``declined(reason)`` hears why.  No reason: it holds a host value
-        that path rejects, or no empty page takes it, and it raises on a
-        fresh page, the one before sealed — the error's ``position`` its
-        index in ``appended`` order; the records before it are recorded,
-        the ones after stay in the window."""
+        ``declined(reason)`` hears why (an empty one: no decline).  No
+        reason: it holds a host value that path rejects, or no empty page
+        takes it, and it raises on a fresh page, the one before sealed —
+        the error's ``position`` its index in ``appended`` order; the
+        records before it are recorded, the ones after stay in the window."""
         if reason is None:  # its failed build is dead space on no page kept
             self._seal()
-        else:
+        elif reason:
             self.declined(reason)
         position = self.appended - len(self._window)
         record = self._window.pop(0)

@@ -736,3 +736,36 @@ def test_an_uncovered_field_type_is_declined_per_record_and_appended():
     assert outcome is None and declined == ["uncovered_type"] * 40
     assert set(declined) <= set(FALLBACK_REASONS)
     assert (pages, None) == _rolled(_Tagged, records, 1 << 10, registry)
+
+
+class _P3(PCObject):
+    fields = [("x", Float64), ("y", Float64), ("z", Float64)]
+
+
+def test_a_writer_that_mixes_records_and_objects_fills_its_pages():
+    registry = TypeRegistry()
+    elsewhere = AllocationBlock(1 << 16, registry=registry)
+    points = [make_object_on(elsewhere, _P3, x=i, y=i, z=i)
+              for i in range(60)]
+
+    def load(mixed):
+        counts, declined = [], []
+
+        def seal(_block, _token, count):
+            if count:
+                counts.append(count)
+
+        with _writer(1 << 16, registry, seal, declined.append) as writer:
+            for i, point in enumerate(points):
+                writer.append(_P3, x=i / 2, y=0.0, z=1.0)
+                if mixed:
+                    writer.append_object(point)
+                else:
+                    writer.append(_P3, x=i / 4, y=1.0, z=0.0)
+        return counts, declined
+
+    records, declined = load(False)
+    assert records == [120] and declined == []
+    counts, declined = load(True)
+    assert sum(counts) == 120 and len(counts) <= len(records)
+    assert declined == []

@@ -9,6 +9,7 @@ path gives its result, or raises its exception at its row.
 """
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from repro.memory.gather import (
     column_names,
     root_rows,
 )
+from repro.memory.layout import HANDLE_STRUCT, OBJECT_HEADER_SIZE
 from repro.memory.objects import PCObjectMeta
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.page import open_root, page_items
@@ -55,7 +57,7 @@ from repro.tcap import compile_computations
 from repro.tcap.optimizer import mark_columnar, optimize
 from repro.tpch.generator import TpchSpec, _customer_records
 from repro.tpch.queries import CustomerMultiSelection
-from repro.tpch.schema import Customer, LineItem, Order
+from repro.tpch.schema import Customer, LineItem, Order, Supplier
 
 #: tier-1 also runs under PCSan, where every block is sanitized and a
 #: marked stage takes the object path (reason ``sanitizer``).
@@ -257,6 +259,60 @@ def test_subclass_instance_among_customers_keeps_its_override():
                                    name="vip", tier=3, orders=[]))
     pieces = assert_parity(block, "mixed_types")
     assert ("vip", {"vip": [3]}) in pieces
+
+
+def _slot(handle, cls, name):
+    """The byte offset of field ``name`` of the ``cls`` object ``handle``
+    points at."""
+    return handle.offset + OBJECT_HEADER_SIZE + cls.pc_fields[name].byte_offset
+
+
+def _first_line_item(root, row):
+    order = next(iter(root[row].deref().orders))
+    return next(iter(order.deref().line_items))
+
+
+def test_a_vector_that_runs_off_the_page_declines():
+    block, root = customer_page()
+    buf = block.buf
+    slot = _slot(root[7], Customer, "orders")
+    payload = slot + HANDLE_STRUCT.unpack_from(buf, slot)[0] \
+        + OBJECT_HEADER_SIZE
+    array = payload + 8 + HANDLE_STRUCT.unpack_from(buf, payload + 8)[0]
+    count = 100_000
+    struct.pack_into("<Q", buf, payload, count)
+    struct.pack_into("<Q", buf, array + 8, count * HANDLE_STRUCT.size)
+    assert count * HANDLE_STRUCT.size > block.size
+    assert isinstance(assert_parity(block, "null_or_dangling"), struct.error)
+
+
+def test_a_string_that_is_not_utf8_declines():
+    block, root = customer_page()
+    buf = block.buf
+    slot = _slot(_first_line_item(root, 3).deref().supplier.handle(),
+                 Supplier, "name")
+    text = slot + HANDLE_STRUCT.unpack_from(buf, slot)[0] \
+        + OBJECT_HEADER_SIZE + 4
+    buf[text] = 0xFF
+    assert isinstance(assert_parity(block, "null_or_dangling"),
+                      UnicodeDecodeError)
+
+
+@pytest.mark.parametrize(
+    "target", ["past_the_end", "before_the_header", "negative", "unaligned"])
+def test_a_bad_handle_on_a_row_page_declines(target):
+    block, root = customer_page()
+    buf = block.buf
+    slot = _slot(_first_line_item(root, 3), LineItem, "part")
+    delta, code = HANDLE_STRUCT.unpack_from(buf, slot)
+    delta = {
+        "past_the_end": block.size - slot + 64,
+        "before_the_header": 8 - slot,
+        "negative": -slot - 4096,
+        "unaligned": delta + 2,
+    }[target]
+    HANDLE_STRUCT.pack_into(buf, slot, delta, code)
+    assert_parity(block, "null_or_dangling")
 
 
 class Holder(PCObject):

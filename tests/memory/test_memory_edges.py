@@ -7,6 +7,7 @@ from repro.errors import (
     DanglingHandleError,
     NullHandleError,
     ObjectModelError,
+    TypeRegistrationError,
 )
 from repro.memory import (
     AllocationBlock,
@@ -21,6 +22,7 @@ from repro.memory import (
     PCObject,
     RECYCLING,
     String,
+    TypeRegistry,
     UInt32,
     UInt64,
     UNIQUE_OWNERSHIP,
@@ -29,6 +31,7 @@ from repro.memory import (
     stable_hash,
 )
 from repro.memory.layout import align8
+from repro.memory.objects import PCObjectMeta
 
 
 class Tiny(PCObject):
@@ -212,6 +215,26 @@ def test_inheritance_layout_and_dynamic_dispatch():
     assert type(view).__name__ == "Derived"
     assert view.describe() == "derived"
     assert (view.a, view.b) == (1, 2)
+
+
+def test_two_classes_of_one_name_share_a_code_only_with_one_layout():
+    def twin(*fields):
+        return PCObjectMeta("Twin", (PCObject,), {"fields": list(fields)})
+
+    registry = TypeRegistry()
+    first, other, same = twin(("x", Float64)), twin(("x", Int32)), \
+        twin(("x", Float64))
+    code = first.type_code(registry)
+    assert same.type_code(registry) == code
+    block = AllocationBlock(1 << 12, registry=registry)
+    with pytest.raises(TypeRegistrationError) as raised:
+        make_object_on(block, other, x=1)
+    assert "Twin(x float64)" in str(raised.value)
+    assert "Twin(x int32)" in str(raised.value)
+    with pytest.raises(TypeRegistrationError):
+        registry.register("Twin", other.pc_descriptor)
+    handle = make_object_on(block, same, x=2.5)
+    assert type(handle.deref()) is first and handle.deref().x == 2.5
 
 
 def test_same_object_identity():

@@ -10,7 +10,7 @@ invariants under a tight budget.
 import pytest
 
 from repro.errors import BufferPoolExhaustedError
-from repro.memory import Float64, Int32, PCObject, VectorType
+from repro.memory import Float64, Int32, PCObject, TypeRegistry, VectorType
 from repro.memory.block import AllocationBlock
 from repro.memory.objects import make_object_on
 from repro.storage import BufferPool, LocalStorageServer
@@ -21,12 +21,15 @@ class Tiny(PCObject):
 
 
 PAGE = 1 << 12
+#: ``Tiny`` is another layout elsewhere in the suite: its type code here
+#: comes from a registry of this module's own
+REGISTRY = TypeRegistry()
 
 
 def _light_page(pool):
     """Adopt a page holding one small object, so its used-prefix is tiny
     but real; it stays pinned."""
-    block = AllocationBlock(PAGE)
+    block = AllocationBlock(PAGE, registry=REGISTRY)
     handle = make_object_on(block, Tiny, pid=1, xs=[1.0, 2.0])
     block.set_root(handle.offset, handle.type_code)
     return pool.adopt_page(block.to_bytes())
@@ -39,7 +42,7 @@ def _resident_bytes(pool):
 def test_reload_respects_the_memory_budget(tmp_path):
     # Capacity of 2.5 pages: A spilled, B pinned, C unpinned-resident.
     pool = BufferPool(PAGE * 2 + PAGE // 2, page_size=PAGE,
-                      spill_dir=str(tmp_path))
+                      registry=REGISTRY, spill_dir=str(tmp_path))
     page_a = _light_page(pool)
     pool.unpin(page_a.page_id, dirty=True)
     _light_page(pool)                 # B stays pinned
@@ -59,7 +62,7 @@ def test_reload_respects_the_memory_budget(tmp_path):
 
 def test_reload_raises_rather_than_overcommit_when_all_pinned(tmp_path):
     pool = BufferPool(PAGE * 2 + PAGE // 2, page_size=PAGE,
-                      spill_dir=str(tmp_path))
+                      registry=REGISTRY, spill_dir=str(tmp_path))
     page_a = _light_page(pool)
     pool.unpin(page_a.page_id, dirty=True)
     _light_page(pool)
@@ -75,7 +78,7 @@ def test_reload_raises_rather_than_overcommit_when_all_pinned(tmp_path):
 def test_spill_reload_churn_keeps_accounting_exact(tmp_path, write_pages):
     """Scan a set much larger than the pool; the budget never drifts."""
     server = LocalStorageServer(
-        "w0", capacity_bytes=PAGE * 3, page_size=PAGE,
+        "w0", capacity_bytes=PAGE * 3, page_size=PAGE, registry=REGISTRY,
         spill_dir=str(tmp_path),
     )
     page_set = server.create_set("db", "pts")

@@ -4,7 +4,14 @@ import pytest
 
 from repro.catalog import CatalogManager, LocalCatalog
 from repro.errors import BufferPoolExhaustedError, SetNotFoundError
-from repro.memory import Float64, Int32, PCObject, String, VectorType
+from repro.memory import (
+    Float64,
+    Int32,
+    PCObject,
+    String,
+    TypeRegistry,
+    VectorType,
+)
 from repro.memory.block import AllocationBlock
 from repro.storage import (
     BufferPool,
@@ -13,6 +20,8 @@ from repro.storage import (
 )
 
 
+# ``Point`` is another layout elsewhere in the suite: a test that writes
+# one on its own pool gives the pool a registry of its own.
 class Point(PCObject):
     fields = [("pid", Int32), ("name", String), ("xs", VectorType(Float64))]
 
@@ -20,6 +29,7 @@ class Point(PCObject):
 def test_writer_rolls_pages_and_scan_reads_back(tmp_path, write_pages):
     pool = BufferPool(1 << 22, page_size=1 << 13, spill_dir=str(tmp_path))
     server = LocalStorageServer("w0", 1 << 22, page_size=1 << 13,
+                                registry=TypeRegistry(),
                                 spill_dir=str(tmp_path / "s"))
     page_set = server.create_set("db", "points")
     write_pages(page_set, Point, (
@@ -38,7 +48,7 @@ def test_writer_rolls_pages_and_scan_reads_back(tmp_path, write_pages):
 def test_spill_and_reload_roundtrip(tmp_path, write_pages):
     server = LocalStorageServer(
         "w0", capacity_bytes=1 << 15, page_size=1 << 13,
-        spill_dir=str(tmp_path),
+        registry=TypeRegistry(), spill_dir=str(tmp_path),
     )
     page_set = server.create_set("db", "pts")
     write_pages(page_set, Point, (
